@@ -1,9 +1,11 @@
 //! The distributed runtime proper: nodes, registries, factory & proxy
 //! hooks, RPC dispatch, migration and adaptation.
 
+use crate::directory::{Directory, Drift, Why, VERSION_TOMBSTONE};
 use crate::error::RuntimeError;
 use crate::introspect;
 use crate::marshal;
+pub use crate::obs::RuntimeStats;
 use crate::obs::{Met, Obs};
 use rafda_classmodel::{ClassId, ClassUniverse, SigId, Ty};
 use rafda_net::{BufPool, NetError, Network, NodeId, SimTime};
@@ -17,7 +19,7 @@ use rafda_wire::{
     FrameHeader, Protocol, ProtocolKind, Reply, Request, RequestKind, SigTable, WireValue,
 };
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
@@ -41,13 +43,13 @@ pub(crate) struct GenInfo {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SingletonState {
+pub(crate) enum SingletonState {
     InProgress(Handle),
     Ready(Handle),
 }
 
 impl SingletonState {
-    fn handle(self) -> Handle {
+    pub(crate) fn handle(self) -> Handle {
         match self {
             SingletonState::InProgress(h) | SingletonState::Ready(h) => h,
         }
@@ -65,38 +67,18 @@ const REPLY_CACHE_CAP: usize = 1024;
 /// proportional to its working set of remote reads.
 const PROP_CACHE_CAP: usize = 1024;
 
-/// Version tag marking a `(node, oid)` location as permanently uncacheable:
-/// the object migrated away and the export now forwards. Reads through a
-/// forwarding chain must always go remote, otherwise a reader that never
-/// exchanges with the new owner could keep serving the pre-move value.
-const VERSION_TOMBSTONE: u64 = u64::MAX;
-
-/// Per-node registry state.
+/// Per-node volatile caches. Where objects live is the
+/// [`Directory`]'s business; what is kept here is what a node remembers
+/// for itself, and a restart wipes all of it.
 #[derive(Debug, Default)]
 pub(crate) struct NodeState {
-    exports: HashMap<u64, Handle>,
-    export_ids: HashMap<Handle, u64>,
-    /// Forwarding stubs left behind by a migration or pull: the export id
-    /// still resolves (through [`lookup_export`]) to the in-place-rewritten
-    /// proxy so transparent forwarding keeps working, but the entry is
-    /// *purged* from [`NodeState::exports`] — sweeps, affinity purges and
-    /// registry summaries see only live objects. The reverse
-    /// [`NodeState::export_ids`] mapping is kept so re-exporting the same
-    /// handle (the object migrating back home) reuses its original id.
-    forwards: HashMap<u64, Handle>,
-    /// Export ids on this node that are locally implemented *and* belong to
-    /// a replicated class — the only locations a dirty-set mark can ever
-    /// make shippable. A `BTreeSet` so node-level conservative marks insert
-    /// in ascending id order.
-    replicated: BTreeSet<u64>,
-    next_oid: u64,
-    imports: HashMap<(u32, u64), Handle>,
-    singletons: HashMap<ClassId, SingletonState>,
-    /// Per-exported-object incoming call counts by caller node.
-    call_counts: HashMap<u64, HashMap<u32, u64>>,
+    /// Proxies this node holds for remote objects, by the location they
+    /// were materialised for.
+    pub(crate) imports: HashMap<(u32, u64), Handle>,
+    pub(crate) singletons: HashMap<ClassId, SingletonState>,
     /// Host-pinned GC roots (references held outside the simulation, e.g.
     /// by embedding Rust code).
-    pins: std::collections::HashSet<Handle>,
+    pub(crate) pins: std::collections::HashSet<Handle>,
     /// At-most-once reply cache: replies already sent, keyed by
     /// `(caller node, message id)`, each paired with the addressed export's
     /// property version **at serve time**. A retransmitted request is
@@ -105,9 +87,9 @@ pub(crate) struct NodeState {
     /// against, and recomputing the version at retransmit time would let a
     /// dedup hit validate a cache entry against state the original
     /// execution never saw.
-    reply_cache: HashMap<(u32, u64), (Reply, u64)>,
+    pub(crate) reply_cache: HashMap<(u32, u64), (Reply, u64)>,
     /// Insertion order of `reply_cache` keys, for FIFO eviction.
-    reply_cache_order: VecDeque<(u32, u64)>,
+    pub(crate) reply_cache_order: VecDeque<(u32, u64)>,
     /// Proxy-side property cache: values returned by remote `get_f` calls,
     /// keyed `(owner node, export id, getter sig)` and tagged with the
     /// owner's property version at reply time. An entry is served only
@@ -115,26 +97,16 @@ pub(crate) struct NodeState {
     /// kept in wire form so each hit re-materialises exactly like a fresh
     /// reply (arrays copy by value, references resolve via the import
     /// cache — and hold no GC-visible handles).
-    prop_cache: HashMap<(u32, u64, SigId), (u64, WireValue)>,
+    pub(crate) prop_cache: HashMap<(u32, u64, SigId), (u64, WireValue)>,
     /// Insertion order of `prop_cache` keys, for FIFO eviction.
-    prop_cache_order: VecDeque<(u32, u64, SigId)>,
+    pub(crate) prop_cache_order: VecDeque<(u32, u64, SigId)>,
     /// Backup copies of replicated exports owned by *other* nodes, keyed by
     /// the primary's location `(owner node, export id)`. The value is the
     /// owner's property version plus the object's class name and marshalled
     /// fields, exactly as shipped by the last [`Request::ReplicaSync`]. The
     /// state stays in wire form until a [`Request::Promote`] materialises
     /// it — a backup that never promotes costs no heap objects.
-    replica_store: HashMap<(u32, u64), (u64, String, Vec<WireValue>)>,
-    /// The property version and marshalled state each local export last
-    /// shipped to its backups. [`sync_replicas`] skips the per-target
-    /// exchanges when both are unchanged — repeated `Discover`/`Create`
-    /// serves of an unmutated object would otherwise re-ship identical
-    /// state. When the *state* moved but the version did not (a local call
-    /// mutated a promoted or pulled replica without a serve in between),
-    /// the sync bumps the version itself before shipping. Cleared
-    /// cluster-wide on every restart so a rejoining backup is re-seeded at
-    /// the owner's next sync.
-    synced_versions: HashMap<u64, (u64, Vec<WireValue>)>,
+    pub(crate) replica_store: HashMap<(u32, u64), (u64, String, Vec<WireValue>)>,
 }
 
 /// Client-side fault tolerance for one request/reply exchange.
@@ -186,240 +158,7 @@ impl RetryPolicy {
     }
 }
 
-/// Aggregate runtime statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeStats {
-    /// Remote method invocations served.
-    pub rpc_calls: u64,
-    /// Remote creations served.
-    pub rpc_creates: u64,
-    /// Remote singleton discoveries served.
-    pub rpc_discovers: u64,
-    /// State fetches served (migration).
-    pub rpc_fetches: u64,
-    /// State installs served (migration).
-    pub rpc_installs: u64,
-    /// Forward swaps served (boundary pulls).
-    pub rpc_forwards: u64,
-    /// Objects migrated (including adaptation).
-    pub migrations: u64,
-    /// Objects pulled local.
-    pub pulls: u64,
-    /// Requests answered with a fault (server-side errors; network-level
-    /// failures are counted separately in [`RuntimeStats::net_failures`]).
-    pub faults: u64,
-    /// Client-side retry rounds: transmission attempts beyond each
-    /// exchange's first.
-    pub retries: u64,
-    /// Retransmitted requests that reached the server (a retry whose
-    /// request transmission succeeded).
-    pub retransmits: u64,
-    /// Retransmissions answered from the reply cache instead of re-running
-    /// the method (the at-most-once guarantee doing its job).
-    pub dedup_hits: u64,
-    /// Exchanges that exhausted the retry budget or hit a non-transient
-    /// network failure. Distinct from `faults`: the server never answered.
-    pub net_failures: u64,
-    /// Property (`get_f`) reads answered from the proxy-side cache —
-    /// no network exchange happened at all.
-    pub cache_hits: u64,
-    /// Cacheable property reads that had to go remote (no entry, or a
-    /// stale entry that was refreshed by the exchange).
-    pub cache_misses: u64,
-    /// Cached property entries found stale — the owner's version moved
-    /// past the tag — and dropped before going remote.
-    pub cache_invalidations: u64,
-    /// Replica state syncs served: one per backup shipped after a served
-    /// mutation (or export) of a replicated object.
-    pub replica_syncs: u64,
-    /// Replica promotions served: a backup materialised its stored state
-    /// and became the new owner after the primary crashed.
-    pub promotions: u64,
-    /// Client-side failovers: calls re-homed from a crashed owner to a
-    /// (promoted) replica and retried successfully.
-    pub failovers: u64,
-    /// Operations deferred onto a per-`(caller, owner)` outcall queue
-    /// instead of being sent as their own exchange (void calls on batched
-    /// classes, plus replica shipments of batched classes).
-    pub batched_ops: u64,
-    /// Outcall queues drained: each flush ships one queue as a single
-    /// [`Request::Batch`] exchange at a synchronization point.
-    pub flushes: u64,
-    /// Sharded instances placed onto their shard's node after construction
-    /// (a `shard by` policy rule routing a fresh object).
-    pub shard_placements: u64,
-    /// Whole shards moved between nodes by the rebalance tick reacting to
-    /// hot-key skew in the observed call counts.
-    pub shard_rebalances: u64,
-    /// Getter calls served from a same-version local replica copy instead
-    /// of an owner exchange (a `reads from replicas` policy rule).
-    pub replica_reads: u64,
-    /// Dirty-set entries the replica sweep offered to
-    /// [`sync_replicas`](crate::cluster) — each one a state comparison
-    /// against the last shipment, charged to the owner. The sweep's cost
-    /// measure: O(dirty) per synchronization point, not O(exports).
-    pub replica_sweep_probes: u64,
-    /// `(node, oid)` dirty-set insertions recorded (version bumps, served
-    /// mutations, fresh replicated exports, and conservative node-level
-    /// marks while application code runs locally). Marks bound probes:
-    /// every probe was a mark first.
-    pub dirty_marks: u64,
-    /// Histogram of attempts used per finished exchange: bucket `i` counts
-    /// exchanges that took `i + 1` attempts (the last bucket saturates).
-    pub attempts: [u64; 8],
-    /// Signature-position strings sent as an interned reference instead of
-    /// inline text (summed over every directed link's table).
-    pub sig_refs: u64,
-    /// Signature-position strings defined (sent inline and interned) —
-    /// each one a table entry later frames reference.
-    pub sig_defs: u64,
-    /// Frame encodes served by a pooled buffer instead of a fresh
-    /// allocation.
-    pub wire_buf_reuses: u64,
-}
-
 impl RuntimeStats {
-    /// Add every counter of `other` into `self` — the merge
-    /// [`Cluster::stats`] folds per-node breakdowns with.
-    pub fn merge(&mut self, other: &RuntimeStats) {
-        let RuntimeStats {
-            rpc_calls,
-            rpc_creates,
-            rpc_discovers,
-            rpc_fetches,
-            rpc_installs,
-            rpc_forwards,
-            migrations,
-            pulls,
-            faults,
-            retries,
-            retransmits,
-            dedup_hits,
-            net_failures,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            replica_syncs,
-            promotions,
-            failovers,
-            batched_ops,
-            flushes,
-            shard_placements,
-            shard_rebalances,
-            replica_reads,
-            replica_sweep_probes,
-            dirty_marks,
-            attempts,
-            sig_refs,
-            sig_defs,
-            wire_buf_reuses,
-        } = other;
-        self.rpc_calls += rpc_calls;
-        self.rpc_creates += rpc_creates;
-        self.rpc_discovers += rpc_discovers;
-        self.rpc_fetches += rpc_fetches;
-        self.rpc_installs += rpc_installs;
-        self.rpc_forwards += rpc_forwards;
-        self.migrations += migrations;
-        self.pulls += pulls;
-        self.faults += faults;
-        self.retries += retries;
-        self.retransmits += retransmits;
-        self.dedup_hits += dedup_hits;
-        self.net_failures += net_failures;
-        self.cache_hits += cache_hits;
-        self.cache_misses += cache_misses;
-        self.cache_invalidations += cache_invalidations;
-        self.replica_syncs += replica_syncs;
-        self.promotions += promotions;
-        self.failovers += failovers;
-        self.batched_ops += batched_ops;
-        self.flushes += flushes;
-        self.shard_placements += shard_placements;
-        self.shard_rebalances += shard_rebalances;
-        self.replica_reads += replica_reads;
-        self.replica_sweep_probes += replica_sweep_probes;
-        self.dirty_marks += dirty_marks;
-        for (slot, c) in self.attempts.iter_mut().zip(attempts) {
-            *slot += c;
-        }
-        self.sig_refs += sig_refs;
-        self.sig_defs += sig_defs;
-        self.wire_buf_reuses += wire_buf_reuses;
-    }
-
-    /// Counter-wise difference `self − earlier` (saturating), for
-    /// reporting what a bounded run added on top of its setup — the soak
-    /// report's per-phase metric deltas are computed with this.
-    pub fn delta_from(&self, earlier: &RuntimeStats) -> RuntimeStats {
-        let mut d = *self;
-        let RuntimeStats {
-            rpc_calls,
-            rpc_creates,
-            rpc_discovers,
-            rpc_fetches,
-            rpc_installs,
-            rpc_forwards,
-            migrations,
-            pulls,
-            faults,
-            retries,
-            retransmits,
-            dedup_hits,
-            net_failures,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            replica_syncs,
-            promotions,
-            failovers,
-            batched_ops,
-            flushes,
-            shard_placements,
-            shard_rebalances,
-            replica_reads,
-            replica_sweep_probes,
-            dirty_marks,
-            attempts,
-            sig_refs,
-            sig_defs,
-            wire_buf_reuses,
-        } = earlier;
-        d.rpc_calls = d.rpc_calls.saturating_sub(*rpc_calls);
-        d.rpc_creates = d.rpc_creates.saturating_sub(*rpc_creates);
-        d.rpc_discovers = d.rpc_discovers.saturating_sub(*rpc_discovers);
-        d.rpc_fetches = d.rpc_fetches.saturating_sub(*rpc_fetches);
-        d.rpc_installs = d.rpc_installs.saturating_sub(*rpc_installs);
-        d.rpc_forwards = d.rpc_forwards.saturating_sub(*rpc_forwards);
-        d.migrations = d.migrations.saturating_sub(*migrations);
-        d.pulls = d.pulls.saturating_sub(*pulls);
-        d.faults = d.faults.saturating_sub(*faults);
-        d.retries = d.retries.saturating_sub(*retries);
-        d.retransmits = d.retransmits.saturating_sub(*retransmits);
-        d.dedup_hits = d.dedup_hits.saturating_sub(*dedup_hits);
-        d.net_failures = d.net_failures.saturating_sub(*net_failures);
-        d.cache_hits = d.cache_hits.saturating_sub(*cache_hits);
-        d.cache_misses = d.cache_misses.saturating_sub(*cache_misses);
-        d.cache_invalidations = d.cache_invalidations.saturating_sub(*cache_invalidations);
-        d.replica_syncs = d.replica_syncs.saturating_sub(*replica_syncs);
-        d.promotions = d.promotions.saturating_sub(*promotions);
-        d.failovers = d.failovers.saturating_sub(*failovers);
-        d.batched_ops = d.batched_ops.saturating_sub(*batched_ops);
-        d.flushes = d.flushes.saturating_sub(*flushes);
-        d.shard_placements = d.shard_placements.saturating_sub(*shard_placements);
-        d.shard_rebalances = d.shard_rebalances.saturating_sub(*shard_rebalances);
-        d.replica_reads = d.replica_reads.saturating_sub(*replica_reads);
-        d.replica_sweep_probes = d.replica_sweep_probes.saturating_sub(*replica_sweep_probes);
-        d.dirty_marks = d.dirty_marks.saturating_sub(*dirty_marks);
-        for (slot, c) in d.attempts.iter_mut().zip(attempts) {
-            *slot = slot.saturating_sub(*c);
-        }
-        d.sig_refs = d.sig_refs.saturating_sub(*sig_refs);
-        d.sig_defs = d.sig_defs.saturating_sub(*sig_defs);
-        d.wire_buf_reuses = d.wire_buf_reuses.saturating_sub(*wire_buf_reuses);
-        d
-    }
-
     /// Total finished exchanges recorded in the attempts histogram.
     pub fn exchanges(&self) -> u64 {
         self.attempts.iter().sum()
@@ -542,24 +281,10 @@ impl fmt::Display for MigrationEvent {
     }
 }
 
-/// Shard placement state for classes with a `shard by <getter> modulo N`
-/// policy rule. Both maps iterate in sorted order wherever they feed a
-/// decision, so placement and rebalancing are deterministic per seed.
-#[derive(Debug, Default)]
-pub(crate) struct ShardState {
-    /// `(class name, shard index)` → owning node. Seeded lazily as
-    /// `shard % node_count` the first time an instance hashes into the
-    /// shard; rewritten by [`Cluster::rebalance_shards`].
-    pub owners: BTreeMap<(String, u32), u32>,
-    /// `(class name, shard index)` → the member instances currently routed
-    /// there, at their live `(node, export id)` locations.
-    pub members: BTreeMap<(String, u32), Vec<(u32, u64)>>,
-}
-
 /// Stable 64-bit hash of a shard key value (FNV-1a over the value's
 /// canonical bytes). Int/Long keys hash their two's-complement bits, so a
 /// key getter returning either width places identically.
-fn shard_hash(key: &Value) -> u64 {
+pub(crate) fn shard_hash(key: &Value) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x100_0000_01b3;
     let mut h = FNV_OFFSET;
@@ -598,11 +323,6 @@ pub(crate) struct Shared {
     /// and the optional invariant monitors. Never borrowed across a
     /// nested exchange.
     pub obs: RefCell<Obs>,
-    /// Test-only fault injection: when set, the next
-    /// [`tombstone_version`] call is silently skipped — simulating a
-    /// runtime that forgot to mark a moved-away export uncacheable, the
-    /// exact bug the stale-read monitor exists to catch.
-    pub skip_next_tombstone: Cell<bool>,
     pub gen_info: HashMap<ClassId, GenInfo>,
     pub rpc_depth: Cell<u32>,
     pub retry: Cell<RetryPolicy>,
@@ -613,30 +333,9 @@ pub(crate) struct Shared {
     /// dispatch, migration and boundary pull, charged to the simulated
     /// clock. Never borrowed across a nested exchange (RPCs re-enter).
     pub spans: RefCell<SpanLog>,
-    /// Authoritative per-object property versions, keyed by `(owner node,
-    /// export id)`. Absent means version 0 (never mutated through the
-    /// runtime since export). Every served mutation bumps the owner's
-    /// entry; the current value piggybacks on reply frames so proxy-side
-    /// property caches can tag and later revalidate their entries.
-    /// [`VERSION_TOMBSTONE`] marks a location the object migrated away
-    /// from.
-    pub versions: RefCell<HashMap<(u32, u64), u64>>,
-    /// Failover forwarding map: `(old owner, old export id)` of a promoted
-    /// object → its new home. Written by the [`Request::Promote`] handler;
-    /// followed by clients before they attempt a promotion of their own, so
-    /// a second caller re-homes to the already-promoted copy instead of
-    /// promoting a stale backup twice.
-    pub homes: RefCell<HashMap<(u32, u64), (u32, u64)>>,
-    /// Canonical singleton exports: class name → the `(node, oid)` its
-    /// statics singleton was first exported under. Singleton resolution
-    /// follows the [`Shared::homes`] chain from here, so a statics owner
-    /// that crash-restarted after a promotion is never allowed to mint a
-    /// fresh, amnesiac singleton while the promoted copy lives on.
-    pub statics_exports: RefCell<HashMap<String, (u32, u64)>>,
-    /// Shard placement state for classes with a `shard by` policy rule: the
-    /// deterministic shard→node map (kept alongside the failover `homes`
-    /// map) and the live members routed to each shard.
-    pub shards: RefCell<ShardState>,
+    /// Where every object lives and at what version: all location state,
+    /// behind transitions. Borrowed for one method call at a time.
+    pub directory: RefCell<Directory>,
     /// Whether the policy shards any transformed class — computed once at
     /// deployment, like [`Shared::any_replication`], so unsharded
     /// workloads pay one boolean test.
@@ -660,15 +359,6 @@ pub(crate) struct Shared {
     /// Re-entrancy guard for [`sync_dirty_replicas`]: the sweep's shipments
     /// are exchanges, and every exchange is a synchronization point.
     pub in_replica_sweep: Cell<bool>,
-    /// The dirty-replica set: `(owner node, export id)` locations whose
-    /// state may have moved past what [`NodeState::synced_versions`] last
-    /// shipped. Every version bump, served mutation, promotion and
-    /// post-pull local call inserts here; [`sync_dirty_replicas`] drains
-    /// *only* these entries — in sorted order, so the shipment sequence is
-    /// byte-identical to the full-table sweep it replaces — instead of
-    /// enumerating every export of every node. A `BTreeSet` keeps the
-    /// drain deterministic without a sort per sweep.
-    pub dirty: RefCell<BTreeSet<(u32, u64)>>,
     /// Per-node application-frame nesting counters. A frame is open while
     /// *non-getter* application code runs locally on that node (a served
     /// `Call`, or a top-level entry like [`Cluster::call_method`]); any
@@ -698,7 +388,7 @@ pub(crate) struct Shared {
 /// Cheap to clone; all clones share the same state.
 #[derive(Clone)]
 pub struct Cluster {
-    shared: Rc<Shared>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl fmt::Debug for Cluster {
@@ -794,23 +484,18 @@ impl Cluster {
             nodes: RefCell::new((0..nodes).map(|_| NodeState::default()).collect()),
             trace: RefCell::new(Trace::new()),
             obs: RefCell::new(Obs::new(nodes)),
-            skip_next_tombstone: Cell::new(false),
             gen_info,
             rpc_depth: Cell::new(0),
             retry: Cell::new(RetryPolicy::default()),
             next_msg_id: Cell::new(1),
             spans: RefCell::new(SpanLog::new()),
-            versions: RefCell::new(HashMap::new()),
-            homes: RefCell::new(HashMap::new()),
-            statics_exports: RefCell::new(HashMap::new()),
-            shards: RefCell::new(ShardState::default()),
+            directory: RefCell::new(Directory::new(nodes)),
             any_sharding,
             last_exchange_span: Cell::new(0),
             outqueues: RefCell::new(HashMap::new()),
             in_flush: Cell::new(false),
             any_replication,
             in_replica_sweep: Cell::new(false),
-            dirty: RefCell::new(BTreeSet::new()),
             app_frames: RefCell::new(vec![0; nodes as usize]),
             wire_bufs: RefCell::new(BufPool::new()),
             sig_tables: RefCell::new(HashMap::new()),
@@ -952,42 +637,36 @@ impl Cluster {
     /// locally implemented there. A counter pointing at a forwarding
     /// proxy (the object moved) or a wiped registry (the node died) would
     /// feed the adaptation loops locations they must never act on —
-    /// [`purge_call_counts`] maintains this invariant and the soak gate
+    /// [`Directory::relocate`] maintains this invariant and the soak gate
     /// checks it at every phase boundary.
-    fn stale_affinity_violations(&self) -> Vec<Violation> {
+    pub(crate) fn stale_affinity_violations(&self) -> Vec<Violation> {
         let shared = &self.shared;
         let mut out = Vec::new();
-        let nodes = shared.nodes.borrow();
-        for (n, state) in nodes.iter().enumerate() {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n as u32))) {
+        let dir = shared.directory.borrow();
+        for n in 0..shared.vms.len() as u32 {
+            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
                 continue;
             }
-            let mut oids: Vec<u64> = state.call_counts.keys().copied().collect();
-            oids.sort_unstable();
-            for oid in oids {
+            for oid in dir.affinity(n).into_iter().map(|a| a.oid) {
                 let fail = |message: String| Violation {
                     monitor: "stale-affinity",
                     message,
                     span_id: 0,
                     trace_id: 0,
                 };
-                match state.exports.get(&oid) {
-                    // A demoted entry (the object moved away) lives in the
-                    // forwards side-table now; report it exactly as the
+                match dir.live_export((n, oid)) {
+                    // A demoted entry (the object moved away) is a
+                    // forwarding stub now; report it exactly as the
                     // forwarding proxy it is, not as a vanished export.
-                    None if state.forwards.contains_key(&oid) => out.push(fail(format!(
+                    None if dir.lookup((n, oid)).is_some() => out.push(fail(format!(
                         "node {n}: affinity counter references \
                          moved-away export {oid}"
                     ))),
                     None => out.push(fail(format!(
                         "node {n}: affinity counter for vanished export {oid}"
                     ))),
-                    Some(&h) => {
-                        let local = shared.vms[n]
-                            .class_of(h)
-                            .and_then(|c| shared.gen_info.get(&c))
-                            .is_some_and(|info| info.proto.is_none());
-                        if !local {
+                    Some(h) => {
+                        if !is_local_impl(shared, n, h) {
                             out.push(fail(format!(
                                 "node {n}: affinity counter references \
                                  moved-away export {oid}"
@@ -1000,14 +679,14 @@ impl Cluster {
         out
     }
 
-    /// Test-only fault injection: silently skip the next
-    /// [`tombstone_version`] call, simulating a runtime that forgot to
-    /// mark a moved-away export uncacheable. Exists so the stale-read
+    /// Test-only fault injection: the next relocation silently skips its
+    /// tombstone, simulating a runtime that forgot to mark a moved-away
+    /// export uncacheable. Exists so the stale-read
     /// monitor's canary test can prove the watchdog catches the bug it was
     /// built for; never use outside tests.
     #[doc(hidden)]
     pub fn debug_skip_next_tombstone(&self) {
-        self.shared.skip_next_tombstone.set(true);
+        self.shared.directory.borrow_mut().skip_next_tombstone();
     }
 
     /// Per-object incoming-call affinity recorded on `node`: `(export id,
@@ -1015,14 +694,11 @@ impl Cluster {
     /// cluster-wide when their object migrates or is pulled, so the
     /// adaptive loop never acts on traffic observed at a previous home.
     pub fn affinity_snapshot(&self, node: NodeId) -> Vec<(u64, u64)> {
-        let nodes = self.shared.nodes.borrow();
-        let mut v: Vec<(u64, u64)> = nodes[node.0 as usize]
-            .call_counts
-            .iter()
-            .map(|(&oid, counts)| (oid, counts.values().sum()))
-            .collect();
-        v.sort_unstable();
-        v
+        let dir = self.shared.directory.borrow();
+        dir.affinity(node.0)
+            .into_iter()
+            .map(|a| (a.oid, a.total))
+            .collect()
     }
 
     /// Snapshot of the causal span log. Deterministic per seed: same
@@ -1059,7 +735,7 @@ impl Cluster {
 
     /// Number of objects node `n` currently exports.
     pub fn export_count(&self, n: NodeId) -> usize {
-        self.shared.nodes.borrow()[n.0 as usize].exports.len()
+        self.shared.directory.borrow().live_count(n.0)
     }
 
     /// Per-node registry summary (for diagnostics and examples).
@@ -1076,7 +752,7 @@ impl Cluster {
                     .collect::<Vec<_>>();
                 NodeSummary {
                     node: NodeId(i as u32),
-                    exports: state.exports.len(),
+                    exports: self.shared.directory.borrow().live_count(i as u32),
                     imports: state.imports.len(),
                     singletons,
                     live_objects: self.shared.vms[i].stats().heap.live as usize,
@@ -1419,16 +1095,10 @@ impl Cluster {
         match self.shared.gen_info.get(&class) {
             Some(info) if info.proto.is_some() => {
                 let (owner, oid) = read_proxy_state(vm, h)?;
-                let nodes = self.shared.nodes.borrow();
-                let handle = *nodes[owner as usize].exports.get(&oid)?;
+                let handle = self.shared.directory.borrow().live_export((owner, oid))?;
                 // The export may itself be a forwarding proxy (the object
                 // moved on); only a locally implemented object counts.
-                let owner_vm = &self.shared.vms[owner as usize];
-                let owner_class = owner_vm.class_of(handle)?;
-                match self.shared.gen_info.get(&owner_class) {
-                    Some(info) if info.proto.is_none() => Some((NodeId(owner), handle)),
-                    _ => None,
-                }
+                is_local_impl(&self.shared, owner, handle).then_some((NodeId(owner), handle))
             }
             _ => Some((node, h)),
         }
@@ -1550,18 +1220,12 @@ impl Cluster {
                 .imports
                 .insert((target.node.0, target.oid), object);
         }
-        // The old export now forwards: no read through it may ever be
-        // cached again, and affinity data about the old home is obsolete
-        // cluster-wide. The move is also recorded cluster-wide — the
-        // forwarding proxy alone would be lost if this node restarts.
-        tombstone_version(shared, from.0, source_oid);
-        // The moved-away export leaves the exports table for the forwards
-        // side-table: lookups still resolve the forwarding proxy, but the
-        // replica sweep and placement accounting stop treating the old
-        // home as a live export.
-        demote_export_to_forward(shared, from.0, source_oid);
-        record_home(shared, (from.0, source_oid), (target.node.0, target.oid));
-        purge_call_counts(shared, &[(from.0, source_oid), (target.node.0, target.oid)]);
+        relocate(
+            shared,
+            (from.0, source_oid),
+            (target.node.0, target.oid),
+            Why::Migrated,
+        );
         bump(shared, from.0, Met::Migrations);
         Ok(MigrationEvent {
             class: base_name,
@@ -1662,14 +1326,9 @@ impl Cluster {
         if let Reply::Fault(m) = reply {
             return Err(RuntimeError::Bad(m));
         }
-        // The pulled copy is a fresh export with fresh state; the old home
-        // has been tombstoned by the Forward handler. Affinity counts that
-        // referenced either location are stale now, and the move is
-        // recorded cluster-wide so failover can chase it even after the
-        // old owner's forwarding proxy is wiped by a restart.
+        // The pulled copy is a fresh export with fresh state; the Forward
+        // handler relocated the old home here.
         bump_version(shared, node.0, my_oid);
-        record_home(shared, (owner.0, oid), (node.0, my_oid));
-        purge_call_counts(shared, &[(owner.0, oid), (node.0, my_oid)]);
         sync_replicas(shared, node, my_oid);
         bump(shared, node.0, Met::Pulls);
         Ok(MigrationEvent {
@@ -1689,44 +1348,29 @@ impl Cluster {
         // traffic too, and must land (and be counted) before affinity is
         // judged. Flush failures surface at the callers' next sync point.
         let _ = flush_outqueues(shared);
-        // Snapshot candidates without holding the borrow across migrations.
-        let mut candidates: Vec<(NodeId, u64, Handle, NodeId)> = Vec::new();
+        // Snapshot candidates first: migrations below change the directory.
+        // Candidates are discovered in (node, export id) order, so the
+        // migration sequence (and thus clocks, traces and stats) is the
+        // same every run.
+        let mut candidates: Vec<(NodeId, Handle, NodeId)> = Vec::new();
         {
-            let nodes = shared.nodes.borrow();
-            for (n, state) in nodes.iter().enumerate() {
-                // HashMap iteration order varies run to run; candidates must
-                // be discovered in a stable order or the migration sequence
-                // (and thus clocks, traces and stats) differs per run.
-                let mut oids: Vec<u64> = state.call_counts.keys().copied().collect();
-                oids.sort_unstable();
-                for oid in oids {
-                    let counts = &state.call_counts[&oid];
-                    let total: u64 = counts.values().sum();
-                    if total < config.min_calls {
+            let dir = shared.directory.borrow();
+            for n in 0..shared.vms.len() as u32 {
+                for a in dir.affinity(n) {
+                    if a.total < config.min_calls
+                        || a.top_caller == n
+                        || (a.top_count as f64) / (a.total as f64) < config.min_fraction
+                    {
                         continue;
                     }
-                    // Ties on count go to the highest caller id — any fixed
-                    // rule works, it just must not depend on map order.
-                    let Some((&caller, &count)) =
-                        counts.iter().max_by_key(|&(&caller, &c)| (c, caller))
-                    else {
-                        continue;
-                    };
-                    if caller == n as u32 {
-                        continue;
+                    if let Some(h) = dir.live_export((n, a.oid)) {
+                        candidates.push((NodeId(n), h, NodeId(a.top_caller)));
                     }
-                    if (count as f64) / (total as f64) < config.min_fraction {
-                        continue;
-                    }
-                    let Some(&h) = state.exports.get(&oid) else {
-                        continue;
-                    };
-                    candidates.push((NodeId(n as u32), oid, h, NodeId(caller)));
                 }
             }
         }
         let mut events = Vec::new();
-        for (owner, _oid, handle, target) in candidates {
+        for (owner, handle, target) in candidates {
             // Only migrate objects still locally implemented.
             let vm = &shared.vms[owner.0 as usize];
             let Some(class) = vm.class_of(handle) else {
@@ -1766,7 +1410,12 @@ impl Cluster {
     /// creator's reference keeps working either way — a local instance is
     /// rewritten in place into a proxy by [`Cluster::migrate`], and an
     /// existing proxy is re-pointed at the shard home directly.
-    fn place_sharded(&self, node: NodeId, class: &str, that: &Value) -> Result<(), RuntimeError> {
+    pub(crate) fn place_sharded(
+        &self,
+        node: NodeId,
+        class: &str,
+        that: &Value,
+    ) -> Result<(), RuntimeError> {
         let shared = &self.shared;
         let Some(spec) = shared.policy.shard_spec(class) else {
             return Ok(());
@@ -1777,12 +1426,11 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         let key = vm.call_virtual_by_name(that.clone(), &spec.key_getter, vec![])?;
         let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-        let owner = *shared
-            .shards
-            .borrow_mut()
-            .owners
-            .entry((class.to_string(), shard))
-            .or_insert(shard % shared.vms.len() as u32);
+        let owner = shared.directory.borrow_mut().shard_owner(
+            class,
+            shard,
+            shard % shared.vms.len() as u32,
+        );
         let Some(info) = vm
             .class_of(h)
             .and_then(|c| shared.gen_info.get(&c))
@@ -1820,7 +1468,10 @@ impl Cluster {
             let event = self.migrate(node, h, NodeId(owner))?;
             (event.target.node.0, event.target.oid)
         };
-        record_shard_member(shared, class, shard, member);
+        shared
+            .directory
+            .borrow_mut()
+            .add_shard_member(class, shard, member);
         bump(shared, node.0, Met::ShardPlacements);
         Ok(())
     }
@@ -1830,7 +1481,7 @@ impl Cluster {
     /// 1. adopt exported sharded instances the creation hook never saw
     ///    (objects that became visible through marshaling),
     /// 2. prune members that moved away or whose node crashed,
-    /// 3. detect hot-key skew from the same `call_counts` the affinity
+    /// 3. detect hot-key skew from the same call counters the affinity
     ///    loop reads and greedily reassign hot shards from the most- to the
     ///    least-loaded node while that strictly narrows the spread,
     /// 4. enforce the map: migrate every member not at its shard's owner.
@@ -1850,27 +1501,12 @@ impl Cluster {
         prune_shard_members(shared);
         // Per-shard load: calls served for its members at their current
         // homes. Absent counters mean a quiet shard, not an error.
-        let mut loads: BTreeMap<(String, u32), u64> = BTreeMap::new();
-        {
-            let nodes = shared.nodes.borrow();
-            let shards = shared.shards.borrow();
-            for (key, members) in &shards.members {
-                let mut load = 0u64;
-                for &(n, oid) in members {
-                    if let Some(counts) = nodes[n as usize].call_counts.get(&oid) {
-                        load += counts.values().sum::<u64>();
-                    }
-                }
-                loads.insert(key.clone(), load);
-            }
-        }
+        let loads = shared.directory.borrow().shard_loads();
         if loads.values().sum::<u64>() >= config.min_calls {
+            let mut owners = shared.directory.borrow().shard_owners();
             let mut node_load = vec![0u64; shared.vms.len()];
-            {
-                let shards = shared.shards.borrow();
-                for (key, &owner) in &shards.owners {
-                    node_load[owner as usize] += loads.get(key).copied().unwrap_or(0);
-                }
+            for (key, owner) in &owners {
+                node_load[*owner as usize] += loads.get(key).copied().unwrap_or(0);
             }
             // Greedy reassignment with synthetic load deltas (the physical
             // moves below purge the underlying counters).
@@ -1894,24 +1530,25 @@ impl Cluster {
                 // Hottest shard on the overloaded node that fits in half
                 // the gap (so neither endpoint overshoots); ties go to the
                 // lowest (class, shard) key because the map is sorted.
-                let mut best: Option<((String, u32), u64)> = None;
-                {
-                    let shards = shared.shards.borrow();
-                    for (key, &owner) in &shards.owners {
-                        if owner != max_n {
-                            continue;
-                        }
-                        let l = loads.get(key).copied().unwrap_or(0);
-                        if l == 0 || l > gap / 2 {
-                            continue;
-                        }
-                        if best.as_ref().is_none_or(|(_, bl)| l > *bl) {
-                            best = Some((key.clone(), l));
-                        }
+                let mut best: Option<(usize, u64)> = None;
+                for (i, (key, owner)) in owners.iter().enumerate() {
+                    if *owner != max_n {
+                        continue;
+                    }
+                    let l = loads.get(key).copied().unwrap_or(0);
+                    if l == 0 || l > gap / 2 {
+                        continue;
+                    }
+                    if best.is_none_or(|(_, bl)| l > bl) {
+                        best = Some((i, l));
                     }
                 }
-                let Some((key, l)) = best else { break };
-                shared.shards.borrow_mut().owners.insert(key, min_n);
+                let Some((i, l)) = best else { break };
+                owners[i].1 = min_n;
+                shared
+                    .directory
+                    .borrow_mut()
+                    .assign_shard(owners[i].0.clone(), min_n);
                 node_load[max_n as usize] -= l;
                 node_load[min_n as usize] += l;
                 bump(shared, max_n, Met::ShardRebalances);
@@ -1925,28 +1562,16 @@ impl Cluster {
     /// Purely bookkeeping — physical moves happen in the enforcement pass.
     fn adopt_sharded_exports(&self) {
         let shared = &self.shared;
-        let known: std::collections::HashSet<(u32, u64)> = shared
-            .shards
-            .borrow()
-            .members
-            .values()
-            .flatten()
-            .copied()
-            .collect();
-        let mut found: Vec<(String, u32, (u32, u64))> = Vec::new();
-        let nodes = shared.nodes.borrow();
-        for (n, state) in nodes.iter().enumerate() {
-            let n = n as u32;
+        let known = shared.directory.borrow().shard_member_set();
+        for n in 0..shared.vms.len() as u32 {
             if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
                 continue;
             }
-            let mut oids: Vec<u64> = state.exports.keys().copied().collect();
-            oids.sort_unstable();
-            for oid in oids {
+            let exports = shared.directory.borrow().exports_of(n);
+            for (oid, h) in exports {
                 if known.contains(&(n, oid)) {
                     continue;
                 }
-                let h = state.exports[&oid];
                 let vm = &shared.vms[n as usize];
                 let Some(info) = vm.class_of(h).and_then(|c| shared.gen_info.get(&c)) else {
                     continue;
@@ -1954,8 +1579,8 @@ impl Cluster {
                 if info.proto.is_some() || info.side != Side::Obj {
                     continue;
                 }
-                let base = shared.universe.class(info.base).name.clone();
-                let Some(spec) = shared.policy.shard_spec(&base) else {
+                let base = &shared.universe.class(info.base).name;
+                let Some(spec) = shared.policy.shard_spec(base) else {
                     continue;
                 };
                 let Ok(key) = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])
@@ -1963,18 +1588,10 @@ impl Cluster {
                     continue;
                 };
                 let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-                found.push((base, shard, (n, oid)));
+                let mut dir = shared.directory.borrow_mut();
+                dir.shard_owner(base, shard, shard % shared.vms.len() as u32);
+                dir.add_shard_member(base, shard, (n, oid));
             }
-        }
-        drop(nodes);
-        for (class, shard, member) in found {
-            shared
-                .shards
-                .borrow_mut()
-                .owners
-                .entry((class.clone(), shard))
-                .or_insert(shard % shared.vms.len() as u32);
-            record_shard_member(shared, &class, shard, member);
         }
     }
 
@@ -1983,25 +1600,13 @@ impl Cluster {
     /// owner is down) is left in place for the next tick.
     fn enforce_shard_map(&self) -> Vec<MigrationEvent> {
         let shared = &self.shared;
-        let plan: Vec<((String, u32), u32)> = shared
-            .shards
-            .borrow()
-            .owners
-            .iter()
-            .map(|(k, &o)| (k.clone(), o))
-            .collect();
+        let plan = shared.directory.borrow().shard_owners();
         let mut events = Vec::new();
         for (key, owner) in plan {
             if shared.net.fault_plan(|f| f.is_crashed(NodeId(owner))) {
                 continue;
             }
-            let members = shared
-                .shards
-                .borrow()
-                .members
-                .get(&key)
-                .cloned()
-                .unwrap_or_default();
+            let members = shared.directory.borrow().shard_members(&key);
             for (i, &(n, oid)) in members.iter().enumerate() {
                 if n == owner || shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
                     continue;
@@ -2011,9 +1616,10 @@ impl Cluster {
                 };
                 if let Ok(event) = self.migrate(NodeId(n), h, NodeId(owner)) {
                     let moved = (event.target.node.0, event.target.oid);
-                    if let Some(ms) = shared.shards.borrow_mut().members.get_mut(&key) {
-                        ms[i] = moved;
-                    }
+                    shared
+                        .directory
+                        .borrow_mut()
+                        .move_shard_member(&key, i, moved);
                     events.push(event);
                 }
             }
@@ -2055,13 +1661,12 @@ impl Cluster {
             let roots: Vec<Handle> = {
                 let nodes = self.shared.nodes.borrow();
                 let state = &nodes[i];
-                state
-                    .exports
-                    .values()
-                    .chain(state.forwards.values())
-                    .chain(state.imports.values())
-                    .chain(state.pins.iter())
-                    .copied()
+                let exported = self.shared.directory.borrow().trail_of(i as u32);
+                exported
+                    .into_iter()
+                    .map(|(_, h)| h)
+                    .chain(state.imports.values().copied())
+                    .chain(state.pins.iter().copied())
                     .chain(state.singletons.values().map(|s| s.handle()))
                     .collect()
             };
@@ -2072,15 +1677,14 @@ impl Cluster {
 
     /// Clear the per-object call statistics used by [`Cluster::adapt`].
     pub fn reset_call_stats(&self) {
-        for state in self.shared.nodes.borrow_mut().iter_mut() {
-            state.call_counts.clear();
-        }
+        self.shared.directory.borrow_mut().clear_affinity();
     }
 
     /// Crash-stop `node`: every message to or from it fails with
-    /// [`NetFailureKind::NodeCrashed`] until [`Cluster::restart`]. The
-    /// node's memory is untouched while down (nobody can observe it), but a
-    /// restart wipes it — crash-stop nodes lose volatile state.
+    /// [`NodeCrashed`](rafda_vm::NetFailureKind::NodeCrashed) until
+    /// [`Cluster::restart`]. The node's memory is untouched while down
+    /// (nobody can observe it), but a restart wipes it — crash-stop nodes
+    /// lose volatile state.
     ///
     /// Calls in flight are unaffected: the runtime is synchronous, so the
     /// crash takes effect between top-level operations, never mid-exchange.
@@ -2105,27 +1709,10 @@ impl Cluster {
         // Synchronization point, as for [`Cluster::crash`].
         let _ = flush_outqueues(&self.shared);
         self.shared.net.fault_plan(|f| f.recover(node));
-        let mut nodes = self.shared.nodes.borrow_mut();
-        // The rejoining node holds no backups any more: every owner must
-        // re-seed it at its next sync, even if the shipped version has not
-        // moved since the last one.
-        for state in nodes.iter_mut() {
-            state.synced_versions.clear();
-        }
-        let state = &mut nodes[node.0 as usize];
-        let next_oid = state.next_oid;
-        *state = NodeState::default();
-        state.next_oid = next_oid;
-        drop(nodes);
-        // The restarted node's pre-crash dirty entries describe state that
-        // no longer exists; shipping from them would resurrect stale
-        // backups. Purge them, then re-seed the sweep from every live
-        // node's replicated exports — the cleared `synced_versions` above
-        // means each owner owes the rejoined node a fresh shipment even at
-        // an unmoved version, and the sweep only probes marked locations.
-        self.shared.dirty.borrow_mut().retain(|&(n, _)| n != node.0);
-        for n in 0..self.shared.vms.len() as u32 {
-            mark_node_dirty(&self.shared, n);
+        self.shared.nodes.borrow_mut()[node.0 as usize] = NodeState::default();
+        let marks = self.shared.directory.borrow_mut().restart(node.0);
+        for (n, marked) in marks.into_iter().enumerate() {
+            charge_marks(&self.shared, n as u32, marked);
         }
     }
 
@@ -2160,70 +1747,63 @@ fn upgrade(weak: &Weak<Shared>) -> Result<Rc<Shared>, VmError> {
 // Registry helpers (short borrows only)
 // ----------------------------------------------------------------------
 
+/// Export `h` on `node` (idempotent per handle) and return its id.
 pub(crate) fn export(shared: &Shared, node: NodeId, h: Handle) -> u64 {
-    let oid = {
-        let mut nodes = shared.nodes.borrow_mut();
-        let state = &mut nodes[node.0 as usize];
-        if let Some(&oid) = state.export_ids.get(&h) {
-            // The object migrated away and came back: its id was demoted to
-            // a forwarding stub, and re-exporting the (in-place-rewritten)
-            // handle promotes the entry back to a live export under the
-            // original id.
-            if state.forwards.remove(&oid).is_some() {
-                state.exports.insert(oid, h);
-            }
-            oid
-        } else {
-            state.next_oid += 1;
-            let oid = state.next_oid;
-            state.exports.insert(oid, h);
-            state.export_ids.insert(h, oid);
-            oid
-        }
-    };
-    classify_export(shared, node, oid, h);
+    let replicated = shared.any_replication && is_replicated_impl(shared, node.0, h);
+    let oid = shared.directory.borrow_mut().export(node.0, h, replicated);
+    // A replicated export is marked dirty: its state is owed to the backups.
+    charge_marks(shared, node.0, u64::from(replicated));
     oid
 }
 
-/// (Re)classify the export `(node, oid)`: a locally implemented instance
-/// of a replicated class joins [`NodeState::replicated`] and is marked
-/// dirty — the old full-table sweep shipped a fresh replicated export's
-/// initial state at the next synchronization point, so the dirty set must
-/// contain it too. Runs on every [`export`] call (not just fresh inserts)
-/// because `Install` and `Promote` rewrite previously-exported proxies
-/// into local objects in place, changing the classification under an
-/// unchanged id.
-fn classify_export(shared: &Shared, node: NodeId, oid: u64, h: Handle) {
-    if !shared.any_replication {
-        return;
-    }
-    let replicated = shared.vms[node.0 as usize]
+/// Whether `h` on `node` is a locally implemented generated object — the
+/// real thing, not a proxy for it.
+pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
+    shared.vms[node as usize]
+        .class_of(h)
+        .and_then(|c| shared.gen_info.get(&c))
+        .is_some_and(|info| info.proto.is_none())
+}
+
+/// Whether `h` on `node` is a locally implemented instance of a class the
+/// policy replicates — the only kind of export that ever ships state.
+fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
+    shared.vms[node as usize]
         .class_of(h)
         .and_then(|c| shared.gen_info.get(&c))
         .filter(|info| info.proto.is_none())
         .is_some_and(|info| {
             let base_name = &shared.universe.class(info.base).name;
             shared.policy.replicas(base_name) > 0
-        });
-    let mut nodes = shared.nodes.borrow_mut();
-    let state = &mut nodes[node.0 as usize];
-    if replicated {
-        state.replicated.insert(oid);
-        drop(nodes);
-        mark_dirty(shared, node.0, oid);
-    } else {
-        state.replicated.remove(&oid);
-    }
+        })
+}
+
+/// Whether `h` on `node` is a generated proxy.
+pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
+    shared.vms[node as usize]
+        .class_of(h)
+        .and_then(|c| shared.gen_info.get(&c))
+        .is_some_and(|info| info.proto.is_some())
+}
+
+/// The location an exported proxy `h` on `node` addresses; `None` for
+/// anything that is not a proxy.
+fn proxy_target(shared: &Shared, node: u32, h: Handle) -> Option<(u32, u64)> {
+    is_proxy(shared, node, h)
+        .then(|| read_proxy_state(&shared.vms[node as usize], h))
+        .flatten()
+}
+
+/// The object at `old` now lives at `new`: see [`Directory::relocate`].
+pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64), why: Why) {
+    shared
+        .directory
+        .borrow_mut()
+        .relocate(old, new, why, |n, h| proxy_target(shared, n, h));
 }
 
 pub(crate) fn lookup_export(shared: &Shared, node: NodeId, oid: u64) -> Option<Handle> {
-    let nodes = shared.nodes.borrow();
-    let state = &nodes[node.0 as usize];
-    state
-        .exports
-        .get(&oid)
-        .or_else(|| state.forwards.get(&oid))
-        .copied()
+    shared.directory.borrow().lookup((node.0, oid))
 }
 
 pub(crate) fn cached_import(shared: &Shared, node: NodeId, owner: u32, oid: u64) -> Option<Handle> {
@@ -2256,43 +1836,15 @@ pub(crate) fn proxy_class_for(
 /// The current property version of the export `(node, oid)` (0 if never
 /// mutated).
 pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> u64 {
-    shared
-        .versions
-        .borrow()
-        .get(&(node, oid))
-        .copied()
-        .unwrap_or(0)
+    shared.directory.borrow().version((node, oid))
 }
 
 /// Record a (possible) mutation of the export `(node, oid)`: any cached
-/// property read tagged with an older version becomes stale. Tombstoned
-/// locations stay tombstoned.
+/// property read tagged with an older version becomes stale, and the sweep
+/// must probe the location — the backups are behind until the next sync.
 pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) {
-    {
-        let mut versions = shared.versions.borrow_mut();
-        let v = versions.entry((node, oid)).or_insert(0);
-        if *v != VERSION_TOMBSTONE {
-            *v = v.saturating_add(1).min(VERSION_TOMBSTONE - 1);
-        }
-    }
-    // A version bump is a (possible) mutation: the backups are behind
-    // until the next sync, so the sweep must know to probe this location.
-    mark_dirty(shared, node, oid);
-}
-
-/// Mark the export `(node, oid)` permanently uncacheable — the object
-/// migrated away and this export now forwards.
-pub(crate) fn tombstone_version(shared: &Shared, node: u32, oid: u64) {
-    if shared.skip_next_tombstone.replace(false) {
-        // Test-only injected fault (`Cluster::debug_skip_next_tombstone`):
-        // the runtime "forgets" to poison the moved-away location, which
-        // is exactly the coherence bug the stale-read monitor detects.
-        return;
-    }
-    shared
-        .versions
-        .borrow_mut()
-        .insert((node, oid), VERSION_TOMBSTONE);
+    let marked = shared.directory.borrow_mut().bump((node, oid));
+    charge_marks(shared, node, u64::from(marked));
 }
 
 // ----------------------------------------------------------------------
@@ -2307,47 +1859,21 @@ pub(crate) fn tombstone_version(shared: &Shared, node: u32, oid: u64) {
 // local mutations — application code running outside the serve path, which
 // the per-node app frames track conservatively.
 
-/// Mark the export `(node, oid)` dirty: its next sweep probe will compare
-/// live state against the last shipment. A no-op for locations that are
-/// not locally implemented instances of a replicated class — only those
-/// can ever ship.
-pub(crate) fn mark_dirty(shared: &Shared, node: u32, oid: u64) {
-    if !shared.any_replication {
-        return;
-    }
-    if !shared.nodes.borrow()[node as usize]
-        .replicated
-        .contains(&oid)
-    {
-        return;
-    }
-    shared.dirty.borrow_mut().insert((node, oid));
-    bump(shared, node, Met::DirtyMarks);
-}
-
 /// Conservatively mark every replicated export of `node` dirty — used when
 /// application code ran locally on the node and may have mutated any of
-/// its objects bare (the runtime never sees plain local calls), and to
-/// re-seed the sweep after a restart cleared `synced_versions`.
+/// its objects bare (the runtime never sees plain local calls).
 pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
     if !shared.any_replication {
         return;
     }
-    let marked = {
-        let nodes = shared.nodes.borrow();
-        let st = &nodes[node as usize];
-        if st.replicated.is_empty() {
-            return;
-        }
-        let mut dirty = shared.dirty.borrow_mut();
-        for &oid in &st.replicated {
-            dirty.insert((node, oid));
-        }
-        st.replicated.len() as u64
-    };
-    let mut obs = shared.obs.borrow_mut();
-    for _ in 0..marked {
-        obs.inc(node, Met::DirtyMarks);
+    let marked = shared.directory.borrow_mut().mark_node(node);
+    charge_marks(shared, node, marked);
+}
+
+/// Charge `marks` dirty-set insertions to `node`.
+pub(crate) fn charge_marks(shared: &Shared, node: u32, marks: u64) {
+    if marks > 0 {
+        shared.obs.borrow_mut().add(node, Met::DirtyMarks, marks);
     }
 }
 
@@ -2416,89 +1942,17 @@ fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) ->
         })
 }
 
-/// Demote the export `(node, oid)` to a forwarding stub: the object
-/// migrated (or was pulled) away and the in-place-rewritten proxy now only
-/// forwards. The entry leaves [`NodeState::exports`] — sweeps, affinity
-/// checks and registry summaries stop seeing it — but stays resolvable
-/// through [`lookup_export`], so transparent forwarding, liveness checks
-/// and the stale-location monitor behave exactly as before.
-pub(crate) fn demote_export_to_forward(shared: &Shared, node: u32, oid: u64) {
-    let mut nodes = shared.nodes.borrow_mut();
-    let st = &mut nodes[node as usize];
-    if let Some(h) = st.exports.remove(&oid) {
-        st.forwards.insert(oid, h);
-    }
-    st.replicated.remove(&oid);
-    drop(nodes);
-    shared.dirty.borrow_mut().remove(&(node, oid));
-}
-
-/// Drop call-count affinity data referring to a moved object, cluster-wide:
-/// the entries for its old and new locations on the nodes themselves, and
-/// any node's entry whose exported handle is a proxy pointing at either
-/// location. Without this, an `adapt` pass after a migration can act on
-/// pre-move affinity data (the counts describe calls the object received at
-/// a home it no longer has).
-pub(crate) fn purge_call_counts(shared: &Shared, locations: &[(u32, u64)]) {
-    let mut nodes = shared.nodes.borrow_mut();
-    for (i, state) in nodes.iter_mut().enumerate() {
-        let vm = &shared.vms[i];
-        let exports = &state.exports;
-        state.call_counts.retain(|&oid, _| {
-            if locations.contains(&(i as u32, oid)) {
-                return false;
-            }
-            let Some(&h) = exports.get(&oid) else {
-                return true;
-            };
-            let is_proxy = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_some());
-            if !is_proxy {
-                return true;
-            }
-            match read_proxy_state(vm, h) {
-                Some(loc) => !locations.contains(&loc),
-                None => true,
-            }
-        });
-    }
-}
-
-/// Add `member` to the shard membership list of `(class, shard)`, once.
-fn record_shard_member(shared: &Shared, class: &str, shard: u32, member: (u32, u64)) {
-    let mut shards = shared.shards.borrow_mut();
-    let members = shards
-        .members
-        .entry((class.to_string(), shard))
-        .or_default();
-    if !members.contains(&member) {
-        members.push(member);
-    }
-}
-
 /// Drop shard members that no longer resolve to a live, locally
 /// implemented object: crashed nodes, restarted registries, and exports
 /// rewritten into forwarding proxies (the instance will be re-adopted at
 /// its new home on the next tick).
 fn prune_shard_members(shared: &Shared) {
-    let mut shards = shared.shards.borrow_mut();
-    for members in shards.members.values_mut() {
-        members.retain(|&(n, oid)| {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-                return false;
-            }
-            let Some(h) = lookup_export(shared, NodeId(n), oid) else {
-                return false;
-            };
-            shared.vms[n as usize]
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_none())
+    shared
+        .directory
+        .borrow_mut()
+        .prune_shard_members(|(n, _), h| {
+            !shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) && is_local_impl(shared, n, h)
         });
-    }
-    shards.members.retain(|_, ms| !ms.is_empty());
 }
 
 pub(crate) fn read_proxy_state(vm: &Vm, h: Handle) -> Option<(u32, u64)> {
@@ -2574,37 +2028,28 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
     // Bump it here before shipping: the backups must not hold two
     // different states under one version tag, and stale property-cache
     // entries tagged with the old version must stop validating.
-    let version = version_of(shared, owner.0, oid);
-    let prior = shared.nodes.borrow()[owner.0 as usize]
-        .synced_versions
-        .get(&oid)
-        .cloned();
-    let version = match prior {
-        Some((v, ref shipped)) if v == version && *shipped == wire_fields => {
-            // Nothing drifted: the probe settled this location, so a
-            // pending dirty mark for it is spent.
-            shared.dirty.borrow_mut().remove(&(owner.0, oid));
+    let loc = (owner.0, oid);
+    let drift = shared.directory.borrow().drift(loc, &wire_fields);
+    match drift {
+        Drift::Settled => {
+            shared.directory.borrow_mut().settled(loc);
             return;
         }
-        Some((v, _)) if v == version => {
-            bump_version(shared, owner.0, oid);
-            version_of(shared, owner.0, oid)
-        }
-        _ => version,
-    };
+        Drift::State => bump_version(shared, owner.0, oid),
+        Drift::Version => {}
+    }
+    let version = version_of(shared, owner.0, oid);
     let class_name = shared.universe.class(class).name.clone();
     let proto = shared.policy.protocol(&base_name);
     let batched = shared.policy.batched(&base_name);
-    // Record the shipment *before* the exchanges below: each one is a
-    // top-level rpc, which runs the dirty-replica sweep, which would see an
-    // unrecorded (or stale-recorded) entry for this very object and ship it
-    // a second time.
-    shared.nodes.borrow_mut()[owner.0 as usize]
-        .synced_versions
-        .insert(oid, (version, wire_fields.clone()));
-    // This shipment spends the dirty mark (including the re-mark the
-    // drift bump above just made): state and record agree again.
-    shared.dirty.borrow_mut().remove(&(owner.0, oid));
+    // Recorded *before* the exchanges below: each one is a top-level rpc,
+    // which runs the dirty-replica sweep, which must find this very object
+    // settled instead of shipping it a second time. The record also spends
+    // the dirty mark (including the re-mark the drift bump above just made).
+    shared
+        .directory
+        .borrow_mut()
+        .shipped(loc, version, wire_fields.clone());
     for t in replica_targets(k, owner.0, shared.vms.len() as u32) {
         if shared.net.fault_plan(|f| f.is_crashed(NodeId(t))) {
             continue;
@@ -2640,7 +2085,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
 /// (and version-bumps) exactly those whose state moved and no-ops on the
 /// rest.
 ///
-/// The sweep drains [`Shared::dirty`] instead of enumerating every export
+/// The sweep drains [`Directory::take_dirty`] instead of enumerating every export
 /// of every node — O(dirty) per synchronization point, not O(exports) —
 /// and iterates it in `(node, oid)` order, the exact order the old
 /// full-table sweep enumerated, so the shipment sequence (and with it
@@ -2648,22 +2093,22 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
 /// run. Marking covers everything the full sweep could ship: version
 /// bumps, fresh replicated exports, restart re-seeds, and conservative
 /// app-frame marks for bare local mutations (see the marking helpers
-/// around [`mark_dirty`]). Gated on `any_replication` so workloads
+/// around [`mark_node_dirty`]). Gated on `any_replication` so workloads
 /// without a `replicate` policy pay one boolean test, and guarded against
 /// re-entry because the shipments are themselves exchanges.
 pub(crate) fn sync_dirty_replicas(shared: &Shared) {
     if !shared.any_replication || shared.in_replica_sweep.get() {
         return;
     }
-    if shared.dirty.borrow().is_empty() {
-        return;
-    }
-    shared.in_replica_sweep.set(true);
     // Take the set whole: marks made *during* the sweep (nested exchanges
     // re-marking an open app frame, the drift bump inside a shipment) are
     // next sweep's work, exactly like mutations made during the old full
     // enumeration.
-    let targets = std::mem::take(&mut *shared.dirty.borrow_mut());
+    let targets = shared.directory.borrow_mut().take_dirty();
+    if targets.is_empty() {
+        return;
+    }
+    shared.in_replica_sweep.set(true);
     for (n, oid) in targets {
         // A crashed owner cannot ship; its backups are exactly what the
         // failover machinery is for. The entry is dropped, not kept: a
@@ -2748,9 +2193,9 @@ pub(crate) fn discover_value(
     // copy — even (and especially) on the restarted pre-crash owner, whose
     // wiped registry would otherwise mint a fresh singleton with default
     // state, silently diverging from the copy the survivors still use.
-    let canonical = shared.statics_exports.borrow().get(&base_name).copied();
+    let canonical = shared.directory.borrow().static_export(&base_name);
     if let Some(start) = canonical {
-        let (tn, toid) = follow_homes(shared, start);
+        let (tn, toid) = shared.directory.borrow().resolve(start);
         if (tn, toid) != start {
             if let Some(h) = lookup_export(shared, NodeId(tn), toid) {
                 if tn == node.0 {
@@ -2846,7 +2291,7 @@ pub(crate) fn discover_value(
 
 /// A proxy method invoked on `node`: marshal, ship, execute remotely,
 /// unmarshal (or re-throw).
-fn proxy_call(
+pub(crate) fn proxy_call(
     shared: &Shared,
     node: NodeId,
     method_name: &str,
@@ -2931,26 +2376,7 @@ fn proxy_call(
                     spans.end_span(h, now, SpanOutcome::Ok);
                     spans.context_of(h)
                 };
-                if monitors_on(shared) {
-                    // A hit is a stale read when the authoritative object
-                    // has moved: the export now forwards, or a promotion
-                    // re-homed it. A merely *missing* export (restart
-                    // amnesia) is legitimate — the version survived, the
-                    // state did not move.
-                    let forwards = lookup_export(shared, NodeId(target), oid)
-                        .and_then(|h| shared.vms[target as usize].class_of(h))
-                        .and_then(|c| shared.gen_info.get(&c))
-                        .is_some_and(|i| i.proto.is_some());
-                    let promoted = shared.homes.borrow().contains_key(&(target, oid));
-                    shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
-                        node: node.0,
-                        owner: target,
-                        oid,
-                        stale_location: forwards || promoted,
-                        span_id: ctx.span_id,
-                        trace_id: ctx.trace_id,
-                    });
-                }
+                emit_cache_hit(shared, node, (target, oid), ctx);
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -3091,7 +2517,7 @@ fn proxy_call(
 /// nearest *profitable* replica is always the caller's own store: remote
 /// replicas would cost exactly what the owner does.
 #[allow(clippy::too_many_arguments)]
-fn replica_read(
+pub(crate) fn replica_read(
     shared: &Shared,
     node: NodeId,
     base_name: &str,
@@ -3149,21 +2575,7 @@ fn replica_read(
         spans.end_span(sh, now, SpanOutcome::Ok);
         spans.context_of(sh)
     };
-    if monitors_on(shared) {
-        let forwards = lookup_export(shared, NodeId(owner), oid)
-            .and_then(|h| shared.vms[owner as usize].class_of(h))
-            .and_then(|c| shared.gen_info.get(&c))
-            .is_some_and(|i| i.proto.is_some());
-        let promoted = shared.homes.borrow().contains_key(&(owner, oid));
-        shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
-            node: node.0,
-            owner,
-            oid,
-            stale_location: forwards || promoted,
-            span_id: ctx.span_id,
-            trace_id: ctx.trace_id,
-        });
-    }
+    emit_cache_hit(shared, node, (owner, oid), ctx);
     Ok(Some(result))
 }
 
@@ -3179,7 +2591,7 @@ fn replica_read(
 /// `retry_of` to the exchange that failed, so traces show the causal link
 /// from the dead owner to the promoted copy.
 #[allow(clippy::too_many_arguments)]
-fn failover(
+pub(crate) fn failover(
     shared: &Shared,
     node: NodeId,
     recv: Handle,
@@ -3240,7 +2652,7 @@ fn failover(
 /// ask the terminal location's replicas to promote their backup, lowest
 /// node id first. Returns `None` when nobody can take over — the class is
 /// unreplicated, or every backup is down or lost its copy.
-fn locate_home(
+pub(crate) fn locate_home(
     shared: &Shared,
     node: NodeId,
     proto: &str,
@@ -3249,7 +2661,7 @@ fn locate_home(
     oid: u64,
 ) -> Option<(u32, u64)> {
     let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
-    let (tn, toid) = follow_homes(shared, (target, oid));
+    let (tn, toid) = shared.directory.borrow().resolve((target, oid));
     // Only route to the chain's end while the promoted copy is actually
     // there: a terminal node that crash-restarted has a wiped registry, and
     // sending callers to it would loop through "unknown object" faults
@@ -3291,33 +2703,6 @@ fn locate_home(
     None
 }
 
-/// Record that the live copy of `old` now lives at `new`. Promotions
-/// *and* migrations both register here: the forwarding proxy a migration
-/// leaves behind lives only in the old node's heap and is lost when that
-/// node crash-restarts, so failover needs a cluster-level record to chase.
-/// The destination stops being a forwarding location the moment something
-/// lands on it, so any stale entry keyed there is dropped — keeping every
-/// chain acyclic and terminated at a live home.
-pub(crate) fn record_home(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
-    let mut homes = shared.homes.borrow_mut();
-    homes.insert(old, new);
-    homes.remove(&new);
-}
-
-/// Follow the chain of recorded promotions and migrations from `start`
-/// to its terminal location. Bounded: every hop was a distinct move,
-/// each to a different location.
-pub(crate) fn follow_homes(shared: &Shared, start: (u32, u64)) -> (u32, u64) {
-    let (mut tn, mut toid) = start;
-    for _ in 0..=shared.vms.len() {
-        match shared.homes.borrow().get(&(tn, toid)) {
-            Some(&(n, o)) => (tn, toid) = (n, o),
-            None => break,
-        }
-    }
-    (tn, toid)
-}
-
 // ----------------------------------------------------------------------
 // Batched remote invocation
 // ----------------------------------------------------------------------
@@ -3328,14 +2713,14 @@ pub(crate) fn follow_homes(shared: &Shared, start: (u32, u64)) -> (u32, u64) {
 /// (all ops on one queue use the owner's protocol anyway).
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
-    proto: String,
-    class: String,
-    ops: Vec<Request>,
+    pub(crate) proto: String,
+    pub(crate) class: String,
+    pub(crate) ops: Vec<Request>,
 }
 
 /// Defer `op` onto the `(from, to)` outcall queue instead of performing an
 /// exchange now.
-fn enqueue_outcall(
+pub(crate) fn enqueue_outcall(
     shared: &Shared,
     from: NodeId,
     to: NodeId,
@@ -3827,8 +3212,8 @@ fn attempt_exchange(
 /// the reply, the serve span's context, and the addressed export's current
 /// property version (0 for request kinds that address no export) — both of
 /// which ride back in the reply header.
-#[cfg_attr(not(test), allow(dead_code))] // production traffic arrives as frames (`serve_frame`)
-fn serve_request(
+#[cfg(test)] // production traffic arrives as frames (`serve_frame`)
+pub(crate) fn serve_request(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
@@ -3861,7 +3246,7 @@ fn serve_span_name(kind: RequestKind) -> &'static str {
 /// header, and the owned request tree is only materialised (resolving
 /// signature references against the link's table) when the request is
 /// actually going to be invoked.
-fn serve_frame(
+pub(crate) fn serve_frame(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
@@ -3996,7 +3381,7 @@ fn serve_core(
 
 /// Span outcome of a served reply. A batch is `Ok` only if every batched
 /// operation succeeded.
-fn reply_outcome(reply: &Reply) -> SpanOutcome {
+pub(crate) fn reply_outcome(reply: &Reply) -> SpanOutcome {
     match reply {
         Reply::Value(_) => SpanOutcome::Ok,
         Reply::Exception { .. } | Reply::Fault(_) => SpanOutcome::Fault,
@@ -4039,18 +3424,11 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // A forwarding proxy left behind by a migration serves nothing
             // itself; counting its forwarded traffic would hand the
             // adaptation loops a moved-away location to act on.
-            let locally_implemented = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_none());
-            if locally_implemented {
-                let mut nodes = shared.nodes.borrow_mut();
-                *nodes[node.0 as usize]
-                    .call_counts
-                    .entry(object)
-                    .or_default()
-                    .entry(caller.0)
-                    .or_default() += 1;
+            if is_local_impl(shared, node.0, h) {
+                shared
+                    .directory
+                    .borrow_mut()
+                    .record_call((node.0, object), caller.0);
             }
             let Some(sig) = parse_method(&method) else {
                 return Reply::Fault(format!("malformed method {method}"));
@@ -4162,10 +3540,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     // singleton becomes remotely visible; singleton
                     // resolution follows the promotion chain from here.
                     shared
-                        .statics_exports
+                        .directory
                         .borrow_mut()
-                        .entry(class.clone())
-                        .or_insert((node.0, oid));
+                        .canonical_static(&class, (node.0, oid));
                     sync_replicas(shared, node, oid);
                     Reply::Value(WireValue::Remote {
                         node: node.0,
@@ -4261,11 +3638,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                 vec![Value::Int(to_node as i32), Value::Long(to_object as i64)],
             );
             cache_import(shared, node, to_node, to_object, h);
-            // The export now forwards; reads through this location must
-            // never be served from a cache again, and the location moves
-            // to the forwards side-table so the sweep stops probing it.
-            tombstone_version(shared, node.0, object);
-            demote_export_to_forward(shared, node.0, object);
+            relocate(shared, (node.0, object), (to_node, to_object), Why::Pulled);
             Reply::Value(WireValue::Null)
         }
         Request::ReplicaSync {
@@ -4294,7 +3667,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // (possibly stale) backup. Consulting the shared homes table
             // stands in for the promotion registry a real system would
             // replicate alongside the data.
-            let recorded = shared.homes.borrow().get(&key).copied();
+            let recorded = shared.directory.borrow().recorded_home(key);
             if let Some((hn, hoid)) = recorded {
                 let home_vm = &shared.vms[hn as usize];
                 let class = lookup_export(shared, NodeId(hn), hoid)
@@ -4340,12 +3713,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             };
             let oid = export(shared, node, h);
             // The promoted copy supersedes anything cached about either
-            // location: bump the new home, tombstone the dead one, and drop
-            // affinity data describing traffic the object received there.
+            // location.
             bump_version(shared, node.0, oid);
-            tombstone_version(shared, old_node, old_object);
-            record_home(shared, key, (node.0, oid));
-            purge_call_counts(shared, &[key, (node.0, oid)]);
+            relocate(shared, key, (node.0, oid), Why::Promoted);
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
             // second crash before the next mutation still loses nothing.
@@ -4407,8 +3777,32 @@ pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
 
 /// Whether the invariant monitors are enabled (events are only assembled
 /// when someone is listening).
-fn monitors_on(shared: &Shared) -> bool {
+pub(crate) fn monitors_on(shared: &Shared) -> bool {
     shared.obs.borrow().monitors.is_some()
+}
+
+/// Tell the monitors that `node` served a read of the object at `loc`
+/// without asking its owner. The hit is a stale read when the
+/// authoritative object has moved: the export now forwards, or a recorded
+/// move re-homed it. A merely *missing* export (restart amnesia) is
+/// legitimate — the version survived, the state did not move.
+pub(crate) fn emit_cache_hit(shared: &Shared, node: NodeId, loc: (u32, u64), ctx: TraceContext) {
+    if !monitors_on(shared) {
+        return;
+    }
+    let (export, moved) = {
+        let dir = shared.directory.borrow();
+        (dir.lookup(loc), dir.recorded_home(loc).is_some())
+    };
+    let forwards = export.is_some_and(|h| is_proxy(shared, loc.0, h));
+    shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
+        node: node.0,
+        owner: loc.0,
+        oid: loc.1,
+        stale_location: forwards || moved,
+        span_id: ctx.span_id,
+        trace_id: ctx.trace_id,
+    });
 }
 
 /// This node's share of the wire-layer counters: signature interning
@@ -4516,40 +3910,14 @@ pub(crate) fn maybe_sample(shared: &Shared) {
         let ops: usize = queues.values().map(|p| p.ops.len()).sum();
         (queues.len() as f64, ops as f64)
     };
-    let lag = {
-        let nodes = shared.nodes.borrow();
-        let versions = shared.versions.borrow();
-        let mut lag = 0u64;
-        for (owner, state) in nodes.iter().enumerate() {
-            for (&oid, &(synced, _)) in &state.synced_versions {
-                let current = versions.get(&(owner as u32, oid)).copied().unwrap_or(0);
-                if current != VERSION_TOMBSTONE && current != synced {
-                    lag += 1;
-                }
-            }
-        }
-        lag as f64
+    let (lag, balance, dirty_depth) = {
+        let dir = shared.directory.borrow();
+        (
+            dir.replica_lag() as f64,
+            dir.shard_balance(),
+            dir.dirty_depth() as f64,
+        )
     };
-    // Shard balance: max / mean recorded members per node over the shard
-    // map. 1.0 means perfectly even, growing with skew; 0 when no class is
-    // sharded (or nothing has been placed yet).
-    let balance = {
-        let shards = shared.shards.borrow();
-        let mut per_node = vec![0u64; shared.vms.len()];
-        for members in shards.members.values() {
-            for &(n, _) in members {
-                per_node[n as usize] += 1;
-            }
-        }
-        let total: u64 = per_node.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            let mean = total as f64 / per_node.len() as f64;
-            per_node.iter().max().copied().unwrap_or(0) as f64 / mean
-        }
-    };
-    let dirty_depth = shared.dirty.borrow().len() as f64;
     let mut obs = shared.obs.borrow_mut();
     let hits = obs.sum(Met::CacheHits);
     let misses = obs.sum(Met::CacheMisses);
@@ -4595,7 +3963,7 @@ fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
                 // location and will be superseded by the new home's syncs.
                 continue;
             }
-            let Some(h) = nodes[owner as usize].exports.get(&oid).copied() else {
+            let Some(h) = shared.directory.borrow().live_export((owner, oid)) else {
                 // Owner restarted with amnesia; nothing to compare until
                 // the next sync re-seeds the backup.
                 continue;
@@ -4671,24 +4039,14 @@ pub(crate) fn policy_table(shared: &Shared) -> String {
 pub(crate) fn placement_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let nodes = shared.nodes.borrow();
-    for (i, state) in nodes.iter().enumerate() {
-        // Live exports plus demoted forwarding stubs: demotion is a sweep
-        // optimisation, not a visibility change, so the table keeps
-        // showing a migration's trail at the old home.
-        let mut oids: Vec<u64> = state
-            .exports
-            .keys()
-            .chain(state.forwards.keys())
-            .copied()
-            .collect();
-        oids.sort_unstable();
-        let entries: Vec<String> = oids
-            .iter()
-            .map(|oid| {
-                let h = state.exports.get(oid).or_else(|| state.forwards.get(oid));
-                let class = h
-                    .and_then(|&h| shared.vms[i].class_of(h))
+    let dir = shared.directory.borrow();
+    for i in 0..shared.vms.len() {
+        let entries: Vec<String> = dir
+            .trail_of(i as u32)
+            .into_iter()
+            .map(|(oid, h)| {
+                let class = shared.vms[i]
+                    .class_of(h)
                     .map(|c| shared.universe.class(c).name.clone())
                     .unwrap_or_else(|| "?".to_owned());
                 format!("{oid}:{class}")
@@ -4703,11 +4061,8 @@ pub(crate) fn placement_table(shared: &Shared) -> String {
 /// promotions `(old home) -> (new home)`, sorted by old location.
 pub(crate) fn homes_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
-    let homes = shared.homes.borrow();
-    let mut entries: Vec<((u32, u64), (u32, u64))> = homes.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable();
     let mut out = String::new();
-    for ((on, oo), (nn, no)) in entries {
+    for ((on, oo), (nn, no)) in shared.directory.borrow().recorded_homes() {
         let _ = writeln!(out, "node{on}#{oo} -> node{nn}#{no}");
     }
     out
@@ -5116,7 +4471,7 @@ mod tests {
     }
 
     /// The rebalancing tick: hot-key skew read from the affinity
-    /// `call_counts` moves the hottest shard that fits half the gap off
+    /// call counters moves the hottest shard that fits half the gap off
     /// the overloaded node, ships its members' state through the
     /// migration path, and purges the counters that drove the move.
     #[test]
@@ -5176,9 +4531,10 @@ mod tests {
         // the move — a stale entry would keep feeding dead locations into
         // the next tick.
         assert!(
-            !shared.nodes.borrow()[0]
-                .call_counts
-                .contains_key(&warm_old_oid),
+            cluster
+                .affinity_snapshot(NodeId(0))
+                .iter()
+                .all(|&(oid, _)| oid != warm_old_oid),
             "stale counter for the moved object"
         );
         // With the skew resolved, the next tick converges to a no-op.
@@ -5271,7 +4627,7 @@ mod tests {
         OpMix::adaptation(CHAOS_POOL, 4, 3).strategy()
     }
 
-    /// The invariant [`purge_call_counts`] maintains, as a proptest
+    /// The invariant [`Directory::relocate`] maintains, as a proptest
     /// failure: delegates to the same structural sweep
     /// [`Cluster::check_invariants`] runs at quiescent points.
     fn assert_no_stale_affinity(cluster: &Cluster) -> Result<(), TestCaseError> {

@@ -1,0 +1,894 @@
+//! The location directory: the one answer to "where does this object live
+//! now, and at what version".
+//!
+//! Every table that records a location — the per-node export registries
+//! and their forwarding stubs, property versions (with tombstones), the
+//! recorded-homes chain, canonical singleton exports, the shard map, the
+//! last-shipped replica records, the dirty-replica set and the affinity
+//! counters — lives behind this one type, and changes only through the
+//! transitions below ([`Directory::export`], [`Directory::relocate`],
+//! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`],
+//! [`Directory::mark_node`] / [`Directory::take_dirty`],
+//! [`Directory::restart`], [`Directory::record_call`],
+//! [`Directory::canonical_static`] and the shard-map operations), each of
+//! which leaves every view consistent. Reads are questions that return
+//! plain data, never a handle on a table.
+//!
+//! No method calls back into the runtime: whatever must be looked up in a
+//! VM heap or the policy is passed in as plain data or a pure closure. The
+//! runtime holds the directory in one `RefCell` and borrows it for exactly
+//! one method call at a time, so a borrow can never span a nested exchange.
+
+use rafda_vm::Handle;
+use rafda_wire::WireValue;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// A location: `(node, export id on that node)`.
+pub(crate) type Loc = (u32, u64);
+
+/// A shard of a `shard by` class: `(class name, shard index)`.
+pub(crate) type ShardKey = (String, u32);
+
+/// Version tag marking a location as permanently uncacheable: the object
+/// moved away and the export (if the node still has one) only forwards.
+/// Reads through a forwarding chain must always go remote, otherwise a
+/// reader that never exchanges with the new owner could keep serving the
+/// pre-move value.
+pub(crate) const VERSION_TOMBSTONE: u64 = u64::MAX;
+
+/// Why an object changed location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Why {
+    /// Its owner shipped it to another node; the old export now forwards.
+    Migrated,
+    /// Another node fetched it; the old export now forwards.
+    Pulled,
+    /// A backup took over from a dead (or amnesiac) owner. The old node's
+    /// registry is left alone: it is unobservable while down and wiped by
+    /// the restart.
+    Promoted,
+}
+
+/// How an export's live state relates to what its backups last received.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Drift {
+    /// Same version, same state: the backups are current.
+    Settled,
+    /// The state moved under an unchanged version — a mutation the runtime
+    /// never served. The version must be bumped before shipping.
+    State,
+    /// Never shipped, or the version moved since the last shipment.
+    Version,
+}
+
+/// Incoming-call affinity of one export: the calls served for it at its
+/// current home, and the caller that dominates them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Affinity {
+    pub oid: u64,
+    /// Calls from all callers.
+    pub total: u64,
+    /// The caller with the most calls; ties go to the highest node id.
+    pub top_caller: u32,
+    pub top_count: u64,
+}
+
+/// One node's share of the directory. Everything here is volatile: a
+/// restart wipes it, except the id counter.
+#[derive(Debug, Default)]
+struct NodeDir {
+    /// Live exports: objects this node answers for.
+    exports: HashMap<u64, Handle>,
+    /// Reverse map over `exports` *and* `forwards`, so re-exporting a
+    /// handle (the object migrating back home) reuses its original id.
+    export_ids: HashMap<Handle, u64>,
+    /// Forwarding stubs left behind by a move: the id still resolves (to
+    /// the in-place-rewritten proxy) so transparent forwarding keeps
+    /// working, but sweeps, affinity and summaries see only live exports.
+    forwards: HashMap<u64, Handle>,
+    /// Live exports that are locally implemented instances of a replicated
+    /// class — the only locations a dirty mark can make shippable.
+    replicated: BTreeSet<u64>,
+    /// Last id handed out. Survives restarts, so a stale proxy addressing
+    /// a pre-crash export gets a typed fault, not a different object.
+    next_oid: u64,
+    /// The version and marshalled state each export last shipped to its
+    /// backups. Cleared cluster-wide on every restart so a rejoining
+    /// backup is re-seeded at the owner's next sync.
+    synced_versions: HashMap<u64, (u64, Vec<WireValue>)>,
+    /// Per-export incoming call counts by caller node.
+    call_counts: HashMap<u64, HashMap<u32, u64>>,
+}
+
+/// All location state of one cluster. See the module docs.
+#[derive(Debug)]
+pub(crate) struct Directory {
+    nodes: Vec<NodeDir>,
+    /// Authoritative property versions. Absent means 0 (never mutated
+    /// through the runtime since export); [`VERSION_TOMBSTONE`] marks a
+    /// location the object moved away from. Outlives restarts.
+    versions: HashMap<Loc, u64>,
+    /// Where the live copy of a moved object went: old location → next
+    /// location. Acyclic by construction (see [`Directory::relocate`]).
+    /// Outlives restarts — a forwarding proxy alone would be lost when its
+    /// node restarts.
+    homes: HashMap<Loc, Loc>,
+    /// Class name → the location its statics singleton was first exported
+    /// under; resolution follows `homes` from here.
+    statics_exports: HashMap<String, Loc>,
+    /// Shard → owning node. `BTreeMap`: iteration order feeds decisions.
+    shard_owners: BTreeMap<ShardKey, u32>,
+    /// Shard → member instances at their last known locations.
+    shard_members: BTreeMap<ShardKey, Vec<Loc>>,
+    /// Locations whose state may have moved past their last shipment.
+    /// Always a subset of the nodes' `replicated` sets; a `BTreeSet` so
+    /// the sweep drains it in `(node, oid)` order.
+    dirty: BTreeSet<Loc>,
+    /// Test-only injected fault: the next relocation "forgets" its
+    /// tombstone — the bug the stale-read monitor exists to catch.
+    skip_next_tombstone: bool,
+}
+
+impl Directory {
+    pub(crate) fn new(nodes: u32) -> Directory {
+        Directory {
+            nodes: (0..nodes).map(|_| NodeDir::default()).collect(),
+            versions: HashMap::new(),
+            homes: HashMap::new(),
+            statics_exports: HashMap::new(),
+            shard_owners: BTreeMap::new(),
+            shard_members: BTreeMap::new(),
+            dirty: BTreeSet::new(),
+            skip_next_tombstone: false,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Transitions
+    // ------------------------------------------------------------------
+
+    /// Export `h` on `node` and return its id: the id it already has (a
+    /// forwarding stub is promoted back to a live export — the object came
+    /// home), or a fresh one. `replicated` says whether `h` is *now* a
+    /// locally implemented instance of a replicated class; it is
+    /// re-evaluated on every call because installs and promotions rewrite
+    /// exported proxies into local objects under an unchanged id. A
+    /// replicated export is marked dirty: its state is owed to the backups.
+    pub(crate) fn export(&mut self, node: u32, h: Handle, replicated: bool) -> u64 {
+        let st = &mut self.nodes[node as usize];
+        let oid = match st.export_ids.get(&h) {
+            Some(&oid) => {
+                if let Some(h) = st.forwards.remove(&oid) {
+                    st.exports.insert(oid, h);
+                }
+                oid
+            }
+            None => {
+                st.next_oid += 1;
+                st.exports.insert(st.next_oid, h);
+                st.export_ids.insert(h, st.next_oid);
+                st.next_oid
+            }
+        };
+        if replicated {
+            st.replicated.insert(oid);
+            self.dirty.insert((node, oid));
+        } else if st.replicated.remove(&oid) {
+            self.dirty.remove(&(node, oid));
+        }
+        oid
+    }
+
+    /// The object at `old` now lives at `new`. In order: tombstone `old`'s
+    /// version (no read through it may be cached again); unless the old
+    /// owner is dead, demote its export to a forwarding stub (which also
+    /// ends its replication duties); record `old → new` and drop any
+    /// outgoing edge of `new`, which keeps every chain acyclic and ending
+    /// at a live home; and purge the affinity counters of both locations,
+    /// plus any counter of an exported proxy that `points_at` either — the
+    /// counts describe calls received at a home the object no longer has.
+    ///
+    /// `points_at(node, handle)` answers, from the node's heap, which
+    /// location an exported proxy addresses (`None` for anything else).
+    pub(crate) fn relocate(
+        &mut self,
+        old: Loc,
+        new: Loc,
+        why: Why,
+        points_at: impl Fn(u32, Handle) -> Option<Loc>,
+    ) {
+        if !std::mem::take(&mut self.skip_next_tombstone) {
+            self.versions.insert(old, VERSION_TOMBSTONE);
+        }
+        if why != Why::Promoted {
+            let st = &mut self.nodes[old.0 as usize];
+            if let Some(h) = st.exports.remove(&old.1) {
+                st.forwards.insert(old.1, h);
+            }
+            st.replicated.remove(&old.1);
+            self.dirty.remove(&old);
+        }
+        self.homes.insert(old, new);
+        self.homes.remove(&new);
+        for (n, st) in self.nodes.iter_mut().enumerate() {
+            let n = n as u32;
+            let exports = &st.exports;
+            st.call_counts.retain(|&oid, _| {
+                if (n, oid) == old || (n, oid) == new {
+                    return false;
+                }
+                let target = exports.get(&oid).and_then(|&h| points_at(n, h));
+                target != Some(old) && target != Some(new)
+            });
+        }
+    }
+
+    /// Record a (possible) mutation at `loc`: cached reads tagged with an
+    /// older version become stale, and the backups are behind until the
+    /// next sweep. Tombstoned locations stay tombstoned. Returns whether
+    /// the location was marked dirty.
+    #[must_use]
+    pub(crate) fn bump(&mut self, loc: Loc) -> bool {
+        let v = self.versions.entry(loc).or_insert(0);
+        if *v != VERSION_TOMBSTONE {
+            *v = v.saturating_add(1).min(VERSION_TOMBSTONE - 1);
+        }
+        self.mark(loc)
+    }
+
+    /// Mark `loc` dirty if it can ship at all (a live replicated export).
+    fn mark(&mut self, loc: Loc) -> bool {
+        let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
+        if shippable {
+            self.dirty.insert(loc);
+        }
+        shippable
+    }
+
+    /// Conservatively mark every replicated export of `node` dirty —
+    /// application code ran there and may have mutated any of them bare.
+    /// Returns the number of marks made.
+    #[must_use]
+    pub(crate) fn mark_node(&mut self, node: u32) -> u64 {
+        let replicated = &self.nodes[node as usize].replicated;
+        self.dirty.extend(replicated.iter().map(|&oid| (node, oid)));
+        replicated.len() as u64
+    }
+
+    /// Drain the dirty set for one sweep, in `(node, oid)` order. Marks
+    /// made while the sweep runs are the next sweep's work.
+    pub(crate) fn take_dirty(&mut self) -> BTreeSet<Loc> {
+        std::mem::take(&mut self.dirty)
+    }
+
+    /// `loc` is about to ship `state` at `version` to its backups. The
+    /// record is made *before* the shipment because each shipment is an
+    /// exchange, whose own sweep must find this location settled.
+    pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: Vec<WireValue>) {
+        self.nodes[loc.0 as usize]
+            .synced_versions
+            .insert(loc.1, (version, state));
+        self.dirty.remove(&loc);
+    }
+
+    /// A probe found `loc` [`Drift::Settled`]: its dirty mark is spent.
+    pub(crate) fn settled(&mut self, loc: Loc) {
+        self.dirty.remove(&loc);
+    }
+
+    /// `node` restarted with empty volatile state: its exports, stubs,
+    /// shipment records and counters are gone (only the id counter
+    /// survives), its dirty entries describe state that no longer exists,
+    /// and — since it holds no backups any more — every owner's shipment
+    /// records are void. Every node's replicated exports are re-marked so
+    /// the next sweep re-seeds the rejoined node even at unmoved versions.
+    /// Returns the marks made, per node.
+    #[must_use]
+    pub(crate) fn restart(&mut self, node: u32) -> Vec<u64> {
+        for st in &mut self.nodes {
+            st.synced_versions.clear();
+        }
+        let st = &mut self.nodes[node as usize];
+        *st = NodeDir {
+            next_oid: st.next_oid,
+            ..NodeDir::default()
+        };
+        self.dirty.retain(|&(n, _)| n != node);
+        (0..self.nodes.len() as u32)
+            .map(|n| self.mark_node(n))
+            .collect()
+    }
+
+    /// Count one call served for the live object at `loc`, from `caller`.
+    pub(crate) fn record_call(&mut self, loc: Loc, caller: u32) {
+        *self.nodes[loc.0 as usize]
+            .call_counts
+            .entry(loc.1)
+            .or_default()
+            .entry(caller)
+            .or_default() += 1;
+    }
+
+    /// Forget all affinity counters.
+    pub(crate) fn clear_affinity(&mut self) {
+        for st in &mut self.nodes {
+            st.call_counts.clear();
+        }
+    }
+
+    /// Record `loc` as the canonical export of `class`'s statics singleton
+    /// — the first time it becomes remotely visible; later calls keep the
+    /// first record.
+    pub(crate) fn canonical_static(&mut self, class: &str, loc: Loc) {
+        self.statics_exports.entry(class.to_owned()).or_insert(loc);
+    }
+
+    /// Arm the test-only fault described on the field.
+    pub(crate) fn skip_next_tombstone(&mut self) {
+        self.skip_next_tombstone = true;
+    }
+
+    // --- shard map ---
+
+    /// The node owning `(class, shard)`, seeded as `seed` the first time
+    /// the shard is seen.
+    pub(crate) fn shard_owner(&mut self, class: &str, shard: u32, seed: u32) -> u32 {
+        *self
+            .shard_owners
+            .entry((class.to_owned(), shard))
+            .or_insert(seed)
+    }
+
+    /// Hand shard `key` to `node`.
+    pub(crate) fn assign_shard(&mut self, key: ShardKey, node: u32) {
+        self.shard_owners.insert(key, node);
+    }
+
+    /// Add `member` to `(class, shard)`, once.
+    pub(crate) fn add_shard_member(&mut self, class: &str, shard: u32, member: Loc) {
+        let members = self
+            .shard_members
+            .entry((class.to_owned(), shard))
+            .or_default();
+        if !members.contains(&member) {
+            members.push(member);
+        }
+    }
+
+    /// Member `index` of shard `key` moved to `loc`.
+    pub(crate) fn move_shard_member(&mut self, key: &ShardKey, index: usize, loc: Loc) {
+        if let Some(members) = self.shard_members.get_mut(key) {
+            members[index] = loc;
+        }
+    }
+
+    /// Drop shard members that no longer resolve (the registry was wiped)
+    /// or that `keep(loc, handle)` rejects — the caller knows which nodes
+    /// are down and which handles are still locally implemented objects.
+    pub(crate) fn prune_shard_members(&mut self, keep: impl Fn(Loc, Handle) -> bool) {
+        let nodes = &self.nodes;
+        for members in self.shard_members.values_mut() {
+            members.retain(|&loc| lookup_in(nodes, loc).is_some_and(|h| keep(loc, h)));
+        }
+        self.shard_members.retain(|_, ms| !ms.is_empty());
+    }
+
+    // ------------------------------------------------------------------
+    // Questions
+    // ------------------------------------------------------------------
+
+    /// The handle `loc` resolves to: a live export or a forwarding stub.
+    pub(crate) fn lookup(&self, loc: Loc) -> Option<Handle> {
+        lookup_in(&self.nodes, loc)
+    }
+
+    /// The handle of the live export at `loc`; `None` for stubs.
+    pub(crate) fn live_export(&self, loc: Loc) -> Option<Handle> {
+        self.nodes[loc.0 as usize].exports.get(&loc.1).copied()
+    }
+
+    /// The current property version of `loc` (0 if never mutated).
+    pub(crate) fn version(&self, loc: Loc) -> u64 {
+        self.versions.get(&loc).copied().unwrap_or(0)
+    }
+
+    /// Where the object once at `loc` was last recorded to live: the end
+    /// of the chain of recorded moves, `loc` itself if it never moved.
+    pub(crate) fn resolve(&self, mut loc: Loc) -> Loc {
+        let mut hops = 0;
+        while let Some(&next) = self.homes.get(&loc) {
+            loc = next;
+            hops += 1;
+            debug_assert!(hops <= self.homes.len(), "cycle in the homes chain");
+        }
+        loc
+    }
+
+    /// The *next* recorded location after `loc`, if the object moved.
+    pub(crate) fn recorded_home(&self, loc: Loc) -> Option<Loc> {
+        self.homes.get(&loc).copied()
+    }
+
+    /// Every recorded move `old → next`, sorted by old location.
+    pub(crate) fn recorded_homes(&self) -> Vec<(Loc, Loc)> {
+        let mut entries: Vec<(Loc, Loc)> = self.homes.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable();
+        entries
+    }
+
+    /// The canonical export of `class`'s statics singleton, if recorded.
+    pub(crate) fn static_export(&self, class: &str) -> Option<Loc> {
+        self.statics_exports.get(class).copied()
+    }
+
+    /// Number of live exports on `node`.
+    pub(crate) fn live_count(&self, node: u32) -> usize {
+        self.nodes[node as usize].exports.len()
+    }
+
+    /// The live exports of `node`, sorted by id.
+    pub(crate) fn exports_of(&self, node: u32) -> Vec<(u64, Handle)> {
+        let st = &self.nodes[node as usize];
+        let mut out: Vec<(u64, Handle)> = st.exports.iter().map(|(&o, &h)| (o, h)).collect();
+        out.sort_unstable_by_key(|&(oid, _)| oid);
+        out
+    }
+
+    /// Live exports *and* forwarding stubs of `node`, sorted by id — a
+    /// migration's trail stays visible at the old home.
+    pub(crate) fn trail_of(&self, node: u32) -> Vec<(u64, Handle)> {
+        let st = &self.nodes[node as usize];
+        let mut out: Vec<(u64, Handle)> = st
+            .exports
+            .iter()
+            .chain(&st.forwards)
+            .map(|(&o, &h)| (o, h))
+            .collect();
+        out.sort_unstable_by_key(|&(oid, _)| oid);
+        out
+    }
+
+    /// How `state`, the live marshalled state of `loc`, relates to its
+    /// last shipment.
+    pub(crate) fn drift(&self, loc: Loc, state: &[WireValue]) -> Drift {
+        match self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
+            Some((v, shipped)) if *v == self.version(loc) => {
+                if shipped == state {
+                    Drift::Settled
+                } else {
+                    Drift::State
+                }
+            }
+            _ => Drift::Version,
+        }
+    }
+
+    /// Shipped exports whose backups lag the owner's current version.
+    pub(crate) fn replica_lag(&self) -> u64 {
+        let mut lag = 0;
+        for (owner, st) in self.nodes.iter().enumerate() {
+            for (&oid, &(synced, _)) in &st.synced_versions {
+                let current = self.version((owner as u32, oid));
+                if current != VERSION_TOMBSTONE && current != synced {
+                    lag += 1;
+                }
+            }
+        }
+        lag
+    }
+
+    /// Entries in the dirty set — what the next sweep will probe.
+    pub(crate) fn dirty_depth(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// The affinity counters of `node`, sorted by export id.
+    pub(crate) fn affinity(&self, node: u32) -> Vec<Affinity> {
+        let mut out: Vec<Affinity> = self.nodes[node as usize]
+            .call_counts
+            .iter()
+            .filter_map(|(&oid, counts)| {
+                let (&top_caller, &top_count) =
+                    counts.iter().max_by_key(|&(&caller, &c)| (c, caller))?;
+                Some(Affinity {
+                    oid,
+                    total: counts.values().sum(),
+                    top_caller,
+                    top_count,
+                })
+            })
+            .collect();
+        out.sort_unstable_by_key(|a| a.oid);
+        out
+    }
+
+    // --- shard map ---
+
+    /// The shard map, in key order.
+    pub(crate) fn shard_owners(&self) -> Vec<(ShardKey, u32)> {
+        self.shard_owners
+            .iter()
+            .map(|(k, &o)| (k.clone(), o))
+            .collect()
+    }
+
+    /// The recorded members of shard `key`.
+    pub(crate) fn shard_members(&self, key: &ShardKey) -> Vec<Loc> {
+        self.shard_members.get(key).cloned().unwrap_or_default()
+    }
+
+    /// Every location recorded as a member of some shard.
+    pub(crate) fn shard_member_set(&self) -> HashSet<Loc> {
+        self.shard_members.values().flatten().copied().collect()
+    }
+
+    /// Calls served per shard: the affinity totals of its members at
+    /// their recorded homes. An absent counter means a quiet member.
+    pub(crate) fn shard_loads(&self) -> BTreeMap<ShardKey, u64> {
+        let total = |&(n, oid): &Loc| {
+            self.nodes[n as usize]
+                .call_counts
+                .get(&oid)
+                .map_or(0, |counts| counts.values().sum::<u64>())
+        };
+        self.shard_members
+            .iter()
+            .map(|(key, members)| (key.clone(), members.iter().map(total).sum()))
+            .collect()
+    }
+
+    /// Shard balance: max / mean recorded members per node. 1.0 means
+    /// perfectly even, growing with skew; 0 when nothing has been placed.
+    pub(crate) fn shard_balance(&self) -> f64 {
+        let mut per_node = vec![0u64; self.nodes.len()];
+        for &(n, _) in self.shard_members.values().flatten() {
+            per_node[n as usize] += 1;
+        }
+        let total: u64 = per_node.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let mean = total as f64 / per_node.len() as f64;
+        per_node.iter().max().copied().unwrap_or(0) as f64 / mean
+    }
+}
+
+fn lookup_in(nodes: &[NodeDir], loc: Loc) -> Option<Handle> {
+    let st = &nodes[loc.0 as usize];
+    st.exports
+        .get(&loc.1)
+        .or_else(|| st.forwards.get(&loc.1))
+        .copied()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rafda_classmodel::{ClassKind, ClassUniverse};
+    use rafda_vm::Vm;
+    use std::sync::Arc;
+
+    const NODES: u32 = 3;
+
+    /// Distinct live handles to export. The directory never looks inside
+    /// a handle, so one pool serves every node.
+    fn handles(n: usize) -> Vec<Handle> {
+        let mut u = ClassUniverse::new();
+        let c = u.declare("T", ClassKind::Class);
+        let vm = Vm::new(Arc::new(u));
+        (0..n).map(|_| vm.alloc_raw(c, vec![])).collect()
+    }
+
+    /// `h` moves from its export `old` to `to`, as a migration does.
+    fn migrate(dir: &mut Directory, old: Loc, h: Handle, to: u32) -> Loc {
+        let new = (to, dir.export(to, h, false));
+        dir.relocate(old, new, Why::Migrated, |_, _| None);
+        new
+    }
+
+    /// Regression for `follow_homes` stopping short: the old walk took at
+    /// most `node_count + 1` hops, but a chain gains one *fresh* location
+    /// every time the object lands on a node that restarted since it last
+    /// lived there (the restart wiped the id it would have reused).
+    #[test]
+    fn resolve_reaches_the_terminal_of_a_chain_longer_than_the_cluster() {
+        let h = handles(1)[0];
+        let mut dir = Directory::new(NODES);
+        let first = (0, dir.export(0, h, false));
+        let mut at = migrate(&mut dir, first, h, 1);
+        at = migrate(&mut dir, at, h, 2);
+        for node in 0..NODES {
+            let _ = dir.restart(node);
+            at = migrate(&mut dir, at, h, node);
+        }
+        assert_eq!(at, (2, 2), "every landing after a restart is a fresh id");
+        let mut hops = 0;
+        let mut loc = first;
+        while let Some(next) = dir.recorded_home(loc) {
+            loc = next;
+            hops += 1;
+        }
+        assert_eq!(hops, 5);
+        assert!(hops > NODES + 1, "longer than the old walk's bound");
+        assert_eq!(dir.resolve(first), at);
+        assert_eq!(dir.lookup(at), Some(h));
+    }
+
+    #[test]
+    fn an_object_coming_home_reuses_its_id_and_stays_tombstoned() {
+        let h = handles(1)[0];
+        let mut dir = Directory::new(NODES);
+        let home = (0, dir.export(0, h, true));
+        let away = migrate(&mut dir, home, h, 1);
+        assert_eq!(dir.live_export(home), None);
+        assert_eq!(dir.lookup(home), Some(h), "the stub still resolves");
+        assert_eq!(dir.version(home), VERSION_TOMBSTONE);
+        assert!(!dir.bump(home), "a stub cannot ship");
+        let back = (0, dir.export(0, h, true));
+        dir.relocate(away, back, Why::Migrated, |_, _| None);
+        assert_eq!(back, home);
+        assert_eq!(dir.live_export(home), Some(h));
+        assert_eq!(dir.version(home), VERSION_TOMBSTONE);
+        assert_eq!(dir.resolve(away), home);
+        assert_eq!(dir.recorded_home(home), None, "the live home is terminal");
+    }
+
+    #[test]
+    fn relocate_purges_counters_of_both_locations_and_of_proxies_to_them() {
+        let hs = handles(3);
+        let mut dir = Directory::new(NODES);
+        let old = (0, dir.export(0, hs[0], false));
+        let bystander = (0, dir.export(0, hs[1], false));
+        // Node 2 exports a proxy that addresses `old`.
+        let proxy = (2, dir.export(2, hs[2], false));
+        for loc in [old, bystander, proxy] {
+            dir.record_call(loc, 1);
+        }
+        let new = (1, dir.export(1, hs[0], false));
+        dir.record_call(new, 2);
+        dir.relocate(old, new, Why::Migrated, |n, h| {
+            (n == 2 && h == hs[2]).then_some(old)
+        });
+        assert_eq!(dir.affinity(0).len(), 1);
+        assert_eq!(dir.affinity(0)[0].oid, bystander.1);
+        assert_eq!(dir.affinity(1), vec![]);
+        assert_eq!(dir.affinity(2), vec![]);
+    }
+
+    #[test]
+    fn the_skipped_tombstone_is_spent_by_one_relocation() {
+        let hs = handles(2);
+        let mut dir = Directory::new(NODES);
+        let a = (0, dir.export(0, hs[0], false));
+        let b = (0, dir.export(0, hs[1], false));
+        dir.skip_next_tombstone();
+        migrate(&mut dir, a, hs[0], 1);
+        migrate(&mut dir, b, hs[1], 1);
+        assert_eq!(dir.version(a), 0, "the injected fault");
+        assert_eq!(dir.version(b), VERSION_TOMBSTONE);
+    }
+
+    // --- invariants under random transitions (proptest) ---
+
+    const POOL: usize = 5;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Export {
+            node: u32,
+            h: usize,
+            replicated: bool,
+        },
+        /// Move the `pick`-th live export of `from` to `to`.
+        Move {
+            from: u32,
+            pick: usize,
+            to: u32,
+            pulled: bool,
+        },
+        /// A backup on `to` takes over the `pick`-th export of the down node.
+        Promote {
+            pick: usize,
+            to: u32,
+        },
+        Bump {
+            node: u32,
+            pick: usize,
+        },
+        Shipped {
+            node: u32,
+            pick: usize,
+        },
+        MarkNode {
+            node: u32,
+        },
+        RecordCall {
+            node: u32,
+            pick: usize,
+            caller: u32,
+        },
+        Crash {
+            node: u32,
+        },
+        Restart,
+    }
+
+    fn arb_op() -> BoxedStrategy<Op> {
+        let node = || 0..NODES;
+        let pick = || 0..POOL;
+        prop_oneof![
+            4 => (node(), pick(), any::<bool>())
+                .prop_map(|(node, h, replicated)| Op::Export { node, h, replicated }),
+            4 => (node(), pick(), node(), any::<bool>())
+                .prop_map(|(from, pick, to, pulled)| Op::Move { from, pick, to, pulled }),
+            2 => (pick(), node()).prop_map(|(pick, to)| Op::Promote { pick, to }),
+            3 => (node(), pick()).prop_map(|(node, pick)| Op::Bump { node, pick }),
+            2 => (node(), pick()).prop_map(|(node, pick)| Op::Shipped { node, pick }),
+            2 => node().prop_map(|node| Op::MarkNode { node }),
+            4 => (node(), pick(), node())
+                .prop_map(|(node, pick, caller)| Op::RecordCall { node, pick, caller }),
+            1 => node().prop_map(|node| Op::Crash { node }),
+            2 => Just(Op::Restart),
+        ]
+        .boxed()
+    }
+
+    /// What the test knows besides the directory: which handles were
+    /// rewritten into proxies (and for where), which node is down, and
+    /// every location something ever moved away from.
+    #[derive(Default)]
+    struct World {
+        proxies: HashMap<(u32, Handle), Loc>,
+        down: Option<u32>,
+        moved_from: Vec<Loc>,
+    }
+
+    fn pick_live(dir: &Directory, node: u32, pick: usize) -> Option<(Loc, Handle)> {
+        let exports = dir.exports_of(node);
+        let &(oid, h) = exports.get(pick % exports.len().max(1))?;
+        Some(((node, oid), h))
+    }
+
+    fn apply(dir: &mut Directory, w: &mut World, hs: &[Handle], op: &Op) {
+        let up = |n: u32| w.down != Some(n);
+        match *op {
+            Op::Export {
+                node,
+                h,
+                replicated,
+            } if up(node) => {
+                // Re-exporting a handle means the real object is (back)
+                // behind it.
+                w.proxies.remove(&(node, hs[h]));
+                dir.export(node, hs[h], replicated);
+            }
+            Op::Move {
+                from,
+                pick,
+                to,
+                pulled,
+            } if from != to && up(from) && up(to) => {
+                let Some((old, h)) = pick_live(dir, from, pick) else {
+                    return;
+                };
+                if w.proxies.contains_key(&(from, h)) {
+                    return; // only real objects move
+                }
+                w.proxies.remove(&(to, h));
+                let new = (to, dir.export(to, h, pick % 2 == 0));
+                let why = if pulled { Why::Pulled } else { Why::Migrated };
+                let proxies = &w.proxies;
+                dir.relocate(old, new, why, |n, h| proxies.get(&(n, h)).copied());
+                w.proxies.insert((from, h), new);
+                w.moved_from.push(old);
+            }
+            Op::Promote { pick, to } if w.down.is_some_and(|d| d != to) => {
+                let from = w.down.expect("guarded");
+                let Some((old, h)) = pick_live(dir, from, pick) else {
+                    return;
+                };
+                w.proxies.remove(&(to, h));
+                let new = (to, dir.export(to, h, true));
+                let _ = dir.bump(new);
+                let proxies = &w.proxies;
+                dir.relocate(old, new, Why::Promoted, |n, h| {
+                    proxies.get(&(n, h)).copied()
+                });
+                w.moved_from.push(old);
+            }
+            Op::Bump { node, pick } if up(node) => {
+                if let Some((loc, _)) = pick_live(dir, node, pick) {
+                    let _ = dir.bump(loc);
+                }
+            }
+            Op::Shipped { node, pick } if up(node) => {
+                if let Some((loc, _)) = pick_live(dir, node, pick) {
+                    let version = dir.version(loc);
+                    dir.shipped(loc, version, vec![]);
+                }
+            }
+            Op::MarkNode { node } => {
+                let _ = dir.mark_node(node);
+            }
+            Op::RecordCall { node, pick, caller } if up(node) => {
+                // The runtime counts calls only where the object lives.
+                if let Some((loc, h)) = pick_live(dir, node, pick) {
+                    if !w.proxies.contains_key(&(node, h)) {
+                        dir.record_call(loc, caller);
+                    }
+                }
+            }
+            Op::Crash { node } if w.down.is_none() => w.down = Some(node),
+            Op::Restart => {
+                if let Some(node) = w.down.take() {
+                    let _ = dir.restart(node);
+                    w.proxies.retain(|&(n, _), _| n != node);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn check(dir: &Directory, w: &World) -> Result<(), TestCaseError> {
+        for (n, st) in dir.nodes.iter().enumerate() {
+            let n = n as u32;
+            for oid in st.exports.keys() {
+                prop_assert!(!st.forwards.contains_key(oid), "{n}#{oid} live and stub");
+            }
+            prop_assert_eq!(st.export_ids.len(), st.exports.len() + st.forwards.len());
+            for oid in &st.replicated {
+                prop_assert!(
+                    st.exports.contains_key(oid),
+                    "{n}#{oid} replicated, not live"
+                );
+            }
+            if w.down != Some(n) {
+                for oid in st.call_counts.keys() {
+                    prop_assert!(st.exports.contains_key(oid), "{n}#{oid} counted, not live");
+                    let h = st.exports[oid];
+                    prop_assert!(
+                        !w.proxies.contains_key(&(n, h)),
+                        "{n}#{oid} counted, but the object moved away"
+                    );
+                }
+            }
+        }
+        for &(n, oid) in &dir.dirty {
+            prop_assert!(
+                dir.nodes[n as usize].replicated.contains(&oid),
+                "{n}#{oid} dirty, not replicated"
+            );
+        }
+        for &loc in &w.moved_from {
+            prop_assert_eq!(
+                dir.version(loc),
+                VERSION_TOMBSTONE,
+                "{:?} un-tombstoned",
+                loc
+            );
+        }
+        for &loc in dir.homes.keys() {
+            let end = dir.resolve(loc);
+            prop_assert_eq!(dir.recorded_home(end), None, "{:?} ends mid-chain", loc);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever sequence of transitions runs, every view of the
+        /// directory stays consistent with every other.
+        #[test]
+        fn views_agree_after_every_transition(ops in prop::collection::vec(arb_op(), 1..80)) {
+            let hs = handles(POOL);
+            let mut dir = Directory::new(NODES);
+            let mut w = World::default();
+            for op in &ops {
+                apply(&mut dir, &mut w, &hs, op);
+                check(&dir, &w)?;
+            }
+        }
+    }
+}

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod directory;
 pub mod error;
 pub mod introspect;
 pub mod local;

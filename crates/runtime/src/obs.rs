@@ -3,16 +3,14 @@
 //! time-series recorder sampled on the **simulated** clock, and the
 //! optional live invariant monitors.
 //!
-//! [`RuntimeStats`](crate::cluster::RuntimeStats) is no longer a bag of
-//! counters that the runtime mutates directly — it is a *view* assembled
-//! from this registry ([`Obs::snapshot`] per node,
+//! [`RuntimeStats`] is not a bag of counters that the runtime mutates
+//! directly — it is a *view* assembled from this registry ([`Obs::snapshot`] per node,
 //! [`Cluster::stats`](crate::Cluster::stats) as the documented merge).
 //! Every increment goes through a typed [`Counter`]/[`Histogram`] handle
 //! labeled with the node it is charged to, which is what makes the
 //! per-node breakdown, the Prometheus/JSON exporters and the
 //! `rafda.Introspection` getters all read the same numbers.
 
-use crate::cluster::RuntimeStats;
 use rafda_telemetry::{
     Counter, Histogram, MetricsRegistry, Monitor, MonitorEvent, SeriesId, TimeSeriesRecorder,
 };
@@ -32,8 +30,15 @@ pub(crate) const SERIES_CAP: usize = 4096;
 /// mirroring the 8-slot `RuntimeStats::attempts` array it reconstructs.
 const ATTEMPT_BOUNDS: [u64; 7] = [1, 2, 3, 4, 5, 6, 7];
 
+/// The one list of runtime counters. Each entry is `Variant => field,
+/// "prometheus_name"` under the field's public documentation, and
+/// generates: the [`Met`] variant that indexes the per-node handle table,
+/// the [`RuntimeStats`] field of the same name, its lines in
+/// [`RuntimeStats::merge`] and [`RuntimeStats::delta_from`], and the
+/// registry → stats copy in [`Obs::snapshot`]. Adding a counter is one
+/// entry here (plus wherever it should be printed).
 macro_rules! runtime_metrics {
-    ($($variant:ident => $field:ident, $pname:literal;)*) => {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident, $pname:literal;)*) => {
         /// A runtime event counter, one variant per [`RuntimeStats`]
         /// counter field. The variant's discriminant indexes the per-node
         /// handle table in [`Obs`].
@@ -57,6 +62,59 @@ macro_rules! runtime_metrics {
             }
         }
 
+        /// Aggregate runtime statistics.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct RuntimeStats {
+            $(
+                $(#[$doc])*
+                pub $field: u64,
+            )*
+            /// Histogram of attempts used per finished exchange: bucket `i`
+            /// counts exchanges that took `i + 1` attempts (the last bucket
+            /// saturates).
+            pub attempts: [u64; 8],
+            /// Signature-position strings sent as an interned reference
+            /// instead of inline text (summed over every directed link's
+            /// table).
+            pub sig_refs: u64,
+            /// Signature-position strings defined (sent inline and
+            /// interned) — each one a table entry later frames reference.
+            pub sig_defs: u64,
+            /// Frame encodes served by a pooled buffer instead of a fresh
+            /// allocation.
+            pub wire_buf_reuses: u64,
+        }
+
+        impl RuntimeStats {
+            /// Add every counter of `other` into `self` — the merge
+            /// [`Cluster::stats`](crate::Cluster::stats) folds per-node
+            /// breakdowns with.
+            pub fn merge(&mut self, other: &RuntimeStats) {
+                $(self.$field += other.$field;)*
+                for (slot, c) in self.attempts.iter_mut().zip(other.attempts) {
+                    *slot += c;
+                }
+                self.sig_refs += other.sig_refs;
+                self.sig_defs += other.sig_defs;
+                self.wire_buf_reuses += other.wire_buf_reuses;
+            }
+
+            /// Counter-wise difference `self − earlier` (saturating), for
+            /// reporting what a bounded run added on top of its setup — the
+            /// soak report's per-phase metric deltas are computed with this.
+            pub fn delta_from(&self, earlier: &RuntimeStats) -> RuntimeStats {
+                let mut d = *self;
+                $(d.$field = d.$field.saturating_sub(earlier.$field);)*
+                for (slot, c) in d.attempts.iter_mut().zip(earlier.attempts) {
+                    *slot = slot.saturating_sub(c);
+                }
+                d.sig_refs = d.sig_refs.saturating_sub(earlier.sig_refs);
+                d.sig_defs = d.sig_defs.saturating_sub(earlier.sig_defs);
+                d.wire_buf_reuses = d.wire_buf_reuses.saturating_sub(earlier.wire_buf_reuses);
+                d
+            }
+        }
+
         fn fill_stats(stats: &mut RuntimeStats, met: Met, value: u64) {
             match met {
                 $(Met::$variant => stats.$field = value,)*
@@ -66,31 +124,81 @@ macro_rules! runtime_metrics {
 }
 
 runtime_metrics! {
+    /// Remote method invocations served.
     RpcCalls => rpc_calls, "rafda_rpc_calls_total";
+    /// Remote creations served.
     RpcCreates => rpc_creates, "rafda_rpc_creates_total";
+    /// Remote singleton discoveries served.
     RpcDiscovers => rpc_discovers, "rafda_rpc_discovers_total";
+    /// State fetches served (migration).
     RpcFetches => rpc_fetches, "rafda_rpc_fetches_total";
+    /// State installs served (migration).
     RpcInstalls => rpc_installs, "rafda_rpc_installs_total";
+    /// Forward swaps served (boundary pulls).
     RpcForwards => rpc_forwards, "rafda_rpc_forwards_total";
+    /// Objects migrated (including adaptation).
     Migrations => migrations, "rafda_migrations_total";
+    /// Objects pulled local.
     Pulls => pulls, "rafda_pulls_total";
+    /// Requests answered with a fault (server-side errors; network-level
+    /// failures are counted separately in [`RuntimeStats::net_failures`]).
     Faults => faults, "rafda_faults_total";
+    /// Client-side retry rounds: transmission attempts beyond each
+    /// exchange's first.
     Retries => retries, "rafda_retries_total";
+    /// Retransmitted requests that reached the server (a retry whose
+    /// request transmission succeeded).
     Retransmits => retransmits, "rafda_retransmits_total";
+    /// Retransmissions answered from the reply cache instead of re-running
+    /// the method (the at-most-once guarantee doing its job).
     DedupHits => dedup_hits, "rafda_dedup_hits_total";
+    /// Exchanges that exhausted the retry budget or hit a non-transient
+    /// network failure. Distinct from `faults`: the server never answered.
     NetFailures => net_failures, "rafda_net_failures_total";
+    /// Property (`get_f`) reads answered from the proxy-side cache —
+    /// no network exchange happened at all.
     CacheHits => cache_hits, "rafda_cache_hits_total";
+    /// Cacheable property reads that had to go remote (no entry, or a
+    /// stale entry that was refreshed by the exchange).
     CacheMisses => cache_misses, "rafda_cache_misses_total";
+    /// Cached property entries found stale — the owner's version moved
+    /// past the tag — and dropped before going remote.
     CacheInvalidations => cache_invalidations, "rafda_cache_invalidations_total";
+    /// Replica state syncs served: one per backup shipped after a served
+    /// mutation (or export) of a replicated object.
     ReplicaSyncs => replica_syncs, "rafda_replica_syncs_total";
+    /// Replica promotions served: a backup materialised its stored state
+    /// and became the new owner after the primary crashed.
     Promotions => promotions, "rafda_promotions_total";
+    /// Client-side failovers: calls re-homed from a crashed owner to a
+    /// (promoted) replica and retried successfully.
     Failovers => failovers, "rafda_failovers_total";
+    /// Operations deferred onto a per-`(caller, owner)` outcall queue
+    /// instead of being sent as their own exchange (void calls on batched
+    /// classes, plus replica shipments of batched classes).
     BatchedOps => batched_ops, "rafda_batched_ops_total";
+    /// Outcall queues drained: each flush ships one queue as a single
+    /// [`Request::Batch`](rafda_wire::Request::Batch) exchange at a
+    /// synchronization point.
     Flushes => flushes, "rafda_flushes_total";
+    /// Sharded instances placed onto their shard's node after construction
+    /// (a `shard by` policy rule routing a fresh object).
     ShardPlacements => shard_placements, "rafda_shard_placements_total";
+    /// Whole shards moved between nodes by the rebalance tick reacting to
+    /// hot-key skew in the observed call counts.
     ShardRebalances => shard_rebalances, "rafda_shard_rebalances_total";
+    /// Getter calls served from a same-version local replica copy instead
+    /// of an owner exchange (a `reads from replicas` policy rule).
     ReplicaReads => replica_reads, "rafda_replica_reads_total";
+    /// Dirty-set entries the replica sweep offered to `sync_replicas` —
+    /// each one a state comparison against the last shipment, charged to
+    /// the owner. The sweep's cost measure: O(dirty) per synchronization
+    /// point, not O(exports).
     ReplicaSweepProbes => replica_sweep_probes, "rafda_replica_sweep_probes_total";
+    /// `(node, oid)` dirty-set insertions recorded (version bumps, served
+    /// mutations, fresh replicated exports, and conservative node-level
+    /// marks while application code runs locally). Marks bound probes:
+    /// every probe was a mark first.
     DirtyMarks => dirty_marks, "rafda_dirty_marks_total";
 }
 
@@ -172,7 +280,12 @@ impl Obs {
 
     /// Bump counter `met`, charged to `node`.
     pub(crate) fn inc(&mut self, node: u32, met: Met) {
-        self.reg.inc(self.counters[node as usize][met as usize]);
+        self.add(node, met, 1);
+    }
+
+    /// Add `v` to counter `met`, charged to `node`.
+    pub(crate) fn add(&mut self, node: u32, met: Met, v: u64) {
+        self.reg.add(self.counters[node as usize][met as usize], v);
     }
 
     /// Record a finished exchange that took `n` transmission attempts,
