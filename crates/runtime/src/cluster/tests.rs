@@ -1,0 +1,648 @@
+//! Runtime-level tests that reach below the public API: they drive
+//! `serve_request` directly, inspect queues and backups, and run the
+//! adaptation/crash chaos over a sharded pool. Kept in one module so their
+//! names (`cluster::tests::*`) stay stable across the module split.
+
+use super::*;
+use crate::placement::shard_hash;
+use crate::serve::serve_request;
+use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
+use rafda_classmodel::{ClassKind, Field, Ty};
+use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
+use rafda_telemetry::TraceContext;
+use rafda_transform::Transformer;
+
+/// A cluster of two nodes running `class C { int v; int add(int d) }`
+/// with all instances placed (remotely) on node 1.
+fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
+    let mut u = ClassUniverse::new();
+    let c = u.declare("C", ClassKind::Class);
+    {
+        let mut cb = ClassBuilder::new(&u, c);
+        let v = cb.field(Field::new("v", Ty::Int));
+        let mut mb = MethodBuilder::new(1);
+        mb.ret();
+        cb.ctor(&mut u, vec![], Some(mb.finish()));
+        let mut mb = MethodBuilder::new(2);
+        mb.load_this();
+        mb.load_this().get_field(c, v);
+        mb.load_local(1).add();
+        mb.put_field(c, v);
+        mb.load_this().get_field(c, v).ret_value();
+        cb.method(&mut u, "add", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(&mut u);
+    }
+    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let cluster = Cluster::new(u, outcome.plan, 2, 7, Box::new(policy));
+    (cluster, c)
+}
+
+/// Regression for the stale-version dedup bug: a dedup hit must replay
+/// the object version stored **at serve time**, not recompute it at
+/// retransmit time. The single-threaded simulation cannot interleave a
+/// foreign mutation between a dropped reply and its retransmission from
+/// the outside, so the scenario drives `serve_request` directly —
+/// exactly what a lossy network would deliver to the server.
+#[test]
+fn dedup_hit_replays_the_serve_time_version() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .cache("C", true);
+    let (cluster, base) = deployed(policy);
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let shared = cluster.shared();
+    let h = obj.as_ref_handle().unwrap();
+    let (owner, oid) = read_proxy_state(&shared.vms[0], h).unwrap();
+    assert_eq!(owner, 1, "policy must place the object remotely");
+    let get_sig = shared.plan.family(base).unwrap().getters[0];
+    let add_sig = shared
+        .universe
+        .class(base)
+        .methods
+        .iter()
+        .find(|m| m.name == "add")
+        .unwrap()
+        .sig;
+    let read = Request::Call {
+        object: oid,
+        method: format!("get_v@{}", get_sig.0),
+        args: vec![],
+    };
+    // Message 900: a cacheable read is served, but the reply is lost on
+    // the way back.
+    let (r1, _, v1) = serve_request(
+        shared,
+        NodeId(1),
+        NodeId(0),
+        900,
+        TraceContext::NONE,
+        read.clone(),
+    );
+    assert!(matches!(r1, Reply::Value(_)));
+    // Before the retransmission arrives, another mutation is served and
+    // bumps the object's version.
+    let (r2, _, _) = serve_request(
+        shared,
+        NodeId(1),
+        NodeId(0),
+        901,
+        TraceContext::NONE,
+        Request::Call {
+            object: oid,
+            method: format!("add@{}", add_sig.0),
+            args: vec![WireValue::Int(5)],
+        },
+    );
+    assert!(matches!(r2, Reply::Value(_)));
+    let current = version_of(shared, 1, oid);
+    assert!(current > v1, "the mutation must bump the version");
+    // The retransmission of 900 dedups. Its reply must carry v1: tagged
+    // with `current`, the client would cache the pre-mutation value as
+    // fresh and serve the stale read until the next mutation.
+    let (r3, _, v3) = serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, read);
+    assert_eq!(r3, r1, "dedup must replay the original reply");
+    assert_eq!(cluster.stats().dedup_hits, 1);
+    assert_eq!(
+        v3, v1,
+        "dedup hit must replay the serve-time version, not the current one"
+    );
+    assert_ne!(v3, current);
+}
+
+/// Batched invocation basics, below the integration level: void calls
+/// on a `batch on` class defer, queued replica shipments of the same
+/// export coalesce, and a value-returning call flushes everything in
+/// one exchange per queue.
+#[test]
+fn deferred_ops_flush_at_a_value_returning_call() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .batch("C", true);
+    let (cluster, base) = deployed(policy);
+    let _ = base;
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    // The generated setter returns void: deferred, not sent.
+    let r = cluster
+        .call_method(NodeId(0), obj.clone(), "set_v", vec![Value::Int(4)])
+        .unwrap();
+    assert_eq!(r, Value::Null);
+    assert_eq!(cluster.shared().outqueues.borrow().len(), 1);
+    let before = cluster.stats();
+    assert_eq!(before.batched_ops, 1);
+    assert_eq!(before.flushes, 0);
+    // A value-returning call is a synchronization point: the deferred
+    // setter lands first (in order), then the read runs.
+    let v = cluster
+        .call_method(NodeId(0), obj, "get_v", vec![])
+        .unwrap();
+    assert_eq!(v, Value::Int(4), "the flushed write must be visible");
+    let after = cluster.stats();
+    assert_eq!(after.flushes, 1);
+    assert!(cluster.shared().outqueues.borrow().is_empty());
+}
+
+/// The zero-copy wire path at the runtime level: a repeated call sends
+/// fewer bytes than its first occurrence (the method signature shrank
+/// to an interned reference), encode buffers are recycled per link, and
+/// the merged stats expose all three wire counters.
+#[test]
+fn repeat_calls_intern_signatures_and_reuse_buffers() {
+    let policy = StaticPolicy::new().place("C", Placement::Node(NodeId(1)));
+    let (cluster, _) = deployed(policy);
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let net = cluster.network();
+    let t0 = net.stats().bytes;
+    cluster
+        .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(1)])
+        .unwrap();
+    let first = net.stats().bytes - t0;
+    let t1 = net.stats().bytes;
+    cluster
+        .call_method(NodeId(0), obj, "add", vec![Value::Int(1)])
+        .unwrap();
+    let second = net.stats().bytes - t1;
+    assert!(
+        second < first,
+        "an interned repeat call must be smaller on the wire: {second} >= {first}"
+    );
+    let stats = cluster.stats();
+    assert!(stats.sig_defs > 0, "first frames define signatures");
+    assert!(stats.sig_refs > 0, "repeat frames reference them");
+    assert!(
+        stats.wire_buf_reuses > 0,
+        "second exchange on a link must reuse its encode buffers"
+    );
+}
+
+/// Regression for a lost-update hazard the replica-divergence monitor
+/// exposed: when a caller promotes a backup *onto itself*, [`failover`]
+/// materialises the object in the caller's own VM, and every later call
+/// on it is a plain local invocation — no serve, no version bump, no
+/// [`sync_replicas`]. Before the dirty-replica sweep, the backups froze
+/// at the promotion-time state forever, so a second crash would have
+/// resurrected stale state. The sweep at the next exchange must bump
+/// the version and re-ship the drifted state.
+#[test]
+fn local_mutations_after_self_promotion_reach_the_backups() {
+    let mut u = ClassUniverse::new();
+    for name in ["CA", "CB"] {
+        let c = u.declare(name, ClassKind::Class);
+        let mut cb = ClassBuilder::new(&u, c);
+        let v = cb.field(Field::new("v", Ty::Int));
+        let mut mb = MethodBuilder::new(1);
+        mb.ret();
+        cb.ctor(&mut u, vec![], Some(mb.finish()));
+        let mut mb = MethodBuilder::new(2);
+        mb.load_this();
+        mb.load_this().get_field(c, v);
+        mb.load_local(1).add();
+        mb.put_field(c, v);
+        mb.load_this().get_field(c, v).ret_value();
+        cb.method(&mut u, "add", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(&mut u);
+    }
+    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let policy = StaticPolicy::new()
+        .place("CA", Placement::Node(NodeId(1)))
+        .place("CB", Placement::Node(NodeId(2)))
+        .replicate("CA", 1)
+        .replicate("CB", 1);
+    let cluster = Cluster::new(u, outcome.plan, 3, 260, Box::new(policy));
+    cluster.enable_monitors();
+    let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
+    let b = cluster.new_instance(NodeId(0), "CB", 0, vec![]).unwrap();
+    // Crash CA's home: the next call from node 0 promotes node 0's own
+    // backup, so `a` becomes a local object of the caller.
+    cluster.crash(NodeId(1));
+    cluster.restart(NodeId(1));
+    for (obj, d, want) in [(&a, -4, -4), (&b, -9, -9), (&a, -3, -7)] {
+        assert_eq!(
+            cluster
+                .call_method(NodeId(0), (*obj).clone(), "add", vec![Value::Int(d)])
+                .unwrap(),
+            Value::Int(want)
+        );
+    }
+    // add(-3) ran locally on the promoted copy; the `b` exchange after
+    // it (and the quiescent point itself) must have re-shipped it.
+    assert_eq!(cluster.check_invariants(), vec![]);
+    let shared = cluster.shared();
+    let nodes = shared.nodes.borrow();
+    let backup = nodes
+        .iter()
+        .flat_map(|st| st.replica_store.get(&(0, 1)))
+        .next()
+        .expect("the promoted object keeps a backup");
+    assert_eq!(backup.2, vec![WireValue::Int(-7)], "backup holds -4-3");
+}
+
+/// The at-most-once canary. A retransmission served from the reply
+/// cache is a legitimate replay; losing the cache entry and
+/// re-executing the frame is the violation the monitor exists for.
+/// Like the dedup test above, the scenario drives `serve_request`
+/// directly — the single-threaded simulation cannot evict a reply
+/// cache entry mid-exchange from the outside.
+#[test]
+fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
+    let policy = StaticPolicy::new().place("C", Placement::Node(NodeId(1)));
+    let (cluster, base) = deployed(policy);
+    cluster.enable_monitors();
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let shared = cluster.shared();
+    let h = obj.as_ref_handle().unwrap();
+    let (_, oid) = read_proxy_state(&shared.vms[0], h).unwrap();
+    let add_sig = shared
+        .universe
+        .class(base)
+        .methods
+        .iter()
+        .find(|m| m.name == "add")
+        .unwrap()
+        .sig;
+    let call = Request::Call {
+        object: oid,
+        method: format!("add@{}", add_sig.0),
+        args: vec![WireValue::Int(5)],
+    };
+    // Serve once, then retransmit: the dedup cache replays — healthy.
+    let (r1, _, _) = serve_request(
+        shared,
+        NodeId(1),
+        NodeId(0),
+        900,
+        TraceContext::NONE,
+        call.clone(),
+    );
+    assert!(matches!(r1, Reply::Value(_)));
+    let (r2, _, _) = serve_request(
+        shared,
+        NodeId(1),
+        NodeId(0),
+        900,
+        TraceContext::NONE,
+        call.clone(),
+    );
+    assert_eq!(r2, r1);
+    assert_eq!(cluster.monitor_violations(), vec![]);
+
+    // Inject the bug: the server forgets its replies, so the next
+    // retransmission of 900 re-executes `add` — the object double-
+    // applies the mutation, which is exactly what at-most-once forbids.
+    {
+        let mut nodes = shared.nodes.borrow_mut();
+        nodes[1].reply_cache.clear();
+        nodes[1].reply_cache_order.clear();
+    }
+    let (r3, _, _) = serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, call);
+    assert!(matches!(r3, Reply::Value(_)));
+    assert_ne!(r3, r1, "re-execution double-applies the mutation");
+    let violations = cluster.monitor_violations();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].monitor, "at-most-once");
+    assert!(violations[0].message.contains("msg 900"));
+    assert_ne!(violations[0].span_id, 0);
+}
+
+/// A cluster running `class K { int k; int v; K(int k); int bump(int
+/// d) }` under `shard K by get_k modulo ...` with no explicit
+/// placement (instances are created locally, then routed).
+fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
+    let mut u = ClassUniverse::new();
+    let c = u.declare("K", ClassKind::Class);
+    {
+        let mut cb = ClassBuilder::new(&u, c);
+        let kf = cb.field(Field::new("k", Ty::Int));
+        let vf = cb.field(Field::new("v", Ty::Int));
+        let mut mb = MethodBuilder::new(2);
+        mb.load_this().load_local(1).put_field(c, kf).ret();
+        cb.ctor(&mut u, vec![Ty::Int], Some(mb.finish()));
+        let mut mb = MethodBuilder::new(2);
+        mb.load_this();
+        mb.load_this().get_field(c, vf);
+        mb.load_local(1).add();
+        mb.put_field(c, vf);
+        mb.load_this().get_field(c, vf).ret_value();
+        cb.method(&mut u, "bump", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(&mut u);
+    }
+    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let policy = StaticPolicy::new()
+        .shard("K", "get_k", modulo)
+        .replicate("K", k);
+    Cluster::new(u, outcome.plan, nodes, seed, Box::new(policy))
+}
+
+/// The smallest non-negative int key whose shard (mod `modulo`) is
+/// `want` — lets tests pick keys by target shard without baking hash
+/// values in.
+fn key_for_shard(want: u32, modulo: u32) -> i32 {
+    (0..)
+        .find(|&k| (shard_hash(&Value::Int(k)) % u64::from(modulo)) as u32 == want)
+        .expect("some key hits every shard")
+}
+
+/// Creation-time shard placement: every instance of a `shard by` class
+/// lands on the node its key hashes to — regardless of where it was
+/// created — and instances sharing a shard are collocated.
+#[test]
+fn sharded_creates_land_on_their_keys_shard_node() {
+    let cluster = deployed_sharded(2, 4, 31, 0);
+    let mut homes: Vec<(u32, NodeId)> = Vec::new();
+    for key in 0..8 {
+        let creator = NodeId((key as u32) % 2);
+        let obj = cluster
+            .new_instance(creator, "K", 0, vec![Value::Int(key)])
+            .unwrap();
+        cluster.pin(creator, &obj);
+        let shard = (shard_hash(&Value::Int(key)) % 4) as u32;
+        let want = NodeId(shard % 2);
+        assert_eq!(cluster.location_of(creator, &obj), Some(want), "key {key}");
+        // The creator's reference works wherever the instance went.
+        assert_eq!(
+            cluster
+                .call_method(creator, obj.clone(), "bump", vec![Value::Int(1)])
+                .unwrap(),
+            Value::Int(1)
+        );
+        homes.push((shard, want));
+    }
+    for (s1, n1) in &homes {
+        for (s2, n2) in &homes {
+            if s1 == s2 {
+                assert_eq!(n1, n2, "same shard must mean same node");
+            }
+        }
+    }
+    assert_eq!(cluster.stats().shard_placements, 8);
+}
+
+/// The rebalancing tick: hot-key skew read from the affinity
+/// call counters moves the hottest shard that fits half the gap off
+/// the overloaded node, ships its members' state through the
+/// migration path, and purges the counters that drove the move.
+#[test]
+fn rebalance_moves_a_warm_shard_off_the_hot_node() {
+    let cluster = deployed_sharded(2, 4, 32, 0);
+    let shared = cluster.shared();
+    // Shards 0 and 2 both seed onto node 0 (owner = shard % nodes).
+    let hot_key = key_for_shard(0, 4);
+    let warm_key = key_for_shard(2, 4);
+    let hot = cluster
+        .new_instance(NodeId(1), "K", 0, vec![Value::Int(hot_key)])
+        .unwrap();
+    let warm = cluster
+        .new_instance(NodeId(1), "K", 0, vec![Value::Int(warm_key)])
+        .unwrap();
+    cluster.pin(NodeId(1), &hot);
+    cluster.pin(NodeId(1), &warm);
+    assert_eq!(cluster.location_of(NodeId(1), &hot), Some(NodeId(0)));
+    assert_eq!(cluster.location_of(NodeId(1), &warm), Some(NodeId(0)));
+    let warm_old_oid = read_proxy_state(&shared.vms[1], warm.as_ref_handle().unwrap())
+        .expect("warm lives remotely")
+        .1;
+    for _ in 0..20 {
+        cluster
+            .call_method(NodeId(1), hot.clone(), "bump", vec![Value::Int(1)])
+            .unwrap();
+    }
+    for _ in 0..4 {
+        cluster
+            .call_method(NodeId(1), warm.clone(), "bump", vec![Value::Int(1)])
+            .unwrap();
+    }
+
+    let events = cluster.rebalance_shards(&AffinityConfig::default());
+    // 24 calls landed on node 0, none on node 1: the warm shard (4
+    // calls) fits in half the gap and moves; the hot one (20) would
+    // overshoot and stays put.
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!((events[0].from, events[0].to), (NodeId(0), NodeId(1)));
+    assert_eq!(events[0].class, "K");
+    let stats = cluster.stats();
+    assert_eq!(stats.shard_rebalances, 1, "{stats}");
+    // State moved with the shard and both references still resolve.
+    assert_eq!(
+        cluster
+            .call_method(NodeId(1), warm.clone(), "bump", vec![Value::Int(0)])
+            .unwrap(),
+        Value::Int(4)
+    );
+    assert_eq!(
+        cluster
+            .call_method(NodeId(1), hot.clone(), "bump", vec![Value::Int(0)])
+            .unwrap(),
+        Value::Int(20)
+    );
+    // The affinity counters for the moved-away export are purged with
+    // the move — a stale entry would keep feeding dead locations into
+    // the next tick.
+    assert!(
+        cluster
+            .affinity_snapshot(NodeId(0))
+            .iter()
+            .all(|&(oid, _)| oid != warm_old_oid),
+        "stale counter for the moved object"
+    );
+    // With the skew resolved, the next tick converges to a no-op.
+    assert!(cluster
+        .rebalance_shards(&AffinityConfig::default())
+        .is_empty());
+}
+
+/// `reads from replicas`: a getter issued by a caller that holds a
+/// backup of the object is served from that backup only while the
+/// backup's version matches the owner's — fresh hits skip the
+/// exchange entirely, a lagging backup falls through to the owner,
+/// and the stale-read monitor stays silent throughout.
+#[test]
+fn replica_reads_serve_getters_from_the_local_backup() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .replicate("C", 1)
+        .replica_reads("C", true);
+    let (cluster, _) = deployed(policy);
+    cluster.enable_monitors();
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let shared = cluster.shared();
+    let (owner, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+    assert_eq!(owner, 1, "policy must place the object remotely");
+    // A mutation is served at the owner and ships the backup to node 0.
+    assert_eq!(
+        cluster
+            .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(5)])
+            .unwrap(),
+        Value::Int(5)
+    );
+    assert!(cluster.stats().replica_syncs >= 1);
+
+    let before = cluster.stats().rpc_calls;
+    assert_eq!(
+        cluster
+            .call_method(NodeId(0), obj.clone(), "get_v", vec![])
+            .unwrap(),
+        Value::Int(5)
+    );
+    let stats = cluster.stats();
+    assert_eq!(stats.rpc_calls, before, "a fresh backup serves locally");
+    assert_eq!(stats.replica_reads, 1, "{stats}");
+
+    // Age the stored version: the same getter must now fall through
+    // to the owner instead of serving what just became a stale copy.
+    shared.nodes.borrow_mut()[0]
+        .replica_store
+        .get_mut(&(owner, oid))
+        .expect("backup entry")
+        .0 -= 1;
+    assert_eq!(
+        cluster
+            .call_method(NodeId(0), obj.clone(), "get_v", vec![])
+            .unwrap(),
+        Value::Int(5)
+    );
+    let stats = cluster.stats();
+    assert_eq!(stats.rpc_calls, before + 1, "lagging backup: {stats}");
+    assert_eq!(stats.replica_reads, 1, "{stats}");
+
+    // Writes keep flowing through the owner; the re-shipped backup
+    // serves the next read with the new value.
+    assert_eq!(
+        cluster
+            .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(2)])
+            .unwrap(),
+        Value::Int(7)
+    );
+    assert_eq!(
+        cluster
+            .call_method(NodeId(0), obj, "get_v", vec![])
+            .unwrap(),
+        Value::Int(7)
+    );
+    assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
+// --- adaptation/crash chaos (proptest) ---
+
+use proptest::prelude::*;
+use rafda_corpus::ops::{OpMix, SoakOp};
+
+const CHAOS_POOL: usize = 6;
+
+/// The shared adaptation-chaos mix (see [`rafda_corpus::ops`]): calls,
+/// both adaptation loops and crash/restart over nodes 0–2.
+fn arb_chaos_op() -> BoxedStrategy<SoakOp> {
+    OpMix::adaptation(CHAOS_POOL, 4, 3).strategy()
+}
+
+/// The invariant [`Directory::relocate`] maintains, as a proptest
+/// failure: delegates to the same structural sweep
+/// [`Cluster::check_invariants`] runs at quiescent points.
+fn assert_no_stale_affinity(cluster: &Cluster) -> Result<(), TestCaseError> {
+    if let Some(first) = cluster.stale_affinity_violations().first() {
+        return Err(TestCaseError::fail(first.to_string()));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random interleavings of calls, both adaptation loops and
+    /// crash/restart over a sharded, replicated pool: no call is ever
+    /// lost (the oracle stays exact), no affinity counter survives its
+    /// object's move or its node's death, and the four standing
+    /// monitors stay silent throughout.
+    #[test]
+    fn adaptation_chaos_leaves_no_stale_affinity(
+        ops in prop::collection::vec(arb_chaos_op(), 1..40),
+        seed in 0u64..200,
+    ) {
+        // The coordinator drives every call and never crashes; replica
+        // targets prefer low node ids, so it never holds a backup and
+        // every failover crosses the wire.
+        const COORD: NodeId = NodeId(3);
+        let cluster = deployed_sharded(4, 4, 500 + seed, 1);
+        cluster.enable_monitors();
+        let objs: Vec<Value> = (0..CHAOS_POOL)
+            .map(|i| {
+                let obj = cluster
+                    .new_instance(COORD, "K", 0, vec![Value::Int(i as i32)])
+                    .unwrap();
+                cluster.pin(COORD, &obj);
+                obj
+            })
+            .collect();
+        // Restarted nodes rejoin the sync set at the next served
+        // mutation; touching every instance after a restart re-ships
+        // each backup before any further crash can lose the last copy
+        // (same discipline as the crash-stop chaos soak).
+        let touch_all = || {
+            for obj in &objs {
+                cluster
+                    .call_method(COORD, obj.clone(), "bump", vec![Value::Int(0)])
+                    .unwrap();
+            }
+        };
+        let config = AffinityConfig {
+            min_calls: 4,
+            min_fraction: 0.5,
+        };
+        let mut oracle = rafda_corpus::ops::Oracle::new(CHAOS_POOL);
+        let mut down: Option<NodeId> = None;
+        for op in &ops {
+            match *op {
+                SoakOp::Call { idx, delta } => {
+                    let expected = oracle.step(op).unwrap();
+                    let r = cluster
+                        .call_method(
+                            COORD,
+                            objs[idx].clone(),
+                            "bump",
+                            vec![Value::Int(i32::from(delta))],
+                        )
+                        .unwrap();
+                    prop_assert_eq!(r, Value::Int(expected), "{:?}", op);
+                }
+                SoakOp::Rebalance => {
+                    cluster.rebalance_shards(&config);
+                }
+                SoakOp::Adapt => {
+                    cluster.adapt(&config);
+                }
+                SoakOp::Crash { node } => {
+                    if let Some(d) = down.take() {
+                        cluster.restart(d);
+                        touch_all();
+                    }
+                    cluster.crash(NodeId(u32::from(node)));
+                    down = Some(NodeId(u32::from(node)));
+                }
+                SoakOp::Heal => {
+                    if let Some(d) = down.take() {
+                        cluster.restart(d);
+                        touch_all();
+                    }
+                }
+                ref other => panic!("mix never generates {other}"),
+            }
+            assert_no_stale_affinity(&cluster)?;
+        }
+        if let Some(d) = down.take() {
+            cluster.restart(d);
+        }
+        // Final sweep: every instance answers with the oracle value,
+        // the affinity map is clean, and the monitors saw nothing.
+        for (idx, obj) in objs.iter().enumerate() {
+            let r = cluster
+                .call_method(COORD, obj.clone(), "bump", vec![Value::Int(0)])
+                .unwrap();
+            prop_assert_eq!(
+                r,
+                Value::Int(oracle.values()[idx]),
+                "final instance {}",
+                idx
+            );
+        }
+        assert_no_stale_affinity(&cluster)?;
+        prop_assert_eq!(cluster.check_invariants(), vec![]);
+    }
+}

@@ -1,0 +1,177 @@
+//! Crash-stop fault handling: crashing and restarting nodes, and the
+//! client-side re-homing of a call whose owner died — follow the
+//! recorded moves, else ask the owner's backups to promote.
+
+use crate::batch::flush_outqueues;
+use crate::cluster::{cache_import, lookup_export, Cluster, NodeState, Shared};
+use crate::obs::Met;
+use crate::replicate::{charge_marks, replica_targets};
+use crate::rpc::rpc;
+use crate::stats::bump;
+use rafda_classmodel::ClassId;
+use rafda_net::NodeId;
+use rafda_telemetry::SpanOutcome;
+use rafda_vm::{Handle, Value};
+use rafda_wire::{Reply, Request, WireValue};
+
+impl Cluster {
+    /// Crash-stop `node`: every message to or from it fails with
+    /// [`NodeCrashed`](rafda_vm::NetFailureKind::NodeCrashed) until
+    /// [`Cluster::restart`]. The node's memory is untouched while down
+    /// (nobody can observe it), but a restart wipes it — crash-stop nodes
+    /// lose volatile state.
+    ///
+    /// Calls in flight are unaffected: the runtime is synchronous, so the
+    /// crash takes effect between top-level operations, never mid-exchange.
+    pub fn crash(&self, node: NodeId) {
+        // A crash is a synchronization point: operations already deferred
+        // are flushed while every party is still up, so "the owner
+        // acknowledged it" keeps meaning "a replica has it". Ops deferred
+        // *after* this point fail at their own flush, like any other call
+        // to a crashed node.
+        let _ = flush_outqueues(&self.shared);
+        self.shared.net.fault_plan(|f| f.crash(node));
+    }
+
+    /// Restart a crashed node with empty volatile state, as a crash-stop
+    /// process would: exports, imports, singletons, caches and backup
+    /// replica state are all gone. Only the export-id counter survives, so
+    /// ids handed out before the crash are never reused — a stale proxy
+    /// addressing a pre-crash export gets a typed fault, not a different
+    /// object. The node rejoins as a replication target at the owner's next
+    /// sync.
+    pub fn restart(&self, node: NodeId) {
+        // Synchronization point, as for [`Cluster::crash`].
+        let _ = flush_outqueues(&self.shared);
+        self.shared.net.fault_plan(|f| f.recover(node));
+        self.shared.nodes.borrow_mut()[node.0 as usize] = NodeState::default();
+        let marks = self.shared.directory.borrow_mut().restart(node.0);
+        for (n, marked) in marks.into_iter().enumerate() {
+            charge_marks(&self.shared, n as u32, marked);
+        }
+    }
+}
+
+/// Client-side re-homing after the owner of `(target, oid)` turned out to
+/// be crashed, or restarted with amnesia. Follows the chain of recorded
+/// promotions first; only if it dead-ends on a dead (or amnesiac) location
+/// does it ask that location's replicas — lowest node id first — to promote
+/// their backup copy. On success the proxy `recv` is rewritten in place to
+/// the new home, which is also returned; `None` means no live replica could
+/// take over and the original failure stands.
+///
+/// The whole re-homing is wrapped in a `rpc.failover` span chained via
+/// `retry_of` to the exchange that failed, so traces show the causal link
+/// from the dead owner to the promoted copy.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn failover(
+    shared: &Shared,
+    node: NodeId,
+    recv: Handle,
+    proxy_class: ClassId,
+    proto: &str,
+    base_name: &str,
+    target: u32,
+    oid: u64,
+) -> Option<(u32, u64)> {
+    let start = shared.net.now().as_ns();
+    let span = {
+        let mut spans = shared.spans.borrow_mut();
+        let h = spans.start_span("rpc.failover", node.0, start);
+        spans.set_attr(h, "class", base_name);
+        spans.set_attr(h, "protocol", proto);
+        spans.set_attr(h, "from", node.0);
+        spans.set_attr(h, "old_home", format!("{target}#{oid}"));
+        let prior = shared.last_exchange_span.get();
+        if prior != 0 {
+            spans.set_retry_of(h, prior);
+        }
+        h
+    };
+    let home = locate_home(shared, node, proto, base_name, target, oid);
+    let end = shared.net.now().as_ns();
+    {
+        let mut spans = shared.spans.borrow_mut();
+        match home {
+            Some((nn, noid)) => {
+                spans.set_attr(span, "new_home", format!("{nn}#{noid}"));
+                spans.end_span(span, end, SpanOutcome::Ok);
+            }
+            None => spans.end_span(span, end, SpanOutcome::NetFailure),
+        }
+    }
+    let (nn, noid) = home?;
+    // When this node itself promoted the object, the backup was materialised
+    // straight into `recv` (the import rewritten in place, as with Install):
+    // `recv` already IS the object, and re-proxying it would create a proxy
+    // that points at itself.
+    if !(nn == node.0 && lookup_export(shared, node, noid) == Some(recv)) {
+        let vm = &shared.vms[node.0 as usize];
+        vm.replace_object(
+            recv,
+            proxy_class,
+            vec![Value::Int(nn as i32), Value::Long(noid as i64)],
+        );
+        // The old import entry stays: a reference to the dead location that
+        // arrives later materialises through it and lands on this re-homed
+        // proxy — the same logical object.
+        cache_import(shared, node, nn, noid, recv);
+    }
+    bump(shared, node.0, Met::Failovers);
+    Some((nn, noid))
+}
+
+/// Find the live home of `(target, oid)`: follow recorded promotions, then
+/// ask the terminal location's replicas to promote their backup, lowest
+/// node id first. Returns `None` when nobody can take over — the class is
+/// unreplicated, or every backup is down or lost its copy.
+pub(crate) fn locate_home(
+    shared: &Shared,
+    node: NodeId,
+    proto: &str,
+    base_name: &str,
+    target: u32,
+    oid: u64,
+) -> Option<(u32, u64)> {
+    let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
+    let (tn, toid) = shared.directory.borrow().resolve((target, oid));
+    // Only route to the chain's end while the promoted copy is actually
+    // there: a terminal node that crash-restarted has a wiped registry, and
+    // sending callers to it would loop through "unknown object" faults
+    // instead of promoting one of the copy's own backups below.
+    if (tn, toid) != (target, oid)
+        && !crashed(tn)
+        && lookup_export(shared, NodeId(tn), toid).is_some()
+    {
+        return Some((tn, toid));
+    }
+    let k = shared.policy.replicas(base_name);
+    if k == 0 {
+        return None;
+    }
+    for c in replica_targets(k, tn, shared.vms.len() as u32) {
+        // The fault-plan lookup stands in for a failure detector: known-dead
+        // candidates are skipped instead of timed out against.
+        if crashed(c) {
+            continue;
+        }
+        let req = Request::Promote {
+            node: tn,
+            object: toid,
+        };
+        match rpc(shared, node, NodeId(c), proto, base_name, &req) {
+            Ok((
+                Reply::Value(WireValue::Remote {
+                    node: nn,
+                    object: noid,
+                    ..
+                }),
+                _,
+            )) => return Some((nn, noid)),
+            // A fault (the backup restarted and lost its copy) or a network
+            // failure both mean: try the next candidate.
+            _ => continue,
+        }
+    }
+    None
+}

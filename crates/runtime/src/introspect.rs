@@ -17,7 +17,8 @@
 //! 2.4); deployment then flips `refresh`/`node_stats` on the generated
 //! `_O_Local` to native hooks that snapshot live cluster state.
 
-use crate::cluster::{self, Shared};
+use crate::cluster::Shared;
+use crate::stats;
 use rafda_classmodel::{ClassBuilder, ClassId, ClassKind, ClassUniverse, Field, MethodBuilder, Ty};
 use rafda_net::NodeId;
 use rafda_transform::TransformPlan;
@@ -104,11 +105,11 @@ pub(crate) fn refresh_native(
     let class = vm
         .class_of(h)
         .ok_or_else(|| VmError::Native("stale introspection receiver".into()))?;
-    let stats = cluster::merged_stats(shared).to_string();
-    let policy = cluster::policy_table(shared);
-    let placement = cluster::placement_table(shared);
-    let homes = cluster::homes_table(shared);
-    let prometheus = cluster::prometheus_text_of(shared);
+    let stats = stats::merged_stats(shared).to_string();
+    let policy = stats::policy_table(shared);
+    let placement = stats::placement_table(shared);
+    let homes = stats::homes_table(shared);
+    let prometheus = stats::prometheus_text_of(shared);
     let values: Vec<Value> = shared
         .universe
         .field_layout(class)
@@ -140,7 +141,7 @@ pub(crate) fn node_stats_native(shared: &Shared, args: &[Value]) -> Result<Value
         return Err(VmError::Native(format!("no such node {n}")));
     }
     Ok(Value::str(
-        cluster::node_stats_of(shared, n as u32).to_string(),
+        stats::node_stats_of(shared, n as u32).to_string(),
     ))
 }
 

@@ -46,15 +46,22 @@
 
 #![warn(missing_docs)]
 
+mod batch;
 pub mod cluster;
 mod directory;
 pub mod error;
+mod failover;
 pub mod introspect;
 pub mod local;
 pub mod marshal;
 mod obs;
 pub mod persist;
+mod placement;
+mod replicate;
+mod rpc;
+mod serve;
 pub mod soak;
+mod stats;
 
 pub use cluster::{Cluster, MigrationEvent, NodeSummary, RemoteRef, RetryPolicy, RuntimeStats};
 pub use error::RuntimeError;

@@ -1,0 +1,604 @@
+//! Boundary changes: migrating and pulling live objects, the affinity
+//! loop that re-draws boundaries from observed calls, and policy-driven
+//! shard placement (place, rebalance, adopt, enforce).
+
+use crate::batch::flush_outqueues;
+use crate::cluster::{
+    bump_version, cache_import, export, is_local_impl, lookup_export, proxy_class_for,
+    read_proxy_state, relocate, Cluster, RemoteRef, Shared, Side,
+};
+use crate::directory::Why;
+use crate::error::RuntimeError;
+use crate::marshal;
+use crate::obs::Met;
+use crate::replicate::sync_replicas;
+use crate::rpc::rpc;
+use crate::stats::bump;
+use rafda_net::NodeId;
+use rafda_policy::AffinityConfig;
+use rafda_telemetry::SpanOutcome;
+use rafda_vm::{Handle, Value};
+use rafda_wire::{Reply, Request, WireValue};
+use std::fmt;
+
+/// One boundary change performed by [`Cluster::adapt`] or
+/// [`Cluster::migrate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MigrationEvent {
+    /// The original class of the migrated object.
+    pub class: String,
+    /// The node the object left.
+    pub from: NodeId,
+    /// The node it moved to.
+    pub to: NodeId,
+    /// The object's new export on the destination.
+    pub target: RemoteRef,
+}
+
+impl fmt::Display for MigrationEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "migrated {} from {} to {} (now {}#{})",
+            self.class, self.from, self.to, self.target.node, self.target.oid
+        )
+    }
+}
+
+impl Cluster {
+    /// Move a live object to another node. The local instance is rewritten
+    /// **in place** into a proxy, so every existing reference on `from`
+    /// transparently becomes remote (Figure 1: `C` → `Cp`).
+    ///
+    /// # Errors
+    /// [`RuntimeError`] if the handle is not a live `*_Local` object or the
+    /// transfer fails.
+    pub fn migrate(
+        &self,
+        from: NodeId,
+        object: Handle,
+        to: NodeId,
+    ) -> Result<MigrationEvent, RuntimeError> {
+        let shared = &self.shared;
+        let span = {
+            let mut spans = shared.spans.borrow_mut();
+            let h = spans.start_span("migrate", from.0, shared.net.now().as_ns());
+            spans.set_attr(h, "from", from.0);
+            spans.set_attr(h, "to", to.0);
+            h
+        };
+        let result = self.migrate_inner(from, object, to);
+        let mut spans = shared.spans.borrow_mut();
+        let outcome = match &result {
+            Ok(event) => {
+                spans.set_attr(span, "class", event.class.clone());
+                SpanOutcome::Ok
+            }
+            Err(e) if e.is_network() => SpanOutcome::NetFailure,
+            Err(_) => SpanOutcome::Fault,
+        };
+        spans.end_span(span, shared.net.now().as_ns(), outcome);
+        result
+    }
+
+    fn migrate_inner(
+        &self,
+        from: NodeId,
+        object: Handle,
+        to: NodeId,
+    ) -> Result<MigrationEvent, RuntimeError> {
+        let shared = &self.shared;
+        if from == to {
+            return Err(RuntimeError::Bad("migration to the same node".into()));
+        }
+        // A migration is a synchronization point, and it must flush *before*
+        // the state snapshot below: a deferred call still queued against
+        // this object has to land while the object is at its old home, or
+        // the shipped state would miss it.
+        flush_outqueues(shared).map_err(RuntimeError::from)?;
+        let vm = &shared.vms[from.0 as usize];
+        let (class, fields) = vm
+            .read_object(object)
+            .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
+        let info = shared
+            .gen_info
+            .get(&class)
+            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?
+            .clone();
+        if info.proto.is_some() {
+            return Err(RuntimeError::Bad(
+                "object is already remote (a proxy); migrate it from its owner".into(),
+            ));
+        }
+        let base_name = shared.universe.class(info.base).name.clone();
+        let proto = shared.policy.protocol(&base_name);
+        let mut wire_fields = Vec::with_capacity(fields.len());
+        for f in &fields {
+            wire_fields
+                .push(marshal::value_to_wire(shared, from, f).map_err(RuntimeError::Marshal)?);
+        }
+        let state = WireValue::ObjectState {
+            class: shared.universe.class(class).name.clone(),
+            fields: wire_fields,
+        };
+        let source_oid = export(shared, from, object);
+        let (reply, _) = rpc(
+            shared,
+            from,
+            to,
+            &proto,
+            &base_name,
+            &Request::Install {
+                state,
+                source: Some((from.0, source_oid)),
+            },
+        )
+        .map_err(RuntimeError::from)?;
+        let target = match reply {
+            Reply::Value(WireValue::Remote { node, object, .. }) => RemoteRef {
+                node: NodeId(node),
+                oid: object,
+            },
+            Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
+            other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
+        };
+        let proxy_class = proxy_class_for(shared, info.base, info.side, &proto)
+            .ok_or_else(|| RuntimeError::Bad(format!("no {proto} proxy for {base_name}")))?;
+        vm.replace_object(
+            object,
+            proxy_class,
+            vec![
+                Value::Int(target.node.0 as i32),
+                Value::Long(target.oid as i64),
+            ],
+        );
+        {
+            let mut nodes = shared.nodes.borrow_mut();
+            nodes[from.0 as usize]
+                .imports
+                .insert((target.node.0, target.oid), object);
+        }
+        relocate(
+            shared,
+            (from.0, source_oid),
+            (target.node.0, target.oid),
+            Why::Migrated,
+        );
+        bump(shared, from.0, Met::Migrations);
+        Ok(MigrationEvent {
+            class: base_name,
+            from,
+            to,
+            target,
+        })
+    }
+
+    /// Pull a remote object local: fetch its state from the owner, rewrite
+    /// the local proxy in place into the real object, and leave a
+    /// forwarding proxy at the previous owner.
+    ///
+    /// # Errors
+    /// [`RuntimeError`] if the handle is not a proxy or the transfer fails.
+    pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
+        let shared = &self.shared;
+        let span = {
+            let mut spans = shared.spans.borrow_mut();
+            let h = spans.start_span("pull", node.0, shared.net.now().as_ns());
+            spans.set_attr(h, "to", node.0);
+            h
+        };
+        let result = self.pull_inner(node, proxy);
+        let mut spans = shared.spans.borrow_mut();
+        let outcome = match &result {
+            Ok(event) => {
+                spans.set_attr(span, "class", event.class.clone());
+                spans.set_attr(span, "from", event.from.0);
+                SpanOutcome::Ok
+            }
+            Err(e) if e.is_network() => SpanOutcome::NetFailure,
+            Err(_) => SpanOutcome::Fault,
+        };
+        spans.end_span(span, shared.net.now().as_ns(), outcome);
+        result
+    }
+
+    fn pull_inner(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
+        let shared = &self.shared;
+        // Synchronization point, before the owner snapshots state for the
+        // fetch (see [`Cluster::migrate`] for why the order matters).
+        flush_outqueues(shared).map_err(RuntimeError::from)?;
+        let vm = &shared.vms[node.0 as usize];
+        let class = vm
+            .class_of(proxy)
+            .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
+        let info = shared
+            .gen_info
+            .get(&class)
+            .cloned()
+            .filter(|i| i.proto.is_some())
+            .ok_or_else(|| RuntimeError::Bad("pull_local needs a proxy".into()))?;
+        let proto = info.proto.clone().expect("filtered");
+        let base_name = shared.universe.class(info.base).name.clone();
+        let (owner_raw, oid) =
+            read_proxy_state(vm, proxy).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
+        let owner = NodeId(owner_raw);
+        // Fetch the state.
+        let (reply, _) = rpc(
+            shared,
+            node,
+            owner,
+            &proto,
+            &base_name,
+            &Request::Fetch { object: oid },
+        )
+        .map_err(RuntimeError::from)?;
+        let (class_name, wire_fields) = match reply {
+            Reply::Value(WireValue::ObjectState { class, fields }) => (class, fields),
+            Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
+            other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
+        };
+        let local_class = shared
+            .universe
+            .by_name(&class_name)
+            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class_name}")))?;
+        let mut fields = Vec::with_capacity(wire_fields.len());
+        for wf in &wire_fields {
+            fields.push(marshal::wire_to_value(shared, node, wf).map_err(RuntimeError::Marshal)?);
+        }
+        vm.replace_object(proxy, local_class, fields);
+        let my_oid = export(shared, node, proxy);
+        // Owner-side swap: the old object becomes a forwarding proxy here.
+        let (reply, _) = rpc(
+            shared,
+            node,
+            owner,
+            &proto,
+            &base_name,
+            &Request::Forward {
+                object: oid,
+                to_node: node.0,
+                to_object: my_oid,
+            },
+        )
+        .map_err(RuntimeError::from)?;
+        if let Reply::Fault(m) = reply {
+            return Err(RuntimeError::Bad(m));
+        }
+        // The pulled copy is a fresh export with fresh state; the Forward
+        // handler relocated the old home here.
+        bump_version(shared, node.0, my_oid);
+        sync_replicas(shared, node, my_oid);
+        bump(shared, node.0, Met::Pulls);
+        Ok(MigrationEvent {
+            class: base_name,
+            from: owner,
+            to: node,
+            target: RemoteRef { node, oid: my_oid },
+        })
+    }
+
+    /// One round of the adaptive affinity loop: every exported object whose
+    /// incoming calls are dominated by a single remote node (per `config`)
+    /// is migrated to that node. Returns the boundary changes made.
+    pub fn adapt(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
+        let shared = &self.shared;
+        // An adaptation tick is a synchronization point: deferred calls are
+        // traffic too, and must land (and be counted) before affinity is
+        // judged. Flush failures surface at the callers' next sync point.
+        let _ = flush_outqueues(shared);
+        // Snapshot candidates first: migrations below change the directory.
+        // Candidates are discovered in (node, export id) order, so the
+        // migration sequence (and thus clocks, traces and stats) is the
+        // same every run.
+        let mut candidates: Vec<(NodeId, Handle, NodeId)> = Vec::new();
+        {
+            let dir = shared.directory.borrow();
+            for n in 0..shared.vms.len() as u32 {
+                for a in dir.affinity(n) {
+                    if a.total < config.min_calls
+                        || a.top_caller == n
+                        || (a.top_count as f64) / (a.total as f64) < config.min_fraction
+                    {
+                        continue;
+                    }
+                    if let Some(h) = dir.live_export((n, a.oid)) {
+                        candidates.push((NodeId(n), h, NodeId(a.top_caller)));
+                    }
+                }
+            }
+        }
+        let mut events = Vec::new();
+        for (owner, handle, target) in candidates {
+            // Only migrate objects still locally implemented.
+            let vm = &shared.vms[owner.0 as usize];
+            let Some(class) = vm.class_of(handle) else {
+                continue;
+            };
+            match shared.gen_info.get(&class) {
+                Some(info) if info.proto.is_none() => {
+                    // Shard placement is policy-owned: the affinity loop
+                    // must not fight the shard map by dragging a sharded
+                    // instance toward its chattiest caller.
+                    if shared.any_sharding {
+                        let base = &shared.universe.class(info.base).name;
+                        if shared.policy.shard_spec(base).is_some() {
+                            continue;
+                        }
+                    }
+                }
+                _ => continue,
+            }
+            // migrate() purges the stale counts cluster-wide, so no
+            // owner-local cleanup is needed here.
+            if let Ok(event) = self.migrate(owner, handle, target) {
+                events.push(event);
+            }
+        }
+        events
+    }
+
+    /// Route a freshly constructed instance of a `shard by` class onto its
+    /// shard's node: read the key getter, hash the key, look up (or lazily
+    /// seed, as `shard % node_count`) the shard's owner in the shard map,
+    /// and migrate the instance there when it was created elsewhere. The
+    /// creator's reference keeps working either way — a local instance is
+    /// rewritten in place into a proxy by [`Cluster::migrate`], and an
+    /// existing proxy is re-pointed at the shard home directly.
+    pub(crate) fn place_sharded(
+        &self,
+        node: NodeId,
+        class: &str,
+        that: &Value,
+    ) -> Result<(), RuntimeError> {
+        let shared = &self.shared;
+        let Some(spec) = shared.policy.shard_spec(class) else {
+            return Ok(());
+        };
+        let Value::Ref(h) = *that else {
+            return Ok(());
+        };
+        let vm = &shared.vms[node.0 as usize];
+        let key = vm.call_virtual_by_name(that.clone(), &spec.key_getter, vec![])?;
+        let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
+        let owner = shared.directory.borrow_mut().shard_owner(
+            class,
+            shard,
+            shard % shared.vms.len() as u32,
+        );
+        let Some(info) = vm
+            .class_of(h)
+            .and_then(|c| shared.gen_info.get(&c))
+            .cloned()
+        else {
+            return Ok(());
+        };
+        let member = if info.proto.is_some() {
+            let (tn, toid) =
+                read_proxy_state(vm, h).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
+            if tn == owner {
+                (tn, toid)
+            } else {
+                let src = lookup_export(shared, NodeId(tn), toid)
+                    .ok_or_else(|| RuntimeError::Bad(format!("unknown object {tn}#{toid}")))?;
+                let event = self.migrate(NodeId(tn), src, NodeId(owner))?;
+                // Re-point the creator's proxy at the shard home directly,
+                // skipping the forwarding hop left at the old location.
+                vm.replace_object(
+                    h,
+                    vm.class_of(h).expect("live proxy"),
+                    vec![
+                        Value::Int(event.target.node.0 as i32),
+                        Value::Long(event.target.oid as i64),
+                    ],
+                );
+                cache_import(shared, node, event.target.node.0, event.target.oid, h);
+                (event.target.node.0, event.target.oid)
+            }
+        } else if node.0 == owner {
+            // Created straight onto its shard's node: export it so the
+            // membership list can reference (and later move) it.
+            (node.0, export(shared, node, h))
+        } else {
+            let event = self.migrate(node, h, NodeId(owner))?;
+            (event.target.node.0, event.target.oid)
+        };
+        shared
+            .directory
+            .borrow_mut()
+            .add_shard_member(class, shard, member);
+        bump(shared, node.0, Met::ShardPlacements);
+        Ok(())
+    }
+
+    /// One adaptation tick for policy-driven sharding. In order:
+    ///
+    /// 1. adopt exported sharded instances the creation hook never saw
+    ///    (objects that became visible through marshaling),
+    /// 2. prune members that moved away or whose node crashed,
+    /// 3. detect hot-key skew from the same call counters the affinity
+    ///    loop reads and greedily reassign hot shards from the most- to the
+    ///    least-loaded node while that strictly narrows the spread,
+    /// 4. enforce the map: migrate every member not at its shard's owner.
+    ///
+    /// Deterministic by construction: shard maps are `BTreeMap`s iterated
+    /// in key order, load ties break toward the lowest node id (and the
+    /// lowest shard key), and every move ships state through the same
+    /// Install path migration uses — a synchronization point that drains
+    /// the E12 outcall queues first.
+    pub fn rebalance_shards(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
+        let shared = &self.shared;
+        if !shared.any_sharding {
+            return Vec::new();
+        }
+        let _ = flush_outqueues(shared);
+        self.adopt_sharded_exports();
+        prune_shard_members(shared);
+        // Per-shard load: calls served for its members at their current
+        // homes. Absent counters mean a quiet shard, not an error.
+        let loads = shared.directory.borrow().shard_loads();
+        if loads.values().sum::<u64>() >= config.min_calls {
+            let mut owners = shared.directory.borrow().shard_owners();
+            let mut node_load = vec![0u64; shared.vms.len()];
+            for (key, owner) in &owners {
+                node_load[*owner as usize] += loads.get(key).copied().unwrap_or(0);
+            }
+            // Greedy reassignment with synthetic load deltas (the physical
+            // moves below purge the underlying counters).
+            for _ in 0..loads.len() {
+                let (max_n, max_l) = node_load
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(n, &l)| (l, usize::MAX - n))
+                    .map(|(n, &l)| (n as u32, l))
+                    .expect("at least one node");
+                let (min_n, min_l) = node_load
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(n, &l)| (l, n))
+                    .map(|(n, &l)| (n as u32, l))
+                    .expect("at least one node");
+                let gap = max_l - min_l;
+                if max_n == min_n || gap < 2 {
+                    break;
+                }
+                // Hottest shard on the overloaded node that fits in half
+                // the gap (so neither endpoint overshoots); ties go to the
+                // lowest (class, shard) key because the map is sorted.
+                let mut best: Option<(usize, u64)> = None;
+                for (i, (key, owner)) in owners.iter().enumerate() {
+                    if *owner != max_n {
+                        continue;
+                    }
+                    let l = loads.get(key).copied().unwrap_or(0);
+                    if l == 0 || l > gap / 2 {
+                        continue;
+                    }
+                    if best.is_none_or(|(_, bl)| l > bl) {
+                        best = Some((i, l));
+                    }
+                }
+                let Some((i, l)) = best else { break };
+                owners[i].1 = min_n;
+                shared
+                    .directory
+                    .borrow_mut()
+                    .assign_shard(owners[i].0.clone(), min_n);
+                node_load[max_n as usize] -= l;
+                node_load[min_n as usize] += l;
+                bump(shared, max_n, Met::ShardRebalances);
+            }
+        }
+        self.enforce_shard_map()
+    }
+
+    /// Record exported instances of sharded classes that creation-time
+    /// placement never saw, reading their shard key at their current home.
+    /// Purely bookkeeping — physical moves happen in the enforcement pass.
+    fn adopt_sharded_exports(&self) {
+        let shared = &self.shared;
+        let known = shared.directory.borrow().shard_member_set();
+        for n in 0..shared.vms.len() as u32 {
+            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+                continue;
+            }
+            let exports = shared.directory.borrow().exports_of(n);
+            for (oid, h) in exports {
+                if known.contains(&(n, oid)) {
+                    continue;
+                }
+                let vm = &shared.vms[n as usize];
+                let Some(info) = vm.class_of(h).and_then(|c| shared.gen_info.get(&c)) else {
+                    continue;
+                };
+                if info.proto.is_some() || info.side != Side::Obj {
+                    continue;
+                }
+                let base = &shared.universe.class(info.base).name;
+                let Some(spec) = shared.policy.shard_spec(base) else {
+                    continue;
+                };
+                let Ok(key) = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])
+                else {
+                    continue;
+                };
+                let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
+                let mut dir = shared.directory.borrow_mut();
+                dir.shard_owner(base, shard, shard % shared.vms.len() as u32);
+                dir.add_shard_member(base, shard, (n, oid));
+            }
+        }
+    }
+
+    /// Enforcement pass: migrate every shard member that is not at its
+    /// shard's owner. A member that cannot move right now (its node or the
+    /// owner is down) is left in place for the next tick.
+    fn enforce_shard_map(&self) -> Vec<MigrationEvent> {
+        let shared = &self.shared;
+        let plan = shared.directory.borrow().shard_owners();
+        let mut events = Vec::new();
+        for (key, owner) in plan {
+            if shared.net.fault_plan(|f| f.is_crashed(NodeId(owner))) {
+                continue;
+            }
+            let members = shared.directory.borrow().shard_members(&key);
+            for (i, &(n, oid)) in members.iter().enumerate() {
+                if n == owner || shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+                    continue;
+                }
+                let Some(h) = lookup_export(shared, NodeId(n), oid) else {
+                    continue;
+                };
+                if let Ok(event) = self.migrate(NodeId(n), h, NodeId(owner)) {
+                    let moved = (event.target.node.0, event.target.oid);
+                    shared
+                        .directory
+                        .borrow_mut()
+                        .move_shard_member(&key, i, moved);
+                    events.push(event);
+                }
+            }
+        }
+        events
+    }
+
+    /// Clear the per-object call statistics used by [`Cluster::adapt`].
+    pub fn reset_call_stats(&self) {
+        self.shared.directory.borrow_mut().clear_affinity();
+    }
+}
+
+/// Stable 64-bit hash of a shard key value (FNV-1a over the value's
+/// canonical bytes). Int/Long keys hash their two's-complement bits, so a
+/// key getter returning either width places identically.
+pub(crate) fn shard_hash(key: &Value) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    match key {
+        Value::Int(i) => eat(&(*i as i64).to_le_bytes()),
+        Value::Long(l) => eat(&l.to_le_bytes()),
+        Value::Bool(b) => eat(&[*b as u8]),
+        Value::Str(s) => eat(s.as_bytes()),
+        _ => eat(&[0]),
+    }
+    h
+}
+
+/// Drop shard members that no longer resolve to a live, locally
+/// implemented object: crashed nodes, restarted registries, and exports
+/// rewritten into forwarding proxies (the instance will be re-adopted at
+/// its new home on the next tick).
+fn prune_shard_members(shared: &Shared) {
+    shared
+        .directory
+        .borrow_mut()
+        .prune_shard_members(|(n, _), h| {
+            !shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) && is_local_impl(shared, n, h)
+        });
+}

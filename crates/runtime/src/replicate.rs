@@ -1,0 +1,315 @@
+//! k-replication: shipping an export's state to its backups
+//! ([`sync_replicas`]), the dirty-replica sweep that finds what to ship,
+//! the application frames that mark what may have changed, and reads
+//! served from a node's own backup copy.
+//!
+//! The sweep probes exactly the locations marked dirty since their last
+//! shipment. Marking must therefore cover every way replicated state can
+//! drift: version bumps (served mutations, installs, promotions), fresh
+//! replicated exports, and bare local mutations — application code running
+//! outside the serve path, which the per-node app frames track
+//! conservatively.
+
+use crate::batch::enqueue_outcall;
+use crate::cluster::{bump_version, lookup_export, version_of, Shared};
+use crate::directory::{Drift, VERSION_TOMBSTONE};
+use crate::marshal;
+use crate::obs::Met;
+use crate::rpc::rpc;
+use crate::stats::{bump, emit_cache_hit};
+use rafda_classmodel::SigId;
+use rafda_net::NodeId;
+use rafda_telemetry::SpanOutcome;
+use rafda_vm::{Value, VmError};
+use rafda_wire::{Request, WireValue};
+
+/// Conservatively mark every replicated export of `node` dirty — used when
+/// application code ran locally on the node and may have mutated any of
+/// its objects bare (the runtime never sees plain local calls).
+pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
+    if !shared.any_replication {
+        return;
+    }
+    let marked = shared.directory.borrow_mut().mark_node(node);
+    charge_marks(shared, node, marked);
+}
+
+/// Charge `marks` dirty-set insertions to `node`.
+pub(crate) fn charge_marks(shared: &Shared, node: u32, marks: u64) {
+    if marks > 0 {
+        shared.obs.borrow_mut().add(node, Met::DirtyMarks, marks);
+    }
+}
+
+/// Mark `node` dirty iff application code is currently executing on it (an
+/// open app frame). Called at every synchronization point, so state a
+/// frame mutated *before* a nested exchange is shipped at that exchange —
+/// exactly when the old full-table sweep would have shipped it.
+pub(crate) fn mark_if_framed(shared: &Shared, node: u32) {
+    if !shared.any_replication {
+        return;
+    }
+    if shared.app_frames.borrow()[node as usize] > 0 {
+        mark_node_dirty(shared, node);
+    }
+}
+
+/// RAII guard for one nested level of local application execution on a
+/// node. Entered around every non-getter app-code call site (served
+/// `Call`s, entry points, clinit); exiting conservatively marks the node
+/// dirty, so trailing bare mutations are shipped at the next
+/// synchronization point.
+pub(crate) struct AppFrame<'a> {
+    shared: &'a Shared,
+    node: u32,
+}
+
+impl<'a> AppFrame<'a> {
+    pub(crate) fn enter(shared: &'a Shared, node: u32) -> AppFrame<'a> {
+        if shared.any_replication {
+            shared.app_frames.borrow_mut()[node as usize] += 1;
+        }
+        AppFrame { shared, node }
+    }
+}
+
+impl Drop for AppFrame<'_> {
+    fn drop(&mut self) {
+        if self.shared.any_replication {
+            self.shared.app_frames.borrow_mut()[self.node as usize] -= 1;
+            mark_node_dirty(self.shared, self.node);
+        }
+    }
+}
+
+/// The deterministic replication targets for an export owned by `owner` in
+/// a cluster of `nodes` nodes: the `k` lowest-numbered node ids other than
+/// the owner. A pure function of the topology — there is no replica
+/// registry to keep consistent or repair, and a restarted backup re-enters
+/// the target set automatically at the owner's next sync. Failover tries
+/// the same list in the same order, so every client re-homes to the same
+/// replica.
+pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
+    (0..nodes)
+        .filter(|&n| n != owner)
+        .take(k as usize)
+        .collect()
+}
+
+/// Ship the current state of export `oid` on `owner` to its replication
+/// targets, if its class is replicated by policy. Called after every served
+/// operation that may have mutated the object (and after exports that
+/// create one), so a live backup is never behind the last mutation the
+/// owner served.
+///
+/// Crashed targets are skipped outright — the fault-plan lookup stands in
+/// for the failure detector a real owner would run — and other sync
+/// failures are swallowed: replication is best-effort per sync and repaired
+/// by the next one. Only the authoritative copy is shipped; proxies and
+/// forwarding exports never sync.
+pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
+    let Some(h) = lookup_export(shared, owner, oid) else {
+        return;
+    };
+    let vm = &shared.vms[owner.0 as usize];
+    let Some(class) = vm.class_of(h) else {
+        return;
+    };
+    let Some(info) = shared.gen_info.get(&class) else {
+        return;
+    };
+    if info.proto.is_some() {
+        return;
+    }
+    let base_name = shared.universe.class(info.base).name.clone();
+    let k = shared.policy.replicas(&base_name);
+    if k == 0 {
+        return;
+    }
+    let Some((_, fields)) = vm.read_object(h) else {
+        return;
+    };
+    let mut wire_fields = Vec::with_capacity(fields.len());
+    for f in &fields {
+        match marshal::value_to_wire(shared, owner, f) {
+            Ok(wv) => wire_fields.push(wv),
+            Err(_) => return,
+        }
+    }
+    // Skip the no-op sync outright: if neither the version nor the state
+    // has moved since the last shipment, the backups already hold exactly
+    // this state and k exchanges would buy nothing. Repeated `Discover`
+    // and `Create` serves of an unmutated singleton hit this constantly.
+    //
+    // State drift at an *unchanged* version means the object was mutated
+    // outside the serve path — a promoted or pulled replica living in the
+    // caller's own VM takes plain local calls that never bump the version.
+    // Bump it here before shipping: the backups must not hold two
+    // different states under one version tag, and stale property-cache
+    // entries tagged with the old version must stop validating.
+    let loc = (owner.0, oid);
+    let drift = shared.directory.borrow().drift(loc, &wire_fields);
+    match drift {
+        Drift::Settled => {
+            shared.directory.borrow_mut().settled(loc);
+            return;
+        }
+        Drift::State => bump_version(shared, owner.0, oid),
+        Drift::Version => {}
+    }
+    let version = version_of(shared, owner.0, oid);
+    let class_name = shared.universe.class(class).name.clone();
+    let proto = shared.policy.protocol(&base_name);
+    let batched = shared.policy.batched(&base_name);
+    // Recorded *before* the exchanges below: each one is a top-level rpc,
+    // which runs the dirty-replica sweep, which must find this very object
+    // settled instead of shipping it a second time. The record also spends
+    // the dirty mark (including the re-mark the drift bump above just made).
+    shared
+        .directory
+        .borrow_mut()
+        .shipped(loc, version, wire_fields.clone());
+    for t in replica_targets(k, owner.0, shared.vms.len() as u32) {
+        if shared.net.fault_plan(|f| f.is_crashed(NodeId(t))) {
+            continue;
+        }
+        let req = Request::ReplicaSync {
+            object: oid,
+            version,
+            state: WireValue::ObjectState {
+                class: class_name.clone(),
+                fields: wire_fields.clone(),
+            },
+        };
+        if batched {
+            // Replica shipments of a batched class are deferrable: they
+            // ride the owner's outcall queue to each backup and land at the
+            // next synchronization point.
+            enqueue_outcall(shared, owner, NodeId(t), &proto, &base_name, req);
+        } else {
+            let _ = rpc(shared, owner, NodeId(t), &proto, &base_name, &req);
+        }
+    }
+}
+
+/// Re-ship every **dirty** replicated export whose live state drifted from
+/// its last shipment — the dirty-replica sweep run at synchronization
+/// points.
+///
+/// Mutations served over the wire trigger [`sync_replicas`] inline, but a
+/// promoted (or pulled) object lives in its caller's VM and takes plain
+/// local calls the runtime never sees. The sweep closes that gap: at every
+/// top-level exchange and at quiescent points, the locations marked dirty
+/// since their last shipment are offered to [`sync_replicas`], which ships
+/// (and version-bumps) exactly those whose state moved and no-ops on the
+/// rest.
+///
+/// The sweep drains [`Directory::take_dirty`] instead of enumerating every export
+/// of every node — O(dirty) per synchronization point, not O(exports) —
+/// and iterates it in `(node, oid)` order, the exact order the old
+/// full-table sweep enumerated, so the shipment sequence (and with it
+/// every message id, clock reading and report byte) is unchanged for any
+/// run. Marking covers everything the full sweep could ship: version
+/// bumps, fresh replicated exports, restart re-seeds, and conservative
+/// app-frame marks for bare local mutations (see the marking helpers
+/// around [`mark_node_dirty`]). Gated on `any_replication` so workloads
+/// without a `replicate` policy pay one boolean test, and guarded against
+/// re-entry because the shipments are themselves exchanges.
+pub(crate) fn sync_dirty_replicas(shared: &Shared) {
+    if !shared.any_replication || shared.in_replica_sweep.get() {
+        return;
+    }
+    // Take the set whole: marks made *during* the sweep (nested exchanges
+    // re-marking an open app frame, the drift bump inside a shipment) are
+    // next sweep's work, exactly like mutations made during the old full
+    // enumeration.
+    let targets = shared.directory.borrow_mut().take_dirty();
+    if targets.is_empty() {
+        return;
+    }
+    shared.in_replica_sweep.set(true);
+    for (n, oid) in targets {
+        // A crashed owner cannot ship; its backups are exactly what the
+        // failover machinery is for. The entry is dropped, not kept: a
+        // restart wipes the owner's state and re-seeds the sweep for every
+        // node, so nothing stale survives to ship.
+        if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+            continue;
+        }
+        bump(shared, n, Met::ReplicaSweepProbes);
+        sync_replicas(shared, NodeId(n), oid);
+    }
+    shared.in_replica_sweep.set(false);
+}
+
+/// Serve a getter from `node`'s own replica copy of `(owner, oid)`, iff
+/// the copy's version equals the owner's current property version (and the
+/// export has not been tombstoned by a move). `Ok(None)` means the node
+/// holds no copy or the copy lags — the caller falls through to a normal
+/// owner exchange, whose served reply restores the replica's currency.
+///
+/// In the simulated topology every inter-node link costs the same, so the
+/// nearest *profitable* replica is always the caller's own store: remote
+/// replicas would cost exactly what the owner does.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn replica_read(
+    shared: &Shared,
+    node: NodeId,
+    base_name: &str,
+    proto: &str,
+    method: &str,
+    sig: SigId,
+    owner: u32,
+    oid: u64,
+) -> Result<Option<Value>, VmError> {
+    if owner == node.0 {
+        return Ok(None);
+    }
+    let current = version_of(shared, owner, oid);
+    if current == VERSION_TOMBSTONE {
+        return Ok(None);
+    }
+    let copy = shared.nodes.borrow()[node.0 as usize]
+        .replica_store
+        .get(&(owner, oid))
+        .cloned();
+    let Some((version, class_name, fields)) = copy else {
+        return Ok(None);
+    };
+    if version != current {
+        return Ok(None);
+    }
+    let Some(local_class) = shared.universe.by_name(&class_name) else {
+        return Ok(None);
+    };
+    // Materialise a throwaway local instance from the replica's wire-form
+    // state and run the real getter bytecode against it — no field-layout
+    // knowledge needed here, and the temporary is unrooted garbage after
+    // the call returns.
+    let vm = &shared.vms[node.0 as usize];
+    let mut values = Vec::with_capacity(fields.len());
+    for f in &fields {
+        values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
+    }
+    let h = vm.alloc_raw(local_class, values);
+    let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
+    bump(shared, node.0, Met::ReplicaReads);
+    // A zero-duration span keeps the read visible in traces; the CacheHit
+    // monitor event puts it under the E14 stale-read oracle like every
+    // other locally served read.
+    let now = shared.net.now().as_ns();
+    let ctx = {
+        let mut spans = shared.spans.borrow_mut();
+        let sh = spans.start_span("rpc.call", node.0, now);
+        spans.set_attr(sh, "class", base_name);
+        spans.set_attr(sh, "method", method.to_owned());
+        spans.set_attr(sh, "protocol", proto);
+        spans.set_attr(sh, "from", node.0);
+        spans.set_attr(sh, "to", owner);
+        spans.set_attr(sh, "replica_read", true);
+        spans.end_span(sh, now, SpanOutcome::Ok);
+        spans.context_of(sh)
+    };
+    emit_cache_hit(shared, node, (owner, oid), ctx);
+    Ok(Some(result))
+}

@@ -1,0 +1,542 @@
+//! The client side of an exchange: a proxy method marshals the call,
+//! [`rpc`] encodes it once, transmits (and retransmits) it, and decodes the
+//! reply. Also the span labels every exchange is recorded under.
+
+use crate::batch::{enqueue_outcall, flush_outqueues};
+use crate::cluster::{read_proxy_state, version_of, Shared, Side};
+use crate::directory::VERSION_TOMBSTONE;
+use crate::failover::failover;
+use crate::marshal;
+use crate::obs::Met;
+use crate::replicate::{mark_if_framed, replica_read, sync_dirty_replicas};
+use crate::serve::{reply_outcome, serve_frame};
+use crate::stats::{bump, emit_cache_hit, maybe_sample};
+use rafda_classmodel::{SigId, Ty};
+use rafda_net::{NetError, NodeId};
+use rafda_telemetry::SpanOutcome;
+use rafda_vm::{NetFailure, NetFailureKind, Value, VmError};
+use rafda_wire::{Protocol, Reply, Request};
+
+/// How many property values each node's proxy-side cache holds. Bounded
+/// FIFO like the reply cache; a modest cap keeps the per-node footprint
+/// proportional to its working set of remote reads.
+const PROP_CACHE_CAP: usize = 1024;
+
+/// Maximum nested (re-entrant) RPC depth across the whole cluster — a
+/// distributed call chain deeper than this is almost certainly unbounded
+/// mutual recursion, and each level consumes host stack.
+const MAX_RPC_DEPTH: u32 = 64;
+
+/// A proxy method invoked on `node`: marshal, ship, execute remotely,
+/// unmarshal (or re-throw).
+pub(crate) fn proxy_call(
+    shared: &Shared,
+    node: NodeId,
+    method_name: &str,
+    sig: SigId,
+    args: &[Value],
+) -> Result<Value, VmError> {
+    let vm = &shared.vms[node.0 as usize];
+    let recv = args
+        .first()
+        .and_then(Value::as_ref_handle)
+        .ok_or_else(|| VmError::type_error("proxy call without receiver"))?;
+    let class = vm
+        .class_of(recv)
+        .ok_or_else(|| VmError::Native("stale proxy".into()))?;
+    let info = shared.gen_info.get(&class).cloned().ok_or_else(|| {
+        VmError::Native(format!(
+            "no proxy info for {}",
+            shared.universe.class(class).name
+        ))
+    })?;
+    let proto = info.proto.clone().expect("hooked on a proxy");
+    let (mut target, mut oid) =
+        read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
+    let mut wire_args = Vec::with_capacity(args.len().saturating_sub(1));
+    for a in &args[1..] {
+        wire_args.push(marshal::value_to_wire(shared, node, a).map_err(VmError::Native)?);
+    }
+    let method = format!("{method_name}@{}", sig.0);
+    let base_name = shared.universe.class(info.base).name.clone();
+    // Property-cache fast path: a cacheable getter whose cached tag still
+    // equals the owner's current version is served locally — no exchange,
+    // no clock advance. Coherence rests on the tag check: every mutation
+    // on the owner bumps the version, so a hit can never observe a value
+    // older than the last write the owner served.
+    let is_getter = shared
+        .plan
+        .family(info.base)
+        .is_some_and(|f| match info.side {
+            Side::Obj => f.getters.contains(&sig),
+            Side::Cls => f.static_getters.contains(&sig),
+        });
+    // Replica-read fast path (E15): getters of `reads from replicas`
+    // classes are served from this node's own replica copy when — and only
+    // when — the copy carries the owner's *current* property version. The
+    // tag check makes staleness impossible by construction (same argument
+    // as the property cache): any acknowledged mutation bumped the owner's
+    // version before its reply left, so a lagging copy simply fails the
+    // check and the read falls through to a normal owner exchange.
+    if is_getter
+        && shared.any_replication
+        && shared.policy.reads_from_replicas(&base_name)
+        && shared.policy.replicas(&base_name) > 0
+    {
+        if let Some(v) = replica_read(shared, node, &base_name, &proto, &method, sig, target, oid)?
+        {
+            return Ok(v);
+        }
+    }
+    let cache_on = is_getter && shared.policy.cacheable(&base_name);
+    let cache_key = (target, oid, sig);
+    if cache_on {
+        let current = version_of(shared, target, oid);
+        let cached = shared.nodes.borrow()[node.0 as usize]
+            .prop_cache
+            .get(&cache_key)
+            .cloned();
+        match cached {
+            Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
+                bump(shared, node.0, Met::CacheHits);
+                // A zero-duration exchange span keeps the read visible in
+                // traces, tagged as served from the property cache.
+                let now = shared.net.now().as_ns();
+                let ctx = {
+                    let mut spans = shared.spans.borrow_mut();
+                    let h = spans.start_span("rpc.call", node.0, now);
+                    spans.set_attr(h, "class", base_name.as_str());
+                    spans.set_attr(h, "method", method.clone());
+                    spans.set_attr(h, "protocol", proto.as_str());
+                    spans.set_attr(h, "from", node.0);
+                    spans.set_attr(h, "to", target);
+                    spans.set_attr(h, "cached", true);
+                    spans.end_span(h, now, SpanOutcome::Ok);
+                    spans.context_of(h)
+                };
+                emit_cache_hit(shared, node, (target, oid), ctx);
+                return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
+            }
+            Some(_) => bump(shared, node.0, Met::CacheInvalidations),
+            None => bump(shared, node.0, Met::CacheMisses),
+        }
+    }
+    // Batched remote invocation: a void-returning call on a `batch on`
+    // class has no result to wait for, so it is deferred onto the
+    // `(caller, owner)` outcall queue instead of paying a full exchange.
+    // It ships as part of a single [`Request::Batch`] frame at the next
+    // synchronization point — and every value-returning call to any owner
+    // *is* one, so a later read always observes the deferred writes.
+    // Deferral is decided against the proxy class's own method table (the
+    // generated setters only exist there, not on the base class;
+    // signatures are interned globally, so the ids agree).
+    if shared.policy.batched(&base_name) {
+        let is_void = shared
+            .universe
+            .class(class)
+            .methods
+            .iter()
+            .find(|m| m.sig == sig)
+            .is_some_and(|m| m.ret == Ty::Void);
+        if is_void {
+            // Read-your-writes: this node's cached property reads of the
+            // object no longer reflect the queue, and the version tag
+            // cannot catch that (the owner has not served the write yet).
+            // Drop them; the next read goes remote, which flushes first.
+            {
+                let mut nodes = shared.nodes.borrow_mut();
+                let state = &mut nodes[node.0 as usize];
+                state
+                    .prop_cache
+                    .retain(|&(t, o, _), _| !(t == target && o == oid));
+                state
+                    .prop_cache_order
+                    .retain(|&(t, o, _)| !(t == target && o == oid));
+            }
+            enqueue_outcall(
+                shared,
+                node,
+                NodeId(target),
+                &proto,
+                &base_name,
+                Request::Call {
+                    object: oid,
+                    method,
+                    args: wire_args,
+                },
+            );
+            return Ok(Value::Null);
+        }
+    }
+    let mut req = Request::Call {
+        object: oid,
+        method: method.clone(),
+        args: wire_args,
+    };
+    // Crash-stop failover: when the owner turns out to be crashed — or has
+    // restarted with amnesia and no longer knows the export — re-home the
+    // proxy to a (promoted) replica and retry. At most one hop per node:
+    // each hop either follows an already-recorded promotion forward or
+    // performs a new one, and crash states only change between top-level
+    // operations, so the loop cannot cycle.
+    let mut hops = 0u32;
+    let (reply, obj_version) = loop {
+        let outcome = rpc(shared, node, NodeId(target), &proto, &base_name, &req);
+        let rehome = match &outcome {
+            Err(VmError::Unreachable(nf)) => {
+                matches!(nf.kind, NetFailureKind::NodeCrashed(_))
+            }
+            Ok((Reply::Fault(m), _)) => m.starts_with("unknown object "),
+            _ => false,
+        };
+        if rehome && hops <= shared.vms.len() as u32 {
+            if let Some((nn, noid)) =
+                failover(shared, node, recv, class, &proto, &base_name, target, oid)
+            {
+                hops += 1;
+                (target, oid) = (nn, noid);
+                let Request::Call { method, args, .. } = req else {
+                    unreachable!("proxy calls only send Call requests")
+                };
+                req = Request::Call {
+                    object: oid,
+                    method,
+                    args,
+                };
+                continue;
+            }
+        }
+        break outcome?;
+    };
+    let cache_key = (target, oid, sig);
+    match reply {
+        Reply::Value(wv) => {
+            if cache_on && obj_version != VERSION_TOMBSTONE {
+                let mut nodes = shared.nodes.borrow_mut();
+                let state = &mut nodes[node.0 as usize];
+                if !state.prop_cache.contains_key(&cache_key) {
+                    if state.prop_cache_order.len() >= PROP_CACHE_CAP {
+                        if let Some(evict) = state.prop_cache_order.pop_front() {
+                            state.prop_cache.remove(&evict);
+                        }
+                    }
+                    state.prop_cache_order.push_back(cache_key);
+                }
+                state
+                    .prop_cache
+                    .insert(cache_key, (obj_version, wv.clone()));
+            }
+            marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
+        }
+        Reply::Exception { class, fields } => {
+            let exc_class = shared
+                .universe
+                .by_name(&class)
+                .ok_or_else(|| VmError::Native(format!("unknown exception class {class}")))?;
+            let mut values = Vec::with_capacity(fields.len());
+            for f in &fields {
+                values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
+            }
+            let h = vm.alloc_raw(exc_class, values);
+            Err(VmError::Exception(h))
+        }
+        Reply::Fault(m) => Err(VmError::Native(m)),
+        Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to a call".into())),
+    }
+}
+
+/// Perform one request/reply exchange, running the full encode → transmit →
+/// decode → handle → encode → transmit → decode pipeline and charging the
+/// protocol-stack overhead to the simulated clock.
+///
+/// Returns the reply together with the served object's property version as
+/// piggybacked on the reply frame (0 for request kinds that do not address
+/// a versioned export).
+pub(crate) fn rpc(
+    shared: &Shared,
+    from: NodeId,
+    to: NodeId,
+    proto: &str,
+    class: &str,
+    req: &Request,
+) -> Result<(Reply, u64), VmError> {
+    // Every exchange is a synchronization point: pending batches drain
+    // before this request goes out, so its server observes every operation
+    // deferred before it in program order. This must hold at *any* rpc
+    // depth — application code usually runs inside a serve already (the
+    // driver's `main` is itself a remote call), so gating on depth 0 would
+    // let nested value-returning calls read state whose mutations are still
+    // queued. Re-entrancy is safe: `flush_outqueues` is a no-op while a
+    // flush is already draining (`in_flush`), and the paths that snapshot
+    // object state (migrate, pull, replica sync of batched classes) flush
+    // or enqueue explicitly before snapshotting. With batching off the
+    // queues are permanently empty and this is a single emptiness check.
+    //
+    // The time-series sample is taken first for the same reason in
+    // reverse: queue-depth readings must see the work this flush is about
+    // to drain.
+    maybe_sample(shared);
+    flush_outqueues(shared)?;
+    // A promoted object's local mutations bypass the serve path entirely;
+    // the next exchange is the first chance to notice its backups are
+    // behind. If application code is mid-flight on the calling node (an
+    // open app frame), anything it mutated bare so far must be probed by
+    // this very sweep — the old full-table sweep shipped such state here,
+    // and nested calls may observe it through their own replicas.
+    mark_if_framed(shared, from.0);
+    sync_dirty_replicas(shared);
+    let codec = shared
+        .protocols
+        .get(proto)
+        .ok_or_else(|| VmError::Native(format!("no codec for protocol {proto}")))?;
+    if shared.rpc_depth.get() >= MAX_RPC_DEPTH {
+        return Err(VmError::Native(
+            "rpc depth limit exceeded (unbounded distributed recursion?)".into(),
+        ));
+    }
+    shared.rpc_depth.set(shared.rpc_depth.get() + 1);
+    let result = rpc_inner(shared, from, to, codec.as_ref(), class, req);
+    shared.rpc_depth.set(shared.rpc_depth.get() - 1);
+    result
+}
+
+/// The span name of an exchange for one request kind.
+fn req_span_name(req: &Request) -> (&'static str, &'static str) {
+    match req {
+        Request::Call { .. } => ("rpc.call", "serve.call"),
+        Request::Create { .. } => ("rpc.create", "serve.create"),
+        Request::Discover { .. } => ("rpc.discover", "serve.discover"),
+        Request::Fetch { .. } => ("rpc.fetch", "serve.fetch"),
+        Request::Install { .. } => ("rpc.install", "serve.install"),
+        Request::Forward { .. } => ("rpc.forward", "serve.forward"),
+        Request::ReplicaSync { .. } => ("rpc.replica", "serve.replica"),
+        Request::Promote { .. } => ("rpc.promote", "serve.promote"),
+        Request::Batch(..) => ("rpc.batch", "serve.batch"),
+    }
+}
+
+/// The method label recorded on an exchange span: the wire method string
+/// for calls, a pseudo-method for the runtime-internal request kinds.
+fn req_method_label(req: &Request) -> String {
+    match req {
+        Request::Call { method, .. } => method.clone(),
+        Request::Create { ctor, .. } => format!("<create:{ctor}>"),
+        Request::Discover { .. } => "<discover>".to_owned(),
+        Request::Fetch { .. } => "<fetch>".to_owned(),
+        Request::Install { .. } => "<install>".to_owned(),
+        Request::Forward { .. } => "<forward>".to_owned(),
+        Request::ReplicaSync { .. } => "<replica>".to_owned(),
+        Request::Promote { .. } => "<promote>".to_owned(),
+        Request::Batch(..) => "<batch>".to_owned(),
+    }
+}
+
+/// The typed mirror of a transport error (same data, no crate dependency
+/// from the VM on the network).
+fn net_failure_kind(e: &NetError) -> NetFailureKind {
+    match e {
+        NetError::Dropped => NetFailureKind::Dropped,
+        NetError::Partitioned { from, to } => NetFailureKind::Partitioned {
+            from: from.0,
+            to: to.0,
+        },
+        NetError::NodeCrashed(n) => NetFailureKind::NodeCrashed(n.0),
+        NetError::NoSuchNode(n) => NetFailureKind::NoSuchNode(n.0),
+    }
+}
+
+fn rpc_inner(
+    shared: &Shared,
+    from: NodeId,
+    to: NodeId,
+    codec: &dyn Protocol,
+    class: &str,
+    req: &Request,
+) -> Result<(Reply, u64), VmError> {
+    let msg_id = shared.next_msg_id.get();
+    shared.next_msg_id.set(msg_id + 1);
+    let (exch_name, _) = req_span_name(req);
+    // The exchange span covers the whole request/reply exchange, retries
+    // included. Its context travels in the frame header — the frame is
+    // encoded once and retransmitted verbatim, so the wire cannot carry
+    // per-attempt contexts; attempts are recorded as client-local children.
+    let (exch, ctx) = {
+        let mut spans = shared.spans.borrow_mut();
+        let h = spans.start_span(exch_name, from.0, shared.net.now().as_ns());
+        spans.set_attr(h, "class", class);
+        spans.set_attr(h, "method", req_method_label(req));
+        spans.set_attr(h, "protocol", codec.name());
+        spans.set_attr(h, "from", from.0);
+        spans.set_attr(h, "to", to.0);
+        if let Request::Batch(ops) = req {
+            spans.set_attr(h, "n_ops", ops.len());
+        }
+        let ctx = spans.context_of(h);
+        (h, ctx)
+    };
+    // Encode once: every retransmission sends the same frame, same id
+    // (which also makes re-interning on the decode side idempotent). The
+    // buffer comes from the link's pool and goes back when the exchange
+    // finishes; the signature table is the directed link's, so repeated
+    // method/class names shrink to 5-byte references after their first
+    // frame.
+    let mut bytes = shared.wire_bufs.borrow_mut().checkout(from, to);
+    let encoded = {
+        let mut tables = shared.sig_tables.borrow_mut();
+        let table = tables.entry((from.0, to.0)).or_default();
+        codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
+    };
+    if let Err(e) = encoded {
+        shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
+        let end = shared.net.now().as_ns();
+        let mut spans = shared.spans.borrow_mut();
+        spans.end_span(exch, end, SpanOutcome::Fault);
+        shared.last_exchange_span.set(spans.span_id_of(exch));
+        return Err(VmError::Native(format!("request encode failed: {e}")));
+    }
+    shared
+        .spans
+        .borrow_mut()
+        .set_attr(exch, "bytes_out", bytes.len());
+    let policy = shared.retry.get();
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempt = 0u32;
+    let mut prev_attempt_span: Option<u64> = None;
+    let result = loop {
+        attempt += 1;
+        if attempt > 1 {
+            // Back off on the simulated clock before retransmitting, so the
+            // cost of fault tolerance is charged deterministically.
+            shared.net.advance(policy.backoff_ns(attempt - 1));
+            bump(shared, from.0, Met::Retries);
+        }
+        // Each transmission attempt is a child span: retransmissions get
+        // fresh span ids within the same trace and point at the attempt
+        // they retry via `retry_of`.
+        let attempt_start = shared.net.now().as_ns();
+        let att = {
+            let mut spans = shared.spans.borrow_mut();
+            let h = spans.start_span("rpc.attempt", from.0, attempt_start);
+            spans.set_attr(h, "attempt", attempt);
+            if let Some(prev) = prev_attempt_span {
+                spans.set_retry_of(h, prev);
+            }
+            h
+        };
+        match attempt_exchange(shared, from, to, codec, msg_id, &bytes, attempt) {
+            Ok((reply, obj_version)) => {
+                let end = shared.net.now().as_ns();
+                shared.obs.borrow_mut().record_attempts(from.0, attempt);
+                let outcome = reply_outcome(&reply);
+                let mut spans = shared.spans.borrow_mut();
+                spans.end_span(att, end, SpanOutcome::Ok);
+                spans.record_link(from.0, to.0, end.saturating_sub(attempt_start));
+                spans.set_attr(exch, "attempts", attempt);
+                spans.end_span(exch, end, outcome);
+                shared.last_exchange_span.set(spans.span_id_of(exch));
+                break Ok((reply, obj_version));
+            }
+            Err(kind) if kind.is_transient() && attempt < max_attempts => {
+                let end = shared.net.now().as_ns();
+                let mut spans = shared.spans.borrow_mut();
+                spans.end_span(att, end, SpanOutcome::NetFailure);
+                prev_attempt_span = Some(spans.span_id_of(att));
+                continue;
+            }
+            Err(kind) => {
+                let end = shared.net.now().as_ns();
+                {
+                    let mut obs = shared.obs.borrow_mut();
+                    obs.inc(from.0, Met::NetFailures);
+                    obs.record_attempts(from.0, attempt);
+                }
+                let mut spans = shared.spans.borrow_mut();
+                spans.end_span(att, end, SpanOutcome::NetFailure);
+                spans.set_attr(exch, "attempts", attempt);
+                spans.end_span(exch, end, SpanOutcome::NetFailure);
+                shared.last_exchange_span.set(spans.span_id_of(exch));
+                break Err(VmError::Unreachable(NetFailure::new(kind, attempt)));
+            }
+        }
+    };
+    shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
+    result
+}
+
+/// One transmission attempt of an exchange: request over the wire, serve
+/// (with duplicate suppression), reply back over the wire.
+fn attempt_exchange(
+    shared: &Shared,
+    from: NodeId,
+    to: NodeId,
+    codec: &dyn Protocol,
+    msg_id: u64,
+    bytes: &[u8],
+    attempt: u32,
+) -> Result<(Reply, u64), NetFailureKind> {
+    shared
+        .net
+        .transmit(from, to, bytes.len())
+        .map_err(|e| net_failure_kind(&e))?;
+    // Zero-copy fast path: only the header is parsed here. Whether this
+    // attempt is a dedup hit (answered from the reply cache) is decided on
+    // the borrowed header alone; the owned request tree is built inside
+    // `serve_frame` only when the request is actually invoked.
+    let header = codec
+        .decode_request_header(bytes)
+        .expect("own encoding must decode");
+    debug_assert_eq!(header.msg_id, msg_id);
+    if attempt > 1 {
+        bump(shared, to.0, Met::Retransmits);
+    }
+    let (reply, reply_ctx, obj_version) = serve_frame(shared, to, from, &header);
+    let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
+    let encoded = {
+        let mut tables = shared.sig_tables.borrow_mut();
+        let table = tables.entry((to.0, from.0)).or_default();
+        codec.encode_reply_into(
+            msg_id,
+            reply_ctx,
+            obj_version,
+            &reply,
+            Some(table),
+            &mut reply_bytes,
+        )
+    };
+    if let Err(e) = encoded {
+        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
+        // a fault instead. The fallback is a short stateless frame, which
+        // cannot itself fail to encode.
+        let fault = Reply::Fault(format!("reply encode failed: {e}"));
+        reply_bytes.clear();
+        codec
+            .encode_reply_into(
+                msg_id,
+                reply_ctx,
+                obj_version,
+                &fault,
+                None,
+                &mut reply_bytes,
+            )
+            .expect("fault reply must encode");
+    }
+    if let Err(e) = shared.net.transmit(to, from, reply_bytes.len()) {
+        shared
+            .wire_bufs
+            .borrow_mut()
+            .put_back(to, from, reply_bytes);
+        return Err(net_failure_kind(&e));
+    }
+    shared.net.advance(2 * codec.overhead_ns());
+    let decoded = {
+        let mut tables = shared.sig_tables.borrow_mut();
+        let table = tables.entry((to.0, from.0)).or_default();
+        codec.decode_reply_with(&reply_bytes, Some(table))
+    };
+    let (_, _, obj_version, reply) = decoded.expect("own encoding must decode");
+    shared
+        .wire_bufs
+        .borrow_mut()
+        .put_back(to, from, reply_bytes);
+    Ok((reply, obj_version))
+}
