@@ -111,7 +111,7 @@ impl FrameHeader<'_> {
     ///
     /// `sigs` is the link's signature table: inline signatures are interned
     /// into it and references resolved from it. Passing `None` still
-    /// decodes any frame whose signatures are all inline (every pre-sigref
+    /// decodes any frame whose signatures are all inline (every stateless
     /// frame), but a frame carrying references needs the table that saw
     /// their defining frames.
     ///

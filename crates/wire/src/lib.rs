@@ -225,13 +225,16 @@ impl WireError {
 /// node can parent its dispatch span under the caller's span even across a
 /// multi-hop proxy chain. A request's retransmissions carry the *same*
 /// context (the frame is encoded once and resent verbatim); replies carry
-/// the server span's context. Frames from pre-tracing peers decode as
-/// [`TraceContext::NONE`].
+/// the server span's context.
 ///
 /// Reply headers additionally piggyback the served object's **property
 /// version** — the counter the proxy-side property cache tags its entries
 /// with — so coherence information rides on traffic that flows anyway.
-/// Frames from pre-caching peers decode with version 0.
+///
+/// Decoders accept exactly what an encoder emits — per codec, the
+/// stateless frame version and the signature-interning one — and reject
+/// every other version (or, for SOAP, a missing header element) with a
+/// [`WireError`]: both ends of every link run this code.
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the
@@ -244,8 +247,8 @@ impl WireError {
 /// owned body to [`FrameHeader::materialise`]. The provided
 /// `encode_request`/`decode_request`/`encode_reply`/`decode_reply`
 /// convenience wrappers are the stateless path: fresh buffers, no
-/// signature table, and — by construction — the pre-interning wire format
-/// (RMI v7 / GIOP 1.7), byte-identical to what earlier releases emitted.
+/// signature table, and so the stateless frame version (RMI v7 / GIOP
+/// 1.7).
 pub trait Protocol {
     /// Short protocol name, used in generated proxy class names
     /// (`A_O_Proxy_SOAP` etc.).
@@ -298,7 +301,7 @@ pub trait Protocol {
 
     /// Decode a reply, resolving signature references against (and
     /// interning inline signatures into) the link's table when one is
-    /// supplied. Frames from pre-caching peers decode with version 0.
+    /// supplied.
     ///
     /// # Errors
     /// [`WireError`] on malformed input or an unresolvable signature
@@ -357,8 +360,7 @@ pub trait Protocol {
     }
 
     /// Decode a reply, returning the answered message id, trace context,
-    /// object property version and body. Frames from pre-caching peers
-    /// decode with version 0.
+    /// object property version and body.
     ///
     /// # Errors
     /// [`WireError`] on malformed input.

@@ -6,28 +6,16 @@ use crate::sig::{SigEnc, SigTable};
 use crate::{Protocol, Reply, Request, TraceContext, WireError, WireValue};
 
 const MAGIC: &[u8] = b"JRMI";
-// Version 3 added the message id (at-most-once dedup key) to the header.
-// Version 4 appended the trace context (trace/span/parent span ids) right
-// after it; version-3 frames still decode, with `TraceContext::NONE`.
-// Version 5 appended the served object's property version to *reply*
-// headers (requests are unchanged); version-4 replies decode with
-// version 0.
-// Version 6 added the replica-sync and promote request tags (crash-stop
-// failover). The header layout is unchanged, so version-5 frames still
-// decode as before.
-// Version 7 added the batch request/reply tags (batched remote
-// invocation). Again the header layout is unchanged, so version-6 frames
-// still decode as before.
-// Version 8 adds signature interning: signature-position strings (method
-// descriptors and class names, never payload `Str` values) are prefixed
-// with a marker byte — inline-and-define, or a u32 reference into the
-// link's `SigTable`. Version-8 frames are only emitted when a table is
-// supplied; the stateless encode path still emits version-7 bytes, and
-// version-7 frames still decode as before.
+// The two frame versions an encoder emits, and the only two a decoder
+// accepts (both ends of every link are this code). Version 7 is stateless.
+// Version 8 interns signature-position strings (method descriptors and
+// class names, never payload `Str` values): each is prefixed with a marker
+// byte — inline-and-define, or a u32 reference into the link's `SigTable`
+// — and is emitted exactly when a table is supplied.
 const VERSION: u8 = 7;
 const VERSION_SIG: u8 = 8;
 
-// Signature markers (version >= 8 only).
+// Signature markers (version 8 only).
 const SIG_INLINE: u8 = 0;
 const SIG_REF: u8 = 1;
 
@@ -38,6 +26,21 @@ const SIG_REF: u8 = 1;
 /// body to these readers).
 pub(crate) const MAX_PREALLOC_VALUES: usize = 1024;
 pub(crate) const MAX_PREALLOC_OPS: usize = 256;
+
+/// Whether a frame whose version byte is `version` interns its signatures.
+/// `stateless` and `sigged` are the codec's two version bytes; any other
+/// byte is a frame no encoder produces, and is rejected.
+pub(crate) fn frame_is_sigged(version: u8, stateless: u8, sigged: u8) -> Result<bool, WireError> {
+    if version == stateless {
+        Ok(false)
+    } else if version == sigged {
+        Ok(true)
+    } else {
+        Err(WireError::new(format!(
+            "unsupported frame version {version}"
+        )))
+    }
+}
 
 pub(crate) fn write_ctx(w: &mut BinWriter, ctx: TraceContext) {
     w.u64(ctx.trace_id).u64(ctx.span_id).u64(ctx.parent_span_id);
@@ -74,7 +77,7 @@ fn write_sig(w: &mut BinWriter, s: &str, sigs: Sigs<'_, '_>) {
 }
 
 /// Read a signature-position string. `sigged` frames (v8) carry a marker;
-/// older frames carry the plain string. Inline signatures are interned
+/// stateless frames carry the plain string. Inline signatures are interned
 /// into the table (mirroring the encoder's define-on-first-use), and
 /// references are resolved from it — a reference without a table is an
 /// error, since only the table that saw the defining frame can expand it.
@@ -505,14 +508,10 @@ impl Protocol for RmiCodec {
     fn decode_request_header<'a>(&self, bytes: &'a [u8]) -> Result<FrameHeader<'a>, WireError> {
         let mut r = BinReader::new(bytes);
         r.expect(MAGIC)?;
-        let version = r.u8()?;
+        let sigged = frame_is_sigged(r.u8()?, VERSION, VERSION_SIG)?;
         let id = r.u64()?;
-        let ctx = if version >= 4 {
-            read_ctx(&mut r)?
-        } else {
-            TraceContext::NONE
-        };
-        binary_header(bytes, &mut r, id, ctx, false, version >= 8)
+        let ctx = read_ctx(&mut r)?;
+        binary_header(bytes, &mut r, id, ctx, false, sigged)
     }
 
     fn encode_reply_into(
@@ -541,15 +540,11 @@ impl Protocol for RmiCodec {
     ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
         let mut r = BinReader::new(bytes);
         r.expect(MAGIC)?;
-        let version = r.u8()?;
+        let sigged = frame_is_sigged(r.u8()?, VERSION, VERSION_SIG)?;
         let id = r.u64()?;
-        let ctx = if version >= 4 {
-            read_ctx(&mut r)?
-        } else {
-            TraceContext::NONE
-        };
-        let obj_version = if version >= 5 { r.u64()? } else { 0 };
-        let reply = read_reply(&mut r, version >= 8, &mut sigs)?;
+        let ctx = read_ctx(&mut r)?;
+        let obj_version = r.u64()?;
+        let reply = read_reply(&mut r, sigged, &mut sigs)?;
         Ok((id, ctx, obj_version, reply))
     }
 
@@ -622,96 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn version_3_frames_decode_with_no_trace_context() {
-        let codec = RmiCodec::new();
-        let ctx = TraceContext {
-            trace_id: 5,
-            span_id: 6,
-            parent_span_id: 1,
-        };
-        let v6 = codec
-            .encode_request(9, ctx, &Request::Fetch { object: 2 })
-            .unwrap();
-        // Re-create the pre-tracing frame: version byte 3, no trace context
-        // field (drop bytes 13..37).
-        let mut v3 = v6.clone();
-        v3[4] = 3;
-        v3.drain(13..37);
-        let (id, back_ctx, req) = codec.decode_request(&v3).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(back_ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 2 });
-    }
-
-    #[test]
-    fn version_5_frames_decode_unchanged() {
-        // Version 6 only added request tags; the header layout is identical,
-        // so a version-5 frame is byte-for-byte a version-6 frame with a
-        // different version byte. Pre-failover peers must keep parsing.
-        let codec = RmiCodec::new();
-        let ctx = TraceContext {
-            trace_id: 8,
-            span_id: 2,
-            parent_span_id: 1,
-        };
-        let mut req5 = codec
-            .encode_request(
-                11,
-                ctx,
-                &Request::Call {
-                    object: 4,
-                    method: "tick@0".into(),
-                    args: vec![WireValue::Int(1)],
-                },
-            )
-            .unwrap();
-        req5[4] = 5;
-        let (id, back_ctx, req) = codec.decode_request(&req5).unwrap();
-        assert_eq!((id, back_ctx), (11, ctx));
-        assert!(matches!(req, Request::Call { object: 4, .. }));
-        let mut rep5 = codec
-            .encode_reply(11, ctx, 9, &Reply::Value(WireValue::Int(3)))
-            .unwrap();
-        rep5[4] = 5;
-        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
-        assert_eq!((id, back_ctx, ver), (11, ctx, 9));
-        assert_eq!(reply, Reply::Value(WireValue::Int(3)));
-    }
-
-    #[test]
-    fn version_6_frames_decode_unchanged() {
-        // Version 7 only added the batch tags; the header layout is
-        // identical, so a version-6 frame is byte-for-byte a version-7
-        // frame with a different version byte. Pre-batching peers must keep
-        // parsing.
-        let codec = RmiCodec::new();
-        let ctx = TraceContext {
-            trace_id: 3,
-            span_id: 4,
-            parent_span_id: 2,
-        };
-        let mut req6 = codec
-            .encode_request(21, ctx, &Request::Promote { node: 1, object: 5 })
-            .unwrap();
-        req6[4] = 6;
-        let (id, back_ctx, req) = codec.decode_request(&req6).unwrap();
-        assert_eq!((id, back_ctx), (21, ctx));
-        assert_eq!(req, Request::Promote { node: 1, object: 5 });
-        let mut rep6 = codec
-            .encode_reply(21, ctx, 4, &Reply::Value(WireValue::Long(8)))
-            .unwrap();
-        rep6[4] = 6;
-        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep6).unwrap();
-        assert_eq!((id, back_ctx, ver), (21, ctx, 4));
-        assert_eq!(reply, Reply::Value(WireValue::Long(8)));
-    }
-
-    #[test]
     fn version_7_frames_decode_unchanged() {
-        // Version 8 only changed how signature strings are written, and
-        // only when a table is negotiated; a version-7 frame (today's
-        // stateless encoding) must keep decoding byte-for-byte, with or
-        // without a table on the decode side.
+        // Version 8 differs only in how signature strings are written, and
+        // is used only when a table is negotiated; a version-7 frame (the
+        // stateless encoding) decodes the same with or without a table on
+        // the decode side.
         let codec = RmiCodec::new();
         let req = Request::Call {
             object: 4,
@@ -729,6 +639,32 @@ mod tests {
             table.is_empty(),
             "v7 frames never intern: the encoder did not"
         );
+    }
+
+    #[test]
+    fn every_other_version_byte_is_rejected() {
+        let codec = RmiCodec::new();
+        let req = codec
+            .encode_request(9, TraceContext::NONE, &Request::Fetch { object: 2 })
+            .unwrap();
+        let rep = codec
+            .encode_reply(9, TraceContext::NONE, 3, &Reply::Value(WireValue::Int(3)))
+            .unwrap();
+        for version in 0..=u8::MAX {
+            let accepted = version == VERSION || version == VERSION_SIG;
+            let (mut req, mut rep) = (req.clone(), rep.clone());
+            (req[4], rep[4]) = (version, version);
+            assert_eq!(
+                codec.decode_request_header(&req).is_ok(),
+                accepted,
+                "request version {version}"
+            );
+            assert_eq!(
+                codec.decode_reply_with(&rep, None).is_ok(),
+                accepted,
+                "reply version {version}"
+            );
+        }
     }
 
     #[test]
@@ -808,28 +744,5 @@ mod tests {
             assert_eq!(h.kind, RequestKind::of(&req));
             assert_eq!(h.materialise(None).unwrap(), full);
         }
-    }
-
-    #[test]
-    fn version_4_replies_decode_with_object_version_zero() {
-        let codec = RmiCodec::new();
-        let ctx = TraceContext {
-            trace_id: 5,
-            span_id: 6,
-            parent_span_id: 1,
-        };
-        let v6 = codec
-            .encode_reply(9, ctx, 77, &Reply::Value(WireValue::Int(3)))
-            .unwrap();
-        // Re-create the pre-caching frame: version byte 4, no object
-        // version field (drop bytes 37..45).
-        let mut v4 = v6.clone();
-        v4[4] = 4;
-        v4.drain(37..45);
-        let (id, back_ctx, ver, reply) = codec.decode_reply(&v4).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(back_ctx, ctx);
-        assert_eq!(ver, 0, "pre-caching peers imply version 0");
-        assert_eq!(reply, Reply::Value(WireValue::Int(3)));
     }
 }

@@ -421,32 +421,32 @@ fn envelope_into(
     s.push_str("</soap:Body>\n</soap:Envelope>\n");
 }
 
-/// Extract the message id, trace context and object property version from
-/// a `<soap:Header>` block. Pre-tracing peers (no `<rafda:trace>`) decode
-/// as `TraceContext::NONE`, pre-caching peers (no `<rafda:objver>`) as
-/// version 0.
-fn header_fields(header: &Element) -> Result<(u64, TraceContext, u64), WireError> {
+/// Extract the message id, trace context and — from a reply — the object
+/// property version from a `<soap:Header>` block. Every element an encoder
+/// writes is required: a header without one is not a frame of ours.
+/// Requests carry no `<rafda:objver>` and report version 0.
+fn header_fields(header: &Element, reply: bool) -> Result<(u64, TraceContext, u64), WireError> {
     let id = header
         .child("rafda:mid")?
         .text()
         .trim()
         .parse()
         .map_err(|_| WireError::new("bad rafda:mid"))?;
-    let ctx = match header.child("rafda:trace") {
-        Ok(trace) => TraceContext {
-            trace_id: trace.attr_parsed("id")?,
-            span_id: trace.attr_parsed("span")?,
-            parent_span_id: trace.attr_parsed("parent")?,
-        },
-        Err(_) => TraceContext::NONE,
+    let trace = header.child("rafda:trace")?;
+    let ctx = TraceContext {
+        trace_id: trace.attr_parsed("id")?,
+        span_id: trace.attr_parsed("span")?,
+        parent_span_id: trace.attr_parsed("parent")?,
     };
-    let objver = match header.child("rafda:objver") {
-        Ok(v) => v
+    let objver = if reply {
+        header
+            .child("rafda:objver")?
             .text()
             .trim()
             .parse()
-            .map_err(|_| WireError::new("bad rafda:objver"))?,
-        Err(_) => 0,
+            .map_err(|_| WireError::new("bad rafda:objver"))?
+    } else {
+        0
     };
     Ok((id, ctx, objver))
 }
@@ -456,8 +456,9 @@ fn header_fields(header: &Element) -> Result<(u64, TraceContext, u64), WireError
 /// the frame — is located textually and returned as an unparsed slice.
 /// This is safe because every `<` in attribute values and text content is
 /// entity-escaped, so the literal `</soap:Body>` can only be the body's
-/// own close tag. Pre-id peers (no `<soap:Header>`) decode as id 0.
-fn scan_envelope(xml: &str) -> Result<(u64, TraceContext, u64, &str), WireError> {
+/// own close tag. `reply` selects the reply header set (see
+/// [`header_fields`]).
+fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
     let mut p = Parser::new(xml);
     p.skip_ws();
     if p.input[p.pos..].starts_with(b"<?") {
@@ -564,10 +565,9 @@ fn scan_envelope(xml: &str) -> Result<(u64, TraceContext, u64, &str), WireError>
         }
     }
     let body = body.ok_or_else(|| WireError::new("<soap:Envelope> missing child <soap:Body>"))?;
-    let (id, ctx, objver) = match &header {
-        Some(h) => header_fields(h)?,
-        None => (0, TraceContext::NONE, 0),
-    };
+    let header =
+        header.ok_or_else(|| WireError::new("<soap:Envelope> missing child <soap:Header>"))?;
+    let (id, ctx, objver) = header_fields(&header, reply)?;
     Ok((id, ctx, objver, body))
 }
 
@@ -860,7 +860,7 @@ impl Protocol for SoapCodec {
 
     fn decode_request_header<'a>(&self, bytes: &'a [u8]) -> Result<FrameHeader<'a>, WireError> {
         let xml = std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid utf-8"))?;
-        let (msg_id, ctx, _, body) = scan_envelope(xml)?;
+        let (msg_id, ctx, _, body) = scan_envelope(xml, false)?;
         let kind = body_kind(body)?;
         Ok(FrameHeader {
             msg_id,
@@ -893,7 +893,7 @@ impl Protocol for SoapCodec {
         mut sigs: Option<&mut SigTable>,
     ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
         let xml = std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid utf-8"))?;
-        let (id, ctx, obj_version, body) = scan_envelope(xml)?;
+        let (id, ctx, obj_version, body) = scan_envelope(xml, true)?;
         let e = first_body_elem(body)?;
         Ok((id, ctx, obj_version, read_reply_elem(&e, &mut sigs)?))
     }
@@ -990,32 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn headerless_envelope_decodes_as_id_zero() {
-        // A frame from a pre-id peer: no <soap:Header> at all.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Body><rafda:fetch object=\"5\"/></soap:Body>\n</soap:Envelope>\n";
-        let (id, ctx, req) = SoapCodec::new().decode_request(xml.as_bytes()).unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 5 });
-    }
-
-    #[test]
-    fn traceless_header_decodes_as_none_context() {
-        // A frame from a message-id-era peer: header with mid but no
-        // <rafda:trace>.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Header><rafda:mid>6</rafda:mid></soap:Header>\n\
-                   <soap:Body><rafda:fetch object=\"5\"/></soap:Body>\n</soap:Envelope>\n";
-        let (id, ctx, req) = SoapCodec::new().decode_request(xml.as_bytes()).unwrap();
-        assert_eq!(id, 6);
-        assert_eq!(ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 5 });
-    }
-
-    #[test]
     fn reply_header_carries_object_version() {
         let bytes = SoapCodec::new()
             .encode_reply(7, TraceContext::NONE, 19, &Reply::Value(WireValue::Int(1)))
@@ -1088,18 +1062,54 @@ mod tests {
     }
 
     #[test]
-    fn objverless_reply_decodes_as_version_zero() {
-        // A reply from a pre-caching peer: header with mid + trace but no
-        // <rafda:objver>.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Header><rafda:mid>6</rafda:mid>\
-                   <rafda:trace id=\"1\" span=\"2\" parent=\"0\"/></soap:Header>\n\
-                   <soap:Body><rafda:result><v t=\"int\">9</v></rafda:result></soap:Body>\n\
-                   </soap:Envelope>\n";
-        let (id, _, ver, reply) = SoapCodec::new().decode_reply(xml.as_bytes()).unwrap();
-        assert_eq!(id, 6);
-        assert_eq!(ver, 0, "pre-caching peers imply version 0");
-        assert_eq!(reply, Reply::Value(WireValue::Int(9)));
+    fn envelopes_missing_a_header_element_are_rejected() {
+        // An encoder always writes the full header set: <rafda:mid> and
+        // <rafda:trace>, plus <rafda:objver> on replies. An envelope
+        // without one of them is not a frame of ours.
+        let codec = SoapCodec::new();
+        let envelope = |header: &str, body: &str| {
+            format!(
+                "<?xml version=\"1.0\"?>\n\
+                 <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n{header}\
+                 <soap:Body>{body}</soap:Body>\n</soap:Envelope>\n"
+            )
+        };
+        const MID: &str = "<rafda:mid>6</rafda:mid>";
+        const TRACE: &str = "<rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>";
+        const OBJVER: &str = "<rafda:objver>4</rafda:objver>";
+        let header = |elems: &[&str]| format!("<soap:Header>{}</soap:Header>\n", elems.concat());
+        let request = "<rafda:fetch object=\"5\"/>";
+        let reply = "<rafda:result><v t=\"int\">9</v></rafda:result>";
+
+        // The complete sets decode.
+        let ok = envelope(&header(&[MID, TRACE]), request);
+        assert_eq!(
+            codec.decode_request_header(ok.as_bytes()).unwrap().msg_id,
+            6
+        );
+        let ok = envelope(&header(&[MID, TRACE, OBJVER]), reply);
+        assert_eq!(codec.decode_reply_with(ok.as_bytes(), None).unwrap().2, 4);
+
+        for (missing, req_header, rep_header) in [
+            ("soap:Header", String::new(), String::new()),
+            ("rafda:mid", header(&[TRACE]), header(&[TRACE, OBJVER])),
+            ("rafda:trace", header(&[MID]), header(&[MID, OBJVER])),
+        ] {
+            let err = codec
+                .decode_request_header(envelope(&req_header, request).as_bytes())
+                .unwrap_err();
+            assert!(err.0.contains(missing), "request without {missing}: {err}");
+            let err = codec
+                .decode_reply_with(envelope(&rep_header, reply).as_bytes(), None)
+                .unwrap_err();
+            assert!(err.0.contains(missing), "reply without {missing}: {err}");
+        }
+        let err = codec
+            .decode_reply_with(envelope(&header(&[MID, TRACE]), reply).as_bytes(), None)
+            .unwrap_err();
+        assert!(
+            err.0.contains("rafda:objver"),
+            "reply without objver: {err}"
+        );
     }
 }
