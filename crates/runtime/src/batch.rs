@@ -4,9 +4,8 @@
 
 use crate::cluster::Shared;
 use crate::failover::locate_home;
-use crate::marshal;
 use crate::obs::Met;
-use crate::rpc::rpc;
+use crate::rpc::{rethrow, rpc};
 use crate::stats::bump;
 use rafda_net::NodeId;
 use rafda_vm::{NetFailureKind, VmError};
@@ -191,18 +190,7 @@ fn flush_error(
         match r {
             Reply::Value(_) => {}
             Reply::Exception { class, fields } => {
-                let Some(exc_class) = shared.universe.by_name(&class) else {
-                    return Some(VmError::Native(format!("unknown exception class {class}")));
-                };
-                let mut values = Vec::with_capacity(fields.len());
-                for f in &fields {
-                    match marshal::wire_to_value(shared, from, f) {
-                        Ok(v) => values.push(v),
-                        Err(m) => return Some(VmError::Native(m)),
-                    }
-                }
-                let h = shared.vms[from.0 as usize].alloc_raw(exc_class, values);
-                return Some(VmError::Exception(h));
+                return Some(rethrow(shared, from, &class, &fields));
             }
             Reply::Fault(m) => return Some(VmError::Native(m)),
             Reply::Batch(_) => return Some(VmError::Native("nested batch reply".into())),

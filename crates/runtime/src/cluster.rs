@@ -903,6 +903,19 @@ pub(crate) fn lookup_export(shared: &Shared, node: NodeId, oid: u64) -> Option<H
     shared.directory.borrow().lookup((node.0, oid))
 }
 
+/// A wire reference to whatever the location `(node, oid)` resolves to — a
+/// live export or a forwarding stub — under its current class name; `None`
+/// if nothing does.
+pub(crate) fn remote_ref(shared: &Shared, (node, oid): (u32, u64)) -> Option<WireValue> {
+    let h = lookup_export(shared, NodeId(node), oid)?;
+    let class = shared.vms[node as usize].class_of(h)?;
+    Some(WireValue::Remote {
+        node,
+        object: oid,
+        class: shared.universe.class(class).name.clone(),
+    })
+}
+
 pub(crate) fn cached_import(shared: &Shared, node: NodeId, owner: u32, oid: u64) -> Option<Handle> {
     shared.nodes.borrow()[node.0 as usize]
         .imports
@@ -953,18 +966,21 @@ fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) ->
     let Some(h) = recv.as_ref_handle() else {
         return false;
     };
-    shared.vms[node.0 as usize]
+    getter_sigs(shared, node.0, h)
+        .iter()
+        .any(|&g| shared.universe.sig_info(g).name == method)
+}
+
+/// The property-getter signatures of the generated class behind `h` on
+/// `node` — the calls that cannot mutate it. Empty for anything else.
+pub(crate) fn getter_sigs(shared: &Shared, node: u32, h: Handle) -> &[SigId] {
+    shared.vms[node as usize]
         .class_of(h)
         .and_then(|c| shared.gen_info.get(&c))
         .and_then(|info| shared.plan.family(info.base).map(|f| (f, info.side)))
-        .is_some_and(|(f, side)| {
-            let accessors = match side {
-                Side::Obj => &f.getters,
-                Side::Cls => &f.static_getters,
-            };
-            accessors
-                .iter()
-                .any(|&g| shared.universe.sig_info(g).name == method)
+        .map_or(&[], |(f, side)| match side {
+            Side::Obj => &f.getters,
+            Side::Cls => &f.static_getters,
         })
 }
 
@@ -1019,12 +1035,22 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, base: ClassId) -> Result
                 args: vec![],
             },
         )?;
-        match reply {
-            Reply::Value(wv) => marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native),
-            Reply::Fault(m) => Err(VmError::Native(m)),
-            Reply::Exception { .. } => Err(VmError::Native("exception during create".into())),
-            Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to create".into())),
-        }
+        factory_reply(shared, node, reply, "create")
+    }
+}
+
+/// The value a factory exchange (`what`: create or discover) answered.
+fn factory_reply(
+    shared: &Shared,
+    node: NodeId,
+    reply: Reply,
+    what: &str,
+) -> Result<Value, VmError> {
+    match reply {
+        Reply::Value(wv) => marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native),
+        Reply::Fault(m) => Err(VmError::Native(m)),
+        Reply::Exception { .. } => Err(VmError::Native(format!("exception during {what}"))),
+        Reply::Batch(_) => Err(VmError::Native(format!("unexpected batch reply to {what}"))),
     }
 }
 
@@ -1050,8 +1076,8 @@ pub(crate) fn discover_value(
     if let Some(start) = canonical {
         let (tn, toid) = shared.directory.borrow().resolve(start);
         if (tn, toid) != start {
-            if let Some(h) = lookup_export(shared, NodeId(tn), toid) {
-                if tn == node.0 {
+            if tn == node.0 {
+                if let Some(h) = lookup_export(shared, node, toid) {
                     // The promoted copy lives on this very node: adopt it
                     // as the local singleton.
                     shared.nodes.borrow_mut()[node.0 as usize]
@@ -1059,27 +1085,14 @@ pub(crate) fn discover_value(
                         .insert(base, SingletonState::Ready(h));
                     return Ok(Value::Ref(h));
                 }
-                let class_name = shared.vms[tn as usize]
-                    .class_of(h)
-                    .map(|c| shared.universe.class(c).name.clone());
-                if let Some(class) = class_name {
-                    let value = marshal::wire_to_value(
-                        shared,
-                        node,
-                        &WireValue::Remote {
-                            node: tn,
-                            object: toid,
-                            class,
-                        },
-                    )
-                    .map_err(VmError::Native)?;
-                    if let Value::Ref(h) = value {
-                        shared.nodes.borrow_mut()[node.0 as usize]
-                            .singletons
-                            .insert(base, SingletonState::Ready(h));
-                    }
-                    return Ok(value);
+            } else if let Some(copy) = remote_ref(shared, (tn, toid)) {
+                let value = marshal::wire_to_value(shared, node, &copy).map_err(VmError::Native)?;
+                if let Value::Ref(h) = value {
+                    shared.nodes.borrow_mut()[node.0 as usize]
+                        .singletons
+                        .insert(base, SingletonState::Ready(h));
                 }
+                return Ok(value);
             }
             // The promoted copy vanished too (its node also restarted):
             // fall through to policy resolution; the first proxy call will
@@ -1117,18 +1130,7 @@ pub(crate) fn discover_value(
                 class: base_name.clone(),
             },
         )?;
-        let value = match reply {
-            Reply::Value(wv) => {
-                marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)?
-            }
-            Reply::Fault(m) => return Err(VmError::Native(m)),
-            Reply::Exception { .. } => {
-                return Err(VmError::Native("exception during discover".into()))
-            }
-            Reply::Batch(_) => {
-                return Err(VmError::Native("unexpected batch reply to discover".into()))
-            }
-        };
+        let value = factory_reply(shared, node, reply, "discover")?;
         if let Value::Ref(h) = value {
             shared.nodes.borrow_mut()[node.0 as usize]
                 .singletons

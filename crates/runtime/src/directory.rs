@@ -101,7 +101,7 @@ struct NodeDir {
 }
 
 /// All location state of one cluster. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Directory {
     nodes: Vec<NodeDir>,
     /// Authoritative property versions. Absent means 0 (never mutated
@@ -133,13 +133,7 @@ impl Directory {
     pub(crate) fn new(nodes: u32) -> Directory {
         Directory {
             nodes: (0..nodes).map(|_| NodeDir::default()).collect(),
-            versions: HashMap::new(),
-            homes: HashMap::new(),
-            statics_exports: HashMap::new(),
-            shard_owners: BTreeMap::new(),
-            shard_members: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            skip_next_tombstone: false,
+            ..Directory::default()
         }
     }
 
@@ -233,11 +227,7 @@ impl Directory {
         if *v != VERSION_TOMBSTONE {
             *v = v.saturating_add(1).min(VERSION_TOMBSTONE - 1);
         }
-        self.mark(loc)
-    }
-
-    /// Mark `loc` dirty if it can ship at all (a live replicated export).
-    fn mark(&mut self, loc: Loc) -> bool {
+        // Only a live replicated export can ship at all.
         let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
         if shippable {
             self.dirty.insert(loc);
@@ -428,24 +418,14 @@ impl Directory {
 
     /// The live exports of `node`, sorted by id.
     pub(crate) fn exports_of(&self, node: u32) -> Vec<(u64, Handle)> {
-        let st = &self.nodes[node as usize];
-        let mut out: Vec<(u64, Handle)> = st.exports.iter().map(|(&o, &h)| (o, h)).collect();
-        out.sort_unstable_by_key(|&(oid, _)| oid);
-        out
+        sorted_by_id(&self.nodes[node as usize].exports)
     }
 
     /// Live exports *and* forwarding stubs of `node`, sorted by id — a
     /// migration's trail stays visible at the old home.
     pub(crate) fn trail_of(&self, node: u32) -> Vec<(u64, Handle)> {
         let st = &self.nodes[node as usize];
-        let mut out: Vec<(u64, Handle)> = st
-            .exports
-            .iter()
-            .chain(&st.forwards)
-            .map(|(&o, &h)| (o, h))
-            .collect();
-        out.sort_unstable_by_key(|&(oid, _)| oid);
-        out
+        sorted_by_id(st.exports.iter().chain(&st.forwards))
     }
 
     /// How `state`, the live marshalled state of `loc`, relates to its
@@ -551,6 +531,14 @@ impl Directory {
         let mean = total as f64 / per_node.len() as f64;
         per_node.iter().max().copied().unwrap_or(0) as f64 / mean
     }
+}
+
+fn sorted_by_id<'a>(
+    entries: impl IntoIterator<Item = (&'a u64, &'a Handle)>,
+) -> Vec<(u64, Handle)> {
+    let mut out: Vec<(u64, Handle)> = entries.into_iter().map(|(&o, &h)| (o, h)).collect();
+    out.sort_unstable_by_key(|&(oid, _)| oid);
+    out
 }
 
 fn lookup_in(nodes: &[NodeDir], loc: Loc) -> Option<Handle> {

@@ -107,6 +107,29 @@ fn value_to_wire_rec(
     })
 }
 
+/// [`value_to_wire`] over a slice, in order, stopping at the first error.
+pub(crate) fn values_to_wire(
+    shared: &Shared,
+    node: NodeId,
+    values: &[Value],
+) -> Result<Vec<WireValue>, String> {
+    values
+        .iter()
+        .map(|v| value_to_wire(shared, node, v))
+        .collect()
+}
+
+/// [`wire_to_value`] over a slice, in order, stopping at the first error.
+pub(crate) fn wire_to_values(
+    shared: &Shared,
+    node: NodeId,
+    wire: &[WireValue],
+) -> Result<Vec<Value>, String> {
+    wire.iter()
+        .map(|w| wire_to_value(shared, node, w))
+        .collect()
+}
+
 fn logical_class_name(shared: &Shared, base: rafda_classmodel::ClassId, side: Side) -> String {
     let family = shared.plan.family(base).expect("family exists");
     let id = match side {

@@ -112,14 +112,10 @@ impl Cluster {
         }
         let base_name = shared.universe.class(info.base).name.clone();
         let proto = shared.policy.protocol(&base_name);
-        let mut wire_fields = Vec::with_capacity(fields.len());
-        for f in &fields {
-            wire_fields
-                .push(marshal::value_to_wire(shared, from, f).map_err(RuntimeError::Marshal)?);
-        }
         let state = WireValue::ObjectState {
             class: shared.universe.class(class).name.clone(),
-            fields: wire_fields,
+            fields: marshal::values_to_wire(shared, from, &fields)
+                .map_err(RuntimeError::Marshal)?,
         };
         let source_oid = export(shared, from, object);
         let (reply, _) = rpc(
@@ -241,10 +237,8 @@ impl Cluster {
             .universe
             .by_name(&class_name)
             .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class_name}")))?;
-        let mut fields = Vec::with_capacity(wire_fields.len());
-        for wf in &wire_fields {
-            fields.push(marshal::wire_to_value(shared, node, wf).map_err(RuntimeError::Marshal)?);
-        }
+        let fields =
+            marshal::wire_to_values(shared, node, &wire_fields).map_err(RuntimeError::Marshal)?;
         vm.replace_object(proxy, local_class, fields);
         let my_oid = export(shared, node, proxy);
         // Owner-side swap: the old object becomes a forwarding proxy here.

@@ -16,10 +16,9 @@ use crate::directory::{Drift, VERSION_TOMBSTONE};
 use crate::marshal;
 use crate::obs::Met;
 use crate::rpc::rpc;
-use crate::stats::{bump, emit_cache_hit};
+use crate::stats::{bump, record_local_read};
 use rafda_classmodel::SigId;
 use rafda_net::NodeId;
-use rafda_telemetry::SpanOutcome;
 use rafda_vm::{Value, VmError};
 use rafda_wire::{Request, WireValue};
 
@@ -129,13 +128,9 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
     let Some((_, fields)) = vm.read_object(h) else {
         return;
     };
-    let mut wire_fields = Vec::with_capacity(fields.len());
-    for f in &fields {
-        match marshal::value_to_wire(shared, owner, f) {
-            Ok(wv) => wire_fields.push(wv),
-            Err(_) => return,
-        }
-    }
+    let Ok(wire_fields) = marshal::values_to_wire(shared, owner, &fields) else {
+        return;
+    };
     // Skip the no-op sync outright: if neither the version nor the state
     // has moved since the last shipment, the backups already hold exactly
     // this state and k exchanges would buy nothing. Repeated `Discover`
@@ -287,29 +282,12 @@ pub(crate) fn replica_read(
     // knowledge needed here, and the temporary is unrooted garbage after
     // the call returns.
     let vm = &shared.vms[node.0 as usize];
-    let mut values = Vec::with_capacity(fields.len());
-    for f in &fields {
-        values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
-    }
+    let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
     let h = vm.alloc_raw(local_class, values);
     let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
     bump(shared, node.0, Met::ReplicaReads);
-    // A zero-duration span keeps the read visible in traces; the CacheHit
-    // monitor event puts it under the E14 stale-read oracle like every
-    // other locally served read.
-    let now = shared.net.now().as_ns();
-    let ctx = {
-        let mut spans = shared.spans.borrow_mut();
-        let sh = spans.start_span("rpc.call", node.0, now);
-        spans.set_attr(sh, "class", base_name);
-        spans.set_attr(sh, "method", method.to_owned());
-        spans.set_attr(sh, "protocol", proto);
-        spans.set_attr(sh, "from", node.0);
-        spans.set_attr(sh, "to", owner);
-        spans.set_attr(sh, "replica_read", true);
-        spans.end_span(sh, now, SpanOutcome::Ok);
-        spans.context_of(sh)
-    };
-    emit_cache_hit(shared, node, (owner, oid), ctx);
+    // Under the E14 stale-read oracle like every other locally served read.
+    let labels = [base_name, method, proto];
+    record_local_read(shared, node, (owner, oid), labels, "replica_read");
     Ok(Some(result))
 }

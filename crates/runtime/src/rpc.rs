@@ -3,19 +3,19 @@
 //! reply. Also the span labels every exchange is recorded under.
 
 use crate::batch::{enqueue_outcall, flush_outqueues};
-use crate::cluster::{read_proxy_state, version_of, Shared, Side};
+use crate::cluster::{getter_sigs, read_proxy_state, version_of, Shared};
 use crate::directory::VERSION_TOMBSTONE;
 use crate::failover::failover;
 use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::{mark_if_framed, replica_read, sync_dirty_replicas};
 use crate::serve::{reply_outcome, serve_frame};
-use crate::stats::{bump, emit_cache_hit, maybe_sample};
+use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
 use rafda_vm::{NetFailure, NetFailureKind, Value, VmError};
-use rafda_wire::{Protocol, Reply, Request};
+use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
 
 /// How many property values each node's proxy-side cache holds. Bounded
 /// FIFO like the reply cache; a modest cap keeps the per-node footprint
@@ -53,10 +53,7 @@ pub(crate) fn proxy_call(
     let proto = info.proto.clone().expect("hooked on a proxy");
     let (mut target, mut oid) =
         read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let mut wire_args = Vec::with_capacity(args.len().saturating_sub(1));
-    for a in &args[1..] {
-        wire_args.push(marshal::value_to_wire(shared, node, a).map_err(VmError::Native)?);
-    }
+    let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
     let method = format!("{method_name}@{}", sig.0);
     let base_name = shared.universe.class(info.base).name.clone();
     // Property-cache fast path: a cacheable getter whose cached tag still
@@ -64,13 +61,7 @@ pub(crate) fn proxy_call(
     // no clock advance. Coherence rests on the tag check: every mutation
     // on the owner bumps the version, so a hit can never observe a value
     // older than the last write the owner served.
-    let is_getter = shared
-        .plan
-        .family(info.base)
-        .is_some_and(|f| match info.side {
-            Side::Obj => f.getters.contains(&sig),
-            Side::Cls => f.static_getters.contains(&sig),
-        });
+    let is_getter = getter_sigs(shared, node.0, recv).contains(&sig);
     // Replica-read fast path (E15): getters of `reads from replicas`
     // classes are served from this node's own replica copy when — and only
     // when — the copy carries the owner's *current* property version. The
@@ -99,22 +90,8 @@ pub(crate) fn proxy_call(
         match cached {
             Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
                 bump(shared, node.0, Met::CacheHits);
-                // A zero-duration exchange span keeps the read visible in
-                // traces, tagged as served from the property cache.
-                let now = shared.net.now().as_ns();
-                let ctx = {
-                    let mut spans = shared.spans.borrow_mut();
-                    let h = spans.start_span("rpc.call", node.0, now);
-                    spans.set_attr(h, "class", base_name.as_str());
-                    spans.set_attr(h, "method", method.clone());
-                    spans.set_attr(h, "protocol", proto.as_str());
-                    spans.set_attr(h, "from", node.0);
-                    spans.set_attr(h, "to", target);
-                    spans.set_attr(h, "cached", true);
-                    spans.end_span(h, now, SpanOutcome::Ok);
-                    spans.context_of(h)
-                };
-                emit_cache_hit(shared, node, (target, oid), ctx);
+                let labels = [base_name.as_str(), method.as_str(), proto.as_str()];
+                record_local_read(shared, node, (target, oid), labels, "cached");
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -228,20 +205,21 @@ pub(crate) fn proxy_call(
             }
             marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
         }
-        Reply::Exception { class, fields } => {
-            let exc_class = shared
-                .universe
-                .by_name(&class)
-                .ok_or_else(|| VmError::Native(format!("unknown exception class {class}")))?;
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
-            }
-            let h = vm.alloc_raw(exc_class, values);
-            Err(VmError::Exception(h))
-        }
+        Reply::Exception { class, fields } => Err(rethrow(shared, node, &class, &fields)),
         Reply::Fault(m) => Err(VmError::Native(m)),
         Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to a call".into())),
+    }
+}
+
+/// Re-materialise an exception a remote call threw as a local exception
+/// object on `node` — or the reason it could not be.
+pub(crate) fn rethrow(shared: &Shared, node: NodeId, class: &str, fields: &[WireValue]) -> VmError {
+    let Some(exc_class) = shared.universe.by_name(class) else {
+        return VmError::Native(format!("unknown exception class {class}"));
+    };
+    match marshal::wire_to_values(shared, node, fields) {
+        Ok(values) => VmError::Exception(shared.vms[node.0 as usize].alloc_raw(exc_class, values)),
+        Err(m) => VmError::Native(m),
     }
 }
 
@@ -300,18 +278,21 @@ pub(crate) fn rpc(
     result
 }
 
-/// The span name of an exchange for one request kind.
-fn req_span_name(req: &Request) -> (&'static str, &'static str) {
-    match req {
-        Request::Call { .. } => ("rpc.call", "serve.call"),
-        Request::Create { .. } => ("rpc.create", "serve.create"),
-        Request::Discover { .. } => ("rpc.discover", "serve.discover"),
-        Request::Fetch { .. } => ("rpc.fetch", "serve.fetch"),
-        Request::Install { .. } => ("rpc.install", "serve.install"),
-        Request::Forward { .. } => ("rpc.forward", "serve.forward"),
-        Request::ReplicaSync { .. } => ("rpc.replica", "serve.replica"),
-        Request::Promote { .. } => ("rpc.promote", "serve.promote"),
-        Request::Batch(..) => ("rpc.batch", "serve.batch"),
+/// The span names of an exchange for one request kind: the client's
+/// exchange span and the server's dispatch span. Keyed by the discriminant
+/// a borrowed frame header carries, so even a dedup-hit replay (which never
+/// builds the owned request) records a correctly named serve span.
+pub(crate) fn span_names(kind: RequestKind) -> (&'static str, &'static str) {
+    match kind {
+        RequestKind::Call => ("rpc.call", "serve.call"),
+        RequestKind::Create => ("rpc.create", "serve.create"),
+        RequestKind::Discover => ("rpc.discover", "serve.discover"),
+        RequestKind::Fetch => ("rpc.fetch", "serve.fetch"),
+        RequestKind::Install => ("rpc.install", "serve.install"),
+        RequestKind::Forward => ("rpc.forward", "serve.forward"),
+        RequestKind::ReplicaSync => ("rpc.replica", "serve.replica"),
+        RequestKind::Promote => ("rpc.promote", "serve.promote"),
+        RequestKind::Batch => ("rpc.batch", "serve.batch"),
     }
 }
 
@@ -355,7 +336,7 @@ fn rpc_inner(
 ) -> Result<(Reply, u64), VmError> {
     let msg_id = shared.next_msg_id.get();
     shared.next_msg_id.set(msg_id + 1);
-    let (exch_name, _) = req_span_name(req);
+    let (exch_name, _) = span_names(RequestKind::of(req));
     // The exchange span covers the whole request/reply exchange, retries
     // included. Its context travels in the frame header — the frame is
     // encoded once and retransmitted verbatim, so the wire cannot carry

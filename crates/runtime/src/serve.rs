@@ -4,15 +4,16 @@
 
 use crate::cluster::{
     bump_version, cache_import, cached_import, default_instance, discover_value, export,
-    is_local_impl, lookup_export, proxy_class_for, read_proxy_state, relocate, version_of, Shared,
-    Side,
+    getter_sigs, is_local_impl, is_proxy, lookup_export, proxy_class_for, read_proxy_state,
+    relocate, remote_ref, version_of, Shared,
 };
 use crate::directory::Why;
 use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::{sync_replicas, AppFrame};
+use crate::rpc::span_names;
 use crate::stats::{bump, monitors_on};
-use rafda_classmodel::SigId;
+use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
 use rafda_telemetry::{MonitorEvent, SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
@@ -45,23 +46,6 @@ pub(crate) fn serve_request(
 ) -> (Reply, TraceContext, u64) {
     let kind = RequestKind::of(&req);
     serve_core(shared, node, caller, msg_id, ctx, kind, move |_| Ok(req))
-}
-
-/// The `serve.*` span name of one request discriminant. Decodable from a
-/// borrowed frame header, so even a dedup-hit replay (which never builds
-/// the owned request) records a correctly named span.
-fn serve_span_name(kind: RequestKind) -> &'static str {
-    match kind {
-        RequestKind::Call => "serve.call",
-        RequestKind::Create => "serve.create",
-        RequestKind::Discover => "serve.discover",
-        RequestKind::Fetch => "serve.fetch",
-        RequestKind::Install => "serve.install",
-        RequestKind::Forward => "serve.forward",
-        RequestKind::ReplicaSync => "serve.replica",
-        RequestKind::Promote => "serve.promote",
-        RequestKind::Batch => "serve.batch",
-    }
 }
 
 /// Serve a delivered frame: the dedup decision is made on the borrowed
@@ -100,13 +84,27 @@ fn serve_core(
     kind: RequestKind,
     materialise: impl FnOnce(&Shared) -> Result<Request, String>,
 ) -> (Reply, TraceContext, u64) {
-    let serve_name = serve_span_name(kind);
+    let (_, serve_name) = span_names(kind);
     let (span, reply_ctx) = {
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_server_span(serve_name, node.0, shared.net.now().as_ns(), ctx);
         spans.set_attr(h, "caller", caller.0);
         let reply_ctx = spans.context_of(h);
         (h, reply_ctx)
+    };
+    // Tell the at-most-once monitor this frame was answered: by running the
+    // request, or (`replay`) from the reply cache.
+    let executed = |replay: bool| {
+        if monitors_on(shared) {
+            shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
+                node: node.0,
+                caller: caller.0,
+                msg_id,
+                replay,
+                span_id: reply_ctx.span_id,
+                trace_id: reply_ctx.trace_id,
+            });
+        }
     };
     let key = (caller.0, msg_id);
     let cached = shared.nodes.borrow()[node.0 as usize]
@@ -126,16 +124,7 @@ fn serve_core(
             spans.set_attr(span, "cached", true);
             spans.end_span(span, shared.net.now().as_ns(), reply_outcome(&reply));
         }
-        if monitors_on(shared) {
-            shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
-                node: node.0,
-                caller: caller.0,
-                msg_id,
-                replay: true,
-                span_id: reply_ctx.span_id,
-                trace_id: reply_ctx.trace_id,
-            });
-        }
+        executed(true);
         return (reply, reply_ctx, obj_version);
     }
     let req = match materialise(shared) {
@@ -168,16 +157,7 @@ fn serve_core(
         |shared: &Shared| versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
     let reply = handle_request(shared, node, caller, req);
     let obj_version = version_now(shared);
-    if monitors_on(shared) {
-        shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
-            node: node.0,
-            caller: caller.0,
-            msg_id,
-            replay: false,
-            span_id: reply_ctx.span_id,
-            trace_id: reply_ctx.trace_id,
-        });
-    }
+    executed(false);
     {
         let mut nodes = shared.nodes.borrow_mut();
         let state = &mut nodes[node.0 as usize];
@@ -255,24 +235,14 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // (setters, init$k, arbitrary methods), so it bumps the property
             // version and invalidates every proxy-side cached read. Objects
             // whose class cannot be resolved bump conservatively.
-            let is_getter = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .and_then(|info| shared.plan.family(info.base).map(|f| (f, info.side)))
-                .is_some_and(|(f, side)| match side {
-                    Side::Obj => f.getters.contains(&sig),
-                    Side::Cls => f.static_getters.contains(&sig),
-                });
+            let is_getter = getter_sigs(shared, node.0, h).contains(&sig);
             if !is_getter {
                 bump_version(shared, node.0, object);
             }
-            let mut values = Vec::with_capacity(args.len());
-            for a in &args {
-                match marshal::wire_to_value(shared, node, a) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
+            let values = match marshal::wire_to_values(shared, node, &args) {
+                Ok(values) => values,
+                Err(m) => return Reply::Fault(m),
+            };
             let reply = {
                 // Non-getter app code runs under an app frame: any nested
                 // exchange it makes probes this node's replicated state
@@ -315,11 +285,8 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // Replicate the freshly created object at once: an owner that
             // crashes before serving any call must not take it along.
             sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class: shared.universe.class(family.obj_local).name.clone(),
-            })
+            let class = shared.universe.class(family.obj_local).name.clone();
+            exported(node, oid, class)
         }
         Request::Discover { class } => {
             bump(shared, node.0, Met::RpcDiscovers);
@@ -334,24 +301,11 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     // with the copy's real location instead of exporting
                     // the proxy, which would add a pointless double hop
                     // (and re-anchor the singleton to this node).
-                    let is_proxy = shared
-                        .gen_info
-                        .get(&rt_class)
-                        .is_some_and(|i| i.proto.is_some());
-                    if is_proxy {
-                        if let Some((tn, toid)) = read_proxy_state(vm, h) {
-                            let class = lookup_export(shared, NodeId(tn), toid)
-                                .and_then(|th| shared.vms[tn as usize].class_of(th))
-                                .map(|c| shared.universe.class(c).name.clone());
-                            if let Some(class) = class {
-                                return Reply::Value(WireValue::Remote {
-                                    node: tn,
-                                    object: toid,
-                                    class,
-                                });
-                            }
-                        }
-                        return Reply::Fault(format!("promoted singleton of {class} vanished"));
+                    if is_proxy(shared, node.0, h) {
+                        return match read_proxy_state(vm, h).and_then(|at| remote_ref(shared, at)) {
+                            Some(r) => Reply::Value(r),
+                            None => Reply::Fault(format!("promoted singleton of {class} vanished")),
+                        };
                     }
                     let oid = export(shared, node, h);
                     // Record the canonical export the first time the
@@ -362,11 +316,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                         .borrow_mut()
                         .canonical_static(&class, (node.0, oid));
                     sync_replicas(shared, node, oid);
-                    Reply::Value(WireValue::Remote {
-                        node: node.0,
-                        object: oid,
-                        class: shared.universe.class(rt_class).name.clone(),
-                    })
+                    exported(node, oid, shared.universe.class(rt_class).name.clone())
                 }
                 Ok(other) => Reply::Fault(format!("discover returned {other}")),
                 Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
@@ -381,17 +331,13 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some((class, fields)) = vm.read_object(h) else {
                 return Reply::Fault("stale export".into());
             };
-            let mut wire_fields = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::value_to_wire(shared, node, f) {
-                    Ok(wv) => wire_fields.push(wv),
-                    Err(m) => return Reply::Fault(m),
-                }
+            match marshal::values_to_wire(shared, node, &fields) {
+                Ok(fields) => Reply::Value(WireValue::ObjectState {
+                    class: shared.universe.class(class).name.clone(),
+                    fields,
+                }),
+                Err(m) => Reply::Fault(m),
             }
-            Reply::Value(WireValue::ObjectState {
-                class: shared.universe.class(class).name.clone(),
-                fields: wire_fields,
-            })
         }
         Request::Install { state, source } => {
             bump(shared, node.0, Met::RpcInstalls);
@@ -401,34 +347,12 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some(class_id) = shared.universe.by_name(&class) else {
                 return Reply::Fault(format!("unknown class {class}"));
             };
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::wire_to_value(shared, node, f) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
-            // If this node already holds a proxy for the migrating object,
-            // rewrite it in place — existing local references then see the
-            // object as local, with no double hop through the old owner.
-            let existing = source.and_then(|(n, o)| cached_import(shared, node, n, o));
-            let h = match existing {
-                Some(ph) if vm.class_of(ph).is_some() => {
-                    vm.replace_object(ph, class_id, values);
-                    ph
-                }
-                _ => vm.alloc_raw(class_id, values),
+            let oid = match land(shared, node, class_id, &fields, source) {
+                Ok(oid) => oid,
+                Err(m) => return Reply::Fault(m),
             };
-            let oid = export(shared, node, h);
-            // Freshly installed state supersedes anything cached about a
-            // previous export under this id.
-            bump_version(shared, node.0, oid);
             sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class,
-            })
+            exported(node, oid, class)
         }
         Request::Forward {
             object,
@@ -486,17 +410,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // stands in for the promotion registry a real system would
             // replicate alongside the data.
             let recorded = shared.directory.borrow().recorded_home(key);
-            if let Some((hn, hoid)) = recorded {
-                let home_vm = &shared.vms[hn as usize];
-                let class = lookup_export(shared, NodeId(hn), hoid)
-                    .and_then(|h| home_vm.class_of(h))
-                    .map(|c| shared.universe.class(c).name.clone());
-                return match class {
-                    Some(class) => Reply::Value(WireValue::Remote {
-                        node: hn,
-                        object: hoid,
-                        class,
-                    }),
+            if let Some(home) = recorded {
+                return match remote_ref(shared, home) {
+                    Some(r) => Reply::Value(r),
                     None => {
                         Reply::Fault(format!("promoted copy of {old_node}#{old_object} vanished"))
                     }
@@ -511,38 +427,16 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some(class_id) = shared.universe.by_name(&class) else {
                 return Reply::Fault(format!("unknown class {class}"));
             };
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::wire_to_value(shared, node, f) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
-            // Like Install: a proxy this node already holds for the dead
-            // primary is rewritten in place, so existing local references
-            // see the promoted copy as local.
-            let existing = cached_import(shared, node, old_node, old_object);
-            let h = match existing {
-                Some(ph) if vm.class_of(ph).is_some() => {
-                    vm.replace_object(ph, class_id, values);
-                    ph
-                }
-                _ => vm.alloc_raw(class_id, values),
+            let oid = match land(shared, node, class_id, &fields, Some(key)) {
+                Ok(oid) => oid,
+                Err(m) => return Reply::Fault(m),
             };
-            let oid = export(shared, node, h);
-            // The promoted copy supersedes anything cached about either
-            // location.
-            bump_version(shared, node.0, oid);
             relocate(shared, key, (node.0, oid), Why::Promoted);
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
             // second crash before the next mutation still loses nothing.
             sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class,
-            })
+            exported(node, oid, class)
         }
         Request::Batch(ops) => {
             // Apply in order under the enclosing message id: the batch was
@@ -565,21 +459,54 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
     }
 }
 
+/// The reply that hands the caller a reference to export `oid` of `node`.
+fn exported(node: NodeId, oid: u64, class: String) -> Reply {
+    Reply::Value(WireValue::Remote {
+        node: node.0,
+        object: oid,
+        class,
+    })
+}
+
+/// Land an object's marshalled `fields` on `node` and return its export
+/// id. If the node already holds a proxy for the object's previous
+/// location `prior`, that proxy is rewritten in place — existing local
+/// references then see the object as local, with no double hop through the
+/// old owner. The landed state supersedes anything cached about a previous
+/// export under the same id, so its version is bumped.
+fn land(
+    shared: &Shared,
+    node: NodeId,
+    class: ClassId,
+    fields: &[WireValue],
+    prior: Option<(u32, u64)>,
+) -> Result<u64, String> {
+    let vm = &shared.vms[node.0 as usize];
+    let values = marshal::wire_to_values(shared, node, fields)?;
+    let existing = prior.and_then(|(n, o)| cached_import(shared, node, n, o));
+    let h = match existing {
+        Some(ph) if vm.class_of(ph).is_some() => {
+            vm.replace_object(ph, class, values);
+            ph
+        }
+        _ => vm.alloc_raw(class, values),
+    };
+    let oid = export(shared, node, h);
+    bump_version(shared, node.0, oid);
+    Ok(oid)
+}
+
 fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Reply {
     let vm = &shared.vms[node.0 as usize];
     let Some((class, fields)) = vm.read_object(exc) else {
         return Reply::Fault("stale exception".into());
     };
-    let mut wire_fields = Vec::with_capacity(fields.len());
-    for f in &fields {
-        match marshal::value_to_wire(shared, node, f) {
-            Ok(wv) => wire_fields.push(wv),
-            Err(m) => return Reply::Fault(m),
-        }
-    }
-    Reply::Exception {
-        class: shared.universe.class(class).name.clone(),
-        fields: wire_fields,
+    match marshal::values_to_wire(shared, node, &fields) {
+        Ok(fields) => Reply::Exception {
+            class: shared.universe.class(class).name.clone(),
+            fields,
+        },
+        Err(m) => Reply::Fault(m),
     }
 }
 

@@ -8,7 +8,7 @@ use crate::directory::VERSION_TOMBSTONE;
 use crate::obs::{Met, RuntimeStats};
 use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
-use rafda_telemetry::{standard_monitors, MonitorEvent, TraceContext, Violation};
+use rafda_telemetry::{standard_monitors, MonitorEvent, SpanOutcome, Violation};
 use rafda_vm::Value;
 use rafda_wire::WireValue;
 use std::fmt;
@@ -218,32 +218,19 @@ impl Cluster {
                 continue;
             }
             for oid in dir.affinity(n).into_iter().map(|a| a.oid) {
-                let fail = |message: String| Violation {
+                // Whatever the id resolves to — a live export or the stub a
+                // move left behind — must be the object itself, not a proxy.
+                let what = match dir.lookup((n, oid)) {
+                    Some(h) if is_local_impl(shared, n, h) => continue,
+                    Some(_) => format!("references moved-away export {oid}"),
+                    None => format!("for vanished export {oid}"),
+                };
+                out.push(Violation {
                     monitor: "stale-affinity",
-                    message,
+                    message: format!("node {n}: affinity counter {what}"),
                     span_id: 0,
                     trace_id: 0,
-                };
-                match dir.live_export((n, oid)) {
-                    // A demoted entry (the object moved away) is a
-                    // forwarding stub now; report it exactly as the
-                    // forwarding proxy it is, not as a vanished export.
-                    None if dir.lookup((n, oid)).is_some() => out.push(fail(format!(
-                        "node {n}: affinity counter references \
-                         moved-away export {oid}"
-                    ))),
-                    None => out.push(fail(format!(
-                        "node {n}: affinity counter for vanished export {oid}"
-                    ))),
-                    Some(h) => {
-                        if !is_local_impl(shared, n, h) {
-                            out.push(fail(format!(
-                                "node {n}: affinity counter references \
-                                 moved-away export {oid}"
-                            )));
-                        }
-                    }
-                }
+                });
             }
         }
         out
@@ -307,12 +294,32 @@ pub(crate) fn monitors_on(shared: &Shared) -> bool {
     shared.obs.borrow().monitors.is_some()
 }
 
-/// Tell the monitors that `node` served a read of the object at `loc`
-/// without asking its owner. The hit is a stale read when the
-/// authoritative object has moved: the export now forwards, or a recorded
-/// move re-homed it. A merely *missing* export (restart amnesia) is
-/// legitimate — the version survived, the state did not move.
-pub(crate) fn emit_cache_hit(shared: &Shared, node: NodeId, loc: (u32, u64), ctx: TraceContext) {
+/// Record that `node` served a read of the object at `loc` without asking
+/// its owner. A zero-duration `rpc.call` span tagged `how` keeps the read
+/// visible in traces, and the monitors hear of it: the hit is a stale read
+/// when the authoritative object has moved — the export now forwards, or a
+/// recorded move re-homed it. A merely *missing* export (restart amnesia)
+/// is legitimate: the version survived, the state did not move.
+pub(crate) fn record_local_read(
+    shared: &Shared,
+    node: NodeId,
+    loc: (u32, u64),
+    [class, method, proto]: [&str; 3],
+    how: &'static str,
+) {
+    let now = shared.net.now().as_ns();
+    let ctx = {
+        let mut spans = shared.spans.borrow_mut();
+        let h = spans.start_span("rpc.call", node.0, now);
+        spans.set_attr(h, "class", class);
+        spans.set_attr(h, "method", method.to_owned());
+        spans.set_attr(h, "protocol", proto);
+        spans.set_attr(h, "from", node.0);
+        spans.set_attr(h, "to", loc.0);
+        spans.set_attr(h, how, true);
+        spans.end_span(h, now, SpanOutcome::Ok);
+        spans.context_of(h)
+    };
     if !monitors_on(shared) {
         return;
     }
@@ -333,8 +340,9 @@ pub(crate) fn emit_cache_hit(shared: &Shared, node: NodeId, loc: (u32, u64), ctx
 
 /// This node's share of the wire-layer counters: signature interning
 /// refs/defs and encode-buffer reuses on links it is the sender of (the
-/// sender owns the encode state, so the work is charged to it).
-fn per_node_wire(shared: &Shared, node: u32) -> (u64, u64, u64) {
+/// sender owns the encode state, so the work is charged to it), in the
+/// order of [`WIRE_METRIC_NAMES`].
+fn per_node_wire(shared: &Shared, node: u32) -> [u64; 3] {
     let tables = shared.sig_tables.borrow();
     let (mut refs, mut defs) = (0, 0);
     for ((from, _), table) in tables.iter() {
@@ -344,17 +352,21 @@ fn per_node_wire(shared: &Shared, node: u32) -> (u64, u64, u64) {
         }
     }
     let reuses = shared.wire_bufs.borrow().reuses_from(NodeId(node));
-    (refs, defs, reuses)
+    [refs, defs, reuses]
+}
+
+/// [`per_node_wire`] for every node.
+fn wire_rows(shared: &Shared) -> Vec<[u64; 3]> {
+    (0..shared.vms.len() as u32)
+        .map(|n| per_node_wire(shared, n))
+        .collect()
 }
 
 /// One node's [`RuntimeStats`] view: the registry snapshot plus its share
 /// of the wire-layer counters.
 pub(crate) fn node_stats_of(shared: &Shared, node: u32) -> RuntimeStats {
     let mut stats = shared.obs.borrow().snapshot(node as usize);
-    let (refs, defs, reuses) = per_node_wire(shared, node);
-    stats.sig_refs = refs;
-    stats.sig_defs = defs;
-    stats.wire_buf_reuses = reuses;
+    [stats.sig_refs, stats.sig_defs, stats.wire_buf_reuses] = per_node_wire(shared, node);
     stats
 }
 
@@ -368,8 +380,7 @@ pub(crate) fn merged_stats(shared: &Shared) -> RuntimeStats {
     total
 }
 
-/// The names of the wire-layer counters appended to both exports, in the
-/// order of the [`per_node_wire`] tuple.
+/// The names of the wire-layer counters appended to both exports.
 const WIRE_METRIC_NAMES: [&str; 3] = [
     "rafda_sig_refs_total",
     "rafda_sig_defs_total",
@@ -381,12 +392,7 @@ const WIRE_METRIC_NAMES: [&str; 3] = [
 pub(crate) fn prometheus_text_of(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = shared.obs.borrow().reg.prometheus_text();
-    let wire: Vec<[u64; 3]> = (0..shared.vms.len() as u32)
-        .map(|n| {
-            let (refs, defs, reuses) = per_node_wire(shared, n);
-            [refs, defs, reuses]
-        })
-        .collect();
+    let wire = wire_rows(shared);
     for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
         let _ = writeln!(out, "# TYPE {name} counter");
         for (node, row) in wire.iter().enumerate() {
@@ -402,12 +408,7 @@ pub(crate) fn metrics_json_of(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let obs = shared.obs.borrow();
     let mut out = obs.reg.json_lines();
-    let wire: Vec<[u64; 3]> = (0..shared.vms.len() as u32)
-        .map(|n| {
-            let (refs, defs, reuses) = per_node_wire(shared, n);
-            [refs, defs, reuses]
-        })
-        .collect();
+    let wire = wire_rows(shared);
     for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
         for (node, row) in wire.iter().enumerate() {
             let _ = writeln!(
@@ -498,11 +499,10 @@ fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
             let Some((class, values)) = vm.read_object(h) else {
                 continue;
             };
-            match shared.gen_info.get(&class) {
-                Some(info) if info.proto.is_none() => {}
-                // The export forwards (or is untransformed): the primary's
-                // authoritative copy lives elsewhere now.
-                _ => continue,
+            // The export forwards (or is untransformed): the primary's
+            // authoritative copy lives elsewhere now.
+            if !is_local_impl(shared, owner, h) {
+                continue;
             }
             let state_matches = if *backup_version == owner_version {
                 *class_name == shared.universe.class(class).name
