@@ -19,6 +19,21 @@ if [ "$test_elapsed" -gt "$TEST_BUDGET_SECS" ]; then
   exit 1
 fi
 
+echo "== benchmark package (own workspace: fmt, clippy, self-tests, smoke) =="
+# benchmark/ is a workspace of its own, so nothing above compiles it: an
+# API slip in crates/ that only the benchmark exercises would go unseen.
+benchmark/check.sh
+
+echo "== location tables are touched only by the Directory =="
+# Where objects live is one type's business (crates/runtime/src/directory.rs).
+# A field access on one of its tables anywhere else in the runtime means a
+# table has leaked back out.
+if grep -rnE '\.(versions|homes|statics_exports|shards|dirty|export_ids|forwards|replicated|synced_versions|call_counts)\b' \
+    crates/runtime/src --exclude=directory.rs; then
+  echo "FAIL: location-table access outside directory.rs" >&2
+  exit 1
+fi
+
 echo "== benches compile (not run) =="
 # Criterion benches are exercised manually (EXPERIMENTS.md); CI only
 # guarantees they still build against the current API.

@@ -113,10 +113,13 @@ pub(crate) fn values_to_wire(
     node: NodeId,
     values: &[Value],
 ) -> Result<Vec<WireValue>, String> {
-    values
-        .iter()
-        .map(|v| value_to_wire(shared, node, v))
-        .collect()
+    // Sized up front: collecting through `Result` would grow by doubling,
+    // and the result often becomes a long-lived object's field vector.
+    let mut out = Vec::with_capacity(values.len());
+    for v in values {
+        out.push(value_to_wire(shared, node, v)?);
+    }
+    Ok(out)
 }
 
 /// [`wire_to_value`] over a slice, in order, stopping at the first error.
@@ -125,9 +128,11 @@ pub(crate) fn wire_to_values(
     node: NodeId,
     wire: &[WireValue],
 ) -> Result<Vec<Value>, String> {
-    wire.iter()
-        .map(|w| wire_to_value(shared, node, w))
-        .collect()
+    let mut out = Vec::with_capacity(wire.len());
+    for w in wire {
+        out.push(wire_to_value(shared, node, w)?);
+    }
+    Ok(out)
 }
 
 fn logical_class_name(shared: &Shared, base: rafda_classmodel::ClassId, side: Side) -> String {
