@@ -853,21 +853,23 @@ pub(crate) fn export(shared: &Shared, node: NodeId, h: Handle) -> u64 {
     oid
 }
 
+/// What the runtime knows about the class of `h` on `node`, if it is a
+/// generated one.
+pub(crate) fn info_of(shared: &Shared, node: u32, h: Handle) -> Option<&GenInfo> {
+    let class = shared.vms[node as usize].class_of(h)?;
+    shared.gen_info.get(&class)
+}
+
 /// Whether `h` on `node` is a locally implemented generated object — the
 /// real thing, not a proxy for it.
 pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
-    shared.vms[node as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
-        .is_some_and(|info| info.proto.is_none())
+    info_of(shared, node, h).is_some_and(|info| info.proto.is_none())
 }
 
 /// Whether `h` on `node` is a locally implemented instance of a class the
 /// policy replicates — the only kind of export that ever ships state.
 fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
-    shared.vms[node as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
+    info_of(shared, node, h)
         .filter(|info| info.proto.is_none())
         .is_some_and(|info| {
             let base_name = &shared.universe.class(info.base).name;
@@ -877,10 +879,7 @@ fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
 
 /// Whether `h` on `node` is a generated proxy.
 pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
-    shared.vms[node as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
-        .is_some_and(|info| info.proto.is_some())
+    info_of(shared, node, h).is_some_and(|info| info.proto.is_some())
 }
 
 /// The location an exported proxy `h` on `node` addresses; `None` for
@@ -966,19 +965,20 @@ fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) ->
     let Some(h) = recv.as_ref_handle() else {
         return false;
     };
-    getter_sigs(shared, node.0, h)
-        .iter()
-        .any(|&g| shared.universe.sig_info(g).name == method)
+    info_of(shared, node.0, h).is_some_and(|info| {
+        getter_sigs(shared, info)
+            .iter()
+            .any(|&g| shared.universe.sig_info(g).name == method)
+    })
 }
 
-/// The property-getter signatures of the generated class behind `h` on
-/// `node` — the calls that cannot mutate it. Empty for anything else.
-pub(crate) fn getter_sigs(shared: &Shared, node: u32, h: Handle) -> &[SigId] {
-    shared.vms[node as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
-        .and_then(|info| shared.plan.family(info.base).map(|f| (f, info.side)))
-        .map_or(&[], |(f, side)| match side {
+/// The property-getter signatures of a generated class — the calls that
+/// cannot mutate an instance of it.
+pub(crate) fn getter_sigs<'a>(shared: &'a Shared, info: &GenInfo) -> &'a [SigId] {
+    shared
+        .plan
+        .family(info.base)
+        .map_or(&[], |f| match info.side {
             Side::Obj => &f.getters,
             Side::Cls => &f.static_getters,
         })

@@ -4,7 +4,8 @@
 //! optional live invariant monitors.
 //!
 //! [`RuntimeStats`] is not a bag of counters that the runtime mutates
-//! directly — it is a *view* assembled from this registry ([`Obs::snapshot`] per node,
+//! directly — it is a *view* assembled from this registry
+//! ([`Obs::snapshot`] per node,
 //! [`Cluster::stats`](crate::Cluster::stats) as the documented merge).
 //! Every increment goes through a typed [`Counter`]/[`Histogram`] handle
 //! labeled with the node it is charged to, which is what makes the

@@ -287,7 +287,7 @@ pub(crate) fn replica_read(
     let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
     bump(shared, node.0, Met::ReplicaReads);
     // Under the E14 stale-read oracle like every other locally served read.
-    let labels = [base_name, method, proto];
-    record_local_read(shared, node, (owner, oid), labels, "replica_read");
+    let at = (owner, oid);
+    record_local_read(shared, node, at, base_name, method, proto, "replica_read");
     Ok(Some(result))
 }

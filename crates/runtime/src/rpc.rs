@@ -61,7 +61,7 @@ pub(crate) fn proxy_call(
     // no clock advance. Coherence rests on the tag check: every mutation
     // on the owner bumps the version, so a hit can never observe a value
     // older than the last write the owner served.
-    let is_getter = getter_sigs(shared, node.0, recv).contains(&sig);
+    let is_getter = getter_sigs(shared, &info).contains(&sig);
     // Replica-read fast path (E15): getters of `reads from replicas`
     // classes are served from this node's own replica copy when — and only
     // when — the copy carries the owner's *current* property version. The
@@ -90,8 +90,8 @@ pub(crate) fn proxy_call(
         match cached {
             Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
                 bump(shared, node.0, Met::CacheHits);
-                let labels = [base_name.as_str(), method.as_str(), proto.as_str()];
-                record_local_read(shared, node, (target, oid), labels, "cached");
+                let at = (target, oid);
+                record_local_read(shared, node, at, &base_name, &method, &proto, "cached");
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),

@@ -4,8 +4,8 @@
 
 use crate::cluster::{
     bump_version, cache_import, cached_import, default_instance, discover_value, export,
-    getter_sigs, is_local_impl, is_proxy, lookup_export, proxy_class_for, read_proxy_state,
-    relocate, remote_ref, version_of, Shared,
+    getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, proxy_class_for,
+    read_proxy_state, relocate, remote_ref, version_of, Shared,
 };
 use crate::directory::Why;
 use crate::marshal;
@@ -235,7 +235,8 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // (setters, init$k, arbitrary methods), so it bumps the property
             // version and invalidates every proxy-side cached read. Objects
             // whose class cannot be resolved bump conservatively.
-            let is_getter = getter_sigs(shared, node.0, h).contains(&sig);
+            let is_getter = info_of(shared, node.0, h)
+                .is_some_and(|info| getter_sigs(shared, info).contains(&sig));
             if !is_getter {
                 bump_version(shared, node.0, object);
             }

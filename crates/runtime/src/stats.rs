@@ -304,7 +304,9 @@ pub(crate) fn record_local_read(
     shared: &Shared,
     node: NodeId,
     loc: (u32, u64),
-    [class, method, proto]: [&str; 3],
+    class: &str,
+    method: &str,
+    proto: &str,
     how: &'static str,
 ) {
     let now = shared.net.now().as_ns();

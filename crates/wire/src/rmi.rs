@@ -31,14 +31,10 @@ pub(crate) const MAX_PREALLOC_OPS: usize = 256;
 /// `stateless` and `sigged` are the codec's two version bytes; any other
 /// byte is a frame no encoder produces, and is rejected.
 pub(crate) fn frame_is_sigged(version: u8, stateless: u8, sigged: u8) -> Result<bool, WireError> {
-    if version == stateless {
-        Ok(false)
-    } else if version == sigged {
-        Ok(true)
-    } else {
-        Err(WireError::new(format!(
-            "unsupported frame version {version}"
-        )))
+    match version {
+        v if v == stateless => Ok(false),
+        v if v == sigged => Ok(true),
+        v => Err(WireError::new(format!("unsupported frame version {v}"))),
     }
 }
 
