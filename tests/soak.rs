@@ -104,6 +104,26 @@ fn the_soak_report_is_deterministic() {
     assert!(a.contains("seed 7"), "{a}");
 }
 
+/// The seed-42 smoke-depth report is pinned to
+/// `tests/golden/soak_seed42_smoke.txt`: every change that promises
+/// "byte-identical per seed" is held to it here instead of by a hand diff.
+/// If a deliberate change moves a message count or a clock reading,
+/// regenerate the file by copying the `actual` dump this assertion prints.
+#[test]
+fn the_seed_42_smoke_report_matches_its_golden_file() {
+    let cfg = ChurnConfig::production_day(42, 10_000);
+    let schedule = generate_churn(&cfg);
+    let actual = run_schedule(&cfg, &schedule)
+        .expect("the seed-42 smoke soak is clean")
+        .to_string();
+    let golden = include_str!("golden/soak_seed42_smoke.txt");
+    assert_eq!(
+        actual.trim(),
+        golden.trim(),
+        "soak report drifted from the golden file;\nactual:\n{actual}"
+    );
+}
+
 /// The O(dirty) regression gate: a read-only steady phase must perform
 /// **zero** sweep probes. Getters never bump versions and never open app
 /// frames, so pure read traffic leaves the dirty set empty and the sweep
