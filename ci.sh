@@ -19,6 +19,13 @@ if [ "$test_elapsed" -gt "$TEST_BUDGET_SECS" ]; then
   exit 1
 fi
 
+echo "== soak gate on the release build =="
+# The tests above ran with debug assertions, where every replica probe the
+# written mark answers is re-checked against the full read-marshal-compare
+# probe. The benchmark times a release build, which trusts the mark: run
+# the oracle gate and the seed-42 golden report on that code path too.
+cargo test -q --release --locked --offline -p rafda --test soak
+
 echo "== benchmark package (own workspace: fmt, clippy, self-tests, smoke) =="
 # benchmark/ is a workspace of its own, so nothing above compiles it: an
 # API slip in crates/ that only the benchmark exercises would go unseen.

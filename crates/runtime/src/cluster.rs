@@ -44,6 +44,8 @@ pub(crate) struct GenInfo {
     pub side: Side,
     /// `Some(protocol)` for proxy classes, `None` for `*_Local`.
     pub proto: Option<String>,
+    /// How many backups the policy gives the base class (0: none).
+    pub replicas: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,51 +278,35 @@ impl Cluster {
                 protocols.insert(p.clone(), kind.codec());
             }
         }
+        // The policy is immutable from here on, so how many backups a class
+        // gets is resolved once per family instead of by name per probe.
         let mut gen_info = HashMap::new();
+        let mut any_replication = false;
         for family in plan.families.values() {
-            gen_info.insert(
-                family.obj_local,
-                GenInfo {
-                    base: family.base,
-                    side: Side::Obj,
-                    proto: None,
-                },
-            );
-            for (p, c) in &family.obj_proxies {
+            let replicas = policy.replicas(&universe.class(family.base).name);
+            any_replication |= replicas > 0;
+            let mut add = |class: ClassId, side: Side, proto: Option<&String>| {
                 gen_info.insert(
-                    *c,
+                    class,
                     GenInfo {
                         base: family.base,
-                        side: Side::Obj,
-                        proto: Some(p.clone()),
+                        side,
+                        proto: proto.cloned(),
+                        replicas,
                     },
                 );
+            };
+            add(family.obj_local, Side::Obj, None);
+            for (p, c) in &family.obj_proxies {
+                add(*c, Side::Obj, Some(p));
             }
             if let Some(cl) = family.cls_local {
-                gen_info.insert(
-                    cl,
-                    GenInfo {
-                        base: family.base,
-                        side: Side::Cls,
-                        proto: None,
-                    },
-                );
+                add(cl, Side::Cls, None);
             }
             for (p, c) in &family.cls_proxies {
-                gen_info.insert(
-                    *c,
-                    GenInfo {
-                        base: family.base,
-                        side: Side::Cls,
-                        proto: Some(p.clone()),
-                    },
-                );
+                add(*c, Side::Cls, Some(p));
             }
         }
-        let any_replication = plan
-            .families
-            .values()
-            .any(|f| policy.replicas(&universe.class(f.base).name) > 0);
         let any_sharding = plan
             .families
             .values()
@@ -869,12 +855,7 @@ pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
 /// Whether `h` on `node` is a locally implemented instance of a class the
 /// policy replicates — the only kind of export that ever ships state.
 fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
-    info_of(shared, node, h)
-        .filter(|info| info.proto.is_none())
-        .is_some_and(|info| {
-            let base_name = &shared.universe.class(info.base).name;
-            shared.policy.replicas(base_name) > 0
-        })
+    info_of(shared, node, h).is_some_and(|info| info.proto.is_none() && info.replicas > 0)
 }
 
 /// Whether `h` on `node` is a generated proxy.

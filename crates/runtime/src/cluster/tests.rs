@@ -174,16 +174,9 @@ fn repeat_calls_intern_signatures_and_reuse_buffers() {
     );
 }
 
-/// Regression for a lost-update hazard the replica-divergence monitor
-/// exposed: when a caller promotes a backup *onto itself*, [`failover`]
-/// materialises the object in the caller's own VM, and every later call
-/// on it is a plain local invocation — no serve, no version bump, no
-/// [`sync_replicas`]. Before the dirty-replica sweep, the backups froze
-/// at the promotion-time state forever, so a second crash would have
-/// resurrected stale state. The sweep at the next exchange must bump
-/// the version and re-ship the drifted state.
-#[test]
-fn local_mutations_after_self_promotion_reach_the_backups() {
+/// Three nodes running two copies, `CA` and `CB`, of the counter class
+/// `{ int v; int add(int d) }`.
+fn deployed_counters(seed: u64, policy: StaticPolicy) -> Cluster {
     let mut u = ClassUniverse::new();
     for name in ["CA", "CB"] {
         let c = u.declare(name, ClassKind::Class);
@@ -202,12 +195,25 @@ fn local_mutations_after_self_promotion_reach_the_backups() {
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    Cluster::new(u, outcome.plan, 3, seed, Box::new(policy))
+}
+
+/// Regression for a lost-update hazard the replica-divergence monitor
+/// exposed: when a caller promotes a backup *onto itself*, [`failover`]
+/// materialises the object in the caller's own VM, and every later call
+/// on it is a plain local invocation — no serve, no version bump, no
+/// [`sync_replicas`]. Before the dirty-replica sweep, the backups froze
+/// at the promotion-time state forever, so a second crash would have
+/// resurrected stale state. The sweep at the next exchange must bump
+/// the version and re-ship the drifted state.
+#[test]
+fn local_mutations_after_self_promotion_reach_the_backups() {
     let policy = StaticPolicy::new()
         .place("CA", Placement::Node(NodeId(1)))
         .place("CB", Placement::Node(NodeId(2)))
         .replicate("CA", 1)
         .replicate("CB", 1);
-    let cluster = Cluster::new(u, outcome.plan, 3, 260, Box::new(policy));
+    let cluster = deployed_counters(260, policy);
     cluster.enable_monitors();
     let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
     let b = cluster.new_instance(NodeId(0), "CB", 0, vec![]).unwrap();
@@ -234,6 +240,240 @@ fn local_mutations_after_self_promotion_reach_the_backups() {
         .next()
         .expect("the promoted object keeps a backup");
     assert_eq!(backup.2, vec![WireValue::Int(-7)], "backup holds -4-3");
+}
+
+/// `CA` replicated k = 2 with its home on node 1, `CB` unreplicated on
+/// node 2; one `CA` instance warmed to `v = 5` and pulled into node 0's
+/// VM, where calls on it are plain local calls. Returns the cluster, the
+/// pulled object, a `CB` proxy (any call on it is an exchange from node 0)
+/// and the pulled object's export id on node 0, all settled.
+fn pulled_counter(seed: u64) -> (Cluster, Value, Value, u64) {
+    let policy = StaticPolicy::new()
+        .place("CA", Placement::Node(NodeId(1)))
+        .place("CB", Placement::Node(NodeId(2)))
+        .replicate("CA", 2);
+    let cluster = deployed_counters(seed, policy);
+    cluster.enable_monitors();
+    let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
+    let b = cluster.new_instance(NodeId(0), "CB", 0, vec![]).unwrap();
+    let add5 = cluster.call_method(NodeId(0), a.clone(), "add", vec![Value::Int(5)]);
+    assert_eq!(add5.unwrap(), Value::Int(5));
+    let pulled = cluster
+        .pull_local(NodeId(0), a.as_ref_handle().unwrap())
+        .unwrap();
+    assert_eq!(cluster.check_invariants(), vec![]);
+    (cluster, a, b, pulled.target.oid)
+}
+
+/// The state node `n` holds as a backup of `loc`.
+fn backup_of(cluster: &Cluster, n: usize, loc: (u32, u64)) -> Vec<WireValue> {
+    let nodes = cluster.shared().nodes.borrow();
+    let (_, _, state) = nodes[n].replica_store.get(&loc).expect("a backup entry");
+    state.clone()
+}
+
+/// The case conservative marks exist for, end to end through the written
+/// mark: a pulled object mutated by a plain local call — no serve, no
+/// version bump — is shipped at the caller's next exchange.
+#[test]
+fn a_bare_local_mutation_ships_at_the_next_exchange() {
+    let (cluster, a, b, oid) = pulled_counter(14);
+    let shared = cluster.shared();
+    let before = cluster.stats();
+    let version = version_of(shared, 0, oid);
+    let add3 = cluster.call_method(NodeId(0), a, "add", vec![Value::Int(3)]);
+    assert_eq!(add3.unwrap(), Value::Int(8));
+    let local = cluster.stats();
+    assert_eq!(local.rpc_calls, before.rpc_calls, "a plain local call");
+    assert_eq!(version_of(shared, 0, oid), version, "nobody served it");
+    assert_eq!(local.replica_syncs, before.replica_syncs);
+    cluster
+        .call_method(NodeId(0), b, "add", vec![Value::Int(1)])
+        .unwrap();
+    assert!(cluster.stats().replica_syncs > local.replica_syncs);
+    for n in [1, 2] {
+        assert_eq!(backup_of(&cluster, n, (0, oid)), vec![WireValue::Int(8)]);
+    }
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A plain local call that stores the value the field already holds sets
+/// the written mark but moves neither state nor version: the next probe
+/// takes the full compare, ships nothing and clears the mark — so the
+/// probe after that is answered from the mark and the record alone.
+#[test]
+fn an_equal_store_ships_nothing_and_clears_the_written_mark() {
+    let (cluster, a, b, oid) = pulled_counter(15);
+    let shared = cluster.shared();
+    let vm = &shared.vms[0];
+    let h = a.as_ref_handle().unwrap();
+    assert!(!vm.written(h), "settled by the pull's own shipment");
+    let add0 = cluster.call_method(NodeId(0), a, "add", vec![Value::Int(0)]);
+    assert_eq!(add0.unwrap(), Value::Int(5));
+    assert!(vm.written(h), "a store is a store, whatever it stored");
+    let before = cluster.stats();
+    cluster
+        .call_method(NodeId(0), b, "add", vec![Value::Int(1)])
+        .unwrap();
+    let swept = cluster.stats();
+    assert_eq!(swept.replica_sweep_probes, before.replica_sweep_probes + 1);
+    assert_eq!(swept.replica_syncs, before.replica_syncs, "state equal");
+    assert!(!vm.written(h), "the settled probe cleared the mark");
+    // Both halves of the early return's condition hold, so the quiescent
+    // probe below takes it: still counted, still ships nothing.
+    assert!(shared.directory.borrow_mut().settle_if_flat((0, oid)));
+    assert_eq!(cluster.check_invariants(), vec![]);
+    let quiet = cluster.stats();
+    assert_eq!(quiet.replica_sweep_probes, swept.replica_sweep_probes + 1);
+    assert_eq!(quiet.replica_syncs, swept.replica_syncs);
+    assert!(!vm.written(h));
+}
+
+/// State that is not flat never takes the early return: the holder's
+/// marshalled form reaches through its `int[]` into another heap slot, so
+/// an element store leaves the holder itself unwritten and must still be
+/// found, by the full probe, and shipped.
+#[test]
+fn a_store_into_a_replicated_objects_array_ships_though_the_object_is_unwritten() {
+    let mut u = ClassUniverse::new();
+    let peer = u.declare("P", ClassKind::Class);
+    {
+        let mut cb = ClassBuilder::new(&u, peer);
+        let v = cb.field(Field::new("v", Ty::Int));
+        let mut mb = MethodBuilder::new(1);
+        mb.ret();
+        cb.ctor(&mut u, vec![], Some(mb.finish()));
+        let mut mb = MethodBuilder::new(2);
+        mb.load_this().load_local(1).put_field(peer, v);
+        mb.load_this().get_field(peer, v).ret_value();
+        cb.method(&mut u, "put", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(&mut u);
+    }
+    let holder = u.declare("H", ClassKind::Class);
+    {
+        let mut cb = ClassBuilder::new(&u, holder);
+        let xs = cb.field(Field::new("xs", Ty::Int.array_of()));
+        cb.field(Field::new("peer", Ty::Object(peer)));
+        // H() { xs = new int[2]; }
+        let mut mb = MethodBuilder::new(1);
+        mb.load_this().const_int(2).new_array(Ty::Int);
+        mb.put_field(holder, xs).ret();
+        cb.ctor(&mut u, vec![], Some(mb.finish()));
+        // void poke(int i, int v) { xs[i] = v; }
+        let mut mb = MethodBuilder::new(3);
+        mb.load_this().get_field(holder, xs);
+        mb.load_local(1).load_local(2).array_set().ret();
+        let params = vec![Ty::Int, Ty::Int];
+        cb.method(&mut u, "poke", params, Ty::Void, Some(mb.finish()));
+        cb.finish(&mut u);
+    }
+    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let policy = StaticPolicy::new()
+        .place("H", Placement::Node(NodeId(1)))
+        .place("P", Placement::Node(NodeId(2)))
+        .replicate("H", 2);
+    let cluster = Cluster::new(u, outcome.plan, 3, 16, Box::new(policy));
+    cluster.enable_monitors();
+    let h = cluster.new_instance(NodeId(0), "H", 0, vec![]).unwrap();
+    let p = cluster.new_instance(NodeId(0), "P", 0, vec![]).unwrap();
+    cluster
+        .call_method(NodeId(0), h.clone(), "set_peer", vec![p.clone()])
+        .unwrap();
+    let handle = h.as_ref_handle().unwrap();
+    let oid = cluster.pull_local(NodeId(0), handle).unwrap().target.oid;
+    assert_eq!(cluster.check_invariants(), vec![]);
+    let shipped = backup_of(&cluster, 1, (0, oid));
+    let zeros = WireValue::Array(vec![WireValue::Int(0), WireValue::Int(0)]);
+    assert_eq!(shipped[0], zeros);
+    assert!(matches!(shipped[1], WireValue::Remote { node: 2, .. }));
+
+    let vm = &cluster.shared().vms[0];
+    assert!(!vm.written(handle));
+    let poke = vec![Value::Int(1), Value::Int(42)];
+    cluster.call_method(NodeId(0), h, "poke", poke).unwrap();
+    assert!(!vm.written(handle), "the store went into the array's slot");
+    let before = cluster.stats();
+    cluster
+        .call_method(NodeId(0), p, "put", vec![Value::Int(1)])
+        .unwrap();
+    assert!(cluster.stats().replica_syncs > before.replica_syncs);
+    let poked = WireValue::Array(vec![WireValue::Int(0), WireValue::Int(42)]);
+    for n in [1, 2] {
+        assert_eq!(backup_of(&cluster, n, (0, oid))[0], poked);
+    }
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A codec whose request encoder always fails; nothing else is reached.
+struct NoEncode;
+
+impl Protocol for NoEncode {
+    fn name(&self) -> &'static str {
+        "NOENC"
+    }
+    fn encode_request_into(
+        &self,
+        _: u64,
+        _: TraceContext,
+        _: &Request,
+        _: Option<&mut SigTable>,
+        _: &mut Vec<u8>,
+    ) -> Result<(), rafda_wire::WireError> {
+        Err(rafda_wire::WireError("too long".into()))
+    }
+    fn decode_request_header<'a>(
+        &self,
+        _: &'a [u8],
+    ) -> Result<rafda_wire::FrameHeader<'a>, rafda_wire::WireError> {
+        unreachable!("no request is ever sent")
+    }
+    fn encode_reply_into(
+        &self,
+        _: u64,
+        _: TraceContext,
+        _: u64,
+        _: &Reply,
+        _: Option<&mut SigTable>,
+        _: &mut Vec<u8>,
+    ) -> Result<(), rafda_wire::WireError> {
+        unreachable!("no request is ever sent")
+    }
+    fn decode_reply_with(
+        &self,
+        _: &[u8],
+        _: Option<&mut SigTable>,
+    ) -> Result<(u64, TraceContext, u64, Reply), rafda_wire::WireError> {
+        unreachable!("no request is ever sent")
+    }
+}
+
+/// The three ways an exchange fails before a message leaves are typed:
+/// callers match on the variant, never on the text.
+#[test]
+fn rpc_faults_before_the_first_message_are_typed() {
+    use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
+    use rafda_vm::RpcFault;
+    let (cluster, _) = deployed(StaticPolicy::new());
+    let shared = cluster.shared();
+    let (n0, n1) = (NodeId(0), NodeId(1));
+    let req = Request::Fetch { object: 1 };
+
+    let err = rpc(shared, n0, n1, "IIOP2", "C", &req).unwrap_err();
+    assert_eq!(err, VmError::Rpc(RpcFault::NoCodec("IIOP2".into())));
+
+    shared.rpc_depth.set(MAX_RPC_DEPTH);
+    let err = rpc(shared, n0, n1, "RMI", "C", &req).unwrap_err();
+    assert_eq!(err, VmError::Rpc(RpcFault::DepthLimit));
+    assert_eq!(
+        shared.rpc_depth.get(),
+        MAX_RPC_DEPTH,
+        "refused, not entered"
+    );
+    shared.rpc_depth.set(0);
+
+    let err = rpc_inner(shared, n0, n1, &NoEncode, "C", &req).unwrap_err();
+    assert!(matches!(err, VmError::Rpc(RpcFault::Encode(why)) if why.contains("too long")));
+    assert_eq!(cluster.network().stats().messages, 0);
 }
 
 /// The at-most-once canary. A retransmission served from the reply

@@ -92,12 +92,24 @@ struct NodeDir {
     /// Last id handed out. Survives restarts, so a stale proxy addressing
     /// a pre-crash export gets a typed fault, not a different object.
     next_oid: u64,
-    /// The version and marshalled state each export last shipped to its
-    /// backups. Cleared cluster-wide on every restart so a rejoining
-    /// backup is re-seeded at the owner's next sync.
-    synced_versions: HashMap<u64, (u64, Vec<WireValue>)>,
+    /// What each export last shipped to its backups. Cleared cluster-wide
+    /// on every restart so a rejoining backup is re-seeded at the owner's
+    /// next sync.
+    synced_versions: HashMap<u64, Shipment>,
     /// Per-export incoming call counts by caller node.
     call_counts: HashMap<u64, HashMap<u32, u64>>,
+}
+
+/// One export's last shipment to its backups.
+#[derive(Debug)]
+struct Shipment {
+    version: u64,
+    state: Vec<WireValue>,
+    /// The state holds only by-value scalars and strings — no `Remote`,
+    /// `Array` or `ObjectState` — so the object's marshalled form is a
+    /// function of its own heap slot alone, and marshalling it has no side
+    /// effect (no referent is exported, hence none re-marked dirty).
+    flat: bool,
 }
 
 /// All location state of one cluster. See the module docs.
@@ -255,15 +267,43 @@ impl Directory {
     /// record is made *before* the shipment because each shipment is an
     /// exchange, whose own sweep must find this location settled.
     pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: Vec<WireValue>) {
+        let flat = !state.iter().any(|v| {
+            matches!(
+                v,
+                WireValue::Remote { .. } | WireValue::Array(_) | WireValue::ObjectState { .. }
+            )
+        });
+        let shipment = Shipment {
+            version,
+            state,
+            flat,
+        };
         self.nodes[loc.0 as usize]
             .synced_versions
-            .insert(loc.1, (version, state));
+            .insert(loc.1, shipment);
         self.dirty.remove(&loc);
     }
 
     /// A probe found `loc` [`Drift::Settled`]: its dirty mark is spent.
     pub(crate) fn settled(&mut self, loc: Loc) {
         self.dirty.remove(&loc);
+    }
+
+    /// The probe for an export whose heap slot nobody has written since its
+    /// live state last equalled its shipment record: if that record is flat
+    /// and still at `loc`'s current version, the live state *is* the record
+    /// — [`Directory::drift`] would answer [`Drift::Settled`] — so the
+    /// dirty mark is spent and `true` returned. Otherwise nothing changes.
+    #[must_use]
+    pub(crate) fn settle_if_flat(&mut self, loc: Loc) -> bool {
+        let settled = self.nodes[loc.0 as usize]
+            .synced_versions
+            .get(&loc.1)
+            .is_some_and(|s| s.flat && s.version == self.version(loc));
+        if settled {
+            self.dirty.remove(&loc);
+        }
+        settled
     }
 
     /// `node` restarted with empty volatile state: its exports, stubs,
@@ -432,8 +472,8 @@ impl Directory {
     /// last shipment.
     pub(crate) fn drift(&self, loc: Loc, state: &[WireValue]) -> Drift {
         match self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
-            Some((v, shipped)) if *v == self.version(loc) => {
-                if shipped == state {
+            Some(s) if s.version == self.version(loc) => {
+                if s.state == state {
                     Drift::Settled
                 } else {
                     Drift::State
@@ -447,9 +487,9 @@ impl Directory {
     pub(crate) fn replica_lag(&self) -> u64 {
         let mut lag = 0;
         for (owner, st) in self.nodes.iter().enumerate() {
-            for (&oid, &(synced, _)) in &st.synced_versions {
+            for (&oid, shipment) in &st.synced_versions {
                 let current = self.version((owner as u32, oid));
-                if current != VERSION_TOMBSTONE && current != synced {
+                if current != VERSION_TOMBSTONE && current != shipment.version {
                     lag += 1;
                 }
             }
@@ -655,6 +695,51 @@ mod tests {
         migrate(&mut dir, b, hs[1], 1);
         assert_eq!(dir.version(a), 0, "the injected fault");
         assert_eq!(dir.version(b), VERSION_TOMBSTONE);
+    }
+
+    /// `settle_if_flat` answers for the full probe only where the full
+    /// probe's answer is a function of the record alone: a record exists,
+    /// it is flat, and the version has not moved past it.
+    #[test]
+    fn settle_if_flat_needs_a_flat_record_at_the_current_version() {
+        let h = handles(1)[0];
+        let mut dir = Directory::new(NODES);
+        let loc = (0, dir.export(0, h, true));
+        assert!(!dir.settle_if_flat(loc), "never shipped");
+        assert_eq!(dir.dirty_depth(), 1, "a refusal changes nothing");
+
+        let scalars = vec![
+            WireValue::Null,
+            WireValue::Int(1),
+            WireValue::Str("s".into()),
+        ];
+        dir.shipped(loc, 0, scalars.clone());
+        let _ = dir.mark_node(0);
+        assert!(dir.settle_if_flat(loc));
+        assert_eq!(dir.dirty_depth(), 0, "settling spends the dirty mark");
+
+        let _ = dir.bump(loc);
+        assert!(
+            !dir.settle_if_flat(loc),
+            "the version moved past the record"
+        );
+        assert_eq!(dir.dirty_depth(), 1);
+
+        let remote = WireValue::Remote {
+            node: 1,
+            object: 1,
+            class: "T".into(),
+        };
+        let object = WireValue::ObjectState {
+            class: "T".into(),
+            fields: vec![],
+        };
+        for reaching in [remote, WireValue::Array(vec![]), object] {
+            let mut state = scalars.clone();
+            state.push(reaching);
+            dir.shipped(loc, 1, state);
+            assert!(!dir.settle_if_flat(loc), "state reaches past its own slot");
+        }
     }
 
     // --- invariants under random transitions (proptest) ---

@@ -11,15 +11,15 @@
 //! conservatively.
 
 use crate::batch::enqueue_outcall;
-use crate::cluster::{bump_version, lookup_export, version_of, Shared};
+use crate::cluster::{bump_version, lookup_export, version_of, GenInfo, Shared};
 use crate::directory::{Drift, VERSION_TOMBSTONE};
 use crate::marshal;
 use crate::obs::Met;
 use crate::rpc::rpc;
 use crate::stats::{bump, record_local_read};
-use rafda_classmodel::SigId;
+use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
-use rafda_vm::{Value, VmError};
+use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
 
 /// Conservatively mark every replicated export of `node` dirty — used when
@@ -111,24 +111,21 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         return;
     };
     let vm = &shared.vms[owner.0 as usize];
-    let Some(class) = vm.class_of(h) else {
-        return;
-    };
-    let Some(info) = shared.gen_info.get(&class) else {
-        return;
-    };
-    if info.proto.is_some() {
+    let loc = (owner.0, oid);
+    // Nobody wrote the object's heap slot since the runtime last proved its
+    // live state equal to the shipment record, and that record is flat —
+    // the marshalled state is a function of this one slot — so the full
+    // probe below would read, marshal, compare and find it settled.
+    if !vm.written(h) && shared.directory.borrow_mut().settle_if_flat(loc) {
+        debug_assert_eq!(
+            replicated_state(shared, owner, h)
+                .map(|(_, _, state)| shared.directory.borrow().drift(loc, &state)),
+            Some(Drift::Settled),
+            "the written mark and the full probe disagree at {loc:?}"
+        );
         return;
     }
-    let base_name = shared.universe.class(info.base).name.clone();
-    let k = shared.policy.replicas(&base_name);
-    if k == 0 {
-        return;
-    }
-    let Some((_, fields)) = vm.read_object(h) else {
-        return;
-    };
-    let Ok(wire_fields) = marshal::values_to_wire(shared, owner, &fields) else {
+    let Some((class, info, wire_fields)) = replicated_state(shared, owner, h) else {
         return;
     };
     // Skip the no-op sync outright: if neither the version nor the state
@@ -142,49 +139,76 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
     // Bump it here before shipping: the backups must not hold two
     // different states under one version tag, and stale property-cache
     // entries tagged with the old version must stop validating.
-    let loc = (owner.0, oid);
     let drift = shared.directory.borrow().drift(loc, &wire_fields);
     match drift {
         Drift::Settled => {
             shared.directory.borrow_mut().settled(loc);
+            vm.clear_written(h);
             return;
         }
         Drift::State => bump_version(shared, owner.0, oid),
         Drift::Version => {}
     }
     let version = version_of(shared, owner.0, oid);
-    let class_name = shared.universe.class(class).name.clone();
-    let proto = shared.policy.protocol(&base_name);
-    let batched = shared.policy.batched(&base_name);
+    let base_name = shared.universe.class(info.base).name.as_str();
+    let proto = shared.policy.protocol(base_name);
+    let batched = shared.policy.batched(base_name);
     // Recorded *before* the exchanges below: each one is a top-level rpc,
     // which runs the dirty-replica sweep, which must find this very object
     // settled instead of shipping it a second time. The record also spends
     // the dirty mark (including the re-mark the drift bump above just made).
+    // Nothing has run since the state was read, so live == record here too.
     shared
         .directory
         .borrow_mut()
         .shipped(loc, version, wire_fields.clone());
-    for t in replica_targets(k, owner.0, shared.vms.len() as u32) {
-        if shared.net.fault_plan(|f| f.is_crashed(NodeId(t))) {
-            continue;
-        }
+    vm.clear_written(h);
+    let state = WireValue::ObjectState {
+        class: shared.universe.class(class).name.clone(),
+        fields: wire_fields,
+    };
+    let ship = |t: u32, state: WireValue| {
         let req = Request::ReplicaSync {
             object: oid,
             version,
-            state: WireValue::ObjectState {
-                class: class_name.clone(),
-                fields: wire_fields.clone(),
-            },
+            state,
         };
         if batched {
             // Replica shipments of a batched class are deferrable: they
             // ride the owner's outcall queue to each backup and land at the
             // next synchronization point.
-            enqueue_outcall(shared, owner, NodeId(t), &proto, &base_name, req);
+            enqueue_outcall(shared, owner, NodeId(t), &proto, base_name, req);
         } else {
-            let _ = rpc(shared, owner, NodeId(t), &proto, &base_name, &req);
+            let _ = rpc(shared, owner, NodeId(t), &proto, base_name, &req);
         }
+    };
+    let mut targets = replica_targets(info.replicas, owner.0, shared.vms.len() as u32);
+    targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
+    if let Some((&last, rest)) = targets.split_last() {
+        for &t in rest {
+            ship(t, state.clone());
+        }
+        ship(last, state);
     }
+}
+
+/// The marshalled live state of `h` on `owner`, if it is a locally
+/// implemented instance of a class the policy replicates — the only kind
+/// of export that ships: `(runtime class, its family info, wire fields)`.
+fn replicated_state(
+    shared: &Shared,
+    owner: NodeId,
+    h: Handle,
+) -> Option<(ClassId, &GenInfo, Vec<WireValue>)> {
+    let vm = &shared.vms[owner.0 as usize];
+    let class = vm.class_of(h)?;
+    let info = shared
+        .gen_info
+        .get(&class)
+        .filter(|info| info.proto.is_none() && info.replicas > 0)?;
+    let (_, fields) = vm.read_object(h)?;
+    let wire_fields = marshal::values_to_wire(shared, owner, &fields).ok()?;
+    Some((class, info, wire_fields))
 }
 
 /// Re-ship every **dirty** replicated export whose live state drifted from

@@ -14,7 +14,7 @@ use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
-use rafda_vm::{NetFailure, NetFailureKind, Value, VmError};
+use rafda_vm::{NetFailure, NetFailureKind, RpcFault, Value, VmError};
 use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
 
 /// How many property values each node's proxy-side cache holds. Bounded
@@ -25,7 +25,7 @@ const PROP_CACHE_CAP: usize = 1024;
 /// Maximum nested (re-entrant) RPC depth across the whole cluster — a
 /// distributed call chain deeper than this is almost certainly unbounded
 /// mutual recursion, and each level consumes host stack.
-const MAX_RPC_DEPTH: u32 = 64;
+pub(crate) const MAX_RPC_DEPTH: u32 = 64;
 
 /// A proxy method invoked on `node`: marshal, ship, execute remotely,
 /// unmarshal (or re-throw).
@@ -69,11 +69,7 @@ pub(crate) fn proxy_call(
     // as the property cache): any acknowledged mutation bumped the owner's
     // version before its reply left, so a lagging copy simply fails the
     // check and the read falls through to a normal owner exchange.
-    if is_getter
-        && shared.any_replication
-        && shared.policy.reads_from_replicas(&base_name)
-        && shared.policy.replicas(&base_name) > 0
-    {
+    if is_getter && info.replicas > 0 && shared.policy.reads_from_replicas(&base_name) {
         if let Some(v) = replica_read(shared, node, &base_name, &proto, &method, sig, target, oid)?
         {
             return Ok(v);
@@ -266,11 +262,9 @@ pub(crate) fn rpc(
     let codec = shared
         .protocols
         .get(proto)
-        .ok_or_else(|| VmError::Native(format!("no codec for protocol {proto}")))?;
+        .ok_or_else(|| VmError::Rpc(RpcFault::NoCodec(proto.to_owned())))?;
     if shared.rpc_depth.get() >= MAX_RPC_DEPTH {
-        return Err(VmError::Native(
-            "rpc depth limit exceeded (unbounded distributed recursion?)".into(),
-        ));
+        return Err(VmError::Rpc(RpcFault::DepthLimit));
     }
     shared.rpc_depth.set(shared.rpc_depth.get() + 1);
     let result = rpc_inner(shared, from, to, codec.as_ref(), class, req);
@@ -326,7 +320,7 @@ fn net_failure_kind(e: &NetError) -> NetFailureKind {
     }
 }
 
-fn rpc_inner(
+pub(crate) fn rpc_inner(
     shared: &Shared,
     from: NodeId,
     to: NodeId,
@@ -373,7 +367,7 @@ fn rpc_inner(
         let mut spans = shared.spans.borrow_mut();
         spans.end_span(exch, end, SpanOutcome::Fault);
         shared.last_exchange_span.set(spans.span_id_of(exch));
-        return Err(VmError::Native(format!("request encode failed: {e}")));
+        return Err(VmError::Rpc(RpcFault::Encode(e.to_string())));
     }
     shared
         .spans

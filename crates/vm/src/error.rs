@@ -128,6 +128,32 @@ impl fmt::Display for NetFailure {
     }
 }
 
+/// Why a remote call failed before a single message left the caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RpcFault {
+    /// The deployment has no codec for the named protocol.
+    NoCodec(String),
+    /// Nested exchanges reached the runtime's depth limit.
+    DepthLimit,
+    /// The codec could not encode the request; carries its reason.
+    Encode(String),
+}
+
+impl fmt::Display for RpcFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RpcFault::NoCodec(proto) => write!(f, "no codec for protocol {proto}"),
+            RpcFault::DepthLimit => {
+                write!(
+                    f,
+                    "rpc depth limit exceeded (unbounded distributed recursion?)"
+                )
+            }
+            RpcFault::Encode(why) => write!(f, "request encode failed: {why}"),
+        }
+    }
+}
+
 /// Any reason execution did not produce a value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VmError {
@@ -143,6 +169,8 @@ pub enum VmError {
     /// configured retries — the paper's "modulo network failure" surfaced
     /// with its discriminant intact.
     Unreachable(NetFailure),
+    /// A remote operation could not be started at all.
+    Rpc(RpcFault),
 }
 
 impl VmError {
@@ -180,6 +208,9 @@ impl fmt::Display for VmError {
             VmError::Trap(t) => write!(f, "trap: {t}"),
             VmError::Native(m) => write!(f, "native error: {m}"),
             VmError::Unreachable(nf) => write!(f, "{nf}"),
+            // Same text as the `Native` strings these faults used to be: a
+            // fault that crosses a hop travels as its message.
+            VmError::Rpc(fault) => write!(f, "native error: {fault}"),
         }
     }
 }

@@ -50,6 +50,10 @@ pub enum HeapEntry {
 #[derive(Debug)]
 struct Slot {
     generation: u32,
+    /// Set whenever the entry is handed out mutably or (re)filled, cleared
+    /// only by [`Heap::clear_written`]: "may differ from what it was at the
+    /// last clear". Sits in the padding after `generation`.
+    written: bool,
     entry: Option<HeapEntry>,
 }
 
@@ -94,6 +98,7 @@ impl Heap {
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             slot.entry = Some(entry);
+            slot.written = true;
             Handle {
                 index,
                 generation: slot.generation,
@@ -101,6 +106,7 @@ impl Heap {
         } else {
             self.slots.push(Slot {
                 generation: 0,
+                written: true,
                 entry: Some(entry),
             });
             Handle {
@@ -138,9 +144,28 @@ impl Heap {
         self.slot(h).and_then(|s| s.entry.as_ref())
     }
 
-    /// Mutable access to an entry.
+    /// Mutable access to an entry. Every write to an entry goes through
+    /// here, so this is where the slot is marked written.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut HeapEntry> {
-        self.slot_mut(h).and_then(|s| s.entry.as_mut())
+        self.slot_mut(h).and_then(|s| {
+            s.written = true;
+            s.entry.as_mut()
+        })
+    }
+
+    /// Whether the entry at `h` may have changed since the last
+    /// [`Heap::clear_written`] on it. A stale handle reads as written: the
+    /// entry it named is gone, which is a change.
+    pub fn written(&self, h: Handle) -> bool {
+        self.slot(h).is_none_or(|s| s.written)
+    }
+
+    /// Clear the written mark of `h`; the caller has just recorded the
+    /// entry's current state. No-op on a stale handle.
+    pub fn clear_written(&mut self, h: Handle) {
+        if let Some(s) = self.slot_mut(h) {
+            s.written = false;
+        }
     }
 
     /// The runtime class of the object at `h`, if it is a live object.
@@ -243,6 +268,127 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    #[test]
+    fn the_written_mark_fits_in_the_slots_padding() {
+        // The size before the mark existed (`u32` + niche-packed 40-byte
+        // entry, 8-aligned): the mark must cost the heap no memory.
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        AllocObject { fields: usize },
+        AllocArray { len: usize },
+        SetField { pick: usize, offset: usize, v: i32 },
+        ArrayStore { pick: usize, index: usize, v: i32 },
+        Replace { pick: usize, class: u32 },
+        Free { pick: usize },
+        Clear { pick: usize },
+        Read { pick: usize },
+    }
+
+    fn arb_op() -> BoxedStrategy<Op> {
+        let pick = || 0..32usize;
+        prop_oneof![
+            3 => (0..4usize).prop_map(|fields| Op::AllocObject { fields }),
+            2 => (0..4usize).prop_map(|len| Op::AllocArray { len }),
+            4 => (pick(), 0..4usize, 0..3i32)
+                .prop_map(|(pick, offset, v)| Op::SetField { pick, offset, v }),
+            3 => (pick(), 0..4usize, 0..3i32)
+                .prop_map(|(pick, index, v)| Op::ArrayStore { pick, index, v }),
+            2 => (pick(), 0..3u32).prop_map(|(pick, class)| Op::Replace { pick, class }),
+            2 => pick().prop_map(|pick| Op::Free { pick }),
+            4 => pick().prop_map(|pick| Op::Clear { pick }),
+            3 => pick().prop_map(|pick| Op::Read { pick }),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The mark is complete: an entry that differs from its snapshot at
+        /// the last `clear_written` is marked, whatever wrote it; reads
+        /// never mark; handles that are stale, or were never cleared, read
+        /// as written.
+        #[test]
+        fn an_entry_that_changed_since_its_last_clear_is_marked(
+            ops in prop::collection::vec(arb_op(), 1..120),
+        ) {
+            let mut heap = Heap::new();
+            // Every handle ever issued, stale ones included.
+            let mut issued: Vec<Handle> = Vec::new();
+            let mut snapshots: HashMap<Handle, HeapEntry> = HashMap::new();
+            for op in ops {
+                let at = |pick: usize| issued.get(pick % issued.len().max(1)).copied();
+                match op {
+                    Op::AllocObject { fields } => {
+                        issued.push(heap.alloc_object(ClassId(0), vec![Value::Int(0); fields]));
+                    }
+                    Op::AllocArray { len } => {
+                        issued.push(heap.alloc_array(Ty::Int, vec![Value::Int(0); len]));
+                    }
+                    Op::SetField { pick, offset, v } => {
+                        if let Some(h) = at(pick) {
+                            heap.set_field(h, offset, Value::Int(v));
+                        }
+                    }
+                    Op::ArrayStore { pick, index, v } => {
+                        if let Some(HeapEntry::Array { data, .. }) =
+                            at(pick).and_then(|h| heap.get_mut(h))
+                        {
+                            if let Some(slot) = data.get_mut(index) {
+                                *slot = Value::Int(v);
+                            }
+                        }
+                    }
+                    Op::Replace { pick, class } => {
+                        if let Some(h) = at(pick) {
+                            heap.replace_object(h, ClassId(class), vec![Value::Int(1)]);
+                        }
+                    }
+                    Op::Free { pick } => {
+                        if let Some(h) = at(pick) {
+                            heap.free(h);
+                        }
+                    }
+                    Op::Clear { pick } => {
+                        if let Some(h) = at(pick) {
+                            heap.clear_written(h);
+                            match heap.get(h) {
+                                Some(entry) => {
+                                    prop_assert!(!heap.written(h), "{h} not cleared");
+                                    snapshots.insert(h, entry.clone());
+                                }
+                                None => prop_assert!(heap.written(h), "stale {h} cleared"),
+                            }
+                        }
+                    }
+                    Op::Read { pick } => {
+                        let marks = |heap: &Heap| -> Vec<bool> {
+                            issued.iter().map(|&h| heap.written(h)).collect()
+                        };
+                        let before = marks(&heap);
+                        if let Some(h) = at(pick) {
+                            let _ = (heap.get(h), heap.field(h, 0), heap.class_of(h));
+                        }
+                        let _ = heap.handles().count();
+                        prop_assert_eq!(before, marks(&heap), "a read left a mark");
+                    }
+                }
+                for &h in &issued {
+                    let unchanged = match (heap.get(h), snapshots.get(&h)) {
+                        (Some(live), Some(snapshot)) => live == snapshot,
+                        _ => false,
+                    };
+                    prop_assert!(unchanged || heap.written(h), "{h} changed unmarked");
+                }
+            }
+        }
+    }
 
     #[test]
     fn alloc_and_read() {

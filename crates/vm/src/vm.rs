@@ -301,6 +301,18 @@ impl Vm {
         self.state.borrow().heap.class_of(h)
     }
 
+    /// Whether the entry at `h` may have changed since the last
+    /// [`Vm::clear_written`] on it (always `true` for a stale handle).
+    pub fn written(&self, h: Handle) -> bool {
+        self.state.borrow().heap.written(h)
+    }
+
+    /// Clear the written mark of `h`: the caller has just recorded the
+    /// entry's current state and wants to hear of the next write.
+    pub fn clear_written(&self, h: Handle) {
+        self.state.borrow_mut().heap.clear_written(h)
+    }
+
     /// Mark-and-sweep garbage collection.
     ///
     /// Roots are all static fields of initialised classes plus the
