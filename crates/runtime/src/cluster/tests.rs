@@ -5,12 +5,14 @@
 
 use super::*;
 use crate::placement::shard_hash;
+use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
 use crate::serve::serve_request;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{ClassKind, Field, Ty};
 use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
 use rafda_telemetry::TraceContext;
 use rafda_transform::Transformer;
+use rafda_vm::RpcFault;
 
 /// A cluster of two nodes running `class C { int v; int add(int d) }`
 /// with all instances placed (remotely) on node 1.
@@ -232,14 +234,8 @@ fn local_mutations_after_self_promotion_reach_the_backups() {
     // add(-3) ran locally on the promoted copy; the `b` exchange after
     // it (and the quiescent point itself) must have re-shipped it.
     assert_eq!(cluster.check_invariants(), vec![]);
-    let shared = cluster.shared();
-    let nodes = shared.nodes.borrow();
-    let backup = nodes
-        .iter()
-        .flat_map(|st| st.replica_store.get(&(0, 1)))
-        .next()
-        .expect("the promoted object keeps a backup");
-    assert_eq!(backup.2, vec![WireValue::Int(-7)], "backup holds -4-3");
+    let backup = backup_of(&cluster, 1, (0, 1));
+    assert_eq!(backup, vec![WireValue::Int(-7)], "backup holds -4-3");
 }
 
 /// `CA` replicated k = 2 with its home on node 1, `CB` unreplicated on
@@ -447,31 +443,44 @@ impl Protocol for NoEncode {
     }
 }
 
-/// The three ways an exchange fails before a message leaves are typed:
-/// callers match on the variant, never on the text.
+// The three ways an exchange fails before a message leaves are typed:
+// callers match on the variant, never on the text.
+
+const FETCH: Request = Request::Fetch { object: 1 };
+
 #[test]
-fn rpc_faults_before_the_first_message_are_typed() {
-    use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
-    use rafda_vm::RpcFault;
+fn an_unknown_protocol_is_a_typed_no_codec_fault() {
+    let (cluster, _) = deployed(StaticPolicy::new());
+    let err = rpc(cluster.shared(), NodeId(0), NodeId(1), "IIOP2", "C", &FETCH).unwrap_err();
+    assert_eq!(err, VmError::Rpc(RpcFault::NoCodec("IIOP2".into())));
+}
+
+#[test]
+fn an_exchange_at_the_depth_limit_is_a_typed_depth_fault() {
     let (cluster, _) = deployed(StaticPolicy::new());
     let shared = cluster.shared();
-    let (n0, n1) = (NodeId(0), NodeId(1));
-    let req = Request::Fetch { object: 1 };
-
-    let err = rpc(shared, n0, n1, "IIOP2", "C", &req).unwrap_err();
-    assert_eq!(err, VmError::Rpc(RpcFault::NoCodec("IIOP2".into())));
-
     shared.rpc_depth.set(MAX_RPC_DEPTH);
-    let err = rpc(shared, n0, n1, "RMI", "C", &req).unwrap_err();
+    let err = rpc(shared, NodeId(0), NodeId(1), "RMI", "C", &FETCH).unwrap_err();
     assert_eq!(err, VmError::Rpc(RpcFault::DepthLimit));
     assert_eq!(
         shared.rpc_depth.get(),
         MAX_RPC_DEPTH,
         "refused, not entered"
     );
-    shared.rpc_depth.set(0);
+}
 
-    let err = rpc_inner(shared, n0, n1, &NoEncode, "C", &req).unwrap_err();
+#[test]
+fn a_request_the_codec_cannot_encode_is_a_typed_encode_fault() {
+    let (cluster, _) = deployed(StaticPolicy::new());
+    let err = rpc_inner(
+        cluster.shared(),
+        NodeId(0),
+        NodeId(1),
+        &NoEncode,
+        "C",
+        &FETCH,
+    )
+    .unwrap_err();
     assert!(matches!(err, VmError::Rpc(RpcFault::Encode(why)) if why.contains("too long")));
     assert_eq!(cluster.network().stats().messages, 0);
 }
