@@ -41,6 +41,29 @@ if grep -rnE '\.(versions|homes|statics_exports|shards|dirty|export_ids|forwards
   exit 1
 fi
 
+echo "== one frame version per codec, one table per link =="
+# Each codec speaks exactly one frame format; a second version constant or
+# a per-frame format flag in the wire crate means the fork is back.
+if grep -rnE 'VERSION_SIG|MINOR_SIG|sigged|frame_is_sigged' crates/wire/src; then
+  echo "FAIL: crates/wire/src has a second frame version again" >&2
+  exit 1
+fi
+# Every frame the runtime writes or reads goes through its directed link's
+# signature table (`Shared::with_link_table`): no table-less wrapper, and no
+# `None` among the arguments of a table-taking codec call (matched with
+# balanced parentheses, so multi-line calls count).
+if grep -rnE --exclude=tests.rs '\.(encode_request|decode_request|encode_reply|decode_reply)\(' \
+    crates/runtime/src; then
+  echo "FAIL: table-less codec call in the runtime" >&2
+  exit 1
+fi
+if grep -rPzoh --exclude=tests.rs \
+    '\b(?:encode_request_into|encode_reply_into|decode_reply_with|materialise)(\((?:[^()]++|(?1))*\))' \
+    crates/runtime/src | tr '\0' '\n' | grep -w None; then
+  echo "FAIL: the runtime passes None as a signature table" >&2
+  exit 1
+fi
+
 echo "== benches compile (not run) =="
 # Criterion benches are exercised manually (EXPERIMENTS.md); CI only
 # guarantees they still build against the current API.

@@ -1,5 +1,5 @@
 //! **E13 — zero-copy wire fast path**: frames/second through the codec
-//! layer, old pipeline vs new.
+//! layer, without the fast path vs with it.
 //!
 //! The serve path's hot case (a retransmission answered from the reply
 //! cache, a batch routed by discriminant, a replica-sync fan-out) needs
@@ -32,7 +32,8 @@ fn sample_request() -> Request {
     }
 }
 
-/// Frames/sec of the pre-PR-6 pipeline: allocate, encode, full decode.
+/// Frames/sec of the baseline: a fresh buffer per frame, no signature
+/// table (every signature inline), full decode into the owned request.
 fn baseline_fps(codec: &dyn Protocol, frames: u32, rounds: u32) -> f64 {
     let req = sample_request();
     let mut best = f64::MAX;

@@ -232,8 +232,27 @@ pub(crate) struct Shared {
     /// single table per link serves as the encoder's and the decoder's
     /// state: in-order frame processing plus idempotent interning keeps
     /// the two views identical without a handshake. Never borrowed across
-    /// a serve.
+    /// a serve: reach it through [`Shared::with_link_table`].
     pub sig_tables: RefCell<HashMap<(u32, u32), SigTable>>,
+}
+
+impl Shared {
+    /// Run one encode or decode against the signature table of the
+    /// directed link `from → to`, the table every frame on that link is
+    /// written and read with.
+    pub(crate) fn with_link_table<R>(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        codec_op: impl FnOnce(&mut SigTable) -> R,
+    ) -> R {
+        codec_op(
+            self.sig_tables
+                .borrow_mut()
+                .entry((from.0, to.0))
+                .or_default(),
+        )
+    }
 }
 
 /// A simulated cluster running one transformed application.

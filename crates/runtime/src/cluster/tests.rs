@@ -1,18 +1,19 @@
-//! Runtime-level tests that reach below the public API: they drive
-//! `serve_request` directly, inspect queues and backups, and run the
+//! Runtime-level tests that reach below the public API: they hand frames
+//! to `serve_frame` directly, inspect queues and backups, and run the
 //! adaptation/crash chaos over a sharded pool. Kept in one module so their
 //! names (`cluster::tests::*`) stay stable across the module split.
 
 use super::*;
 use crate::placement::shard_hash;
 use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
-use crate::serve::serve_request;
+use crate::serve::serve_frame;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{ClassKind, Field, Ty};
 use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
 use rafda_telemetry::TraceContext;
 use rafda_transform::Transformer;
 use rafda_vm::RpcFault;
+use rafda_wire::RmiCodec;
 
 /// A cluster of two nodes running `class C { int v; int add(int d) }`
 /// with all instances placed (remotely) on node 1.
@@ -39,12 +40,33 @@ fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
     (cluster, c)
 }
 
+/// `req` framed once under `msg_id` on the link node 0 → node 1, as
+/// `rpc_inner` frames it. Delivering the same frame again is a
+/// retransmission.
+fn framed(shared: &Shared, msg_id: u64, req: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    shared
+        .with_link_table(NodeId(0), NodeId(1), |table| {
+            let ctx = TraceContext::NONE;
+            RmiCodec::new().encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
+        })
+        .unwrap();
+    frame
+}
+
+/// Deliver `frame` from node 0 to node 1's serve path — exactly what a
+/// lossy network hands the server, with no client waiting on the reply.
+fn deliver(shared: &Shared, frame: &[u8]) -> (Reply, TraceContext, u64) {
+    let header = RmiCodec::new().decode_request_header(frame).unwrap();
+    serve_frame(shared, NodeId(1), NodeId(0), &header)
+}
+
 /// Regression for the stale-version dedup bug: a dedup hit must replay
 /// the object version stored **at serve time**, not recompute it at
 /// retransmit time. The single-threaded simulation cannot interleave a
 /// foreign mutation between a dropped reply and its retransmission from
-/// the outside, so the scenario drives `serve_request` directly —
-/// exactly what a lossy network would deliver to the server.
+/// the outside, so the scenario delivers the frames to `serve_frame`
+/// itself.
 #[test]
 fn dedup_hit_replays_the_serve_time_version() {
     let policy = StaticPolicy::new()
@@ -65,43 +87,38 @@ fn dedup_hit_replays_the_serve_time_version() {
         .find(|m| m.name == "add")
         .unwrap()
         .sig;
-    let read = Request::Call {
-        object: oid,
-        method: format!("get_v@{}", get_sig.0),
-        args: vec![],
-    };
+    let read = framed(
+        shared,
+        900,
+        &Request::Call {
+            object: oid,
+            method: format!("get_v@{}", get_sig.0),
+            args: vec![],
+        },
+    );
     // Message 900: a cacheable read is served, but the reply is lost on
     // the way back.
-    let (r1, _, v1) = serve_request(
-        shared,
-        NodeId(1),
-        NodeId(0),
-        900,
-        TraceContext::NONE,
-        read.clone(),
-    );
+    let (r1, _, v1) = deliver(shared, &read);
     assert!(matches!(r1, Reply::Value(_)));
     // Before the retransmission arrives, another mutation is served and
     // bumps the object's version.
-    let (r2, _, _) = serve_request(
+    let add = framed(
         shared,
-        NodeId(1),
-        NodeId(0),
         901,
-        TraceContext::NONE,
-        Request::Call {
+        &Request::Call {
             object: oid,
             method: format!("add@{}", add_sig.0),
             args: vec![WireValue::Int(5)],
         },
     );
+    let (r2, _, _) = deliver(shared, &add);
     assert!(matches!(r2, Reply::Value(_)));
     let current = version_of(shared, 1, oid);
     assert!(current > v1, "the mutation must bump the version");
     // The retransmission of 900 dedups. Its reply must carry v1: tagged
     // with `current`, the client would cache the pre-mutation value as
     // fresh and serve the stale read until the next mutation.
-    let (r3, _, v3) = serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, read);
+    let (r3, _, v3) = deliver(shared, &read);
     assert_eq!(r3, r1, "dedup must replay the original reply");
     assert_eq!(cluster.stats().dedup_hits, 1);
     assert_eq!(
@@ -488,9 +505,9 @@ fn a_request_the_codec_cannot_encode_is_a_typed_encode_fault() {
 /// The at-most-once canary. A retransmission served from the reply
 /// cache is a legitimate replay; losing the cache entry and
 /// re-executing the frame is the violation the monitor exists for.
-/// Like the dedup test above, the scenario drives `serve_request`
-/// directly — the single-threaded simulation cannot evict a reply
-/// cache entry mid-exchange from the outside.
+/// Like the dedup test above, the scenario delivers the frame to
+/// `serve_frame` itself — the single-threaded simulation cannot evict a
+/// reply cache entry mid-exchange from the outside.
 #[test]
 fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     let policy = StaticPolicy::new().place("C", Placement::Node(NodeId(1)));
@@ -508,29 +525,19 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         .find(|m| m.name == "add")
         .unwrap()
         .sig;
-    let call = Request::Call {
-        object: oid,
-        method: format!("add@{}", add_sig.0),
-        args: vec![WireValue::Int(5)],
-    };
+    let call = framed(
+        shared,
+        900,
+        &Request::Call {
+            object: oid,
+            method: format!("add@{}", add_sig.0),
+            args: vec![WireValue::Int(5)],
+        },
+    );
     // Serve once, then retransmit: the dedup cache replays — healthy.
-    let (r1, _, _) = serve_request(
-        shared,
-        NodeId(1),
-        NodeId(0),
-        900,
-        TraceContext::NONE,
-        call.clone(),
-    );
+    let (r1, _, _) = deliver(shared, &call);
     assert!(matches!(r1, Reply::Value(_)));
-    let (r2, _, _) = serve_request(
-        shared,
-        NodeId(1),
-        NodeId(0),
-        900,
-        TraceContext::NONE,
-        call.clone(),
-    );
+    let (r2, _, _) = deliver(shared, &call);
     assert_eq!(r2, r1);
     assert_eq!(cluster.monitor_violations(), vec![]);
 
@@ -542,7 +549,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         nodes[1].reply_cache.clear();
         nodes[1].reply_cache_order.clear();
     }
-    let (r3, _, _) = serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, call);
+    let (r3, _, _) = deliver(shared, &call);
     assert!(matches!(r3, Reply::Value(_)));
     assert_ne!(r3, r1, "re-execution double-applies the mutation");
     let violations = cluster.monitor_violations();

@@ -356,11 +356,9 @@ pub(crate) fn rpc_inner(
     // method/class names shrink to 5-byte references after their first
     // frame.
     let mut bytes = shared.wire_bufs.borrow_mut().checkout(from, to);
-    let encoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((from.0, to.0)).or_default();
+    let encoded = shared.with_link_table(from, to, |table| {
         codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
-    };
+    });
     if let Err(e) = encoded {
         shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
         let end = shared.net.now().as_ns();
@@ -466,33 +464,23 @@ fn attempt_exchange(
     }
     let (reply, reply_ctx, obj_version) = serve_frame(shared, to, from, &header);
     let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
-    let encoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((to.0, from.0)).or_default();
-        codec.encode_reply_into(
-            msg_id,
-            reply_ctx,
-            obj_version,
-            &reply,
-            Some(table),
-            &mut reply_bytes,
-        )
-    };
-    if let Err(e) = encoded {
-        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
-        // a fault instead. The fallback is a short stateless frame, which
-        // cannot itself fail to encode.
-        let fault = Reply::Fault(format!("reply encode failed: {e}"));
-        reply_bytes.clear();
-        codec
-            .encode_reply_into(
+    let mut encode_reply = |reply: &Reply| {
+        shared.with_link_table(to, from, |table| {
+            codec.encode_reply_into(
                 msg_id,
                 reply_ctx,
                 obj_version,
-                &fault,
-                None,
+                reply,
+                Some(table),
                 &mut reply_bytes,
             )
+        })
+    };
+    if let Err(e) = encode_reply(&reply) {
+        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
+        // a fault instead. It is one short string, which cannot itself
+        // fail to encode.
+        encode_reply(&Reply::Fault(format!("reply encode failed: {e}")))
             .expect("fault reply must encode");
     }
     if let Err(e) = shared.net.transmit(to, from, reply_bytes.len()) {
@@ -503,12 +491,11 @@ fn attempt_exchange(
         return Err(net_failure_kind(&e));
     }
     shared.net.advance(2 * codec.overhead_ns());
-    let decoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((to.0, from.0)).or_default();
-        codec.decode_reply_with(&reply_bytes, Some(table))
-    };
-    let (_, _, obj_version, reply) = decoded.expect("own encoding must decode");
+    let (_, _, obj_version, reply) = shared
+        .with_link_table(to, from, |table| {
+            codec.decode_reply_with(&reply_bytes, Some(table))
+        })
+        .expect("own encoding must decode");
     shared
         .wire_bufs
         .borrow_mut()

@@ -17,7 +17,7 @@ use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
 use rafda_telemetry::{MonitorEvent, SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
-use rafda_wire::{FrameHeader, Reply, Request, RequestKind, WireValue};
+use rafda_wire::{FrameHeader, Reply, Request, WireValue};
 
 /// How many served replies each node remembers for duplicate suppression.
 /// Bounded FIFO: old entries are evicted once the cache is full, which is
@@ -25,69 +25,31 @@ use rafda_wire::{FrameHeader, Reply, Request, RequestKind, WireValue};
 /// ids far in the past can no longer be retried.
 const REPLY_CACHE_CAP: usize = 1024;
 
-/// Serve a delivered request with at-most-once semantics: if this
+/// Serve a delivered frame with at-most-once semantics: if this
 /// `(caller, message id)` was already answered, return the cached reply
 /// without re-executing — a retransmission must never apply a mutating
-/// method twice.
+/// method twice. The dedup decision is made on the borrowed header, and the
+/// owned request tree is only materialised (resolving signature references
+/// against the link's table) when the request is actually going to be
+/// invoked.
 ///
 /// Records a `serve.*` span whose parent comes from the wire context, which
 /// is what stitches the hops of a multi-node chain into one trace. Returns
 /// the reply, the serve span's context, and the addressed export's current
 /// property version (0 for request kinds that address no export) — both of
 /// which ride back in the reply header.
-#[cfg(test)] // production traffic arrives as frames (`serve_frame`)
-pub(crate) fn serve_request(
-    shared: &Shared,
-    node: NodeId,
-    caller: NodeId,
-    msg_id: u64,
-    ctx: TraceContext,
-    req: Request,
-) -> (Reply, TraceContext, u64) {
-    let kind = RequestKind::of(&req);
-    serve_core(shared, node, caller, msg_id, ctx, kind, move |_| Ok(req))
-}
-
-/// Serve a delivered frame: the dedup decision is made on the borrowed
-/// header, and the owned request tree is only materialised (resolving
-/// signature references against the link's table) when the request is
-/// actually going to be invoked.
 pub(crate) fn serve_frame(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
     header: &FrameHeader<'_>,
 ) -> (Reply, TraceContext, u64) {
-    serve_core(
-        shared,
-        node,
-        caller,
-        header.msg_id,
-        header.ctx,
-        header.kind,
-        |shared| {
-            let mut tables = shared.sig_tables.borrow_mut();
-            let table = tables.entry((caller.0, node.0)).or_default();
-            header
-                .materialise(Some(table))
-                .map_err(|e| format!("malformed request frame: {e}"))
-        },
-    )
-}
-
-fn serve_core(
-    shared: &Shared,
-    node: NodeId,
-    caller: NodeId,
-    msg_id: u64,
-    ctx: TraceContext,
-    kind: RequestKind,
-    materialise: impl FnOnce(&Shared) -> Result<Request, String>,
-) -> (Reply, TraceContext, u64) {
-    let (_, serve_name) = span_names(kind);
+    let msg_id = header.msg_id;
+    let (_, serve_name) = span_names(header.kind);
     let (span, reply_ctx) = {
         let mut spans = shared.spans.borrow_mut();
-        let h = spans.start_server_span(serve_name, node.0, shared.net.now().as_ns(), ctx);
+        let now = shared.net.now().as_ns();
+        let h = spans.start_server_span(serve_name, node.0, now, header.ctx);
         spans.set_attr(h, "caller", caller.0);
         let reply_ctx = spans.context_of(h);
         (h, reply_ctx)
@@ -127,15 +89,15 @@ fn serve_core(
         executed(true);
         return (reply, reply_ctx, obj_version);
     }
-    let req = match materialise(shared) {
+    let req = match shared.with_link_table(caller, node, |table| header.materialise(Some(table))) {
         Ok(req) => req,
-        Err(m) => {
+        Err(e) => {
             // The frame identified itself well enough to route but its
             // payload is malformed: answer a fault (not cached — a
             // retransmission carries the same bytes and faults the same
             // way, so caching would only occupy a dedup slot).
             bump(shared, node.0, Met::Faults);
-            let reply = Reply::Fault(m);
+            let reply = Reply::Fault(format!("malformed request frame: {e}"));
             shared.spans.borrow_mut().end_span(
                 span,
                 shared.net.now().as_ns(),

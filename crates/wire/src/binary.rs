@@ -1,4 +1,8 @@
 //! Shared binary reader/writer with optional CDR-style alignment.
+//!
+//! The byte-pushers are `#[inline]`: the generic `BinaryCodec` that drives
+//! them is instantiated in whichever crate names it, and they must inline
+//! there as they do here.
 
 use crate::WireError;
 
@@ -20,38 +24,20 @@ pub struct BinWriter {
 }
 
 impl BinWriter {
-    /// Unaligned (RMI-style) writer.
-    pub fn new() -> Self {
-        Self::reuse(Vec::with_capacity(64))
-    }
-
-    /// CDR-aligned writer.
-    pub fn aligned() -> Self {
-        Self::reuse_aligned(Vec::with_capacity(64))
-    }
-
-    /// Unaligned writer over a recycled buffer (cleared, capacity kept).
-    /// This is the per-link buffer-pool entry point: the backing allocation
-    /// of a previous frame is reused instead of dropped.
-    pub fn reuse(mut buf: Vec<u8>) -> Self {
+    /// A writer over a recycled buffer (cleared, capacity kept), CDR-aligned
+    /// or packed. This is the per-link buffer-pool entry point: the backing
+    /// allocation of a previous frame is reused instead of dropped.
+    #[inline]
+    pub fn reuse(mut buf: Vec<u8>, align: bool) -> Self {
         buf.clear();
         BinWriter {
             buf,
-            align: false,
+            align,
             poisoned: None,
         }
     }
 
-    /// CDR-aligned writer over a recycled buffer (cleared, capacity kept).
-    pub fn reuse_aligned(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        BinWriter {
-            buf,
-            align: true,
-            poisoned: None,
-        }
-    }
-
+    #[inline]
     fn pad_to(&mut self, n: usize) {
         if self.align {
             while !self.buf.len().is_multiple_of(n) {
@@ -61,12 +47,14 @@ impl BinWriter {
     }
 
     /// Write one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
     }
 
     /// Write a little-endian `u16` (aligned in CDR mode).
+    #[inline]
     pub fn u16(&mut self, v: u16) -> &mut Self {
         self.pad_to(2);
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -74,6 +62,7 @@ impl BinWriter {
     }
 
     /// Write a little-endian `u32` (aligned in CDR mode).
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.pad_to(4);
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -81,6 +70,7 @@ impl BinWriter {
     }
 
     /// Write a little-endian `u64` (aligned in CDR mode).
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.pad_to(8);
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -111,6 +101,7 @@ impl BinWriter {
     /// An oversized length (a >4 GiB string or element count) poisons the
     /// writer rather than truncating via `as u32` and emitting a frame whose
     /// prefix disagrees with its body.
+    #[inline]
     pub fn len_u32(&mut self, n: usize) -> &mut Self {
         match u32::try_from(n) {
             Ok(v) => self.u32(v),
@@ -126,6 +117,7 @@ impl BinWriter {
     }
 
     /// Length-prefixed UTF-8 string (u32 length).
+    #[inline]
     pub fn string(&mut self, s: &str) -> &mut Self {
         self.len_u32(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -133,12 +125,14 @@ impl BinWriter {
     }
 
     /// Raw bytes, no length prefix.
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(bytes);
         self
     }
 
     /// Finish and take the buffer, surfacing any length-prefix poison.
+    #[inline]
     pub fn finish(self) -> Result<Vec<u8>, WireError> {
         match self.poisoned {
             None => Ok(self.buf),
@@ -157,12 +151,6 @@ impl BinWriter {
     }
 }
 
-impl Default for BinWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The matching reader.
 #[derive(Debug)]
 pub struct BinReader<'a> {
@@ -172,38 +160,23 @@ pub struct BinReader<'a> {
 }
 
 impl<'a> BinReader<'a> {
-    /// Unaligned reader.
-    pub fn new(buf: &'a [u8]) -> Self {
-        BinReader {
-            buf,
-            pos: 0,
-            align: false,
-        }
-    }
-
-    /// CDR-aligned reader.
-    pub fn aligned(buf: &'a [u8]) -> Self {
-        BinReader {
-            buf,
-            pos: 0,
-            align: true,
-        }
-    }
-
-    /// Resume reading `buf` at byte offset `pos`, in the given alignment
-    /// mode. Used by the lazy-payload path: a header scan records where the
-    /// payload starts and materialisation picks up from there. Alignment
-    /// stays relative to the buffer start (CDR semantics), which is why the
-    /// full buffer is kept rather than a payload sub-slice.
+    /// Read `buf` from byte offset `pos` (0 for a whole frame), CDR-aligned
+    /// or packed. A later `pos` serves the lazy-payload path: a header scan
+    /// records where the payload starts and materialisation picks up from
+    /// there. Alignment stays relative to the buffer start (CDR semantics),
+    /// which is why the full buffer is kept rather than a payload sub-slice.
+    #[inline]
     pub fn resume(buf: &'a [u8], pos: usize, align: bool) -> Self {
         BinReader { buf, pos, align }
     }
 
     /// Current byte offset from the start of the buffer.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
+    #[inline]
     fn skip_pad(&mut self, n: usize) {
         if self.align {
             while !self.pos.is_multiple_of(n) {
@@ -212,6 +185,7 @@ impl<'a> BinReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
             return Err(WireError::new(format!(
@@ -225,23 +199,27 @@ impl<'a> BinReader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a little-endian `u16` (skipping CDR padding).
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, WireError> {
         self.skip_pad(2);
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u32` (skipping CDR padding).
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         self.skip_pad(4);
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64` (skipping CDR padding).
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         self.skip_pad(8);
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -268,6 +246,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Read a u32-length-prefixed UTF-8 string.
+    #[inline]
     pub fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -275,6 +254,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Expect exact magic bytes.
+    #[inline]
     pub fn expect(&mut self, magic: &[u8]) -> Result<(), WireError> {
         let got = self.take(magic.len())?;
         if got != magic {
@@ -300,11 +280,11 @@ mod tests {
 
     #[test]
     fn unaligned_roundtrip() {
-        let mut w = BinWriter::new();
+        let mut w = BinWriter::reuse(Vec::new(), false);
         w.u8(7).u16(300).u32(70_000).u64(1 << 40).i32(-5).i64(-6);
         w.f32(1.5).f64(-2.25).string("héllo");
         let buf = w.finish().unwrap();
-        let mut r = BinReader::new(&buf);
+        let mut r = BinReader::resume(&buf, 0, false);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
@@ -319,12 +299,12 @@ mod tests {
 
     #[test]
     fn aligned_writer_pads_and_reader_skips() {
-        let mut w = BinWriter::aligned();
+        let mut w = BinWriter::reuse(Vec::new(), true);
         w.u8(1).u32(2).u8(3).u64(4);
         let buf = w.finish().unwrap();
         // u8 at 0, pad to 4, u32 at 4..8, u8 at 8, pad to 16, u64 at 16..24
         assert_eq!(buf.len(), 24);
-        let mut r = BinReader::aligned(&buf);
+        let mut r = BinReader::resume(&buf, 0, true);
         assert_eq!(r.u8().unwrap(), 1);
         assert_eq!(r.u32().unwrap(), 2);
         assert_eq!(r.u8().unwrap(), 3);
@@ -334,16 +314,16 @@ mod tests {
     #[test]
     fn truncated_input_errors() {
         let buf = vec![1, 2];
-        let mut r = BinReader::new(&buf);
+        let mut r = BinReader::resume(&buf, 0, false);
         assert!(r.u64().is_err());
     }
 
     #[test]
     fn bad_magic_detected() {
         let buf = b"GIOP".to_vec();
-        let mut r = BinReader::new(&buf);
+        let mut r = BinReader::resume(&buf, 0, false);
         assert!(r.expect(b"JRMI").is_err());
-        let mut r2 = BinReader::new(&buf);
+        let mut r2 = BinReader::resume(&buf, 0, false);
         assert!(r2.expect(b"GIOP").is_ok());
     }
 
@@ -352,13 +332,13 @@ mod tests {
         if usize::BITS <= 32 {
             return; // the overflow cannot be constructed on 32-bit targets
         }
-        let mut w = BinWriter::new();
+        let mut w = BinWriter::reuse(Vec::new(), false);
         w.u8(1).len_u32((u32::MAX as usize) + 1).u8(2);
         let err = w.finish().unwrap_err();
         assert!(err.0.contains("does not fit"), "unexpected error: {err:?}");
 
         // An in-range length never poisons.
-        let mut ok = BinWriter::new();
+        let mut ok = BinWriter::reuse(Vec::new(), false);
         ok.len_u32(u32::MAX as usize);
         assert!(ok.finish().is_ok());
     }
@@ -369,7 +349,7 @@ mod tests {
         // for a u32 that never comes. `skip_pad` advances pos to 4 on a
         // 2-byte buffer; at_end must report true, not panic.
         let buf = vec![7, 0];
-        let mut r = BinReader::aligned(&buf);
+        let mut r = BinReader::resume(&buf, 0, true);
         assert_eq!(r.u8().unwrap(), 7);
         assert!(r.u32().is_err());
         assert!(r.at_end());
@@ -377,11 +357,11 @@ mod tests {
 
     #[test]
     fn reused_buffer_is_cleared_but_keeps_capacity() {
-        let mut w = BinWriter::new();
+        let mut w = BinWriter::reuse(Vec::new(), false);
         w.string("first frame with some length");
         let buf = w.finish().unwrap();
         let cap = buf.capacity();
-        let mut w2 = BinWriter::reuse(buf);
+        let mut w2 = BinWriter::reuse(buf, false);
         w2.u8(9);
         let buf2 = w2.finish().unwrap();
         assert_eq!(buf2, vec![9]);

@@ -1,118 +1,32 @@
 //! CORBA-like codec: GIOP-style header and CDR-style aligned binary.
 //!
-//! Reuses the tag layout of the RMI codec but with natural alignment of
+//! The tagged frame of the RMI codec, but with natural alignment of
 //! multi-byte primitives (relative to message start), which makes messages
 //! somewhat larger — the classic CDR trade-off of parse speed for padding.
-//!
-//! The body readers are shared with the RMI codec, so the untrusted-length
-//! preallocation caps (`rmi::MAX_PREALLOC_*`) bound GIOP decoding too.
 
-use crate::binary::{BinReader, BinWriter};
-use crate::frame::FrameHeader;
-use crate::sig::SigTable;
-use crate::{rmi, Protocol, Reply, Request, TraceContext, WireError};
+use crate::tagged::{BinaryCodec, Framing};
 
-const MAGIC: &[u8] = b"GIOP";
-// GIOP 1.7 (stateless) and 1.8 (signature interning against the link's
-// `SigTable`, emitted exactly when a table is supplied) are the two
-// versions an encoder emits and the only two a decoder accepts. Header
-// layout, everything aligned to the message start: magic 0..4, version
-// 4..6, pad, message id 8..16, trace context 16..40, and on replies the
-// served object's property version 40..48.
-const MAJOR: u8 = 1;
-const MINOR: u8 = 7;
-const MINOR_SIG: u8 = 8;
+/// GIOP 1.8. Header layout, everything aligned to the message start: magic
+/// 0..4, version (major, minor) 4..6, pad, message id 8..16, trace context
+/// 16..40, and on replies the served object's property version 40..48.
+/// ORB request brokering cost: ~60 µs per message.
+pub(crate) const FRAMING: Framing = Framing {
+    name: "CORBA",
+    magic: b"GIOP",
+    version: &[1, 8],
+    overhead_ns: 60_000,
+};
 
 /// The CORBA-like protocol.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CorbaCodec;
-
-impl CorbaCodec {
-    /// Create the codec.
-    pub fn new() -> Self {
-        CorbaCodec
-    }
-}
-
-impl Protocol for CorbaCodec {
-    fn name(&self) -> &'static str {
-        "CORBA"
-    }
-
-    fn encode_request_into(
-        &self,
-        id: u64,
-        ctx: TraceContext,
-        req: &Request,
-        mut sigs: Option<&mut SigTable>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), WireError> {
-        let mut w = BinWriter::reuse_aligned(std::mem::take(out));
-        let minor = if sigs.is_some() { MINOR_SIG } else { MINOR };
-        w.raw(MAGIC).raw(&[MAJOR, minor]).u64(id);
-        rmi::write_ctx(&mut w, ctx);
-        rmi::write_request(&mut w, req, &mut sigs);
-        *out = w.finish()?;
-        Ok(())
-    }
-
-    fn decode_request_header<'a>(&self, bytes: &'a [u8]) -> Result<FrameHeader<'a>, WireError> {
-        let mut r = BinReader::aligned(bytes);
-        r.expect(MAGIC)?;
-        r.expect(&[MAJOR])?;
-        let sigged = rmi::frame_is_sigged(r.u8()?, MINOR, MINOR_SIG)?;
-        let id = r.u64()?;
-        let ctx = rmi::read_ctx(&mut r)?;
-        rmi::binary_header(bytes, &mut r, id, ctx, true, sigged)
-    }
-
-    fn encode_reply_into(
-        &self,
-        id: u64,
-        ctx: TraceContext,
-        obj_version: u64,
-        reply: &Reply,
-        mut sigs: Option<&mut SigTable>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), WireError> {
-        let mut w = BinWriter::reuse_aligned(std::mem::take(out));
-        let minor = if sigs.is_some() { MINOR_SIG } else { MINOR };
-        w.raw(MAGIC).raw(&[MAJOR, minor]).u64(id);
-        rmi::write_ctx(&mut w, ctx);
-        w.u64(obj_version);
-        rmi::write_reply(&mut w, reply, &mut sigs);
-        *out = w.finish()?;
-        Ok(())
-    }
-
-    fn decode_reply_with(
-        &self,
-        bytes: &[u8],
-        mut sigs: Option<&mut SigTable>,
-    ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
-        let mut r = BinReader::aligned(bytes);
-        r.expect(MAGIC)?;
-        r.expect(&[MAJOR])?;
-        let sigged = rmi::frame_is_sigged(r.u8()?, MINOR, MINOR_SIG)?;
-        let id = r.u64()?;
-        let ctx = rmi::read_ctx(&mut r)?;
-        let obj_version = r.u64()?;
-        let reply = rmi::read_reply(&mut r, sigged, &mut sigs)?;
-        Ok((id, ctx, obj_version, reply))
-    }
-
-    /// ORB request brokering cost: ~60 µs per message.
-    fn overhead_ns(&self) -> u64 {
-        60_000
-    }
-}
+pub type CorbaCodec = BinaryCodec<true>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::RequestKind;
+    use crate::sig::SigTable;
     use crate::testdata;
-    use crate::WireValue;
+    use crate::{Protocol, Reply, Request, TraceContext, WireValue};
 
     #[test]
     fn roundtrips_all_samples() {
@@ -164,24 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn minor_7_frames_decode_unchanged() {
-        // Minor 8 differs only in how signature strings are written, and is
-        // used only when a table is negotiated; stateless encode is minor 7
-        // and those frames decode the same with or without a decode-side
-        // table.
-        let codec = CorbaCodec::new();
-        let req = Request::Discover {
-            class: "Stock".into(),
-        };
-        let bytes = codec.encode_request(3, TraceContext::NONE, &req).unwrap();
-        assert_eq!(bytes[5], 7, "stateless encode stays at minor 7");
-        let mut table = SigTable::new();
-        let header = codec.decode_request_header(&bytes).unwrap();
-        assert_eq!(header.materialise(Some(&mut table)).unwrap(), req);
-        assert!(table.is_empty(), "minor-7 frames never intern");
-    }
-
-    #[test]
     fn every_other_version_is_rejected() {
         let codec = CorbaCodec::new();
         let req = codec
@@ -191,10 +87,10 @@ mod tests {
             .encode_reply(9, TraceContext::NONE, 3, &Reply::Value(WireValue::Int(3)))
             .unwrap();
         let versions = (0..=u8::MAX)
-            .map(|minor| (MAJOR, minor))
-            .chain([(0, MINOR), (2, MINOR)]);
+            .map(|minor| (1, minor))
+            .chain([(0, 8), (2, 8)]);
         for (major, minor) in versions {
-            let accepted = major == MAJOR && (minor == MINOR || minor == MINOR_SIG);
+            let accepted = [major, minor] == FRAMING.version;
             let (mut req, mut rep) = (req.clone(), rep.clone());
             req[4..6].copy_from_slice(&[major, minor]);
             rep[4..6].copy_from_slice(&[major, minor]);
@@ -212,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn sigged_frames_roundtrip_aligned() {
+    fn interned_frames_roundtrip_aligned() {
         let codec = CorbaCodec::new();
         let req = Request::Create {
             class: "StockMarket".into(),
@@ -228,7 +124,6 @@ mod tests {
         codec
             .encode_request_into(1, TraceContext::NONE, &req, Some(&mut enc), &mut first)
             .unwrap();
-        assert_eq!(first[5], 8, "sigged frames are minor 8");
         let h = codec.decode_request_header(&first).unwrap();
         assert_eq!(h.kind, RequestKind::Create);
         assert_eq!(h.materialise(Some(&mut dec)).unwrap(), req);

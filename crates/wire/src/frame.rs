@@ -10,7 +10,7 @@
 //! when the request is actually invoked.
 
 use crate::sig::SigTable;
-use crate::{rmi, soap, Request, TraceContext, WireError};
+use crate::{soap, tagged, Request, TraceContext, WireError};
 
 /// The discriminant of a [`Request`], decodable from a frame header alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +72,7 @@ impl RequestKind {
 pub(crate) enum Payload<'a> {
     /// A tagged-binary body (RMI or GIOP). `pos` is the byte offset of the
     /// request tag; alignment stays relative to the buffer start, which is
-    /// why the full frame is kept rather than a body sub-slice. `sigged`
-    /// frames (RMI v8 / GIOP 1.8) carry signature markers.
+    /// why the full frame is kept rather than a body sub-slice.
     Binary {
         /// The whole frame.
         buf: &'a [u8],
@@ -81,8 +80,6 @@ pub(crate) enum Payload<'a> {
         pos: usize,
         /// CDR alignment (GIOP) vs packed (RMI).
         aligned: bool,
-        /// Whether signature-position strings carry interning markers.
-        sigged: bool,
     },
     /// The content of `<soap:Body>`, left as unparsed XML text.
     Xml {
@@ -111,21 +108,18 @@ impl FrameHeader<'_> {
     ///
     /// `sigs` is the link's signature table: inline signatures are interned
     /// into it and references resolved from it. Passing `None` still
-    /// decodes any frame whose signatures are all inline (every stateless
-    /// frame), but a frame carrying references needs the table that saw
-    /// their defining frames.
+    /// decodes any frame whose signatures are all inline (every frame
+    /// encoded without a table), but a frame carrying references needs the
+    /// table that saw their defining frames.
     ///
     /// # Errors
     /// [`WireError`] on malformed payload bytes or an unresolvable
     /// signature reference.
     pub fn materialise(&self, mut sigs: Option<&mut SigTable>) -> Result<Request, WireError> {
         match &self.payload {
-            Payload::Binary {
-                buf,
-                pos,
-                aligned,
-                sigged,
-            } => rmi::materialise_binary(buf, *pos, *aligned, *sigged, &mut sigs),
+            Payload::Binary { buf, pos, aligned } => {
+                tagged::materialise(buf, *pos, *aligned, &mut sigs)
+            }
             Payload::Xml { body } => soap::materialise_body(body, &mut sigs),
         }
     }

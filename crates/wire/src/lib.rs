@@ -33,6 +33,7 @@ pub mod frame;
 pub mod rmi;
 pub mod sig;
 pub mod soap;
+mod tagged;
 
 pub use corba::CorbaCodec;
 pub use frame::{FrameHeader, RequestKind};
@@ -40,6 +41,7 @@ pub use rafda_telemetry::TraceContext;
 pub use rmi::RmiCodec;
 pub use sig::{InternOutcome, SigEnc, SigTable};
 pub use soap::SoapCodec;
+pub use tagged::BinaryCodec;
 
 use std::fmt;
 
@@ -231,10 +233,9 @@ impl WireError {
 /// version** — the counter the proxy-side property cache tags its entries
 /// with — so coherence information rides on traffic that flows anyway.
 ///
-/// Decoders accept exactly what an encoder emits — per codec, the
-/// stateless frame version and the signature-interning one — and reject
-/// every other version (or, for SOAP, a missing header element) with a
-/// [`WireError`]: both ends of every link run this code.
+/// Decoders accept exactly what an encoder emits — one frame version per
+/// codec — and reject every other version (or, for SOAP, a missing header
+/// element) with a [`WireError`]: both ends of every link run this code.
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the
@@ -244,11 +245,11 @@ impl WireError {
 /// encoders write into a caller-supplied (typically pooled) buffer and
 /// thread an optional per-link [`SigTable`] for signature interning, and
 /// `decode_request_header` parses only the frame header, deferring the
-/// owned body to [`FrameHeader::materialise`]. The provided
+/// owned body to [`FrameHeader::materialise`]. The table changes no
+/// format: without one every signature travels inline, which a decoder
+/// reads with or without a table of its own. The provided
 /// `encode_request`/`decode_request`/`encode_reply`/`decode_reply`
-/// convenience wrappers are the stateless path: fresh buffers, no
-/// signature table, and so the stateless frame version (RMI v7 / GIOP
-/// 1.7).
+/// convenience wrappers are that case: fresh buffers, no signature table.
 pub trait Protocol {
     /// Short protocol name, used in generated proxy class names
     /// (`A_O_Proxy_SOAP` etc.).
@@ -256,9 +257,9 @@ pub trait Protocol {
 
     /// Encode a request under message id `id`, carrying trace context
     /// `ctx`, into `out` (cleared first; its allocation is reused). With a
-    /// [`SigTable`], signature-position strings are interned and the
-    /// sigged frame format is emitted (RMI v8 / GIOP 1.8 / SOAP
-    /// `rafda:sigref`).
+    /// [`SigTable`], signature-position strings are interned: sent inline
+    /// on first use, as a reference afterwards (a marker byte in the binary
+    /// codecs, SOAP `rafda:sigref`).
     ///
     /// # Errors
     /// [`WireError`] when a length prefix would not fit the wire format
@@ -312,8 +313,8 @@ pub trait Protocol {
         sigs: Option<&mut SigTable>,
     ) -> Result<(u64, TraceContext, u64, Reply), WireError>;
 
-    /// Encode a request into a fresh buffer with no signature table (the
-    /// stateless wire format).
+    /// Encode a request into a fresh buffer with no signature table (every
+    /// signature inline).
     ///
     /// # Errors
     /// [`WireError`] when a length prefix would not fit the wire format.
@@ -342,8 +343,8 @@ pub trait Protocol {
         Ok((header.msg_id, header.ctx, req))
     }
 
-    /// Encode a reply into a fresh buffer with no signature table (the
-    /// stateless wire format).
+    /// Encode a reply into a fresh buffer with no signature table (every
+    /// signature inline).
     ///
     /// # Errors
     /// [`WireError`] when a length prefix would not fit the wire format.

@@ -6,7 +6,7 @@
 //! each *directed* link negotiates a dictionary define-on-first-use: the
 //! first frame that carries a signature sends it inline (and both ends
 //! intern it under the next free id), every later frame sends a small
-//! integer reference (RMI v8 / GIOP 1.8 marker byte, SOAP `rafda:sigref`
+//! integer reference (a marker byte in the binary codecs, SOAP `rafda:sigref`
 //! attribute). Because frames on a link are processed in order and
 //! interning is idempotent, encoder and decoder assign identical ids
 //! without any extra handshake traffic — a retransmitted define frame
@@ -22,6 +22,11 @@
 
 use crate::WireError;
 use std::collections::HashMap;
+
+/// The link's table, if any, as the codecs' recursive writers and readers
+/// thread it: held by mutable reference so recursion does not consume the
+/// option.
+pub(crate) type Sigs<'t, 's> = &'t mut Option<&'s mut SigTable>;
 
 /// How the encoder should put a signature string on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,8 +7,7 @@
 //! exact.
 
 use crate::frame::{FrameHeader, Payload, RequestKind};
-use crate::rmi::Sigs;
-use crate::sig::{SigEnc, SigTable};
+use crate::sig::{SigEnc, SigTable, Sigs};
 use crate::{Protocol, Reply, Request, TraceContext, WireError, WireValue};
 use std::fmt::Write as _;
 

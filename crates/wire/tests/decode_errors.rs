@@ -116,7 +116,7 @@ fn corrupt_request_frames_are_rejected_with_typed_errors() {
     }
 
     // A signature reference cannot be resolved without the table that saw
-    // its defining frame: a stateless decoder must say so, not guess.
+    // its defining frame: a decoder without one must say so, not guess.
     for codec in codecs() {
         let mut table = SigTable::new();
         let mut first = Vec::new();
@@ -235,11 +235,11 @@ fn oversized_rmi_length_prefixes_are_clamped_at_every_site() {
     request_cases.push(("rmi: object-state field count".into(), frame, at));
 
     // Batch op count: sits before the first op — R_CALL tag (1) + object
-    // id (8) + the method string's own length prefix (4).
+    // id (8) + the method's signature marker (1) and length prefix (4).
     let frame = codec
         .encode_request(9, TraceContext::NONE, &Request::Batch(vec![call_request()]))
         .unwrap();
-    let at = find(&frame, method) - 4 - 8 - 1 - 4;
+    let at = find(&frame, method) - 4 - 1 - 8 - 1 - 4;
     request_cases.push(("rmi: batch op count".into(), frame, at));
 
     for (label, mut frame, at) in request_cases {

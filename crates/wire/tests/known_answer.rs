@@ -29,15 +29,14 @@ fn rmi_request_bytes_are_stable() {
         .unwrap();
     let expected: Vec<u8> = vec![
         b'J', b'R', b'M', b'I', // magic
-        7,    // version (3 = message id; 4 = + trace context; 5 = + reply
-        //   objver; 6 = + replica-sync/promote request tags; 7 = + batch
-        //   request/reply tags)
+        8,    // version
         0x02, 0x01, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0x0B, 0, 0, 0, 0, 0, 0, 0, // trace id u64 LE
         0x0C, 0, 0, 0, 0, 0, 0, 0, // span id u64 LE
         0x0A, 0, 0, 0, 0, 0, 0, 0, // parent span id u64 LE
         0, // R_CALL
         5, 0, 0, 0, 0, 0, 0, 0, // object id u64 LE
+        0, // SIG_INLINE
         6, 0, 0, 0, // method length u32
         b't', b'i', b'c', b'k', b'@', b'7', // method
         2, 0, 0, 0, // argc
@@ -55,7 +54,7 @@ fn rmi_reply_bytes_are_stable() {
         .encode_reply(7, TraceContext::NONE, 9, &Reply::Value(WireValue::Int(-1)))
         .unwrap();
     let expected: Vec<u8> = vec![
-        b'J', b'R', b'M', b'I', 7, // version
+        b'J', b'R', b'M', b'I', 8, // version
         7, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
         0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
@@ -73,9 +72,9 @@ fn corba_header_and_alignment_are_stable() {
     let bytes = CorbaCodec::new()
         .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
         .unwrap();
-    // "GIOP" + version 1.7, pad to 8, message id u64, trace context (3×u64)
+    // "GIOP" + version 1.8, pad to 8, message id u64, trace context (3×u64)
     // at 16..40, tag R_FETCH(3) at 40, pad to 48, object u64.
-    assert_eq!(&bytes[..6], b"GIOP\x01\x07");
+    assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(&bytes[6..8], &[0, 0], "alignment pad before id");
     assert_eq!(&bytes[8..16], &7u64.to_le_bytes());
     assert_eq!(&bytes[16..24], &0x0Bu64.to_le_bytes());
@@ -104,7 +103,7 @@ fn rmi_replica_sync_bytes_are_stable() {
         .encode_request(1, TraceContext::NONE, &replica_sync_request())
         .unwrap();
     let expected: Vec<u8> = vec![
-        b'J', b'R', b'M', b'I', 7, // version
+        b'J', b'R', b'M', b'I', 8, // version
         1, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
         0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
@@ -113,6 +112,7 @@ fn rmi_replica_sync_bytes_are_stable() {
         3, 0, 0, 0, 0, 0, 0, 0, // object id u64 LE
         2, 0, 0, 0, 0, 0, 0, 0, // snapshot version u64 LE
         9, // T_STATE
+        0, // SIG_INLINE
         1, 0, 0, 0,    // class name length u32
         b'C', // class name
         1, 0, 0, 0, // field count u32
@@ -132,7 +132,7 @@ fn rmi_promote_bytes_are_stable() {
         )
         .unwrap();
     let expected: Vec<u8> = vec![
-        b'J', b'R', b'M', b'I', 7, // version
+        b'J', b'R', b'M', b'I', 8, // version
         1, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
         0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
@@ -151,7 +151,7 @@ fn corba_promote_alignment_is_stable() {
         .unwrap();
     // Header as for any request, then tag R_PROMOTE(7) at 40, the node u32
     // aligned up to 44, the object u64 aligned up to 48.
-    assert_eq!(&bytes[..6], b"GIOP\x01\x07");
+    assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(bytes[40], 7);
     assert_eq!(&bytes[41..44], &[0; 3], "alignment pad before node");
     assert_eq!(&bytes[44..48], &4u32.to_le_bytes());
@@ -164,8 +164,12 @@ fn corba_replica_sync_roundtrips_with_known_header() {
     let bytes = CorbaCodec::new()
         .encode_request(7, sample_ctx(), &replica_sync_request())
         .unwrap();
-    assert_eq!(&bytes[..6], b"GIOP\x01\x07");
+    assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(bytes[40], 6, "R_REPLICA tag");
+    // Object and snapshot version at 48..64, then T_STATE, the class name's
+    // SIG_INLINE marker, and its length aligned up to 68.
+    assert_eq!(&bytes[64..68], &[9, 0, 0, 0]);
+    assert_eq!(&bytes[68..73], &[1, 0, 0, 0, b'C']);
     let (id, ctx, req) = CorbaCodec::new().decode_request(&bytes).unwrap();
     assert_eq!((id, ctx), (7, sample_ctx()));
     assert_eq!(req, replica_sync_request());
@@ -207,7 +211,7 @@ fn soap_promote_text_is_stable() {
 }
 
 #[test]
-fn pre_failover_soap_frames_still_parse() {
+fn verbatim_soap_envelopes_decode() {
     // Verbatim envelopes carrying exactly the header set an encoder
     // writes (mid + trace, plus objver on the reply) decode from text we
     // did not just produce ourselves.
@@ -372,7 +376,7 @@ fn rmi_batch_bytes_are_stable() {
         .encode_request(1, TraceContext::NONE, &batch_request())
         .unwrap();
     let expected: Vec<u8> = vec![
-        b'J', b'R', b'M', b'I', 7, // version
+        b'J', b'R', b'M', b'I', 8, // version
         1, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
         0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
@@ -381,6 +385,7 @@ fn rmi_batch_bytes_are_stable() {
         2, 0, 0, 0, // op count u32
         0, // R_CALL
         3, 0, 0, 0, 0, 0, 0, 0, // object id u64 LE
+        0, // SIG_INLINE
         7, 0, 0, 0, // method length u32
         b's', b'e', b't', b'_', b'x', b'@', b'2', // method
         1, 0, 0, 0, // argc
@@ -402,7 +407,7 @@ fn rmi_batch_reply_bytes_are_stable() {
         .encode_reply(1, TraceContext::NONE, 0, &reply)
         .unwrap();
     let expected: Vec<u8> = vec![
-        b'J', b'R', b'M', b'I', 7, // version
+        b'J', b'R', b'M', b'I', 8, // version
         1, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
         0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
         0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
@@ -426,7 +431,7 @@ fn corba_batch_roundtrips_with_known_header() {
     let bytes = CorbaCodec::new()
         .encode_request(7, sample_ctx(), &batch_request())
         .unwrap();
-    assert_eq!(&bytes[..6], b"GIOP\x01\x07");
+    assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(bytes[40], 8, "R_BATCH tag");
     let (id, ctx, req) = CorbaCodec::new().decode_request(&bytes).unwrap();
     assert_eq!((id, ctx), (7, sample_ctx()));

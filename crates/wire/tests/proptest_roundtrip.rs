@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use rafda_wire::{
-    CorbaCodec, Protocol, Reply, Request, RmiCodec, SoapCodec, TraceContext, WireValue,
+    CorbaCodec, Protocol, Reply, Request, RmiCodec, SigTable, SoapCodec, TraceContext, WireError,
+    WireValue,
 };
 
 fn arb_ctx() -> impl Strategy<Value = TraceContext> {
@@ -243,18 +244,93 @@ fn codecs() -> Vec<Box<dyn Protocol>> {
     ]
 }
 
+/// A frame under test, with the decode-side table that reads it. Decodes
+/// run against a copy of the table, so hostile bytes cannot skew the next.
+struct Input {
+    frame: Vec<u8>,
+    table: Option<SigTable>,
+}
+
+impl Input {
+    fn pair(inline: Vec<u8>, tabled: Vec<u8>, dec: SigTable) -> [Input; 2] {
+        let (inline, tabled) = ((inline, None), (tabled, Some(dec)));
+        [inline, tabled].map(|(frame, table)| Input { frame, table })
+    }
+
+    fn request(
+        &self,
+        codec: &dyn Protocol,
+        bytes: &[u8],
+    ) -> Result<(u64, TraceContext, Request), WireError> {
+        let header = codec.decode_request_header(bytes)?;
+        let req = header.materialise(self.table.clone().as_mut())?;
+        Ok((header.msg_id, header.ctx, req))
+    }
+
+    fn reply(
+        &self,
+        codec: &dyn Protocol,
+        bytes: &[u8],
+    ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
+        codec.decode_reply_with(bytes, self.table.clone().as_mut())
+    }
+}
+
+/// The two inputs the properties run on: the frame encoded without a table
+/// (every signature inline), and the second of two consecutive frames on a
+/// link with an encoder/decoder table pair — the only frames a deployment
+/// carries — whose signatures are references into what the first defined.
+fn request_inputs(codec: &dyn Protocol, id: u64, ctx: TraceContext, req: &Request) -> [Input; 2] {
+    let inline = codec.encode_request(id, ctx, req).unwrap();
+    let (mut enc, mut dec) = (SigTable::new(), SigTable::new());
+    let mut frame = Vec::new();
+    let mut encode = |frame: &mut Vec<u8>| {
+        codec
+            .encode_request_into(id, ctx, req, Some(&mut enc), frame)
+            .unwrap()
+    };
+    encode(&mut frame);
+    let define = codec.decode_request_header(&frame).unwrap();
+    define.materialise(Some(&mut dec)).unwrap();
+    encode(&mut frame);
+    Input::pair(inline, frame, dec)
+}
+
+/// [`request_inputs`] for a reply.
+fn reply_inputs(
+    codec: &dyn Protocol,
+    id: u64,
+    ctx: TraceContext,
+    ver: u64,
+    reply: &Reply,
+) -> [Input; 2] {
+    let inline = codec.encode_reply(id, ctx, ver, reply).unwrap();
+    let (mut enc, mut dec) = (SigTable::new(), SigTable::new());
+    let mut frame = Vec::new();
+    let mut encode = |frame: &mut Vec<u8>| {
+        codec
+            .encode_reply_into(id, ctx, ver, reply, Some(&mut enc), frame)
+            .unwrap()
+    };
+    encode(&mut frame);
+    codec.decode_reply_with(&frame, Some(&mut dec)).unwrap();
+    encode(&mut frame);
+    Input::pair(inline, frame, dec)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn requests_roundtrip_all_codecs(id in any::<u64>(), ctx in arb_ctx(), req in arb_request()) {
         for codec in codecs() {
-            let bytes = codec.encode_request(id, ctx, &req).unwrap();
-            let (back_id, back_ctx, back) = codec.decode_request(&bytes)
-                .unwrap_or_else(|e| panic!("{}: {e}", codec.name()));
-            prop_assert_eq!(back_id, id, "{} lost the message id", codec.name());
-            prop_assert_eq!(back_ctx, ctx, "{} lost the trace context", codec.name());
-            prop_assert!(request_exact(&back, &req), "{}: {back:?} != {req:?}", codec.name());
+            for input in request_inputs(codec.as_ref(), id, ctx, &req) {
+                let (back_id, back_ctx, back) = input.request(codec.as_ref(), &input.frame)
+                    .unwrap_or_else(|e| panic!("{}: {e}", codec.name()));
+                prop_assert_eq!(back_id, id, "{} lost the message id", codec.name());
+                prop_assert_eq!(back_ctx, ctx, "{} lost the trace context", codec.name());
+                prop_assert!(request_exact(&back, &req), "{}: {back:?} != {req:?}", codec.name());
+            }
         }
     }
 
@@ -266,13 +342,14 @@ proptest! {
         reply in arb_reply(),
     ) {
         for codec in codecs() {
-            let bytes = codec.encode_reply(id, ctx, ver, &reply).unwrap();
-            let (back_id, back_ctx, back_ver, back) = codec.decode_reply(&bytes)
-                .unwrap_or_else(|e| panic!("{}: {e}", codec.name()));
-            prop_assert_eq!(back_id, id, "{} lost the message id", codec.name());
-            prop_assert_eq!(back_ctx, ctx, "{} lost the trace context", codec.name());
-            prop_assert_eq!(back_ver, ver, "{} lost the object version", codec.name());
-            prop_assert!(reply_exact(&back, &reply), "{}: {back:?} != {reply:?}", codec.name());
+            for input in reply_inputs(codec.as_ref(), id, ctx, ver, &reply) {
+                let (back_id, back_ctx, back_ver, back) = input.reply(codec.as_ref(), &input.frame)
+                    .unwrap_or_else(|e| panic!("{}: {e}", codec.name()));
+                prop_assert_eq!(back_id, id, "{} lost the message id", codec.name());
+                prop_assert_eq!(back_ctx, ctx, "{} lost the trace context", codec.name());
+                prop_assert_eq!(back_ver, ver, "{} lost the object version", codec.name());
+                prop_assert!(reply_exact(&back, &reply), "{}: {back:?} != {reply:?}", codec.name());
+            }
         }
     }
 
@@ -307,23 +384,26 @@ proptest! {
         // (SOAP frames end in a cosmetic newline after the root close tag,
         // which is the one byte a parser legitimately tolerates losing.)
         for codec in codecs() {
+            let codec = codec.as_ref();
             let slack = usize::from(codec.name() == "SOAP");
-            let frame = codec.encode_request(id, ctx, &req).unwrap();
-            let cut = cut_seed % (frame.len() - slack);
-            prop_assert!(
-                codec.decode_request(&frame[..cut]).is_err(),
-                "{} accepted a request truncated to {cut}/{} bytes",
-                codec.name(),
-                frame.len()
-            );
-            let frame = codec.encode_reply(id, ctx, 3, &reply).unwrap();
-            let cut = cut_seed % (frame.len() - slack);
-            prop_assert!(
-                codec.decode_reply(&frame[..cut]).is_err(),
-                "{} accepted a reply truncated to {cut}/{} bytes",
-                codec.name(),
-                frame.len()
-            );
+            for input in request_inputs(codec, id, ctx, &req) {
+                let cut = cut_seed % (input.frame.len() - slack);
+                prop_assert!(
+                    input.request(codec, &input.frame[..cut]).is_err(),
+                    "{} accepted a request truncated to {cut}/{} bytes",
+                    codec.name(),
+                    input.frame.len()
+                );
+            }
+            for input in reply_inputs(codec, id, ctx, 3, &reply) {
+                let cut = cut_seed % (input.frame.len() - slack);
+                prop_assert!(
+                    input.reply(codec, &input.frame[..cut]).is_err(),
+                    "{} accepted a reply truncated to {cut}/{} bytes",
+                    codec.name(),
+                    input.frame.len()
+                );
+            }
         }
     }
 
@@ -340,27 +420,27 @@ proptest! {
         // inside the 4-byte magic of the binary codecs must be rejected
         // outright (the frame no longer identifies as that protocol).
         for codec in codecs() {
-            for (frame, is_reply) in [
-                (codec.encode_request(id, ctx, &req).unwrap(), false),
-                (codec.encode_reply(id, ctx, 3, &reply).unwrap(), true),
-            ] {
-                let mut mutated = frame.clone();
+            let codec = codec.as_ref();
+            let inputs = request_inputs(codec, id, ctx, &req)
+                .map(|input| (input, false))
+                .into_iter()
+                .chain(reply_inputs(codec, id, ctx, 3, &reply).map(|input| (input, true)));
+            for (input, is_reply) in inputs {
+                let rejects = |bytes: &[u8]| {
+                    if is_reply {
+                        input.reply(codec, bytes).is_err()
+                    } else {
+                        input.request(codec, bytes).is_err()
+                    }
+                };
+                let mut mutated = input.frame.clone();
                 let pos = pos_seed % mutated.len();
                 mutated[pos] ^= 1 << bit;
-                if is_reply {
-                    let _ = codec.decode_reply(&mutated);
-                } else {
-                    let _ = codec.decode_request(&mutated);
-                }
+                let _ = rejects(&mutated);
                 if codec.name() != "SOAP" {
-                    let mut magic_hit = frame;
+                    let mut magic_hit = input.frame.clone();
                     magic_hit[pos_seed % 4] ^= 1 << bit;
-                    let rejected = if is_reply {
-                        codec.decode_reply(&magic_hit).is_err()
-                    } else {
-                        codec.decode_request(&magic_hit).is_err()
-                    };
-                    prop_assert!(rejected, "{} accepted a corrupt magic", codec.name());
+                    prop_assert!(rejects(&magic_hit), "{} accepted a corrupt magic", codec.name());
                 }
             }
         }
@@ -379,11 +459,45 @@ proptest! {
         // header *does* parse, materialising the payload must also either
         // succeed or error — never panic.
         for codec in codecs() {
-            let mut frame = codec.encode_request(id, ctx, &req).unwrap();
-            let pos = pos_seed % frame.len();
-            frame[pos] ^= 1 << bit;
-            if let Ok(header) = codec.decode_request_header(&frame) {
-                let _ = header.materialise(None);
+            for input in request_inputs(codec.as_ref(), id, ctx, &req) {
+                let mut frame = input.frame.clone();
+                let pos = pos_seed % frame.len();
+                frame[pos] ^= 1 << bit;
+                let _ = input.request(codec.as_ref(), &frame);
+            }
+        }
+    }
+
+    #[test]
+    fn references_past_the_decoders_table_are_rejected(
+        id in any::<u64>(),
+        ctx in arb_ctx(),
+        req in arb_request(),
+        skew in 0usize..8,
+    ) {
+        // The peer's ids drifted (say, after a reconnect): its table holds
+        // entries the decoder never saw, so every reference it sends lies
+        // past the end of the decoder's table. That is a typed error on
+        // every codec — never a panic, never some other signature.
+        for codec in codecs() {
+            let [_, Input { table, .. }] = request_inputs(codec.as_ref(), id, ctx, &req);
+            let mut dec = table.expect("the second input carries the decode-side table");
+            let mut enc = SigTable::new();
+            for pad in 0..dec.len() + skew {
+                enc.intern(&format!("<pad {pad}>"));
+            }
+            let mut frame = Vec::new();
+            for _define_then_refer in 0..2 {
+                codec.encode_request_into(id, ctx, &req, Some(&mut enc), &mut frame).unwrap();
+            }
+            let header = codec.decode_request_header(&frame).unwrap();
+            match header.materialise(Some(&mut dec)) {
+                Ok(back) => prop_assert!(
+                    enc.refs() == 0 && request_exact(&back, &req),
+                    "{} resolved a reference past its table",
+                    codec.name()
+                ),
+                Err(e) => prop_assert!(e.to_string().contains("sigref"), "{}: {e}", codec.name()),
             }
         }
     }
