@@ -17,7 +17,7 @@
 //!
 //! Knobs (shared with `tests/soak.rs`): `SOAK_OPS=<n>` for an exact op
 //! count — `SOAK_OPS=1000000` is the mega tier the incremental
-//! dirty-replica sweep makes affordable (~31 s single-core) —
+//! dirty-replica sweep makes affordable (~10 s single-core) —
 //! `SOAK_SMOKE=1` for the quick CI pass (10⁴ ops),
 //! `SOAK_SEEDS=a,b` to sweep seeds. Default: 10⁵ ops, seed 42.
 //!

@@ -163,9 +163,13 @@ impl Cluster {
     /// replicated state in flight), then hands the span log to the
     /// monitors' structural check, probes every replica against its
     /// primary, and sweeps the affinity counters for entries referencing
-    /// a moved or dead location (`stale-affinity`). A clean run returns
-    /// an empty vector; tests assert exactly that, and on failure each
-    /// [`Violation`] identifies the offending span and exchange.
+    /// a moved or dead location (`stale-affinity`). The structural check
+    /// visits only the spans recorded since the previous call (every span
+    /// is closed at a quiescent point, so the span-tree monitor's verdicts
+    /// on them are final), which keeps a check's cost independent of how
+    /// long the run has been going. A clean run returns an empty vector;
+    /// tests assert exactly that, and on failure each [`Violation`]
+    /// identifies the offending span and exchange.
     pub fn check_invariants(&self) -> Vec<Violation> {
         let shared = &self.shared;
         let _ = flush_outqueues(shared);
@@ -182,10 +186,11 @@ impl Cluster {
             return Vec::new();
         }
         {
-            // Borrow, don't clone: the log holds the whole run's spans, and
-            // copying it at every quiescent point costs linear time and a
-            // 2x memory spike on deep soaks. `spans` and `obs` are separate
-            // cells, so the shared borrow is safe alongside the obs borrow.
+            // Borrow, don't clone: the log holds the whole run's spans and
+            // the monitors read only its tail, so a copy would be the one
+            // O(run) step left in a quiescent check. `spans` and `obs` are
+            // separate cells, so the shared borrow is safe alongside the
+            // obs borrow.
             let log = shared.spans.borrow();
             let mut obs = shared.obs.borrow_mut();
             if let Some(monitors) = obs.monitors.as_mut() {

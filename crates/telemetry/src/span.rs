@@ -1,6 +1,8 @@
 //! Spans charged to the simulated clock, collected in a [`SpanLog`].
 //!
 //! The log is an append-only vector plus a stack of currently-open spans.
+//! Span ids are handed out 1, 2, 3, … in push order, so the vector is its
+//! own id index ([`SpanLog::by_id`]); a closed span never changes again.
 //! The cluster is single-threaded and RPCs are synchronous and re-entrant,
 //! so the stack *is* the causal chain: a span started while another is open
 //! becomes its child. Server-side dispatch spans instead take their parent
@@ -207,6 +209,13 @@ impl SpanLog {
 
     fn push(&mut self, span: Span) -> SpanHandle {
         let idx = self.spans.len();
+        // `by_id` reads slot `id - first id`: each id follows its predecessor.
+        debug_assert!(
+            self.spans
+                .last()
+                .is_none_or(|prev| prev.span_id + 1 == span.span_id),
+            "span ids are consecutive in push order"
+        );
         self.spans.push(span);
         self.open.push(idx);
         SpanHandle(idx)
@@ -275,13 +284,16 @@ impl SpanLog {
         self.spans[h.0].retry_of = Some(prior_attempt);
     }
 
-    /// Close a span, stamping the end time and outcome.
+    /// Close a span, stamping the end time and outcome. A closed span is
+    /// immutable (the span-tree monitor keeps its verdict on it), so closing
+    /// a handle a second time is a caller bug and changes nothing.
     pub fn end_span(&mut self, h: SpanHandle, now_ns: u64, outcome: SpanOutcome) {
         // Remove by position (not just the top) so a missed close of a
         // nested span cannot poison the whole stack.
-        if let Some(pos) = self.open.iter().rposition(|&i| i == h.0) {
-            self.open.remove(pos);
-        }
+        let pos = self.open.iter().rposition(|&i| i == h.0);
+        debug_assert!(pos.is_some(), "span handle {} closed twice", h.0);
+        let Some(pos) = pos else { return };
+        self.open.remove(pos);
         let span = &mut self.spans[h.0];
         span.end_ns = now_ns;
         span.outcome = outcome;
@@ -314,6 +326,16 @@ impl SpanLog {
     /// All recorded spans, in start order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
+    }
+
+    /// The span with this id, in O(1): ids are consecutive in push order, so
+    /// the id names the slot. `None` for 0 (the "no parent" id), for an id
+    /// the log never handed out, and for a slot holding a different id.
+    pub fn by_id(&self, span_id: u64) -> Option<&Span> {
+        let offset = span_id.checked_sub(self.spans.first()?.span_id)?;
+        self.spans
+            .get(usize::try_from(offset).ok()?)
+            .filter(|s| s.span_id == span_id)
     }
 
     /// Per-link p50/p95/p99 over the recorded samples (exact nearest-rank),
@@ -449,6 +471,35 @@ mod tests {
         log.end_span(a, 10, SpanOutcome::Ok);
         log.end_span(b, 11, SpanOutcome::Ok);
         assert!(log.current_context().is_none());
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "closed twice"))]
+    fn end_span_twice_keeps_the_first_close() {
+        let mut log = SpanLog::new();
+        let a = log.start_span("outer", 0, 0);
+        let b = log.start_span("inner", 0, 1);
+        log.end_span(b, 5, SpanOutcome::Ok);
+        // Debug builds stop here; release builds must ignore the call.
+        log.end_span(b, 99, SpanOutcome::Fault);
+        assert_eq!(log.spans()[1].end_ns, 5);
+        assert_eq!(log.spans()[1].outcome, SpanOutcome::Ok);
+        assert_eq!(log.current_context(), log.context_of(a), "outer still open");
+    }
+
+    #[test]
+    fn by_id_is_the_slot_lookup() {
+        let mut log = SpanLog::new();
+        assert!(log.by_id(1).is_none(), "empty log");
+        let a = log.start_span("rpc.call", 0, 0);
+        let b = log.start_server_span("serve.call", 1, 1, log.context_of(a));
+        for h in [a, b] {
+            let id = log.span_id_of(h);
+            assert!(std::ptr::eq(log.by_id(id).unwrap(), &log.spans()[h.0]));
+        }
+        assert!(log.by_id(0).is_none(), "0 means no span");
+        assert!(log.by_id(3).is_none(), "one past the end");
+        assert!(log.by_id(u64::MAX).is_none());
     }
 
     #[test]

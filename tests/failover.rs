@@ -118,12 +118,15 @@ fn failover_emits_a_span_chained_to_the_failed_exchange() {
         .expect("failover span");
     assert_eq!(fo.attr_str("class"), Some("C"));
     let prior = fo.retry_of.expect("chained to the failed exchange");
-    let failed = log
-        .spans()
-        .iter()
-        .find(|s| s.span_id == prior)
-        .expect("the failed exchange span exists");
+    let failed = log.by_id(prior).expect("the failed exchange span exists");
     assert_eq!(failed.name, "rpc.call");
+    assert!(
+        prior < fo.span_id,
+        "a span chains to one recorded before it"
+    );
+    // `by_id` names slots: the "no span" id and ids past the end are absent.
+    assert!(log.by_id(0).is_none());
+    assert!(log.by_id(log.spans().len() as u64 + 1).is_none());
     // The promotion itself is served and visible.
     assert!(log.spans().iter().any(|s| s.name == "serve.promote"));
     assert!(log.spans().iter().any(|s| s.name == "serve.replica"));

@@ -111,10 +111,10 @@ fn stale_read_canary_is_caught_with_the_offending_span() {
     assert_ne!(v.span_id, 0, "violation must point at the offending span");
     let log = cluster.span_log();
     let span = log
-        .spans()
-        .iter()
-        .find(|s| s.span_id == v.span_id && s.trace_id == v.trace_id)
+        .by_id(v.span_id)
+        .filter(|s| s.trace_id == v.trace_id)
         .expect("offending span present in the log");
+    assert!(log.by_id(u64::MAX).is_none(), "an id the log never issued");
     assert_eq!(span.name, "rpc.call");
     assert!(span.attr("cached").is_some(), "the flagged span is the hit");
 }
