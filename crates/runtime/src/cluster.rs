@@ -227,31 +227,34 @@ pub(crate) struct Shared {
     /// retransmission of their exchange) and returned cleared. Never
     /// borrowed across a serve — RPCs re-enter.
     pub wire_bufs: RefCell<BufPool>,
-    /// Per-directed-link signature interning tables, keyed `(from node,
-    /// to node)`. The simulation runs both ends in one process, so a
+    /// Per-directed-link signature interning tables: `nodes²` slots, the
+    /// link `from → to` at `from * nodes + to` (the node count is fixed at
+    /// deployment). The simulation runs both ends in one process, so a
     /// single table per link serves as the encoder's and the decoder's
     /// state: in-order frame processing plus idempotent interning keeps
     /// the two views identical without a handshake. Never borrowed across
     /// a serve: reach it through [`Shared::with_link_table`].
-    pub sig_tables: RefCell<HashMap<(u32, u32), SigTable>>,
+    pub sig_tables: RefCell<Vec<SigTable>>,
 }
 
 impl Shared {
     /// Run one encode or decode against the signature table of the
     /// directed link `from → to`, the table every frame on that link is
-    /// written and read with.
+    /// written and read with. A frame addressed to a node the deployment
+    /// does not have (a policy can name one) is never delivered — its
+    /// transmission fails as `NoSuchNode` — so it gets a throwaway table
+    /// rather than another link's slot.
     pub(crate) fn with_link_table<R>(
         &self,
         from: NodeId,
         to: NodeId,
         codec_op: impl FnOnce(&mut SigTable) -> R,
     ) -> R {
-        codec_op(
-            self.sig_tables
-                .borrow_mut()
-                .entry((from.0, to.0))
-                .or_default(),
-        )
+        let (nodes, from, to) = (self.vms.len(), from.0 as usize, to.0 as usize);
+        if to >= nodes {
+            return codec_op(&mut SigTable::default());
+        }
+        codec_op(&mut self.sig_tables.borrow_mut()[from * nodes + to])
     }
 }
 
@@ -354,7 +357,7 @@ impl Cluster {
             in_replica_sweep: Cell::new(false),
             app_frames: RefCell::new(vec![0; nodes as usize]),
             wire_bufs: RefCell::new(BufPool::new()),
-            sig_tables: RefCell::new(HashMap::new()),
+            sig_tables: RefCell::new((0..nodes * nodes).map(|_| SigTable::default()).collect()),
         });
         let cluster = Cluster { shared };
         cluster.install_hooks();
@@ -517,6 +520,8 @@ impl Cluster {
 
     fn install_proxy_hooks(&self, node: NodeId, proxy: ClassId) {
         let vm = &self.shared.vms[node.0 as usize];
+        // The wire method label `name@sig`, built once per hooked method
+        // instead of once per call.
         let methods: Vec<(String, SigId)> = self
             .shared
             .universe
@@ -524,13 +529,13 @@ impl Cluster {
             .methods
             .iter()
             .filter(|m| m.is_native)
-            .map(|m| (m.name.clone(), m.sig))
+            .map(|m| (format!("{}@{}", m.name, m.sig.0), m.sig))
             .collect();
-        for (name, sig) in methods {
+        for (label, sig) in methods {
             let weak = Rc::downgrade(&self.shared);
             vm.register_native(proxy, sig, move |_vm, args| {
                 let shared = upgrade(&weak)?;
-                proxy_call(&shared, node, &name, sig, args)
+                proxy_call(&shared, node, &label, sig, args)
             });
         }
     }

@@ -472,6 +472,25 @@ fn an_unknown_protocol_is_a_typed_no_codec_fault() {
     assert_eq!(err, VmError::Rpc(RpcFault::NoCodec("IIOP2".into())));
 }
 
+/// A policy may name a node the deployment does not have. The request is
+/// still framed before the network refuses it, so the link-table lookup
+/// must not mistake the address for another link's slot.
+#[test]
+fn an_exchange_to_a_node_outside_the_deployment_is_a_typed_net_failure() {
+    let (cluster, _) = deployed(StaticPolicy::new());
+    let call = Request::Call {
+        object: 1,
+        method: "add@1".into(),
+        args: vec![],
+    };
+    let err = rpc(cluster.shared(), NodeId(0), NodeId(2), "RMI", "C", &call).unwrap_err();
+    let VmError::Unreachable(failure) = err else {
+        panic!("expected a network failure, got {err:?}");
+    };
+    assert_eq!(failure.kind, rafda_vm::NetFailureKind::NoSuchNode(2));
+    assert_eq!(cluster.stats().sig_defs, 0, "no link's table was written");
+}
+
 #[test]
 fn an_exchange_at_the_depth_limit_is_a_typed_depth_fault() {
     let (cluster, _) = deployed(StaticPolicy::new());

@@ -12,7 +12,10 @@
 //! [`Directory::restart`], [`Directory::record_call`],
 //! [`Directory::canonical_static`] and the shard-map operations), each of
 //! which leaves every view consistent. Reads are questions that return
-//! plain data, never a handle on a table.
+//! plain data, never a handle on a table. The two questions every
+//! time-series sample asks — [`Directory::replica_lag`] and
+//! [`Directory::shard_balance`] — read gauges the transitions keep exact,
+//! so a sample costs the same however many locations there are.
 //!
 //! No method calls back into the runtime: whatever must be looked up in a
 //! VM heap or the policy is passed in as plain data or a pure closure. The
@@ -136,6 +139,15 @@ pub(crate) struct Directory {
     /// Always a subset of the nodes' `replicated` sets; a `BTreeSet` so
     /// the sweep drains it in `(node, oid)` order.
     dirty: BTreeSet<Loc>,
+    /// Gauge behind [`Directory::replica_lag`]: shipped locations whose
+    /// current version is [`behind`] their shipment record's. Kept exact by
+    /// the transitions that can flip the predicate for one location —
+    /// [`Directory::bump`], [`Directory::relocate`], [`Directory::shipped`]
+    /// — and zeroed by [`Directory::restart`], which voids every record.
+    lagging: u64,
+    /// Gauge behind [`Directory::shard_balance`]: recorded shard members
+    /// per node, kept exact by the three shard-member transitions.
+    members_per_node: Vec<u64>,
     /// Test-only injected fault: the next relocation "forgets" its
     /// tombstone — the bug the stale-read monitor exists to catch.
     skip_next_tombstone: bool,
@@ -145,6 +157,7 @@ impl Directory {
     pub(crate) fn new(nodes: u32) -> Directory {
         Directory {
             nodes: (0..nodes).map(|_| NodeDir::default()).collect(),
+            members_per_node: vec![0; nodes as usize],
             ..Directory::default()
         }
     }
@@ -204,7 +217,10 @@ impl Directory {
         points_at: impl Fn(u32, Handle) -> Option<Loc>,
     ) {
         if !std::mem::take(&mut self.skip_next_tombstone) {
-            self.versions.insert(old, VERSION_TOMBSTONE);
+            let before = self.versions.insert(old, VERSION_TOMBSTONE).unwrap_or(0);
+            // A tombstoned location never lags, whatever it last shipped.
+            let lagged = self.shipped_version(old).is_some_and(|s| behind(before, s));
+            self.lagging -= u64::from(lagged);
         }
         if why != Why::Promoted {
             let st = &mut self.nodes[old.0 as usize];
@@ -236,8 +252,14 @@ impl Directory {
     #[must_use]
     pub(crate) fn bump(&mut self, loc: Loc) -> bool {
         let v = self.versions.entry(loc).or_insert(0);
-        if *v != VERSION_TOMBSTONE {
-            *v = v.saturating_add(1).min(VERSION_TOMBSTONE - 1);
+        let before = *v;
+        if before != VERSION_TOMBSTONE {
+            *v = before.saturating_add(1).min(VERSION_TOMBSTONE - 1);
+        }
+        let after = *v;
+        if let Some(shipped) = self.shipped_version(loc) {
+            let (was, is) = (behind(before, shipped), behind(after, shipped));
+            self.lagging = self.lagging - u64::from(was) + u64::from(is);
         }
         // Only a live replicated export can ship at all.
         let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
@@ -278,9 +300,12 @@ impl Directory {
             state,
             flat,
         };
-        self.nodes[loc.0 as usize]
+        let current = self.version(loc);
+        let previous = self.nodes[loc.0 as usize]
             .synced_versions
             .insert(loc.1, shipment);
+        let was = previous.is_some_and(|p| behind(current, p.version));
+        self.lagging = self.lagging - u64::from(was) + u64::from(behind(current, version));
         self.dirty.remove(&loc);
     }
 
@@ -318,6 +343,7 @@ impl Directory {
         for st in &mut self.nodes {
             st.synced_versions.clear();
         }
+        self.lagging = 0;
         let st = &mut self.nodes[node as usize];
         *st = NodeDir {
             next_oid: st.next_oid,
@@ -382,13 +408,16 @@ impl Directory {
             .or_default();
         if !members.contains(&member) {
             members.push(member);
+            self.members_per_node[member.0 as usize] += 1;
         }
     }
 
     /// Member `index` of shard `key` moved to `loc`.
     pub(crate) fn move_shard_member(&mut self, key: &ShardKey, index: usize, loc: Loc) {
         if let Some(members) = self.shard_members.get_mut(key) {
-            members[index] = loc;
+            let old = std::mem::replace(&mut members[index], loc);
+            self.members_per_node[old.0 as usize] -= 1;
+            self.members_per_node[loc.0 as usize] += 1;
         }
     }
 
@@ -397,8 +426,13 @@ impl Directory {
     /// are down and which handles are still locally implemented objects.
     pub(crate) fn prune_shard_members(&mut self, keep: impl Fn(Loc, Handle) -> bool) {
         let nodes = &self.nodes;
+        let per_node = &mut self.members_per_node;
         for members in self.shard_members.values_mut() {
-            members.retain(|&loc| lookup_in(nodes, loc).is_some_and(|h| keep(loc, h)));
+            members.retain(|&loc| {
+                let kept = lookup_in(nodes, loc).is_some_and(|h| keep(loc, h));
+                per_node[loc.0 as usize] -= u64::from(!kept);
+                kept
+            });
         }
         self.shard_members.retain(|_, ms| !ms.is_empty());
     }
@@ -483,18 +517,32 @@ impl Directory {
         }
     }
 
-    /// Shipped exports whose backups lag the owner's current version.
+    /// Shipped exports whose backups lag the owner's current version. Read
+    /// off the maintained gauge; debug builds re-count from the tables.
     pub(crate) fn replica_lag(&self) -> u64 {
+        debug_assert_eq!(self.lagging, self.scan_replica_lag());
+        self.lagging
+    }
+
+    /// [`Directory::replica_lag`] from scratch: every shipment record of
+    /// every node against its location's current version. The reference
+    /// the gauge is checked against, never the answer.
+    fn scan_replica_lag(&self) -> u64 {
         let mut lag = 0;
         for (owner, st) in self.nodes.iter().enumerate() {
             for (&oid, shipment) in &st.synced_versions {
                 let current = self.version((owner as u32, oid));
-                if current != VERSION_TOMBSTONE && current != shipment.version {
-                    lag += 1;
-                }
+                lag += u64::from(behind(current, shipment.version));
             }
         }
         lag
+    }
+
+    /// The version `loc` last shipped to its backups, if it ever shipped
+    /// (since the last restart).
+    fn shipped_version(&self, loc: Loc) -> Option<u64> {
+        let shipment = self.nodes[loc.0 as usize].synced_versions.get(&loc.1)?;
+        Some(shipment.version)
     }
 
     /// Entries in the dirty set — what the next sweep will probe.
@@ -559,11 +607,10 @@ impl Directory {
 
     /// Shard balance: max / mean recorded members per node. 1.0 means
     /// perfectly even, growing with skew; 0 when nothing has been placed.
+    /// Read off the maintained counts; debug builds re-count the shard map.
     pub(crate) fn shard_balance(&self) -> f64 {
-        let mut per_node = vec![0u64; self.nodes.len()];
-        for &(n, _) in self.shard_members.values().flatten() {
-            per_node[n as usize] += 1;
-        }
+        let per_node = &self.members_per_node;
+        debug_assert_eq!(*per_node, self.scan_members_per_node());
         let total: u64 = per_node.iter().sum();
         if total == 0 {
             return 0.0;
@@ -571,6 +618,22 @@ impl Directory {
         let mean = total as f64 / per_node.len() as f64;
         per_node.iter().max().copied().unwrap_or(0) as f64 / mean
     }
+
+    /// The per-node member counts from scratch: one pass over the shard
+    /// map. The reference the counts are checked against.
+    fn scan_members_per_node(&self) -> Vec<u64> {
+        let mut per_node = vec![0u64; self.nodes.len()];
+        for &(n, _) in self.shard_members.values().flatten() {
+            per_node[n as usize] += 1;
+        }
+        per_node
+    }
+}
+
+/// Whether backups that last received `shipped` lag an owner now at
+/// `current`. A tombstoned owner has no backups to keep current.
+fn behind(current: u64, shipped: u64) -> bool {
+    current != VERSION_TOMBSTONE && current != shipped
 }
 
 fn sorted_by_id<'a>(
@@ -742,9 +805,50 @@ mod tests {
         }
     }
 
+    /// The lag gauge and the from-scratch scan, which must agree.
+    fn lag(dir: &Directory) -> (u64, u64) {
+        (dir.lagging, dir.scan_replica_lag())
+    }
+
+    #[test]
+    fn the_lag_gauge_follows_a_location_through_every_transition() {
+        let hs = handles(2);
+        let mut dir = Directory::new(NODES);
+        let loc = (0, dir.export(0, hs[0], true));
+        let _ = dir.bump(loc);
+        assert_eq!(lag(&dir), (0, 0), "never shipped: nothing to lag");
+        dir.shipped(loc, 1, vec![]);
+        assert_eq!(lag(&dir), (0, 0));
+        let _ = dir.bump(loc);
+        assert_eq!(lag(&dir), (1, 1), "the version moved past the shipment");
+        dir.shipped(loc, 1, vec![]);
+        assert_eq!(
+            lag(&dir),
+            (1, 1),
+            "re-shipping the old version settles nothing"
+        );
+        dir.shipped(loc, 2, vec![]);
+        assert_eq!(lag(&dir), (0, 0));
+        let _ = dir.bump(loc);
+        assert_eq!(lag(&dir), (1, 1));
+        migrate(&mut dir, loc, hs[0], 1);
+        assert_eq!(lag(&dir), (0, 0), "a tombstoned location never lags");
+        let _ = dir.bump(loc);
+        assert_eq!(lag(&dir), (0, 0), "and stays tombstoned");
+        // A restart voids every owner's records, lagging or not.
+        let other = (2, dir.export(2, hs[1], true));
+        dir.shipped(other, 0, vec![]);
+        let _ = dir.bump(other);
+        assert_eq!(lag(&dir), (1, 1));
+        let _ = dir.restart(0);
+        assert_eq!(lag(&dir), (0, 0));
+        assert_eq!(dir.replica_lag(), 0);
+    }
+
     // --- invariants under random transitions (proptest) ---
 
     const POOL: usize = 5;
+    const SHARDS: u32 = 2;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -769,9 +873,29 @@ mod tests {
             node: u32,
             pick: usize,
         },
+        /// Ship the `pick`-th export of `node`, at its current version or
+        /// (`stale`) at the one before — a shipment overtaken by a bump.
         Shipped {
             node: u32,
             pick: usize,
+            stale: bool,
+        },
+        /// Record the `pick`-th export of `node` as a member of `shard`.
+        AddMember {
+            shard: u32,
+            node: u32,
+            pick: usize,
+        },
+        /// Member `index` of `shard` is now the `pick`-th export of `node`.
+        MoveMember {
+            shard: u32,
+            index: usize,
+            node: u32,
+            pick: usize,
+        },
+        /// Prune the shard map; `odd` also rejects odd export ids.
+        PruneMembers {
+            odd: bool,
         },
         MarkNode {
             node: u32,
@@ -790,6 +914,7 @@ mod tests {
     fn arb_op() -> BoxedStrategy<Op> {
         let node = || 0..NODES;
         let pick = || 0..POOL;
+        let shard = || 0..SHARDS;
         prop_oneof![
             4 => (node(), pick(), any::<bool>())
                 .prop_map(|(node, h, replicated)| Op::Export { node, h, replicated }),
@@ -797,7 +922,14 @@ mod tests {
                 .prop_map(|(from, pick, to, pulled)| Op::Move { from, pick, to, pulled }),
             2 => (pick(), node()).prop_map(|(pick, to)| Op::Promote { pick, to }),
             3 => (node(), pick()).prop_map(|(node, pick)| Op::Bump { node, pick }),
-            2 => (node(), pick()).prop_map(|(node, pick)| Op::Shipped { node, pick }),
+            2 => (node(), pick(), any::<bool>())
+                .prop_map(|(node, pick, stale)| Op::Shipped { node, pick, stale }),
+            3 => (shard(), node(), pick())
+                .prop_map(|(shard, node, pick)| Op::AddMember { shard, node, pick }),
+            2 => (shard(), pick(), node(), pick()).prop_map(|(shard, index, node, pick)| {
+                Op::MoveMember { shard, index, node, pick }
+            }),
+            1 => any::<bool>().prop_map(|odd| Op::PruneMembers { odd }),
             2 => node().prop_map(|node| Op::MarkNode { node }),
             4 => (node(), pick(), node())
                 .prop_map(|(node, pick, caller)| Op::RecordCall { node, pick, caller }),
@@ -875,11 +1007,31 @@ mod tests {
                     let _ = dir.bump(loc);
                 }
             }
-            Op::Shipped { node, pick } if up(node) => {
+            Op::Shipped { node, pick, stale } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
                     let version = dir.version(loc);
-                    dir.shipped(loc, version, vec![]);
+                    dir.shipped(loc, version.saturating_sub(u64::from(stale)), vec![]);
                 }
+            }
+            Op::AddMember { shard, node, pick } if up(node) => {
+                if let Some((loc, _)) = pick_live(dir, node, pick) {
+                    dir.add_shard_member("T", shard, loc);
+                }
+            }
+            Op::MoveMember {
+                shard,
+                index,
+                node,
+                pick,
+            } if up(node) => {
+                let key = ("T".to_owned(), shard);
+                let members = dir.shard_members(&key).len();
+                if let (true, Some((loc, _))) = (members > 0, pick_live(dir, node, pick)) {
+                    dir.move_shard_member(&key, index % members, loc);
+                }
+            }
+            Op::PruneMembers { odd } => {
+                dir.prune_shard_members(|(n, oid), _| up(n) && !(odd && oid % 2 == 1));
             }
             Op::MarkNode { node } => {
                 let _ = dir.mark_node(node);
@@ -945,6 +1097,9 @@ mod tests {
             let end = dir.resolve(loc);
             prop_assert_eq!(dir.recorded_home(end), None, "{:?} ends mid-chain", loc);
         }
+        // The gauges a time-series sample reads equal the scans they replaced.
+        prop_assert_eq!(dir.lagging, dir.scan_replica_lag());
+        prop_assert_eq!(&dir.members_per_node, &dir.scan_members_per_node());
         Ok(())
     }
 

@@ -28,11 +28,12 @@ const PROP_CACHE_CAP: usize = 1024;
 pub(crate) const MAX_RPC_DEPTH: u32 = 64;
 
 /// A proxy method invoked on `node`: marshal, ship, execute remotely,
-/// unmarshal (or re-throw).
+/// unmarshal (or re-throw). `method` is the wire method label `name@sig`,
+/// built once when the hook was installed.
 pub(crate) fn proxy_call(
     shared: &Shared,
     node: NodeId,
-    method_name: &str,
+    method: &str,
     sig: SigId,
     args: &[Value],
 ) -> Result<Value, VmError> {
@@ -44,24 +45,23 @@ pub(crate) fn proxy_call(
     let class = vm
         .class_of(recv)
         .ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let info = shared.gen_info.get(&class).cloned().ok_or_else(|| {
+    let info = shared.gen_info.get(&class).ok_or_else(|| {
         VmError::Native(format!(
             "no proxy info for {}",
             shared.universe.class(class).name
         ))
     })?;
-    let proto = info.proto.clone().expect("hooked on a proxy");
+    let proto = info.proto.as_deref().expect("hooked on a proxy");
     let (mut target, mut oid) =
         read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
     let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
-    let method = format!("{method_name}@{}", sig.0);
-    let base_name = shared.universe.class(info.base).name.clone();
+    let base_name = shared.universe.class(info.base).name.as_str();
     // Property-cache fast path: a cacheable getter whose cached tag still
     // equals the owner's current version is served locally — no exchange,
     // no clock advance. Coherence rests on the tag check: every mutation
     // on the owner bumps the version, so a hit can never observe a value
     // older than the last write the owner served.
-    let is_getter = getter_sigs(shared, &info).contains(&sig);
+    let is_getter = getter_sigs(shared, info).contains(&sig);
     // Replica-read fast path (E15): getters of `reads from replicas`
     // classes are served from this node's own replica copy when — and only
     // when — the copy carries the owner's *current* property version. The
@@ -69,13 +69,12 @@ pub(crate) fn proxy_call(
     // as the property cache): any acknowledged mutation bumped the owner's
     // version before its reply left, so a lagging copy simply fails the
     // check and the read falls through to a normal owner exchange.
-    if is_getter && info.replicas > 0 && shared.policy.reads_from_replicas(&base_name) {
-        if let Some(v) = replica_read(shared, node, &base_name, &proto, &method, sig, target, oid)?
-        {
+    if is_getter && info.replicas > 0 && shared.policy.reads_from_replicas(base_name) {
+        if let Some(v) = replica_read(shared, node, base_name, proto, method, sig, target, oid)? {
             return Ok(v);
         }
     }
-    let cache_on = is_getter && shared.policy.cacheable(&base_name);
+    let cache_on = is_getter && shared.policy.cacheable(base_name);
     let cache_key = (target, oid, sig);
     if cache_on {
         let current = version_of(shared, target, oid);
@@ -87,7 +86,7 @@ pub(crate) fn proxy_call(
             Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
                 bump(shared, node.0, Met::CacheHits);
                 let at = (target, oid);
-                record_local_read(shared, node, at, &base_name, &method, &proto, "cached");
+                record_local_read(shared, node, at, base_name, method, proto, "cached");
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -103,7 +102,7 @@ pub(crate) fn proxy_call(
     // Deferral is decided against the proxy class's own method table (the
     // generated setters only exist there, not on the base class;
     // signatures are interned globally, so the ids agree).
-    if shared.policy.batched(&base_name) {
+    if shared.policy.batched(base_name) {
         let is_void = shared
             .universe
             .class(class)
@@ -130,11 +129,11 @@ pub(crate) fn proxy_call(
                 shared,
                 node,
                 NodeId(target),
-                &proto,
-                &base_name,
+                proto,
+                base_name,
                 Request::Call {
                     object: oid,
-                    method,
+                    method: method.to_owned(),
                     args: wire_args,
                 },
             );
@@ -143,7 +142,7 @@ pub(crate) fn proxy_call(
     }
     let mut req = Request::Call {
         object: oid,
-        method: method.clone(),
+        method: method.to_owned(),
         args: wire_args,
     };
     // Crash-stop failover: when the owner turns out to be crashed — or has
@@ -154,7 +153,7 @@ pub(crate) fn proxy_call(
     // operations, so the loop cannot cycle.
     let mut hops = 0u32;
     let (reply, obj_version) = loop {
-        let outcome = rpc(shared, node, NodeId(target), &proto, &base_name, &req);
+        let outcome = rpc(shared, node, NodeId(target), proto, base_name, &req);
         let rehome = match &outcome {
             Err(VmError::Unreachable(nf)) => {
                 matches!(nf.kind, NetFailureKind::NodeCrashed(_))
@@ -164,7 +163,7 @@ pub(crate) fn proxy_call(
         };
         if rehome && hops <= shared.vms.len() as u32 {
             if let Some((nn, noid)) =
-                failover(shared, node, recv, class, &proto, &base_name, target, oid)
+                failover(shared, node, recv, class, proto, base_name, target, oid)
             {
                 hops += 1;
                 (target, oid) = (nn, noid);

@@ -10,7 +10,7 @@ use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
 use rafda_telemetry::{standard_monitors, MonitorEvent, SpanOutcome, Violation};
 use rafda_vm::Value;
-use rafda_wire::WireValue;
+use rafda_wire::{SigTable, WireValue};
 use std::fmt;
 
 impl RuntimeStats {
@@ -351,13 +351,10 @@ pub(crate) fn record_local_read(
 /// order of [`WIRE_METRIC_NAMES`].
 fn per_node_wire(shared: &Shared, node: u32) -> [u64; 3] {
     let tables = shared.sig_tables.borrow();
-    let (mut refs, mut defs) = (0, 0);
-    for ((from, _), table) in tables.iter() {
-        if *from == node {
-            refs += table.refs();
-            defs += table.defs();
-        }
-    }
+    let links = shared.vms.len();
+    let row = &tables[node as usize * links..][..links];
+    let refs = row.iter().map(SigTable::refs).sum();
+    let defs = row.iter().map(SigTable::defs).sum();
     let reuses = shared.wire_bufs.borrow().reuses_from(NodeId(node));
     [refs, defs, reuses]
 }

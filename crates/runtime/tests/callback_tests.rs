@@ -18,6 +18,14 @@ const N1: NodeId = NodeId(1);
 /// `d * 2`. A `Server.bounce(n)` ping-pongs n times through mutual
 /// recursion between the two objects.
 fn build() -> Cluster {
+    let policy = StaticPolicy::new()
+        .place("Server", Placement::Node(N1))
+        .place("Client", Placement::Creator);
+    build_on(2, policy)
+}
+
+/// The same program deployed over `nodes` nodes under `policy`.
+fn build_on(nodes: u32, policy: StaticPolicy) -> Cluster {
     let mut u = ClassUniverse::new();
     let client = u.declare("Client", ClassKind::Class);
     let server = u.declare("Server", ClassKind::Class);
@@ -73,10 +81,7 @@ fn build() -> Cluster {
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
-    let policy = StaticPolicy::new()
-        .place("Server", Placement::Node(N1))
-        .place("Client", Placement::Creator);
-    Cluster::new(u, outcome.plan, 2, 13, Box::new(policy))
+    Cluster::new(u, outcome.plan, nodes, 13, Box::new(policy))
 }
 
 #[test]
@@ -146,5 +151,45 @@ fn callback_depth_is_bounded_by_vm_limit() {
     assert!(
         msg.contains("depth") || msg.contains("stack") || msg.contains("call depth"),
         "{msg}"
+    );
+}
+
+/// A time-series sample that lands while a location really lags. Serving
+/// the non-getter `ping` bumps the server's version at once, but its
+/// shipment to the two backups comes only after the method ran — and the
+/// method calls back to node 0 first. That nested exchange opens with a
+/// sample, taken while the version is one past the last shipment, so the
+/// exported `replica_lag` series holds a non-zero point: the gauge's
+/// non-zero path, end to end.
+#[test]
+fn a_sample_inside_a_served_mutator_records_nonzero_replica_lag() {
+    let policy = StaticPolicy::new()
+        .place("Server", Placement::Node(N1))
+        .place("Client", Placement::Creator)
+        .replicate("Server", 2);
+    let cluster = build_on(3, policy);
+    let client = cluster.new_instance(N0, "Client", 0, vec![]).unwrap();
+    let server = cluster.new_instance(N0, "Server", 0, vec![]).unwrap();
+    cluster
+        .call_method(N0, server.clone(), "set_back", vec![client])
+        .unwrap();
+    let r = cluster
+        .call_method(N0, server, "ping", vec![Value::Int(20)])
+        .unwrap();
+    assert_eq!(r, Value::Int(41));
+    assert!(cluster.stats().replica_syncs > 0, "the server ships state");
+    let export = cluster.metrics_json();
+    let line = export
+        .lines()
+        .find(|l| l.starts_with("{\"series\":\"replica_lag\""))
+        .expect("the replica_lag series is exported");
+    // Points are `[stamp,value]`; the gauge counts locations, so 0 or 1 here.
+    assert!(
+        line.contains(",1]"),
+        "a location lagged at a sample: {line}"
+    );
+    assert!(
+        line.ends_with(",0]]}"),
+        "and was settled afterwards: {line}"
     );
 }

@@ -28,7 +28,8 @@ pub struct TimeSeriesRecorder {
     next_due_ns: u64,
     names: Vec<String>,
     points: Vec<VecDeque<(u64, f64)>>,
-    dropped: u64,
+    /// Points evicted from each series' ring, parallel to `points`.
+    dropped: Vec<u64>,
 }
 
 impl TimeSeriesRecorder {
@@ -44,7 +45,7 @@ impl TimeSeriesRecorder {
             next_due_ns: 0,
             names: Vec::new(),
             points: Vec::new(),
-            dropped: 0,
+            dropped: Vec::new(),
         }
     }
 
@@ -60,6 +61,7 @@ impl TimeSeriesRecorder {
         }
         self.names.push(name.to_string());
         self.points.push(VecDeque::new());
+        self.dropped.push(0);
         SeriesId(self.names.len() - 1)
     }
 
@@ -85,16 +87,17 @@ impl TimeSeriesRecorder {
         let ring = &mut self.points[id.0];
         if ring.len() == self.cap {
             ring.pop_front();
-            self.dropped += 1;
+            self.dropped[id.0] += 1;
         }
         ring.push_back((stamp_ns, value));
     }
 
-    /// Points evicted from full rings over the recorder's lifetime.
-    /// Non-zero means the JSON export is a *suffix* of the run, not the
-    /// whole run.
+    /// Points evicted from full rings over the recorder's lifetime, all
+    /// series together. Non-zero means the JSON export is a *suffix* of
+    /// the run, not the whole run; each exported line carries its own
+    /// series' share.
     pub fn dropped_points(&self) -> u64 {
-        self.dropped
+        self.dropped.iter().sum()
     }
 
     /// Recorded points of a series, oldest first.
@@ -112,10 +115,11 @@ impl TimeSeriesRecorder {
 
     /// Render every series as JSON lines, one object per series, in
     /// registration order: `{"series":NAME,"interval_ns":N,"dropped":D,`
-    /// `"points":[[t,v],...]}`. Deterministic.
+    /// `"points":[[t,v],...]}`, `D` being the points evicted from *that*
+    /// series' ring. Deterministic.
     pub fn json_lines(&self) -> String {
         let mut out = String::new();
-        for (name, ring) in self.series() {
+        for ((name, ring), dropped) in self.series().zip(&self.dropped) {
             let pts = ring
                 .iter()
                 .map(|(t, v)| format!("[{t},{}]", crate::metrics::fmt_f64(*v)))
@@ -126,7 +130,7 @@ impl TimeSeriesRecorder {
                 "{{\"series\":\"{}\",\"interval_ns\":{},\"dropped\":{},\"points\":[{pts}]}}",
                 crate::chrome::escape_json(name),
                 self.interval_ns,
-                self.dropped,
+                dropped,
             );
         }
         out
@@ -160,12 +164,30 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut rec = TimeSeriesRecorder::new(10, 3);
         let s = rec.register("x");
+        let quiet = rec.register("y");
         for i in 0..5u64 {
             rec.record(s, i * 10, i as f64);
         }
+        rec.record(quiet, 0, 9.0);
         assert_eq!(rec.dropped_points(), 2);
         let pts: Vec<_> = rec.points(s).collect();
         assert_eq!(pts, vec![(20, 2.0), (30, 3.0), (40, 4.0)]);
+        // Each exported line reports its own ring's evictions, not the
+        // recorder-wide total.
+        let out = rec.json_lines();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("{\"series\":\"x\",\"interval_ns\":10,\"dropped\":2,"));
+        assert!(lines[1].starts_with("{\"series\":\"y\",\"interval_ns\":10,\"dropped\":0,"));
+        for _ in 0..3 {
+            rec.record(quiet, 10, 9.0);
+        }
+        assert_eq!(rec.dropped_points(), 3, "the total spans both rings");
+        assert!(rec
+            .json_lines()
+            .lines()
+            .nth(1)
+            .unwrap()
+            .contains("\"dropped\":1,"));
     }
 
     #[test]
