@@ -9,8 +9,8 @@
 //! and checks each op against the exact single-address-space
 //! [`Oracle`].
 //!
-//! The harness is shared by the soak gate (`tests/soak.rs`), the E16
-//! bench (`crates/bench/benches/e16_soak.rs`) and the experiments report:
+//! The harness is shared by the soak gate (`tests/soak.rs`), the
+//! benchmark's `soak_day` workload and the experiments report:
 //!
 //! * [`run_schedule`] drives a phased schedule under a
 //!   [`SoakRecorder`], checking invariants at

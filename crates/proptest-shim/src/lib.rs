@@ -606,7 +606,7 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::{Config as ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 
     /// The `prop::` namespace (`prop::collection::vec`, `prop::option::of`).
     pub mod prop {
@@ -723,26 +723,6 @@ pub mod shrink {
             ops: cur,
             runs,
         }
-    }
-
-    /// Like [`minimise`], but for case closures that report failure by
-    /// returning `Err` **or by panicking** (an `unwrap` deep inside the
-    /// system under test). Panics during probe runs are caught, and the
-    /// global panic hook is silenced for the duration so hundreds of
-    /// shrink probes do not spam stderr with backtraces.
-    pub fn minimise_catching<T: Clone>(
-        ops: &[T],
-        budget: usize,
-        mut case: impl FnMut(&[T]) -> Result<(), String>,
-    ) -> Minimised<T> {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = minimise(ops, budget, |candidate| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(candidate)))
-                .map_or(true, |r| r.is_err())
-        });
-        std::panic::set_hook(quiet);
-        out
     }
 }
 
@@ -865,32 +845,6 @@ macro_rules! prop_assert_eq {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
                 format!(
                     "assertion failed: `{:?}` == `{:?}`: {}",
-                    __l,
-                    __r,
-                    format!($($fmt)+)
-                ),
-            ));
-        }
-    }};
-}
-
-/// Like `assert_ne!` for property bodies.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (__l, __r) = (&$left, &$right);
-        if __l == __r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!("assertion failed: `{:?}` != `{:?}`", __l, __r),
-            ));
-        }
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)+) => {{
-        let (__l, __r) = (&$left, &$right);
-        if __l == __r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    "assertion failed: `{:?}` != `{:?}`: {}",
                     __l,
                     __r,
                     format!($($fmt)+)
@@ -1078,18 +1032,6 @@ mod tests {
         let m = crate::shrink::minimise(&ops, 10, |s| s.contains(&255));
         assert!(m.runs <= 10, "{} probes", m.runs);
         assert!(m.ops.contains(&255), "the result still fails");
-    }
-
-    #[test]
-    fn shrink_catches_panicking_cases() {
-        let ops: Vec<u32> = vec![3, 9, 5, 9, 2];
-        let m = crate::shrink::minimise_catching(&ops, 200, |s| {
-            if s.contains(&5) {
-                panic!("boom");
-            }
-            Ok(())
-        });
-        assert_eq!(m.ops, vec![5]);
     }
 
     #[test]

@@ -579,9 +579,8 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
 }
 
 /// A cluster running `class K { int k; int v; K(int k); int bump(int
-/// d) }` under `shard K by get_k modulo ...` with no explicit
-/// placement (instances are created locally, then routed).
-fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
+/// d) }` under `policy`.
+fn deployed_keyed(nodes: u32, seed: u64, policy: StaticPolicy) -> Cluster {
     let mut u = ClassUniverse::new();
     let c = u.declare("K", ClassKind::Class);
     {
@@ -601,10 +600,16 @@ fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    Cluster::new(u, outcome.plan, nodes, seed, Box::new(policy))
+}
+
+/// [`deployed_keyed`] under `shard K by get_k modulo ...` with no explicit
+/// placement (instances are created locally, then routed).
+fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
     let policy = StaticPolicy::new()
         .shard("K", "get_k", modulo)
         .replicate("K", k);
-    Cluster::new(u, outcome.plan, nodes, seed, Box::new(policy))
+    deployed_keyed(nodes, seed, policy)
 }
 
 /// The smallest non-negative int key whose shard (mod `modulo`) is
@@ -793,6 +798,85 @@ fn replica_reads_serve_getters_from_the_local_backup() {
         Value::Int(7)
     );
     assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
+/// The **E15** acceptance bars: one Zipf-skewed, read-mostly stream (16
+/// keys, 512 ops, one write per 32) replayed under single-owner placement
+/// and under `shard by` + `reads from replicas` returns the same values;
+/// the sharded run needs >= 30 % fewer wire messages and a strictly lower
+/// simulated p95, with silent monitors and an identical same-seed replay.
+#[test]
+fn sharding_with_replica_reads_beats_single_owner_under_zipf_skew() {
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        messages: u64,
+        p95_ns: u64,
+        clock_ns: u64,
+        replica_reads: u64,
+        finals: Vec<Value>,
+    }
+    let client = NodeId(0);
+    let ops = rafda_corpus::workload::ZipfWorkload::new(42, 16, 1.1).sequence(512);
+    let run = |policy: StaticPolicy| -> Outcome {
+        let cluster = deployed_keyed(4, 42, policy);
+        cluster.enable_monitors();
+        let call = |obj: &Value, method: &str, args: Vec<Value>| {
+            cluster
+                .call_method(client, obj.clone(), method, args)
+                .unwrap()
+        };
+        let objs: Vec<Value> = (0..16)
+            .map(|key| {
+                let obj = cluster
+                    .new_instance(client, "K", 0, vec![Value::Int(key)])
+                    .unwrap();
+                cluster.pin(client, &obj);
+                // Warm-up write: every backup is seeded before measurement.
+                call(&obj, "bump", vec![Value::Int(0)]);
+                obj
+            })
+            .collect();
+        let net = cluster.network();
+        let (m0, t0) = (net.stats().messages, net.now().as_ns());
+        let mut latencies: Vec<u64> = Vec::with_capacity(ops.len());
+        for (i, &key) in ops.iter().enumerate() {
+            let start = net.now().as_ns();
+            if i % 32 == 31 {
+                call(&objs[key], "bump", vec![Value::Int(1)]);
+            } else {
+                call(&objs[key], "get_v", vec![]);
+            }
+            latencies.push(net.now().as_ns() - start);
+        }
+        let (messages, clock_ns) = (net.stats().messages - m0, net.now().as_ns() - t0);
+        let finals = objs.iter().map(|o| call(o, "get_v", vec![])).collect();
+        assert_eq!(cluster.check_invariants(), vec![]);
+        latencies.sort_unstable();
+        Outcome {
+            messages,
+            p95_ns: latencies[latencies.len() * 95 / 100],
+            clock_ns,
+            replica_reads: cluster.stats().replica_reads,
+            finals,
+        }
+    };
+    let sharded_policy = || {
+        StaticPolicy::new()
+            .shard("K", "get_k", 8)
+            .replicate("K", 1)
+            .replica_reads("K", true)
+    };
+    let single = run(StaticPolicy::new()
+        .place("K", Placement::Node(NodeId(1)))
+        .replicate("K", 1));
+    let sharded = run(sharded_policy());
+    assert_eq!(single.finals, sharded.finals, "placement changed a value");
+    let (s, o) = (sharded.messages, single.messages);
+    assert!(s * 10 <= o * 7, "messages must drop >= 30%: {s} vs {o}");
+    let (s, o) = (sharded.p95_ns, single.p95_ns);
+    assert!(s < o, "sharded p95 must beat single-owner: {s} vs {o} ns");
+    assert!(sharded.replica_reads > 0, "getters must hit the backup");
+    assert_eq!(sharded, run(sharded_policy()), "same seed, same run");
 }
 
 // --- adaptation/crash chaos (proptest) ---

@@ -71,6 +71,50 @@ fn batched_counter_app() -> Application {
     app
 }
 
+/// The **E12** acceptance bar: on a write-heavy workload (32 rounds of
+/// eight void `inc`s and one value-returning `add`, the synchronization
+/// point that flushes the round's batch) `batch on` saves at least 40 % of
+/// the finished exchanges at k = 0, 1 and 2, and no `inc` is lost.
+#[test]
+fn batching_saves_two_fifths_of_exchanges_at_every_replication_factor() {
+    let exchanges = |k: u32, batch: bool| -> u64 {
+        let policy = StaticPolicy::new()
+            .place("BCounter", Placement::Node(NodeId(1)))
+            .default_statics(NodeId(0))
+            .replicate("BCounter", k)
+            .batch("BCounter", batch);
+        let cluster =
+            batched_counter_app()
+                .transform(&["RMI"])
+                .unwrap()
+                .deploy(NODES, 42, Box::new(policy));
+        let c = cluster
+            .new_instance(NodeId(0), "BCounter", 0, vec![])
+            .unwrap();
+        cluster.pin(NodeId(0), &c);
+        let before = cluster.stats().exchanges();
+        for round in 1..=32 {
+            for _ in 0..8 {
+                cluster
+                    .call_method(NodeId(0), c.clone(), "inc", vec![Value::Int(1)])
+                    .unwrap();
+            }
+            let total = cluster
+                .call_method(NodeId(0), c.clone(), "add", vec![Value::Int(0)])
+                .unwrap();
+            assert_eq!(total, Value::Int(8 * round), "k = {k}: lost an inc");
+        }
+        cluster.stats().exchanges() - before
+    };
+    for k in [0, 1, 2] {
+        let (off, on) = (exchanges(k, false), exchanges(k, true));
+        assert!(
+            on * 10 <= off * 6,
+            "k = {k}: batching must save >= 40% of exchanges ({on} vs {off})"
+        );
+    }
+}
+
 // --- crash-stop chaos (see the last property below) ---
 
 const FO_NODES: u32 = 4;

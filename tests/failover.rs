@@ -82,6 +82,12 @@ fn failover_to_replica_preserves_every_acknowledged_mutation() {
     assert_eq!(bump(&cluster, N0, &c, 3).unwrap(), Value::Int(10));
     let before = cluster.stats();
     assert!(before.replica_syncs > 0, "owner must ship state: {before}");
+    // Shipping is not free: the same two calls cost an unreplicated
+    // deployment strictly fewer wire messages.
+    let (bare, b) = deployed(3, 0, N0, 11);
+    bump(&bare, N0, &b, 2).unwrap();
+    bump(&bare, N0, &b, 3).unwrap();
+    assert!(cluster.network().stats().messages > bare.network().stats().messages);
 
     cluster.crash(N1);
     // The next call re-homes to the lowest-id live replica (node 0) and

@@ -146,6 +146,32 @@ fn caching_is_off_unless_the_policy_opts_the_class_in() {
     assert_eq!(stats.cache_invalidations, 0);
 }
 
+/// The **E10** acceptance bar: on a read-heavy workload (32 rounds of one
+/// write and eight reads) the cache removes at least half of the remote
+/// exchanges, and every read still returns the value the write left.
+#[test]
+fn caching_at_least_halves_remote_exchanges_on_a_read_heavy_workload() {
+    let remote_calls = |cache: bool| -> u64 {
+        let (cluster, c) = deployed(cache);
+        let before = cluster.stats().rpc_calls;
+        for round in 1..=32 {
+            let bumped = cluster
+                .call_method(N0, c.clone(), "bump", vec![Value::Int(1)])
+                .unwrap();
+            assert_eq!(bumped, Value::Int(5 + round));
+            for _ in 0..8 {
+                assert_eq!(get_v(&cluster, &c), bumped);
+            }
+        }
+        cluster.stats().rpc_calls - before
+    };
+    let (off, on) = (remote_calls(false), remote_calls(true));
+    assert!(
+        2 * on <= off,
+        "caching must at least halve remote exchanges ({on} vs {off})"
+    );
+}
+
 #[test]
 fn migration_tombstones_the_old_location_so_reads_are_never_stale() {
     let (cluster, c) = deployed(true);

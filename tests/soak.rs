@@ -9,14 +9,14 @@
 //!
 //! Knobs (see `ci.sh`):
 //!
-//! * `SOAK_OPS=<n>` — exact op count (highest precedence);
-//! * `SOAK_SMOKE=1` — force the 10⁴-op smoke depth explicitly;
+//! * `SOAK_OPS=<n>` — exact op count (default: the 10⁴-op smoke depth);
 //! * `SOAK_SEEDS=1,2,3` — run the gate once per seed (default `42`).
 //!
 //! Plain `cargo test` runs at the smoke depth so the debug tier stays
 //! fast; the full production day is `SOAK_OPS=100000 cargo test --release
-//! --test soak` (or `cargo bench --bench e16_soak`, which defaults to
-//! 10⁵ ops under the same knobs).
+//! -p rafda --test soak -- --nocapture`, which also prints each seed's
+//! wall seconds and ops/s (the 10⁴ / 10⁵ / 10⁶ tier measurement) after
+//! its report.
 //!
 //! On failure the gate does not just panic: it hands the flattened op
 //! list to the delta-debugging shrinker (`proptest::shrink`) and prints a
@@ -28,8 +28,7 @@ use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle, SoakOp};
 use rafda::soak::{run_flat, run_schedule, SoakHarness};
 use rafda::NodeId;
 
-/// Gate depth: `SOAK_OPS` wins; otherwise the 10⁴ smoke depth (which
-/// `SOAK_SMOKE=1` also selects explicitly, for parity with the bench).
+/// Gate depth: `SOAK_OPS` if set, otherwise the 10⁴ smoke depth.
 fn depth() -> usize {
     if let Ok(v) = std::env::var("SOAK_OPS") {
         return v.parse().expect("SOAK_OPS must be an op count");
@@ -63,9 +62,18 @@ fn production_day_soak_matches_the_oracle() {
     for seed in seeds() {
         let cfg = ChurnConfig::production_day(seed, depth());
         let schedule = generate_churn(&cfg);
-        match run_schedule(&cfg, &schedule) {
+        let wall = std::time::Instant::now();
+        let outcome = run_schedule(&cfg, &schedule);
+        let secs = wall.elapsed().as_secs_f64();
+        match outcome {
             Ok(report) => {
                 println!("{report}");
+                // Host time is printed next to the report, never inside it.
+                let ops_per_s = schedule.total_ops() as f64 / secs;
+                println!(
+                    "  wall: {secs:.2} s ({ops_per_s:.0} ops/s); {} sweep probes, {} dirty marks\n",
+                    report.stats.replica_sweep_probes, report.stats.dirty_marks
+                );
                 assert_eq!(report.total_ops() as usize, schedule.total_ops());
                 assert!(report.clean(), "{report}");
             }
