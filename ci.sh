@@ -92,6 +92,22 @@ if grep -rnE '\.(versions|homes|statics_exports|shards|dirty|export_ids|forwards
   exit 1
 fi
 
+echo "== policy is read once: rows everywhere but cluster.rs =="
+# Cluster::new resolves every per-class policy decision into one row per
+# transformed family; the only live policy call is `instance_node` in
+# `make_value`. A `.policy` access in any other runtime module means a
+# decision is being re-asked by class name on some path again — and a
+# function that needs `too_many_arguments` waived is usually one that is
+# being handed a class's name and protocol next to (or instead of) its row.
+if grep -rnE --exclude=tests.rs --exclude=cluster.rs '\.policy\b' crates/runtime/src; then
+  echo "FAIL: the policy is consulted outside cluster.rs — read the class's row" >&2
+  exit 1
+fi
+if grep -rn 'clippy::too_many_arguments' crates/*/src; then
+  echo "FAIL: a too_many_arguments waiver is back" >&2
+  exit 1
+fi
+
 echo "== one frame version per codec, one table per link =="
 # Each codec speaks exactly one frame format; a second version constant or
 # a per-frame format flag in the wire crate means the fork is back.

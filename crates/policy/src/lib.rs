@@ -9,11 +9,12 @@
 //! potentially implementation-aware methods" (Sections 2.3). This crate is
 //! that policy:
 //!
-//! * [`DistributionPolicy`] — the decision interface the runtime's factory
-//!   hooks consult;
+//! * [`DistributionPolicy`] — the decision interface: asked once per class
+//!   when the runtime deploys, and at every `make()` for where the new
+//!   instance goes;
 //! * [`StaticPolicy`] — a declarative rule table (with a text format, see
-//!   [`StaticPolicy::parse`]) assigning instance placement, statics
-//!   placement and protocol per class;
+//!   [`StaticPolicy::parse`]): per-class overrides of placement, statics
+//!   owner, protocol and the mechanism switches, over one default rule;
 //! * [`AffinityConfig`] — parameters of the adaptive boundary-moving loop
 //!   ("the distributed program can adapt to its environment by dynamically
 //!   altering its distribution boundaries", Section 1), executed by
@@ -50,8 +51,17 @@ pub struct ShardSpec {
     pub modulo: u32,
 }
 
-/// The decision interface consulted by the runtime's `make`/`discover`
-/// hooks and proxy materialisation.
+/// The decision interface the runtime deploys an application under.
+///
+/// # Contract
+///
+/// [`instance_node`](DistributionPolicy::instance_node) is the one live
+/// decision: the runtime calls it at every `make()`, so its answer may
+/// depend on the creating node and on what was asked before (a round-robin
+/// placement does). Every other method is asked **once per transformed
+/// class, at deployment**, and the answer is held for the life of the
+/// cluster — it must be a pure function of the class name. A policy that
+/// changed such an answer later would not be asked again.
 pub trait DistributionPolicy {
     /// The node on which `make()` executed at `creating_node` should place a
     /// new instance of `class`.
@@ -100,6 +110,13 @@ pub trait DistributionPolicy {
     /// point rather than at the call site. Classes whose void methods are
     /// used for control flow via exceptions should stay unbatched; the
     /// default is off.
+    ///
+    /// Per-owner ordering is kept by queueing per `(caller, owner)`, not
+    /// per class: when two batched classes with different
+    /// [`protocol`](DistributionPolicy::protocol)s have instances on one
+    /// owner, their deferred operations share a queue and travel in one
+    /// frame, encoded with the protocol of the class whose operation was
+    /// queued first.
     fn batched(&self, _class: &str) -> bool {
         false
     }
@@ -189,39 +206,69 @@ impl DistributionPolicy for LocalPolicy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StaticPolicy {
-    default_protocol: String,
-    default_statics: NodeId,
-    default_placement: Placement,
-    default_cache: bool,
-    default_replicate: u32,
-    default_batch: bool,
-    instance_rules: HashMap<String, Placement>,
-    statics_rules: HashMap<String, NodeId>,
-    protocol_rules: HashMap<String, String>,
-    cache_rules: HashMap<String, bool>,
-    replicate_rules: HashMap<String, u32>,
-    batch_rules: HashMap<String, bool>,
-    shard_rules: HashMap<String, ShardSpec>,
-    replica_read_rules: HashMap<String, bool>,
+    /// What an unlisted class (or an unlisted decision of a listed one)
+    /// gets. Placement, statics owner and protocol are always set here.
+    default: ClassRule,
+    /// Per-class overrides: only the decisions a directive named are set.
+    rules: HashMap<String, ClassRule>,
+}
+
+/// The decisions one class (or the default) carries; `None` means "not
+/// stated here".
+#[derive(Debug, Clone, Default)]
+struct ClassRule {
+    protocol: Option<String>,
+    statics: Option<NodeId>,
+    place: Option<Placement>,
+    cache: Option<bool>,
+    replicate: Option<u32>,
+    batch: Option<bool>,
+    shard: Option<ShardSpec>,
+    replica_reads: Option<bool>,
+}
+
+impl ClassRule {
+    /// The stated decisions as directive tails (`place node2`,
+    /// `cache off`, …), in the order the default section lists them.
+    fn directives(&self) -> Vec<String> {
+        let switch = |on: bool| if on { "on" } else { "off" };
+        let place = self.place.map(|p| match p {
+            Placement::Creator => "place creator".to_owned(),
+            Placement::Node(n) => format!("place node{}", n.0),
+        });
+        let shard = self
+            .shard
+            .as_ref()
+            .map(|s| format!("shard by {} modulo {}", s.key_getter, s.modulo));
+        // `reads from replicas` is a flag with no off-form: a false rule is
+        // indistinguishable from no rule, so only true ones are rendered.
+        let reads = self.replica_reads.filter(|&on| on);
+        [
+            self.protocol.as_ref().map(|p| format!("protocol {p}")),
+            self.statics.map(|n| format!("statics node{}", n.0)),
+            place,
+            self.cache.map(|on| format!("cache {}", switch(on))),
+            self.replicate.map(|k| format!("replicate {k}")),
+            self.batch.map(|on| format!("batch {}", switch(on))),
+            shard,
+            reads.map(|_| "reads from replicas".to_owned()),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 }
 
 impl Default for StaticPolicy {
     fn default() -> Self {
         StaticPolicy {
-            default_protocol: "RMI".to_owned(),
-            default_statics: NodeId(0),
-            default_placement: Placement::Creator,
-            default_cache: false,
-            default_replicate: 0,
-            default_batch: false,
-            instance_rules: HashMap::new(),
-            statics_rules: HashMap::new(),
-            protocol_rules: HashMap::new(),
-            cache_rules: HashMap::new(),
-            replicate_rules: HashMap::new(),
-            batch_rules: HashMap::new(),
-            shard_rules: HashMap::new(),
-            replica_read_rules: HashMap::new(),
+            default: ClassRule {
+                protocol: Some("RMI".to_owned()),
+                statics: Some(NodeId(0)),
+                place: Some(Placement::Creator),
+                ..ClassRule::default()
+            },
+            rules: HashMap::new(),
         }
     }
 }
@@ -250,76 +297,88 @@ impl StaticPolicy {
         Self::default()
     }
 
+    /// The override rule of `class`, created empty on first use.
+    fn rule(&mut self, class: &str) -> &mut ClassRule {
+        self.rules.entry(class.to_owned()).or_default()
+    }
+
+    /// What `class` states for one decision, else what the default does.
+    fn decide<T>(&self, class: &str, field: impl Fn(&ClassRule) -> Option<T>) -> Option<T> {
+        self.rules
+            .get(class)
+            .and_then(&field)
+            .or_else(|| field(&self.default))
+    }
+
     /// Set the default protocol.
     pub fn default_protocol(mut self, protocol: &str) -> Self {
-        self.default_protocol = protocol.to_owned();
+        self.default.protocol = Some(protocol.to_owned());
         self
     }
 
     /// Set the default statics owner.
     pub fn default_statics(mut self, node: NodeId) -> Self {
-        self.default_statics = node;
+        self.default.statics = Some(node);
         self
     }
 
     /// Set the default instance placement.
     pub fn default_placement(mut self, placement: Placement) -> Self {
-        self.default_placement = placement;
+        self.default.place = Some(placement);
         self
     }
 
     /// Place instances of `class`.
     pub fn place(mut self, class: &str, placement: Placement) -> Self {
-        self.instance_rules.insert(class.to_owned(), placement);
+        self.rule(class).place = Some(placement);
         self
     }
 
     /// Place the statics singleton of `class`.
     pub fn statics(mut self, class: &str, node: NodeId) -> Self {
-        self.statics_rules.insert(class.to_owned(), node);
+        self.rule(class).statics = Some(node);
         self
     }
 
     /// Select the proxy protocol for `class`.
     pub fn with_protocol(mut self, class: &str, protocol: &str) -> Self {
-        self.protocol_rules
-            .insert(class.to_owned(), protocol.to_owned());
+        self.rule(class).protocol = Some(protocol.to_owned());
         self
     }
 
     /// Set the default property-cache switch (off unless overridden).
     pub fn default_cache(mut self, on: bool) -> Self {
-        self.default_cache = on;
+        self.default.cache = Some(on);
         self
     }
 
     /// Allow (or forbid) proxy-side property caching for `class`.
     pub fn cache(mut self, class: &str, on: bool) -> Self {
-        self.cache_rules.insert(class.to_owned(), on);
+        self.rule(class).cache = Some(on);
         self
     }
 
     /// Set the default replication factor (0 unless overridden).
     pub fn default_replicate(mut self, k: u32) -> Self {
-        self.default_replicate = k;
+        self.default.replicate = Some(k);
         self
     }
 
     /// Keep promotable copies of `class` instances on `k` backup nodes.
     pub fn replicate(mut self, class: &str, k: u32) -> Self {
-        self.replicate_rules.insert(class.to_owned(), k);
+        self.rule(class).replicate = Some(k);
         self
     }
 
     /// Set the default outcall-batching switch (off unless overridden).
     pub fn default_batch(mut self, on: bool) -> Self {
-        self.default_batch = on;
+        self.default.batch = Some(on);
         self
     }
 
     /// Allow (or forbid) batching deferrable outcalls on `class`.
     pub fn batch(mut self, class: &str, on: bool) -> Self {
-        self.batch_rules.insert(class.to_owned(), on);
+        self.rule(class).batch = Some(on);
         self
     }
 
@@ -330,20 +389,17 @@ impl StaticPolicy {
     /// When `modulo` is 0 (an empty shard space places nothing).
     pub fn shard(mut self, class: &str, key_getter: &str, modulo: u32) -> Self {
         assert!(modulo > 0, "shard modulo must be positive");
-        self.shard_rules.insert(
-            class.to_owned(),
-            ShardSpec {
-                key_getter: key_getter.to_owned(),
-                modulo,
-            },
-        );
+        self.rule(class).shard = Some(ShardSpec {
+            key_getter: key_getter.to_owned(),
+            modulo,
+        });
         self
     }
 
     /// Allow (or forbid) serving getters of `class` from the nearest live
     /// replica instead of the owner.
     pub fn replica_reads(mut self, class: &str, on: bool) -> Self {
-        self.replica_read_rules.insert(class.to_owned(), on);
+        self.rule(class).replica_reads = Some(on);
         self
     }
 
@@ -380,143 +436,62 @@ impl StaticPolicy {
                 line: i + 1,
                 message: message.to_owned(),
             };
+            let node = |w: &str| parse_node(w).ok_or_else(|| err("bad node"));
+            let placement = |w: &str| parse_placement(w).ok_or_else(|| err("bad placement"));
+            let switch = |w: &str| parse_switch(w).ok_or_else(|| err("bad switch"));
+            let factor = |w: &str| w.parse().map_err(|_| err("bad replication factor"));
             let words: Vec<&str> = line.split_whitespace().collect();
-            match words.as_slice() {
-                ["default", "protocol", p] => policy.default_protocol = (*p).to_owned(),
-                ["default", "statics", n] => {
-                    policy.default_statics = parse_node(n).ok_or_else(|| err("bad node"))?;
-                }
-                ["default", "place", w] => {
-                    policy.default_placement =
-                        parse_placement(w).ok_or_else(|| err("bad placement"))?;
-                }
-                ["default", "cache", w] => {
-                    policy.default_cache = parse_switch(w).ok_or_else(|| err("bad switch"))?;
-                }
-                ["default", "replicate", k] => {
-                    policy.default_replicate =
-                        k.parse().map_err(|_| err("bad replication factor"))?;
-                }
-                ["default", "batch", w] => {
-                    policy.default_batch = parse_switch(w).ok_or_else(|| err("bad switch"))?;
-                }
-                ["class", name, "place", w] => {
-                    let p = parse_placement(w).ok_or_else(|| err("bad placement"))?;
-                    policy.instance_rules.insert((*name).to_owned(), p);
-                }
-                ["class", name, "statics", n] => {
-                    let node = parse_node(n).ok_or_else(|| err("bad node"))?;
-                    policy.statics_rules.insert((*name).to_owned(), node);
-                }
-                ["class", name, "protocol", p] => {
-                    policy
-                        .protocol_rules
-                        .insert((*name).to_owned(), (*p).to_owned());
-                }
-                ["class", name, "cache", w] => {
-                    let on = parse_switch(w).ok_or_else(|| err("bad switch"))?;
-                    policy.cache_rules.insert((*name).to_owned(), on);
-                }
-                ["class", name, "replicate", k] => {
-                    let k = k.parse().map_err(|_| err("bad replication factor"))?;
-                    policy.replicate_rules.insert((*name).to_owned(), k);
-                }
-                ["class", name, "batch", w] => {
-                    let on = parse_switch(w).ok_or_else(|| err("bad switch"))?;
-                    policy.batch_rules.insert((*name).to_owned(), on);
-                }
+            // Every directive is the builder call of the same name, so text
+            // and code cannot build different policies.
+            policy = match words.as_slice() {
+                ["default", "protocol", p] => policy.default_protocol(p),
+                ["default", "statics", n] => policy.default_statics(node(n)?),
+                ["default", "place", w] => policy.default_placement(placement(w)?),
+                ["default", "cache", w] => policy.default_cache(switch(w)?),
+                ["default", "replicate", k] => policy.default_replicate(factor(k)?),
+                ["default", "batch", w] => policy.default_batch(switch(w)?),
+                ["class", name, "place", w] => policy.place(name, placement(w)?),
+                ["class", name, "statics", n] => policy.statics(name, node(n)?),
+                ["class", name, "protocol", p] => policy.with_protocol(name, p),
+                ["class", name, "cache", w] => policy.cache(name, switch(w)?),
+                ["class", name, "replicate", k] => policy.replicate(name, factor(k)?),
+                ["class", name, "batch", w] => policy.batch(name, switch(w)?),
                 ["class", name, "shard", "by", getter, "modulo", m] => {
-                    let modulo: u32 = m.parse().map_err(|_| err("bad shard modulo"))?;
-                    if modulo == 0 {
-                        return Err(err("bad shard modulo"));
-                    }
-                    policy.shard_rules.insert(
-                        (*name).to_owned(),
-                        ShardSpec {
-                            key_getter: (*getter).to_owned(),
-                            modulo,
-                        },
-                    );
+                    let modulo = m.parse().ok().filter(|&m: &u32| m > 0);
+                    policy.shard(name, getter, modulo.ok_or_else(|| err("bad shard modulo"))?)
                 }
-                ["class", name, "reads", "from", "replicas"] => {
-                    policy.replica_read_rules.insert((*name).to_owned(), true);
-                }
+                ["class", name, "reads", "from", "replicas"] => policy.replica_reads(name, true),
                 _ => return Err(err("unrecognised directive")),
-            }
+            };
         }
         Ok(policy)
     }
-}
 
-impl StaticPolicy {
     /// Render the policy back to the text format accepted by
     /// [`StaticPolicy::parse`] (rules sorted for determinism):
     /// `parse(p.to_text())` reproduces `p`.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
+        // A default switch that is off (a factor that is 0) is the library
+        // default and is not rendered.
+        let default = ClassRule {
+            cache: self.default.cache.filter(|&on| on),
+            replicate: self.default.replicate.filter(|&k| k > 0),
+            batch: self.default.batch.filter(|&on| on),
+            ..self.default.clone()
+        };
+        let mut lines: Vec<String> = Vec::new();
+        for (class, rule) in &self.rules {
+            let of_class = |d| format!("class {class} {d}");
+            lines.extend(rule.directives().into_iter().map(of_class));
+        }
+        lines.sort();
         let mut out = String::new();
-        let _ = writeln!(out, "default protocol {}", self.default_protocol);
-        let _ = writeln!(out, "default statics node{}", self.default_statics.0);
-        match self.default_placement {
-            Placement::Creator => out.push_str("default place creator\n"),
-            Placement::Node(n) => {
-                let _ = writeln!(out, "default place node{}", n.0);
-            }
-        }
-        if self.default_cache {
-            out.push_str("default cache on\n");
-        }
-        if self.default_replicate > 0 {
-            let _ = writeln!(out, "default replicate {}", self.default_replicate);
-        }
-        if self.default_batch {
-            out.push_str("default batch on\n");
-        }
-        let mut rules: Vec<String> = Vec::new();
-        for (class, placement) in &self.instance_rules {
-            rules.push(match placement {
-                Placement::Creator => format!("class {class} place creator"),
-                Placement::Node(n) => format!("class {class} place node{}", n.0),
-            });
-        }
-        for (class, node) in &self.statics_rules {
-            rules.push(format!("class {class} statics node{}", node.0));
-        }
-        for (class, protocol) in &self.protocol_rules {
-            rules.push(format!("class {class} protocol {protocol}"));
-        }
-        for (class, &on) in &self.cache_rules {
-            rules.push(format!(
-                "class {class} cache {}",
-                if on { "on" } else { "off" }
-            ));
-        }
-        for (class, k) in &self.replicate_rules {
-            rules.push(format!("class {class} replicate {k}"));
-        }
-        for (class, &on) in &self.batch_rules {
-            rules.push(format!(
-                "class {class} batch {}",
-                if on { "on" } else { "off" }
-            ));
-        }
-        for (class, spec) in &self.shard_rules {
-            rules.push(format!(
-                "class {class} shard by {} modulo {}",
-                spec.key_getter, spec.modulo
-            ));
-        }
-        for (class, &on) in &self.replica_read_rules {
-            // `reads from replicas` is a flag with no off-form: a false
-            // rule is indistinguishable from no rule, so only true ones
-            // are rendered.
-            if on {
-                rules.push(format!("class {class} reads from replicas"));
-            }
-        }
-        rules.sort();
-        for r in rules {
-            out.push_str(&r);
+        let defaults = default
+            .directives()
+            .into_iter()
+            .map(|d| format!("default {d}"));
+        for line in defaults.chain(lines) {
+            out.push_str(&line);
             out.push('\n');
         }
         out
@@ -545,58 +520,40 @@ fn parse_switch(word: &str) -> Option<bool> {
 
 impl DistributionPolicy for StaticPolicy {
     fn instance_node(&self, class: &str, creating_node: NodeId) -> NodeId {
-        match self
-            .instance_rules
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_placement)
-        {
-            Placement::Creator => creating_node,
-            Placement::Node(n) => n,
+        match self.decide(class, |r| r.place) {
+            Some(Placement::Node(n)) => n,
+            Some(Placement::Creator) | None => creating_node,
         }
     }
 
     fn statics_node(&self, class: &str) -> NodeId {
-        self.statics_rules
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_statics)
+        self.decide(class, |r| r.statics)
+            .expect("the default rule names a statics owner")
     }
 
     fn protocol(&self, class: &str) -> String {
-        self.protocol_rules
-            .get(class)
-            .cloned()
-            .unwrap_or_else(|| self.default_protocol.clone())
+        self.decide(class, |r| r.protocol.clone())
+            .expect("the default rule names a protocol")
     }
 
     fn cacheable(&self, class: &str) -> bool {
-        self.cache_rules
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_cache)
+        self.decide(class, |r| r.cache).unwrap_or(false)
     }
 
     fn replicas(&self, class: &str) -> u32 {
-        self.replicate_rules
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_replicate)
+        self.decide(class, |r| r.replicate).unwrap_or(0)
     }
 
     fn batched(&self, class: &str) -> bool {
-        self.batch_rules
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_batch)
+        self.decide(class, |r| r.batch).unwrap_or(false)
     }
 
     fn shard_spec(&self, class: &str) -> Option<ShardSpec> {
-        self.shard_rules.get(class).cloned()
+        self.decide(class, |r| r.shard.clone())
     }
 
     fn reads_from_replicas(&self, class: &str) -> bool {
-        self.replica_read_rules.get(class).copied().unwrap_or(false)
+        self.decide(class, |r| r.replica_reads).unwrap_or(false)
     }
 }
 
@@ -944,6 +901,64 @@ mod tests {
             assert_eq!(p.reads_from_replicas(class), q.reads_from_replicas(class));
             assert_eq!(p.replicas(class), q.replicas(class));
         }
+    }
+
+    /// Builder and text are two spellings of one policy, for every rule
+    /// kind — also where one class carries several kinds (`A`, `G`), which
+    /// share one override rule.
+    #[test]
+    fn builder_calls_and_parsed_directives_render_the_same_text() {
+        let built = StaticPolicy::new()
+            .default_protocol("CORBA")
+            .default_statics(NodeId(3))
+            .default_placement(Placement::Node(NodeId(1)))
+            .default_cache(true)
+            .default_replicate(2)
+            .default_batch(true)
+            .place("A", Placement::Creator)
+            .statics("B", NodeId(2))
+            .with_protocol("C", "SOAP")
+            .cache("D", false)
+            .replicate("E", 0)
+            .batch("F", false)
+            .shard("G", "get_k", 8)
+            .replica_reads("H", true)
+            .cache("A", true)
+            .replicate("G", 1)
+            .replica_reads("G", true)
+            .place("A", Placement::Node(NodeId(4)));
+        let text = "\
+default protocol CORBA
+default statics node3
+default place node1
+default cache on
+default replicate 2
+default batch on
+class A cache on
+class A place node4
+class B statics node2
+class C protocol SOAP
+class D cache off
+class E replicate 0
+class F batch off
+class G reads from replicas
+class G replicate 1
+class G shard by get_k modulo 8
+class H reads from replicas
+";
+        assert_eq!(built.to_text(), text);
+        let parsed = StaticPolicy::parse(text).unwrap();
+        assert_eq!(parsed.to_text(), text);
+        // Each directive names its own decision, so their order is free.
+        let shuffled: Vec<&str> = text.lines().rev().collect();
+        let reparsed = StaticPolicy::parse(&shuffled.join("\n")).unwrap();
+        assert_eq!(reparsed.to_text(), text);
+        assert_eq!(parsed.instance_node("A", NodeId(0)), NodeId(4));
+        assert!(parsed.cacheable("A") && !parsed.cacheable("D") && parsed.cacheable("Z"));
+        assert_eq!((parsed.replicas("G"), parsed.replicas("E")), (1, 0));
+        // Defaults that restate the library default are not rendered.
+        let plain = StaticPolicy::parse("default cache off\ndefault replicate 0\n").unwrap();
+        assert_eq!(plain.to_text(), StaticPolicy::new().to_text());
     }
 
     #[test]

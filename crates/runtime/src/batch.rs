@@ -2,7 +2,7 @@
 //! deferred operations, and the flush that ships each queue as one
 //! exchange at a synchronization point.
 
-use crate::cluster::Shared;
+use crate::cluster::{ClassRow, Shared};
 use crate::failover::locate_home;
 use crate::obs::Met;
 use crate::rpc::{rethrow, rpc};
@@ -12,13 +12,17 @@ use rafda_vm::{NetFailureKind, VmError};
 use rafda_wire::{Reply, Request};
 
 /// Operations deferred toward one owner by one caller, flushed as a single
-/// [`Request::Batch`] exchange at the next synchronization point. The
-/// protocol and class recorded at first enqueue label the flush exchange
-/// (all ops on one queue use the owner's protocol anyway).
+/// [`Request::Batch`] exchange at the next synchronization point.
+///
+/// The queue is per `(caller, owner)`, but protocol is per *class*: two
+/// batched classes with different protocols placed on one owner share the
+/// queue, and the whole frame ships under the class (so the protocol) of
+/// the **first** operation enqueued. Splitting the queue by protocol would
+/// break the per-owner program order batching promises.
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
-    pub(crate) proto: String,
-    pub(crate) class: String,
+    /// [`ClassRow::id`] of the first operation's class.
+    pub(crate) row: usize,
     pub(crate) ops: Vec<Request>,
 }
 
@@ -28,16 +32,14 @@ pub(crate) fn enqueue_outcall(
     shared: &Shared,
     from: NodeId,
     to: NodeId,
-    proto: &str,
-    class: &str,
+    row: &ClassRow,
     op: Request,
 ) {
     let mut queues = shared.outqueues.borrow_mut();
     let pending = queues
         .entry((from.0, to.0))
         .or_insert_with(|| PendingBatch {
-            proto: proto.to_owned(),
-            class: class.to_owned(),
+            row: row.id,
             ops: Vec::new(),
         });
     // Replica shipments supersede each other: only the newest state of an
@@ -98,14 +100,8 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             };
             bump(shared, key.0, Met::Flushes);
             let (from, to) = (NodeId(key.0), NodeId(key.1));
-            let outcome = rpc(
-                shared,
-                from,
-                to,
-                &pending.proto,
-                &pending.class,
-                &Request::Batch(pending.ops.clone()),
-            );
+            let row = &shared.rows[pending.row];
+            let outcome = rpc(shared, from, to, row, &Request::Batch(pending.ops.clone()));
             // The owner died between the deferral and this flush (delivery
             // refused, nothing applied). The accepted calls must not be
             // lost: re-home each onto the object's promoted backup — the
@@ -126,23 +122,17 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
                     let Request::Call { object, .. } = &op else {
                         continue;
                     };
-                    match locate_home(shared, from, &pending.proto, &pending.class, to.0, *object) {
+                    match locate_home(shared, from, row, (to.0, *object)) {
                         Some((nn, noid)) => {
                             let Request::Call { method, args, .. } = op else {
                                 unreachable!("matched above");
                             };
-                            enqueue_outcall(
-                                shared,
-                                from,
-                                NodeId(nn),
-                                &pending.proto,
-                                &pending.class,
-                                Request::Call {
-                                    object: noid,
-                                    method,
-                                    args,
-                                },
-                            );
+                            let call = Request::Call {
+                                object: noid,
+                                method,
+                                args,
+                            };
+                            enqueue_outcall(shared, from, NodeId(nn), row, call);
                             bump(shared, from.0, Met::Failovers);
                         }
                         // Nobody can take over (unreplicated, or every

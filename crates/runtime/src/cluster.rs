@@ -7,6 +7,7 @@
 use crate::batch::{flush_outqueues, PendingBatch};
 use crate::directory::{Directory, Why};
 use crate::error::RuntimeError;
+use crate::fifo::FifoMap;
 use crate::introspect;
 use crate::marshal;
 use crate::obs::Obs;
@@ -17,13 +18,13 @@ use crate::rpc::{proxy_call, rpc};
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
-use rafda_policy::DistributionPolicy;
+use rafda_policy::{DistributionPolicy, ShardSpec};
 use rafda_telemetry::SpanLog;
 use rafda_transform::TransformPlan;
 use rafda_vm::{Handle, Trace, TraceEvent, Value, Vm, VmError};
 use rafda_wire::{Protocol, ProtocolKind, Reply, Request, SigTable, WireValue};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
@@ -38,14 +39,54 @@ pub(crate) enum Side {
 }
 
 /// What the runtime knows about a generated implementation class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct GenInfo {
-    pub base: ClassId,
+    /// Index of the family's [`ClassRow`] in [`Shared::rows`].
+    pub row: usize,
     pub side: Side,
-    /// `Some(protocol)` for proxy classes, `None` for `*_Local`.
-    pub proto: Option<String>,
-    /// How many backups the policy gives the base class (0: none).
+    /// A proxy class (always of the row's protocol: nothing materialises
+    /// any other), as opposed to a `*_Local` implementation.
+    pub is_proxy: bool,
+}
+
+/// One transformed family as the runtime sees it: the class, plus every
+/// policy decision about it that cannot depend on the calling node or on
+/// call order. The policy is asked once, by [`Cluster::new`]; everything
+/// downstream of deployment reads the row.
+pub(crate) struct ClassRow {
+    /// This row's index in [`Shared::rows`].
+    pub id: usize,
+    /// The original (substitutable) class and its name.
+    pub base: ClassId,
+    pub name: String,
+    /// The protocol remote references to the class speak, and its codec —
+    /// `None` when the plan generated no proxies for that protocol or no
+    /// codec goes by that name; the first exchange then fails as
+    /// [`RpcFault::NoCodec`](rafda_vm::RpcFault::NoCodec).
+    pub protocol: String,
+    pub codec: Option<Box<dyn Protocol>>,
+    /// The `_O_`/`_C_` proxy classes generated for `protocol`.
+    obj_proxy: Option<ClassId>,
+    cls_proxy: Option<ClassId>,
+    pub statics_node: NodeId,
+    pub cacheable: bool,
+    pub batched: bool,
+    pub reads_from_replicas: bool,
+    /// How many backups each exported instance gets (0: none).
     pub replicas: u32,
+    pub shard_spec: Option<ShardSpec>,
+}
+
+impl ClassRow {
+    /// The proxy class remote references to this family's `side` are
+    /// materialised as.
+    pub(crate) fn proxy_class(&self, side: Side) -> Result<ClassId, String> {
+        match side {
+            Side::Obj => self.obj_proxy,
+            Side::Cls => self.cls_proxy,
+        }
+        .ok_or_else(|| format!("no {} proxy generated for {}", self.protocol, self.name))
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,9 +123,10 @@ pub(crate) struct NodeState {
     /// against, and recomputing the version at retransmit time would let a
     /// dedup hit validate a cache entry against state the original
     /// execution never saw.
-    pub(crate) reply_cache: HashMap<(u32, u64), (Reply, u64)>,
-    /// Insertion order of `reply_cache` keys, for FIFO eviction.
-    pub(crate) reply_cache_order: VecDeque<(u32, u64)>,
+    ///
+    /// Bounded: a client only retransmits while its call is still open, so
+    /// ids far in the past can no longer be retried.
+    pub(crate) reply_cache: FifoMap<(u32, u64), (Reply, u64), 1024>,
     /// Proxy-side property cache: values returned by remote `get_f` calls,
     /// keyed `(owner node, export id, getter sig)` and tagged with the
     /// owner's property version at reply time. An entry is served only
@@ -92,9 +134,9 @@ pub(crate) struct NodeState {
     /// kept in wire form so each hit re-materialises exactly like a fresh
     /// reply (arrays copy by value, references resolve via the import
     /// cache — and hold no GC-visible handles).
-    pub(crate) prop_cache: HashMap<(u32, u64, SigId), (u64, WireValue)>,
-    /// Insertion order of `prop_cache` keys, for FIFO eviction.
-    pub(crate) prop_cache_order: VecDeque<(u32, u64, SigId)>,
+    /// The modest cap keeps the per-node footprint proportional to its
+    /// working set of remote reads.
+    pub(crate) prop_cache: FifoMap<(u32, u64, SigId), (u64, WireValue), 1024>,
     /// Backup copies of replicated exports owned by *other* nodes, keyed by
     /// the primary's location `(owner node, export id)`. The value is the
     /// owner's property version plus the object's class name and marshalled
@@ -167,8 +209,11 @@ pub(crate) struct Shared {
     pub plan: TransformPlan,
     pub net: Network,
     pub vms: Vec<Vm>,
-    pub protocols: HashMap<String, Box<dyn Protocol>>,
-    pub policy: Box<dyn DistributionPolicy>,
+    /// Asked for one thing after deployment: where `make()` puts a new
+    /// instance. Every other decision was resolved into [`Shared::rows`].
+    policy: Box<dyn DistributionPolicy>,
+    /// One row per transformed family, sorted by class name.
+    pub rows: Vec<ClassRow>,
     pub nodes: RefCell<Vec<NodeState>>,
     pub trace: RefCell<Trace>,
     /// The observability plane: metrics registry (the single write path
@@ -176,7 +221,7 @@ pub(crate) struct Shared {
     /// and the optional invariant monitors. Never borrowed across a
     /// nested exchange.
     pub obs: RefCell<Obs>,
-    pub gen_info: HashMap<ClassId, GenInfo>,
+    gen_info: HashMap<ClassId, GenInfo>,
     pub rpc_depth: Cell<u32>,
     pub retry: Cell<RetryPolicy>,
     /// Cluster-wide message id counter: every request/reply exchange gets a
@@ -189,9 +234,8 @@ pub(crate) struct Shared {
     /// Where every object lives and at what version: all location state,
     /// behind transitions. Borrowed for one method call at a time.
     pub directory: RefCell<Directory>,
-    /// Whether the policy shards any transformed class — computed once at
-    /// deployment, like [`Shared::any_replication`], so unsharded
-    /// workloads pay one boolean test.
+    /// Whether any row is sharded, so unsharded workloads pay one boolean
+    /// test.
     pub any_sharding: bool,
     /// Span id of the most recent exchange that ended in a network failure.
     /// A failover span chains to it via `retry_of`, linking the re-homed
@@ -205,9 +249,8 @@ pub(crate) struct Shared {
     /// Re-entrancy guard for [`flush_outqueues`]: the flush itself performs
     /// top-level exchanges, which are synchronization points of their own.
     pub in_flush: Cell<bool>,
-    /// Whether the policy replicates any transformed class — computed once
-    /// at deployment so [`sync_dirty_replicas`] is a single boolean test
-    /// for the (common) workloads with no replication.
+    /// Whether any row is replicated, so [`sync_dirty_replicas`] is a
+    /// single boolean test for the (common) workloads with no replication.
     pub any_replication: bool,
     /// Re-entrancy guard for [`sync_dirty_replicas`]: the sweep's shipments
     /// are exchanges, and every exchange is a synchronization point.
@@ -278,8 +321,12 @@ impl fmt::Debug for Cluster {
 impl Cluster {
     /// Deploy a transformed universe over `nodes` simulated nodes.
     ///
-    /// Protocol codecs are instantiated for every protocol the plan
-    /// generated proxies for.
+    /// This is where `policy` is read: every per-class decision except
+    /// instance placement is asked once per transformed class, here, and
+    /// held for the life of the deployment (see
+    /// [`DistributionPolicy`]'s contract). A class whose protocol the plan
+    /// generated no proxies for deploys fine and fails at its first remote
+    /// exchange.
     pub fn new(
         mut universe: ClassUniverse,
         plan: TransformPlan,
@@ -294,52 +341,64 @@ impl Cluster {
         let universe = Arc::new(universe);
         let net = Network::new(nodes, seed);
         let vms: Vec<Vm> = (0..nodes).map(|_| Vm::new(universe.clone())).collect();
-        let mut protocols: HashMap<String, Box<dyn Protocol>> = HashMap::new();
-        for p in &plan.protocols {
-            if let Some(kind) = ProtocolKind::from_name(p) {
-                protocols.insert(p.clone(), kind.codec());
-            }
-        }
-        // The policy is immutable from here on, so how many backups a class
-        // gets is resolved once per family instead of by name per probe.
+        // The policy's per-class answers are constants of the deployment:
+        // ask each once and keep the answers, next to the codec and proxy
+        // classes the chosen protocol implies.
+        let mut families: Vec<_> = plan.families.values().collect();
+        families.sort_by_key(|f| &universe.class(f.base).name);
+        let mut rows = Vec::with_capacity(families.len());
         let mut gen_info = HashMap::new();
-        let mut any_replication = false;
-        for family in plan.families.values() {
-            let replicas = policy.replicas(&universe.class(family.base).name);
-            any_replication |= replicas > 0;
-            let mut add = |class: ClassId, side: Side, proto: Option<&String>| {
-                gen_info.insert(
-                    class,
-                    GenInfo {
-                        base: family.base,
-                        side,
-                        proto: proto.cloned(),
-                        replicas,
-                    },
-                );
+        for (id, family) in families.into_iter().enumerate() {
+            let name = universe.class(family.base).name.clone();
+            let protocol = policy.protocol(&name);
+            let proxy_in = |proxies: &[(String, ClassId)]| {
+                let generated = proxies.iter().find(|(p, _)| *p == protocol);
+                generated.map(|&(_, class)| class)
             };
-            add(family.obj_local, Side::Obj, None);
-            for (p, c) in &family.obj_proxies {
-                add(*c, Side::Obj, Some(p));
-            }
-            if let Some(cl) = family.cls_local {
-                add(cl, Side::Cls, None);
-            }
-            for (p, c) in &family.cls_proxies {
-                add(*c, Side::Cls, Some(p));
-            }
+            let (obj_proxy, cls_proxy) =
+                (proxy_in(&family.obj_proxies), proxy_in(&family.cls_proxies));
+            let mut know = |class: Option<ClassId>, side, is_proxy| {
+                let info = GenInfo {
+                    row: id,
+                    side,
+                    is_proxy,
+                };
+                gen_info.extend(class.map(|class| (class, info)));
+            };
+            know(Some(family.obj_local), Side::Obj, false);
+            know(family.cls_local, Side::Cls, false);
+            know(obj_proxy, Side::Obj, true);
+            know(cls_proxy, Side::Cls, true);
+            rows.push(ClassRow {
+                id,
+                base: family.base,
+                codec: plan
+                    .protocols
+                    .contains(&protocol)
+                    .then(|| ProtocolKind::from_name(&protocol))
+                    .flatten()
+                    .map(ProtocolKind::codec),
+                protocol,
+                obj_proxy,
+                cls_proxy,
+                statics_node: policy.statics_node(&name),
+                cacheable: policy.cacheable(&name),
+                batched: policy.batched(&name),
+                reads_from_replicas: policy.reads_from_replicas(&name),
+                replicas: policy.replicas(&name),
+                shard_spec: policy.shard_spec(&name),
+                name,
+            });
         }
-        let any_sharding = plan
-            .families
-            .values()
-            .any(|f| policy.shard_spec(&universe.class(f.base).name).is_some());
+        let any_replication = rows.iter().any(|r| r.replicas > 0);
+        let any_sharding = rows.iter().any(|r| r.shard_spec.is_some());
         let shared = Rc::new(Shared {
             universe,
             plan,
             net,
             vms,
-            protocols,
             policy,
+            rows,
             nodes: RefCell::new((0..nodes).map(|_| NodeState::default()).collect()),
             trace: RefCell::new(Trace::new()),
             obs: RefCell::new(Obs::new(nodes)),
@@ -440,17 +499,17 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn install_hooks(&self) {
-        let families: Vec<ClassId> = self.shared.plan.families.keys().copied().collect();
         for node_index in 0..self.shared.vms.len() {
             let node = NodeId(node_index as u32);
             let vm = &self.shared.vms[node_index];
-            for &base in &families {
-                let family = self.shared.plan.families[&base].clone();
+            for row in &self.shared.rows {
+                let family = &self.shared.plan.families[&row.base];
+                let id = row.id;
                 // make()
                 let weak = Rc::downgrade(&self.shared);
                 vm.register_native(family.obj_factory, family.make_sig, move |_vm, _args| {
                     let shared = upgrade(&weak)?;
-                    make_value(&shared, node, base)
+                    make_value(&shared, node, &shared.rows[id])
                 });
                 // discover()
                 if let (Some(cls_factory), Some(discover_sig)) =
@@ -459,12 +518,12 @@ impl Cluster {
                     let weak = Rc::downgrade(&self.shared);
                     vm.register_native(cls_factory, discover_sig, move |_vm, _args| {
                         let shared = upgrade(&weak)?;
-                        discover_value(&shared, node, base)
+                        discover_value(&shared, node, &shared.rows[id])
                     });
                 }
-                // Proxy methods.
-                for (_proto, proxy) in family.obj_proxies.iter().chain(family.cls_proxies.iter()) {
-                    self.install_proxy_hooks(node, *proxy);
+                // Proxy methods, of the only proxy classes ever instantiated.
+                for proxy in [row.obj_proxy, row.cls_proxy].into_iter().flatten() {
+                    self.install_proxy_hooks(node, proxy);
                 }
             }
         }
@@ -564,8 +623,8 @@ impl Cluster {
             .by_name(class)
             .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
         let vm = &shared.vms[node.0 as usize];
-        if shared.plan.is_substitutable(id) {
-            let singleton = discover_value(shared, node, id)?;
+        if let Some(row) = class_row(shared, id) {
+            let singleton = discover_value(shared, node, row)?;
             // The singleton may be local (statics owner, or an adopted
             // promotion): a non-getter call on it is bare app code.
             let _frame = (!entry_is_getter(shared, node, &singleton, method))
@@ -597,8 +656,9 @@ impl Cluster {
             .by_name(class)
             .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
         let vm = &shared.vms[node.0 as usize];
-        match shared.plan.family(id) {
-            Some(family) => {
+        match class_row(shared, id) {
+            Some(row) => {
+                let family = &shared.plan.families[&id];
                 // Factory `make` + `init$k` run app code (the constructor
                 // body) on this node whenever placement keeps the instance
                 // local.
@@ -616,7 +676,7 @@ impl Cluster {
                 // constructor through the reference, so the shard key is
                 // only readable once init has landed.
                 if shared.any_sharding {
-                    self.place_sharded(node, class, &that)?;
+                    self.place_sharded(node, row, &that)?;
                 }
                 Ok(that)
             }
@@ -741,9 +801,8 @@ impl Cluster {
     pub fn location_of(&self, node: NodeId, value: &Value) -> Option<NodeId> {
         let h = value.as_ref_handle()?;
         let vm = &self.shared.vms[node.0 as usize];
-        let class = vm.class_of(h)?;
-        match self.shared.gen_info.get(&class) {
-            Some(info) if info.proto.is_some() => {
+        match gen_info(&self.shared, vm.class_of(h)?) {
+            Some(info) if info.is_proxy => {
                 let (target, _) = read_proxy_state(vm, h)?;
                 Some(NodeId(target))
             }
@@ -762,9 +821,8 @@ impl Cluster {
     pub fn home_of(&self, node: NodeId, value: &Value) -> Option<(NodeId, Handle)> {
         let h = value.as_ref_handle()?;
         let vm = &self.shared.vms[node.0 as usize];
-        let class = vm.class_of(h)?;
-        match self.shared.gen_info.get(&class) {
-            Some(info) if info.proto.is_some() => {
+        match gen_info(&self.shared, vm.class_of(h)?) {
+            Some(info) if info.is_proxy => {
                 let (owner, oid) = read_proxy_state(vm, h)?;
                 let handle = self.shared.directory.borrow().live_export((owner, oid))?;
                 // The export may itself be a forwarding proxy (the object
@@ -865,26 +923,38 @@ pub(crate) fn export(shared: &Shared, node: NodeId, h: Handle) -> u64 {
 
 /// What the runtime knows about the class of `h` on `node`, if it is a
 /// generated one.
-pub(crate) fn info_of(shared: &Shared, node: u32, h: Handle) -> Option<&GenInfo> {
-    let class = shared.vms[node as usize].class_of(h)?;
-    shared.gen_info.get(&class)
+pub(crate) fn info_of(shared: &Shared, node: u32, h: Handle) -> Option<GenInfo> {
+    gen_info(shared, shared.vms[node as usize].class_of(h)?)
+}
+
+/// What the runtime knows about `class`, if it is a generated
+/// implementation or proxy class.
+pub(crate) fn gen_info(shared: &Shared, class: ClassId) -> Option<GenInfo> {
+    shared.gen_info.get(&class).copied()
+}
+
+/// The row of the transformed family whose original class is `base`.
+pub(crate) fn class_row(shared: &Shared, base: ClassId) -> Option<&ClassRow> {
+    let family = shared.plan.family(base)?;
+    gen_info(shared, family.obj_local).map(|info| &shared.rows[info.row])
 }
 
 /// Whether `h` on `node` is a locally implemented generated object — the
 /// real thing, not a proxy for it.
 pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
-    info_of(shared, node, h).is_some_and(|info| info.proto.is_none())
+    info_of(shared, node, h).is_some_and(|info| !info.is_proxy)
 }
 
 /// Whether `h` on `node` is a locally implemented instance of a class the
 /// policy replicates — the only kind of export that ever ships state.
 fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
-    info_of(shared, node, h).is_some_and(|info| info.proto.is_none() && info.replicas > 0)
+    info_of(shared, node, h)
+        .is_some_and(|info| !info.is_proxy && shared.rows[info.row].replicas > 0)
 }
 
 /// Whether `h` on `node` is a generated proxy.
 pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
-    info_of(shared, node, h).is_some_and(|info| info.proto.is_some())
+    info_of(shared, node, h).is_some_and(|info| info.is_proxy)
 }
 
 /// The location an exported proxy `h` on `node` addresses; `None` for
@@ -933,20 +1003,6 @@ pub(crate) fn cache_import(shared: &Shared, node: NodeId, owner: u32, oid: u64, 
         .insert((owner, oid), h);
 }
 
-pub(crate) fn proxy_class_for(
-    shared: &Shared,
-    base: ClassId,
-    side: Side,
-    proto: &str,
-) -> Option<ClassId> {
-    let family = shared.plan.family(base)?;
-    let list = match side {
-        Side::Obj => &family.obj_proxies,
-        Side::Cls => &family.cls_proxies,
-    };
-    list.iter().find(|(p, _)| p == proto).map(|(_, c)| *c)
-}
-
 /// The current property version of the export `(node, oid)` (0 if never
 /// mutated).
 pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> u64 {
@@ -979,10 +1035,10 @@ fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) ->
 
 /// The property-getter signatures of a generated class — the calls that
 /// cannot mutate an instance of it.
-pub(crate) fn getter_sigs<'a>(shared: &'a Shared, info: &GenInfo) -> &'a [SigId] {
+pub(crate) fn getter_sigs(shared: &Shared, info: GenInfo) -> &[SigId] {
     shared
         .plan
-        .family(info.base)
+        .family(shared.rows[info.row].base)
         .map_or(&[], |f| match info.side {
             Side::Obj => &f.getters,
             Side::Cls => &f.static_getters,
@@ -1014,32 +1070,26 @@ pub(crate) fn default_instance(shared: &Shared, node: NodeId, class: ClassId) ->
 // Factory hook implementations
 // ----------------------------------------------------------------------
 
-/// `A_O_Factory.make()` on `node`: policy decides where the instance lives.
-pub(crate) fn make_value(shared: &Shared, node: NodeId, base: ClassId) -> Result<Value, VmError> {
-    let base_name = shared.universe.class(base).name.clone();
-    let target = shared.policy.instance_node(&base_name, node);
-    let family = shared.plan.family(base).expect("substitutable").clone();
+/// `A_O_Factory.make()` on `node`: policy decides where the instance lives
+/// — the one decision that depends on the creating node (and, for a
+/// round-robin policy, on call order), so the one live policy call.
+pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Result<Value, VmError> {
+    let target = shared.policy.instance_node(&row.name, node);
     if target == node {
+        let family = &shared.plan.families[&row.base];
         // `new` triggers class initialisation, as in the JVM.
         if family.has_statics {
-            discover_value(shared, node, base)?;
+            discover_value(shared, node, row)?;
         }
         let h = default_instance(shared, node, family.obj_local);
         Ok(Value::Ref(h))
     } else {
-        let proto = shared.policy.protocol(&base_name);
-        let (reply, _) = rpc(
-            shared,
-            node,
-            target,
-            &proto,
-            &base_name,
-            &Request::Create {
-                class: base_name.clone(),
-                ctor: 0,
-                args: vec![],
-            },
-        )?;
+        let create = Request::Create {
+            class: row.name.clone(),
+            ctor: 0,
+            args: vec![],
+        };
+        let (reply, _) = rpc(shared, node, target, row, &create)?;
         factory_reply(shared, node, reply, "create")
     }
 }
@@ -1064,20 +1114,20 @@ fn factory_reply(
 pub(crate) fn discover_value(
     shared: &Shared,
     node: NodeId,
-    base: ClassId,
+    row: &ClassRow,
 ) -> Result<Value, VmError> {
+    let base = row.base;
     if let Some(state) = shared.nodes.borrow()[node.0 as usize].singletons.get(&base) {
         return Ok(Value::Ref(state.handle()));
     }
-    let base_name = shared.universe.class(base).name.clone();
-    let family = shared.plan.family(base).expect("substitutable").clone();
-    let owner = shared.policy.statics_node(&base_name);
+    let family = &shared.plan.families[&base];
+    let owner = row.statics_node;
     // Stale-promotion guard (bugfix): if this class's singleton was
     // promoted after a crash, every resolution must follow the promoted
     // copy — even (and especially) on the restarted pre-crash owner, whose
     // wiped registry would otherwise mint a fresh singleton with default
     // state, silently diverging from the copy the survivors still use.
-    let canonical = shared.directory.borrow().static_export(&base_name);
+    let canonical = shared.directory.borrow().static_export(&row.name);
     if let Some(start) = canonical {
         let (tn, toid) = shared.directory.borrow().resolve(start);
         if (tn, toid) != start {
@@ -1124,17 +1174,10 @@ pub(crate) fn discover_value(
             .insert(base, SingletonState::Ready(h));
         Ok(Value::Ref(h))
     } else {
-        let proto = shared.policy.protocol(&base_name);
-        let (reply, _) = rpc(
-            shared,
-            node,
-            owner,
-            &proto,
-            &base_name,
-            &Request::Discover {
-                class: base_name.clone(),
-            },
-        )?;
+        let discover = Request::Discover {
+            class: row.name.clone(),
+        };
+        let (reply, _) = rpc(shared, node, owner, row, &discover)?;
         let value = factory_reply(shared, node, reply, "discover")?;
         if let Value::Ref(h) = value {
             shared.nodes.borrow_mut()[node.0 as usize]
@@ -1143,11 +1186,6 @@ pub(crate) fn discover_value(
         }
         Ok(value)
     }
-}
-
-/// Mark that a class is any generated implementation or proxy.
-pub(crate) fn gen_info(shared: &Shared, class: ClassId) -> Option<&GenInfo> {
-    shared.gen_info.get(&class)
 }
 
 #[cfg(test)]

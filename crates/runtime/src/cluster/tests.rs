@@ -196,6 +196,11 @@ fn repeat_calls_intern_signatures_and_reuse_buffers() {
 /// Three nodes running two copies, `CA` and `CB`, of the counter class
 /// `{ int v; int add(int d) }`.
 fn deployed_counters(seed: u64, policy: StaticPolicy) -> Cluster {
+    deployed_counters_speaking(&["RMI"], seed, policy)
+}
+
+/// [`deployed_counters`] with proxies generated for `protocols`.
+fn deployed_counters_speaking(protocols: &[&str], seed: u64, policy: StaticPolicy) -> Cluster {
     let mut u = ClassUniverse::new();
     for name in ["CA", "CB"] {
         let c = u.declare(name, ClassKind::Class);
@@ -213,7 +218,7 @@ fn deployed_counters(seed: u64, policy: StaticPolicy) -> Cluster {
         cb.method(&mut u, "add", vec![Ty::Int], Ty::Int, Some(mb.finish()));
         cb.finish(&mut u);
     }
-    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let outcome = Transformer::new().protocols(protocols).run(&mut u).unwrap();
     Cluster::new(u, outcome.plan, 3, seed, Box::new(policy))
 }
 
@@ -465,11 +470,22 @@ impl Protocol for NoEncode {
 
 const FETCH: Request = Request::Fetch { object: 1 };
 
+/// A protocol nobody implements is found out at the first exchange that
+/// needs its codec, not at deployment: a class that stays local never
+/// needs one.
 #[test]
 fn an_unknown_protocol_is_a_typed_no_codec_fault() {
-    let (cluster, _) = deployed(StaticPolicy::new());
-    let err = rpc(cluster.shared(), NodeId(0), NodeId(1), "IIOP2", "C", &FETCH).unwrap_err();
-    assert_eq!(err, VmError::Rpc(RpcFault::NoCodec("IIOP2".into())));
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .with_protocol("C", "IIOP2");
+    let (cluster, _) = deployed(policy);
+    let err = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap_err();
+    let no_codec = VmError::Rpc(RpcFault::NoCodec("IIOP2".into()));
+    assert_eq!(err, RuntimeError::Vm(no_codec));
+    assert_eq!(cluster.network().stats().messages, 0);
+    let local = cluster.new_instance(NodeId(1), "C", 0, vec![]).unwrap();
+    let sum = cluster.call_method(NodeId(1), local, "add", vec![Value::Int(2)]);
+    assert_eq!(sum.unwrap(), Value::Int(2));
 }
 
 /// A policy may name a node the deployment does not have. The request is
@@ -483,7 +499,8 @@ fn an_exchange_to_a_node_outside_the_deployment_is_a_typed_net_failure() {
         method: "add@1".into(),
         args: vec![],
     };
-    let err = rpc(cluster.shared(), NodeId(0), NodeId(2), "RMI", "C", &call).unwrap_err();
+    let shared = cluster.shared();
+    let err = rpc(shared, NodeId(0), NodeId(2), &shared.rows[0], &call).unwrap_err();
     let VmError::Unreachable(failure) = err else {
         panic!("expected a network failure, got {err:?}");
     };
@@ -496,7 +513,7 @@ fn an_exchange_at_the_depth_limit_is_a_typed_depth_fault() {
     let (cluster, _) = deployed(StaticPolicy::new());
     let shared = cluster.shared();
     shared.rpc_depth.set(MAX_RPC_DEPTH);
-    let err = rpc(shared, NodeId(0), NodeId(1), "RMI", "C", &FETCH).unwrap_err();
+    let err = rpc(shared, NodeId(0), NodeId(1), &shared.rows[0], &FETCH).unwrap_err();
     assert_eq!(err, VmError::Rpc(RpcFault::DepthLimit));
     assert_eq!(
         shared.rpc_depth.get(),
@@ -563,11 +580,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     // Inject the bug: the server forgets its replies, so the next
     // retransmission of 900 re-executes `add` — the object double-
     // applies the mutation, which is exactly what at-most-once forbids.
-    {
-        let mut nodes = shared.nodes.borrow_mut();
-        nodes[1].reply_cache.clear();
-        nodes[1].reply_cache_order.clear();
-    }
+    shared.nodes.borrow_mut()[1].reply_cache = Default::default();
     let (r3, _, _) = deliver(shared, &call);
     assert!(matches!(r3, Reply::Value(_)));
     assert_ne!(r3, r1, "re-execution double-applies the mutation");
@@ -580,7 +593,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
 
 /// A cluster running `class K { int k; int v; K(int k); int bump(int
 /// d) }` under `policy`.
-fn deployed_keyed(nodes: u32, seed: u64, policy: StaticPolicy) -> Cluster {
+fn deployed_keyed(nodes: u32, seed: u64, policy: impl DistributionPolicy + 'static) -> Cluster {
     let mut u = ClassUniverse::new();
     let c = u.declare("K", ClassKind::Class);
     {
@@ -877,6 +890,248 @@ fn sharding_with_replica_reads_beats_single_owner_under_zipf_skew() {
     assert!(s < o, "sharded p95 must beat single-owner: {s} vs {o} ns");
     assert!(sharded.replica_reads > 0, "getters must hit the backup");
     assert_eq!(sharded, run(sharded_policy()), "same seed, same run");
+}
+
+// --- policy is read once ---
+
+/// Counts the questions a policy is asked: `[instance_node, every other
+/// method]`.
+struct Counting {
+    inner: StaticPolicy,
+    asked: Rc<Cell<[u32; 2]>>,
+}
+
+impl Counting {
+    fn count<T>(&self, which: usize, answer: T) -> T {
+        let mut asked = self.asked.get();
+        asked[which] += 1;
+        self.asked.set(asked);
+        answer
+    }
+}
+
+impl DistributionPolicy for Counting {
+    fn instance_node(&self, class: &str, creating_node: NodeId) -> NodeId {
+        self.count(0, self.inner.instance_node(class, creating_node))
+    }
+    fn statics_node(&self, class: &str) -> NodeId {
+        self.count(1, self.inner.statics_node(class))
+    }
+    fn protocol(&self, class: &str) -> String {
+        self.count(1, self.inner.protocol(class))
+    }
+    fn cacheable(&self, class: &str) -> bool {
+        self.count(1, self.inner.cacheable(class))
+    }
+    fn replicas(&self, class: &str) -> u32 {
+        self.count(1, self.inner.replicas(class))
+    }
+    fn batched(&self, class: &str) -> bool {
+        self.count(1, self.inner.batched(class))
+    }
+    fn shard_spec(&self, class: &str) -> Option<rafda_policy::ShardSpec> {
+        self.count(1, self.inner.shard_spec(class))
+    }
+    fn reads_from_replicas(&self, class: &str) -> bool {
+        self.count(1, self.inner.reads_from_replicas(class))
+    }
+}
+
+/// Deployment asks the policy each per-class question once; after that the
+/// only question left is where `make()` puts a new instance. Every other
+/// mechanism — calls, cached and replica reads, batched writes, shard
+/// placement, migration, pull, failover, the quiescent check — runs off the
+/// rows.
+#[test]
+fn after_deployment_the_policy_is_asked_only_where_make_places_an_instance() {
+    const COORD: NodeId = NodeId(3);
+    let asked = Rc::new(Cell::new([0; 2]));
+    let inner = StaticPolicy::new()
+        .shard("K", "get_k", 4)
+        .replicate("K", 1)
+        .replica_reads("K", true)
+        .cache("K", true)
+        .batch("K", true);
+    let policy = Counting {
+        inner,
+        asked: asked.clone(),
+    };
+    let cluster = deployed_keyed(4, 77, policy);
+    assert_eq!(asked.get(), [0, 7], "seven questions, one class, once each");
+    cluster.enable_monitors();
+    let call = |obj: &Value, method: &str, args: Vec<Value>| {
+        cluster
+            .call_method(COORD, obj.clone(), method, args)
+            .unwrap()
+    };
+    let objs: Vec<Value> = (0..8)
+        .map(|key| {
+            let obj = cluster
+                .new_instance(COORD, "K", 0, vec![Value::Int(key)])
+                .unwrap();
+            cluster.pin(COORD, &obj);
+            obj
+        })
+        .collect();
+    for round in 0..40 {
+        for obj in &objs {
+            call(obj, "bump", vec![Value::Int(1)]);
+            call(obj, "get_v", vec![]);
+            call(obj, "get_v", vec![]);
+            call(obj, "set_v", vec![Value::Int(round)]);
+        }
+    }
+    let remote = |obj: &&Value| cluster.location_of(COORD, obj) != Some(COORD);
+    let moved = objs.iter().find(remote).expect("some shard is remote");
+    let (owner, handle) = cluster.home_of(COORD, moved).unwrap();
+    let to = NodeId((owner.0 + 1) % 3);
+    cluster.migrate(owner, handle, to).unwrap();
+    let pulled = objs.iter().rfind(remote).expect("some shard is remote");
+    let proxy = pulled.as_ref_handle().unwrap();
+    cluster.pull_local(COORD, proxy).unwrap();
+    cluster.crash(to);
+    let before = cluster.stats().failovers;
+    for obj in &objs {
+        assert_eq!(call(obj, "bump", vec![Value::Int(0)]), Value::Int(39));
+    }
+    assert!(
+        cluster.stats().failovers > before,
+        "the moved object re-homed"
+    );
+    cluster.restart(to);
+    assert_eq!(cluster.check_invariants(), vec![]);
+    let stats = cluster.stats();
+    assert!(stats.cache_hits + stats.replica_reads > 0, "{stats}");
+    assert!(
+        stats.batched_ops > 0 && stats.shard_placements == 8,
+        "{stats}"
+    );
+    assert_eq!(
+        asked.get(),
+        [8, 7],
+        "one instance_node per make(), nothing else"
+    );
+}
+
+/// Each row holds exactly what the policy answers for its class, plus the
+/// codec and proxy classes the answered protocol implies; the introspection
+/// table is the rows, rendered.
+#[test]
+fn every_row_equals_the_policys_answers() {
+    let policy = StaticPolicy::new()
+        .default_protocol("SOAP")
+        .default_statics(NodeId(2))
+        .default_placement(Placement::Node(NodeId(1)))
+        .default_cache(true)
+        .default_replicate(1)
+        .default_batch(true)
+        .place("CA", Placement::Creator)
+        .statics("CA", NodeId(1))
+        .with_protocol("CA", "RMI")
+        .cache("CA", false)
+        .replicate("CA", 2)
+        .batch("CA", false)
+        .shard("CA", "get_v", 4)
+        .replica_reads("CA", true);
+    let cluster = deployed_counters_speaking(&["RMI", "SOAP"], 9, policy.clone());
+    let shared = cluster.shared();
+    let names: Vec<&str> = shared.rows.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["CA", "CB"], "one row per family, sorted by name");
+    for (id, row) in shared.rows.iter().enumerate() {
+        let name = row.name.as_str();
+        assert_eq!(row.id, id);
+        assert_eq!(shared.universe.by_name(name), Some(row.base));
+        assert_eq!(row.protocol, policy.protocol(name));
+        assert_eq!(row.statics_node, policy.statics_node(name));
+        assert_eq!(row.cacheable, policy.cacheable(name));
+        assert_eq!(row.batched, policy.batched(name));
+        assert_eq!(row.reads_from_replicas, policy.reads_from_replicas(name));
+        assert_eq!(row.replicas, policy.replicas(name));
+        assert_eq!(row.shard_spec, policy.shard_spec(name));
+        let codec = row.codec.as_ref().expect("a generated protocol");
+        assert_eq!(codec.name(), row.protocol);
+        let proxy = shared
+            .universe
+            .by_name(&format!("{name}_O_Proxy_{}", row.protocol));
+        assert_eq!(row.proxy_class(Side::Obj).ok(), proxy);
+        let info = gen_info(shared, proxy.unwrap()).expect("the row's proxy class");
+        assert!(info.is_proxy && info.row == id && info.side == Side::Obj);
+        assert_eq!(class_row(shared, row.base).map(|r| r.id), Some(id));
+    }
+    let table = "\
+CA: protocol=RMI statics=node1 cacheable=false replicas=2 batched=false shard=get_v mod 4 replica_reads=true
+CB: protocol=SOAP statics=node2 cacheable=true replicas=1 batched=true shard=- replica_reads=false
+";
+    assert_eq!(crate::stats::policy_table(shared), table);
+}
+
+/// Protocol is per class, the outcall queue per `(caller, owner)`: two
+/// batched classes speaking different protocols share one queue to a common
+/// owner, and it ships as one frame under the first-enqueued class's
+/// protocol, operations in program order.
+#[test]
+fn one_queue_per_owner_ships_under_the_first_enqueued_classs_protocol() {
+    let policy = StaticPolicy::new()
+        .default_placement(Placement::Node(NodeId(1)))
+        .default_batch(true)
+        .with_protocol("CB", "SOAP");
+    let cluster = deployed_counters_speaking(&["RMI", "SOAP"], 21, policy);
+    let shared = cluster.shared();
+    let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
+    let b = cluster.new_instance(NodeId(0), "CB", 0, vec![]).unwrap();
+    let set = |obj: &Value, v: i32| {
+        let r = cluster.call_method(NodeId(0), obj.clone(), "set_v", vec![Value::Int(v)]);
+        assert_eq!(r.unwrap(), Value::Null);
+    };
+    set(&a, 1);
+    set(&b, 2);
+    set(&a, 3);
+    {
+        let queues = shared.outqueues.borrow();
+        assert_eq!(queues.len(), 1, "one owner, one queue");
+        let pending = &queues[&(0, 1)];
+        assert_eq!(
+            shared.rows[pending.row].name, "CA",
+            "labelled at first enqueue"
+        );
+        let args: Vec<&WireValue> = pending
+            .ops
+            .iter()
+            .map(|op| match op {
+                Request::Call { args, .. } => &args[0],
+                other => panic!("only calls were deferred, found {other:?}"),
+            })
+            .collect();
+        let program_order = [WireValue::Int(1), WireValue::Int(2), WireValue::Int(3)];
+        assert_eq!(args, program_order.iter().collect::<Vec<_>>());
+    }
+    let before = cluster.stats().exchanges();
+    cluster.flush().unwrap();
+    let stats = cluster.stats();
+    assert_eq!((stats.flushes, stats.exchanges() - before), (1, 1));
+    let log = cluster.span_log();
+    let batches: Vec<_> = log
+        .spans()
+        .iter()
+        .filter(|s| s.name == "rpc.batch")
+        .collect();
+    assert_eq!(batches.len(), 1);
+    assert_eq!(
+        batches[0].attr_str("protocol"),
+        Some("RMI"),
+        "CA's, not CB's"
+    );
+    assert_eq!(
+        batches[0].attr("n_ops").map(|n| n.to_string()),
+        Some("3".into())
+    );
+    let get = |obj: &Value| cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);
+    assert_eq!(
+        get(&a).unwrap(),
+        Value::Int(3),
+        "set_v(1) ran before set_v(3)"
+    );
+    assert_eq!(get(&b).unwrap(), Value::Int(2));
 }
 
 // --- adaptation/crash chaos (proptest) ---

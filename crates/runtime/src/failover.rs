@@ -3,7 +3,7 @@
 //! recorded moves, else ask the owner's backups to promote.
 
 use crate::batch::flush_outqueues;
-use crate::cluster::{cache_import, lookup_export, Cluster, NodeState, Shared};
+use crate::cluster::{cache_import, lookup_export, ClassRow, Cluster, NodeState, Shared};
 use crate::obs::Met;
 use crate::replicate::{charge_marks, replica_targets};
 use crate::rpc::rpc;
@@ -63,23 +63,20 @@ impl Cluster {
 /// The whole re-homing is wrapped in a `rpc.failover` span chained via
 /// `retry_of` to the exchange that failed, so traces show the causal link
 /// from the dead owner to the promoted copy.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn failover(
     shared: &Shared,
     node: NodeId,
     recv: Handle,
     proxy_class: ClassId,
-    proto: &str,
-    base_name: &str,
-    target: u32,
-    oid: u64,
+    row: &ClassRow,
+    (target, oid): (u32, u64),
 ) -> Option<(u32, u64)> {
     let start = shared.net.now().as_ns();
     let span = {
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.failover", node.0, start);
-        spans.set_attr(h, "class", base_name);
-        spans.set_attr(h, "protocol", proto);
+        spans.set_attr(h, "class", row.name.as_str());
+        spans.set_attr(h, "protocol", row.protocol.as_str());
         spans.set_attr(h, "from", node.0);
         spans.set_attr(h, "old_home", format!("{target}#{oid}"));
         let prior = shared.last_exchange_span.get();
@@ -88,7 +85,7 @@ pub(crate) fn failover(
         }
         h
     };
-    let home = locate_home(shared, node, proto, base_name, target, oid);
+    let home = locate_home(shared, node, row, (target, oid));
     let end = shared.net.now().as_ns();
     {
         let mut spans = shared.spans.borrow_mut();
@@ -128,10 +125,8 @@ pub(crate) fn failover(
 pub(crate) fn locate_home(
     shared: &Shared,
     node: NodeId,
-    proto: &str,
-    base_name: &str,
-    target: u32,
-    oid: u64,
+    row: &ClassRow,
+    (target, oid): (u32, u64),
 ) -> Option<(u32, u64)> {
     let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
     let (tn, toid) = shared.directory.borrow().resolve((target, oid));
@@ -145,11 +140,7 @@ pub(crate) fn locate_home(
     {
         return Some((tn, toid));
     }
-    let k = shared.policy.replicas(base_name);
-    if k == 0 {
-        return None;
-    }
-    for c in replica_targets(k, tn, shared.vms.len() as u32) {
+    for c in replica_targets(row.replicas, tn, shared.vms.len() as u32) {
         // The fault-plan lookup stands in for a failure detector: known-dead
         // candidates are skipped instead of timed out against.
         if crashed(c) {
@@ -159,7 +150,7 @@ pub(crate) fn locate_home(
             node: tn,
             object: toid,
         };
-        match rpc(shared, node, NodeId(c), proto, base_name, &req) {
+        match rpc(shared, node, NodeId(c), row, &req) {
             Ok((
                 Reply::Value(WireValue::Remote {
                     node: nn,

@@ -5,12 +5,15 @@
 //! (`rafda-net`), implementing the pieces the paper leaves to the runtime:
 //!
 //! * the **factory hooks** — the generated `make()` and `discover()` methods
-//!   are `native`; this crate installs their implementations, which consult
-//!   the [`DistributionPolicy`](rafda_policy::DistributionPolicy) ("the
-//!   object creation method contains the policy determining which of the
-//!   classes implementing `A_O_Int` will be used", Section 2);
-//! * the **proxy hooks** — every method of a generated `A_O_Proxy_<P>` /
-//!   `A_C_Proxy_<P>` class marshals the call with protocol `P`
+//!   are `native`; this crate installs their implementations. `make()` asks
+//!   the [`DistributionPolicy`](rafda_policy::DistributionPolicy) where the
+//!   instance goes ("the object creation method contains the policy
+//!   determining which of the classes implementing `A_O_Int` will be used",
+//!   Section 2); every other policy decision is read once per class, when
+//!   the cluster is deployed;
+//! * the **proxy hooks** — every method of the `A_O_Proxy_<P>` /
+//!   `A_C_Proxy_<P>` classes of the protocol `P` the policy chose for `A`
+//!   marshals the call with `P`
 //!   (`rafda-wire`), ships it over the simulated network, and the owning
 //!   node's VM executes the real method, with results, remote references
 //!   and exceptions marshalled back;
@@ -51,6 +54,7 @@ pub mod cluster;
 mod directory;
 pub mod error;
 mod failover;
+mod fifo;
 pub mod introspect;
 pub mod local;
 pub mod marshal;

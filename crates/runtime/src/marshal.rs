@@ -17,8 +17,8 @@
 //!   serialisable objects in RMI.
 
 use crate::cluster::{
-    cache_import, cached_import, export, gen_info, lookup_export, proxy_class_for,
-    read_proxy_state, Shared, Side,
+    cache_import, cached_import, export, gen_info, lookup_export, read_proxy_state, GenInfo,
+    Shared, Side,
 };
 use rafda_classmodel::Ty;
 use rafda_net::NodeId;
@@ -69,25 +69,23 @@ fn value_to_wire_rec(
             }
             let class = vm.class_of(*h).ok_or("stale handle in marshalling")?;
             match gen_info(shared, class) {
-                Some(info) if info.proto.is_some() => {
+                Some(info) if info.is_proxy => {
                     // Proxy: ship its target descriptor (no proxy chains).
                     let (target, oid) =
                         read_proxy_state(vm, *h).ok_or("stale proxy in marshalling")?;
-                    let logical = logical_class_name(shared, info.base, info.side);
                     WireValue::Remote {
                         node: target,
                         object: oid,
-                        class: logical,
+                        class: logical_class_name(shared, info),
                     }
                 }
                 Some(info) => {
                     // Local implementation: export by reference.
                     let oid = export(shared, node, *h);
-                    let logical = logical_class_name(shared, info.base, info.side);
                     WireValue::Remote {
                         node: node.0,
                         object: oid,
-                        class: logical,
+                        class: logical_class_name(shared, info),
                     }
                 }
                 None => {
@@ -135,9 +133,12 @@ pub(crate) fn wire_to_values(
     Ok(out)
 }
 
-fn logical_class_name(shared: &Shared, base: rafda_classmodel::ClassId, side: Side) -> String {
-    let family = shared.plan.family(base).expect("family exists");
-    let id = match side {
+/// The name of the `*_Local` class of `info`'s family and side — what a
+/// remote reference names on the wire and in a snapshot, whichever proxy
+/// class holds it.
+pub(crate) fn logical_class_name(shared: &Shared, info: GenInfo) -> String {
+    let family = &shared.plan.families[&shared.rows[info.row].base];
+    let id = match info.side {
         Side::Obj => family.obj_local,
         Side::Cls => family.cls_local.expect("cls side implies statics"),
     };
@@ -184,12 +185,8 @@ pub(crate) fn wire_to_value(
                 .by_name(class)
                 .ok_or_else(|| format!("unknown remote class {class}"))?;
             let info = gen_info(shared, impl_class)
-                .ok_or_else(|| format!("{class} is not a transformed implementation"))?
-                .clone();
-            let base_name = shared.universe.class(info.base).name.clone();
-            let proto = shared.policy.protocol(&base_name);
-            let proxy_class = proxy_class_for(shared, info.base, info.side, &proto)
-                .ok_or_else(|| format!("no {proto} proxy generated for {base_name}"))?;
+                .ok_or_else(|| format!("{class} is not a transformed implementation"))?;
+            let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
             let h = vm.alloc_raw(
                 proxy_class,
                 vec![Value::Int(*owner as i32), Value::Long(*object as i64)],

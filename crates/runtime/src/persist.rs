@@ -152,7 +152,7 @@ pub(crate) fn snapshot(
             HeapEntry::Object { class, fields } => {
                 // Proxies are boundary markers, not captured objects —
                 // unless they are the root, which we reject.
-                if gen_info(shared, *class).is_some_and(|i| i.proto.is_some()) {
+                if gen_info(shared, *class).is_some_and(|i| i.is_proxy) {
                     if h == root {
                         return Err(RuntimeError::Bad(
                             "cannot snapshot a proxy root; snapshot at its home node".into(),
@@ -215,24 +215,16 @@ pub(crate) fn snapshot(
                         let class = vm
                             .class_of(*r)
                             .ok_or_else(|| RuntimeError::Bad("stale ref in snapshot".into()))?;
-                        let info = gen_info(shared, class)
-                            .filter(|i| i.proto.is_some())
-                            .ok_or_else(|| {
-                                RuntimeError::Bad("unreachable non-proxy in snapshot".into())
-                            })?;
+                        let Some(info) = gen_info(shared, class).filter(|i| i.is_proxy) else {
+                            let what = "unreachable non-proxy in snapshot";
+                            return Err(RuntimeError::Bad(what.into()));
+                        };
                         let (n, oid) = read_proxy_state(vm, *r)
                             .ok_or_else(|| RuntimeError::Bad("stale proxy in snapshot".into()))?;
-                        let family = shared.plan.family(info.base).expect("family");
-                        let logical = match info.side {
-                            crate::cluster::Side::Obj => family.obj_local,
-                            crate::cluster::Side::Cls => {
-                                family.cls_local.expect("cls side implies statics")
-                            }
-                        };
                         SnapSlot::Remote {
                             node: n,
                             oid,
-                            class: shared.universe.class(logical).name.clone(),
+                            class: crate::marshal::logical_class_name(shared, info),
                         }
                     }
                 }

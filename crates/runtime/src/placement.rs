@@ -4,8 +4,8 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{
-    bump_version, cache_import, export, is_local_impl, lookup_export, proxy_class_for,
-    read_proxy_state, relocate, Cluster, RemoteRef, Shared, Side,
+    bump_version, cache_import, export, gen_info, info_of, is_local_impl, lookup_export,
+    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared, Side,
 };
 use crate::directory::Why;
 use crate::error::RuntimeError;
@@ -100,36 +100,25 @@ impl Cluster {
         let (class, fields) = vm
             .read_object(object)
             .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
-        let info = shared
-            .gen_info
-            .get(&class)
-            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?
-            .clone();
-        if info.proto.is_some() {
+        let info = gen_info(shared, class)
+            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?;
+        if info.is_proxy {
             return Err(RuntimeError::Bad(
                 "object is already remote (a proxy); migrate it from its owner".into(),
             ));
         }
-        let base_name = shared.universe.class(info.base).name.clone();
-        let proto = shared.policy.protocol(&base_name);
+        let row = &shared.rows[info.row];
         let state = WireValue::ObjectState {
             class: shared.universe.class(class).name.clone(),
             fields: marshal::values_to_wire(shared, from, &fields)
                 .map_err(RuntimeError::Marshal)?,
         };
         let source_oid = export(shared, from, object);
-        let (reply, _) = rpc(
-            shared,
-            from,
-            to,
-            &proto,
-            &base_name,
-            &Request::Install {
-                state,
-                source: Some((from.0, source_oid)),
-            },
-        )
-        .map_err(RuntimeError::from)?;
+        let install = Request::Install {
+            state,
+            source: Some((from.0, source_oid)),
+        };
+        let (reply, _) = rpc(shared, from, to, row, &install).map_err(RuntimeError::from)?;
         let target = match reply {
             Reply::Value(WireValue::Remote { node, object, .. }) => RemoteRef {
                 node: NodeId(node),
@@ -138,8 +127,7 @@ impl Cluster {
             Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
             other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
         };
-        let proxy_class = proxy_class_for(shared, info.base, info.side, &proto)
-            .ok_or_else(|| RuntimeError::Bad(format!("no {proto} proxy for {base_name}")))?;
+        let proxy_class = row.proxy_class(info.side).map_err(RuntimeError::Bad)?;
         vm.replace_object(
             object,
             proxy_class,
@@ -162,7 +150,7 @@ impl Cluster {
         );
         bump(shared, from.0, Met::Migrations);
         Ok(MigrationEvent {
-            class: base_name,
+            class: row.name.clone(),
             from,
             to,
             target,
@@ -207,27 +195,16 @@ impl Cluster {
         let class = vm
             .class_of(proxy)
             .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
-        let info = shared
-            .gen_info
-            .get(&class)
-            .cloned()
-            .filter(|i| i.proto.is_some())
+        let info = gen_info(shared, class)
+            .filter(|i| i.is_proxy)
             .ok_or_else(|| RuntimeError::Bad("pull_local needs a proxy".into()))?;
-        let proto = info.proto.clone().expect("filtered");
-        let base_name = shared.universe.class(info.base).name.clone();
+        let row = &shared.rows[info.row];
         let (owner_raw, oid) =
             read_proxy_state(vm, proxy).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
         let owner = NodeId(owner_raw);
         // Fetch the state.
-        let (reply, _) = rpc(
-            shared,
-            node,
-            owner,
-            &proto,
-            &base_name,
-            &Request::Fetch { object: oid },
-        )
-        .map_err(RuntimeError::from)?;
+        let (reply, _) = rpc(shared, node, owner, row, &Request::Fetch { object: oid })
+            .map_err(RuntimeError::from)?;
         let (class_name, wire_fields) = match reply {
             Reply::Value(WireValue::ObjectState { class, fields }) => (class, fields),
             Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
@@ -242,19 +219,12 @@ impl Cluster {
         vm.replace_object(proxy, local_class, fields);
         let my_oid = export(shared, node, proxy);
         // Owner-side swap: the old object becomes a forwarding proxy here.
-        let (reply, _) = rpc(
-            shared,
-            node,
-            owner,
-            &proto,
-            &base_name,
-            &Request::Forward {
-                object: oid,
-                to_node: node.0,
-                to_object: my_oid,
-            },
-        )
-        .map_err(RuntimeError::from)?;
+        let forward = Request::Forward {
+            object: oid,
+            to_node: node.0,
+            to_object: my_oid,
+        };
+        let (reply, _) = rpc(shared, node, owner, row, &forward).map_err(RuntimeError::from)?;
         if let Reply::Fault(m) = reply {
             return Err(RuntimeError::Bad(m));
         }
@@ -264,7 +234,7 @@ impl Cluster {
         sync_replicas(shared, node, my_oid);
         bump(shared, node.0, Met::Pulls);
         Ok(MigrationEvent {
-            class: base_name,
+            class: row.name.clone(),
             from: owner,
             to: node,
             target: RemoteRef { node, oid: my_oid },
@@ -303,23 +273,12 @@ impl Cluster {
         }
         let mut events = Vec::new();
         for (owner, handle, target) in candidates {
-            // Only migrate objects still locally implemented.
-            let vm = &shared.vms[owner.0 as usize];
-            let Some(class) = vm.class_of(handle) else {
-                continue;
-            };
-            match shared.gen_info.get(&class) {
-                Some(info) if info.proto.is_none() => {
-                    // Shard placement is policy-owned: the affinity loop
-                    // must not fight the shard map by dragging a sharded
-                    // instance toward its chattiest caller.
-                    if shared.any_sharding {
-                        let base = &shared.universe.class(info.base).name;
-                        if shared.policy.shard_spec(base).is_some() {
-                            continue;
-                        }
-                    }
-                }
+            // Only migrate objects still locally implemented. Shard
+            // placement is policy-owned: the affinity loop must not fight
+            // the shard map by dragging a sharded instance toward its
+            // chattiest caller.
+            match info_of(shared, owner.0, handle) {
+                Some(info) if !info.is_proxy && shared.rows[info.row].shard_spec.is_none() => {}
                 _ => continue,
             }
             // migrate() purges the stale counts cluster-wide, so no
@@ -341,11 +300,11 @@ impl Cluster {
     pub(crate) fn place_sharded(
         &self,
         node: NodeId,
-        class: &str,
+        row: &ClassRow,
         that: &Value,
     ) -> Result<(), RuntimeError> {
         let shared = &self.shared;
-        let Some(spec) = shared.policy.shard_spec(class) else {
+        let (class, Some(spec)) = (&row.name, &row.shard_spec) else {
             return Ok(());
         };
         let Value::Ref(h) = *that else {
@@ -359,14 +318,10 @@ impl Cluster {
             shard,
             shard % shared.vms.len() as u32,
         );
-        let Some(info) = vm
-            .class_of(h)
-            .and_then(|c| shared.gen_info.get(&c))
-            .cloned()
-        else {
+        let Some(info) = info_of(shared, node.0, h) else {
             return Ok(());
         };
-        let member = if info.proto.is_some() {
+        let member = if info.is_proxy {
             let (tn, toid) =
                 read_proxy_state(vm, h).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
             if tn == owner {
@@ -500,17 +455,17 @@ impl Cluster {
                 if known.contains(&(n, oid)) {
                     continue;
                 }
-                let vm = &shared.vms[n as usize];
-                let Some(info) = vm.class_of(h).and_then(|c| shared.gen_info.get(&c)) else {
+                let Some(info) = info_of(shared, n, h) else {
                     continue;
                 };
-                if info.proto.is_some() || info.side != Side::Obj {
+                if info.is_proxy || info.side != Side::Obj {
                     continue;
                 }
-                let base = &shared.universe.class(info.base).name;
-                let Some(spec) = shared.policy.shard_spec(base) else {
+                let row = &shared.rows[info.row];
+                let (base, Some(spec)) = (&row.name, &row.shard_spec) else {
                     continue;
                 };
+                let vm = &shared.vms[n as usize];
                 let Ok(key) = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])
                 else {
                     continue;

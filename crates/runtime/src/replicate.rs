@@ -11,13 +11,13 @@
 //! conservatively.
 
 use crate::batch::enqueue_outcall;
-use crate::cluster::{bump_version, lookup_export, version_of, GenInfo, Shared};
+use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
 use crate::directory::{Drift, VERSION_TOMBSTONE};
 use crate::marshal;
 use crate::obs::Met;
 use crate::rpc::rpc;
 use crate::stats::{bump, record_local_read};
-use rafda_classmodel::{ClassId, SigId};
+use rafda_classmodel::SigId;
 use rafda_net::NodeId;
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
@@ -125,7 +125,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         );
         return;
     }
-    let Some((class, info, wire_fields)) = replicated_state(shared, owner, h) else {
+    let Some((class_name, row, wire_fields)) = replicated_state(shared, owner, h) else {
         return;
     };
     // Skip the no-op sync outright: if neither the version nor the state
@@ -150,9 +150,6 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         Drift::Version => {}
     }
     let version = version_of(shared, owner.0, oid);
-    let base_name = shared.universe.class(info.base).name.as_str();
-    let proto = shared.policy.protocol(base_name);
-    let batched = shared.policy.batched(base_name);
     // Recorded *before* the exchanges below: each one is a top-level rpc,
     // which runs the dirty-replica sweep, which must find this very object
     // settled instead of shipping it a second time. The record also spends
@@ -164,7 +161,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         .shipped(loc, version, wire_fields.clone());
     vm.clear_written(h);
     let state = WireValue::ObjectState {
-        class: shared.universe.class(class).name.clone(),
+        class: class_name.to_owned(),
         fields: wire_fields,
     };
     let ship = |t: u32, state: WireValue| {
@@ -173,16 +170,16 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
             version,
             state,
         };
-        if batched {
+        if row.batched {
             // Replica shipments of a batched class are deferrable: they
             // ride the owner's outcall queue to each backup and land at the
             // next synchronization point.
-            enqueue_outcall(shared, owner, NodeId(t), &proto, base_name, req);
+            enqueue_outcall(shared, owner, NodeId(t), row, req);
         } else {
-            let _ = rpc(shared, owner, NodeId(t), &proto, base_name, &req);
+            let _ = rpc(shared, owner, NodeId(t), row, &req);
         }
     };
-    let mut targets = replica_targets(info.replicas, owner.0, shared.vms.len() as u32);
+    let mut targets = replica_targets(row.replicas, owner.0, shared.vms.len() as u32);
     targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
     if let Some((&last, rest)) = targets.split_last() {
         for &t in rest {
@@ -194,21 +191,21 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
 
 /// The marshalled live state of `h` on `owner`, if it is a locally
 /// implemented instance of a class the policy replicates — the only kind
-/// of export that ships: `(runtime class, its family info, wire fields)`.
+/// of export that ships: `(runtime class name, its family's row, wire
+/// fields)`.
 fn replicated_state(
     shared: &Shared,
     owner: NodeId,
     h: Handle,
-) -> Option<(ClassId, &GenInfo, Vec<WireValue>)> {
-    let vm = &shared.vms[owner.0 as usize];
-    let class = vm.class_of(h)?;
-    let info = shared
-        .gen_info
-        .get(&class)
-        .filter(|info| info.proto.is_none() && info.replicas > 0)?;
-    let (_, fields) = vm.read_object(h)?;
+) -> Option<(&str, &ClassRow, Vec<WireValue>)> {
+    let info = info_of(shared, owner.0, h).filter(|info| !info.is_proxy)?;
+    let row = &shared.rows[info.row];
+    if row.replicas == 0 {
+        return None;
+    }
+    let (class, fields) = shared.vms[owner.0 as usize].read_object(h)?;
     let wire_fields = marshal::values_to_wire(shared, owner, &fields).ok()?;
-    Some((class, info, wire_fields))
+    Some((&shared.universe.class(class).name, row, wire_fields))
 }
 
 /// Re-ship every **dirty** replicated export whose live state drifted from
@@ -270,16 +267,13 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) {
 /// In the simulated topology every inter-node link costs the same, so the
 /// nearest *profitable* replica is always the caller's own store: remote
 /// replicas would cost exactly what the owner does.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn replica_read(
     shared: &Shared,
     node: NodeId,
-    base_name: &str,
-    proto: &str,
+    row: &ClassRow,
     method: &str,
     sig: SigId,
-    owner: u32,
-    oid: u64,
+    (owner, oid): (u32, u64),
 ) -> Result<Option<Value>, VmError> {
     if owner == node.0 {
         return Ok(None);
@@ -311,7 +305,6 @@ pub(crate) fn replica_read(
     let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
     bump(shared, node.0, Met::ReplicaReads);
     // Under the E14 stale-read oracle like every other locally served read.
-    let at = (owner, oid);
-    record_local_read(shared, node, at, base_name, method, proto, "replica_read");
+    record_local_read(shared, node, (owner, oid), row, method, "replica_read");
     Ok(Some(result))
 }

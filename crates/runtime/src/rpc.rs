@@ -3,7 +3,7 @@
 //! reply. Also the span labels every exchange is recorded under.
 
 use crate::batch::{enqueue_outcall, flush_outqueues};
-use crate::cluster::{getter_sigs, read_proxy_state, version_of, Shared};
+use crate::cluster::{gen_info, getter_sigs, read_proxy_state, version_of, ClassRow, Shared};
 use crate::directory::VERSION_TOMBSTONE;
 use crate::failover::failover;
 use crate::marshal;
@@ -16,11 +16,6 @@ use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
 use rafda_vm::{NetFailure, NetFailureKind, RpcFault, Value, VmError};
 use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
-
-/// How many property values each node's proxy-side cache holds. Bounded
-/// FIFO like the reply cache; a modest cap keeps the per-node footprint
-/// proportional to its working set of remote reads.
-const PROP_CACHE_CAP: usize = 1024;
 
 /// Maximum nested (re-entrant) RPC depth across the whole cluster — a
 /// distributed call chain deeper than this is almost certainly unbounded
@@ -45,17 +40,16 @@ pub(crate) fn proxy_call(
     let class = vm
         .class_of(recv)
         .ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let info = shared.gen_info.get(&class).ok_or_else(|| {
+    let info = gen_info(shared, class).ok_or_else(|| {
         VmError::Native(format!(
             "no proxy info for {}",
             shared.universe.class(class).name
         ))
     })?;
-    let proto = info.proto.as_deref().expect("hooked on a proxy");
+    let row = &shared.rows[info.row];
     let (mut target, mut oid) =
         read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
     let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
-    let base_name = shared.universe.class(info.base).name.as_str();
     // Property-cache fast path: a cacheable getter whose cached tag still
     // equals the owner's current version is served locally — no exchange,
     // no clock advance. Coherence rests on the tag check: every mutation
@@ -69,12 +63,12 @@ pub(crate) fn proxy_call(
     // as the property cache): any acknowledged mutation bumped the owner's
     // version before its reply left, so a lagging copy simply fails the
     // check and the read falls through to a normal owner exchange.
-    if is_getter && info.replicas > 0 && shared.policy.reads_from_replicas(base_name) {
-        if let Some(v) = replica_read(shared, node, base_name, proto, method, sig, target, oid)? {
+    if is_getter && row.replicas > 0 && row.reads_from_replicas {
+        if let Some(v) = replica_read(shared, node, row, method, sig, (target, oid))? {
             return Ok(v);
         }
     }
-    let cache_on = is_getter && shared.policy.cacheable(base_name);
+    let cache_on = is_getter && row.cacheable;
     let cache_key = (target, oid, sig);
     if cache_on {
         let current = version_of(shared, target, oid);
@@ -85,8 +79,7 @@ pub(crate) fn proxy_call(
         match cached {
             Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
                 bump(shared, node.0, Met::CacheHits);
-                let at = (target, oid);
-                record_local_read(shared, node, at, base_name, method, proto, "cached");
+                record_local_read(shared, node, (target, oid), row, method, "cached");
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -102,7 +95,7 @@ pub(crate) fn proxy_call(
     // Deferral is decided against the proxy class's own method table (the
     // generated setters only exist there, not on the base class;
     // signatures are interned globally, so the ids agree).
-    if shared.policy.batched(base_name) {
+    if row.batched {
         let is_void = shared
             .universe
             .class(class)
@@ -115,28 +108,15 @@ pub(crate) fn proxy_call(
             // object no longer reflect the queue, and the version tag
             // cannot catch that (the owner has not served the write yet).
             // Drop them; the next read goes remote, which flushes first.
-            {
-                let mut nodes = shared.nodes.borrow_mut();
-                let state = &mut nodes[node.0 as usize];
-                state
-                    .prop_cache
-                    .retain(|&(t, o, _), _| !(t == target && o == oid));
-                state
-                    .prop_cache_order
-                    .retain(|&(t, o, _)| !(t == target && o == oid));
-            }
-            enqueue_outcall(
-                shared,
-                node,
-                NodeId(target),
-                proto,
-                base_name,
-                Request::Call {
-                    object: oid,
-                    method: method.to_owned(),
-                    args: wire_args,
-                },
-            );
+            shared.nodes.borrow_mut()[node.0 as usize]
+                .prop_cache
+                .retain(|&(t, o, _), _| (t, o) != (target, oid));
+            let call = Request::Call {
+                object: oid,
+                method: method.to_owned(),
+                args: wire_args,
+            };
+            enqueue_outcall(shared, node, NodeId(target), row, call);
             return Ok(Value::Null);
         }
     }
@@ -153,7 +133,7 @@ pub(crate) fn proxy_call(
     // operations, so the loop cannot cycle.
     let mut hops = 0u32;
     let (reply, obj_version) = loop {
-        let outcome = rpc(shared, node, NodeId(target), proto, base_name, &req);
+        let outcome = rpc(shared, node, NodeId(target), row, &req);
         let rehome = match &outcome {
             Err(VmError::Unreachable(nf)) => {
                 matches!(nf.kind, NetFailureKind::NodeCrashed(_))
@@ -162,9 +142,7 @@ pub(crate) fn proxy_call(
             _ => false,
         };
         if rehome && hops <= shared.vms.len() as u32 {
-            if let Some((nn, noid)) =
-                failover(shared, node, recv, class, proto, base_name, target, oid)
-            {
+            if let Some((nn, noid)) = failover(shared, node, recv, class, row, (target, oid)) {
                 hops += 1;
                 (target, oid) = (nn, noid);
                 let Request::Call { method, args, .. } = req else {
@@ -184,17 +162,7 @@ pub(crate) fn proxy_call(
     match reply {
         Reply::Value(wv) => {
             if cache_on && obj_version != VERSION_TOMBSTONE {
-                let mut nodes = shared.nodes.borrow_mut();
-                let state = &mut nodes[node.0 as usize];
-                if !state.prop_cache.contains_key(&cache_key) {
-                    if state.prop_cache_order.len() >= PROP_CACHE_CAP {
-                        if let Some(evict) = state.prop_cache_order.pop_front() {
-                            state.prop_cache.remove(&evict);
-                        }
-                    }
-                    state.prop_cache_order.push_back(cache_key);
-                }
-                state
+                shared.nodes.borrow_mut()[node.0 as usize]
                     .prop_cache
                     .insert(cache_key, (obj_version, wv.clone()));
             }
@@ -229,8 +197,7 @@ pub(crate) fn rpc(
     shared: &Shared,
     from: NodeId,
     to: NodeId,
-    proto: &str,
-    class: &str,
+    row: &ClassRow,
     req: &Request,
 ) -> Result<(Reply, u64), VmError> {
     // Every exchange is a synchronization point: pending batches drain
@@ -258,15 +225,15 @@ pub(crate) fn rpc(
     // and nested calls may observe it through their own replicas.
     mark_if_framed(shared, from.0);
     sync_dirty_replicas(shared);
-    let codec = shared
-        .protocols
-        .get(proto)
-        .ok_or_else(|| VmError::Rpc(RpcFault::NoCodec(proto.to_owned())))?;
+    let codec = row
+        .codec
+        .as_deref()
+        .ok_or_else(|| VmError::Rpc(RpcFault::NoCodec(row.protocol.clone())))?;
     if shared.rpc_depth.get() >= MAX_RPC_DEPTH {
         return Err(VmError::Rpc(RpcFault::DepthLimit));
     }
     shared.rpc_depth.set(shared.rpc_depth.get() + 1);
-    let result = rpc_inner(shared, from, to, codec.as_ref(), class, req);
+    let result = rpc_inner(shared, from, to, codec, &row.name, req);
     shared.rpc_depth.set(shared.rpc_depth.get() - 1);
     result
 }

@@ -3,9 +3,9 @@
 //! the serving node's VM and the directory.
 
 use crate::cluster::{
-    bump_version, cache_import, cached_import, default_instance, discover_value, export,
-    getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, proxy_class_for,
-    read_proxy_state, relocate, remote_ref, version_of, Shared,
+    bump_version, cache_import, cached_import, class_row, default_instance, discover_value, export,
+    gen_info, getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, read_proxy_state,
+    relocate, remote_ref, version_of, Shared,
 };
 use crate::directory::Why;
 use crate::marshal;
@@ -18,12 +18,6 @@ use rafda_net::NodeId;
 use rafda_telemetry::{MonitorEvent, SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{FrameHeader, Reply, Request, WireValue};
-
-/// How many served replies each node remembers for duplicate suppression.
-/// Bounded FIFO: old entries are evicted once the cache is full, which is
-/// safe because a client only retransmits while its call is still open —
-/// ids far in the past can no longer be retried.
-const REPLY_CACHE_CAP: usize = 1024;
 
 /// Serve a delivered frame with at-most-once semantics: if this
 /// `(caller, message id)` was already answered, return the cached reply
@@ -120,22 +114,9 @@ pub(crate) fn serve_frame(
     let reply = handle_request(shared, node, caller, req);
     let obj_version = version_now(shared);
     executed(false);
-    {
-        let mut nodes = shared.nodes.borrow_mut();
-        let state = &mut nodes[node.0 as usize];
-        if state
-            .reply_cache
-            .insert(key, (reply.clone(), obj_version))
-            .is_none()
-        {
-            state.reply_cache_order.push_back(key);
-            while state.reply_cache_order.len() > REPLY_CACHE_CAP {
-                if let Some(old) = state.reply_cache_order.pop_front() {
-                    state.reply_cache.remove(&old);
-                }
-            }
-        }
-    }
+    shared.nodes.borrow_mut()[node.0 as usize]
+        .reply_cache
+        .insert(key, (reply.clone(), obj_version));
     shared
         .spans
         .borrow_mut()
@@ -235,11 +216,12 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some(base) = shared.universe.by_name(&class) else {
                 return Reply::Fault(format!("unknown class {class}"));
             };
-            let Some(family) = shared.plan.family(base).cloned() else {
+            let Some(row) = class_row(shared, base) else {
                 return Reply::Fault(format!("{class} is not substitutable"));
             };
+            let family = &shared.plan.families[&base];
             if family.has_statics {
-                if let Err(e) = discover_value(shared, node, base) {
+                if let Err(e) = discover_value(shared, node, row) {
                     return Reply::Fault(e.to_string());
                 }
             }
@@ -256,7 +238,10 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some(base) = shared.universe.by_name(&class) else {
                 return Reply::Fault(format!("unknown class {class}"));
             };
-            match discover_value(shared, node, base) {
+            let Some(row) = class_row(shared, base) else {
+                return Reply::Fault(format!("{class} is not substitutable"));
+            };
+            match discover_value(shared, node, row) {
                 Ok(Value::Ref(h)) => {
                     let rt_class = vm.class_of(h).expect("live singleton");
                     // The stale-promotion guard may have resolved to a
@@ -329,13 +314,12 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some(class) = vm.class_of(h) else {
                 return Reply::Fault("stale export".into());
             };
-            let Some(info) = shared.gen_info.get(&class).cloned() else {
+            let Some(info) = gen_info(shared, class) else {
                 return Reply::Fault("cannot forward untransformed object".into());
             };
-            let base_name = shared.universe.class(info.base).name.clone();
-            let proto = shared.policy.protocol(&base_name);
-            let Some(proxy_class) = proxy_class_for(shared, info.base, info.side, &proto) else {
-                return Reply::Fault(format!("no {proto} proxy for {base_name}"));
+            let proxy_class = match shared.rows[info.row].proxy_class(info.side) {
+                Ok(proxy_class) => proxy_class,
+                Err(m) => return Reply::Fault(m),
             };
             vm.replace_object(
                 h,

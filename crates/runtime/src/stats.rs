@@ -3,7 +3,7 @@
 //! quiescent-point invariant checks and the introspection tables.
 
 use crate::batch::flush_outqueues;
-use crate::cluster::{is_local_impl, is_proxy, version_of, Cluster, Shared};
+use crate::cluster::{is_local_impl, is_proxy, version_of, ClassRow, Cluster, Shared};
 use crate::directory::VERSION_TOMBSTONE;
 use crate::obs::{Met, RuntimeStats};
 use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
@@ -309,18 +309,17 @@ pub(crate) fn record_local_read(
     shared: &Shared,
     node: NodeId,
     loc: (u32, u64),
-    class: &str,
+    row: &ClassRow,
     method: &str,
-    proto: &str,
     how: &'static str,
 ) {
     let now = shared.net.now().as_ns();
     let ctx = {
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.call", node.0, now);
-        spans.set_attr(h, "class", class);
+        spans.set_attr(h, "class", row.name.as_str());
         spans.set_attr(h, "method", method.to_owned());
-        spans.set_attr(h, "protocol", proto);
+        spans.set_attr(h, "protocol", row.protocol.as_str());
         spans.set_attr(h, "from", node.0);
         spans.set_attr(h, "to", loc.0);
         spans.set_attr(h, how, true);
@@ -531,33 +530,27 @@ fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
 
 /// The policy table as served by `rafda.Introspection`: one line per
 /// substitutable class, sorted by name, with every policy decision the
-/// runtime consults for it.
+/// runtime resolved for it at deployment.
 pub(crate) fn policy_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
-    let mut names: Vec<&str> = shared
-        .plan
-        .families
-        .keys()
-        .map(|&b| shared.universe.class(b).name.as_str())
-        .collect();
-    names.sort_unstable();
     let mut out = String::new();
-    for name in names {
-        let p = &shared.policy;
-        let shard = p
-            .shard_spec(name)
+    for row in &shared.rows {
+        let shard = row
+            .shard_spec
+            .as_ref()
             .map(|s| format!("{} mod {}", s.key_getter, s.modulo))
             .unwrap_or_else(|| "-".into());
         let _ = writeln!(
             out,
-            "{name}: protocol={} statics=node{} cacheable={} replicas={} batched={} shard={} replica_reads={}",
-            p.protocol(name),
-            p.statics_node(name).0,
-            p.cacheable(name),
-            p.replicas(name),
-            p.batched(name),
+            "{}: protocol={} statics=node{} cacheable={} replicas={} batched={} shard={} replica_reads={}",
+            row.name,
+            row.protocol,
+            row.statics_node.0,
+            row.cacheable,
+            row.replicas,
+            row.batched,
             shard,
-            p.reads_from_replicas(name)
+            row.reads_from_replicas
         );
     }
     out
