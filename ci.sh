@@ -86,9 +86,29 @@ echo "== location tables are touched only by the Directory =="
 # table has leaked back out. The two gauges a time-series sample reads
 # (`lagging`, `members_per_node`) are held to the same rule: they stay exact
 # only because the transitions next to the tables are their sole writers.
-if grep -rnE '\.(versions|homes|statics_exports|shards|dirty|export_ids|forwards|replicated|synced_versions|call_counts|lagging|members_per_node)\b' \
+if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|forwards|replicated|synced_versions|call_counts|lagging|members_per_node)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
+  exit 1
+fi
+
+echo "== two halves: rpc.rs is the caller, serve.rs the callee, bytes between =="
+# An exchange is cut at the wire: `rpc` frames the request, transmits both
+# ways and reads the reply frame; `serve::deliver` turns request bytes into
+# reply bytes. Neither names the other half's steps or state, and until a
+# second transport exists the seam is `deliver`'s signature, not a trait.
+if grep -nE 'decode_request_header|materialise\(|serve_frame|handle_request|reply_cache|encode_reply_into' \
+    crates/runtime/src/rpc.rs; then
+  echo "FAIL: rpc.rs (the caller half) reaches into the callee half" >&2
+  exit 1
+fi
+if grep -nE 'next_msg_id|rpc_depth|last_exchange_span|\.retry|\.transmit\(|encode_request_into|decode_reply_with' \
+    crates/runtime/src/serve.rs; then
+  echo "FAIL: serve.rs (the callee half) reaches into the caller half" >&2
+  exit 1
+fi
+if grep -rn 'trait Transport' crates; then
+  echo "FAIL: a Transport trait with one implementation — the seam is serve::deliver's signature" >&2
   exit 1
 fi
 

@@ -232,15 +232,6 @@ impl Class {
     pub fn is_interface(&self) -> bool {
         self.kind == ClassKind::Interface
     }
-
-    /// The generated-artefact kind, if this class was produced by the
-    /// transformation engine.
-    pub fn gen_kind(&self) -> Option<&GenKind> {
-        match &self.origin {
-            ClassOrigin::Generated { kind, .. } => Some(kind),
-            ClassOrigin::Original => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -203,12 +203,6 @@ impl JdkProfile {
         self.refs_per_class = refs;
         self
     }
-
-    /// Override the intra-package inheritance probability (E3b sweep).
-    pub fn with_inherit_prob(mut self, p: f64) -> Self {
-        self.inherit_prob = p;
-        self
-    }
 }
 
 /// Per-package transformability row: `(package, total, non_transformable)`.

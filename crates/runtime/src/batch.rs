@@ -101,7 +101,8 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             bump(shared, key.0, Met::Flushes);
             let (from, to) = (NodeId(key.0), NodeId(key.1));
             let row = &shared.rows[pending.row];
-            let outcome = rpc(shared, from, to, row, &Request::Batch(pending.ops.clone()));
+            let batch = Request::Batch(pending.ops);
+            let outcome = rpc(shared, from, to, row, &batch);
             // The owner died between the deferral and this flush (delivery
             // refused, nothing applied). The accepted calls must not be
             // lost: re-home each onto the object's promoted backup — the
@@ -118,7 +119,10 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
                 )
             );
             if node_crashed {
-                for op in pending.ops {
+                let Request::Batch(ops) = batch else {
+                    unreachable!("built above");
+                };
+                for op in ops {
                     let Request::Call { object, .. } = &op else {
                         continue;
                     };

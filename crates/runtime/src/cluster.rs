@@ -392,6 +392,7 @@ impl Cluster {
         }
         let any_replication = rows.iter().any(|r| r.replicas > 0);
         let any_sharding = rows.iter().any(|r| r.shard_spec.is_some());
+        let directory = RefCell::new(Directory::new(nodes, rows.len()));
         let shared = Rc::new(Shared {
             universe,
             plan,
@@ -407,7 +408,7 @@ impl Cluster {
             retry: Cell::new(RetryPolicy::default()),
             next_msg_id: Cell::new(1),
             spans: RefCell::new(SpanLog::new()),
-            directory: RefCell::new(Directory::new(nodes)),
+            directory,
             any_sharding,
             last_exchange_span: Cell::new(0),
             outqueues: RefCell::new(HashMap::new()),
@@ -1127,7 +1128,7 @@ pub(crate) fn discover_value(
     // copy — even (and especially) on the restarted pre-crash owner, whose
     // wiped registry would otherwise mint a fresh singleton with default
     // state, silently diverging from the copy the survivors still use.
-    let canonical = shared.directory.borrow().static_export(&row.name);
+    let canonical = shared.directory.borrow().static_export(row.id);
     if let Some(start) = canonical {
         let (tn, toid) = shared.directory.borrow().resolve(start);
         if (tn, toid) != start {

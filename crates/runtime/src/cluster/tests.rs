@@ -1,12 +1,12 @@
 //! Runtime-level tests that reach below the public API: they hand frames
-//! to `serve_frame` directly, inspect queues and backups, and run the
+//! to the callee half directly, inspect queues and backups, and run the
 //! adaptation/crash chaos over a sharded pool. Kept in one module so their
 //! names (`cluster::tests::*`) stay stable across the module split.
 
 use super::*;
 use crate::placement::shard_hash;
 use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
-use crate::serve::serve_frame;
+use crate::serve::deliver;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{ClassKind, Field, Ty};
 use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
@@ -43,29 +43,43 @@ fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
 /// `req` framed once under `msg_id` on the link node 0 → node 1, as
 /// `rpc_inner` frames it. Delivering the same frame again is a
 /// retransmission.
-fn framed(shared: &Shared, msg_id: u64, req: &Request) -> Vec<u8> {
+fn framed(shared: &Shared, codec: &dyn Protocol, msg_id: u64, req: &Request) -> Vec<u8> {
     let mut frame = Vec::new();
     shared
         .with_link_table(NodeId(0), NodeId(1), |table| {
             let ctx = TraceContext::NONE;
-            RmiCodec::new().encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
+            codec.encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
         })
         .unwrap();
     frame
 }
 
-/// Deliver `frame` from node 0 to node 1's serve path — exactly what a
-/// lossy network hands the server, with no client waiting on the reply.
-fn deliver(shared: &Shared, frame: &[u8]) -> (Reply, TraceContext, u64) {
-    let header = RmiCodec::new().decode_request_header(frame).unwrap();
-    serve_frame(shared, NodeId(1), NodeId(0), &header)
+/// Hand `frame` to node 1's callee half as sent by node 0 — exactly what a
+/// lossy network does, with no caller half waiting — and read the reply
+/// frame: its message id, the reply, and the piggybacked object version.
+fn answer(
+    shared: &Shared,
+    codec: &dyn Protocol,
+    frame: &[u8],
+) -> Result<(u64, Reply, u64), rafda_wire::WireError> {
+    let bytes = deliver(shared, NodeId(1), NodeId(0), codec, frame);
+    let (msg_id, _, version, reply) = shared.with_link_table(NodeId(1), NodeId(0), |table| {
+        codec.decode_reply_with(&bytes, Some(table))
+    })?;
+    Ok((msg_id, reply, version))
+}
+
+/// [`answer`] to a well-formed RMI frame.
+fn answered(shared: &Shared, frame: &[u8]) -> (Reply, u64) {
+    let (_, reply, version) = answer(shared, &RmiCodec::new(), frame).unwrap();
+    (reply, version)
 }
 
 /// Regression for the stale-version dedup bug: a dedup hit must replay
 /// the object version stored **at serve time**, not recompute it at
 /// retransmit time. The single-threaded simulation cannot interleave a
 /// foreign mutation between a dropped reply and its retransmission from
-/// the outside, so the scenario delivers the frames to `serve_frame`
+/// the outside, so the scenario delivers the frames to the callee half
 /// itself.
 #[test]
 fn dedup_hit_replays_the_serve_time_version() {
@@ -89,6 +103,7 @@ fn dedup_hit_replays_the_serve_time_version() {
         .sig;
     let read = framed(
         shared,
+        &RmiCodec::new(),
         900,
         &Request::Call {
             object: oid,
@@ -98,12 +113,13 @@ fn dedup_hit_replays_the_serve_time_version() {
     );
     // Message 900: a cacheable read is served, but the reply is lost on
     // the way back.
-    let (r1, _, v1) = deliver(shared, &read);
+    let (r1, v1) = answered(shared, &read);
     assert!(matches!(r1, Reply::Value(_)));
     // Before the retransmission arrives, another mutation is served and
     // bumps the object's version.
     let add = framed(
         shared,
+        &RmiCodec::new(),
         901,
         &Request::Call {
             object: oid,
@@ -111,14 +127,14 @@ fn dedup_hit_replays_the_serve_time_version() {
             args: vec![WireValue::Int(5)],
         },
     );
-    let (r2, _, _) = deliver(shared, &add);
+    let (r2, _) = answered(shared, &add);
     assert!(matches!(r2, Reply::Value(_)));
     let current = version_of(shared, 1, oid);
     assert!(current > v1, "the mutation must bump the version");
     // The retransmission of 900 dedups. Its reply must carry v1: tagged
     // with `current`, the client would cache the pre-mutation value as
     // fresh and serve the stale read until the next mutation.
-    let (r3, _, v3) = deliver(shared, &read);
+    let (r3, v3) = answered(shared, &read);
     assert_eq!(r3, r1, "dedup must replay the original reply");
     assert_eq!(cluster.stats().dedup_hits, 1);
     assert_eq!(
@@ -541,8 +557,8 @@ fn a_request_the_codec_cannot_encode_is_a_typed_encode_fault() {
 /// The at-most-once canary. A retransmission served from the reply
 /// cache is a legitimate replay; losing the cache entry and
 /// re-executing the frame is the violation the monitor exists for.
-/// Like the dedup test above, the scenario delivers the frame to
-/// `serve_frame` itself — the single-threaded simulation cannot evict a
+/// Like the dedup test above, the scenario delivers the frame to the
+/// callee half itself — the single-threaded simulation cannot evict a
 /// reply cache entry mid-exchange from the outside.
 #[test]
 fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
@@ -563,6 +579,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         .sig;
     let call = framed(
         shared,
+        &RmiCodec::new(),
         900,
         &Request::Call {
             object: oid,
@@ -571,9 +588,9 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         },
     );
     // Serve once, then retransmit: the dedup cache replays — healthy.
-    let (r1, _, _) = deliver(shared, &call);
+    let (r1, _) = answered(shared, &call);
     assert!(matches!(r1, Reply::Value(_)));
-    let (r2, _, _) = deliver(shared, &call);
+    let (r2, _) = answered(shared, &call);
     assert_eq!(r2, r1);
     assert_eq!(cluster.monitor_violations(), vec![]);
 
@@ -581,7 +598,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     // retransmission of 900 re-executes `add` — the object double-
     // applies the mutation, which is exactly what at-most-once forbids.
     shared.nodes.borrow_mut()[1].reply_cache = Default::default();
-    let (r3, _, _) = deliver(shared, &call);
+    let (r3, _) = answered(shared, &call);
     assert!(matches!(r3, Reply::Value(_)));
     assert_ne!(r3, r1, "re-execution double-applies the mutation");
     let violations = cluster.monitor_violations();
@@ -589,6 +606,158 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     assert_eq!(violations[0].monitor, "at-most-once");
     assert!(violations[0].message.contains("msg 900"));
     assert_ne!(violations[0].span_id, 0);
+}
+
+/// Counts the executions the callee half reports to the monitors.
+struct Executions(Rc<Cell<usize>>);
+
+impl rafda_telemetry::Monitor for Executions {
+    fn name(&self) -> &'static str {
+        "executions"
+    }
+    fn on_event(&mut self, event: &rafda_telemetry::MonitorEvent) {
+        if matches!(event, rafda_telemetry::MonitorEvent::Execution { .. }) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+    fn violations(&self) -> &[rafda_telemetry::Violation] {
+        &[]
+    }
+}
+
+/// The callee half is total on its input: whatever bytes arrive — nothing,
+/// a frame cut short anywhere, a frame with any one bit flipped — it answers
+/// with a frame the codec reads back, and bytes whose header does not parse
+/// are answered with a fault without touching the at-most-once state.
+#[test]
+fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
+    for kind in ProtocolKind::ALL {
+        let codec = kind.codec();
+        let (cluster, base) = deployed(StaticPolicy::new().place("C", Placement::Node(NodeId(1))));
+        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+        let shared = cluster.shared();
+        let (_, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+        let methods = &shared.universe.class(base).methods;
+        let add_sig = methods.iter().find(|m| m.name == "add").unwrap().sig;
+        let executions = Rc::new(Cell::new(0));
+        shared.obs.borrow_mut().monitors = Some(vec![Box::new(Executions(executions.clone()))]);
+        let call = Request::Call {
+            object: oid,
+            method: format!("add@{}", add_sig.0),
+            args: vec![WireValue::Int(5)],
+        };
+        let batch = Request::Batch(vec![call.clone(), call.clone()]);
+        let frames =
+            [(900, &call), (901, &batch)].map(|(msg_id, req)| framed(shared, &*codec, msg_id, req));
+        for frame in &frames {
+            let truncated = (0..frame.len()).map(|len| frame[..len].to_vec());
+            let flipped = (0..frame.len() * 8).map(|bit| {
+                let mut hostile = frame.clone();
+                hostile[bit / 8] ^= 1 << (bit % 8);
+                hostile
+            });
+            for hostile in truncated.chain(flipped) {
+                let cached = shared.nodes.borrow()[1].reply_cache.len();
+                let executed = executions.get();
+                let (msg_id, reply, _) = answer(shared, &*codec, &hostile)
+                    .unwrap_or_else(|e| panic!("{}: unreadable reply frame: {e}", codec.name()));
+                if codec.decode_request_header(&hostile).is_err() {
+                    assert!(matches!(reply, Reply::Fault(_)), "{reply:?}");
+                    assert_eq!(msg_id, 0);
+                    assert_eq!(shared.nodes.borrow()[1].reply_cache.len(), cached);
+                    assert_eq!(executions.get(), executed);
+                }
+            }
+        }
+        assert!(executions.get() > 0, "the intact-enough frames did execute");
+    }
+}
+
+/// Every span recorded since `before`, one line each: what the caller
+/// half's exit wrote.
+fn spans_since(shared: &Shared, before: usize) -> Vec<String> {
+    let spans = shared.spans.borrow();
+    let line = |s: &rafda_telemetry::Span| {
+        let attrs: Vec<String> = s.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!(
+            "{} #{} ^{} retry_of={:?} {:?} {}..{} [{}]",
+            s.name,
+            s.span_id,
+            s.parent_span_id,
+            s.retry_of,
+            s.outcome,
+            s.start_ns,
+            s.end_ns,
+            attrs.join(" ")
+        )
+    };
+    spans.spans()[before..].iter().map(line).collect()
+}
+
+/// `C` placed on node 1 with one instance created from node 0, the next
+/// `drops` transmissions scheduled to be lost, and `add(5)` called on it.
+fn add_through_drops(drops: u64) -> (Cluster, Result<Value, RuntimeError>, Vec<String>) {
+    let (cluster, _) = deployed(StaticPolicy::new().place("C", Placement::Node(NodeId(1))));
+    cluster.set_retry_policy(RetryPolicy {
+        max_attempts: 3,
+        ..RetryPolicy::default()
+    });
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let seq = cluster.network().transmit_seq();
+    cluster
+        .network()
+        .fault_plan(|f| (seq..seq + drops).for_each(|s| f.drop_message(s)));
+    let before = cluster.shared().spans.borrow().spans().len();
+    let result = cluster.call_method(NodeId(0), obj, "add", vec![Value::Int(5)]);
+    let spans = spans_since(cluster.shared(), before);
+    (cluster, result, spans)
+}
+
+// The caller half closes its spans in one tail. The literals below were
+// recorded when a success, a retried failure and an exhausted failure each
+// had their own hand-written exit.
+
+#[test]
+fn a_retried_exchange_records_the_failed_attempt_and_the_retransmission() {
+    let (cluster, result, spans) = add_through_drops(1);
+    assert_eq!(result.unwrap(), Value::Int(5));
+    assert_eq!(
+        spans,
+        [
+            "rpc.call #4 ^0 retry_of=None Ok 419900..1185589 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=2]",
+            "rpc.attempt #5 ^4 retry_of=None NetFailure 419900..574978 [attempt=1]",
+            "rpc.attempt #6 ^4 retry_of=Some(5) Ok 774978..1185589 [attempt=2]",
+            "serve.call #7 ^4 retry_of=None Ok 939402..939402 [caller=0]",
+        ]
+    );
+    assert_eq!(cluster.shared().last_exchange_span.get(), 4);
+    let stats = cluster.stats();
+    assert_eq!(
+        (stats.retries, stats.retransmits, stats.net_failures),
+        (1, 1, 0)
+    );
+}
+
+#[test]
+fn an_exhausted_exchange_records_every_attempt_and_a_net_failure() {
+    let (cluster, result, spans) = add_through_drops(3);
+    let err = result.unwrap_err();
+    assert_eq!(err.net_failure().map(|nf| nf.attempts), Some(3));
+    assert_eq!(
+        spans,
+        [
+            "rpc.call #4 ^0 retry_of=None NetFailure 419900..1485134 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=3]",
+            "rpc.attempt #5 ^4 retry_of=None NetFailure 419900..574978 [attempt=1]",
+            "rpc.attempt #6 ^4 retry_of=Some(5) NetFailure 774978..930056 [attempt=2]",
+            "rpc.attempt #7 ^4 retry_of=Some(6) NetFailure 1330056..1485134 [attempt=3]",
+        ]
+    );
+    assert_eq!(cluster.shared().last_exchange_span.get(), 4);
+    let stats = cluster.stats();
+    assert_eq!(
+        (stats.retries, stats.retransmits, stats.net_failures),
+        (2, 0, 1)
+    );
 }
 
 /// A cluster running `class K { int k; int v; K(int k); int bump(int
@@ -804,12 +973,15 @@ fn replica_reads_serve_getters_from_the_local_backup() {
             .unwrap(),
         Value::Int(7)
     );
-    assert_eq!(
-        cluster
-            .call_method(NodeId(0), obj, "get_v", vec![])
-            .unwrap(),
-        Value::Int(7)
-    );
+    // The throwaway instance a replica read runs its getter against dies
+    // with the read: a thousand reads leave the reader's heap as it was.
+    let live = cluster.describe()[0].live_objects;
+    for _ in 0..1000 {
+        let read = cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);
+        assert_eq!(read.unwrap(), Value::Int(7));
+    }
+    assert_eq!(cluster.describe()[0].live_objects, live);
+    assert_eq!(cluster.stats().replica_reads, 1001);
     assert_eq!(cluster.monitor_violations(), vec![]);
 }
 

@@ -29,8 +29,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// A location: `(node, export id on that node)`.
 pub(crate) type Loc = (u32, u64);
 
-/// A shard of a `shard by` class: `(class name, shard index)`.
-pub(crate) type ShardKey = (String, u32);
+/// A shard of a `shard by` class: `(class row id, shard index)`. Rows are
+/// sorted by class name, so key order is `(class name, shard)` order.
+pub(crate) type ShardKey = (usize, u32);
 
 /// Version tag marking a location as permanently uncacheable: the object
 /// moved away and the export (if the node still has one) only forwards.
@@ -128,13 +129,13 @@ pub(crate) struct Directory {
     /// Outlives restarts — a forwarding proxy alone would be lost when its
     /// node restarts.
     homes: HashMap<Loc, Loc>,
-    /// Class name → the location its statics singleton was first exported
-    /// under; resolution follows `homes` from here.
-    statics_exports: HashMap<String, Loc>,
+    /// Per class row: the location its statics singleton was first
+    /// exported under; resolution follows `homes` from here.
+    static_by_row: Vec<Option<Loc>>,
     /// Shard → owning node. `BTreeMap`: iteration order feeds decisions.
-    shard_owners: BTreeMap<ShardKey, u32>,
+    owner_by_shard: BTreeMap<ShardKey, u32>,
     /// Shard → member instances at their last known locations.
-    shard_members: BTreeMap<ShardKey, Vec<Loc>>,
+    members_by_shard: BTreeMap<ShardKey, Vec<Loc>>,
     /// Locations whose state may have moved past their last shipment.
     /// Always a subset of the nodes' `replicated` sets; a `BTreeSet` so
     /// the sweep drains it in `(node, oid)` order.
@@ -154,9 +155,10 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
-    pub(crate) fn new(nodes: u32) -> Directory {
+    pub(crate) fn new(nodes: u32, rows: usize) -> Directory {
         Directory {
             nodes: (0..nodes).map(|_| NodeDir::default()).collect(),
+            static_by_row: vec![None; rows],
             members_per_node: vec![0; nodes as usize],
             ..Directory::default()
         }
@@ -365,18 +367,11 @@ impl Directory {
             .or_default() += 1;
     }
 
-    /// Forget all affinity counters.
-    pub(crate) fn clear_affinity(&mut self) {
-        for st in &mut self.nodes {
-            st.call_counts.clear();
-        }
-    }
-
-    /// Record `loc` as the canonical export of `class`'s statics singleton
-    /// — the first time it becomes remotely visible; later calls keep the
-    /// first record.
-    pub(crate) fn canonical_static(&mut self, class: &str, loc: Loc) {
-        self.statics_exports.entry(class.to_owned()).or_insert(loc);
+    /// Record `loc` as the canonical export of class `row`'s statics
+    /// singleton — the first time it becomes remotely visible; later calls
+    /// keep the first record.
+    pub(crate) fn canonical_static(&mut self, row: usize, loc: Loc) {
+        self.static_by_row[row].get_or_insert(loc);
     }
 
     /// Arm the test-only fault described on the field.
@@ -386,26 +381,20 @@ impl Directory {
 
     // --- shard map ---
 
-    /// The node owning `(class, shard)`, seeded as `seed` the first time
-    /// the shard is seen.
-    pub(crate) fn shard_owner(&mut self, class: &str, shard: u32, seed: u32) -> u32 {
-        *self
-            .shard_owners
-            .entry((class.to_owned(), shard))
-            .or_insert(seed)
+    /// The node owning shard `key`, seeded as `seed` the first time the
+    /// shard is seen.
+    pub(crate) fn shard_owner(&mut self, key: ShardKey, seed: u32) -> u32 {
+        *self.owner_by_shard.entry(key).or_insert(seed)
     }
 
     /// Hand shard `key` to `node`.
     pub(crate) fn assign_shard(&mut self, key: ShardKey, node: u32) {
-        self.shard_owners.insert(key, node);
+        self.owner_by_shard.insert(key, node);
     }
 
-    /// Add `member` to `(class, shard)`, once.
-    pub(crate) fn add_shard_member(&mut self, class: &str, shard: u32, member: Loc) {
-        let members = self
-            .shard_members
-            .entry((class.to_owned(), shard))
-            .or_default();
+    /// Add `member` to shard `key`, once.
+    pub(crate) fn add_shard_member(&mut self, key: ShardKey, member: Loc) {
+        let members = self.members_by_shard.entry(key).or_default();
         if !members.contains(&member) {
             members.push(member);
             self.members_per_node[member.0 as usize] += 1;
@@ -413,8 +402,8 @@ impl Directory {
     }
 
     /// Member `index` of shard `key` moved to `loc`.
-    pub(crate) fn move_shard_member(&mut self, key: &ShardKey, index: usize, loc: Loc) {
-        if let Some(members) = self.shard_members.get_mut(key) {
+    pub(crate) fn move_shard_member(&mut self, key: ShardKey, index: usize, loc: Loc) {
+        if let Some(members) = self.members_by_shard.get_mut(&key) {
             let old = std::mem::replace(&mut members[index], loc);
             self.members_per_node[old.0 as usize] -= 1;
             self.members_per_node[loc.0 as usize] += 1;
@@ -427,14 +416,14 @@ impl Directory {
     pub(crate) fn prune_shard_members(&mut self, keep: impl Fn(Loc, Handle) -> bool) {
         let nodes = &self.nodes;
         let per_node = &mut self.members_per_node;
-        for members in self.shard_members.values_mut() {
+        for members in self.members_by_shard.values_mut() {
             members.retain(|&loc| {
                 let kept = lookup_in(nodes, loc).is_some_and(|h| keep(loc, h));
                 per_node[loc.0 as usize] -= u64::from(!kept);
                 kept
             });
         }
-        self.shard_members.retain(|_, ms| !ms.is_empty());
+        self.members_by_shard.retain(|_, ms| !ms.is_empty());
     }
 
     // ------------------------------------------------------------------
@@ -480,9 +469,9 @@ impl Directory {
         entries
     }
 
-    /// The canonical export of `class`'s statics singleton, if recorded.
-    pub(crate) fn static_export(&self, class: &str) -> Option<Loc> {
-        self.statics_exports.get(class).copied()
+    /// The canonical export of class `row`'s statics singleton, if recorded.
+    pub(crate) fn static_export(&self, row: usize) -> Option<Loc> {
+        self.static_by_row[row]
     }
 
     /// Number of live exports on `node`.
@@ -574,20 +563,17 @@ impl Directory {
 
     /// The shard map, in key order.
     pub(crate) fn shard_owners(&self) -> Vec<(ShardKey, u32)> {
-        self.shard_owners
-            .iter()
-            .map(|(k, &o)| (k.clone(), o))
-            .collect()
+        self.owner_by_shard.iter().map(|(&k, &o)| (k, o)).collect()
     }
 
     /// The recorded members of shard `key`.
-    pub(crate) fn shard_members(&self, key: &ShardKey) -> Vec<Loc> {
-        self.shard_members.get(key).cloned().unwrap_or_default()
+    pub(crate) fn shard_members(&self, key: ShardKey) -> Vec<Loc> {
+        self.members_by_shard.get(&key).cloned().unwrap_or_default()
     }
 
     /// Every location recorded as a member of some shard.
     pub(crate) fn shard_member_set(&self) -> HashSet<Loc> {
-        self.shard_members.values().flatten().copied().collect()
+        self.members_by_shard.values().flatten().copied().collect()
     }
 
     /// Calls served per shard: the affinity totals of its members at
@@ -599,9 +585,9 @@ impl Directory {
                 .get(&oid)
                 .map_or(0, |counts| counts.values().sum::<u64>())
         };
-        self.shard_members
+        self.members_by_shard
             .iter()
-            .map(|(key, members)| (key.clone(), members.iter().map(total).sum()))
+            .map(|(&key, members)| (key, members.iter().map(total).sum()))
             .collect()
     }
 
@@ -623,7 +609,7 @@ impl Directory {
     /// map. The reference the counts are checked against.
     fn scan_members_per_node(&self) -> Vec<u64> {
         let mut per_node = vec![0u64; self.nodes.len()];
-        for &(n, _) in self.shard_members.values().flatten() {
+        for &(n, _) in self.members_by_shard.values().flatten() {
             per_node[n as usize] += 1;
         }
         per_node
@@ -685,7 +671,7 @@ mod tests {
     #[test]
     fn resolve_reaches_the_terminal_of_a_chain_longer_than_the_cluster() {
         let h = handles(1)[0];
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let first = (0, dir.export(0, h, false));
         let mut at = migrate(&mut dir, first, h, 1);
         at = migrate(&mut dir, at, h, 2);
@@ -709,7 +695,7 @@ mod tests {
     #[test]
     fn an_object_coming_home_reuses_its_id_and_stays_tombstoned() {
         let h = handles(1)[0];
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let home = (0, dir.export(0, h, true));
         let away = migrate(&mut dir, home, h, 1);
         assert_eq!(dir.live_export(home), None);
@@ -728,7 +714,7 @@ mod tests {
     #[test]
     fn relocate_purges_counters_of_both_locations_and_of_proxies_to_them() {
         let hs = handles(3);
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let old = (0, dir.export(0, hs[0], false));
         let bystander = (0, dir.export(0, hs[1], false));
         // Node 2 exports a proxy that addresses `old`.
@@ -750,7 +736,7 @@ mod tests {
     #[test]
     fn the_skipped_tombstone_is_spent_by_one_relocation() {
         let hs = handles(2);
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let a = (0, dir.export(0, hs[0], false));
         let b = (0, dir.export(0, hs[1], false));
         dir.skip_next_tombstone();
@@ -766,7 +752,7 @@ mod tests {
     #[test]
     fn settle_if_flat_needs_a_flat_record_at_the_current_version() {
         let h = handles(1)[0];
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let loc = (0, dir.export(0, h, true));
         assert!(!dir.settle_if_flat(loc), "never shipped");
         assert_eq!(dir.dirty_depth(), 1, "a refusal changes nothing");
@@ -813,7 +799,7 @@ mod tests {
     #[test]
     fn the_lag_gauge_follows_a_location_through_every_transition() {
         let hs = handles(2);
-        let mut dir = Directory::new(NODES);
+        let mut dir = Directory::new(NODES, 1);
         let loc = (0, dir.export(0, hs[0], true));
         let _ = dir.bump(loc);
         assert_eq!(lag(&dir), (0, 0), "never shipped: nothing to lag");
@@ -1015,7 +1001,7 @@ mod tests {
             }
             Op::AddMember { shard, node, pick } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
-                    dir.add_shard_member("T", shard, loc);
+                    dir.add_shard_member((0, shard), loc);
                 }
             }
             Op::MoveMember {
@@ -1024,10 +1010,10 @@ mod tests {
                 node,
                 pick,
             } if up(node) => {
-                let key = ("T".to_owned(), shard);
-                let members = dir.shard_members(&key).len();
+                let key = (0, shard);
+                let members = dir.shard_members(key).len();
                 if let (true, Some((loc, _))) = (members > 0, pick_live(dir, node, pick)) {
-                    dir.move_shard_member(&key, index % members, loc);
+                    dir.move_shard_member(key, index % members, loc);
                 }
             }
             Op::PruneMembers { odd } => {
@@ -1111,7 +1097,7 @@ mod tests {
         #[test]
         fn views_agree_after_every_transition(ops in prop::collection::vec(arb_op(), 1..80)) {
             let hs = handles(POOL);
-            let mut dir = Directory::new(NODES);
+            let mut dir = Directory::new(NODES, 1);
             let mut w = World::default();
             for op in &ops {
                 apply(&mut dir, &mut w, &hs, op);

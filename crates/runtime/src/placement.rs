@@ -304,7 +304,7 @@ impl Cluster {
         that: &Value,
     ) -> Result<(), RuntimeError> {
         let shared = &self.shared;
-        let (class, Some(spec)) = (&row.name, &row.shard_spec) else {
+        let Some(spec) = &row.shard_spec else {
             return Ok(());
         };
         let Value::Ref(h) = *that else {
@@ -313,11 +313,10 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         let key = vm.call_virtual_by_name(that.clone(), &spec.key_getter, vec![])?;
         let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-        let owner = shared.directory.borrow_mut().shard_owner(
-            class,
-            shard,
-            shard % shared.vms.len() as u32,
-        );
+        let owner = shared
+            .directory
+            .borrow_mut()
+            .shard_owner((row.id, shard), shard % shared.vms.len() as u32);
         let Some(info) = info_of(shared, node.0, h) else {
             return Ok(());
         };
@@ -354,7 +353,7 @@ impl Cluster {
         shared
             .directory
             .borrow_mut()
-            .add_shard_member(class, shard, member);
+            .add_shard_member((row.id, shard), member);
         bump(shared, node.0, Met::ShardPlacements);
         Ok(())
     }
@@ -431,7 +430,7 @@ impl Cluster {
                 shared
                     .directory
                     .borrow_mut()
-                    .assign_shard(owners[i].0.clone(), min_n);
+                    .assign_shard(owners[i].0, min_n);
                 node_load[max_n as usize] -= l;
                 node_load[min_n as usize] += l;
                 bump(shared, max_n, Met::ShardRebalances);
@@ -462,7 +461,7 @@ impl Cluster {
                     continue;
                 }
                 let row = &shared.rows[info.row];
-                let (base, Some(spec)) = (&row.name, &row.shard_spec) else {
+                let Some(spec) = &row.shard_spec else {
                     continue;
                 };
                 let vm = &shared.vms[n as usize];
@@ -472,8 +471,8 @@ impl Cluster {
                 };
                 let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
                 let mut dir = shared.directory.borrow_mut();
-                dir.shard_owner(base, shard, shard % shared.vms.len() as u32);
-                dir.add_shard_member(base, shard, (n, oid));
+                dir.shard_owner((row.id, shard), shard % shared.vms.len() as u32);
+                dir.add_shard_member((row.id, shard), (n, oid));
             }
         }
     }
@@ -489,7 +488,7 @@ impl Cluster {
             if shared.net.fault_plan(|f| f.is_crashed(NodeId(owner))) {
                 continue;
             }
-            let members = shared.directory.borrow().shard_members(&key);
+            let members = shared.directory.borrow().shard_members(key);
             for (i, &(n, oid)) in members.iter().enumerate() {
                 if n == owner || shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
                     continue;
@@ -502,17 +501,12 @@ impl Cluster {
                     shared
                         .directory
                         .borrow_mut()
-                        .move_shard_member(&key, i, moved);
+                        .move_shard_member(key, i, moved);
                     events.push(event);
                 }
             }
         }
         events
-    }
-
-    /// Clear the per-object call statistics used by [`Cluster::adapt`].
-    pub fn reset_call_stats(&self) {
-        self.shared.directory.borrow_mut().clear_affinity();
     }
 }
 

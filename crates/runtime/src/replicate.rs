@@ -297,12 +297,14 @@ pub(crate) fn replica_read(
     };
     // Materialise a throwaway local instance from the replica's wire-form
     // state and run the real getter bytecode against it — no field-layout
-    // knowledge needed here, and the temporary is unrooted garbage after
-    // the call returns.
+    // knowledge needed here. The temporary is freed as soon as the getter
+    // has returned: nothing collects a node's heap between operations.
     let vm = &shared.vms[node.0 as usize];
     let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
     let h = vm.alloc_raw(local_class, values);
-    let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
+    let result = vm.call_virtual(Value::Ref(h), sig, vec![]);
+    vm.with_heap(|heap| heap.free(h));
+    let result = result?;
     bump(shared, node.0, Met::ReplicaReads);
     // Under the E14 stale-read oracle like every other locally served read.
     record_local_read(shared, node, (owner, oid), row, method, "replica_read");

@@ -9,7 +9,7 @@ use crate::failover::failover;
 use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::{mark_if_framed, replica_read, sync_dirty_replicas};
-use crate::serve::{reply_outcome, serve_frame};
+use crate::serve::{deliver, is_unknown_object, reply_outcome};
 use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
@@ -138,7 +138,7 @@ pub(crate) fn proxy_call(
             Err(VmError::Unreachable(nf)) => {
                 matches!(nf.kind, NetFailureKind::NodeCrashed(_))
             }
-            Ok((Reply::Fault(m), _)) => m.starts_with("unknown object "),
+            Ok((reply, _)) => is_unknown_object(reply),
             _ => false,
         };
         if rehome && hops <= shared.vms.len() as u32 {
@@ -274,7 +274,7 @@ fn req_method_label(req: &Request) -> String {
 
 /// The typed mirror of a transport error (same data, no crate dependency
 /// from the VM on the network).
-fn net_failure_kind(e: &NetError) -> NetFailureKind {
+fn net_failure_kind(e: NetError) -> NetFailureKind {
     match e {
         NetError::Dropped => NetFailureKind::Dropped,
         NetError::Partitioned { from, to } => NetFailureKind::Partitioned {
@@ -325,12 +325,15 @@ pub(crate) fn rpc_inner(
     let encoded = shared.with_link_table(from, to, |table| {
         codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
     });
+    // The exchange span closes in one place, whichever way the exchange ends.
+    let close = |outcome: SpanOutcome| {
+        let mut spans = shared.spans.borrow_mut();
+        spans.end_span(exch, shared.net.now().as_ns(), outcome);
+        shared.last_exchange_span.set(spans.span_id_of(exch));
+    };
     if let Err(e) = encoded {
         shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
-        let end = shared.net.now().as_ns();
-        let mut spans = shared.spans.borrow_mut();
-        spans.end_span(exch, end, SpanOutcome::Fault);
-        shared.last_exchange_span.set(spans.span_id_of(exch));
+        close(SpanOutcome::Fault);
         return Err(VmError::Rpc(RpcFault::Encode(e.to_string())));
     }
     shared
@@ -341,7 +344,7 @@ pub(crate) fn rpc_inner(
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     let mut prev_attempt_span: Option<u64> = None;
-    let result = loop {
+    let result: Result<(Reply, u64), NetFailureKind> = loop {
         attempt += 1;
         if attempt > 1 {
             // Back off on the simulated clock before retransmitting, so the
@@ -362,109 +365,61 @@ pub(crate) fn rpc_inner(
             }
             h
         };
-        match attempt_exchange(shared, from, to, codec, msg_id, &bytes, attempt) {
-            Ok((reply, obj_version)) => {
-                let end = shared.net.now().as_ns();
-                shared.obs.borrow_mut().record_attempts(from.0, attempt);
-                let outcome = reply_outcome(&reply);
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::Ok);
-                spans.record_link(from.0, to.0, end.saturating_sub(attempt_start));
-                spans.set_attr(exch, "attempts", attempt);
-                spans.end_span(exch, end, outcome);
-                shared.last_exchange_span.set(spans.span_id_of(exch));
-                break Ok((reply, obj_version));
+        // One attempt: the frame over the wire, the callee half, the reply
+        // frame back. Bytes are all that crosses between the halves.
+        let result = (|| {
+            shared.net.transmit(from, to, bytes.len())?;
+            if attempt > 1 {
+                bump(shared, to.0, Met::Retransmits);
             }
+            let reply_bytes = deliver(shared, to, from, codec, &bytes);
+            let back = shared.net.transmit(to, from, reply_bytes.len());
+            let decoded = back.map(|_| {
+                shared.net.advance(2 * codec.overhead_ns());
+                let (_, _, obj_version, reply) = shared
+                    .with_link_table(to, from, |table| {
+                        codec.decode_reply_with(&reply_bytes, Some(table))
+                    })
+                    .expect("the callee half's own encoding must decode");
+                (reply, obj_version)
+            });
+            shared
+                .wire_bufs
+                .borrow_mut()
+                .put_back(to, from, reply_bytes);
+            decoded
+        })()
+        .map_err(net_failure_kind);
+        let end = shared.net.now().as_ns();
+        let mut spans = shared.spans.borrow_mut();
+        if result.is_ok() {
+            spans.end_span(att, end, SpanOutcome::Ok);
+            spans.record_link(from.0, to.0, end.saturating_sub(attempt_start));
+        } else {
+            spans.end_span(att, end, SpanOutcome::NetFailure);
+        }
+        match result {
             Err(kind) if kind.is_transient() && attempt < max_attempts => {
-                let end = shared.net.now().as_ns();
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::NetFailure);
                 prev_attempt_span = Some(spans.span_id_of(att));
-                continue;
             }
-            Err(kind) => {
-                let end = shared.net.now().as_ns();
-                {
-                    let mut obs = shared.obs.borrow_mut();
-                    obs.inc(from.0, Met::NetFailures);
-                    obs.record_attempts(from.0, attempt);
-                }
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::NetFailure);
-                spans.set_attr(exch, "attempts", attempt);
-                spans.end_span(exch, end, SpanOutcome::NetFailure);
-                shared.last_exchange_span.set(spans.span_id_of(exch));
-                break Err(VmError::Unreachable(NetFailure::new(kind, attempt)));
-            }
+            done => break done,
         }
     };
     shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
-    result
-}
-
-/// One transmission attempt of an exchange: request over the wire, serve
-/// (with duplicate suppression), reply back over the wire.
-fn attempt_exchange(
-    shared: &Shared,
-    from: NodeId,
-    to: NodeId,
-    codec: &dyn Protocol,
-    msg_id: u64,
-    bytes: &[u8],
-    attempt: u32,
-) -> Result<(Reply, u64), NetFailureKind> {
+    {
+        let mut obs = shared.obs.borrow_mut();
+        if result.is_err() {
+            obs.inc(from.0, Met::NetFailures);
+        }
+        obs.record_attempts(from.0, attempt);
+    }
     shared
-        .net
-        .transmit(from, to, bytes.len())
-        .map_err(|e| net_failure_kind(&e))?;
-    // Zero-copy fast path: only the header is parsed here. Whether this
-    // attempt is a dedup hit (answered from the reply cache) is decided on
-    // the borrowed header alone; the owned request tree is built inside
-    // `serve_frame` only when the request is actually invoked.
-    let header = codec
-        .decode_request_header(bytes)
-        .expect("own encoding must decode");
-    debug_assert_eq!(header.msg_id, msg_id);
-    if attempt > 1 {
-        bump(shared, to.0, Met::Retransmits);
-    }
-    let (reply, reply_ctx, obj_version) = serve_frame(shared, to, from, &header);
-    let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
-    let mut encode_reply = |reply: &Reply| {
-        shared.with_link_table(to, from, |table| {
-            codec.encode_reply_into(
-                msg_id,
-                reply_ctx,
-                obj_version,
-                reply,
-                Some(table),
-                &mut reply_bytes,
-            )
-        })
-    };
-    if let Err(e) = encode_reply(&reply) {
-        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
-        // a fault instead. It is one short string, which cannot itself
-        // fail to encode.
-        encode_reply(&Reply::Fault(format!("reply encode failed: {e}")))
-            .expect("fault reply must encode");
-    }
-    if let Err(e) = shared.net.transmit(to, from, reply_bytes.len()) {
-        shared
-            .wire_bufs
-            .borrow_mut()
-            .put_back(to, from, reply_bytes);
-        return Err(net_failure_kind(&e));
-    }
-    shared.net.advance(2 * codec.overhead_ns());
-    let (_, _, obj_version, reply) = shared
-        .with_link_table(to, from, |table| {
-            codec.decode_reply_with(&reply_bytes, Some(table))
-        })
-        .expect("own encoding must decode");
-    shared
-        .wire_bufs
+        .spans
         .borrow_mut()
-        .put_back(to, from, reply_bytes);
-    Ok((reply, obj_version))
+        .set_attr(exch, "attempts", attempt);
+    close(match &result {
+        Ok((reply, _)) => reply_outcome(reply),
+        Err(_) => SpanOutcome::NetFailure,
+    });
+    result.map_err(|kind| VmError::Unreachable(NetFailure::new(kind, attempt)))
 }

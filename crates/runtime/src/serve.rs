@@ -1,6 +1,7 @@
-//! The server side of an exchange: at-most-once serving of a delivered
-//! frame ([`serve_frame`]) and the dispatch of each request kind against
-//! the serving node's VM and the directory.
+//! The callee half of an exchange: [`deliver`] takes a request frame's bytes
+//! and returns the reply frame's bytes — header decode, at-most-once
+//! serving, dispatch of each request kind against the serving node's VM and
+//! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
     bump_version, cache_import, cached_import, class_row, default_instance, discover_value, export,
@@ -17,7 +18,50 @@ use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
 use rafda_telemetry::{MonitorEvent, SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
-use rafda_wire::{FrameHeader, Reply, Request, WireValue};
+use rafda_wire::{FrameHeader, Protocol, Reply, Request, WireValue};
+
+/// Answer the request frame `frame`, which arrived on `to` from `from`: the
+/// whole callee half. Total on its input — bytes that are not a frame are
+/// answered with a fault frame (message id 0, no trace context), never a
+/// panic. The reply is framed into a buffer of the `to → from` link's pool,
+/// which the caller puts back once it has read the bytes.
+pub(crate) fn deliver(
+    shared: &Shared,
+    to: NodeId,
+    from: NodeId,
+    codec: &dyn Protocol,
+    frame: &[u8],
+) -> Vec<u8> {
+    let (msg_id, (reply, reply_ctx, obj_version)) = match codec.decode_request_header(frame) {
+        Ok(header) => (header.msg_id, serve_frame(shared, to, from, &header)),
+        Err(e) => {
+            bump(shared, to.0, Met::Faults);
+            let reply = Reply::Fault(format!("malformed request frame: {e}"));
+            (0, (reply, TraceContext::NONE, 0))
+        }
+    };
+    let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
+    let mut encode_reply = |reply: &Reply| {
+        shared.with_link_table(to, from, |table| {
+            codec.encode_reply_into(
+                msg_id,
+                reply_ctx,
+                obj_version,
+                reply,
+                Some(table),
+                &mut reply_bytes,
+            )
+        })
+    };
+    if let Err(e) = encode_reply(&reply) {
+        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
+        // a fault instead. It is one short string, which cannot itself
+        // fail to encode.
+        encode_reply(&Reply::Fault(format!("reply encode failed: {e}")))
+            .expect("fault reply must encode");
+    }
+    reply_bytes
+}
 
 /// Serve a delivered frame with at-most-once semantics: if this
 /// `(caller, message id)` was already answered, return the cached reply
@@ -32,7 +76,7 @@ use rafda_wire::{FrameHeader, Reply, Request, WireValue};
 /// the reply, the serve span's context, and the addressed export's current
 /// property version (0 for request kinds that address no export) — both of
 /// which ride back in the reply header.
-pub(crate) fn serve_frame(
+fn serve_frame(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
@@ -67,56 +111,41 @@ pub(crate) fn serve_frame(
         .reply_cache
         .get(&key)
         .cloned();
-    if let Some((reply, obj_version)) = cached {
-        // A dedup hit replays the *stored* version, not the current one:
-        // the object may have moved on since the original serve, and a
-        // reply tagged with the newer version would let the client cache
-        // the old value as if it were fresh — serving a stale read until
-        // the next mutation. Note the request payload was never
-        // materialised on this path — the decision used the header alone.
-        bump(shared, node.0, Met::DedupHits);
-        {
-            let mut spans = shared.spans.borrow_mut();
-            spans.set_attr(span, "cached", true);
-            spans.end_span(span, shared.net.now().as_ns(), reply_outcome(&reply));
+    let (reply, obj_version) = 'answer: {
+        if let Some(replayed) = cached {
+            // A dedup hit replays the *stored* version, not the current one:
+            // the object may have moved on since the original serve, and a
+            // reply tagged with the newer version would let the client cache
+            // the old value as if it were fresh — serving a stale read until
+            // the next mutation. Note the request payload was never
+            // materialised on this path — the decision used the header alone.
+            bump(shared, node.0, Met::DedupHits);
+            shared.spans.borrow_mut().set_attr(span, "cached", true);
+            executed(true);
+            break 'answer replayed;
         }
-        executed(true);
-        return (reply, reply_ctx, obj_version);
-    }
-    let req = match shared.with_link_table(caller, node, |table| header.materialise(Some(table))) {
-        Ok(req) => req,
-        Err(e) => {
-            // The frame identified itself well enough to route but its
-            // payload is malformed: answer a fault (not cached — a
-            // retransmission carries the same bytes and faults the same
-            // way, so caching would only occupy a dedup slot).
-            bump(shared, node.0, Met::Faults);
-            let reply = Reply::Fault(format!("malformed request frame: {e}"));
-            shared.spans.borrow_mut().end_span(
-                span,
-                shared.net.now().as_ns(),
-                reply_outcome(&reply),
-            );
-            return (reply, reply_ctx, 0);
+        let req = shared.with_link_table(caller, node, |table| header.materialise(Some(table)));
+        let req = match req {
+            Ok(req) => req,
+            Err(e) => {
+                // The frame identified itself well enough to route but its
+                // payload is malformed: answer a fault (not cached — a
+                // retransmission carries the same bytes and faults the same
+                // way, so caching would only occupy a dedup slot).
+                bump(shared, node.0, Met::Faults);
+                break 'answer (Reply::Fault(format!("malformed request frame: {e}")), 0);
+            }
+        };
+        if let Request::Batch(ops) = &req {
+            shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
         }
+        let answered = handle_request(shared, node, caller, req);
+        executed(false);
+        shared.nodes.borrow_mut()[node.0 as usize]
+            .reply_cache
+            .insert(key, answered.clone());
+        answered
     };
-    if let Request::Batch(ops) = &req {
-        shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
-    }
-    // The export whose property version the reply piggybacks. Read *after*
-    // handling, so a setter's own reply already carries the bumped version.
-    let versioned_oid = match &req {
-        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
-        _ => None,
-    };
-    let version_now =
-        |shared: &Shared| versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
-    let reply = handle_request(shared, node, caller, req);
-    let obj_version = version_now(shared);
-    executed(false);
-    shared.nodes.borrow_mut()[node.0 as usize]
-        .reply_cache
-        .insert(key, (reply.clone(), obj_version));
     shared
         .spans
         .borrow_mut()
@@ -140,17 +169,58 @@ pub(crate) fn reply_outcome(reply: &Reply) -> SpanOutcome {
     }
 }
 
-/// Execute a request on `node` (the server side of the RPC).
-pub(crate) fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> Reply {
-    let reply = dispatch_request(shared, node, caller, req);
-    if matches!(reply, Reply::Fault(_)) {
-        bump(shared, node.0, Met::Faults);
-    }
-    reply
+/// The fault text a node answers with when asked about an export id it does
+/// not (or, after a restart, no longer) know — the one fault a caller acts
+/// on: [`is_unknown_object`] is what sends a proxy call to its failover.
+fn unknown_object(object: u64, node: NodeId) -> String {
+    format!("{UNKNOWN_OBJECT}{object} on {node}")
 }
 
-fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> Reply {
+const UNKNOWN_OBJECT: &str = "unknown object ";
+
+/// Whether `reply` is the fault [`unknown_object`] describes.
+pub(crate) fn is_unknown_object(reply: &Reply) -> bool {
+    let Reply::Fault(m) = reply else { return false };
+    let parts = m
+        .strip_prefix(UNKNOWN_OBJECT)
+        .and_then(|rest| rest.split_once(" on "));
+    parts.is_some_and(|(object, _)| object.parse::<u64>().is_ok())
+}
+
+/// Execute a request on `node`. Returns the reply and the property version
+/// it piggybacks: that of the export a `Call` or `Fetch` addresses (0 for
+/// the other kinds), read *after* handling, so a setter's own reply already
+/// carries the bumped version.
+fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> (Reply, u64) {
+    let versioned_oid = match &req {
+        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
+        _ => None,
+    };
+    let reply = dispatch_request(shared, node, caller, req).unwrap_or_else(|fault| {
+        bump(shared, node.0, Met::Faults);
+        Reply::Fault(fault)
+    });
+    let version = versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
+    (reply, version)
+}
+
+/// Run `req` against `node`'s VM and the directory. `Err` is the text of an
+/// infrastructure fault — the only way a [`Reply::Fault`] is answered.
+fn dispatch_request(
+    shared: &Shared,
+    node: NodeId,
+    caller: NodeId,
+    req: Request,
+) -> Result<Reply, String> {
     let vm = &shared.vms[node.0 as usize];
+    let class_named = |class: &str| {
+        let known = shared.universe.by_name(class);
+        known.ok_or_else(|| format!("unknown class {class}"))
+    };
+    let row_named = |class: &str| {
+        let row = class_row(shared, class_named(class)?);
+        row.ok_or_else(|| format!("{class} is not substitutable"))
+    };
     match req {
         Request::Call {
             object,
@@ -158,9 +228,8 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             args,
         } => {
             bump(shared, node.0, Met::RpcCalls);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
+            let h =
+                lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
             // Affinity is only meaningful where the object actually lives.
             // A forwarding proxy left behind by a migration serves nothing
             // itself; counting its forwarded traffic would hand the
@@ -171,9 +240,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     .borrow_mut()
                     .record_call((node.0, object), caller.0);
             }
-            let Some(sig) = parse_method(&method) else {
-                return Reply::Fault(format!("malformed method {method}"));
-            };
+            let sig = parse_method(&method).ok_or_else(|| format!("malformed method {method}"))?;
             // Anything other than a property getter may mutate the object
             // (setters, init$k, arbitrary methods), so it bumps the property
             // version and invalidates every proxy-side cached read. Objects
@@ -183,10 +250,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             if !is_getter {
                 bump_version(shared, node.0, object);
             }
-            let values = match marshal::wire_to_values(shared, node, &args) {
-                Ok(values) => values,
-                Err(m) => return Reply::Fault(m),
-            };
+            let values = marshal::wire_to_values(shared, node, &args)?;
             let reply = {
                 // Non-getter app code runs under an app frame: any nested
                 // exchange it makes probes this node's replicated state
@@ -195,12 +259,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                 // the receiver, which `bump_version` above already marked).
                 let _frame = (!is_getter).then(|| AppFrame::enter(shared, node.0));
                 match vm.call_virtual(Value::Ref(h), sig, values) {
-                    Ok(v) => match marshal::value_to_wire(shared, node, &v) {
-                        Ok(wv) => Reply::Value(wv),
-                        Err(m) => Reply::Fault(m),
-                    },
+                    Ok(v) => marshal::value_to_wire(shared, node, &v).map(Reply::Value),
                     Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                    Err(other) => Reply::Fault(other.to_string()),
+                    Err(other) => Err(other.to_string()),
                 }
             };
             // Anything that may have mutated the object re-ships it to its
@@ -213,17 +274,10 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
         }
         Request::Create { class, .. } => {
             bump(shared, node.0, Met::RpcCreates);
-            let Some(base) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let Some(row) = class_row(shared, base) else {
-                return Reply::Fault(format!("{class} is not substitutable"));
-            };
-            let family = &shared.plan.families[&base];
+            let row = row_named(&class)?;
+            let family = &shared.plan.families[&row.base];
             if family.has_statics {
-                if let Err(e) = discover_value(shared, node, row) {
-                    return Reply::Fault(e.to_string());
-                }
+                discover_value(shared, node, row).map_err(|e| e.to_string())?;
             }
             let h = default_instance(shared, node, family.obj_local);
             let oid = export(shared, node, h);
@@ -231,16 +285,11 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // crashes before serving any call must not take it along.
             sync_replicas(shared, node, oid);
             let class = shared.universe.class(family.obj_local).name.clone();
-            exported(node, oid, class)
+            Ok(exported(node, oid, class))
         }
         Request::Discover { class } => {
             bump(shared, node.0, Met::RpcDiscovers);
-            let Some(base) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let Some(row) = class_row(shared, base) else {
-                return Reply::Fault(format!("{class} is not substitutable"));
-            };
+            let row = row_named(&class)?;
             match discover_value(shared, node, row) {
                 Ok(Value::Ref(h)) => {
                     let rt_class = vm.class_of(h).expect("live singleton");
@@ -250,10 +299,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     // the proxy, which would add a pointless double hop
                     // (and re-anchor the singleton to this node).
                     if is_proxy(shared, node.0, h) {
-                        return match read_proxy_state(vm, h).and_then(|at| remote_ref(shared, at)) {
-                            Some(r) => Reply::Value(r),
-                            None => Reply::Fault(format!("promoted singleton of {class} vanished")),
-                        };
+                        let copy = read_proxy_state(vm, h).and_then(|at| remote_ref(shared, at));
+                        let gone = || format!("promoted singleton of {class} vanished");
+                        return copy.map(Reply::Value).ok_or_else(gone);
                     }
                     let oid = export(shared, node, h);
                     // Record the canonical export the first time the
@@ -262,45 +310,33 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     shared
                         .directory
                         .borrow_mut()
-                        .canonical_static(&class, (node.0, oid));
+                        .canonical_static(row.id, (node.0, oid));
                     sync_replicas(shared, node, oid);
-                    exported(node, oid, shared.universe.class(rt_class).name.clone())
+                    let class = shared.universe.class(rt_class).name.clone();
+                    Ok(exported(node, oid, class))
                 }
-                Ok(other) => Reply::Fault(format!("discover returned {other}")),
+                Ok(other) => Err(format!("discover returned {other}")),
                 Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                Err(e) => Reply::Fault(e.to_string()),
+                Err(e) => Err(e.to_string()),
             }
         }
         Request::Fetch { object } => {
             bump(shared, node.0, Met::RpcFetches);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
-            let Some((class, fields)) = vm.read_object(h) else {
-                return Reply::Fault("stale export".into());
-            };
-            match marshal::values_to_wire(shared, node, &fields) {
-                Ok(fields) => Reply::Value(WireValue::ObjectState {
-                    class: shared.universe.class(class).name.clone(),
-                    fields,
-                }),
-                Err(m) => Reply::Fault(m),
-            }
+            let h =
+                lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
+            let (class, fields) = vm.read_object(h).ok_or("stale export")?;
+            let fields = marshal::values_to_wire(shared, node, &fields)?;
+            let class = shared.universe.class(class).name.clone();
+            Ok(Reply::Value(WireValue::ObjectState { class, fields }))
         }
         Request::Install { state, source } => {
             bump(shared, node.0, Met::RpcInstalls);
             let WireValue::ObjectState { class, fields } = state else {
-                return Reply::Fault("install needs object state".into());
+                return Err("install needs object state".into());
             };
-            let Some(class_id) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let oid = match land(shared, node, class_id, &fields, source) {
-                Ok(oid) => oid,
-                Err(m) => return Reply::Fault(m),
-            };
+            let oid = land(shared, node, class_named(&class)?, &fields, source)?;
             sync_replicas(shared, node, oid);
-            exported(node, oid, class)
+            Ok(exported(node, oid, class))
         }
         Request::Forward {
             object,
@@ -308,19 +344,11 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             to_object,
         } => {
             bump(shared, node.0, Met::RpcForwards);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
-            let Some(class) = vm.class_of(h) else {
-                return Reply::Fault("stale export".into());
-            };
-            let Some(info) = gen_info(shared, class) else {
-                return Reply::Fault("cannot forward untransformed object".into());
-            };
-            let proxy_class = match shared.rows[info.row].proxy_class(info.side) {
-                Ok(proxy_class) => proxy_class,
-                Err(m) => return Reply::Fault(m),
-            };
+            let h =
+                lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
+            let class = vm.class_of(h).ok_or("stale export")?;
+            let info = gen_info(shared, class).ok_or("cannot forward untransformed object")?;
+            let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
             vm.replace_object(
                 h,
                 proxy_class,
@@ -328,7 +356,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             );
             cache_import(shared, node, to_node, to_object, h);
             relocate(shared, (node.0, object), (to_node, to_object), Why::Pulled);
-            Reply::Value(WireValue::Null)
+            Ok(Reply::Value(WireValue::Null))
         }
         Request::ReplicaSync {
             object,
@@ -337,14 +365,14 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
         } => {
             bump(shared, node.0, Met::ReplicaSyncs);
             let WireValue::ObjectState { class, fields } = state else {
-                return Reply::Fault("replica sync needs object state".into());
+                return Err("replica sync needs object state".into());
             };
             // The state stays in wire form until promotion: a backup that
             // never promotes allocates nothing on its heap.
             shared.nodes.borrow_mut()[node.0 as usize]
                 .replica_store
                 .insert((caller.0, object), (version, class, fields));
-            Reply::Value(WireValue::Null)
+            Ok(Reply::Value(WireValue::Null))
         }
         Request::Promote {
             node: old_node,
@@ -358,32 +386,21 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // replicate alongside the data.
             let recorded = shared.directory.borrow().recorded_home(key);
             if let Some(home) = recorded {
-                return match remote_ref(shared, home) {
-                    Some(r) => Reply::Value(r),
-                    None => {
-                        Reply::Fault(format!("promoted copy of {old_node}#{old_object} vanished"))
-                    }
-                };
+                let gone = || format!("promoted copy of {old_node}#{old_object} vanished");
+                return remote_ref(shared, home).map(Reply::Value).ok_or_else(gone);
             }
             let entry = shared.nodes.borrow_mut()[node.0 as usize]
                 .replica_store
                 .remove(&key);
-            let Some((_, class, fields)) = entry else {
-                return Reply::Fault(format!("no replica of {old_node}#{old_object} on {node}"));
-            };
-            let Some(class_id) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let oid = match land(shared, node, class_id, &fields, Some(key)) {
-                Ok(oid) => oid,
-                Err(m) => return Reply::Fault(m),
-            };
+            let (_, class, fields) =
+                entry.ok_or_else(|| format!("no replica of {old_node}#{old_object} on {node}"))?;
+            let oid = land(shared, node, class_named(&class)?, &fields, Some(key))?;
             relocate(shared, key, (node.0, oid), Why::Promoted);
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
             // second crash before the next mutation still loses nothing.
             sync_replicas(shared, node, oid);
-            exported(node, oid, class)
+            Ok(exported(node, oid, class))
         }
         Request::Batch(ops) => {
             // Apply in order under the enclosing message id: the batch was
@@ -393,15 +410,10 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // (a later op in the same batch may move it again).
             let mut results = Vec::with_capacity(ops.len());
             for op in ops {
-                let versioned_oid = match &op {
-                    Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
-                    _ => None,
-                };
-                let reply = handle_request(shared, node, caller, op);
-                let version = versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
+                let (reply, version) = handle_request(shared, node, caller, op);
                 results.push((version, reply));
             }
-            Reply::Batch(results)
+            Ok(Reply::Batch(results))
         }
     }
 }
@@ -443,18 +455,12 @@ fn land(
     Ok(oid)
 }
 
-fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Reply {
+fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Result<Reply, String> {
     let vm = &shared.vms[node.0 as usize];
-    let Some((class, fields)) = vm.read_object(exc) else {
-        return Reply::Fault("stale exception".into());
-    };
-    match marshal::values_to_wire(shared, node, &fields) {
-        Ok(fields) => Reply::Exception {
-            class: shared.universe.class(class).name.clone(),
-            fields,
-        },
-        Err(m) => Reply::Fault(m),
-    }
+    let (class, fields) = vm.read_object(exc).ok_or("stale exception")?;
+    let fields = marshal::values_to_wire(shared, node, &fields)?;
+    let class = shared.universe.class(class).name.clone();
+    Ok(Reply::Exception { class, fields })
 }
 
 /// Methods travel as `name@sigid`; both sides share the interned signature
@@ -462,4 +468,25 @@ fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Reply {
 fn parse_method(method: &str) -> Option<SigId> {
     let (_, id) = method.rsplit_once('@')?;
     id.parse::<u32>().ok().map(SigId)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_unknown_object_predicate_accepts_exactly_what_the_constructor_builds() {
+        let fault = |m: &str| Reply::Fault(m.to_owned());
+        for (object, node) in [(0, NodeId(0)), (7, NodeId(3)), (u64::MAX, NodeId(u32::MAX))] {
+            assert!(is_unknown_object(&fault(&unknown_object(object, node))));
+        }
+        // `place_sharded`'s error about a vanished shard member, should it
+        // ever travel back as a fault: not an owner disowning an export.
+        assert!(!is_unknown_object(&fault("unknown object 1#5")));
+        assert!(!is_unknown_object(&fault("unknown object ")));
+        assert!(!is_unknown_object(&fault("unknown object x on node1")));
+        assert!(!is_unknown_object(&fault("unknown class C")));
+        assert!(!is_unknown_object(&fault("no replica of 1#5 on node2")));
+        assert!(!is_unknown_object(&Reply::Value(WireValue::Null)));
+    }
 }

@@ -183,14 +183,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, g: Gauge) -> f64 {
-        match &self.entries[g.0].value {
-            MetricValue::Gauge(cur) => *cur,
-            _ => unreachable!("handle kind is checked at registration"),
-        }
-    }
-
     /// Record one observation of `v` in a histogram.
     pub fn observe(&mut self, h: Histogram, v: u64) {
         match &mut self.entries[h.0].value {

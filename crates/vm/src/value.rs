@@ -65,14 +65,6 @@ impl Value {
         }
     }
 
-    /// The `Long` payload, if any.
-    pub fn as_long(&self) -> Option<i64> {
-        match self {
-            Value::Long(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The reference payload, if any.
     pub fn as_ref_handle(&self) -> Option<Handle> {
         match self {
