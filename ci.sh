@@ -151,6 +151,26 @@ if grep -rPzoh --exclude=tests.rs \
   exit 1
 fi
 
+echo "== one family generator: a side is a value, not a code path =="
+# `A_O_*` and `A_C_*` are the same artefacts over a different member list:
+# the planner declares a `Half` per side, the generator has one function per
+# artefact kind, and the runtime asks `family.half(side)`. A per-side
+# function pair, a `static_*`/`has_statics` field or an unwrap of a class-side
+# id in product code means the treatment is being written out twice again.
+per_side='gen_obj_|gen_cls_|static_getters|static_setters|has_statics|cls_local\.expect|cls_int\.expect|cls_factory\.expect'
+for f in $(find crates/transform/src crates/runtime/src -name '*.rs' ! -name tests.rs); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$per_side"; then
+    echo "FAIL: $f writes the family treatment out per side" >&2
+    exit 1
+  fi
+done
+if [ "$(grep -rlE '\benum Side\b' crates | wc -l)" -ne 1 ]; then
+  grep -rnE '\benum Side\b' crates >&2 || true
+  echo "FAIL: Side is defined once, in rafda-classmodel" >&2
+  exit 1
+fi
+
 echo "== one harness per question: no bench targets, no criterion =="
 # Tables live in experiments_report, bars in tier-1 tests, wall clock in
 # benchmark/: a [[bench]] target or a criterion dependency in a workspace
@@ -163,8 +183,8 @@ fi
 echo "== rustfmt =="
 cargo fmt --check
 
-echo "== clippy =="
-cargo clippy -- -D warnings
+echo "== clippy (all targets: tests and examples stay linted) =="
+cargo clippy --all-targets -- -D warnings
 
 echo "== rustdoc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked --offline --quiet

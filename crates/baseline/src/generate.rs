@@ -16,27 +16,6 @@ pub struct Accessors {
     pub setters: Vec<SigId>,
 }
 
-fn simple(code: Vec<Insn>, max_locals: u16) -> MethodBody {
-    MethodBody {
-        max_locals,
-        code,
-        handlers: Vec::new(),
-    }
-}
-
-fn public_method(name: String, sig: SigId, params: Vec<Ty>, ret: Ty, body: MethodBody) -> Method {
-    Method {
-        name,
-        sig,
-        params,
-        ret,
-        visibility: Visibility::Public,
-        is_static: false,
-        is_native: false,
-        body: Some(body),
-    }
-}
-
 /// Add direct `get_f`/`set_f` accessors for every declared instance field of
 /// `class` (idempotent per run; the engine calls it once per class).
 pub fn add_accessors(universe: &mut ClassUniverse, class: ClassId) -> Accessors {
@@ -57,31 +36,8 @@ pub fn add_accessors(universe: &mut ClassUniverse, class: ClassId) -> Accessors 
             owner: class,
             index,
         };
-        let getter = public_method(
-            format!("get_{name}"),
-            g_sig,
-            vec![],
-            ty.clone(),
-            simple(
-                vec![Insn::LoadLocal(0), Insn::GetField(fr), Insn::ReturnValue],
-                1,
-            ),
-        );
-        let setter = public_method(
-            format!("set_{name}"),
-            s_sig,
-            vec![ty],
-            Ty::Void,
-            simple(
-                vec![
-                    Insn::LoadLocal(0),
-                    Insn::LoadLocal(1),
-                    Insn::PutField(fr),
-                    Insn::Return,
-                ],
-                2,
-            ),
-        );
+        let getter = Method::getter(format!("get_{name}"), g_sig, ty.clone(), fr);
+        let setter = Method::setter(format!("set_{name}"), s_sig, ty, fr);
         let c = universe.class_mut(class);
         c.methods.push(getter);
         c.methods.push(setter);
@@ -103,27 +59,10 @@ pub fn generate_wrapper(
         owner: wrapper,
         index: 0,
     };
-    let mut methods: Vec<Method> = Vec::new();
-    // Wrapper(target)
+    // Wrapper(target) { this.target = target; } — a setter by another name.
     let ctor_sig = universe.sig("<init>$0", vec![Ty::Object(class)]);
-    methods.push(Method {
-        name: "<init>$0".to_owned(),
-        sig: ctor_sig,
-        params: vec![Ty::Object(class)],
-        ret: Ty::Void,
-        visibility: Visibility::Public,
-        is_static: false,
-        is_native: false,
-        body: Some(simple(
-            vec![
-                Insn::LoadLocal(0),
-                Insn::LoadLocal(1),
-                Insn::PutField(target_fr),
-                Insn::Return,
-            ],
-            2,
-        )),
-    });
+    let ctor = Method::setter("<init>$0", ctor_sig, Ty::Object(class), target_fr);
+    let mut methods = vec![ctor];
     // Forwarders for every instance method (walking the superclass chain so
     // inherited behaviour is intercepted too, most-derived first).
     let mut seen: HashMap<SigId, ()> = HashMap::new();
@@ -142,13 +81,10 @@ pub fn generate_wrapper(
             }
             code.push(Insn::Invoke { sig: m.sig, argc });
             code.push(Insn::ReturnValue);
-            methods.push(public_method(
-                m.name.clone(),
-                m.sig,
-                m.params.clone(),
-                m.ret.clone(),
-                simple(code, u16::from(argc) + 1),
-            ));
+            methods.push(Method {
+                body: Some(MethodBody::straight_line(code, u16::from(argc) + 1)),
+                ..Method::declared(m.name.clone(), m.sig, m.params.clone(), m.ret.clone())
+            });
         }
         cur = cls.superclass;
     }

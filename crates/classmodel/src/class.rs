@@ -1,8 +1,8 @@
 //! Class, member and method-body metadata.
 
-use crate::insn::Insn;
+use crate::insn::{FieldRef, Insn};
 use crate::ty::Ty;
-use crate::universe::{ClassId, SigId};
+use crate::universe::{ClassId, ClassUniverse, SigId};
 
 /// Java-style member visibility.
 ///
@@ -32,28 +32,38 @@ pub enum ClassKind {
     Interface,
 }
 
+/// Which half of an artefact family a generated class belongs to. The
+/// paper turns a class's static members into the instance members of a
+/// singleton (Section 2.2) precisely so both halves get the same treatment.
+/// `side as usize` indexes a per-side pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Side {
+    /// Instance members (the `_O_` artefacts).
+    Obj = 0,
+    /// Static members, de-staticised (the `_C_` artefacts).
+    Cls = 1,
+}
+
+/// Which artefact of its half a generated class is.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Role {
+    /// `A_O_Int` / `A_C_Int` — the extracted interface.
+    Interface,
+    /// `A_O_Local` / `A_C_Local` — the non-remote implementation.
+    Local,
+    /// `A_O_Proxy_<protocol>` / `A_C_Proxy_<protocol>` — a remote proxy.
+    Proxy(String),
+    /// `A_O_Factory` (`make` + `init$k`) / `A_C_Factory` (`discover` +
+    /// `clinit`).
+    Factory,
+}
+
 /// What kind of generated artefact a class is (for reporting and golden
-/// tests). Names follow the paper: for an original class `A` the generated
-/// family is `A_O_Int`, `A_O_Local`, `A_O_Proxy_<P>`, `A_C_Int`, `A_C_Local`,
-/// `A_C_Proxy_<P>`, `A_O_Factory`, `A_C_Factory`.
+/// tests).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GenKind {
-    /// `A_O_Int` — interface over instance members.
-    ObjInterface,
-    /// `A_C_Int` — interface over (de-staticised) static members.
-    ClassInterface,
-    /// `A_O_Local` — the non-remote instance implementation.
-    ObjLocal,
-    /// `A_C_Local` — the non-remote singleton static implementation.
-    ClassLocal,
-    /// `A_O_Proxy_<protocol>` — remote instance proxy.
-    ObjProxy(String),
-    /// `A_C_Proxy_<protocol>` — remote static proxy.
-    ClassProxy(String),
-    /// `A_O_Factory`.
-    ObjFactory,
-    /// `A_C_Factory`.
-    ClassFactory,
+    /// A member of the paper's artefact family of an original class `A`.
+    Family(Side, Role),
     /// Wrapper class of the Section 3 baseline approach.
     Wrapper,
 }
@@ -126,6 +136,17 @@ pub struct MethodBody {
     pub handlers: Vec<TryHandler>,
 }
 
+impl MethodBody {
+    /// A body with no exception handlers.
+    pub fn straight_line(code: Vec<Insn>, max_locals: u16) -> Self {
+        MethodBody {
+            max_locals,
+            code,
+            handlers: Vec::new(),
+        }
+    }
+}
+
 /// A method (including constructors, named `<init>$k`, and the static
 /// initialiser `<clinit>`).
 #[derive(Debug, Clone, PartialEq)]
@@ -151,6 +172,54 @@ pub struct Method {
 }
 
 impl Method {
+    /// A public instance method declaration: no body, not native.
+    pub fn declared(name: impl Into<String>, sig: SigId, params: Vec<Ty>, ret: Ty) -> Self {
+        Method {
+            name: name.into(),
+            sig,
+            params,
+            ret,
+            visibility: Visibility::Public,
+            is_static: false,
+            is_native: false,
+            body: None,
+        }
+    }
+
+    /// The property getter `ty name() { return this.field; }`.
+    pub fn getter(name: impl Into<String>, sig: SigId, ty: Ty, field: FieldRef) -> Self {
+        let code = vec![Insn::LoadLocal(0), Insn::GetField(field), Insn::ReturnValue];
+        Method {
+            body: Some(MethodBody::straight_line(code, 1)),
+            ..Self::declared(name, sig, vec![], ty)
+        }
+    }
+
+    /// The property setter `void name(ty v) { this.field = v; }`.
+    pub fn setter(name: impl Into<String>, sig: SigId, ty: Ty, field: FieldRef) -> Self {
+        let code = vec![
+            Insn::LoadLocal(0),
+            Insn::LoadLocal(1),
+            Insn::PutField(field),
+            Insn::Return,
+        ];
+        Method {
+            body: Some(MethodBody::straight_line(code, 2)),
+            ..Self::declared(name, sig, vec![ty], Ty::Void)
+        }
+    }
+
+    /// The parameter-less constructor `<init>$0() {}` every generated
+    /// implementation class carries (the original constructors' logic moves
+    /// to the factory's `init$k`).
+    pub fn default_ctor(universe: &mut ClassUniverse) -> Self {
+        let name = "<init>$0";
+        Method {
+            body: Some(MethodBody::straight_line(vec![Insn::Return], 1)),
+            ..Self::declared(name, universe.sig(name, vec![]), vec![], Ty::Void)
+        }
+    }
+
     /// Number of local slots occupied by the receiver (if any) plus
     /// parameters.
     pub fn param_slots(&self) -> u16 {

@@ -45,7 +45,8 @@ pub mod verify;
 
 pub use builder::{ClassBuilder, MethodBuilder};
 pub use class::{
-    Class, ClassKind, ClassOrigin, Field, GenKind, Method, MethodBody, TryHandler, Visibility,
+    Class, ClassKind, ClassOrigin, Field, GenKind, Method, MethodBody, Role, Side, TryHandler,
+    Visibility,
 };
 pub use insn::{BinOp, CmpOp, Const, FieldRef, Insn, UnOp};
 pub use ty::Ty;

@@ -16,7 +16,7 @@ pub use crate::placement::MigrationEvent;
 use crate::replicate::{charge_marks, AppFrame};
 use crate::rpc::{proxy_call, rpc};
 pub use crate::stats::NodeSummary;
-use rafda_classmodel::{ClassId, ClassUniverse, SigId};
+use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
 use rafda_policy::{DistributionPolicy, ShardSpec};
 use rafda_telemetry::SpanLog;
@@ -28,15 +28,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
-
-/// Which half of an artefact family a generated class belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// Instance members (`_O_` family).
-    Obj,
-    /// Static members (`_C_` family).
-    Cls,
-}
 
 /// What the runtime knows about a generated implementation class.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +56,9 @@ pub(crate) struct ClassRow {
     /// [`RpcFault::NoCodec`](rafda_vm::RpcFault::NoCodec).
     pub protocol: String,
     pub codec: Option<Box<dyn Protocol>>,
-    /// The `_O_`/`_C_` proxy classes generated for `protocol`.
-    obj_proxy: Option<ClassId>,
-    cls_proxy: Option<ClassId>,
+    /// The proxy class generated for `protocol` in each half of the family,
+    /// indexed by [`Side`].
+    proxies: [Option<ClassId>; 2],
     pub statics_node: NodeId,
     pub cacheable: bool,
     pub batched: bool,
@@ -81,11 +72,8 @@ impl ClassRow {
     /// The proxy class remote references to this family's `side` are
     /// materialised as.
     pub(crate) fn proxy_class(&self, side: Side) -> Result<ClassId, String> {
-        match side {
-            Side::Obj => self.obj_proxy,
-            Side::Cls => self.cls_proxy,
-        }
-        .ok_or_else(|| format!("no {} proxy generated for {}", self.protocol, self.name))
+        self.proxies[side as usize]
+            .ok_or_else(|| format!("no {} proxy generated for {}", self.protocol, self.name))
     }
 }
 
@@ -351,24 +339,23 @@ impl Cluster {
         for (id, family) in families.into_iter().enumerate() {
             let name = universe.class(family.base).name.clone();
             let protocol = policy.protocol(&name);
-            let proxy_in = |proxies: &[(String, ClassId)]| {
-                let generated = proxies.iter().find(|(p, _)| *p == protocol);
-                generated.map(|&(_, class)| class)
-            };
-            let (obj_proxy, cls_proxy) =
-                (proxy_in(&family.obj_proxies), proxy_in(&family.cls_proxies));
-            let mut know = |class: Option<ClassId>, side, is_proxy| {
-                let info = GenInfo {
+            let mut proxies = [None; 2];
+            for side in [Side::Obj, Side::Cls] {
+                let Some(half) = family.half(side) else {
+                    continue;
+                };
+                let local = GenInfo {
                     row: id,
                     side,
-                    is_proxy,
+                    is_proxy: false,
                 };
-                gen_info.extend(class.map(|class| (class, info)));
-            };
-            know(Some(family.obj_local), Side::Obj, false);
-            know(family.cls_local, Side::Cls, false);
-            know(obj_proxy, Side::Obj, true);
-            know(cls_proxy, Side::Cls, true);
+                gen_info.insert(half.local, local);
+                let generated = half.proxies.iter().find(|(p, _)| *p == protocol);
+                let proxy = generated.map(|&(_, class)| class);
+                let is_proxy = true;
+                gen_info.extend(proxy.map(|class| (class, GenInfo { is_proxy, ..local })));
+                proxies[side as usize] = proxy;
+            }
             rows.push(ClassRow {
                 id,
                 base: family.base,
@@ -379,8 +366,7 @@ impl Cluster {
                     .flatten()
                     .map(ProtocolKind::codec),
                 protocol,
-                obj_proxy,
-                cls_proxy,
+                proxies,
                 statics_node: policy.statics_node(&name),
                 cacheable: policy.cacheable(&name),
                 batched: policy.batched(&name),
@@ -508,22 +494,20 @@ impl Cluster {
                 let id = row.id;
                 // make()
                 let weak = Rc::downgrade(&self.shared);
-                vm.register_native(family.obj_factory, family.make_sig, move |_vm, _args| {
+                vm.register_native(family.obj.factory, family.make_sig, move |_vm, _args| {
                     let shared = upgrade(&weak)?;
                     make_value(&shared, node, &shared.rows[id])
                 });
                 // discover()
-                if let (Some(cls_factory), Some(discover_sig)) =
-                    (family.cls_factory, family.discover_sig)
-                {
+                if let Some(cls) = &family.cls {
                     let weak = Rc::downgrade(&self.shared);
-                    vm.register_native(cls_factory, discover_sig, move |_vm, _args| {
+                    vm.register_native(cls.factory, family.discover_sig, move |_vm, _args| {
                         let shared = upgrade(&weak)?;
                         discover_value(&shared, node, &shared.rows[id])
                     });
                 }
                 // Proxy methods, of the only proxy classes ever instantiated.
-                for proxy in [row.obj_proxy, row.cls_proxy].into_iter().flatten() {
+                for proxy in row.proxies.into_iter().flatten() {
                     self.install_proxy_hooks(node, proxy);
                 }
             }
@@ -547,7 +531,7 @@ impl Cluster {
         let Some(family) = self.shared.plan.family(base) else {
             return;
         };
-        let local = family.obj_local;
+        let local = family.obj.local;
         let sig_of = |name: &str| {
             self.shared
                 .universe
@@ -664,14 +648,14 @@ impl Cluster {
                 // body) on this node whenever placement keeps the instance
                 // local.
                 let _frame = AppFrame::enter(shared, node.0);
-                let that = vm.call_static(family.obj_factory, family.make_sig, vec![])?;
+                let that = vm.call_static(family.obj.factory, family.make_sig, vec![])?;
                 let init_sig = *family
                     .init_sigs
                     .get(ctor as usize)
                     .ok_or_else(|| RuntimeError::Bad(format!("no ctor {ctor} on {class}")))?;
                 let mut all = vec![that.clone()];
                 all.extend(args);
-                vm.call_static(family.obj_factory, init_sig, all)?;
+                vm.call_static(family.obj.factory, init_sig, all)?;
                 // Shard placement must run *after* init: the remote create
                 // path ships a default-constructed instance and applies the
                 // constructor through the reference, so the shard key is
@@ -937,7 +921,7 @@ pub(crate) fn gen_info(shared: &Shared, class: ClassId) -> Option<GenInfo> {
 /// The row of the transformed family whose original class is `base`.
 pub(crate) fn class_row(shared: &Shared, base: ClassId) -> Option<&ClassRow> {
     let family = shared.plan.family(base)?;
-    gen_info(shared, family.obj_local).map(|info| &shared.rows[info.row])
+    gen_info(shared, family.obj.local).map(|info| &shared.rows[info.row])
 }
 
 /// Whether `h` on `node` is a locally implemented generated object — the
@@ -1037,13 +1021,9 @@ fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) ->
 /// The property-getter signatures of a generated class — the calls that
 /// cannot mutate an instance of it.
 pub(crate) fn getter_sigs(shared: &Shared, info: GenInfo) -> &[SigId] {
-    shared
-        .plan
-        .family(shared.rows[info.row].base)
-        .map_or(&[], |f| match info.side {
-            Side::Obj => &f.getters,
-            Side::Cls => &f.static_getters,
-        })
+    let family = shared.plan.family(shared.rows[info.row].base);
+    let half = family.and_then(|f| f.half(info.side));
+    half.map_or(&[], |h| &h.getters)
 }
 
 pub(crate) fn read_proxy_state(vm: &Vm, h: Handle) -> Option<(u32, u64)> {
@@ -1079,10 +1059,10 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
     if target == node {
         let family = &shared.plan.families[&row.base];
         // `new` triggers class initialisation, as in the JVM.
-        if family.has_statics {
+        if family.cls.is_some() {
             discover_value(shared, node, row)?;
         }
-        let h = default_instance(shared, node, family.obj_local);
+        let h = default_instance(shared, node, family.obj.local);
         Ok(Value::Ref(h))
     } else {
         let create = Request::Create {
@@ -1122,6 +1102,10 @@ pub(crate) fn discover_value(
         return Ok(Value::Ref(state.handle()));
     }
     let family = &shared.plan.families[&base];
+    let Some(cls) = &family.cls else {
+        let what = format!("{} has no static members to discover", row.name);
+        return Err(VmError::Native(what));
+    };
     let owner = row.statics_node;
     // Stale-promotion guard (bugfix): if this class's singleton was
     // promoted after a crash, every resolution must follow the promoted
@@ -1156,16 +1140,15 @@ pub(crate) fn discover_value(
         }
     }
     if owner == node {
-        let cls_local = family.cls_local.expect("has statics");
-        let h = default_instance(shared, node, cls_local);
+        let h = default_instance(shared, node, cls.local);
         shared.nodes.borrow_mut()[node.0 as usize]
             .singletons
             .insert(base, SingletonState::InProgress(h));
-        if let (Some(cls_factory), Some(clinit_sig)) = (family.cls_factory, family.clinit_sig) {
+        if let Some(clinit_sig) = family.clinit_sig {
             // The class initializer is app code running bare on this node.
             let _frame = AppFrame::enter(shared, node.0);
             shared.vms[node.0 as usize].call_static(
-                cls_factory,
+                cls.factory,
                 clinit_sig,
                 vec![Value::Ref(h)],
             )?;

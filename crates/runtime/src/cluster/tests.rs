@@ -92,7 +92,7 @@ fn dedup_hit_replays_the_serve_time_version() {
     let h = obj.as_ref_handle().unwrap();
     let (owner, oid) = read_proxy_state(&shared.vms[0], h).unwrap();
     assert_eq!(owner, 1, "policy must place the object remotely");
-    let get_sig = shared.plan.family(base).unwrap().getters[0];
+    let get_sig = shared.plan.family(base).unwrap().obj.getters[0];
     let add_sig = shared
         .universe
         .class(base)
@@ -670,6 +670,26 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
             }
         }
         assert!(executions.get() > 0, "the intact-enough frames did execute");
+    }
+}
+
+/// A well-formed `Discover` naming a class with no static members — which
+/// generated code never sends: such a family has no `_C_Factory` to call —
+/// is answered with a fault, on the statics' home node and off it, instead
+/// of panicking for want of a class half.
+#[test]
+fn discover_of_a_class_without_statics_is_answered_with_a_fault() {
+    for home in [NodeId(0), NodeId(1)] {
+        let (cluster, base) = deployed(StaticPolicy::new().statics("C", home));
+        let shared = cluster.shared();
+        assert!(shared.plan.family(base).unwrap().half(Side::Cls).is_none());
+        let class = "C".to_owned();
+        let discover = framed(shared, &RmiCodec::new(), 900, &Request::Discover { class });
+        let (reply, _) = answered(shared, &discover);
+        assert!(
+            matches!(&reply, Reply::Fault(m) if m.contains("no static members")),
+            "{reply:?}"
+        );
     }
 }
 

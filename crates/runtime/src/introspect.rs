@@ -77,7 +77,7 @@ pub(crate) fn prepare(u: &mut ClassUniverse, plan: &TransformPlan) {
     let Some(family) = plan.family(base) else {
         return;
     };
-    let local = u.class_mut(family.obj_local);
+    let local = u.class_mut(family.obj.local);
     for m in &mut local.methods {
         if m.name == "refresh" || m.name == "node_stats" {
             m.is_native = true;
@@ -166,10 +166,10 @@ mod tests {
             .expect("introspection class must be transformable")
             .plan;
         let family = plan.family(a).expect("family generated");
-        assert_eq!(family.getters.len(), FIELDS.len());
+        assert_eq!(family.obj.getters.len(), FIELDS.len());
 
         prepare(&mut u2, &plan);
-        let local = u2.class(family.obj_local);
+        let local = u2.class(family.obj.local);
         let refresh = local.methods.iter().find(|m| m.name == "refresh").unwrap();
         assert!(refresh.is_native && refresh.body.is_none());
         // The auto-generated accessors keep their bodies.

@@ -17,8 +17,7 @@
 //!   serialisable objects in RMI.
 
 use crate::cluster::{
-    cache_import, cached_import, export, gen_info, lookup_export, read_proxy_state, GenInfo,
-    Shared, Side,
+    cache_import, cached_import, export, gen_info, lookup_export, read_proxy_state, GenInfo, Shared,
 };
 use rafda_classmodel::Ty;
 use rafda_net::NodeId;
@@ -138,11 +137,9 @@ pub(crate) fn wire_to_values(
 /// class holds it.
 pub(crate) fn logical_class_name(shared: &Shared, info: GenInfo) -> String {
     let family = &shared.plan.families[&shared.rows[info.row].base];
-    let id = match info.side {
-        Side::Obj => family.obj_local,
-        Side::Cls => family.cls_local.expect("cls side implies statics"),
-    };
-    shared.universe.class(id).name.clone()
+    let half = family.half(info.side);
+    let half = half.expect("a generated class belongs to a half of its family");
+    shared.universe.class(half.local).name.clone()
 }
 
 /// Convert a wire value arriving at `node` into a VM value, materialising

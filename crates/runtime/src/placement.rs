@@ -5,7 +5,7 @@
 use crate::batch::flush_outqueues;
 use crate::cluster::{
     bump_version, cache_import, export, gen_info, info_of, is_local_impl, lookup_export,
-    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared, Side,
+    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::directory::Why;
 use crate::error::RuntimeError;
@@ -14,6 +14,7 @@ use crate::obs::Met;
 use crate::replicate::sync_replicas;
 use crate::rpc::rpc;
 use crate::stats::bump;
+use rafda_classmodel::Side;
 use rafda_net::NodeId;
 use rafda_policy::AffinityConfig;
 use rafda_telemetry::SpanOutcome;

@@ -276,15 +276,15 @@ fn dispatch_request(
             bump(shared, node.0, Met::RpcCreates);
             let row = row_named(&class)?;
             let family = &shared.plan.families[&row.base];
-            if family.has_statics {
+            if family.cls.is_some() {
                 discover_value(shared, node, row).map_err(|e| e.to_string())?;
             }
-            let h = default_instance(shared, node, family.obj_local);
+            let h = default_instance(shared, node, family.obj.local);
             let oid = export(shared, node, h);
             // Replicate the freshly created object at once: an owner that
             // crashes before serving any call must not take it along.
             sync_replicas(shared, node, oid);
-            let class = shared.universe.class(family.obj_local).name.clone();
+            let class = shared.universe.class(family.obj.local).name.clone();
             Ok(exported(node, oid, class))
         }
         Request::Discover { class } => {

@@ -1,13 +1,13 @@
 //! Soak-run accounting: per-phase op counts, metric deltas and monitor
 //! verdicts, rendered as one deterministic text report.
 //!
-//! The production-day soak gate (see `tests/soak.rs` and the E16 bench)
-//! drives a cluster through a phased churn schedule; this module is the
-//! bookkeeping around that drive. A [`SoakRecorder`] snapshots the
-//! cluster's counters at every phase boundary, counts the ops applied per
-//! kind, and [`SoakRecorder::finish`] runs the quiescent-point invariant
-//! sweep ([`Cluster::check_invariants`]) to fold the monitor verdicts into
-//! a [`SoakReport`].
+//! The production-day soak gate (see `tests/soak.rs` and the benchmark's
+//! `soak_day` workload) drives a cluster through a phased churn schedule;
+//! this module is the bookkeeping around that drive. A [`SoakRecorder`]
+//! snapshots the cluster's counters at every phase boundary, counts the ops
+//! applied per kind, and [`SoakRecorder::finish`] runs the quiescent-point
+//! invariant sweep ([`Cluster::check_invariants`]) to fold the monitor
+//! verdicts into a [`SoakReport`].
 //!
 //! Everything in the report derives from the simulated clock and the
 //! deterministic counters, so equal seeds render byte-identical reports —

@@ -3,7 +3,9 @@
 use crate::analysis::{analyze, TransformabilityReport};
 use crate::generate::{generate_families, rewrite_in_place};
 use crate::plan::{build_plan, TransformPlan};
-use rafda_classmodel::{verify_universe, ClassId, ClassKind, ClassOrigin, ClassUniverse};
+use rafda_classmodel::{
+    verify_universe, ClassId, ClassKind, ClassOrigin, ClassUniverse, GenKind, Role,
+};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -209,11 +211,7 @@ impl Transformer {
                     .iter()
                     .filter(|m| m.name.starts_with("get_") || m.name.starts_with("set_"))
                     .count();
-                if matches!(
-                    kind,
-                    rafda_classmodel::GenKind::ObjProxy(_)
-                        | rafda_classmodel::GenKind::ClassProxy(_)
-                ) {
+                if matches!(kind, GenKind::Family(_, Role::Proxy(_))) {
                     report.proxy_classes += 1;
                 }
             }
@@ -291,8 +289,8 @@ mod tests {
         // B_O_Int extends A_O_Int; B_O_Local extends A_O_Local.
         let fb = outcome.plan.family(b).unwrap();
         let fa = outcome.plan.family(a).unwrap();
-        assert!(u.is_subtype(fb.obj_int, fa.obj_int));
-        assert_eq!(u.class(fb.obj_local).superclass, Some(fa.obj_local));
+        assert!(u.is_subtype(fb.obj.int, fa.obj.int));
+        assert_eq!(u.class(fb.obj.local).superclass, Some(fa.obj.local));
         verify_universe(&u).unwrap();
     }
 
@@ -406,9 +404,9 @@ mod tests {
         verify_universe(&u).unwrap();
         let fh = outcome.plan.family(holder).unwrap();
         let fy = outcome.plan.family(ids.y).unwrap();
-        let c = u.class(fh.obj_int);
+        let c = u.class(fh.obj.int);
         let swap = &c.methods[c.method_index("swap").unwrap() as usize];
-        assert_eq!(swap.params, vec![Ty::Object(fy.obj_int)]);
-        assert_eq!(swap.ret, Ty::Object(fy.obj_int));
+        assert_eq!(swap.params, vec![Ty::Object(fy.obj.int)]);
+        assert_eq!(swap.ret, Ty::Object(fy.obj.int));
     }
 }

@@ -1,272 +1,282 @@
 //! Generation of the artefact family (paper Figures 3, 4, 5).
 
-use crate::plan::{Family, TransformPlan};
+use crate::naming;
+use crate::plan::{fields_of, is_member_of, Family, Half, TransformPlan};
 use crate::rewrite::{rewrite_body, BodyCtx};
 use rafda_classmodel::{
-    Class, ClassId, ClassKind, ClassOrigin, ClassUniverse, Field, GenKind, Insn, Method,
-    MethodBody, SigId, Ty, Visibility,
+    Class, ClassBuilder, ClassId, ClassOrigin, ClassUniverse, Field, FieldRef, GenKind, Method,
+    MethodBody, Role, Side, SigId, Ty,
 };
 
-fn method(
-    name: impl Into<String>,
-    sig: SigId,
-    params: Vec<Ty>,
-    ret: Ty,
-    is_static: bool,
-    is_native: bool,
-    body: Option<MethodBody>,
-) -> Method {
-    Method {
-        name: name.into(),
-        sig,
-        params,
-        ret,
-        visibility: Visibility::Public,
-        is_static,
-        is_native,
-        body,
-    }
-}
-
-fn simple_body(code: Vec<Insn>, max_locals: u16) -> MethodBody {
-    MethodBody {
-        max_locals,
-        code,
-        handlers: Vec::new(),
-    }
-}
-
 /// Generate every family in the plan, defining the classes declared by the
-/// planning pass.
+/// planning pass: per family the object half, then the class half if the
+/// original has static members; per half the interface, the local
+/// implementation, one proxy per protocol, and the factory.
 pub fn generate_families(universe: &mut ClassUniverse, plan: &TransformPlan) {
     // Deterministic order.
     let mut bases: Vec<ClassId> = plan.families.keys().copied().collect();
     bases.sort();
     for base in bases {
-        let family = plan.families[&base].clone();
-        gen_obj_interface(universe, plan, &family);
-        gen_obj_local(universe, plan, &family);
-        gen_obj_proxies(universe, plan, &family);
-        gen_obj_factory(universe, plan, &family);
-        if family.has_statics {
-            gen_cls_interface(universe, plan, &family);
-            gen_cls_local(universe, plan, &family);
-            gen_cls_proxies(universe, plan, &family);
-            gen_cls_factory(universe, plan, &family);
+        let default_ctor = Method::default_ctor(universe);
+        // The whole family is built from one borrow of the original class
+        // and installed once that borrow has ended.
+        let gen = FamilyGen {
+            universe,
+            plan,
+            family: &plan.families[&base],
+            base: universe.class(base),
+            default_ctor,
+        };
+        let mut artefacts = Vec::new();
+        for side in [Side::Obj, Side::Cls] {
+            let Some(members) = gen.members(side) else {
+                continue;
+            };
+            artefacts.push(gen.interface(&members));
+            artefacts.push(gen.local(&members));
+            artefacts.extend(gen.proxies(&members));
+            artefacts.push(match side {
+                Side::Obj => gen.obj_factory(&members),
+                Side::Cls => gen.cls_factory(&members),
+            });
+        }
+        for artefact in artefacts {
+            artefact.finish(universe);
         }
     }
 }
 
-/// Instance members that belong to the extracted interface: every non-ctor,
-/// non-static method of the original class.
-fn interface_methods(universe: &ClassUniverse, base: ClassId) -> Vec<u16> {
-    universe
-        .class(base)
-        .methods
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !m.is_static && !m.is_ctor())
-        .map(|(i, _)| i as u16)
-        .collect()
+/// What one half of a family is generated over: the members of the original
+/// class that belong to the side, plus the few facts that exist on one side
+/// only.
+struct Members<'a> {
+    side: Side,
+    half: &'a Half,
+    /// The side's fields, in declaration order (so parallel to the half's
+    /// accessor signatures).
+    fields: &'a [Field],
+    /// The side's original methods, each with its rewritten, instance-ised
+    /// signature.
+    methods: Vec<(&'a Method, SigId)>,
+    /// How the side's bodies are re-hosted.
+    ctx: BodyCtx,
+    /// The same half of the superclass's family. Interfaces, locals and
+    /// proxies chain along the class hierarchy on the object side only: a
+    /// singleton has no superclass.
+    parent: Option<&'a Half>,
+    /// Interfaces the original class itself implements (object side only).
+    user_interfaces: &'a [ClassId],
+    /// Whether the local implementation is abstract (object side only).
+    is_abstract: bool,
 }
 
-/// Static members exposed on the class interface: every static, non-clinit
-/// method.
-fn static_methods(universe: &ClassUniverse, base: ClassId) -> Vec<u16> {
-    universe
-        .class(base)
-        .methods
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.is_static && !m.is_clinit())
-        .map(|(i, _)| i as u16)
-        .collect()
+/// The generators of one family.
+struct FamilyGen<'a> {
+    universe: &'a ClassUniverse,
+    plan: &'a TransformPlan,
+    family: &'a Family,
+    /// The original class.
+    base: &'a Class,
+    /// `<init>$0() {}`, carried by every local and proxy.
+    default_ctor: Method,
 }
 
-/// `A_O_Int` (Figure 3): property accessors for every attribute plus every
-/// instance method, all with interface-rewritten signatures.
-fn gen_obj_interface(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let mut methods = Vec::new();
-    for (i, f) in base.fields.iter().enumerate() {
-        let rty = plan.rewrite_ty(&f.ty);
-        methods.push(method(
-            crate::naming::getter(&f.name),
-            family.getters[i],
-            vec![],
-            rty.clone(),
-            false,
-            false,
-            None,
-        ));
-        methods.push(method(
-            crate::naming::setter(&f.name),
-            family.setters[i],
-            vec![rty],
-            Ty::Void,
-            false,
-            false,
-            None,
-        ));
-    }
-    for &mi in &interface_methods(universe, family.base) {
-        let m = &base.methods[mi as usize];
-        let sig = plan.method_sigs[&(family.base, mi)];
-        methods.push(method(
-            m.name.clone(),
-            sig,
-            m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-            plan.rewrite_ty(&m.ret),
-            false,
-            false,
-            None,
-        ));
-    }
-    // Interface inheritance mirrors the class hierarchy.
-    let supers = base
-        .superclass
-        .and_then(|s| plan.family(s))
-        .map(|f| vec![f.obj_int])
-        .unwrap_or_default();
-    universe.define(
-        family.obj_int,
-        Class {
-            name: universe.class(family.obj_int).name.clone(),
-            kind: ClassKind::Interface,
-            superclass: None,
-            interfaces: supers,
-            fields: vec![],
-            static_fields: vec![],
+impl<'a> FamilyGen<'a> {
+    /// Describe `side` of the original class, if the family has that half.
+    fn members(&self, side: Side) -> Option<Members<'a>> {
+        let half = self.family.half(side)?;
+        let (id, base) = (self.family.base, self.base);
+        let methods = (base.methods.iter().enumerate())
+            .filter(|(_, m)| is_member_of(m, side))
+            .map(|(i, m)| (m, self.plan.method_sigs[&(id, i as u16)]))
+            .collect();
+        let (ctx, parent, user_interfaces, is_abstract) = match side {
+            Side::Obj => {
+                let family_of = |s| self.plan.family(s).expect("superclass is substitutable");
+                let parent = base.superclass.map(|s| &family_of(s).obj);
+                let implemented = base.interfaces.as_slice();
+                (BodyCtx::instance(id), parent, implemented, base.is_abstract)
+            }
+            Side::Cls => (BodyCtx::former_static(id), None, &[][..], false),
+        };
+        Some(Members {
+            side,
+            half,
+            fields: fields_of(base, side),
             methods,
-            ctors: vec![],
-            clinit: None,
-            is_special: false,
-            is_abstract: true,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ObjInterface,
-            },
-        },
-    );
-}
+            ctx,
+            parent,
+            user_interfaces,
+            is_abstract,
+        })
+    }
 
-/// `A_O_Local` (Figure 3): fields become private properties with accessors;
-/// original methods are installed with rewritten bodies; a default
-/// parameter-less constructor replaces the originals (whose logic moved to
-/// the factory).
-fn gen_obj_local(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let me = family.obj_local;
-    let mut fields = Vec::new();
-    for f in &base.fields {
-        fields.push(Field {
-            name: f.name.clone(),
-            ty: plan.rewrite_ty(&f.ty),
-            visibility: Visibility::Private,
-            is_final: false,
+    /// Start the `role` artefact of a half, already declared as `id`.
+    fn artefact(&self, id: ClassId, side: Side, role: Role) -> ClassBuilder {
+        let mut cb = ClassBuilder::new(self.universe, id);
+        cb.origin(ClassOrigin::Generated {
+            from: self.family.base,
+            kind: GenKind::Family(side, role),
         });
+        cb
     }
-    let mut methods = Vec::new();
-    // Default parameter-less constructor.
-    let ctor_name = "<init>$0";
-    let ctor_sig = universe.sig(ctor_name, vec![]);
-    methods.push(method(
-        ctor_name,
-        ctor_sig,
-        vec![],
-        Ty::Void,
-        false,
-        false,
-        Some(simple_body(vec![Insn::Return], 1)),
-    ));
-    // Accessors (the only remaining direct field access).
-    for (i, f) in base.fields.iter().enumerate() {
-        let rty = plan.rewrite_ty(&f.ty);
-        methods.push(method(
-            crate::naming::getter(&f.name),
-            family.getters[i],
-            vec![],
-            rty.clone(),
-            false,
-            false,
-            Some(simple_body(
-                vec![
-                    Insn::LoadLocal(0),
-                    Insn::GetField(rafda_classmodel::FieldRef {
-                        owner: me,
-                        index: i as u16,
-                    }),
-                    Insn::ReturnValue,
-                ],
-                1,
-            )),
-        ));
-        methods.push(method(
-            crate::naming::setter(&f.name),
-            family.setters[i],
-            vec![rty],
-            Ty::Void,
-            false,
-            false,
-            Some(simple_body(
-                vec![
-                    Insn::LoadLocal(0),
-                    Insn::LoadLocal(1),
-                    Insn::PutField(rafda_classmodel::FieldRef {
-                        owner: me,
-                        index: i as u16,
-                    }),
-                    Insn::Return,
-                ],
-                2,
-            )),
-        ));
+
+    /// A member of the original class as a generated artefact declares it:
+    /// public, non-static, types and signature rewritten, no body yet.
+    fn declared(&self, m: &Method, sig: SigId) -> Method {
+        let params = m.params.iter().map(|t| self.plan.rewrite_ty(t)).collect();
+        Method::declared(m.name.clone(), sig, params, self.plan.rewrite_ty(&m.ret))
     }
-    // Original instance methods with rewritten bodies.
-    for &mi in &interface_methods(universe, family.base) {
-        let m = &base.methods[mi as usize];
-        let body = m
-            .body
-            .as_ref()
-            .map(|b| rewrite_body(universe, plan, BodyCtx::instance(family.base), b));
-        methods.push(method(
-            m.name.clone(),
-            plan.method_sigs[&(family.base, mi)],
-            m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-            plan.rewrite_ty(&m.ret),
-            false,
-            false,
-            body,
-        ));
+
+    /// The members of a half as its interface declares them: a property
+    /// accessor pair per field, then the side's methods.
+    fn surface(&self, s: &Members) -> Vec<Method> {
+        let mut out = Vec::with_capacity(2 * s.fields.len() + s.methods.len());
+        for (i, f) in s.fields.iter().enumerate() {
+            let ty = self.plan.rewrite_ty(&f.ty);
+            let (get, set) = (naming::getter(&f.name), naming::setter(&f.name));
+            out.push(Method::declared(get, s.half.getters[i], vec![], ty.clone()));
+            out.push(Method::declared(set, s.half.setters[i], vec![ty], Ty::Void));
+        }
+        out.extend(s.methods.iter().map(|&(m, sig)| self.declared(m, sig)));
+        out
     }
-    let superclass = base.superclass.map(|s| {
-        plan.family(s)
-            .expect("superclass is substitutable")
-            .obj_local
-    });
-    let mut interfaces = vec![family.obj_int];
-    interfaces.extend(base.interfaces.iter().copied());
-    let ctors = vec![0];
-    universe.define(
-        me,
-        Class {
-            name: universe.class(me).name.clone(),
-            kind: ClassKind::Class,
-            superclass,
-            interfaces,
-            fields,
-            static_fields: vec![],
-            methods,
-            ctors,
-            clinit: None,
-            is_special: false,
-            is_abstract: base.is_abstract,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ObjLocal,
-            },
-        },
-    );
+
+    /// `A_O_Int` (Figure 3) / `A_C_Int` (Figure 4): property accessors for
+    /// every attribute plus every method of the side, all with
+    /// interface-rewritten signatures. Interface inheritance mirrors the
+    /// class hierarchy.
+    fn interface(&self, s: &Members) -> ClassBuilder {
+        let mut cb = self.artefact(s.half.int, s.side, Role::Interface);
+        if let Some(parent) = s.parent {
+            cb.implements(parent.int);
+        }
+        for m in self.surface(s) {
+            cb.add_method(m);
+        }
+        cb
+    }
+
+    /// `A_O_Local` (Figure 3) / `A_C_Local` (Figure 4): fields become private
+    /// properties with accessors (the only remaining direct field access);
+    /// the side's methods are installed with rewritten bodies — former
+    /// statics, now instance methods of the singleton, short-circuit
+    /// own-static access through `this`; a default parameter-less
+    /// constructor replaces the originals (whose logic moved to the factory).
+    fn local(&self, s: &Members) -> ClassBuilder {
+        let me = s.half.local;
+        let mut cb = self.artefact(me, s.side, Role::Local);
+        if let Some(parent) = s.parent {
+            cb.superclass(parent.local);
+        }
+        cb.implements(s.half.int);
+        for &iface in s.user_interfaces {
+            cb.implements(iface);
+        }
+        if s.is_abstract {
+            cb.abstract_();
+        }
+        cb.add_method(self.default_ctor.clone());
+        for (i, f) in s.fields.iter().enumerate() {
+            let ty = self.plan.rewrite_ty(&f.ty);
+            let field = FieldRef {
+                owner: me,
+                index: cb.field(Field::new(f.name.clone(), ty.clone())),
+            };
+            let (get, set) = (naming::getter(&f.name), naming::setter(&f.name));
+            cb.add_method(Method::getter(get, s.half.getters[i], ty.clone(), field));
+            cb.add_method(Method::setter(set, s.half.setters[i], ty, field));
+        }
+        for &(m, sig) in &s.methods {
+            let body = m.body.as_ref().map(|b| self.rewrite(s.ctx, b));
+            cb.add_method(Method {
+                body,
+                ..self.declared(m, sig)
+            });
+        }
+        cb
+    }
+
+    /// `A_O_Proxy_<P>` (Figure 3) / `A_C_Proxy_<P>` (Figure 4): implements
+    /// the interface with `native` methods whose hooks (installed by the
+    /// runtime) marshal the call over protocol `P`.
+    fn proxies(&self, s: &Members) -> Vec<ClassBuilder> {
+        let surface = self.surface(s);
+        let each = s.half.proxies.iter().enumerate();
+        each.map(|(pi, (protocol, me))| {
+            let mut cb = self.artefact(*me, s.side, Role::Proxy(protocol.clone()));
+            // Chain proxies along the class hierarchy so inherited members
+            // resolve to the superclass proxy's hooks, and its state.
+            if let Some(parent) = s.parent {
+                cb.superclass(parent.proxies[pi].1);
+            } else {
+                for f in proxy_state_fields() {
+                    cb.field(f);
+                }
+            }
+            cb.implements(s.half.int);
+            cb.add_method(self.default_ctor.clone());
+            for m in &surface {
+                cb.add_method(Method {
+                    is_native: true,
+                    ..m.clone()
+                });
+            }
+            cb
+        })
+        .collect()
+    }
+
+    /// `A_O_Factory` (Figure 5): `native make()` (the policy decision point)
+    /// plus one generated `init$k(that, …)` per original constructor.
+    fn obj_factory(&self, obj: &Members) -> ClassBuilder {
+        let (family, base) = (self.family, self.base);
+        let that = Ty::Object(obj.half.int);
+        let mut cb = self.artefact(obj.half.factory, Side::Obj, Role::Factory);
+        cb.add_method(Method {
+            is_static: true,
+            is_native: true,
+            ..Method::declared(naming::MAKE, family.make_sig, vec![], that.clone())
+        });
+        for (k, &ci) in base.ctors.iter().enumerate() {
+            let ctor = &base.methods[ci as usize];
+            let own = ctor.params.iter().map(|t| self.plan.rewrite_ty(t));
+            let params = std::iter::once(that.clone()).chain(own).collect();
+            let (name, sig) = (naming::init_method(k), family.init_sigs[k]);
+            cb.add_method(Method {
+                is_static: true,
+                body: ctor.body.as_ref().map(|b| self.rewrite(obj.ctx, b)),
+                ..Method::declared(name, sig, params, Ty::Void)
+            });
+        }
+        cb
+    }
+
+    /// `A_C_Factory` (Figure 5): `native discover()` plus the translated
+    /// `clinit(that)` mirroring the original static initialiser.
+    fn cls_factory(&self, cls: &Members) -> ClassBuilder {
+        let (family, base) = (self.family, self.base);
+        let that = Ty::Object(cls.half.int);
+        let mut cb = self.artefact(cls.half.factory, Side::Cls, Role::Factory);
+        cb.add_method(Method {
+            is_static: true,
+            is_native: true,
+            ..Method::declared(naming::DISCOVER, family.discover_sig, vec![], that.clone())
+        });
+        if let (Some(ci), Some(sig)) = (base.clinit, family.clinit_sig) {
+            let clinit = &base.methods[ci as usize];
+            cb.add_method(Method {
+                is_static: true,
+                body: clinit.body.as_ref().map(|b| self.rewrite(cls.ctx, b)),
+                ..Method::declared(naming::CLINIT, sig, vec![that], Ty::Void)
+            });
+        }
+        cb
+    }
+
+    fn rewrite(&self, ctx: BodyCtx, body: &MethodBody) -> MethodBody {
+        rewrite_body(self.universe, self.plan, ctx, body)
+    }
 }
 
 /// Proxy state: every root proxy class declares `__node` (Int) and `__oid`
@@ -275,451 +285,8 @@ pub const PROXY_NODE_FIELD: usize = 0;
 /// See [`PROXY_NODE_FIELD`].
 pub const PROXY_OID_FIELD: usize = 1;
 
-fn proxy_state_fields() -> Vec<Field> {
-    vec![
-        Field {
-            name: "__node".to_owned(),
-            ty: Ty::Int,
-            visibility: Visibility::Private,
-            is_final: false,
-        },
-        Field {
-            name: "__oid".to_owned(),
-            ty: Ty::Long,
-            visibility: Visibility::Private,
-            is_final: false,
-        },
-    ]
-}
-
-/// `A_O_Proxy_<P>` (Figure 3): implements the interface with `native`
-/// methods whose hooks (installed by the runtime) marshal the call over
-/// protocol `P`.
-fn gen_obj_proxies(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    for (pi, (proto, me)) in family.obj_proxies.iter().enumerate() {
-        let me = *me;
-        // Chain proxies along the class hierarchy so inherited members
-        // resolve to the superclass proxy's hooks.
-        let super_proxy = base
-            .superclass
-            .map(|s| plan.family(s).expect("substitutable super").obj_proxies[pi].1);
-        let fields = if super_proxy.is_some() {
-            vec![]
-        } else {
-            proxy_state_fields()
-        };
-        let mut methods = Vec::new();
-        let ctor_sig = universe.sig("<init>$0", vec![]);
-        methods.push(method(
-            "<init>$0",
-            ctor_sig,
-            vec![],
-            Ty::Void,
-            false,
-            false,
-            Some(simple_body(vec![Insn::Return], 1)),
-        ));
-        for (i, f) in base.fields.iter().enumerate() {
-            let rty = plan.rewrite_ty(&f.ty);
-            methods.push(method(
-                crate::naming::getter(&f.name),
-                family.getters[i],
-                vec![],
-                rty.clone(),
-                false,
-                true,
-                None,
-            ));
-            methods.push(method(
-                crate::naming::setter(&f.name),
-                family.setters[i],
-                vec![rty],
-                Ty::Void,
-                false,
-                true,
-                None,
-            ));
-        }
-        for &mi in &interface_methods(universe, family.base) {
-            let m = &base.methods[mi as usize];
-            methods.push(method(
-                m.name.clone(),
-                plan.method_sigs[&(family.base, mi)],
-                m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-                plan.rewrite_ty(&m.ret),
-                false,
-                true,
-                None,
-            ));
-        }
-        universe.define(
-            me,
-            Class {
-                name: universe.class(me).name.clone(),
-                kind: ClassKind::Class,
-                superclass: super_proxy,
-                interfaces: vec![family.obj_int],
-                fields,
-                static_fields: vec![],
-                methods,
-                ctors: vec![0],
-                clinit: None,
-                is_special: false,
-                is_abstract: false,
-                origin: ClassOrigin::Generated {
-                    from: family.base,
-                    kind: GenKind::ObjProxy(proto.clone()),
-                },
-            },
-        );
-    }
-}
-
-/// `A_O_Factory` (Figure 5): `native make()` (the policy decision point)
-/// plus one generated `init$k(that, …)` per original constructor.
-fn gen_obj_factory(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let mut methods = Vec::new();
-    methods.push(method(
-        crate::naming::MAKE,
-        family.make_sig,
-        vec![],
-        Ty::Object(family.obj_int),
-        true,
-        true,
-        None,
-    ));
-    for (k, &ci) in base.ctors.iter().enumerate() {
-        let ctor = &base.methods[ci as usize];
-        let body = ctor
-            .body
-            .as_ref()
-            .map(|b| rewrite_body(universe, plan, BodyCtx::instance(family.base), b));
-        let mut params = vec![Ty::Object(family.obj_int)];
-        params.extend(ctor.params.iter().map(|t| plan.rewrite_ty(t)));
-        methods.push(method(
-            crate::naming::init_method(k),
-            family.init_sigs[k],
-            params,
-            Ty::Void,
-            true,
-            false,
-            body,
-        ));
-    }
-    universe.define(
-        family.obj_factory,
-        Class {
-            name: universe.class(family.obj_factory).name.clone(),
-            kind: ClassKind::Class,
-            superclass: None,
-            interfaces: vec![],
-            fields: vec![],
-            static_fields: vec![],
-            methods,
-            ctors: vec![],
-            clinit: None,
-            is_special: false,
-            is_abstract: false,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ObjFactory,
-            },
-        },
-    );
-}
-
-/// `A_C_Int` (Figure 4): accessors for the (de-staticised) static fields and
-/// the former static methods as instance members.
-fn gen_cls_interface(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let mut methods = Vec::new();
-    for (i, f) in base.static_fields.iter().enumerate() {
-        let rty = plan.rewrite_ty(&f.ty);
-        methods.push(method(
-            crate::naming::getter(&f.name),
-            family.static_getters[i],
-            vec![],
-            rty.clone(),
-            false,
-            false,
-            None,
-        ));
-        methods.push(method(
-            crate::naming::setter(&f.name),
-            family.static_setters[i],
-            vec![rty],
-            Ty::Void,
-            false,
-            false,
-            None,
-        ));
-    }
-    for &mi in &static_methods(universe, family.base) {
-        let m = &base.methods[mi as usize];
-        methods.push(method(
-            m.name.clone(),
-            plan.method_sigs[&(family.base, mi)],
-            m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-            plan.rewrite_ty(&m.ret),
-            false,
-            false,
-            None,
-        ));
-    }
-    let me = family.cls_int.expect("statics planned");
-    universe.define(
-        me,
-        Class {
-            name: universe.class(me).name.clone(),
-            kind: ClassKind::Interface,
-            superclass: None,
-            interfaces: vec![],
-            fields: vec![],
-            static_fields: vec![],
-            methods,
-            ctors: vec![],
-            clinit: None,
-            is_special: false,
-            is_abstract: true,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ClassInterface,
-            },
-        },
-    );
-}
-
-/// `A_C_Local` (Figure 4): the singleton implementation — former static
-/// fields become instance properties, former static methods become instance
-/// methods whose bodies short-circuit own-static access through `this`.
-fn gen_cls_local(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let me = family.cls_local.expect("statics planned");
-    let mut fields = Vec::new();
-    for f in &base.static_fields {
-        fields.push(Field {
-            name: f.name.clone(),
-            ty: plan.rewrite_ty(&f.ty),
-            visibility: Visibility::Private,
-            is_final: false,
-        });
-    }
-    let mut methods = Vec::new();
-    let ctor_sig = universe.sig("<init>$0", vec![]);
-    methods.push(method(
-        "<init>$0",
-        ctor_sig,
-        vec![],
-        Ty::Void,
-        false,
-        false,
-        Some(simple_body(vec![Insn::Return], 1)),
-    ));
-    for (i, f) in base.static_fields.iter().enumerate() {
-        let rty = plan.rewrite_ty(&f.ty);
-        methods.push(method(
-            crate::naming::getter(&f.name),
-            family.static_getters[i],
-            vec![],
-            rty.clone(),
-            false,
-            false,
-            Some(simple_body(
-                vec![
-                    Insn::LoadLocal(0),
-                    Insn::GetField(rafda_classmodel::FieldRef {
-                        owner: me,
-                        index: i as u16,
-                    }),
-                    Insn::ReturnValue,
-                ],
-                1,
-            )),
-        ));
-        methods.push(method(
-            crate::naming::setter(&f.name),
-            family.static_setters[i],
-            vec![rty],
-            Ty::Void,
-            false,
-            false,
-            Some(simple_body(
-                vec![
-                    Insn::LoadLocal(0),
-                    Insn::LoadLocal(1),
-                    Insn::PutField(rafda_classmodel::FieldRef {
-                        owner: me,
-                        index: i as u16,
-                    }),
-                    Insn::Return,
-                ],
-                2,
-            )),
-        ));
-    }
-    for &mi in &static_methods(universe, family.base) {
-        let m = &base.methods[mi as usize];
-        let body = m
-            .body
-            .as_ref()
-            .map(|b| rewrite_body(universe, plan, BodyCtx::former_static(family.base), b));
-        methods.push(method(
-            m.name.clone(),
-            plan.method_sigs[&(family.base, mi)],
-            m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-            plan.rewrite_ty(&m.ret),
-            false,
-            false,
-            body,
-        ));
-    }
-    universe.define(
-        me,
-        Class {
-            name: universe.class(me).name.clone(),
-            kind: ClassKind::Class,
-            superclass: None,
-            interfaces: vec![family.cls_int.expect("statics planned")],
-            fields,
-            static_fields: vec![],
-            methods,
-            ctors: vec![0],
-            clinit: None,
-            is_special: false,
-            is_abstract: false,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ClassLocal,
-            },
-        },
-    );
-}
-
-/// `A_C_Proxy_<P>` (Figure 4): remote singleton proxy, all members native.
-fn gen_cls_proxies(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    for (proto, me) in &family.cls_proxies {
-        let me = *me;
-        let mut methods = Vec::new();
-        let ctor_sig = universe.sig("<init>$0", vec![]);
-        methods.push(method(
-            "<init>$0",
-            ctor_sig,
-            vec![],
-            Ty::Void,
-            false,
-            false,
-            Some(simple_body(vec![Insn::Return], 1)),
-        ));
-        for (i, f) in base.static_fields.iter().enumerate() {
-            let rty = plan.rewrite_ty(&f.ty);
-            methods.push(method(
-                crate::naming::getter(&f.name),
-                family.static_getters[i],
-                vec![],
-                rty.clone(),
-                false,
-                true,
-                None,
-            ));
-            methods.push(method(
-                crate::naming::setter(&f.name),
-                family.static_setters[i],
-                vec![rty],
-                Ty::Void,
-                false,
-                true,
-                None,
-            ));
-        }
-        for &mi in &static_methods(universe, family.base) {
-            let m = &base.methods[mi as usize];
-            methods.push(method(
-                m.name.clone(),
-                plan.method_sigs[&(family.base, mi)],
-                m.params.iter().map(|t| plan.rewrite_ty(t)).collect(),
-                plan.rewrite_ty(&m.ret),
-                false,
-                true,
-                None,
-            ));
-        }
-        universe.define(
-            me,
-            Class {
-                name: universe.class(me).name.clone(),
-                kind: ClassKind::Class,
-                superclass: None,
-                interfaces: vec![family.cls_int.expect("statics planned")],
-                fields: proxy_state_fields(),
-                static_fields: vec![],
-                methods,
-                ctors: vec![0],
-                clinit: None,
-                is_special: false,
-                is_abstract: false,
-                origin: ClassOrigin::Generated {
-                    from: family.base,
-                    kind: GenKind::ClassProxy(proto.clone()),
-                },
-            },
-        );
-    }
-}
-
-/// `A_C_Factory` (Figure 5): `native discover()` plus the translated
-/// `clinit(that)` mirroring the original static initialiser.
-fn gen_cls_factory(universe: &mut ClassUniverse, plan: &TransformPlan, family: &Family) {
-    let base = universe.class(family.base).clone();
-    let cls_int = family.cls_int.expect("statics planned");
-    let mut methods = Vec::new();
-    methods.push(method(
-        crate::naming::DISCOVER,
-        family.discover_sig.expect("planned"),
-        vec![],
-        Ty::Object(cls_int),
-        true,
-        true,
-        None,
-    ));
-    if let Some(ci) = base.clinit {
-        let body = base.methods[ci as usize]
-            .body
-            .as_ref()
-            .map(|b| rewrite_body(universe, plan, BodyCtx::former_static(family.base), b));
-        methods.push(method(
-            crate::naming::CLINIT,
-            family.clinit_sig.expect("planned"),
-            vec![Ty::Object(cls_int)],
-            Ty::Void,
-            true,
-            false,
-            body,
-        ));
-    }
-    let me = family.cls_factory.expect("statics planned");
-    universe.define(
-        me,
-        Class {
-            name: universe.class(me).name.clone(),
-            kind: ClassKind::Class,
-            superclass: None,
-            interfaces: vec![],
-            fields: vec![],
-            static_fields: vec![],
-            methods,
-            ctors: vec![],
-            clinit: None,
-            is_special: false,
-            is_abstract: false,
-            origin: ClassOrigin::Generated {
-                from: family.base,
-                kind: GenKind::ClassFactory,
-            },
-        },
-    );
+fn proxy_state_fields() -> [Field; 2] {
+    [Field::new("__node", Ty::Int), Field::new("__oid", Ty::Long)]
 }
 
 /// Rewrite a transformable but non-substitutable class **in place**: its
@@ -728,8 +295,7 @@ fn gen_cls_factory(universe: &mut ClassUniverse, plan: &TransformPlan, family: &
 /// class must then be transformed to use the extracted interface",
 /// Section 1).
 pub fn rewrite_in_place(universe: &mut ClassUniverse, plan: &TransformPlan, class: ClassId) {
-    let original = universe.class(class).clone();
-    let mut updated = original.clone();
+    let mut updated = universe.class(class).clone();
     for f in updated
         .fields
         .iter_mut()
@@ -756,7 +322,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::plan::build_plan;
-    use rafda_classmodel::{sample, verify_universe};
+    use rafda_classmodel::{sample, verify_universe, ClassKind, Insn};
 
     fn generated_figure2() -> (ClassUniverse, TransformPlan, sample::SampleIds) {
         let mut u = ClassUniverse::new();
@@ -782,22 +348,22 @@ mod tests {
     fn x_o_int_matches_figure3_surface() {
         let (u, plan, ids) = generated_figure2();
         let fx = plan.family(ids.x).unwrap();
-        let c = u.class(fx.obj_int);
+        let c = u.class(fx.obj.int);
         assert_eq!(c.kind, ClassKind::Interface);
         let names: Vec<&str> = c.methods.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["get_y", "set_y", "m"]);
         // get_y returns Y_O_Int.
         let fy = plan.family(ids.y).unwrap();
-        assert_eq!(c.methods[0].ret, Ty::Object(fy.obj_int));
-        assert_eq!(c.methods[1].params, vec![Ty::Object(fy.obj_int)]);
+        assert_eq!(c.methods[0].ret, Ty::Object(fy.obj.int));
+        assert_eq!(c.methods[1].params, vec![Ty::Object(fy.obj.int)]);
     }
 
     #[test]
     fn x_o_local_implements_interface_with_accessor_bodies() {
         let (u, plan, ids) = generated_figure2();
         let fx = plan.family(ids.x).unwrap();
-        let c = u.class(fx.obj_local);
-        assert!(c.interfaces.contains(&fx.obj_int));
+        let c = u.class(fx.obj.local);
+        assert!(c.interfaces.contains(&fx.obj.int));
         assert_eq!(c.ctors.len(), 1);
         assert!(c.methods[c.ctors[0] as usize].params.is_empty());
         let m = &c.methods[c.method_index("m").unwrap() as usize];
@@ -806,18 +372,18 @@ mod tests {
         assert!(body
             .code
             .iter()
-            .all(|i| !matches!(i, Insn::GetField(fr) if fr.owner != fx.obj_local)));
-        assert!(u.is_subtype(fx.obj_local, fx.obj_int));
+            .all(|i| !matches!(i, Insn::GetField(fr) if fr.owner != fx.obj.local)));
+        assert!(u.is_subtype(fx.obj.local, fx.obj.int));
     }
 
     #[test]
     fn proxies_are_native_and_chain_to_interface() {
         let (u, plan, ids) = generated_figure2();
         let fx = plan.family(ids.x).unwrap();
-        for (proto, p) in &fx.obj_proxies {
+        for (proto, p) in &fx.obj.proxies {
             let c = u.class(*p);
             assert!(c.name.contains(proto));
-            assert!(u.is_subtype(*p, fx.obj_int));
+            assert!(u.is_subtype(*p, fx.obj.int));
             assert_eq!(c.fields.len(), 2, "__node/__oid");
             assert_eq!(c.fields[PROXY_NODE_FIELD].name, "__node");
             assert_eq!(c.fields[PROXY_OID_FIELD].name, "__oid");
@@ -833,15 +399,15 @@ mod tests {
     fn factories_match_figure5() {
         let (u, plan, ids) = generated_figure2();
         let fx = plan.family(ids.x).unwrap();
-        let of = u.class(fx.obj_factory);
+        let of = u.class(fx.obj.factory);
         let make = &of.methods[of.method_index("make").unwrap() as usize];
         assert!(make.is_native && make.is_static);
-        assert_eq!(make.ret, Ty::Object(fx.obj_int));
+        assert_eq!(make.ret, Ty::Object(fx.obj.int));
         let init = &of.methods[of.method_index("init$0").unwrap() as usize];
         assert!(init.is_static && !init.is_native);
         assert!(init.body.is_some());
 
-        let cf = u.class(fx.cls_factory.unwrap());
+        let cf = u.class(fx.cls.as_ref().unwrap().factory);
         let discover = &cf.methods[cf.method_index("discover").unwrap() as usize];
         assert!(discover.is_native && discover.is_static);
         let clinit = &cf.methods[cf.method_index("clinit").unwrap() as usize];
@@ -852,7 +418,7 @@ mod tests {
     fn cls_local_p_matches_figure4() {
         let (u, plan, ids) = generated_figure2();
         let fx = plan.family(ids.x).unwrap();
-        let c = u.class(fx.cls_local.unwrap());
+        let c = u.class(fx.cls.as_ref().unwrap().local);
         // Members: ctor, get_z, set_z, p.
         let names: Vec<&str> = c.methods.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["<init>$0", "get_z", "set_z", "p"]);
@@ -868,7 +434,7 @@ mod tests {
     fn y_family_exposes_static_k() {
         let (u, plan, ids) = generated_figure2();
         let fy = plan.family(ids.y).unwrap();
-        let ci = u.class(fy.cls_int.unwrap());
+        let ci = u.class(fy.cls.as_ref().unwrap().int);
         assert!(ci.method_index("get_K").is_some());
         assert!(ci.method_index("set_K").is_some());
     }

@@ -56,4 +56,4 @@ pub mod rewrite;
 
 pub use analysis::{analyze, NonTransformableReason, TransformabilityReport};
 pub use engine::{TransformError, TransformOutcome, TransformReport, Transformer};
-pub use plan::{Family, TransformPlan};
+pub use plan::{Family, Half, TransformPlan};

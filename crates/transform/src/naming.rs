@@ -3,44 +3,24 @@
 //! `A_C_Int`, `A_C_Local`, `A_C_Proxy_<P>`, `A_O_Factory`, `A_C_Factory`;
 //! each attribute `f` becomes a property with accessors `get_f`/`set_f`.
 
-/// `A_O_Int` — instance-members interface.
-pub fn obj_interface(class: &str) -> String {
-    format!("{class}_O_Int")
-}
+use rafda_classmodel::{Role, Side};
 
-/// `A_O_Local` — non-remote instance implementation.
-pub fn obj_local(class: &str) -> String {
-    format!("{class}_O_Local")
-}
-
-/// `A_O_Proxy_<P>` — remote instance proxy for protocol `P`.
-pub fn obj_proxy(class: &str, protocol: &str) -> String {
-    format!("{class}_O_Proxy_{protocol}")
-}
-
-/// `A_C_Int` — static-members interface.
-pub fn class_interface(class: &str) -> String {
-    format!("{class}_C_Int")
-}
-
-/// `A_C_Local` — non-remote singleton implementation of the static members.
-pub fn class_local(class: &str) -> String {
-    format!("{class}_C_Local")
-}
-
-/// `A_C_Proxy_<P>` — remote static proxy for protocol `P`.
-pub fn class_proxy(class: &str, protocol: &str) -> String {
-    format!("{class}_C_Proxy_{protocol}")
-}
-
-/// `A_O_Factory` — object factory (`make` + `init_k`).
-pub fn obj_factory(class: &str) -> String {
-    format!("{class}_O_Factory")
-}
-
-/// `A_C_Factory` — class factory (`discover` + `clinit`).
-pub fn class_factory(class: &str) -> String {
-    format!("{class}_C_Factory")
+/// The name of the `role` artefact of `class`'s `side` half: `A_O_Int` is
+/// the instance-members interface, `A_C_Local` the non-remote singleton
+/// implementing the static members, `A_O_Proxy_<P>` the remote instance
+/// proxy for protocol `P`, `A_O_Factory` the object factory (`make` +
+/// `init$k`), `A_C_Factory` the class factory (`discover` + `clinit`).
+pub fn artefact(class: &str, side: Side, role: &Role) -> String {
+    let half = match side {
+        Side::Obj => 'O',
+        Side::Cls => 'C',
+    };
+    match role {
+        Role::Interface => format!("{class}_{half}_Int"),
+        Role::Local => format!("{class}_{half}_Local"),
+        Role::Proxy(protocol) => format!("{class}_{half}_Proxy_{protocol}"),
+        Role::Factory => format!("{class}_{half}_Factory"),
+    }
 }
 
 /// Property getter name for attribute `f`.
@@ -98,14 +78,16 @@ mod tests {
 
     #[test]
     fn names_match_the_paper() {
-        assert_eq!(obj_interface("X"), "X_O_Int");
-        assert_eq!(obj_local("X"), "X_O_Local");
-        assert_eq!(obj_proxy("X", "SOAP"), "X_O_Proxy_SOAP");
-        assert_eq!(class_interface("X"), "X_C_Int");
-        assert_eq!(class_local("X"), "X_C_Local");
-        assert_eq!(class_proxy("X", "RMI"), "X_C_Proxy_RMI");
-        assert_eq!(obj_factory("X"), "X_O_Factory");
-        assert_eq!(class_factory("X"), "X_C_Factory");
+        let soap = Role::Proxy("SOAP".to_owned());
+        let rmi = Role::Proxy("RMI".to_owned());
+        assert_eq!(artefact("X", Side::Obj, &Role::Interface), "X_O_Int");
+        assert_eq!(artefact("X", Side::Obj, &Role::Local), "X_O_Local");
+        assert_eq!(artefact("X", Side::Obj, &soap), "X_O_Proxy_SOAP");
+        assert_eq!(artefact("X", Side::Cls, &Role::Interface), "X_C_Int");
+        assert_eq!(artefact("X", Side::Cls, &Role::Local), "X_C_Local");
+        assert_eq!(artefact("X", Side::Cls, &rmi), "X_C_Proxy_RMI");
+        assert_eq!(artefact("X", Side::Obj, &Role::Factory), "X_O_Factory");
+        assert_eq!(artefact("X", Side::Cls, &Role::Factory), "X_C_Factory");
         assert_eq!(getter("y"), "get_y");
         assert_eq!(setter("y"), "set_y");
     }

@@ -7,48 +7,76 @@
 
 use crate::analysis::TransformabilityReport;
 use crate::naming;
-use rafda_classmodel::{ClassId, ClassKind, ClassUniverse, SigId, Ty};
+use rafda_classmodel::{
+    Class, ClassId, ClassKind, ClassUniverse, Field, Method, Role, Side, SigId, Ty,
+};
 use std::collections::{HashMap, HashSet};
+
+/// One half of a family: the artefacts generated over either the instance
+/// members (`A_O_*`) or the static members (`A_C_*`) of the original class.
+#[derive(Debug, Clone)]
+pub struct Half {
+    /// `A_O_Int` / `A_C_Int`.
+    pub int: ClassId,
+    /// `A_O_Local` / `A_C_Local`.
+    pub local: ClassId,
+    /// `A_O_Proxy_<P>` / `A_C_Proxy_<P>` per protocol, in protocol order.
+    pub proxies: Vec<(String, ClassId)>,
+    /// `A_O_Factory` / `A_C_Factory`.
+    pub factory: ClassId,
+    /// Property getter signatures per declared field of this side.
+    pub getters: Vec<SigId>,
+    /// Property setter signatures per declared field of this side.
+    pub setters: Vec<SigId>,
+}
 
 /// The generated artefact family of one substitutable class `A`.
 #[derive(Debug, Clone)]
 pub struct Family {
     /// The original class.
     pub base: ClassId,
-    /// `A_O_Int`.
-    pub obj_int: ClassId,
-    /// `A_O_Local`.
-    pub obj_local: ClassId,
-    /// `A_O_Proxy_<P>` per protocol, in protocol order.
-    pub obj_proxies: Vec<(String, ClassId)>,
-    /// `A_O_Factory`.
-    pub obj_factory: ClassId,
-    /// Whether `A` has static members (and hence a `_C_` family).
-    pub has_statics: bool,
-    /// `A_C_Int`.
-    pub cls_int: Option<ClassId>,
-    /// `A_C_Local`.
-    pub cls_local: Option<ClassId>,
-    /// `A_C_Proxy_<P>` per protocol.
-    pub cls_proxies: Vec<(String, ClassId)>,
-    /// `A_C_Factory`.
-    pub cls_factory: Option<ClassId>,
-    /// Property getter signatures per declared instance field.
-    pub getters: Vec<SigId>,
-    /// Property setter signatures per declared instance field.
-    pub setters: Vec<SigId>,
-    /// Property getter signatures per declared static field.
-    pub static_getters: Vec<SigId>,
-    /// Property setter signatures per declared static field.
-    pub static_setters: Vec<SigId>,
+    /// The half over `A`'s instance members.
+    pub obj: Half,
+    /// The half over `A`'s static members, when it has any: a static field,
+    /// a static method or a `<clinit>`.
+    pub cls: Option<Half>,
     /// `make()` signature.
     pub make_sig: SigId,
     /// `init$k(that, …)` signature per constructor ordinal.
     pub init_sigs: Vec<SigId>,
-    /// `discover()` signature (present iff `has_statics`).
-    pub discover_sig: Option<SigId>,
+    /// `discover()` signature (one signature, shared by every family).
+    pub discover_sig: SigId,
     /// `clinit(that)` signature (present iff the original has `<clinit>`).
     pub clinit_sig: Option<SigId>,
+}
+
+impl Family {
+    /// The half generated for `side`, if the original has members there.
+    pub fn half(&self, side: Side) -> Option<&Half> {
+        match side {
+            Side::Obj => Some(&self.obj),
+            Side::Cls => self.cls.as_ref(),
+        }
+    }
+}
+
+/// The declared fields of an original class that `side`'s artefacts carry.
+pub(crate) fn fields_of(class: &Class, side: Side) -> &[Field] {
+    match side {
+        Side::Obj => &class.fields,
+        Side::Cls => &class.static_fields,
+    }
+}
+
+/// Whether an original method becomes a member of `side`'s interface: every
+/// non-constructor instance method on the object side, every static method
+/// but `<clinit>` on the class side (constructors and the static initialiser
+/// move to the factories).
+pub(crate) fn is_member_of(m: &Method, side: Side) -> bool {
+    match side {
+        Side::Obj => !m.is_static && !m.is_ctor(),
+        Side::Cls => m.is_static && !m.is_clinit(),
+    }
 }
 
 /// The full transformation plan.
@@ -86,7 +114,7 @@ impl TransformPlan {
     pub fn rewrite_ty(&self, ty: &Ty) -> Ty {
         match ty {
             Ty::Object(c) => match self.families.get(c) {
-                Some(f) => Ty::Object(f.obj_int),
+                Some(f) => Ty::Object(f.obj.int),
                 None => ty.clone(),
             },
             Ty::Array(e) => Ty::Array(Box::new(self.rewrite_ty(e))),
@@ -121,77 +149,43 @@ pub fn build_plan(
         }
     }
 
-    // Phase 1: declare every generated class so ids exist for typing.
-    let mut decls: Vec<(ClassId, Family)> = Vec::new();
+    // Phase 1: declare every generated class so ids exist for typing; the
+    // signatures are placeholders until phase 4.
     for &base in substitutable {
-        let name = universe.class(base).name.clone();
-        let has_statics = {
-            let c = universe.class(base);
-            !c.static_fields.is_empty()
-                || c.clinit.is_some()
-                || c.methods.iter().any(|m| m.is_static && !m.is_clinit())
-        };
-        let obj_int = universe.declare(&naming::obj_interface(&name), ClassKind::Interface);
-        let obj_local = universe.declare(&naming::obj_local(&name), ClassKind::Class);
-        let obj_proxies = protocols
-            .iter()
-            .map(|p| {
-                (
-                    p.clone(),
-                    universe.declare(&naming::obj_proxy(&name, p), ClassKind::Class),
-                )
-            })
-            .collect();
-        let obj_factory = universe.declare(&naming::obj_factory(&name), ClassKind::Class);
-        let (cls_int, cls_local, cls_proxies, cls_factory) = if has_statics {
-            let ci = universe.declare(&naming::class_interface(&name), ClassKind::Interface);
-            let cl = universe.declare(&naming::class_local(&name), ClassKind::Class);
-            let cp = protocols
-                .iter()
-                .map(|p| {
-                    (
-                        p.clone(),
-                        universe.declare(&naming::class_proxy(&name, p), ClassKind::Class),
-                    )
-                })
-                .collect();
-            let cf = universe.declare(&naming::class_factory(&name), ClassKind::Class);
-            (Some(ci), Some(cl), cp, Some(cf))
-        } else {
-            (None, None, Vec::new(), None)
-        };
-        decls.push((
-            base,
-            Family {
-                base,
-                obj_int,
-                obj_local,
-                obj_proxies,
-                obj_factory,
-                has_statics,
-                cls_int,
-                cls_local,
-                cls_proxies,
-                cls_factory,
+        let c = universe.class(base);
+        let name = c.name.clone();
+        let has_cls = !c.static_fields.is_empty()
+            || c.clinit.is_some()
+            || c.methods.iter().any(|m| is_member_of(m, Side::Cls));
+        let mut declare_half = |side| {
+            let mut declare =
+                |role, kind| universe.declare(&naming::artefact(&name, side, &role), kind);
+            Half {
+                int: declare(Role::Interface, ClassKind::Interface),
+                local: declare(Role::Local, ClassKind::Class),
+                proxies: protocols
+                    .iter()
+                    .map(|p| (p.clone(), declare(Role::Proxy(p.clone()), ClassKind::Class)))
+                    .collect(),
+                factory: declare(Role::Factory, ClassKind::Class),
                 getters: Vec::new(),
                 setters: Vec::new(),
-                static_getters: Vec::new(),
-                static_setters: Vec::new(),
-                make_sig: SigId(0),
-                init_sigs: Vec::new(),
-                discover_sig: None,
-                clinit_sig: None,
-            },
-        ));
-    }
-    for (base, family) in decls {
+            }
+        };
+        let family = Family {
+            base,
+            obj: declare_half(Side::Obj),
+            cls: has_cls.then(|| declare_half(Side::Cls)),
+            make_sig: SigId(0),
+            init_sigs: Vec::new(),
+            discover_sig: SigId(0),
+            clinit_sig: None,
+        };
         plan.families.insert(base, family);
     }
 
     // Phase 2: rewrite all pre-existing signatures.
-    let pre_existing = universe.sig_count();
-    for raw in 0..pre_existing as u32 {
-        let sig = SigId(raw);
+    for sig in (0..universe.sig_count() as u32).map(SigId) {
         let info = universe.sig_info(sig).clone();
         let new_params: Vec<Ty> = info.params.iter().map(|t| plan.rewrite_ty(t)).collect();
         let new_sig = if new_params == info.params {
@@ -203,12 +197,9 @@ pub fn build_plan(
     }
 
     // Phase 3: per-method rewritten signatures for every transformable class.
-    let transformable: Vec<ClassId> = plan.transformable.iter().copied().collect();
-    for class in transformable {
-        let count = universe.class(class).methods.len();
-        for idx in 0..count {
-            let sig = universe.class(class).methods[idx].sig;
-            let new_sig = plan.rewrite_sig(sig);
+    for &class in &plan.transformable {
+        for (idx, m) in universe.class(class).methods.iter().enumerate() {
+            let new_sig = plan.rewrite_sig(m.sig);
             plan.method_sigs.insert((class, idx as u16), new_sig);
         }
     }
@@ -222,74 +213,59 @@ pub fn build_plan(
     let make_sig = universe.sig(naming::MAKE, vec![]);
     let discover_sig = universe.sig(naming::DISCOVER, vec![]);
     for base in bases {
-        type FieldList = Vec<(String, Ty)>;
-        let (fields, static_fields, ctor_params, has_clinit): (
-            FieldList,
-            FieldList,
-            Vec<Vec<Ty>>,
-            bool,
-        ) = {
-            let c = universe.class(base);
-            (
-                c.fields
-                    .iter()
-                    .map(|f| (f.name.clone(), f.ty.clone()))
-                    .collect(),
-                c.static_fields
-                    .iter()
-                    .map(|f| (f.name.clone(), f.ty.clone()))
-                    .collect(),
-                c.ctors
-                    .iter()
-                    .map(|&mi| c.methods[mi as usize].params.clone())
-                    .collect(),
-                c.clinit.is_some(),
-            )
-        };
-        let obj_int_ty = Ty::Object(plan.families[&base].obj_int);
-        let cls_int_ty = plan.families[&base].cls_int.map(Ty::Object);
+        // Interning order is part of the output: per side a getter/setter
+        // pair per field (a class without a class half has no static field
+        // to intern for), then every `init$k`, then `clinit`.
+        let obj_sigs = accessor_sigs(universe, &plan, base, Side::Obj);
+        let cls_sigs = accessor_sigs(universe, &plan, base, Side::Cls);
 
-        let mut getters = Vec::new();
-        let mut setters = Vec::new();
-        for (fname, fty) in &fields {
-            let rty = plan.rewrite_ty(fty);
-            getters.push(universe.sig(&naming::getter(fname), vec![]));
-            setters.push(universe.sig(&naming::setter(fname), vec![rty]));
-        }
-        let mut static_getters = Vec::new();
-        let mut static_setters = Vec::new();
-        for (fname, fty) in &static_fields {
-            let rty = plan.rewrite_ty(fty);
-            static_getters.push(universe.sig(&naming::getter(fname), vec![]));
-            static_setters.push(universe.sig(&naming::setter(fname), vec![rty]));
-        }
-        let mut init_sigs = Vec::new();
-        for (k, params) in ctor_params.iter().enumerate() {
-            let mut ps = vec![obj_int_ty.clone()];
-            ps.extend(params.iter().map(|t| plan.rewrite_ty(t)));
-            init_sigs.push(universe.sig(&naming::init_method(k), ps));
-        }
-        let clinit_sig = if has_clinit {
-            Some(universe.sig(
-                naming::CLINIT,
-                vec![cls_int_ty.clone().expect("clinit implies statics")],
-            ))
-        } else {
-            None
-        };
+        let (c, family) = (universe.class(base), &plan.families[&base]);
+        let that = Ty::Object(family.obj.int);
+        let init_params: Vec<Vec<Ty>> = (c.ctors.iter())
+            .map(|&mi| {
+                let own = c.methods[mi as usize].params.iter();
+                let own = own.map(|t| plan.rewrite_ty(t));
+                std::iter::once(that.clone()).chain(own).collect()
+            })
+            .collect();
+        let clinit_that = c.clinit.and(family.cls.as_ref()).map(|cls| cls.int);
+        let init_sigs = (init_params.into_iter().enumerate())
+            .map(|(k, ps)| universe.sig(&naming::init_method(k), ps))
+            .collect();
+        let clinit_sig =
+            clinit_that.map(|that| universe.sig(naming::CLINIT, vec![Ty::Object(that)]));
 
         let family = plan.families.get_mut(&base).expect("planned");
-        family.getters = getters;
-        family.setters = setters;
-        family.static_getters = static_getters;
-        family.static_setters = static_setters;
+        (family.obj.getters, family.obj.setters) = obj_sigs;
+        if let Some(cls) = &mut family.cls {
+            (cls.getters, cls.setters) = cls_sigs;
+        }
         family.make_sig = make_sig;
         family.init_sigs = init_sigs;
-        family.discover_sig = family.has_statics.then_some(discover_sig);
+        family.discover_sig = discover_sig;
         family.clinit_sig = clinit_sig;
     }
 
     plan
+}
+
+/// Intern a `get_f`/`set_f` signature pair per field `side`'s artefacts
+/// carry, in field order, getter first.
+fn accessor_sigs(
+    universe: &mut ClassUniverse,
+    plan: &TransformPlan,
+    base: ClassId,
+    side: Side,
+) -> (Vec<SigId>, Vec<SigId>) {
+    let fields: Vec<(String, Ty)> = fields_of(universe.class(base), side)
+        .iter()
+        .map(|f| (f.name.clone(), plan.rewrite_ty(&f.ty)))
+        .collect();
+    let pair = |(name, ty): (String, Ty)| {
+        let getter = universe.sig(&naming::getter(&name), vec![]);
+        (getter, universe.sig(&naming::setter(&name), vec![ty]))
+    };
+    fields.into_iter().map(pair).unzip()
 }
 
 #[cfg(test)]
@@ -316,13 +292,14 @@ mod tests {
     fn declares_full_family_for_x() {
         let (u, plan, ids) = plan_figure2();
         let fx = plan.family(ids.x).unwrap();
-        assert_eq!(u.class(fx.obj_int).name, "X_O_Int");
-        assert_eq!(u.class(fx.obj_local).name, "X_O_Local");
-        assert_eq!(u.class(fx.obj_factory).name, "X_O_Factory");
-        assert_eq!(fx.obj_proxies.len(), 2);
-        assert!(fx.has_statics);
-        assert_eq!(u.class(fx.cls_int.unwrap()).name, "X_C_Int");
-        assert_eq!(u.class(fx.cls_factory.unwrap()).name, "X_C_Factory");
+        assert_eq!(u.class(fx.obj.int).name, "X_O_Int");
+        assert_eq!(u.class(fx.obj.local).name, "X_O_Local");
+        assert_eq!(u.class(fx.obj.factory).name, "X_O_Factory");
+        assert_eq!(fx.obj.proxies.len(), 2);
+        let cls = fx.cls.as_ref().unwrap();
+        assert_eq!(u.class(cls.int).name, "X_C_Int");
+        assert_eq!(u.class(cls.factory).name, "X_C_Factory");
+        assert_eq!(cls.proxies.len(), 2);
         assert!(fx.clinit_sig.is_some());
     }
 
@@ -330,24 +307,66 @@ mod tests {
     fn z_has_no_static_family() {
         let (_u, plan, ids) = plan_figure2();
         let fz = plan.family(ids.z).unwrap();
-        assert!(!fz.has_statics);
-        assert!(fz.cls_int.is_none());
-        assert!(fz.cls_factory.is_none());
-        assert!(fz.cls_proxies.is_empty());
+        assert!(fz.cls.is_none());
+        assert!(fz.half(Side::Cls).is_none());
+        assert!(fz.clinit_sig.is_none());
         // Y has a static field K, so it gets a static family.
         let fy = plan.family(ids.y).unwrap();
-        assert!(fy.has_statics);
-        assert_eq!(fy.static_getters.len(), 1);
+        assert_eq!(fy.half(Side::Cls).unwrap().getters.len(), 1);
+    }
+
+    /// The class half exists exactly when the original has something static
+    /// to put in it — and each of the three kinds of static member is enough
+    /// on its own.
+    #[test]
+    fn a_family_has_a_class_half_exactly_when_the_base_has_a_static_member() {
+        use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
+        let mut u = ClassUniverse::new();
+        let mut class = |name: &str, member: u8| {
+            let mut cb = ClassBuilder::declare(&mut u, name, ClassKind::Class);
+            cb.field(Field::new("f", Ty::Int));
+            let mut mb = MethodBuilder::new(1);
+            mb.ret();
+            cb.ctor(&mut u, vec![], Some(mb.finish()));
+            let mut mb = MethodBuilder::new(1);
+            mb.ret();
+            cb.method(&mut u, "m", vec![], Ty::Void, Some(mb.finish()));
+            let mut mb = MethodBuilder::new(0);
+            mb.ret();
+            match member {
+                1 => drop(cb.static_field(Field::new("s", Ty::Int))),
+                2 => drop(cb.static_method(&mut u, "p", vec![], Ty::Void, Some(mb.finish()))),
+                3 => drop(cb.clinit(&mut u, mb.finish())),
+                _ => {}
+            }
+            cb.finish(&mut u)
+        };
+        let cases = [
+            (class("Plain", 0), false),
+            (class("Field", 1), true),
+            (class("Method", 2), true),
+            (class("Clinit", 3), true),
+        ];
+        let report = analyze(&u);
+        let bases: Vec<ClassId> = cases.iter().map(|&(id, _)| id).collect();
+        let plan = build_plan(&mut u, &report, &bases, &["RMI".to_owned()]);
+        for (base, has_statics) in cases {
+            let family = plan.family(base).unwrap();
+            let name = &u.class(base).name;
+            assert!(family.half(Side::Obj).is_some(), "{name}");
+            assert_eq!(family.half(Side::Cls).is_some(), has_statics, "{name}");
+            assert_eq!(u.by_name(&format!("{name}_C_Int")).is_some(), has_statics);
+        }
     }
 
     #[test]
     fn rewrite_ty_maps_substitutable_references() {
         let (_u, plan, ids) = plan_figure2();
         let fy = plan.family(ids.y).unwrap();
-        assert_eq!(plan.rewrite_ty(&Ty::Object(ids.y)), Ty::Object(fy.obj_int));
+        assert_eq!(plan.rewrite_ty(&Ty::Object(ids.y)), Ty::Object(fy.obj.int));
         assert_eq!(
             plan.rewrite_ty(&Ty::Object(ids.y).array_of()),
-            Ty::Object(fy.obj_int).array_of()
+            Ty::Object(fy.obj.int).array_of()
         );
         assert_eq!(plan.rewrite_ty(&Ty::Int), Ty::Int);
     }
@@ -365,7 +384,7 @@ mod tests {
         assert_ne!(rewritten, takes_y);
         let info = u.sig_info(rewritten);
         let fy = plan.family(ids.y).unwrap();
-        assert_eq!(info.params, vec![Ty::Object(fy.obj_int)]);
+        assert_eq!(info.params, vec![Ty::Object(fy.obj.int)]);
     }
 
     #[test]
@@ -378,7 +397,7 @@ mod tests {
         let fy = plan.family(ids.y).unwrap();
         assert_eq!(
             info.params,
-            vec![Ty::Object(fx.obj_int), Ty::Object(fy.obj_int)]
+            vec![Ty::Object(fx.obj.int), Ty::Object(fy.obj.int)]
         );
     }
 

@@ -23,7 +23,7 @@
 //! Jump targets, exception-handler ranges and local indices (shifted by one
 //! when a static method gains a receiver) are all remapped.
 
-use crate::plan::TransformPlan;
+use crate::plan::{Family, Half, TransformPlan};
 use rafda_classmodel::{ClassId, ClassUniverse, Insn, MethodBody, TryHandler};
 
 /// How a body is being re-hosted.
@@ -85,7 +85,7 @@ pub fn rewrite_body(
 
             Insn::GetField(fr) => match plan.family(fr.owner) {
                 Some(f) => out.push(Insn::Invoke {
-                    sig: f.getters[fr.index as usize],
+                    sig: f.obj.getters[fr.index as usize],
                     argc: 0,
                 }),
                 None => out.push(insn.clone()),
@@ -93,7 +93,7 @@ pub fn rewrite_body(
             Insn::PutField(fr) => match plan.family(fr.owner) {
                 Some(f) => {
                     out.push(Insn::Invoke {
-                        sig: f.setters[fr.index as usize],
+                        sig: f.obj.setters[fr.index as usize],
                         argc: 1,
                     });
                     out.push(Insn::Pop);
@@ -105,7 +105,7 @@ pub fn rewrite_body(
                 Some(f) => {
                     push_static_receiver(&mut out, plan, ctx, fr.owner);
                     out.push(Insn::Invoke {
-                        sig: f.static_getters[fr.index as usize],
+                        sig: statics_of(f).getters[fr.index as usize],
                         argc: 0,
                     });
                 }
@@ -116,7 +116,7 @@ pub fn rewrite_body(
                     push_static_receiver(&mut out, plan, ctx, fr.owner);
                     out.push(Insn::Swap);
                     out.push(Insn::Invoke {
-                        sig: f.static_setters[fr.index as usize],
+                        sig: statics_of(f).setters[fr.index as usize],
                         argc: 1,
                     });
                     out.push(Insn::Pop);
@@ -132,7 +132,7 @@ pub fn rewrite_body(
                         out.push(Insn::StoreLocal(tmp + u16::from(i)));
                     }
                     out.push(Insn::InvokeStatic {
-                        class: f.obj_factory,
+                        class: f.obj.factory,
                         sig: f.make_sig,
                         argc: 0,
                     });
@@ -141,7 +141,7 @@ pub fn rewrite_body(
                         out.push(Insn::LoadLocal(tmp + u16::from(i)));
                     }
                     out.push(Insn::InvokeStatic {
-                        class: f.obj_factory,
+                        class: f.obj.factory,
                         sig: f.init_sigs[*ctor as usize],
                         argc: argc + 1,
                     });
@@ -192,10 +192,10 @@ pub fn rewrite_body(
             }
 
             Insn::InstanceOf(c) => out.push(Insn::InstanceOf(
-                plan.family(*c).map(|f| f.obj_int).unwrap_or(*c),
+                plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
             )),
             Insn::CheckCast(c) => out.push(Insn::CheckCast(
-                plan.family(*c).map(|f| f.obj_int).unwrap_or(*c),
+                plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
             )),
 
             Insn::NewArray(ty) => out.push(Insn::NewArray(plan.rewrite_ty(ty))),
@@ -254,11 +254,17 @@ fn push_static_receiver(out: &mut Vec<Insn>, plan: &TransformPlan, ctx: BodyCtx,
     } else {
         let f = plan.family(owner).expect("substitutable owner");
         out.push(Insn::InvokeStatic {
-            class: f.cls_factory.expect("static family exists"),
-            sig: f.discover_sig.expect("discover sig"),
+            class: statics_of(f).factory,
+            sig: f.discover_sig,
             argc: 0,
         });
     }
+}
+
+/// The class half of the family a static member access resolved to.
+fn statics_of(family: &Family) -> &Half {
+    let cls = family.cls.as_ref();
+    cls.expect("a class with a static member has a class half")
 }
 
 #[cfg(test)]
@@ -293,7 +299,7 @@ mod tests {
         assert!(
             out.code
                 .iter()
-                .any(|i| matches!(i, Insn::Invoke { sig, .. } if *sig == fx.getters[0])),
+                .any(|i| matches!(i, Insn::Invoke { sig, .. } if *sig == fx.obj.getters[0])),
             "{out:?}"
         );
         assert!(
@@ -314,7 +320,7 @@ mod tests {
         assert_eq!(
             out.code[1],
             Insn::Invoke {
-                sig: fx.static_getters[0],
+                sig: statics_of(fx).getters[0],
                 argc: 0
             }
         );
@@ -339,15 +345,15 @@ mod tests {
         let fz = plan.family(ids.z).unwrap();
         let fx = plan.family(ids.x).unwrap();
         // Y.K read goes through Y_C_Factory.discover().get_K()
-        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, .. } if *class == fy.cls_factory.unwrap())), "{out:?}");
+        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, .. } if *class == statics_of(fy).factory)), "{out:?}");
         // new Z goes through Z_O_Factory.make + init$0
-        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, sig, .. } if *class == fz.obj_factory && *sig == fz.make_sig)));
-        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, sig, .. } if *class == fz.obj_factory && *sig == fz.init_sigs[0])));
+        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, sig, .. } if *class == fz.obj.factory && *sig == fz.make_sig)));
+        assert!(out.code.iter().any(|i| matches!(i, Insn::InvokeStatic { class, sig, .. } if *class == fz.obj.factory && *sig == fz.init_sigs[0])));
         // that.set_z(…) via local 0
         assert!(out
             .code
             .iter()
-            .any(|i| matches!(i, Insn::Invoke { sig, .. } if *sig == fx.static_setters[0])));
+            .any(|i| matches!(i, Insn::Invoke { sig, .. } if *sig == statics_of(fx).setters[0])));
         assert!(!out.code.iter().any(|i| matches!(
             i,
             Insn::PutStatic(_) | Insn::GetStatic(_) | Insn::NewInit { .. }
@@ -371,7 +377,7 @@ mod tests {
         let fx = plan.family(ids.x).unwrap();
         // arg stashed, discover pushed, arg restored, instance invoke.
         assert!(out.code.iter().any(
-            |i| matches!(i, Insn::InvokeStatic { class, .. } if *class == fx.cls_factory.unwrap())
+            |i| matches!(i, Insn::InvokeStatic { class, .. } if *class == statics_of(fx).factory)
         ));
         assert!(out.code.iter().any(|i| matches!(i, Insn::StoreLocal(_))));
         assert!(out.code.iter().any(|i| matches!(i, Insn::Invoke { .. })));

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{sample, verify_universe, ClassKind, ClassUniverse, Field, Ty, Visibility};
-use rafda_transform::{analyze, Transformer};
+use rafda_transform::{analyze, TransformReport, Transformer};
 
 // ----------------------------------------------------------------------
 // Arrays of transformed types (§2.4 "arrays")
@@ -44,9 +44,9 @@ fn array_types_are_rewritten_to_interface_arrays() {
     verify_universe(&u).unwrap();
     let fy = outcome.plan.family(ids.y).unwrap();
     let fp = outcome.plan.family(pool).unwrap();
-    let c = u.class(fp.obj_local);
+    let c = u.class(fp.obj.local);
     // The field type became Y_O_Int[].
-    assert_eq!(c.fields[0].ty, Ty::Object(fy.obj_int).array_of());
+    assert_eq!(c.fields[0].ty, Ty::Object(fy.obj.int).array_of());
     // NewArray sites were rewritten.
     let fill = &c.methods[c.method_index("fill").unwrap() as usize];
     assert!(fill
@@ -55,7 +55,7 @@ fn array_types_are_rewritten_to_interface_arrays() {
         .unwrap()
         .code
         .iter()
-        .any(|i| matches!(i, rafda_classmodel::Insn::NewArray(Ty::Object(t)) if *t == fy.obj_int)));
+        .any(|i| matches!(i, rafda_classmodel::Insn::NewArray(Ty::Object(t)) if *t == fy.obj.int)));
 }
 
 // ----------------------------------------------------------------------
@@ -94,8 +94,8 @@ fn user_interfaces_are_kept_and_implemented_by_locals() {
     let fh = outcome.plan.family(impl_class).unwrap();
     // Hello_O_Local implements both Hello_O_Int and the user interface, so
     // instanceof/checkcast against Greeter keep working.
-    assert!(u.is_subtype(fh.obj_local, fh.obj_int));
-    assert!(u.is_subtype(fh.obj_local, iface));
+    assert!(u.is_subtype(fh.obj.local, fh.obj.int));
+    assert!(u.is_subtype(fh.obj.local, iface));
     // The user interface itself was not familied (only classes are
     // substitutable).
     assert!(u.by_name("Greeter_O_Int").is_none());
@@ -128,7 +128,7 @@ fn instanceof_and_checkcast_sites_use_the_extracted_interface() {
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
     let fy = outcome.plan.family(ids.y).unwrap();
     let fp = outcome.plan.family(probe).unwrap();
-    let c = u.class(fp.obj_local);
+    let c = u.class(fp.obj.local);
     let m = &c.methods[c.method_index("is_y").unwrap() as usize];
     assert!(m
         .body
@@ -136,7 +136,7 @@ fn instanceof_and_checkcast_sites_use_the_extracted_interface() {
         .unwrap()
         .code
         .iter()
-        .any(|i| matches!(i, rafda_classmodel::Insn::InstanceOf(t) if *t == fy.obj_int)));
+        .any(|i| matches!(i, rafda_classmodel::Insn::InstanceOf(t) if *t == fy.obj.int)));
 }
 
 // ----------------------------------------------------------------------
@@ -186,11 +186,11 @@ fn abstract_classes_produce_abstract_locals() {
     verify_universe(&u).unwrap();
     let fb = outcome.plan.family(base).unwrap();
     let fs = outcome.plan.family(square).unwrap();
-    assert!(u.class(fb.obj_local).is_abstract);
-    assert!(!u.class(fs.obj_local).is_abstract);
+    assert!(u.class(fb.obj.local).is_abstract);
+    assert!(!u.class(fs.obj.local).is_abstract);
     // Square_O_Local extends Shape_O_Local; interface mirrors hierarchy.
-    assert_eq!(u.class(fs.obj_local).superclass, Some(fb.obj_local));
-    assert!(u.is_subtype(fs.obj_int, fb.obj_int));
+    assert_eq!(u.class(fs.obj.local).superclass, Some(fb.obj.local));
+    assert!(u.is_subtype(fs.obj.int, fb.obj.int));
 }
 
 // ----------------------------------------------------------------------
@@ -247,23 +247,10 @@ proptest! {
         statics in any::<bool>(),
     ) {
         let mut u = ClassUniverse::new();
-        // Observer stand-in so the generator has an emit target.
-        let obs_class = u.declare("Obs", ClassKind::Class);
-        let emit = u.sig("emit", vec![Ty::Long]);
-        u.class_mut(obs_class).is_special = true;
-        u.class_mut(obs_class).methods.push(rafda_classmodel::Method {
-            name: "emit".into(),
-            sig: emit,
-            params: vec![Ty::Long],
-            ret: Ty::Void,
-            visibility: Visibility::Public,
-            is_static: true,
-            is_native: true,
-            body: None,
-        });
+        let hooks = observer_stand_in(&mut u);
         let info = rafda_corpus::generate_app(
             &mut u,
-            rafda_corpus::ObserverHooks { class: obs_class, emit },
+            hooks,
             &rafda_corpus::AppSpec { classes, int_fields: 2, statics, inheritance: seed % 2 == 0, arrays: seed % 3 == 0, seed },
         );
         let outcome = Transformer::new()
@@ -277,11 +264,106 @@ proptest! {
         );
         // Every family has a complete O-side.
         for family in outcome.plan.families.values() {
-            prop_assert_eq!(family.obj_proxies.len(), 3);
+            prop_assert_eq!(family.obj.proxies.len(), 3);
             prop_assert_eq!(
-                family.getters.len(),
+                family.obj.getters.len(),
                 u.class(family.base).fields.len()
             );
         }
     }
+}
+
+/// Observer stand-in so the app generator has an emit target.
+fn observer_stand_in(u: &mut ClassUniverse) -> rafda_corpus::ObserverHooks {
+    let class = u.declare("Obs", ClassKind::Class);
+    let emit = u.sig("emit", vec![Ty::Long]);
+    u.class_mut(class).is_special = true;
+    u.class_mut(class).methods.push(rafda_classmodel::Method {
+        name: "emit".into(),
+        sig: emit,
+        params: vec![Ty::Long],
+        ret: Ty::Void,
+        visibility: Visibility::Public,
+        is_static: true,
+        is_native: true,
+        body: None,
+    });
+    rafda_corpus::ObserverHooks { class, emit }
+}
+
+// ----------------------------------------------------------------------
+// The generated universe at corpus scale is a pinned artefact
+// ----------------------------------------------------------------------
+
+/// FNV-1a over the disassembly and the method signature ids of every class
+/// in id order: class ids, signature ids, member order and rewritten bodies
+/// folded into one number.
+fn universe_fingerprint(u: &ClassUniverse) -> u64 {
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (id, class) in u.iter() {
+        feed(rafda_classmodel::pretty::disassemble(u, id).as_bytes());
+        for m in &class.methods {
+            feed(&m.sig.0.to_le_bytes());
+        }
+    }
+    fnv
+}
+
+/// A 500-class JDK-shaped corpus (no static members: `_O_` halves only) and
+/// a 40-class generated application (statics, inheritance, arrays: both
+/// halves), each transformed for three protocols. The literals were minted
+/// by running this test on the commit before the family generator was
+/// unified; a refactoring of the planner or the generators must leave them
+/// alone.
+#[test]
+fn corpus_scale_universe_fingerprint_is_pinned() {
+    let transform = |u: &mut ClassUniverse| {
+        let transformer = Transformer::new().protocols(&["RMI", "SOAP", "CORBA"]);
+        let report = transformer.run(u).unwrap().report;
+        (universe_fingerprint(u), u.sig_count(), report)
+    };
+
+    let mut profile = rafda_corpus::JdkProfile::scaled(500);
+    profile.seed = 42;
+    let mut u = ClassUniverse::new();
+    rafda_corpus::generate_jdk(&mut u, &profile);
+    let jdk = TransformReport {
+        analyzed: 555,
+        non_transformable: 235,
+        substitutable_count: 263,
+        rewritten_in_place: 57,
+        generated_classes: 1578,
+        generated_methods: 9168,
+        accessors: 4210,
+        proxy_classes: 789,
+    };
+    assert_eq!(transform(&mut u), (0x0a90_f001_65b8_f63d, 699, jdk));
+
+    let mut u = ClassUniverse::new();
+    let hooks = observer_stand_in(&mut u);
+    let spec = rafda_corpus::AppSpec {
+        classes: 40,
+        int_fields: 2,
+        statics: true,
+        inheritance: true,
+        arrays: true,
+        seed: 42,
+    };
+    rafda_corpus::generate_app(&mut u, hooks, &spec);
+    let app = TransformReport {
+        analyzed: 52,
+        non_transformable: 1,
+        substitutable_count: 51,
+        rewritten_in_place: 0,
+        generated_classes: 396,
+        generated_methods: 2749,
+        accessors: 1830,
+        proxy_classes: 198,
+    };
+    assert_eq!(transform(&mut u), (0x4150_0bb2_550a_0df8, 124, app));
 }

@@ -147,7 +147,7 @@ fn figure5_x_o_factory() {
     assert!(make.is_static && make.is_native);
     let x = u.by_name("X").unwrap();
     let fx = plan.family(x).unwrap();
-    assert_eq!(make.ret, rafda::Ty::Object(fx.obj_int));
+    assert_eq!(make.ret, rafda::Ty::Object(fx.obj.int));
     // public static void init(X_O_Int that, Y_O_Int y) { that.set_y(y); }
     let init = &c.methods[c.method_index("init$0").unwrap() as usize];
     assert!(init.is_static && !init.is_native);
