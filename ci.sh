@@ -171,6 +171,34 @@ if [ "$(grep -rlE '\benum Side\b' crates | wc -l)" -ne 1 ]; then
   exit 1
 fi
 
+echo "== one call path in the VM: a frame is a window on one stack =="
+# Every call — three entry points, three `step` arms, <clinit> — is
+# `Vm::invoke(owner, idx, stack, base)`: the arguments stay where the caller
+# left them, `cur_depth` is the only depth counter, and a statics row is
+# what "initialised" means. A helper that copies arguments out, a threaded
+# `depth`, an init-state map or a second copy of the unresolved-method
+# message means a call is being made a second way again.
+vm_product=$(sed '/^#\[cfg(test)\]/,$d' crates/vm/src/vm.rs)
+if grep -nE 'split_args|InitState|exec_frame|\bdepth: u32' <<<"$vm_product"; then
+  echo "FAIL: crates/vm/src/vm.rs has a second call path, depth counter or init table" >&2
+  exit 1
+fi
+# (Matched across lines: rustfmt splits the format! call.)
+miss_sites=$(grep -Pzo '"\{\}::\{\}",\s*self\.universe\.class\([^)]*\)\.name,\s*self\.universe\.sig_info\(' \
+    <<<"$vm_product" | tr -cd '\0' | wc -c)
+if [ "$miss_sites" -ne 1 ]; then
+  echo "FAIL: the class::signature UnresolvedMethod message is formatted at $miss_sites sites, not 1" >&2
+  exit 1
+fi
+# No vector is built per call: the only `vec![` on the call path is the
+# array `NewArray` allocates.
+if sed -n '/^    fn \(on_entry_stack\|construct\|invoke\|step\)\b/,/^    }$/p' <<<"$vm_product" \
+    | grep -nE 'Vec::with_capacity|vec!\[|split_off|\.to_vec\(\)' \
+    | grep -v 'vec!\[Value::default_for(elem); len as usize\]'; then
+  echo "FAIL: the VM's call path builds a vector per call" >&2
+  exit 1
+fi
+
 echo "== one harness per question: no bench targets, no criterion =="
 # Tables live in experiments_report, bars in tier-1 tests, wall clock in
 # benchmark/: a [[bench]] target or a criterion dependency in a workspace

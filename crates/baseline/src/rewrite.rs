@@ -2,7 +2,7 @@
 //! accessor calls; every `new A(…)` additionally allocates the wrapper
 //! ("all references to that object are altered to refer to the wrapper").
 
-use rafda_classmodel::{ClassId, Insn, MethodBody, SigId, TryHandler};
+use rafda_classmodel::{ClassId, Insn, MethodBody, SigId};
 use std::collections::HashMap;
 
 /// What the rewriter needs to know per wrapped class.
@@ -18,71 +18,35 @@ pub struct WrapPlan {
 
 /// Rewrite one body under the wrapper plan.
 pub fn rewrite_body(plan: &WrapPlan, body: &MethodBody) -> MethodBody {
-    let mut chunks: Vec<Vec<Insn>> = Vec::with_capacity(body.code.len());
-    for insn in &body.code {
-        let mut out = Vec::with_capacity(1);
-        match insn {
-            Insn::GetField(fr) => match plan.getters.get(&(fr.owner, fr.index)) {
-                Some(&sig) => out.push(Insn::Invoke { sig, argc: 0 }),
-                None => out.push(insn.clone()),
-            },
-            Insn::PutField(fr) => match plan.setters.get(&(fr.owner, fr.index)) {
-                Some(&sig) => {
-                    out.push(Insn::Invoke { sig, argc: 1 });
-                    out.push(Insn::Pop);
-                }
-                None => out.push(insn.clone()),
-            },
-            Insn::NewInit { class, ctor, argc } => match plan.wrappers.get(class) {
-                Some(&(wrapper, wrapper_ctor)) => {
-                    out.push(Insn::NewInit {
-                        class: *class,
-                        ctor: *ctor,
-                        argc: *argc,
-                    });
-                    out.push(Insn::NewInit {
-                        class: wrapper,
-                        ctor: wrapper_ctor,
-                        argc: 1,
-                    });
-                }
-                None => out.push(insn.clone()),
-            },
-            other => out.push(other.clone()),
-        }
-        chunks.push(out);
-    }
-    let mut new_pc = Vec::with_capacity(chunks.len() + 1);
-    let mut acc = 0u32;
-    for chunk in &chunks {
-        new_pc.push(acc);
-        acc += chunk.len() as u32;
-    }
-    new_pc.push(acc);
-    let mut code = Vec::with_capacity(acc as usize);
-    for chunk in chunks {
-        for mut insn in chunk {
-            if let Insn::Jump(t) | Insn::JumpIf(t) | Insn::JumpIfNot(t) = &mut insn {
-                *t = new_pc[*t as usize];
+    body.splice(|insn, out| match insn {
+        Insn::GetField(fr) => match plan.getters.get(&(fr.owner, fr.index)) {
+            Some(&sig) => out.push(Insn::Invoke { sig, argc: 0 }),
+            None => out.push(insn.clone()),
+        },
+        Insn::PutField(fr) => match plan.setters.get(&(fr.owner, fr.index)) {
+            Some(&sig) => {
+                out.push(Insn::Invoke { sig, argc: 1 });
+                out.push(Insn::Pop);
             }
-            code.push(insn);
-        }
-    }
-    let handlers = body
-        .handlers
-        .iter()
-        .map(|h| TryHandler {
-            start: new_pc[h.start as usize],
-            end: new_pc[h.end as usize],
-            target: new_pc[h.target as usize],
-            catch: h.catch,
-        })
-        .collect();
-    MethodBody {
-        max_locals: body.max_locals,
-        code,
-        handlers,
-    }
+            None => out.push(insn.clone()),
+        },
+        Insn::NewInit { class, ctor, argc } => match plan.wrappers.get(class) {
+            Some(&(wrapper, wrapper_ctor)) => {
+                out.push(Insn::NewInit {
+                    class: *class,
+                    ctor: *ctor,
+                    argc: *argc,
+                });
+                out.push(Insn::NewInit {
+                    class: wrapper,
+                    ctor: wrapper_ctor,
+                    argc: 1,
+                });
+            }
+            None => out.push(insn.clone()),
+        },
+        other => out.push(other.clone()),
+    })
 }
 
 #[cfg(test)]
@@ -127,34 +91,20 @@ mod tests {
     }
 
     #[test]
-    fn new_sites_wrap_and_jumps_remap() {
-        let body = MethodBody {
-            max_locals: 1,
-            code: vec![
-                Insn::Const(rafda_classmodel::Const::Bool(true)),
-                Insn::JumpIf(4),
-                Insn::NewInit {
-                    class: ClassId(1),
-                    ctor: 0,
-                    argc: 0,
-                },
-                Insn::Pop,
-                Insn::Return,
-            ],
-            handlers: vec![],
+    fn new_sites_wrap() {
+        let new_a = Insn::NewInit {
+            class: ClassId(1),
+            ctor: 0,
+            argc: 0,
         };
+        let body = MethodBody::straight_line(vec![new_a.clone(), Insn::Pop, Insn::Return], 1);
         let out = rewrite_body(&plan(), &body);
-        // NewInit expanded to 2 insns; target 4 -> 5.
-        assert_eq!(out.code.len(), 6);
-        assert_eq!(out.code[1], Insn::JumpIf(5));
-        assert_eq!(
-            out.code[3],
-            Insn::NewInit {
-                class: ClassId(9),
-                ctor: 0,
-                argc: 1
-            }
-        );
+        let wrap = Insn::NewInit {
+            class: ClassId(9),
+            ctor: 0,
+            argc: 1,
+        };
+        assert_eq!(out.code, [new_a, wrap, Insn::Pop, Insn::Return]);
     }
 
     #[test]

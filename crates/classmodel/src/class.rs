@@ -145,6 +145,41 @@ impl MethodBody {
             handlers: Vec::new(),
         }
     }
+
+    /// The body with every instruction replaced by what `expand` appends
+    /// for it. Branch targets and handler ranges name instructions of
+    /// `self` and are moved to where those instructions' expansions start
+    /// (a handler `end` one past the last pc maps to the new length);
+    /// `max_locals` is carried over.
+    pub fn splice(&self, mut expand: impl FnMut(&Insn, &mut Vec<Insn>)) -> MethodBody {
+        let mut code = Vec::with_capacity(self.code.len());
+        let mut new_pc = Vec::with_capacity(self.code.len() + 1);
+        for insn in &self.code {
+            new_pc.push(code.len() as u32);
+            expand(insn, &mut code);
+        }
+        new_pc.push(code.len() as u32);
+        for insn in &mut code {
+            if let Insn::Jump(t) | Insn::JumpIf(t) | Insn::JumpIfNot(t) = insn {
+                *t = new_pc[*t as usize];
+            }
+        }
+        let handlers = self
+            .handlers
+            .iter()
+            .map(|h| TryHandler {
+                start: new_pc[h.start as usize],
+                end: new_pc[h.end as usize],
+                target: new_pc[h.target as usize],
+                catch: h.catch,
+            })
+            .collect();
+        MethodBody {
+            max_locals: self.max_locals,
+            code,
+            handlers,
+        }
+    }
 }
 
 /// A method (including constructors, named `<init>$k`, and the static
@@ -371,6 +406,65 @@ mod tests {
         assert!(!c.has_native_method());
         c.methods.push(dummy_method("n", false, true));
         assert!(c.has_native_method());
+    }
+
+    #[test]
+    fn splice_remaps_jumps_and_handlers() {
+        // `Dup` grows to two instructions and `Pop` vanishes, so targets
+        // after them move by +1 and then back by -1.
+        let body = MethodBody {
+            max_locals: 3,
+            code: vec![
+                Insn::JumpIf(3),    // 0 -> 0
+                Insn::Dup,          // 1 -> 1,2
+                Insn::JumpIfNot(1), // 2 -> 3
+                Insn::Pop,          // 3 -> (nothing)
+                Insn::Jump(4),      // 4 -> 4
+                Insn::Return,       // 5 -> 5
+            ],
+            handlers: vec![
+                TryHandler {
+                    start: 1,
+                    end: 3,
+                    target: 5,
+                    catch: Some(ClassId(7)),
+                },
+                // `end` is one past the last pc: it names no instruction.
+                TryHandler {
+                    start: 2,
+                    end: 6,
+                    target: 2,
+                    catch: None,
+                },
+            ],
+        };
+        let out = body.splice(|insn, out| match insn {
+            Insn::Dup => out.extend([Insn::Dup, Insn::Swap]),
+            Insn::Pop => {}
+            other => out.push(other.clone()),
+        });
+        assert_eq!(out.max_locals, 3);
+        assert_eq!(
+            out.code,
+            [
+                Insn::JumpIf(4),
+                Insn::Dup,
+                Insn::Swap,
+                Insn::JumpIfNot(1),
+                Insn::Jump(4),
+                Insn::Return,
+            ]
+        );
+        let ranges: Vec<_> = out
+            .handlers
+            .iter()
+            .map(|h| (h.start, h.end, h.target, h.catch))
+            .collect();
+        assert_eq!(
+            ranges,
+            [(1, 4, 5, Some(ClassId(7))), (3, 6, 3, None)],
+            "{out:?}"
+        );
     }
 
     #[test]

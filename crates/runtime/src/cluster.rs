@@ -696,43 +696,9 @@ impl Cluster {
     pub fn bind_observer(&self, ids: &rafda_vm::vm::ObserverIds) {
         for vm in &self.shared.vms {
             let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                let v = match args {
-                    [Value::Long(v)] => *v,
-                    [Value::Int(v)] => i64::from(*v),
-                    _ => return Err(VmError::type_error("Observer.emit expects long")),
-                };
-                shared.trace.borrow_mut().push(TraceEvent::Emit(v));
-                Ok(Value::Null)
-            });
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit_str, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                match args {
-                    [Value::Str(s)] => {
-                        shared
-                            .trace
-                            .borrow_mut()
-                            .push(TraceEvent::EmitStr(s.to_string()));
-                        Ok(Value::Null)
-                    }
-                    _ => Err(VmError::type_error("Observer.emit_str expects String")),
-                }
-            });
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit_double, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                match args {
-                    [Value::Double(d)] => {
-                        shared
-                            .trace
-                            .borrow_mut()
-                            .push(TraceEvent::EmitDouble(d.to_bits()));
-                        Ok(Value::Null)
-                    }
-                    _ => Err(VmError::type_error("Observer.emit_double expects double")),
-                }
+            vm.bind_observer_to(ids, move |_vm, event| {
+                upgrade(&weak)?.trace.borrow_mut().push(event);
+                Ok(())
             });
         }
     }

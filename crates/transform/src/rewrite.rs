@@ -24,7 +24,7 @@
 //! when a static method gains a receiver) are all remapped.
 
 use crate::plan::{Family, Half, TransformPlan};
-use rafda_classmodel::{ClassId, ClassUniverse, Insn, MethodBody, TryHandler};
+use rafda_classmodel::{ClassId, ClassUniverse, Insn, MethodBody};
 
 /// How a body is being re-hosted.
 #[derive(Debug, Clone, Copy)]
@@ -75,175 +75,131 @@ pub fn rewrite_body(
         base
     };
 
-    // Expand each instruction into a replacement sequence.
-    let mut chunks: Vec<Vec<Insn>> = Vec::with_capacity(body.code.len());
-    for insn in &body.code {
-        let mut out = Vec::with_capacity(1);
-        match insn {
-            Insn::LoadLocal(n) => out.push(Insn::LoadLocal(n + ctx.locals_shift)),
-            Insn::StoreLocal(n) => out.push(Insn::StoreLocal(n + ctx.locals_shift)),
+    let mut out = body.splice(|insn, out| match insn {
+        Insn::LoadLocal(n) => out.push(Insn::LoadLocal(n + ctx.locals_shift)),
+        Insn::StoreLocal(n) => out.push(Insn::StoreLocal(n + ctx.locals_shift)),
 
-            Insn::GetField(fr) => match plan.family(fr.owner) {
-                Some(f) => out.push(Insn::Invoke {
-                    sig: f.obj.getters[fr.index as usize],
-                    argc: 0,
-                }),
-                None => out.push(insn.clone()),
-            },
-            Insn::PutField(fr) => match plan.family(fr.owner) {
-                Some(f) => {
-                    out.push(Insn::Invoke {
-                        sig: f.obj.setters[fr.index as usize],
-                        argc: 1,
-                    });
-                    out.push(Insn::Pop);
-                }
-                None => out.push(insn.clone()),
-            },
-
-            Insn::GetStatic(fr) => match plan.family(fr.owner) {
-                Some(f) => {
-                    push_static_receiver(&mut out, plan, ctx, fr.owner);
-                    out.push(Insn::Invoke {
-                        sig: statics_of(f).getters[fr.index as usize],
-                        argc: 0,
-                    });
-                }
-                None => out.push(insn.clone()),
-            },
-            Insn::PutStatic(fr) => match plan.family(fr.owner) {
-                Some(f) => {
-                    push_static_receiver(&mut out, plan, ctx, fr.owner);
-                    out.push(Insn::Swap);
-                    out.push(Insn::Invoke {
-                        sig: statics_of(f).setters[fr.index as usize],
-                        argc: 1,
-                    });
-                    out.push(Insn::Pop);
-                }
-                None => out.push(insn.clone()),
-            },
-
-            Insn::NewInit { class, ctor, argc } => match plan.family(*class) {
-                Some(f) => {
-                    // Stash arguments, make(), dup, unstash, init$k, pop.
-                    let tmp = alloc_temp(u16::from(*argc));
-                    for i in (0..*argc).rev() {
-                        out.push(Insn::StoreLocal(tmp + u16::from(i)));
-                    }
-                    out.push(Insn::InvokeStatic {
-                        class: f.obj.factory,
-                        sig: f.make_sig,
-                        argc: 0,
-                    });
-                    out.push(Insn::Dup);
-                    for i in 0..*argc {
-                        out.push(Insn::LoadLocal(tmp + u16::from(i)));
-                    }
-                    out.push(Insn::InvokeStatic {
-                        class: f.obj.factory,
-                        sig: f.init_sigs[*ctor as usize],
-                        argc: argc + 1,
-                    });
-                    out.push(Insn::Pop);
-                }
-                None => out.push(insn.clone()),
-            },
-
-            Insn::Invoke { sig, argc } => out.push(Insn::Invoke {
-                sig: plan.rewrite_sig(*sig),
-                argc: *argc,
+        Insn::GetField(fr) => match plan.family(fr.owner) {
+            Some(f) => out.push(Insn::Invoke {
+                sig: f.obj.getters[fr.index as usize],
+                argc: 0,
             }),
+            None => out.push(insn.clone()),
+        },
+        Insn::PutField(fr) => match plan.family(fr.owner) {
+            Some(f) => {
+                out.push(Insn::Invoke {
+                    sig: f.obj.setters[fr.index as usize],
+                    argc: 1,
+                });
+                out.push(Insn::Pop);
+            }
+            None => out.push(insn.clone()),
+        },
 
-            Insn::InvokeStatic { class, sig, argc } => {
-                match universe.resolve_static(*class, *sig) {
-                    Some((owner, idx)) if plan.is_substitutable(owner) => {
-                        // Static call becomes an instance call on the
-                        // singleton implementing the class interface.
-                        let inst_sig = plan.method_sigs[&(owner, idx)];
-                        if *argc == 0 {
-                            push_static_receiver(&mut out, plan, ctx, owner);
-                        } else {
-                            let tmp = alloc_temp(u16::from(*argc));
-                            for i in (0..*argc).rev() {
-                                out.push(Insn::StoreLocal(tmp + u16::from(i)));
-                            }
-                            push_static_receiver(&mut out, plan, ctx, owner);
-                            for i in 0..*argc {
-                                out.push(Insn::LoadLocal(tmp + u16::from(i)));
-                            }
+        Insn::GetStatic(fr) => match plan.family(fr.owner) {
+            Some(f) => {
+                push_static_receiver(out, plan, ctx, fr.owner);
+                out.push(Insn::Invoke {
+                    sig: statics_of(f).getters[fr.index as usize],
+                    argc: 0,
+                });
+            }
+            None => out.push(insn.clone()),
+        },
+        Insn::PutStatic(fr) => match plan.family(fr.owner) {
+            Some(f) => {
+                push_static_receiver(out, plan, ctx, fr.owner);
+                out.push(Insn::Swap);
+                out.push(Insn::Invoke {
+                    sig: statics_of(f).setters[fr.index as usize],
+                    argc: 1,
+                });
+                out.push(Insn::Pop);
+            }
+            None => out.push(insn.clone()),
+        },
+
+        Insn::NewInit { class, ctor, argc } => match plan.family(*class) {
+            Some(f) => {
+                // Stash arguments, make(), dup, unstash, init$k, pop.
+                let tmp = alloc_temp(u16::from(*argc));
+                for i in (0..*argc).rev() {
+                    out.push(Insn::StoreLocal(tmp + u16::from(i)));
+                }
+                out.push(Insn::InvokeStatic {
+                    class: f.obj.factory,
+                    sig: f.make_sig,
+                    argc: 0,
+                });
+                out.push(Insn::Dup);
+                for i in 0..*argc {
+                    out.push(Insn::LoadLocal(tmp + u16::from(i)));
+                }
+                out.push(Insn::InvokeStatic {
+                    class: f.obj.factory,
+                    sig: f.init_sigs[*ctor as usize],
+                    argc: argc + 1,
+                });
+                out.push(Insn::Pop);
+            }
+            None => out.push(insn.clone()),
+        },
+
+        Insn::Invoke { sig, argc } => out.push(Insn::Invoke {
+            sig: plan.rewrite_sig(*sig),
+            argc: *argc,
+        }),
+
+        Insn::InvokeStatic { class, sig, argc } => {
+            match universe.resolve_static(*class, *sig) {
+                Some((owner, idx)) if plan.is_substitutable(owner) => {
+                    // Static call becomes an instance call on the
+                    // singleton implementing the class interface.
+                    let inst_sig = plan.method_sigs[&(owner, idx)];
+                    if *argc == 0 {
+                        push_static_receiver(out, plan, ctx, owner);
+                    } else {
+                        let tmp = alloc_temp(u16::from(*argc));
+                        for i in (0..*argc).rev() {
+                            out.push(Insn::StoreLocal(tmp + u16::from(i)));
                         }
-                        out.push(Insn::Invoke {
-                            sig: inst_sig,
-                            argc: *argc,
-                        });
+                        push_static_receiver(out, plan, ctx, owner);
+                        for i in 0..*argc {
+                            out.push(Insn::LoadLocal(tmp + u16::from(i)));
+                        }
                     }
-                    Some((owner, idx)) if plan.transformable.contains(&owner) => {
-                        // Stays static; retarget to the declaring class and
-                        // rewrite the signature.
-                        out.push(Insn::InvokeStatic {
-                            class: owner,
-                            sig: plan.method_sigs[&(owner, idx)],
-                            argc: *argc,
-                        });
-                    }
-                    _ => out.push(insn.clone()),
+                    out.push(Insn::Invoke {
+                        sig: inst_sig,
+                        argc: *argc,
+                    });
                 }
-            }
-
-            Insn::InstanceOf(c) => out.push(Insn::InstanceOf(
-                plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
-            )),
-            Insn::CheckCast(c) => out.push(Insn::CheckCast(
-                plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
-            )),
-
-            Insn::NewArray(ty) => out.push(Insn::NewArray(plan.rewrite_ty(ty))),
-
-            other => out.push(other.clone()),
-        }
-        chunks.push(out);
-    }
-
-    // Prefix sums map old pcs to new pcs (plus one-past-the-end entry).
-    let mut new_pc = Vec::with_capacity(chunks.len() + 1);
-    let mut acc = 0u32;
-    for chunk in &chunks {
-        new_pc.push(acc);
-        acc += chunk.len() as u32;
-    }
-    new_pc.push(acc);
-
-    // Flatten and patch branch targets.
-    let mut code = Vec::with_capacity(acc as usize);
-    for chunk in chunks {
-        for mut insn in chunk {
-            match &mut insn {
-                Insn::Jump(t) | Insn::JumpIf(t) | Insn::JumpIfNot(t) => {
-                    *t = new_pc[*t as usize];
+                Some((owner, idx)) if plan.transformable.contains(&owner) => {
+                    // Stays static; retarget to the declaring class and
+                    // rewrite the signature.
+                    out.push(Insn::InvokeStatic {
+                        class: owner,
+                        sig: plan.method_sigs[&(owner, idx)],
+                        argc: *argc,
+                    });
                 }
-                _ => {}
+                _ => out.push(insn.clone()),
             }
-            code.push(insn);
         }
-    }
 
-    let handlers = body
-        .handlers
-        .iter()
-        .map(|h| TryHandler {
-            start: new_pc[h.start as usize],
-            end: new_pc[h.end as usize],
-            target: new_pc[h.target as usize],
-            catch: h.catch,
-        })
-        .collect();
+        Insn::InstanceOf(c) => out.push(Insn::InstanceOf(
+            plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
+        )),
+        Insn::CheckCast(c) => out.push(Insn::CheckCast(
+            plan.family(*c).map(|f| f.obj.int).unwrap_or(*c),
+        )),
 
-    MethodBody {
-        max_locals,
-        code,
-        handlers,
-    }
+        Insn::NewArray(ty) => out.push(Insn::NewArray(plan.rewrite_ty(ty))),
+
+        other => out.push(other.clone()),
+    });
+    out.max_locals = max_locals;
+    out
 }
 
 /// Emit the receiver for a static-member access on `owner`: local 0 when we
@@ -382,51 +338,6 @@ mod tests {
         assert!(out.code.iter().any(|i| matches!(i, Insn::StoreLocal(_))));
         assert!(out.code.iter().any(|i| matches!(i, Insn::Invoke { .. })));
         assert!(out.max_locals > body.max_locals);
-    }
-
-    #[test]
-    fn jump_targets_and_handlers_are_remapped() {
-        let (u, plan, ids) = setup();
-        let fz = plan.family(ids.z).unwrap();
-        let _ = fz;
-        // Build: [0] const true; [1] jump_if 4; [2] getfield X.y (expands); [3] pop; [4] return
-        let mut mb = MethodBuilder::new(1);
-        let l = mb.label();
-        mb.const_bool(true);
-        mb.jump_if(l);
-        mb.load_this();
-        mb.get_field(ids.x, 0);
-        mb.pop();
-        mb.bind(l);
-        mb.ret();
-        let mut body = mb.finish();
-        body.handlers.push(TryHandler {
-            start: 2,
-            end: 5,
-            target: 5,
-            catch: None,
-        });
-        let out = rewrite_body(&u, &plan, BodyCtx::instance(ids.x), &body);
-        // GetField expands 1->1 here (Invoke), so positions unchanged in this
-        // case; use a putfield to force expansion instead.
-        let mut mb = MethodBuilder::new(2);
-        let l = mb.label();
-        mb.const_bool(true);
-        mb.jump_if(l); // target is last insn
-        mb.load_this();
-        mb.load_local(1);
-        mb.put_field(ids.x, 0); // expands to invoke+pop
-        mb.bind(l);
-        mb.ret();
-        let body2 = mb.finish();
-        let out2 = rewrite_body(&u, &plan, BodyCtx::instance(ids.x), &body2);
-        // Original target 5 -> now 6 (one extra insn from put_field).
-        let Insn::JumpIf(t) = out2.code[1] else {
-            panic!("expected jump_if: {:?}", out2.code)
-        };
-        assert_eq!(t, 6);
-        assert_eq!(out2.code.len(), 7);
-        drop(out);
     }
 
     #[test]

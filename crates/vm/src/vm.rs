@@ -13,13 +13,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Class-initialisation state (JVM §5.5 style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InitState {
-    InProgress,
-    Done,
-}
-
 /// Work counters exposed for the overhead experiments (E4/E8): interpreter
 /// steps are the machine-independent cost metric.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +30,11 @@ pub struct VmStats {
 #[derive(Debug)]
 struct VmState {
     heap: Heap,
+    /// One row per class whose initialisation has started (JVM §5.5: an
+    /// in-progress class already reads as initialised to its own thread).
     statics: HashMap<ClassId, Vec<Value>>,
-    init: HashMap<ClassId, InitState>,
+    /// The stack a top-level call runs on, kept between calls.
+    spare: Vec<Value>,
     steps: u64,
     calls: u64,
     native_calls: u64,
@@ -53,7 +49,7 @@ impl Default for VmState {
         VmState {
             heap: Heap::new(),
             statics: HashMap::new(),
-            init: HashMap::new(),
+            spare: Vec::new(),
             steps: 0,
             calls: 0,
             native_calls: 0,
@@ -132,8 +128,8 @@ impl Vm {
     }
 
     /// Limit call depth (default 512).
-    pub fn set_max_depth(&self, depth: u32) {
-        self.state.borrow_mut().max_depth = depth;
+    pub fn set_max_depth(&self, max_depth: u32) {
+        self.state.borrow_mut().max_depth = max_depth;
     }
 
     /// Snapshot the work counters.
@@ -228,37 +224,43 @@ impl Vm {
 
     /// Bind the `Observer` native hooks to this VM's trace.
     pub fn bind_observer(&self, ids: &ObserverIds) {
-        let trace_hook = |f: fn(&[Value]) -> Result<TraceEvent, VmError>| {
-            move |vm: &Vm, args: &[Value]| {
-                vm.push_trace(f(args)?);
-                Ok(Value::Null)
-            }
-        };
-        self.register_native(
-            ids.class,
-            ids.emit,
-            trace_hook(|args| match args {
+        self.bind_observer_to(ids, |vm, event| {
+            vm.push_trace(event);
+            Ok(())
+        });
+    }
+
+    /// Bind the `Observer` native hooks to `sink`: the one place that says
+    /// which arguments each hook accepts and which [`TraceEvent`] they make.
+    pub fn bind_observer_to(
+        &self,
+        ids: &ObserverIds,
+        sink: impl Fn(&Vm, TraceEvent) -> Result<(), VmError> + 'static,
+    ) {
+        type Decode = fn(&[Value]) -> Result<TraceEvent, VmError>;
+        let hooks: [(SigId, Decode); 3] = [
+            (ids.emit, |args| match args {
                 [Value::Long(v)] => Ok(TraceEvent::Emit(*v)),
                 [Value::Int(v)] => Ok(TraceEvent::Emit(i64::from(*v))),
                 _ => Err(VmError::type_error("Observer.emit expects long")),
             }),
-        );
-        self.register_native(
-            ids.class,
-            ids.emit_str,
-            trace_hook(|args| match args {
+            (ids.emit_str, |args| match args {
                 [Value::Str(s)] => Ok(TraceEvent::EmitStr(s.to_string())),
                 _ => Err(VmError::type_error("Observer.emit_str expects String")),
             }),
-        );
-        self.register_native(
-            ids.class,
-            ids.emit_double,
-            trace_hook(|args| match args {
+            (ids.emit_double, |args| match args {
                 [Value::Double(d)] => Ok(TraceEvent::EmitDouble(d.to_bits())),
                 _ => Err(VmError::type_error("Observer.emit_double expects double")),
             }),
-        );
+        ];
+        let sink = Rc::new(sink);
+        for (sig, decode) in hooks {
+            let sink = Rc::clone(&sink);
+            self.register_native(ids.class, sig, move |vm, args| {
+                sink(vm, decode(args)?)?;
+                Ok(Value::Null)
+            });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -371,15 +373,12 @@ impl Vm {
         sig: SigId,
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
-        self.ensure_initialized(class, 0)?;
-        let (owner, idx) = self.universe.resolve_static(class, sig).ok_or_else(|| {
-            VmError::Trap(Trap::UnresolvedMethod(format!(
-                "{}::{}",
-                self.universe.class(class).name,
-                self.universe.sig_info(sig).name
-            )))
-        })?;
-        self.exec(owner, idx, args, 0)
+        self.ensure_initialized(class)?;
+        let (owner, idx) = self.resolve(class, sig, ClassUniverse::resolve_static)?;
+        self.on_entry_stack(|stack| {
+            stack.extend(args);
+            self.invoke(owner, idx, stack, 0)
+        })
     }
 
     /// Call an instance method, dispatching on the receiver's runtime class.
@@ -391,7 +390,7 @@ impl Vm {
         &self,
         recv: Value,
         sig: SigId,
-        mut args: Vec<Value>,
+        args: Vec<Value>,
     ) -> Result<Value, VmError> {
         let h = match recv {
             Value::Ref(h) => h,
@@ -404,17 +403,12 @@ impl Vm {
             }
         };
         let class = self.class_of(h).ok_or(VmError::Trap(Trap::StaleHandle))?;
-        let (owner, idx) = self.universe.resolve_virtual(class, sig).ok_or_else(|| {
-            VmError::Trap(Trap::UnresolvedMethod(format!(
-                "{}::{}",
-                self.universe.class(class).name,
-                self.universe.sig_info(sig).name
-            )))
-        })?;
-        let mut all = Vec::with_capacity(args.len() + 1);
-        all.push(Value::Ref(h));
-        all.append(&mut args);
-        self.exec(owner, idx, all, 0)
+        let (owner, idx) = self.resolve(class, sig, ClassUniverse::resolve_virtual)?;
+        self.on_entry_stack(|stack| {
+            stack.push(Value::Ref(h));
+            stack.extend(args);
+            self.invoke(owner, idx, stack, 0)
+        })
     }
 
     /// Construct an instance of `class` using constructor ordinal `ctor`.
@@ -427,8 +421,39 @@ impl Vm {
         ctor: u16,
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
-        self.ensure_initialized(class, 0)?;
-        self.construct(class, ctor, args, 0)
+        self.ensure_initialized(class)?;
+        self.on_entry_stack(|stack| {
+            stack.extend(args);
+            self.construct(class, ctor, stack, 0)
+        })
+    }
+
+    /// Run `f` on the spare stack: the floor-0 window of a top-level call.
+    /// A hook that re-enters the VM finds the spare taken and starts on a
+    /// fresh one, so no two activations share a stack.
+    fn on_entry_stack<R>(&self, f: impl FnOnce(&mut Vec<Value>) -> R) -> R {
+        let mut stack = std::mem::take(&mut self.state.borrow_mut().spare);
+        let r = f(&mut stack);
+        stack.clear();
+        self.state.borrow_mut().spare = stack;
+        r
+    }
+
+    /// `(declaring class, method index)` of `sig` on `class`, by the given
+    /// lookup.
+    fn resolve(
+        &self,
+        class: ClassId,
+        sig: SigId,
+        lookup: impl FnOnce(&ClassUniverse, ClassId, SigId) -> Option<(ClassId, u16)>,
+    ) -> Result<(ClassId, u16), VmError> {
+        lookup(&self.universe, class, sig).ok_or_else(|| {
+            VmError::Trap(Trap::UnresolvedMethod(format!(
+                "{}::{}",
+                self.universe.class(class).name,
+                self.universe.sig_info(sig).name
+            )))
+        })
     }
 
     /// Resolve a static method by class & method *name* and call it
@@ -504,11 +529,12 @@ impl Vm {
                     .unwrap_or_else(|| "<stale>".to_owned());
                 self.push_trace(TraceEvent::UncaughtException(name));
             }
-            Err(VmError::Native(msg)) if msg.contains("network") => {
+            Err(e) if e.is_network() => {
+                let msg = match e {
+                    VmError::Native(msg) => msg,
+                    other => other.to_string(),
+                };
                 self.push_trace(TraceEvent::NetworkFailure(msg));
-            }
-            Err(VmError::Unreachable(nf)) => {
-                self.push_trace(TraceEvent::NetworkFailure(nf.to_string()));
             }
             Err(other) => {
                 self.push_trace(TraceEvent::EmitStr(format!("<error: {other}>")));
@@ -522,36 +548,29 @@ impl Vm {
     // ------------------------------------------------------------------
 
     /// Ensure the class (and its superclasses) are initialised, running
-    /// `<clinit>` if needed.
+    /// `<clinit>` if needed. A class is initialised — or being initialised,
+    /// or failed to — exactly when it has a statics row, so an initialiser
+    /// runs at most once.
     ///
     /// # Errors
     /// Any error raised by a static initialiser.
-    pub fn ensure_initialized(&self, class: ClassId, depth: u32) -> Result<(), VmError> {
-        {
-            let s = self.state.borrow();
-            if s.init.contains_key(&class) {
-                return Ok(());
-            }
+    pub fn ensure_initialized(&self, class: ClassId) -> Result<(), VmError> {
+        if self.state.borrow().statics.contains_key(&class) {
+            return Ok(());
         }
-        {
-            let mut s = self.state.borrow_mut();
-            s.init.insert(class, InitState::InProgress);
-            let defaults: Vec<Value> = self
-                .universe
-                .class(class)
-                .static_fields
-                .iter()
-                .map(|f| Value::default_for(&f.ty))
-                .collect();
-            s.statics.insert(class, defaults);
+        let cls = self.universe.class(class);
+        let defaults: Vec<Value> = cls
+            .static_fields
+            .iter()
+            .map(|f| Value::default_for(&f.ty))
+            .collect();
+        self.state.borrow_mut().statics.insert(class, defaults);
+        if let Some(sup) = cls.superclass {
+            self.ensure_initialized(sup)?;
         }
-        if let Some(sup) = self.universe.class(class).superclass {
-            self.ensure_initialized(sup, depth)?;
+        if let Some(ci) = cls.clinit {
+            self.on_entry_stack(|stack| self.invoke(class, ci, stack, 0))?;
         }
-        if let Some(ci) = self.universe.class(class).clinit {
-            self.exec(class, ci, vec![], depth)?;
-        }
-        self.state.borrow_mut().init.insert(class, InitState::Done);
         Ok(())
     }
 
@@ -560,7 +579,7 @@ impl Vm {
     /// # Errors
     /// Initialisation errors.
     pub fn get_static_field(&self, class: ClassId, index: u16) -> Result<Value, VmError> {
-        self.ensure_initialized(class, 0)?;
+        self.ensure_initialized(class)?;
         Ok(self.state.borrow().statics[&class][index as usize].clone())
     }
 
@@ -569,7 +588,7 @@ impl Vm {
     /// # Errors
     /// Initialisation errors.
     pub fn set_static_field(&self, class: ClassId, index: u16, v: Value) -> Result<(), VmError> {
-        self.ensure_initialized(class, 0)?;
+        self.ensure_initialized(class)?;
         self.state
             .borrow_mut()
             .statics
@@ -582,12 +601,15 @@ impl Vm {
     // Core interpreter
     // ------------------------------------------------------------------
 
+    /// Allocate a `class` instance and run constructor `ctor` on it. The
+    /// constructor's arguments are `stack[base..]`; the fresh receiver is
+    /// slotted in beneath them.
     fn construct(
         &self,
         class: ClassId,
         ctor: u16,
-        args: Vec<Value>,
-        depth: u32,
+        stack: &mut Vec<Value>,
+        base: usize,
     ) -> Result<Value, VmError> {
         let cls = self.universe.class(class);
         let &mi = cls.ctors.get(ctor as usize).ok_or_else(|| {
@@ -605,123 +627,128 @@ impl Vm {
             })
             .collect();
         let h = self.state.borrow_mut().heap.alloc_object(class, defaults);
-        let mut all = Vec::with_capacity(args.len() + 1);
-        all.push(Value::Ref(h));
-        all.extend(args);
-        self.exec(class, mi, all, depth)?;
+        stack.insert(base, Value::Ref(h));
+        self.invoke(class, mi, stack, base)?;
         Ok(Value::Ref(h))
     }
 
-    /// Execute method `method_idx` of `class`. `args` includes the receiver
-    /// for instance methods.
+    /// Execute method `method_idx` of `class`: the one way a call is made.
     ///
-    /// Call depth is tracked in VM state (not just the `depth` parameter)
-    /// so that re-entrant executions through native hooks — e.g. a remote
-    /// callback arriving mid-call — keep accumulating against the limit.
-    fn exec(
+    /// The frame is a window on `stack`. The arguments (receiver first for
+    /// instance methods) are `stack[base..]`, where the caller left them; a
+    /// native hook is handed that slice, a bytecode body takes it as its
+    /// first locals, null-pads up to `max_locals` and runs its operands
+    /// above that floor. Every exit truncates back to `base` and the caller
+    /// pushes the result.
+    ///
+    /// `cur_depth` lives in VM state, so re-entrant executions through
+    /// native hooks — e.g. a remote callback arriving mid-call — keep
+    /// accumulating against the limit.
+    fn invoke(
         &self,
         class: ClassId,
         method_idx: u16,
-        args: Vec<Value>,
-        depth: u32,
+        stack: &mut Vec<Value>,
+        base: usize,
     ) -> Result<Value, VmError> {
-        {
-            let mut s = self.state.borrow_mut();
-            s.calls += 1;
-            s.cur_depth += 1;
-            if depth >= s.max_depth || s.cur_depth > s.max_depth {
-                s.cur_depth -= 1;
-                return Err(VmError::Trap(Trap::StackOverflow));
+        let result = 'frame: {
+            {
+                let mut s = self.state.borrow_mut();
+                s.calls += 1;
+                s.cur_depth += 1;
+                if s.cur_depth > s.max_depth {
+                    break 'frame Err(VmError::Trap(Trap::StackOverflow));
+                }
             }
-        }
-        let result = self.exec_frame(class, method_idx, args, depth);
+            let method = self.universe.method(class, method_idx);
+            if method.is_native {
+                let hook: Option<NativeFn> = self.natives.borrow().get(class, method.sig);
+                let Some(hook) = hook else {
+                    break 'frame Err(VmError::Trap(Trap::NoNativeHook(format!(
+                        "{}::{}",
+                        self.universe.class(class).name,
+                        method.name
+                    ))));
+                };
+                self.state.borrow_mut().native_calls += 1;
+                break 'frame hook(self, &stack[base..]);
+            }
+            let Some(body) = method.body.as_ref() else {
+                break 'frame Err(VmError::Trap(Trap::UnresolvedMethod(format!(
+                    "abstract {}::{}",
+                    self.universe.class(class).name,
+                    method.name
+                ))));
+            };
+            let floor = base + body.max_locals as usize;
+            stack.resize(floor, Value::Null);
+            let mut pc: u32 = 0;
+            loop {
+                {
+                    let mut s = self.state.borrow_mut();
+                    s.steps += 1;
+                    if s.fuel_limit.is_some_and(|limit| s.steps > limit) {
+                        break 'frame Err(VmError::Trap(Trap::OutOfFuel));
+                    }
+                }
+                match self.step(&body.code[pc as usize], stack, base, floor) {
+                    Ok(Flow::Next) => pc += 1,
+                    Ok(Flow::Jump(t)) => pc = t,
+                    Ok(Flow::Return(v)) => break 'frame Ok(v),
+                    Err(VmError::Exception(exc)) => {
+                        let Some(exc_class) = self.class_of(exc) else {
+                            break 'frame Err(VmError::Trap(Trap::StaleHandle));
+                        };
+                        let handler = body.handlers.iter().find(|h| {
+                            h.start <= pc
+                                && pc < h.end
+                                && h.catch
+                                    .map(|c| self.universe.is_subtype(exc_class, c))
+                                    .unwrap_or(true)
+                        });
+                        match handler {
+                            Some(h) => {
+                                stack.truncate(floor);
+                                stack.push(Value::Ref(exc));
+                                pc = h.target;
+                            }
+                            None => break 'frame Err(VmError::Exception(exc)),
+                        }
+                    }
+                    Err(other) => break 'frame Err(other),
+                }
+            }
+        };
+        stack.truncate(base);
         self.state.borrow_mut().cur_depth -= 1;
         result
     }
 
-    fn exec_frame(
-        &self,
-        class: ClassId,
-        method_idx: u16,
-        args: Vec<Value>,
-        depth: u32,
-    ) -> Result<Value, VmError> {
-        let method = self.universe.method(class, method_idx);
-        if method.is_native {
-            let hook: Option<NativeFn> = self.natives.borrow().get(class, method.sig);
-            let hook = hook.ok_or_else(|| {
-                VmError::Trap(Trap::NoNativeHook(format!(
-                    "{}::{}",
-                    self.universe.class(class).name,
-                    method.name
-                )))
-            })?;
-            self.state.borrow_mut().native_calls += 1;
-            return hook(self, &args);
-        }
-        let body = method.body.as_ref().ok_or_else(|| {
-            VmError::Trap(Trap::UnresolvedMethod(format!(
-                "abstract {}::{}",
-                self.universe.class(class).name,
-                method.name
-            )))
-        })?;
-
-        let mut locals = vec![Value::Null; body.max_locals as usize];
-        let argc = args.len().min(locals.len());
-        locals[..argc].clone_from_slice(&args[..argc]);
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
-        let mut pc: u32 = 0;
-
-        loop {
-            {
-                let mut s = self.state.borrow_mut();
-                s.steps += 1;
-                if let Some(limit) = s.fuel_limit {
-                    if s.steps > limit {
-                        return Err(VmError::Trap(Trap::OutOfFuel));
-                    }
-                }
-            }
-            let insn = &body.code[pc as usize];
-            match self.step(insn, &mut stack, &mut locals, depth) {
-                Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Jump(t)) => pc = t,
-                Ok(Flow::Return(v)) => return Ok(v),
-                Err(VmError::Exception(exc)) => {
-                    let exc_class = self.class_of(exc).ok_or(VmError::Trap(Trap::StaleHandle))?;
-                    let handler = body.handlers.iter().find(|h| {
-                        h.start <= pc
-                            && pc < h.end
-                            && h.catch
-                                .map(|c| self.universe.is_subtype(exc_class, c))
-                                .unwrap_or(true)
-                    });
-                    match handler {
-                        Some(h) => {
-                            stack.clear();
-                            stack.push(Value::Ref(exc));
-                            pc = h.target;
-                        }
-                        None => return Err(VmError::Exception(exc)),
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
+    /// Execute one instruction of the frame whose locals are
+    /// `stack[base..floor]` and whose operands are `stack[floor..]`.
     fn step(
         &self,
         insn: &Insn,
         stack: &mut Vec<Value>,
-        locals: &mut [Value],
-        depth: u32,
+        base: usize,
+        floor: usize,
     ) -> Result<Flow, VmError> {
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("verified stack underflow")
+        // The verifier proved operand depths; a pop that would reach below
+        // the floor is a verifier bug, never a read of a local.
+        macro_rules! operands {
+            ($n:expr) => {
+                stack
+                    .len()
+                    .checked_sub($n)
+                    .filter(|&at| at >= floor)
+                    .expect("verified stack underflow")
             };
+        }
+        macro_rules! pop {
+            () => {{
+                operands!(1);
+                stack.pop().expect("verified stack underflow")
+            }};
         }
         match insn {
             Insn::Const(c) => {
@@ -735,11 +762,16 @@ impl Vm {
                     Const::Str(s) => Value::str(s),
                 });
             }
-            Insn::LoadLocal(n) => stack.push(locals[*n as usize].clone()),
-            Insn::StoreLocal(n) => locals[*n as usize] = pop!(),
+            Insn::LoadLocal(n) => {
+                let v = stack[base..floor][*n as usize].clone();
+                stack.push(v);
+            }
+            Insn::StoreLocal(n) => {
+                let v = pop!();
+                stack[base..floor][*n as usize] = v;
+            }
             Insn::GetField(fr) => {
-                let obj = pop!();
-                let h = ref_handle(obj)?;
+                let h = ref_handle(&pop!())?;
                 let offset = self.universe.field_base(fr.owner) + fr.index as usize;
                 let v = self
                     .state
@@ -752,74 +784,38 @@ impl Vm {
             }
             Insn::PutField(fr) => {
                 let v = pop!();
-                let obj = pop!();
-                let h = ref_handle(obj)?;
+                let h = ref_handle(&pop!())?;
                 let offset = self.universe.field_base(fr.owner) + fr.index as usize;
                 if !self.state.borrow_mut().heap.set_field(h, offset, v) {
                     return Err(VmError::Trap(Trap::StaleHandle));
                 }
             }
-            Insn::GetStatic(fr) => {
-                self.ensure_initialized(fr.owner, depth)?;
-                let v = self.state.borrow().statics[&fr.owner][fr.index as usize].clone();
-                stack.push(v);
-            }
-            Insn::PutStatic(fr) => {
-                self.ensure_initialized(fr.owner, depth)?;
-                let v = pop!();
-                self.state
-                    .borrow_mut()
-                    .statics
-                    .get_mut(&fr.owner)
-                    .expect("initialised")[fr.index as usize] = v;
-            }
+            Insn::GetStatic(fr) => stack.push(self.get_static_field(fr.owner, fr.index)?),
+            Insn::PutStatic(fr) => self.set_static_field(fr.owner, fr.index, pop!())?,
             Insn::NewInit { class, ctor, argc } => {
-                self.ensure_initialized(*class, depth)?;
-                let args = split_args(stack, *argc as usize);
-                let obj = self.construct(*class, *ctor, args, depth + 1)?;
+                self.ensure_initialized(*class)?;
+                let at = operands!(*argc as usize);
+                let obj = self.construct(*class, *ctor, stack, at)?;
                 stack.push(obj);
             }
             Insn::Invoke { sig, argc } => {
-                let mut args = split_args(stack, *argc as usize + 1);
-                let recv = args.remove(0);
-                let h = ref_handle(recv)?;
+                let at = operands!(*argc as usize + 1);
+                let h = ref_handle(&stack[at])?;
                 let rt_class = self.class_of(h).ok_or(VmError::Trap(Trap::StaleHandle))?;
-                let (owner, idx) =
-                    self.universe
-                        .resolve_virtual(rt_class, *sig)
-                        .ok_or_else(|| {
-                            VmError::Trap(Trap::UnresolvedMethod(format!(
-                                "{}::{}",
-                                self.universe.class(rt_class).name,
-                                self.universe.sig_info(*sig).name
-                            )))
-                        })?;
-                let mut all = Vec::with_capacity(args.len() + 1);
-                all.push(Value::Ref(h));
-                all.extend(args);
-                let r = self.exec(owner, idx, all, depth + 1)?;
+                let (owner, idx) = self.resolve(rt_class, *sig, ClassUniverse::resolve_virtual)?;
+                let r = self.invoke(owner, idx, stack, at)?;
                 stack.push(r);
             }
             Insn::InvokeStatic { class, sig, argc } => {
-                self.ensure_initialized(*class, depth)?;
-                let args = split_args(stack, *argc as usize);
-                let (owner, idx) = self.universe.resolve_static(*class, *sig).ok_or_else(|| {
-                    VmError::Trap(Trap::UnresolvedMethod(format!(
-                        "{}::{}",
-                        self.universe.class(*class).name,
-                        self.universe.sig_info(*sig).name
-                    )))
-                })?;
-                let r = self.exec(owner, idx, args, depth + 1)?;
+                self.ensure_initialized(*class)?;
+                let at = operands!(*argc as usize);
+                let (owner, idx) = self.resolve(*class, *sig, ClassUniverse::resolve_static)?;
+                let r = self.invoke(owner, idx, stack, at)?;
                 stack.push(r);
             }
             Insn::Return => return Ok(Flow::Return(Value::Null)),
             Insn::ReturnValue => return Ok(Flow::Return(pop!())),
-            Insn::Throw => {
-                let exc = pop!();
-                let h = ref_handle(exc)?;
-                return Err(VmError::Exception(h));
-            }
+            Insn::Throw => return Err(VmError::Exception(ref_handle(&pop!())?)),
             Insn::Jump(t) => return Ok(Flow::Jump(*t)),
             Insn::JumpIf(t) => {
                 let b = pop!()
@@ -874,8 +870,7 @@ impl Vm {
                 self.array_set(arr, idx, v)?;
             }
             Insn::ArrayLen => {
-                let arr = pop!();
-                let h = ref_handle(arr)?;
+                let h = ref_handle(&pop!())?;
                 let len = match self.state.borrow().heap.get(h) {
                     Some(HeapEntry::Array { data, .. }) => data.len(),
                     Some(_) => return Err(VmError::type_error("arraylen of non-array")),
@@ -884,15 +879,15 @@ impl Vm {
                 stack.push(Value::Int(len as i32));
             }
             Insn::Dup => {
-                let v = stack.last().expect("verified").clone();
+                let v = stack[operands!(1)].clone();
                 stack.push(v);
             }
             Insn::Pop => {
                 pop!();
             }
             Insn::Swap => {
-                let n = stack.len();
-                stack.swap(n - 1, n - 2);
+                let at = operands!(2);
+                stack.swap(at, at + 1);
             }
             Insn::InstanceOf(c) => {
                 let v = pop!();
@@ -909,11 +904,10 @@ impl Vm {
                 stack.push(Value::Bool(b));
             }
             Insn::CheckCast(c) => {
-                let v = stack.last().expect("verified").clone();
-                match v {
+                match &stack[operands!(1)] {
                     Value::Null => {}
                     Value::Ref(h) => {
-                        if let Some(rt) = self.class_of(h) {
+                        if let Some(rt) = self.class_of(*h) {
                             if !self.universe.is_subtype(rt, *c) {
                                 return Err(VmError::Trap(Trap::ClassCast));
                             }
@@ -929,7 +923,7 @@ impl Vm {
     }
 
     fn array_get(&self, arr: Value, idx: Value) -> Result<Value, VmError> {
-        let h = ref_handle(arr)?;
+        let h = ref_handle(&arr)?;
         let i = idx
             .as_int()
             .ok_or_else(|| VmError::type_error("array index must be int"))?;
@@ -948,7 +942,7 @@ impl Vm {
     }
 
     fn array_set(&self, arr: Value, idx: Value, v: Value) -> Result<(), VmError> {
-        let h = ref_handle(arr)?;
+        let h = ref_handle(&arr)?;
         let i = idx
             .as_int()
             .ok_or_else(|| VmError::type_error("array index must be int"))?;
@@ -976,19 +970,15 @@ enum Flow {
     Return(Value),
 }
 
-fn ref_handle(v: Value) -> Result<Handle, VmError> {
+fn ref_handle(v: &Value) -> Result<Handle, VmError> {
     match v {
-        Value::Ref(h) => Ok(h),
+        Value::Ref(h) => Ok(*h),
         Value::Null => Err(VmError::Trap(Trap::NullDeref)),
         other => Err(VmError::type_error(format!(
             "expected reference, got {}",
             other.kind()
         ))),
     }
-}
-
-fn split_args(stack: &mut Vec<Value>, n: usize) -> Vec<Value> {
-    stack.split_off(stack.len() - n)
 }
 
 fn bin_op(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {

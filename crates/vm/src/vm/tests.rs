@@ -557,3 +557,276 @@ fn get_set_static_field_api() {
     vm.set_static_field(y, 0, Value::Int(9)).unwrap();
     assert_eq!(vm.get_static_field(y, 0), Ok(Value::Int(9)));
 }
+
+// ----------------------------------------------------------------------
+// The frame contract: a call is a window on the executing stack
+// ----------------------------------------------------------------------
+
+/// `Win`: `leaf(a)` has two locals beyond its argument and returns `a` if
+/// the last one reads null; `dirty()` leaves junk where `leaf`'s window
+/// will be; `thrower(c)` throws `AppError(c)` and `mid(c)` calls it.
+fn window_universe(u: &mut ClassUniverse) -> (ClassId, ClassId) {
+    let (_t, e) = sample::build_throwables(u);
+    let mut cb = ClassBuilder::declare(u, "Win", ClassKind::Class);
+    let me = cb.id();
+
+    let mut mb = MethodBuilder::new(1);
+    mb.alloc_local();
+    let last = mb.alloc_local();
+    let filled = mb.label();
+    mb.load_local(last).const_null().cmp(CmpOp::Eq);
+    mb.jump_if_not(filled);
+    mb.load_local(0).ret_value();
+    mb.bind(filled);
+    mb.const_int(-1).ret_value();
+    cb.static_method(u, "leaf", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+
+    let mut mb = MethodBuilder::new(0);
+    mb.const_int(1).const_int(2).const_int(3).const_int(4);
+    mb.add().add().add().ret_value();
+    cb.static_method(u, "dirty", vec![], Ty::Int, Some(mb.finish()));
+
+    let mut mb = MethodBuilder::new(1);
+    mb.load_local(0).new_init(e, 0, 1).throw();
+    cb.static_method(u, "thrower", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+
+    let thrower = u.sig("thrower", vec![Ty::Int]);
+    let mut mb = MethodBuilder::new(1);
+    mb.const_int(55).load_local(0);
+    mb.invoke_static(me, thrower, 1).add().ret_value();
+    cb.static_method(u, "mid", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+    (cb.finish(u), e)
+}
+
+#[test]
+fn callee_window_is_null_padded_and_caller_operands_survive() {
+    let vm = vm_with(|u| {
+        let (win, e) = window_universe(u);
+        let sig = |u: &mut ClassUniverse, name| u.sig(name, vec![Ty::Int]);
+        let (leaf, mid) = (sig(u, "leaf"), sig(u, "mid"));
+        let dirty = u.sig("dirty", vec![]);
+        let code = u.sig("code", vec![]);
+        let mut cb = ClassBuilder::declare(u, "Caller", ClassKind::Class);
+
+        // static int plain(int x) { dirty(); return 100 + (20 + leaf(x)); }
+        let mut mb = MethodBuilder::new(1);
+        mb.invoke_static(win, dirty, 0).pop();
+        mb.const_int(100).const_int(20).load_local(0);
+        mb.invoke_static(win, leaf, 1).add().add().ret_value();
+        cb.static_method(u, "plain", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+
+        // static int guarded(int x) {
+        //   int s = 7;
+        //   try { return 1000 + mid(x); }     // throws two frames down
+        //   catch (AppError err) { return err.code() + s + x; }
+        // }
+        let mut mb = MethodBuilder::new(1);
+        let s = mb.alloc_local();
+        mb.const_int(7).store_local(s);
+        let start = mb.pc();
+        mb.const_int(1000).load_local(0);
+        mb.invoke_static(win, mid, 1).add().ret_value();
+        let handler = mb.pc();
+        mb.invoke(code, 0).load_local(s).add().load_local(0).add();
+        mb.ret_value();
+        mb.handler(start, handler, handler, Some(e));
+        cb.static_method(u, "guarded", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(u);
+    });
+    let call = |m, x| vm.call_static_by_name("Caller", m, vec![Value::Int(x)]);
+    assert_eq!(call("plain", 3), Ok(Value::Int(123)));
+    // Handler entry keeps the locals (s, x) and pushes the exception.
+    assert_eq!(call("guarded", 4), Ok(Value::Int(4 + 7 + 4)));
+    // The unwound frames left nothing behind for the next call.
+    assert_eq!(call("plain", 5), Ok(Value::Int(125)));
+    assert_eq!(vm.state.borrow().cur_depth, 0);
+}
+
+#[test]
+#[should_panic(expected = "verified stack underflow")]
+fn handler_entry_drops_operands_and_a_pop_never_reaches_a_local() {
+    // Unverifiable on purpose: the handler pops the exception and then
+    // once more. Neither the operand the try block left (1000) nor the
+    // local beneath the floor may satisfy that second pop.
+    let mut u = ClassUniverse::new();
+    let (win, e) = window_universe(&mut u);
+    let mid = u.sig("mid", vec![Ty::Int]);
+    let mut cb = ClassBuilder::declare(&mut u, "Bad", ClassKind::Class);
+    let mut mb = MethodBuilder::new(1);
+    mb.const_int(1000).load_local(0);
+    mb.invoke_static(win, mid, 1).add().ret_value();
+    let handler = mb.pc();
+    mb.pop().pop().const_int(0).ret_value();
+    mb.handler(0, handler, handler, Some(e));
+    cb.static_method(&mut u, "f", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+    cb.finish(&mut u);
+    let vm = Vm::new(Arc::new(u));
+    let _ = vm.call_static_by_name("Bad", "f", vec![Value::Int(1)]);
+}
+
+/// Declare `static native ret name(params)` on the class under construction.
+fn static_native(
+    cb: &mut ClassBuilder,
+    u: &mut ClassUniverse,
+    name: &str,
+    params: Vec<Ty>,
+    ret: Ty,
+) -> SigId {
+    let sig = u.sig(name, params.clone());
+    cb.add_method(rafda_classmodel::Method {
+        name: name.into(),
+        sig,
+        params,
+        ret,
+        visibility: Visibility::Public,
+        is_static: true,
+        is_native: true,
+        body: None,
+    });
+    sig
+}
+
+/// `Re`: `hook(int)` is native; `plain(x) = x + 1`; `boom()` divides by
+/// zero; `driver(x) = 1000 + hook(x) + t` with a local `t = 5`.
+fn reentrant_vm() -> (Vm, ClassId, SigId) {
+    let vm = vm_with(|u| {
+        let mut cb = ClassBuilder::declare(u, "Re", ClassKind::Class);
+        let me = cb.id();
+        let hook = static_native(&mut cb, u, "hook", vec![Ty::Int], Ty::Int);
+        let mut mb = MethodBuilder::new(1);
+        mb.alloc_local();
+        mb.load_local(0).const_int(1).add().ret_value();
+        cb.static_method(u, "plain", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        let mut mb = MethodBuilder::new(0);
+        mb.const_int(1).const_int(0).div().ret_value();
+        cb.static_method(u, "boom", vec![], Ty::Int, Some(mb.finish()));
+        let mut mb = MethodBuilder::new(1);
+        let t = mb.alloc_local();
+        mb.const_int(5).store_local(t);
+        mb.const_int(1000).load_local(0);
+        mb.invoke_static(me, hook, 1).add();
+        mb.load_local(t).add().ret_value();
+        cb.static_method(u, "driver", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+        cb.finish(u);
+    });
+    let re = vm.universe().by_name("Re").unwrap();
+    let hook = vm.universe().class(re).methods[0].sig;
+    (vm, re, hook)
+}
+
+#[test]
+fn reentrant_hook_runs_on_its_own_stack_and_depth_unwinds() {
+    let (vm, re, hook) = reentrant_vm();
+    // hook(x): x < 0 fails inside a nested call, otherwise 2 * plain(x).
+    vm.register_native(re, hook, move |vm, args| {
+        let depth = vm.state.borrow().cur_depth;
+        assert_eq!(depth, 2, "driver + hook");
+        assert_eq!(args.len(), 1, "the window is just the argument");
+        assert_eq!(
+            vm.state.borrow().spare.capacity(),
+            0,
+            "entry stack is taken"
+        );
+        let x = args[0].as_int().unwrap();
+        let nested = if x < 0 {
+            vm.call_static_by_name("Re", "boom", vec![])
+        } else {
+            vm.call_static_by_name("Re", "plain", vec![args[0].clone()])
+        };
+        // The nested run used another stack: this window did not move.
+        assert_eq!(args, [Value::Int(x)]);
+        assert_eq!(vm.state.borrow().cur_depth, depth);
+        Ok(Value::Int(nested?.as_int().unwrap() * 2))
+    });
+    assert_eq!(
+        vm.call_static_by_name("Re", "driver", vec![Value::Int(10)]),
+        Ok(Value::Int(1000 + 22 + 5))
+    );
+    assert_eq!(vm.state.borrow().cur_depth, 0);
+    assert_eq!(
+        vm.call_static_by_name("Re", "driver", vec![Value::Int(-1)]),
+        Err(VmError::Trap(Trap::DivByZero))
+    );
+    assert_eq!(vm.state.borrow().cur_depth, 0);
+    // And the outer entry stack is back, empty, for the next top-level call.
+    assert!(vm.state.borrow().spare.is_empty());
+    assert_eq!(
+        vm.call_static_by_name("Re", "driver", vec![Value::Int(0)]),
+        Ok(Value::Int(1000 + 2 + 5))
+    );
+}
+
+#[test]
+fn stack_overflow_trips_at_the_same_nesting_plain_and_reentrant() {
+    // static void r() { n++; r(); }    static void a() { n++; h(); }
+    // with native h() re-entering a(): every frame, bytecode or native,
+    // top-level or nested in a hook, counts once against the limit.
+    let vm = vm_with(|u| {
+        let mut cb = ClassBuilder::declare(u, "Deep", ClassKind::Class);
+        let me = cb.id();
+        let n = cb.static_field(rafda_classmodel::Field::new("n", Ty::Int));
+        let h = static_native(&mut cb, u, "h", vec![], Ty::Void);
+        for (name, next) in [("r", u.sig("r", vec![])), ("a", h)] {
+            let mut mb = MethodBuilder::new(0);
+            mb.get_static(me, n).const_int(1).add().put_static(me, n);
+            mb.invoke_static(me, next, 0).pop().ret();
+            cb.static_method(u, name, vec![], Ty::Void, Some(mb.finish()));
+        }
+        cb.finish(u);
+    });
+    let deep = vm.universe().by_name("Deep").unwrap();
+    let h = vm.universe().class(deep).methods[0].sig;
+    vm.register_native(deep, h, |vm, _| vm.call_static_by_name("Deep", "a", vec![]));
+    vm.set_max_depth(64);
+    for (entry, frames_run) in [("r", 64), ("a", 32)] {
+        vm.set_static_field(deep, 0, Value::Int(0)).unwrap();
+        assert_eq!(
+            vm.call_static_by_name("Deep", entry, vec![]),
+            Err(VmError::Trap(Trap::StackOverflow))
+        );
+        assert_eq!(vm.get_static_field(deep, 0), Ok(Value::Int(frames_run)));
+        assert_eq!(vm.state.borrow().cur_depth, 0);
+    }
+}
+
+#[test]
+fn failed_clinit_leaves_a_statics_row_and_never_reruns() {
+    // static int f; static { f = 1; for (;;) {} }
+    let vm = vm_with(|u| {
+        let mut cb = ClassBuilder::declare(u, "Init", ClassKind::Class);
+        let me = cb.id();
+        let f = cb.static_field(rafda_classmodel::Field::new("f", Ty::Int));
+        let mut mb = MethodBuilder::new(0);
+        mb.const_int(1).put_static(me, f);
+        let top = mb.label();
+        mb.bind(top);
+        mb.jump(top);
+        cb.clinit(u, mb.finish());
+        cb.finish(u);
+    });
+    let init = vm.universe().by_name("Init").unwrap();
+    vm.set_fuel(Some(50));
+    assert_eq!(
+        vm.get_static_field(init, 0),
+        Err(VmError::Trap(Trap::OutOfFuel))
+    );
+    assert_eq!(vm.stats().steps, 51, "the step that found the tank empty");
+    vm.set_fuel(None);
+    let before = vm.stats();
+    assert_eq!(vm.get_static_field(init, 0), Ok(Value::Int(1)));
+    assert_eq!(vm.stats(), before, "the initialiser did not run again");
+    assert_eq!(vm.state.borrow().cur_depth, 0);
+}
+
+#[test]
+fn figure2_static_path_work_counters_are_pinned() {
+    // X.p(5) on the untransformed program (both <clinit>s included); the
+    // transformed program's 55 / 13 / 2 are pinned in tests/overhead_ordering.rs.
+    let vm = figure2_vm();
+    assert_eq!(
+        vm.call_static_by_name("X", "p", vec![Value::Int(5)]),
+        Ok(Value::Int(35))
+    );
+    let s = vm.stats();
+    assert_eq!((s.steps, s.calls, s.native_calls), (20, 5, 0));
+}

@@ -152,3 +152,21 @@ fn rafda_overhead_is_moderate() {
         "RAFDA local overhead should be bounded, got {factor:.2}x"
     );
 }
+
+#[test]
+fn figure2_transformed_work_counters_are_pinned() {
+    // Figure 2's `X.p(5)` after the transformation, class initialisers
+    // included: what its getters, factories and singletons cost in machine-
+    // independent work. The untransformed program's 20 steps / 5 calls / 0
+    // native calls are pinned next to the VM (`crates/vm/src/vm/tests.rs`);
+    // a change to the VM's host-side call machinery moves neither.
+    let mut app = Application::new();
+    rafda::classmodel::sample::build_figure2(app.universe_mut());
+    let rt = app.transform(&["RMI"]).unwrap().deploy_local();
+    assert_eq!(
+        rt.call_static("X", "p", vec![Value::Int(5)]).unwrap(),
+        Value::Int(35)
+    );
+    let s = rt.vm().stats();
+    assert_eq!((s.steps, s.calls, s.native_calls), (55, 13, 2));
+}
