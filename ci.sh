@@ -86,9 +86,30 @@ echo "== location tables are touched only by the Directory =="
 # table has leaked back out. The two gauges a time-series sample reads
 # (`lagging`, `members_per_node`) are held to the same rule: they stay exact
 # only because the transitions next to the tables are their sole writers.
-if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|forwards|replicated|synced_versions|call_counts|lagging|members_per_node)\b' \
+if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|forwards|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
+  exit 1
+fi
+
+echo "== what was written is what is dirty: no frames, one source of bare-mutation marks =="
+# Which replicated objects a local call may have mutated is not guessed from
+# where application code ran: every write passes `Heap::get_mut`, the heap
+# logs it, and the sweep (replicate.rs) alone drains the logs into
+# `Directory::mark_written`. A frame type, a getter classifier at an entry
+# point or a second drain means the convention is back; re-marking a whole
+# node is for the quiescent check in stats.rs (restart does it inside the
+# directory).
+if grep -rnE 'AppFrame|app_frames|mark_if_framed|entry_is_getter' crates/runtime/src; then
+  echo "FAIL: application frames are back in the runtime" >&2
+  exit 1
+fi
+if grep -rn --exclude=stats.rs 'mark_node_dirty(' crates/runtime/src | grep -v 'fn mark_node_dirty('; then
+  echo "FAIL: mark_node_dirty is called outside the quiescent check" >&2
+  exit 1
+fi
+if grep -rn --exclude=replicate.rs 'take_written(' crates/runtime/src; then
+  echo "FAIL: a heap's write log is drained outside the sweep" >&2
   exit 1
 fi
 

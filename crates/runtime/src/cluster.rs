@@ -13,13 +13,14 @@ use crate::marshal;
 use crate::obs::Obs;
 pub use crate::obs::RuntimeStats;
 pub use crate::placement::MigrationEvent;
-use crate::replicate::{charge_marks, AppFrame};
+use crate::replicate::charge_marks;
 use crate::rpc::{proxy_call, rpc};
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
 use rafda_policy::{DistributionPolicy, ShardSpec};
 use rafda_telemetry::SpanLog;
+use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
 use rafda_vm::{Handle, Trace, TraceEvent, Value, Vm, VmError};
 use rafda_wire::{Protocol, ProtocolKind, Reply, Request, SigTable, WireValue};
@@ -77,20 +78,6 @@ impl ClassRow {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SingletonState {
-    InProgress(Handle),
-    Ready(Handle),
-}
-
-impl SingletonState {
-    pub(crate) fn handle(self) -> Handle {
-        match self {
-            SingletonState::InProgress(h) | SingletonState::Ready(h) => h,
-        }
-    }
-}
-
 /// Per-node volatile caches. Where objects live is the
 /// [`Directory`]'s business; what is kept here is what a node remembers
 /// for itself, and a restart wipes all of it.
@@ -99,7 +86,10 @@ pub(crate) struct NodeState {
     /// Proxies this node holds for remote objects, by the location they
     /// were materialised for.
     pub(crate) imports: HashMap<(u32, u64), Handle>,
-    pub(crate) singletons: HashMap<ClassId, SingletonState>,
+    /// Class singletons resolved on this node, local or proxied — recorded
+    /// before `<clinit>` runs, so an initialiser that reaches its own class
+    /// sees the instance in progress, as in the JVM.
+    pub(crate) singletons: HashMap<ClassId, Handle>,
     /// Host-pinned GC roots (references held outside the simulation, e.g.
     /// by embedding Rust code).
     pub(crate) pins: std::collections::HashSet<Handle>,
@@ -243,16 +233,6 @@ pub(crate) struct Shared {
     /// Re-entrancy guard for [`sync_dirty_replicas`]: the sweep's shipments
     /// are exchanges, and every exchange is a synchronization point.
     pub in_replica_sweep: Cell<bool>,
-    /// Per-node application-frame nesting counters. A frame is open while
-    /// *non-getter* application code runs locally on that node (a served
-    /// `Call`, or a top-level entry like [`Cluster::call_method`]); any
-    /// synchronization point reached while a node's frame is open
-    /// conservatively marks that node's replicated exports dirty, because
-    /// the in-progress app code may have mutated local state bare — the
-    /// runtime never sees plain method calls on pulled, promoted or
-    /// installed-in-place objects. Getter-only traffic opens no frames, so
-    /// read-only phases sweep nothing.
-    pub app_frames: RefCell<Vec<u32>>,
     /// Reusable encode buffers, keyed by directed link. Checked out for
     /// the lifetime of one frame (request frames live across every
     /// retransmission of their exchange) and returned cleared. Never
@@ -401,7 +381,6 @@ impl Cluster {
             in_flush: Cell::new(false),
             any_replication,
             in_replica_sweep: Cell::new(false),
-            app_frames: RefCell::new(vec![0; nodes as usize]),
             wire_bufs: RefCell::new(BufPool::new()),
             sig_tables: RefCell::new((0..nodes * nodes).map(|_| SigTable::default()).collect()),
         });
@@ -610,14 +589,8 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         if let Some(row) = class_row(shared, id) {
             let singleton = discover_value(shared, node, row)?;
-            // The singleton may be local (statics owner, or an adopted
-            // promotion): a non-getter call on it is bare app code.
-            let _frame = (!entry_is_getter(shared, node, &singleton, method))
-                .then(|| AppFrame::enter(shared, node.0));
             Ok(vm.call_virtual_by_name(singleton, method, args)?)
         } else {
-            // Untransformed static app code always runs locally.
-            let _frame = AppFrame::enter(shared, node.0);
             Ok(vm.call_static_by_name(class, method, args)?)
         }
     }
@@ -644,10 +617,6 @@ impl Cluster {
         match class_row(shared, id) {
             Some(row) => {
                 let family = &shared.plan.families[&id];
-                // Factory `make` + `init$k` run app code (the constructor
-                // body) on this node whenever placement keeps the instance
-                // local.
-                let _frame = AppFrame::enter(shared, node.0);
                 let that = vm.call_static(family.obj.factory, family.make_sig, vec![])?;
                 let init_sig = *family
                     .init_sigs
@@ -680,15 +649,9 @@ impl Cluster {
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, RuntimeError> {
-        let shared = &self.shared;
         // A local receiver (a pulled or promoted object living in this
-        // node's VM) takes the call bare — open an app frame unless the
-        // method is a pure property read, so the mutation is marked for
-        // the next sweep. Getter-only traffic stays frameless: read-only
-        // phases must not cause a single sweep probe.
-        let _frame = (!entry_is_getter(shared, node, &recv, method))
-            .then(|| AppFrame::enter(shared, node.0));
-        Ok(shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)?)
+        // node's VM) takes the call bare; what it writes, its heap logs.
+        Ok(self.shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)?)
     }
 
     /// Bind the `Observer` built-in on every node to a **cluster-wide**
@@ -824,7 +787,7 @@ impl Cluster {
                     .map(|(_, h)| h)
                     .chain(state.imports.values().copied())
                     .chain(state.pins.iter().copied())
-                    .chain(state.singletons.values().map(|s| s.handle()))
+                    .chain(state.singletons.values().copied())
                     .collect()
             };
             freed.push(vm.gc(&roots));
@@ -948,12 +911,6 @@ pub(crate) fn cached_import(shared: &Shared, node: NodeId, owner: u32, oid: u64)
         .copied()
 }
 
-pub(crate) fn cache_import(shared: &Shared, node: NodeId, owner: u32, oid: u64, h: Handle) {
-    shared.nodes.borrow_mut()[node.0 as usize]
-        .imports
-        .insert((owner, oid), h);
-}
-
 /// The current property version of the export `(node, oid)` (0 if never
 /// mutated).
 pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> u64 {
@@ -968,22 +925,6 @@ pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) {
     charge_marks(shared, node, u64::from(marked));
 }
 
-/// Whether invoking `method` on `recv` at an entry point is a pure
-/// property read — resolved against the receiver's family by accessor
-/// *name*, since entry points take human method names, not wire
-/// signatures. Getter calls open no app frame: they cannot mutate, so a
-/// read-only workload leaves the dirty set untouched and sweeps nothing.
-fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) -> bool {
-    let Some(h) = recv.as_ref_handle() else {
-        return false;
-    };
-    info_of(shared, node.0, h).is_some_and(|info| {
-        getter_sigs(shared, info)
-            .iter()
-            .any(|&g| shared.universe.sig_info(g).name == method)
-    })
-}
-
 /// The property-getter signatures of a generated class — the calls that
 /// cannot mutate an instance of it.
 pub(crate) fn getter_sigs(shared: &Shared, info: GenInfo) -> &[SigId] {
@@ -992,12 +933,60 @@ pub(crate) fn getter_sigs(shared: &Shared, info: GenInfo) -> &[SigId] {
     half.map_or(&[], |h| &h.getters)
 }
 
+/// The location the proxy `h` addresses, read from its two state slots.
 pub(crate) fn read_proxy_state(vm: &Vm, h: Handle) -> Option<(u32, u64)> {
-    let (_, fields) = vm.read_object(h)?;
-    match (fields.first(), fields.get(1)) {
-        (Some(Value::Int(node)), Some(Value::Long(oid))) => Some((*node as u32, *oid as u64)),
-        _ => None,
-    }
+    vm.with_heap(|heap| {
+        match (
+            heap.field(h, PROXY_NODE_FIELD),
+            heap.field(h, PROXY_OID_FIELD),
+        ) {
+            (Some(&Value::Int(node)), Some(&Value::Long(oid))) => Some((node as u32, oid as u64)),
+            _ => None,
+        }
+    })
+}
+
+/// The field slots of a proxy addressing `(node, oid)`.
+fn proxy_state((node, oid): (u32, u64)) -> Vec<Value> {
+    let mut fields = vec![Value::Null; 2];
+    fields[PROXY_NODE_FIELD] = Value::Int(node as i32);
+    fields[PROXY_OID_FIELD] = Value::Long(oid as i64);
+    fields
+}
+
+fn cache_import(shared: &Shared, node: NodeId, loc: (u32, u64), h: Handle) {
+    shared.nodes.borrow_mut()[node.0 as usize]
+        .imports
+        .insert(loc, h);
+}
+
+/// A fresh `proxy_class` proxy on `node` for the object at `loc`, recorded
+/// as the node's import of it.
+pub(crate) fn new_proxy(
+    shared: &Shared,
+    node: NodeId,
+    proxy_class: ClassId,
+    loc: (u32, u64),
+) -> Handle {
+    let h = shared.vms[node.0 as usize].alloc_raw(proxy_class, proxy_state(loc));
+    cache_import(shared, node, loc, h);
+    h
+}
+
+/// Point `h` on `node` at `loc`: rewrite it in place into a `proxy_class`
+/// proxy and record it as the node's import of `loc`. Import entries that
+/// already name `h` stay: a reference to an older location that arrives
+/// later materialises through them and lands on this re-pointed proxy —
+/// the same logical object.
+pub(crate) fn point_proxy_at(
+    shared: &Shared,
+    node: NodeId,
+    h: Handle,
+    proxy_class: ClassId,
+    loc: (u32, u64),
+) {
+    shared.vms[node.0 as usize].replace_object(h, proxy_class, proxy_state(loc));
+    cache_import(shared, node, loc, h);
 }
 
 /// Allocate an object of `class` with JVM-default field values.
@@ -1064,9 +1053,13 @@ pub(crate) fn discover_value(
     row: &ClassRow,
 ) -> Result<Value, VmError> {
     let base = row.base;
-    if let Some(state) = shared.nodes.borrow()[node.0 as usize].singletons.get(&base) {
-        return Ok(Value::Ref(state.handle()));
+    if let Some(&h) = shared.nodes.borrow()[node.0 as usize].singletons.get(&base) {
+        return Ok(Value::Ref(h));
     }
+    let remember = |h: Handle| {
+        let mut nodes = shared.nodes.borrow_mut();
+        nodes[node.0 as usize].singletons.insert(base, h);
+    };
     let family = &shared.plan.families[&base];
     let Some(cls) = &family.cls else {
         let what = format!("{} has no static members to discover", row.name);
@@ -1086,17 +1079,13 @@ pub(crate) fn discover_value(
                 if let Some(h) = lookup_export(shared, node, toid) {
                     // The promoted copy lives on this very node: adopt it
                     // as the local singleton.
-                    shared.nodes.borrow_mut()[node.0 as usize]
-                        .singletons
-                        .insert(base, SingletonState::Ready(h));
+                    remember(h);
                     return Ok(Value::Ref(h));
                 }
             } else if let Some(copy) = remote_ref(shared, (tn, toid)) {
                 let value = marshal::wire_to_value(shared, node, &copy).map_err(VmError::Native)?;
                 if let Value::Ref(h) = value {
-                    shared.nodes.borrow_mut()[node.0 as usize]
-                        .singletons
-                        .insert(base, SingletonState::Ready(h));
+                    remember(h);
                 }
                 return Ok(value);
             }
@@ -1107,21 +1096,14 @@ pub(crate) fn discover_value(
     }
     if owner == node {
         let h = default_instance(shared, node, cls.local);
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .singletons
-            .insert(base, SingletonState::InProgress(h));
+        remember(h);
         if let Some(clinit_sig) = family.clinit_sig {
-            // The class initializer is app code running bare on this node.
-            let _frame = AppFrame::enter(shared, node.0);
             shared.vms[node.0 as usize].call_static(
                 cls.factory,
                 clinit_sig,
                 vec![Value::Ref(h)],
             )?;
         }
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .singletons
-            .insert(base, SingletonState::Ready(h));
         Ok(Value::Ref(h))
     } else {
         let discover = Request::Discover {
@@ -1130,9 +1112,7 @@ pub(crate) fn discover_value(
         let (reply, _) = rpc(shared, node, owner, row, &discover)?;
         let value = factory_reply(shared, node, reply, "discover")?;
         if let Value::Ref(h) = value {
-            shared.nodes.borrow_mut()[node.0 as usize]
-                .singletons
-                .insert(base, SingletonState::Ready(h));
+            remember(h);
         }
         Ok(value)
     }

@@ -363,12 +363,30 @@ fn an_equal_store_ships_nothing_and_clears_the_written_mark() {
     assert!(!vm.written(h));
 }
 
-/// State that is not flat never takes the early return: the holder's
-/// marshalled form reaches through its `int[]` into another heap slot, so
-/// an element store leaves the holder itself unwritten and must still be
-/// found, by the full probe, and shipped.
+/// A write no call site could have announced: the embedding host stores
+/// straight into a pulled replicated object's heap slot. The heap logs it
+/// like any other, so the very next exchange — a getter's, which marks
+/// nothing itself — ships it before the divergence monitor can see a gap.
 #[test]
-fn a_store_into_a_replicated_objects_array_ships_though_the_object_is_unwritten() {
+fn a_host_side_write_ships_at_the_next_exchange() {
+    let (cluster, a, b, oid) = pulled_counter(17);
+    let h = a.as_ref_handle().unwrap();
+    let stored = cluster.shared().vms[0].with_heap(|heap| heap.set_field(h, 0, Value::Int(99)));
+    assert!(stored);
+    let before = cluster.stats();
+    cluster.call_method(NodeId(0), b, "get_v", vec![]).unwrap();
+    assert!(cluster.stats().replica_syncs > before.replica_syncs);
+    for n in [1, 2] {
+        assert_eq!(backup_of(&cluster, n, (0, oid)), vec![WireValue::Int(99)]);
+    }
+    assert_eq!(cluster.monitor_violations(), vec![]);
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// Three nodes running the holder `H { int[] xs; P peer; void poke(int i,
+/// int v) }`, whose constructor allocates `xs = new int[2]`, and its peer
+/// `P { int v; int put(int v) }`.
+fn deployed_holder(seed: u64, policy: StaticPolicy) -> Cluster {
     let mut u = ClassUniverse::new();
     let peer = u.declare("P", ClassKind::Class);
     {
@@ -402,20 +420,39 @@ fn a_store_into_a_replicated_objects_array_ships_though_the_object_is_unwritten(
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    let cluster = Cluster::new(u, outcome.plan, 3, seed, Box::new(policy));
+    cluster.enable_monitors();
+    cluster
+}
+
+/// An `H` and a `P` created from `node`, the `P` stored as the `H`'s peer
+/// and the `H` then pulled into `node`'s VM, all settled. Returns both
+/// references and the pulled holder's export id on `node`.
+fn pulled_holder(cluster: &Cluster, node: NodeId) -> (Value, Value, u64) {
+    let h = cluster.new_instance(node, "H", 0, vec![]).unwrap();
+    let p = cluster.new_instance(node, "P", 0, vec![]).unwrap();
+    cluster
+        .call_method(node, h.clone(), "set_peer", vec![p.clone()])
+        .unwrap();
+    let handle = h.as_ref_handle().unwrap();
+    let oid = cluster.pull_local(node, handle).unwrap().target.oid;
+    assert_eq!(cluster.check_invariants(), vec![]);
+    (h, p, oid)
+}
+
+/// State that is not flat never takes the early return: the holder's
+/// marshalled form reaches through its `int[]` into another heap slot, so
+/// an element store leaves the holder itself unwritten and must still be
+/// found, by the full probe, and shipped.
+#[test]
+fn a_store_into_a_replicated_objects_array_ships_though_the_object_is_unwritten() {
     let policy = StaticPolicy::new()
         .place("H", Placement::Node(NodeId(1)))
         .place("P", Placement::Node(NodeId(2)))
         .replicate("H", 2);
-    let cluster = Cluster::new(u, outcome.plan, 3, 16, Box::new(policy));
-    cluster.enable_monitors();
-    let h = cluster.new_instance(NodeId(0), "H", 0, vec![]).unwrap();
-    let p = cluster.new_instance(NodeId(0), "P", 0, vec![]).unwrap();
-    cluster
-        .call_method(NodeId(0), h.clone(), "set_peer", vec![p.clone()])
-        .unwrap();
+    let cluster = deployed_holder(16, policy);
+    let (h, p, oid) = pulled_holder(&cluster, NodeId(0));
     let handle = h.as_ref_handle().unwrap();
-    let oid = cluster.pull_local(NodeId(0), handle).unwrap().target.oid;
-    assert_eq!(cluster.check_invariants(), vec![]);
     let shipped = backup_of(&cluster, 1, (0, oid));
     let zeros = WireValue::Array(vec![WireValue::Int(0), WireValue::Int(0)]);
     assert_eq!(shipped[0], zeros);
@@ -435,6 +472,93 @@ fn a_store_into_a_replicated_objects_array_ships_though_the_object_is_unwritten(
     for n in [1, 2] {
         assert_eq!(backup_of(&cluster, n, (0, oid))[0], poked);
     }
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A deep object's state can move without anyone writing the object, or
+/// any application code running at all: the peer's home dies, a getter's
+/// failover re-points the holder node's proxy for it at the promoted copy,
+/// and the holder now marshals a different `Remote`. The re-point wrote
+/// the holder node's heap, so the next sweep — the retried getter's —
+/// probes the holder again and ships it.
+#[test]
+fn a_re_pointed_proxy_inside_a_deep_replicated_holder_is_re_probed_and_shipped() {
+    let policy = StaticPolicy::new()
+        .place("H", Placement::Node(NodeId(1)))
+        .place("P", Placement::Node(NodeId(1)))
+        .replicate("H", 2)
+        .replicate("P", 1);
+    let cluster = deployed_holder(18, policy);
+    let (_h, p, oid) = pulled_holder(&cluster, NodeId(2));
+    let peer_of = |backup: Vec<WireValue>| match backup[1] {
+        WireValue::Remote { node, .. } => node,
+        ref other => panic!("peer shipped as {other:?}"),
+    };
+    assert_eq!(peer_of(backup_of(&cluster, 0, (2, oid))), 1);
+    cluster.crash(NodeId(1));
+    let before = cluster.stats();
+    let read = cluster.call_method(NodeId(2), p.clone(), "get_v", vec![]);
+    assert_eq!(read.unwrap(), Value::Int(0));
+    let after = cluster.stats();
+    assert_eq!(after.failovers, before.failovers + 1);
+    assert_eq!(cluster.location_of(NodeId(2), &p), Some(NodeId(0)));
+    assert!(after.replica_sweep_probes > before.replica_sweep_probes);
+    assert_eq!(peer_of(backup_of(&cluster, 0, (2, oid))), 0);
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A replicated export whose state cannot be marshalled — here the host
+/// freed the array its `xs` field names — ships nothing and keeps its dirty
+/// mark: the next sweep retries it though nothing was written in between.
+#[test]
+fn a_probe_that_cannot_read_the_state_is_retried_at_the_next_sweep() {
+    let policy = StaticPolicy::new()
+        .place("H", Placement::Node(NodeId(1)))
+        .place("P", Placement::Node(NodeId(2)))
+        .replicate("H", 2);
+    let cluster = deployed_holder(19, policy);
+    let (h, p, oid) = pulled_holder(&cluster, NodeId(0));
+    let shared = cluster.shared();
+    let vm = &shared.vms[0];
+    let holder = h.as_ref_handle().unwrap();
+    let Some(Value::Ref(xs)) = vm.with_heap(|heap| heap.field(holder, 0).cloned()) else {
+        panic!("xs is the holder's first field");
+    };
+    // Free the array and store the now-stale reference back: a logged
+    // write to the holder, whose probe cannot marshal the state.
+    vm.with_heap(|heap| {
+        heap.free(xs);
+        heap.set_field(holder, 0, Value::Ref(xs))
+    });
+    // Each exchange from node 0 sweeps; none writes node 0's heap.
+    let exchange = || {
+        let put = cluster.call_method(NodeId(0), p.clone(), "put", vec![Value::Int(1)]);
+        put.unwrap();
+        cluster.stats()
+    };
+    let before = cluster.stats();
+    let probed = exchange();
+    assert_eq!(probed.replica_sweep_probes, before.replica_sweep_probes + 1);
+    assert_eq!(
+        shared.directory.borrow().dirty_depth(),
+        1,
+        "the mark stands"
+    );
+    let retried = exchange();
+    assert_eq!(
+        retried.replica_sweep_probes,
+        probed.replica_sweep_probes + 1
+    );
+    assert_eq!(retried.replica_syncs, before.replica_syncs, "unreadable");
+    // The host repairs the field; the retry ships it.
+    vm.with_heap(|heap| {
+        let fresh = heap.alloc_array(Ty::Int, vec![Value::Int(7)]);
+        heap.set_field(holder, 0, Value::Ref(fresh))
+    });
+    assert!(exchange().replica_syncs > retried.replica_syncs);
+    assert_eq!(shared.directory.borrow().dirty_depth(), 0);
+    let shipped = backup_of(&cluster, 1, (0, oid));
+    assert_eq!(shipped[0], WireValue::Array(vec![WireValue::Int(7)]));
     assert_eq!(cluster.check_invariants(), vec![]);
 }
 

@@ -8,7 +8,8 @@
 //! counters — lives behind this one type, and changes only through the
 //! transitions below ([`Directory::export`], [`Directory::relocate`],
 //! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`],
-//! [`Directory::mark_node`] / [`Directory::take_dirty`],
+//! [`Directory::mark_written`] / [`Directory::mark_node`] /
+//! [`Directory::take_dirty`],
 //! [`Directory::restart`], [`Directory::record_call`],
 //! [`Directory::canonical_static`] and the shard-map operations), each of
 //! which leaves every view consistent. Reads are questions that return
@@ -93,6 +94,13 @@ struct NodeDir {
     /// Live exports that are locally implemented instances of a replicated
     /// class — the only locations a dirty mark can make shippable.
     replicated: BTreeSet<u64>,
+    /// Exports whose last shipment was *not* flat: the state held a
+    /// `Remote`, `Array` or `ObjectState`, so the marshalled form reaches
+    /// into other heap slots and a write anywhere on the node may move it.
+    /// A flat record — by-value scalars and strings only — is a function of
+    /// the export's own slot, and marshalling it has no side effect (no
+    /// referent is exported, hence none re-marked dirty).
+    deep: BTreeSet<u64>,
     /// Last id handed out. Survives restarts, so a stale proxy addressing
     /// a pre-crash export gets a typed fault, not a different object.
     next_oid: u64,
@@ -109,11 +117,6 @@ struct NodeDir {
 struct Shipment {
     version: u64,
     state: Vec<WireValue>,
-    /// The state holds only by-value scalars and strings — no `Remote`,
-    /// `Array` or `ObjectState` — so the object's marshalled form is a
-    /// function of its own heap slot alone, and marshalling it has no side
-    /// effect (no referent is exported, hence none re-marked dirty).
-    flat: bool,
 }
 
 /// All location state of one cluster. See the module docs.
@@ -271,9 +274,30 @@ impl Directory {
         shippable
     }
 
-    /// Conservatively mark every replicated export of `node` dirty —
-    /// application code ran there and may have mutated any of them bare.
-    /// Returns the number of marks made.
+    /// `node`'s heap handed out entries mutably since its log was last
+    /// drained, and `written` are the handles it logged: mark what those
+    /// writes may have moved — of the node's replicated exports, those
+    /// among the written handles and, whichever slot was written, the deep
+    /// ones. Returns the number of marks made.
+    #[must_use]
+    pub(crate) fn mark_written(&mut self, node: u32, written: &[Handle]) -> u64 {
+        let st = &self.nodes[node as usize];
+        let exported = written.iter().filter_map(|h| st.export_ids.get(h));
+        let marks = exported
+            .chain(&st.deep)
+            .filter(|oid| st.replicated.contains(oid));
+        let mut made = 0;
+        for &oid in marks {
+            self.dirty.insert((node, oid));
+            made += 1;
+        }
+        made
+    }
+
+    /// Mark every replicated export of `node` dirty, whatever was written:
+    /// the cluster-wide re-seed after a restart, and the quiescent check
+    /// that must not depend on the marks being complete. Returns the number
+    /// of marks made.
     #[must_use]
     pub(crate) fn mark_node(&mut self, node: u32) -> u64 {
         let replicated = &self.nodes[node as usize].replicated;
@@ -291,21 +315,22 @@ impl Directory {
     /// record is made *before* the shipment because each shipment is an
     /// exchange, whose own sweep must find this location settled.
     pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: Vec<WireValue>) {
-        let flat = !state.iter().any(|v| {
+        let deep = state.iter().any(|v| {
             matches!(
                 v,
                 WireValue::Remote { .. } | WireValue::Array(_) | WireValue::ObjectState { .. }
             )
         });
-        let shipment = Shipment {
-            version,
-            state,
-            flat,
-        };
         let current = self.version(loc);
-        let previous = self.nodes[loc.0 as usize]
+        let st = &mut self.nodes[loc.0 as usize];
+        if deep {
+            st.deep.insert(loc.1);
+        } else {
+            st.deep.remove(&loc.1);
+        }
+        let previous = st
             .synced_versions
-            .insert(loc.1, shipment);
+            .insert(loc.1, Shipment { version, state });
         let was = previous.is_some_and(|p| behind(current, p.version));
         self.lagging = self.lagging - u64::from(was) + u64::from(behind(current, version));
         self.dirty.remove(&loc);
@@ -316,6 +341,14 @@ impl Directory {
         self.dirty.remove(&loc);
     }
 
+    /// A probe of `loc` could not read its state: the mark the sweep took
+    /// stands, so the next sweep probes it again.
+    pub(crate) fn unsettled(&mut self, loc: Loc) {
+        if self.nodes[loc.0 as usize].replicated.contains(&loc.1) {
+            self.dirty.insert(loc);
+        }
+    }
+
     /// The probe for an export whose heap slot nobody has written since its
     /// live state last equalled its shipment record: if that record is flat
     /// and still at `loc`'s current version, the live state *is* the record
@@ -323,10 +356,10 @@ impl Directory {
     /// dirty mark is spent and `true` returned. Otherwise nothing changes.
     #[must_use]
     pub(crate) fn settle_if_flat(&mut self, loc: Loc) -> bool {
-        let settled = self.nodes[loc.0 as usize]
-            .synced_versions
-            .get(&loc.1)
-            .is_some_and(|s| s.flat && s.version == self.version(loc));
+        let st = &self.nodes[loc.0 as usize];
+        let record = st.synced_versions.get(&loc.1);
+        let settled =
+            !st.deep.contains(&loc.1) && record.is_some_and(|s| s.version == self.version(loc));
         if settled {
             self.dirty.remove(&loc);
         }
@@ -344,6 +377,7 @@ impl Directory {
     pub(crate) fn restart(&mut self, node: u32) -> Vec<u64> {
         for st in &mut self.nodes {
             st.synced_versions.clear();
+            st.deep.clear();
         }
         self.lagging = 0;
         let st = &mut self.nodes[node as usize];
@@ -791,6 +825,58 @@ mod tests {
         }
     }
 
+    /// What a drained write log marks: a written handle only if it is a
+    /// replicated export, a deep export whichever handle was written, and a
+    /// flat unwritten one not at all.
+    #[test]
+    fn mark_written_marks_written_replicated_exports_and_every_deep_one() {
+        let hs = handles(4);
+        let mut dir = Directory::new(NODES, 1);
+        let flat = (0, dir.export(0, hs[0], true));
+        let deep = (0, dir.export(0, hs[1], true));
+        let plain = (0, dir.export(0, hs[2], false));
+        dir.shipped(flat, 0, vec![WireValue::Int(1)]);
+        dir.shipped(deep, 0, vec![WireValue::Array(vec![])]);
+        dir.shipped(plain, 0, vec![WireValue::Array(vec![])]);
+        assert_eq!(dir.dirty_depth(), 0);
+
+        // An unexported handle and an unreplicated export were written.
+        assert_eq!(dir.mark_written(0, &[hs[3], hs[2]]), 1);
+        assert_eq!(dir.take_dirty(), BTreeSet::from([deep]));
+        assert_eq!(dir.mark_written(0, &[hs[0]]), 2);
+        assert_eq!(dir.take_dirty(), BTreeSet::from([flat, deep]));
+        assert_eq!(dir.mark_written(1, &[hs[0]]), 0, "another node's heap");
+
+        // A flat shipment takes the export out of the deep set again.
+        dir.shipped(deep, 0, vec![WireValue::Int(2)]);
+        assert_eq!(dir.mark_written(0, &[]), 0);
+        // An export that moved away ships no more, and any restart voids
+        // every record.
+        dir.shipped(flat, 0, vec![WireValue::Array(vec![])]);
+        migrate(&mut dir, flat, hs[0], 1);
+        assert_eq!(dir.mark_written(0, &[hs[0]]), 0);
+        dir.shipped(deep, 0, vec![WireValue::Array(vec![])]);
+        let _ = dir.restart(2);
+        let _ = dir.take_dirty();
+        assert_eq!(dir.mark_written(0, &[]), 0);
+    }
+
+    /// A probe that could not read the state leaves the mark it took.
+    #[test]
+    fn an_unsettled_probe_keeps_its_mark_only_while_the_export_can_ship() {
+        let hs = handles(2);
+        let mut dir = Directory::new(NODES, 1);
+        let loc = (0, dir.export(0, hs[0], true));
+        let plain = (0, dir.export(0, hs[1], false));
+        assert_eq!(dir.take_dirty(), BTreeSet::from([loc]));
+        dir.unsettled(loc);
+        dir.unsettled(plain);
+        assert_eq!(dir.take_dirty(), BTreeSet::from([loc]));
+        migrate(&mut dir, loc, hs[0], 1);
+        dir.unsettled(loc);
+        assert_eq!(dir.dirty_depth(), 0, "a stub cannot ship");
+    }
+
     /// The lag gauge and the from-scratch scan, which must agree.
     fn lag(dir: &Directory) -> (u64, u64) {
         (dir.lagging, dir.scan_replica_lag())
@@ -865,6 +951,7 @@ mod tests {
             node: u32,
             pick: usize,
             stale: bool,
+            flat: bool,
         },
         /// Record the `pick`-th export of `node` as a member of `shard`.
         AddMember {
@@ -885,6 +972,11 @@ mod tests {
         },
         MarkNode {
             node: u32,
+        },
+        /// `node`'s heap logged a write to pool handle `h`.
+        MarkWritten {
+            node: u32,
+            h: usize,
         },
         RecordCall {
             node: u32,
@@ -908,8 +1000,9 @@ mod tests {
                 .prop_map(|(from, pick, to, pulled)| Op::Move { from, pick, to, pulled }),
             2 => (pick(), node()).prop_map(|(pick, to)| Op::Promote { pick, to }),
             3 => (node(), pick()).prop_map(|(node, pick)| Op::Bump { node, pick }),
-            2 => (node(), pick(), any::<bool>())
-                .prop_map(|(node, pick, stale)| Op::Shipped { node, pick, stale }),
+            2 => (node(), pick(), any::<bool>(), any::<bool>()).prop_map(
+                |(node, pick, stale, flat)| Op::Shipped { node, pick, stale, flat }
+            ),
             3 => (shard(), node(), pick())
                 .prop_map(|(shard, node, pick)| Op::AddMember { shard, node, pick }),
             2 => (shard(), pick(), node(), pick()).prop_map(|(shard, index, node, pick)| {
@@ -917,6 +1010,7 @@ mod tests {
             }),
             1 => any::<bool>().prop_map(|odd| Op::PruneMembers { odd }),
             2 => node().prop_map(|node| Op::MarkNode { node }),
+            2 => (node(), pick()).prop_map(|(node, h)| Op::MarkWritten { node, h }),
             4 => (node(), pick(), node())
                 .prop_map(|(node, pick, caller)| Op::RecordCall { node, pick, caller }),
             1 => node().prop_map(|node| Op::Crash { node }),
@@ -993,10 +1087,20 @@ mod tests {
                     let _ = dir.bump(loc);
                 }
             }
-            Op::Shipped { node, pick, stale } if up(node) => {
+            Op::Shipped {
+                node,
+                pick,
+                stale,
+                flat,
+            } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
-                    let version = dir.version(loc);
-                    dir.shipped(loc, version.saturating_sub(u64::from(stale)), vec![]);
+                    let version = dir.version(loc).saturating_sub(u64::from(stale));
+                    let state = if flat {
+                        vec![]
+                    } else {
+                        vec![WireValue::Array(vec![])]
+                    };
+                    dir.shipped(loc, version, state);
                 }
             }
             Op::AddMember { shard, node, pick } if up(node) => {
@@ -1021,6 +1125,9 @@ mod tests {
             }
             Op::MarkNode { node } => {
                 let _ = dir.mark_node(node);
+            }
+            Op::MarkWritten { node, h } => {
+                let _ = dir.mark_written(node, &[hs[h]]);
             }
             Op::RecordCall { node, pick, caller } if up(node) => {
                 // The runtime counts calls only where the object lives.
@@ -1054,6 +1161,12 @@ mod tests {
                     "{n}#{oid} replicated, not live"
                 );
             }
+            for (oid, shipment) in &st.synced_versions {
+                let deep = !shipment.state.is_empty();
+                prop_assert_eq!(st.deep.contains(oid), deep, "{}#{} deep set", n, oid);
+            }
+            let recorded = |oid| st.synced_versions.contains_key(oid);
+            prop_assert!(st.deep.iter().all(recorded), "node {n}: deep, no record");
             if w.down != Some(n) {
                 for oid in st.call_counts.keys() {
                     prop_assert!(st.exports.contains_key(oid), "{n}#{oid} counted, not live");

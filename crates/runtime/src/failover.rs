@@ -3,7 +3,7 @@
 //! recorded moves, else ask the owner's backups to promote.
 
 use crate::batch::flush_outqueues;
-use crate::cluster::{cache_import, lookup_export, ClassRow, Cluster, NodeState, Shared};
+use crate::cluster::{lookup_export, point_proxy_at, ClassRow, Cluster, NodeState, Shared};
 use crate::obs::Met;
 use crate::replicate::{charge_marks, replica_targets};
 use crate::rpc::rpc;
@@ -11,7 +11,7 @@ use crate::stats::bump;
 use rafda_classmodel::ClassId;
 use rafda_net::NodeId;
 use rafda_telemetry::SpanOutcome;
-use rafda_vm::{Handle, Value};
+use rafda_vm::Handle;
 use rafda_wire::{Reply, Request, WireValue};
 
 impl Cluster {
@@ -103,16 +103,7 @@ pub(crate) fn failover(
     // `recv` already IS the object, and re-proxying it would create a proxy
     // that points at itself.
     if !(nn == node.0 && lookup_export(shared, node, noid) == Some(recv)) {
-        let vm = &shared.vms[node.0 as usize];
-        vm.replace_object(
-            recv,
-            proxy_class,
-            vec![Value::Int(nn as i32), Value::Long(noid as i64)],
-        );
-        // The old import entry stays: a reference to the dead location that
-        // arrives later materialises through it and lands on this re-homed
-        // proxy — the same logical object.
-        cache_import(shared, node, nn, noid, recv);
+        point_proxy_at(shared, node, recv, proxy_class, (nn, noid));
     }
     bump(shared, node.0, Met::Failovers);
     Some((nn, noid))

@@ -17,7 +17,7 @@
 //!   serialisable objects in RMI.
 
 use crate::cluster::{
-    cache_import, cached_import, export, gen_info, lookup_export, read_proxy_state, GenInfo, Shared,
+    cached_import, export, gen_info, lookup_export, new_proxy, read_proxy_state, GenInfo, Shared,
 };
 use rafda_classmodel::Ty;
 use rafda_net::NodeId;
@@ -184,12 +184,7 @@ pub(crate) fn wire_to_value(
             let info = gen_info(shared, impl_class)
                 .ok_or_else(|| format!("{class} is not a transformed implementation"))?;
             let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
-            let h = vm.alloc_raw(
-                proxy_class,
-                vec![Value::Int(*owner as i32), Value::Long(*object as i64)],
-            );
-            cache_import(shared, node, *owner, *object, h);
-            Value::Ref(h)
+            Value::Ref(new_proxy(shared, node, proxy_class, (*owner, *object)))
         }
         WireValue::Array(items) => {
             let mut data = Vec::with_capacity(items.len());

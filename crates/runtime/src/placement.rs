@@ -4,7 +4,7 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{
-    bump_version, cache_import, export, gen_info, info_of, is_local_impl, lookup_export,
+    bump_version, export, gen_info, info_of, is_local_impl, lookup_export, point_proxy_at,
     read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::directory::Why;
@@ -96,7 +96,7 @@ impl Cluster {
         // the state snapshot below: a deferred call still queued against
         // this object has to land while the object is at its old home, or
         // the shipped state would miss it.
-        flush_outqueues(shared).map_err(RuntimeError::from)?;
+        flush_outqueues(shared)?;
         let vm = &shared.vms[from.0 as usize];
         let (class, fields) = vm
             .read_object(object)
@@ -119,7 +119,7 @@ impl Cluster {
             state,
             source: Some((from.0, source_oid)),
         };
-        let (reply, _) = rpc(shared, from, to, row, &install).map_err(RuntimeError::from)?;
+        let (reply, _) = rpc(shared, from, to, row, &install)?;
         let target = match reply {
             Reply::Value(WireValue::Remote { node, object, .. }) => RemoteRef {
                 node: NodeId(node),
@@ -129,20 +129,13 @@ impl Cluster {
             other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
         };
         let proxy_class = row.proxy_class(info.side).map_err(RuntimeError::Bad)?;
-        vm.replace_object(
+        point_proxy_at(
+            shared,
+            from,
             object,
             proxy_class,
-            vec![
-                Value::Int(target.node.0 as i32),
-                Value::Long(target.oid as i64),
-            ],
+            (target.node.0, target.oid),
         );
-        {
-            let mut nodes = shared.nodes.borrow_mut();
-            nodes[from.0 as usize]
-                .imports
-                .insert((target.node.0, target.oid), object);
-        }
         relocate(
             shared,
             (from.0, source_oid),
@@ -191,7 +184,7 @@ impl Cluster {
         let shared = &self.shared;
         // Synchronization point, before the owner snapshots state for the
         // fetch (see [`Cluster::migrate`] for why the order matters).
-        flush_outqueues(shared).map_err(RuntimeError::from)?;
+        flush_outqueues(shared)?;
         let vm = &shared.vms[node.0 as usize];
         let class = vm
             .class_of(proxy)
@@ -204,8 +197,7 @@ impl Cluster {
             read_proxy_state(vm, proxy).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
         let owner = NodeId(owner_raw);
         // Fetch the state.
-        let (reply, _) = rpc(shared, node, owner, row, &Request::Fetch { object: oid })
-            .map_err(RuntimeError::from)?;
+        let (reply, _) = rpc(shared, node, owner, row, &Request::Fetch { object: oid })?;
         let (class_name, wire_fields) = match reply {
             Reply::Value(WireValue::ObjectState { class, fields }) => (class, fields),
             Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
@@ -225,7 +217,7 @@ impl Cluster {
             to_node: node.0,
             to_object: my_oid,
         };
-        let (reply, _) = rpc(shared, node, owner, row, &forward).map_err(RuntimeError::from)?;
+        let (reply, _) = rpc(shared, node, owner, row, &forward)?;
         if let Reply::Fault(m) = reply {
             return Err(RuntimeError::Bad(m));
         }
@@ -330,18 +322,11 @@ impl Cluster {
                 let src = lookup_export(shared, NodeId(tn), toid)
                     .ok_or_else(|| RuntimeError::Bad(format!("unknown object {tn}#{toid}")))?;
                 let event = self.migrate(NodeId(tn), src, NodeId(owner))?;
+                let home = (event.target.node.0, event.target.oid);
                 // Re-point the creator's proxy at the shard home directly,
                 // skipping the forwarding hop left at the old location.
-                vm.replace_object(
-                    h,
-                    vm.class_of(h).expect("live proxy"),
-                    vec![
-                        Value::Int(event.target.node.0 as i32),
-                        Value::Long(event.target.oid as i64),
-                    ],
-                );
-                cache_import(shared, node, event.target.node.0, event.target.oid, h);
-                (event.target.node.0, event.target.oid)
+                point_proxy_at(shared, node, h, vm.class_of(h).expect("live proxy"), home);
+                home
             }
         } else if node.0 == owner {
             // Created straight onto its shard's node: export it so the

@@ -1,14 +1,13 @@
 //! k-replication: shipping an export's state to its backups
 //! ([`sync_replicas`]), the dirty-replica sweep that finds what to ship,
-//! the application frames that mark what may have changed, and reads
-//! served from a node's own backup copy.
+//! and reads served from a node's own backup copy.
 //!
 //! The sweep probes exactly the locations marked dirty since their last
 //! shipment. Marking must therefore cover every way replicated state can
 //! drift: version bumps (served mutations, installs, promotions), fresh
-//! replicated exports, and bare local mutations — application code running
-//! outside the serve path, which the per-node app frames track
-//! conservatively.
+//! replicated exports, and bare local mutations — writes the runtime never
+//! served, which each node's heap logs as they happen and the sweep drains
+//! into [`Directory::mark_written`].
 
 use crate::batch::enqueue_outcall;
 use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
@@ -22,13 +21,8 @@ use rafda_net::NodeId;
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
 
-/// Conservatively mark every replicated export of `node` dirty — used when
-/// application code ran locally on the node and may have mutated any of
-/// its objects bare (the runtime never sees plain local calls).
+/// Mark every replicated export of `node` dirty, written or not.
 pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
-    if !shared.any_replication {
-        return;
-    }
     let marked = shared.directory.borrow_mut().mark_node(node);
     charge_marks(shared, node, marked);
 }
@@ -37,47 +31,6 @@ pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
 pub(crate) fn charge_marks(shared: &Shared, node: u32, marks: u64) {
     if marks > 0 {
         shared.obs.borrow_mut().add(node, Met::DirtyMarks, marks);
-    }
-}
-
-/// Mark `node` dirty iff application code is currently executing on it (an
-/// open app frame). Called at every synchronization point, so state a
-/// frame mutated *before* a nested exchange is shipped at that exchange —
-/// exactly when the old full-table sweep would have shipped it.
-pub(crate) fn mark_if_framed(shared: &Shared, node: u32) {
-    if !shared.any_replication {
-        return;
-    }
-    if shared.app_frames.borrow()[node as usize] > 0 {
-        mark_node_dirty(shared, node);
-    }
-}
-
-/// RAII guard for one nested level of local application execution on a
-/// node. Entered around every non-getter app-code call site (served
-/// `Call`s, entry points, clinit); exiting conservatively marks the node
-/// dirty, so trailing bare mutations are shipped at the next
-/// synchronization point.
-pub(crate) struct AppFrame<'a> {
-    shared: &'a Shared,
-    node: u32,
-}
-
-impl<'a> AppFrame<'a> {
-    pub(crate) fn enter(shared: &'a Shared, node: u32) -> AppFrame<'a> {
-        if shared.any_replication {
-            shared.app_frames.borrow_mut()[node as usize] += 1;
-        }
-        AppFrame { shared, node }
-    }
-}
-
-impl Drop for AppFrame<'_> {
-    fn drop(&mut self) {
-        if self.shared.any_replication {
-            self.shared.app_frames.borrow_mut()[self.node as usize] -= 1;
-            mark_node_dirty(self.shared, self.node);
-        }
     }
 }
 
@@ -105,10 +58,15 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// for the failure detector a real owner would run — and other sync
 /// failures are swallowed: replication is best-effort per sync and repaired
 /// by the next one. Only the authoritative copy is shipped; proxies and
-/// forwarding exports never sync.
-pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
+/// forwarding exports never sync. A replicated export whose state cannot
+/// be marshalled right now (an over-deep by-value graph, a stale handle)
+/// ships nothing and keeps its dirty mark: no later write need flip its
+/// written mark again, so the next sweep must retry it unprompted.
+///
+/// Returns whether a shipment was made.
+pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     let Some(h) = lookup_export(shared, owner, oid) else {
-        return;
+        return false;
     };
     let vm = &shared.vms[owner.0 as usize];
     let loc = (owner.0, oid);
@@ -123,10 +81,11 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
             Some(Drift::Settled),
             "the written mark and the full probe disagree at {loc:?}"
         );
-        return;
+        return false;
     }
     let Some((class_name, row, wire_fields)) = replicated_state(shared, owner, h) else {
-        return;
+        shared.directory.borrow_mut().unsettled(loc);
+        return false;
     };
     // Skip the no-op sync outright: if neither the version nor the state
     // has moved since the last shipment, the backups already hold exactly
@@ -144,7 +103,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         Drift::Settled => {
             shared.directory.borrow_mut().settled(loc);
             vm.clear_written(h);
-            return;
+            return false;
         }
         Drift::State => bump_version(shared, owner.0, oid),
         Drift::Version => {}
@@ -187,6 +146,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
         }
         ship(last, state);
     }
+    true
 }
 
 /// The marshalled live state of `h` on `owner`, if it is a locally
@@ -226,24 +186,31 @@ fn replicated_state(
 /// full-table sweep enumerated, so the shipment sequence (and with it
 /// every message id, clock reading and report byte) is unchanged for any
 /// run. Marking covers everything the full sweep could ship: version
-/// bumps, fresh replicated exports, restart re-seeds, and conservative
-/// app-frame marks for bare local mutations (see the marking helpers
-/// around [`mark_node_dirty`]). Gated on `any_replication` so workloads
+/// bumps, fresh replicated exports, restart re-seeds, and — drained here,
+/// first — what each node's heap logged as written since the last sweep.
+/// Every write to an entry passes `Heap::get_mut`, so nothing that ran
+/// between two sweeps, application code or host, can move a replicated
+/// object's state unlogged. Gated on `any_replication` so workloads
 /// without a `replicate` policy pay one boolean test, and guarded against
 /// re-entry because the shipments are themselves exchanges.
-pub(crate) fn sync_dirty_replicas(shared: &Shared) {
+///
+/// Returns the number of shipments made.
+pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     if !shared.any_replication || shared.in_replica_sweep.get() {
-        return;
+        return 0;
     }
-    // Take the set whole: marks made *during* the sweep (nested exchanges
-    // re-marking an open app frame, the drift bump inside a shipment) are
-    // next sweep's work, exactly like mutations made during the old full
-    // enumeration.
+    for (n, vm) in (0..).zip(&shared.vms) {
+        if let Some(written) = vm.take_written() {
+            let marked = shared.directory.borrow_mut().mark_written(n, &written);
+            charge_marks(shared, n, marked);
+        }
+    }
+    // Take the set whole: marks made *during* the sweep (the drift bump
+    // inside a shipment, writes a nested exchange logs) are next sweep's
+    // work, exactly like mutations made during the old full enumeration.
     let targets = shared.directory.borrow_mut().take_dirty();
-    if targets.is_empty() {
-        return;
-    }
     shared.in_replica_sweep.set(true);
+    let mut shipped = 0;
     for (n, oid) in targets {
         // A crashed owner cannot ship; its backups are exactly what the
         // failover machinery is for. The entry is dropped, not kept: a
@@ -253,9 +220,10 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) {
             continue;
         }
         bump(shared, n, Met::ReplicaSweepProbes);
-        sync_replicas(shared, NodeId(n), oid);
+        shipped += usize::from(sync_replicas(shared, NodeId(n), oid));
     }
     shared.in_replica_sweep.set(false);
+    shipped
 }
 
 /// Serve a getter from `node`'s own replica copy of `(owner, oid)`, iff

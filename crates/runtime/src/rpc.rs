@@ -8,7 +8,7 @@ use crate::directory::VERSION_TOMBSTONE;
 use crate::failover::failover;
 use crate::marshal;
 use crate::obs::Met;
-use crate::replicate::{mark_if_framed, replica_read, sync_dirty_replicas};
+use crate::replicate::{replica_read, sync_dirty_replicas};
 use crate::serve::{deliver, is_unknown_object, reply_outcome};
 use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
@@ -219,11 +219,9 @@ pub(crate) fn rpc(
     flush_outqueues(shared)?;
     // A promoted object's local mutations bypass the serve path entirely;
     // the next exchange is the first chance to notice its backups are
-    // behind. If application code is mid-flight on the calling node (an
-    // open app frame), anything it mutated bare so far must be probed by
-    // this very sweep — the old full-table sweep shipped such state here,
-    // and nested calls may observe it through their own replicas.
-    mark_if_framed(shared, from.0);
+    // behind — including what application code still mid-flight on the
+    // calling node has written so far, which nested calls may observe
+    // through their own replicas.
     sync_dirty_replicas(shared);
     let codec = row
         .codec

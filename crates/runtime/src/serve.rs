@@ -4,14 +4,14 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cache_import, cached_import, class_row, default_instance, discover_value, export,
-    gen_info, getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, read_proxy_state,
+    bump_version, cached_import, class_row, default_instance, discover_value, export, gen_info,
+    getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, point_proxy_at, read_proxy_state,
     relocate, remote_ref, version_of, Shared,
 };
 use crate::directory::Why;
 use crate::marshal;
 use crate::obs::Met;
-use crate::replicate::{sync_replicas, AppFrame};
+use crate::replicate::sync_replicas;
 use crate::rpc::span_names;
 use crate::stats::{bump, monitors_on};
 use rafda_classmodel::{ClassId, SigId};
@@ -251,18 +251,10 @@ fn dispatch_request(
                 bump_version(shared, node.0, object);
             }
             let values = marshal::wire_to_values(shared, node, &args)?;
-            let reply = {
-                // Non-getter app code runs under an app frame: any nested
-                // exchange it makes probes this node's replicated state
-                // first, and the frame's exit mark covers trailing bare
-                // mutations (the method may touch local objects besides
-                // the receiver, which `bump_version` above already marked).
-                let _frame = (!is_getter).then(|| AppFrame::enter(shared, node.0));
-                match vm.call_virtual(Value::Ref(h), sig, values) {
-                    Ok(v) => marshal::value_to_wire(shared, node, &v).map(Reply::Value),
-                    Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                    Err(other) => Err(other.to_string()),
-                }
+            let reply = match vm.call_virtual(Value::Ref(h), sig, values) {
+                Ok(v) => marshal::value_to_wire(shared, node, &v).map(Reply::Value),
+                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
+                Err(other) => Err(other.to_string()),
             };
             // Anything that may have mutated the object re-ships it to its
             // backups before the reply leaves, so a replica promoted after
@@ -349,12 +341,7 @@ fn dispatch_request(
             let class = vm.class_of(h).ok_or("stale export")?;
             let info = gen_info(shared, class).ok_or("cannot forward untransformed object")?;
             let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
-            vm.replace_object(
-                h,
-                proxy_class,
-                vec![Value::Int(to_node as i32), Value::Long(to_object as i64)],
-            );
-            cache_import(shared, node, to_node, to_object, h);
+            point_proxy_at(shared, node, h, proxy_class, (to_node, to_object));
             relocate(shared, (node.0, object), (to_node, to_object), Why::Pulled);
             Ok(Reply::Value(WireValue::Null))
         }

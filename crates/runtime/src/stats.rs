@@ -173,6 +173,9 @@ impl Cluster {
     pub fn check_invariants(&self) -> Vec<Violation> {
         let shared = &self.shared;
         let _ = flush_outqueues(shared);
+        // The marks' own sweep first, so that whatever the full sweep below
+        // still finds to ship is a hole in the marking.
+        sync_dirty_replicas(shared);
         // A quiescent check probes *every* replicated export, not just
         // recently-marked ones — mark everything, then let the sweep's
         // no-op settling clear the set again. This is the full-table
@@ -181,7 +184,8 @@ impl Cluster {
         for n in 0..shared.vms.len() as u32 {
             mark_node_dirty(shared, n);
         }
-        sync_dirty_replicas(shared);
+        let unmarked = sync_dirty_replicas(shared);
+        debug_assert_eq!(unmarked, 0, "drifted replicated state nobody marked");
         if shared.obs.borrow().monitors.is_none() {
             return Vec::new();
         }

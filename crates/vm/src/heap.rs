@@ -76,6 +76,12 @@ pub struct Heap {
     slots: Vec<Slot>,
     free: Vec<u32>,
     stats: HeapStats,
+    /// Every handle whose written mark [`Heap::get_mut`] flipped from clear
+    /// to set since the last [`Heap::take_written`]. An entry nobody ever
+    /// cleared is born marked and never logged.
+    write_log: Vec<Handle>,
+    /// Whether [`Heap::get_mut`] handed out any entry since that drain.
+    touched: bool,
 }
 
 impl Heap {
@@ -145,12 +151,33 @@ impl Heap {
     }
 
     /// Mutable access to an entry. Every write to an entry goes through
-    /// here, so this is where the slot is marked written.
+    /// here, so this is where the slot is marked written — and, when that
+    /// flips a cleared mark, where the handle is logged.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut HeapEntry> {
-        self.slot_mut(h).and_then(|s| {
-            s.written = true;
-            s.entry.as_mut()
-        })
+        let slot = self.slots.get_mut(h.index as usize)?;
+        if slot.generation != h.generation {
+            return None;
+        }
+        self.touched = true;
+        if !slot.written {
+            slot.written = true;
+            self.write_log.push(h);
+        }
+        slot.entry.as_mut()
+    }
+
+    /// Drain the write log: `None` if no entry was handed out mutably since
+    /// the previous drain, else the handles that were clear when written
+    /// and have not been cleared again since (a handle gone stale reads as
+    /// written, so it stays).
+    pub fn take_written(&mut self) -> Option<Vec<Handle>> {
+        if !std::mem::take(&mut self.touched) {
+            return None;
+        }
+        let log = self.write_log.iter().copied();
+        let still_written = log.filter(|&h| self.written(h)).collect();
+        self.write_log.clear();
+        Some(still_written)
     }
 
     /// Whether the entry at `h` may have changed since the last
@@ -269,7 +296,7 @@ impl Heap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn the_written_mark_fits_in_the_slots_padding() {
@@ -288,6 +315,27 @@ mod tests {
         Free { pick: usize },
         Clear { pick: usize },
         Read { pick: usize },
+        Drain,
+    }
+
+    /// What the write log should hold: the handles a `get_mut` found clear
+    /// since the last drain, and whether any `get_mut` found an entry at all.
+    #[derive(Default)]
+    struct LogModel {
+        flipped: HashSet<Handle>,
+        touched: bool,
+    }
+
+    impl LogModel {
+        /// `h` is about to be asked for mutably.
+        fn before_get_mut(&mut self, heap: &Heap, h: Handle) {
+            if heap.get(h).is_some() {
+                self.touched = true;
+                if !heap.written(h) {
+                    self.flipped.insert(h);
+                }
+            }
+        }
     }
 
     fn arb_op() -> BoxedStrategy<Op> {
@@ -303,6 +351,7 @@ mod tests {
             2 => pick().prop_map(|pick| Op::Free { pick }),
             4 => pick().prop_map(|pick| Op::Clear { pick }),
             3 => pick().prop_map(|pick| Op::Read { pick }),
+            2 => Just(Op::Drain),
         ]
         .boxed()
     }
@@ -313,7 +362,11 @@ mod tests {
         /// The mark is complete: an entry that differs from its snapshot at
         /// the last `clear_written` is marked, whatever wrote it; reads
         /// never mark; handles that are stale, or were never cleared, read
-        /// as written.
+        /// as written. The write log is exact: a drain yields the handles
+        /// that were clear when written since the previous drain and are
+        /// still marked (gone stale included), and is `Some` iff some entry
+        /// was handed out mutably — allocation alone logs and touches
+        /// nothing.
         #[test]
         fn an_entry_that_changed_since_its_last_clear_is_marked(
             ops in prop::collection::vec(arb_op(), 1..120),
@@ -322,6 +375,7 @@ mod tests {
             // Every handle ever issued, stale ones included.
             let mut issued: Vec<Handle> = Vec::new();
             let mut snapshots: HashMap<Handle, HeapEntry> = HashMap::new();
+            let mut log = LogModel::default();
             for op in ops {
                 let at = |pick: usize| issued.get(pick % issued.len().max(1)).copied();
                 match op {
@@ -333,12 +387,17 @@ mod tests {
                     }
                     Op::SetField { pick, offset, v } => {
                         if let Some(h) = at(pick) {
+                            log.before_get_mut(&heap, h);
                             heap.set_field(h, offset, Value::Int(v));
                         }
                     }
                     Op::ArrayStore { pick, index, v } => {
+                        let h = at(pick);
+                        if let Some(h) = h {
+                            log.before_get_mut(&heap, h);
+                        }
                         if let Some(HeapEntry::Array { data, .. }) =
-                            at(pick).and_then(|h| heap.get_mut(h))
+                            h.and_then(|h| heap.get_mut(h))
                         {
                             if let Some(slot) = data.get_mut(index) {
                                 *slot = Value::Int(v);
@@ -347,6 +406,7 @@ mod tests {
                     }
                     Op::Replace { pick, class } => {
                         if let Some(h) = at(pick) {
+                            log.before_get_mut(&heap, h);
                             heap.replace_object(h, ClassId(class), vec![Value::Int(1)]);
                         }
                     }
@@ -377,6 +437,16 @@ mod tests {
                         }
                         let _ = heap.handles().count();
                         prop_assert_eq!(before, marks(&heap), "a read left a mark");
+                    }
+                    Op::Drain => {
+                        let drained = heap.take_written();
+                        prop_assert_eq!(drained.is_some(), log.touched);
+                        let drained: HashSet<Handle> =
+                            drained.into_iter().flatten().collect();
+                        let owed = std::mem::take(&mut log).flipped;
+                        let owed: HashSet<Handle> =
+                            owed.into_iter().filter(|&h| heap.written(h)).collect();
+                        prop_assert_eq!(drained, owed);
                     }
                 }
                 for &h in &issued {

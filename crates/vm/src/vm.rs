@@ -315,6 +315,11 @@ impl Vm {
         self.state.borrow_mut().heap.clear_written(h)
     }
 
+    /// Drain the heap's write log: see [`Heap::take_written`].
+    pub fn take_written(&self) -> Option<Vec<Handle>> {
+        self.state.borrow_mut().heap.take_written()
+    }
+
     /// Mark-and-sweep garbage collection.
     ///
     /// Roots are all static fields of initialised classes plus the

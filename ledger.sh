@@ -8,12 +8,27 @@
 #
 # `commit` defaults to the checked-out HEAD (pass the parent's hash when
 # piping a run of the parent's tree), `seed` to 42.
+#
+# Layers mode, for a `--trace 1` run: `./ledger.sh --layers W S [commit] [seed]`
+# appends every metric on the last line, by name, to BENCH_layers.json (same
+# shape of file) as {commit, date, workload, seed, seconds, layers: {...}}.
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,10p' "$0" >&2; exit 2; }
+layers=0
+if [ "${1:-}" = --layers ]; then layers=1; shift; fi
+[ $# -ge 2 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
 workload=$1 seconds=$2
 commit=${3:-$(git -C "$(dirname "$0")" rev-parse --short HEAD)}
 seed=${4:-42}
 line=$(tail -n 1)
+if [ "$layers" = 1 ]; then
+  pairs=$(grep -oE '"[^"]+":\{"value":[0-9.eE+-]+' <<<"$line" |
+    awk '{ sub(/:\{"value"/, ""); printf "%s%s", (NR > 1 ? "," : ""), $0 }') || true
+  [ -n "$pairs" ] || { echo "ledger: no metrics on the benchmark's last line" >&2; exit 1; }
+  printf '{"commit":"%s","date":"%s","workload":"%s","seed":%s,"seconds":%s,"layers":{%s}}\n' \
+    "$commit" "$(date -u +%F)" "$workload" "$seed" "$seconds" "$pairs" \
+    >>"$(dirname "$0")/BENCH_layers.json"
+  exit 0
+fi
 metric() { # name, printf format
   local v
   v=$(grep -oE "\"$1\":\{\"value\":[0-9.eE+-]+" <<<"$line" | grep -oE '[0-9.eE+-]+$') ||
