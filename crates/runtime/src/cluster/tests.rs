@@ -822,13 +822,13 @@ fn discover_of_a_class_without_statics_is_answered_with_a_fault() {
 fn spans_since(shared: &Shared, before: usize) -> Vec<String> {
     let spans = shared.spans.borrow();
     let line = |s: &rafda_telemetry::Span| {
-        let attrs: Vec<String> = s.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let attrs: Vec<String> = spans.attrs(s).map(|(k, v)| format!("{k}={v}")).collect();
         format!(
             "{} #{} ^{} retry_of={:?} {:?} {}..{} [{}]",
             s.name,
             s.span_id,
             s.parent_span_id,
-            s.retry_of,
+            s.retry_of(),
             s.outcome,
             s.start_ns,
             s.end_ns,
@@ -1433,12 +1433,12 @@ fn one_queue_per_owner_ships_under_the_first_enqueued_classs_protocol() {
         .collect();
     assert_eq!(batches.len(), 1);
     assert_eq!(
-        batches[0].attr_str("protocol"),
+        log.attr_str(batches[0], "protocol"),
         Some("RMI"),
         "CA's, not CB's"
     );
     assert_eq!(
-        batches[0].attr("n_ops").map(|n| n.to_string()),
+        log.attr(batches[0], "n_ops").map(|n| n.to_string()),
         Some("3".into())
     );
     let get = |obj: &Value| cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);

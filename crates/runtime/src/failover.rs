@@ -78,7 +78,7 @@ pub(crate) fn failover(
         spans.set_attr(h, "class", row.name.as_str());
         spans.set_attr(h, "protocol", row.protocol.as_str());
         spans.set_attr(h, "from", node.0);
-        spans.set_attr(h, "old_home", format!("{target}#{oid}"));
+        spans.set_attr(h, "old_home", &format!("{target}#{oid}"));
         let prior = shared.last_exchange_span.get();
         if prior != 0 {
             spans.set_retry_of(h, prior);
@@ -91,7 +91,7 @@ pub(crate) fn failover(
         let mut spans = shared.spans.borrow_mut();
         match home {
             Some((nn, noid)) => {
-                spans.set_attr(span, "new_home", format!("{nn}#{noid}"));
+                spans.set_attr(span, "new_home", &format!("{nn}#{noid}"));
                 spans.end_span(span, end, SpanOutcome::Ok);
             }
             None => spans.end_span(span, end, SpanOutcome::NetFailure),

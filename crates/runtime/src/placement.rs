@@ -72,7 +72,7 @@ impl Cluster {
         let mut spans = shared.spans.borrow_mut();
         let outcome = match &result {
             Ok(event) => {
-                spans.set_attr(span, "class", event.class.clone());
+                spans.set_attr(span, "class", &event.class);
                 SpanOutcome::Ok
             }
             Err(e) if e.is_network() => SpanOutcome::NetFailure,
@@ -169,7 +169,7 @@ impl Cluster {
         let mut spans = shared.spans.borrow_mut();
         let outcome = match &result {
             Ok(event) => {
-                spans.set_attr(span, "class", event.class.clone());
+                spans.set_attr(span, "class", &event.class);
                 spans.set_attr(span, "from", event.from.0);
                 SpanOutcome::Ok
             }

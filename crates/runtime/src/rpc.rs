@@ -16,6 +16,7 @@ use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
 use rafda_vm::{NetFailure, NetFailureKind, RpcFault, Value, VmError};
 use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
+use std::borrow::Cow;
 
 /// Maximum nested (re-entrant) RPC depth across the whole cluster — a
 /// distributed call chain deeper than this is almost certainly unbounded
@@ -256,18 +257,18 @@ pub(crate) fn span_names(kind: RequestKind) -> (&'static str, &'static str) {
 
 /// The method label recorded on an exchange span: the wire method string
 /// for calls, a pseudo-method for the runtime-internal request kinds.
-fn req_method_label(req: &Request) -> String {
-    match req {
-        Request::Call { method, .. } => method.clone(),
-        Request::Create { ctor, .. } => format!("<create:{ctor}>"),
-        Request::Discover { .. } => "<discover>".to_owned(),
-        Request::Fetch { .. } => "<fetch>".to_owned(),
-        Request::Install { .. } => "<install>".to_owned(),
-        Request::Forward { .. } => "<forward>".to_owned(),
-        Request::ReplicaSync { .. } => "<replica>".to_owned(),
-        Request::Promote { .. } => "<promote>".to_owned(),
-        Request::Batch(..) => "<batch>".to_owned(),
-    }
+fn req_method_label(req: &Request) -> Cow<'_, str> {
+    Cow::Borrowed(match req {
+        Request::Call { method, .. } => method,
+        Request::Create { ctor, .. } => return Cow::Owned(format!("<create:{ctor}>")),
+        Request::Discover { .. } => "<discover>",
+        Request::Fetch { .. } => "<fetch>",
+        Request::Install { .. } => "<install>",
+        Request::Forward { .. } => "<forward>",
+        Request::ReplicaSync { .. } => "<replica>",
+        Request::Promote { .. } => "<promote>",
+        Request::Batch(..) => "<batch>",
+    })
 }
 
 /// The typed mirror of a transport error (same data, no crate dependency
@@ -303,7 +304,7 @@ pub(crate) fn rpc_inner(
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span(exch_name, from.0, shared.net.now().as_ns());
         spans.set_attr(h, "class", class);
-        spans.set_attr(h, "method", req_method_label(req));
+        spans.set_attr(h, "method", &*req_method_label(req));
         spans.set_attr(h, "protocol", codec.name());
         spans.set_attr(h, "from", from.0);
         spans.set_attr(h, "to", to.0);

@@ -322,7 +322,7 @@ pub(crate) fn record_local_read(
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.call", node.0, now);
         spans.set_attr(h, "class", row.name.as_str());
-        spans.set_attr(h, "method", method.to_owned());
+        spans.set_attr(h, "method", method);
         spans.set_attr(h, "protocol", row.protocol.as_str());
         spans.set_attr(h, "from", node.0);
         spans.set_attr(h, "to", loc.0);

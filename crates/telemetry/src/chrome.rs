@@ -37,7 +37,7 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn span_event(out: &mut String, span: &Span) {
+fn span_event(out: &mut String, log: &SpanLog, span: &Span) {
     let _ = write!(
         out,
         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{",
@@ -55,10 +55,10 @@ fn span_event(out: &mut String, span: &Span) {
         span.parent_span_id,
         span.outcome.label(),
     );
-    if let Some(prior) = span.retry_of {
+    if let Some(prior) = span.retry_of() {
         let _ = write!(out, ",\"retry_of\":\"{prior:x}\"");
     }
-    for (key, value) in &span.attrs {
+    for (key, value) in log.attrs(span) {
         let _ = write!(
             out,
             ",\"{}\":\"{}\"",
@@ -91,7 +91,7 @@ impl SpanLog {
                 out.push(',');
             }
             first = false;
-            span_event(&mut out, span);
+            span_event(&mut out, self, span);
         }
         out.push_str("]}\n");
         out

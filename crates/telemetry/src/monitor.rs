@@ -281,7 +281,7 @@ impl SpanTreeMonitor {
                 }
             }
         }
-        if let Some(prior) = span.retry_of {
+        if let Some(prior) = span.retry_of() {
             // Resolved log-wide, not per trace: a failover span chains to
             // the failed exchange, which legitimately lives in the trace
             // that died with the crashed owner.
@@ -440,7 +440,7 @@ mod tests {
                     }
                 }
             }
-            if let Some(prior) = span.retry_of {
+            if let Some(prior) = span.retry_of() {
                 if !span_ids.contains(&prior) {
                     fail(format!(
                         "span {} retries {:x}, which is missing from the log",

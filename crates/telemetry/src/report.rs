@@ -27,7 +27,7 @@ impl SpanLog {
             for key in ["class", "method", "protocol", "outcome"] {
                 let text = match key {
                     "outcome" => Some(span.outcome.label().to_string()),
-                    _ => span.attr_str(key).map(str::to_string),
+                    _ => self.attr_str(span, key).map(str::to_string),
                 };
                 if let Some(text) = text {
                     if !detail.is_empty() {

@@ -1,8 +1,19 @@
 //! Spans charged to the simulated clock, collected in a [`SpanLog`].
 //!
-//! The log is an append-only vector plus a stack of currently-open spans.
-//! Span ids are handed out 1, 2, 3, … in push order, so the vector is its
-//! own id index ([`SpanLog::by_id`]); a closed span never changes again.
+//! The log is columnar. A [`Span`] is a fixed-size `Copy` record in an
+//! append-only vector; span ids are handed out 1, 2, 3, … in push order, so
+//! the vector is its own id index ([`SpanLog::by_id`]). Attributes live in
+//! one log-wide arena of 16-byte entries — a key id into a small key table,
+//! a tag and a `u64` payload — and a string value is interned once per log
+//! and stored as its symbol, so the log owns them and reads go through it
+//! ([`SpanLog::attrs`], [`SpanLog::attr`], [`SpanLog::attr_str`]).
+//!
+//! A closed span never changes again. An *open* span therefore stages its
+//! attributes in a scratch vector on the open stack, and
+//! [`SpanLog::end_span`] appends them to the arena as one contiguous run
+//! which the record names; scratch vectors are pooled, so in steady state a
+//! span allocates nothing of its own.
+//!
 //! The cluster is single-threaded and RPCs are synchronous and re-entrant,
 //! so the stack *is* the causal chain: a span started while another is open
 //! becomes its child. Server-side dispatch spans instead take their parent
@@ -13,14 +24,15 @@
 //! randomness), so with the same seed the log is byte-identical across runs.
 
 use crate::TraceContext;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// A typed span attribute value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttrValue {
+/// A typed span attribute value. Strings are borrowed: from the caller on
+/// the way in, from the log's interner on the way out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttrValue<'a> {
     /// A string attribute (method signature, protocol name, ...).
-    Str(String),
+    Str(&'a str),
     /// An unsigned numeric attribute (bytes, attempt number, ...).
     U64(u64),
     /// A signed numeric attribute.
@@ -29,7 +41,7 @@ pub enum AttrValue {
     Bool(bool),
 }
 
-impl fmt::Display for AttrValue {
+impl fmt::Display for AttrValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AttrValue::Str(s) => write!(f, "{s}"),
@@ -40,37 +52,37 @@ impl fmt::Display for AttrValue {
     }
 }
 
-impl From<&str> for AttrValue {
-    fn from(s: &str) -> Self {
-        AttrValue::Str(s.to_string())
-    }
-}
-impl From<String> for AttrValue {
-    fn from(s: String) -> Self {
+impl<'a> From<&'a str> for AttrValue<'a> {
+    fn from(s: &'a str) -> Self {
         AttrValue::Str(s)
     }
 }
-impl From<u64> for AttrValue {
+impl<'a> From<&'a String> for AttrValue<'a> {
+    fn from(s: &'a String) -> Self {
+        AttrValue::Str(s)
+    }
+}
+impl From<u64> for AttrValue<'_> {
     fn from(v: u64) -> Self {
         AttrValue::U64(v)
     }
 }
-impl From<u32> for AttrValue {
+impl From<u32> for AttrValue<'_> {
     fn from(v: u32) -> Self {
         AttrValue::U64(v as u64)
     }
 }
-impl From<usize> for AttrValue {
+impl From<usize> for AttrValue<'_> {
     fn from(v: usize) -> Self {
         AttrValue::U64(v as u64)
     }
 }
-impl From<i64> for AttrValue {
+impl From<i64> for AttrValue<'_> {
     fn from(v: i64) -> Self {
         AttrValue::I64(v)
     }
 }
-impl From<bool> for AttrValue {
+impl From<bool> for AttrValue<'_> {
     fn from(v: bool) -> Self {
         AttrValue::Bool(v)
     }
@@ -102,8 +114,9 @@ impl SpanOutcome {
 }
 
 /// One recorded operation: an interval on the simulated clock plus its
-/// position in the causal tree and its typed attributes.
-#[derive(Debug, Clone, PartialEq)]
+/// position in the causal tree. Its typed attributes are read through the
+/// log that recorded it ([`SpanLog::attrs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to.
     pub trace_id: u64,
@@ -113,19 +126,19 @@ pub struct Span {
     pub parent_span_id: u64,
     /// Span kind, e.g. `rpc.call`, `rpc.attempt`, `serve.call`, `migrate`.
     pub name: &'static str,
-    /// Node the span was recorded on.
-    pub node: u32,
     /// Start, simulated nanoseconds.
     pub start_ns: u64,
     /// End, simulated nanoseconds (`== start_ns` while open).
     pub end_ns: u64,
-    /// For retransmission attempts: the span id of the attempt this one
-    /// retries.
-    pub retry_of: Option<u64>,
+    /// The span id this one retries; 0, which is never a span's id, for none.
+    retry_of: u64,
+    /// Node the span was recorded on.
+    pub node: u32,
+    /// The span's run in the log's attribute arena (empty until it closes).
+    attrs_start: u32,
+    attrs_len: u16,
     /// How the span ended.
     pub outcome: SpanOutcome,
-    /// Typed attributes in insertion order.
-    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Span {
@@ -134,17 +147,10 @@ impl Span {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
-    /// Look up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Look up a string attribute by key.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        match self.attr(key) {
-            Some(AttrValue::Str(s)) => Some(s),
-            _ => None,
-        }
+    /// For retransmission attempts: the span id of the attempt this one
+    /// retries.
+    pub fn retry_of(&self) -> Option<u64> {
+        (self.retry_of != 0).then_some(self.retry_of)
     }
 
     /// The context a frame sent *from inside this span* carries.
@@ -178,6 +184,69 @@ pub struct LinkSummary {
     pub p99: u64,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Str,
+    U64,
+    I64,
+    Bool,
+}
+
+/// One attribute as the arena stores it: `payload` is the value itself, or
+/// the interned symbol of a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Attr {
+    payload: u64,
+    key: u16,
+    tag: Tag,
+}
+
+/// Every distinct string value the log has seen, once. The vocabulary is
+/// class names, method signatures and protocol names — bounded by the
+/// program — plus one label per failover.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Interner {
+    symbols: Vec<Box<str>>,
+    ids: HashMap<Box<str>, u32>,
+}
+
+impl Interner {
+    /// The symbol of `s`. `guess` is looked at before `s` is hashed.
+    fn intern(&mut self, s: &str, guess: u32) -> u32 {
+        if self.symbols.get(guess as usize).is_some_and(|g| **g == *s) {
+            return guess;
+        }
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.symbols.len()).expect("fewer than 2^32 distinct strings");
+        self.symbols.push(s.into());
+        self.ids.insert(s.into(), id);
+        id
+    }
+
+    fn resolve(&self, id: u32) -> &str {
+        &self.symbols[id as usize]
+    }
+}
+
+/// An attribute key, and the symbol of the string it was last given: from one
+/// span to the next a key mostly repeats its value (the same class, the same
+/// protocol), which makes it the interner's guess.
+#[derive(Debug, Clone, PartialEq)]
+struct Key {
+    name: &'static str,
+    last_symbol: u32,
+}
+
+/// An entry of the open stack: the span's slot and the attributes it has
+/// been given so far.
+#[derive(Debug, Clone, PartialEq)]
+struct OpenSpan {
+    slot: usize,
+    staged: Vec<Attr>,
+}
+
 /// The per-cluster collection of spans and link samples.
 ///
 /// Deterministic by construction: ids come from counters, timestamps from
@@ -185,7 +254,15 @@ pub struct LinkSummary {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanLog {
     spans: Vec<Span>,
-    open: Vec<usize>,
+    /// The attribute arena: each closed span's attributes, contiguous, in
+    /// close order.
+    attrs: Vec<Attr>,
+    /// Attribute keys by id. A dozen literals, so lookup is a scan.
+    keys: Vec<Key>,
+    strings: Interner,
+    open: Vec<OpenSpan>,
+    /// Emptied staging vectors waiting for the next span to open.
+    scratch: Vec<Vec<Attr>>,
     next_trace_id: u64,
     next_span_id: u64,
     link_samples: BTreeMap<(u32, u32), Vec<u64>>,
@@ -197,50 +274,49 @@ impl SpanLog {
         SpanLog::default()
     }
 
-    fn fresh_span_id(&mut self) -> u64 {
-        self.next_span_id += 1;
-        self.next_span_id
-    }
-
     fn fresh_trace_id(&mut self) -> u64 {
         self.next_trace_id += 1;
         self.next_trace_id
     }
 
-    fn push(&mut self, span: Span) -> SpanHandle {
-        let idx = self.spans.len();
-        // `by_id` reads slot `id - first id`: each id follows its predecessor.
-        debug_assert!(
-            self.spans
-                .last()
-                .is_none_or(|prev| prev.span_id + 1 == span.span_id),
-            "span ids are consecutive in push order"
-        );
-        self.spans.push(span);
-        self.open.push(idx);
-        SpanHandle(idx)
+    /// Record a span and open it. `by_id` reads slot `id - first id`, which
+    /// holds because the id is taken here, in push order.
+    fn push(
+        &mut self,
+        trace_id: u64,
+        parent_span_id: u64,
+        name: &'static str,
+        node: u32,
+        now_ns: u64,
+    ) -> SpanHandle {
+        self.next_span_id += 1;
+        let slot = self.spans.len();
+        self.spans.push(Span {
+            trace_id,
+            span_id: self.next_span_id,
+            parent_span_id,
+            name,
+            start_ns: now_ns,
+            end_ns: now_ns,
+            retry_of: 0,
+            node,
+            attrs_start: 0,
+            attrs_len: 0,
+            outcome: SpanOutcome::Open,
+        });
+        let staged = self.scratch.pop().unwrap_or_default();
+        self.open.push(OpenSpan { slot, staged });
+        SpanHandle(slot)
     }
 
     /// Open a span as a child of the innermost open span (or as the root of
     /// a fresh trace if none is open).
     pub fn start_span(&mut self, name: &'static str, node: u32, now_ns: u64) -> SpanHandle {
         let (trace_id, parent_span_id) = match self.open.last() {
-            Some(&idx) => (self.spans[idx].trace_id, self.spans[idx].span_id),
+            Some(top) => (self.spans[top.slot].trace_id, self.spans[top.slot].span_id),
             None => (self.fresh_trace_id(), 0),
         };
-        let span_id = self.fresh_span_id();
-        self.push(Span {
-            trace_id,
-            span_id,
-            parent_span_id,
-            name,
-            node,
-            start_ns: now_ns,
-            end_ns: now_ns,
-            retry_of: None,
-            outcome: SpanOutcome::Open,
-            attrs: Vec::new(),
-        })
+        self.push(trace_id, parent_span_id, name, node, now_ns)
     }
 
     /// Open a server-side dispatch span whose parent is the *remote* span
@@ -259,44 +335,141 @@ impl SpanLog {
         } else {
             (ctx.trace_id, ctx.span_id)
         };
-        let span_id = self.fresh_span_id();
-        self.push(Span {
-            trace_id,
-            span_id,
-            parent_span_id,
-            name,
-            node,
-            start_ns: now_ns,
-            end_ns: now_ns,
-            retry_of: None,
-            outcome: SpanOutcome::Open,
-            attrs: Vec::new(),
-        })
+        self.push(trace_id, parent_span_id, name, node, now_ns)
     }
 
-    /// Attach (or append) a typed attribute to an open span.
-    pub fn set_attr(&mut self, h: SpanHandle, key: &'static str, value: impl Into<AttrValue>) {
-        self.spans[h.0].attrs.push((key, value.into()));
+    /// Where `h` sits on the open stack. A closed span is immutable (the
+    /// span-tree monitor keeps its verdict on it), so a write through the
+    /// handle of a closed span is a caller bug: debug builds stop, release
+    /// builds get `None` and change nothing.
+    fn open_pos(&self, h: SpanHandle, misuse: &str) -> Option<usize> {
+        // By position (not just the top) so a missed close of a nested span
+        // cannot poison the whole stack.
+        let pos = self.open.iter().rposition(|o| o.slot == h.0);
+        debug_assert!(pos.is_some(), "span handle {} {misuse}", h.0);
+        pos
+    }
+
+    /// Append a typed attribute to an open span.
+    pub fn set_attr<'a>(
+        &mut self,
+        h: SpanHandle,
+        key: &'static str,
+        value: impl Into<AttrValue<'a>>,
+    ) {
+        self.stage(h, key, value.into());
+    }
+
+    fn stage(&mut self, h: SpanHandle, key: &'static str, value: AttrValue<'_>) {
+        let Some(pos) = self.open_pos(h, "given an attribute after its close") else {
+            return;
+        };
+        let key = match self
+            .keys
+            .iter()
+            .position(|k| std::ptr::eq(k.name, key) || k.name == key)
+        {
+            Some(id) => id,
+            None => {
+                self.keys.push(Key {
+                    name: key,
+                    last_symbol: 0,
+                });
+                self.keys.len() - 1
+            }
+        };
+        let (tag, payload) = match value {
+            AttrValue::Str(s) => {
+                let last = &mut self.keys[key].last_symbol;
+                *last = self.strings.intern(s, *last);
+                (Tag::Str, u64::from(*last))
+            }
+            AttrValue::U64(v) => (Tag::U64, v),
+            AttrValue::I64(v) => (Tag::I64, v.cast_unsigned()),
+            AttrValue::Bool(v) => (Tag::Bool, u64::from(v)),
+        };
+        self.open[pos].staged.push(Attr {
+            payload,
+            key: u16::try_from(key).expect("attribute keys are a small set of literals"),
+            tag,
+        });
     }
 
     /// Flag a retransmission attempt with the span id it retries.
     pub fn set_retry_of(&mut self, h: SpanHandle, prior_attempt: u64) {
-        self.spans[h.0].retry_of = Some(prior_attempt);
+        if self
+            .open_pos(h, "given a retry link after its close")
+            .is_some()
+        {
+            self.spans[h.0].retry_of = prior_attempt;
+        }
     }
 
-    /// Close a span, stamping the end time and outcome. A closed span is
-    /// immutable (the span-tree monitor keeps its verdict on it), so closing
-    /// a handle a second time is a caller bug and changes nothing.
+    /// Close a span: stamp the end time and outcome and move its staged
+    /// attributes into the arena. Closing a handle a second time is a caller
+    /// bug and changes nothing.
     pub fn end_span(&mut self, h: SpanHandle, now_ns: u64, outcome: SpanOutcome) {
-        // Remove by position (not just the top) so a missed close of a
-        // nested span cannot poison the whole stack.
-        let pos = self.open.iter().rposition(|&i| i == h.0);
-        debug_assert!(pos.is_some(), "span handle {} closed twice", h.0);
-        let Some(pos) = pos else { return };
-        self.open.remove(pos);
+        let Some(pos) = self.open_pos(h, "closed twice") else {
+            return;
+        };
+        let mut staged = self.open.remove(pos).staged;
         let span = &mut self.spans[h.0];
         span.end_ns = now_ns;
         span.outcome = outcome;
+        span.attrs_start =
+            u32::try_from(self.attrs.len()).expect("fewer than 2^32 attributes in one log");
+        span.attrs_len =
+            u16::try_from(staged.len()).expect("fewer than 2^16 attributes on one span");
+        self.attrs.append(&mut staged);
+        self.scratch.push(staged);
+    }
+
+    /// A span's attributes as stored: its arena run, or — for a span of this
+    /// log that is still open — what has been staged so far.
+    fn stored_attrs(&self, span: &Span) -> &[Attr] {
+        if span.outcome == SpanOutcome::Open {
+            let open = self
+                .open
+                .iter()
+                .rev()
+                .find(|o| self.spans[o.slot].span_id == span.span_id);
+            if let Some(open) = open {
+                return &open.staged;
+            }
+        }
+        &self.attrs[span.attrs_start as usize..][..usize::from(span.attrs_len)]
+    }
+
+    fn decode(&self, attr: &Attr) -> (&'static str, AttrValue<'_>) {
+        let value = match attr.tag {
+            Tag::Str => AttrValue::Str(self.strings.resolve(attr.payload as u32)),
+            Tag::U64 => AttrValue::U64(attr.payload),
+            Tag::I64 => AttrValue::I64(attr.payload.cast_signed()),
+            Tag::Bool => AttrValue::Bool(attr.payload != 0),
+        };
+        (self.keys[usize::from(attr.key)].name, value)
+    }
+
+    /// The typed attributes of one of this log's spans, in insertion order.
+    pub fn attrs<'a>(
+        &'a self,
+        span: &Span,
+    ) -> impl ExactSizeIterator<Item = (&'static str, AttrValue<'a>)> + 'a {
+        self.stored_attrs(span).iter().map(|a| self.decode(a))
+    }
+
+    /// Look up an attribute of one of this log's spans by key (the first, if
+    /// the key was set more than once).
+    pub fn attr(&self, span: &Span, key: &str) -> Option<AttrValue<'_>> {
+        self.attrs(span).find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// Look up a string attribute of one of this log's spans by key.
+    pub fn attr_str(&self, span: &Span, key: &str) -> Option<&str> {
+        match self.attr(span, key) {
+            Some(AttrValue::Str(s)) => Some(s),
+            _ => None,
+        }
     }
 
     /// The wire context of span `h` (what a frame sent from inside it
@@ -313,7 +486,7 @@ impl SpanLog {
     /// The context of the innermost open span, or [`TraceContext::NONE`].
     pub fn current_context(&self) -> TraceContext {
         match self.open.last() {
-            Some(&idx) => self.spans[idx].context(),
+            Some(top) => self.spans[top.slot].context(),
             None => TraceContext::NONE,
         }
     }
@@ -367,27 +540,28 @@ impl SpanLog {
     /// covers the reply transmit). Returns the spans root-first, or empty if
     /// the trace id is unknown.
     pub fn critical_path(&self, trace_id: u64) -> Vec<&Span> {
-        let root = self
-            .spans
-            .iter()
-            .find(|s| s.trace_id == trace_id && s.parent_span_id == 0);
+        let in_trace = |s: &Span| s.trace_id == trace_id;
         let mut path = Vec::new();
-        let mut cur = match root {
-            Some(s) => s,
-            None => return path,
-        };
-        loop {
+        // A child is always pushed after its parent (a forged wire context
+        // naming a later span resolves here no more than it does for the
+        // span-tree monitor), so each level searches only the slots after
+        // the one it stands on.
+        let mut rest = &self.spans[..];
+        let mut next = rest
+            .iter()
+            .position(|s| in_trace(s) && s.parent_span_id == 0);
+        while let Some(slot) = next {
+            let cur = &rest[slot];
             path.push(cur);
-            let next = self
-                .spans
+            rest = &rest[slot + 1..];
+            next = rest
                 .iter()
-                .filter(|s| s.trace_id == trace_id && s.parent_span_id == cur.span_id)
-                .max_by_key(|s| (s.start_ns, s.span_id));
-            match next {
-                Some(s) => cur = s,
-                None => return path,
-            }
+                .enumerate()
+                .filter(|(_, s)| in_trace(s) && s.parent_span_id == cur.span_id)
+                .max_by_key(|(_, s)| (s.start_ns, s.span_id))
+                .map(|(slot, _)| slot);
         }
+        path
     }
 }
 
@@ -404,6 +578,7 @@ fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn stack_parenting_builds_a_tree() {
@@ -512,11 +687,92 @@ mod tests {
         log.set_retry_of(a, 17);
         log.end_span(a, 5, SpanOutcome::NetFailure);
         let span = &log.spans()[0];
-        assert_eq!(span.attr("attempt"), Some(&AttrValue::U64(2)));
-        assert_eq!(span.attr_str("method"), Some("n(J)J"));
-        assert_eq!(span.attr("cached"), Some(&AttrValue::Bool(true)));
-        assert_eq!(span.retry_of, Some(17));
+        assert_eq!(log.attr(span, "attempt"), Some(AttrValue::U64(2)));
+        assert_eq!(log.attr_str(span, "method"), Some("n(J)J"));
+        assert_eq!(log.attr(span, "cached"), Some(AttrValue::Bool(true)));
+        assert_eq!(log.attr_str(span, "attempt"), None, "not a string");
+        assert_eq!(log.attr(span, "bytes"), None);
+        assert_eq!(span.retry_of(), Some(17));
         assert_eq!(span.outcome.label(), "net_failure");
+    }
+
+    #[test]
+    fn a_span_is_a_record() {
+        // The log's memory is these two sizes times spans and attributes; a
+        // field that grows either shows up in every traced run's peak RSS.
+        assert!(std::mem::size_of::<Span>() <= 80);
+        assert_eq!(std::mem::size_of::<Attr>(), 16);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "attribute after its close"))]
+    fn set_attr_after_close_changes_nothing() {
+        let mut log = SpanLog::new();
+        let a = log.start_span("rpc.call", 0, 0);
+        log.set_attr(a, "class", "C");
+        log.end_span(a, 5, SpanOutcome::Ok);
+        let closed = log.clone();
+        // Debug builds stop here; release builds must ignore the call.
+        log.set_attr(a, "class", "D");
+        assert_eq!(log, closed);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "retry link after its close")
+    )]
+    fn set_retry_of_after_close_changes_nothing() {
+        let mut log = SpanLog::new();
+        let a = log.start_span("rpc.attempt", 0, 0);
+        log.end_span(a, 5, SpanOutcome::Ok);
+        // Debug builds stop here; release builds must ignore the call.
+        log.set_retry_of(a, 1);
+        assert_eq!(log.spans()[0].retry_of(), None);
+    }
+
+    #[test]
+    fn steady_state_grows_only_the_records_and_the_arena() {
+        const CLASSES: [&str; 3] = ["C", "Store", "Y"];
+        const METHODS: [&str; 4] = ["get_v()I", "put@7", "n(J)J", "<create:1>"];
+        let mut log = SpanLog::new();
+        let cycle = |log: &mut SpanLog, i: usize| {
+            let now = 10 * i as u64;
+            let h = log.start_span("rpc.call", 0, now);
+            log.set_attr(h, "class", CLASSES[i % 3]);
+            log.set_attr(h, "method", METHODS[i % 4]);
+            log.set_attr(h, "protocol", "RMI");
+            log.set_attr(h, "from", 0u32);
+            log.set_attr(h, "to", 1u32);
+            let att = log.start_span("rpc.attempt", 0, now);
+            log.set_attr(att, "attempt", 1u32);
+            log.end_span(att, now + 5, SpanOutcome::Ok);
+            log.set_attr(h, "bytes_out", 65usize);
+            log.set_attr(h, "attempts", 1u32);
+            log.end_span(h, now + 6, SpanOutcome::Ok);
+        };
+        for i in 0..12 {
+            cycle(&mut log, i);
+        }
+        let shape = |log: &SpanLog| {
+            let scratch: Vec<usize> = log.scratch.iter().map(Vec::capacity).collect();
+            (
+                log.keys.len(),
+                log.strings.symbols.len(),
+                log.strings.ids.len(),
+                scratch,
+            )
+        };
+        let warm = shape(&log);
+        assert_eq!(warm.3.len(), 2, "one staging vector per nesting level");
+        let (spans, attrs) = (log.spans.len(), log.attrs.len());
+        for i in 0..10_000 {
+            cycle(&mut log, i);
+        }
+        assert_eq!(shape(&log), warm, "vocabulary and scratch pool are settled");
+        assert_eq!(log.spans.len(), spans + 20_000);
+        assert_eq!(log.attrs.len(), attrs + 80_000);
+        assert!(log.open.is_empty());
     }
 
     #[test]
@@ -547,20 +803,342 @@ mod tests {
         );
     }
 
+    /// One exchange with a failed first attempt: four spans, one trace.
+    fn retried_exchange(log: &mut SpanLog, now: u64) {
+        let root = log.start_span("rpc.call", 0, now);
+        let fast = log.start_span("rpc.attempt", 0, now + 1);
+        log.end_span(fast, now + 5, SpanOutcome::NetFailure);
+        let slow = log.start_span("rpc.attempt", 0, now + 6);
+        let serve = log.start_server_span("serve.call", 1, now + 8, log.context_of(slow));
+        log.end_span(serve, now + 20, SpanOutcome::Ok);
+        log.end_span(slow, now + 25, SpanOutcome::Ok);
+        log.end_span(root, now + 30, SpanOutcome::Ok);
+    }
+
     #[test]
     fn critical_path_follows_last_started_child() {
         let mut log = SpanLog::new();
-        let root = log.start_span("rpc.call", 0, 0);
-        let fast = log.start_span("rpc.attempt", 0, 1);
-        log.end_span(fast, 5, SpanOutcome::NetFailure);
-        let slow = log.start_span("rpc.attempt", 0, 6);
-        let serve = log.start_server_span("serve.call", 1, 8, log.context_of(slow));
-        log.end_span(serve, 20, SpanOutcome::Ok);
-        log.end_span(slow, 25, SpanOutcome::Ok);
-        log.end_span(root, 30, SpanOutcome::Ok);
-
+        retried_exchange(&mut log, 0);
         let path: Vec<&'static str> = log.critical_path(1).iter().map(|s| s.name).collect();
         assert_eq!(path, vec!["rpc.call", "rpc.attempt", "serve.call"]);
         assert!(log.critical_path(99).is_empty());
+    }
+
+    /// The definition `critical_path` must agree with: every level scans
+    /// the whole log.
+    fn critical_path_by_full_scan(log: &SpanLog, trace_id: u64) -> Vec<&Span> {
+        let in_trace = |s: &&Span| s.trace_id == trace_id;
+        let mut path = Vec::new();
+        let mut cur = log
+            .spans
+            .iter()
+            .filter(in_trace)
+            .find(|s| s.parent_span_id == 0);
+        while let Some(span) = cur {
+            path.push(span);
+            cur = log
+                .spans
+                .iter()
+                .filter(in_trace)
+                .filter(|s| s.parent_span_id == span.span_id)
+                .max_by_key(|s| (s.start_ns, s.span_id));
+        }
+        path
+    }
+
+    #[test]
+    fn critical_path_of_the_last_trace_in_a_long_log() {
+        let mut log = SpanLog::new();
+        for trace in 0..25_000 {
+            retried_exchange(&mut log, 100 * trace);
+        }
+        assert_eq!(log.spans().len(), 100_000);
+        for trace_id in [1, 12_500, 25_000] {
+            let path = log.critical_path(trace_id);
+            assert_eq!(path, critical_path_by_full_scan(&log, trace_id));
+            let ids: Vec<u64> = path.iter().map(|s| s.span_id).collect();
+            let root = 4 * (trace_id - 1) + 1;
+            assert_eq!(ids, vec![root, root + 2, root + 3]);
+        }
+    }
+
+    /// The layout the log replaced, kept as the reference: every span owns
+    /// its attributes as a vector of owned values. Ids, parenting and the
+    /// Chrome rendering are written out again here, so the comparison does
+    /// not lean on the code under test.
+    mod model {
+        use super::super::{AttrValue, SpanOutcome, TraceContext};
+        use crate::chrome::escape_json;
+        use std::collections::BTreeSet;
+        use std::fmt::Write as _;
+
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Value {
+            Str(String),
+            U64(u64),
+            I64(i64),
+            Bool(bool),
+        }
+
+        impl Value {
+            pub fn borrowed(&self) -> AttrValue<'_> {
+                match self {
+                    Value::Str(s) => AttrValue::Str(s),
+                    Value::U64(v) => AttrValue::U64(*v),
+                    Value::I64(v) => AttrValue::I64(*v),
+                    Value::Bool(v) => AttrValue::Bool(*v),
+                }
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        pub struct Span {
+            pub trace_id: u64,
+            pub span_id: u64,
+            pub parent_span_id: u64,
+            pub name: &'static str,
+            pub node: u32,
+            pub start_ns: u64,
+            pub end_ns: u64,
+            pub retry_of: Option<u64>,
+            pub outcome: SpanOutcome,
+            pub attrs: Vec<(&'static str, Value)>,
+        }
+
+        #[derive(Debug, Default)]
+        pub struct Log {
+            pub spans: Vec<Span>,
+            open: Vec<usize>,
+            traces: u64,
+        }
+
+        impl Log {
+            pub fn start(
+                &mut self,
+                name: &'static str,
+                node: u32,
+                now_ns: u64,
+                ctx: Option<TraceContext>,
+            ) -> usize {
+                let (trace_id, parent_span_id) = match (ctx, self.open.last()) {
+                    (Some(ctx), _) if !ctx.is_none() => (ctx.trace_id, ctx.span_id),
+                    (None, Some(&top)) => (self.spans[top].trace_id, self.spans[top].span_id),
+                    _ => {
+                        self.traces += 1;
+                        (self.traces, 0)
+                    }
+                };
+                self.spans.push(Span {
+                    trace_id,
+                    span_id: self.spans.len() as u64 + 1,
+                    parent_span_id,
+                    name,
+                    node,
+                    start_ns: now_ns,
+                    end_ns: now_ns,
+                    retry_of: None,
+                    outcome: SpanOutcome::Open,
+                    attrs: Vec::new(),
+                });
+                self.open.push(self.spans.len() - 1);
+                self.spans.len() - 1
+            }
+
+            pub fn end(&mut self, idx: usize, now_ns: u64, outcome: SpanOutcome) {
+                self.open.retain(|&i| i != idx);
+                self.spans[idx].end_ns = now_ns;
+                self.spans[idx].outcome = outcome;
+            }
+
+            pub fn chrome_trace_json(&self) -> String {
+                let us = |ns: u64| format!("{}.{:03}", ns / 1000, ns % 1000);
+                let mut events = Vec::new();
+                for node in self.spans.iter().map(|s| s.node).collect::<BTreeSet<_>>() {
+                    events.push(format!(
+                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"args\":{{\"name\":\"node{node}\"}}}}"
+                    ));
+                }
+                for s in &self.spans {
+                    let mut e = format!(
+                        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"trace\":\"{:x}\",\"span\":\"{:x}\",\"parent\":\"{:x}\",\"outcome\":\"{}\"",
+                        s.name,
+                        s.node,
+                        s.trace_id,
+                        us(s.start_ns),
+                        us(s.end_ns.saturating_sub(s.start_ns)),
+                        s.trace_id,
+                        s.span_id,
+                        s.parent_span_id,
+                        s.outcome.label(),
+                    );
+                    if let Some(prior) = s.retry_of {
+                        let _ = write!(e, ",\"retry_of\":\"{prior:x}\"");
+                    }
+                    for (key, value) in &s.attrs {
+                        let text = match value {
+                            Value::Str(v) => v.clone(),
+                            Value::U64(v) => v.to_string(),
+                            Value::I64(v) => v.to_string(),
+                            Value::Bool(v) => v.to_string(),
+                        };
+                        let _ = write!(e, ",\"{key}\":\"{}\"", escape_json(&text));
+                    }
+                    e.push_str("}}");
+                    events.push(e);
+                }
+                format!(
+                    "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}\n",
+                    events.join(",")
+                )
+            }
+        }
+    }
+
+    /// One step of a random history, applied to the log and to the model.
+    /// `pick`s index the open handles (or the recorded spans), modulo their
+    /// number.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Start,
+        /// `start_server_span` under a recorded span's context, or `NONE`.
+        Serve(Option<usize>),
+        Attr(usize, usize, model::Value),
+        RetryOf(usize, u64),
+        End(usize, SpanOutcome),
+        /// Compare everything now, open spans included.
+        Read,
+    }
+
+    const KEYS: [&str; 6] = ["class", "method", "protocol", "bytes", "cached", "delta"];
+    const WORDS: [&str; 8] = [
+        "",
+        "C",
+        "n(J)J",
+        "RMI",
+        "quote\"back\\slash",
+        "tab\there\nnl\r\u{8}\u{1f}end",
+        "crab \u{1F980}\u{7f}",
+        "2#17",
+    ];
+
+    fn arb_step() -> BoxedStrategy<Step> {
+        let pick = || 0..32usize;
+        let word = || 0..WORDS.len();
+        let value = prop_oneof![
+            3 => word().prop_map(|w| model::Value::Str(WORDS[w].to_owned())),
+            1 => (word(), word())
+                .prop_map(|(a, b)| model::Value::Str(format!("{}{}", WORDS[a], WORDS[b]))),
+            1 => any::<u64>().prop_map(model::Value::U64),
+            1 => any::<i64>().prop_map(model::Value::I64),
+            1 => any::<bool>().prop_map(model::Value::Bool),
+        ];
+        let outcome = prop_oneof![
+            Just(SpanOutcome::Ok),
+            Just(SpanOutcome::Fault),
+            Just(SpanOutcome::NetFailure),
+        ];
+        prop_oneof![
+            4 => Just(Step::Start),
+            2 => prop::option::of(pick()).prop_map(Step::Serve),
+            12 => (pick(), 0..KEYS.len(), value).prop_map(|(p, k, v)| Step::Attr(p, k, v)),
+            1 => (pick(), 1..40u64).prop_map(|(p, id)| Step::RetryOf(p, id)),
+            5 => (pick(), outcome).prop_map(|(p, o)| Step::End(p, o)),
+            1 => Just(Step::Read),
+        ]
+        .boxed()
+    }
+
+    /// Everything a reader can ask of the log, against the model.
+    fn assert_matches_model(log: &SpanLog, model: &model::Log) -> Result<(), TestCaseError> {
+        prop_assert_eq!(log.spans().len(), model.spans.len());
+        for (span, m) in log.spans().iter().zip(&model.spans) {
+            let record = (span.trace_id, span.span_id, span.parent_span_id, span.name);
+            prop_assert_eq!(record, (m.trace_id, m.span_id, m.parent_span_id, m.name));
+            let rest = (
+                span.node,
+                span.start_ns,
+                span.end_ns,
+                span.retry_of(),
+                span.outcome,
+            );
+            prop_assert_eq!(rest, (m.node, m.start_ns, m.end_ns, m.retry_of, m.outcome));
+            let expected: Vec<_> = m.attrs.iter().map(|(k, v)| (*k, v.borrowed())).collect();
+            prop_assert_eq!(log.attrs(span).len(), expected.len());
+            prop_assert_eq!(log.attrs(span).collect::<Vec<_>>(), expected.clone());
+            for key in KEYS {
+                let first = expected.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+                prop_assert_eq!(log.attr(span, key), first);
+                let text = match first {
+                    Some(AttrValue::Str(s)) => Some(s),
+                    _ => None,
+                };
+                prop_assert_eq!(log.attr_str(span, key), text);
+            }
+        }
+        prop_assert_eq!(log.chrome_trace_json(), model.chrome_trace_json());
+        prop_assert_eq!(&log.clone(), log);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the interleaving — nested and out-of-order closes,
+        /// repeated keys, late writes to an outer span, reads of open
+        /// spans — the record/arena/interner log reads back exactly what a
+        /// vector of attributes per span would hold.
+        #[test]
+        fn the_log_reads_like_a_vec_of_attrs_per_span(
+            steps in prop::collection::vec(arb_step(), 1..200),
+        ) {
+            let mut log = SpanLog::new();
+            let mut model = model::Log::default();
+            let mut open: Vec<(SpanHandle, usize)> = Vec::new();
+            let mut now = 0u64;
+            for step in steps {
+                now += 7;
+                match step {
+                    Step::Start => {
+                        let node = (now % 3) as u32;
+                        let h = log.start_span("rpc.call", node, now);
+                        open.push((h, model.start("rpc.call", node, now, None)));
+                    }
+                    Step::Serve(pick) => {
+                        let ctx = match pick {
+                            Some(pick) if !log.spans().is_empty() => {
+                                log.spans()[pick % log.spans().len()].context()
+                            }
+                            _ => TraceContext::NONE,
+                        };
+                        let h = log.start_server_span("serve.call", 1, now, ctx);
+                        open.push((h, model.start("serve.call", 1, now, Some(ctx))));
+                    }
+                    Step::Attr(pick, key, value) if !open.is_empty() => {
+                        let (h, idx) = open[pick % open.len()];
+                        log.set_attr(h, KEYS[key], value.borrowed());
+                        model.spans[idx].attrs.push((KEYS[key], value));
+                    }
+                    Step::RetryOf(pick, id) if !open.is_empty() => {
+                        let (h, idx) = open[pick % open.len()];
+                        log.set_retry_of(h, id);
+                        model.spans[idx].retry_of = Some(id);
+                    }
+                    Step::End(pick, outcome) if !open.is_empty() => {
+                        let (h, idx) = open.remove(pick % open.len());
+                        log.end_span(h, now, outcome);
+                        model.end(idx, now, outcome);
+                    }
+                    Step::Read => assert_matches_model(&log, &model)?,
+                    _ => {}
+                }
+            }
+            assert_matches_model(&log, &model)?;
+            for (h, idx) in open {
+                log.end_span(h, now, SpanOutcome::Ok);
+                model.end(idx, now, SpanOutcome::Ok);
+            }
+            assert_matches_model(&log, &model)?;
+            prop_assert_eq!(log.attrs.len(), model.spans.iter().map(|s| s.attrs.len()).sum::<usize>());
+        }
     }
 }

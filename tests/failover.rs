@@ -122,8 +122,8 @@ fn failover_emits_a_span_chained_to_the_failed_exchange() {
         .iter()
         .find(|s| s.name == "rpc.failover")
         .expect("failover span");
-    assert_eq!(fo.attr_str("class"), Some("C"));
-    let prior = fo.retry_of.expect("chained to the failed exchange");
+    assert_eq!(log.attr_str(fo, "class"), Some("C"));
+    let prior = fo.retry_of().expect("chained to the failed exchange");
     let failed = log.by_id(prior).expect("the failed exchange span exists");
     assert_eq!(failed.name, "rpc.call");
     assert!(

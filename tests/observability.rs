@@ -116,7 +116,10 @@ fn stale_read_canary_is_caught_with_the_offending_span() {
         .expect("offending span present in the log");
     assert!(log.by_id(u64::MAX).is_none(), "an id the log never issued");
     assert_eq!(span.name, "rpc.call");
-    assert!(span.attr("cached").is_some(), "the flagged span is the hit");
+    assert!(
+        log.attr(span, "cached").is_some(),
+        "the flagged span is the hit"
+    );
 }
 
 /// Control run: the same migration *with* the tombstone stays silent — the

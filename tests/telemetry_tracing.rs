@@ -57,9 +57,9 @@ fn multi_hop_call_is_one_trace_with_a_cross_node_parent_chain() {
         .find(|s| s.name == "rpc.call" && s.node == 0)
         .expect("client exchange span");
     assert_eq!(exch_x.parent_span_id, 0, "top-level call roots the trace");
-    assert_eq!(exch_x.attr_str("class"), Some("X"));
-    assert_eq!(exch_x.attr_str("protocol"), Some("RMI"));
-    assert!(exch_x.attr_str("method").unwrap().starts_with("m@"));
+    assert_eq!(log.attr_str(exch_x, "class"), Some("X"));
+    assert_eq!(log.attr_str(exch_x, "protocol"), Some("RMI"));
+    assert!(log.attr_str(exch_x, "method").unwrap().starts_with("m@"));
     let t = exch_x.trace_id;
 
     // Server dispatch on node 2 parents to the client exchange via the
@@ -77,7 +77,7 @@ fn multi_hop_call_is_one_trace_with_a_cross_node_parent_chain() {
         s.name == "rpc.call" && s.node == 2 && s.trace_id == t
     });
     assert_eq!(exch_y.parent_span_id, serve_x.span_id);
-    assert_eq!(exch_y.attr_str("class"), Some("Y"));
+    assert_eq!(log.attr_str(exch_y, "class"), Some("Y"));
     let serve_y = find_span(&log, |s| {
         s.name == "serve.call" && s.node == 1 && s.trace_id == t
     });
@@ -131,10 +131,10 @@ fn retransmissions_reuse_the_trace_and_chain_via_retry_of() {
         .collect();
     assert_eq!(attempts.len(), 2, "one failed attempt + one retransmission");
     assert_eq!(attempts[0].outcome, SpanOutcome::NetFailure);
-    assert_eq!(attempts[0].retry_of, None);
+    assert_eq!(attempts[0].retry_of(), None);
     assert_eq!(attempts[1].outcome, SpanOutcome::Ok);
     assert_eq!(
-        attempts[1].retry_of,
+        attempts[1].retry_of(),
         Some(attempts[0].span_id),
         "the retransmission points at the attempt it retries"
     );
@@ -143,7 +143,7 @@ fn retransmissions_reuse_the_trace_and_chain_via_retry_of() {
     assert_eq!(attempts[1].trace_id, exch.trace_id);
     assert_ne!(attempts[0].span_id, attempts[1].span_id);
     assert_eq!(
-        exch.attr("attempts").map(|a| a.to_string()),
+        log.attr(exch, "attempts").map(|a| a.to_string()),
         Some("2".into())
     );
 
@@ -162,9 +162,9 @@ fn retransmissions_reuse_the_trace_and_chain_via_retry_of() {
         .filter(|s| s.name == "serve.call")
         .collect();
     assert_eq!(serves.len(), 2, "original dispatch + dedup hit");
-    assert_eq!(serves[0].attr("cached"), None);
+    assert_eq!(log.attr(serves[0], "cached"), None);
     assert_eq!(
-        serves[1].attr("cached").map(|a| a.to_string()),
+        log.attr(serves[1], "cached").map(|a| a.to_string()),
         Some("true".into())
     );
     assert_eq!(serves[0].trace_id, serves[1].trace_id);
@@ -414,7 +414,7 @@ fn migration_is_traced_with_its_state_transfer() {
     let log = cluster.span_log();
     let mig = find_span(&log, |s| s.name == "migrate");
     assert_eq!(mig.outcome, SpanOutcome::Ok);
-    assert_eq!(mig.attr_str("class"), Some("Y"));
+    assert_eq!(log.attr_str(mig, "class"), Some("Y"));
     // The state transfer (install RPC + its dispatch) is inside the
     // migration span's trace.
     let install = find_span(&log, |s| s.name == "rpc.install");
