@@ -186,6 +186,17 @@ if grep -rPzoh --exclude=tests.rs \
   exit 1
 fi
 
+echo "== one counter table: every runtime counter is a registry row =="
+# A runtime counter is a `runtime_metrics!` entry, charged where the work
+# happens and rendered by the registry's own exporters. A counter re-summed
+# from some other table at read time, an export loop appended by hand, or a
+# per-link tally that nothing reads means a second table is back.
+if grep -rnE 'per_node_wire|wire_rows|WIRE_METRIC_NAMES|reuses_from|allocs_from|LinkStats|busiest_link|pair_bytes|register_gauge|sum_counters' \
+    crates examples tests; then
+  echo "FAIL: a counter lives outside the metrics registry again" >&2
+  exit 1
+fi
+
 echo "== one family generator: a side is a value, not a code path =="
 # `A_O_*` and `A_C_*` are the same artefacts over a different member list:
 # the planner declares a `Half` per side, the generator has one function per

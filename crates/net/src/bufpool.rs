@@ -23,9 +23,6 @@ const PER_LINK_CAP: usize = 8;
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: HashMap<(NodeId, NodeId), Vec<Vec<u8>>>,
-    /// Per-directed-link `(reuses, allocs)`, so the metrics registry can
-    /// attribute buffer traffic to the sending node.
-    per_link: HashMap<(NodeId, NodeId), (u64, u64)>,
     reuses: u64,
     allocs: u64,
 }
@@ -39,17 +36,14 @@ impl BufPool {
     /// Take a cleared buffer for the directed link `(from, to)`, reusing a
     /// previously returned one when available.
     pub fn checkout(&mut self, from: NodeId, to: NodeId) -> Vec<u8> {
-        let link = self.per_link.entry((from, to)).or_default();
         match self.free.get_mut(&(from, to)).and_then(Vec::pop) {
             Some(buf) => {
                 self.reuses += 1;
-                link.0 += 1;
                 debug_assert!(buf.is_empty());
                 buf
             }
             None => {
                 self.allocs += 1;
-                link.1 += 1;
                 Vec::with_capacity(64)
             }
         }
@@ -75,25 +69,6 @@ impl BufPool {
     pub fn allocs(&self) -> u64 {
         self.allocs
     }
-
-    /// Pool-served checkouts on links originating at `from` (the sender
-    /// owns the encode buffer, so reuse is charged to it).
-    pub fn reuses_from(&self, from: NodeId) -> u64 {
-        self.per_link
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(_, (reuses, _))| reuses)
-            .sum()
-    }
-
-    /// Allocating checkouts on links originating at `from`.
-    pub fn allocs_from(&self, from: NodeId) -> u64 {
-        self.per_link
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(_, (_, allocs))| allocs)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -113,31 +88,6 @@ mod tests {
         assert!(again.is_empty(), "pooled buffer must come back cleared");
         assert_eq!(again.capacity(), cap, "capacity survives the pool");
         assert_eq!((pool.reuses(), pool.allocs()), (1, 1));
-        assert_eq!((pool.reuses_from(a), pool.allocs_from(a)), (1, 1));
-        assert_eq!((pool.reuses_from(b), pool.allocs_from(b)), (0, 0));
-    }
-
-    #[test]
-    fn per_link_counters_sum_to_the_globals() {
-        let mut pool = BufPool::new();
-        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
-        for from in nodes {
-            for to in nodes {
-                if from == to {
-                    continue;
-                }
-                let buf = pool.checkout(from, to);
-                pool.put_back(from, to, buf);
-                let _ = pool.checkout(from, to);
-            }
-        }
-        let (mut reuses, mut allocs) = (0, 0);
-        for n in nodes {
-            reuses += pool.reuses_from(n);
-            allocs += pool.allocs_from(n);
-        }
-        assert_eq!(reuses, pool.reuses());
-        assert_eq!(allocs, pool.allocs());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * deterministic failure injection — message drops, link partitions and
 //!   node crashes — driving the "modulo network failure" equivalence
 //!   experiments (E7),
-//! * per-link traffic statistics, which the adaptive distribution policy
-//!   (E6) uses to decide which objects to migrate.
+//! * aggregate traffic statistics ([`NetStats`]: messages, bytes and
+//!   failures by kind). The adaptive distribution loop (E6,
+//!   `Cluster::adapt`) does not read them: it decides from the runtime
+//!   `Directory`'s per-object affinity counters.
 //!
 //! The transport is synchronous: the distributed runtime performs re-entrant
 //! RPCs (caller's interpreter frame suspended on the Rust stack while the
@@ -33,7 +35,7 @@ pub mod time;
 
 pub use bufpool::BufPool;
 pub use fault::FaultPlan;
-pub use stats::{LinkStats, NetStats};
+pub use stats::NetStats;
 pub use time::SimTime;
 
 use rng::SplitMix64;
@@ -274,7 +276,7 @@ impl Network {
     }
 
     /// Transmit `bytes` from `from` to `to`, charging the simulated clock
-    /// and recording per-link statistics.
+    /// and recording the traffic in [`NetStats`].
     ///
     /// Local delivery (`from == to`) is free and always succeeds.
     ///
@@ -331,7 +333,7 @@ impl Network {
         };
         let cost = spec.cost_ns(bytes) + jitter;
         s.clock_ns += cost;
-        s.stats.record(from, to, bytes, cost);
+        s.stats.record(bytes);
         Ok(SimTime::from_ns(s.clock_ns))
     }
 
@@ -363,8 +365,6 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.messages, 1);
         assert_eq!(stats.bytes, 2048);
-        assert_eq!(stats.link(NodeId(0), NodeId(1)).messages, 1);
-        assert_eq!(stats.link(NodeId(1), NodeId(0)).messages, 0);
     }
 
     #[test]

@@ -1,32 +1,7 @@
-//! Per-link and aggregate traffic statistics.
-//!
-//! The adaptive distribution policy (experiment E6) reads these counters to
-//! find "chatty" remote pairs and re-draw the distribution boundary around
-//! them.
+//! Aggregate traffic statistics: what crossed the network and what failed
+//! to.
 
-use crate::{NetError, NodeId, SimTime};
-use std::collections::HashMap;
-
-/// Counters for one directed link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages delivered.
-    pub messages: u64,
-    /// Payload bytes delivered.
-    pub bytes: u64,
-    /// Total simulated transmission time.
-    pub time_ns: u64,
-}
-
-impl LinkStats {
-    /// Mean latency per message.
-    pub fn mean_latency(&self) -> SimTime {
-        self.time_ns
-            .checked_div(self.messages)
-            .map(SimTime::from_ns)
-            .unwrap_or(SimTime::ZERO)
-    }
-}
+use crate::NetError;
 
 /// Aggregate network statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -45,18 +20,13 @@ pub struct NetStats {
     pub crash_failures: u64,
     /// Simulated time charged to failed transmissions (detection cost).
     pub failed_time_ns: u64,
-    links: HashMap<(NodeId, NodeId), LinkStats>,
 }
 
 impl NetStats {
-    /// Record a successful delivery.
-    pub(crate) fn record(&mut self, from: NodeId, to: NodeId, bytes: usize, cost_ns: u64) {
+    /// Record a successful delivery of `bytes`.
+    pub(crate) fn record(&mut self, bytes: usize) {
         self.messages += 1;
         self.bytes += bytes as u64;
-        let link = self.links.entry((from, to)).or_default();
-        link.messages += 1;
-        link.bytes += bytes as u64;
-        link.time_ns += cost_ns;
     }
 
     /// Record a failed transmission and the time spent detecting it.
@@ -70,31 +40,6 @@ impl NetStats {
             NetError::NoSuchNode(_) => {}
         }
     }
-
-    /// Counters for the directed link `(from, to)`.
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkStats {
-        self.links.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// Iterate all directed links with traffic.
-    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkStats)> + '_ {
-        self.links.iter().map(|(&(f, t), &s)| (f, t, s))
-    }
-
-    /// Total bytes exchanged between a pair (both directions).
-    pub fn pair_bytes(&self, a: NodeId, b: NodeId) -> u64 {
-        self.link(a, b).bytes + self.link(b, a).bytes
-    }
-
-    /// The directed link with the most traffic, if any. Ties on byte count
-    /// resolve to the smallest `(from, to)` pair — `links` iterates a
-    /// `HashMap`, and without a total order equal-traffic links would win
-    /// by hash-iteration order, varying across runs.
-    pub fn busiest_link(&self) -> Option<(NodeId, NodeId, LinkStats)> {
-        use std::cmp::Reverse;
-        self.links()
-            .max_by_key(|&(f, t, s)| (s.bytes, Reverse(f), Reverse(t)))
-    }
 }
 
 #[cfg(test)]
@@ -102,62 +47,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_accumulates_per_link_and_total() {
+    fn record_accumulates_the_totals() {
         let mut s = NetStats::default();
-        s.record(NodeId(0), NodeId(1), 100, 10);
-        s.record(NodeId(0), NodeId(1), 50, 20);
-        s.record(NodeId(1), NodeId(0), 25, 5);
+        s.record(100);
+        s.record(50);
+        s.record(25);
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 175);
-        assert_eq!(s.link(NodeId(0), NodeId(1)).messages, 2);
-        assert_eq!(s.link(NodeId(0), NodeId(1)).bytes, 150);
-        assert_eq!(s.pair_bytes(NodeId(0), NodeId(1)), 175);
-        assert_eq!(s.pair_bytes(NodeId(1), NodeId(0)), 175);
-    }
-
-    #[test]
-    fn mean_latency_handles_zero() {
-        assert_eq!(LinkStats::default().mean_latency(), SimTime::ZERO);
-        let mut s = NetStats::default();
-        s.record(NodeId(0), NodeId(1), 1, 30);
-        s.record(NodeId(0), NodeId(1), 1, 10);
-        assert_eq!(
-            s.link(NodeId(0), NodeId(1)).mean_latency(),
-            SimTime::from_ns(20)
-        );
-    }
-
-    #[test]
-    fn busiest_link_found() {
-        let mut s = NetStats::default();
-        assert!(s.busiest_link().is_none());
-        s.record(NodeId(0), NodeId(1), 10, 1);
-        s.record(NodeId(2), NodeId(1), 500, 1);
-        let (f, t, l) = s.busiest_link().unwrap();
-        assert_eq!((f, t), (NodeId(2), NodeId(1)));
-        assert_eq!(l.bytes, 500);
-    }
-
-    #[test]
-    fn busiest_link_breaks_byte_ties_deterministically() {
-        // Two links with identical byte counts: the winner must be the
-        // smallest (from, to), not whichever the HashMap yields first.
-        let mut s = NetStats::default();
-        s.record(NodeId(3), NodeId(0), 500, 1);
-        s.record(NodeId(1), NodeId(2), 500, 1);
-        let (f, t, l) = s.busiest_link().unwrap();
-        assert_eq!((f, t), (NodeId(1), NodeId(2)));
-        assert_eq!(l.bytes, 500);
-        // Same data inserted in the opposite order gives the same answer.
-        let mut s2 = NetStats::default();
-        s2.record(NodeId(1), NodeId(2), 500, 1);
-        s2.record(NodeId(3), NodeId(0), 500, 1);
-        let (f2, t2, _) = s2.busiest_link().unwrap();
-        assert_eq!((f2, t2), (f, t));
-        // A same-source tie resolves on the destination.
-        let mut s3 = NetStats::default();
-        s3.record(NodeId(1), NodeId(4), 500, 1);
-        s3.record(NodeId(1), NodeId(2), 500, 1);
-        assert_eq!(s3.busiest_link().unwrap().1, NodeId(2));
+        s.record_failure(&NetError::Dropped, 30);
+        assert_eq!((s.messages, s.failures, s.drops), (3, 1, 1));
+        assert_eq!(s.failed_time_ns, 30);
     }
 }

@@ -10,8 +10,8 @@ use crate::error::RuntimeError;
 use crate::fifo::FifoMap;
 use crate::introspect;
 use crate::marshal;
-use crate::obs::Obs;
 pub use crate::obs::RuntimeStats;
+use crate::obs::{Met, Obs};
 pub use crate::placement::MigrationEvent;
 use crate::replicate::charge_marks;
 use crate::rpc::{proxy_call, rpc};
@@ -251,9 +251,11 @@ pub(crate) struct Shared {
 impl Shared {
     /// Run one encode or decode against the signature table of the
     /// directed link `from → to`, the table every frame on that link is
-    /// written and read with. A frame addressed to a node the deployment
-    /// does not have (a policy can name one) is never delivered — its
-    /// transmission fails as `NoSuchNode` — so it gets a throwaway table
+    /// written and read with. The references and definitions an encode
+    /// adds to the table are charged to `from`, the sender (a decode adds
+    /// none). A frame addressed to a node the deployment does not have (a
+    /// policy can name one) is never delivered — its transmission fails as
+    /// `NoSuchNode` — so it gets a throwaway table, charged to nobody,
     /// rather than another link's slot.
     pub(crate) fn with_link_table<R>(
         &self,
@@ -261,11 +263,35 @@ impl Shared {
         to: NodeId,
         codec_op: impl FnOnce(&mut SigTable) -> R,
     ) -> R {
-        let (nodes, from, to) = (self.vms.len(), from.0 as usize, to.0 as usize);
-        if to >= nodes {
+        let nodes = self.vms.len();
+        if to.0 as usize >= nodes {
             return codec_op(&mut SigTable::default());
         }
-        codec_op(&mut self.sig_tables.borrow_mut()[from * nodes + to])
+        let mut tables = self.sig_tables.borrow_mut();
+        let table = &mut tables[from.0 as usize * nodes + to.0 as usize];
+        let (refs, defs) = (table.refs(), table.defs());
+        let out = codec_op(table);
+        let (refs, defs) = (table.refs() - refs, table.defs() - defs);
+        drop(tables);
+        if refs + defs > 0 {
+            let mut obs = self.obs.borrow_mut();
+            obs.add(from.0, Met::SigRefs, refs);
+            obs.add(from.0, Met::SigDefs, defs);
+        }
+        out
+    }
+
+    /// A cleared buffer from the `from → to` link's pool for a frame `from`
+    /// encodes; one the pool reused rather than allocated is charged to
+    /// `from`.
+    pub(crate) fn checkout_buf(&self, from: NodeId, to: NodeId) -> Vec<u8> {
+        let mut pool = self.wire_bufs.borrow_mut();
+        let reuses = pool.reuses();
+        let buf = pool.checkout(from, to);
+        if pool.reuses() > reuses {
+            self.obs.borrow_mut().inc(from.0, Met::WireBufReuses);
+        }
+        buf
     }
 }
 

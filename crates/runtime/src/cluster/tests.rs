@@ -209,6 +209,60 @@ fn repeat_calls_intern_signatures_and_reuse_buffers() {
     );
 }
 
+/// The wire counters are the tables' own counts. Over RMI and SOAP traffic
+/// with a lost reply (so a retransmission answered from the reply cache)
+/// and a batch flush, the nodes' `sig_refs` and `sig_defs` sum to the
+/// `nodes²` link tables' refs and defs, and their `wire_buf_reuses` to the
+/// pool's reuses: an encode or checkout charged to nobody breaks the sums.
+#[test]
+fn the_wire_counters_are_the_tables_own_counts() {
+    let policy = StaticPolicy::new()
+        .default_placement(Placement::Node(NodeId(1)))
+        .with_protocol("CB", "SOAP")
+        .batch("CA", true);
+    let cluster = deployed_counters_speaking(&["RMI", "SOAP"], 5, policy);
+    cluster.set_retry_policy(RetryPolicy {
+        max_attempts: 3,
+        ..RetryPolicy::default()
+    });
+    let call = |node: u32, obj: &Value, method: &str, v: i32| {
+        let args = vec![Value::Int(v)];
+        cluster.call_method(NodeId(node), obj.clone(), method, args)
+    };
+    let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
+    let b = cluster.new_instance(NodeId(2), "CB", 0, vec![]).unwrap();
+    // The reply to the next request is lost.
+    let seq = cluster.network().transmit_seq();
+    cluster.network().fault_plan(|f| f.drop_message(seq + 1));
+    assert_eq!(call(2, &b, "add", 1).unwrap(), Value::Int(1));
+    // Two deferred setters, flushed as one batch by the next call.
+    for v in [2, 3] {
+        assert_eq!(call(0, &a, "set_v", v).unwrap(), Value::Null);
+    }
+    assert_eq!(call(0, &a, "add", 1).unwrap(), Value::Int(4));
+    for v in 2..5 {
+        assert_eq!(call(2, &b, "add", 1).unwrap(), Value::Int(v));
+    }
+    let stats = cluster.stats();
+    assert_eq!(
+        (stats.retransmits, stats.dedup_hits, stats.flushes),
+        (1, 1, 1)
+    );
+    assert!(stats.sig_refs > 0 && stats.sig_defs > 0 && stats.wire_buf_reuses > 0);
+    let shared = cluster.shared();
+    let per_node: Vec<_> = (0..3).map(|n| cluster.node_stats(NodeId(n))).collect();
+    let charged =
+        |counter: fn(&crate::RuntimeStats) -> u64| per_node.iter().map(counter).sum::<u64>();
+    let tables = shared.sig_tables.borrow();
+    let counted = |count: fn(&SigTable) -> u64| tables.iter().map(count).sum::<u64>();
+    assert_eq!(charged(|s| s.sig_refs), counted(SigTable::refs));
+    assert_eq!(charged(|s| s.sig_defs), counted(SigTable::defs));
+    assert_eq!(
+        charged(|s| s.wire_buf_reuses),
+        shared.wire_bufs.borrow().reuses()
+    );
+}
+
 /// Three nodes running two copies, `CA` and `CB`, of the counter class
 /// `{ int v; int add(int d) }`.
 fn deployed_counters(seed: u64, policy: StaticPolicy) -> Cluster {
@@ -749,10 +803,52 @@ impl rafda_telemetry::Monitor for Executions {
     }
 }
 
+/// Copies of a binary frame with each 4-byte window overwritten by a word
+/// that reads as a huge length or count in either byte order.
+fn huge_words(frame: &[u8]) -> Vec<Vec<u8>> {
+    let words = [[0xFF; 4], [0x7F, 0xFF, 0xFF, 0xFF]];
+    let windows = 0..frame.len().saturating_sub(3);
+    windows
+        .flat_map(|at| {
+            words.map(|word| {
+                let mut hostile = frame.to_vec();
+                hostile[at..at + 4].copy_from_slice(&word);
+                hostile
+            })
+        })
+        .collect()
+}
+
+/// Copies of a text frame with each run of decimal digits replaced by
+/// `u64::MAX + 1`.
+fn huge_numbers(frame: &[u8]) -> Vec<Vec<u8>> {
+    let mut runs = Vec::new();
+    let mut at = 0;
+    while at < frame.len() {
+        let len = frame[at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if len > 0 {
+            runs.push(at..at + len);
+        }
+        at += len.max(1);
+    }
+    runs.into_iter()
+        .map(|run| {
+            let mut hostile = frame.to_vec();
+            hostile.splice(run, *b"18446744073709551616");
+            hostile
+        })
+        .collect()
+}
+
 /// The callee half is total on its input: whatever bytes arrive — nothing,
-/// a frame cut short anywhere, a frame with any one bit flipped — it answers
-/// with a frame the codec reads back, and bytes whose header does not parse
-/// are answered with a fault without touching the at-most-once state.
+/// a frame cut short anywhere, a frame with any one bit flipped, a binary
+/// frame with any four bytes made a huge length or count, a SOAP frame with
+/// any number made one past `u64::MAX` — it answers with a frame the codec
+/// reads back, and bytes whose header does not parse are answered with a
+/// fault without touching the at-most-once state.
 #[test]
 fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
     for kind in ProtocolKind::ALL {
@@ -780,7 +876,11 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
                 hostile[bit / 8] ^= 1 << (bit % 8);
                 hostile
             });
-            for hostile in truncated.chain(flipped) {
+            let structured = match kind {
+                ProtocolKind::Soap => huge_numbers(frame),
+                ProtocolKind::Rmi | ProtocolKind::Corba => huge_words(frame),
+            };
+            for hostile in truncated.chain(flipped).chain(structured) {
                 let cached = shared.nodes.borrow()[1].reply_cache.len();
                 let executed = executions.get();
                 let (msg_id, reply, _) = answer(shared, &*codec, &hostile)

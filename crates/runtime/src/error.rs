@@ -72,6 +72,9 @@ mod tests {
         let nf = NetFailure::new(NetFailureKind::Partitioned { from: 0, to: 1 }, 2);
         assert!(RuntimeError::Unreachable(nf).is_network());
         assert!(RuntimeError::Vm(VmError::Native("network: drop".into())).is_network());
+        let hop = |m: &str| RuntimeError::Vm(VmError::Native(m.into()));
+        assert!(!hop("unknown class network.Router").is_network());
+        assert!(hop("native error: network: node2 crashed").is_network());
         assert!(!RuntimeError::Bad("nope".into()).is_network());
         assert!(!RuntimeError::Marshal("depth".into()).is_network());
     }

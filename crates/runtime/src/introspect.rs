@@ -109,7 +109,7 @@ pub(crate) fn refresh_native(
     let policy = stats::policy_table(shared);
     let placement = stats::placement_table(shared);
     let homes = stats::homes_table(shared);
-    let prometheus = stats::prometheus_text_of(shared);
+    let prometheus = shared.obs.borrow().reg.prometheus_text();
     let values: Vec<Value> = shared
         .universe
         .field_layout(class)
@@ -141,7 +141,7 @@ pub(crate) fn node_stats_native(shared: &Shared, args: &[Value]) -> Result<Value
         return Err(VmError::Native(format!("no such node {n}")));
     }
     Ok(Value::str(
-        stats::node_stats_of(shared, n as u32).to_string(),
+        shared.obs.borrow().snapshot(n as usize).to_string(),
     ))
 }
 

@@ -74,16 +74,6 @@ macro_rules! runtime_metrics {
             /// counts exchanges that took `i + 1` attempts (the last bucket
             /// saturates).
             pub attempts: [u64; 8],
-            /// Signature-position strings sent as an interned reference
-            /// instead of inline text (summed over every directed link's
-            /// table).
-            pub sig_refs: u64,
-            /// Signature-position strings defined (sent inline and
-            /// interned) — each one a table entry later frames reference.
-            pub sig_defs: u64,
-            /// Frame encodes served by a pooled buffer instead of a fresh
-            /// allocation.
-            pub wire_buf_reuses: u64,
         }
 
         impl RuntimeStats {
@@ -95,9 +85,6 @@ macro_rules! runtime_metrics {
                 for (slot, c) in self.attempts.iter_mut().zip(other.attempts) {
                     *slot += c;
                 }
-                self.sig_refs += other.sig_refs;
-                self.sig_defs += other.sig_defs;
-                self.wire_buf_reuses += other.wire_buf_reuses;
             }
 
             /// Counter-wise difference `self − earlier` (saturating), for
@@ -109,9 +96,6 @@ macro_rules! runtime_metrics {
                 for (slot, c) in d.attempts.iter_mut().zip(earlier.attempts) {
                     *slot = slot.saturating_sub(c);
                 }
-                d.sig_refs = d.sig_refs.saturating_sub(earlier.sig_refs);
-                d.sig_defs = d.sig_defs.saturating_sub(earlier.sig_defs);
-                d.wire_buf_reuses = d.wire_buf_reuses.saturating_sub(earlier.wire_buf_reuses);
                 d
             }
         }
@@ -201,6 +185,15 @@ runtime_metrics! {
     /// marks while application code runs locally). Marks bound probes:
     /// every probe was a mark first.
     DirtyMarks => dirty_marks, "rafda_dirty_marks_total";
+    /// Signature-position strings sent as an interned reference instead of
+    /// inline text, charged to the sender by the encode that sent them.
+    SigRefs => sig_refs, "rafda_sig_refs_total";
+    /// Signature-position strings defined (sent inline and interned) — each
+    /// one a table entry later frames on the link reference.
+    SigDefs => sig_defs, "rafda_sig_defs_total";
+    /// Frame encodes served by a pooled buffer instead of a fresh
+    /// allocation, charged to the sender at checkout.
+    WireBufReuses => wire_buf_reuses, "rafda_wire_buf_reuses_total";
 }
 
 /// The observability state hanging off [`Shared`](crate::cluster::Shared):
@@ -306,8 +299,6 @@ impl Obs {
     }
 
     /// Rebuild the [`RuntimeStats`] view for one node from the registry.
-    /// The wire-layer counters (`sig_refs`/`sig_defs`/`wire_buf_reuses`)
-    /// live outside the registry and are filled in by the caller.
     pub(crate) fn snapshot(&self, node: usize) -> RuntimeStats {
         let mut stats = RuntimeStats::default();
         for &met in Met::ALL {
@@ -349,7 +340,7 @@ mod tests {
         obs.record_attempts(1, 99); // overflow slot, like the saturating array
         let s1 = obs.snapshot(1);
         assert_eq!(s1.rpc_calls, 1);
-        assert_eq!(s1.dirty_marks, Met::ALL.len() as u64);
+        assert_eq!(s1.wire_buf_reuses, Met::ALL.len() as u64);
         assert_eq!(s1.attempts, [1, 0, 1, 0, 0, 0, 0, 1]);
         assert_eq!(obs.snapshot(0), RuntimeStats::default());
         assert_eq!(obs.sum(Met::RpcCalls), 1);

@@ -320,7 +320,7 @@ pub(crate) fn rpc_inner(
     // finishes; the signature table is the directed link's, so repeated
     // method/class names shrink to 5-byte references after their first
     // frame.
-    let mut bytes = shared.wire_bufs.borrow_mut().checkout(from, to);
+    let mut bytes = shared.checkout_buf(from, to);
     let encoded = shared.with_link_table(from, to, |table| {
         codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
     });

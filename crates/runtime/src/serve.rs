@@ -40,7 +40,7 @@ pub(crate) fn deliver(
             (0, (reply, TraceContext::NONE, 0))
         }
     };
-    let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
+    let mut reply_bytes = shared.checkout_buf(to, from);
     let mut encode_reply = |reply: &Reply| {
         shared.with_link_table(to, from, |table| {
             codec.encode_reply_into(

@@ -10,7 +10,7 @@ use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
 use rafda_telemetry::{standard_monitors, MonitorEvent, SpanOutcome, Violation};
 use rafda_vm::Value;
-use rafda_wire::{SigTable, WireValue};
+use rafda_wire::WireValue;
 use std::fmt;
 
 impl RuntimeStats {
@@ -118,21 +118,22 @@ impl Cluster {
     /// the caller, server-side counters (`rpc_*`, faults, dedup hits,
     /// retransmits received, promotions) to the server.
     pub fn node_stats(&self, node: NodeId) -> RuntimeStats {
-        node_stats_of(&self.shared, node.0)
+        self.shared.obs.borrow().snapshot(node.0 as usize)
     }
 
-    /// The metrics registry rendered in Prometheus text exposition format,
-    /// with the wire-layer per-node counters appended. Deterministic: same
-    /// seed, same bytes.
+    /// The metrics registry rendered in Prometheus text exposition format.
+    /// Deterministic: same seed, same bytes.
     pub fn prometheus_text(&self) -> String {
-        prometheus_text_of(&self.shared)
+        self.shared.obs.borrow().reg.prometheus_text()
     }
 
-    /// The metrics registry, wire-layer counters and time-series rings as
-    /// JSON lines (one object per line). Deterministic: same seed, same
-    /// bytes.
+    /// The metrics registry and the time-series rings as JSON lines (one
+    /// object per line). Deterministic: same seed, same bytes.
     pub fn metrics_json(&self) -> String {
-        metrics_json_of(&self.shared)
+        let obs = self.shared.obs.borrow();
+        let mut out = obs.reg.json_lines();
+        out.push_str(&obs.recorder.json_lines());
+        out
     }
 
     /// Switch on the four standing invariant monitors (stale-read,
@@ -348,85 +349,15 @@ pub(crate) fn record_local_read(
     });
 }
 
-/// This node's share of the wire-layer counters: signature interning
-/// refs/defs and encode-buffer reuses on links it is the sender of (the
-/// sender owns the encode state, so the work is charged to it), in the
-/// order of [`WIRE_METRIC_NAMES`].
-fn per_node_wire(shared: &Shared, node: u32) -> [u64; 3] {
-    let tables = shared.sig_tables.borrow();
-    let links = shared.vms.len();
-    let row = &tables[node as usize * links..][..links];
-    let refs = row.iter().map(SigTable::refs).sum();
-    let defs = row.iter().map(SigTable::defs).sum();
-    let reuses = shared.wire_bufs.borrow().reuses_from(NodeId(node));
-    [refs, defs, reuses]
-}
-
-/// [`per_node_wire`] for every node.
-fn wire_rows(shared: &Shared) -> Vec<[u64; 3]> {
-    (0..shared.vms.len() as u32)
-        .map(|n| per_node_wire(shared, n))
-        .collect()
-}
-
-/// One node's [`RuntimeStats`] view: the registry snapshot plus its share
-/// of the wire-layer counters.
-pub(crate) fn node_stats_of(shared: &Shared, node: u32) -> RuntimeStats {
-    let mut stats = shared.obs.borrow().snapshot(node as usize);
-    [stats.sig_refs, stats.sig_defs, stats.wire_buf_reuses] = per_node_wire(shared, node);
-    stats
-}
-
 /// The cluster-wide view: every node's breakdown folded with
 /// [`RuntimeStats::merge`].
 pub(crate) fn merged_stats(shared: &Shared) -> RuntimeStats {
+    let obs = shared.obs.borrow();
     let mut total = RuntimeStats::default();
-    for node in 0..shared.vms.len() as u32 {
-        total.merge(&node_stats_of(shared, node));
+    for node in 0..shared.vms.len() {
+        total.merge(&obs.snapshot(node));
     }
     total
-}
-
-/// The names of the wire-layer counters appended to both exports.
-const WIRE_METRIC_NAMES: [&str; 3] = [
-    "rafda_sig_refs_total",
-    "rafda_sig_defs_total",
-    "rafda_wire_buf_reuses_total",
-];
-
-/// Prometheus text exposition of the registry plus the per-node wire
-/// counters.
-pub(crate) fn prometheus_text_of(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut out = shared.obs.borrow().reg.prometheus_text();
-    let wire = wire_rows(shared);
-    for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (node, row) in wire.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{node=\"{node}\"}} {}", row[k]);
-        }
-    }
-    out
-}
-
-/// JSON-lines export: registry metrics, per-node wire counters and the
-/// time-series rings, one object per line.
-pub(crate) fn metrics_json_of(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let obs = shared.obs.borrow();
-    let mut out = obs.reg.json_lines();
-    let wire = wire_rows(shared);
-    for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
-        for (node, row) in wire.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"name\":\"{name}\",\"type\":\"counter\",\"labels\":{{\"node\":\"{node}\"}},\"value\":{}}}",
-                row[k]
-            );
-        }
-    }
-    out.push_str(&obs.recorder.json_lines());
-    out
 }
 
 /// Sample the time-series rings if the simulated clock has crossed a

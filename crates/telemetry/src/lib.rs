@@ -40,7 +40,7 @@ pub mod span;
 pub mod timeseries;
 
 pub use histogram::{LatencyHistogram, MethodKey, BUCKET_BOUNDS_NS};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use monitor::{
     standard_monitors, AtMostOnceMonitor, Monitor, MonitorEvent, ReplicaDivergenceMonitor,
     SpanTreeMonitor, StaleReadMonitor, Violation,

@@ -1,13 +1,10 @@
 //! Labeled metrics registry: the single write path for runtime counters.
 //!
-//! Before this module every subsystem kept its own ad-hoc `u64` fields
-//! (`RuntimeStats`, `NetStats`, the cache/batch/failover counters, the
-//! buffer pool) and `Cluster::stats()` hand-merged them after the fact.
-//! The registry inverts that: subsystems register *handles* once — a
-//! metric name plus a label set such as `node="2"` — and bump them through
-//! the handle on the hot path (an index into a flat vector; no hashing,
-//! no string work). Merged views like `RuntimeStats` become *reads* of
-//! the registry instead of the storage itself.
+//! Subsystems register *handles* once — a metric name plus a label set
+//! such as `node="2"` — and bump them through the handle on the hot path
+//! (an index into a flat vector; no hashing, no string work). Merged views
+//! like `RuntimeStats` are *reads* of the registry, not storage of their
+//! own, and the exporters render exactly what is registered.
 //!
 //! Determinism: handles are allocated in registration order, iteration is
 //! registration order within a metric name and first-registration order
@@ -23,10 +20,6 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter(usize);
 
-/// Handle to a registered gauge (instantaneous `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Gauge(usize);
-
 /// Handle to a registered fixed-bucket histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram(usize);
@@ -34,7 +27,6 @@ pub struct Histogram(usize);
 #[derive(Debug, Clone, PartialEq)]
 enum MetricValue {
     Counter(u64),
-    Gauge(f64),
     Histogram {
         /// Inclusive upper bounds, strictly increasing. An implicit
         /// overflow bucket (`+Inf`) follows the last bound.
@@ -49,7 +41,6 @@ impl MetricValue {
     fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Histogram { .. } => "histogram",
         }
     }
@@ -63,7 +54,7 @@ struct Entry {
     value: MetricValue,
 }
 
-/// A registry of labeled counters, gauges and histograms.
+/// A registry of labeled counters and histograms.
 ///
 /// Registration is idempotent: registering the same `(name, labels)` pair
 /// again returns the existing handle (and panics if the metric kind
@@ -125,11 +116,6 @@ impl MetricsRegistry {
         Counter(self.register(name, labels, MetricValue::Counter(0)))
     }
 
-    /// Register (or look up) a gauge series.
-    pub fn register_gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        Gauge(self.register(name, labels, MetricValue::Gauge(0.0)))
-    }
-
     /// Register (or look up) a histogram series with the given inclusive
     /// upper bounds (strictly increasing; an overflow bucket is implicit).
     pub fn register_histogram(
@@ -175,14 +161,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set a gauge to `v`.
-    pub fn set(&mut self, g: Gauge, v: f64) {
-        match &mut self.entries[g.0].value {
-            MetricValue::Gauge(cur) => *cur = v,
-            _ => unreachable!("handle kind is checked at registration"),
-        }
-    }
-
     /// Record one observation of `v` in a histogram.
     pub fn observe(&mut self, h: Histogram, v: u64) {
         match &mut self.entries[h.0].value {
@@ -206,19 +184,6 @@ impl MetricsRegistry {
             MetricValue::Histogram { counts, .. } => counts,
             _ => unreachable!("handle kind is checked at registration"),
         }
-    }
-
-    /// Sum of every counter series registered under `name` (across all
-    /// label sets). Gauge/histogram series under the name contribute 0.
-    pub fn sum_counters(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| match &e.value {
-                MetricValue::Counter(v) => *v,
-                _ => 0,
-            })
-            .sum()
     }
 
     fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
@@ -250,10 +215,6 @@ impl MetricsRegistry {
                     MetricValue::Counter(v) => {
                         let labels = Self::render_labels(&e.labels, None);
                         let _ = writeln!(out, "{name}{labels} {v}");
-                    }
-                    MetricValue::Gauge(v) => {
-                        let labels = Self::render_labels(&e.labels, None);
-                        let _ = writeln!(out, "{name}{labels} {}", fmt_f64(*v));
                     }
                     MetricValue::Histogram {
                         bounds,
@@ -307,9 +268,6 @@ impl MetricsRegistry {
                     MetricValue::Counter(v) => {
                         let _ = writeln!(out, "{head},\"value\":{v}}}");
                     }
-                    MetricValue::Gauge(v) => {
-                        let _ = writeln!(out, "{head},\"value\":{}}}", fmt_f64(*v));
-                    }
                     MetricValue::Histogram {
                         bounds,
                         counts,
@@ -339,17 +297,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Deterministic `f64` rendering for the exporters: finite values use
-/// Rust's shortest-roundtrip `Display`; non-finite values clamp to 0 so
-/// the output stays valid Prometheus/JSON.
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +312,7 @@ mod tests {
         reg.inc(a);
         reg.add(b, 4);
         assert_eq!(reg.counter_value(a), 1);
-        assert_eq!(reg.sum_counters("calls"), 5);
+        assert_eq!(reg.counter_value(b), 4);
         assert_eq!(reg.len(), 2);
     }
 
@@ -401,20 +348,17 @@ mod tests {
         let build = || {
             let mut reg = MetricsRegistry::new();
             let c = reg.register_counter("calls", &[("node", "0")]);
-            let g = reg.register_gauge("depth", &[("node", "0")]);
             let h = reg.register_histogram("lat", &[("node", "0")], vec![1, 8]);
             reg.inc(c);
-            reg.set(g, 0.75);
             reg.observe(h, 3);
             (reg.prometheus_text(), reg.json_lines())
         };
         assert_eq!(build(), build());
         let (prom, json) = build();
         assert!(prom.contains("# TYPE calls counter"));
-        assert!(prom.contains("depth{node=\"0\"} 0.75"));
         for line in json.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-        assert!(json.contains("\"type\":\"gauge\""));
+        assert!(json.contains("\"type\":\"histogram\""));
     }
 }

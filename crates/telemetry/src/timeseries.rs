@@ -122,7 +122,7 @@ impl TimeSeriesRecorder {
         for ((name, ring), dropped) in self.series().zip(&self.dropped) {
             let pts = ring
                 .iter()
-                .map(|(t, v)| format!("[{t},{}]", crate::metrics::fmt_f64(*v)))
+                .map(|(t, v)| format!("[{t},{}]", fmt_f64(*v)))
                 .collect::<Vec<_>>()
                 .join(",");
             let _ = writeln!(
@@ -134,6 +134,17 @@ impl TimeSeriesRecorder {
             );
         }
         out
+    }
+}
+
+/// Deterministic `f64` rendering for the export: finite values use Rust's
+/// shortest-roundtrip `Display`; non-finite values clamp to 0 so the output
+/// stays valid JSON.
+fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
     }
 }
 

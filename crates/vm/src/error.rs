@@ -183,11 +183,16 @@ impl VmError {
     ///
     /// `Native` strings are still inspected because a network failure that
     /// crosses a remote hop comes back as a fault message (the serving node
-    /// could not complete a nested remote call).
+    /// could not complete a nested remote call): the [`NetFailureKind`]
+    /// text, which starts `network: `, behind one `native error: ` per
+    /// further hop. Anything else — a fault that merely names a class in a
+    /// `network` package — is not a network failure.
     pub fn is_network(&self) -> bool {
         match self {
             VmError::Unreachable(_) => true,
-            VmError::Native(m) => m.contains("network"),
+            VmError::Native(m) => m
+                .trim_start_matches("native error: ")
+                .starts_with("network: "),
             _ => false,
         }
     }
@@ -239,6 +244,13 @@ mod tests {
     fn network_detection() {
         assert!(VmError::Native("network: partition".into()).is_network());
         assert!(!VmError::Native("marshal failure".into()).is_network());
+        assert!(!VmError::Native("unknown class network.Router".into()).is_network());
+        assert!(VmError::Native("native error: network: node2 crashed".into()).is_network());
+        assert!(
+            VmError::Native("native error: native error: network: message dropped".into())
+                .is_network()
+        );
+        assert!(!VmError::Native("native error: unknown class network.Router".into()).is_network());
         assert!(!VmError::Trap(Trap::NullDeref).is_network());
         assert!(VmError::Unreachable(NetFailure::new(NetFailureKind::Dropped, 3)).is_network());
     }

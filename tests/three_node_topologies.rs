@@ -34,21 +34,22 @@ fn forwarded_references_point_at_the_true_home() {
     let x = cluster.new_instance(N0, "X", 0, vec![y.clone()]).unwrap();
     assert_eq!(cluster.location_of(N0, &x), Some(N2));
 
-    let net = cluster.network();
-    net.reset_stats();
-    // x.m(4) from node 0: one hop 0->2 for m, one hop 2->1 for y.n — and
-    // critically NO 2->0 traffic (no chaining through node 0's proxy).
+    let before = [N0, N1, N2].map(|n| cluster.node_stats(n));
+    // x.m(4) from node 0: one exchange 0->2 for m, one 2->1 for y.n — and
+    // critically nothing asked of node 0 (no chaining through its proxy).
     let r = cluster
         .call_method(N0, x, "m", vec![Value::Long(4)])
         .unwrap();
     assert_eq!(r, Value::Int(7));
-    let stats = net.stats();
-    assert!(stats.link(N0, N2).messages >= 1, "driver -> X home");
-    assert!(stats.link(N2, N1).messages >= 1, "X home -> Y home, direct");
+    let [n0, n1, n2] =
+        [N0, N1, N2].map(|n| cluster.node_stats(n).delta_from(&before[n.0 as usize]));
+    assert_eq!(n0.exchanges(), 1, "node 0 -> X home, once: {n0}");
+    assert!(n2.rpc_calls >= 1, "X home served m: {n2}");
+    assert!(n2.exchanges() >= 1, "X home -> Y home: {n2}");
+    assert!(n1.rpc_calls >= 1, "Y home served n: {n1}");
     assert_eq!(
-        stats.link(N2, N0).messages + stats.link(N0, N1).messages,
-        1, // only the reply 2->0; nothing routed through node 0 to Y
-        "no proxy chaining through the creator: {stats:?}"
+        n0.rpc_calls, 0,
+        "no proxy chaining through the creator: {n0}"
     );
 }
 
