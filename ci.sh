@@ -56,9 +56,10 @@ echo "== quiescent checks stay O(new spans): soak apply share >= 0.85 =="
 # from one process's clock, so the ratio does not depend on the host's speed.
 smoke_line=$(cd benchmark && cargo run --release --offline -q -- \
     --workload soak_day --seed 42 --scale 0.1 --seconds 1 --trace 1 | tail -n 1)
-smoke_metric() {
-  grep -oE "\"$1\":\{\"value\":[0-9.eE+-]+" <<<"$smoke_line" | grep -oE '[0-9.eE+-]+$' || true
+metric_of() { # name regex, benchmark output line
+  grep -oE "\"$1\":\{\"value\":[0-9.eE+-]+" <<<"$2" | grep -oE '[0-9.eE+-]+$' || true
 }
+smoke_metric() { metric_of "$1" "$smoke_line"; }
 apply_share=$(smoke_metric 'core\.soak\.apply_share')
 echo "core.soak.apply_share = ${apply_share:-missing}"
 if ! awk -v share="${apply_share:-0}" 'BEGIN { exit !(share >= 0.85) }'; then
@@ -94,6 +95,33 @@ if ! awk -v h="${header_ns:-0}" -v r="${roundtrip_ns:-0}" 'BEGIN { exit !(h > 0 
   exit 1
 fi
 
+echo "== ledger smoke: no workload's ops_per_s drops over 20 % against the ledger =="
+# One short untraced run per workload (seed 42), held to the last committed
+# `"source":"run"` line of the same workload and seed in BENCH_e2e.json.
+# `ops_per_s` is reference-speed (the driver divides the host's measured speed
+# out), so a slower host is not a regression. A run whose raw round walls
+# spread by more than 20 % (`driver.round_spread`: IQR over median) is skipped,
+# and says so: the host itself moved by as much as the drop this gate looks
+# for, so a failure would not name the code.
+ledger=$(git show HEAD:BENCH_e2e.json 2>/dev/null || cat BENCH_e2e.json)
+for w in soak_day rpc_steady store_reads store_writes local_chain transform_corpus; do
+  base=$(grep -F "\"workload\":\"$w\",\"seed\":42," <<<"$ledger" | grep -F '"source":"run"' |
+    tail -n 1 | grep -oE '"ops_per_s":[0-9.]+' | grep -oE '[0-9.]+$' || true)
+  out=$(cd benchmark && cargo run --release --offline -q -- \
+      --workload "$w" --seed 42 --seconds 1 --trace 0)
+  ops=$(metric_of ops_per_s "$(tail -n 1 <<<"$out")")
+  spread=$(metric_of 'driver\.round_spread' "$(grep '^detail ' <<<"$out")")
+  echo "$w: ops_per_s ${ops:-missing} against ${base:-no ledger line}, round_spread ${spread:-missing}"
+  if [ -z "$base" ]; then
+    echo "  skipped: no committed run line for $w at seed 42"
+  elif awk -v s="${spread:-1}" 'BEGIN { exit !(s > 0.20) }'; then
+    echo "  skipped: round_spread over 0.20, the host is too noisy to judge a 20 % drop"
+  elif ! awk -v o="${ops:-0}" -v b="$base" 'BEGIN { exit !(o >= 0.8 * b) }'; then
+    echo "FAIL: $w ops_per_s dropped over 20 % below its last ledger line" >&2
+    exit 1
+  fi
+done
+
 echo "== location tables are touched only by the Directory =="
 # Where objects live is one type's business (crates/runtime/src/directory.rs).
 # A field access on one of its tables anywhere else in the runtime means a
@@ -112,13 +140,13 @@ echo "== what was written is what is dirty: no frames, one source of bare-mutati
 # logs it, and the sweep (replicate.rs) alone drains the logs into
 # `Directory::mark_written`. A frame type, a getter classifier at an entry
 # point or a second drain means the convention is back; re-marking a whole
-# node is for the quiescent check in stats.rs (restart does it inside the
+# node is for the quiescent check in watchdog.rs (restart does it inside the
 # directory).
 if grep -rnE 'AppFrame|app_frames|mark_if_framed|entry_is_getter' crates/runtime/src; then
   echo "FAIL: application frames are back in the runtime" >&2
   exit 1
 fi
-if grep -rn --exclude=stats.rs 'mark_node_dirty(' crates/runtime/src | grep -v 'fn mark_node_dirty('; then
+if grep -rn --exclude=watchdog.rs 'mark_node_dirty(' crates/runtime/src | grep -v 'fn mark_node_dirty('; then
   echo "FAIL: mark_node_dirty is called outside the quiescent check" >&2
   exit 1
 fi
@@ -194,6 +222,29 @@ echo "== one counter table: every runtime counter is a registry row =="
 if grep -rnE 'per_node_wire|wire_rows|WIRE_METRIC_NAMES|reuses_from|allocs_from|LinkStats|busiest_link|pair_bytes|register_gauge|sum_counters' \
     crates examples tests; then
   echo "FAIL: a counter lives outside the metrics registry again" >&2
+  exit 1
+fi
+
+echo "== one watchdog: five checks in one type, link latency read from spans =="
+# The runtime's invariant checks are one concrete `Watchdog`, called where the
+# facts are; per-link latency is derived from the `rpc.attempt` spans. An event
+# enum, a check trait, a boxed check or a second copy of the attempt durations
+# means a check is being plugged in, or a sample stored, a second way again.
+if grep -rnE 'trait Monitor|MonitorEvent|standard_monitors|dyn Monitor|link_samples|record_link' \
+    crates examples tests; then
+  echo "FAIL: a pluggable monitor or a stored link sample is back" >&2
+  exit 1
+fi
+
+echo "== CHANGES.md cites the ledger: every entry from PR 26 on is <= 1536 bytes =="
+# A/B tables live in BENCH_e2e.json. An entry says what changed, which bytes
+# moved, which ledger lines hold its runs and what it claims.
+if ! LC_ALL=C awk '
+    function check() { if (pr >= 26 && bytes > 1536) { print "PR " pr ": " bytes " bytes"; bad = 1 } }
+    /^- PR [0-9]+:/ { check(); pr = $3 + 0; bytes = -1 }
+    { bytes += length($0) + 1 }
+    END { check(); exit bad }' CHANGES.md; then
+  echo "FAIL: a CHANGES.md entry is over 1536 bytes — cite the ledger instead" >&2
   exit 1
 fi
 
@@ -286,7 +337,7 @@ diff target/ci_determinism_a.txt.jsonl target/ci_determinism_b.txt.jsonl
 echo "== chaos soak, monitor-enabled smoke =="
 # The full 24-case soak already ran under `cargo test` above; this repeats
 # it at 2 cases purely to exercise the CHAOS_CASES knob the soak exposes
-# for quick local iteration (all four watchdogs stay enabled).
+# for quick local iteration (all five invariant checks stay enabled).
 CHAOS_CASES=2 cargo test -q -p rafda --test chaos_soak
 
 echo "CI OK"

@@ -75,8 +75,8 @@ pub use rafda_runtime::{
     RuntimeStats, INTROSPECTION_CLASS,
 };
 pub use rafda_telemetry::{
-    LatencyHistogram, LinkSummary, MethodKey, MetricsRegistry, Monitor, MonitorEvent, Span,
-    SpanLog, SpanOutcome, TimeSeriesRecorder, TraceContext, Violation,
+    LatencyHistogram, LinkSummary, MethodKey, MetricsRegistry, Span, SpanLog, SpanOutcome,
+    TimeSeriesRecorder, TraceContext, Violation,
 };
 pub use rafda_transform::{TransformError, Transformer};
 pub use rafda_vm::{NetFailure, NetFailureKind, ObserverIds, Trace, TraceEvent, Value, Vm};

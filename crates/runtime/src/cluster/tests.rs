@@ -786,20 +786,41 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     assert_ne!(violations[0].span_id, 0);
 }
 
-/// Counts the executions the callee half reports to the monitors.
-struct Executions(Rc<Cell<usize>>);
-
-impl rafda_telemetry::Monitor for Executions {
-    fn name(&self) -> &'static str {
-        "executions"
+/// The replica-divergence canary. A backup holding different state at the
+/// owner's current version is a divergence; the quiescent probe reports it
+/// as the tables are now, so a divergence that persists across checks is
+/// one verdict, not one per check. The check's own sweep compares the
+/// owner's state against its shipment record, not against the backup, so it
+/// leaves the planted state where it is.
+#[test]
+fn replica_divergence_is_reported_once_however_often_it_is_checked() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .replicate("C", 1);
+    let (cluster, _) = deployed(policy);
+    cluster.enable_monitors();
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let add = cluster.call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(5)]);
+    assert_eq!(add.unwrap(), Value::Int(5));
+    let shared = cluster.shared();
+    let loc = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+    assert_eq!(cluster.check_invariants(), vec![]);
+    {
+        let mut nodes = shared.nodes.borrow_mut();
+        let (version, _, state) = nodes[0]
+            .replica_store
+            .get_mut(&loc)
+            .expect("a backup entry");
+        assert_eq!(*version, version_of(shared, loc.0, loc.1), "in sync");
+        assert_eq!(*state, vec![WireValue::Int(5)]);
+        *state = vec![WireValue::Int(6)];
     }
-    fn on_event(&mut self, event: &rafda_telemetry::MonitorEvent) {
-        if matches!(event, rafda_telemetry::MonitorEvent::Execution { .. }) {
-            self.0.set(self.0.get() + 1);
-        }
-    }
-    fn violations(&self) -> &[rafda_telemetry::Violation] {
-        &[]
+    let named = format!("backup 0 of {}#{} diverges", loc.0, loc.1);
+    for _ in 0..2 {
+        let violations = cluster.check_invariants();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].monitor, "replica-divergence");
+        assert!(violations[0].message.contains(&named), "{}", violations[0]);
     }
 }
 
@@ -859,8 +880,11 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
         let (_, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
         let methods = &shared.universe.class(base).methods;
         let add_sig = methods.iter().find(|m| m.name == "add").unwrap().sig;
-        let executions = Rc::new(Cell::new(0));
-        shared.obs.borrow_mut().monitors = Some(vec![Box::new(Executions(executions.clone()))]);
+        cluster.enable_monitors();
+        let executions = || {
+            let obs = shared.obs.borrow();
+            obs.watchdog.as_ref().map_or(0, |dog| dog.executions())
+        };
         let call = Request::Call {
             object: oid,
             method: format!("add@{}", add_sig.0),
@@ -882,18 +906,18 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
             };
             for hostile in truncated.chain(flipped).chain(structured) {
                 let cached = shared.nodes.borrow()[1].reply_cache.len();
-                let executed = executions.get();
+                let executed = executions();
                 let (msg_id, reply, _) = answer(shared, &*codec, &hostile)
                     .unwrap_or_else(|e| panic!("{}: unreadable reply frame: {e}", codec.name()));
                 if codec.decode_request_header(&hostile).is_err() {
                     assert!(matches!(reply, Reply::Fault(_)), "{reply:?}");
                     assert_eq!(msg_id, 0);
                     assert_eq!(shared.nodes.borrow()[1].reply_cache.len(), cached);
-                    assert_eq!(executions.get(), executed);
+                    assert_eq!(executions(), executed);
                 }
             }
         }
-        assert!(executions.get() > 0, "the intact-enough frames did execute");
+        assert!(executions() > 0, "the intact-enough frames did execute");
     }
 }
 

@@ -66,6 +66,7 @@ mod rpc;
 mod serve;
 pub mod soak;
 mod stats;
+mod watchdog;
 
 pub use cluster::{Cluster, MigrationEvent, NodeSummary, RemoteRef, RetryPolicy, RuntimeStats};
 pub use error::RuntimeError;

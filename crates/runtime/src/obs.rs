@@ -1,7 +1,7 @@
 //! The cluster's observability plane: one labeled metrics registry as the
 //! single write path for every runtime counter, a deterministic
 //! time-series recorder sampled on the **simulated** clock, and the
-//! optional live invariant monitors.
+//! optional invariant watchdog.
 //!
 //! [`RuntimeStats`] is not a bag of counters that the runtime mutates
 //! directly — it is a *view* assembled from this registry
@@ -12,9 +12,8 @@
 //! per-node breakdown, the Prometheus/JSON exporters and the
 //! `rafda.Introspection` getters all read the same numbers.
 
-use rafda_telemetry::{
-    Counter, Histogram, MetricsRegistry, Monitor, MonitorEvent, SeriesId, TimeSeriesRecorder,
-};
+use crate::watchdog::Watchdog;
+use rafda_telemetry::{Counter, Histogram, MetricsRegistry, SeriesId, TimeSeriesRecorder};
 
 /// How often the time-series recorder samples, in simulated ns. One
 /// sample per 100 µs keeps a multi-millisecond chaos run under the ring
@@ -198,7 +197,7 @@ runtime_metrics! {
 
 /// The observability state hanging off [`Shared`](crate::cluster::Shared):
 /// registry + handles, recorder + series ids, and (when enabled) the
-/// monitor set.
+/// watchdog.
 pub(crate) struct Obs {
     /// The single write path for all runtime counters.
     pub(crate) reg: MetricsRegistry,
@@ -223,9 +222,9 @@ pub(crate) struct Obs {
     /// the next sweep will probe. Stays near zero on healthy steady-state
     /// traffic; a sustained climb means marks outpace shipments.
     pub(crate) ts_dirty_set_depth: SeriesId,
-    /// Standing watchdogs; `None` until
+    /// The invariant checks; `None` until
     /// [`Cluster::enable_monitors`](crate::Cluster::enable_monitors).
-    pub(crate) monitors: Option<Vec<Box<dyn Monitor>>>,
+    pub(crate) watchdog: Option<Watchdog>,
 }
 
 impl Obs {
@@ -268,7 +267,7 @@ impl Obs {
             ts_replica_lag,
             ts_shard_balance,
             ts_dirty_set_depth,
-            monitors: None,
+            watchdog: None,
         }
     }
 
@@ -310,16 +309,6 @@ impl Obs {
             *slot = c;
         }
         stats
-    }
-
-    /// Feed one live event to every enabled monitor (no-op when monitors
-    /// are off).
-    pub(crate) fn emit(&mut self, event: &MonitorEvent) {
-        if let Some(monitors) = self.monitors.as_mut() {
-            for m in monitors.iter_mut() {
-                m.on_event(event);
-            }
-        }
     }
 }
 

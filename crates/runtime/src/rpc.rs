@@ -391,12 +391,11 @@ pub(crate) fn rpc_inner(
         .map_err(net_failure_kind);
         let end = shared.net.now().as_ns();
         let mut spans = shared.spans.borrow_mut();
-        if result.is_ok() {
-            spans.end_span(att, end, SpanOutcome::Ok);
-            spans.record_link(from.0, to.0, end.saturating_sub(attempt_start));
-        } else {
-            spans.end_span(att, end, SpanOutcome::NetFailure);
-        }
+        let outcome = match result {
+            Ok(_) => SpanOutcome::Ok,
+            Err(_) => SpanOutcome::NetFailure,
+        };
+        spans.end_span(att, end, outcome);
         match result {
             Err(kind) if kind.is_transient() && attempt < max_attempts => {
                 prev_attempt_span = Some(spans.span_id_of(att));

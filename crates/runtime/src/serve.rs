@@ -13,10 +13,10 @@ use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::sync_replicas;
 use crate::rpc::span_names;
-use crate::stats::{bump, monitors_on};
+use crate::stats::bump;
 use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
-use rafda_telemetry::{MonitorEvent, SpanOutcome, TraceContext};
+use rafda_telemetry::{SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{FrameHeader, Protocol, Reply, Request, WireValue};
 
@@ -92,20 +92,6 @@ fn serve_frame(
         let reply_ctx = spans.context_of(h);
         (h, reply_ctx)
     };
-    // Tell the at-most-once monitor this frame was answered: by running the
-    // request, or (`replay`) from the reply cache.
-    let executed = |replay: bool| {
-        if monitors_on(shared) {
-            shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
-                node: node.0,
-                caller: caller.0,
-                msg_id,
-                replay,
-                span_id: reply_ctx.span_id,
-                trace_id: reply_ctx.trace_id,
-            });
-        }
-    };
     let key = (caller.0, msg_id);
     let cached = shared.nodes.borrow()[node.0 as usize]
         .reply_cache
@@ -121,7 +107,6 @@ fn serve_frame(
             // materialised on this path — the decision used the header alone.
             bump(shared, node.0, Met::DedupHits);
             shared.spans.borrow_mut().set_attr(span, "cached", true);
-            executed(true);
             break 'answer replayed;
         }
         let req = shared.with_link_table(caller, node, |table| header.materialise(Some(table)));
@@ -140,7 +125,11 @@ fn serve_frame(
             shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
         }
         let answered = handle_request(shared, node, caller, req);
-        executed(false);
+        // The at-most-once check hears of every frame that ran; a replay
+        // from the reply cache above is not a run.
+        if let Some(dog) = shared.obs.borrow_mut().watchdog.as_mut() {
+            dog.execution(node.0, caller.0, msg_id, reply_ctx);
+        }
         shared.nodes.borrow_mut()[node.0 as usize]
             .reply_cache
             .insert(key, answered.clone());

@@ -15,7 +15,8 @@
 //! experiment report and the metric exports.
 
 use crate::cluster::{Cluster, RuntimeStats};
-use rafda_telemetry::{standard_monitors, Violation};
+use crate::watchdog::CHECKS;
+use rafda_telemetry::Violation;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -121,16 +122,13 @@ impl SoakRecorder {
         self.close(cluster);
         let violations = cluster.check_invariants();
         let end = Snapshot::take(cluster);
-        let mut monitors: Vec<(&'static str, u64)> =
-            standard_monitors().iter().map(|m| (m.name(), 0)).collect();
-        monitors.push(("stale-affinity", 0));
-        for v in &violations {
-            if let Some(slot) = monitors.iter_mut().find(|(n, _)| *n == v.monitor) {
-                slot.1 += 1;
-            } else {
-                monitors.push((v.monitor, 1));
-            }
-        }
+        let monitors = CHECKS
+            .iter()
+            .map(|&check| {
+                let fired = violations.iter().filter(|v| v.monitor == check).count();
+                (check, fired as u64)
+            })
+            .collect();
         SoakReport {
             seed: self.seed,
             phases: self.phases,
@@ -152,8 +150,8 @@ pub struct SoakReport {
     pub seed: u64,
     /// Completed phases in execution order.
     pub phases: Vec<PhaseStats>,
-    /// `(monitor name, violation count)` for every standing monitor plus
-    /// the structural stale-affinity sweep, in a fixed order.
+    /// `(check name, violation count)` for each of the five invariant
+    /// checks, in a fixed order.
     pub monitors: Vec<(&'static str, u64)>,
     /// Every violation the quiescent-point sweep returned.
     pub violations: Vec<Violation>,

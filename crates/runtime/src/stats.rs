@@ -1,16 +1,11 @@
 //! What the runtime reports about itself: the [`RuntimeStats`] view and
-//! per-node summaries, the metric exports, time-series sampling, the
-//! quiescent-point invariant checks and the introspection tables.
+//! per-node summaries, the metric exports, time-series sampling and the
+//! introspection tables.
 
-use crate::batch::flush_outqueues;
-use crate::cluster::{is_local_impl, is_proxy, version_of, ClassRow, Cluster, Shared};
-use crate::directory::VERSION_TOMBSTONE;
+use crate::cluster::{is_proxy, ClassRow, Cluster, Shared};
 use crate::obs::{Met, RuntimeStats};
-use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
-use rafda_telemetry::{standard_monitors, MonitorEvent, SpanOutcome, Violation};
-use rafda_vm::Value;
-use rafda_wire::WireValue;
+use rafda_telemetry::SpanOutcome;
 use std::fmt;
 
 impl RuntimeStats {
@@ -136,116 +131,6 @@ impl Cluster {
         out
     }
 
-    /// Switch on the four standing invariant monitors (stale-read,
-    /// at-most-once, span-tree, replica-divergence). Monitors are pure
-    /// consumers of runtime events: enabling them never perturbs the
-    /// simulated clock or any observable behaviour.
-    pub fn enable_monitors(&self) {
-        self.shared.obs.borrow_mut().monitors = Some(standard_monitors());
-    }
-
-    /// Violations accumulated by the enabled monitors so far (empty when
-    /// monitors are off).
-    pub fn monitor_violations(&self) -> Vec<Violation> {
-        let obs = self.shared.obs.borrow();
-        match &obs.monitors {
-            Some(monitors) => monitors
-                .iter()
-                .flat_map(|m| m.violations().iter().cloned())
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Run the quiescent-point checks and return every violation known.
-    ///
-    /// Flushes pending batches and re-ships drifted replicas first (a
-    /// quiescent point must not have deferred operations or unshipped
-    /// replicated state in flight), then hands the span log to the
-    /// monitors' structural check, probes every replica against its
-    /// primary, and sweeps the affinity counters for entries referencing
-    /// a moved or dead location (`stale-affinity`). The structural check
-    /// visits only the spans recorded since the previous call (every span
-    /// is closed at a quiescent point, so the span-tree monitor's verdicts
-    /// on them are final), which keeps a check's cost independent of how
-    /// long the run has been going. A clean run returns an empty vector;
-    /// tests assert exactly that, and on failure each [`Violation`]
-    /// identifies the offending span and exchange.
-    pub fn check_invariants(&self) -> Vec<Violation> {
-        let shared = &self.shared;
-        let _ = flush_outqueues(shared);
-        // The marks' own sweep first, so that whatever the full sweep below
-        // still finds to ship is a hole in the marking.
-        sync_dirty_replicas(shared);
-        // A quiescent check probes *every* replicated export, not just
-        // recently-marked ones — mark everything, then let the sweep's
-        // no-op settling clear the set again. This is the full-table
-        // behavior the incremental sweep otherwise avoids, and it is what
-        // keeps the invariant check independent of marking completeness.
-        for n in 0..shared.vms.len() as u32 {
-            mark_node_dirty(shared, n);
-        }
-        let unmarked = sync_dirty_replicas(shared);
-        debug_assert_eq!(unmarked, 0, "drifted replicated state nobody marked");
-        if shared.obs.borrow().monitors.is_none() {
-            return Vec::new();
-        }
-        {
-            // Borrow, don't clone: the log holds the whole run's spans and
-            // the monitors read only its tail, so a copy would be the one
-            // O(run) step left in a quiescent check. `spans` and `obs` are
-            // separate cells, so the shared borrow is safe alongside the
-            // obs borrow.
-            let log = shared.spans.borrow();
-            let mut obs = shared.obs.borrow_mut();
-            if let Some(monitors) = obs.monitors.as_mut() {
-                for m in monitors.iter_mut() {
-                    m.check_span_log(&log);
-                }
-            }
-        }
-        for probe in collect_replica_probes(shared) {
-            shared.obs.borrow_mut().emit(&probe);
-        }
-        let mut violations = self.monitor_violations();
-        violations.extend(self.stale_affinity_violations());
-        violations
-    }
-
-    /// Structural quiescent-point sweep over the affinity counters: every
-    /// counter on a live node must reference an export that is still
-    /// locally implemented there. A counter pointing at a forwarding
-    /// proxy (the object moved) or a wiped registry (the node died) would
-    /// feed the adaptation loops locations they must never act on —
-    /// [`Directory::relocate`] maintains this invariant and the soak gate
-    /// checks it at every phase boundary.
-    pub(crate) fn stale_affinity_violations(&self) -> Vec<Violation> {
-        let shared = &self.shared;
-        let mut out = Vec::new();
-        let dir = shared.directory.borrow();
-        for n in 0..shared.vms.len() as u32 {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-                continue;
-            }
-            for oid in dir.affinity(n).into_iter().map(|a| a.oid) {
-                // Whatever the id resolves to — a live export or the stub a
-                // move left behind — must be the object itself, not a proxy.
-                let what = match dir.lookup((n, oid)) {
-                    Some(h) if is_local_impl(shared, n, h) => continue,
-                    Some(_) => format!("references moved-away export {oid}"),
-                    None => format!("for vanished export {oid}"),
-                };
-                out.push(Violation {
-                    monitor: "stale-affinity",
-                    message: format!("node {n}: affinity counter {what}"),
-                    span_id: 0,
-                    trace_id: 0,
-                });
-            }
-        }
-        out
-    }
-
     /// Per-object incoming-call affinity recorded on `node`: `(export id,
     /// total calls)` pairs, sorted by export id. Entries are purged
     /// cluster-wide when their object migrates or is pulled, so the
@@ -298,15 +183,9 @@ pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
     shared.obs.borrow_mut().inc(node, met);
 }
 
-/// Whether the invariant monitors are enabled (events are only assembled
-/// when someone is listening).
-pub(crate) fn monitors_on(shared: &Shared) -> bool {
-    shared.obs.borrow().monitors.is_some()
-}
-
 /// Record that `node` served a read of the object at `loc` without asking
 /// its owner. A zero-duration `rpc.call` span tagged `how` keeps the read
-/// visible in traces, and the monitors hear of it: the hit is a stale read
+/// visible in traces, and the watchdog hears of it: the hit is a stale read
 /// when the authoritative object has moved — the export now forwards, or a
 /// recorded move re-homed it. A merely *missing* export (restart amnesia)
 /// is legitimate: the version survived, the state did not move.
@@ -331,22 +210,16 @@ pub(crate) fn record_local_read(
         spans.end_span(h, now, SpanOutcome::Ok);
         spans.context_of(h)
     };
-    if !monitors_on(shared) {
+    let mut obs = shared.obs.borrow_mut();
+    let Some(dog) = obs.watchdog.as_mut() else {
         return;
-    }
+    };
     let (export, moved) = {
         let dir = shared.directory.borrow();
         (dir.lookup(loc), dir.recorded_home(loc).is_some())
     };
     let forwards = export.is_some_and(|h| is_proxy(shared, loc.0, h));
-    shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
-        node: node.0,
-        owner: loc.0,
-        oid: loc.1,
-        stale_location: forwards || moved,
-        span_id: ctx.span_id,
-        trace_id: ctx.trace_id,
-    });
+    dog.cache_hit(node.0, loc, forwards || moved, ctx);
 }
 
 /// The cluster-wide view: every node's breakdown folded with
@@ -406,61 +279,6 @@ pub(crate) fn maybe_sample(shared: &Shared) {
     obs.recorder.record(r, stamp, lag);
     obs.recorder.record(s, stamp, balance);
     obs.recorder.record(d, stamp, dirty_depth);
-}
-
-/// Compare every backup's stored replica against its primary's live state
-/// at a quiescent point, yielding one [`MonitorEvent::ReplicaProbe`] per
-/// comparable pair. Read-only: the probe never marshals (marshalling a
-/// reference would create exports) — reference-typed fields are skipped
-/// and only primitive state is deep-compared.
-fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
-    let mut probes = Vec::new();
-    let nodes = shared.nodes.borrow();
-    for (backup, state) in nodes.iter().enumerate() {
-        let mut keys: Vec<(u32, u64)> = state.replica_store.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let (backup_version, class_name, fields) = &state.replica_store[&key];
-            let (owner, oid) = key;
-            let owner_version = version_of(shared, owner, oid);
-            if owner_version == VERSION_TOMBSTONE {
-                // The object migrated away; the replica describes a dead
-                // location and will be superseded by the new home's syncs.
-                continue;
-            }
-            let Some(h) = shared.directory.borrow().live_export((owner, oid)) else {
-                // Owner restarted with amnesia; nothing to compare until
-                // the next sync re-seeds the backup.
-                continue;
-            };
-            let vm = &shared.vms[owner as usize];
-            let Some((class, values)) = vm.read_object(h) else {
-                continue;
-            };
-            // The export forwards (or is untransformed): the primary's
-            // authoritative copy lives elsewhere now.
-            if !is_local_impl(shared, owner, h) {
-                continue;
-            }
-            let state_matches = if *backup_version == owner_version {
-                *class_name == shared.universe.class(class).name
-                    && wire_state_matches(&values, fields)
-            } else {
-                // Different versions are never comparable — the version
-                // relation itself is judged by the monitor.
-                true
-            };
-            probes.push(MonitorEvent::ReplicaProbe {
-                owner,
-                oid,
-                backup: backup as u32,
-                owner_version,
-                backup_version: *backup_version,
-                state_matches,
-            });
-        }
-    }
-    probes
 }
 
 /// The policy table as served by `rafda.Introspection`: one line per
@@ -524,21 +342,4 @@ pub(crate) fn homes_table(shared: &Shared) -> String {
         let _ = writeln!(out, "node{on}#{oo} -> node{nn}#{no}");
     }
     out
-}
-
-/// Field-wise comparison of live values against marshalled replica state.
-/// Primitives compare exactly (floats bit-wise); reference-typed fields
-/// are not comparable without marshalling side effects and pass.
-fn wire_state_matches(values: &[Value], wire: &[WireValue]) -> bool {
-    values.len() == wire.len()
-        && values.iter().zip(wire).all(|(v, w)| match (v, w) {
-            (Value::Bool(a), WireValue::Bool(b)) => a == b,
-            (Value::Int(a), WireValue::Int(b)) => a == b,
-            (Value::Long(a), WireValue::Long(b)) => a == b,
-            (Value::Float(a), WireValue::Float(b)) => a.to_bits() == b.to_bits(),
-            (Value::Double(a), WireValue::Double(b)) => a.to_bits() == b.to_bits(),
-            (Value::Str(a), WireValue::Str(b)) => a.as_ref() == b.as_str(),
-            (Value::Null, WireValue::Null) => true,
-            _ => true,
-        })
 }

@@ -41,10 +41,7 @@ pub mod timeseries;
 
 pub use histogram::{LatencyHistogram, MethodKey, BUCKET_BOUNDS_NS};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use monitor::{
-    standard_monitors, AtMostOnceMonitor, Monitor, MonitorEvent, ReplicaDivergenceMonitor,
-    SpanTreeMonitor, StaleReadMonitor, Violation,
-};
+pub use monitor::{SpanTreeMonitor, Violation};
 pub use span::{AttrValue, LinkSummary, Span, SpanHandle, SpanLog, SpanOutcome};
 pub use timeseries::{SeriesId, TimeSeriesRecorder};
 

@@ -1,96 +1,21 @@
-//! Live invariant monitors fed by runtime events.
+//! The span log's own invariant check, and the [`Violation`] every
+//! invariant check reports.
 //!
-//! The oracle suites (`chaos_soak`, `equivalence_prop`) compare *end
-//! states*, so a safety violation mid-run — a stale cached read, a
-//! replayed execution — only surfaces later as an opaque value mismatch.
-//! Monitors watch the run as it happens: the runtime emits a
-//! [`MonitorEvent`] at each decision point (cache hit, frame execution,
-//! replica probe) and each [`Monitor`] accumulates [`Violation`]s that
-//! identify the offending span and exchange, so a broken invariant fails
-//! fast with context instead of as a downstream diff.
-//!
-//! The four standing watchdogs ([`standard_monitors`]):
-//!
-//! * [`StaleReadMonitor`] — a proxy cache hit whose authoritative object
-//!   has moved (the export now forwards, or a promotion re-homed it) is a
-//!   read the owner would no longer serve;
-//! * [`AtMostOnceMonitor`] — the same `(server, caller, msg id)` frame
-//!   executing twice without the dedup cache marking the second a replay;
-//! * [`SpanTreeMonitor`] — structural health of the span log (parents
-//!   exist in the same trace, children start no earlier than parents,
-//!   retry chains resolve, nothing left open at a quiescent point),
-//!   checked incrementally: a quiescent check visits only the spans
-//!   recorded since the previous one;
-//! * [`ReplicaDivergenceMonitor`] — a backup claiming the same version as
-//!   the primary but holding different state (or a version *ahead* of the
-//!   primary, which sync can never legitimately produce).
-//!
-//! Monitors are deliberately pure consumers: they never touch the cluster
-//! and emitting events does not perturb the simulated clock, so enabling
-//! them cannot change a run's observable behaviour.
+//! [`SpanTreeMonitor`] checks the structural health of a [`SpanLog`] at a
+//! quiescent point: parents exist in the same trace, children start no
+//! earlier than parents, retry chains resolve, nothing is left open. It is
+//! a property of the log, so it lives next to it; the runtime's other
+//! checks (stale reads, at-most-once, replica divergence, stale affinity)
+//! need the cluster's tables and live in the runtime's watchdog, which
+//! holds one of these and hands it the log at every quiescent check.
 
 use crate::span::{Span, SpanLog, SpanOutcome};
-use std::collections::BTreeSet;
-
-/// One observation point in the runtime, handed to every enabled monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MonitorEvent {
-    /// A proxy served a property read from its cache (no exchange).
-    CacheHit {
-        /// Node whose proxy cache hit.
-        node: u32,
-        /// Owner node the cached value was originally fetched from.
-        owner: u32,
-        /// Export id of the object on the owner.
-        oid: u64,
-        /// Whether the authoritative location has moved since the value
-        /// was cached (export forwards, or a promotion re-homed it).
-        stale_location: bool,
-        /// The zero-duration `rpc.call` span recorded for the hit.
-        span_id: u64,
-        /// Trace the hit belongs to.
-        trace_id: u64,
-    },
-    /// A server executed (or replayed) a request frame.
-    Execution {
-        /// Serving node.
-        node: u32,
-        /// Calling node (as claimed by the frame).
-        caller: u32,
-        /// The frame's at-most-once message id.
-        msg_id: u64,
-        /// True when the dedup cache replayed a stored reply instead of
-        /// re-executing.
-        replay: bool,
-        /// The `serve.*` span for this frame.
-        span_id: u64,
-        /// Trace the serve belongs to.
-        trace_id: u64,
-    },
-    /// A quiescent-point comparison of one backup against its primary.
-    ReplicaProbe {
-        /// Primary (owner) node.
-        owner: u32,
-        /// Export id on the primary.
-        oid: u64,
-        /// Backup node holding the replica.
-        backup: u32,
-        /// The primary's current version of the object.
-        owner_version: u64,
-        /// The version the backup's replica claims.
-        backup_version: u64,
-        /// Whether the replica's state matches the primary's at equal
-        /// versions (true whenever versions differ — only the
-        /// same-version case is comparable).
-        state_matches: bool,
-    },
-}
 
 /// A broken invariant, with enough context to find the offending
 /// span/exchange in the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// Name of the monitor that fired.
+    /// Name of the check that fired.
     pub monitor: &'static str,
     /// Human-readable description of what went wrong.
     pub message: String,
@@ -107,114 +32,6 @@ impl std::fmt::Display for Violation {
             "[{}] {} (trace {:x}, span {:x})",
             self.monitor, self.message, self.trace_id, self.span_id
         )
-    }
-}
-
-/// A pluggable invariant watchdog.
-///
-/// Implementations receive every [`MonitorEvent`] the runtime emits and
-/// may additionally inspect the whole [`SpanLog`] at quiescent points.
-/// They accumulate violations; they must not panic — failing fast is the
-/// *caller's* policy decision (tests assert the list is empty).
-pub trait Monitor {
-    /// Stable monitor name (used in [`Violation::monitor`]).
-    fn name(&self) -> &'static str;
-    /// Observe one runtime event.
-    fn on_event(&mut self, event: &MonitorEvent);
-    /// Inspect the span log at a quiescent point. Called repeatedly with
-    /// the same, growing log, and [`Monitor::violations`] afterwards
-    /// describes the log as it is *now*: a verdict on the prefix of spans
-    /// that are all closed is final (closed spans never change) and may be
-    /// kept; verdicts on anything from the first still-open span onward
-    /// must be re-derived, not accumulated. A log shorter than what was
-    /// already checked is a different log — start over.
-    fn check_span_log(&mut self, _log: &SpanLog) {}
-    /// Violations recorded so far.
-    fn violations(&self) -> &[Violation];
-}
-
-/// The four standing watchdogs, in a fixed deterministic order.
-pub fn standard_monitors() -> Vec<Box<dyn Monitor>> {
-    vec![
-        Box::new(StaleReadMonitor::default()),
-        Box::new(AtMostOnceMonitor::default()),
-        Box::new(SpanTreeMonitor::default()),
-        Box::new(ReplicaDivergenceMonitor::default()),
-    ]
-}
-
-/// Flags proxy cache hits whose authoritative object has moved.
-#[derive(Debug, Default)]
-pub struct StaleReadMonitor {
-    violations: Vec<Violation>,
-}
-
-impl Monitor for StaleReadMonitor {
-    fn name(&self) -> &'static str {
-        "stale-read"
-    }
-    fn on_event(&mut self, event: &MonitorEvent) {
-        if let MonitorEvent::CacheHit {
-            node,
-            owner,
-            oid,
-            stale_location: true,
-            span_id,
-            trace_id,
-        } = event
-        {
-            self.violations.push(Violation {
-                monitor: self.name(),
-                message: format!(
-                    "node {node} served a cached read of {owner}#{oid}, but the \
-                     object has moved away from node {owner} (missing tombstone)"
-                ),
-                span_id: *span_id,
-                trace_id: *trace_id,
-            });
-        }
-    }
-    fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-}
-
-/// Flags a `(server, caller, msg id)` frame executing more than once.
-#[derive(Debug, Default)]
-pub struct AtMostOnceMonitor {
-    executed: BTreeSet<(u32, u32, u64)>,
-    violations: Vec<Violation>,
-}
-
-impl Monitor for AtMostOnceMonitor {
-    fn name(&self) -> &'static str {
-        "at-most-once"
-    }
-    fn on_event(&mut self, event: &MonitorEvent) {
-        if let MonitorEvent::Execution {
-            node,
-            caller,
-            msg_id,
-            replay: false,
-            span_id,
-            trace_id,
-        } = event
-        {
-            if !self.executed.insert((*node, *caller, *msg_id)) {
-                self.violations.push(Violation {
-                    monitor: self.name(),
-                    message: format!(
-                        "node {node} executed msg {msg_id} from caller \
-                         {caller} twice (dedup cache missed a replay)"
-                    ),
-                    span_id: *span_id,
-                    trace_id: *trace_id,
-                });
-            }
-        }
-    }
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -293,14 +110,13 @@ impl SpanTreeMonitor {
             }
         }
     }
-}
 
-impl Monitor for SpanTreeMonitor {
-    fn name(&self) -> &'static str {
-        "span-tree"
-    }
-    fn on_event(&mut self, _event: &MonitorEvent) {}
-    fn check_span_log(&mut self, log: &SpanLog) {
+    /// Check the log at a quiescent point. Called repeatedly with the same,
+    /// growing log, after which [`SpanTreeMonitor::violations`] describes
+    /// the log as it is *now*: verdicts on the settled prefix are kept,
+    /// everything from the watermark on is re-derived. A log shorter than
+    /// what was already checked is a different log — start over.
+    pub fn check_span_log(&mut self, log: &SpanLog) {
         let spans = log.spans();
         if spans.len() < self.watermark {
             // Not the log the watermark was taken on.
@@ -318,56 +134,9 @@ impl Monitor for SpanTreeMonitor {
             }
         }
     }
-    fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-}
 
-/// Flags backups that disagree with their primary at equal versions, or
-/// run ahead of it.
-#[derive(Debug, Default)]
-pub struct ReplicaDivergenceMonitor {
-    violations: Vec<Violation>,
-}
-
-impl Monitor for ReplicaDivergenceMonitor {
-    fn name(&self) -> &'static str {
-        "replica-divergence"
-    }
-    fn on_event(&mut self, event: &MonitorEvent) {
-        if let MonitorEvent::ReplicaProbe {
-            owner,
-            oid,
-            backup,
-            owner_version,
-            backup_version,
-            state_matches,
-        } = event
-        {
-            if backup_version == owner_version && !state_matches {
-                self.violations.push(Violation {
-                    monitor: self.name(),
-                    message: format!(
-                        "backup {backup} of {owner}#{oid} diverges from the \
-                         primary at version {owner_version}"
-                    ),
-                    span_id: 0,
-                    trace_id: 0,
-                });
-            } else if backup_version > owner_version {
-                self.violations.push(Violation {
-                    monitor: self.name(),
-                    message: format!(
-                        "backup {backup} of {owner}#{oid} is at version \
-                         {backup_version}, ahead of the primary's {owner_version}"
-                    ),
-                    span_id: 0,
-                    trace_id: 0,
-                });
-            }
-        }
-    }
-    fn violations(&self) -> &[Violation] {
+    /// The verdicts as of the last check, in log order.
+    pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
 }
@@ -378,7 +147,7 @@ mod tests {
     use crate::span::SpanHandle;
     use crate::TraceContext;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// The span-tree check as it was before the watermark: one pass over the
     /// whole log building a `(trace, span) → index` map and a span-id set,
@@ -450,66 +219,6 @@ mod tests {
             }
         }
         violations
-    }
-
-    #[test]
-    fn stale_read_fires_only_on_stale_location() {
-        let mut m = StaleReadMonitor::default();
-        let mut hit = MonitorEvent::CacheHit {
-            node: 0,
-            owner: 1,
-            oid: 7,
-            stale_location: false,
-            span_id: 42,
-            trace_id: 9,
-        };
-        m.on_event(&hit);
-        assert!(m.violations().is_empty());
-        if let MonitorEvent::CacheHit { stale_location, .. } = &mut hit {
-            *stale_location = true;
-        }
-        m.on_event(&hit);
-        assert_eq!(m.violations().len(), 1);
-        assert_eq!(m.violations()[0].span_id, 42);
-        assert!(m.violations()[0].message.contains("1#7"));
-    }
-
-    #[test]
-    fn at_most_once_tolerates_replays_but_not_re_execution() {
-        let mut m = AtMostOnceMonitor::default();
-        let exec = |replay| MonitorEvent::Execution {
-            node: 1,
-            caller: 0,
-            msg_id: 5,
-            replay,
-            span_id: 3,
-            trace_id: 2,
-        };
-        m.on_event(&exec(false));
-        m.on_event(&exec(true)); // dedup replay: fine
-        assert!(m.violations().is_empty());
-        m.on_event(&exec(false)); // second real execution: violation
-        assert_eq!(m.violations().len(), 1);
-        assert!(m.violations()[0].message.contains("msg 5"));
-    }
-
-    #[test]
-    fn replica_divergence_flags_equal_version_mismatch_and_ahead_backups() {
-        let mut m = ReplicaDivergenceMonitor::default();
-        let probe = |owner_version, backup_version, state_matches| MonitorEvent::ReplicaProbe {
-            owner: 1,
-            oid: 4,
-            backup: 2,
-            owner_version,
-            backup_version,
-            state_matches,
-        };
-        m.on_event(&probe(3, 2, true)); // lagging backup: fine (best-effort sync)
-        m.on_event(&probe(3, 3, true)); // in sync: fine
-        assert!(m.violations().is_empty());
-        m.on_event(&probe(3, 3, false)); // same version, different state
-        m.on_event(&probe(3, 4, true)); // backup ahead of primary
-        assert_eq!(m.violations().len(), 2);
     }
 
     #[test]

@@ -98,17 +98,19 @@ mod tests {
     use super::*;
     use crate::span::SpanOutcome;
 
+    /// Two exchanges `0 → 1`, each with one round trip inside it.
     fn sample_log() -> SpanLog {
         let mut log = SpanLog::new();
-        for (method, dur) in [("n(J)J", 40_000_u64), ("p(I)I", 9_000)] {
+        for (method, dur, trip) in [("n(J)J", 40_000_u64, 8_000), ("p(I)I", 9_000, 6_000)] {
             let s = log.start_span("rpc.call", 0, 100);
             log.set_attr(s, "class", "Y");
             log.set_attr(s, "method", method);
             log.set_attr(s, "protocol", "RMI");
+            log.set_attr(s, "to", 1u32);
+            let att = log.start_span("rpc.attempt", 0, 100);
+            log.end_span(att, 100 + trip, SpanOutcome::Ok);
             log.end_span(s, 100 + dur, SpanOutcome::Ok);
         }
-        log.record_link(0, 1, 12_000);
-        log.record_link(0, 1, 14_000);
         log
     }
 
@@ -129,8 +131,9 @@ mod tests {
             .position(|l| l.starts_with("hottest methods"))
             .unwrap();
         assert!(a.lines().nth(hot + 2).unwrap().contains("Y.n(J)J [RMI]"));
-        assert!(a.contains("0->1"));
-        assert!(a.contains("14000"));
+        let link = a.lines().find(|l| l.starts_with("  0->1")).unwrap();
+        let cols: Vec<&str> = link.split_whitespace().collect();
+        assert_eq!(cols, ["0->1", "2", "6000", "8000", "8000"]);
     }
 
     #[test]

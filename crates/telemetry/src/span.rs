@@ -247,10 +247,10 @@ struct OpenSpan {
     staged: Vec<Attr>,
 }
 
-/// The per-cluster collection of spans and link samples.
+/// The per-cluster collection of spans.
 ///
 /// Deterministic by construction: ids come from counters, timestamps from
-/// the simulated clock, and link samples live in a `BTreeMap`.
+/// the simulated clock.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanLog {
     spans: Vec<Span>,
@@ -265,7 +265,6 @@ pub struct SpanLog {
     scratch: Vec<Vec<Attr>>,
     next_trace_id: u64,
     next_span_id: u64,
-    link_samples: BTreeMap<(u32, u32), Vec<u64>>,
 }
 
 impl SpanLog {
@@ -491,11 +490,6 @@ impl SpanLog {
         }
     }
 
-    /// Record one successful round-trip latency sample for a link.
-    pub fn record_link(&mut self, from: u32, to: u32, ns: u64) {
-        self.link_samples.entry((from, to)).or_default().push(ns);
-    }
-
     /// All recorded spans, in start order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -511,13 +505,26 @@ impl SpanLog {
             .filter(|s| s.span_id == span_id)
     }
 
-    /// Per-link p50/p95/p99 over the recorded samples (exact nearest-rank),
-    /// ordered by `(from, to)`.
+    /// Per-link p50/p95/p99 of the successful round trips (exact
+    /// nearest-rank), ordered by `(from, to)`. A round trip is an
+    /// `rpc.attempt` span that ended `Ok`: it was recorded on the sending
+    /// node, and the exchange span it is a child of names the receiver in
+    /// its `to` attribute.
     pub fn link_percentiles(&self) -> Vec<LinkSummary> {
-        self.link_samples
-            .iter()
-            .map(|(&(from, to), samples)| {
-                let mut sorted = samples.clone();
+        let mut samples: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
+        for span in &self.spans {
+            if span.name != "rpc.attempt" || span.outcome != SpanOutcome::Ok {
+                continue;
+            }
+            let exchange = self.by_id(span.parent_span_id);
+            if let Some(AttrValue::U64(to)) = exchange.and_then(|e| self.attr(e, "to")) {
+                let link = (span.node, to as u32);
+                samples.entry(link).or_default().push(span.duration_ns());
+            }
+        }
+        samples
+            .into_iter()
+            .map(|((from, to), mut sorted)| {
                 sorted.sort_unstable();
                 LinkSummary {
                     from,
@@ -775,13 +782,33 @@ mod tests {
         assert!(log.open.is_empty());
     }
 
+    /// An exchange `from → to` whose attempts take the given times and end
+    /// the given ways, one after the other.
+    fn exchange(log: &mut SpanLog, from: u32, to: u32, attempts: &[(u64, SpanOutcome)]) {
+        let h = log.start_span("rpc.call", from, 0);
+        log.set_attr(h, "to", to);
+        let mut now = 0;
+        for &(ns, outcome) in attempts {
+            let att = log.start_span("rpc.attempt", from, now);
+            now += ns;
+            log.end_span(att, now, outcome);
+        }
+        log.end_span(h, now, SpanOutcome::Ok);
+    }
+
     #[test]
     fn link_percentiles_nearest_rank() {
         let mut log = SpanLog::new();
         for ns in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-            log.record_link(0, 1, ns);
+            exchange(&mut log, 0, 1, &[(ns, SpanOutcome::Ok)]);
         }
-        log.record_link(2, 0, 7);
+        // Only the round trip that came back is a sample.
+        exchange(
+            &mut log,
+            2,
+            0,
+            &[(3, SpanOutcome::NetFailure), (7, SpanOutcome::Ok)],
+        );
         let links = log.link_percentiles();
         assert_eq!(links.len(), 2);
         assert_eq!(links[0].from, 0);

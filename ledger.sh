@@ -4,7 +4,9 @@
 # stdout on stdin and keeps its last line (the result) and its `detail`
 # line, whose exact per-seed counters `sim_us_per_op`, `wire_msgs_per_op` and
 # `wire_bytes_per_op` ride along verbatim when the workload has them (the
-# cluster workloads; `local_chain` and `transform_corpus` print none):
+# cluster workloads; `local_chain` and `transform_corpus` print none), and so
+# do `driver.host_speed` and `driver.round_spread`, which say how fast and how
+# steady the host was during the run:
 #
 #   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 #       --workload W --seed 42 --seconds S --trace 0 | ./ledger.sh W S [commit] [seed]
@@ -18,7 +20,7 @@
 set -euo pipefail
 layers=0
 if [ "${1:-}" = --layers ]; then layers=1; shift; fi
-[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
 workload=$1 seconds=$2
 commit=${3:-$(git -C "$(dirname "$0")" rev-parse --short HEAD)}
 seed=${4:-42}
@@ -50,11 +52,11 @@ rss=$(metric peak_rss_mb %.1f)
 setup=$(metric setup_s %.3f)
 attempted=$(count attempted)
 failed=$(count failed)
-exact=
-for name in sim_us_per_op wire_msgs_per_op wire_bytes_per_op; do
-  v=$(grep -oE "\"$name\":\{\"value\":[0-9.eE+-]+" <<<"$detail" | grep -oE '[0-9.eE+-]+$') || continue
-  exact="$exact,\"$name\":$v"
+copied=
+for name in sim_us_per_op wire_msgs_per_op wire_bytes_per_op driver.host_speed driver.round_spread; do
+  v=$(grep -oE "\"${name//./\\.}\":\{\"value\":[0-9.eE+-]+" <<<"$detail" | grep -oE '[0-9.eE+-]+$') || continue
+  copied="$copied,\"$name\":$v"
 done
 printf '{"commit":"%s","date":"%s","workload":"%s","seed":%s,"seconds":%s,"ops_per_s":%s,"op_p50_us":%s,"peak_rss_mb":%s,"setup_s":%s,"attempted":%s,"failed":%s%s,"source":"run"}\n' \
   "$commit" "$(date -u +%F)" "$workload" "$seed" "$seconds" \
-  "$ops" "$p50" "$rss" "$setup" "$attempted" "$failed" "$exact" >>"$(dirname "$0")/BENCH_e2e.json"
+  "$ops" "$p50" "$rss" "$setup" "$attempted" "$failed" "$copied" >>"$(dirname "$0")/BENCH_e2e.json"
