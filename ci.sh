@@ -236,6 +236,17 @@ if grep -rnE 'trait Monitor|MonitorEvent|standard_monitors|dyn Monitor|link_samp
   exit 1
 fi
 
+echo "== host time stays out of deterministic artefacts =="
+# The host-time profile is switched on by `Cluster::enable_host_profile` and
+# read by `Cluster::host_profile`, and nothing else carries host time. The
+# soak harness opens sections (its oracle step and touch_all) but never
+# switches the profile on or reads it, and the experiments report does
+# neither, so the run-twice diff below cannot see host time.
+if grep -n 'host_profile' examples/experiments_report.rs crates/core/src/soak.rs; then
+  echo "FAIL: a deterministic artefact's producer switches on or reads the host profile" >&2
+  exit 1
+fi
+
 echo "== CHANGES.md cites the ledger: every entry from PR 26 on is <= 1536 bytes =="
 # A/B tables live in BENCH_e2e.json. An entry says what changed, which bytes
 # moved, which ledger lines hold its runs and what it claims.

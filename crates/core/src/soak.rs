@@ -23,7 +23,7 @@
 use crate::classmodel::builder::{ClassBuilder, MethodBuilder};
 use crate::classmodel::{ClassKind, Field};
 use crate::corpus::ops::{ChurnConfig, ChurnSchedule, Oracle, PoolClass, SoakOp};
-use crate::runtime::{SoakRecorder, SoakReport};
+use crate::runtime::{Section, SoakRecorder, SoakReport};
 use crate::{
     AffinityConfig, Application, Cluster, NodeId, Placement, RetryPolicy, StaticPolicy, Ty, Value,
 };
@@ -198,6 +198,7 @@ impl SoakHarness {
 
     /// Delta-0 mutation on every pool object, checked against the oracle.
     fn touch_all(&self, oracle: &Oracle) -> Result<(), String> {
+        let _s = self.cluster.profile_section(Section::TouchAll);
         for (idx, obj) in self.objs.iter().enumerate() {
             let method = self.mutator(idx);
             let r = self
@@ -226,10 +227,16 @@ impl SoakHarness {
     /// The first divergence — a wrong return value, a failed exchange, or
     /// a vanished object — formatted with the offending op.
     pub fn apply(&mut self, op: &SoakOp, oracle: &mut Oracle) -> Result<(), String> {
+        let cluster = self.cluster.clone();
+        let _op = cluster.profile_section(Section::Other);
         let coord = self.coord;
+        let expected = {
+            let _s = cluster.profile_section(Section::OracleStep);
+            oracle.step(op)
+        };
         match *op {
             SoakOp::Call { idx, delta } => {
-                let expected = oracle.step(op).expect("Call returns a value");
+                let expected = expected.expect("Call returns a value");
                 let method = self.mutator(idx);
                 let r = self
                     .cluster
@@ -245,7 +252,6 @@ impl SoakHarness {
                 }
             }
             SoakOp::Inc { idx, delta } => {
-                oracle.step(op);
                 self.cluster
                     .call_method(
                         coord,
@@ -256,7 +262,7 @@ impl SoakHarness {
                     .map_err(|e| format!("{op}: {e}"))?;
             }
             SoakOp::Read { idx } => {
-                let expected = oracle.step(op).expect("Read returns a value");
+                let expected = expected.expect("Read returns a value");
                 let r = self
                     .cluster
                     .call_method(coord, self.objs[idx].clone(), "get_v", vec![])
@@ -266,7 +272,6 @@ impl SoakHarness {
                 }
             }
             SoakOp::Migrate { idx, node } => {
-                oracle.step(op);
                 let target = NodeId(u32::from(node));
                 if self.down == Some(target) {
                     return Ok(());
@@ -302,7 +307,6 @@ impl SoakHarness {
                 }
             }
             SoakOp::Pull { idx } => {
-                oracle.step(op);
                 let Some(loc) = self.cluster.location_of(coord, &self.objs[idx]) else {
                     return Err(format!("{op}: object vanished"));
                 };
@@ -317,22 +321,18 @@ impl SoakHarness {
                     .map_err(|e| format!("{op}: {e}"))?;
             }
             SoakOp::Adapt => {
-                oracle.step(op);
                 self.cluster.adapt(&self.affinity);
             }
             SoakOp::Rebalance => {
-                oracle.step(op);
                 self.cluster.rebalance_shards(&self.affinity);
             }
             SoakOp::Crash { node } => {
-                oracle.step(op);
                 self.heal(oracle)?;
                 let target = NodeId(u32::from(node));
                 self.cluster.crash(target);
                 self.down = Some(target);
             }
             SoakOp::Heal => {
-                oracle.step(op);
                 self.heal(oracle)?;
             }
         }

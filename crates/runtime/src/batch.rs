@@ -5,6 +5,7 @@
 use crate::cluster::{ClassRow, Shared};
 use crate::failover::locate_home;
 use crate::obs::Met;
+use crate::profile::Section;
 use crate::rpc::{rethrow, rpc};
 use crate::stats::bump;
 use rafda_net::NodeId;
@@ -86,6 +87,7 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
     if shared.in_flush.get() || shared.outqueues.borrow().is_empty() {
         return Ok(());
     }
+    let _s = shared.prof.section(Section::BatchFlush);
     shared.in_flush.set(true);
     let mut first_err = None;
     loop {

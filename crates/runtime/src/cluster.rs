@@ -13,6 +13,7 @@ use crate::marshal;
 pub use crate::obs::RuntimeStats;
 use crate::obs::{Met, Obs};
 pub use crate::placement::MigrationEvent;
+use crate::profile::{Profiler, Section};
 use crate::replicate::charge_marks;
 use crate::rpc::{proxy_call, rpc};
 pub use crate::stats::NodeSummary;
@@ -246,6 +247,9 @@ pub(crate) struct Shared {
     /// the two views identical without a handshake. Never borrowed across
     /// a serve: reach it through [`Shared::with_link_table`].
     pub sig_tables: RefCell<Vec<SigTable>>,
+    /// The host-time profile; off (one boolean test per section) unless
+    /// [`Cluster::enable_host_profile`] switched it on.
+    pub prof: Profiler,
 }
 
 impl Shared {
@@ -274,6 +278,7 @@ impl Shared {
         let (refs, defs) = (table.refs() - refs, table.defs() - defs);
         drop(tables);
         if refs + defs > 0 {
+            let _s = self.prof.section(Section::MetricWrite);
             let mut obs = self.obs.borrow_mut();
             obs.add(from.0, Met::SigRefs, refs);
             obs.add(from.0, Met::SigDefs, defs);
@@ -289,6 +294,7 @@ impl Shared {
         let reuses = pool.reuses();
         let buf = pool.checkout(from, to);
         if pool.reuses() > reuses {
+            let _s = self.prof.section(Section::MetricWrite);
             self.obs.borrow_mut().inc(from.0, Met::WireBufReuses);
         }
         buf
@@ -409,6 +415,7 @@ impl Cluster {
             in_replica_sweep: Cell::new(false),
             wire_bufs: RefCell::new(BufPool::new()),
             sig_tables: RefCell::new((0..nodes * nodes).map(|_| SigTable::default()).collect()),
+            prof: Profiler::new(),
         });
         let cluster = Cluster { shared };
         cluster.install_hooks();

@@ -61,6 +61,7 @@ pub mod marshal;
 mod obs;
 pub mod persist;
 mod placement;
+pub mod profile;
 mod replicate;
 mod rpc;
 mod serve;
@@ -73,4 +74,5 @@ pub use error::RuntimeError;
 pub use introspect::{declare_introspection, INTROSPECTION_CLASS};
 pub use local::LocalRuntime;
 pub use persist::{SnapObject, SnapSlot, Snapshot};
+pub use profile::{HostProfile, Section, SectionGuard};
 pub use soak::{PhaseStats, SoakRecorder, SoakReport};

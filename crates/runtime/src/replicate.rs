@@ -14,6 +14,7 @@ use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow,
 use crate::directory::{Drift, VERSION_TOMBSTONE};
 use crate::marshal;
 use crate::obs::Met;
+use crate::profile::Section;
 use crate::rpc::rpc;
 use crate::stats::{bump, record_local_read};
 use rafda_classmodel::SigId;
@@ -30,6 +31,7 @@ pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
 /// Charge `marks` dirty-set insertions to `node`.
 pub(crate) fn charge_marks(shared: &Shared, node: u32, marks: u64) {
     if marks > 0 {
+        let _s = shared.prof.section(Section::MetricWrite);
         shared.obs.borrow_mut().add(node, Met::DirtyMarks, marks);
     }
 }
@@ -65,6 +67,7 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 ///
 /// Returns whether a shipment was made.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
+    let probe = shared.prof.section(Section::SweepProbe);
     let Some(h) = lookup_export(shared, owner, oid) else {
         return false;
     };
@@ -108,6 +111,8 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
         Drift::State => bump_version(shared, owner.0, oid),
         Drift::Version => {}
     }
+    drop(probe);
+    let _s = shared.prof.section(Section::SweepShip);
     let version = version_of(shared, owner.0, oid);
     // Recorded *before* the exchanges below: each one is a top-level rpc,
     // which runs the dirty-replica sweep, which must find this very object
@@ -199,6 +204,7 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     if !shared.any_replication || shared.in_replica_sweep.get() {
         return 0;
     }
+    let drain = shared.prof.section(Section::SweepDrain);
     for (n, vm) in (0..).zip(&shared.vms) {
         if let Some(written) = vm.take_written() {
             let marked = shared.directory.borrow_mut().mark_written(n, &written);
@@ -209,6 +215,7 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     // inside a shipment, writes a nested exchange logs) are next sweep's
     // work, exactly like mutations made during the old full enumeration.
     let targets = shared.directory.borrow_mut().take_dirty();
+    drop(drain);
     shared.in_replica_sweep.set(true);
     let mut shipped = 0;
     for (n, oid) in targets {

@@ -8,6 +8,7 @@ use crate::directory::VERSION_TOMBSTONE;
 use crate::failover::failover;
 use crate::marshal;
 use crate::obs::Met;
+use crate::profile::Section;
 use crate::replicate::{replica_read, sync_dirty_replicas};
 use crate::serve::{deliver, is_unknown_object, reply_outcome};
 use crate::stats::{bump, maybe_sample, record_local_read};
@@ -33,6 +34,7 @@ pub(crate) fn proxy_call(
     sig: SigId,
     args: &[Value],
 ) -> Result<Value, VmError> {
+    let _s = shared.prof.section(Section::Proxy);
     let vm = &shared.vms[node.0 as usize];
     let recv = args
         .first()
@@ -50,7 +52,10 @@ pub(crate) fn proxy_call(
     let row = &shared.rows[info.row];
     let (mut target, mut oid) =
         read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
+    let wire_args = {
+        let _s = shared.prof.section(Section::Marshal);
+        marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?
+    };
     // Property-cache fast path: a cacheable getter whose cached tag still
     // equals the owner's current version is served locally — no exchange,
     // no clock advance. Coherence rests on the tag check: every mutation
@@ -81,6 +86,7 @@ pub(crate) fn proxy_call(
             Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
                 bump(shared, node.0, Met::CacheHits);
                 record_local_read(shared, node, (target, oid), row, method, "cached");
+                let _s = shared.prof.section(Section::Marshal);
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -167,6 +173,7 @@ pub(crate) fn proxy_call(
                     .prop_cache
                     .insert(cache_key, (obj_version, wv.clone()));
             }
+            let _s = shared.prof.section(Section::Marshal);
             marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
         }
         Reply::Exception { class, fields } => Err(rethrow(shared, node, &class, &fields)),
@@ -201,6 +208,7 @@ pub(crate) fn rpc(
     row: &ClassRow,
     req: &Request,
 ) -> Result<(Reply, u64), VmError> {
+    let _s = shared.prof.section(Section::Exchange);
     // Every exchange is a synchronization point: pending batches drain
     // before this request goes out, so its server observes every operation
     // deferred before it in program order. This must hold at *any* rpc
@@ -301,6 +309,7 @@ pub(crate) fn rpc_inner(
     // encoded once and retransmitted verbatim, so the wire cannot carry
     // per-attempt contexts; attempts are recorded as client-local children.
     let (exch, ctx) = {
+        let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span(exch_name, from.0, shared.net.now().as_ns());
         spans.set_attr(h, "class", class);
@@ -320,10 +329,12 @@ pub(crate) fn rpc_inner(
     // finishes; the signature table is the directed link's, so repeated
     // method/class names shrink to 5-byte references after their first
     // frame.
+    let encode = shared.prof.section(Section::RequestEncode);
     let mut bytes = shared.checkout_buf(from, to);
     let encoded = shared.with_link_table(from, to, |table| {
         codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
     });
+    drop(encode);
     // The exchange span closes in one place, whichever way the exchange ends.
     let close = |outcome: SpanOutcome| {
         let mut spans = shared.spans.borrow_mut();
@@ -335,10 +346,13 @@ pub(crate) fn rpc_inner(
         close(SpanOutcome::Fault);
         return Err(VmError::Rpc(RpcFault::Encode(e.to_string())));
     }
-    shared
-        .spans
-        .borrow_mut()
-        .set_attr(exch, "bytes_out", bytes.len());
+    {
+        let _s = shared.prof.section(Section::SpanRecord);
+        shared
+            .spans
+            .borrow_mut()
+            .set_attr(exch, "bytes_out", bytes.len());
+    }
     let policy = shared.retry.get();
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0u32;
@@ -356,6 +370,7 @@ pub(crate) fn rpc_inner(
         // they retry via `retry_of`.
         let attempt_start = shared.net.now().as_ns();
         let att = {
+            let _s = shared.prof.section(Section::SpanRecord);
             let mut spans = shared.spans.borrow_mut();
             let h = spans.start_span("rpc.attempt", from.0, attempt_start);
             spans.set_attr(h, "attempt", attempt);
@@ -367,14 +382,24 @@ pub(crate) fn rpc_inner(
         // One attempt: the frame over the wire, the callee half, the reply
         // frame back. Bytes are all that crosses between the halves.
         let result = (|| {
-            shared.net.transmit(from, to, bytes.len())?;
+            {
+                let _s = shared.prof.section(Section::Transmit);
+                shared.net.transmit(from, to, bytes.len())?;
+            }
             if attempt > 1 {
                 bump(shared, to.0, Met::Retransmits);
             }
             let reply_bytes = deliver(shared, to, from, codec, &bytes);
-            let back = shared.net.transmit(to, from, reply_bytes.len());
+            let back = {
+                let _s = shared.prof.section(Section::Transmit);
+                let back = shared.net.transmit(to, from, reply_bytes.len());
+                if back.is_ok() {
+                    shared.net.advance(2 * codec.overhead_ns());
+                }
+                back
+            };
             let decoded = back.map(|_| {
-                shared.net.advance(2 * codec.overhead_ns());
+                let _s = shared.prof.section(Section::ReplyDecode);
                 let (_, _, obj_version, reply) = shared
                     .with_link_table(to, from, |table| {
                         codec.decode_reply_with(&reply_bytes, Some(table))
@@ -390,6 +415,7 @@ pub(crate) fn rpc_inner(
         })()
         .map_err(net_failure_kind);
         let end = shared.net.now().as_ns();
+        let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let outcome = match result {
             Ok(_) => SpanOutcome::Ok,
@@ -403,8 +429,10 @@ pub(crate) fn rpc_inner(
             done => break done,
         }
     };
+    let _s = shared.prof.section(Section::SpanTail);
     shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
     {
+        let _s = shared.prof.section(Section::MetricWrite);
         let mut obs = shared.obs.borrow_mut();
         if result.is_err() {
             obs.inc(from.0, Met::NetFailures);

@@ -11,6 +11,7 @@ use crate::cluster::{
 use crate::directory::Why;
 use crate::marshal;
 use crate::obs::Met;
+use crate::profile::Section;
 use crate::replicate::sync_replicas;
 use crate::rpc::span_names;
 use crate::stats::bump;
@@ -32,7 +33,12 @@ pub(crate) fn deliver(
     codec: &dyn Protocol,
     frame: &[u8],
 ) -> Vec<u8> {
-    let (msg_id, (reply, reply_ctx, obj_version)) = match codec.decode_request_header(frame) {
+    let _s = shared.prof.section(Section::Serve);
+    let header = {
+        let _s = shared.prof.section(Section::HeaderDedup);
+        codec.decode_request_header(frame)
+    };
+    let (msg_id, (reply, reply_ctx, obj_version)) = match header {
         Ok(header) => (header.msg_id, serve_frame(shared, to, from, &header)),
         Err(e) => {
             bump(shared, to.0, Met::Faults);
@@ -40,6 +46,7 @@ pub(crate) fn deliver(
             (0, (reply, TraceContext::NONE, 0))
         }
     };
+    let _s = shared.prof.section(Section::ReplyEncode);
     let mut reply_bytes = shared.checkout_buf(to, from);
     let mut encode_reply = |reply: &Reply| {
         shared.with_link_table(to, from, |table| {
@@ -85,6 +92,7 @@ fn serve_frame(
     let msg_id = header.msg_id;
     let (_, serve_name) = span_names(header.kind);
     let (span, reply_ctx) = {
+        let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let now = shared.net.now().as_ns();
         let h = spans.start_server_span(serve_name, node.0, now, header.ctx);
@@ -93,10 +101,11 @@ fn serve_frame(
         (h, reply_ctx)
     };
     let key = (caller.0, msg_id);
-    let cached = shared.nodes.borrow()[node.0 as usize]
-        .reply_cache
-        .get(&key)
-        .cloned();
+    let cached = {
+        let _s = shared.prof.section(Section::HeaderDedup);
+        let nodes = shared.nodes.borrow();
+        nodes[node.0 as usize].reply_cache.get(&key).cloned()
+    };
     let (reply, obj_version) = 'answer: {
         if let Some(replayed) = cached {
             // A dedup hit replays the *stored* version, not the current one:
@@ -106,10 +115,14 @@ fn serve_frame(
             // the next mutation. Note the request payload was never
             // materialised on this path — the decision used the header alone.
             bump(shared, node.0, Met::DedupHits);
+            let _s = shared.prof.section(Section::SpanRecord);
             shared.spans.borrow_mut().set_attr(span, "cached", true);
             break 'answer replayed;
         }
-        let req = shared.with_link_table(caller, node, |table| header.materialise(Some(table)));
+        let req = {
+            let _s = shared.prof.section(Section::Materialise);
+            shared.with_link_table(caller, node, |table| header.materialise(Some(table)))
+        };
         let req = match req {
             Ok(req) => req,
             Err(e) => {
@@ -122,19 +135,23 @@ fn serve_frame(
             }
         };
         if let Request::Batch(ops) = &req {
+            let _s = shared.prof.section(Section::SpanRecord);
             shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
         }
         let answered = handle_request(shared, node, caller, req);
         // The at-most-once check hears of every frame that ran; a replay
         // from the reply cache above is not a run.
         if let Some(dog) = shared.obs.borrow_mut().watchdog.as_mut() {
+            let _s = shared.prof.section(Section::WatchdogCall);
             dog.execution(node.0, caller.0, msg_id, reply_ctx);
         }
+        let _s = shared.prof.section(Section::HeaderDedup);
         shared.nodes.borrow_mut()[node.0 as usize]
             .reply_cache
             .insert(key, answered.clone());
         answered
     };
+    let _s = shared.prof.section(Section::SpanRecord);
     shared
         .spans
         .borrow_mut()
@@ -185,6 +202,7 @@ fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -
         Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
         _ => None,
     };
+    let _s = shared.prof.section(Section::Dispatch);
     let reply = dispatch_request(shared, node, caller, req).unwrap_or_else(|fault| {
         bump(shared, node.0, Met::Faults);
         Reply::Fault(fault)

@@ -4,6 +4,7 @@
 
 use crate::cluster::{is_proxy, ClassRow, Cluster, Shared};
 use crate::obs::{Met, RuntimeStats};
+use crate::profile::Section;
 use rafda_net::NodeId;
 use rafda_telemetry::SpanOutcome;
 use std::fmt;
@@ -180,6 +181,7 @@ impl Cluster {
 /// Bump one runtime counter, charged to `node`. The single write path for
 /// every [`RuntimeStats`] counter.
 pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
+    let _s = shared.prof.section(Section::MetricWrite);
     shared.obs.borrow_mut().inc(node, met);
 }
 
@@ -199,6 +201,7 @@ pub(crate) fn record_local_read(
 ) {
     let now = shared.net.now().as_ns();
     let ctx = {
+        let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.call", node.0, now);
         spans.set_attr(h, "class", row.name.as_str());
@@ -214,6 +217,7 @@ pub(crate) fn record_local_read(
     let Some(dog) = obs.watchdog.as_mut() else {
         return;
     };
+    let _s = shared.prof.section(Section::WatchdogCall);
     let (export, moved) = {
         let dir = shared.directory.borrow();
         (dir.lookup(loc), dir.recorded_home(loc).is_some())
@@ -239,6 +243,7 @@ pub(crate) fn merged_stats(shared: &Shared) -> RuntimeStats {
 /// pending work. Pure read of runtime state — never advances the clock or
 /// mutates anything the application can observe.
 pub(crate) fn maybe_sample(shared: &Shared) {
+    let _s = shared.prof.section(Section::Sample);
     let now = shared.net.now().as_ns();
     let Some(stamp) = shared.obs.borrow().recorder.due(now) else {
         return;

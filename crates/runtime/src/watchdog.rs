@@ -32,6 +32,7 @@
 use crate::batch::flush_outqueues;
 use crate::cluster::{is_local_impl, version_of, Cluster, Shared};
 use crate::directory::VERSION_TOMBSTONE;
+use crate::profile::Section;
 use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
 use rafda_telemetry::{SpanTreeMonitor, TraceContext, Violation};
@@ -197,6 +198,7 @@ impl Cluster {
     /// failure each [`Violation`] identifies the offending span and exchange.
     pub fn check_invariants(&self) -> Vec<Violation> {
         let shared = &self.shared;
+        let _s = shared.prof.section(Section::QuiescentCheck);
         let _ = flush_outqueues(shared);
         // The marks' own sweep first, so that whatever the full sweep below
         // still finds to ship is a hole in the marking.
