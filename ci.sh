@@ -95,6 +95,18 @@ if ! awk -v h="${header_ns:-0}" -v r="${roundtrip_ns:-0}" 'BEGIN { exit !(h > 0 
   exit 1
 fi
 
+echo "== SOAP stays cheap on the host: a round trip <= 12 RMI round trips =="
+# SOAP is the big, slow codec on the wire and on the simulated clock (400 us
+# per message), not in the host's own work: its decoder reads a frame in
+# place. Same smoke line, one process, so the ratio does not depend on the
+# host's speed: ~9x today, 27x with the owned DOM it replaced.
+soap_ns=$(smoke_metric 'wire\.soap\.roundtrip_ns')
+echo "wire.soap.roundtrip_ns = ${soap_ns:-missing}, wire.rmi.roundtrip_ns = ${roundtrip_ns:-missing}"
+if ! awk -v s="${soap_ns:-0}" -v r="${roundtrip_ns:-0}" 'BEGIN { exit !(s > 0 && r > 0 && s <= 12 * r) }'; then
+  echo "FAIL: a SOAP round trip costs over 12 RMI round trips of host time" >&2
+  exit 1
+fi
+
 echo "== ledger smoke: no workload's ops_per_s drops over 20 % against the ledger =="
 # One short untraced run per workload (seed 42), held to the last committed
 # `"source":"run"` line of the same workload and seed in BENCH_e2e.json.
@@ -233,6 +245,15 @@ echo "== one watchdog: five checks in one type, link latency read from spans =="
 if grep -rnE 'trait Monitor|MonitorEvent|standard_monitors|dyn Monitor|link_samples|record_link' \
     crates examples tests; then
   echo "FAIL: a pluggable monitor or a stored link sample is back" >&2
+  exit 1
+fi
+
+echo "== SOAP parses in place: no owned DOM, no per-character copy =="
+# The SOAP decoder reads names, attribute values and entity-free text as
+# slices of the frame. An element tree or a lossy per-scalar copy in its
+# product lines means the owned parse is back.
+if sed '/^#\[cfg(test)\]/,$d' crates/wire/src/soap.rs | grep -nE 'from_utf8_lossy|struct Element|enum Node'; then
+  echo "FAIL: crates/wire/src/soap.rs builds an owned DOM again" >&2
   exit 1
 fi
 

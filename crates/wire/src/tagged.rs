@@ -171,10 +171,19 @@ fn write_value(w: &mut BinWriter, v: &WireValue, sigs: Sigs<'_, '_>) {
     }
 }
 
+/// A boolean byte: exactly the 0 or 1 an encoder writes.
+fn read_bool(r: &mut BinReader<'_>) -> Result<bool, WireError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(WireError::new(format!("bad boolean byte {b}"))),
+    }
+}
+
 fn read_value(r: &mut BinReader<'_>, sigs: Sigs<'_, '_>) -> Result<WireValue, WireError> {
     Ok(match r.u8()? {
         T_NULL => WireValue::Null,
-        T_BOOL => WireValue::Bool(r.u8()? != 0),
+        T_BOOL => WireValue::Bool(read_bool(r)?),
         T_INT => WireValue::Int(r.i32()?),
         T_LONG => WireValue::Long(r.i64()?),
         T_FLOAT => WireValue::Float(r.f32()?),
@@ -305,7 +314,7 @@ fn read_request(r: &mut BinReader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, Wi
         },
         R_FETCH => Request::Fetch { object: r.u64()? },
         R_INSTALL => {
-            let source = if r.u8()? != 0 {
+            let source = if read_bool(r)? {
                 Some((r.u32()?, r.u64()?))
             } else {
                 None

@@ -353,3 +353,236 @@ fn truncated_headers_are_rejected_by_the_header_decoder() {
         }
     }
 }
+
+/// A boolean travels in exactly two forms — byte 0 or 1 in the binary
+/// codecs, `true` or `false` in SOAP — and nothing else decodes as one: a
+/// corrupted boolean is a typed error, never a silent `true` or `false`.
+#[test]
+fn non_canonical_booleans_are_rejected_on_every_codec() {
+    let call = |b| Request::Call {
+        object: 5,
+        method: "set@1".to_owned(),
+        args: vec![WireValue::Bool(b)],
+    };
+    let value = |b| Reply::Value(WireValue::Bool(b));
+    for codec in codecs() {
+        let request = |b| codec.encode_request(9, TraceContext::NONE, &call(b));
+        let reply = |b| codec.encode_reply(9, TraceContext::NONE, 0, &value(b));
+        for (what, yes, no) in [
+            ("request", request(true).unwrap(), request(false).unwrap()),
+            ("reply", reply(true).unwrap(), reply(false).unwrap()),
+        ] {
+            let forgeries: Vec<(String, Vec<u8>)> = if codec.name() == "SOAP" {
+                let text = String::from_utf8(yes).unwrap();
+                ["banana", "TRUE", "1", " true", ""]
+                    .into_iter()
+                    .map(|t| (format!("{t:?}"), text.replace(">true<", &format!(">{t}<"))))
+                    .map(|(label, frame)| (label, frame.into_bytes()))
+                    .collect()
+            } else {
+                // The two frames differ in the boolean's byte alone.
+                let at = (0..yes.len()).find(|&i| yes[i] != no[i]).unwrap();
+                assert_eq!((yes[at], no[at]), (1, 0), "{}", codec.name());
+                [2u8, 0x80, 0xFF]
+                    .into_iter()
+                    .map(|b| {
+                        let mut frame = yes.clone();
+                        frame[at] = b;
+                        (format!("byte {b}"), frame)
+                    })
+                    .collect()
+            };
+            for (label, frame) in forgeries {
+                let decoded = match what {
+                    "request" => codec.decode_request(&frame).map(|_| ()),
+                    _ => codec.decode_reply(&frame).map(|_| ()),
+                };
+                let err = decoded.expect_err(&format!(
+                    "{}: a {what} carrying boolean {label} decoded",
+                    codec.name()
+                ));
+                assert!(
+                    err.to_string().contains("boolean"),
+                    "{}: {what} with boolean {label}: {err}",
+                    codec.name()
+                );
+            }
+        }
+    }
+}
+
+/// A SOAP envelope around `body`, with the reply header set when `reply`.
+fn soap_envelope(reply: bool, body: &str) -> Vec<u8> {
+    let objver = if reply {
+        "<rafda:objver>4</rafda:objver>"
+    } else {
+        ""
+    };
+    format!(
+        "<?xml version=\"1.0\"?>\n\
+         <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
+         <soap:Header><rafda:mid>6</rafda:mid>\
+         <rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>{objver}</soap:Header>\n\
+         <soap:Body>{body}</soap:Body>\n</soap:Envelope>\n"
+    )
+    .into_bytes()
+}
+
+/// Inside `<soap:Body>` the decoder accepts what an encoder writes and
+/// nothing else: text only in a scalar `<v>` and in `<faultstring>`, one
+/// element where one goes, nothing around the body's element. Each shape
+/// below is a typed error, never a panic and never a value the frame does
+/// not spell out (`<v t="string">a<x/>b</v>` is not "ab").
+#[test]
+fn hostile_soap_body_shapes_are_rejected() {
+    let codec = SoapCodec::new();
+    let call = |args: &str| format!("<rafda:call object=\"1\" method=\"m@1\">{args}</rafda:call>");
+    let int = "<v t=\"int\">1</v>";
+    let requests: Vec<(&str, String)> = vec![
+        ("element in a string", call("<v t=\"string\">a<x/>b</v>")),
+        ("element in an int", call("<v t=\"int\">1<x/></v>")),
+        ("text in a null", call("<v t=\"null\">x</v>")),
+        (
+            "element in a ref",
+            call(&format!(
+                "<v t=\"ref\" node=\"1\" object=\"2\" class=\"C\">{int}</v>"
+            )),
+        ),
+        (
+            "text between call arguments",
+            call(&format!("{int}junk{int}")),
+        ),
+        (
+            "whitespace between call arguments",
+            call(&format!("{int} {int}")),
+        ),
+        ("text before call arguments", call(&format!("junk{int}"))),
+        (
+            "text in an array",
+            call(&format!("<v t=\"array\">{int}x</v>")),
+        ),
+        (
+            "text in a state",
+            call(&format!("<v t=\"state\" class=\"C\">x{int}</v>")),
+        ),
+        ("a non-value argument", call("<w t=\"int\">1</w>")),
+        ("an unclosed value", call("<v t=\"int\">1")),
+        ("a mismatched close tag", call("<v t=\"int\">1</w>")),
+        ("an unknown entity", call("<v t=\"string\">&bogus;</v>")),
+        (
+            "an unterminated entity",
+            call("<v t=\"string\">a &amp b</v>"),
+        ),
+        (
+            "text in a fetch",
+            "<rafda:fetch object=\"5\">x</rafda:fetch>".into(),
+        ),
+        (
+            "an element in a fetch",
+            format!("<rafda:fetch object=\"5\">{int}</rafda:fetch>"),
+        ),
+        ("text in a batch", "<rafda:batch>x</rafda:batch>".into()),
+        (
+            "an install without state",
+            "<rafda:install></rafda:install>".into(),
+        ),
+        (
+            "an install with two states",
+            format!("<rafda:install>{int}{int}</rafda:install>"),
+        ),
+        (
+            "text after a replica state",
+            format!("<rafda:replicasync object=\"1\" version=\"2\">{int}x</rafda:replicasync>"),
+        ),
+        (
+            "text before the body element",
+            "junk<rafda:fetch object=\"5\"/>".into(),
+        ),
+        (
+            "text after the body element",
+            "<rafda:fetch object=\"5\"/>junk".into(),
+        ),
+        (
+            "two body elements",
+            "<rafda:fetch object=\"5\"/><rafda:fetch object=\"6\"/>".into(),
+        ),
+        (
+            "a second body",
+            "<rafda:fetch object=\"5\"/></soap:Body><soap:Body>".into(),
+        ),
+        ("an empty body", String::new()),
+        ("a stray close tag", "</rafda:fetch>".into()),
+    ];
+    for (label, body) in &requests {
+        assert!(
+            codec.decode_request(&soap_envelope(false, body)).is_err(),
+            "a request with {label} decoded: {body}"
+        );
+    }
+    let replies = [
+        (
+            "text in a result",
+            format!("<rafda:result>x{int}</rafda:result>"),
+        ),
+        (
+            "two results",
+            format!("<rafda:result>{int}{int}</rafda:result>"),
+        ),
+        ("an empty result", "<rafda:result/>".into()),
+        (
+            "text in an exception",
+            format!("<rafda:exception class=\"E\">x{int}</rafda:exception>"),
+        ),
+        (
+            "a fault without its string",
+            "<soap:Fault></soap:Fault>".into(),
+        ),
+        (
+            "text in a fault",
+            "<soap:Fault>x<faultstring>a</faultstring></soap:Fault>".into(),
+        ),
+        (
+            "an element in a faultstring",
+            "<soap:Fault><faultstring>a<b/></faultstring></soap:Fault>".into(),
+        ),
+        (
+            "a second faultstring",
+            "<soap:Fault><faultstring>a</faultstring><faultstring>b</faultstring></soap:Fault>"
+                .into(),
+        ),
+        (
+            "text in a batch result",
+            "<rafda:batchresult>x</rafda:batchresult>".into(),
+        ),
+        (
+            "an op without a reply",
+            "<rafda:batchresult><rafda:op objver=\"1\"/></rafda:batchresult>".into(),
+        ),
+        (
+            "a non-op in a batch result",
+            format!("<rafda:batchresult><rafda:result>{int}</rafda:result></rafda:batchresult>"),
+        ),
+    ];
+    for (label, body) in &replies {
+        assert!(
+            codec.decode_reply(&soap_envelope(true, body)).is_err(),
+            "a reply with {label} decoded: {body}"
+        );
+    }
+    // The well-formed neighbours decode, so each row fails for its own
+    // reason and not for the envelope around it.
+    let (_, _, args) = codec
+        .decode_request(&soap_envelope(false, &call(&format!("{int}{int}"))))
+        .unwrap();
+    assert_eq!(
+        args,
+        Request::Call {
+            object: 1,
+            method: "m@1".into(),
+            args: vec![WireValue::Int(1); 2],
+        }
+    );
+    let fault = "<soap:Fault><faultstring>a &amp; b</faultstring></soap:Fault>";
+    let (_, _, ver, reply) = codec.decode_reply(&soap_envelope(true, fault)).unwrap();
+    assert_eq!((ver, reply), (4, Reply::Fault("a & b".into())));
+}

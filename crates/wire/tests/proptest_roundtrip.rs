@@ -8,6 +8,12 @@ use rafda_wire::{
     WireValue,
 };
 
+/// A signature-position string (class name or method label): any
+/// printable text, XML metacharacters and non-ASCII included, so escaped
+/// values travel SOAP's inline, interned and `rafda:sigref` paths and the
+/// binary codecs' signature markers.
+const SIG: &str = ".{1,12}";
+
 fn arb_ctx() -> impl Strategy<Value = TraceContext> {
     (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(trace_id, span_id, parent_span_id)| {
         TraceContext {
@@ -27,21 +33,16 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
         any::<f32>().prop_map(WireValue::Float),
         any::<f64>().prop_map(WireValue::Double),
         ".{0,24}".prop_map(WireValue::Str),
-        (any::<u32>(), any::<u64>(), "[A-Za-z_][A-Za-z0-9_]{0,10}").prop_map(
-            |(node, object, class)| WireValue::Remote {
-                node,
-                object,
-                class
-            }
-        ),
+        (any::<u32>(), any::<u64>(), SIG).prop_map(|(node, object, class)| WireValue::Remote {
+            node,
+            object,
+            class
+        }),
     ];
     leaf.prop_recursive(3, 24, 6, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..5).prop_map(WireValue::Array),
-            (
-                "[A-Za-z_][A-Za-z0-9_]{0,12}",
-                prop::collection::vec(inner, 0..5)
-            )
+            (SIG, prop::collection::vec(inner, 0..5))
                 .prop_map(|(class, fields)| WireValue::ObjectState { class, fields }),
         ]
     })
@@ -58,7 +59,7 @@ fn arb_simple_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         (
             any::<u64>(),
-            "[a-z_][a-z0-9_]{0,16}",
+            SIG,
             prop::collection::vec(arb_wire_value(), 0..4)
         )
             .prop_map(|(object, method, args)| Request::Call {
@@ -67,12 +68,12 @@ fn arb_simple_request() -> impl Strategy<Value = Request> {
                 args
             }),
         (
-            "[A-Z][A-Za-z0-9_]{0,16}",
+            SIG,
             any::<u16>(),
             prop::collection::vec(arb_wire_value(), 0..4)
         )
             .prop_map(|(class, ctor, args)| Request::Create { class, ctor, args }),
-        "[A-Z][A-Za-z0-9_]{0,16}".prop_map(|class| Request::Discover { class }),
+        SIG.prop_map(|class| Request::Discover { class }),
         any::<u64>().prop_map(|object| Request::Fetch { object }),
         (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(object, to_node, to_object)| {
             Request::Forward {
@@ -116,10 +117,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
 fn arb_simple_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
         arb_wire_value().prop_map(Reply::Value),
-        (
-            "[A-Z][A-Za-z0-9_]{0,16}",
-            prop::collection::vec(arb_wire_value(), 0..4)
-        )
+        (SIG, prop::collection::vec(arb_wire_value(), 0..4))
             .prop_map(|(class, fields)| Reply::Exception { class, fields }),
         ".{0,40}".prop_map(Reply::Fault),
     ]
