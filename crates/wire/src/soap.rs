@@ -22,10 +22,19 @@ use std::fmt::Write as _;
 // Tiny XML subset, read in place: elements, attributes, text, entities
 // ---------------------------------------------------------------------
 
-/// Append `s` with the five XML metacharacters escaped, copying the runs
-/// between them whole.
+/// The five XML metacharacters and the entities that stand for them.
+const ENTITIES: [(u8, &str); 5] = [
+    (b'&', "amp"),
+    (b'<', "lt"),
+    (b'>', "gt"),
+    (b'"', "quot"),
+    (b'\'', "apos"),
+];
+
+/// Append `s` with the metacharacters escaped, copying the runs between
+/// them whole.
 fn escape(s: &str, out: &mut String) {
-    let is_meta = |b: u8| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\'');
+    let is_meta = |b: u8| ENTITIES.iter().any(|&(c, _)| c == b);
     // A fold has no early exit, so it vectorises: most text has no
     // metacharacter at all and is copied in one piece.
     if !s.bytes().fold(false, |any, b| any | is_meta(b)) {
@@ -34,17 +43,10 @@ fn escape(s: &str, out: &mut String) {
     }
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
-        let entity = match b {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'"' => "&quot;",
-            b'\'' => "&apos;",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        out.push_str(entity);
-        run = i + 1;
+        if let Some((_, entity)) = ENTITIES.iter().find(|(c, _)| *c == b) {
+            let _ = write!(out, "{}&{entity};", &s[run..i]);
+            run = i + 1;
+        }
     }
     out.push_str(&s[run..]);
 }
@@ -61,14 +63,10 @@ fn unescape(raw: &str) -> Result<Cow<'_, str>, WireError> {
         let (entity, tail) = rest[amp + 1..]
             .split_once(';')
             .ok_or_else(|| WireError::new("xml: unterminated entity"))?;
-        out.push(match entity {
-            "amp" => '&',
-            "lt" => '<',
-            "gt" => '>',
-            "quot" => '"',
-            "apos" => '\'',
-            _ => return Err(WireError::new(format!("xml: unknown entity &{entity};"))),
-        });
+        let known = ENTITIES.iter().find(|(_, name)| *name == entity);
+        let (c, _) =
+            known.ok_or_else(|| WireError::new(format!("xml: unknown entity &{entity};")))?;
+        out.push(char::from(*c));
         rest = tail;
     }
     out.push_str(rest);
@@ -116,15 +114,12 @@ impl<'a> Tag<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(xml: &'a str) -> Self {
-        Reader { xml, pos: 0 }
-    }
-
     fn rest(&self) -> &'a str {
         &self.xml[self.pos..]
     }
 
-    fn err(&self, msg: &str) -> WireError {
+    #[cold]
+    fn err(&self, msg: impl std::fmt::Display) -> WireError {
         WireError::new(format!("xml: {msg} at byte {}", self.pos))
     }
 
@@ -140,10 +135,17 @@ impl<'a> Reader<'a> {
 
     fn eat(&mut self, s: &str) -> Result<(), WireError> {
         if !self.xml.as_bytes()[self.pos..].starts_with(s.as_bytes()) {
-            return Err(self.err(&format!("expected '{s}'")));
+            return Err(self.err(format_args!("expected '{s}'")));
         }
         self.pos += s.len();
         Ok(())
+    }
+
+    /// A run of ASCII digits as a number; `None` if empty or too large.
+    fn digits(&mut self) -> Option<u64> {
+        let start = self.pos;
+        self.skip(|b| b.is_ascii_digit());
+        self.xml[start..self.pos].parse().ok()
     }
 
     /// The run of bytes before the next `stop`, which is left unread.
@@ -205,7 +207,7 @@ impl<'a> Reader<'a> {
         self.eat("</")?;
         let name = self.name()?;
         if name != tag.name {
-            return Err(self.err(&format!("mismatched </{name}> for <{}>", tag.name)));
+            return Err(self.err(format_args!("mismatched </{name}> for <{}>", tag.name)));
         }
         self.skip_ws();
         self.eat(">")
@@ -221,8 +223,8 @@ impl<'a> Reader<'a> {
         match self.rest().as_bytes() {
             [b'<', b'/', ..] => self.close(parent).map(|()| false),
             [b'<', ..] => Ok(true),
-            [] => Err(self.err(&format!("unterminated <{}>", parent.name))),
-            _ => Err(self.err(&format!("text in <{}>", parent.name))),
+            [] => Err(self.err(format_args!("unterminated <{}>", parent.name))),
+            _ => Err(self.err(format_args!("text in <{}>", parent.name))),
         }
     }
 
@@ -230,17 +232,13 @@ impl<'a> Reader<'a> {
     /// envelope and header levels, where the encoder's newlines sit.
     fn child_tag(&mut self, parent: &Tag<'_>) -> Result<Option<Tag<'a>>, WireError> {
         self.skip_ws();
-        if self.next_child(parent)? {
-            self.open().map(Some)
-        } else {
-            Ok(None)
-        }
+        self.next_child(parent)?.then(|| self.open()).transpose()
     }
 
     /// The end of a tag that holds nothing.
     fn end(&mut self, tag: &Tag<'_>) -> Result<(), WireError> {
         if self.next_child(tag)? {
-            return Err(self.err(&format!("element in <{}>", tag.name)));
+            return Err(self.err(format_args!("element in <{}>", tag.name)));
         }
         Ok(())
     }
@@ -253,10 +251,10 @@ impl<'a> Reader<'a> {
         let rest = self.rest();
         let len = rest
             .find('<')
-            .ok_or_else(|| self.err(&format!("unterminated <{}>", tag.name)))?;
+            .ok_or_else(|| self.err(format_args!("unterminated <{}>", tag.name)))?;
         self.pos += len;
         if !self.rest().starts_with("</") {
-            return Err(self.err(&format!("element in <{}>", tag.name)));
+            return Err(self.err(format_args!("element in <{}>", tag.name)));
         }
         self.close(tag)?;
         unescape(&rest[..len])
@@ -269,13 +267,36 @@ impl<'a> Reader<'a> {
         read: impl FnOnce(&mut Self) -> Result<T, WireError>,
     ) -> Result<T, WireError> {
         if !self.next_child(parent)? {
-            return Err(self.err(&format!("<{}> missing child element", parent.name)));
+            return Err(self.err(format_args!("<{}> missing child element", parent.name)));
         }
         let value = read(self)?;
         if self.next_child(parent)? {
-            return Err(self.err(&format!("second child in <{}>", parent.name)));
+            return Err(self.err(format_args!("second child in <{}>", parent.name)));
         }
         Ok(value)
+    }
+
+    /// Every child of `parent`, each read by `read`, up to its close tag.
+    fn children<T>(
+        &mut self,
+        parent: &Tag<'_>,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::new();
+        while self.next_child(parent)? {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    /// The element opening here, which must be named `name`.
+    fn open_named(&mut self, name: &str) -> Result<Tag<'a>, WireError> {
+        let e = self.open()?;
+        let got = e.name;
+        if got != name {
+            return Err(WireError::new(format!("expected <{name}>, got <{got}>")));
+        }
+        Ok(e)
     }
 }
 
@@ -319,27 +340,19 @@ fn sig_attr_out(out: &mut String, name: &str, value: &str, sigs: Sigs<'_, '_>) {
 // ---------------------------------------------------------------------
 
 fn write_value(out: &mut String, v: &WireValue, sigs: Sigs<'_, '_>) {
-    match v {
-        WireValue::Null => out.push_str("<v t=\"null\"/>"),
-        WireValue::Bool(b) => {
-            let _ = write!(out, "<v t=\"boolean\">{b}</v>");
-        }
-        WireValue::Int(i) => {
-            let _ = write!(out, "<v t=\"int\">{i}</v>");
-        }
-        WireValue::Long(i) => {
-            let _ = write!(out, "<v t=\"long\">{i}</v>");
-        }
-        WireValue::Float(x) => {
-            let _ = write!(out, "<v t=\"float\" bits=\"{:08x}\">{x}</v>", x.to_bits());
-        }
+    let _ = match v {
+        WireValue::Null => out.write_str("<v t=\"null\"/>"),
+        WireValue::Bool(b) => write!(out, "<v t=\"boolean\">{b}</v>"),
+        WireValue::Int(i) => write!(out, "<v t=\"int\">{i}</v>"),
+        WireValue::Long(i) => write!(out, "<v t=\"long\">{i}</v>"),
+        WireValue::Float(x) => write!(out, "<v t=\"float\" bits=\"{:08x}\">{x}</v>", x.to_bits()),
         WireValue::Double(x) => {
-            let _ = write!(out, "<v t=\"double\" bits=\"{:016x}\">{x}</v>", x.to_bits());
+            write!(out, "<v t=\"double\" bits=\"{:016x}\">{x}</v>", x.to_bits())
         }
         WireValue::Str(s) => {
             out.push_str("<v t=\"string\">");
             escape(s, out);
-            out.push_str("</v>");
+            out.write_str("</v>")
         }
         WireValue::Remote {
             node,
@@ -348,14 +361,14 @@ fn write_value(out: &mut String, v: &WireValue, sigs: Sigs<'_, '_>) {
         } => {
             let _ = write!(out, "<v t=\"ref\" node=\"{node}\" object=\"{object}\"");
             sig_attr_out(out, "class", class, sigs);
-            out.push_str("/>");
+            out.write_str("/>")
         }
         WireValue::Array(items) => {
             out.push_str("<v t=\"array\">");
             for item in items {
                 write_value(out, item, sigs);
             }
-            out.push_str("</v>");
+            out.write_str("</v>")
         }
         WireValue::ObjectState { class, fields } => {
             out.push_str("<v t=\"state\"");
@@ -364,9 +377,9 @@ fn write_value(out: &mut String, v: &WireValue, sigs: Sigs<'_, '_>) {
             for f in fields {
                 write_value(out, f, sigs);
             }
-            out.push_str("</v>");
+            out.write_str("</v>")
         }
-    }
+    };
 }
 
 /// The text of a numeric element, parsed.
@@ -377,24 +390,8 @@ fn scalar<T: std::str::FromStr>(r: &mut Reader<'_>, e: &Tag<'_>) -> Result<T, Wi
         .map_err(|_| WireError::new(format!("bad {what} {text:?}")))
 }
 
-/// The value elements of `parent`, up to its close tag.
-fn read_values(
-    r: &mut Reader<'_>,
-    parent: &Tag<'_>,
-    sigs: Sigs<'_, '_>,
-) -> Result<Vec<WireValue>, WireError> {
-    let mut out = Vec::new();
-    while r.next_child(parent)? {
-        out.push(read_value(r, sigs)?);
-    }
-    Ok(out)
-}
-
 fn read_value(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<WireValue, WireError> {
-    let e = r.open()?;
-    if e.name != "v" {
-        return Err(WireError::new(format!("expected <v>, got <{}>", e.name)));
-    }
+    let e = r.open_named("v")?;
     Ok(match e.attr("t")? {
         "null" => {
             r.end(&e)?;
@@ -429,19 +426,41 @@ fn read_value(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<WireValue, WireE
             r.end(&e)?;
             value
         }
-        "array" => WireValue::Array(read_values(r, &e, sigs)?),
+        "array" => WireValue::Array(r.children(&e, |r| read_value(r, sigs))?),
         "state" => WireValue::ObjectState {
             class: sig_attr(&e, "class", sigs)?,
-            fields: read_values(r, &e, sigs)?,
+            fields: r.children(&e, |r| read_value(r, sigs))?,
         },
         t => return Err(WireError::new(format!("unknown value type {t}"))),
     })
 }
 
-/// The declaration and `<soap:Envelope>` open tag every encoder writes.
-const PRELUDE: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+/// The envelope an encoder writes around its body: the text before each
+/// number it carries (message id, trace id, span, parent and, on a reply,
+/// the object version), the text after the last one (request, reply) up to
+/// the body, and the text after the body.
+const HEAD: [&str; 5] = [
+    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
      <soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\" \
-     xmlns:rafda=\"http://rafda.dcs.st-and.ac.uk/ns/2003\">";
+     xmlns:rafda=\"http://rafda.dcs.st-and.ac.uk/ns/2003\">\n<soap:Header><rafda:mid>",
+    "</rafda:mid><rafda:trace id=\"",
+    "\" span=\"",
+    "\" parent=\"",
+    "\"/><rafda:objver>",
+];
+const HEAD_END: [&str; 2] = [
+    "\"/></soap:Header>\n<soap:Body>",
+    "</rafda:objver></soap:Header>\n<soap:Body>",
+];
+const TAIL: &str = "</soap:Body>\n</soap:Envelope>\n";
+
+/// Append `n` in decimal.
+fn push_num(s: &mut String, n: u64) {
+    if n >= 10 {
+        push_num(s, n / 10);
+    }
+    s.push(char::from(b'0' + (n % 10) as u8));
+}
 
 /// Write an envelope around `body` into a reusable buffer. `objver` is
 /// `Some` only for replies, which piggyback the served object's property
@@ -453,19 +472,14 @@ fn envelope_into(
     objver: Option<u64>,
     body: impl FnOnce(&mut String),
 ) {
-    s.push_str(PRELUDE);
-    let _ = write!(
-        s,
-        "\n<soap:Header><rafda:mid>{id}</rafda:mid>\
-         <rafda:trace id=\"{}\" span=\"{}\" parent=\"{}\"/>",
-        ctx.trace_id, ctx.span_id, ctx.parent_span_id
-    );
-    if let Some(v) = objver {
-        let _ = write!(s, "<rafda:objver>{v}</rafda:objver>");
+    let numbers = [id, ctx.trace_id, ctx.span_id, ctx.parent_span_id];
+    for (text, n) in HEAD.iter().zip(numbers.into_iter().chain(objver)) {
+        s.push_str(text);
+        push_num(s, n);
     }
-    s.push_str("</soap:Header>\n<soap:Body>");
+    s.push_str(HEAD_END[usize::from(objver.is_some())]);
     body(s);
-    s.push_str("</soap:Body>\n</soap:Envelope>\n");
+    s.push_str(TAIL);
 }
 
 /// Read the message id, trace context and — from a reply — the object
@@ -490,7 +504,7 @@ fn header_fields(
                 });
                 r.end(&e)?;
             }
-            name => return Err(r.err(&format!("unexpected <{name}> in <soap:Header>"))),
+            name => return Err(r.err(format_args!("unexpected <{name}> in <soap:Header>"))),
         }
     }
     let missing = |name: &str| WireError::new(format!("<soap:Header> missing child <{name}>"));
@@ -503,31 +517,46 @@ fn header_fields(
     Ok((id, ctx, objver))
 }
 
-/// Scan an envelope in one pass: declaration, `<soap:Envelope>`, the
-/// header's fields, and `<soap:Body>`'s content as an unparsed slice.
-/// Whitespace may separate the envelope's parts; nothing else may. `reply`
-/// selects the reply header set (see [`header_fields`]).
-fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
-    let mut r = Reader::new(xml);
-    // The encoder's own prelude is matched whole; any other declaration
-    // and namespace values are parsed.
-    let mut envelope = Tag::default();
-    if xml.starts_with(PRELUDE) {
-        r.pos = PRELUDE.len();
-        envelope.name = "soap:Envelope";
-    } else {
-        r.skip_ws();
-        if r.rest().starts_with("<?") {
-            r.until(b'>')
-                .ok_or_else(|| r.err("unterminated declaration"))?;
-            r.pos += 1;
-            r.skip_ws();
-        }
-        envelope = r.open()?;
+/// [`scan_envelope`] for an envelope laid out exactly as an encoder writes
+/// it, read as the text around its numbers; `None` for any other layout.
+fn encoder_layout(xml: &str, reply: bool) -> Option<(u64, TraceContext, u64, &str)> {
+    let mut r = Reader { xml, pos: 0 };
+    let mut n = [0; 5];
+    for (text, slot) in HEAD.iter().zip(&mut n[..4 + usize::from(reply)]) {
+        r.eat(text).ok()?;
+        *slot = r.digits()?;
     }
+    r.eat(HEAD_END[usize::from(reply)]).ok()?;
+    let [id, trace_id, span_id, parent_span_id, objver] = n;
+    let ctx = TraceContext {
+        trace_id,
+        span_id,
+        parent_span_id,
+    };
+    Some((id, ctx, objver, r.rest().strip_suffix(TAIL)?))
+}
+
+/// Scan an envelope in one pass: declaration, `<soap:Envelope>`, the
+/// header's fields, and `<soap:Body>`'s content as an unparsed slice. The
+/// encoder's own layout is matched as text; any other (declaration
+/// variants, whitespace between the parts, namespace values, header order)
+/// is parsed. `reply` selects the reply header set (see [`header_fields`]).
+fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
+    if let Some(scan) = encoder_layout(xml, reply) {
+        return Ok(scan);
+    }
+    let mut r = Reader { xml, pos: 0 };
+    r.skip_ws();
+    if r.rest().starts_with("<?") {
+        r.until(b'>')
+            .ok_or_else(|| r.err("unterminated declaration"))?;
+        r.pos += 1;
+        r.skip_ws();
+    }
+    let envelope = r.open()?;
     let name = envelope.name;
     if name != "soap:Envelope" {
-        return Err(r.err(&format!("expected <soap:Envelope>, got <{name}>")));
+        return Err(r.err(format_args!("expected <soap:Envelope>, got <{name}>")));
     }
     let missing = |name: &str| WireError::new(format!("<soap:Envelope> missing child <{name}>"));
     let (id, ctx, objver) = match r.child_tag(&envelope)? {
@@ -549,7 +578,7 @@ fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str
         _ => return Err(missing("soap:Body")),
     };
     if let Some(e) = r.child_tag(&envelope)? {
-        return Err(r.err(&format!("unexpected <{}> in <soap:Envelope>", e.name)));
+        return Err(r.err(format_args!("unexpected <{}> in <soap:Envelope>", e.name)));
     }
     r.skip_ws();
     if !r.rest().is_empty() {
@@ -564,7 +593,7 @@ fn read_body<'a, T>(
     body: &'a str,
     read: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
-    let mut r = Reader::new(body);
+    let mut r = Reader { xml: body, pos: 0 };
     let value = read(&mut r)?;
     if !r.rest().is_empty() {
         return Err(r.err("content after the element in <soap:Body>"));
@@ -574,7 +603,7 @@ fn read_body<'a, T>(
 
 /// Peek the request discriminant from an unparsed body slice.
 fn body_kind(body: &str) -> Result<RequestKind, WireError> {
-    let mut r = Reader::new(body);
+    let mut r = Reader { xml: body, pos: 0 };
     r.eat("<")?;
     Ok(match r.name()? {
         "rafda:call" => RequestKind::Call,
@@ -601,7 +630,7 @@ pub(crate) fn materialise_body(body: &str, sigs: Sigs<'_, '_>) -> Result<Request
 // ---------------------------------------------------------------------
 
 fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
-    match req {
+    let _ = match req {
         Request::Call {
             object,
             method,
@@ -613,7 +642,7 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
             for a in args {
                 write_value(b, a, sigs);
             }
-            b.push_str("</rafda:call>");
+            b.write_str("</rafda:call>")
         }
         Request::Create { class, ctor, args } => {
             b.push_str("<rafda:create");
@@ -622,16 +651,14 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
             for a in args {
                 write_value(b, a, sigs);
             }
-            b.push_str("</rafda:create>");
+            b.write_str("</rafda:create>")
         }
         Request::Discover { class } => {
             b.push_str("<rafda:discover");
             sig_attr_out(b, "class", class, sigs);
-            b.push_str("/>");
+            b.write_str("/>")
         }
-        Request::Fetch { object } => {
-            let _ = write!(b, "<rafda:fetch object=\"{object}\"/>");
-        }
+        Request::Fetch { object } => write!(b, "<rafda:fetch object=\"{object}\"/>"),
         Request::Install { state, source } => {
             match source {
                 Some((n, o)) => {
@@ -640,18 +667,16 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
                 None => b.push_str("<rafda:install>"),
             }
             write_value(b, state, sigs);
-            b.push_str("</rafda:install>");
+            b.write_str("</rafda:install>")
         }
         Request::Forward {
             object,
             to_node,
             to_object,
-        } => {
-            let _ = write!(
-                b,
-                "<rafda:forward object=\"{object}\" tonode=\"{to_node}\" toobject=\"{to_object}\"/>"
-            );
-        }
+        } => write!(
+            b,
+            "<rafda:forward object=\"{object}\" tonode=\"{to_node}\" toobject=\"{to_object}\"/>"
+        ),
         Request::ReplicaSync {
             object,
             version,
@@ -662,48 +687,43 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
                 "<rafda:replicasync object=\"{object}\" version=\"{version}\">"
             );
             write_value(b, state, sigs);
-            b.push_str("</rafda:replicasync>");
+            b.write_str("</rafda:replicasync>")
         }
         Request::Promote { node, object } => {
-            let _ = write!(b, "<rafda:promote node=\"{node}\" object=\"{object}\"/>");
+            write!(b, "<rafda:promote node=\"{node}\" object=\"{object}\"/>")
         }
         Request::Batch(ops) => {
             b.push_str("<rafda:batch>");
             for op in ops {
                 write_request_elem(b, op, sigs);
             }
-            b.push_str("</rafda:batch>");
+            b.write_str("</rafda:batch>")
         }
-    }
+    };
 }
 
 fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireError> {
+    use RequestKind::{Discover, Fetch, Forward, Promote};
     let e = r.open()?;
     // Attributes before children: the encoder defines signatures in that
     // order, so interning must follow it.
-    Ok(match e.name {
+    let req = match e.name {
         "rafda:call" => Request::Call {
             object: e.num("object")?,
             method: sig_attr(&e, "method", sigs)?,
-            args: read_values(r, &e, sigs)?,
+            args: r.children(&e, |r| read_value(r, sigs))?,
         },
         "rafda:create" => Request::Create {
             class: sig_attr(&e, "class", sigs)?,
             ctor: e.num("ctor")?,
-            args: read_values(r, &e, sigs)?,
+            args: r.children(&e, |r| read_value(r, sigs))?,
         },
-        "rafda:discover" => {
-            r.end(&e)?;
-            Request::Discover {
-                class: sig_attr(&e, "class", sigs)?,
-            }
-        }
-        "rafda:fetch" => {
-            r.end(&e)?;
-            Request::Fetch {
-                object: e.num("object")?,
-            }
-        }
+        "rafda:discover" => Request::Discover {
+            class: sig_attr(&e, "class", sigs)?,
+        },
+        "rafda:fetch" => Request::Fetch {
+            object: e.num("object")?,
+        },
         "rafda:install" => Request::Install {
             source: match (e.raw("srcnode"), e.raw("srcobject")) {
                 (Some(_), Some(_)) => Some((e.num("srcnode")?, e.num("srcobject")?)),
@@ -711,35 +731,28 @@ fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireE
             },
             state: r.only_child(&e, |r| read_value(r, sigs))?,
         },
-        "rafda:forward" => {
-            r.end(&e)?;
-            Request::Forward {
-                object: e.num("object")?,
-                to_node: e.num("tonode")?,
-                to_object: e.num("toobject")?,
-            }
-        }
+        "rafda:forward" => Request::Forward {
+            object: e.num("object")?,
+            to_node: e.num("tonode")?,
+            to_object: e.num("toobject")?,
+        },
         "rafda:replicasync" => Request::ReplicaSync {
             object: e.num("object")?,
             version: e.num("version")?,
             state: r.only_child(&e, |r| read_value(r, sigs))?,
         },
-        "rafda:promote" => {
-            r.end(&e)?;
-            Request::Promote {
-                node: e.num("node")?,
-                object: e.num("object")?,
-            }
-        }
-        "rafda:batch" => {
-            let mut ops = Vec::new();
-            while r.next_child(&e)? {
-                ops.push(read_request(r, sigs)?);
-            }
-            Request::Batch(ops)
-        }
+        "rafda:promote" => Request::Promote {
+            node: e.num("node")?,
+            object: e.num("object")?,
+        },
+        "rafda:batch" => Request::Batch(r.children(&e, |r| read_request(r, sigs))?),
         name => return Err(WireError::new(format!("unknown request <{name}>"))),
-    })
+    };
+    // The rest hold no elements.
+    if matches!(RequestKind::of(&req), Discover | Fetch | Forward | Promote) {
+        r.end(&e)?;
+    }
+    Ok(req)
 }
 
 fn write_reply_elem(b: &mut String, reply: &Reply, sigs: Sigs<'_, '_>) {
@@ -775,39 +788,25 @@ fn write_reply_elem(b: &mut String, reply: &Reply, sigs: Sigs<'_, '_>) {
     }
 }
 
-/// The element opening here, which must be named `name`.
-fn open_named<'a>(r: &mut Reader<'a>, name: &str) -> Result<Tag<'a>, WireError> {
-    let e = r.open()?;
-    if e.name != name {
-        return Err(WireError::new(format!(
-            "expected <{name}>, got <{}>",
-            e.name
-        )));
-    }
-    Ok(e)
-}
-
 fn read_reply(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Reply, WireError> {
     let e = r.open()?;
     Ok(match e.name {
         "rafda:result" => Reply::Value(r.only_child(&e, |r| read_value(r, sigs))?),
         "rafda:exception" => Reply::Exception {
             class: sig_attr(&e, "class", sigs)?,
-            fields: read_values(r, &e, sigs)?,
+            fields: r.children(&e, |r| read_value(r, sigs))?,
         },
         "soap:Fault" => Reply::Fault(r.only_child(&e, |r| {
-            let f = open_named(r, "faultstring")?;
+            let f = r.open_named("faultstring")?;
             Ok(r.text(&f)?.into_owned())
         })?),
-        "rafda:batchresult" => {
-            let mut ops = Vec::new();
-            while r.next_child(&e)? {
-                let op = open_named(r, "rafda:op")?;
-                let version = op.num("objver")?;
-                ops.push((version, r.only_child(&op, |r| read_reply(r, sigs))?));
-            }
-            Reply::Batch(ops)
-        }
+        "rafda:batchresult" => Reply::Batch(r.children(&e, |r| {
+            let op = r.open_named("rafda:op")?;
+            Ok((
+                op.num("objver")?,
+                r.only_child(&op, |r| read_reply(r, sigs))?,
+            ))
+        })?),
         name => return Err(WireError::new(format!("unknown reply <{name}>"))),
     })
 }
@@ -914,7 +913,7 @@ mod tests {
     #[test]
     fn xml_parser_handles_nesting_attrs_and_entities() {
         let xml = r#"<a x="1 &amp; 2" y = "plain"><b/><c z="&lt;q&gt;">text &lt;here&gt;</c></a>"#;
-        let mut r = Reader::new(xml);
+        let mut r = Reader { xml, pos: 0 };
         let a = r.open().unwrap();
         assert_eq!(a.name, "a");
         assert_eq!(
@@ -945,21 +944,30 @@ mod tests {
 
     #[test]
     fn mismatched_close_tag_rejected() {
-        let mut r = Reader::new("<a><b></a></b>");
+        let mut r = Reader {
+            xml: "<a><b></a></b>",
+            pos: 0,
+        };
         let a = r.open().unwrap();
         assert!(r.next_child(&a).unwrap());
         let b = r.open().unwrap();
         let err = r.text(&b).unwrap_err();
         assert!(err.0.contains("mismatched </a> for <b>"), "{err}");
-        let mut r = Reader::new("<a>");
+        let mut r = Reader { xml: "<a>", pos: 0 };
         let a = r.open().unwrap();
         assert!(r.next_child(&a).unwrap_err().0.contains("unterminated <a>"));
         // Text and elements do not mix: a scalar holds text, a parent
         // holds elements.
-        let mut r = Reader::new("<a>x<b/></a>");
+        let mut r = Reader {
+            xml: "<a>x<b/></a>",
+            pos: 0,
+        };
         let a = r.open().unwrap();
         assert!(r.text(&a).unwrap_err().0.contains("element in <a>"));
-        let mut r = Reader::new("<a><b/>x</a>");
+        let mut r = Reader {
+            xml: "<a><b/>x</a>",
+            pos: 0,
+        };
         let a = r.open().unwrap();
         assert!(r.next_child(&a).unwrap());
         r.open().unwrap();
