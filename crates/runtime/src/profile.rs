@@ -106,16 +106,6 @@ impl Section {
         Section::TouchAll,
     ];
 
-    /// The codec's share of an exchange: both encodes, both decodes and the
-    /// materialisation.
-    pub const CODEC: [Section; 5] = [
-        Section::RequestEncode,
-        Section::ReplyDecode,
-        Section::HeaderDedup,
-        Section::Materialise,
-        Section::ReplyEncode,
-    ];
-
     /// A stable dotted name (`rpc.transmit`, `serve.dispatch`, …).
     pub fn label(self) -> &'static str {
         match self {

@@ -34,6 +34,16 @@ use std::time::Instant;
 /// Off / on pairs per loop.
 const PAIRS: usize = 3;
 
+/// The codec's sections of an exchange: both encodes, both decodes and the
+/// materialisation.
+const CODEC: [Section; 5] = [
+    Section::RequestEncode,
+    Section::ReplyDecode,
+    Section::HeaderDedup,
+    Section::Materialise,
+    Section::ReplyEncode,
+];
+
 /// One run: its wall clock over the ops, and the profile it left.
 struct Run {
     wall_ns: f64,
@@ -292,7 +302,7 @@ fn rpc_steady(ops: usize, profile: bool) -> Run {
 fn codec_split(ops: usize) -> [(&'static str, f64, usize); 3] {
     let (ops, cluster, objs) = rpc_setup(ops);
     cluster.enable_host_profile();
-    let codec = |p: &HostProfile| Section::CODEC.iter().map(|&s| p.ns(s)).sum::<u64>();
+    let codec = |p: &HostProfile| CODEC.iter().map(|&s| p.ns(s)).sum::<u64>();
     let mut split = PROTOCOLS.map(|(_, protocol, _)| (protocol, 0.0, 0));
     let mut before = 0;
     for op in &ops {
