@@ -139,28 +139,49 @@ impl Section {
 
 const SECTIONS: usize = Section::ALL.len();
 
-/// A snapshot of the profile: per section, how often it was entered and
-/// the host nanoseconds it spent in itself (nested sections excluded).
+/// One section's row of the table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Row {
+    /// Times the section was entered.
+    count: u64,
+    /// Sections entered directly inside it.
+    children: u64,
+    /// Self time, host nanoseconds.
+    ns: u64,
+}
+
+/// A snapshot of the profile: per section, how often it was entered, how
+/// many sections were entered directly inside it, and the host nanoseconds
+/// it spent in itself (nested sections excluded).
+///
+/// Each entry reads the clock twice, and about half of that lands in the
+/// entered section and half in its parent: a section entered often, or
+/// one with many children, carries that much of the profiler's own cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfile {
-    table: [[u64; 2]; SECTIONS],
+    table: [Row; SECTIONS],
 }
 
 impl HostProfile {
     /// Times `section` was entered.
     pub fn count(&self, section: Section) -> u64 {
-        self.table[section as usize][0]
+        self.table[section as usize].count
+    }
+
+    /// Sections entered directly inside `section`.
+    pub fn children(&self, section: Section) -> u64 {
+        self.table[section as usize].children
     }
 
     /// Self time of `section`, in host nanoseconds.
     pub fn ns(&self, section: Section) -> u64 {
-        self.table[section as usize][1]
+        self.table[section as usize].ns
     }
 
     /// Self time summed over every section: the host time spent inside
     /// any section.
     pub fn total_ns(&self) -> u64 {
-        self.table.iter().map(|[_, ns]| ns).sum()
+        self.table.iter().map(|row| row.ns).sum()
     }
 }
 
@@ -171,7 +192,7 @@ pub(crate) struct Profiler {
     open: Cell<Option<Section>>,
     /// When the current charge started.
     mark: Cell<Instant>,
-    table: [Cell<[u64; 2]>; SECTIONS],
+    table: [Cell<Row>; SECTIONS],
 }
 
 impl Profiler {
@@ -180,7 +201,7 @@ impl Profiler {
             on: Cell::new(false),
             open: Cell::new(None),
             mark: Cell::new(Instant::now()),
-            table: std::array::from_fn(|_| Cell::new([0, 0])),
+            table: std::array::from_fn(|_| Cell::default()),
         }
     }
 
@@ -192,9 +213,10 @@ impl Profiler {
             return SectionGuard { open: None };
         }
         let parent = self.switch(Some(section));
-        let row = &self.table[section as usize];
-        let [count, ns] = row.get();
-        row.set([count + 1, ns]);
+        self.update(section, |row| row.count += 1);
+        if let Some(parent) = parent {
+            self.update(parent, |row| row.children += 1);
+        }
         SectionGuard {
             open: Some((self, parent)),
         }
@@ -205,18 +227,23 @@ impl Profiler {
     fn switch(&self, to: Option<Section>) -> Option<Section> {
         let now = Instant::now();
         if let Some(open) = self.open.get() {
-            let row = &self.table[open as usize];
-            let [count, ns] = row.get();
             let spent = now.duration_since(self.mark.get()).as_nanos() as u64;
-            row.set([count, ns + spent]);
+            self.update(open, |row| row.ns += spent);
         }
         self.mark.set(now);
         self.open.replace(to)
     }
 
+    fn update(&self, section: Section, change: impl FnOnce(&mut Row)) {
+        let cell = &self.table[section as usize];
+        let mut row = cell.get();
+        change(&mut row);
+        cell.set(row);
+    }
+
     fn enable(&self) {
         for row in &self.table {
-            row.set([0, 0]);
+            row.set(Row::default());
         }
         self.open.set(None);
         self.on.set(true);
@@ -303,6 +330,8 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.count(Section::Other), 1);
         assert_eq!(snap.count(Section::Transmit), 1);
+        assert_eq!(snap.children(Section::Other), 1);
+        assert_eq!(snap.children(Section::Transmit), 0);
         // The parent's self time excludes the child's 10 ms.
         assert!(snap.ns(Section::Transmit) >= 10_000_000);
         assert!(snap.ns(Section::Other) >= 400_000);
