@@ -32,7 +32,7 @@ pub enum Section {
     /// Caller half: the exchange's own bookkeeping (depth, message id,
     /// retry loop) outside its named steps.
     Exchange,
-    /// Caller half: message id, buffer checkout and request encode.
+    /// Caller half: buffer checkout and request encode.
     RequestEncode,
     /// Caller half: `Network::transmit`, both directions, and the codec's
     /// simulated overhead.
