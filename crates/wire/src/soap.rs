@@ -11,6 +11,8 @@
 //! entity-free text run is one slice, and the header fields are read while
 //! the envelope is scanned. Inside `<soap:Body>` it accepts what the encoder
 //! writes and nothing else: text only in a scalar `<v>` and `<faultstring>`.
+//! Outside it, header blocks and envelope children it does not read are
+//! stepped over.
 
 use crate::frame::{FrameHeader, Payload, RequestKind};
 use crate::sig::{SigEnc, SigTable, Sigs};
@@ -80,25 +82,31 @@ struct Reader<'a> {
     pos: usize,
 }
 
-/// The most attributes an element of ours carries (`<v t="ref">`). Any
-/// further ones (namespace declarations, say) are checked and dropped.
-const MAX_ATTRS: usize = 4;
-
-/// An open tag: its name, its first [`MAX_ATTRS`] attributes as raw (still
-/// escaped) values, and whether it closed itself (`/>`).
-#[derive(Default)]
+/// An open tag: its name, the text of its attributes (checked when read,
+/// scanned again on each lookup), and whether it closed itself (`/>`).
 struct Tag<'a> {
     name: &'a str,
-    attrs: [(&'a str, &'a str); MAX_ATTRS],
-    n_attrs: usize,
+    attrs: &'a str,
     empty: bool,
 }
 
 impl<'a> Tag<'a> {
-    /// The raw value of attribute `name`, first one wins.
+    /// The raw (still escaped) value of attribute `name`, first one wins.
+    /// [`Reader::open`] checked the text: a key holds no `=` or `"`, and a
+    /// value no `"`.
     fn raw(&self, name: &str) -> Option<&'a str> {
-        let attrs = &self.attrs[..self.n_attrs];
-        attrs.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+        let find = |s: &str, c: u8| s.bytes().position(|b| b == c);
+        let mut rest = self.attrs;
+        loop {
+            rest = rest.trim_ascii_start();
+            let eq = find(rest, b'=')?;
+            let start = eq + 1 + find(&rest[eq + 1..], b'"')? + 1;
+            let end = start + find(&rest[start..], b'"')?;
+            if rest[..eq].trim_ascii_end() == name {
+                return Some(&rest[start..end]);
+            }
+            rest = &rest[end + 1..];
+        }
     }
 
     fn attr(&self, name: &str) -> Result<&'a str, WireError> {
@@ -141,13 +149,6 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// A run of ASCII digits as a number; `None` if empty or too large.
-    fn digits(&mut self) -> Option<u64> {
-        let start = self.pos;
-        self.skip(|b| b.is_ascii_digit());
-        self.xml[start..self.pos].parse().ok()
-    }
-
     /// The run of bytes before the next `stop`, which is left unread.
     fn until(&mut self, stop: u8) -> Option<&'a str> {
         let start = self.pos;
@@ -168,22 +169,16 @@ impl<'a> Reader<'a> {
     /// attribute value's entities are checked.
     fn open(&mut self) -> Result<Tag<'a>, WireError> {
         self.eat("<")?;
-        let mut tag = Tag {
-            name: self.name()?,
-            ..Tag::default()
-        };
+        let name = self.name()?;
+        let start = self.pos;
         loop {
             self.skip_ws();
             match self.xml.as_bytes().get(self.pos) {
-                Some(b'>') => break,
-                Some(b'/') => {
-                    tag.empty = true;
-                    break;
-                }
+                Some(b'>' | b'/') => break,
                 Some(_) => {}
                 None => return Err(self.err("unterminated tag")),
             }
-            let key = self.name()?;
+            self.name()?;
             self.skip_ws();
             self.eat("=")?;
             self.skip_ws();
@@ -193,11 +188,12 @@ impl<'a> Reader<'a> {
                 .ok_or_else(|| self.err("unterminated attribute"))?;
             self.pos += 1;
             unescape(value)?;
-            if let Some(slot) = tag.attrs.get_mut(tag.n_attrs) {
-                *slot = (key, value);
-                tag.n_attrs += 1;
-            }
         }
+        let tag = Tag {
+            name,
+            attrs: &self.xml[start..self.pos],
+            empty: self.rest().starts_with('/'),
+        };
         self.eat(if tag.empty { "/>" } else { ">" })?;
         Ok(tag)
     }
@@ -228,11 +224,25 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The next child tag of `parent`, whitespace around it skipped — the
-    /// envelope and header levels, where the encoder's newlines sit.
-    fn child_tag(&mut self, parent: &Tag<'_>) -> Result<Option<Tag<'a>>, WireError> {
-        self.skip_ws();
+    /// The next child tag of `parent`, the text before it stepped over (its
+    /// entities still checked): the envelope and header levels, which hold
+    /// the encoder's newlines and whatever else a sender adds.
+    fn loose_child(&mut self, parent: &Tag<'_>) -> Result<Option<Tag<'a>>, WireError> {
+        if parent.empty {
+            return Ok(None);
+        }
+        let text = self.until(b'<');
+        unescape(text.ok_or_else(|| self.err(format_args!("unterminated <{}>", parent.name)))?)?;
         self.next_child(parent)?.then(|| self.open()).transpose()
+    }
+
+    /// Step over the rest of `tag`, whatever it holds, up to its close tag:
+    /// an envelope or header element the decoder does not read.
+    fn skip_rest(&mut self, tag: &Tag<'_>) -> Result<(), WireError> {
+        while let Some(child) = self.loose_child(tag)? {
+            self.skip_rest(&child)?;
+        }
+        Ok(())
     }
 
     /// The end of a tag that holds nothing.
@@ -382,10 +392,8 @@ fn write_value(out: &mut String, v: &WireValue, sigs: Sigs<'_, '_>) {
     };
 }
 
-/// The text of a numeric element, parsed.
-fn scalar<T: std::str::FromStr>(r: &mut Reader<'_>, e: &Tag<'_>) -> Result<T, WireError> {
-    let text = r.text(e)?;
-    let what = e.raw("t").unwrap_or(e.name);
+/// `text` read as a `what`.
+fn parse<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, WireError> {
     text.parse()
         .map_err(|_| WireError::new(format!("bad {what} {text:?}")))
 }
@@ -393,17 +401,14 @@ fn scalar<T: std::str::FromStr>(r: &mut Reader<'_>, e: &Tag<'_>) -> Result<T, Wi
 fn read_value(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<WireValue, WireError> {
     let e = r.open_named("v")?;
     Ok(match e.attr("t")? {
-        "null" => {
-            r.end(&e)?;
-            WireValue::Null
-        }
+        "null" => r.end(&e).map(|()| WireValue::Null)?,
         "boolean" => match &*r.text(&e)? {
             "true" => WireValue::Bool(true),
             "false" => WireValue::Bool(false),
             other => return Err(WireError::new(format!("bad boolean {other:?}"))),
         },
-        "int" => WireValue::Int(scalar(r, &e)?),
-        "long" => WireValue::Long(scalar(r, &e)?),
+        "int" => WireValue::Int(parse(&r.text(&e)?, "int")?),
+        "long" => WireValue::Long(parse(&r.text(&e)?, "long")?),
         "float" => {
             let bits = u32::from_str_radix(e.attr("bits")?, 16)
                 .map_err(|_| WireError::new("bad float bits"))?;
@@ -435,10 +440,9 @@ fn read_value(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<WireValue, WireE
     })
 }
 
-/// The envelope an encoder writes around its body: the text before each
-/// number it carries (message id, trace id, span, parent and, on a reply,
-/// the object version), the text after the last one (request, reply) up to
-/// the body, and the text after the body.
+/// The envelope an encoder writes, as the text before each number it carries
+/// (message id, trace id, span, parent, a reply's object version), from the
+/// last number to the body (request, reply), and after the body.
 const HEAD: [&str; 5] = [
     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
      <soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\" \
@@ -454,14 +458,6 @@ const HEAD_END: [&str; 2] = [
 ];
 const TAIL: &str = "</soap:Body>\n</soap:Envelope>\n";
 
-/// Append `n` in decimal.
-fn push_num(s: &mut String, n: u64) {
-    if n >= 10 {
-        push_num(s, n / 10);
-    }
-    s.push(char::from(b'0' + (n % 10) as u8));
-}
-
 /// Write an envelope around `body` into a reusable buffer. `objver` is
 /// `Some` only for replies, which piggyback the served object's property
 /// version as a `<rafda:objver>` header element; requests never carry one.
@@ -474,8 +470,7 @@ fn envelope_into(
 ) {
     let numbers = [id, ctx.trace_id, ctx.span_id, ctx.parent_span_id];
     for (text, n) in HEAD.iter().zip(numbers.into_iter().chain(objver)) {
-        s.push_str(text);
-        push_num(s, n);
+        let _ = write!(s, "{text}{n}");
     }
     s.push_str(HEAD_END[usize::from(objver.is_some())]);
     body(s);
@@ -486,25 +481,26 @@ fn envelope_into(
 /// property version out of `<soap:Header>`, up to its close tag. Every
 /// element an encoder writes is required: a header without one is not a
 /// frame of ours. Requests carry no `<rafda:objver>` and report version 0.
+/// The first of each counts; anything else in the header is stepped over.
 fn header_fields(
     r: &mut Reader<'_>,
     header: &Tag<'_>,
     reply: bool,
 ) -> Result<(u64, TraceContext, u64), WireError> {
     let (mut id, mut ctx, mut objver) = (None, None, None);
-    while let Some(e) = r.child_tag(header)? {
+    while let Some(e) = r.loose_child(header)? {
         match e.name {
-            "rafda:mid" if id.is_none() => id = Some(scalar(r, &e)?),
-            "rafda:objver" if objver.is_none() => objver = Some(scalar(r, &e)?),
+            "rafda:mid" if id.is_none() => id = Some(parse(r.text(&e)?.trim(), e.name)?),
+            "rafda:objver" if objver.is_none() => objver = Some(parse(r.text(&e)?.trim(), e.name)?),
             "rafda:trace" if ctx.is_none() => {
                 ctx = Some(TraceContext {
                     trace_id: e.num("id")?,
                     span_id: e.num("span")?,
                     parent_span_id: e.num("parent")?,
                 });
-                r.end(&e)?;
+                r.skip_rest(&e)?;
             }
-            name => return Err(r.err(format_args!("unexpected <{name}> in <soap:Header>"))),
+            _ => r.skip_rest(&e)?,
         }
     }
     let missing = |name: &str| WireError::new(format!("<soap:Header> missing child <{name}>"));
@@ -517,14 +513,26 @@ fn header_fields(
     Ok((id, ctx, objver))
 }
 
-/// [`scan_envelope`] for an envelope laid out exactly as an encoder writes
-/// it, read as the text around its numbers; `None` for any other layout.
+/// Scan an envelope in one pass: the header's fields, and `<soap:Body>`'s
+/// content as an unparsed slice. The layout an encoder writes is matched
+/// as the text around its numbers, which costs a third of parsing it
+/// (EXPERIMENTS E13 has the A/B); any other layout is parsed. `reply`
+/// selects the reply header set (see [`header_fields`]).
+fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
+    encoder_layout(xml, reply).map_or_else(|| parse_envelope(xml, reply), Ok)
+}
+
+/// [`scan_envelope`] for exactly the text [`envelope_into`] writes, or
+/// `None`. A body slice that parses holds no `</soap:Body>`, so wherever
+/// both this and [`parse_envelope`] accept a frame they agree.
 fn encoder_layout(xml: &str, reply: bool) -> Option<(u64, TraceContext, u64, &str)> {
     let mut r = Reader { xml, pos: 0 };
     let mut n = [0; 5];
     for (text, slot) in HEAD.iter().zip(&mut n[..4 + usize::from(reply)]) {
         r.eat(text).ok()?;
-        *slot = r.digits()?;
+        let start = r.pos;
+        r.skip(|b| b.is_ascii_digit());
+        *slot = xml[start..r.pos].parse().ok()?;
     }
     r.eat(HEAD_END[usize::from(reply)]).ok()?;
     let [id, trace_id, span_id, parent_span_id, objver] = n;
@@ -536,15 +544,12 @@ fn encoder_layout(xml: &str, reply: bool) -> Option<(u64, TraceContext, u64, &st
     Some((id, ctx, objver, r.rest().strip_suffix(TAIL)?))
 }
 
-/// Scan an envelope in one pass: declaration, `<soap:Envelope>`, the
-/// header's fields, and `<soap:Body>`'s content as an unparsed slice. The
-/// encoder's own layout is matched as text; any other (declaration
-/// variants, whitespace between the parts, namespace values, header order)
-/// is parsed. `reply` selects the reply header set (see [`header_fields`]).
-fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
-    if let Some(scan) = encoder_layout(xml, reply) {
-        return Ok(scan);
-    }
+/// Parse an envelope: declaration, `<soap:Envelope>`, the header's fields
+/// and the body's slice. Outside the body it is lenient: the header and
+/// the body may come in either order, and text and other elements around
+/// them are stepped over. A second body is an error: which one is the
+/// message would be a guess.
+fn parse_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
     let mut r = Reader { xml, pos: 0 };
     r.skip_ws();
     if r.rest().starts_with("<?") {
@@ -553,37 +558,29 @@ fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str
         r.pos += 1;
         r.skip_ws();
     }
-    let envelope = r.open()?;
-    let name = envelope.name;
-    if name != "soap:Envelope" {
-        return Err(r.err(format_args!("expected <soap:Envelope>, got <{name}>")));
+    let envelope = r.open_named("soap:Envelope")?;
+    let (mut header, mut body) = (None, None);
+    while let Some(e) = r.loose_child(&envelope)? {
+        match e.name {
+            "soap:Header" if header.is_none() => header = Some(header_fields(&mut r, &e, reply)?),
+            "soap:Body" if body.is_some() => return Err(r.err("second <soap:Body>")),
+            "soap:Body" if e.empty => body = Some(""),
+            "soap:Body" => {
+                // Every `<` in text is escaped, so the first close tag is
+                // the body's own.
+                let rest = r.rest();
+                let len = rest
+                    .find("</soap:Body>")
+                    .ok_or_else(|| r.err("unterminated <soap:Body>"))?;
+                r.pos += len + "</soap:Body>".len();
+                body = Some(&rest[..len]);
+            }
+            _ => r.skip_rest(&e)?,
+        }
     }
     let missing = |name: &str| WireError::new(format!("<soap:Envelope> missing child <{name}>"));
-    let (id, ctx, objver) = match r.child_tag(&envelope)? {
-        Some(header) if header.name == "soap:Header" => header_fields(&mut r, &header, reply)?,
-        _ => return Err(missing("soap:Header")),
-    };
-    let body = match r.child_tag(&envelope)? {
-        Some(body) if body.name == "soap:Body" && body.empty => "",
-        Some(body) if body.name == "soap:Body" => {
-            // Every `<` in text is escaped, so this is the body's own close
-            // tag; an earlier one would be inside the slice and fail it.
-            let rest = r.rest();
-            let len = rest
-                .rfind("</soap:Body>")
-                .ok_or_else(|| r.err("unterminated <soap:Body>"))?;
-            r.pos += len + "</soap:Body>".len();
-            &rest[..len]
-        }
-        _ => return Err(missing("soap:Body")),
-    };
-    if let Some(e) = r.child_tag(&envelope)? {
-        return Err(r.err(format_args!("unexpected <{}> in <soap:Envelope>", e.name)));
-    }
-    r.skip_ws();
-    if !r.rest().is_empty() {
-        return Err(r.err("content after </soap:Envelope>"));
-    }
+    let (id, ctx, objver) = header.ok_or_else(|| missing("soap:Header"))?;
+    let body = body.ok_or_else(|| missing("soap:Body"))?;
     Ok((id, ctx, objver, body))
 }
 
@@ -1118,6 +1115,28 @@ mod tests {
     }
 
     #[test]
+    fn every_encoded_envelope_is_matched_and_parses_the_same() {
+        let codec = SoapCodec::new();
+        let ctx = TraceContext {
+            trace_id: u64::MAX,
+            span_id: 40,
+            parent_span_id: 0,
+        };
+        let mut frames = Vec::new();
+        for req in testdata::sample_requests() {
+            frames.push((false, codec.encode_request(u64::MAX, ctx, &req).unwrap()));
+        }
+        for reply in testdata::sample_replies() {
+            frames.push((true, codec.encode_reply(7, ctx, 0, &reply).unwrap()));
+        }
+        for (reply, frame) in frames {
+            let xml = std::str::from_utf8(&frame).unwrap();
+            let matched = encoder_layout(xml, reply).expect("the encoder's own layout");
+            assert_eq!(Ok(matched), parse_envelope(xml, reply), "{xml}");
+        }
+    }
+
+    #[test]
     fn envelopes_missing_a_header_element_are_rejected() {
         // An encoder always writes the full header set: <rafda:mid> and
         // <rafda:trace>, plus <rafda:objver> on replies. An envelope
@@ -1167,5 +1186,73 @@ mod tests {
             err.0.contains("rafda:objver"),
             "reply without objver: {err}"
         );
+    }
+
+    #[test]
+    fn envelopes_are_read_leniently_outside_the_body() {
+        // Only the body is held to what the encoder writes. Around it, a
+        // sender may add header blocks and envelope children, put the body
+        // first, pad the numbers and carry any attributes.
+        let codec = SoapCodec::new();
+        const BODY: &str = "<soap:Body><rafda:fetch object=\"5\"/></soap:Body>";
+        const WSA: &str = "<wsa:To xmlns:wsa=\"urn:a\">urn:b &amp; c<x/></wsa:To>";
+        let trace = "<rafda:trace xmlns:a=\"1\" xmlns:b=\"2\" xmlns:c=\"3\" xmlns:d=\"4\" \
+                     id=\"1\" span=\"2\" parent=\"0\"/>";
+        let header = |elems: &str| format!("<soap:Header>{elems}</soap:Header>");
+        let mid = "<rafda:mid> 6 </rafda:mid><rafda:mid>7</rafda:mid>";
+        for (label, children) in [
+            (
+                "a foreign header block",
+                header(&format!("{WSA}{mid}{trace}")) + BODY,
+            ),
+            (
+                "the body first",
+                format!("{BODY}\n{}", header(&format!("{mid}{trace}"))),
+            ),
+            (
+                "other envelope children",
+                format!(
+                    "<x>y</x>{}z{WSA}{BODY}<w/>",
+                    header(&format!("{mid}{trace}"))
+                ),
+            ),
+            (
+                "a trace with children",
+                header(&format!(
+                    "{mid}<rafda:trace id=\"1\" span=\"2\" parent=\"0\"><q/></rafda:trace>"
+                )) + BODY,
+            ),
+        ] {
+            let frame = format!("<soap:Envelope xmlns:soap=\"x\">{children}</soap:Envelope>");
+            let h = codec
+                .decode_request_header(frame.as_bytes())
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!((h.msg_id, h.ctx.span_id), (6, 2), "{label}");
+            assert_eq!(h.materialise(None).unwrap(), Request::Fetch { object: 5 });
+        }
+        let reply = "<soap:Envelope><soap:Header><rafda:objver>\n4\n</rafda:objver>\
+                     <rafda:mid>6</rafda:mid><rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>\
+                     </soap:Header><soap:Body><rafda:result><v t=\"null\"/></rafda:result>\
+                     </soap:Body></soap:Envelope>";
+        assert_eq!(codec.decode_reply(reply.as_bytes()).unwrap().2, 4);
+        // Still malformed: a bad number, a broken foreign block, two bodies.
+        for (hostile, error) in [
+            ("<rafda:mid>6x</rafda:mid>", "bad rafda:mid"),
+            ("<wsa:To>&bogus;</wsa:To>", "unknown entity"),
+            ("<wsa:To><a></wsa:To>", "mismatched"),
+        ] {
+            let frame = format!(
+                "<soap:Envelope>{}{BODY}</soap:Envelope>",
+                header(&format!("{hostile}{mid}{trace}"))
+            );
+            let err = codec.decode_request_header(frame.as_bytes()).unwrap_err();
+            assert!(err.0.contains(error), "{hostile}: {err}");
+        }
+        let two = format!(
+            "<soap:Envelope>{}{BODY}{BODY}</soap:Envelope>",
+            header(&format!("{mid}{trace}"))
+        );
+        let err = codec.decode_request_header(two.as_bytes()).unwrap_err();
+        assert!(err.0.contains("second <soap:Body>"), "{err}");
     }
 }
