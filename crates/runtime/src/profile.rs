@@ -144,19 +144,12 @@ const SECTIONS: usize = Section::ALL.len();
 struct Row {
     /// Times the section was entered.
     count: u64,
-    /// Sections entered directly inside it.
-    children: u64,
     /// Self time, host nanoseconds.
     ns: u64,
 }
 
-/// A snapshot of the profile: per section, how often it was entered, how
-/// many sections were entered directly inside it, and the host nanoseconds
-/// it spent in itself (nested sections excluded).
-///
-/// Each entry reads the clock twice, and about half of that lands in the
-/// entered section and half in its parent: a section entered often, or
-/// one with many children, carries that much of the profiler's own cost.
+/// A snapshot of the profile: per section, how often it was entered and the
+/// host nanoseconds it spent in itself (nested sections excluded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfile {
     table: [Row; SECTIONS],
@@ -166,11 +159,6 @@ impl HostProfile {
     /// Times `section` was entered.
     pub fn count(&self, section: Section) -> u64 {
         self.table[section as usize].count
-    }
-
-    /// Sections entered directly inside `section`.
-    pub fn children(&self, section: Section) -> u64 {
-        self.table[section as usize].children
     }
 
     /// Self time of `section`, in host nanoseconds.
@@ -226,9 +214,6 @@ impl Profiler {
     fn enter(&self, section: Section) -> Option<Section> {
         let parent = self.switch(Some(section));
         self.update(section, |row| row.count += 1);
-        if let Some(parent) = parent {
-            self.update(parent, |row| row.children += 1);
-        }
         parent
     }
 
@@ -342,8 +327,6 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.count(Section::Other), 1);
         assert_eq!(snap.count(Section::Transmit), 1);
-        assert_eq!(snap.children(Section::Other), 1);
-        assert_eq!(snap.children(Section::Transmit), 0);
         // The parent's self time excludes the child's 10 ms.
         assert!(snap.ns(Section::Transmit) >= 10_000_000);
         assert!(snap.ns(Section::Other) >= 400_000);

@@ -71,20 +71,13 @@ fn main() {
     let (off, on) = (&off[PAIRS / 2], &on[PAIRS / 2]);
     let per_op = |ns: f64| ns / 1e3 / ops as f64;
     let total = on.profile.total_ns() as f64;
-    // What the profile itself costs per section entered (two clock reads):
-    // about half lands in the section and half in its parent, so a
-    // section's net time is its self time less half that cost for each of
-    // its own entries and each of its children's.
+    // What the profile itself costs per section entered (two clock reads).
     let entries: u64 = Section::ALL.iter().map(|&s| on.profile.count(s)).sum();
     let entry_ns = (on.wall_ns - off.wall_ns) / entries as f64;
-    let net = |s: Section| {
-        let own = on.profile.count(s) + on.profile.children(s);
-        (on.profile.ns(s) as f64 - own as f64 * entry_ns / 2.0).max(0.0)
-    };
     println!("{which}: {ops} ops, profile of the median of {PAIRS} profiled runs");
     println!(
-        "{:<28} {:>10} {:>9} {:>7} {:>9}",
-        "section", "entries", "us/op", "share", "net us/op"
+        "{:<28} {:>10} {:>9} {:>7}",
+        "section", "entries", "us/op", "share"
     );
     let mut metrics = vec![
         ("profile.wall_us_per_op", per_op(on.wall_ns), "us"),
@@ -98,22 +91,20 @@ fn main() {
             "ratio",
         ),
     ];
-    let names: Vec<[String; 2]> = Section::ALL
+    let names: Vec<String> = Section::ALL
         .iter()
-        .map(|s| ["", "net_"].map(|net| format!("profile.{}_{net}us_per_op", s.label())))
+        .map(|s| format!("profile.{}_us_per_op", s.label()))
         .collect();
-    for (s, [name, net_name]) in Section::ALL.into_iter().zip(&names) {
+    for (s, name) in Section::ALL.into_iter().zip(&names) {
         let ns = on.profile.ns(s) as f64;
         println!(
-            "{:<28} {:>10} {:>9.3} {:>6.1}% {:>9.3}",
+            "{:<28} {:>10} {:>9.3} {:>6.1}%",
             s.label(),
             on.profile.count(s),
             per_op(ns),
-            100.0 * ns / total,
-            per_op(net(s))
+            100.0 * ns / total
         );
         metrics.push((name.as_str(), per_op(ns), "us"));
-        metrics.push((net_name.as_str(), per_op(net(s)), "us"));
     }
     if which == "rpc_steady" {
         let split = codec_split(ops);
