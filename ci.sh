@@ -99,7 +99,7 @@ echo "== SOAP stays cheap on the host: a round trip <= 12 RMI round trips =="
 # SOAP is the big, slow codec on the wire and on the simulated clock (400 us
 # per message), not in the host's own work: its decoder reads a frame in
 # place. Same smoke line, one process, so the ratio does not depend on the
-# host's speed: ~3.6x today, 27x with the owned DOM it replaced.
+# host's speed: ~4.5x today, 27x with the owned DOM it replaced.
 soap_ns=$(smoke_metric 'wire\.soap\.roundtrip_ns')
 echo "wire.soap.roundtrip_ns = ${soap_ns:-missing}, wire.rmi.roundtrip_ns = ${roundtrip_ns:-missing}"
 if ! awk -v s="${soap_ns:-0}" -v r="${roundtrip_ns:-0}" 'BEGIN { exit !(s > 0 && r > 0 && s <= 12 * r) }'; then

@@ -149,7 +149,9 @@ struct Row {
 }
 
 /// A snapshot of the profile: per section, how often it was entered and the
-/// host nanoseconds it spent in itself (nested sections excluded).
+/// host nanoseconds it spent in itself (nested sections excluded). Each
+/// entry reads the clock twice, so a section entered often, or one whose
+/// children are, carries that much of the profiler's own cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfile {
     table: [Row; SECTIONS],
