@@ -248,6 +248,27 @@ if grep -rnE 'trait Monitor|MonitorEvent|standard_monitors|dyn Monitor|link_samp
   exit 1
 fi
 
+echo "== one error type: a network failure is a NetError from the wire to the caller =="
+# A remote operation that gives up carries the net's own `NetError`
+# (`VmError::Unreachable(NetFailure)`), and every runtime entry point returns
+# `VmError`. A mirror enum, its converter or a runtime-level error wrapper
+# means one failure has two types again; a second product file that builds a
+# run's `NetworkFailure` ending means two classifiers can disagree on its text.
+if grep -rnE 'enum RuntimeError|enum NetFailureKind|fn net_failure_kind' crates/*/src; then
+  echo "FAIL: a second error type for a network failure is back" >&2
+  exit 1
+fi
+ending_sites=""
+for f in $(find crates/*/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  n=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -c 'TraceEvent::NetworkFailure(' || true)
+  if [ "$n" -gt 0 ]; then ending_sites="$ending_sites $f"; fi
+done
+if [ "$(wc -w <<<"$ending_sites")" -gt 1 ]; then
+  echo "FAIL: TraceEvent::NetworkFailure is built in more than one product file:$ending_sites" >&2
+  exit 1
+fi
+
 echo "== SOAP parses in place: no owned DOM, no per-character copy =="
 # The SOAP decoder reads names, attribute values and entity-free text as
 # slices of the frame. An element tree or a lossy per-scalar copy in its

@@ -66,20 +66,20 @@ pub use rafda_vm as vm;
 pub use rafda_wire as wire;
 
 pub use rafda_classmodel::{ClassUniverse, Ty};
-pub use rafda_net::{NodeId, SimTime};
+pub use rafda_net::{NetError, NodeId, SimTime};
 pub use rafda_policy::{
     AffinityConfig, DistributionPolicy, LocalPolicy, Placement, RoundRobinPolicy, StaticPolicy,
 };
 pub use rafda_runtime::{
-    declare_introspection, Cluster, LocalRuntime, MigrationEvent, RetryPolicy, RuntimeError,
-    RuntimeStats, INTROSPECTION_CLASS,
+    declare_introspection, Cluster, LocalRuntime, MigrationEvent, RetryPolicy, RuntimeStats,
+    INTROSPECTION_CLASS,
 };
 pub use rafda_telemetry::{
     LatencyHistogram, LinkSummary, MethodKey, MetricsRegistry, Span, SpanLog, SpanOutcome,
     TimeSeriesRecorder, TraceContext, Violation,
 };
 pub use rafda_transform::{TransformError, Transformer};
-pub use rafda_vm::{NetFailure, NetFailureKind, ObserverIds, Trace, TraceEvent, Value, Vm};
+pub use rafda_vm::{NetFailure, ObserverIds, Trace, TraceEvent, Value, Vm, VmError};
 
 use rafda_transform::{TransformOutcome, TransformPlan};
 

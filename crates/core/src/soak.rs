@@ -122,10 +122,7 @@ impl SoakHarness {
             .transform(&["RMI"])
             .expect("soak app transforms")
             .deploy(u32::from(cfg.nodes), cfg.seed, Box::new(policy));
-        cluster.set_retry_policy(RetryPolicy {
-            max_attempts: 10,
-            ..RetryPolicy::default()
-        });
+        cluster.set_retry_policy(RetryPolicy { max_attempts: 10 });
         cluster
             .network()
             .fault_plan(|f| f.drop_probability = DROP_PROBABILITY);

@@ -38,10 +38,6 @@ impl FaultPlan {
         self.drop_seq.contains(&seq)
     }
 
-    /// Clear all scheduled per-message drops.
-    pub fn clear_scheduled_drops(&mut self) {
-        self.drop_seq.clear();
-    }
     /// Sever the (bidirectional) link between `a` and `b`.
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
         self.partitioned.insert(key(a, b));
@@ -75,14 +71,6 @@ impl FaultPlan {
     /// Whether the node is crashed.
     pub fn is_crashed(&self, n: NodeId) -> bool {
         self.crashed.contains(&n)
-    }
-
-    /// Whether any fault is active.
-    pub fn any_active(&self) -> bool {
-        self.drop_probability > 0.0
-            || !self.partitioned.is_empty()
-            || !self.crashed.is_empty()
-            || !self.drop_seq.is_empty()
     }
 }
 
@@ -119,28 +107,21 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_drops_are_exact_and_clearable() {
+    fn scheduled_drops_are_exact() {
         let mut f = FaultPlan::default();
-        assert!(!f.any_active());
         f.drop_message(3);
         f.drop_message(7);
-        assert!(f.any_active());
         assert!(f.is_drop_scheduled(3));
+        assert!(f.is_drop_scheduled(7));
         assert!(!f.is_drop_scheduled(4));
-        f.clear_scheduled_drops();
-        assert!(!f.is_drop_scheduled(3));
-        assert!(!f.any_active());
     }
 
     #[test]
     fn crash_and_recover() {
         let mut f = FaultPlan::default();
-        assert!(!f.any_active());
         f.crash(NodeId(3));
         assert!(f.is_crashed(NodeId(3)));
-        assert!(f.any_active());
         f.recover(NodeId(3));
         assert!(!f.is_crashed(NodeId(3)));
-        assert!(!f.any_active());
     }
 }

@@ -54,8 +54,9 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Why a transmission failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Why a transmission failed. The runtime hands it up the stack as is: a
+/// remote operation that gives up carries it in `rafda_vm::NetFailure`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
     /// Source and destination are in different partitions.
     Partitioned {
@@ -70,6 +71,15 @@ pub enum NetError {
     Dropped,
     /// Unknown node id.
     NoSuchNode(NodeId),
+}
+
+impl NetError {
+    /// Whether retransmitting the same message could plausibly succeed.
+    /// Drops are transient; partitions, crashes and bad addresses are not
+    /// (they persist until an operator-level event heals them).
+    pub fn is_transient(&self) -> bool {
+        matches!(self, NetError::Dropped)
+    }
 }
 
 impl fmt::Display for NetError {
@@ -118,16 +128,6 @@ impl LinkSpec {
         }
     }
 
-    /// Same-machine loopback (used when policy co-locates two components):
-    /// negligible but non-zero cost.
-    pub fn loopback() -> Self {
-        LinkSpec {
-            base_latency_ns: 5_000,
-            per_kb_ns: 1_000,
-            jitter_ns: 0,
-        }
-    }
-
     /// Cost of transmitting `bytes` (excluding jitter).
     pub fn cost_ns(&self, bytes: usize) -> u64 {
         self.base_latency_ns + (bytes as u64 * self.per_kb_ns) / 1024
@@ -151,9 +151,6 @@ struct NetState {
     stats: NetStats,
     /// Sequence number of the next non-local transmission attempt.
     seq: u64,
-    /// Fixed failure-detection charge; `None` charges the would-be link
-    /// cost of the failed message instead.
-    detection_ns: Option<u64>,
 }
 
 impl NetState {
@@ -161,9 +158,11 @@ impl NetState {
     /// Failure detection is not free: a sender discovers a lost message by
     /// timeout and a severed link by an error path, both of which take
     /// (simulated) time — otherwise retry loops would be free and timing
-    /// under faults meaningless.
+    /// under faults meaningless. The charge is the link cost the message
+    /// would have paid: a sender waits roughly one delivery time before
+    /// concluding loss.
     fn charge_failure(&mut self, err: &NetError, spec: LinkSpec, bytes: usize) {
-        let cost = self.detection_ns.unwrap_or_else(|| spec.cost_ns(bytes));
+        let cost = spec.cost_ns(bytes);
         self.clock_ns += cost;
         self.stats.record_failure(err, cost);
     }
@@ -210,7 +209,6 @@ impl Network {
                 rng: SplitMix64::new(seed),
                 stats: NetStats::default(),
                 seq: 0,
-                detection_ns: None,
             })),
         }
     }
@@ -223,14 +221,6 @@ impl Network {
     /// All node ids.
     pub fn nodes(&self) -> Vec<NodeId> {
         (0..self.node_count()).map(NodeId).collect()
-    }
-
-    /// Add a node, returning its id.
-    pub fn add_node(&self) -> NodeId {
-        let mut s = self.state.borrow_mut();
-        let id = NodeId(s.nodes);
-        s.nodes += 1;
-        id
     }
 
     /// Replace the default link spec.
@@ -265,24 +255,14 @@ impl Network {
         self.state.borrow().seq
     }
 
-    /// Fix the simulated cost of detecting a failed transmission.
-    ///
-    /// With `None` (the default) a failed transmission charges the link
-    /// cost the message would have paid — a sender waiting roughly one
-    /// delivery time before concluding loss. A fixed value models an
-    /// explicit timeout instead.
-    pub fn set_failure_detection(&self, ns: Option<u64>) {
-        self.state.borrow_mut().detection_ns = ns;
-    }
-
     /// Transmit `bytes` from `from` to `to`, charging the simulated clock
     /// and recording the traffic in [`NetStats`].
     ///
     /// Local delivery (`from == to`) is free and always succeeds.
     ///
-    /// Failed transmissions also cost simulated time (the detection charge,
-    /// see [`Network::set_failure_detection`]) — a retry loop over a lossy
-    /// link is therefore never free.
+    /// Failed transmissions also cost simulated time (the link cost the
+    /// message would have paid) — a retry loop over a lossy link is
+    /// therefore never free.
     ///
     /// # Errors
     /// [`NetError`] when either node is unknown or crashed, the pair is
@@ -442,7 +422,7 @@ mod tests {
             net.transmit(NodeId(0), NodeId(1), 2048),
             Err(NetError::Dropped)
         );
-        // Default detection charge = would-be link cost of the message.
+        // Detection charge = would-be link cost of the message.
         assert_eq!(net.now().as_ns(), 1000 + 2048);
         let stats = net.stats();
         assert_eq!(stats.failures, 1);
@@ -450,13 +430,21 @@ mod tests {
         assert_eq!(stats.failed_time_ns, 1000 + 2048);
         assert_eq!(stats.messages, 0, "failed message not delivered");
 
-        // A configured timeout overrides the link-cost default.
-        net.set_failure_detection(Some(500));
+        // A severed link is detected at the same price.
         net.fault_plan(|f| f.partition(NodeId(0), NodeId(1)));
         let t0 = net.now().as_ns();
-        assert!(net.transmit(NodeId(0), NodeId(1), 9999).is_err());
-        assert_eq!(net.now().as_ns(), t0 + 500);
+        assert!(net.transmit(NodeId(0), NodeId(1), 1024).is_err());
+        assert_eq!(net.now().as_ns(), t0 + 1000 + 1024);
         assert_eq!(net.stats().partition_failures, 1);
+    }
+
+    #[test]
+    fn transient_kinds() {
+        assert!(NetError::Dropped.is_transient());
+        let (a, b) = (NodeId(0), NodeId(1));
+        assert!(!NetError::Partitioned { from: a, to: b }.is_transient());
+        assert!(!NetError::NodeCrashed(b).is_transient());
+        assert!(!NetError::NoSuchNode(NodeId(9)).is_transient());
     }
 
     #[test]
@@ -524,21 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows_cluster() {
-        let net = Network::new(1, 7);
-        let n1 = net.add_node();
-        assert_eq!(n1, NodeId(1));
-        assert_eq!(net.node_count(), 2);
-        assert!(net.transmit(NodeId(0), n1, 1).is_ok());
-    }
-
-    #[test]
     fn link_presets_are_ordered_by_cost() {
         let payload = 1024;
-        let lo = LinkSpec::loopback().cost_ns(payload);
         let lan = LinkSpec::lan().cost_ns(payload);
         let wan = LinkSpec::wan().cost_ns(payload);
-        assert!(lo < lan && lan < wan, "{lo} {lan} {wan}");
+        assert!(lan < wan, "{lan} {wan}");
         // Cost is monotone in message size.
         let spec = LinkSpec::lan();
         assert!(spec.cost_ns(10) < spec.cost_ns(10_000));

@@ -559,8 +559,7 @@ impl DistributionPolicy for StaticPolicy {
 
 /// Load-spreading policy: each `make()` places the new instance on the
 /// next node round-robin, regardless of where the creator runs — the
-/// classic "scale out a stateless pool" deployment. Statics stay on a fixed
-/// owner.
+/// classic "scale out a stateless pool" deployment. Statics stay on node 0.
 ///
 /// # Example
 ///
@@ -580,7 +579,6 @@ impl DistributionPolicy for StaticPolicy {
 pub struct RoundRobinPolicy {
     nodes: u32,
     protocol: String,
-    statics_owner: NodeId,
     next: std::cell::Cell<u32>,
 }
 
@@ -590,15 +588,8 @@ impl RoundRobinPolicy {
         RoundRobinPolicy {
             nodes: nodes.max(1),
             protocol: protocol.to_owned(),
-            statics_owner: NodeId(0),
             next: std::cell::Cell::new(0),
         }
-    }
-
-    /// Choose the statics owner (default node 0).
-    pub fn statics_owner(mut self, node: NodeId) -> Self {
-        self.statics_owner = node;
-        self
     }
 }
 
@@ -610,7 +601,7 @@ impl DistributionPolicy for RoundRobinPolicy {
     }
 
     fn statics_node(&self, _class: &str) -> NodeId {
-        self.statics_owner
+        NodeId(0)
     }
 
     fn protocol(&self, _class: &str) -> String {
@@ -963,10 +954,10 @@ class H reads from replicas
 
     #[test]
     fn round_robin_cycles_and_keeps_statics_fixed() {
-        let p = RoundRobinPolicy::new(2, "SOAP").statics_owner(NodeId(1));
+        let p = RoundRobinPolicy::new(2, "SOAP");
         let seq: Vec<NodeId> = (0..4).map(|_| p.instance_node("C", NodeId(9))).collect();
         assert_eq!(seq, vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)]);
-        assert_eq!(p.statics_node("C"), NodeId(1));
+        assert_eq!(p.statics_node("C"), NodeId(0));
         assert_eq!(p.protocol("C"), "SOAP");
     }
 

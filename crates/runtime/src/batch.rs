@@ -8,8 +8,8 @@ use crate::obs::Met;
 use crate::profile::Section;
 use crate::rpc::{rethrow, rpc};
 use crate::stats::bump;
-use rafda_net::NodeId;
-use rafda_vm::{NetFailureKind, VmError};
+use rafda_net::{NetError, NodeId};
+use rafda_vm::{NetFailure, VmError};
 use rafda_wire::{Reply, Request};
 
 /// Operations deferred toward one owner by one caller, flushed as a single
@@ -115,10 +115,10 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             // sync anyway.
             let node_crashed = matches!(
                 &outcome,
-                Err(e) if matches!(
-                    e.net_failure().map(|nf| nf.kind),
-                    Some(NetFailureKind::NodeCrashed(_))
-                )
+                Err(VmError::Unreachable(NetFailure {
+                    kind: NetError::NodeCrashed(_),
+                    ..
+                }))
             );
             if node_crashed {
                 let Request::Batch(ops) = batch else {

@@ -6,7 +6,6 @@
 
 use crate::batch::{flush_outqueues, PendingBatch};
 use crate::directory::{Directory, Why};
-use crate::error::RuntimeError;
 use crate::fifo::FifoMap;
 use crate::introspect;
 use crate::marshal;
@@ -23,7 +22,7 @@ use rafda_policy::{DistributionPolicy, ShardSpec};
 use rafda_telemetry::SpanLog;
 use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
-use rafda_vm::{Handle, Trace, TraceEvent, Value, Vm, VmError};
+use rafda_vm::{Handle, Trace, Value, Vm, VmError};
 use rafda_wire::{Protocol, ProtocolKind, Reply, Request, SigTable, WireValue};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -129,48 +128,36 @@ pub(crate) struct NodeState {
 ///
 /// Only *transient* failures (dropped messages) are retried; partitions,
 /// crashes and bad addresses fail fast — retrying cannot help until an
-/// operator-level event heals them. Each retry charges `backoff_ns` to the
-/// **simulated** clock, so runs stay deterministic per seed and the time
-/// cost of fault tolerance is visible in the experiments.
+/// operator-level event heals them. Each retry charges
+/// [`RetryPolicy::backoff_ns`] to the **simulated** clock, so runs stay
+/// deterministic per seed and the time cost of fault tolerance is visible
+/// in the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total transmission attempts per exchange (≥ 1; 1 disables retry).
     pub max_attempts: u32,
-    /// Simulated backoff before the first retry, in nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Exponential backoff multiplier applied per further retry.
-    pub multiplier: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff_ns: 200_000,
-            multiplier: 2,
-        }
+        RetryPolicy { max_attempts: 6 }
     }
 }
 
 impl RetryPolicy {
-    /// No fault tolerance: a single attempt, any failure surfaces at once.
-    /// (The pre-retry behaviour, useful for failure-injection tests.)
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ns: 0,
-            multiplier: 1,
-        }
-    }
+    /// Simulated backoff before the first retry, in nanoseconds.
+    const BASE_BACKOFF_NS: u64 = 200_000;
+    /// Backoff multiplier applied per further retry.
+    const MULTIPLIER: u64 = 2;
 
     /// Backoff charged before retry number `retry` (1-based): exponential
     /// in the number of failures seen so far, saturating instead of
     /// overflowing.
     pub fn backoff_ns(&self, retry: u32) -> u64 {
         let exp = retry.saturating_sub(1);
-        (self.multiplier as u64)
+        Self::MULTIPLIER
             .saturating_pow(exp)
-            .saturating_mul(self.base_backoff_ns)
+            .saturating_mul(Self::BASE_BACKOFF_NS)
     }
 }
 
@@ -608,7 +595,7 @@ impl Cluster {
     /// (possibly remotely); otherwise it is a plain static call.
     ///
     /// # Errors
-    /// Any [`RuntimeError`], including in-model exceptions and network
+    /// Any [`VmError`], including in-model exceptions and network
     /// failures.
     pub fn call_static(
         &self,
@@ -616,18 +603,18 @@ impl Cluster {
         class: &str,
         method: &str,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Result<Value, VmError> {
         let shared = &self.shared;
         let id = shared
             .universe
             .by_name(class)
-            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
+            .ok_or_else(|| VmError::Native(format!("unknown class {class}")))?;
         let vm = &shared.vms[node.0 as usize];
         if let Some(row) = class_row(shared, id) {
             let singleton = discover_value(shared, node, row)?;
-            Ok(vm.call_virtual_by_name(singleton, method, args)?)
+            vm.call_virtual_by_name(singleton, method, args)
         } else {
-            Ok(vm.call_static_by_name(class, method, args)?)
+            vm.call_static_by_name(class, method, args)
         }
     }
 
@@ -636,19 +623,19 @@ impl Cluster {
     /// reference (a local object or a proxy, decided by policy).
     ///
     /// # Errors
-    /// Any [`RuntimeError`].
+    /// Any [`VmError`].
     pub fn new_instance(
         &self,
         node: NodeId,
         class: &str,
         ctor: u16,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Result<Value, VmError> {
         let shared = &self.shared;
         let id = shared
             .universe
             .by_name(class)
-            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
+            .ok_or_else(|| VmError::Native(format!("unknown class {class}")))?;
         let vm = &shared.vms[node.0 as usize];
         match class_row(shared, id) {
             Some(row) => {
@@ -657,7 +644,7 @@ impl Cluster {
                 let init_sig = *family
                     .init_sigs
                     .get(ctor as usize)
-                    .ok_or_else(|| RuntimeError::Bad(format!("no ctor {ctor} on {class}")))?;
+                    .ok_or_else(|| VmError::Native(format!("no ctor {ctor} on {class}")))?;
                 let mut all = vec![that.clone()];
                 all.extend(args);
                 vm.call_static(family.obj.factory, init_sig, all)?;
@@ -670,24 +657,24 @@ impl Cluster {
                 }
                 Ok(that)
             }
-            None => Ok(vm.new_instance(id, ctor, args)?),
+            None => vm.new_instance(id, ctor, args),
         }
     }
 
     /// Invoke `method` on a receiver (local object or proxy) on `node`.
     ///
     /// # Errors
-    /// Any [`RuntimeError`].
+    /// Any [`VmError`].
     pub fn call_method(
         &self,
         node: NodeId,
         recv: Value,
         method: &str,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Result<Value, VmError> {
         // A local receiver (a pulled or promoted object living in this
         // node's VM) takes the call bare; what it writes, its heap logs.
-        Ok(self.shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)?)
+        self.shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)
     }
 
     /// Bind the `Observer` built-in on every node to a **cluster-wide**
@@ -711,39 +698,12 @@ impl Cluster {
         // deferred on an outcall queue are applied before the trace is
         // compared, exactly as a single-address-space run would have
         // applied them inline.
-        let result =
-            self.call_static(node, class, method, args).and_then(|v| {
-                match flush_outqueues(&self.shared) {
-                    Ok(()) => Ok(v),
-                    Err(e) => Err(RuntimeError::from(e)),
-                }
-            });
-        match result {
-            Ok(_) => {}
-            Err(RuntimeError::Vm(VmError::Exception(h))) => {
-                let name = self.shared.vms[node.0 as usize]
-                    .class_of(h)
-                    .map(|c| self.shared.universe.class(c).name.clone())
-                    .unwrap_or_else(|| "<stale>".to_owned());
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::UncaughtException(name));
-            }
-            Err(e) if e.is_network() => {
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::NetworkFailure(e.to_string()));
-            }
-            Err(other) => {
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::EmitStr(format!("<error: {other}>")));
-            }
-        }
-        std::mem::take(&mut self.shared.trace.borrow_mut())
+        let result = self
+            .call_static(node, class, method, args)
+            .and_then(|v| flush_outqueues(&self.shared).map(|()| v));
+        let mut trace = std::mem::take(&mut *self.shared.trace.borrow_mut());
+        trace.finish(&self.shared.vms[node.0 as usize], result);
+        trace
     }
 
     /// Where the object behind a reference held on `node` actually lives:
@@ -840,8 +800,8 @@ impl Cluster {
     /// a queue, a server-side fault, or an exception a deferred operation
     /// threw when it finally ran (re-thrown here, at the synchronization
     /// point).
-    pub fn flush(&self) -> Result<(), RuntimeError> {
-        flush_outqueues(&self.shared).map_err(RuntimeError::from)
+    pub fn flush(&self) -> Result<(), VmError> {
+        flush_outqueues(&self.shared)
     }
 
     /// Read the simulated clock. Reading the time is a synchronization

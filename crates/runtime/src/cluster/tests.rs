@@ -9,6 +9,7 @@ use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
 use crate::serve::deliver;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{ClassKind, Field, Ty};
+use rafda_net::NetError;
 use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
 use rafda_telemetry::TraceContext;
 use rafda_transform::Transformer;
@@ -221,10 +222,7 @@ fn the_wire_counters_are_the_tables_own_counts() {
         .with_protocol("CB", "SOAP")
         .batch("CA", true);
     let cluster = deployed_counters_speaking(&["RMI", "SOAP"], 5, policy);
-    cluster.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    });
+    cluster.set_retry_policy(RetryPolicy { max_attempts: 3 });
     let call = |node: u32, obj: &Value, method: &str, v: i32| {
         let args = vec![Value::Int(v)];
         cluster.call_method(NodeId(node), obj.clone(), method, args)
@@ -675,7 +673,7 @@ fn an_unknown_protocol_is_a_typed_no_codec_fault() {
     let (cluster, _) = deployed(policy);
     let err = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap_err();
     let no_codec = VmError::Rpc(RpcFault::NoCodec("IIOP2".into()));
-    assert_eq!(err, RuntimeError::Vm(no_codec));
+    assert_eq!(err, no_codec);
     assert_eq!(cluster.network().stats().messages, 0);
     let local = cluster.new_instance(NodeId(1), "C", 0, vec![]).unwrap();
     let sum = cluster.call_method(NodeId(1), local, "add", vec![Value::Int(2)]);
@@ -698,7 +696,7 @@ fn an_exchange_to_a_node_outside_the_deployment_is_a_typed_net_failure() {
     let VmError::Unreachable(failure) = err else {
         panic!("expected a network failure, got {err:?}");
     };
-    assert_eq!(failure.kind, rafda_vm::NetFailureKind::NoSuchNode(2));
+    assert_eq!(failure.kind, NetError::NoSuchNode(NodeId(2)));
     assert_eq!(cluster.stats().sig_defs, 0, "no link's table was written");
 }
 
@@ -964,12 +962,9 @@ fn spans_since(shared: &Shared, before: usize) -> Vec<String> {
 
 /// `C` placed on node 1 with one instance created from node 0, the next
 /// `drops` transmissions scheduled to be lost, and `add(5)` called on it.
-fn add_through_drops(drops: u64) -> (Cluster, Result<Value, RuntimeError>, Vec<String>) {
+fn add_through_drops(drops: u64) -> (Cluster, Result<Value, VmError>, Vec<String>) {
     let (cluster, _) = deployed(StaticPolicy::new().place("C", Placement::Node(NodeId(1))));
-    cluster.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    });
+    cluster.set_retry_policy(RetryPolicy { max_attempts: 3 });
     let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
     let seq = cluster.network().transmit_seq();
     cluster

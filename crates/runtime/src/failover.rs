@@ -16,7 +16,7 @@ use rafda_wire::{Reply, Request, WireValue};
 
 impl Cluster {
     /// Crash-stop `node`: every message to or from it fails with
-    /// [`NodeCrashed`](rafda_vm::NetFailureKind::NodeCrashed) until
+    /// [`NodeCrashed`](rafda_net::NetError::NodeCrashed) until
     /// [`Cluster::restart`]. The node's memory is untouched while down
     /// (nobody can observe it), but a restart wipes it — crash-stop nodes
     /// lose volatile state.

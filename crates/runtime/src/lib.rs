@@ -52,7 +52,6 @@
 mod batch;
 pub mod cluster;
 mod directory;
-pub mod error;
 mod failover;
 mod fifo;
 pub mod introspect;
@@ -70,7 +69,6 @@ mod stats;
 mod watchdog;
 
 pub use cluster::{Cluster, MigrationEvent, NodeSummary, RemoteRef, RetryPolicy, RuntimeStats};
-pub use error::RuntimeError;
 pub use introspect::{declare_introspection, INTROSPECTION_CLASS};
 pub use local::LocalRuntime;
 pub use persist::{SnapObject, SnapSlot, Snapshot};

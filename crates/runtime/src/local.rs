@@ -8,12 +8,11 @@
 //! `discover()` never cross the (non-existent) network.
 
 use crate::cluster::Cluster;
-use crate::error::RuntimeError;
 use rafda_classmodel::ClassUniverse;
 use rafda_net::NodeId;
 use rafda_policy::LocalPolicy;
 use rafda_transform::TransformPlan;
-use rafda_vm::{Trace, Value, Vm};
+use rafda_vm::{Trace, Value, Vm, VmError};
 
 /// The transformed application running in one address space.
 #[derive(Debug, Clone)]
@@ -43,39 +42,34 @@ impl LocalRuntime {
     /// substitutable classes).
     ///
     /// # Errors
-    /// Any [`RuntimeError`].
+    /// Any [`VmError`].
     pub fn call_static(
         &self,
         class: &str,
         method: &str,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Result<Value, VmError> {
         self.cluster.call_static(NodeId(0), class, method, args)
     }
 
     /// Create an instance via the generated factory.
     ///
     /// # Errors
-    /// Any [`RuntimeError`].
-    pub fn new_instance(
-        &self,
-        class: &str,
-        ctor: u16,
-        args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    /// Any [`VmError`].
+    pub fn new_instance(&self, class: &str, ctor: u16, args: Vec<Value>) -> Result<Value, VmError> {
         self.cluster.new_instance(NodeId(0), class, ctor, args)
     }
 
     /// Invoke a method on a receiver.
     ///
     /// # Errors
-    /// Any [`RuntimeError`].
+    /// Any [`VmError`].
     pub fn call_method(
         &self,
         recv: Value,
         method: &str,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Result<Value, VmError> {
         self.cluster.call_method(NodeId(0), recv, method, args)
     }
 
@@ -108,8 +102,8 @@ impl LocalRuntime {
     /// [`Cluster::snapshot`]).
     ///
     /// # Errors
-    /// [`RuntimeError::Bad`] for stale handles.
-    pub fn snapshot(&self, root: rafda_vm::Handle) -> Result<crate::Snapshot, RuntimeError> {
+    /// [`VmError::Native`] for stale handles.
+    pub fn snapshot(&self, root: rafda_vm::Handle) -> Result<crate::Snapshot, VmError> {
         self.cluster.snapshot(NodeId(0), root)
     }
 
@@ -117,7 +111,7 @@ impl LocalRuntime {
     ///
     /// # Errors
     /// See [`Cluster::restore`].
-    pub fn restore(&self, snapshot: &crate::Snapshot) -> Result<Value, RuntimeError> {
+    pub fn restore(&self, snapshot: &crate::Snapshot) -> Result<Value, VmError> {
         self.cluster.restore(NodeId(0), snapshot)
     }
 }

@@ -19,10 +19,9 @@
 //! analogue of RAFDA's remote references.
 
 use crate::cluster::{gen_info, read_proxy_state, Shared};
-use crate::error::RuntimeError;
 use crate::Cluster;
 use rafda_net::NodeId;
-use rafda_vm::{Handle, HeapEntry, Value, Vm};
+use rafda_vm::{Handle, HeapEntry, Value, Vm, VmError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -115,26 +114,22 @@ impl Cluster {
     /// [`SnapSlot::Remote`] boundary markers.
     ///
     /// # Errors
-    /// [`RuntimeError::Bad`] for stale handles.
-    pub fn snapshot(&self, node: NodeId, root: Handle) -> Result<Snapshot, RuntimeError> {
+    /// [`VmError::Native`] for stale handles.
+    pub fn snapshot(&self, node: NodeId, root: Handle) -> Result<Snapshot, VmError> {
         snapshot(self.shared(), node, root)
     }
 
     /// Restore a snapshot into `node`'s heap, returning the new root.
     ///
     /// # Errors
-    /// [`RuntimeError::Bad`] for unknown classes or dangling remote
+    /// [`VmError::Native`] for unknown classes or dangling remote
     /// references.
-    pub fn restore(&self, node: NodeId, snapshot: &Snapshot) -> Result<Value, RuntimeError> {
+    pub fn restore(&self, node: NodeId, snapshot: &Snapshot) -> Result<Value, VmError> {
         restore(self.shared(), node, snapshot)
     }
 }
 
-pub(crate) fn snapshot(
-    shared: &Shared,
-    node: NodeId,
-    root: Handle,
-) -> Result<Snapshot, RuntimeError> {
+pub(crate) fn snapshot(shared: &Shared, node: NodeId, root: Handle) -> Result<Snapshot, VmError> {
     let vm: &Vm = &shared.vms[node.0 as usize];
     let mut index: HashMap<Handle, usize> = HashMap::new();
     let mut objects: Vec<SnapObject> = Vec::new();
@@ -147,14 +142,14 @@ pub(crate) fn snapshot(
         }
         let entry = vm
             .with_heap(|heap| heap.get(h).cloned())
-            .ok_or_else(|| RuntimeError::Bad("stale handle in snapshot".into()))?;
+            .ok_or_else(|| VmError::Native("stale handle in snapshot".into()))?;
         match &entry {
             HeapEntry::Object { class, fields } => {
                 // Proxies are boundary markers, not captured objects —
                 // unless they are the root, which we reject.
                 if gen_info(shared, *class).is_some_and(|i| i.is_proxy) {
                     if h == root {
-                        return Err(RuntimeError::Bad(
+                        return Err(VmError::Native(
                             "cannot snapshot a proxy root; snapshot at its home node".into(),
                         ));
                     }
@@ -214,13 +209,13 @@ pub(crate) fn snapshot(
                         // Must be a proxy (skipped above): boundary marker.
                         let class = vm
                             .class_of(*r)
-                            .ok_or_else(|| RuntimeError::Bad("stale ref in snapshot".into()))?;
+                            .ok_or_else(|| VmError::Native("stale ref in snapshot".into()))?;
                         let Some(info) = gen_info(shared, class).filter(|i| i.is_proxy) else {
                             let what = "unreachable non-proxy in snapshot";
-                            return Err(RuntimeError::Bad(what.into()));
+                            return Err(VmError::Native(what.into()));
                         };
                         let (n, oid) = read_proxy_state(vm, *r)
-                            .ok_or_else(|| RuntimeError::Bad("stale proxy in snapshot".into()))?;
+                            .ok_or_else(|| VmError::Native("stale proxy in snapshot".into()))?;
                         SnapSlot::Remote {
                             node: n,
                             oid,
@@ -244,7 +239,7 @@ pub(crate) fn restore(
     shared: &Shared,
     node: NodeId,
     snapshot: &Snapshot,
-) -> Result<Value, RuntimeError> {
+) -> Result<Value, VmError> {
     let vm: &Vm = &shared.vms[node.0 as usize];
     // Phase 1: allocate every object with null slots (arrays sized).
     let mut handles = Vec::with_capacity(snapshot.objects.len());
@@ -257,7 +252,7 @@ pub(crate) fn restore(
             let class = shared
                 .universe
                 .by_name(&o.class)
-                .ok_or_else(|| RuntimeError::Bad(format!("unknown class {}", o.class)))?;
+                .ok_or_else(|| VmError::Native(format!("unknown class {}", o.class)))?;
             vm.alloc_raw(class, vec![Value::Null; o.slots.len()])
         };
         handles.push(h);
@@ -287,7 +282,7 @@ pub(crate) fn restore(
                         class: class.clone(),
                     },
                 )
-                .map_err(RuntimeError::Marshal)?,
+                .map_err(VmError::Native)?,
             };
             if o.is_array {
                 vm.with_heap(|heap| {

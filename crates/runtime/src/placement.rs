@@ -8,7 +8,6 @@ use crate::cluster::{
     read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::directory::Why;
-use crate::error::RuntimeError;
 use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::sync_replicas;
@@ -18,7 +17,7 @@ use rafda_classmodel::Side;
 use rafda_net::NodeId;
 use rafda_policy::AffinityConfig;
 use rafda_telemetry::SpanOutcome;
-use rafda_vm::{Handle, Value};
+use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Reply, Request, WireValue};
 use std::fmt;
 
@@ -52,14 +51,14 @@ impl Cluster {
     /// transparently becomes remote (Figure 1: `C` → `Cp`).
     ///
     /// # Errors
-    /// [`RuntimeError`] if the handle is not a live `*_Local` object or the
+    /// [`VmError`] if the handle is not a live `*_Local` object or the
     /// transfer fails.
     pub fn migrate(
         &self,
         from: NodeId,
         object: Handle,
         to: NodeId,
-    ) -> Result<MigrationEvent, RuntimeError> {
+    ) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
         let span = {
             let mut spans = shared.spans.borrow_mut();
@@ -87,10 +86,10 @@ impl Cluster {
         from: NodeId,
         object: Handle,
         to: NodeId,
-    ) -> Result<MigrationEvent, RuntimeError> {
+    ) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
         if from == to {
-            return Err(RuntimeError::Bad("migration to the same node".into()));
+            return Err(VmError::Native("migration to the same node".into()));
         }
         // A migration is a synchronization point, and it must flush *before*
         // the state snapshot below: a deferred call still queued against
@@ -100,19 +99,18 @@ impl Cluster {
         let vm = &shared.vms[from.0 as usize];
         let (class, fields) = vm
             .read_object(object)
-            .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
+            .ok_or_else(|| VmError::Native("stale handle".into()))?;
         let info = gen_info(shared, class)
-            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?;
+            .ok_or_else(|| VmError::Native("only transformed objects can migrate".into()))?;
         if info.is_proxy {
-            return Err(RuntimeError::Bad(
+            return Err(VmError::Native(
                 "object is already remote (a proxy); migrate it from its owner".into(),
             ));
         }
         let row = &shared.rows[info.row];
         let state = WireValue::ObjectState {
             class: shared.universe.class(class).name.clone(),
-            fields: marshal::values_to_wire(shared, from, &fields)
-                .map_err(RuntimeError::Marshal)?,
+            fields: marshal::values_to_wire(shared, from, &fields).map_err(VmError::Native)?,
         };
         let source_oid = export(shared, from, object);
         let install = Request::Install {
@@ -125,10 +123,10 @@ impl Cluster {
                 node: NodeId(node),
                 oid: object,
             },
-            Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
-            other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
+            Reply::Fault(m) => return Err(VmError::Native(m)),
+            other => return Err(VmError::Native(format!("unexpected reply {other:?}"))),
         };
-        let proxy_class = row.proxy_class(info.side).map_err(RuntimeError::Bad)?;
+        let proxy_class = row.proxy_class(info.side).map_err(VmError::Native)?;
         point_proxy_at(
             shared,
             from,
@@ -156,8 +154,8 @@ impl Cluster {
     /// forwarding proxy at the previous owner.
     ///
     /// # Errors
-    /// [`RuntimeError`] if the handle is not a proxy or the transfer fails.
-    pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
+    /// [`VmError`] if the handle is not a proxy or the transfer fails.
+    pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
         let span = {
             let mut spans = shared.spans.borrow_mut();
@@ -180,7 +178,7 @@ impl Cluster {
         result
     }
 
-    fn pull_inner(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
+    fn pull_inner(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
         // Synchronization point, before the owner snapshots state for the
         // fetch (see [`Cluster::migrate`] for why the order matters).
@@ -188,27 +186,27 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         let class = vm
             .class_of(proxy)
-            .ok_or_else(|| RuntimeError::Bad("stale handle".into()))?;
+            .ok_or_else(|| VmError::Native("stale handle".into()))?;
         let info = gen_info(shared, class)
             .filter(|i| i.is_proxy)
-            .ok_or_else(|| RuntimeError::Bad("pull_local needs a proxy".into()))?;
+            .ok_or_else(|| VmError::Native("pull_local needs a proxy".into()))?;
         let row = &shared.rows[info.row];
         let (owner_raw, oid) =
-            read_proxy_state(vm, proxy).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
+            read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
         let owner = NodeId(owner_raw);
         // Fetch the state.
         let (reply, _) = rpc(shared, node, owner, row, &Request::Fetch { object: oid })?;
         let (class_name, wire_fields) = match reply {
             Reply::Value(WireValue::ObjectState { class, fields }) => (class, fields),
-            Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
-            other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
+            Reply::Fault(m) => return Err(VmError::Native(m)),
+            other => return Err(VmError::Native(format!("unexpected reply {other:?}"))),
         };
         let local_class = shared
             .universe
             .by_name(&class_name)
-            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class_name}")))?;
+            .ok_or_else(|| VmError::Native(format!("unknown class {class_name}")))?;
         let fields =
-            marshal::wire_to_values(shared, node, &wire_fields).map_err(RuntimeError::Marshal)?;
+            marshal::wire_to_values(shared, node, &wire_fields).map_err(VmError::Native)?;
         vm.replace_object(proxy, local_class, fields);
         let my_oid = export(shared, node, proxy);
         // Owner-side swap: the old object becomes a forwarding proxy here.
@@ -219,7 +217,7 @@ impl Cluster {
         };
         let (reply, _) = rpc(shared, node, owner, row, &forward)?;
         if let Reply::Fault(m) = reply {
-            return Err(RuntimeError::Bad(m));
+            return Err(VmError::Native(m));
         }
         // The pulled copy is a fresh export with fresh state; the Forward
         // handler relocated the old home here.
@@ -295,7 +293,7 @@ impl Cluster {
         node: NodeId,
         row: &ClassRow,
         that: &Value,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<(), VmError> {
         let shared = &self.shared;
         let Some(spec) = &row.shard_spec else {
             return Ok(());
@@ -315,12 +313,12 @@ impl Cluster {
         };
         let member = if info.is_proxy {
             let (tn, toid) =
-                read_proxy_state(vm, h).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
+                read_proxy_state(vm, h).ok_or_else(|| VmError::Native("stale proxy".into()))?;
             if tn == owner {
                 (tn, toid)
             } else {
                 let src = lookup_export(shared, NodeId(tn), toid)
-                    .ok_or_else(|| RuntimeError::Bad(format!("unknown object {tn}#{toid}")))?;
+                    .ok_or_else(|| VmError::Native(format!("unknown object {tn}#{toid}")))?;
                 let event = self.migrate(NodeId(tn), src, NodeId(owner))?;
                 let home = (event.target.node.0, event.target.oid);
                 // Re-point the creator's proxy at the shard home directly,

@@ -15,7 +15,7 @@ use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
-use rafda_vm::{NetFailure, NetFailureKind, RpcFault, Value, VmError};
+use rafda_vm::{NetFailure, RpcFault, Value, VmError};
 use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
 use std::borrow::Cow;
 
@@ -142,9 +142,10 @@ pub(crate) fn proxy_call(
     let (reply, obj_version) = loop {
         let outcome = rpc(shared, node, NodeId(target), row, &req);
         let rehome = match &outcome {
-            Err(VmError::Unreachable(nf)) => {
-                matches!(nf.kind, NetFailureKind::NodeCrashed(_))
-            }
+            Err(VmError::Unreachable(NetFailure {
+                kind: NetError::NodeCrashed(_),
+                ..
+            })) => true,
             Ok((reply, _)) => is_unknown_object(reply),
             _ => false,
         };
@@ -279,20 +280,6 @@ fn req_method_label(req: &Request) -> Cow<'_, str> {
     })
 }
 
-/// The typed mirror of a transport error (same data, no crate dependency
-/// from the VM on the network).
-fn net_failure_kind(e: NetError) -> NetFailureKind {
-    match e {
-        NetError::Dropped => NetFailureKind::Dropped,
-        NetError::Partitioned { from, to } => NetFailureKind::Partitioned {
-            from: from.0,
-            to: to.0,
-        },
-        NetError::NodeCrashed(n) => NetFailureKind::NodeCrashed(n.0),
-        NetError::NoSuchNode(n) => NetFailureKind::NoSuchNode(n.0),
-    }
-}
-
 pub(crate) fn rpc_inner(
     shared: &Shared,
     from: NodeId,
@@ -357,7 +344,7 @@ pub(crate) fn rpc_inner(
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     let mut prev_attempt_span: Option<u64> = None;
-    let result: Result<(Reply, u64), NetFailureKind> = loop {
+    let result: Result<(Reply, u64), NetError> = loop {
         attempt += 1;
         if attempt > 1 {
             // Back off on the simulated clock before retransmitting, so the
@@ -412,8 +399,7 @@ pub(crate) fn rpc_inner(
                 .borrow_mut()
                 .put_back(to, from, reply_bytes);
             decoded
-        })()
-        .map_err(net_failure_kind);
+        })();
         let end = shared.net.now().as_ns();
         let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();

@@ -6,9 +6,9 @@ use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{sample, ClassKind, ClassUniverse, Field, Ty};
 use rafda_net::NodeId;
 use rafda_policy::{AffinityConfig, LocalPolicy, Placement, StaticPolicy};
-use rafda_runtime::{Cluster, LocalRuntime, RuntimeError};
+use rafda_runtime::{Cluster, LocalRuntime};
 use rafda_transform::Transformer;
-use rafda_vm::{ObserverIds, Value, Vm, VmError};
+use rafda_vm::{ObserverIds, TraceEvent, Value, Vm, VmError};
 
 const N0: NodeId = NodeId(0);
 const N1: NodeId = NodeId(1);
@@ -259,7 +259,7 @@ fn exceptions_propagate_across_the_wire() {
     let err = cluster
         .call_static(N0, "Driver", "boom", vec![Value::Int(9)])
         .unwrap_err();
-    let RuntimeError::Vm(VmError::Exception(h)) = err else {
+    let VmError::Exception(h) = err else {
         panic!("expected remote exception, got {err:?}");
     };
     let vm = cluster.vm(N0);
@@ -290,6 +290,60 @@ fn network_partition_surfaces_as_network_failure() {
             .unwrap(),
         Value::Int(42)
     );
+}
+
+/// A failure between nodes 1 and 2 while node 1 serves node 0's call
+/// reaches node 0 as node 1's fault text, not as a typed failure: one
+/// `native error: ` prefix per hop in front of the `network: ` text. It must
+/// still read as a network failure, and a run that hits it must end in one.
+#[test]
+fn network_failure_one_hop_away_still_reads_as_network_failure() {
+    for what in ["partition", "crash"] {
+        let fault = |c: &Cluster| match what {
+            "partition" => c.network().fault_plan(|f| f.partition(N1, N2)),
+            _ => c.crash(N2),
+        };
+        // Driver statics on node 1, so a run's `new Y` is node 1's call.
+        // No class is replicated: a crashed node 2 has no backup.
+        let deploy = || {
+            let (u, plan, obs) = transformed_figure2();
+            let policy = StaticPolicy::new()
+                .default_statics(N1)
+                .place("X", Placement::Node(N1))
+                .place("Y", Placement::Node(N2));
+            let cluster = Cluster::new(u, plan, 3, 7, Box::new(policy));
+            cluster.bind_observer(&obs);
+            cluster
+        };
+
+        // Node 0 calls x on node 1, whose `m` calls y on node 2.
+        let cluster = deploy();
+        let y = cluster
+            .new_instance(N0, "Y", 0, vec![Value::Int(3)])
+            .unwrap();
+        let x = cluster.new_instance(N0, "X", 0, vec![y]).unwrap();
+        assert_eq!(cluster.location_of(N0, &x), Some(N1));
+        fault(&cluster);
+        let err = cluster
+            .call_method(N0, x, "m", vec![Value::Long(4)])
+            .unwrap_err();
+        assert!(err.is_network(), "{what}: {err}");
+        assert!(
+            matches!(&err, VmError::Native(m) if m.starts_with("network: ")),
+            "{what}: the failure crosses the hop as text: {err:?}"
+        );
+
+        // The same hop inside a run: node 0 calls `Driver.run` on node 1.
+        let cluster = deploy();
+        fault(&cluster);
+        let trace = cluster.run_observed(N0, "Driver", "run", vec![Value::Int(3)]);
+        match trace.events().last() {
+            Some(TraceEvent::NetworkFailure(m)) => {
+                assert!(m.starts_with("native error: network: "), "{what}: {m}")
+            }
+            other => panic!("{what}: the run must end in a network failure, got {other:?}"),
+        }
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -217,7 +217,7 @@ fn remote_exception_is_caught_by_local_handler() {
     let err = cluster
         .call_method(N0, summer.clone(), "risky", vec![Value::Int(42)])
         .unwrap_err();
-    let rafda_runtime::RuntimeError::Vm(VmError::Exception(h)) = err else {
+    let VmError::Exception(h) = err else {
         panic!("expected exception: {err:?}");
     };
     let vm0 = cluster.vm(N0);
@@ -334,9 +334,7 @@ fn untransformed_payload_classes_travel_by_value() {
     let err = cluster
         .call_method(N0, summer, "risky", vec![Value::Int(7)])
         .unwrap_err();
-    let rafda_runtime::RuntimeError::Vm(VmError::Exception(h)) = err else {
-        panic!()
-    };
+    let VmError::Exception(h) = err else { panic!() };
     let vm0 = cluster.vm(N0);
     let class = vm0.class_of(h).unwrap();
     let name = &cluster.universe().class(class).name;

@@ -1,6 +1,7 @@
 //! Interpreter errors: in-model exceptions, traps and resource limits.
 
 use crate::heap::Handle;
+use rafda_net::NetError;
 use std::fmt;
 
 /// A trap: a condition the verified program can still hit at runtime.
@@ -56,64 +57,19 @@ impl fmt::Display for Trap {
     }
 }
 
-/// The typed cause of a network-level failure.
-///
-/// Mirrors `rafda_net::NetError` without a crate dependency — the VM stays
-/// network-agnostic, but proxy hooks need a structured way to surface
-/// transport faults so retry logic and tests can tell a lost message from a
-/// severed link from a dead node without parsing strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFailureKind {
-    /// The message was dropped in transit.
-    Dropped,
-    /// The two nodes are in different partitions.
-    Partitioned {
-        /// Transmitting node id.
-        from: u32,
-        /// Unreachable destination node id.
-        to: u32,
-    },
-    /// An endpoint node has crashed.
-    NodeCrashed(u32),
-    /// Unknown node id.
-    NoSuchNode(u32),
-}
-
-impl NetFailureKind {
-    /// Whether retransmitting the same message could plausibly succeed.
-    /// Drops are transient; partitions, crashes and bad addresses are not
-    /// (they persist until an operator-level event heals them).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, NetFailureKind::Dropped)
-    }
-}
-
-impl fmt::Display for NetFailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetFailureKind::Dropped => write!(f, "network: message dropped"),
-            NetFailureKind::Partitioned { from, to } => {
-                write!(f, "network: partition between node{from} and node{to}")
-            }
-            NetFailureKind::NodeCrashed(n) => write!(f, "network: node{n} crashed"),
-            NetFailureKind::NoSuchNode(n) => write!(f, "network: no such node node{n}"),
-        }
-    }
-}
-
 /// A network-level failure that exhausted the caller's fault tolerance:
 /// what went wrong and how many transmission attempts were made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFailure {
     /// The final failure observed.
-    pub kind: NetFailureKind,
+    pub kind: NetError,
     /// Total attempts made before giving up (≥ 1).
     pub attempts: u32,
 }
 
 impl NetFailure {
     /// A failure observed on the given attempt count.
-    pub fn new(kind: NetFailureKind, attempts: u32) -> Self {
+    pub fn new(kind: NetError, attempts: u32) -> Self {
         NetFailure { kind, attempts }
     }
 }
@@ -183,8 +139,8 @@ impl VmError {
     ///
     /// `Native` strings are still inspected because a network failure that
     /// crosses a remote hop comes back as a fault message (the serving node
-    /// could not complete a nested remote call): the [`NetFailureKind`]
-    /// text, which starts `network: `, behind one `native error: ` per
+    /// could not complete a nested remote call): the [`NetError`] text,
+    /// which starts `network: `, behind one `native error: ` per
     /// further hop. Anything else — a fault that merely names a class in a
     /// `network` package — is not a network failure.
     pub fn is_network(&self) -> bool {
@@ -225,6 +181,7 @@ impl std::error::Error for VmError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rafda_net::NodeId;
 
     #[test]
     fn display_is_informative() {
@@ -252,29 +209,33 @@ mod tests {
         );
         assert!(!VmError::Native("native error: unknown class network.Router".into()).is_network());
         assert!(!VmError::Trap(Trap::NullDeref).is_network());
-        assert!(VmError::Unreachable(NetFailure::new(NetFailureKind::Dropped, 3)).is_network());
+        let dropped = NetFailure::new(NetError::Dropped, 3);
+        assert!(VmError::Unreachable(dropped).is_network());
     }
 
     #[test]
     fn net_failure_display_keeps_legacy_substrings() {
-        // Trace comparisons and older tests match on these fragments.
-        let dropped = NetFailure::new(NetFailureKind::Dropped, 1);
+        // Trace comparisons and older tests match on these texts.
+        let dropped = NetFailure::new(NetError::Dropped, 1);
         assert_eq!(dropped.to_string(), "network: message dropped");
-        let crashed = NetFailure::new(NetFailureKind::NodeCrashed(2), 1);
-        assert!(crashed.to_string().contains("crashed"));
-        assert!(crashed.to_string().contains("network:"));
-        let parted = NetFailure::new(NetFailureKind::Partitioned { from: 0, to: 1 }, 4);
-        assert!(parted
-            .to_string()
-            .contains("partition between node0 and node1"));
-        assert!(parted.to_string().contains("after 4 attempts"));
+        let crashed = NetFailure::new(NetError::NodeCrashed(NodeId(2)), 1);
+        assert_eq!(crashed.to_string(), "network: node2 crashed");
+        let (from, to) = (NodeId(0), NodeId(1));
+        let parted = NetFailure::new(NetError::Partitioned { from, to }, 4);
+        assert_eq!(
+            parted.to_string(),
+            "network: partition between node0 and node1 (after 4 attempts)"
+        );
+        let nowhere = NetFailure::new(NetError::NoSuchNode(NodeId(9)), 1);
+        assert_eq!(nowhere.to_string(), "network: no such node node9");
     }
 
     #[test]
-    fn transient_kinds() {
-        assert!(NetFailureKind::Dropped.is_transient());
-        assert!(!NetFailureKind::Partitioned { from: 0, to: 1 }.is_transient());
-        assert!(!NetFailureKind::NodeCrashed(1).is_transient());
-        assert!(!NetFailureKind::NoSuchNode(9).is_transient());
+    fn display_passthrough() {
+        let nf = NetFailure::new(NetError::NodeCrashed(NodeId(1)), 2);
+        let e = VmError::Unreachable(nf);
+        assert_eq!(e.to_string(), nf.to_string());
+        assert_eq!(e.net_failure(), Some(&nf));
+        assert_eq!(VmError::Native("network: drop".into()).net_failure(), None);
     }
 }

@@ -46,7 +46,7 @@ pub mod value;
 #[allow(clippy::module_inception)]
 pub mod vm;
 
-pub use error::{NetFailure, NetFailureKind, RpcFault, Trap, VmError};
+pub use error::{NetFailure, RpcFault, Trap, VmError};
 pub use heap::{Handle, Heap, HeapEntry};
 pub use native::{NativeFn, NativeRegistry};
 pub use trace::{Trace, TraceEvent};

@@ -11,6 +11,7 @@
 //! never heap handles — so the traces of a single-address-space run and a
 //! distributed run are directly comparable.
 
+use crate::{Value, Vm, VmError};
 use std::fmt;
 
 /// One observable event.
@@ -77,6 +78,26 @@ impl Trace {
     /// Clear all events.
     pub fn clear(&mut self) {
         self.events.clear();
+    }
+
+    /// Close the trace of a run that returned `result` on `vm`. An error
+    /// becomes the run's terminal event: an uncaught exception's class
+    /// name, a [`TraceEvent::NetworkFailure`] carrying the error's text, or
+    /// any other error as `<error: …>`. Every run's ending is classified
+    /// here; `vm` is where the exception object lives.
+    pub fn finish(&mut self, vm: &Vm, result: Result<Value, VmError>) {
+        let ending = match result {
+            Ok(_) => return,
+            Err(VmError::Exception(h)) => {
+                TraceEvent::UncaughtException(vm.class_of(h).map_or_else(
+                    || "<stale>".to_owned(),
+                    |c| vm.universe().class(c).name.clone(),
+                ))
+            }
+            Err(e) if e.is_network() => TraceEvent::NetworkFailure(e.to_string()),
+            Err(other) => TraceEvent::EmitStr(format!("<error: {other}>")),
+        };
+        self.events.push(ending);
     }
 
     /// Equivalence *modulo network failure*: traces must agree on the prefix

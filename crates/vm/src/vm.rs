@@ -525,27 +525,9 @@ impl Vm {
     pub fn run_observed(&self, class_name: &str, method: &str, args: Vec<Value>) -> Trace {
         self.take_trace();
         let result = self.call_static_by_name(class_name, method, args);
-        match result {
-            Ok(_) => {}
-            Err(VmError::Exception(h)) => {
-                let name = self
-                    .class_of(h)
-                    .map(|c| self.universe.class(c).name.clone())
-                    .unwrap_or_else(|| "<stale>".to_owned());
-                self.push_trace(TraceEvent::UncaughtException(name));
-            }
-            Err(e) if e.is_network() => {
-                let msg = match e {
-                    VmError::Native(msg) => msg,
-                    other => other.to_string(),
-                };
-                self.push_trace(TraceEvent::NetworkFailure(msg));
-            }
-            Err(other) => {
-                self.push_trace(TraceEvent::EmitStr(format!("<error: {other}>")));
-            }
-        }
-        self.take_trace()
+        let mut trace = self.take_trace();
+        trace.finish(self, result);
+        trace
     }
 
     // ------------------------------------------------------------------

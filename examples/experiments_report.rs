@@ -11,7 +11,7 @@ use rafda::classmodel::{ClassKind, Field};
 use rafda::corpus::{generate_app, AppSpec, JdkProfile, ObserverHooks};
 use rafda::transform::analyze;
 use rafda::{
-    declare_introspection, AffinityConfig, Application, ClassUniverse, LocalPolicy, NetFailureKind,
+    declare_introspection, AffinityConfig, Application, ClassUniverse, LocalPolicy, NetError,
     NodeId, Placement, StaticPolicy, Ty, Value, Vm, INTROSPECTION_CLASS,
 };
 
@@ -410,7 +410,7 @@ fn e11() {
     assert_eq!(ok, 10, "without replication the post-crash calls must fail");
     let err = bare[10].as_ref().unwrap_err();
     let nf = err.net_failure().expect("typed network failure");
-    assert_eq!(nf.kind, NetFailureKind::NodeCrashed(1));
+    assert_eq!(nf.kind, NetError::NodeCrashed(NodeId(1)));
     assert_eq!(bare_stats.failovers, 0);
     println!(
         "  replicate 0: {ok}/20 ok, first post-crash error: {} (typed, {} attempt)\n",

@@ -244,10 +244,7 @@ proptest! {
                 .deploy(NODES, seed, Box::new(rafda::LocalPolicy::default()));
             // A larger budget than the default keeps the chance of an
             // exhausted retry astronomically small even across many cases.
-            cluster.set_retry_policy(rafda::RetryPolicy {
-                max_attempts: 10,
-                ..rafda::RetryPolicy::default()
-            });
+            cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = drop);
             cluster.enable_monitors();
             let counters: Vec<Value> = (0..POOL)
@@ -346,10 +343,7 @@ proptest! {
                 .transform(&["RMI"])
                 .unwrap()
                 .deploy(FO_NODES, seed, Box::new(policy));
-            cluster.set_retry_policy(rafda::RetryPolicy {
-                max_attempts: 10,
-                ..rafda::RetryPolicy::default()
-            });
+            cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = 0.10);
             cluster.enable_monitors();
             let counters: Vec<Value> = (0..FO_POOL)
@@ -462,10 +456,7 @@ proptest! {
                 .transform(&["RMI"])
                 .unwrap()
                 .deploy(NODES, seed, Box::new(policy));
-            cluster.set_retry_policy(rafda::RetryPolicy {
-                max_attempts: 10,
-                ..rafda::RetryPolicy::default()
-            });
+            cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = drop);
             cluster.enable_monitors();
             let counters: Vec<Value> = (0..POOL)

@@ -7,7 +7,7 @@ use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
 use rafda::vm::Handle;
 use rafda::{
-    Application, Cluster, NetFailureKind, NodeId, Placement, RuntimeStats, StaticPolicy, Ty, Value,
+    Application, Cluster, NetError, NodeId, Placement, RuntimeStats, StaticPolicy, Ty, Value,
 };
 
 const N0: NodeId = NodeId(0);
@@ -56,7 +56,7 @@ fn deployed(nodes: u32, k: u32, client: NodeId, seed: u64) -> (Cluster, Value) {
     (cluster, c)
 }
 
-fn bump(cluster: &Cluster, node: NodeId, c: &Value, d: i32) -> Result<Value, rafda::RuntimeError> {
+fn bump(cluster: &Cluster, node: NodeId, c: &Value, d: i32) -> Result<Value, rafda::VmError> {
     cluster.call_method(node, c.clone(), "bump", vec![Value::Int(d)])
 }
 
@@ -148,7 +148,7 @@ fn unreplicated_crash_surfaces_typed_unreachable_everywhere() {
     // call_method: typed, fails fast, no failover attempted.
     let err = bump(&cluster, N0, &c, 1).unwrap_err();
     let nf = err.net_failure().expect("typed network failure");
-    assert_eq!(nf.kind, NetFailureKind::NodeCrashed(1));
+    assert_eq!(nf.kind, NetError::NodeCrashed(N1));
     assert_eq!(nf.attempts, 1, "crashes are not retried");
 
     // pull_local: the Fetch against the dead owner is typed too.
@@ -157,7 +157,7 @@ fn unreplicated_crash_surfaces_typed_unreachable_everywhere() {
         .unwrap_err();
     assert_eq!(
         err.net_failure().map(|nf| nf.kind),
-        Some(NetFailureKind::NodeCrashed(1))
+        Some(NetError::NodeCrashed(N1))
     );
 
     // migrate: the crashed node cannot ship its state anywhere.

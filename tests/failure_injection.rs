@@ -272,7 +272,7 @@ fn exhausted_retries_surface_the_typed_failure() {
     // Non-transient failures fail fast with attempts == 1; pure drops with
     // retry disabled surface as Dropped after exactly 1 attempt; a fully
     // lossy link exhausts the whole budget.
-    use rafda::NetFailureKind;
+    use rafda::NetError;
     let cluster = counter_cluster(5);
     let counter = cluster
         .new_instance(NodeId(0), "Counter", 0, vec![])
@@ -284,7 +284,7 @@ fn exhausted_retries_surface_the_typed_failure() {
         .call_method(NodeId(0), counter.clone(), "add", vec![Value::Int(1)])
         .unwrap_err();
     let nf = err.net_failure().expect("typed network failure");
-    assert_eq!(nf.kind, NetFailureKind::Dropped);
+    assert_eq!(nf.kind, NetError::Dropped);
     assert_eq!(nf.attempts, RetryPolicy::default().max_attempts);
     assert!(err.to_string().contains("after 6 attempts"), "{err}");
 
@@ -296,7 +296,8 @@ fn exhausted_retries_surface_the_typed_failure() {
         .call_method(NodeId(0), counter, "add", vec![Value::Int(1)])
         .unwrap_err();
     let nf = err.net_failure().expect("typed network failure");
-    assert_eq!(nf.kind, NetFailureKind::Partitioned { from: 0, to: 1 });
+    let (from, to) = (NodeId(0), NodeId(1));
+    assert_eq!(nf.kind, NetError::Partitioned { from, to });
     assert_eq!(nf.attempts, 1, "non-transient failures must not be retried");
     let stats = cluster.stats();
     assert_eq!(stats.net_failures, 2, "{stats}");
