@@ -269,6 +269,25 @@ if [ "$(wc -w <<<"$ending_sites")" -gt 1 ]; then
   exit 1
 fi
 
+echo "== one soak-op generator: draw feeds every schedule, no product crate links proptest =="
+# `corpus::ops` turns random numbers into `SoakOp`s in one place, `draw`,
+# behind both `OpMix::sample` (the chaos proptests) and `generate_churn` (the
+# production day). A proptest strategy in its product lines means ops are
+# drawn a second way again; a `proptest` entry under `[dependencies]` in any
+# manifest but the shim's own links the test engine into a product crate.
+if sed '/^#\[cfg(test)\]/,$d' crates/corpus/src/ops.rs |
+    grep -nE 'Union::weighted|BoxedStrategy|prop_oneof|fn strategy'; then
+  echo "FAIL: crates/corpus/src/ops.rs draws soak ops a second way" >&2
+  exit 1
+fi
+for m in crates/*/Cargo.toml; do
+  [ "$m" = crates/proptest-shim/Cargo.toml ] && continue
+  if awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^proptest[ =.]/' "$m" | grep .; then
+    echo "FAIL: $m lists proptest under [dependencies]" >&2
+    exit 1
+  fi
+done
+
 echo "== SOAP parses in place: no owned DOM, no per-character copy =="
 # The SOAP decoder reads names, attribute values and entity-free text as
 # slices of the frame. An element tree or a lossy per-scalar copy in its

@@ -106,7 +106,7 @@ impl SoakHarness {
     /// [`DROP_PROBABILITY`] message-drop rate, monitors on, and the whole
     /// object pool created and pinned at the coordinator.
     pub fn deploy(cfg: &ChurnConfig) -> SoakHarness {
-        let coord = NodeId(u32::from(cfg.nodes) - 1);
+        let coord = NodeId(u32::from(ChurnConfig::NODES) - 1);
         let policy = StaticPolicy::new()
             .default_statics(coord)
             .shard("Item", "get_k", SHARD_MODULO)
@@ -121,7 +121,7 @@ impl SoakHarness {
         let cluster = soak_app()
             .transform(&["RMI"])
             .expect("soak app transforms")
-            .deploy(u32::from(cfg.nodes), cfg.seed, Box::new(policy));
+            .deploy(u32::from(ChurnConfig::NODES), cfg.seed, Box::new(policy));
         cluster.set_retry_policy(RetryPolicy { max_attempts: 10 });
         cluster
             .network()
@@ -287,36 +287,10 @@ impl SoakHarness {
                     }
                     // Forwarding chain or unreachable owner: collapse it
                     // by pulling the object local instead.
-                    None => {
-                        let Some(loc) = self.cluster.location_of(coord, &self.objs[idx]) else {
-                            return Err(format!("{op}: object vanished"));
-                        };
-                        if self.down == Some(loc) || loc == coord {
-                            return Ok(());
-                        }
-                        let h = self.objs[idx]
-                            .as_ref_handle()
-                            .expect("pool objects are refs");
-                        self.cluster
-                            .pull_local(coord, h)
-                            .map_err(|e| format!("{op}: {e}"))?;
-                    }
+                    None => self.pull_to_coord(op, idx)?,
                 }
             }
-            SoakOp::Pull { idx } => {
-                let Some(loc) = self.cluster.location_of(coord, &self.objs[idx]) else {
-                    return Err(format!("{op}: object vanished"));
-                };
-                if self.down == Some(loc) || loc == coord {
-                    return Ok(());
-                }
-                let h = self.objs[idx]
-                    .as_ref_handle()
-                    .expect("pool objects are refs");
-                self.cluster
-                    .pull_local(coord, h)
-                    .map_err(|e| format!("{op}: {e}"))?;
-            }
+            SoakOp::Pull { idx } => self.pull_to_coord(op, idx)?,
             SoakOp::Adapt => {
                 self.cluster.adapt(&self.affinity);
             }
@@ -333,6 +307,24 @@ impl SoakHarness {
                 self.heal(oracle)?;
             }
         }
+        Ok(())
+    }
+
+    /// Pull pool object `idx` to the coordinator, unless it is there
+    /// already or sits on the down node.
+    fn pull_to_coord(&self, op: &SoakOp, idx: usize) -> Result<(), String> {
+        let Some(loc) = self.cluster.location_of(self.coord, &self.objs[idx]) else {
+            return Err(format!("{op}: object vanished"));
+        };
+        if self.down == Some(loc) || loc == self.coord {
+            return Ok(());
+        }
+        let h = self.objs[idx]
+            .as_ref_handle()
+            .expect("pool objects are refs");
+        self.cluster
+            .pull_local(self.coord, h)
+            .map_err(|e| format!("{op}: {e}"))?;
         Ok(())
     }
 
@@ -453,11 +445,11 @@ mod tests {
     #[test]
     fn the_cache_canary_makes_a_run_fail() {
         let cfg = ChurnConfig::production_day(13, 0);
-        // `cfg.items` is the first Acct index. Warm the cache, migrate
-        // (tombstone skipped), read again: the value matches the oracle —
-        // only the stale-read monitor can see that the hit was served
-        // through a forwarding location.
-        let acct = cfg.items;
+        // `ChurnConfig::ITEMS` is the first Acct index. Warm the cache,
+        // migrate (tombstone skipped), read again: the value matches the
+        // oracle — only the stale-read monitor can see that the hit was
+        // served through a forwarding location.
+        let acct = ChurnConfig::ITEMS;
         let ops = vec![
             SoakOp::Call {
                 idx: acct,

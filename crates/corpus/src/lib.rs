@@ -16,8 +16,8 @@
 //!   used by the semantic-equivalence property tests (E7) and the overhead
 //!   benchmarks (E4/E8);
 //! * [`ops`] — the shared chaos/soak operation vocabulary: one op enum,
-//!   one weighted arbitrary-op strategy, one oracle-step function, and the
-//!   seeded production-day churn generator behind the E16 soak gate.
+//!   one seeded op generator behind both the per-feature weighted mixes
+//!   and the E16 production-day churn, and one oracle-step function.
 //!
 //! All generators are fully deterministic per seed.
 

@@ -1,5 +1,5 @@
-//! Shared chaos/soak operation vocabulary: one op enum, one arbitrary-op
-//! strategy, one oracle-step function, one seeded churn generator.
+//! Shared chaos/soak operation vocabulary: one op enum, one op generator,
+//! one oracle-step function.
 //!
 //! Every chaos suite in the repo drives a deployed cluster with the same
 //! small set of moves — counter calls, boundary migrations, adaptation
@@ -10,10 +10,11 @@
 //! proptests and any future suite generate from, and step, the *same*
 //! vocabulary.
 //!
-//! Two generation paths share the vocabulary:
+//! One private generator, `draw`, turns a seeded stream into ops for both
+//! kinds of schedule:
 //!
-//! * [`OpMix::strategy`] — a weighted proptest strategy with uniform
-//!   index choice, for the shrink-friendly per-feature chaos proptests;
+//! * [`OpMix::sample`] — a weighted mix with uniform index choice, for the
+//!   per-feature chaos proptests, which take the seed as an input;
 //! * [`generate_churn`] — a seeded, phased production-day schedule with
 //!   Zipf-distributed object popularity, for the E16 soak gate. It is a
 //!   pure function of [`ChurnConfig`]; equal configs give byte-identical
@@ -21,8 +22,8 @@
 
 use crate::rng::Rng;
 use crate::workload::ZipfWorkload;
-use proptest::prelude::*;
 use std::fmt;
+use std::ops::Range;
 
 /// One step of a chaos/soak schedule against a pool of counter-shaped
 /// objects (`0..pool` indices) on a simulated cluster (`0..nodes` ids).
@@ -117,7 +118,7 @@ impl fmt::Display for SoakOp {
 
 /// Weighted mix of [`SoakOp`] variants over a pool/cluster shape. A zero
 /// weight disables the variant entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpMix {
     /// Number of objects in the pool (`idx` domain).
     pub pool: usize,
@@ -151,16 +152,7 @@ impl OpMix {
         OpMix {
             pool,
             nodes,
-            crash_nodes: 0,
-            call: 0,
-            inc: 0,
-            read: 0,
-            migrate: 0,
-            pull: 0,
-            adapt: 0,
-            rebalance: 0,
-            crash: 0,
-            heal: 0,
+            ..OpMix::default()
         }
     }
 
@@ -228,72 +220,27 @@ impl OpMix {
             + self.heal
     }
 
-    /// The shared arbitrary-op strategy: weighted variant choice, uniform
-    /// index/node/delta choice. Variants with zero weight are never
-    /// generated.
+    /// `len` ops drawn from this mix by a stream seeded with `seed`:
+    /// weighted variant choice, uniform index, node and delta choice.
+    /// Variants with zero weight are never drawn.
     ///
     /// # Panics
-    /// If every weight is zero, or a weighted variant has an empty domain
-    /// (e.g. `crash > 0` with `crash_nodes == 0`).
-    pub fn strategy(&self) -> BoxedStrategy<SoakOp> {
-        let m = *self;
-        let mut arms: Vec<(u32, BoxedStrategy<SoakOp>)> = Vec::new();
-        if m.call > 0 {
-            arms.push((
-                m.call,
-                (0..m.pool, -10i8..10)
-                    .prop_map(|(idx, delta)| SoakOp::Call { idx, delta })
-                    .boxed(),
-            ));
-        }
-        if m.inc > 0 {
-            arms.push((
-                m.inc,
-                (0..m.pool, -10i8..10)
-                    .prop_map(|(idx, delta)| SoakOp::Inc { idx, delta })
-                    .boxed(),
-            ));
-        }
-        if m.read > 0 {
-            arms.push((
-                m.read,
-                (0..m.pool).prop_map(|idx| SoakOp::Read { idx }).boxed(),
-            ));
-        }
-        if m.migrate > 0 {
-            arms.push((
-                m.migrate,
-                (0..m.pool, 0..m.nodes)
-                    .prop_map(|(idx, node)| SoakOp::Migrate { idx, node })
-                    .boxed(),
-            ));
-        }
-        if m.pull > 0 {
-            arms.push((
-                m.pull,
-                (0..m.pool).prop_map(|idx| SoakOp::Pull { idx }).boxed(),
-            ));
-        }
-        if m.adapt > 0 {
-            arms.push((m.adapt, Just(SoakOp::Adapt).boxed()));
-        }
-        if m.rebalance > 0 {
-            arms.push((m.rebalance, Just(SoakOp::Rebalance).boxed()));
-        }
-        if m.crash > 0 {
-            assert!(m.crash_nodes > 0, "crash weight needs crash_nodes > 0");
-            arms.push((
-                m.crash,
-                (0..m.crash_nodes)
-                    .prop_map(|node| SoakOp::Crash { node })
-                    .boxed(),
-            ));
-        }
-        if m.heal > 0 {
-            arms.push((m.heal, Just(SoakOp::Heal).boxed()));
-        }
-        assert!(!arms.is_empty(), "an OpMix needs at least one weight");
-        Union::weighted(arms).boxed()
+    /// If every weight is zero, or `crash > 0` with `crash_nodes == 0`.
+    pub fn sample(&self, seed: u64, len: usize) -> Vec<SoakOp> {
+        assert!(self.total() > 0, "an OpMix needs at least one weight");
+        assert!(
+            self.crash == 0 || self.crash_nodes > 0,
+            "crash weight needs crash_nodes > 0"
+        );
+        let mut rng = Rng::new(seed);
+        let mut targets = Targets {
+            hot: None,
+            incs: 0..self.pool,
+            moves: 0..self.pool,
+        };
+        (0..len)
+            .map(|_| draw(self, &mut targets, &mut rng))
+            .collect()
     }
 }
 
@@ -349,56 +296,48 @@ pub enum PoolClass {
     Tally,
 }
 
-/// Shape of a production-day churn schedule: cluster size, object pool
-/// layout, total op count and popularity skew. A pure value — equal
-/// configs generate byte-identical schedules.
+/// A production-day churn schedule: its seed and op count. Everything else
+/// about the day is a constant of the type. A pure value — equal configs
+/// generate byte-identical schedules.
 ///
 /// The pool is laid out `[items][accts][tallys]` in index order, so the
 /// hottest Zipf ranks land on the auction items; the churn generator draws
 /// `Inc` targets from the tally range and `Migrate`/`Pull` targets from
 /// the acct range, matching the policies the soak driver assigns per
 /// class.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnConfig {
     /// Master seed for the schedule.
     pub seed: u64,
-    /// Cluster size; the driver treats node `nodes - 1` as the
-    /// never-crashed coordinator.
-    pub nodes: u8,
-    /// Nodes `0..crash_nodes` are eligible to crash.
-    pub crash_nodes: u8,
-    /// Sharded auction items (pool indices `0..items`).
-    pub items: usize,
-    /// Cached accounts (pool indices `items..items + accts`).
-    pub accts: usize,
-    /// Batched tallies (the remaining pool indices).
-    pub tallys: usize,
     /// Total ops across all phases.
     pub ops: usize,
-    /// Zipf exponent of object popularity.
-    pub exponent: f64,
 }
 
 impl ChurnConfig {
-    /// The standard production-day shape: 6 nodes (coordinator = node 5),
-    /// crashes over nodes 0–2, 16 hot items + 6 accounts + 6 tallies,
-    /// web-like skew. Op count is the caller's depth knob.
+    /// Cluster size; the driver treats node `NODES - 1` as the
+    /// never-crashed coordinator.
+    pub const NODES: u8 = 6;
+    /// Nodes `0..CRASH_NODES` are eligible to crash; the coordinator is not.
+    pub const CRASH_NODES: u8 = 3;
+    /// Sharded auction items (pool indices `0..ITEMS`).
+    pub const ITEMS: usize = 16;
+    /// Cached accounts (pool indices `ITEMS..ITEMS + ACCTS`).
+    pub const ACCTS: usize = 6;
+    /// Batched tallies (the remaining pool indices).
+    pub const TALLYS: usize = 6;
+    /// Zipf exponent of object popularity: web-like skew.
+    pub const EXPONENT: f64 = 1.1;
+
+    /// The production day: 6 nodes (coordinator = node 5), crashes over
+    /// nodes 0–2, 16 hot items + 6 accounts + 6 tallies, web-like skew. Op
+    /// count is the caller's depth knob.
     pub fn production_day(seed: u64, ops: usize) -> Self {
-        ChurnConfig {
-            seed,
-            nodes: 6,
-            crash_nodes: 3,
-            items: 16,
-            accts: 6,
-            tallys: 6,
-            ops,
-            exponent: 1.1,
-        }
+        ChurnConfig { seed, ops }
     }
 
     /// Total pool size.
     pub fn pool(&self) -> usize {
-        self.items + self.accts + self.tallys
+        Self::ITEMS + Self::ACCTS + Self::TALLYS
     }
 
     /// Class of a pool index.
@@ -407,13 +346,62 @@ impl ChurnConfig {
     /// If `idx` is out of the pool.
     pub fn class_of(&self, idx: usize) -> PoolClass {
         assert!(idx < self.pool(), "pool index {idx} out of range");
-        if idx < self.items {
+        if idx < Self::ITEMS {
             PoolClass::Item
-        } else if idx < self.items + self.accts {
+        } else if idx < Self::ITEMS + Self::ACCTS {
             PoolClass::Acct
         } else {
             PoolClass::Tally
         }
+    }
+
+    /// The four phases of the day, in order: name, op count (5 % / 35 % /
+    /// 45 % / the rest of the budget) and mix.
+    fn phases(&self) -> [(&'static str, usize, OpMix); 4] {
+        let day = OpMix::none(self.pool(), Self::NODES);
+        let warm_n = self.ops * 5 / 100;
+        let steady_n = self.ops * 35 / 100;
+        let churn_n = self.ops * 45 / 100;
+        let quiesce_n = self.ops - warm_n - steady_n - churn_n;
+        let warm = OpMix {
+            call: 4,
+            read: 6,
+            ..day
+        };
+        let steady = OpMix {
+            call: 25,
+            read: 45,
+            inc: 10,
+            migrate: 4,
+            pull: 2,
+            adapt: 1,
+            ..day
+        };
+        let churn = OpMix {
+            call: 22,
+            read: 38,
+            inc: 10,
+            migrate: 5,
+            pull: 3,
+            adapt: 2,
+            rebalance: 2,
+            crash: 1,
+            heal: 1,
+            crash_nodes: Self::CRASH_NODES,
+            ..day
+        };
+        let quiesce = OpMix {
+            call: 2,
+            read: 8,
+            heal: 1,
+            ..day
+        };
+        [
+            ("warmup", warm_n, warm),
+            ("steady", steady_n, steady),
+            ("churn", churn_n, churn),
+            ("quiesce", quiesce_n, quiesce),
+        ]
     }
 }
 
@@ -458,88 +446,48 @@ impl ChurnSchedule {
 /// 4. **quiesce** — heals and reads, draining the system to a quiet
 ///    state for the convergence checks.
 ///
-/// Object popularity is Zipf(`exponent`) over the whole pool for calls
-/// and reads; increments target the tally range and moves the acct range
-/// uniformly (see [`ChurnConfig`]).
+/// Object popularity is Zipf([`ChurnConfig::EXPONENT`]) over the whole
+/// pool for calls and reads; increments target the tally range and moves
+/// the acct range uniformly (see [`ChurnConfig`]).
 ///
 /// # Panics
-/// If the config is degenerate (empty pool, zero ops, or a phase that
-/// needs a class/crash range the config doesn't provide).
+/// If the op budget is zero.
 pub fn generate_churn(cfg: &ChurnConfig) -> ChurnSchedule {
-    assert!(cfg.pool() > 0, "churn needs a non-empty pool");
     assert!(cfg.ops > 0, "churn needs a positive op budget");
-    assert!(cfg.nodes >= 2, "churn needs at least two nodes");
-    assert!(cfg.tallys > 0, "the steady mix draws Inc from the tallys");
-    assert!(cfg.accts > 0, "the steady mix draws moves from the accts");
-    assert!(cfg.crash_nodes > 0, "the churn phase crashes nodes");
-    assert!(
-        cfg.crash_nodes < cfg.nodes,
-        "the coordinator must not be crash-eligible"
-    );
-
     let mut rng = Rng::new(cfg.seed ^ 0x50AC_50AC_50AC_50AC);
-    let mut zipf = ZipfWorkload::new(cfg.seed.wrapping_add(1), cfg.pool(), cfg.exponent);
-
-    let warm = OpMix {
-        call: 4,
-        read: 6,
-        ..OpMix::none(cfg.pool(), cfg.nodes)
+    let mut zipf = ZipfWorkload::new(cfg.seed.wrapping_add(1), cfg.pool(), ChurnConfig::EXPONENT);
+    let accts = ChurnConfig::ITEMS..ChurnConfig::ITEMS + ChurnConfig::ACCTS;
+    let mut targets = Targets {
+        hot: Some(&mut zipf),
+        incs: accts.end..cfg.pool(),
+        moves: accts,
     };
-    let steady = OpMix {
-        call: 25,
-        read: 45,
-        inc: 10,
-        migrate: 4,
-        pull: 2,
-        adapt: 1,
-        ..OpMix::none(cfg.pool(), cfg.nodes)
-    };
-    let churn = OpMix {
-        call: 22,
-        read: 38,
-        inc: 10,
-        migrate: 5,
-        pull: 3,
-        adapt: 2,
-        rebalance: 2,
-        crash: 1,
-        heal: 1,
-        crash_nodes: cfg.crash_nodes,
-        ..OpMix::none(cfg.pool(), cfg.nodes)
-    };
-    let quiesce = OpMix {
-        call: 2,
-        read: 8,
-        heal: 1,
-        ..OpMix::none(cfg.pool(), cfg.nodes)
-    };
-
-    let warm_n = cfg.ops * 5 / 100;
-    let steady_n = cfg.ops * 35 / 100;
-    let churn_n = cfg.ops * 45 / 100;
-    let quiesce_n = cfg.ops - warm_n - steady_n - churn_n;
-    let spec: [(&'static str, usize, &OpMix); 4] = [
-        ("warmup", warm_n, &warm),
-        ("steady", steady_n, &steady),
-        ("churn", churn_n, &churn),
-        ("quiesce", quiesce_n, &quiesce),
-    ];
-
-    let phases = spec
-        .iter()
-        .map(|&(name, n, mix)| ChurnPhase {
+    let phases = cfg
+        .phases()
+        .into_iter()
+        .map(|(name, n, mix)| ChurnPhase {
             name,
-            ops: (0..n)
-                .map(|_| draw(mix, cfg, &mut zipf, &mut rng))
-                .collect(),
+            ops: (0..n).map(|_| draw(&mix, &mut targets, &mut rng)).collect(),
         })
         .collect();
     ChurnSchedule { phases }
 }
 
-/// Draw one op from a weighted mix, honouring the per-class index domains
-/// of the churn layout.
-fn draw(mix: &OpMix, cfg: &ChurnConfig, zipf: &mut ZipfWorkload, rng: &mut Rng) -> SoakOp {
+/// Where `draw` takes an op's pool index from.
+struct Targets<'z> {
+    /// `Call` and `Read` targets: a Zipf stream over the pool, or uniform
+    /// over the mix's whole pool.
+    hot: Option<&'z mut ZipfWorkload>,
+    /// `Inc` targets, drawn uniformly.
+    incs: Range<usize>,
+    /// `Migrate` and `Pull` targets, drawn uniformly.
+    moves: Range<usize>,
+}
+
+/// Draw one op from a weighted mix: the variant by weight, then its fields
+/// in declaration order, pool indices from `targets`. This is the only
+/// place random numbers become a [`SoakOp`].
+fn draw(mix: &OpMix, targets: &mut Targets<'_>, rng: &mut Rng) -> SoakOp {
     let mut t = rng.below(mix.total() as usize) as u32;
     let mut hit = |w: u32| {
         if t < w {
@@ -549,30 +497,32 @@ fn draw(mix: &OpMix, cfg: &ChurnConfig, zipf: &mut ZipfWorkload, rng: &mut Rng) 
             false
         }
     };
-    let acct_base = cfg.items;
-    let tally_base = cfg.items + cfg.accts;
+    let mut hot = |rng: &mut Rng| match targets.hot.as_deref_mut() {
+        Some(zipf) => zipf.next_key(),
+        None => rng.below(mix.pool),
+    };
+    let uniform = |range: &Range<usize>, rng: &mut Rng| range.start + rng.below(range.len());
+    let delta = |rng: &mut Rng| rng.range(0, 19) as i8 - 10;
     if hit(mix.call) {
         SoakOp::Call {
-            idx: zipf.next_key(),
-            delta: rng.range(0, 19) as i8 - 10,
+            idx: hot(rng),
+            delta: delta(rng),
         }
     } else if hit(mix.inc) {
         SoakOp::Inc {
-            idx: tally_base + rng.below(cfg.tallys),
-            delta: rng.range(0, 19) as i8 - 10,
+            idx: uniform(&targets.incs, rng),
+            delta: delta(rng),
         }
     } else if hit(mix.read) {
-        SoakOp::Read {
-            idx: zipf.next_key(),
-        }
+        SoakOp::Read { idx: hot(rng) }
     } else if hit(mix.migrate) {
         SoakOp::Migrate {
-            idx: acct_base + rng.below(cfg.accts),
+            idx: uniform(&targets.moves, rng),
             node: rng.below(mix.nodes as usize) as u8,
         }
     } else if hit(mix.pull) {
         SoakOp::Pull {
-            idx: acct_base + rng.below(cfg.accts),
+            idx: uniform(&targets.moves, rng),
         }
     } else if hit(mix.adapt) {
         SoakOp::Adapt
@@ -628,13 +578,13 @@ mod tests {
                     }
                     SoakOp::Migrate { idx, node } => {
                         assert_eq!(c.class_of(idx), PoolClass::Acct, "{op}");
-                        assert!(node < c.nodes);
+                        assert!(node < ChurnConfig::NODES);
                     }
                     SoakOp::Pull { idx } => {
                         assert_eq!(c.class_of(idx), PoolClass::Acct, "{op}");
                     }
                     SoakOp::Crash { node } => {
-                        assert!(node < c.crash_nodes);
+                        assert!(node < ChurnConfig::CRASH_NODES);
                         assert_eq!(phase.name, "churn", "crashes only in churn");
                     }
                     SoakOp::Adapt | SoakOp::Rebalance | SoakOp::Heal => {}
@@ -660,8 +610,8 @@ mod tests {
                 hits[idx] += 1;
             }
         }
-        let hottest = hits[..c.items].iter().sum::<u64>();
-        let rest = hits[c.items..].iter().sum::<u64>();
+        let hottest = hits[..ChurnConfig::ITEMS].iter().sum::<u64>();
+        let rest = hits[ChurnConfig::ITEMS..].iter().sum::<u64>();
         assert!(
             hottest > rest * 2,
             "items must dominate the call/read stream: {hits:?}"
@@ -692,35 +642,88 @@ mod tests {
         assert_eq!(c.class_of(27), PoolClass::Tally);
     }
 
-    proptest! {
-        #[test]
-        fn strategy_respects_the_mix_domains(
-            ops in proptest::collection::vec(
-                OpMix::adaptation(5, 4, 3).strategy(), 1..40),
-        ) {
+    /// Whether `op` is one `mix` may draw: a weighted variant, with its
+    /// index, node and delta inside the mix's domains.
+    fn within(mix: &OpMix, op: &SoakOp) -> bool {
+        let (weight, idx, node, delta) = match *op {
+            SoakOp::Call { idx, delta } => (mix.call, Some(idx), None, delta),
+            SoakOp::Inc { idx, delta } => (mix.inc, Some(idx), None, delta),
+            SoakOp::Read { idx } => (mix.read, Some(idx), None, 0),
+            SoakOp::Migrate { idx, node } => (mix.migrate, Some(idx), Some((node, mix.nodes)), 0),
+            SoakOp::Pull { idx } => (mix.pull, Some(idx), None, 0),
+            SoakOp::Adapt => (mix.adapt, None, None, 0),
+            SoakOp::Rebalance => (mix.rebalance, None, None, 0),
+            SoakOp::Crash { node } => (mix.crash, None, Some((node, mix.crash_nodes)), 0),
+            SoakOp::Heal => (mix.heal, None, None, 0),
+        };
+        weight > 0
+            && idx.is_none_or(|idx| idx < mix.pool)
+            && node.is_none_or(|(node, nodes)| node < nodes)
+            && (-10..10).contains(&delta)
+    }
+
+    /// `sample` draws only what a mix allows, draws every variant it
+    /// weights, and is a function of its seed: for the per-feature mixes
+    /// the chaos suites use and for each phase of the production day.
+    #[test]
+    fn sample_respects_every_mix_domain() {
+        let refused = std::panic::catch_unwind(|| OpMix::none(4, 3).sample(1, 1));
+        assert!(refused.is_err(), "a mix with no weight draws nothing");
+        let day = cfg().phases().map(|(_, _, mix)| mix);
+        let per_feature = [
+            OpMix::boundary(4, 3),
+            OpMix::batched(4, 3),
+            OpMix::crash_stop(6, 3),
+            OpMix::adaptation(5, 4, 3),
+        ];
+        for mix in per_feature.iter().chain(&day) {
+            let ops = mix.sample(7, 2000);
+            assert_eq!(ops, mix.sample(7, 2000), "{mix:?}");
+            assert_ne!(ops, mix.sample(8, 2000), "{mix:?}");
             for op in &ops {
-                match *op {
-                    SoakOp::Call { idx, .. } => prop_assert!(idx < 5),
-                    SoakOp::Crash { node } => prop_assert!(node < 3),
-                    SoakOp::Adapt | SoakOp::Rebalance | SoakOp::Heal => {}
-                    ref other => {
-                        prop_assert!(false, "mix must not generate {}", other);
-                    }
-                }
+                assert!(within(mix, op), "{mix:?} drew {op}");
+            }
+            let kinds: std::collections::BTreeSet<&str> = ops.iter().map(SoakOp::kind).collect();
+            let weighted = [
+                ("call", mix.call),
+                ("inc", mix.inc),
+                ("read", mix.read),
+                ("migrate", mix.migrate),
+                ("pull", mix.pull),
+                ("adapt", mix.adapt),
+                ("rebalance", mix.rebalance),
+                ("crash", mix.crash),
+                ("heal", mix.heal),
+            ];
+            for (kind, weight) in weighted {
+                assert_eq!(kinds.contains(kind), weight > 0, "{mix:?}: {kind}");
             }
         }
+    }
 
-        #[test]
-        fn boundary_mix_never_generates_faults(
-            ops in proptest::collection::vec(OpMix::boundary(4, 3).strategy(), 1..40),
-        ) {
-            for op in &ops {
-                prop_assert!(matches!(
-                    op,
-                    SoakOp::Call { .. } | SoakOp::Migrate { .. }
-                        | SoakOp::Pull { .. } | SoakOp::Adapt
-                ));
+    /// The production-day schedules are held still: an FNV-1a hash over
+    /// every op's `Display` line of the 10⁵-op day, for four seeds. A
+    /// change to how `generate_churn` consumes its streams moves them.
+    #[test]
+    fn production_day_schedules_are_pinned() {
+        let fingerprint = |seed| {
+            let schedule = generate_churn(&ChurnConfig::production_day(seed, 100_000));
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for op in schedule.flatten() {
+                for b in format!("{op}\n").bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
             }
+            h
+        };
+        let pinned: [(u64, u64); 4] = [
+            (42, 0x66ca_7340_42e5_e3df),
+            (1, 0x05d8_16e9_9b24_35cf),
+            (2, 0x0c1e_ef3d_7e7b_9cd6),
+            (3, 0x0849_0115_8445_d36d),
+        ];
+        for (seed, expected) in pinned {
+            assert_eq!(fingerprint(seed), expected, "seed {seed}");
         }
     }
 }

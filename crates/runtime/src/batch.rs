@@ -3,13 +3,13 @@
 //! exchange at a synchronization point.
 
 use crate::cluster::{ClassRow, Shared};
-use crate::failover::locate_home;
+use crate::failover::{locate_home, owner_gone};
 use crate::obs::Met;
 use crate::profile::Section;
 use crate::rpc::{rethrow, rpc};
 use crate::stats::bump;
-use rafda_net::{NetError, NodeId};
-use rafda_vm::{NetFailure, VmError};
+use rafda_net::NodeId;
+use rafda_vm::VmError;
 use rafda_wire::{Reply, Request};
 
 /// Operations deferred toward one owner by one caller, flushed as a single
@@ -105,57 +105,60 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             let row = &shared.rows[pending.row];
             let batch = Request::Batch(pending.ops);
             let outcome = rpc(shared, from, to, row, &batch);
-            // The owner died between the deferral and this flush (delivery
-            // refused, nothing applied). The accepted calls must not be
+            let Request::Batch(ops) = batch else {
+                unreachable!("built above");
+            };
+            // The owner died, or restarted with amnesia, between the
+            // deferral and this flush: the whole frame was refused, or a
+            // deferred call's own sub-reply says its export is unknown
+            // (nothing applied either way). The accepted calls must not be
             // lost: re-home each onto the object's promoted backup — the
-            // same failover a synchronous call would take — and re-defer
-            // it there; this drain loop ships the new queues. Replica
-            // shipments for the dead node are dropped: restart clears the
+            // same failover a synchronous call would take — and re-defer it
+            // there; this drain loop ships the new queues. Replica
+            // shipments for a dead node are dropped: restart clears the
             // synced-version marks, so the owner re-seeds it at its next
             // sync anyway.
-            let node_crashed = matches!(
-                &outcome,
-                Err(VmError::Unreachable(NetFailure {
-                    kind: NetError::NodeCrashed(_),
-                    ..
-                }))
-            );
-            if node_crashed {
-                let Request::Batch(ops) = batch else {
-                    unreachable!("built above");
+            let refused = owner_gone(outcome.as_ref().map(|(reply, _)| reply));
+            let sub_reply = |i: usize| match &outcome {
+                Ok((Reply::Batch(results), _)) => results.get(i).map(|(_, r)| r),
+                _ => None,
+            };
+            for (i, op) in ops.into_iter().enumerate() {
+                if !refused && !sub_reply(i).is_some_and(|r| owner_gone(Ok(r))) {
+                    continue;
+                }
+                let Request::Call {
+                    object,
+                    method,
+                    args,
+                } = op
+                else {
+                    continue;
                 };
-                for op in ops {
-                    let Request::Call { object, .. } = &op else {
-                        continue;
-                    };
-                    match locate_home(shared, from, row, (to.0, *object)) {
-                        Some((nn, noid)) => {
-                            let Request::Call { method, args, .. } = op else {
-                                unreachable!("matched above");
-                            };
-                            let call = Request::Call {
-                                object: noid,
-                                method,
-                                args,
-                            };
-                            enqueue_outcall(shared, from, NodeId(nn), row, call);
-                            bump(shared, from.0, Met::Failovers);
-                        }
-                        // Nobody can take over (unreplicated, or every
-                        // backup is gone): the deferred call is lost for
-                        // real — surface that at this synchronization
-                        // point like any other flush failure.
-                        None => {
-                            if first_err.is_none() {
-                                first_err =
-                                    outcome.as_ref().err().cloned().or_else(|| {
-                                        Some(VmError::Native("deferred call lost".into()))
-                                    });
-                            }
-                        }
+                match locate_home(shared, from, row, (to.0, object)) {
+                    Some((nn, noid)) => {
+                        let call = Request::Call {
+                            object: noid,
+                            method,
+                            args,
+                        };
+                        enqueue_outcall(shared, from, NodeId(nn), row, call);
+                        bump(shared, from.0, Met::Failovers);
+                    }
+                    // Nobody can take over (unreplicated, or every backup
+                    // is gone): the deferred call is lost for real —
+                    // surface that at this synchronization point like any
+                    // other flush failure.
+                    None => {
+                        first_err.get_or_insert_with(|| match (&outcome, sub_reply(i)) {
+                            (Err(e), _) => e.clone(),
+                            (_, Some(Reply::Fault(m))) => VmError::Native(m.clone()),
+                            _ => VmError::Native("deferred call lost".into()),
+                        });
                     }
                 }
-            } else if first_err.is_none() {
+            }
+            if !refused && first_err.is_none() {
                 first_err = flush_error(shared, from, outcome);
             }
         }
@@ -184,6 +187,8 @@ fn flush_error(
     };
     for (_, r) in results {
         match r {
+            // Re-homed by the flush, or reported as lost there.
+            _ if owner_gone(Ok(&r)) => {}
             Reply::Value(_) => {}
             Reply::Exception { class, fields } => {
                 return Some(rethrow(shared, from, &class, &fields));

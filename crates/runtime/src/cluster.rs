@@ -5,7 +5,7 @@
 //! `failover` and `stats`, all working on the one location `Directory`.
 
 use crate::batch::{flush_outqueues, PendingBatch};
-use crate::directory::{Directory, Why};
+use crate::directory::Directory;
 use crate::fifo::FifoMap;
 use crate::introspect;
 use crate::marshal;
@@ -876,11 +876,11 @@ fn proxy_target(shared: &Shared, node: u32, h: Handle) -> Option<(u32, u64)> {
 }
 
 /// The object at `old` now lives at `new`: see [`Directory::relocate`].
-pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64), why: Why) {
+pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
     shared
         .directory
         .borrow_mut()
-        .relocate(old, new, why, |n, h| proxy_target(shared, n, h));
+        .relocate(old, new, |n, h| proxy_target(shared, n, h));
 }
 
 pub(crate) fn lookup_export(shared: &Shared, node: NodeId, oid: u64) -> Option<Handle> {

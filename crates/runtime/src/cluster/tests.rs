@@ -177,6 +177,34 @@ fn deferred_ops_flush_at_a_value_returning_call() {
     assert!(cluster.shared().outqueues.borrow().is_empty());
 }
 
+/// A deferred call to an owner that restarted with amnesia is re-homed as
+/// one to a crashed owner is: its own sub-reply says the export is unknown,
+/// and the flush sends it on to the promoted backup, so batching changes
+/// nothing an unbatched run would return.
+#[test]
+fn a_deferred_call_to_an_amnesiac_owner_is_rehomed() {
+    for batch in [false, true] {
+        let policy = StaticPolicy::new()
+            .place("C", Placement::Node(NodeId(1)))
+            .batch("C", batch)
+            .replicate("C", 1);
+        let (cluster, _) = deployed(policy);
+        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+        let call = |method: &str, v: i32| {
+            cluster.call_method(NodeId(0), obj.clone(), method, vec![Value::Int(v)])
+        };
+        assert_eq!(call("add", 5).unwrap(), Value::Int(5));
+        cluster.crash(NodeId(1));
+        cluster.restart(NodeId(1));
+        assert_eq!(call("set_v", 9).unwrap(), Value::Null);
+        assert_eq!(
+            call("add", 1).unwrap(),
+            Value::Int(10),
+            "batch {batch}: the deferred set_v was lost"
+        );
+    }
+}
+
 /// The zero-copy wire path at the runtime level: a repeated call sends
 /// fewer bytes than its first occurrence (the method signature shrank
 /// to an interned reference), encode buffers are recycled per link, and
@@ -1576,12 +1604,6 @@ use rafda_corpus::ops::{OpMix, SoakOp};
 
 const CHAOS_POOL: usize = 6;
 
-/// The shared adaptation-chaos mix (see [`rafda_corpus::ops`]): calls,
-/// both adaptation loops and crash/restart over nodes 0–2.
-fn arb_chaos_op() -> BoxedStrategy<SoakOp> {
-    OpMix::adaptation(CHAOS_POOL, 4, 3).strategy()
-}
-
 /// The invariant [`Directory::relocate`] maintains, as a proptest
 /// failure: delegates to the same structural sweep
 /// [`Cluster::check_invariants`] runs at quiescent points.
@@ -1602,9 +1624,13 @@ proptest! {
     /// monitors stay silent throughout.
     #[test]
     fn adaptation_chaos_leaves_no_stale_affinity(
-        ops in prop::collection::vec(arb_chaos_op(), 1..40),
+        ops_seed in any::<u64>(),
+        len in 1usize..40,
         seed in 0u64..200,
     ) {
+        // The shared adaptation-chaos mix (see [`rafda_corpus::ops`]):
+        // calls, both adaptation loops and crash/restart over nodes 0–2.
+        let ops = OpMix::adaptation(CHAOS_POOL, 4, 3).sample(ops_seed, len);
         // The coordinator drives every call and never crashes; replica
         // targets prefer low node ids, so it never holds a backup and
         // every failover crosses the wire.

@@ -41,19 +41,6 @@ pub(crate) type ShardKey = (usize, u32);
 /// pre-move value.
 pub(crate) const VERSION_TOMBSTONE: u64 = u64::MAX;
 
-/// Why an object changed location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Why {
-    /// Its owner shipped it to another node; the old export now forwards.
-    Migrated,
-    /// Another node fetched it; the old export now forwards.
-    Pulled,
-    /// A backup took over from a dead (or amnesiac) owner. The old node's
-    /// registry is left alone: it is unobservable while down and wiped by
-    /// the restart.
-    Promoted,
-}
-
 /// How an export's live state relates to what its backups last received.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Drift {
@@ -204,13 +191,15 @@ impl Directory {
     }
 
     /// The object at `old` now lives at `new`. In order: tombstone `old`'s
-    /// version (no read through it may be cached again); unless the old
-    /// owner is dead, demote its export to a forwarding stub (which also
-    /// ends its replication duties); record `old → new` and drop any
-    /// outgoing edge of `new`, which keeps every chain acyclic and ending
-    /// at a live home; and purge the affinity counters of both locations,
-    /// plus any counter of an exported proxy that `points_at` either — the
-    /// counts describe calls received at a home the object no longer has.
+    /// version (no read through it may be cached again); if the mover
+    /// rewrote the object at `old` into a proxy — a migration or a pull
+    /// did, a promotion leaves a dead owner's object alone — demote its
+    /// export to a forwarding stub (which also ends its replication
+    /// duties); record `old → new` and drop any outgoing edge of `new`,
+    /// which keeps every chain acyclic and ending at a live home; and purge
+    /// the affinity counters of both locations, plus any counter of an
+    /// exported proxy that `points_at` either — the counts describe calls
+    /// received at a home the object no longer has.
     ///
     /// `points_at(node, handle)` answers, from the node's heap, which
     /// location an exported proxy addresses (`None` for anything else).
@@ -218,7 +207,6 @@ impl Directory {
         &mut self,
         old: Loc,
         new: Loc,
-        why: Why,
         points_at: impl Fn(u32, Handle) -> Option<Loc>,
     ) {
         if !std::mem::take(&mut self.skip_next_tombstone) {
@@ -227,11 +215,11 @@ impl Directory {
             let lagged = self.shipped_version(old).is_some_and(|s| behind(before, s));
             self.lagging -= u64::from(lagged);
         }
-        if why != Why::Promoted {
-            let st = &mut self.nodes[old.0 as usize];
-            if let Some(h) = st.exports.remove(&old.1) {
-                st.forwards.insert(old.1, h);
-            }
+        let st = &mut self.nodes[old.0 as usize];
+        let rewritten = st.exports.get(&old.1).copied();
+        if let Some(h) = rewritten.filter(|&h| points_at(old.0, h).is_some()) {
+            st.exports.remove(&old.1);
+            st.forwards.insert(old.1, h);
             st.replicated.remove(&old.1);
             self.dirty.remove(&old);
         }
@@ -691,10 +679,11 @@ mod tests {
         (0..n).map(|_| vm.alloc_raw(c, vec![])).collect()
     }
 
-    /// `h` moves from its export `old` to `to`, as a migration does.
+    /// `h` moves from its export `old` to `to`, as a migration does: the
+    /// handle left at `old` is now a proxy for the new location.
     fn migrate(dir: &mut Directory, old: Loc, h: Handle, to: u32) -> Loc {
         let new = (to, dir.export(to, h, false));
-        dir.relocate(old, new, Why::Migrated, |_, _| None);
+        dir.relocate(old, new, |n, x| (n == old.0 && x == h).then_some(new));
         new
     }
 
@@ -737,7 +726,7 @@ mod tests {
         assert_eq!(dir.version(home), VERSION_TOMBSTONE);
         assert!(!dir.bump(home), "a stub cannot ship");
         let back = (0, dir.export(0, h, true));
-        dir.relocate(away, back, Why::Migrated, |_, _| None);
+        dir.relocate(away, back, |n, x| (n == away.0 && x == h).then_some(back));
         assert_eq!(back, home);
         assert_eq!(dir.live_export(home), Some(h));
         assert_eq!(dir.version(home), VERSION_TOMBSTONE);
@@ -758,9 +747,7 @@ mod tests {
         }
         let new = (1, dir.export(1, hs[0], false));
         dir.record_call(new, 2);
-        dir.relocate(old, new, Why::Migrated, |n, h| {
-            (n == 2 && h == hs[2]).then_some(old)
-        });
+        dir.relocate(old, new, |n, h| (n == 2 && h == hs[2]).then_some(old));
         assert_eq!(dir.affinity(0).len(), 1);
         assert_eq!(dir.affinity(0)[0].oid, bystander.1);
         assert_eq!(dir.affinity(1), vec![]);
@@ -934,7 +921,6 @@ mod tests {
             from: u32,
             pick: usize,
             to: u32,
-            pulled: bool,
         },
         /// A backup on `to` takes over the `pick`-th export of the down node.
         Promote {
@@ -996,8 +982,7 @@ mod tests {
         prop_oneof![
             4 => (node(), pick(), any::<bool>())
                 .prop_map(|(node, h, replicated)| Op::Export { node, h, replicated }),
-            4 => (node(), pick(), node(), any::<bool>())
-                .prop_map(|(from, pick, to, pulled)| Op::Move { from, pick, to, pulled }),
+            4 => (node(), pick(), node()).prop_map(|(from, pick, to)| Op::Move { from, pick, to }),
             2 => (pick(), node()).prop_map(|(pick, to)| Op::Promote { pick, to }),
             3 => (node(), pick()).prop_map(|(node, pick)| Op::Bump { node, pick }),
             2 => (node(), pick(), any::<bool>(), any::<bool>()).prop_map(
@@ -1048,12 +1033,7 @@ mod tests {
                 w.proxies.remove(&(node, hs[h]));
                 dir.export(node, hs[h], replicated);
             }
-            Op::Move {
-                from,
-                pick,
-                to,
-                pulled,
-            } if from != to && up(from) && up(to) => {
+            Op::Move { from, pick, to } if from != to && up(from) && up(to) => {
                 let Some((old, h)) = pick_live(dir, from, pick) else {
                     return;
                 };
@@ -1062,10 +1042,11 @@ mod tests {
                 }
                 w.proxies.remove(&(to, h));
                 let new = (to, dir.export(to, h, pick % 2 == 0));
-                let why = if pulled { Why::Pulled } else { Why::Migrated };
-                let proxies = &w.proxies;
-                dir.relocate(old, new, why, |n, h| proxies.get(&(n, h)).copied());
+                // The mover rewrites the object it leaves behind into a
+                // proxy before it relocates, as migrations and pulls do.
                 w.proxies.insert((from, h), new);
+                let proxies = &w.proxies;
+                dir.relocate(old, new, |n, h| proxies.get(&(n, h)).copied());
                 w.moved_from.push(old);
             }
             Op::Promote { pick, to } if w.down.is_some_and(|d| d != to) => {
@@ -1077,9 +1058,7 @@ mod tests {
                 let new = (to, dir.export(to, h, true));
                 let _ = dir.bump(new);
                 let proxies = &w.proxies;
-                dir.relocate(old, new, Why::Promoted, |n, h| {
-                    proxies.get(&(n, h)).copied()
-                });
+                dir.relocate(old, new, |n, h| proxies.get(&(n, h)).copied());
                 w.moved_from.push(old);
             }
             Op::Bump { node, pick } if up(node) => {
@@ -1155,6 +1134,13 @@ mod tests {
                 prop_assert!(!st.forwards.contains_key(oid), "{n}#{oid} live and stub");
             }
             prop_assert_eq!(st.export_ids.len(), st.exports.len() + st.forwards.len());
+            // A stub is exactly an export whose handle became a proxy.
+            for (oid, h) in &st.exports {
+                prop_assert!(!w.proxies.contains_key(&(n, *h)), "{n}#{oid} live, a proxy");
+            }
+            for (oid, h) in &st.forwards {
+                prop_assert!(w.proxies.contains_key(&(n, *h)), "{n}#{oid} stub, no proxy");
+            }
             for oid in &st.replicated {
                 prop_assert!(
                     st.exports.contains_key(oid),

@@ -7,11 +7,12 @@ use crate::cluster::{lookup_export, point_proxy_at, ClassRow, Cluster, NodeState
 use crate::obs::Met;
 use crate::replicate::{charge_marks, replica_targets};
 use crate::rpc::rpc;
+use crate::serve::is_unknown_object;
 use crate::stats::bump;
 use rafda_classmodel::ClassId;
-use rafda_net::NodeId;
+use rafda_net::{NetError, NodeId};
 use rafda_telemetry::SpanOutcome;
-use rafda_vm::Handle;
+use rafda_vm::{Handle, VmError};
 use rafda_wire::{Reply, Request, WireValue};
 
 impl Cluster {
@@ -49,6 +50,20 @@ impl Cluster {
         for (n, marked) in marks.into_iter().enumerate() {
             charge_marks(&self.shared, n as u32, marked);
         }
+    }
+}
+
+/// Whether an exchange's outcome says the owner of the addressed object is
+/// gone: it is crashed (delivery refused, nothing applied), or it restarted
+/// with amnesia and answered that it does not know the export. Either way
+/// the caller re-homes the call onto a promoted backup — a proxy call its
+/// whole request, a batch flush each deferred call whose own sub-reply says
+/// so.
+pub(crate) fn owner_gone(outcome: Result<&Reply, &VmError>) -> bool {
+    match outcome {
+        Ok(reply) => is_unknown_object(reply),
+        Err(VmError::Unreachable(failure)) => matches!(failure.kind, NetError::NodeCrashed(_)),
+        Err(_) => false,
     }
 }
 

@@ -7,7 +7,6 @@ use crate::cluster::{
     bump_version, export, gen_info, info_of, is_local_impl, lookup_export, point_proxy_at,
     read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
-use crate::directory::Why;
 use crate::marshal;
 use crate::obs::Met;
 use crate::replicate::sync_replicas;
@@ -134,12 +133,7 @@ impl Cluster {
             proxy_class,
             (target.node.0, target.oid),
         );
-        relocate(
-            shared,
-            (from.0, source_oid),
-            (target.node.0, target.oid),
-            Why::Migrated,
-        );
+        relocate(shared, (from.0, source_oid), (target.node.0, target.oid));
         bump(shared, from.0, Met::Migrations);
         Ok(MigrationEvent {
             class: row.name.clone(),

@@ -5,12 +5,12 @@
 use crate::batch::{enqueue_outcall, flush_outqueues};
 use crate::cluster::{gen_info, getter_sigs, read_proxy_state, version_of, ClassRow, Shared};
 use crate::directory::VERSION_TOMBSTONE;
-use crate::failover::failover;
+use crate::failover::{failover, owner_gone};
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
 use crate::replicate::{replica_read, sync_dirty_replicas};
-use crate::serve::{deliver, is_unknown_object, reply_outcome};
+use crate::serve::{deliver, reply_outcome};
 use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
@@ -141,14 +141,7 @@ pub(crate) fn proxy_call(
     let mut hops = 0u32;
     let (reply, obj_version) = loop {
         let outcome = rpc(shared, node, NodeId(target), row, &req);
-        let rehome = match &outcome {
-            Err(VmError::Unreachable(NetFailure {
-                kind: NetError::NodeCrashed(_),
-                ..
-            })) => true,
-            Ok((reply, _)) => is_unknown_object(reply),
-            _ => false,
-        };
+        let rehome = owner_gone(outcome.as_ref().map(|(reply, _)| reply));
         if rehome && hops <= shared.vms.len() as u32 {
             if let Some((nn, noid)) = failover(shared, node, recv, class, row, (target, oid)) {
                 hops += 1;

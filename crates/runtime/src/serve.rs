@@ -8,7 +8,6 @@ use crate::cluster::{
     getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, point_proxy_at, read_proxy_state,
     relocate, remote_ref, version_of, Shared,
 };
-use crate::directory::Why;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
@@ -349,7 +348,7 @@ fn dispatch_request(
             let info = gen_info(shared, class).ok_or("cannot forward untransformed object")?;
             let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
             point_proxy_at(shared, node, h, proxy_class, (to_node, to_object));
-            relocate(shared, (node.0, object), (to_node, to_object), Why::Pulled);
+            relocate(shared, (node.0, object), (to_node, to_object));
             Ok(Reply::Value(WireValue::Null))
         }
         Request::ReplicaSync {
@@ -389,7 +388,7 @@ fn dispatch_request(
             let (_, class, fields) =
                 entry.ok_or_else(|| format!("no replica of {old_node}#{old_object} on {node}"))?;
             let oid = land(shared, node, class_named(&class)?, &fields, Some(key))?;
-            relocate(shared, key, (node.0, oid), Why::Promoted);
+            relocate(shared, key, (node.0, oid));
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
             // second crash before the next mutation still loses nothing.

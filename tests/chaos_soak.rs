@@ -4,16 +4,19 @@
 //! exactly what a single-address-space run would have — the paper's
 //! interchangeability claim under adversarial schedules.
 //!
-//! All four properties generate their schedules from the shared op
-//! vocabulary in [`rafda::corpus::ops`] — the same [`SoakOp`] enum the
+//! All four properties draw their schedules from the shared op vocabulary
+//! in [`rafda::corpus::ops`] — the same [`SoakOp`] enum and generator the
 //! production-day soak gate (E16, `tests/soak.rs`) churns with, here at
-//! per-feature mixes with proptest shrinking.
+//! per-feature mixes seeded by the proptest input — apply them through one
+//! driver ([`Chaos::apply`]) and step the same exact [`Oracle`].
 
 use proptest::prelude::*;
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
-use rafda::corpus::ops::{OpMix, SoakOp};
-use rafda::{AffinityConfig, Application, LocalPolicy, NodeId, Placement, StaticPolicy, Ty, Value};
+use rafda::corpus::ops::{OpMix, Oracle, SoakOp};
+use rafda::{
+    AffinityConfig, Application, Cluster, LocalPolicy, NodeId, Placement, StaticPolicy, Ty, Value,
+};
 
 const POOL: usize = 4;
 const NODES: u32 = 3;
@@ -143,89 +146,167 @@ fn cases() -> u32 {
         .unwrap_or(24)
 }
 
+/// The exact single-address-space prediction for `ops` over a pool of
+/// `pool` counters: each `Call`'s return, then every counter's final value.
+fn expected(pool: usize, ops: &[SoakOp]) -> Vec<i32> {
+    let mut oracle = Oracle::new(pool);
+    let mut values: Vec<i32> = ops.iter().filter_map(|op| oracle.step(op)).collect();
+    values.extend(oracle.values());
+    values
+}
+
+/// A deployed pool of counters and the one way the chaos properties apply
+/// an op to it.
+struct Chaos {
+    cluster: Cluster,
+    counters: Vec<Value>,
+    /// The node each counter is driven through: the one that created it
+    /// and so holds its reference.
+    home: Vec<NodeId>,
+    /// The crashed node, if any: at most one is down at a time.
+    down: Option<NodeId>,
+}
+
+impl Chaos {
+    /// Turn the monitors on and create counter `i` as `at(i)` says: on
+    /// which node, of which class.
+    fn new(cluster: Cluster, pool: usize, at: impl Fn(usize) -> (NodeId, String)) -> Chaos {
+        cluster.enable_monitors();
+        let (counters, home) = (0..pool)
+            .map(|i| {
+                let (node, class) = at(i);
+                (cluster.new_instance(node, &class, 0, vec![]).unwrap(), node)
+            })
+            .unzip();
+        Chaos {
+            cluster,
+            counters,
+            home,
+            down: None,
+        }
+    }
+
+    /// `method(delta)` on counter `idx`, through its home node.
+    fn call(&self, idx: usize, method: &str, delta: i8) -> Value {
+        let args = vec![Value::Int(i32::from(delta))];
+        let counter = self.counters[idx].clone();
+        self.cluster
+            .call_method(self.home[idx], counter, method, args)
+            .unwrap()
+    }
+
+    /// Apply one op and return what a `Call` observed.
+    ///
+    /// `Migrate` moves a counter that sits at its home and pulls a roaming
+    /// one back instead; `Pull` brings it home. `Crash` restarts the down
+    /// node first and `Heal` restarts it: with k = 2 and both backups live
+    /// at every owner crash, some replica is always current.
+    fn apply(&mut self, op: &SoakOp) -> Option<i32> {
+        match *op {
+            SoakOp::Call { idx, delta } => match self.call(idx, "add", delta) {
+                Value::Int(v) => return Some(v),
+                other => panic!("unexpected {other:?}"),
+            },
+            // Fire-and-forget: returns Null immediately when deferred, so
+            // nothing is observed here — the next add sees the effect.
+            SoakOp::Inc { idx, delta } => {
+                self.call(idx, "inc", delta);
+            }
+            SoakOp::Migrate { idx, node } => {
+                let node = NodeId(u32::from(node));
+                let h = self.counters[idx].as_ref_handle().unwrap();
+                let loc = self.location(idx);
+                if loc != node {
+                    // A migration starts where the object is; the home
+                    // holds only a proxy to a roaming one, so pull it.
+                    if loc == self.home[idx] {
+                        self.cluster.migrate(loc, h, node).unwrap();
+                    } else {
+                        self.cluster.pull_local(self.home[idx], h).unwrap();
+                    }
+                }
+            }
+            SoakOp::Pull { idx } => {
+                if self.location(idx) != self.home[idx] {
+                    let h = self.counters[idx].as_ref_handle().unwrap();
+                    self.cluster.pull_local(self.home[idx], h).unwrap();
+                }
+            }
+            SoakOp::Adapt => {
+                self.cluster.adapt(&AffinityConfig {
+                    min_calls: 4,
+                    min_fraction: 0.5,
+                });
+            }
+            SoakOp::Crash { node } => {
+                self.heal();
+                let node = NodeId(u32::from(node));
+                self.cluster.crash(node);
+                self.down = Some(node);
+            }
+            SoakOp::Heal => self.heal(),
+            ref other => unreachable!("no chaos mix here draws {other}"),
+        }
+        None
+    }
+
+    /// Where counter `idx` lives, as seen from its home node.
+    fn location(&self, idx: usize) -> NodeId {
+        self.cluster
+            .location_of(self.home[idx], &self.counters[idx])
+            .unwrap()
+    }
+
+    /// Restart the down node, if any. A restarted node starts with an empty
+    /// replica store and only re-enters the sync set at the next served
+    /// mutation, so every counter is touched before any further crash —
+    /// otherwise two bounce cycles with no calls in between really do lose
+    /// the last copy.
+    fn heal(&mut self) {
+        if let Some(d) = self.down.take() {
+            self.cluster.restart(d);
+            for idx in 0..self.counters.len() {
+                self.call(idx, "add", 0);
+            }
+        }
+    }
+
+    /// Apply `ops`, then read every counter with `add(0)` — even one whose
+    /// owner is down right now — and sweep the invariants: what
+    /// [`expected`] predicts, the run's stats and its simulated clock.
+    fn run(mut self, ops: &[SoakOp]) -> (Vec<i32>, rafda::RuntimeStats, u64) {
+        let mut observed: Vec<i32> = ops.iter().filter_map(|op| self.apply(op)).collect();
+        for idx in 0..self.counters.len() {
+            observed.extend(self.apply(&SoakOp::Call { idx, delta: 0 }));
+        }
+        assert_eq!(self.cluster.check_invariants(), vec![], "monitor violation");
+        let now = self.cluster.network().now().as_ns();
+        (observed, self.cluster.stats(), now)
+    }
+}
+
+/// Counter `i` of `class` on node `i % NODES`, so the pool starts spread
+/// over every heap.
+fn round_robin(class: &str) -> impl Fn(usize) -> (NodeId, String) + '_ {
+    move |i| (NodeId((i % NODES as usize) as u32), class.to_owned())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn boundary_chaos_never_changes_observable_values(
-        ops in prop::collection::vec(OpMix::boundary(POOL, NODES as u8).strategy(), 1..60),
+        ops_seed in any::<u64>(),
+        len in 1usize..60,
         seed in 0u64..1000,
     ) {
+        let ops = OpMix::boundary(POOL, NODES as u8).sample(ops_seed, len);
         let cluster = counter_app()
             .transform(&["RMI"])
             .unwrap()
             .deploy(NODES, seed, Box::new(LocalPolicy::default()));
-        cluster.enable_monitors();
-        // Counters created round-robin so they start on different nodes'
-        // heaps (but all local to node 0's view via proxies).
-        let counters: Vec<Value> = (0..POOL)
-            .map(|i| {
-                cluster
-                    .new_instance(NodeId((i % NODES as usize) as u32), "Counter", 0, vec![])
-                    .unwrap()
-            })
-            .collect();
-        // Each node needs its own reference; get one by calling through
-        // node 0 first when needed. For simplicity all calls go through the
-        // creating node's reference:
-        let home: Vec<NodeId> = (0..POOL).map(|i| NodeId((i % NODES as usize) as u32)).collect();
-        let mut oracle = [0i32; POOL];
-
-        for op in &ops {
-            match *op {
-                SoakOp::Call { idx, delta } => {
-                    oracle[idx] += i32::from(delta);
-                    let r = cluster
-                        .call_method(
-                            home[idx],
-                            counters[idx].clone(),
-                            "add",
-                            vec![Value::Int(i32::from(delta))],
-                        )
-                        .unwrap();
-                    prop_assert_eq!(r, Value::Int(oracle[idx]), "{:?}", op);
-                }
-                SoakOp::Migrate { idx, node } => {
-                    let h = counters[idx].as_ref_handle().unwrap();
-                    // Find where it currently lives as seen from its home.
-                    let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                    if loc != NodeId(u32::from(node)) {
-                        // Migration must start at the current home; the
-                        // handle we hold is on `home[idx]` — if the object
-                        // is local there, migrate; otherwise pull first.
-                        if loc == home[idx] {
-                            cluster.migrate(home[idx], h, NodeId(u32::from(node))).unwrap();
-                        } else {
-                            // The object is remote from home's perspective:
-                            // use pull_local to bring it here instead.
-                            cluster.pull_local(home[idx], h).unwrap();
-                        }
-                    }
-                }
-                SoakOp::Pull { idx } => {
-                    let h = counters[idx].as_ref_handle().unwrap();
-                    let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                    if loc != home[idx] {
-                        cluster.pull_local(home[idx], h).unwrap();
-                    }
-                }
-                SoakOp::Adapt => {
-                    cluster.adapt(&AffinityConfig {
-                        min_calls: 4,
-                        min_fraction: 0.5,
-                    });
-                }
-                ref other => unreachable!("the boundary mix never generates {other}"),
-            }
-        }
-        // Final sweep: every counter still reachable with the right value.
-        for idx in 0..POOL {
-            let r = cluster
-                .call_method(home[idx], counters[idx].clone(), "add", vec![Value::Int(0)])
-                .unwrap();
-            prop_assert_eq!(r, Value::Int(oracle[idx]), "final counter {}", idx);
-        }
-        prop_assert_eq!(cluster.check_invariants(), vec![]);
+        let (observed, _, _) = Chaos::new(cluster, POOL, round_robin("Counter")).run(&ops);
+        prop_assert_eq!(observed, expected(POOL, &ops), "{:?}", ops);
     }
 
     /// Fault-tolerant chaos: the same op schedule run fault-free and under
@@ -234,10 +315,12 @@ proptest! {
     /// without ever double-applying a mutation.
     #[test]
     fn drop_chaos_matches_fault_free_run_exactly(
-        ops in prop::collection::vec(OpMix::boundary(POOL, NODES as u8).strategy(), 1..40),
+        ops_seed in any::<u64>(),
+        len in 1usize..40,
         seed in 0u64..500,
     ) {
-        let run = |drop: f64| -> (Vec<i32>, rafda::RuntimeStats) {
+        let ops = OpMix::boundary(POOL, NODES as u8).sample(ops_seed, len);
+        let run = |drop: f64| {
             let cluster = counter_app()
                 .transform(&["RMI"])
                 .unwrap()
@@ -246,74 +329,11 @@ proptest! {
             // exhausted retry astronomically small even across many cases.
             cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = drop);
-            cluster.enable_monitors();
-            let counters: Vec<Value> = (0..POOL)
-                .map(|i| {
-                    cluster
-                        .new_instance(NodeId((i % NODES as usize) as u32), "Counter", 0, vec![])
-                        .unwrap()
-                })
-                .collect();
-            let home: Vec<NodeId> =
-                (0..POOL).map(|i| NodeId((i % NODES as usize) as u32)).collect();
-            let mut results = Vec::new();
-            for op in &ops {
-                match *op {
-                    SoakOp::Call { idx, delta } => {
-                        let r = cluster
-                            .call_method(
-                                home[idx],
-                                counters[idx].clone(),
-                                "add",
-                                vec![Value::Int(i32::from(delta))],
-                            )
-                            .unwrap();
-                        match r {
-                            Value::Int(v) => results.push(v),
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                    SoakOp::Migrate { idx, node } => {
-                        let h = counters[idx].as_ref_handle().unwrap();
-                        let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                        if loc != NodeId(u32::from(node)) {
-                            if loc == home[idx] {
-                                cluster.migrate(home[idx], h, NodeId(u32::from(node))).unwrap();
-                            } else {
-                                cluster.pull_local(home[idx], h).unwrap();
-                            }
-                        }
-                    }
-                    SoakOp::Pull { idx } => {
-                        let h = counters[idx].as_ref_handle().unwrap();
-                        let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                        if loc != home[idx] {
-                            cluster.pull_local(home[idx], h).unwrap();
-                        }
-                    }
-                    SoakOp::Adapt => {
-                        cluster.adapt(&AffinityConfig {
-                            min_calls: 4,
-                            min_fraction: 0.5,
-                        });
-                    }
-                    ref other => unreachable!("this mix never generates {other}"),
-                }
-            }
-            for idx in 0..POOL {
-                let r = cluster
-                    .call_method(home[idx], counters[idx].clone(), "add", vec![Value::Int(0)])
-                    .unwrap();
-                match r {
-                    Value::Int(v) => results.push(v),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            assert_eq!(cluster.check_invariants(), vec![], "monitor violation");
-            (results, cluster.stats())
+            Chaos::new(cluster, POOL, round_robin("Counter")).run(&ops)
         };
-        let (clean, clean_stats) = run(0.0);
-        let (chaotic, chaos_stats) = run(0.10);
+        let (clean, clean_stats, _) = run(0.0);
+        let (chaotic, chaos_stats, _) = run(0.10);
+        prop_assert_eq!(&clean, &expected(POOL, &ops), "fault-free run diverged");
         prop_assert_eq!(&clean, &chaotic, "drops changed an observable value");
         prop_assert_eq!(clean_stats.retries, 0);
         prop_assert_eq!(clean_stats.dedup_hits, 0);
@@ -329,10 +349,12 @@ proptest! {
     /// included.
     #[test]
     fn crash_stop_chaos_loses_nothing_and_stays_deterministic(
-        ops in prop::collection::vec(OpMix::crash_stop(FO_POOL, 3).strategy(), 1..50),
+        ops_seed in any::<u64>(),
+        len in 1usize..50,
         seed in 0u64..500,
     ) {
-        let run = || -> (Vec<i32>, rafda::RuntimeStats, u64) {
+        let ops = OpMix::crash_stop(FO_POOL, 3).sample(ops_seed, len);
+        let run = || {
             let mut policy = StaticPolicy::new().default_statics(FO_COORD);
             for i in 0..3u32 {
                 policy = policy
@@ -345,94 +367,11 @@ proptest! {
                 .deploy(FO_NODES, seed, Box::new(policy));
             cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = 0.10);
-            cluster.enable_monitors();
-            let counters: Vec<Value> = (0..FO_POOL)
-                .map(|i| {
-                    cluster
-                        .new_instance(FO_COORD, &format!("C{}", i % 3), 0, vec![])
-                        .unwrap()
-                })
-                .collect();
-            let mut down: Option<u32> = None;
-            let mut results = Vec::new();
-            // A restarted node starts with an empty replica store and only
-            // re-enters the sync set at the next served mutation. Touch every
-            // counter after a restart so each owner re-ships its state before
-            // any further crash — otherwise two bounce cycles with no calls
-            // in between really do lose the last copy.
-            let touch_all = |counters: &[Value]| {
-                for c in counters {
-                    cluster
-                        .call_method(FO_COORD, c.clone(), "add", vec![Value::Int(0)])
-                        .unwrap();
-                }
-            };
-            for op in &ops {
-                match *op {
-                    SoakOp::Call { idx, delta } => {
-                        let r = cluster
-                            .call_method(
-                                FO_COORD,
-                                counters[idx].clone(),
-                                "add",
-                                vec![Value::Int(i32::from(delta))],
-                            )
-                            .unwrap();
-                        match r {
-                            Value::Int(v) => results.push(v),
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                    SoakOp::Crash { node } => {
-                        // Keep at most one node down: with k = 2 and both
-                        // backups live at every owner crash, some replica is
-                        // always current (restarted nodes start empty but
-                        // re-enter the sync set on the next mutation).
-                        if let Some(d) = down.take() {
-                            cluster.restart(NodeId(d));
-                            touch_all(&counters);
-                        }
-                        cluster.crash(NodeId(u32::from(node)));
-                        down = Some(u32::from(node));
-                    }
-                    SoakOp::Heal => {
-                        if let Some(d) = down.take() {
-                            cluster.restart(NodeId(d));
-                            touch_all(&counters);
-                        }
-                    }
-                    ref other => unreachable!("the crash-stop mix never generates {other}"),
-                }
-            }
-            // Zero lost objects: every counter must still answer, even the
-            // ones whose owner is down right now.
-            for c in &counters {
-                let r = cluster
-                    .call_method(FO_COORD, c.clone(), "add", vec![Value::Int(0)])
-                    .unwrap();
-                match r {
-                    Value::Int(v) => results.push(v),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            assert_eq!(cluster.check_invariants(), vec![], "monitor violation");
-            (results, cluster.stats(), cluster.network().now().as_ns())
+            Chaos::new(cluster, FO_POOL, |i| (FO_COORD, format!("C{}", i % 3))).run(&ops)
         };
-
-        // Exact oracle, computed without any cluster.
-        let mut oracle = [0i32; FO_POOL];
-        let mut expected = Vec::new();
-        for op in &ops {
-            if let SoakOp::Call { idx, delta } = *op {
-                oracle[idx] += i32::from(delta);
-                expected.push(oracle[idx]);
-            }
-        }
-        expected.extend(oracle);
-
         let (a, a_stats, a_now) = run();
         let (b, b_stats, b_now) = run();
-        prop_assert_eq!(&a, &expected, "a crash or drop changed an observable value");
+        prop_assert_eq!(&a, &expected(FO_POOL, &ops), "a crash or drop changed an observable value");
         prop_assert_eq!(&a, &b, "same seed, same schedule, different values");
         prop_assert_eq!(a_stats, b_stats, "failover counters must be deterministic");
         prop_assert_eq!(a_now, b_now, "simulated clock diverged");
@@ -445,10 +384,12 @@ proptest! {
     /// dedup as a unit, never double-applying a deferred op.
     #[test]
     fn batched_boundary_chaos_matches_oracle(
-        ops in prop::collection::vec(OpMix::batched(POOL, NODES as u8).strategy(), 1..50),
+        ops_seed in any::<u64>(),
+        len in 1usize..50,
         seed in 0u64..500,
     ) {
-        let run = |batch: bool, drop: f64| -> (Vec<i32>, rafda::RuntimeStats) {
+        let ops = OpMix::batched(POOL, NODES as u8).sample(ops_seed, len);
+        let run = |batch: bool, drop: f64| {
             let policy = StaticPolicy::new()
                 .default_statics(NodeId(0))
                 .default_batch(batch);
@@ -458,105 +399,13 @@ proptest! {
                 .deploy(NODES, seed, Box::new(policy));
             cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });
             cluster.network().fault_plan(|f| f.drop_probability = drop);
-            cluster.enable_monitors();
-            let counters: Vec<Value> = (0..POOL)
-                .map(|i| {
-                    cluster
-                        .new_instance(NodeId((i % NODES as usize) as u32), "BCounter", 0, vec![])
-                        .unwrap()
-                })
-                .collect();
-            let home: Vec<NodeId> =
-                (0..POOL).map(|i| NodeId((i % NODES as usize) as u32)).collect();
-            let mut results = Vec::new();
-            for op in &ops {
-                match *op {
-                    SoakOp::Inc { idx, delta } => {
-                        // Fire-and-forget: returns Null immediately when
-                        // deferred, so nothing is recorded here — the next
-                        // Add observes the accumulated effect.
-                        cluster
-                            .call_method(
-                                home[idx],
-                                counters[idx].clone(),
-                                "inc",
-                                vec![Value::Int(i32::from(delta))],
-                            )
-                            .unwrap();
-                    }
-                    SoakOp::Call { idx, delta } => {
-                        let r = cluster
-                            .call_method(
-                                home[idx],
-                                counters[idx].clone(),
-                                "add",
-                                vec![Value::Int(i32::from(delta))],
-                            )
-                            .unwrap();
-                        match r {
-                            Value::Int(v) => results.push(v),
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                    SoakOp::Migrate { idx, node } => {
-                        let h = counters[idx].as_ref_handle().unwrap();
-                        let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                        if loc != NodeId(u32::from(node)) {
-                            if loc == home[idx] {
-                                cluster.migrate(home[idx], h, NodeId(u32::from(node))).unwrap();
-                            } else {
-                                cluster.pull_local(home[idx], h).unwrap();
-                            }
-                        }
-                    }
-                    SoakOp::Pull { idx } => {
-                        let h = counters[idx].as_ref_handle().unwrap();
-                        let loc = cluster.location_of(home[idx], &counters[idx]).unwrap();
-                        if loc != home[idx] {
-                            cluster.pull_local(home[idx], h).unwrap();
-                        }
-                    }
-                    SoakOp::Adapt => {
-                        cluster.adapt(&AffinityConfig {
-                            min_calls: 4,
-                            min_fraction: 0.5,
-                        });
-                    }
-                    ref other => unreachable!("this mix never generates {other}"),
-                }
-            }
-            // Final sweep flushes every queue and checks every counter.
-            for idx in 0..POOL {
-                let r = cluster
-                    .call_method(home[idx], counters[idx].clone(), "add", vec![Value::Int(0)])
-                    .unwrap();
-                match r {
-                    Value::Int(v) => results.push(v),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            assert_eq!(cluster.check_invariants(), vec![], "monitor violation");
-            (results, cluster.stats())
+            // The final reads flush every queue.
+            Chaos::new(cluster, POOL, round_robin("BCounter")).run(&ops)
         };
-
-        // Exact oracle: program order, batching invisible.
-        let mut oracle = [0i32; POOL];
-        let mut expected = Vec::new();
-        for op in &ops {
-            match *op {
-                SoakOp::Inc { idx, delta } => oracle[idx] += i32::from(delta),
-                SoakOp::Call { idx, delta } => {
-                    oracle[idx] += i32::from(delta);
-                    expected.push(oracle[idx]);
-                }
-                _ => {}
-            }
-        }
-        expected.extend(oracle);
-
-        let (off, off_stats) = run(false, 0.0);
-        let (on, _) = run(true, 0.0);
-        let (on_chaotic, chaos_stats) = run(true, 0.10);
+        let expected = expected(POOL, &ops);
+        let (off, off_stats, _) = run(false, 0.0);
+        let (on, _, _) = run(true, 0.0);
+        let (on_chaotic, chaos_stats, _) = run(true, 0.10);
         prop_assert_eq!(&off, &expected, "unbatched run diverged from the oracle");
         prop_assert_eq!(&on, &expected, "batching changed an observable value");
         prop_assert_eq!(&on_chaotic, &expected, "drops + batching changed a value");

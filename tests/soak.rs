@@ -188,7 +188,7 @@ fn a_local_call_after_pull_marks_dirty_and_reships() {
     let cfg = ChurnConfig::production_day(29, 0);
     let mut harness = SoakHarness::deploy(&cfg);
     let mut oracle = Oracle::new(cfg.pool());
-    let acct = cfg.items; // first Acct: cached, k = 2, home node 1
+    let acct = ChurnConfig::ITEMS; // first Acct: cached, k = 2, home node 1
     harness
         .apply(
             &SoakOp::Call {
@@ -245,7 +245,7 @@ fn a_local_call_after_pull_marks_dirty_and_reships() {
 #[test]
 fn pr7_trace_promoted_state_survives_a_second_crash() {
     let cfg = ChurnConfig::production_day(27, 0);
-    let acct = cfg.items;
+    let acct = ChurnConfig::ITEMS;
     let ops = vec![
         SoakOp::Call {
             idx: acct,
@@ -273,7 +273,7 @@ fn pr7_trace_promoted_state_survives_a_second_crash() {
 #[test]
 fn pr9_trace_deferred_call_to_crashed_destination_is_not_lost() {
     let cfg = ChurnConfig::production_day(23, 0);
-    let tally = cfg.items + cfg.accts; // first Tally: batched, home node 2
+    let tally = ChurnConfig::ITEMS + ChurnConfig::ACCTS; // first Tally: batched, home node 2
     let ops = vec![
         SoakOp::Crash { node: 2 },
         SoakOp::Inc {
@@ -291,7 +291,7 @@ fn pr9_trace_deferred_call_to_crashed_destination_is_not_lost() {
 #[test]
 fn pr9_trace_migration_records_a_home_so_crash_cycling_stays_exact() {
     let cfg = ChurnConfig::production_day(25, 0);
-    let acct = cfg.items;
+    let acct = ChurnConfig::ITEMS;
     let ops = vec![
         SoakOp::Call {
             idx: acct,
@@ -318,7 +318,7 @@ fn a_migrated_export_leaves_the_source_table_and_returns_on_round_trip() {
     let cfg = ChurnConfig::production_day(31, 0);
     let mut harness = SoakHarness::deploy(&cfg);
     let mut oracle = Oracle::new(cfg.pool());
-    let acct = cfg.items;
+    let acct = ChurnConfig::ITEMS;
     harness
         .apply(
             &SoakOp::Call {
@@ -328,7 +328,7 @@ fn a_migrated_export_leaves_the_source_table_and_returns_on_round_trip() {
             &mut oracle,
         )
         .expect("warm the value");
-    let coord = NodeId(u32::from(cfg.nodes) - 1);
+    let coord = NodeId(u32::from(ChurnConfig::NODES) - 1);
     let home = NodeId(1);
     let before = harness.cluster().export_count(home);
     let (owner, stub) = harness
@@ -393,7 +393,7 @@ fn a_planted_fault_shrinks_to_a_minimal_trace() {
             )
         })
         .collect();
-    let acct = cfg.items; // first Acct index
+    let acct = ChurnConfig::ITEMS; // first Acct index
     ops.push(SoakOp::Call {
         idx: acct,
         delta: 3,
