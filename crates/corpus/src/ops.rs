@@ -701,6 +701,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn strategy_respects_the_mix_domains() {
+        let mix = OpMix::adaptation(5, 4, 3);
+        for seed in 0..64 {
+            for op in mix.sample(seed, 1 + seed as usize % 40) {
+                match op {
+                    SoakOp::Call { idx, .. } => assert!(idx < 5),
+                    SoakOp::Crash { node } => assert!(node < 3),
+                    SoakOp::Adapt | SoakOp::Rebalance | SoakOp::Heal => {}
+                    other => panic!("mix must not generate {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_mix_never_generates_faults() {
+        let mix = OpMix::boundary(4, 3);
+        for seed in 0..64 {
+            for op in mix.sample(seed, 1 + seed as usize % 40) {
+                assert!(
+                    matches!(
+                        op,
+                        SoakOp::Call { .. }
+                            | SoakOp::Migrate { .. }
+                            | SoakOp::Pull { .. }
+                            | SoakOp::Adapt
+                    ),
+                    "boundary mix generated {op}"
+                );
+            }
+        }
+    }
+
     /// The production-day schedules are held still: an FNV-1a hash over
     /// every op's `Display` line of the 10⁵-op day, for four seeds. A
     /// change to how `generate_churn` consumes its streams moves them.
