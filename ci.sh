@@ -368,6 +368,33 @@ if sed -n '/^    fn \(on_entry_stack\|construct\|invoke\|step\)\b/,/^    }$/p' <
   exit 1
 fi
 
+echo "== link once: the VM resolves methods, field offsets, statics and hooks per class =="
+# `Vm::new` works out each class's field base and zero-value template,
+# ClassId-indexed statics and native hooks from its immutable universe, and
+# method resolution goes through a direct-mapped cache whose miss asks the
+# universe. Each universe query appears once in the VM's product lines, on
+# the link or miss path, so the cache never becomes a second definition of
+# dispatch; a hashed statics or hook table, or a runtime that lays out an
+# instance itself, means per-call lookups are back.
+if grep -rnE 'statics: HashMap|HashMap<\(ClassId, SigId\)' crates/vm/src; then
+  echo "FAIL: crates/vm/src hashes statics or native hooks again" >&2
+  exit 1
+fi
+vm_link=$(for f in $(find crates/vm/src -name '*.rs' ! -name tests.rs | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f"
+done)
+for query in 'resolve_virtual(' 'resolve_static(' 'field_base('; do
+  n=$(grep -cF "$query" <<<"$vm_link" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "FAIL: $query appears $n times in the VM's product lines, not once" >&2
+    exit 1
+  fi
+done
+if grep -n 'field_layout(' crates/runtime/src/cluster.rs; then
+  echo "FAIL: cluster.rs lays out an instance itself — allocate through Vm::alloc_default" >&2
+  exit 1
+fi
+
 echo "== one harness per question: no bench targets, no criterion =="
 # Tables live in experiments_report, bars in tier-1 tests, wall clock in
 # benchmark/: a [[bench]] target or a criterion dependency in a workspace

@@ -985,19 +985,6 @@ pub(crate) fn point_proxy_at(
     cache_import(shared, node, loc, h);
 }
 
-/// Allocate an object of `class` with JVM-default field values.
-pub(crate) fn default_instance(shared: &Shared, node: NodeId, class: ClassId) -> Handle {
-    let defaults: Vec<Value> = shared
-        .universe
-        .field_layout(class)
-        .iter()
-        .map(|&(owner, idx)| {
-            Value::default_for(&shared.universe.class(owner).fields[idx as usize].ty)
-        })
-        .collect();
-    shared.vms[node.0 as usize].alloc_raw(class, defaults)
-}
-
 // ----------------------------------------------------------------------
 // Factory hook implementations
 // ----------------------------------------------------------------------
@@ -1013,7 +1000,7 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
         if family.cls.is_some() {
             discover_value(shared, node, row)?;
         }
-        let h = default_instance(shared, node, family.obj.local);
+        let h = shared.vms[node.0 as usize].alloc_default(family.obj.local);
         Ok(Value::Ref(h))
     } else {
         let create = Request::Create {
@@ -1091,7 +1078,7 @@ pub(crate) fn discover_value(
         }
     }
     if owner == node {
-        let h = default_instance(shared, node, cls.local);
+        let h = shared.vms[node.0 as usize].alloc_default(cls.local);
         remember(h);
         if let Some(clinit_sig) = family.clinit_sig {
             shared.vms[node.0 as usize].call_static(

@@ -4,9 +4,9 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cached_import, class_row, default_instance, discover_value, export, gen_info,
-    getter_sigs, info_of, is_local_impl, is_proxy, lookup_export, point_proxy_at, read_proxy_state,
-    relocate, remote_ref, version_of, Shared,
+    bump_version, cached_import, class_row, discover_value, export, gen_info, getter_sigs, info_of,
+    is_local_impl, is_proxy, lookup_export, point_proxy_at, read_proxy_state, relocate, remote_ref,
+    version_of, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -277,7 +277,7 @@ fn dispatch_request(
             if family.cls.is_some() {
                 discover_value(shared, node, row).map_err(|e| e.to_string())?;
             }
-            let h = default_instance(shared, node, family.obj.local);
+            let h = shared.vms[node.0 as usize].alloc_default(family.obj.local);
             let oid = export(shared, node, h);
             // Replicate the freshly created object at once: an owner that
             // crashes before serving any call must not take it along.

@@ -48,7 +48,7 @@ pub mod vm;
 
 pub use error::{NetFailure, RpcFault, Trap, VmError};
 pub use heap::{Handle, Heap, HeapEntry};
-pub use native::{NativeFn, NativeRegistry};
+pub use native::NativeFn;
 pub use trace::{Trace, TraceEvent};
 pub use value::Value;
 pub use vm::{ObserverIds, Vm, VmStats};

@@ -1,7 +1,7 @@
 //! Native-method hooks.
 //!
 //! `native` methods in the class model have no bytecode body; when the
-//! interpreter reaches one it looks up a Rust closure registered for the
+//! interpreter reaches one it calls the Rust closure registered for the
 //! *(declaring class, signature)* pair. The distributed runtime implements
 //! proxy methods this way: a proxy class's methods are all `native`, and the
 //! registered hook marshals the call over the simulated network.
@@ -12,80 +12,103 @@
 use crate::error::VmError;
 use crate::value::Value;
 use crate::vm::Vm;
-use rafda_classmodel::{ClassId, SigId};
-use std::collections::HashMap;
+use rafda_classmodel::{ClassId, ClassUniverse, SigId};
 use std::rc::Rc;
 
 /// A native-method implementation. For instance methods `args[0]` is the
 /// receiver; for static methods `args` are just the parameters.
 pub type NativeFn = Rc<dyn Fn(&Vm, &[Value]) -> Result<Value, VmError>>;
 
-/// Registry of native hooks, keyed by declaring class and method signature.
+/// A VM's native hooks, indexed by declaring class and then by method
+/// index: the interpreter, which holds both, finds a hook without hashing.
 #[derive(Default)]
-pub struct NativeRegistry {
-    hooks: HashMap<(ClassId, SigId), NativeFn>,
-}
-
-impl std::fmt::Debug for NativeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NativeRegistry")
-            .field("hooks", &self.hooks.len())
-            .finish()
-    }
+pub(crate) struct NativeRegistry {
+    hooks: Vec<Vec<Option<NativeFn>>>,
 }
 
 impl NativeRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register (or replace) the hook for `(class, sig)`.
-    pub fn register(
+    /// Register (or replace) `hook` for every method `class` declares with
+    /// signature `sig`.
+    pub(crate) fn register(
         &mut self,
+        universe: &ClassUniverse,
         class: ClassId,
         sig: SigId,
-        hook: impl Fn(&Vm, &[Value]) -> Result<Value, VmError> + 'static,
+        hook: NativeFn,
     ) {
-        self.hooks.insert((class, sig), Rc::new(hook));
+        let methods = &universe.class(class).methods;
+        let at = class.0 as usize;
+        if self.hooks.len() <= at {
+            self.hooks.resize_with(at + 1, Vec::new);
+        }
+        let row = &mut self.hooks[at];
+        row.resize(methods.len(), None);
+        for (slot, method) in row.iter_mut().zip(methods) {
+            if method.sig == sig {
+                *slot = Some(Rc::clone(&hook));
+            }
+        }
     }
 
-    /// Look up the hook for `(class, sig)`.
-    pub fn get(&self, class: ClassId, sig: SigId) -> Option<NativeFn> {
-        self.hooks.get(&(class, sig)).cloned()
-    }
-
-    /// Number of registered hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// Whether no hooks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
+    /// The hook of method `method` of `class`, if one is registered.
+    pub(crate) fn get(&self, class: ClassId, method: u16) -> Option<NativeFn> {
+        self.hooks
+            .get(class.0 as usize)?
+            .get(method as usize)?
+            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rafda_classmodel::{ClassKind, Method, Ty, Visibility};
+    use std::sync::Arc;
+
+    /// `N` declares a static `m()`, a virtual `m()` and a virtual `n()`.
+    fn universe() -> (Vm, ClassId, SigId, SigId) {
+        let mut u = ClassUniverse::new();
+        let class = u.declare("N", ClassKind::Class);
+        let (m, n) = (u.sig("m", vec![]), u.sig("n", vec![]));
+        for (name, sig, is_static) in [("m", m, true), ("m", m, false), ("n", n, false)] {
+            u.class_mut(class).methods.push(Method {
+                name: name.into(),
+                sig,
+                params: vec![],
+                ret: Ty::Int,
+                visibility: Visibility::Public,
+                is_static,
+                is_native: true,
+                body: None,
+            });
+        }
+        (Vm::new(Arc::new(u)), class, m, n)
+    }
+
+    fn answer(reg: &NativeRegistry, vm: &Vm, class: ClassId, method: u16) -> Option<Value> {
+        reg.get(class, method).map(|hook| hook(vm, &[]).unwrap())
+    }
 
     #[test]
     fn register_and_lookup() {
-        let mut reg = NativeRegistry::new();
-        assert!(reg.is_empty());
-        reg.register(ClassId(1), SigId(2), |_vm, _args| Ok(Value::Int(1)));
-        assert_eq!(reg.len(), 1);
-        assert!(reg.get(ClassId(1), SigId(2)).is_some());
-        assert!(reg.get(ClassId(1), SigId(3)).is_none());
-        assert!(reg.get(ClassId(2), SigId(2)).is_none());
+        // A hook serves every method of its signature, and no other.
+        let (vm, class, m, _) = universe();
+        let mut reg = NativeRegistry::default();
+        reg.register(vm.universe(), class, m, Rc::new(|_, _| Ok(Value::Int(1))));
+        assert_eq!(answer(&reg, &vm, class, 0), Some(Value::Int(1)));
+        assert_eq!(answer(&reg, &vm, class, 1), Some(Value::Int(1)));
+        assert_eq!(answer(&reg, &vm, class, 2), None);
+        assert_eq!(answer(&reg, &vm, ClassId(class.0 + 1), 0), None);
     }
 
     #[test]
     fn replace_overwrites() {
-        let mut reg = NativeRegistry::new();
-        reg.register(ClassId(1), SigId(2), |_, _| Ok(Value::Int(1)));
-        reg.register(ClassId(1), SigId(2), |_, _| Ok(Value::Int(2)));
-        assert_eq!(reg.len(), 1);
+        let (vm, class, m, n) = universe();
+        let mut reg = NativeRegistry::default();
+        reg.register(vm.universe(), class, n, Rc::new(|_, _| Ok(Value::Int(1))));
+        reg.register(vm.universe(), class, m, Rc::new(|_, _| Ok(Value::Int(2))));
+        reg.register(vm.universe(), class, n, Rc::new(|_, _| Ok(Value::Int(3))));
+        assert_eq!(answer(&reg, &vm, class, 0), Some(Value::Int(2)));
+        assert_eq!(answer(&reg, &vm, class, 2), Some(Value::Int(3)));
     }
 }

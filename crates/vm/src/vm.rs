@@ -8,8 +8,7 @@ use crate::value::Value;
 use rafda_classmodel::{
     BinOp, ClassId, ClassKind, ClassUniverse, CmpOp, Const, Insn, SigId, Ty, UnOp, Visibility,
 };
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -30,33 +29,105 @@ pub struct VmStats {
 #[derive(Debug)]
 struct VmState {
     heap: Heap,
-    /// One row per class whose initialisation has started (JVM §5.5: an
-    /// in-progress class already reads as initialised to its own thread).
-    statics: HashMap<ClassId, Vec<Value>>,
+    /// Indexed by `ClassId`: a row for each class whose initialisation has
+    /// started (JVM §5.5: an in-progress class already reads as initialised
+    /// to its own thread).
+    statics: Vec<Option<Vec<Value>>>,
     /// The stack a top-level call runs on, kept between calls.
     spare: Vec<Value>,
-    steps: u64,
-    calls: u64,
-    native_calls: u64,
-    fuel_limit: Option<u64>,
-    max_depth: u32,
-    cur_depth: u32,
     trace: Trace,
 }
 
-impl Default for VmState {
-    fn default() -> Self {
-        VmState {
-            heap: Heap::new(),
-            statics: HashMap::new(),
-            spare: Vec::new(),
-            steps: 0,
-            calls: 0,
-            native_calls: 0,
-            fuel_limit: None,
-            max_depth: 512,
-            cur_depth: 0,
-            trace: Trace::new(),
+/// The work counters and limits: cells, so that executing a step takes no
+/// borrow.
+#[derive(Debug)]
+struct Meter {
+    steps: Cell<u64>,
+    calls: Cell<u64>,
+    native_calls: Cell<u64>,
+    /// The step budget; `u64::MAX` is unlimited.
+    fuel_limit: Cell<u64>,
+    max_depth: Cell<u32>,
+    cur_depth: Cell<u32>,
+}
+
+/// Which resolution a call asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    Virtual,
+    Static,
+}
+
+/// Slots in a VM's dispatch cache: a power of two, well above the number of
+/// `(kind, class, sig)` keys a program's hot loop uses.
+const DISPATCH_SLOTS: usize = 1024;
+
+/// A dispatch-cache entry: `(kind, class, sig) → (owner, idx)`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    kind: Dispatch,
+    class: ClassId,
+    sig: SigId,
+    owner: ClassId,
+    idx: u16,
+}
+
+impl Slot {
+    /// Matches no key: no universe has `u32::MAX` classes.
+    const EMPTY: Slot = Slot {
+        kind: Dispatch::Virtual,
+        class: ClassId(u32::MAX),
+        sig: SigId(0),
+        owner: ClassId(0),
+        idx: 0,
+    };
+
+    /// The slot a key maps to: Fibonacci hashing of `(class, sig)` into one
+    /// half of the cache per kind, so a static and a virtual method under
+    /// one signature never evict each other.
+    fn of(kind: Dispatch, class: ClassId, sig: SigId) -> usize {
+        let key = class.0 ^ sig.0.rotate_left(16);
+        let hash = key.wrapping_mul(0x9E37_79B9) >> (33 - DISPATCH_SLOTS.trailing_zeros());
+        kind as usize * (DISPATCH_SLOTS / 2) + hash as usize
+    }
+}
+
+/// What a VM knows of its universe's classes, worked out once in
+/// [`Vm::new`]: nothing changes a universe once a VM runs over it. The
+/// dispatch cache is the one part that fills in as calls are made — a miss
+/// asks the universe and keeps its answer, so method resolution keeps one
+/// definition and the cache only remembers it.
+struct Link {
+    /// Per class: the slot of its first declared instance field.
+    field_base: Vec<usize>,
+    /// Per class: a fresh instance's fields at their zero values, root
+    /// class first.
+    template: Vec<Vec<Value>>,
+    /// Direct-mapped, indexed by [`Slot::of`].
+    dispatch: Box<[Cell<Slot>]>,
+}
+
+impl Link {
+    fn new(universe: &ClassUniverse) -> Self {
+        let template = universe
+            .iter()
+            .map(|(id, _)| {
+                universe
+                    .ancestry(id)
+                    .iter()
+                    .rev()
+                    .flat_map(|&c| &universe.class(c).fields)
+                    .map(|f| Value::default_for(&f.ty))
+                    .collect()
+            })
+            .collect();
+        Link {
+            field_base: universe
+                .iter()
+                .map(|(id, _)| universe.field_base(id))
+                .collect(),
+            template,
+            dispatch: vec![Cell::new(Slot::EMPTY); DISPATCH_SLOTS].into_boxed_slice(),
         }
     }
 }
@@ -82,28 +153,44 @@ pub struct ObserverIds {
 #[derive(Clone)]
 pub struct Vm {
     universe: Arc<ClassUniverse>,
+    link: Rc<Link>,
+    meter: Rc<Meter>,
     state: Rc<RefCell<VmState>>,
     natives: Rc<RefCell<NativeRegistry>>,
 }
 
 impl std::fmt::Debug for Vm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.state.borrow();
         f.debug_struct("Vm")
             .field("classes", &self.universe.len())
-            .field("steps", &s.steps)
-            .field("live_objects", &s.heap.live())
+            .field("steps", &self.meter.steps.get())
+            .field("live_objects", &self.state.borrow().heap.live())
             .finish()
     }
 }
 
 impl Vm {
-    /// Create a VM over a (typically already transformed) class universe.
+    /// Create a VM over a (typically already transformed) class universe,
+    /// linking every class once.
     pub fn new(universe: Arc<ClassUniverse>) -> Self {
         Vm {
+            link: Rc::new(Link::new(&universe)),
+            meter: Rc::new(Meter {
+                steps: Cell::new(0),
+                calls: Cell::new(0),
+                native_calls: Cell::new(0),
+                fuel_limit: Cell::new(u64::MAX),
+                max_depth: Cell::new(512),
+                cur_depth: Cell::new(0),
+            }),
+            state: Rc::new(RefCell::new(VmState {
+                heap: Heap::new(),
+                statics: vec![None; universe.len()],
+                spare: Vec::new(),
+                trace: Trace::new(),
+            })),
+            natives: Rc::new(RefCell::new(NativeRegistry::default())),
             universe,
-            state: Rc::new(RefCell::new(VmState::default())),
-            natives: Rc::new(RefCell::new(NativeRegistry::new())),
         }
     }
 
@@ -119,36 +206,37 @@ impl Vm {
         sig: SigId,
         hook: impl Fn(&Vm, &[Value]) -> Result<Value, VmError> + 'static,
     ) {
-        self.natives.borrow_mut().register(class, sig, hook);
+        self.natives
+            .borrow_mut()
+            .register(&self.universe, class, sig, Rc::new(hook));
     }
 
     /// Limit total interpreter steps (`None` = unlimited).
     pub fn set_fuel(&self, limit: Option<u64>) {
-        self.state.borrow_mut().fuel_limit = limit;
+        self.meter.fuel_limit.set(limit.unwrap_or(u64::MAX));
     }
 
     /// Limit call depth (default 512).
     pub fn set_max_depth(&self, max_depth: u32) {
-        self.state.borrow_mut().max_depth = max_depth;
+        self.meter.max_depth.set(max_depth);
     }
 
     /// Snapshot the work counters.
     pub fn stats(&self) -> VmStats {
-        let s = self.state.borrow();
         VmStats {
-            steps: s.steps,
-            calls: s.calls,
-            native_calls: s.native_calls,
-            heap: s.heap.stats(),
+            steps: self.meter.steps.get(),
+            calls: self.meter.calls.get(),
+            native_calls: self.meter.native_calls.get(),
+            heap: self.state.borrow().heap.stats(),
         }
     }
 
     /// Reset the work counters (not the heap).
     pub fn reset_stats(&self) {
-        let mut s = self.state.borrow_mut();
-        s.steps = 0;
-        s.calls = 0;
-        s.native_calls = 0;
+        let m = &self.meter;
+        for counter in [&m.steps, &m.calls, &m.native_calls] {
+            counter.set(0);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -289,6 +377,14 @@ impl Vm {
         self.state.borrow_mut().heap.alloc_object(class, fields)
     }
 
+    /// Allocate a `class` instance with every field at its zero value and
+    /// run no constructor: what `new` does before `<init>`, and what a
+    /// generated factory's `make()` hands out.
+    pub fn alloc_default(&self, class: ClassId) -> Handle {
+        let fields = self.link.template[class.0 as usize].clone();
+        self.alloc_raw(class, fields)
+    }
+
     /// Rewrite a live object in place (the boundary swap primitive).
     pub fn replace_object(&self, h: Handle, class: ClassId, fields: Vec<Value>) -> bool {
         self.state
@@ -335,7 +431,7 @@ impl Vm {
         let mut work: Vec<Handle> = extra_roots.to_vec();
         {
             let s = self.state.borrow();
-            for values in s.statics.values() {
+            for values in s.statics.iter().flatten() {
                 for v in values {
                     if let Value::Ref(h) = v {
                         work.push(*h);
@@ -379,7 +475,7 @@ impl Vm {
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
         self.ensure_initialized(class)?;
-        let (owner, idx) = self.resolve(class, sig, ClassUniverse::resolve_static)?;
+        let (owner, idx) = self.resolve(class, sig, Dispatch::Static)?;
         self.on_entry_stack(|stack| {
             stack.extend(args);
             self.invoke(owner, idx, stack, 0)
@@ -408,7 +504,7 @@ impl Vm {
             }
         };
         let class = self.class_of(h).ok_or(VmError::Trap(Trap::StaleHandle))?;
-        let (owner, idx) = self.resolve(class, sig, ClassUniverse::resolve_virtual)?;
+        let (owner, idx) = self.resolve(class, sig, Dispatch::Virtual)?;
         self.on_entry_stack(|stack| {
             stack.push(Value::Ref(h));
             stack.extend(args);
@@ -445,20 +541,50 @@ impl Vm {
     }
 
     /// `(declaring class, method index)` of `sig` on `class`, by the given
-    /// lookup.
+    /// kind of lookup: the dispatch cache's entry, or on a miss the
+    /// universe's answer, which then takes the slot.
     fn resolve(
         &self,
         class: ClassId,
         sig: SigId,
-        lookup: impl FnOnce(&ClassUniverse, ClassId, SigId) -> Option<(ClassId, u16)>,
+        kind: Dispatch,
     ) -> Result<(ClassId, u16), VmError> {
-        lookup(&self.universe, class, sig).ok_or_else(|| {
+        let slot = &self.link.dispatch[Slot::of(kind, class, sig)];
+        let held = slot.get();
+        if held.class == class && held.sig == sig && held.kind == kind {
+            return Ok((held.owner, held.idx));
+        }
+        self.resolve_miss(slot, class, sig, kind)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn resolve_miss(
+        &self,
+        slot: &Cell<Slot>,
+        class: ClassId,
+        sig: SigId,
+        kind: Dispatch,
+    ) -> Result<(ClassId, u16), VmError> {
+        let found = match kind {
+            Dispatch::Virtual => self.universe.resolve_virtual(class, sig),
+            Dispatch::Static => self.universe.resolve_static(class, sig),
+        };
+        let (owner, idx) = found.ok_or_else(|| {
             VmError::Trap(Trap::UnresolvedMethod(format!(
                 "{}::{}",
                 self.universe.class(class).name,
                 self.universe.sig_info(sig).name
             )))
-        })
+        })?;
+        slot.set(Slot {
+            kind,
+            class,
+            sig,
+            owner,
+            idx,
+        });
+        Ok((owner, idx))
     }
 
     /// Resolve a static method by class & method *name* and call it
@@ -542,7 +668,7 @@ impl Vm {
     /// # Errors
     /// Any error raised by a static initialiser.
     pub fn ensure_initialized(&self, class: ClassId) -> Result<(), VmError> {
-        if self.state.borrow().statics.contains_key(&class) {
+        if self.state.borrow().statics[class.0 as usize].is_some() {
             return Ok(());
         }
         let cls = self.universe.class(class);
@@ -551,7 +677,7 @@ impl Vm {
             .iter()
             .map(|f| Value::default_for(&f.ty))
             .collect();
-        self.state.borrow_mut().statics.insert(class, defaults);
+        self.state.borrow_mut().statics[class.0 as usize] = Some(defaults);
         if let Some(sup) = cls.superclass {
             self.ensure_initialized(sup)?;
         }
@@ -567,7 +693,9 @@ impl Vm {
     /// Initialisation errors.
     pub fn get_static_field(&self, class: ClassId, index: u16) -> Result<Value, VmError> {
         self.ensure_initialized(class)?;
-        Ok(self.state.borrow().statics[&class][index as usize].clone())
+        let s = self.state.borrow();
+        let row = s.statics[class.0 as usize].as_ref().expect("initialised");
+        Ok(row[index as usize].clone())
     }
 
     /// Write a static field (initialising the class if needed).
@@ -576,11 +704,8 @@ impl Vm {
     /// Initialisation errors.
     pub fn set_static_field(&self, class: ClassId, index: u16, v: Value) -> Result<(), VmError> {
         self.ensure_initialized(class)?;
-        self.state
-            .borrow_mut()
-            .statics
-            .get_mut(&class)
-            .expect("initialised")[index as usize] = v;
+        let mut s = self.state.borrow_mut();
+        s.statics[class.0 as usize].as_mut().expect("initialised")[index as usize] = v;
         Ok(())
     }
 
@@ -605,15 +730,7 @@ impl Vm {
                 cls.name
             )))
         })?;
-        let defaults: Vec<Value> = self
-            .universe
-            .field_layout(class)
-            .iter()
-            .map(|&(owner, idx)| {
-                Value::default_for(&self.universe.class(owner).fields[idx as usize].ty)
-            })
-            .collect();
-        let h = self.state.borrow_mut().heap.alloc_object(class, defaults);
+        let h = self.alloc_default(class);
         stack.insert(base, Value::Ref(h));
         self.invoke(class, mi, stack, base)?;
         Ok(Value::Ref(h))
@@ -628,7 +745,7 @@ impl Vm {
     /// above that floor. Every exit truncates back to `base` and the caller
     /// pushes the result.
     ///
-    /// `cur_depth` lives in VM state, so re-entrant executions through
+    /// `cur_depth` lives in the VM's meter, so re-entrant executions through
     /// native hooks — e.g. a remote callback arriving mid-call — keep
     /// accumulating against the limit.
     fn invoke(
@@ -638,27 +755,17 @@ impl Vm {
         stack: &mut Vec<Value>,
         base: usize,
     ) -> Result<Value, VmError> {
+        let meter = &*self.meter;
+        meter.calls.set(meter.calls.get() + 1);
+        let depth = meter.cur_depth.get() + 1;
+        meter.cur_depth.set(depth);
         let result = 'frame: {
-            {
-                let mut s = self.state.borrow_mut();
-                s.calls += 1;
-                s.cur_depth += 1;
-                if s.cur_depth > s.max_depth {
-                    break 'frame Err(VmError::Trap(Trap::StackOverflow));
-                }
+            if depth > meter.max_depth.get() {
+                break 'frame Err(VmError::Trap(Trap::StackOverflow));
             }
             let method = self.universe.method(class, method_idx);
             if method.is_native {
-                let hook: Option<NativeFn> = self.natives.borrow().get(class, method.sig);
-                let Some(hook) = hook else {
-                    break 'frame Err(VmError::Trap(Trap::NoNativeHook(format!(
-                        "{}::{}",
-                        self.universe.class(class).name,
-                        method.name
-                    ))));
-                };
-                self.state.borrow_mut().native_calls += 1;
-                break 'frame hook(self, &stack[base..]);
+                break 'frame self.call_native(class, method_idx, &stack[base..]);
             }
             let Some(body) = method.body.as_ref() else {
                 break 'frame Err(VmError::Trap(Trap::UnresolvedMethod(format!(
@@ -671,12 +778,10 @@ impl Vm {
             stack.resize(floor, Value::Null);
             let mut pc: u32 = 0;
             loop {
-                {
-                    let mut s = self.state.borrow_mut();
-                    s.steps += 1;
-                    if s.fuel_limit.is_some_and(|limit| s.steps > limit) {
-                        break 'frame Err(VmError::Trap(Trap::OutOfFuel));
-                    }
+                let steps = meter.steps.get() + 1;
+                meter.steps.set(steps);
+                if steps > meter.fuel_limit.get() {
+                    break 'frame Err(VmError::Trap(Trap::OutOfFuel));
                 }
                 match self.step(&body.code[pc as usize], stack, base, floor) {
                     Ok(Flow::Next) => pc += 1,
@@ -707,12 +812,38 @@ impl Vm {
             }
         };
         stack.truncate(base);
-        self.state.borrow_mut().cur_depth -= 1;
+        meter.cur_depth.set(depth - 1);
         result
+    }
+
+    /// Run the hook registered for native method `method_idx` of `class` on
+    /// its argument window. Out of line, so that `invoke`'s frame, which
+    /// every bytecode call pays for, stays small.
+    #[inline(never)]
+    fn call_native(
+        &self,
+        class: ClassId,
+        method_idx: u16,
+        args: &[Value],
+    ) -> Result<Value, VmError> {
+        let hook: Option<NativeFn> = self.natives.borrow().get(class, method_idx);
+        let Some(hook) = hook else {
+            return Err(VmError::Trap(Trap::NoNativeHook(format!(
+                "{}::{}",
+                self.universe.class(class).name,
+                self.universe.method(class, method_idx).name
+            ))));
+        };
+        let native_calls = &self.meter.native_calls;
+        native_calls.set(native_calls.get() + 1);
+        hook(self, args)
     }
 
     /// Execute one instruction of the frame whose locals are
     /// `stack[base..floor]` and whose operands are `stack[floor..]`.
+    /// Inlined into `invoke`'s loop, so the outcome of an ordinary
+    /// instruction never goes through memory.
+    #[inline(always)]
     fn step(
         &self,
         insn: &Insn,
@@ -759,7 +890,7 @@ impl Vm {
             }
             Insn::GetField(fr) => {
                 let h = ref_handle(&pop!())?;
-                let offset = self.universe.field_base(fr.owner) + fr.index as usize;
+                let offset = self.link.field_base[fr.owner.0 as usize] + fr.index as usize;
                 let v = self
                     .state
                     .borrow()
@@ -772,7 +903,7 @@ impl Vm {
             Insn::PutField(fr) => {
                 let v = pop!();
                 let h = ref_handle(&pop!())?;
-                let offset = self.universe.field_base(fr.owner) + fr.index as usize;
+                let offset = self.link.field_base[fr.owner.0 as usize] + fr.index as usize;
                 if !self.state.borrow_mut().heap.set_field(h, offset, v) {
                     return Err(VmError::Trap(Trap::StaleHandle));
                 }
@@ -789,14 +920,14 @@ impl Vm {
                 let at = operands!(*argc as usize + 1);
                 let h = ref_handle(&stack[at])?;
                 let rt_class = self.class_of(h).ok_or(VmError::Trap(Trap::StaleHandle))?;
-                let (owner, idx) = self.resolve(rt_class, *sig, ClassUniverse::resolve_virtual)?;
+                let (owner, idx) = self.resolve(rt_class, *sig, Dispatch::Virtual)?;
                 let r = self.invoke(owner, idx, stack, at)?;
                 stack.push(r);
             }
             Insn::InvokeStatic { class, sig, argc } => {
                 self.ensure_initialized(*class)?;
                 let at = operands!(*argc as usize);
-                let (owner, idx) = self.resolve(*class, *sig, ClassUniverse::resolve_static)?;
+                let (owner, idx) = self.resolve(*class, *sig, Dispatch::Static)?;
                 let r = self.invoke(owner, idx, stack, at)?;
                 stack.push(r);
             }

@@ -1,6 +1,7 @@
 use super::*;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::sample;
+use std::collections::BTreeMap;
 
 fn vm_with(build: impl FnOnce(&mut ClassUniverse)) -> Vm {
     let mut u = ClassUniverse::new();
@@ -639,7 +640,7 @@ fn callee_window_is_null_padded_and_caller_operands_survive() {
     assert_eq!(call("guarded", 4), Ok(Value::Int(4 + 7 + 4)));
     // The unwound frames left nothing behind for the next call.
     assert_eq!(call("plain", 5), Ok(Value::Int(125)));
-    assert_eq!(vm.state.borrow().cur_depth, 0);
+    assert_eq!(vm.meter.cur_depth.get(), 0);
 }
 
 #[test]
@@ -719,7 +720,7 @@ fn reentrant_hook_runs_on_its_own_stack_and_depth_unwinds() {
     let (vm, re, hook) = reentrant_vm();
     // hook(x): x < 0 fails inside a nested call, otherwise 2 * plain(x).
     vm.register_native(re, hook, move |vm, args| {
-        let depth = vm.state.borrow().cur_depth;
+        let depth = vm.meter.cur_depth.get();
         assert_eq!(depth, 2, "driver + hook");
         assert_eq!(args.len(), 1, "the window is just the argument");
         assert_eq!(
@@ -735,19 +736,19 @@ fn reentrant_hook_runs_on_its_own_stack_and_depth_unwinds() {
         };
         // The nested run used another stack: this window did not move.
         assert_eq!(args, [Value::Int(x)]);
-        assert_eq!(vm.state.borrow().cur_depth, depth);
+        assert_eq!(vm.meter.cur_depth.get(), depth);
         Ok(Value::Int(nested?.as_int().unwrap() * 2))
     });
     assert_eq!(
         vm.call_static_by_name("Re", "driver", vec![Value::Int(10)]),
         Ok(Value::Int(1000 + 22 + 5))
     );
-    assert_eq!(vm.state.borrow().cur_depth, 0);
+    assert_eq!(vm.meter.cur_depth.get(), 0);
     assert_eq!(
         vm.call_static_by_name("Re", "driver", vec![Value::Int(-1)]),
         Err(VmError::Trap(Trap::DivByZero))
     );
-    assert_eq!(vm.state.borrow().cur_depth, 0);
+    assert_eq!(vm.meter.cur_depth.get(), 0);
     // And the outer entry stack is back, empty, for the next top-level call.
     assert!(vm.state.borrow().spare.is_empty());
     assert_eq!(
@@ -785,7 +786,7 @@ fn stack_overflow_trips_at_the_same_nesting_plain_and_reentrant() {
             Err(VmError::Trap(Trap::StackOverflow))
         );
         assert_eq!(vm.get_static_field(deep, 0), Ok(Value::Int(frames_run)));
-        assert_eq!(vm.state.borrow().cur_depth, 0);
+        assert_eq!(vm.meter.cur_depth.get(), 0);
     }
 }
 
@@ -815,7 +816,7 @@ fn failed_clinit_leaves_a_statics_row_and_never_reruns() {
     let before = vm.stats();
     assert_eq!(vm.get_static_field(init, 0), Ok(Value::Int(1)));
     assert_eq!(vm.stats(), before, "the initialiser did not run again");
-    assert_eq!(vm.state.borrow().cur_depth, 0);
+    assert_eq!(vm.meter.cur_depth.get(), 0);
 }
 
 #[test]
@@ -829,4 +830,141 @@ fn figure2_static_path_work_counters_are_pinned() {
     );
     let s = vm.stats();
     assert_eq!((s.steps, s.calls, s.native_calls), (20, 5, 0));
+}
+
+// ----------------------------------------------------------------------
+// Link state: a cache of the universe's answers, never a second opinion
+// ----------------------------------------------------------------------
+
+/// `Twin` declares a static and a virtual `twin()` under one signature and
+/// `TwinChild` inherits both; `Placeholder` is declared and never defined.
+fn add_link_corner_cases(u: &mut ClassUniverse) {
+    let mut cb = ClassBuilder::declare(u, "Twin", ClassKind::Class);
+    let mut mb = MethodBuilder::new(0);
+    mb.const_int(1).ret_value();
+    cb.static_method(u, "twin", vec![], Ty::Int, Some(mb.finish()));
+    let mut mb = MethodBuilder::new(1);
+    mb.const_int(2).ret_value();
+    cb.method(u, "twin", vec![], Ty::Int, Some(mb.finish()));
+    let twin = cb.finish(u);
+    let mut cb = ClassBuilder::declare(u, "TwinChild", ClassKind::Class);
+    cb.superclass(twin);
+    cb.finish(u);
+    u.declare("Placeholder", ClassKind::Class);
+}
+
+/// The benchmark's `local_chain` program (12 classes with statics,
+/// inheritance and arrays, seed 42) after the RMI transformation, plus the
+/// corner cases.
+fn linked_chain_app() -> Vm {
+    let mut u = ClassUniverse::new();
+    let obs = Vm::install_observer(&mut u);
+    let spec = rafda_corpus::AppSpec {
+        classes: 12,
+        int_fields: 2,
+        statics: true,
+        inheritance: true,
+        arrays: true,
+        seed: 42,
+    };
+    let hooks = rafda_corpus::ObserverHooks {
+        class: obs.class,
+        emit: obs.emit,
+    };
+    rafda_corpus::generate_app(&mut u, hooks, &spec);
+    rafda_transform::Transformer::new()
+        .protocols(&["RMI"])
+        .run(&mut u)
+        .expect("the chain app transforms");
+    add_link_corner_cases(&mut u);
+    Vm::new(Arc::new(u))
+}
+
+/// Every class × interned signature × dispatch kind, asked twice (a miss,
+/// then — collisions aside — a hit): the VM resolves as the universe does,
+/// and each class's field base and instance template are the universe's.
+fn assert_link_agrees(vm: &Vm) {
+    let u = vm.universe();
+    for (class, _) in u.iter() {
+        let at = class.0 as usize;
+        assert_eq!(vm.link.field_base[at], u.field_base(class), "{class}");
+        let defaults: Vec<Value> = u
+            .field_layout(class)
+            .iter()
+            .map(|&(owner, i)| Value::default_for(&u.class(owner).fields[i as usize].ty))
+            .collect();
+        assert_eq!(vm.link.template[at], defaults, "{class}");
+        for sig in (0..u.sig_count() as u32).map(SigId) {
+            for (kind, want) in [
+                (Dispatch::Virtual, u.resolve_virtual(class, sig)),
+                (Dispatch::Static, u.resolve_static(class, sig)),
+            ] {
+                for _ in 0..2 {
+                    let got = vm.resolve(class, sig, kind).ok();
+                    assert_eq!(got, want, "{kind:?} {class} {sig:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn link_state_agrees_with_the_transformed_chain_app() {
+    let vm = linked_chain_app();
+    assert_link_agrees(&vm);
+    // One signature resolves two ways on `Twin` and through `TwinChild`;
+    // the placeholder resolves nothing and has no fields.
+    let u = vm.universe().clone();
+    let twin = u.by_name("Twin").unwrap();
+    let sig = u.class(twin).methods[0].sig;
+    for class in [twin, u.by_name("TwinChild").unwrap()] {
+        assert_eq!(vm.resolve(class, sig, Dispatch::Static), Ok((twin, 0)));
+        assert_eq!(vm.resolve(class, sig, Dispatch::Virtual), Ok((twin, 1)));
+    }
+    let placeholder = u.by_name("Placeholder").unwrap();
+    assert!(vm.resolve(placeholder, sig, Dispatch::Virtual).is_err());
+    assert!(vm.link.template[placeholder.0 as usize].is_empty());
+}
+
+#[test]
+fn link_state_agrees_with_a_500_class_jdk_corpus() {
+    let mut profile = rafda_corpus::JdkProfile::scaled(500);
+    profile.seed = 42;
+    let mut u = ClassUniverse::new();
+    rafda_corpus::generate_jdk(&mut u, &profile);
+    add_link_corner_cases(&mut u);
+    assert_link_agrees(&Vm::new(Arc::new(u)));
+}
+
+#[test]
+fn two_keys_in_one_dispatch_slot_take_turns_and_stay_right() {
+    let vm = linked_chain_app();
+    let u = vm.universe().clone();
+    type Key = (ClassId, SigId, (ClassId, u16));
+    let mut by_slot: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
+    for (class, _) in u.iter() {
+        for sig in (0..u.sig_count() as u32).map(SigId) {
+            if let Some(found) = u.resolve_virtual(class, sig) {
+                let slot = Slot::of(Dispatch::Virtual, class, sig);
+                by_slot.entry(slot).or_default().push((class, sig, found));
+            }
+        }
+    }
+    // Two keys with different answers that map to one slot.
+    let (slot, a, b) = by_slot
+        .iter()
+        .find_map(|(&slot, keys)| {
+            let a = keys[0];
+            keys.iter().find(|k| k.2 != a.2).map(|&b| (slot, a, b))
+        })
+        .expect("some slot holds two keys of the chain app");
+    for (class, sig, want) in [a, b, a, b] {
+        assert_eq!(vm.resolve(class, sig, Dispatch::Virtual), Ok(want));
+        let held = vm.link.dispatch[slot].get();
+        assert_eq!(
+            (held.class, held.sig),
+            (class, sig),
+            "the last key asked holds the slot"
+        );
+    }
 }

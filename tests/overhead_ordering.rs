@@ -9,8 +9,10 @@
 //! this test pins the ordering.
 
 use rafda::baseline::WrapperTransformer;
+use rafda::corpus::rng::Rng;
 use rafda::corpus::{generate_app, AppSpec, ObserverHooks};
-use rafda::{Application, Value, Vm};
+use rafda::vm::{Trap, VmStats};
+use rafda::{Application, LocalRuntime, Value, Vm, VmError};
 
 fn spec(seed: u64) -> AppSpec {
     AppSpec {
@@ -169,4 +171,103 @@ fn figure2_transformed_work_counters_are_pinned() {
     );
     let s = rt.vm().stats();
     assert_eq!((s.steps, s.calls, s.native_calls), (55, 13, 2));
+}
+
+/// The benchmark's `local_chain` program: 12 classes with statics,
+/// inheritance and arrays, at seed 42.
+fn chain_app() -> Application {
+    let mut app = Application::new();
+    let obs = app.observer();
+    let spec = AppSpec {
+        classes: 12,
+        int_fields: 2,
+        statics: true,
+        inheritance: true,
+        arrays: true,
+        seed: 42,
+    };
+    let hooks = ObserverHooks {
+        class: obs.class,
+        emit: obs.emit,
+    };
+    generate_app(app.universe_mut(), hooks, &spec);
+    app
+}
+
+fn chain_local() -> LocalRuntime {
+    chain_app().transform(&["RMI"]).unwrap().deploy_local()
+}
+
+fn counters(s: VmStats) -> (u64, u64, u64) {
+    (s.steps, s.calls, s.native_calls)
+}
+
+#[test]
+fn chain_app_work_counters_are_pinned() {
+    // What the benchmark's `vm.steps_per_op` and `vm.steps_per_op_original`
+    // read: the first 200 `Driver.main` calls of its seed-42 round, on both
+    // programs. Host-side changes to the VM move none of these numbers.
+    let mut rng = Rng::new(42 ^ 0x4c4f_4341_4c43_484e);
+    let app = chain_app();
+    let original = Vm::new(std::sync::Arc::new(app.universe().clone()));
+    original.bind_observer(&app.observer());
+    let local = app.transform(&["RMI"]).unwrap().deploy_local();
+    for _ in 0..200 {
+        let arg = vec![Value::Int(rng.below(1000) as i32)];
+        let want = original.run_observed("Driver", "main", arg.clone());
+        assert_eq!(local.run_observed("Driver", "main", arg), want);
+    }
+    assert_eq!(
+        (counters(original.stats()), counters(local.vm().stats())),
+        ((245_612, 11_404, 1_800), (398_040, 51_808, 5_600))
+    );
+}
+
+#[test]
+fn chain_app_traps_at_pinned_steps_and_depths() {
+    let main = |rt: &LocalRuntime| rt.call_static("Driver", "main", vec![Value::Int(7)]);
+    // Out of fuel: on the step after the budget, with the calls made so far.
+    let mut fuel_trips = Vec::new();
+    for fuel in [1, 100, 1_000] {
+        let rt = chain_local();
+        rt.vm().set_fuel(Some(fuel));
+        assert_eq!(main(&rt), Err(VmError::Trap(Trap::OutOfFuel)));
+        fuel_trips.push(counters(rt.vm().stats()));
+    }
+    assert_eq!(fuel_trips, [(2, 1, 0), (101, 17, 4), (1_001, 125, 12)]);
+    // Stack overflow at every depth limit below the deepest nesting of the
+    // first call. At limit 2 it trips inside a native hook: `make()` re-enters
+    // the VM to run a class initialiser.
+    let mut depth_trips = Vec::new();
+    let deepest = (1u32..)
+        .find(|&limit| {
+            let rt = chain_local();
+            rt.vm().set_max_depth(limit);
+            match main(&rt) {
+                Ok(_) => true,
+                Err(e) => {
+                    assert_eq!(e, VmError::Trap(Trap::StackOverflow), "limit {limit}");
+                    depth_trips.push(counters(rt.vm().stats()));
+                    false
+                }
+            }
+        })
+        .unwrap();
+    assert_eq!(deepest, 14);
+    let want = [
+        (3, 2, 0),
+        (3, 3, 1),
+        (7, 4, 1),
+        (79, 14, 3),
+        (100, 17, 4),
+        (104, 18, 4),
+        (176, 28, 6),
+        (197, 31, 7),
+        (201, 32, 7),
+        (273, 42, 9),
+        (294, 45, 10),
+        (298, 46, 10),
+        (370, 56, 12),
+    ];
+    assert_eq!(depth_trips, want);
 }
