@@ -288,6 +288,23 @@ for m in crates/*/Cargo.toml; do
   fi
 done
 
+echo "== one move: a pull is a migration from the live home, no Fetch / Forward =="
+# An object moves one way: its owner sends an `Install` to the destination
+# (`Cluster::migrate`), and a pull is that migration from the home the
+# directory resolves. A second request pair, a tag or SOAP element for it, a
+# counter of its serves or a separate pull body in product code means the
+# caller-driven protocol, and its pull-through-a-stub defect, is back. The
+# names are matched whole: "forward" alone also names the directory's
+# forwarding stubs.
+one_move='Request::(Fetch|Forward)\b|RequestKind::(Fetch|Forward)\b|\bR_(FETCH|FORWARD)\b|rafda:(fetch|forward)\b|\bRpc(Fetches|Forwards)\b|\bpull_inner\b'
+for f in $(find crates/*/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$one_move"; then
+    echo "FAIL: $f moves objects a second way (Fetch / Forward)" >&2
+    exit 1
+  fi
+done
+
 echo "== SOAP parses in place: no owned DOM, no per-character copy =="
 # The SOAP decoder reads names, attribute values and entity-free text as
 # slices of the frame. An element tree or a lossy per-scalar copy in its

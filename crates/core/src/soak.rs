@@ -270,27 +270,36 @@ impl SoakHarness {
             }
             SoakOp::Migrate { idx, node } => {
                 let target = NodeId(u32::from(node));
-                if self.down == Some(target) {
-                    return Ok(());
-                }
+                let up = |n: NodeId| self.down != Some(n);
+                // Third-party migration, issued at the live home: the
+                // coordinator's warmed caches must be tombstoned remotely
+                // for later reads to stay fresh.
                 match self.cluster.home_of(coord, &self.objs[idx]) {
-                    // Third-party migration, issued at the owner: the
-                    // coordinator's warmed caches must be tombstoned
-                    // remotely for later reads to stay fresh.
-                    Some((owner, handle)) => {
-                        if self.down == Some(owner) || owner == target {
-                            return Ok(());
-                        }
+                    Some((owner, handle)) if owner != target && up(owner) && up(target) => {
                         self.cluster
                             .migrate(owner, handle, target)
                             .map_err(|e| format!("{op}: {e}"))?;
                     }
-                    // Forwarding chain or unreachable owner: collapse it
-                    // by pulling the object local instead.
-                    None => self.pull_to_coord(op, idx)?,
+                    _ => {}
                 }
             }
-            SoakOp::Pull { idx } => self.pull_to_coord(op, idx)?,
+            SoakOp::Pull { idx } => {
+                let h = self.objs[idx]
+                    .as_ref_handle()
+                    .expect("pool objects are refs");
+                // Unless the coordinator's handle is the live object itself,
+                // or its home is down.
+                match self.cluster.home_of(coord, &self.objs[idx]) {
+                    Some((owner, live))
+                        if (owner, live) != (coord, h) && self.down != Some(owner) =>
+                    {
+                        self.cluster
+                            .pull_local(coord, h)
+                            .map_err(|e| format!("{op}: {e}"))?;
+                    }
+                    _ => {}
+                }
+            }
             SoakOp::Adapt => {
                 self.cluster.adapt(&self.affinity);
             }
@@ -307,24 +316,6 @@ impl SoakHarness {
                 self.heal(oracle)?;
             }
         }
-        Ok(())
-    }
-
-    /// Pull pool object `idx` to the coordinator, unless it is there
-    /// already or sits on the down node.
-    fn pull_to_coord(&self, op: &SoakOp, idx: usize) -> Result<(), String> {
-        let Some(loc) = self.cluster.location_of(self.coord, &self.objs[idx]) else {
-            return Err(format!("{op}: object vanished"));
-        };
-        if self.down == Some(loc) || loc == self.coord {
-            return Ok(());
-        }
-        let h = self.objs[idx]
-            .as_ref_handle()
-            .expect("pool objects are refs");
-        self.cluster
-            .pull_local(self.coord, h)
-            .map_err(|e| format!("{op}: {e}"))?;
         Ok(())
     }
 

@@ -70,7 +70,7 @@ pub(crate) fn enqueue_outcall(
 
 /// Drain every pending outcall queue, shipping each as one
 /// [`Request::Batch`] exchange. Called at every synchronization point: any
-/// top-level exchange, fetch/migrate/pull, an adaptation tick,
+/// top-level exchange, migrate/pull, an adaptation tick,
 /// crash/restart, a clock read, and [`Cluster::flush`].
 ///
 /// Serving a batch can enqueue follow-up operations (replica shipments of

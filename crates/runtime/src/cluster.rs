@@ -724,19 +724,22 @@ impl Cluster {
     /// owner's local handle for it — the pair [`Cluster::migrate`] needs,
     /// which lets a driver move an object between two other nodes without
     /// first pulling it to itself. A reference that is already local
-    /// resolves to `(node, handle)` unchanged; a proxy is chased one hop
-    /// to its recorded owner. Returns `None` for non-references, stale
-    /// handles, or an owner that no longer exports the object (it died or
-    /// the export was forwarded on).
+    /// resolves to `(node, handle)` unchanged; a proxy resolves through the
+    /// directory's chain of recorded moves to the live home, however many
+    /// moves it is behind. Returns `None` for non-references, stale
+    /// handles, or a home that no longer exports a live object (its node
+    /// restarted and nobody has re-homed the object yet).
     pub fn home_of(&self, node: NodeId, value: &Value) -> Option<(NodeId, Handle)> {
         let h = value.as_ref_handle()?;
         let vm = &self.shared.vms[node.0 as usize];
         match gen_info(&self.shared, vm.class_of(h)?) {
             Some(info) if info.is_proxy => {
-                let (owner, oid) = read_proxy_state(vm, h)?;
-                let handle = self.shared.directory.borrow().live_export((owner, oid))?;
-                // The export may itself be a forwarding proxy (the object
-                // moved on); only a locally implemented object counts.
+                let target = read_proxy_state(vm, h)?;
+                let (owner, handle) = {
+                    let dir = self.shared.directory.borrow();
+                    let home = dir.resolve(target);
+                    (home.0, dir.live_export(home)?)
+                };
                 is_local_impl(&self.shared, owner, handle).then_some((NodeId(owner), handle))
             }
             _ => Some((node, h)),

@@ -4,6 +4,7 @@
 //! names (`cluster::tests::*`) stay stable across the module split.
 
 use super::*;
+use crate::directory::VERSION_TOMBSTONE;
 use crate::placement::shard_hash;
 use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
 use crate::serve::deliver;
@@ -379,6 +380,57 @@ fn pulled_counter(seed: u64) -> (Cluster, Value, Value, u64) {
     (cluster, a, b, pulled.target.oid)
 }
 
+/// A pull through a forwarding stub moves the object from its live home,
+/// not the stub. `CA` on node 1 is migrated 1 → 2 at its owner; node 0's
+/// proxy still names node 1, where a stub forwards to node 2. The pull
+/// resolves the home through the directory and installs from there.
+#[test]
+fn a_pull_through_a_forwarding_stub_moves_the_live_object() {
+    let cluster = deployed_counters(
+        29,
+        StaticPolicy::new().place("CA", Placement::Node(NodeId(1))),
+    );
+    cluster.enable_monitors();
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let a = cluster.new_instance(n0, "CA", 0, vec![]).unwrap();
+    let add = |d: i32| cluster.call_method(n0, a.clone(), "add", vec![Value::Int(d)]);
+    assert_eq!(add(5).unwrap(), Value::Int(5));
+    let (owner, handle) = cluster.home_of(n0, &a).unwrap();
+    assert_eq!(owner, n1);
+    cluster.migrate(owner, handle, n2).unwrap();
+    let proxy = a.as_ref_handle().unwrap();
+    let shared = cluster.shared();
+    assert_eq!(read_proxy_state(&shared.vms[0], proxy), Some((1, 1)));
+
+    let event = cluster.pull_local(n0, proxy).unwrap();
+    assert_eq!((event.from, event.to), (n2, n0));
+    assert_eq!(cluster.location_of(n0, &a), Some(n0));
+    let home = shared.directory.borrow().resolve((1, 1));
+    assert_eq!(home, (0, event.target.oid));
+    let live = shared.directory.borrow().live_export(home);
+    assert_eq!(live, Some(proxy), "the pulled handle is the live export");
+    assert!(
+        is_local_impl(shared, 0, proxy),
+        "a live object, not a proxy"
+    );
+    assert_eq!(add(1).unwrap(), Value::Int(6));
+    let dir = shared.directory.borrow();
+    let live_homes: Vec<(u32, u64)> = (0..3)
+        .flat_map(|n| {
+            dir.exports_of(n)
+                .into_iter()
+                .map(move |(oid, h)| (n, oid, h))
+        })
+        .filter(|&(n, oid, h)| {
+            is_local_impl(shared, n, h) && dir.version((n, oid)) != VERSION_TOMBSTONE
+        })
+        .map(|(n, oid, _)| (n, oid))
+        .collect();
+    assert_eq!(live_homes, vec![home], "one live home cluster-wide");
+    drop(dir);
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
 /// The state node `n` holds as a backup of `loc`.
 fn backup_of(cluster: &Cluster, n: usize, loc: (u32, u64)) -> Vec<WireValue> {
     let nodes = cluster.shared().nodes.borrow();
@@ -688,7 +740,7 @@ impl Protocol for NoEncode {
 // The three ways an exchange fails before a message leaves are typed:
 // callers match on the variant, never on the text.
 
-const FETCH: Request = Request::Fetch { object: 1 };
+const PROMOTE: Request = Request::Promote { node: 1, object: 1 };
 
 /// A protocol nobody implements is found out at the first exchange that
 /// needs its codec, not at deployment: a class that stays local never
@@ -733,7 +785,7 @@ fn an_exchange_at_the_depth_limit_is_a_typed_depth_fault() {
     let (cluster, _) = deployed(StaticPolicy::new());
     let shared = cluster.shared();
     shared.rpc_depth.set(MAX_RPC_DEPTH);
-    let err = rpc(shared, NodeId(0), NodeId(1), &shared.rows[0], &FETCH).unwrap_err();
+    let err = rpc(shared, NodeId(0), NodeId(1), &shared.rows[0], &PROMOTE).unwrap_err();
     assert_eq!(err, VmError::Rpc(RpcFault::DepthLimit));
     assert_eq!(
         shared.rpc_depth.get(),
@@ -751,7 +803,7 @@ fn a_request_the_codec_cannot_encode_is_a_typed_encode_fault() {
         NodeId(1),
         &NoEncode,
         "C",
-        &FETCH,
+        &PROMOTE,
     )
     .unwrap_err();
     assert!(matches!(err, VmError::Rpc(RpcFault::Encode(why)) if why.contains("too long")));

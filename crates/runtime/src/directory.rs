@@ -192,8 +192,8 @@ impl Directory {
 
     /// The object at `old` now lives at `new`. In order: tombstone `old`'s
     /// version (no read through it may be cached again); if the mover
-    /// rewrote the object at `old` into a proxy — a migration or a pull
-    /// did, a promotion leaves a dead owner's object alone — demote its
+    /// rewrote the object at `old` into a proxy — a migration did (a pull is
+    /// one), a promotion leaves a dead owner's object alone — demote its
     /// export to a forwarding stub (which also ends its replication
     /// duties); record `old → new` and drop any outgoing edge of `new`,
     /// which keeps every chain acyclic and ending at a live home; and purge
@@ -1043,7 +1043,7 @@ mod tests {
                 w.proxies.remove(&(to, h));
                 let new = (to, dir.export(to, h, pick % 2 == 0));
                 // The mover rewrites the object it leaves behind into a
-                // proxy before it relocates, as migrations and pulls do.
+                // proxy before it relocates, as a migration does.
                 w.proxies.insert((from, h), new);
                 let proxies = &w.proxies;
                 dir.relocate(old, new, |n, h| proxies.get(&(n, h)).copied());

@@ -5,6 +5,7 @@
 use crate::batch::flush_outqueues;
 use crate::cluster::{lookup_export, point_proxy_at, ClassRow, Cluster, NodeState, Shared};
 use crate::obs::Met;
+use crate::profile::Section;
 use crate::replicate::{charge_marks, replica_targets};
 use crate::rpc::rpc;
 use crate::serve::is_unknown_object;
@@ -25,6 +26,7 @@ impl Cluster {
     /// Calls in flight are unaffected: the runtime is synchronous, so the
     /// crash takes effect between top-level operations, never mid-exchange.
     pub fn crash(&self, node: NodeId) {
+        let _p = self.shared.prof.section(Section::Placement);
         // A crash is a synchronization point: operations already deferred
         // are flushed while every party is still up, so "the owner
         // acknowledged it" keeps meaning "a replica has it". Ops deferred
@@ -42,6 +44,7 @@ impl Cluster {
     /// object. The node rejoins as a replication target at the owner's next
     /// sync.
     pub fn restart(&self, node: NodeId) {
+        let _p = self.shared.prof.section(Section::Placement);
         // Synchronization point, as for [`Cluster::crash`].
         let _ = flush_outqueues(&self.shared);
         self.shared.net.fault_plan(|f| f.recover(node));

@@ -114,12 +114,8 @@ runtime_metrics! {
     RpcCreates => rpc_creates, "rafda_rpc_creates_total";
     /// Remote singleton discoveries served.
     RpcDiscovers => rpc_discovers, "rafda_rpc_discovers_total";
-    /// State fetches served (migration).
-    RpcFetches => rpc_fetches, "rafda_rpc_fetches_total";
-    /// State installs served (migration).
+    /// State installs served (migrations and pulls).
     RpcInstalls => rpc_installs, "rafda_rpc_installs_total";
-    /// Forward swaps served (boundary pulls).
-    RpcForwards => rpc_forwards, "rafda_rpc_forwards_total";
     /// Objects migrated (including adaptation).
     Migrations => migrations, "rafda_migrations_total";
     /// Objects pulled local.

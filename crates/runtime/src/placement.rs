@@ -1,16 +1,18 @@
-//! Boundary changes: migrating and pulling live objects, the affinity
-//! loop that re-draws boundaries from observed calls, and policy-driven
-//! shard placement (place, rebalance, adopt, enforce).
+//! Boundary changes: migrating live objects (a pull is a migration from the
+//! live home), the affinity loop that re-draws boundaries from observed
+//! calls, and policy-driven shard placement (place, rebalance, adopt,
+//! enforce).
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{
-    bump_version, export, gen_info, info_of, is_local_impl, lookup_export, point_proxy_at,
-    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
+    export, gen_info, info_of, is_local_impl, lookup_export, point_proxy_at, read_proxy_state,
+    relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
-use crate::replicate::sync_replicas;
+use crate::profile::Section;
 use crate::rpc::rpc;
+use crate::serve::unknown_object;
 use crate::stats::bump;
 use rafda_classmodel::Side;
 use rafda_net::NodeId;
@@ -58,19 +60,93 @@ impl Cluster {
         object: Handle,
         to: NodeId,
     ) -> Result<MigrationEvent, VmError> {
+        let _p = self.shared.prof.section(Section::Placement);
+        self.placement_span("migrate", from, Some(from), to, || {
+            // A migration is a synchronization point, and it must flush
+            // *before* the state snapshot: a deferred call still queued
+            // against this object has to land while the object is at its
+            // old home, or the shipped state would miss it.
+            flush_outqueues(&self.shared)?;
+            let event = self.install_at(from, object, to)?;
+            bump(&self.shared, from.0, Met::Migrations);
+            Ok(event)
+        })
+    }
+
+    /// Pull the object behind `proxy` to `node` (Figure 1's swap undone):
+    /// a migration from the object's live home, which the directory
+    /// resolves however many moves the proxy is behind. `proxy` is first
+    /// re-pointed at that home, so the install rewrites this very handle in
+    /// place into the real object. If the home is already on `node`,
+    /// nothing moves.
+    ///
+    /// # Errors
+    /// [`VmError`] if the handle is not a proxy, its object has no live
+    /// home, or the transfer fails.
+    pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, VmError> {
+        let _p = self.shared.prof.section(Section::Placement);
+        self.placement_span("pull", node, None, node, || {
+            let shared = &self.shared;
+            // Synchronization point, before the home is resolved: a flushed
+            // call may re-home the object (see [`Cluster::migrate`]).
+            flush_outqueues(shared)?;
+            let vm = &shared.vms[node.0 as usize];
+            let class = vm
+                .class_of(proxy)
+                .ok_or_else(|| VmError::Native("stale handle".into()))?;
+            let info = gen_info(shared, class)
+                .filter(|i| i.is_proxy)
+                .ok_or_else(|| VmError::Native("pull_local needs a proxy".into()))?;
+            let target =
+                read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
+            let home = shared.directory.borrow().resolve(target);
+            point_proxy_at(shared, node, proxy, class, home);
+            if home.0 == node.0 {
+                return Ok(MigrationEvent {
+                    class: shared.rows[info.row].name.clone(),
+                    from: node,
+                    to: node,
+                    target: RemoteRef { node, oid: home.1 },
+                });
+            }
+            let owner = NodeId(home.0);
+            let object = shared.directory.borrow().live_export(home);
+            let object = object.ok_or_else(|| VmError::Native(unknown_object(home.1, owner)))?;
+            let event = self.install_at(owner, object, node)?;
+            bump(shared, node.0, Met::Pulls);
+            Ok(event)
+        })
+    }
+
+    /// Run a boundary change under its span: `name` on node `at`, with
+    /// `from` (when known up front, else the event's), `to` and the moved
+    /// class as attributes, and the outcome as its status.
+    fn placement_span(
+        &self,
+        name: &'static str,
+        at: NodeId,
+        from: Option<NodeId>,
+        to: NodeId,
+        body: impl FnOnce() -> Result<MigrationEvent, VmError>,
+    ) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
         let span = {
             let mut spans = shared.spans.borrow_mut();
-            let h = spans.start_span("migrate", from.0, shared.net.now().as_ns());
-            spans.set_attr(h, "from", from.0);
+            let h = spans.start_span(name, at.0, shared.net.now().as_ns());
+            if let Some(from) = from {
+                spans.set_attr(h, "from", from.0);
+            }
             spans.set_attr(h, "to", to.0);
             h
         };
-        let result = self.migrate_inner(from, object, to);
+        let result = body();
         let mut spans = shared.spans.borrow_mut();
         let outcome = match &result {
             Ok(event) => {
                 spans.set_attr(span, "class", &event.class);
+                if from.is_none() {
+                    spans.set_attr(span, "from", event.from.0);
+                }
                 SpanOutcome::Ok
             }
             Err(e) if e.is_network() => SpanOutcome::NetFailure,
@@ -80,7 +156,10 @@ impl Cluster {
         result
     }
 
-    fn migrate_inner(
+    /// The one move: ship the state of `object`, live on `from`, to `to`
+    /// in an `Install`, then rewrite `object` in place into a proxy for the
+    /// new home and record the move.
+    fn install_at(
         &self,
         from: NodeId,
         object: Handle,
@@ -90,11 +169,6 @@ impl Cluster {
         if from == to {
             return Err(VmError::Native("migration to the same node".into()));
         }
-        // A migration is a synchronization point, and it must flush *before*
-        // the state snapshot below: a deferred call still queued against
-        // this object has to land while the object is at its old home, or
-        // the shipped state would miss it.
-        flush_outqueues(shared)?;
         let vm = &shared.vms[from.0 as usize];
         let (class, fields) = vm
             .read_object(object)
@@ -114,7 +188,7 @@ impl Cluster {
         let source_oid = export(shared, from, object);
         let install = Request::Install {
             state,
-            source: Some((from.0, source_oid)),
+            source: (from.0, source_oid),
         };
         let (reply, _) = rpc(shared, from, to, row, &install)?;
         let target = match reply {
@@ -134,7 +208,6 @@ impl Cluster {
             (target.node.0, target.oid),
         );
         relocate(shared, (from.0, source_oid), (target.node.0, target.oid));
-        bump(shared, from.0, Met::Migrations);
         Ok(MigrationEvent {
             class: row.name.clone(),
             from,
@@ -143,94 +216,12 @@ impl Cluster {
         })
     }
 
-    /// Pull a remote object local: fetch its state from the owner, rewrite
-    /// the local proxy in place into the real object, and leave a
-    /// forwarding proxy at the previous owner.
-    ///
-    /// # Errors
-    /// [`VmError`] if the handle is not a proxy or the transfer fails.
-    pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, VmError> {
-        let shared = &self.shared;
-        let span = {
-            let mut spans = shared.spans.borrow_mut();
-            let h = spans.start_span("pull", node.0, shared.net.now().as_ns());
-            spans.set_attr(h, "to", node.0);
-            h
-        };
-        let result = self.pull_inner(node, proxy);
-        let mut spans = shared.spans.borrow_mut();
-        let outcome = match &result {
-            Ok(event) => {
-                spans.set_attr(span, "class", &event.class);
-                spans.set_attr(span, "from", event.from.0);
-                SpanOutcome::Ok
-            }
-            Err(e) if e.is_network() => SpanOutcome::NetFailure,
-            Err(_) => SpanOutcome::Fault,
-        };
-        spans.end_span(span, shared.net.now().as_ns(), outcome);
-        result
-    }
-
-    fn pull_inner(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, VmError> {
-        let shared = &self.shared;
-        // Synchronization point, before the owner snapshots state for the
-        // fetch (see [`Cluster::migrate`] for why the order matters).
-        flush_outqueues(shared)?;
-        let vm = &shared.vms[node.0 as usize];
-        let class = vm
-            .class_of(proxy)
-            .ok_or_else(|| VmError::Native("stale handle".into()))?;
-        let info = gen_info(shared, class)
-            .filter(|i| i.is_proxy)
-            .ok_or_else(|| VmError::Native("pull_local needs a proxy".into()))?;
-        let row = &shared.rows[info.row];
-        let (owner_raw, oid) =
-            read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-        let owner = NodeId(owner_raw);
-        // Fetch the state.
-        let (reply, _) = rpc(shared, node, owner, row, &Request::Fetch { object: oid })?;
-        let (class_name, wire_fields) = match reply {
-            Reply::Value(WireValue::ObjectState { class, fields }) => (class, fields),
-            Reply::Fault(m) => return Err(VmError::Native(m)),
-            other => return Err(VmError::Native(format!("unexpected reply {other:?}"))),
-        };
-        let local_class = shared
-            .universe
-            .by_name(&class_name)
-            .ok_or_else(|| VmError::Native(format!("unknown class {class_name}")))?;
-        let fields =
-            marshal::wire_to_values(shared, node, &wire_fields).map_err(VmError::Native)?;
-        vm.replace_object(proxy, local_class, fields);
-        let my_oid = export(shared, node, proxy);
-        // Owner-side swap: the old object becomes a forwarding proxy here.
-        let forward = Request::Forward {
-            object: oid,
-            to_node: node.0,
-            to_object: my_oid,
-        };
-        let (reply, _) = rpc(shared, node, owner, row, &forward)?;
-        if let Reply::Fault(m) = reply {
-            return Err(VmError::Native(m));
-        }
-        // The pulled copy is a fresh export with fresh state; the Forward
-        // handler relocated the old home here.
-        bump_version(shared, node.0, my_oid);
-        sync_replicas(shared, node, my_oid);
-        bump(shared, node.0, Met::Pulls);
-        Ok(MigrationEvent {
-            class: row.name.clone(),
-            from: owner,
-            to: node,
-            target: RemoteRef { node, oid: my_oid },
-        })
-    }
-
     /// One round of the adaptive affinity loop: every exported object whose
     /// incoming calls are dominated by a single remote node (per `config`)
     /// is migrated to that node. Returns the boundary changes made.
     pub fn adapt(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
         let shared = &self.shared;
+        let _p = shared.prof.section(Section::Placement);
         // An adaptation tick is a synchronization point: deferred calls are
         // traffic too, and must land (and be counted) before affinity is
         // judged. Flush failures surface at the callers' next sync point.
@@ -353,6 +344,7 @@ impl Cluster {
     /// the E12 outcall queues first.
     pub fn rebalance_shards(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
         let shared = &self.shared;
+        let _p = shared.prof.section(Section::Placement);
         if !shared.any_sharding {
             return Vec::new();
         }

@@ -68,6 +68,9 @@ pub enum Section {
     WatchdogCall,
     /// The time-series sample at the head of an exchange.
     Sample,
+    /// The self time of the placement and fault ops: `migrate`,
+    /// `pull_local`, `adapt`, `rebalance_shards`, `crash` and `restart`.
+    Placement,
     /// `Cluster::check_invariants`.
     QuiescentCheck,
     /// Soak harness: stepping the single-address-space oracle.
@@ -79,7 +82,7 @@ pub enum Section {
 
 impl Section {
     /// Every section, in table order.
-    pub const ALL: [Section; 24] = [
+    pub const ALL: [Section; 25] = [
         Section::Other,
         Section::Proxy,
         Section::Marshal,
@@ -101,6 +104,7 @@ impl Section {
         Section::MetricWrite,
         Section::WatchdogCall,
         Section::Sample,
+        Section::Placement,
         Section::QuiescentCheck,
         Section::OracleStep,
         Section::TouchAll,
@@ -130,6 +134,7 @@ impl Section {
             Section::MetricWrite => "telemetry.metric_write",
             Section::WatchdogCall => "watchdog.call",
             Section::Sample => "telemetry.sample",
+            Section::Placement => "cluster.placement",
             Section::QuiescentCheck => "watchdog.quiescent_check",
             Section::OracleStep => "soak.oracle_step",
             Section::TouchAll => "soak.touch_all",

@@ -248,9 +248,7 @@ pub(crate) fn span_names(kind: RequestKind) -> (&'static str, &'static str) {
         RequestKind::Call => ("rpc.call", "serve.call"),
         RequestKind::Create => ("rpc.create", "serve.create"),
         RequestKind::Discover => ("rpc.discover", "serve.discover"),
-        RequestKind::Fetch => ("rpc.fetch", "serve.fetch"),
         RequestKind::Install => ("rpc.install", "serve.install"),
-        RequestKind::Forward => ("rpc.forward", "serve.forward"),
         RequestKind::ReplicaSync => ("rpc.replica", "serve.replica"),
         RequestKind::Promote => ("rpc.promote", "serve.promote"),
         RequestKind::Batch => ("rpc.batch", "serve.batch"),
@@ -264,9 +262,7 @@ fn req_method_label(req: &Request) -> Cow<'_, str> {
         Request::Call { method, .. } => method,
         Request::Create { ctor, .. } => return Cow::Owned(format!("<create:{ctor}>")),
         Request::Discover { .. } => "<discover>",
-        Request::Fetch { .. } => "<fetch>",
         Request::Install { .. } => "<install>",
-        Request::Forward { .. } => "<forward>",
         Request::ReplicaSync { .. } => "<replica>",
         Request::Promote { .. } => "<promote>",
         Request::Batch(..) => "<batch>",

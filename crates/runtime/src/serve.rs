@@ -4,9 +4,9 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cached_import, class_row, discover_value, export, gen_info, getter_sigs, info_of,
-    is_local_impl, is_proxy, lookup_export, point_proxy_at, read_proxy_state, relocate, remote_ref,
-    version_of, Shared,
+    bump_version, cached_import, class_row, discover_value, export, getter_sigs, info_of,
+    is_local_impl, is_proxy, lookup_export, read_proxy_state, relocate, remote_ref, version_of,
+    Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -177,7 +177,7 @@ pub(crate) fn reply_outcome(reply: &Reply) -> SpanOutcome {
 /// The fault text a node answers with when asked about an export id it does
 /// not (or, after a restart, no longer) know — the one fault a caller acts
 /// on: [`is_unknown_object`] is what sends a proxy call to its failover.
-fn unknown_object(object: u64, node: NodeId) -> String {
+pub(crate) fn unknown_object(object: u64, node: NodeId) -> String {
     format!("{UNKNOWN_OBJECT}{object} on {node}")
 }
 
@@ -193,12 +193,12 @@ pub(crate) fn is_unknown_object(reply: &Reply) -> bool {
 }
 
 /// Execute a request on `node`. Returns the reply and the property version
-/// it piggybacks: that of the export a `Call` or `Fetch` addresses (0 for
-/// the other kinds), read *after* handling, so a setter's own reply already
-/// carries the bumped version.
+/// it piggybacks: that of the export a `Call` addresses (0 for the other
+/// kinds), read *after* handling, so a setter's own reply already carries
+/// the bumped version.
 fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> (Reply, u64) {
     let versioned_oid = match &req {
-        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
+        Request::Call { object, .. } => Some(*object),
         _ => None,
     };
     let _s = shared.prof.section(Section::Dispatch);
@@ -318,15 +318,6 @@ fn dispatch_request(
                 Err(e) => Err(e.to_string()),
             }
         }
-        Request::Fetch { object } => {
-            bump(shared, node.0, Met::RpcFetches);
-            let h =
-                lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
-            let (class, fields) = vm.read_object(h).ok_or("stale export")?;
-            let fields = marshal::values_to_wire(shared, node, &fields)?;
-            let class = shared.universe.class(class).name.clone();
-            Ok(Reply::Value(WireValue::ObjectState { class, fields }))
-        }
         Request::Install { state, source } => {
             bump(shared, node.0, Met::RpcInstalls);
             let WireValue::ObjectState { class, fields } = state else {
@@ -335,21 +326,6 @@ fn dispatch_request(
             let oid = land(shared, node, class_named(&class)?, &fields, source)?;
             sync_replicas(shared, node, oid);
             Ok(exported(node, oid, class))
-        }
-        Request::Forward {
-            object,
-            to_node,
-            to_object,
-        } => {
-            bump(shared, node.0, Met::RpcForwards);
-            let h =
-                lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
-            let class = vm.class_of(h).ok_or("stale export")?;
-            let info = gen_info(shared, class).ok_or("cannot forward untransformed object")?;
-            let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
-            point_proxy_at(shared, node, h, proxy_class, (to_node, to_object));
-            relocate(shared, (node.0, object), (to_node, to_object));
-            Ok(Reply::Value(WireValue::Null))
         }
         Request::ReplicaSync {
             object,
@@ -387,7 +363,7 @@ fn dispatch_request(
                 .remove(&key);
             let (_, class, fields) =
                 entry.ok_or_else(|| format!("no replica of {old_node}#{old_object} on {node}"))?;
-            let oid = land(shared, node, class_named(&class)?, &fields, Some(key))?;
+            let oid = land(shared, node, class_named(&class)?, &fields, key)?;
             relocate(shared, key, (node.0, oid));
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
@@ -431,11 +407,11 @@ fn land(
     node: NodeId,
     class: ClassId,
     fields: &[WireValue],
-    prior: Option<(u32, u64)>,
+    prior: (u32, u64),
 ) -> Result<u64, String> {
     let vm = &shared.vms[node.0 as usize];
     let values = marshal::wire_to_values(shared, node, fields)?;
-    let existing = prior.and_then(|(n, o)| cached_import(shared, node, n, o));
+    let existing = cached_import(shared, node, prior.0, prior.1);
     let h = match existing {
         Some(ph) if vm.class_of(ph).is_some() => {
             vm.replace_object(ph, class, values);

@@ -66,7 +66,11 @@ mod tests {
             parent_span_id: 0xCC,
         };
         let bytes = CorbaCodec::new()
-            .encode_request(0x1122_3344_5566_7788, ctx, &Request::Fetch { object: 1 })
+            .encode_request(
+                0x1122_3344_5566_7788,
+                ctx,
+                &Request::Promote { node: 1, object: 1 },
+            )
             .unwrap();
         // 4 magic + 2 version + 2 pad, then the aligned u64 id, then the
         // three aligned u64s of the trace context.
@@ -81,7 +85,11 @@ mod tests {
     fn every_other_version_is_rejected() {
         let codec = CorbaCodec::new();
         let req = codec
-            .encode_request(9, TraceContext::NONE, &Request::Fetch { object: 2 })
+            .encode_request(
+                9,
+                TraceContext::NONE,
+                &Request::Promote { node: 1, object: 2 },
+            )
             .unwrap();
         let rep = codec
             .encode_reply(9, TraceContext::NONE, 3, &Reply::Value(WireValue::Int(3)))

@@ -21,12 +21,8 @@ pub enum RequestKind {
     Create,
     /// [`Request::Discover`]
     Discover,
-    /// [`Request::Fetch`]
-    Fetch,
     /// [`Request::Install`]
     Install,
-    /// [`Request::Forward`]
-    Forward,
     /// [`Request::ReplicaSync`]
     ReplicaSync,
     /// [`Request::Promote`]
@@ -42,9 +38,7 @@ impl RequestKind {
             Request::Call { .. } => RequestKind::Call,
             Request::Create { .. } => RequestKind::Create,
             Request::Discover { .. } => RequestKind::Discover,
-            Request::Fetch { .. } => RequestKind::Fetch,
             Request::Install { .. } => RequestKind::Install,
-            Request::Forward { .. } => RequestKind::Forward,
             Request::ReplicaSync { .. } => RequestKind::ReplicaSync,
             Request::Promote { .. } => RequestKind::Promote,
             Request::Batch(_) => RequestKind::Batch,
@@ -57,9 +51,7 @@ impl RequestKind {
             RequestKind::Call => "call",
             RequestKind::Create => "create",
             RequestKind::Discover => "discover",
-            RequestKind::Fetch => "fetch",
             RequestKind::Install => "install",
-            RequestKind::Forward => "forward",
             RequestKind::ReplicaSync => "replicasync",
             RequestKind::Promote => "promote",
             RequestKind::Batch => "batch",

@@ -112,32 +112,16 @@ pub enum Request {
         /// Original class name.
         class: String,
     },
-    /// Fetch the state of exported object `object` (migration).
-    Fetch {
-        /// Export id on the serving node.
-        object: u64,
-    },
-    /// Install `state` as a new exported object (migration target side).
-    /// `source` carries the object's previous home `(node, object)` so the
-    /// receiver can rewrite an existing proxy for it in place instead of
-    /// allocating a duplicate.
+    /// Install `state` as a new exported object: the one request that
+    /// moves an object, sent by its owner to the destination (a migration,
+    /// or a pull, which is a migration from the live home).
     Install {
         /// The object state to materialise (an [`WireValue::ObjectState`]).
         state: WireValue,
-        /// The object's previous home, letting the receiver rewrite an
-        /// existing proxy in place instead of allocating a duplicate.
-        source: Option<(u32, u64)>,
-    },
-    /// Replace the exported object `object` with a forwarding proxy to its
-    /// new home `(to_node, to_object)` — the owner-side half of a boundary
-    /// pull (the reverse of Figure 1's swap).
-    Forward {
-        /// Export id of the object being moved away.
-        object: u64,
-        /// The node it now lives on.
-        to_node: u32,
-        /// Its export id there.
-        to_object: u64,
+        /// The object's previous home `(node, object)`, letting the receiver
+        /// rewrite an existing proxy for it in place instead of allocating a
+        /// duplicate.
+        source: (u32, u64),
     },
     /// Ship a replicated export's current state to a backup node. Sent by
     /// the owner after every served mutating call on a `replicate k` class;
@@ -472,7 +456,6 @@ pub(crate) mod testdata {
             Request::Discover {
                 class: "X_C_Int".into(),
             },
-            Request::Fetch { object: 17 },
             Request::Create {
                 class: "X".into(),
                 ctor: 2,
@@ -483,7 +466,7 @@ pub(crate) mod testdata {
                     class: "C_O_Local".into(),
                     fields: vec![WireValue::Long(1)],
                 },
-                source: None,
+                source: (0, 17),
             },
         ];
         out.push(Request::Install {
@@ -491,12 +474,7 @@ pub(crate) mod testdata {
                 class: "D_O_Local".into(),
                 fields: vec![],
             },
-            source: Some((2, 9)),
-        });
-        out.push(Request::Forward {
-            object: 3,
-            to_node: 1,
-            to_object: 44,
+            source: (2, 9),
         });
         out.push(Request::Call {
             object: 5,

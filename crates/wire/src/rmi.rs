@@ -31,7 +31,11 @@ mod tests {
     fn rejects_wrong_magic() {
         let codec = RmiCodec::new();
         let mut bytes = codec
-            .encode_request(4, TraceContext::NONE, &Request::Fetch { object: 1 })
+            .encode_request(
+                4,
+                TraceContext::NONE,
+                &Request::Promote { node: 1, object: 1 },
+            )
             .unwrap();
         bytes[0] = b'X';
         assert!(codec.decode_request(&bytes).is_err());
@@ -69,7 +73,7 @@ mod tests {
     #[test]
     fn message_id_is_independent_of_body() {
         let codec = RmiCodec::new();
-        let req = Request::Fetch { object: 1 };
+        let req = Request::Promote { node: 1, object: 1 };
         let a = codec.encode_request(1, TraceContext::NONE, &req).unwrap();
         let b = codec.encode_request(2, TraceContext::NONE, &req).unwrap();
         assert_ne!(a, b, "id is part of the frame");
@@ -83,7 +87,11 @@ mod tests {
     fn every_other_version_byte_is_rejected() {
         let codec = RmiCodec::new();
         let req = codec
-            .encode_request(9, TraceContext::NONE, &Request::Fetch { object: 2 })
+            .encode_request(
+                9,
+                TraceContext::NONE,
+                &Request::Promote { node: 1, object: 2 },
+            )
             .unwrap();
         let rep = codec
             .encode_reply(9, TraceContext::NONE, 3, &Reply::Value(WireValue::Int(3)))

@@ -607,9 +607,7 @@ fn body_kind(body: &str) -> Result<RequestKind, WireError> {
         "rafda:call" => RequestKind::Call,
         "rafda:create" => RequestKind::Create,
         "rafda:discover" => RequestKind::Discover,
-        "rafda:fetch" => RequestKind::Fetch,
         "rafda:install" => RequestKind::Install,
-        "rafda:forward" => RequestKind::Forward,
         "rafda:replicasync" => RequestKind::ReplicaSync,
         "rafda:promote" => RequestKind::Promote,
         "rafda:batch" => RequestKind::Batch,
@@ -656,25 +654,14 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
             sig_attr_out(b, "class", class, sigs);
             b.write_str("/>")
         }
-        Request::Fetch { object } => write!(b, "<rafda:fetch object=\"{object}\"/>"),
-        Request::Install { state, source } => {
-            match source {
-                Some((n, o)) => {
-                    let _ = write!(b, "<rafda:install srcnode=\"{n}\" srcobject=\"{o}\">");
-                }
-                None => b.push_str("<rafda:install>"),
-            }
+        Request::Install {
+            state,
+            source: (n, o),
+        } => {
+            let _ = write!(b, "<rafda:install srcnode=\"{n}\" srcobject=\"{o}\">");
             write_value(b, state, sigs);
             b.write_str("</rafda:install>")
         }
-        Request::Forward {
-            object,
-            to_node,
-            to_object,
-        } => write!(
-            b,
-            "<rafda:forward object=\"{object}\" tonode=\"{to_node}\" toobject=\"{to_object}\"/>"
-        ),
         Request::ReplicaSync {
             object,
             version,
@@ -701,7 +688,7 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
 }
 
 fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireError> {
-    use RequestKind::{Discover, Fetch, Forward, Promote};
+    use RequestKind::{Discover, Promote};
     let e = r.open()?;
     // Attributes before children: the encoder defines signatures in that
     // order, so interning must follow it.
@@ -719,20 +706,9 @@ fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireE
         "rafda:discover" => Request::Discover {
             class: sig_attr(&e, "class", sigs)?,
         },
-        "rafda:fetch" => Request::Fetch {
-            object: e.num("object")?,
-        },
         "rafda:install" => Request::Install {
-            source: match (e.raw("srcnode"), e.raw("srcobject")) {
-                (Some(_), Some(_)) => Some((e.num("srcnode")?, e.num("srcobject")?)),
-                _ => None,
-            },
+            source: (e.num("srcnode")?, e.num("srcobject")?),
             state: r.only_child(&e, |r| read_value(r, sigs))?,
-        },
-        "rafda:forward" => Request::Forward {
-            object: e.num("object")?,
-            to_node: e.num("tonode")?,
-            to_object: e.num("toobject")?,
         },
         "rafda:replicasync" => Request::ReplicaSync {
             object: e.num("object")?,
@@ -747,7 +723,7 @@ fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireE
         name => return Err(WireError::new(format!("unknown request <{name}>"))),
     };
     // The rest hold no elements.
-    if matches!(RequestKind::of(&req), Discover | Fetch | Forward | Promote) {
+    if matches!(RequestKind::of(&req), Discover | Promote) {
         r.end(&e)?;
     }
     Ok(req)
@@ -1031,7 +1007,7 @@ mod tests {
             parent_span_id: 2,
         };
         let bytes = SoapCodec::new()
-            .encode_request(42, ctx, &Request::Fetch { object: 1 })
+            .encode_request(42, ctx, &Request::Promote { node: 1, object: 1 })
             .unwrap();
         let s = String::from_utf8(bytes).unwrap();
         assert!(s.contains("soap:Envelope"));
@@ -1154,7 +1130,7 @@ mod tests {
         const TRACE: &str = "<rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>";
         const OBJVER: &str = "<rafda:objver>4</rafda:objver>";
         let header = |elems: &[&str]| format!("<soap:Header>{}</soap:Header>\n", elems.concat());
-        let request = "<rafda:fetch object=\"5\"/>";
+        let request = "<rafda:promote node=\"1\" object=\"5\"/>";
         let reply = "<rafda:result><v t=\"int\">9</v></rafda:result>";
 
         // The complete sets decode.
@@ -1195,7 +1171,7 @@ mod tests {
         // sender may add header blocks and envelope children, put the body
         // first, pad the numbers and carry any attributes.
         let codec = SoapCodec::new();
-        const BODY: &str = "<soap:Body><rafda:fetch object=\"5\"/></soap:Body>";
+        const BODY: &str = "<soap:Body><rafda:promote node=\"1\" object=\"5\"/></soap:Body>";
         const WSA: &str = "<wsa:To xmlns:wsa=\"urn:a\">urn:b &amp; c<x/></wsa:To>";
         let trace = "<rafda:trace xmlns:a=\"1\" xmlns:b=\"2\" xmlns:c=\"3\" xmlns:d=\"4\" \
                      id=\"1\" span=\"2\" parent=\"0\"/>";
@@ -1229,7 +1205,10 @@ mod tests {
                 .decode_request_header(frame.as_bytes())
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!((h.msg_id, h.ctx.span_id), (6, 2), "{label}");
-            assert_eq!(h.materialise(None).unwrap(), Request::Fetch { object: 5 });
+            assert_eq!(
+                h.materialise(None).unwrap(),
+                Request::Promote { node: 1, object: 5 }
+            );
         }
         let reply = "<soap:Envelope><soap:Header><rafda:objver>\n4\n</rafda:objver>\
                      <rafda:mid>6</rafda:mid><rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>\

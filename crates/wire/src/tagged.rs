@@ -91,13 +91,11 @@ const T_REMOTE: u8 = 7;
 const T_ARRAY: u8 = 8;
 const T_STATE: u8 = 9;
 
-// Request tags.
+// Request tags. 3 and 5 are unassigned: a frame carrying one is rejected.
 const R_CALL: u8 = 0;
 const R_CREATE: u8 = 1;
 const R_DISCOVER: u8 = 2;
-const R_FETCH: u8 = 3;
 const R_INSTALL: u8 = 4;
-const R_FORWARD: u8 = 5;
 const R_REPLICA: u8 = 6;
 const R_PROMOTE: u8 = 7;
 const R_BATCH: u8 = 8;
@@ -113,9 +111,7 @@ fn request_kind(tag: u8) -> Result<RequestKind, WireError> {
         R_CALL => RequestKind::Call,
         R_CREATE => RequestKind::Create,
         R_DISCOVER => RequestKind::Discover,
-        R_FETCH => RequestKind::Fetch,
         R_INSTALL => RequestKind::Install,
-        R_FORWARD => RequestKind::Forward,
         R_REPLICA => RequestKind::ReplicaSync,
         R_PROMOTE => RequestKind::Promote,
         R_BATCH => RequestKind::Batch,
@@ -241,27 +237,12 @@ fn write_request(w: &mut BinWriter, req: &Request, sigs: Sigs<'_, '_>) {
             w.u8(R_DISCOVER);
             write_sig(w, class, sigs);
         }
-        Request::Fetch { object } => {
-            w.u8(R_FETCH).u64(*object);
-        }
-        Request::Install { state, source } => {
-            w.u8(R_INSTALL);
-            match source {
-                Some((n, o)) => {
-                    w.u8(1).u32(*n).u64(*o);
-                }
-                None => {
-                    w.u8(0);
-                }
-            }
-            write_value(w, state, sigs);
-        }
-        Request::Forward {
-            object,
-            to_node,
-            to_object,
+        Request::Install {
+            state,
+            source: (n, o),
         } => {
-            w.u8(R_FORWARD).u64(*object).u32(*to_node).u64(*to_object);
+            w.u8(R_INSTALL).u32(*n).u64(*o);
+            write_value(w, state, sigs);
         }
         Request::ReplicaSync {
             object,
@@ -312,22 +293,9 @@ fn read_request(r: &mut BinReader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, Wi
         R_DISCOVER => Request::Discover {
             class: read_sig(r, sigs)?,
         },
-        R_FETCH => Request::Fetch { object: r.u64()? },
-        R_INSTALL => {
-            let source = if read_bool(r)? {
-                Some((r.u32()?, r.u64()?))
-            } else {
-                None
-            };
-            Request::Install {
-                state: read_value(r, sigs)?,
-                source,
-            }
-        }
-        R_FORWARD => Request::Forward {
-            object: r.u64()?,
-            to_node: r.u32()?,
-            to_object: r.u64()?,
+        R_INSTALL => Request::Install {
+            source: (r.u32()?, r.u64()?),
+            state: read_value(r, sigs)?,
         },
         R_REPLICA => Request::ReplicaSync {
             object: r.u64()?,

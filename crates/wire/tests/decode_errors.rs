@@ -438,6 +438,8 @@ fn hostile_soap_body_shapes_are_rejected() {
     let codec = SoapCodec::new();
     let call = |args: &str| format!("<rafda:call object=\"1\" method=\"m@1\">{args}</rafda:call>");
     let int = "<v t=\"int\">1</v>";
+    const PROMOTE: &str = "<rafda:promote node=\"1\" object=\"5\"/>";
+    const SOURCE: &str = "srcnode=\"1\" srcobject=\"5\"";
     let requests: Vec<(&str, String)> = vec![
         ("element in a string", call("<v t=\"string\">a<x/>b</v>")),
         ("element in an int", call("<v t=\"int\">1<x/></v>")),
@@ -474,44 +476,35 @@ fn hostile_soap_body_shapes_are_rejected() {
             call("<v t=\"string\">a &amp b</v>"),
         ),
         (
-            "text in a fetch",
-            "<rafda:fetch object=\"5\">x</rafda:fetch>".into(),
+            "text in a promote",
+            "<rafda:promote node=\"1\" object=\"5\">x</rafda:promote>".into(),
         ),
         (
-            "an element in a fetch",
-            format!("<rafda:fetch object=\"5\">{int}</rafda:fetch>"),
+            "an element in a promote",
+            format!("<rafda:promote node=\"1\" object=\"5\">{int}</rafda:promote>"),
         ),
         ("text in a batch", "<rafda:batch>x</rafda:batch>".into()),
         (
             "an install without state",
-            "<rafda:install></rafda:install>".into(),
+            format!("<rafda:install {SOURCE}></rafda:install>"),
         ),
         (
             "an install with two states",
-            format!("<rafda:install>{int}{int}</rafda:install>"),
+            format!("<rafda:install {SOURCE}>{int}{int}</rafda:install>"),
         ),
         (
             "text after a replica state",
             format!("<rafda:replicasync object=\"1\" version=\"2\">{int}x</rafda:replicasync>"),
         ),
-        (
-            "text before the body element",
-            "junk<rafda:fetch object=\"5\"/>".into(),
-        ),
-        (
-            "text after the body element",
-            "<rafda:fetch object=\"5\"/>junk".into(),
-        ),
+        ("text before the body element", format!("junk{PROMOTE}")),
+        ("text after the body element", format!("{PROMOTE}junk")),
         (
             "two body elements",
-            "<rafda:fetch object=\"5\"/><rafda:fetch object=\"6\"/>".into(),
+            format!("{PROMOTE}<rafda:promote node=\"1\" object=\"6\"/>"),
         ),
-        (
-            "a second body",
-            "<rafda:fetch object=\"5\"/></soap:Body><soap:Body>".into(),
-        ),
+        ("a second body", format!("{PROMOTE}</soap:Body><soap:Body>")),
         ("an empty body", String::new()),
-        ("a stray close tag", "</rafda:fetch>".into()),
+        ("a stray close tag", "</rafda:promote>".into()),
     ];
     for (label, body) in &requests {
         assert!(
@@ -585,4 +578,62 @@ fn hostile_soap_body_shapes_are_rejected() {
     let fault = "<soap:Fault><faultstring>a &amp; b</faultstring></soap:Fault>";
     let (_, _, ver, reply) = codec.decode_reply(&soap_envelope(true, fault)).unwrap();
     assert_eq!((ver, reply), (4, Reply::Fault("a & b".into())));
+}
+
+/// Request tags 3 and 5 and the SOAP elements `<rafda:fetch>` and
+/// `<rafda:forward>` name no request. At the top of a frame the header
+/// decode rejects them; inside a batch, whose header is well formed, the
+/// materialisation does. Either way the error is typed and nothing panics.
+#[test]
+fn unassigned_request_kinds_are_rejected_by_header_decode_and_materialise() {
+    let promote = Request::Promote { node: 1, object: 5 };
+    let batch = Request::Batch(vec![promote.clone()]);
+    // The request tag sits right after the header: at 37 in RMI (magic 4,
+    // version 1, message id 8, trace context 24), at 40 in CORBA (version
+    // padded to 8). A batch's first op tag follows its u32 op count, which
+    // CORBA aligns up to 44.
+    for (codec, top, nested) in [
+        (Box::new(RmiCodec::new()) as Box<dyn Protocol>, 37, 42),
+        (Box::new(CorbaCodec::new()), 40, 48),
+    ] {
+        let single = codec
+            .encode_request(1, TraceContext::NONE, &promote)
+            .unwrap();
+        let batched = codec.encode_request(1, TraceContext::NONE, &batch).unwrap();
+        assert_eq!((single[top], batched[nested]), (7, 7), "{}", codec.name());
+        for tag in [3u8, 5] {
+            let mut frame = single.clone();
+            frame[top] = tag;
+            let err = codec.decode_request_header(&frame).unwrap_err();
+            assert!(
+                err.0.contains("unknown request tag"),
+                "{}: {err}",
+                codec.name()
+            );
+            assert!(codec.decode_request(&frame).is_err());
+            let mut frame = batched.clone();
+            frame[nested] = tag;
+            let header = codec.decode_request_header(&frame).unwrap();
+            let err = header.materialise(None).unwrap_err();
+            assert!(
+                err.0.contains("unknown request tag"),
+                "{}: {err}",
+                codec.name()
+            );
+        }
+    }
+    let codec = SoapCodec::new();
+    for elem in [
+        "<rafda:fetch object=\"5\"/>",
+        "<rafda:forward object=\"5\" tonode=\"1\" toobject=\"6\"/>",
+    ] {
+        let frame = soap_envelope(false, elem);
+        let err = codec.decode_request_header(&frame).unwrap_err();
+        assert!(err.0.contains("unknown request"), "{elem}: {err}");
+        assert!(codec.decode_request(&frame).is_err());
+        let frame = soap_envelope(false, &format!("<rafda:batch>{elem}</rafda:batch>"));
+        let header = codec.decode_request_header(&frame).unwrap();
+        let err = header.materialise(None).unwrap_err();
+        assert!(err.0.contains("unknown request"), "{elem}: {err}");
+    }
 }

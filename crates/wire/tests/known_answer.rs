@@ -70,19 +70,21 @@ fn rmi_reply_bytes_are_stable() {
 #[test]
 fn corba_header_and_alignment_are_stable() {
     let bytes = CorbaCodec::new()
-        .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
+        .encode_request(7, sample_ctx(), &Request::Promote { node: 2, object: 1 })
         .unwrap();
     // "GIOP" + version 1.8, pad to 8, message id u64, trace context (3×u64)
-    // at 16..40, tag R_FETCH(3) at 40, pad to 48, object u64.
+    // at 16..40, tag R_PROMOTE(7) at 40, pad to 44, node u32, object u64
+    // at 48.
     assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(&bytes[6..8], &[0, 0], "alignment pad before id");
     assert_eq!(&bytes[8..16], &7u64.to_le_bytes());
     assert_eq!(&bytes[16..24], &0x0Bu64.to_le_bytes());
     assert_eq!(&bytes[24..32], &0x0Cu64.to_le_bytes());
     assert_eq!(&bytes[32..40], &0x0Au64.to_le_bytes());
-    assert_eq!(bytes[40], 3);
-    assert_eq!(&bytes[41..48], &[0; 7], "alignment pad before object");
-    assert_eq!(&bytes[48..56], &1u64.to_le_bytes());
+    assert_eq!(bytes[40], 7);
+    assert_eq!(&bytes[41..44], &[0; 3], "alignment pad before node");
+    assert_eq!(&bytes[44..48], &[2, 0, 0, 0]);
+    assert_eq!(&bytes[48..56], &[1, 0, 0, 0, 0, 0, 0, 0]);
     assert_eq!(bytes.len(), 56);
 }
 
@@ -140,6 +142,38 @@ fn rmi_promote_bytes_are_stable() {
         7, // R_PROMOTE
         4, 0, 0, 0, // crashed node u32 LE
         9, 0, 0, 0, 0, 0, 0, 0, // its export id u64 LE
+    ];
+    assert_eq!(bytes, expected);
+}
+
+#[test]
+fn rmi_install_bytes_are_stable() {
+    let install = Request::Install {
+        state: WireValue::ObjectState {
+            class: "C".to_owned(),
+            fields: vec![WireValue::Int(7)],
+        },
+        source: (4, 9),
+    };
+    let bytes = RmiCodec::new()
+        .encode_request(1, TraceContext::NONE, &install)
+        .unwrap();
+    let expected: Vec<u8> = vec![
+        b'J', b'R', b'M', b'I', 8, // version
+        1, 0, 0, 0, 0, 0, 0, 0, // message id u64 LE
+        0, 0, 0, 0, 0, 0, 0, 0, // trace id (NONE)
+        0, 0, 0, 0, 0, 0, 0, 0, // span id (NONE)
+        0, 0, 0, 0, 0, 0, 0, 0, // parent span id (NONE)
+        4, // R_INSTALL
+        4, 0, 0, 0, // source node u32 LE
+        9, 0, 0, 0, 0, 0, 0, 0, // source export id u64 LE
+        9, // T_STATE
+        0, // SIG_INLINE
+        1, 0, 0, 0,    // class name length u32
+        b'C', // class name
+        1, 0, 0, 0, // field count u32
+        2, // T_INT
+        7, 0, 0, 0, // 7 LE
     ];
     assert_eq!(bytes, expected);
 }
@@ -366,7 +400,7 @@ fn batch_request() -> Request {
             method: "set_x@2".to_owned(),
             args: vec![WireValue::Int(9)],
         },
-        Request::Fetch { object: 3 },
+        Request::Promote { node: 2, object: 3 },
     ])
 }
 
@@ -391,8 +425,9 @@ fn rmi_batch_bytes_are_stable() {
         1, 0, 0, 0, // argc
         2, // T_INT
         9, 0, 0, 0, // 9 LE
-        3, // R_FETCH
-        3, 0, 0, 0, 0, 0, 0, 0, // object id u64 LE
+        7, // R_PROMOTE
+        2, 0, 0, 0, // crashed node u32 LE
+        3, 0, 0, 0, 0, 0, 0, 0, // its export id u64 LE
     ];
     assert_eq!(bytes, expected);
 }
@@ -450,7 +485,7 @@ fn soap_batch_text_is_stable() {
         xml.contains(
             "<soap:Body><rafda:batch>\
              <rafda:call object=\"3\" method=\"set_x@2\"><v t=\"int\">9</v></rafda:call>\
-             <rafda:fetch object=\"3\"/>\
+             <rafda:promote node=\"2\" object=\"3\"/>\
              </rafda:batch></soap:Body>"
         ),
         "{xml}"

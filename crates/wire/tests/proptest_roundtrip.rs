@@ -74,25 +74,13 @@ fn arb_simple_request() -> impl Strategy<Value = Request> {
         )
             .prop_map(|(class, ctor, args)| Request::Create { class, ctor, args }),
         SIG.prop_map(|class| Request::Discover { class }),
-        any::<u64>().prop_map(|object| Request::Fetch { object }),
-        (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(object, to_node, to_object)| {
-            Request::Forward {
-                object,
-                to_node,
-                to_object,
-            }
+        (arb_wire_value(), (any::<u32>(), any::<u64>())).prop_map(|(v, source)| Request::Install {
+            state: WireValue::ObjectState {
+                class: "S".into(),
+                fields: vec![v]
+            },
+            source,
         }),
-        (
-            arb_wire_value(),
-            proptest::option::of((any::<u32>(), any::<u64>()))
-        )
-            .prop_map(|(v, source)| Request::Install {
-                state: WireValue::ObjectState {
-                    class: "S".into(),
-                    fields: vec![v]
-                },
-                source,
-            }),
         (any::<u64>(), any::<u64>(), arb_wire_value()).prop_map(|(object, version, v)| {
             Request::ReplicaSync {
                 object,

@@ -197,8 +197,8 @@ impl Chaos {
 
     /// Apply one op and return what a `Call` observed.
     ///
-    /// `Migrate` moves a counter that sits at its home and pulls a roaming
-    /// one back instead; `Pull` brings it home. `Crash` restarts the down
+    /// `Migrate` moves a counter from its live home, wherever that is;
+    /// `Pull` brings it to its home node. `Crash` restarts the down
     /// node first and `Heal` restarts it: with k = 2 and both backups live
     /// at every owner crash, some replica is always current.
     fn apply(&mut self, op: &SoakOp) -> Option<i32> {
@@ -214,16 +214,12 @@ impl Chaos {
             }
             SoakOp::Migrate { idx, node } => {
                 let node = NodeId(u32::from(node));
-                let h = self.counters[idx].as_ref_handle().unwrap();
-                let loc = self.location(idx);
-                if loc != node {
-                    // A migration starts where the object is; the home
-                    // holds only a proxy to a roaming one, so pull it.
-                    if loc == self.home[idx] {
-                        self.cluster.migrate(loc, h, node).unwrap();
-                    } else {
-                        self.cluster.pull_local(self.home[idx], h).unwrap();
-                    }
+                let (owner, h) = self
+                    .cluster
+                    .home_of(self.home[idx], &self.counters[idx])
+                    .unwrap();
+                if owner != node {
+                    self.cluster.migrate(owner, h, node).unwrap();
                 }
             }
             SoakOp::Pull { idx } => {

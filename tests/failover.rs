@@ -151,7 +151,7 @@ fn unreplicated_crash_surfaces_typed_unreachable_everywhere() {
     assert_eq!(nf.kind, NetError::NodeCrashed(N1));
     assert_eq!(nf.attempts, 1, "crashes are not retried");
 
-    // pull_local: the Fetch against the dead owner is typed too.
+    // pull_local: a migration from the dead owner, typed too.
     let err = cluster
         .pull_local(N0, c.as_ref_handle().unwrap())
         .unwrap_err();
