@@ -24,6 +24,7 @@ use crate::classmodel::builder::{ClassBuilder, MethodBuilder};
 use crate::classmodel::{ClassKind, Field};
 use crate::corpus::ops::{ChurnConfig, ChurnSchedule, Oracle, PoolClass, SoakOp};
 use crate::runtime::{Section, SoakRecorder, SoakReport};
+use crate::vm::Handle;
 use crate::{
     AffinityConfig, Application, Cluster, NodeId, Placement, RetryPolicy, StaticPolicy, Ty, Value,
 };
@@ -274,7 +275,7 @@ impl SoakHarness {
                 // Third-party migration, issued at the live home: the
                 // coordinator's warmed caches must be tombstoned remotely
                 // for later reads to stay fresh.
-                match self.cluster.home_of(coord, &self.objs[idx]) {
+                match self.live_home(op, idx)? {
                     Some((owner, handle)) if owner != target && up(owner) && up(target) => {
                         self.cluster
                             .migrate(owner, handle, target)
@@ -289,7 +290,7 @@ impl SoakHarness {
                     .expect("pool objects are refs");
                 // Unless the coordinator's handle is the live object itself,
                 // or its home is down.
-                match self.cluster.home_of(coord, &self.objs[idx]) {
+                match self.live_home(op, idx)? {
                     Some((owner, live))
                         if (owner, live) != (coord, h) && self.down != Some(owner) =>
                     {
@@ -317,6 +318,20 @@ impl SoakHarness {
             }
         }
         Ok(())
+    }
+
+    /// The live home of pool object `idx` ([`Cluster::home_of`]), `None`
+    /// while that home is not live (its node restarted and the object is
+    /// not re-homed yet). A coordinator handle that went stale is an error.
+    fn live_home(&self, op: &SoakOp, idx: usize) -> Result<Option<(NodeId, Handle)>, String> {
+        if self
+            .cluster
+            .location_of(self.coord, &self.objs[idx])
+            .is_none()
+        {
+            return Err(format!("{op}: object vanished"));
+        }
+        Ok(self.cluster.home_of(self.coord, &self.objs[idx]))
     }
 
     /// Quiesce and verify: restart the down node, touch every object

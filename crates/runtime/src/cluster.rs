@@ -734,13 +734,8 @@ impl Cluster {
         let vm = &self.shared.vms[node.0 as usize];
         match gen_info(&self.shared, vm.class_of(h)?) {
             Some(info) if info.is_proxy => {
-                let target = read_proxy_state(vm, h)?;
-                let (owner, handle) = {
-                    let dir = self.shared.directory.borrow();
-                    let home = dir.resolve(target);
-                    (home.0, dir.live_export(home)?)
-                };
-                is_local_impl(&self.shared, owner, handle).then_some((NodeId(owner), handle))
+                let (home, live) = live_home(&self.shared, read_proxy_state(vm, h)?);
+                live.map(|object| (NodeId(home.0), object))
             }
             _ => Some((node, h)),
         }
@@ -856,6 +851,20 @@ pub(crate) fn class_row(shared: &Shared, base: ClassId) -> Option<&ClassRow> {
 /// real thing, not a proxy for it.
 pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
     info_of(shared, node, h).is_some_and(|info| !info.is_proxy)
+}
+
+/// The live home of the object a proxy addresses at `target`: the location
+/// the directory resolves `target` to, however many recorded moves behind
+/// the proxy is, and the locally implemented object exported there —
+/// `None` if that home exports none (its node restarted and nobody has
+/// re-homed the object yet).
+pub(crate) fn live_home(shared: &Shared, target: (u32, u64)) -> ((u32, u64), Option<Handle>) {
+    let (home, live) = {
+        let dir = shared.directory.borrow();
+        let home = dir.resolve(target);
+        (home, dir.live_export(home))
+    };
+    (home, live.filter(|&h| is_local_impl(shared, home.0, h)))
 }
 
 /// Whether `h` on `node` is a locally implemented instance of a class the

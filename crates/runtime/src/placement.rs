@@ -5,8 +5,8 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{
-    export, gen_info, info_of, is_local_impl, lookup_export, point_proxy_at, read_proxy_state,
-    relocate, ClassRow, Cluster, RemoteRef, Shared,
+    export, gen_info, info_of, is_local_impl, live_home, lookup_export, point_proxy_at,
+    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -99,7 +99,7 @@ impl Cluster {
                 .ok_or_else(|| VmError::Native("pull_local needs a proxy".into()))?;
             let target =
                 read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-            let home = shared.directory.borrow().resolve(target);
+            let (home, live) = live_home(shared, target);
             point_proxy_at(shared, node, proxy, class, home);
             if home.0 == node.0 {
                 return Ok(MigrationEvent {
@@ -110,8 +110,7 @@ impl Cluster {
                 });
             }
             let owner = NodeId(home.0);
-            let object = shared.directory.borrow().live_export(home);
-            let object = object.ok_or_else(|| VmError::Native(unknown_object(home.1, owner)))?;
+            let object = live.ok_or_else(|| VmError::Native(unknown_object(home.1, owner)))?;
             let event = self.install_at(owner, object, node)?;
             bump(shared, node.0, Met::Pulls);
             Ok(event)

@@ -69,23 +69,33 @@ fn rmi_reply_bytes_are_stable() {
 
 #[test]
 fn corba_header_and_alignment_are_stable() {
+    let call = Request::Call {
+        object: 1,
+        method: "m".to_owned(),
+        args: vec![],
+    };
     let bytes = CorbaCodec::new()
-        .encode_request(7, sample_ctx(), &Request::Promote { node: 2, object: 1 })
+        .encode_request(7, sample_ctx(), &call)
         .unwrap();
     // "GIOP" + version 1.8, pad to 8, message id u64, trace context (3×u64)
-    // at 16..40, tag R_PROMOTE(7) at 40, pad to 44, node u32, object u64
-    // at 48.
+    // at 16..40, tag R_CALL(0) at 40, pad to 48, object u64, SIG_INLINE at
+    // 56, pad to 60, method length u32, the method at 64, pad to 68, argc.
     assert_eq!(&bytes[..6], b"GIOP\x01\x08");
     assert_eq!(&bytes[6..8], &[0, 0], "alignment pad before id");
     assert_eq!(&bytes[8..16], &7u64.to_le_bytes());
     assert_eq!(&bytes[16..24], &0x0Bu64.to_le_bytes());
     assert_eq!(&bytes[24..32], &0x0Cu64.to_le_bytes());
     assert_eq!(&bytes[32..40], &0x0Au64.to_le_bytes());
-    assert_eq!(bytes[40], 7);
-    assert_eq!(&bytes[41..44], &[0; 3], "alignment pad before node");
-    assert_eq!(&bytes[44..48], &[2, 0, 0, 0]);
-    assert_eq!(&bytes[48..56], &[1, 0, 0, 0, 0, 0, 0, 0]);
-    assert_eq!(bytes.len(), 56);
+    assert_eq!(bytes[40], 0);
+    assert_eq!(&bytes[41..48], &[0; 7], "alignment pad before object");
+    assert_eq!(&bytes[48..56], &1u64.to_le_bytes());
+    assert_eq!(bytes[56], 0, "SIG_INLINE");
+    assert_eq!(&bytes[57..60], &[0; 3], "alignment pad before length");
+    assert_eq!(&bytes[60..64], &1u32.to_le_bytes());
+    assert_eq!(bytes[64], b'm');
+    assert_eq!(&bytes[65..68], &[0; 3], "alignment pad before argc");
+    assert_eq!(&bytes[68..72], &0u32.to_le_bytes());
+    assert_eq!(bytes.len(), 72);
 }
 
 fn replica_sync_request() -> Request {
