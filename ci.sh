@@ -140,7 +140,7 @@ echo "== location tables are touched only by the Directory =="
 # table has leaked back out. The two gauges a time-series sample reads
 # (`lagging`, `members_per_node`) are held to the same rule: they stay exact
 # only because the transitions next to the tables are their sole writers.
-if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|forwards|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
+if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
   exit 1
@@ -294,13 +294,28 @@ echo "== one move: a pull is a migration from the live home, no Fetch / Forward 
 # directory resolves. A second request pair, a tag or SOAP element for it, a
 # counter of its serves or a separate pull body in product code means the
 # caller-driven protocol, and its pull-through-a-stub defect, is back. The
-# names are matched whole: "forward" alone also names the directory's
-# forwarding stubs.
+# names are matched whole.
 one_move='Request::(Fetch|Forward)\b|RequestKind::(Fetch|Forward)\b|\bR_(FETCH|FORWARD)\b|rafda:(fetch|forward)\b|\bRpc(Fetches|Forwards)\b|\bpull_inner\b'
 for f in $(find crates/*/src -name '*.rs' ! -name tests.rs | sort); do
   # Product lines only: everything before the file's `#[cfg(test)]`.
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$one_move"; then
     echo "FAIL: $f moves objects a second way (Fetch / Forward)" >&2
+    exit 1
+  fi
+done
+
+echo "== no forwarding stubs: a moved object is reached through the recorded moves =="
+# A move vacates the old location: its export, export id and counters go,
+# and a call addressed there is answered `unknown object`, whose caller is
+# redirected once through the directory's recorded moves (`failover`). A
+# stub table, a walk over exports and stubs, a closure asking a heap where
+# an exported proxy points, or a helper reading it, in product code means a
+# second answer to "where does this object live" is back.
+no_stubs='\bforwards\b|\btrail_of\b|points_at|proxy_target'
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$no_stubs"; then
+    echo "FAIL: $f keeps a forwarding stub" >&2
     exit 1
   fi
 done

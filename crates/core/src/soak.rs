@@ -454,7 +454,7 @@ mod tests {
         // `ChurnConfig::ITEMS` is the first Acct index. Warm the cache,
         // migrate (tombstone skipped), read again: the value matches the
         // oracle — only the stale-read monitor can see that the hit was
-        // served through a forwarding location.
+        // served through a location the object moved away from.
         let acct = ChurnConfig::ITEMS;
         let ops = vec![
             SoakOp::Call {

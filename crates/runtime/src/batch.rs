@@ -1,6 +1,11 @@
 //! Batched remote invocation: per-`(caller, owner)` outcall queues of
 //! deferred operations, and the flush that ships each queue as one
 //! exchange at a synchronization point.
+//!
+//! A deferred call addressed at a location its object has since left is
+//! answered `unknown object` in its sub-reply, like one addressed at a dead
+//! owner; the flush re-homes it through the recorded moves and re-defers it
+//! toward the live home.
 
 use crate::cluster::{ClassRow, Shared};
 use crate::failover::{locate_home, owner_gone};
@@ -74,7 +79,7 @@ pub(crate) fn enqueue_outcall(
 /// crash/restart, a clock read, and [`Cluster::flush`].
 ///
 /// Serving a batch can enqueue follow-up operations (replica shipments of
-/// the applied calls, ops re-deferred through a forwarding proxy), so the
+/// the applied calls, ops re-deferred to a moved object's live home), so the
 /// drain loops until quiescent; queues go out in sorted key order so runs
 /// stay deterministic. After the first failure the remaining queues still
 /// drain — their operations must not be silently lost — and the first
@@ -108,13 +113,14 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             let Request::Batch(ops) = batch else {
                 unreachable!("built above");
             };
-            // The owner died, or restarted with amnesia, between the
-            // deferral and this flush: the whole frame was refused, or a
-            // deferred call's own sub-reply says its export is unknown
-            // (nothing applied either way). The accepted calls must not be
-            // lost: re-home each onto the object's promoted backup — the
-            // same failover a synchronous call would take — and re-defer it
-            // there; this drain loop ships the new queues. Replica
+            // The owner died, restarted with amnesia, or the object moved
+            // away between the deferral and this flush: the whole frame was
+            // refused, or a deferred call's own sub-reply says its export is
+            // unknown (nothing applied either way). The accepted calls must
+            // not be lost: re-home each onto the object's live home or
+            // promoted backup — the same failover a synchronous call would
+            // take — and re-defer it there; this drain loop ships the new
+            // queues. Replica
             // shipments for a dead node are dropped: restart clears the
             // synced-version marks, so the owner re-seeds it at its next
             // sync anyway.

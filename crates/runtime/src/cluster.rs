@@ -775,7 +775,7 @@ impl Cluster {
             let roots: Vec<Handle> = {
                 let nodes = self.shared.nodes.borrow();
                 let state = &nodes[i];
-                let exported = self.shared.directory.borrow().trail_of(i as u32);
+                let exported = self.shared.directory.borrow().exports_of(i as u32);
                 exported
                     .into_iter()
                     .map(|(_, h)| h)
@@ -879,30 +879,21 @@ pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
     info_of(shared, node, h).is_some_and(|info| info.is_proxy)
 }
 
-/// The location an exported proxy `h` on `node` addresses; `None` for
-/// anything that is not a proxy.
-fn proxy_target(shared: &Shared, node: u32, h: Handle) -> Option<(u32, u64)> {
-    is_proxy(shared, node, h)
-        .then(|| read_proxy_state(&shared.vms[node as usize], h))
-        .flatten()
-}
-
 /// The object at `old` now lives at `new`: see [`Directory::relocate`].
 pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
-    shared
-        .directory
-        .borrow_mut()
-        .relocate(old, new, |n, h| proxy_target(shared, n, h));
+    shared.directory.borrow_mut().relocate(old, new);
 }
 
+/// The live export `(node, oid)`, if `node` has one under that id.
 pub(crate) fn lookup_export(shared: &Shared, node: NodeId, oid: u64) -> Option<Handle> {
-    shared.directory.borrow().lookup((node.0, oid))
+    shared.directory.borrow().live_export((node.0, oid))
 }
 
-/// A wire reference to whatever the location `(node, oid)` resolves to — a
-/// live export or a forwarding stub — under its current class name; `None`
-/// if nothing does.
-pub(crate) fn remote_ref(shared: &Shared, (node, oid): (u32, u64)) -> Option<WireValue> {
+/// A wire reference to the live export the location `loc` resolves to,
+/// however many recorded moves behind it is, under its current class name;
+/// `None` if that home exports nothing.
+pub(crate) fn remote_ref(shared: &Shared, loc: (u32, u64)) -> Option<WireValue> {
+    let (node, oid) = shared.directory.borrow().resolve(loc);
     let h = lookup_export(shared, NodeId(node), oid)?;
     let class = shared.vms[node as usize].class_of(h)?;
     Some(WireValue::Remote {

@@ -380,10 +380,11 @@ fn pulled_counter(seed: u64) -> (Cluster, Value, Value, u64) {
     (cluster, a, b, pulled.target.oid)
 }
 
-/// A pull through a forwarding stub moves the object from its live home,
-/// not the stub. `CA` on node 1 is migrated 1 → 2 at its owner; node 0's
-/// proxy still names node 1, where a stub forwards to node 2. The pull
-/// resolves the home through the directory and installs from there.
+/// A pull through a proxy that names a moved-away location moves the
+/// object from its live home. `CA` on node 1 is migrated 1 → 2 at its
+/// owner; node 0's proxy still names node 1, which answers for nothing any
+/// more. The pull resolves the home through the directory's recorded moves
+/// and installs from there.
 #[test]
 fn a_pull_through_a_forwarding_stub_moves_the_live_object() {
     let cluster = deployed_counters(
@@ -428,6 +429,49 @@ fn a_pull_through_a_forwarding_stub_moves_the_live_object() {
         .collect();
     assert_eq!(live_homes, vec![home], "one live home cluster-wide");
     drop(dir);
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A moved object is reached through the recorded moves alone. After `CA`
+/// migrates 1 → 2, node 0's proxy still names node 1: its first call is
+/// answered `unknown object` (one fault), redirected once (one failover,
+/// no exchange: the move is recorded) and served at node 2. The proxy now
+/// names the live home, so the second call is one direct exchange.
+#[test]
+fn a_call_to_a_moved_location_is_redirected_once_to_the_live_home() {
+    let cluster = deployed_counters(
+        29,
+        StaticPolicy::new().place("CA", Placement::Node(NodeId(1))),
+    );
+    cluster.enable_monitors();
+    let (n0, n2) = (NodeId(0), NodeId(2));
+    let a = cluster.new_instance(n0, "CA", 0, vec![]).unwrap();
+    let add = |d: i32| cluster.call_method(n0, a.clone(), "add", vec![Value::Int(d)]);
+    assert_eq!(add(5).unwrap(), Value::Int(5));
+    let (owner, handle) = cluster.home_of(n0, &a).unwrap();
+    let event = cluster.migrate(owner, handle, n2).unwrap();
+    let home = (event.target.node.0, event.target.oid);
+    assert_eq!(cluster.location_of(n0, &a), Some(NodeId(1)), "still stale");
+
+    let before = cluster.stats();
+    let messages = cluster.network().stats().messages;
+    assert_eq!(add(1).unwrap(), Value::Int(6));
+    let after = cluster.stats();
+    assert_eq!(after.faults - before.faults, 1, "one unknown-object fault");
+    assert_eq!(after.failovers - before.failovers, 1, "one redirect");
+    assert_eq!(cluster.network().stats().messages - messages, 4);
+    let proxy = a.as_ref_handle().unwrap();
+    let shared = cluster.shared();
+    assert_eq!(read_proxy_state(&shared.vms[0], proxy), Some(home));
+
+    let messages = cluster.network().stats().messages;
+    assert_eq!(add(1).unwrap(), Value::Int(7));
+    assert_eq!(
+        cluster.network().stats().messages - messages,
+        2,
+        "one direct exchange"
+    );
+    assert_eq!(cluster.stats().failovers, after.failovers);
     assert_eq!(cluster.check_invariants(), vec![]);
 }
 

@@ -1,9 +1,8 @@
 //! The location directory: the one answer to "where does this object live
 //! now, and at what version".
 //!
-//! Every table that records a location — the per-node export registries
-//! and their forwarding stubs, property versions (with tombstones), the
-//! recorded-homes chain, canonical singleton exports, the shard map, the
+//! Every table that records a location — the per-node export registries,
+//! property versions (with tombstones), the recorded-homes chain, canonical singleton exports, the shard map, the
 //! last-shipped replica records, the dirty-replica set and the affinity
 //! counters — lives behind this one type, and changes only through the
 //! transitions below ([`Directory::export`], [`Directory::relocate`],
@@ -35,10 +34,10 @@ pub(crate) type Loc = (u32, u64);
 pub(crate) type ShardKey = (usize, u32);
 
 /// Version tag marking a location as permanently uncacheable: the object
-/// moved away and the export (if the node still has one) only forwards.
-/// Reads through a forwarding chain must always go remote, otherwise a
-/// reader that never exchanges with the new owner could keep serving the
-/// pre-move value.
+/// moved away and the location answers for nothing any more. A read
+/// addressed at it must go remote (and be redirected to the live home),
+/// otherwise a reader that never exchanges with the new owner could keep
+/// serving the pre-move value.
 pub(crate) const VERSION_TOMBSTONE: u64 = u64::MAX;
 
 /// How an export's live state relates to what its backups last received.
@@ -71,13 +70,10 @@ pub(crate) struct Affinity {
 struct NodeDir {
     /// Live exports: objects this node answers for.
     exports: HashMap<u64, Handle>,
-    /// Reverse map over `exports` *and* `forwards`, so re-exporting a
-    /// handle (the object migrating back home) reuses its original id.
+    /// Reverse map over `exports`, so exporting a handle twice reuses its
+    /// id. A move vacates both directions: an object coming home is
+    /// exported under a fresh id.
     export_ids: HashMap<Handle, u64>,
-    /// Forwarding stubs left behind by a move: the id still resolves (to
-    /// the in-place-rewritten proxy) so transparent forwarding keeps
-    /// working, but sweeps, affinity and summaries see only live exports.
-    forwards: HashMap<u64, Handle>,
     /// Live exports that are locally implemented instances of a replicated
     /// class — the only locations a dirty mark can make shippable.
     replicated: BTreeSet<u64>,
@@ -116,8 +112,8 @@ pub(crate) struct Directory {
     versions: HashMap<Loc, u64>,
     /// Where the live copy of a moved object went: old location → next
     /// location. Acyclic by construction (see [`Directory::relocate`]).
-    /// Outlives restarts — a forwarding proxy alone would be lost when its
-    /// node restarts.
+    /// Outlives restarts: it is the only way a reference to a moved-away
+    /// location reaches the object.
     homes: HashMap<Loc, Loc>,
     /// Per class row: the location its statics singleton was first
     /// exported under; resolution follows `homes` from here.
@@ -158,29 +154,18 @@ impl Directory {
     // Transitions
     // ------------------------------------------------------------------
 
-    /// Export `h` on `node` and return its id: the id it already has (a
-    /// forwarding stub is promoted back to a live export — the object came
-    /// home), or a fresh one. `replicated` says whether `h` is *now* a
-    /// locally implemented instance of a replicated class; it is
-    /// re-evaluated on every call because installs and promotions rewrite
-    /// exported proxies into local objects under an unchanged id. A
-    /// replicated export is marked dirty: its state is owed to the backups.
+    /// Export `h` on `node` and return its id: the id it already has, or a
+    /// fresh one. `replicated` says whether `h` is *now* a locally
+    /// implemented instance of a replicated class; it is re-evaluated on
+    /// every call. A replicated export is marked dirty: its state is owed
+    /// to the backups.
     pub(crate) fn export(&mut self, node: u32, h: Handle, replicated: bool) -> u64 {
         let st = &mut self.nodes[node as usize];
-        let oid = match st.export_ids.get(&h) {
-            Some(&oid) => {
-                if let Some(h) = st.forwards.remove(&oid) {
-                    st.exports.insert(oid, h);
-                }
-                oid
-            }
-            None => {
-                st.next_oid += 1;
-                st.exports.insert(st.next_oid, h);
-                st.export_ids.insert(h, st.next_oid);
-                st.next_oid
-            }
-        };
+        let oid = *st.export_ids.entry(h).or_insert_with(|| {
+            st.next_oid += 1;
+            st.exports.insert(st.next_oid, h);
+            st.next_oid
+        });
         if replicated {
             st.replicated.insert(oid);
             self.dirty.insert((node, oid));
@@ -191,24 +176,15 @@ impl Directory {
     }
 
     /// The object at `old` now lives at `new`. In order: tombstone `old`'s
-    /// version (no read through it may be cached again); if the mover
-    /// rewrote the object at `old` into a proxy — a migration did (a pull is
-    /// one), a promotion leaves a dead owner's object alone — demote its
-    /// export to a forwarding stub (which also ends its replication
-    /// duties); record `old → new` and drop any outgoing edge of `new`,
-    /// which keeps every chain acyclic and ending at a live home; and purge
-    /// the affinity counters of both locations, plus any counter of an
-    /// exported proxy that `points_at` either — the counts describe calls
+    /// version (no read through it may be cached again); vacate `old` —
+    /// its export, export id, replicated flag and dirty mark go, whatever
+    /// the mover left in the heap, so a call addressed there is answered
+    /// `unknown object` and its caller is redirected through the recorded
+    /// move; record `old → new` and drop any outgoing edge of `new`, which
+    /// keeps every chain acyclic and ending at a live home; and purge the
+    /// affinity counters of both locations — the counts describe calls
     /// received at a home the object no longer has.
-    ///
-    /// `points_at(node, handle)` answers, from the node's heap, which
-    /// location an exported proxy addresses (`None` for anything else).
-    pub(crate) fn relocate(
-        &mut self,
-        old: Loc,
-        new: Loc,
-        points_at: impl Fn(u32, Handle) -> Option<Loc>,
-    ) {
+    pub(crate) fn relocate(&mut self, old: Loc, new: Loc) {
         if !std::mem::take(&mut self.skip_next_tombstone) {
             let before = self.versions.insert(old, VERSION_TOMBSTONE).unwrap_or(0);
             // A tombstoned location never lags, whatever it last shipped.
@@ -216,26 +192,15 @@ impl Directory {
             self.lagging -= u64::from(lagged);
         }
         let st = &mut self.nodes[old.0 as usize];
-        let rewritten = st.exports.get(&old.1).copied();
-        if let Some(h) = rewritten.filter(|&h| points_at(old.0, h).is_some()) {
-            st.exports.remove(&old.1);
-            st.forwards.insert(old.1, h);
-            st.replicated.remove(&old.1);
-            self.dirty.remove(&old);
+        if let Some(h) = st.exports.remove(&old.1) {
+            st.export_ids.remove(&h);
         }
+        st.replicated.remove(&old.1);
+        st.call_counts.remove(&old.1);
+        self.dirty.remove(&old);
+        self.nodes[new.0 as usize].call_counts.remove(&new.1);
         self.homes.insert(old, new);
         self.homes.remove(&new);
-        for (n, st) in self.nodes.iter_mut().enumerate() {
-            let n = n as u32;
-            let exports = &st.exports;
-            st.call_counts.retain(|&oid, _| {
-                if (n, oid) == old || (n, oid) == new {
-                    return false;
-                }
-                let target = exports.get(&oid).and_then(|&h| points_at(n, h));
-                target != Some(old) && target != Some(new)
-            });
-        }
     }
 
     /// Record a (possible) mutation at `loc`: cached reads tagged with an
@@ -354,8 +319,8 @@ impl Directory {
         settled
     }
 
-    /// `node` restarted with empty volatile state: its exports, stubs,
-    /// shipment records and counters are gone (only the id counter
+    /// `node` restarted with empty volatile state: its exports, shipment
+    /// records and counters are gone (only the id counter
     /// survives), its dirty entries describe state that no longer exists,
     /// and — since it holds no backups any more — every owner's shipment
     /// records are void. Every node's replicated exports are re-marked so
@@ -440,7 +405,8 @@ impl Directory {
         let per_node = &mut self.members_per_node;
         for members in self.members_by_shard.values_mut() {
             members.retain(|&loc| {
-                let kept = lookup_in(nodes, loc).is_some_and(|h| keep(loc, h));
+                let live = nodes[loc.0 as usize].exports.get(&loc.1);
+                let kept = live.is_some_and(|&h| keep(loc, h));
                 per_node[loc.0 as usize] -= u64::from(!kept);
                 kept
             });
@@ -452,12 +418,7 @@ impl Directory {
     // Questions
     // ------------------------------------------------------------------
 
-    /// The handle `loc` resolves to: a live export or a forwarding stub.
-    pub(crate) fn lookup(&self, loc: Loc) -> Option<Handle> {
-        lookup_in(&self.nodes, loc)
-    }
-
-    /// The handle of the live export at `loc`; `None` for stubs.
+    /// The handle of the live export at `loc`, if `loc` has one.
     pub(crate) fn live_export(&self, loc: Loc) -> Option<Handle> {
         self.nodes[loc.0 as usize].exports.get(&loc.1).copied()
     }
@@ -503,14 +464,13 @@ impl Directory {
 
     /// The live exports of `node`, sorted by id.
     pub(crate) fn exports_of(&self, node: u32) -> Vec<(u64, Handle)> {
-        sorted_by_id(&self.nodes[node as usize].exports)
-    }
-
-    /// Live exports *and* forwarding stubs of `node`, sorted by id — a
-    /// migration's trail stays visible at the old home.
-    pub(crate) fn trail_of(&self, node: u32) -> Vec<(u64, Handle)> {
-        let st = &self.nodes[node as usize];
-        sorted_by_id(st.exports.iter().chain(&st.forwards))
+        let mut out: Vec<(u64, Handle)> = self.nodes[node as usize]
+            .exports
+            .iter()
+            .map(|(&o, &h)| (o, h))
+            .collect();
+        out.sort_unstable_by_key(|&(oid, _)| oid);
+        out
     }
 
     /// How `state`, the live marshalled state of `loc`, relates to its
@@ -644,22 +604,6 @@ fn behind(current: u64, shipped: u64) -> bool {
     current != VERSION_TOMBSTONE && current != shipped
 }
 
-fn sorted_by_id<'a>(
-    entries: impl IntoIterator<Item = (&'a u64, &'a Handle)>,
-) -> Vec<(u64, Handle)> {
-    let mut out: Vec<(u64, Handle)> = entries.into_iter().map(|(&o, &h)| (o, h)).collect();
-    out.sort_unstable_by_key(|&(oid, _)| oid);
-    out
-}
-
-fn lookup_in(nodes: &[NodeDir], loc: Loc) -> Option<Handle> {
-    let st = &nodes[loc.0 as usize];
-    st.exports
-        .get(&loc.1)
-        .or_else(|| st.forwards.get(&loc.1))
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,30 +623,27 @@ mod tests {
         (0..n).map(|_| vm.alloc_raw(c, vec![])).collect()
     }
 
-    /// `h` moves from its export `old` to `to`, as a migration does: the
-    /// handle left at `old` is now a proxy for the new location.
+    /// `h` moves from its export `old` to `to`, as a migration does.
     fn migrate(dir: &mut Directory, old: Loc, h: Handle, to: u32) -> Loc {
         let new = (to, dir.export(to, h, false));
-        dir.relocate(old, new, |n, x| (n == old.0 && x == h).then_some(new));
+        dir.relocate(old, new);
         new
     }
 
     /// Regression for `follow_homes` stopping short: the old walk took at
     /// most `node_count + 1` hops, but a chain gains one *fresh* location
-    /// every time the object lands on a node that restarted since it last
-    /// lived there (the restart wiped the id it would have reused).
+    /// every time the object lands on a node, however often it lived there
+    /// before.
     #[test]
     fn resolve_reaches_the_terminal_of_a_chain_longer_than_the_cluster() {
         let h = handles(1)[0];
         let mut dir = Directory::new(NODES, 1);
         let first = (0, dir.export(0, h, false));
-        let mut at = migrate(&mut dir, first, h, 1);
-        at = migrate(&mut dir, at, h, 2);
-        for node in 0..NODES {
-            let _ = dir.restart(node);
+        let mut at = first;
+        for node in [1, 2, 0, 1, 2] {
             at = migrate(&mut dir, at, h, node);
         }
-        assert_eq!(at, (2, 2), "every landing after a restart is a fresh id");
+        assert_eq!(at, (2, 2), "every landing is a fresh id");
         let mut hops = 0;
         let mut loc = first;
         while let Some(next) = dir.recorded_home(loc) {
@@ -712,46 +653,49 @@ mod tests {
         assert_eq!(hops, 5);
         assert!(hops > NODES + 1, "longer than the old walk's bound");
         assert_eq!(dir.resolve(first), at);
-        assert_eq!(dir.lookup(at), Some(h));
+        assert_eq!(dir.live_export(at), Some(h));
     }
 
+    /// A move vacates the old location outright, so an object coming home
+    /// is a fresh export: cacheable again (version 0, not a tombstone), and
+    /// every location it ever had resolves to it.
     #[test]
-    fn an_object_coming_home_reuses_its_id_and_stays_tombstoned() {
+    fn an_object_coming_home_gets_a_fresh_id_and_its_old_ids_resolve_to_it() {
         let h = handles(1)[0];
         let mut dir = Directory::new(NODES, 1);
         let home = (0, dir.export(0, h, true));
         let away = migrate(&mut dir, home, h, 1);
         assert_eq!(dir.live_export(home), None);
-        assert_eq!(dir.lookup(home), Some(h), "the stub still resolves");
         assert_eq!(dir.version(home), VERSION_TOMBSTONE);
-        assert!(!dir.bump(home), "a stub cannot ship");
+        assert!(!dir.bump(home), "a vacated location cannot ship");
         let back = (0, dir.export(0, h, true));
-        dir.relocate(away, back, |n, x| (n == away.0 && x == h).then_some(back));
-        assert_eq!(back, home);
-        assert_eq!(dir.live_export(home), Some(h));
+        dir.relocate(away, back);
+        assert_ne!(back, home, "the old id stays vacated");
+        assert_eq!(dir.live_export(back), Some(h));
+        assert_eq!(dir.live_export(home), None);
+        assert_eq!(dir.version(back), 0, "the fresh export is cacheable");
         assert_eq!(dir.version(home), VERSION_TOMBSTONE);
-        assert_eq!(dir.resolve(away), home);
-        assert_eq!(dir.recorded_home(home), None, "the live home is terminal");
+        assert_eq!(dir.resolve(home), back);
+        assert_eq!(dir.resolve(away), back);
+        assert_eq!(dir.recorded_home(back), None, "the live home is terminal");
+        assert_eq!(dir.exports_of(0), vec![(back.1, h)]);
     }
 
     #[test]
-    fn relocate_purges_counters_of_both_locations_and_of_proxies_to_them() {
-        let hs = handles(3);
+    fn relocate_purges_counters_of_both_locations() {
+        let hs = handles(2);
         let mut dir = Directory::new(NODES, 1);
         let old = (0, dir.export(0, hs[0], false));
         let bystander = (0, dir.export(0, hs[1], false));
-        // Node 2 exports a proxy that addresses `old`.
-        let proxy = (2, dir.export(2, hs[2], false));
-        for loc in [old, bystander, proxy] {
+        for loc in [old, bystander] {
             dir.record_call(loc, 1);
         }
         let new = (1, dir.export(1, hs[0], false));
         dir.record_call(new, 2);
-        dir.relocate(old, new, |n, h| (n == 2 && h == hs[2]).then_some(old));
+        dir.relocate(old, new);
         assert_eq!(dir.affinity(0).len(), 1);
         assert_eq!(dir.affinity(0)[0].oid, bystander.1);
         assert_eq!(dir.affinity(1), vec![]);
-        assert_eq!(dir.affinity(2), vec![]);
     }
 
     #[test]
@@ -861,7 +805,7 @@ mod tests {
         assert_eq!(dir.take_dirty(), BTreeSet::from([loc]));
         migrate(&mut dir, loc, hs[0], 1);
         dir.unsettled(loc);
-        assert_eq!(dir.dirty_depth(), 0, "a stub cannot ship");
+        assert_eq!(dir.dirty_depth(), 0, "a vacated location cannot ship");
     }
 
     /// The lag gauge and the from-scratch scan, which must agree.
@@ -1045,8 +989,7 @@ mod tests {
                 // The mover rewrites the object it leaves behind into a
                 // proxy before it relocates, as a migration does.
                 w.proxies.insert((from, h), new);
-                let proxies = &w.proxies;
-                dir.relocate(old, new, |n, h| proxies.get(&(n, h)).copied());
+                dir.relocate(old, new);
                 w.moved_from.push(old);
             }
             Op::Promote { pick, to } if w.down.is_some_and(|d| d != to) => {
@@ -1057,8 +1000,7 @@ mod tests {
                 w.proxies.remove(&(to, h));
                 let new = (to, dir.export(to, h, true));
                 let _ = dir.bump(new);
-                let proxies = &w.proxies;
-                dir.relocate(old, new, |n, h| proxies.get(&(n, h)).copied());
+                dir.relocate(old, new);
                 w.moved_from.push(old);
             }
             Op::Bump { node, pick } if up(node) => {
@@ -1130,16 +1072,17 @@ mod tests {
     fn check(dir: &Directory, w: &World) -> Result<(), TestCaseError> {
         for (n, st) in dir.nodes.iter().enumerate() {
             let n = n as u32;
-            for oid in st.exports.keys() {
-                prop_assert!(!st.forwards.contains_key(oid), "{n}#{oid} live and stub");
-            }
-            prop_assert_eq!(st.export_ids.len(), st.exports.len() + st.forwards.len());
-            // A stub is exactly an export whose handle became a proxy.
+            prop_assert_eq!(st.export_ids.len(), st.exports.len());
             for (oid, h) in &st.exports {
+                prop_assert_eq!(st.export_ids.get(h), Some(oid), "{}#{} reverse map", n, oid);
+                // The mover rewrote it into a proxy, and the move vacated it.
                 prop_assert!(!w.proxies.contains_key(&(n, *h)), "{n}#{oid} live, a proxy");
-            }
-            for (oid, h) in &st.forwards {
-                prop_assert!(w.proxies.contains_key(&(n, *h)), "{n}#{oid} stub, no proxy");
+                // One home per object: a live export is where its chain
+                // ends, and reads addressed at it may be cached.
+                let loc = (n, *oid);
+                prop_assert_eq!(dir.recorded_home(loc), None, "{}#{} live, moved", n, oid);
+                let tombstoned = dir.version(loc) == VERSION_TOMBSTONE;
+                prop_assert!(!tombstoned, "{n}#{oid} live, tombstoned");
             }
             for oid in &st.replicated {
                 prop_assert!(

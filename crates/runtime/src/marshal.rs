@@ -167,13 +167,19 @@ pub(crate) fn wire_to_value(
             object,
             class,
         } => {
-            if *owner == node.0 {
-                // Colocation short-circuit: unwrap to the local object.
-                let h = lookup_export(shared, node, *object)
-                    .ok_or_else(|| format!("no local export {object}"))?;
-                return Ok(Value::Ref(h));
+            let (mut owner, mut object) = (*owner, *object);
+            if owner == node.0 {
+                // Colocation short-circuit: unwrap to the local object. A
+                // location this node moved the object away from follows
+                // the recorded moves to the live home, which may be local.
+                (owner, object) = shared.directory.borrow().resolve((owner, object));
+                if owner == node.0 {
+                    let h = lookup_export(shared, node, object)
+                        .ok_or_else(|| format!("no local export {object}"))?;
+                    return Ok(Value::Ref(h));
+                }
             }
-            if let Some(h) = cached_import(shared, node, *owner, *object) {
+            if let Some(h) = cached_import(shared, node, owner, object) {
                 return Ok(Value::Ref(h));
             }
             // Materialise a proxy of the right family and protocol.
@@ -184,7 +190,7 @@ pub(crate) fn wire_to_value(
             let info = gen_info(shared, impl_class)
                 .ok_or_else(|| format!("{class} is not a transformed implementation"))?;
             let proxy_class = shared.rows[info.row].proxy_class(info.side)?;
-            Value::Ref(new_proxy(shared, node, proxy_class, (*owner, *object)))
+            Value::Ref(new_proxy(shared, node, proxy_class, (owner, object)))
         }
         WireValue::Array(items) => {
             let mut data = Vec::with_capacity(items.len());

@@ -122,6 +122,9 @@ runtime_metrics! {
     Pulls => pulls, "rafda_pulls_total";
     /// Requests answered with a fault (server-side errors; network-level
     /// failures are counted separately in [`RuntimeStats::net_failures`]).
+    /// A call addressed at a location its object moved away from is one:
+    /// it is answered `unknown object`, and its caller's redirect to the
+    /// live home is one failover.
     Faults => faults, "rafda_faults_total";
     /// Client-side retry rounds: transmission attempts beyond each
     /// exchange's first.
@@ -150,8 +153,10 @@ runtime_metrics! {
     /// Replica promotions served: a backup materialised its stored state
     /// and became the new owner after the primary crashed.
     Promotions => promotions, "rafda_promotions_total";
-    /// Client-side failovers: calls re-homed from a crashed owner to a
-    /// (promoted) replica and retried successfully.
+    /// Client-side failovers: calls re-homed off a location that no longer
+    /// answers for their object — a crashed or amnesiac owner (onto a
+    /// promoted replica), or one the object moved away from (onto its live
+    /// home, following the recorded moves; one fault each) — and retried.
     Failovers => failovers, "rafda_failovers_total";
     /// Operations deferred onto a per-`(caller, owner)` outcall queue
     /// instead of being sent as their own exchange (void calls on batched

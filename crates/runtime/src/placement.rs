@@ -305,8 +305,8 @@ impl Cluster {
                     .ok_or_else(|| VmError::Native(format!("unknown object {tn}#{toid}")))?;
                 let event = self.migrate(NodeId(tn), src, NodeId(owner))?;
                 let home = (event.target.node.0, event.target.oid);
-                // Re-point the creator's proxy at the shard home directly,
-                // skipping the forwarding hop left at the old location.
+                // Re-point the creator's proxy at the shard home directly:
+                // the old location answers for nothing any more.
                 point_proxy_at(shared, node, h, vm.class_of(h).expect("live proxy"), home);
                 home
             }
@@ -503,9 +503,9 @@ pub(crate) fn shard_hash(key: &Value) -> u64 {
 }
 
 /// Drop shard members that no longer resolve to a live, locally
-/// implemented object: crashed nodes, restarted registries, and exports
-/// rewritten into forwarding proxies (the instance will be re-adopted at
-/// its new home on the next tick).
+/// implemented object: crashed nodes, restarted registries, and locations
+/// the object moved away from (the instance will be re-adopted at its new
+/// home on the next tick).
 fn prune_shard_members(shared: &Shared) {
     shared
         .directory

@@ -8,6 +8,12 @@
 //! replicated exports, and bare local mutations — writes the runtime never
 //! served, which each node's heap logs as they happen and the sweep drains
 //! into [`Directory::mark_written`].
+//!
+//! Backups are keyed by the owner's location. A move tombstones and vacates
+//! that location, so its backups stop serving reads: a replica read is
+//! taken only from a copy of a live, unmoved location, and a getter aimed
+//! at a moved-away one goes to the owner, which redirects it to the live
+//! home (whose own backups are re-seeded by its syncs).
 
 use crate::batch::enqueue_outcall;
 use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
@@ -59,11 +65,12 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// Crashed targets are skipped outright — the fault-plan lookup stands in
 /// for the failure detector a real owner would run — and other sync
 /// failures are swallowed: replication is best-effort per sync and repaired
-/// by the next one. Only the authoritative copy is shipped; proxies and
-/// forwarding exports never sync. A replicated export whose state cannot
-/// be marshalled right now (an over-deep by-value graph, a stale handle)
-/// ships nothing and keeps its dirty mark: no later write need flip its
-/// written mark again, so the next sweep must retry it unprompted.
+/// by the next one. Only the authoritative copy is shipped: a location the
+/// object moved away from exports nothing and never syncs. A replicated
+/// export whose state cannot be marshalled right now (an over-deep
+/// by-value graph, a stale handle) ships nothing and keeps its dirty mark:
+/// no later write need flip its written mark again, so the next sweep must
+/// retry it unprompted.
 ///
 /// Returns whether a shipment was made.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {

@@ -4,9 +4,8 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cached_import, class_row, discover_value, export, getter_sigs, info_of,
-    is_local_impl, is_proxy, lookup_export, read_proxy_state, relocate, remote_ref, version_of,
-    Shared,
+    bump_version, cached_import, class_row, discover_value, export, getter_sigs, info_of, is_proxy,
+    lookup_export, read_proxy_state, relocate, remote_ref, version_of, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -234,18 +233,15 @@ fn dispatch_request(
             args,
         } => {
             bump(shared, node.0, Met::RpcCalls);
+            // Only a live export answers: a location the object moved away
+            // from is unknown here, and the caller redirects through the
+            // recorded move.
             let h =
                 lookup_export(shared, node, object).ok_or_else(|| unknown_object(object, node))?;
-            // Affinity is only meaningful where the object actually lives.
-            // A forwarding proxy left behind by a migration serves nothing
-            // itself; counting its forwarded traffic would hand the
-            // adaptation loops a moved-away location to act on.
-            if is_local_impl(shared, node.0, h) {
-                shared
-                    .directory
-                    .borrow_mut()
-                    .record_call((node.0, object), caller.0);
-            }
+            shared
+                .directory
+                .borrow_mut()
+                .record_call((node.0, object), caller.0);
             let sig = parse_method(&method).ok_or_else(|| format!("malformed method {method}"))?;
             // Anything other than a property getter may mutate the object
             // (setters, init$k, arbitrary methods), so it bumps the property
@@ -293,9 +289,9 @@ fn dispatch_request(
                     let rt_class = vm.class_of(h).expect("live singleton");
                     // The stale-promotion guard may have resolved to a
                     // *proxy* for a copy promoted onto another node. Reply
-                    // with the copy's real location instead of exporting
-                    // the proxy, which would add a pointless double hop
-                    // (and re-anchor the singleton to this node).
+                    // with the copy's live home instead of exporting the
+                    // proxy, which would add a pointless double hop (and
+                    // re-anchor the singleton to this node).
                     if is_proxy(shared, node.0, h) {
                         let copy = read_proxy_state(vm, h).and_then(|at| remote_ref(shared, at));
                         let gone = || format!("promoted singleton of {class} vanished");
@@ -400,8 +396,8 @@ fn exported(node: NodeId, oid: u64, class: String) -> Reply {
 /// id. If the node already holds a proxy for the object's previous
 /// location `prior`, that proxy is rewritten in place — existing local
 /// references then see the object as local, with no double hop through the
-/// old owner. The landed state supersedes anything cached about a previous
-/// export under the same id, so its version is bumped.
+/// old owner. Every landing is a fresh export, and the landing counts as
+/// its first mutation: its version is bumped.
 fn land(
     shared: &Shared,
     node: NodeId,

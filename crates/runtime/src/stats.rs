@@ -2,7 +2,7 @@
 //! per-node summaries, the metric exports, time-series sampling and the
 //! introspection tables.
 
-use crate::cluster::{is_proxy, ClassRow, Cluster, Shared};
+use crate::cluster::{ClassRow, Cluster, Shared};
 use crate::obs::{Met, RuntimeStats};
 use crate::profile::Section;
 use rafda_net::NodeId;
@@ -188,9 +188,9 @@ pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
 /// Record that `node` served a read of the object at `loc` without asking
 /// its owner. A zero-duration `rpc.call` span tagged `how` keeps the read
 /// visible in traces, and the watchdog hears of it: the hit is a stale read
-/// when the authoritative object has moved — the export now forwards, or a
-/// recorded move re-homed it. A merely *missing* export (restart amnesia)
-/// is legitimate: the version survived, the state did not move.
+/// when a recorded move re-homed the authoritative object. A merely
+/// *missing* export (restart amnesia) is legitimate: the version survived,
+/// the state did not move.
 pub(crate) fn record_local_read(
     shared: &Shared,
     node: NodeId,
@@ -218,12 +218,8 @@ pub(crate) fn record_local_read(
         return;
     };
     let _s = shared.prof.section(Section::WatchdogCall);
-    let (export, moved) = {
-        let dir = shared.directory.borrow();
-        (dir.lookup(loc), dir.recorded_home(loc).is_some())
-    };
-    let forwards = export.is_some_and(|h| is_proxy(shared, loc.0, h));
-    dog.cache_hit(node.0, loc, forwards || moved, ctx);
+    let moved = shared.directory.borrow().recorded_home(loc).is_some();
+    dog.cache_hit(node.0, loc, moved, ctx);
 }
 
 /// The cluster-wide view: every node's breakdown folded with
@@ -315,15 +311,15 @@ pub(crate) fn policy_table(shared: &Shared) -> String {
 }
 
 /// The placement map as served by `rafda.Introspection`: each node's
-/// exports (sorted by id) with the implementation class currently behind
-/// them — forwarding proxies included, so a migration's trail is visible.
+/// live exports (sorted by id) with the implementation class behind them;
+/// where moved objects went is [`homes_table`]'s business.
 pub(crate) fn placement_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let dir = shared.directory.borrow();
     for i in 0..shared.vms.len() {
         let entries: Vec<String> = dir
-            .trail_of(i as u32)
+            .exports_of(i as u32)
             .into_iter()
             .map(|(oid, h)| {
                 let class = shared.vms[i]

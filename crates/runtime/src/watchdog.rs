@@ -8,8 +8,8 @@
 //! decision point, by the code that just decided:
 //!
 //! * **stale-read** — `record_local_read` reports a proxy cache hit
-//!   whose authoritative object has moved (the export now forwards, or a
-//!   recorded move re-homed it): a read the owner would no longer serve;
+//!   whose authoritative object has moved (a recorded move re-homed it): a
+//!   read the owner would no longer serve;
 //! * **at-most-once** — the callee half reports every frame it executes; the
 //!   same `(server, caller, msg id)` executing twice means the dedup cache
 //!   missed a replay.
@@ -22,8 +22,8 @@
 //! * **replica-divergence** — a backup claiming the same version as its
 //!   primary but holding different state, or a version *ahead* of the
 //!   primary, which sync can never legitimately produce;
-//! * **stale-affinity** — an affinity counter on a live node naming an
-//!   export that moved away or vanished.
+//! * **stale-affinity** — an affinity counter on a live node naming no
+//!   live object there: its export moved away or vanished.
 //!
 //! The watchdog is a pure consumer: it never touches the cluster, and
 //! feeding it does not perturb the simulated clock, so enabling it cannot
@@ -31,7 +31,6 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{is_local_impl, version_of, Cluster, Shared};
-use crate::directory::VERSION_TOMBSTONE;
 use crate::profile::Section;
 use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
@@ -231,12 +230,12 @@ impl Cluster {
     }
 
     /// Structural quiescent-point sweep over the affinity counters: every
-    /// counter on a live node must reference an export that is still
-    /// locally implemented there. A counter pointing at a forwarding
-    /// proxy (the object moved) or a wiped registry (the node died) would
-    /// feed the adaptation loops locations they must never act on —
-    /// [`Directory::relocate`] maintains this invariant and the soak gate
-    /// checks it at every phase boundary.
+    /// counter on a live node must reference a live export that is locally
+    /// implemented there. A counter for a location the object moved away
+    /// from or a wiped registry (the node died) would feed the adaptation
+    /// loops locations they must never act on — [`Directory::relocate`]
+    /// maintains this invariant and the soak gate checks it at every phase
+    /// boundary.
     pub(crate) fn stale_affinity_violations(&self) -> Vec<Violation> {
         let shared = &self.shared;
         let mut out = Vec::new();
@@ -246,14 +245,13 @@ impl Cluster {
                 continue;
             }
             for oid in dir.affinity(n).into_iter().map(|a| a.oid) {
-                // Whatever the id resolves to — a live export or the stub a
-                // move left behind — must be the object itself, not a proxy.
-                let what = match dir.lookup((n, oid)) {
-                    Some(h) if is_local_impl(shared, n, h) => continue,
-                    Some(_) => format!("references moved-away export {oid}"),
-                    None => format!("for vanished export {oid}"),
-                };
-                let message = format!("node {n}: affinity counter {what}");
+                if dir
+                    .live_export((n, oid))
+                    .is_some_and(|h| is_local_impl(shared, n, h))
+                {
+                    continue;
+                }
+                let message = format!("node {n}: affinity counter for vanished export {oid}");
                 out.push(verdict(STALE_AFFINITY, message, TraceContext::NONE));
             }
         }
@@ -274,26 +272,18 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
         for key in keys {
             let (backup_version, class_name, fields) = &state.replica_store[&key];
             let (owner, oid) = key;
-            let owner_version = version_of(shared, owner, oid);
-            if owner_version == VERSION_TOMBSTONE {
-                // The object migrated away; the replica describes a dead
-                // location and will be superseded by the new home's syncs.
-                continue;
-            }
             let Some(h) = shared.directory.borrow().live_export((owner, oid)) else {
-                // Owner restarted with amnesia; nothing to compare until
-                // the next sync re-seeds the backup.
+                // The object moved away (the replica describes a vacated
+                // location, superseded by the new home's syncs) or the owner
+                // restarted with amnesia: nothing to compare until the next
+                // sync re-seeds the backup.
                 continue;
             };
+            let owner_version = version_of(shared, owner, oid);
             let vm = &shared.vms[owner as usize];
             let Some((class, values)) = vm.read_object(h) else {
                 continue;
             };
-            // The export forwards (or is untransformed): the primary's
-            // authoritative copy lives elsewhere now.
-            if !is_local_impl(shared, owner, h) {
-                continue;
-            }
             // Different versions are never comparable — the version
             // relation itself is judged by the probe.
             let state_matches = *backup_version != owner_version

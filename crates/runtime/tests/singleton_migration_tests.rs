@@ -88,8 +88,8 @@ fn static_singleton_migrates_and_stays_coherent() {
             .unwrap(),
         Value::Int(1015)
     );
-    // Node 0's path now forwards (its cached singleton handle was rewritten
-    // in place into a proxy): node 1 serves the call.
+    // Node 0's path is now remote (its cached singleton handle was
+    // rewritten in place into a proxy): node 1 serves the call.
     let served = cluster.node_stats(N1).rpc_calls;
     cluster
         .call_static(N0, "Registry", "add", vec![Value::Int(1)])

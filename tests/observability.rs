@@ -92,8 +92,8 @@ fn stale_read_canary_is_caught_with_the_offending_span() {
     cluster.debug_skip_next_tombstone();
     cluster.migrate(N1, home_handle(&cluster, N1), N2).unwrap();
 
-    // The read is served from the cache — through a location that now
-    // only forwards. That is precisely a stale read.
+    // The read is served from the cache — through a location the object
+    // moved away from. That is precisely a stale read.
     assert_eq!(
         cluster.call_method(N0, c.clone(), "get_v", vec![]).unwrap(),
         Value::Int(5)

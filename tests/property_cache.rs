@@ -181,26 +181,50 @@ fn migration_tombstones_the_old_location_so_reads_are_never_stale() {
     assert_eq!(get_v(&cluster, &c), Value::Int(5));
     assert!(cluster.stats().cache_hits >= 1);
 
-    // Move the object: node 1's export becomes a forwarding proxy.
+    // Move the object: node 1's location is tombstoned and vacated.
     cluster.migrate(N1, home_handle(&cluster, N1), N2).unwrap();
 
-    // Mutate at the new home through the (still node1-addressed) proxy,
-    // then read: the cached 5 must not surface, now or ever — the old
-    // location is permanently uncacheable.
+    // Mutate at the new home without going through node 0's proxy, which
+    // still addresses node 1.
+    let moved = Value::Ref(home_handle(&cluster, N2));
     cluster
-        .call_method(N0, c.clone(), "set_v", vec![Value::Int(42)])
+        .call_method(N2, moved, "set_v", vec![Value::Int(42)])
         .unwrap();
+
+    // A read addressed at the tombstoned location never hits: the cached 5
+    // must not surface. It goes remote, is answered `unknown object`, and
+    // is redirected once to the live home.
+    let hits = cluster.stats().cache_hits;
+    let msgs = cluster.network().stats().messages;
     assert_eq!(get_v(&cluster, &c), Value::Int(42));
+    assert_eq!(cluster.stats().cache_hits, hits);
+    assert!(cluster.network().stats().messages > msgs);
+    assert_eq!(cluster.location_of(N0, &c), Some(N2), "re-pointed");
+
+    // Through the re-pointed proxy, writes invalidate as at any home.
     cluster
         .call_method(N0, c.clone(), "set_v", vec![Value::Int(43)])
         .unwrap();
     assert_eq!(get_v(&cluster, &c), Value::Int(43));
-
-    // Reads through the forwarding chain never repopulate the cache: each
-    // one still goes remote.
-    let msgs = cluster.network().stats().messages;
     assert_eq!(get_v(&cluster, &c), Value::Int(43));
-    assert!(cluster.network().stats().messages > msgs);
+}
+
+/// A move vacates the old location, so an object that migrates away and
+/// back is a fresh export at its old node, cacheable again — not a
+/// revived location still tombstoned, whose reads would go remote forever.
+#[test]
+fn an_object_that_migrates_away_and_back_is_cacheable_again() {
+    let (cluster, c) = deployed(true);
+    cluster.migrate(N1, home_handle(&cluster, N1), N2).unwrap();
+    cluster.migrate(N2, home_handle(&cluster, N2), N1).unwrap();
+    assert_eq!(get_v(&cluster, &c), Value::Int(5));
+    let hits = cluster.stats().cache_hits;
+    assert_eq!(get_v(&cluster, &c), Value::Int(5));
+    assert_eq!(
+        cluster.stats().cache_hits,
+        hits + 1,
+        "the read after the round trip is served from the cache"
+    );
 }
 
 #[test]

@@ -310,9 +310,10 @@ fn pr9_trace_migration_records_a_home_so_crash_cycling_stays_exact() {
 
 /// The satellite export-purge bugfix: a migrated-away entry leaves the
 /// source node's live `exports` table (the sweep stops re-probing it
-/// forever), the old location still forwards transparently, and pulling
-/// the object back through its own forwarding stub re-promotes the entry
-/// under its original id — the table returns to its original size.
+/// forever), a read through the old location is redirected to the live
+/// home, and pulling the object back home through the handle the move
+/// left there exports it again under a fresh id — the table returns to its
+/// original size.
 #[test]
 fn a_migrated_export_leaves_the_source_table_and_returns_on_round_trip() {
     let cfg = ChurnConfig::production_day(31, 0);
@@ -331,35 +332,35 @@ fn a_migrated_export_leaves_the_source_table_and_returns_on_round_trip() {
     let coord = NodeId(u32::from(ChurnConfig::NODES) - 1);
     let home = NodeId(1);
     let before = harness.cluster().export_count(home);
-    let (owner, stub) = harness
+    let (owner, handle) = harness
         .cluster()
         .home_of(coord, harness.obj(acct))
         .expect("the acct starts at its placed home");
     assert_eq!(owner, home);
     harness
         .cluster()
-        .migrate(owner, stub, NodeId(3))
+        .migrate(owner, handle, NodeId(3))
         .expect("migrate away");
     assert_eq!(
         harness.cluster().export_count(home),
         before - 1,
         "the moved-away entry must leave the live export table"
     );
-    // The old location still serves transparently via its forwarding stub.
+    // A read through the old location is redirected to the live home.
     harness
         .apply(&SoakOp::Read { idx: acct }, &mut oracle)
         .expect("read through the old location");
-    // `migrate` rewrote the source object in place, so `stub` is now node
-    // 1's forwarding proxy; pulling through it brings the object home and
-    // must re-promote the demoted entry under its original id.
+    // `migrate` rewrote the source object in place, so `handle` is now a
+    // proxy on node 1; pulling through it brings the object home, where it
+    // is exported again under a fresh id.
     harness
         .cluster()
-        .pull_local(home, stub)
+        .pull_local(home, handle)
         .expect("pull the object back home");
     assert_eq!(
         harness.cluster().export_count(home),
         before,
-        "the round-tripped object re-promotes its original entry"
+        "the round-tripped object is one live entry again"
     );
     harness
         .apply(
@@ -382,7 +383,7 @@ fn a_planted_fault_shrinks_to_a_minimal_trace() {
     let schedule = generate_churn(&cfg);
     // Keep only call/read/inc churn so the planted migration's tombstone
     // is the single one the canary can skip, then append the trigger:
-    // warm the cache, migrate, read through the forwarding location.
+    // warm the cache, migrate, read through the moved-away location.
     let mut ops: Vec<SoakOp> = schedule
         .flatten()
         .into_iter()

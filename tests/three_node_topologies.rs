@@ -90,7 +90,8 @@ fn migration_between_secondary_nodes_keeps_third_party_references_valid() {
         Value::Int(7)
     );
     // Move Y from node 1 to node 0 (a node that only held a proxy). X on
-    // node 2 still reaches it through the forwarding proxy left on node 1.
+    // node 2 still names node 1, which answers for nothing any more: its
+    // proxy is redirected once, through the recorded move, to node 0.
     let y_home_handle = {
         // Find Y's handle on node 1: it is the only export there.
         let vm1 = cluster.vm(N1);
@@ -107,7 +108,7 @@ fn migration_between_secondary_nodes_keeps_third_party_references_valid() {
         found.expect("Y lives on node 1")
     };
     cluster.migrate(N1, y_home_handle, N0).unwrap();
-    // Still correct through the (now forwarded) path.
+    // Still correct through the redirected path.
     assert_eq!(
         cluster
             .call_method(N0, x, "m", vec![Value::Long(10)])
