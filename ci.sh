@@ -140,7 +140,7 @@ echo "== location tables are touched only by the Directory =="
 # table has leaked back out. The two gauges a time-series sample reads
 # (`lagging`, `members_per_node`) are held to the same rule: they stay exact
 # only because the transitions next to the tables are their sole writers.
-if grep -rnE '\.(versions|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
+if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
   exit 1
@@ -316,6 +316,22 @@ for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
   # Product lines only: everything before the file's `#[cfg(test)]`.
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$no_stubs"; then
     echo "FAIL: $f keeps a forwarding stub" >&2
+    exit 1
+  fi
+done
+
+echo "== one identity per object: every location resolves in one lookup =="
+# Every location an object has had maps to its identity (the location it
+# was first exported under), every moved identity to its live home, and a
+# node's imports are keyed by identity, so a node holds one handle per
+# object. A vacated location has no version: absent means uncacheable. A
+# version sentinel or a next-hop query in product code means the chain of
+# moves is back.
+one_identity='VERSION_TOMBSTONE|\brecorded_home\b'
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$one_identity"; then
+    echo "FAIL: $f keeps a chain of moves or a version sentinel" >&2
     exit 1
   fi
 done

@@ -273,7 +273,7 @@ impl SoakHarness {
                 let target = NodeId(u32::from(node));
                 let up = |n: NodeId| self.down != Some(n);
                 // Third-party migration, issued at the live home: the
-                // coordinator's warmed caches must be tombstoned remotely
+                // coordinator's warmed caches must be invalidated remotely
                 // for later reads to stay fresh.
                 match self.live_home(op, idx)? {
                     Some((owner, handle)) if owner != target && up(owner) && up(target) => {
@@ -353,10 +353,10 @@ impl SoakHarness {
         Ok(())
     }
 
-    /// Arm the E10 cache-coherence canary: the next migration's tombstone
-    /// broadcast is silently skipped, so a later read through a warmed
-    /// property cache serves a stale value — the fault the soak gate's
-    /// shrinking test plants and then minimises.
+    /// Arm the E10 cache-coherence canary: the next relocation keeps the
+    /// old location's version, leaving it cacheable, so a later read
+    /// through a warmed property cache serves a stale value — the fault the
+    /// soak gate's shrinking test plants and then minimises.
     pub fn arm_cache_canary(&self) {
         self.cluster.debug_skip_next_tombstone();
     }

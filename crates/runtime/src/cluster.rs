@@ -83,8 +83,9 @@ impl ClassRow {
 /// for itself, and a restart wipes all of it.
 #[derive(Debug, Default)]
 pub(crate) struct NodeState {
-    /// Proxies this node holds for remote objects, by the location they
-    /// were materialised for.
+    /// Proxies this node holds for remote objects, by object identity
+    /// ([`Directory::identity`]): at most one handle per object, whichever
+    /// of its locations a reference names.
     pub(crate) imports: HashMap<(u32, u64), Handle>,
     /// Class singletons resolved on this node, local or proxied — recorded
     /// before `<clinit>` runs, so an initialiser that reaches its own class
@@ -438,9 +439,9 @@ impl Cluster {
         self.shared.vms.len() as u32
     }
 
-    /// Test-only fault injection: the next relocation silently skips its
-    /// tombstone, simulating a runtime that forgot to mark a moved-away
-    /// export uncacheable. Exists so the stale-read
+    /// Test-only fault injection: the next relocation keeps the old
+    /// location's version, simulating a runtime that forgot to mark a
+    /// moved-away export uncacheable. Exists so the stale-read
     /// monitor's canary test can prove the watchdog catches the bug it was
     /// built for; never use outside tests.
     #[doc(hidden)]
@@ -725,7 +726,7 @@ impl Cluster {
     /// which lets a driver move an object between two other nodes without
     /// first pulling it to itself. A reference that is already local
     /// resolves to `(node, handle)` unchanged; a proxy resolves through the
-    /// directory's chain of recorded moves to the live home, however many
+    /// directory's recorded moves to the live home, however many
     /// moves it is behind. Returns `None` for non-references, stale
     /// handles, or a home that no longer exports a live object (its node
     /// restarted and nobody has re-homed the object yet).
@@ -859,11 +860,8 @@ pub(crate) fn is_local_impl(shared: &Shared, node: u32, h: Handle) -> bool {
 /// `None` if that home exports none (its node restarted and nobody has
 /// re-homed the object yet).
 pub(crate) fn live_home(shared: &Shared, target: (u32, u64)) -> ((u32, u64), Option<Handle>) {
-    let (home, live) = {
-        let dir = shared.directory.borrow();
-        let home = dir.resolve(target);
-        (home, dir.live_export(home))
-    };
+    let home = shared.directory.borrow().resolve(target);
+    let live = lookup_export(shared, NodeId(home.0), home.1);
     (home, live.filter(|&h| is_local_impl(shared, home.0, h)))
 }
 
@@ -879,9 +877,17 @@ pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
     info_of(shared, node, h).is_some_and(|info| info.is_proxy)
 }
 
-/// The object at `old` now lives at `new`: see [`Directory::relocate`].
+/// The object at `old` now lives at `new`: see [`Directory::relocate`]. An
+/// import keyed by `new`'s prior identity moves to the mover's, unless the
+/// node already holds a handle there.
 pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
-    shared.directory.borrow_mut().relocate(old, new);
+    let prior = shared.directory.borrow_mut().relocate(old, new);
+    let identity = shared.directory.borrow().identity(new);
+    for st in shared.nodes.borrow_mut().iter_mut() {
+        if let Some(h) = prior.and_then(|p| st.imports.remove(&p)) {
+            st.imports.entry(identity).or_insert(h);
+        }
+    }
 }
 
 /// The live export `(node, oid)`, if `node` has one under that id.
@@ -903,16 +909,19 @@ pub(crate) fn remote_ref(shared: &Shared, loc: (u32, u64)) -> Option<WireValue> 
     })
 }
 
+/// The handle `node` holds for the object at (or once at) `(owner, oid)`,
+/// if it holds one.
 pub(crate) fn cached_import(shared: &Shared, node: NodeId, owner: u32, oid: u64) -> Option<Handle> {
+    let identity = shared.directory.borrow().identity((owner, oid));
     shared.nodes.borrow()[node.0 as usize]
         .imports
-        .get(&(owner, oid))
+        .get(&identity)
         .copied()
 }
 
-/// The current property version of the export `(node, oid)` (0 if never
-/// mutated).
-pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> u64 {
+/// The current property version of the export `(node, oid)`; `None` if the
+/// object moved away from it (uncacheable).
+pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> Option<u64> {
     shared.directory.borrow().version((node, oid))
 }
 
@@ -954,9 +963,10 @@ fn proxy_state((node, oid): (u32, u64)) -> Vec<Value> {
 }
 
 fn cache_import(shared: &Shared, node: NodeId, loc: (u32, u64), h: Handle) {
+    let identity = shared.directory.borrow().identity(loc);
     shared.nodes.borrow_mut()[node.0 as usize]
         .imports
-        .insert(loc, h);
+        .insert(identity, h);
 }
 
 /// A fresh `proxy_class` proxy on `node` for the object at `loc`, recorded
@@ -973,10 +983,7 @@ pub(crate) fn new_proxy(
 }
 
 /// Point `h` on `node` at `loc`: rewrite it in place into a `proxy_class`
-/// proxy and record it as the node's import of `loc`. Import entries that
-/// already name `h` stay: a reference to an older location that arrives
-/// later materialises through them and lands on this re-pointed proxy —
-/// the same logical object.
+/// proxy and record it as the node's import of the object at `loc`.
 pub(crate) fn point_proxy_at(
     shared: &Shared,
     node: NodeId,

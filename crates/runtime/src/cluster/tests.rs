@@ -4,7 +4,6 @@
 //! names (`cluster::tests::*`) stay stable across the module split.
 
 use super::*;
-use crate::directory::VERSION_TOMBSTONE;
 use crate::placement::shard_hash;
 use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
 use crate::serve::deliver;
@@ -131,7 +130,7 @@ fn dedup_hit_replays_the_serve_time_version() {
     );
     let (r2, _) = answered(shared, &add);
     assert!(matches!(r2, Reply::Value(_)));
-    let current = version_of(shared, 1, oid);
+    let current = version_of(shared, 1, oid).unwrap();
     assert!(current > v1, "the mutation must bump the version");
     // The retransmission of 900 dedups. Its reply must carry v1: tagged
     // with `current`, the client would cache the pre-mutation value as
@@ -422,9 +421,7 @@ fn a_pull_through_a_forwarding_stub_moves_the_live_object() {
                 .into_iter()
                 .map(move |(oid, h)| (n, oid, h))
         })
-        .filter(|&(n, oid, h)| {
-            is_local_impl(shared, n, h) && dir.version((n, oid)) != VERSION_TOMBSTONE
-        })
+        .filter(|&(n, oid, h)| is_local_impl(shared, n, h) && dir.version((n, oid)).is_some())
         .map(|(n, oid, _)| (n, oid))
         .collect();
     assert_eq!(live_homes, vec![home], "one live home cluster-wide");
@@ -472,6 +469,98 @@ fn a_call_to_a_moved_location_is_redirected_once_to_the_live_home() {
         "one direct exchange"
     );
     assert_eq!(cluster.stats().failovers, after.failovers);
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A node holds one handle per object. `CA` lives on node 1 and node 0
+/// holds proxy `a`, which names node 1. The object migrates 1 → 2 and then
+/// from its live home to node 0: the landing names node 2, yet it must
+/// find `a` — the import is keyed by the object, not by a location — and
+/// rewrite it in place, so `a` is the object and calls on it stay local.
+#[test]
+fn a_landing_rewrites_the_one_handle_the_node_holds_whatever_location_it_names() {
+    let cluster = deployed_counters(
+        29,
+        StaticPolicy::new().place("CA", Placement::Node(NodeId(1))),
+    );
+    cluster.enable_monitors();
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let a = cluster.new_instance(n0, "CA", 0, vec![]).unwrap();
+    let add = |d: i32| cluster.call_method(n0, a.clone(), "add", vec![Value::Int(d)]);
+    assert_eq!(add(5).unwrap(), Value::Int(5));
+    let (owner, handle) = cluster.home_of(n0, &a).unwrap();
+    assert_eq!(owner, n1);
+    cluster.migrate(owner, handle, n2).unwrap();
+    let (owner, handle) = cluster.home_of(n0, &a).unwrap();
+    assert_eq!(owner, n2);
+    cluster.migrate(owner, handle, n0).unwrap();
+
+    assert_eq!(cluster.location_of(n0, &a), Some(n0));
+    let proxy = a.as_ref_handle().unwrap();
+    assert_eq!(
+        cluster.home_of(n0, &a),
+        Some((n0, proxy)),
+        "a is the object"
+    );
+    let messages = cluster.network().stats().messages;
+    assert_eq!(add(1).unwrap(), Value::Int(6));
+    assert_eq!(cluster.network().stats().messages, messages, "a local call");
+    assert_eq!(
+        cluster.describe()[0].imports,
+        1,
+        "one handle for the object"
+    );
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
+/// A landing can rewrite a live copy of another object. An `Install`
+/// whose reply is lost leaves node 2's proxy rewritten into a second live
+/// copy with an identity of its own, and node 0 imports both. The retried
+/// move lands on that very export: the copy is folded into the mover, node
+/// 0 keeps one handle, and both of its references reach the one object.
+#[test]
+fn a_retried_install_folds_the_copy_its_lost_reply_left_behind() {
+    let cluster = deployed_counters(
+        31,
+        StaticPolicy::new().place("CA", Placement::Node(NodeId(1))),
+    );
+    cluster.enable_monitors();
+    cluster.set_retry_policy(RetryPolicy { max_attempts: 1 });
+    let shared = cluster.shared();
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let p2 = cluster.new_instance(n2, "CA", 0, vec![]).unwrap();
+    let (owner, handle) = cluster.home_of(n2, &p2).unwrap();
+    assert_eq!(owner, n1);
+    let import = |loc| {
+        let remote = remote_ref(shared, loc).unwrap();
+        marshal::wire_to_values(shared, n0, &[remote])
+            .unwrap()
+            .remove(0)
+    };
+    let first = (1, export(shared, n1, handle));
+    let a = import(first);
+    let seq = cluster.network().transmit_seq();
+    cluster.network().fault_plan(|f| f.drop_message(seq + 1));
+    assert!(
+        cluster.migrate(n1, handle, n2).is_err(),
+        "the reply is lost"
+    );
+    let copy = (2, export(shared, n2, p2.as_ref_handle().unwrap()));
+    assert_eq!(shared.directory.borrow().identity(copy), copy);
+    let b = import(copy);
+    assert_eq!(cluster.describe()[0].imports, 2, "two objects, so far");
+
+    let moved = cluster.migrate(n1, handle, n2).unwrap();
+    assert_eq!((moved.target.node.0, moved.target.oid), copy);
+    let dir = shared.directory.borrow();
+    assert_eq!((dir.identity(copy), dir.resolve(first)), (first, copy));
+    drop(dir);
+    assert_eq!(cluster.describe()[0].imports, 1, "one object, one handle");
+    assert_eq!(cached_import(shared, n0, copy.0, copy.1), a.as_ref_handle());
+    for (r, v) in [(&a, 1), (&b, 2)] {
+        let sum = cluster.call_method(n0, r.clone(), "add", vec![Value::Int(1)]);
+        assert_eq!(sum.unwrap(), Value::Int(v));
+    }
     assert_eq!(cluster.check_invariants(), vec![]);
 }
 
@@ -933,7 +1022,7 @@ fn replica_divergence_is_reported_once_however_often_it_is_checked() {
             .replica_store
             .get_mut(&loc)
             .expect("a backup entry");
-        assert_eq!(*version, version_of(shared, loc.0, loc.1), "in sync");
+        assert_eq!(Some(*version), version_of(shared, loc.0, loc.1), "in sync");
         assert_eq!(*state, vec![WireValue::Int(5)]);
         *state = vec![WireValue::Int(6)];
     }

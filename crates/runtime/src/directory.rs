@@ -2,9 +2,9 @@
 //! now, and at what version".
 //!
 //! Every table that records a location — the per-node export registries,
-//! property versions (with tombstones), the recorded-homes chain, canonical singleton exports, the shard map, the
-//! last-shipped replica records, the dirty-replica set and the affinity
-//! counters — lives behind this one type, and changes only through the
+//! property versions, the identity index, canonical singleton exports, the
+//! shard map, the last-shipped replica records, the dirty-replica set and
+//! the affinity counters — lives behind this one type, and changes only through the
 //! transitions below ([`Directory::export`], [`Directory::relocate`],
 //! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`],
 //! [`Directory::mark_written`] / [`Directory::mark_node`] /
@@ -32,13 +32,6 @@ pub(crate) type Loc = (u32, u64);
 /// A shard of a `shard by` class: `(class row id, shard index)`. Rows are
 /// sorted by class name, so key order is `(class name, shard)` order.
 pub(crate) type ShardKey = (usize, u32);
-
-/// Version tag marking a location as permanently uncacheable: the object
-/// moved away and the location answers for nothing any more. A read
-/// addressed at it must go remote (and be redirected to the live home),
-/// otherwise a reader that never exchanges with the new owner could keep
-/// serving the pre-move value.
-pub(crate) const VERSION_TOMBSTONE: u64 = u64::MAX;
 
 /// How an export's live state relates to what its backups last received.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,17 +99,22 @@ struct Shipment {
 #[derive(Debug, Default)]
 pub(crate) struct Directory {
     nodes: Vec<NodeDir>,
-    /// Authoritative property versions. Absent means 0 (never mutated
-    /// through the runtime since export); [`VERSION_TOMBSTONE`] marks a
-    /// location the object moved away from. Outlives restarts.
+    /// Authoritative property versions of the live exports (and of exports
+    /// a restart wiped). Absent means uncacheable: the object moved away,
+    /// so a read addressed there must go remote and be redirected, or a
+    /// reader that never exchanges with the new owner could keep serving
+    /// the pre-move value. Outlives restarts.
     versions: HashMap<Loc, u64>,
-    /// Where the live copy of a moved object went: old location → next
-    /// location. Acyclic by construction (see [`Directory::relocate`]).
-    /// Outlives restarts: it is the only way a reference to a moved-away
-    /// location reaches the object.
+    /// Every location an object was relocated to → the object's identity:
+    /// the location it was first exported under. A location absent here is
+    /// its own identity. Outlives restarts.
+    identities: HashMap<Loc, Loc>,
+    /// Every moved identity → the object's live home. Outlives restarts:
+    /// it is the only way a reference to a moved-away location reaches the
+    /// object.
     homes: HashMap<Loc, Loc>,
     /// Per class row: the location its statics singleton was first
-    /// exported under; resolution follows `homes` from here.
+    /// exported under; resolution goes through `homes` from here.
     static_by_row: Vec<Option<Loc>>,
     /// Shard → owning node. `BTreeMap`: iteration order feeds decisions.
     owner_by_shard: BTreeMap<ShardKey, u32>,
@@ -127,7 +125,7 @@ pub(crate) struct Directory {
     /// the sweep drains it in `(node, oid)` order.
     dirty: BTreeSet<Loc>,
     /// Gauge behind [`Directory::replica_lag`]: shipped locations whose
-    /// current version is [`behind`] their shipment record's. Kept exact by
+    /// current version differs from their shipment record's. Kept exact by
     /// the transitions that can flip the predicate for one location —
     /// [`Directory::bump`], [`Directory::relocate`], [`Directory::shipped`]
     /// — and zeroed by [`Directory::restart`], which voids every record.
@@ -135,8 +133,9 @@ pub(crate) struct Directory {
     /// Gauge behind [`Directory::shard_balance`]: recorded shard members
     /// per node, kept exact by the three shard-member transitions.
     members_per_node: Vec<u64>,
-    /// Test-only injected fault: the next relocation "forgets" its
-    /// tombstone — the bug the stale-read monitor exists to catch.
+    /// Test-only injected fault: the next relocation keeps the old
+    /// location's version, leaving it cacheable — the bug the stale-read
+    /// monitor exists to catch.
     skip_next_tombstone: bool,
 }
 
@@ -155,15 +154,17 @@ impl Directory {
     // ------------------------------------------------------------------
 
     /// Export `h` on `node` and return its id: the id it already has, or a
-    /// fresh one. `replicated` says whether `h` is *now* a locally
-    /// implemented instance of a replicated class; it is re-evaluated on
-    /// every call. A replicated export is marked dirty: its state is owed
-    /// to the backups.
+    /// fresh one at version 0. `replicated` says whether `h` is *now* a
+    /// locally implemented instance of a replicated class; it is
+    /// re-evaluated on every call. A replicated export is marked dirty: its
+    /// state is owed to the backups.
     pub(crate) fn export(&mut self, node: u32, h: Handle, replicated: bool) -> u64 {
         let st = &mut self.nodes[node as usize];
+        let versions = &mut self.versions;
         let oid = *st.export_ids.entry(h).or_insert_with(|| {
             st.next_oid += 1;
             st.exports.insert(st.next_oid, h);
+            versions.insert((node, st.next_oid), 0);
             st.next_oid
         });
         if replicated {
@@ -175,23 +176,30 @@ impl Directory {
         oid
     }
 
-    /// The object at `old` now lives at `new`. In order: tombstone `old`'s
-    /// version (no read through it may be cached again); vacate `old` —
-    /// its export, export id, replicated flag and dirty mark go, whatever
+    /// The object at `old` now lives at `new`. In order: drop `old`'s
+    /// version, shipment record and deep flag (no read through it may be
+    /// cached again, and it has no backups to keep current); vacate `old`
+    /// — its export, export id, replicated flag and dirty mark go, whatever
     /// the mover left in the heap, so a call addressed there is answered
-    /// `unknown object` and its caller is redirected through the recorded
-    /// move; record `old → new` and drop any outgoing edge of `new`, which
-    /// keeps every chain acyclic and ending at a live home; and purge the
-    /// affinity counters of both locations — the counts describe calls
-    /// received at a home the object no longer has.
-    pub(crate) fn relocate(&mut self, old: Loc, new: Loc) {
-        if !std::mem::take(&mut self.skip_next_tombstone) {
-            let before = self.versions.insert(old, VERSION_TOMBSTONE).unwrap_or(0);
-            // A tombstoned location never lags, whatever it last shipped.
-            let lagged = self.shipped_version(old).is_some_and(|s| behind(before, s));
-            self.lagging -= u64::from(lagged);
-        }
+    /// `unknown object` and its caller is redirected to the live home;
+    /// record `new` under the object's identity and `new` as that
+    /// identity's home; and purge the affinity counters of both locations —
+    /// the counts describe calls received at a home the object no longer
+    /// has. A `new` that a landing rewrote in place from another object's
+    /// live copy (left by an `Install` whose every reply was lost) folds
+    /// that object into this one: all its locations take the mover's
+    /// identity. Returns `new`'s prior identity unless it was the mover's.
+    pub(crate) fn relocate(&mut self, old: Loc, new: Loc) -> Option<Loc> {
+        let version = if std::mem::take(&mut self.skip_next_tombstone) {
+            self.version(old)
+        } else {
+            self.versions.remove(&old)
+        };
         let st = &mut self.nodes[old.0 as usize];
+        if let Some(shipment) = st.synced_versions.remove(&old.1) {
+            self.lagging -= u64::from(version != Some(shipment.version));
+        }
+        st.deep.remove(&old.1);
         if let Some(h) = st.exports.remove(&old.1) {
             st.export_ids.remove(&h);
         }
@@ -199,25 +207,30 @@ impl Directory {
         st.call_counts.remove(&old.1);
         self.dirty.remove(&old);
         self.nodes[new.0 as usize].call_counts.remove(&new.1);
-        self.homes.insert(old, new);
-        self.homes.remove(&new);
+        let (identity, prior) = (self.identity(old), self.identity(new));
+        if prior != identity && self.homes.remove(&prior).is_some() {
+            self.identities.insert(prior, identity);
+            for id in self.identities.values_mut().filter(|id| **id == prior) {
+                *id = identity;
+            }
+        }
+        self.identities.insert(new, identity);
+        self.homes.insert(identity, new);
+        (prior != identity).then_some(prior)
     }
 
     /// Record a (possible) mutation at `loc`: cached reads tagged with an
     /// older version become stale, and the backups are behind until the
-    /// next sweep. Tombstoned locations stay tombstoned. Returns whether
-    /// the location was marked dirty.
+    /// next sweep. A location without a version stays without one. Returns
+    /// whether the location was marked dirty.
     #[must_use]
     pub(crate) fn bump(&mut self, loc: Loc) -> bool {
-        let v = self.versions.entry(loc).or_insert(0);
-        let before = *v;
-        if before != VERSION_TOMBSTONE {
-            *v = before.saturating_add(1).min(VERSION_TOMBSTONE - 1);
-        }
-        let after = *v;
-        if let Some(shipped) = self.shipped_version(loc) {
-            let (was, is) = (behind(before, shipped), behind(after, shipped));
-            self.lagging = self.lagging - u64::from(was) + u64::from(is);
+        if let Some(v) = self.versions.get_mut(&loc) {
+            *v += 1;
+            if let Some(s) = self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
+                let (was, is) = (*v - 1 != s.version, *v != s.version);
+                self.lagging = self.lagging - u64::from(was) + u64::from(is);
+            }
         }
         // Only a live replicated export can ship at all.
         let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
@@ -284,8 +297,8 @@ impl Directory {
         let previous = st
             .synced_versions
             .insert(loc.1, Shipment { version, state });
-        let was = previous.is_some_and(|p| behind(current, p.version));
-        self.lagging = self.lagging - u64::from(was) + u64::from(behind(current, version));
+        let was = previous.is_some_and(|p| current != Some(p.version));
+        self.lagging = self.lagging - u64::from(was) + u64::from(current != Some(version));
         self.dirty.remove(&loc);
     }
 
@@ -311,8 +324,8 @@ impl Directory {
     pub(crate) fn settle_if_flat(&mut self, loc: Loc) -> bool {
         let st = &self.nodes[loc.0 as usize];
         let record = st.synced_versions.get(&loc.1);
-        let settled =
-            !st.deep.contains(&loc.1) && record.is_some_and(|s| s.version == self.version(loc));
+        let settled = !st.deep.contains(&loc.1)
+            && record.is_some_and(|s| Some(s.version) == self.version(loc));
         if settled {
             self.dirty.remove(&loc);
         }
@@ -423,29 +436,25 @@ impl Directory {
         self.nodes[loc.0 as usize].exports.get(&loc.1).copied()
     }
 
-    /// The current property version of `loc` (0 if never mutated).
-    pub(crate) fn version(&self, loc: Loc) -> u64 {
-        self.versions.get(&loc).copied().unwrap_or(0)
+    /// The current property version of `loc`; `None` means uncacheable —
+    /// the object moved away from `loc`.
+    pub(crate) fn version(&self, loc: Loc) -> Option<u64> {
+        self.versions.get(&loc).copied()
     }
 
-    /// Where the object once at `loc` was last recorded to live: the end
-    /// of the chain of recorded moves, `loc` itself if it never moved.
-    pub(crate) fn resolve(&self, mut loc: Loc) -> Loc {
-        let mut hops = 0;
-        while let Some(&next) = self.homes.get(&loc) {
-            loc = next;
-            hops += 1;
-            debug_assert!(hops <= self.homes.len(), "cycle in the homes chain");
-        }
-        loc
+    /// The identity of the object at (or once at) `loc`: the location it
+    /// was first exported under.
+    pub(crate) fn identity(&self, loc: Loc) -> Loc {
+        self.identities.get(&loc).copied().unwrap_or(loc)
     }
 
-    /// The *next* recorded location after `loc`, if the object moved.
-    pub(crate) fn recorded_home(&self, loc: Loc) -> Option<Loc> {
-        self.homes.get(&loc).copied()
+    /// Where the object once at `loc` was last recorded to live: its
+    /// identity's home, `loc` itself if it never moved.
+    pub(crate) fn resolve(&self, loc: Loc) -> Loc {
+        self.homes.get(&self.identity(loc)).copied().unwrap_or(loc)
     }
 
-    /// Every recorded move `old → next`, sorted by old location.
+    /// Every moved object, `identity → live home`, sorted by identity.
     pub(crate) fn recorded_homes(&self) -> Vec<(Loc, Loc)> {
         let mut entries: Vec<(Loc, Loc)> = self.homes.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable();
@@ -477,7 +486,7 @@ impl Directory {
     /// last shipment.
     pub(crate) fn drift(&self, loc: Loc, state: &[WireValue]) -> Drift {
         match self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
-            Some(s) if s.version == self.version(loc) => {
+            Some(s) if Some(s.version) == self.version(loc) => {
                 if s.state == state {
                     Drift::Settled
                 } else {
@@ -503,17 +512,10 @@ impl Directory {
         for (owner, st) in self.nodes.iter().enumerate() {
             for (&oid, shipment) in &st.synced_versions {
                 let current = self.version((owner as u32, oid));
-                lag += u64::from(behind(current, shipment.version));
+                lag += u64::from(current != Some(shipment.version));
             }
         }
         lag
-    }
-
-    /// The version `loc` last shipped to its backups, if it ever shipped
-    /// (since the last restart).
-    fn shipped_version(&self, loc: Loc) -> Option<u64> {
-        let shipment = self.nodes[loc.0 as usize].synced_versions.get(&loc.1)?;
-        Some(shipment.version)
     }
 
     /// Entries in the dirty set — what the next sweep will probe.
@@ -598,12 +600,6 @@ impl Directory {
     }
 }
 
-/// Whether backups that last received `shipped` lag an owner now at
-/// `current`. A tombstoned owner has no backups to keep current.
-fn behind(current: u64, shipped: u64) -> bool {
-    current != VERSION_TOMBSTONE && current != shipped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,35 +626,38 @@ mod tests {
         new
     }
 
-    /// Regression for `follow_homes` stopping short: the old walk took at
-    /// most `node_count + 1` hops, but a chain gains one *fresh* location
-    /// every time the object lands on a node, however often it lived there
-    /// before.
+    /// An object gains one *fresh* location every time it lands on a node,
+    /// however often it lived there before — more locations than the
+    /// cluster has nodes. Every one of them resolves to the live home in
+    /// one lookup, and all share the first export's identity.
     #[test]
     fn resolve_reaches_the_terminal_of_a_chain_longer_than_the_cluster() {
         let h = handles(1)[0];
         let mut dir = Directory::new(NODES, 1);
         let first = (0, dir.export(0, h, false));
-        let mut at = first;
+        let mut trail = vec![first];
         for node in [1, 2, 0, 1, 2] {
-            at = migrate(&mut dir, at, h, node);
+            let at = *trail.last().expect("non-empty");
+            trail.push(migrate(&mut dir, at, h, node));
         }
-        assert_eq!(at, (2, 2), "every landing is a fresh id");
-        let mut hops = 0;
-        let mut loc = first;
-        while let Some(next) = dir.recorded_home(loc) {
-            loc = next;
-            hops += 1;
+        let live = trail[5];
+        assert_eq!(live, (2, 2), "every landing is a fresh id");
+        assert!(trail.len() as u32 > NODES + 1);
+        for &loc in &trail {
+            assert_eq!(dir.resolve(loc), live, "{loc:?}");
+            assert_eq!(dir.identity(loc), first, "{loc:?}");
         }
-        assert_eq!(hops, 5);
-        assert!(hops > NODES + 1, "longer than the old walk's bound");
-        assert_eq!(dir.resolve(first), at);
-        assert_eq!(dir.live_export(at), Some(h));
+        assert_eq!(dir.live_export(live), Some(h));
+        assert_eq!(
+            dir.recorded_homes(),
+            vec![(first, live)],
+            "one line per object"
+        );
     }
 
     /// A move vacates the old location outright, so an object coming home
-    /// is a fresh export: cacheable again (version 0, not a tombstone), and
-    /// every location it ever had resolves to it.
+    /// is a fresh export: cacheable again (version 0, where the vacated
+    /// locations have none), and every location it ever had resolves to it.
     #[test]
     fn an_object_coming_home_gets_a_fresh_id_and_its_old_ids_resolve_to_it() {
         let h = handles(1)[0];
@@ -666,19 +665,45 @@ mod tests {
         let home = (0, dir.export(0, h, true));
         let away = migrate(&mut dir, home, h, 1);
         assert_eq!(dir.live_export(home), None);
-        assert_eq!(dir.version(home), VERSION_TOMBSTONE);
+        assert_eq!(dir.version(home), None);
         assert!(!dir.bump(home), "a vacated location cannot ship");
+        assert_eq!(dir.version(home), None, "nor gain a version");
         let back = (0, dir.export(0, h, true));
         dir.relocate(away, back);
         assert_ne!(back, home, "the old id stays vacated");
         assert_eq!(dir.live_export(back), Some(h));
         assert_eq!(dir.live_export(home), None);
-        assert_eq!(dir.version(back), 0, "the fresh export is cacheable");
-        assert_eq!(dir.version(home), VERSION_TOMBSTONE);
+        assert_eq!(dir.version(back), Some(0), "the fresh export is cacheable");
+        assert_eq!((dir.version(home), dir.version(away)), (None, None));
         assert_eq!(dir.resolve(home), back);
         assert_eq!(dir.resolve(away), back);
-        assert_eq!(dir.recorded_home(back), None, "the live home is terminal");
+        assert_eq!(dir.resolve(back), back, "the live home is its own answer");
+        assert_eq!(dir.identity(back), home);
         assert_eq!(dir.exports_of(0), vec![(back.1, h)]);
+    }
+
+    /// A landing that rewrites a live copy of another object in place —
+    /// the copy left by an `Install` whose every reply was lost — folds
+    /// that object into the mover: its identity and every location that
+    /// had it take the mover's identity, and one home line remains.
+    #[test]
+    fn a_landing_on_another_objects_live_copy_folds_it_into_the_mover() {
+        let hs = handles(2);
+        let mut dir = Directory::new(NODES, 1);
+        let mover = (0, dir.export(0, hs[0], false));
+        let copy = (1, dir.export(1, hs[1], false));
+        let live = migrate(&mut dir, copy, hs[1], 2);
+        assert_eq!(dir.relocate(mover, live), Some(copy), "the folded identity");
+        for loc in [mover, copy, live] {
+            assert_eq!(dir.identity(loc), mover, "{loc:?}");
+            assert_eq!(dir.resolve(loc), live, "{loc:?}");
+        }
+        assert_eq!(dir.recorded_homes(), vec![(mover, live)]);
+        let next = migrate(&mut dir, live, hs[1], 0);
+        assert_eq!(dir.resolve(copy), next, "the folded locations follow");
+        let fresh = (1, dir.export(1, hs[0], false));
+        assert_eq!(dir.relocate(next, fresh), Some(fresh), "its own identity");
+        assert_eq!(dir.recorded_homes(), vec![(mover, fresh)]);
     }
 
     #[test]
@@ -705,10 +730,11 @@ mod tests {
         let a = (0, dir.export(0, hs[0], false));
         let b = (0, dir.export(0, hs[1], false));
         dir.skip_next_tombstone();
-        migrate(&mut dir, a, hs[0], 1);
+        let a_new = migrate(&mut dir, a, hs[0], 1);
         migrate(&mut dir, b, hs[1], 1);
-        assert_eq!(dir.version(a), 0, "the injected fault");
-        assert_eq!(dir.version(b), VERSION_TOMBSTONE);
+        assert_eq!(dir.version(a), Some(0), "the injected fault");
+        assert_eq!(dir.version(b), None);
+        assert_eq!(dir.resolve(a), a_new, "the move itself is recorded");
     }
 
     /// `settle_if_flat` answers for the full probe only where the full
@@ -834,10 +860,17 @@ mod tests {
         assert_eq!(lag(&dir), (0, 0));
         let _ = dir.bump(loc);
         assert_eq!(lag(&dir), (1, 1));
-        migrate(&mut dir, loc, hs[0], 1);
-        assert_eq!(lag(&dir), (0, 0), "a tombstoned location never lags");
+        let new = migrate(&mut dir, loc, hs[0], 1);
+        assert_eq!(lag(&dir), (0, 0), "a vacated location never lags");
         let _ = dir.bump(loc);
-        assert_eq!(lag(&dir), (0, 0), "and stays tombstoned");
+        assert_eq!(lag(&dir), (0, 0), "and gains no version");
+        assert_eq!(dir.version(loc), None);
+        // The new home starts unshipped; its first shipment settles it.
+        let _ = dir.bump(new);
+        dir.shipped(new, 0, vec![]);
+        assert_eq!(lag(&dir), (1, 1), "shipped a version the bump overtook");
+        dir.shipped(new, 1, vec![]);
+        assert_eq!(lag(&dir), (0, 0));
         // A restart voids every owner's records, lagging or not.
         let other = (2, dir.export(2, hs[1], true));
         dir.shipped(other, 0, vec![]);
@@ -1015,7 +1048,10 @@ mod tests {
                 flat,
             } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
-                    let version = dir.version(loc).saturating_sub(u64::from(stale));
+                    let version = dir
+                        .version(loc)
+                        .expect("live")
+                        .saturating_sub(u64::from(stale));
                     let state = if flat {
                         vec![]
                     } else {
@@ -1077,12 +1113,11 @@ mod tests {
                 prop_assert_eq!(st.export_ids.get(h), Some(oid), "{}#{} reverse map", n, oid);
                 // The mover rewrote it into a proxy, and the move vacated it.
                 prop_assert!(!w.proxies.contains_key(&(n, *h)), "{n}#{oid} live, a proxy");
-                // One home per object: a live export is where its chain
-                // ends, and reads addressed at it may be cached.
+                // One home per object: a live export resolves to itself,
+                // and reads addressed at it may be cached.
                 let loc = (n, *oid);
-                prop_assert_eq!(dir.recorded_home(loc), None, "{}#{} live, moved", n, oid);
-                let tombstoned = dir.version(loc) == VERSION_TOMBSTONE;
-                prop_assert!(!tombstoned, "{n}#{oid} live, tombstoned");
+                prop_assert_eq!(dir.resolve(loc), loc, "{}#{} live, moved", n, oid);
+                prop_assert!(dir.version(loc).is_some(), "{n}#{oid} live, no version");
             }
             for oid in &st.replicated {
                 prop_assert!(
@@ -1113,17 +1148,23 @@ mod tests {
                 "{n}#{oid} dirty, not replicated"
             );
         }
-        for &loc in &w.moved_from {
-            prop_assert_eq!(
-                dir.version(loc),
-                VERSION_TOMBSTONE,
-                "{:?} un-tombstoned",
-                loc
-            );
+        for &(n, oid) in &w.moved_from {
+            let loc = (n, oid);
+            prop_assert_eq!(dir.version(loc), None, "{:?} vacated, versioned", loc);
+            let st = &dir.nodes[n as usize];
+            let shipped = st.synced_versions.contains_key(&oid);
+            prop_assert!(!shipped, "{:?} vacated, shipment record", loc);
         }
-        for &loc in dir.homes.keys() {
-            let end = dir.resolve(loc);
-            prop_assert_eq!(dir.recorded_home(end), None, "{:?} ends mid-chain", loc);
+        // One identity per object: every location it had shares it, and
+        // resolving is idempotent.
+        for (&loc, &identity) in &dir.identities {
+            prop_assert_eq!(dir.identity(identity), identity, "{:?}", loc);
+            prop_assert_eq!(dir.resolve(loc), dir.resolve(identity), "{:?}", loc);
+        }
+        for &loc in dir.identities.keys().chain(dir.homes.keys()) {
+            let home = dir.resolve(loc);
+            prop_assert_eq!(dir.resolve(home), home, "{:?} resolves twice", loc);
+            prop_assert_eq!(dir.identity(home), dir.identity(loc), "{:?}", loc);
         }
         // The gauges a time-series sample reads equal the scans they replaced.
         prop_assert_eq!(dir.lagging, dir.scan_replica_lag());

@@ -71,8 +71,8 @@ pub(crate) fn owner_gone(outcome: Result<&Reply, &VmError>) -> bool {
 }
 
 /// Client-side re-homing after the owner of `(target, oid)` turned out to
-/// be crashed, or restarted with amnesia. Follows the chain of recorded
-/// promotions first; only if it dead-ends on a dead (or amnesiac) location
+/// be crashed, or restarted with amnesia. Goes to the recorded live home
+/// first; only if that is a dead (or amnesiac) location
 /// does it ask that location's replicas — lowest node id first — to promote
 /// their backup copy. On success the proxy `recv` is rewritten in place to
 /// the new home, which is also returned; `None` means no live replica could
@@ -127,8 +127,8 @@ pub(crate) fn failover(
     Some((nn, noid))
 }
 
-/// Find the live home of `(target, oid)`: follow recorded promotions, then
-/// ask the terminal location's replicas to promote their backup, lowest
+/// Find the live home of `(target, oid)`: the recorded one, else ask the
+/// resolved location's replicas to promote their backup, lowest
 /// node id first. Returns `None` when nobody can take over — the class is
 /// unreplicated, or every backup is down or lost its copy.
 pub(crate) fn locate_home(
@@ -139,8 +139,8 @@ pub(crate) fn locate_home(
 ) -> Option<(u32, u64)> {
     let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
     let (tn, toid) = shared.directory.borrow().resolve((target, oid));
-    // Only route to the chain's end while the promoted copy is actually
-    // there: a terminal node that crash-restarted has a wiped registry, and
+    // Only route to the recorded home while the promoted copy is actually
+    // there: a home node that crash-restarted has a wiped registry, and
     // sending callers to it would loop through "unknown object" faults
     // instead of promoting one of the copy's own backups below.
     if (tn, toid) != (target, oid)

@@ -75,10 +75,9 @@ impl Cluster {
 
     /// Pull the object behind `proxy` to `node` (Figure 1's swap undone):
     /// a migration from the object's live home, which the directory
-    /// resolves however many moves the proxy is behind. `proxy` is first
-    /// re-pointed at that home, so the install rewrites this very handle in
-    /// place into the real object. If the home is already on `node`,
-    /// nothing moves.
+    /// resolves however many moves the proxy is behind. `proxy` is `node`'s
+    /// one handle for the object, so the install rewrites it in place into
+    /// the real object. If the home is already on `node`, nothing moves.
     ///
     /// # Errors
     /// [`VmError`] if the handle is not a proxy, its object has no live
@@ -100,7 +99,6 @@ impl Cluster {
             let target =
                 read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
             let (home, live) = live_home(shared, target);
-            point_proxy_at(shared, node, proxy, class, home);
             if home.0 == node.0 {
                 return Ok(MigrationEvent {
                     class: shared.rows[info.row].name.clone(),
@@ -156,8 +154,9 @@ impl Cluster {
     }
 
     /// The one move: ship the state of `object`, live on `from`, to `to`
-    /// in an `Install`, then rewrite `object` in place into a proxy for the
-    /// new home and record the move.
+    /// in an `Install`, then record the move and rewrite `object` in place
+    /// into a proxy for the new home — in that order, so the proxy is
+    /// recorded under the object's identity.
     fn install_at(
         &self,
         from: NodeId,
@@ -199,14 +198,9 @@ impl Cluster {
             other => return Err(VmError::Native(format!("unexpected reply {other:?}"))),
         };
         let proxy_class = row.proxy_class(info.side).map_err(VmError::Native)?;
-        point_proxy_at(
-            shared,
-            from,
-            object,
-            proxy_class,
-            (target.node.0, target.oid),
-        );
-        relocate(shared, (from.0, source_oid), (target.node.0, target.oid));
+        let new = (target.node.0, target.oid);
+        relocate(shared, (from.0, source_oid), new);
+        point_proxy_at(shared, from, object, proxy_class, new);
         Ok(MigrationEvent {
             class: row.name.clone(),
             from,

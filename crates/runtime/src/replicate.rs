@@ -9,15 +9,15 @@
 //! served, which each node's heap logs as they happen and the sweep drains
 //! into [`Directory::mark_written`].
 //!
-//! Backups are keyed by the owner's location. A move tombstones and vacates
-//! that location, so its backups stop serving reads: a replica read is
+//! Backups are keyed by the owner's location. A move drops its version and
+//! vacates it, so its backups stop serving reads: a replica read is
 //! taken only from a copy of a live, unmoved location, and a getter aimed
 //! at a moved-away one goes to the owner, which redirects it to the live
 //! home (whose own backups are re-seeded by its syncs).
 
 use crate::batch::enqueue_outcall;
 use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
-use crate::directory::{Drift, VERSION_TOMBSTONE};
+use crate::directory::Drift;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
@@ -120,7 +120,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     }
     drop(probe);
     let _s = shared.prof.section(Section::SweepShip);
-    let version = version_of(shared, owner.0, oid);
+    let version = version_of(shared, owner.0, oid).expect("a live export has a version");
     // Recorded *before* the exchanges below: each one is a top-level rpc,
     // which runs the dirty-replica sweep, which must find this very object
     // settled instead of shipping it a second time. The record also spends
@@ -242,9 +242,10 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
 
 /// Serve a getter from `node`'s own replica copy of `(owner, oid)`, iff
 /// the copy's version equals the owner's current property version (and the
-/// export has not been tombstoned by a move). `Ok(None)` means the node
-/// holds no copy or the copy lags — the caller falls through to a normal
-/// owner exchange, whose served reply restores the replica's currency.
+/// location still has one: the object has not moved). `Ok(None)` means the
+/// node holds no copy or the copy lags — the caller falls through to a
+/// normal owner exchange, whose served reply restores the replica's
+/// currency.
 ///
 /// In the simulated topology every inter-node link costs the same, so the
 /// nearest *profitable* replica is always the caller's own store: remote
@@ -260,10 +261,9 @@ pub(crate) fn replica_read(
     if owner == node.0 {
         return Ok(None);
     }
-    let current = version_of(shared, owner, oid);
-    if current == VERSION_TOMBSTONE {
+    let Some(current) = version_of(shared, owner, oid) else {
         return Ok(None);
-    }
+    };
     let copy = shared.nodes.borrow()[node.0 as usize]
         .replica_store
         .get(&(owner, oid))

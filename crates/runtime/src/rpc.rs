@@ -4,7 +4,6 @@
 
 use crate::batch::{enqueue_outcall, flush_outqueues};
 use crate::cluster::{gen_info, getter_sigs, read_proxy_state, version_of, ClassRow, Shared};
-use crate::directory::VERSION_TOMBSTONE;
 use crate::failover::{failover, owner_gone};
 use crate::marshal;
 use crate::obs::Met;
@@ -83,7 +82,7 @@ pub(crate) fn proxy_call(
             .get(&cache_key)
             .cloned();
         match cached {
-            Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
+            Some((tag, wv)) if Some(tag) == current => {
                 bump(shared, node.0, Met::CacheHits);
                 record_local_read(shared, node, (target, oid), row, method, "cached");
                 let _s = shared.prof.section(Section::Marshal);
@@ -162,7 +161,7 @@ pub(crate) fn proxy_call(
     let cache_key = (target, oid, sig);
     match reply {
         Reply::Value(wv) => {
-            if cache_on && obj_version != VERSION_TOMBSTONE {
+            if cache_on {
                 shared.nodes.borrow_mut()[node.0 as usize]
                     .prop_cache
                     .insert(cache_key, (obj_version, wv.clone()));

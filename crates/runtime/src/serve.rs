@@ -193,8 +193,8 @@ pub(crate) fn is_unknown_object(reply: &Reply) -> bool {
 
 /// Execute a request on `node`. Returns the reply and the property version
 /// it piggybacks: that of the export a `Call` addresses (0 for the other
-/// kinds), read *after* handling, so a setter's own reply already carries
-/// the bumped version.
+/// kinds, and for a location without a version), read *after* handling, so
+/// a setter's own reply already carries the bumped version.
 fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> (Reply, u64) {
     let versioned_oid = match &req {
         Request::Call { object, .. } => Some(*object),
@@ -205,8 +205,8 @@ fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -
         bump(shared, node.0, Met::Faults);
         Reply::Fault(fault)
     });
-    let version = versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
-    (reply, version)
+    let version = versioned_oid.and_then(|oid| version_of(shared, node.0, oid));
+    (reply, version.unwrap_or(0))
 }
 
 /// Run `req` against `node`'s VM and the directory. `Err` is the text of an
@@ -300,7 +300,7 @@ fn dispatch_request(
                     let oid = export(shared, node, h);
                     // Record the canonical export the first time the
                     // singleton becomes remotely visible; singleton
-                    // resolution follows the promotion chain from here.
+                    // resolution goes through the recorded moves from here.
                     shared
                         .directory
                         .borrow_mut()
@@ -349,8 +349,8 @@ fn dispatch_request(
             // (possibly stale) backup. Consulting the shared homes table
             // stands in for the promotion registry a real system would
             // replicate alongside the data.
-            let recorded = shared.directory.borrow().recorded_home(key);
-            if let Some(home) = recorded {
+            let home = shared.directory.borrow().resolve(key);
+            if home != key {
                 let gone = || format!("promoted copy of {old_node}#{old_object} vanished");
                 return remote_ref(shared, home).map(Reply::Value).ok_or_else(gone);
             }

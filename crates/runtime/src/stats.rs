@@ -218,7 +218,9 @@ pub(crate) fn record_local_read(
         return;
     };
     let _s = shared.prof.section(Section::WatchdogCall);
-    let moved = shared.directory.borrow().recorded_home(loc).is_some();
+    // A live export is its own home: only a vacated location can have moved.
+    let dir = shared.directory.borrow();
+    let moved = dir.live_export(loc).is_none() && dir.resolve(loc) != loc;
     dog.cache_hit(node.0, loc, moved, ctx);
 }
 
@@ -334,8 +336,8 @@ pub(crate) fn placement_table(shared: &Shared) -> String {
     out
 }
 
-/// The failover-homes map as served by `rafda.Introspection`: recorded
-/// promotions `(old home) -> (new home)`, sorted by old location.
+/// The homes map as served by `rafda.Introspection`: one line per moved
+/// object, `identity -> live home`, sorted by identity.
 pub(crate) fn homes_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -279,7 +279,8 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
                 // sync re-seeds the backup.
                 continue;
             };
-            let owner_version = version_of(shared, owner, oid);
+            let owner_version =
+                version_of(shared, owner, oid).expect("a live export has a version");
             let vm = &shared.vms[owner as usize];
             let Some((class, values)) = vm.read_object(h) else {
                 continue;

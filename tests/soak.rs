@@ -139,6 +139,26 @@ fn the_seed_42_smoke_report_matches_its_golden_file() {
     );
 }
 
+/// A node holds at most one handle per object, so no node's imports
+/// outgrow the pool, however many times its objects move. Imports are
+/// keyed by object identity: a landing finds the proxy its destination
+/// already holds whichever location the proxy names, and rewrites it.
+#[test]
+fn no_node_imports_more_handles_than_the_pool_has_objects() {
+    let cfg = ChurnConfig::production_day(42, 10_000);
+    let mut harness = SoakHarness::deploy(&cfg);
+    let mut oracle = Oracle::new(cfg.pool());
+    for op in generate_churn(&cfg).flatten() {
+        harness
+            .apply(&op, &mut oracle)
+            .expect("the smoke day is clean");
+    }
+    harness.finale(&oracle).expect("the smoke day is clean");
+    for node in harness.cluster().describe() {
+        assert!(node.imports <= cfg.pool(), "{node}");
+    }
+}
+
 /// The O(dirty) regression gate: a read-only steady phase must perform
 /// **zero** sweep probes. Getters never bump versions and never write a
 /// heap entry, so pure read traffic leaves the dirty set empty and the
