@@ -336,6 +336,34 @@ for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
   fi
 done
 
+echo "== one hasher: every table an exchange touches hashes with FastState =="
+# The runtime's tables, the wire's signature dictionaries and the span log's
+# interner are `rafda_telemetry::FastMap` / `FastSet`: an Fx-style hasher
+# seeded once per process, so iteration order still differs between runs
+# and the run-twice diff below still sees an order leak. The encode-buffer
+# pool indexes its per-link slots by node id and hashes nothing. A std
+# `HashMap` / `HashSet` in those product lines means SipHash is back on the
+# exchange path; a second `Hasher` / `BuildHasher` impl means a second
+# hasher to keep seeded and spread-tested.
+one_hasher_files=$(find crates/runtime/src crates/wire/src -name '*.rs' ! -name tests.rs | sort)
+for f in $one_hasher_files crates/telemetry/src/span.rs crates/net/src/bufpool.rs; do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\bHash(Map|Set)\b'; then
+    echo "FAIL: $f names a std HashMap / HashSet — use FastMap / FastSet" >&2
+    exit 1
+  fi
+done
+hasher_files=""
+for f in $(find crates/*/src -name '*.rs' ! -name tests.rs | sort); do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -qE '\bimpl(<[^>]*>)? +([A-Za-z_]+::)*(Build)?Hasher +for\b'; then
+    hasher_files="$hasher_files $f"
+  fi
+done
+if [ "$(wc -w <<<"$hasher_files")" -gt 1 ]; then
+  echo "FAIL: Hasher / BuildHasher is implemented in more than one product file:$hasher_files" >&2
+  exit 1
+fi
+
 echo "== SOAP parses in place: no owned DOM, no per-character copy =="
 # The SOAP decoder reads names, attribute values and entity-free text as
 # slices of the frame. An element tree or a lossy per-scalar copy in its

@@ -19,13 +19,12 @@ pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
 use rafda_policy::{DistributionPolicy, ShardSpec};
-use rafda_telemetry::SpanLog;
+use rafda_telemetry::{FastMap, FastSet, SpanLog};
 use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
 use rafda_vm::{Handle, Trace, Value, Vm, VmError};
 use rafda_wire::{Protocol, ProtocolKind, Reply, Request, SigTable, WireValue};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
@@ -86,14 +85,14 @@ pub(crate) struct NodeState {
     /// Proxies this node holds for remote objects, by object identity
     /// ([`Directory::identity`]): at most one handle per object, whichever
     /// of its locations a reference names.
-    pub(crate) imports: HashMap<(u32, u64), Handle>,
+    pub(crate) imports: FastMap<(u32, u64), Handle>,
     /// Class singletons resolved on this node, local or proxied — recorded
     /// before `<clinit>` runs, so an initialiser that reaches its own class
     /// sees the instance in progress, as in the JVM.
-    pub(crate) singletons: HashMap<ClassId, Handle>,
+    pub(crate) singletons: FastMap<ClassId, Handle>,
     /// Host-pinned GC roots (references held outside the simulation, e.g.
     /// by embedding Rust code).
-    pub(crate) pins: std::collections::HashSet<Handle>,
+    pub(crate) pins: FastSet<Handle>,
     /// At-most-once reply cache: replies already sent, keyed by
     /// `(caller node, message id)`, each paired with the addressed export's
     /// property version **at serve time**. A retransmitted request is
@@ -104,8 +103,8 @@ pub(crate) struct NodeState {
     /// execution never saw.
     ///
     /// Bounded: a client only retransmits while its call is still open, so
-    /// ids far in the past can no longer be retried.
-    pub(crate) reply_cache: FifoMap<(u32, u64), (Reply, u64), 1024>,
+    /// ids far in the past can no longer be retried. Replays share an entry.
+    pub(crate) reply_cache: FifoMap<(u32, u64), Rc<(Reply, u64)>, 1024>,
     /// Proxy-side property cache: values returned by remote `get_f` calls,
     /// keyed `(owner node, export id, getter sig)` and tagged with the
     /// owner's property version at reply time. An entry is served only
@@ -122,7 +121,7 @@ pub(crate) struct NodeState {
     /// fields, exactly as shipped by the last [`Request::ReplicaSync`]. The
     /// state stays in wire form until a [`Request::Promote`] materialises
     /// it — a backup that never promotes costs no heap objects.
-    pub(crate) replica_store: HashMap<(u32, u64), (u64, String, Vec<WireValue>)>,
+    pub(crate) replica_store: FastMap<(u32, u64), (u64, String, Vec<WireValue>)>,
 }
 
 /// Client-side fault tolerance for one request/reply exchange.
@@ -188,7 +187,7 @@ pub(crate) struct Shared {
     /// and the optional invariant monitors. Never borrowed across a
     /// nested exchange.
     pub obs: RefCell<Obs>,
-    gen_info: HashMap<ClassId, GenInfo>,
+    gen_info: FastMap<ClassId, GenInfo>,
     pub rpc_depth: Cell<u32>,
     pub retry: Cell<RetryPolicy>,
     /// Cluster-wide message id counter: every request/reply exchange gets a
@@ -212,7 +211,7 @@ pub(crate) struct Shared {
     /// operations (batched remote invocation). Drained by
     /// [`flush_outqueues`] at every synchronization point; permanently
     /// empty unless the policy batches some class.
-    pub outqueues: RefCell<HashMap<(u32, u32), PendingBatch>>,
+    pub outqueues: RefCell<FastMap<(u32, u32), PendingBatch>>,
     /// Re-entrancy guard for [`flush_outqueues`]: the flush itself performs
     /// top-level exchanges, which are synchronization points of their own.
     pub in_flush: Cell<bool>,
@@ -335,7 +334,7 @@ impl Cluster {
         let mut families: Vec<_> = plan.families.values().collect();
         families.sort_by_key(|f| &universe.class(f.base).name);
         let mut rows = Vec::with_capacity(families.len());
-        let mut gen_info = HashMap::new();
+        let mut gen_info = FastMap::default();
         for (id, family) in families.into_iter().enumerate() {
             let name = universe.class(family.base).name.clone();
             let protocol = policy.protocol(&name);
@@ -397,7 +396,7 @@ impl Cluster {
             directory,
             any_sharding,
             last_exchange_span: Cell::new(0),
-            outqueues: RefCell::new(HashMap::new()),
+            outqueues: RefCell::new(FastMap::default()),
             in_flush: Cell::new(false),
             any_replication,
             in_replica_sweep: Cell::new(false),

@@ -22,9 +22,10 @@
 //! runtime holds the directory in one `RefCell` and borrows it for exactly
 //! one method call at a time, so a borrow can never span a nested exchange.
 
+use rafda_telemetry::{FastMap, FastSet};
 use rafda_vm::Handle;
 use rafda_wire::WireValue;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A location: `(node, export id on that node)`.
 pub(crate) type Loc = (u32, u64);
@@ -62,11 +63,11 @@ pub(crate) struct Affinity {
 #[derive(Debug, Default)]
 struct NodeDir {
     /// Live exports: objects this node answers for.
-    exports: HashMap<u64, Handle>,
+    exports: FastMap<u64, Handle>,
     /// Reverse map over `exports`, so exporting a handle twice reuses its
     /// id. A move vacates both directions: an object coming home is
     /// exported under a fresh id.
-    export_ids: HashMap<Handle, u64>,
+    export_ids: FastMap<Handle, u64>,
     /// Live exports that are locally implemented instances of a replicated
     /// class — the only locations a dirty mark can make shippable.
     replicated: BTreeSet<u64>,
@@ -83,9 +84,9 @@ struct NodeDir {
     /// What each export last shipped to its backups. Cleared cluster-wide
     /// on every restart so a rejoining backup is re-seeded at the owner's
     /// next sync.
-    synced_versions: HashMap<u64, Shipment>,
+    synced_versions: FastMap<u64, Shipment>,
     /// Per-export incoming call counts by caller node.
-    call_counts: HashMap<u64, HashMap<u32, u64>>,
+    call_counts: FastMap<u64, FastMap<u32, u64>>,
 }
 
 /// One export's last shipment to its backups.
@@ -104,15 +105,15 @@ pub(crate) struct Directory {
     /// so a read addressed there must go remote and be redirected, or a
     /// reader that never exchanges with the new owner could keep serving
     /// the pre-move value. Outlives restarts.
-    versions: HashMap<Loc, u64>,
+    versions: FastMap<Loc, u64>,
     /// Every location an object was relocated to → the object's identity:
     /// the location it was first exported under. A location absent here is
     /// its own identity. Outlives restarts.
-    identities: HashMap<Loc, Loc>,
+    identities: FastMap<Loc, Loc>,
     /// Every moved identity → the object's live home. Outlives restarts:
     /// it is the only way a reference to a moved-away location reaches the
     /// object.
-    homes: HashMap<Loc, Loc>,
+    homes: FastMap<Loc, Loc>,
     /// Per class row: the location its statics singleton was first
     /// exported under; resolution goes through `homes` from here.
     static_by_row: Vec<Option<Loc>>,
@@ -556,7 +557,7 @@ impl Directory {
     }
 
     /// Every location recorded as a member of some shard.
-    pub(crate) fn shard_member_set(&self) -> HashSet<Loc> {
+    pub(crate) fn shard_member_set(&self) -> FastSet<Loc> {
         self.members_by_shard.values().flatten().copied().collect()
     }
 
@@ -986,7 +987,7 @@ mod tests {
     /// every location something ever moved away from.
     #[derive(Default)]
     struct World {
-        proxies: HashMap<(u32, Handle), Loc>,
+        proxies: FastMap<(u32, Handle), Loc>,
         down: Option<u32>,
         moved_from: Vec<Loc>,
     }

@@ -1,6 +1,7 @@
 //! A map that holds at most `CAP` entries and forgets the oldest first.
 
-use std::collections::{HashMap, VecDeque};
+use rafda_telemetry::FastMap;
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// A bounded map with first-in-first-out eviction: inserting a new key into
@@ -8,7 +9,7 @@ use std::hash::Hash;
 /// live key keeps its place in the queue.
 #[derive(Debug)]
 pub(crate) struct FifoMap<K, V, const CAP: usize> {
-    map: HashMap<K, V>,
+    map: FastMap<K, V>,
     /// The map's keys, oldest first.
     order: VecDeque<K>,
 }
@@ -16,7 +17,7 @@ pub(crate) struct FifoMap<K, V, const CAP: usize> {
 impl<K, V, const CAP: usize> Default for FifoMap<K, V, CAP> {
     fn default() -> Self {
         FifoMap {
-            map: HashMap::new(),
+            map: FastMap::default(),
             order: VecDeque::new(),
         }
     }

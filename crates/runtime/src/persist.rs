@@ -21,8 +21,8 @@
 use crate::cluster::{gen_info, read_proxy_state, Shared};
 use crate::Cluster;
 use rafda_net::NodeId;
+use rafda_telemetry::FastMap;
 use rafda_vm::{Handle, HeapEntry, Value, Vm, VmError};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One field slot of a persisted object.
@@ -131,7 +131,7 @@ impl Cluster {
 
 pub(crate) fn snapshot(shared: &Shared, node: NodeId, root: Handle) -> Result<Snapshot, VmError> {
     let vm: &Vm = &shared.vms[node.0 as usize];
-    let mut index: HashMap<Handle, usize> = HashMap::new();
+    let mut index: FastMap<Handle, usize> = FastMap::default();
     let mut objects: Vec<SnapObject> = Vec::new();
     let mut work: Vec<Handle> = vec![root];
 

@@ -18,6 +18,7 @@ use rafda_net::NodeId;
 use rafda_telemetry::{SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{FrameHeader, Protocol, Reply, Request, WireValue};
+use std::rc::Rc;
 
 /// Answer the request frame `frame`, which arrived on `to` from `from`: the
 /// whole callee half. Total on its input — bytes that are not a frame are
@@ -36,14 +37,15 @@ pub(crate) fn deliver(
         let _s = shared.prof.section(Section::HeaderDedup);
         codec.decode_request_header(frame)
     };
-    let (msg_id, (reply, reply_ctx, obj_version)) = match header {
+    let (msg_id, (answer, reply_ctx)) = match header {
         Ok(header) => (header.msg_id, serve_frame(shared, to, from, &header)),
         Err(e) => {
             bump(shared, to.0, Met::Faults);
             let reply = Reply::Fault(format!("malformed request frame: {e}"));
-            (0, (reply, TraceContext::NONE, 0))
+            (0, (Rc::new((reply, 0)), TraceContext::NONE))
         }
     };
+    let (reply, obj_version) = &*answer;
     let _s = shared.prof.section(Section::ReplyEncode);
     let mut reply_bytes = shared.checkout_buf(to, from);
     let mut encode_reply = |reply: &Reply| {
@@ -51,14 +53,14 @@ pub(crate) fn deliver(
             codec.encode_reply_into(
                 msg_id,
                 reply_ctx,
-                obj_version,
+                *obj_version,
                 reply,
                 Some(table),
                 &mut reply_bytes,
             )
         })
     };
-    if let Err(e) = encode_reply(&reply) {
+    if let Err(e) = encode_reply(reply) {
         // The reply itself cannot be framed (e.g. a >4 GiB string): answer
         // a fault instead. It is one short string, which cannot itself
         // fail to encode.
@@ -78,15 +80,16 @@ pub(crate) fn deliver(
 ///
 /// Records a `serve.*` span whose parent comes from the wire context, which
 /// is what stitches the hops of a multi-node chain into one trace. Returns
-/// the reply, the serve span's context, and the addressed export's current
-/// property version (0 for request kinds that address no export) — both of
-/// which ride back in the reply header.
+/// the answer the reply cache shares — the reply and the addressed export's
+/// property version at serve time (0 for request kinds that address no
+/// export) — and the serve span's context, both of which ride back in the
+/// reply header.
 fn serve_frame(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
     header: &FrameHeader<'_>,
-) -> (Reply, TraceContext, u64) {
+) -> (Rc<(Reply, u64)>, TraceContext) {
     let msg_id = header.msg_id;
     let (_, serve_name) = span_names(header.kind);
     let (span, reply_ctx) = {
@@ -104,7 +107,7 @@ fn serve_frame(
         let nodes = shared.nodes.borrow();
         nodes[node.0 as usize].reply_cache.get(&key).cloned()
     };
-    let (reply, obj_version) = 'answer: {
+    let answer = 'answer: {
         if let Some(replayed) = cached {
             // A dedup hit replays the *stored* version, not the current one:
             // the object may have moved on since the original serve, and a
@@ -129,14 +132,15 @@ fn serve_frame(
                 // retransmission carries the same bytes and faults the same
                 // way, so caching would only occupy a dedup slot).
                 bump(shared, node.0, Met::Faults);
-                break 'answer (Reply::Fault(format!("malformed request frame: {e}")), 0);
+                let fault = Reply::Fault(format!("malformed request frame: {e}"));
+                break 'answer Rc::new((fault, 0));
             }
         };
         if let Request::Batch(ops) = &req {
             let _s = shared.prof.section(Section::SpanRecord);
             shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
         }
-        let answered = handle_request(shared, node, caller, req);
+        let answered = Rc::new(handle_request(shared, node, caller, req));
         // The at-most-once check hears of every frame that ran; a replay
         // from the reply cache above is not a run.
         if let Some(dog) = shared.obs.borrow_mut().watchdog.as_mut() {
@@ -146,15 +150,15 @@ fn serve_frame(
         let _s = shared.prof.section(Section::HeaderDedup);
         shared.nodes.borrow_mut()[node.0 as usize]
             .reply_cache
-            .insert(key, answered.clone());
+            .insert(key, Rc::clone(&answered));
         answered
     };
     let _s = shared.prof.section(Section::SpanRecord);
     shared
         .spans
         .borrow_mut()
-        .end_span(span, shared.net.now().as_ns(), reply_outcome(&reply));
-    (reply, reply_ctx, obj_version)
+        .end_span(span, shared.net.now().as_ns(), reply_outcome(&answer.0));
+    (answer, reply_ctx)
 }
 
 /// Span outcome of a served reply. A batch is `Ok` only if every batched

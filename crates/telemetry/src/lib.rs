@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod hash;
 pub mod histogram;
 pub mod metrics;
 pub mod monitor;
@@ -39,6 +40,7 @@ pub mod report;
 pub mod span;
 pub mod timeseries;
 
+pub use hash::{FastMap, FastSet};
 pub use histogram::{LatencyHistogram, MethodKey, BUCKET_BOUNDS_NS};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use monitor::{SpanTreeMonitor, Violation};

@@ -23,8 +23,8 @@
 //! All ids are allocated from per-log counters (never from wall-clock or
 //! randomness), so with the same seed the log is byte-identical across runs.
 
-use crate::TraceContext;
-use std::collections::{BTreeMap, HashMap};
+use crate::{FastMap, TraceContext};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed span attribute value. Strings are borrowed: from the caller on
@@ -207,7 +207,7 @@ struct Attr {
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Interner {
     symbols: Vec<Box<str>>,
-    ids: HashMap<Box<str>, u32>,
+    ids: FastMap<Box<str>, u32>,
 }
 
 impl Interner {

@@ -21,7 +21,7 @@
 //! decoder views identical without eviction coordination.
 
 use crate::WireError;
-use std::collections::HashMap;
+use rafda_telemetry::FastMap;
 
 /// The link's table, if any, as the codecs' recursive writers and readers
 /// thread it: held by mutable reference so recursion does not consume the
@@ -61,7 +61,7 @@ impl InternOutcome {
 /// A directed per-link signature dictionary (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct SigTable {
-    ids: HashMap<String, u32>,
+    ids: FastMap<String, u32>,
     names: Vec<String>,
     refs: u64,
     defs: u64,
