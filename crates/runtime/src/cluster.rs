@@ -450,9 +450,8 @@ impl Cluster {
 
     /// Snapshot of the causal span log. Deterministic per seed: same
     /// universe, policy and fault plan produce a byte-identical log. The
-    /// clone is a few flat copies (span records, attribute arena, one
-    /// sample vector per link) plus the small key and string tables: no
-    /// allocation per span.
+    /// clone is a few flat copies (span records, attribute arena, run
+    /// table) plus the small key and string tables: no allocation per span.
     pub fn span_log(&self) -> SpanLog {
         self.shared.spans.borrow().clone()
     }

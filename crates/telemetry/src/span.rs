@@ -10,9 +10,12 @@
 //!
 //! A closed span never changes again. An *open* span therefore stages its
 //! attributes in a scratch vector on the open stack, and
-//! [`SpanLog::end_span`] appends them to the arena as one contiguous run
-//! which the record names; scratch vectors are pooled, so in steady state a
-//! span allocates nothing of its own.
+//! [`SpanLog::end_span`] names a contiguous arena run equal to them. The
+//! arena holds each distinct list once: a list an earlier span closed with
+//! is found through a table from the list's hash to its run, checked entry
+//! by entry, and shared; only a new list is appended. Scratch vectors are
+//! pooled, so in steady state a span allocates nothing of its own and the
+//! arena grows with the vocabulary of attribute lists, not with traffic.
 //!
 //! The cluster is single-threaded and RPCs are synchronous and re-entrant,
 //! so the stack *is* the causal chain: a span started while another is open
@@ -26,6 +29,8 @@
 use crate::{FastMap, TraceContext};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::mem::size_of;
 
 /// A typed span attribute value. Strings are borrowed: from the caller on
 /// the way in, from the log's interner on the way out.
@@ -228,6 +233,14 @@ impl Interner {
     fn resolve(&self, id: u32) -> &str {
         &self.symbols[id as usize]
     }
+
+    /// Each string is held twice: as a symbol and as its table key.
+    fn retained_bytes(&self) -> usize {
+        let text: usize = self.symbols.iter().map(|s| s.len()).sum();
+        2 * text
+            + self.symbols.len() * size_of::<Box<str>>()
+            + self.ids.len() * size_of::<(Box<str>, u32)>()
+    }
 }
 
 /// An attribute key, and the symbol of the string it was last given: from one
@@ -254,9 +267,11 @@ struct OpenSpan {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanLog {
     spans: Vec<Span>,
-    /// The attribute arena: each closed span's attributes, contiguous, in
-    /// close order.
+    /// The attribute arena: each distinct closed attribute list once,
+    /// contiguous, in the order the lists first closed.
     attrs: Vec<Attr>,
+    /// A list's hash → the arena start of the run last stored under it.
+    runs: FastMap<u64, u32>,
     /// Attribute keys by id. A dozen literals, so lookup is a scan.
     keys: Vec<Key>,
     strings: Interner,
@@ -363,11 +378,10 @@ impl SpanLog {
         let Some(pos) = self.open_pos(h, "given an attribute after its close") else {
             return;
         };
-        let key = match self
-            .keys
-            .iter()
-            .position(|k| std::ptr::eq(k.name, key) || k.name == key)
-        {
+        // A key is a literal, so its pointer mostly finds it; the text
+        // compare is for the same literal at another address.
+        let by_ptr = self.keys.iter().position(|k| std::ptr::eq(k.name, key));
+        let key = match by_ptr.or_else(|| self.keys.iter().position(|k| k.name == key)) {
             Some(id) => id,
             None => {
                 self.keys.push(Key {
@@ -404,23 +418,59 @@ impl SpanLog {
         }
     }
 
-    /// Close a span: stamp the end time and outcome and move its staged
-    /// attributes into the arena. Closing a handle a second time is a caller
-    /// bug and changes nothing.
+    /// Close a span: stamp the end time and outcome and point it at an
+    /// arena run equal to its staged attributes. Closing a handle a second
+    /// time is a caller bug and changes nothing.
     pub fn end_span(&mut self, h: SpanHandle, now_ns: u64, outcome: SpanOutcome) {
         let Some(pos) = self.open_pos(h, "closed twice") else {
             return;
         };
         let mut staged = self.open.remove(pos).staged;
+        let start = self.run_of(&staged);
         let span = &mut self.spans[h.0];
         span.end_ns = now_ns;
         span.outcome = outcome;
-        span.attrs_start =
-            u32::try_from(self.attrs.len()).expect("fewer than 2^32 attributes in one log");
+        span.attrs_start = start;
         span.attrs_len =
             u16::try_from(staged.len()).expect("fewer than 2^16 attributes on one span");
-        self.attrs.append(&mut staged);
+        staged.clear();
         self.scratch.push(staged);
+    }
+
+    /// The arena start of a run equal to `list`: the one stored under its
+    /// hash if that run's entries are `list`'s, else `list` appended. A
+    /// collision only costs a second copy, never a wrong read.
+    fn run_of(&mut self, list: &[Attr]) -> u32 {
+        let mut hasher = self.runs.hasher().build_hasher();
+        for a in list {
+            hasher.write_u64(a.payload);
+            hasher.write_u64(u64::from(a.key) | ((a.tag as u64) << 16));
+        }
+        hasher.write_u64(list.len() as u64);
+        let end = u32::try_from(self.attrs.len()).expect("fewer than 2^32 attributes in one log");
+        let run = self.runs.entry(hasher.finish()).or_insert(end);
+        let start = *run as usize;
+        if self.attrs.get(start..start + list.len()) == Some(list) {
+            return *run;
+        }
+        *run = end;
+        self.attrs.extend_from_slice(list);
+        end
+    }
+
+    /// Attribute entries in the arena: each distinct closed list once,
+    /// however many spans read it.
+    pub fn arena_len(&self) -> usize {
+        self.attrs.len()
+    }
+
+    /// The bytes the log holds, by length rather than capacity: span
+    /// records, attribute arena, run table and string interner.
+    pub fn retained_bytes(&self) -> usize {
+        self.spans.len() * size_of::<Span>()
+            + self.attrs.len() * size_of::<Attr>()
+            + self.runs.len() * size_of::<(u64, u32)>()
+            + self.strings.retained_bytes()
     }
 
     /// A span's attributes as stored: its arena run, or — for a span of this
@@ -768,6 +818,7 @@ mod tests {
                 log.strings.symbols.len(),
                 log.strings.ids.len(),
                 scratch,
+                log.runs.len(),
             )
         };
         let warm = shape(&log);
@@ -778,8 +829,37 @@ mod tests {
         }
         assert_eq!(shape(&log), warm, "vocabulary and scratch pool are settled");
         assert_eq!(log.spans.len(), spans + 20_000);
-        assert_eq!(log.attrs.len(), attrs + 80_000);
+        assert_eq!(log.attrs.len(), attrs, "every list repeats a warm-up list");
         assert!(log.open.is_empty());
+    }
+
+    #[test]
+    fn equal_lists_share_one_run() {
+        use AttrValue::{Str, I64, U64};
+        let lists: [&[(&'static str, AttrValue)]; 6] = [
+            &[("class", Str("C")), ("to", U64(1))],
+            &[("class", Str("C")), ("to", U64(1))],
+            &[("class", Str("C")), ("to", U64(2))],
+            &[("class", Str("C")), ("to", I64(1))],
+            &[("to", U64(1)), ("class", Str("C"))],
+            &[("class", Str("C"))],
+        ];
+        let mut log = SpanLog::new();
+        for (now, list) in (0..).zip(lists) {
+            let h = log.start_span("rpc.call", 0, now);
+            for &(key, value) in list {
+                log.set_attr(h, key, value);
+            }
+            log.end_span(h, now + 1, SpanOutcome::Ok);
+        }
+        // The equal list shares the first run; a changed value, a changed
+        // type, a changed order and a prefix are lists of their own.
+        let runs: Vec<_> = log.spans.iter().map(|s| s.attrs_start).collect();
+        assert_eq!(runs, vec![0, 0, 2, 4, 6, 8]);
+        assert_eq!(log.arena_len(), 9);
+        for (span, list) in log.spans().iter().zip(lists) {
+            assert_eq!(log.attrs(span).collect::<Vec<_>>(), list);
+        }
     }
 
     /// An exchange `from → to` whose attempts take the given times and end
@@ -1113,7 +1193,8 @@ mod tests {
         /// Whatever the interleaving — nested and out-of-order closes,
         /// repeated keys, late writes to an outer span, reads of open
         /// spans — the record/arena/interner log reads back exactly what a
-        /// vector of attributes per span would hold.
+        /// vector of attributes per span would hold, and its arena holds
+        /// each distinct list once.
         #[test]
         fn the_log_reads_like_a_vec_of_attrs_per_span(
             steps in prop::collection::vec(arb_step(), 1..200),
@@ -1165,7 +1246,13 @@ mod tests {
                 model.end(idx, now, SpanOutcome::Ok);
             }
             assert_matches_model(&log, &model)?;
-            prop_assert_eq!(log.attrs.len(), model.spans.iter().map(|s| s.attrs.len()).sum::<usize>());
+            let mut distinct: Vec<&[(&str, model::Value)]> = Vec::new();
+            for span in &model.spans {
+                if !distinct.contains(&span.attrs.as_slice()) {
+                    distinct.push(&span.attrs);
+                }
+            }
+            prop_assert_eq!(log.attrs.len(), distinct.iter().map(|l| l.len()).sum::<usize>());
         }
     }
 }

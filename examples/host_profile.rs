@@ -12,7 +12,8 @@
 //! on, alternating, on fresh deployments; the profile reported is the
 //! median-wall profiled run's. `rpc_steady` runs once more, profiled, to
 //! charge each op's codec sections to its protocol. Output: a per-section
-//! table, then one metric line in the benchmark's `{"metrics":{…}}` shape,
+//! table, then one metric line in the benchmark's `{"metrics":{…}}` shape
+//! (with the span log's exact size, `profile.span_log_bytes_per_op`),
 //! which the layers ledger takes as it is:
 //!
 //! ```sh
@@ -44,10 +45,12 @@ const CODEC: [Section; 5] = [
     Section::ReplyEncode,
 ];
 
-/// One run: its wall clock over the ops, and the profile it left.
+/// One run: its wall clock over the ops, the profile it left and the bytes
+/// its span log holds.
 struct Run {
     wall_ns: f64,
     profile: HostProfile,
+    span_log_bytes: usize,
 }
 
 fn main() {
@@ -84,6 +87,11 @@ fn main() {
         ("profile.off_wall_us_per_op", per_op(off.wall_ns), "us"),
         ("profile.on_cost_x", on.wall_ns / off.wall_ns, "x"),
         ("profile.entry_ns", entry_ns, "ns"),
+        (
+            "profile.span_log_bytes_per_op",
+            on.span_log_bytes as f64 / ops as f64,
+            "B",
+        ),
         ("profile.coverage", total / on.wall_ns, "ratio"),
         (
             "profile.other_share",
@@ -126,10 +134,11 @@ fn main() {
     }
     println!(
         "coverage {:.3} (sections / wall), other {:.1}%, profile on costs {:.3}x \
-         ({entry_ns:.1} ns per section entered)",
+         ({entry_ns:.1} ns per section entered); span log {:.1} B per op",
         total / on.wall_ns,
         100.0 * on.profile.ns(Section::Other) as f64 / total,
-        on.wall_ns / off.wall_ns
+        on.wall_ns / off.wall_ns,
+        on.span_log_bytes as f64 / ops as f64
     );
     let fields: Vec<String> = metrics
         .iter()
@@ -165,6 +174,7 @@ fn soak_day(ops: usize, profile: bool) -> Run {
     Run {
         wall_ns,
         profile: harness.cluster().host_profile(),
+        span_log_bytes: harness.cluster().span_log().retained_bytes(),
     }
 }
 
@@ -293,6 +303,7 @@ fn rpc_steady(ops: usize, profile: bool) -> Run {
     Run {
         wall_ns,
         profile: cluster.host_profile(),
+        span_log_bytes: cluster.span_log().retained_bytes(),
     }
 }
 

@@ -159,6 +159,29 @@ fn no_node_imports_more_handles_than_the_pool_has_objects() {
     }
 }
 
+/// The span log stores each distinct attribute list once: the smoke day's
+/// spans read back about 170,000 attributes, but their class, method and
+/// protocol rows repeat, so the arena holds a few thousand.
+#[test]
+fn the_span_arena_holds_each_attribute_list_once() {
+    let cfg = ChurnConfig::production_day(42, 10_000);
+    let mut harness = SoakHarness::deploy(&cfg);
+    let mut oracle = Oracle::new(cfg.pool());
+    for op in generate_churn(&cfg).flatten() {
+        harness
+            .apply(&op, &mut oracle)
+            .expect("the smoke day is clean");
+    }
+    harness.finale(&oracle).expect("the smoke day is clean");
+    let log = harness.cluster().span_log();
+    let read_back: usize = log.spans().iter().map(|s| log.attrs(s).len()).sum();
+    let stored = log.arena_len();
+    assert!(
+        20 * stored < read_back,
+        "the arena holds {stored} of the {read_back} attributes its spans read"
+    );
+}
+
 /// The O(dirty) regression gate: a read-only steady phase must perform
 /// **zero** sweep probes. Getters never bump versions and never write a
 /// heap entry, so pure read traffic leaves the dirty set empty and the
