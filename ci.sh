@@ -418,6 +418,18 @@ if [ "$(grep -rlE '\benum Side\b' crates | wc -l)" -ne 1 ]; then
   exit 1
 fi
 
+echo "== a generated member's name is its signature's =="
+# The planner mints every generated name once, when it interns the
+# signature; a generated member takes its name and parameter list from
+# `sig_info(sig)`, sharing the table's `Arc`s (the verifier checks it). A
+# naming call or a `format!` in the generator's product lines means names
+# are being built, and copied, per artefact again.
+if sed '/#\[cfg(test)\]/,$d' crates/transform/src/generate.rs |
+    grep -nE 'naming::(getter|setter|init_method)\(|format!'; then
+  echo "FAIL: crates/transform/src/generate.rs builds a member name instead of taking its signature's" >&2
+  exit 1
+fi
+
 echo "== one call path in the VM: a frame is a window on one stack =="
 # Every call — three entry points, three `step` arms, <clinit> — is
 # `Vm::invoke(owner, idx, stack, base)`: the arguments stay where the caller

@@ -36,8 +36,8 @@ pub fn add_accessors(universe: &mut ClassUniverse, class: ClassId) -> Accessors 
             owner: class,
             index,
         };
-        let getter = Method::getter(format!("get_{name}"), g_sig, ty.clone(), fr);
-        let setter = Method::setter(format!("set_{name}"), s_sig, ty, fr);
+        let getter = Method::getter(universe, g_sig, ty, fr);
+        let setter = Method::setter(universe, s_sig, fr);
         let c = universe.class_mut(class);
         c.methods.push(getter);
         c.methods.push(setter);
@@ -61,7 +61,7 @@ pub fn generate_wrapper(
     };
     // Wrapper(target) { this.target = target; } — a setter by another name.
     let ctor_sig = universe.sig("<init>$0", vec![Ty::Object(class)]);
-    let ctor = Method::setter("<init>$0", ctor_sig, Ty::Object(class), target_fr);
+    let ctor = Method::setter(universe, ctor_sig, target_fr);
     let mut methods = vec![ctor];
     // Forwarders for every instance method (walking the superclass chain so
     // inherited behaviour is intercepted too, most-derived first).
@@ -83,15 +83,16 @@ pub fn generate_wrapper(
             code.push(Insn::ReturnValue);
             methods.push(Method {
                 body: Some(MethodBody::straight_line(code, u16::from(argc) + 1)),
-                ..Method::declared(m.name.clone(), m.sig, m.params.clone(), m.ret.clone())
+                ..Method::declared(universe, m.sig, m.ret.clone())
             });
         }
         cur = cls.superclass;
     }
+    let name = universe.class(wrapper).name.clone();
     universe.define(
         wrapper,
         Class {
-            name: wrapper_name,
+            name,
             kind: ClassKind::Class,
             superclass: None,
             interfaces: vec![],
@@ -144,7 +145,7 @@ mod tests {
         let (w, ctor) = generate_wrapper(&mut u, ids.x);
         assert_eq!(ctor, 0);
         let wc = u.class(w);
-        assert_eq!(wc.name, "X_Wrapper");
+        assert_eq!(&*wc.name, "X_Wrapper");
         // m + get_y + set_y + ctor
         assert!(wc.method_index("m").is_some());
         assert!(wc.method_index("get_y").is_some());
@@ -183,7 +184,7 @@ mod tests {
         }
         let (w, _) = generate_wrapper(&mut u, b);
         let wc = u.class(w);
-        let count = wc.methods.iter().filter(|m| m.name == "f").count();
+        let count = wc.methods.iter().filter(|m| &*m.name == "f").count();
         assert_eq!(count, 1, "override must not duplicate the forwarder");
         verify_universe(&u).unwrap();
     }

@@ -393,16 +393,10 @@ impl ClassBuilder {
         ret: Ty,
         body: Option<MethodBody>,
     ) -> u16 {
-        let sig = universe.sig(name, params.clone());
+        let sig = universe.sig(name, params);
         self.add_method(Method {
-            name: name.to_owned(),
-            sig,
-            params,
-            ret,
-            visibility: Visibility::Public,
-            is_static: false,
-            is_native: false,
             body,
+            ..Method::declared(universe, sig, ret)
         })
     }
 
@@ -415,16 +409,11 @@ impl ClassBuilder {
         ret: Ty,
         body: Option<MethodBody>,
     ) -> u16 {
-        let sig = universe.sig(name, params.clone());
+        let sig = universe.sig(name, params);
         self.add_method(Method {
-            name: name.to_owned(),
-            sig,
-            params,
-            ret,
-            visibility: Visibility::Public,
             is_static: true,
-            is_native: false,
             body,
+            ..Method::declared(universe, sig, ret)
         })
     }
 
@@ -436,16 +425,10 @@ impl ClassBuilder {
         params: Vec<Ty>,
         ret: Ty,
     ) -> u16 {
-        let sig = universe.sig(name, params.clone());
+        let sig = universe.sig(name, params);
         self.add_method(Method {
-            name: name.to_owned(),
-            sig,
-            params,
-            ret,
-            visibility: Visibility::Public,
-            is_static: false,
             is_native: true,
-            body: None,
+            ..Method::declared(universe, sig, ret)
         })
     }
 
@@ -457,17 +440,10 @@ impl ClassBuilder {
         body: Option<MethodBody>,
     ) -> u16 {
         let k = self.class.ctors.len();
-        let name = format!("<init>${k}");
-        let sig = universe.sig(&name, params.clone());
+        let sig = universe.sig(&format!("<init>${k}"), params);
         self.add_method(Method {
-            name,
-            sig,
-            params,
-            ret: Ty::Void,
-            visibility: Visibility::Public,
-            is_static: false,
-            is_native: false,
             body,
+            ..Method::declared(universe, sig, Ty::Void)
         })
     }
 
@@ -475,14 +451,10 @@ impl ClassBuilder {
     pub fn clinit(&mut self, universe: &mut ClassUniverse, body: MethodBody) -> u16 {
         let sig = universe.sig("<clinit>", vec![]);
         self.add_method(Method {
-            name: "<clinit>".to_owned(),
-            sig,
-            params: vec![],
-            ret: Ty::Void,
             visibility: Visibility::Package,
             is_static: true,
-            is_native: false,
             body: Some(body),
+            ..Method::declared(universe, sig, Ty::Void)
         })
     }
 
@@ -546,7 +518,7 @@ mod tests {
         let a = cb.finish(&mut u);
         let c = u.class(a);
         assert_eq!(c.ctors, vec![0]);
-        assert_eq!(c.methods[0].name, "<init>$0");
+        assert_eq!(&*c.methods[0].name, "<init>$0");
         assert_eq!(c.method_index("x"), Some(1));
         assert_eq!((f, s), (0, 0));
     }

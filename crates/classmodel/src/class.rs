@@ -3,6 +3,7 @@
 use crate::insn::{FieldRef, Insn};
 use crate::ty::Ty;
 use crate::universe::{ClassId, ClassUniverse, SigId};
+use std::sync::Arc;
 
 /// Java-style member visibility.
 ///
@@ -183,16 +184,17 @@ impl MethodBody {
 }
 
 /// A method (including constructors, named `<init>$k`, and the static
-/// initialiser `<clinit>`).
+/// initialiser `<clinit>`). Its `name` and `params` are those of its
+/// signature, `universe.sig_info(sig)`, and share that entry's `Arc`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Method {
     /// Method name (constructors are `<init>$k`, the static initialiser is
     /// `<clinit>`).
-    pub name: String,
+    pub name: Arc<str>,
     /// Interned `(name, params)` signature; the dynamic-dispatch key.
     pub sig: SigId,
     /// Parameter types (excluding the receiver).
-    pub params: Vec<Ty>,
+    pub params: Arc<[Ty]>,
     /// Return type (`Ty::Void` for procedures).
     pub ret: Ty,
     /// Declared visibility.
@@ -207,12 +209,14 @@ pub struct Method {
 }
 
 impl Method {
-    /// A public instance method declaration: no body, not native.
-    pub fn declared(name: impl Into<String>, sig: SigId, params: Vec<Ty>, ret: Ty) -> Self {
+    /// A public instance method declaration of signature `sig`: no body, not
+    /// native. Name and parameters are the signature table's.
+    pub fn declared(universe: &ClassUniverse, sig: SigId, ret: Ty) -> Self {
+        let info = universe.sig_info(sig);
         Method {
-            name: name.into(),
+            name: info.name.clone(),
             sig,
-            params,
+            params: info.params.clone(),
             ret,
             visibility: Visibility::Public,
             is_static: false,
@@ -221,17 +225,19 @@ impl Method {
         }
     }
 
-    /// The property getter `ty name() { return this.field; }`.
-    pub fn getter(name: impl Into<String>, sig: SigId, ty: Ty, field: FieldRef) -> Self {
+    /// The property getter `ty name() { return this.field; }` of the
+    /// parameter-less signature `sig`.
+    pub fn getter(universe: &ClassUniverse, sig: SigId, ty: Ty, field: FieldRef) -> Self {
         let code = vec![Insn::LoadLocal(0), Insn::GetField(field), Insn::ReturnValue];
         Method {
             body: Some(MethodBody::straight_line(code, 1)),
-            ..Self::declared(name, sig, vec![], ty)
+            ..Self::declared(universe, sig, ty)
         }
     }
 
-    /// The property setter `void name(ty v) { this.field = v; }`.
-    pub fn setter(name: impl Into<String>, sig: SigId, ty: Ty, field: FieldRef) -> Self {
+    /// The property setter `void name(ty v) { this.field = v; }` of the
+    /// one-parameter signature `sig`.
+    pub fn setter(universe: &ClassUniverse, sig: SigId, field: FieldRef) -> Self {
         let code = vec![
             Insn::LoadLocal(0),
             Insn::LoadLocal(1),
@@ -240,7 +246,7 @@ impl Method {
         ];
         Method {
             body: Some(MethodBody::straight_line(code, 2)),
-            ..Self::declared(name, sig, vec![ty], Ty::Void)
+            ..Self::declared(universe, sig, Ty::Void)
         }
     }
 
@@ -248,10 +254,10 @@ impl Method {
     /// implementation class carries (the original constructors' logic moves
     /// to the factory's `init$k`).
     pub fn default_ctor(universe: &mut ClassUniverse) -> Self {
-        let name = "<init>$0";
+        let sig = universe.sig("<init>$0", vec![]);
         Method {
             body: Some(MethodBody::straight_line(vec![Insn::Return], 1)),
-            ..Self::declared(name, universe.sig(name, vec![]), vec![], Ty::Void)
+            ..Self::declared(universe, sig, Ty::Void)
         }
     }
 
@@ -268,15 +274,16 @@ impl Method {
 
     /// Whether this is the static initialiser.
     pub fn is_clinit(&self) -> bool {
-        self.name == "<clinit>"
+        &*self.name == "<clinit>"
     }
 }
 
 /// A class or interface in the universe.
 #[derive(Debug, Clone)]
 pub struct Class {
-    /// Class name (unique within the universe).
-    pub name: String,
+    /// Class name (unique within the universe); the universe's `by_name`
+    /// key is this same `Arc`.
+    pub name: Arc<str>,
     /// Whether this is a class or an interface.
     pub kind: ClassKind,
     /// Single superclass, if any (no universal root in this model).
@@ -312,7 +319,7 @@ impl Class {
     pub fn method_index(&self, name: &str) -> Option<u16> {
         self.methods
             .iter()
-            .position(|m| m.name == name)
+            .position(|m| &*m.name == name)
             .map(|i| i as u16)
     }
 
@@ -346,7 +353,7 @@ mod tests {
         Method {
             name: name.into(),
             sig: SigId(0),
-            params: vec![Ty::Int],
+            params: [Ty::Int].into(),
             ret: Ty::Void,
             visibility: Visibility::Public,
             is_static,

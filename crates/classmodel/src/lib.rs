@@ -29,7 +29,7 @@
 //! let mut universe = ClassUniverse::new();
 //! let ids = sample::build_figure2(&mut universe);
 //! rafda_classmodel::verify::verify_universe(&universe).unwrap();
-//! assert_eq!(universe.class(ids.x).name, "X");
+//! assert_eq!(&*universe.class(ids.x).name, "X");
 //! ```
 
 #![warn(missing_docs)]

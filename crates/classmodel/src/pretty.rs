@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 /// Render a type with resolved class names.
 pub fn ty_str(universe: &ClassUniverse, ty: &Ty) -> String {
     match ty {
-        Ty::Object(c) => universe.class(*c).name.clone(),
+        Ty::Object(c) => String::from(&*universe.class(*c).name),
         Ty::Array(e) => format!("{}[]", ty_str(universe, e)),
         other => other.to_string(),
     }
@@ -75,7 +75,7 @@ pub fn declaration(universe: &ClassUniverse, id: ClassId) -> String {
         let names: Vec<&str> = class
             .interfaces
             .iter()
-            .map(|&i| universe.class(i).name.as_str())
+            .map(|&i| &*universe.class(i).name)
             .collect();
         let _ = write!(out, " implements {}", names.join(", "));
     }
@@ -126,10 +126,7 @@ pub fn disassemble(universe: &ClassUniverse, id: ClassId) -> String {
                 let _ = writeln!(out, "    {pc:4}: {}", insn_str(universe, insn));
             }
             for h in &body.handlers {
-                let c = h
-                    .catch
-                    .map(|c| universe.class(c).name.clone())
-                    .unwrap_or_else(|| "any".to_owned());
+                let c = h.catch.map_or("any", |c| &universe.class(c).name);
                 let _ = writeln!(
                     out,
                     "    try [{}, {}) -> {} catch {}",

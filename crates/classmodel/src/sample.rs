@@ -191,7 +191,7 @@ mod tests {
         let mut u = ClassUniverse::new();
         let ids = build_figure2(&mut u);
         verify_universe(&u).unwrap();
-        assert_eq!(u.class(ids.x).name, "X");
+        assert_eq!(&*u.class(ids.x).name, "X");
         assert_eq!(u.class(ids.x).ctors.len(), 1);
         assert!(u.class(ids.x).clinit.is_some());
         assert_eq!(u.class(ids.y).static_field_index("K"), Some(0));

@@ -4,8 +4,11 @@
 
 use crate::class::{Class, ClassKind, Method};
 use crate::ty::Ty;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a class or interface within a [`ClassUniverse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,12 +28,16 @@ pub struct SigId(pub u32);
 
 /// A method signature: name plus parameter types. Return types do not
 /// participate in dispatch (as in the JVM source level).
+///
+/// The signature table owns both halves; every [`Method`] carrying the
+/// signature holds the same two `Arc`s, so a member copied into an
+/// interface, a local and its proxies copies no name and no list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MethodSig {
     /// Method name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Parameter types (excluding any receiver).
-    pub params: Vec<Ty>,
+    pub params: Arc<[Ty]>,
 }
 
 /// The collection of all classes plus interning tables.
@@ -41,9 +48,12 @@ pub struct MethodSig {
 #[derive(Debug, Default, Clone)]
 pub struct ClassUniverse {
     classes: Vec<Class>,
-    by_name: HashMap<String, ClassId>,
+    /// Keyed by the class's own `name`.
+    by_name: HashMap<Arc<str>, ClassId>,
     sigs: Vec<MethodSig>,
-    sig_ids: HashMap<MethodSig, SigId>,
+    /// Keyed by [`sig_key`] of the signature's name and parameters; a
+    /// signature whose key is taken sits at the next free key up.
+    sig_ids: HashMap<u64, SigId>,
 }
 
 impl ClassUniverse {
@@ -82,8 +92,10 @@ impl ClassUniverse {
             "class `{name}` already declared"
         );
         let id = ClassId(self.classes.len() as u32);
+        let name: Arc<str> = Arc::from(name);
+        self.by_name.insert(name.clone(), id);
         self.classes.push(Class {
-            name: name.to_owned(),
+            name,
             kind,
             superclass: None,
             interfaces: Vec::new(),
@@ -96,25 +108,27 @@ impl ClassUniverse {
             is_abstract: kind == ClassKind::Interface,
             origin: crate::class::ClassOrigin::Original,
         });
-        self.by_name.insert(name.to_owned(), id);
         id
     }
 
-    /// Replace the definition of a declared class.
+    /// Replace the definition of a declared class. The class keeps the
+    /// declared name's `Arc`, which is also its `by_name` key.
     ///
     /// # Panics
     /// Panics if the new definition changes the class name.
     pub fn define(&mut self, id: ClassId, class: Class) {
+        let slot = &mut self.classes[id.0 as usize];
         assert_eq!(
-            self.classes[id.0 as usize].name, class.name,
+            slot.name, class.name,
             "definition must keep the declared name"
         );
-        self.classes[id.0 as usize] = class;
+        let name = slot.name.clone();
+        *slot = Class { name, ..class };
     }
 
     /// Declare and immediately define a class, returning its id.
     pub fn add(&mut self, class: Class) -> ClassId {
-        let id = self.declare(&class.name.clone(), class.kind);
+        let id = self.declare(&class.name, class.kind);
         self.define(id, class);
         id
     }
@@ -134,17 +148,23 @@ impl ClassUniverse {
         self.by_name.get(name).copied()
     }
 
-    /// Intern a method signature.
+    /// Intern a method signature. An existing one is found by its key
+    /// without allocating, then compared in full; a key held by another
+    /// signature (a 64-bit hash collision) moves the search one key up.
     pub fn sig(&mut self, name: &str, params: Vec<Ty>) -> SigId {
-        let key = MethodSig {
-            name: name.to_owned(),
-            params,
-        };
-        if let Some(&id) = self.sig_ids.get(&key) {
-            return id;
+        let mut key = sig_key(name, &params);
+        while let Some(&id) = self.sig_ids.get(&key) {
+            let sig = &self.sigs[id.0 as usize];
+            if *sig.name == *name && *sig.params == *params {
+                return id;
+            }
+            key = key.wrapping_add(1);
         }
         let id = SigId(self.sigs.len() as u32);
-        self.sigs.push(key.clone());
+        self.sigs.push(MethodSig {
+            name: name.into(),
+            params: params.into(),
+        });
         self.sig_ids.insert(key, id);
         id
     }
@@ -282,12 +302,19 @@ impl ClassUniverse {
         }
         for m in &c.methods {
             push(m.ret.referenced_class(), &mut out);
-            for p in &m.params {
+            for p in m.params.iter() {
                 push(p.referenced_class(), &mut out);
             }
         }
         out
     }
+}
+
+/// The signature table's key for `name(params)`: a hash with fixed keys.
+fn sig_key(name: &str, params: &[Ty]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (name, params).hash(&mut hasher);
+    hasher.finish()
 }
 
 #[cfg(test)]
@@ -309,7 +336,7 @@ mod tests {
         let mut u = ClassUniverse::new();
         let a = u.declare("A", ClassKind::Class);
         assert_eq!(u.by_name("A"), Some(a));
-        assert_eq!(u.class(a).name, "A");
+        assert_eq!(&*u.class(a).name, "A");
         assert_eq!(u.len(), 1);
     }
 
@@ -331,8 +358,52 @@ mod tests {
         assert_eq!(s1, s2);
         assert_ne!(s1, s3);
         assert_ne!(s1, s4);
-        assert_eq!(u.sig_info(s1).name, "m");
+        assert_eq!(&*u.sig_info(s1).name, "m");
         assert_eq!(u.sig_count(), 3);
+    }
+
+    #[test]
+    fn members_share_their_signature() {
+        let mut u = ClassUniverse::new();
+        let a = u.sig("m", vec![Ty::Int]);
+        let b = u.sig("m", vec![Ty::Long]);
+        let c = u.sig("m", vec![]);
+        assert_eq!([u.sig("m", vec![Ty::Long]), u.sig("m", vec![])], [b, c]);
+        assert_ne!(a, b);
+        let info = u.sig_info(b);
+        assert_eq!(*info.params, [Ty::Long]);
+        let m = Method::declared(&u, b, Ty::Void);
+        assert!(Arc::ptr_eq(&m.name, &info.name) && Arc::ptr_eq(&m.params, &info.params));
+        assert_eq!(u.sig_count(), 3);
+    }
+
+    #[test]
+    fn a_signature_whose_key_is_taken_moves_one_key_up() {
+        let mut u = ClassUniverse::new();
+        let other = u.sig("other", vec![]);
+        // `m(int)`'s key collides with `other()`'s.
+        u.sig_ids.insert(sig_key("m", &[Ty::Int]), other);
+        let m = u.sig("m", vec![Ty::Int]);
+        assert_ne!(m, other);
+        assert_eq!(u.sig("m", vec![Ty::Int]), m);
+        assert_eq!(u.sig("other", vec![]), other);
+        assert_eq!(u.sig_count(), 2);
+    }
+
+    #[test]
+    fn a_class_name_is_its_by_name_key() {
+        let mut u = ClassUniverse::new();
+        let a = u.declare("A", ClassKind::Class);
+        let redefined = u.class(a).clone();
+        u.define(
+            a,
+            Class {
+                name: "A".into(),
+                ..redefined
+            },
+        );
+        let (key, _) = u.by_name.get_key_value("A").unwrap();
+        assert!(Arc::ptr_eq(key, &u.class(a).name));
     }
 
     #[test]
@@ -361,7 +432,7 @@ mod tests {
         let mth = |sig| Method {
             name: "m".into(),
             sig,
-            params: vec![],
+            params: [].into(),
             ret: Ty::Void,
             visibility: Visibility::Public,
             is_static: false,
@@ -383,7 +454,7 @@ mod tests {
         u.class_mut(a).methods.push(Method {
             name: "p".into(),
             sig,
-            params: vec![],
+            params: [].into(),
             ret: Ty::Void,
             visibility: Visibility::Public,
             is_static: false,
@@ -424,7 +495,7 @@ mod tests {
         u.class_mut(x).methods.push(Method {
             name: "m".into(),
             sig,
-            params: vec![Ty::Object(w)],
+            params: [Ty::Object(w)].into(),
             ret: Ty::Object(y),
             visibility: Visibility::Public,
             is_static: false,

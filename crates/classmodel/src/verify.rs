@@ -19,6 +19,7 @@ use crate::insn::Insn;
 use crate::universe::{ClassId, ClassUniverse};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +63,9 @@ fn err(class: &str, method: &str, pc: Option<u32>, message: impl Into<String>) -
 /// # Errors
 /// Returns the first [`VerifyError`] found.
 pub fn verify_universe(universe: &ClassUniverse) -> Result<(), VerifyError> {
-    for (id, _) in universe.iter() {
-        verify_class(universe, id)?;
+    let mut scratch = Scratch::default();
+    for (_, class) in universe.iter() {
+        verify_with(universe, class, &mut scratch)?;
     }
     Ok(())
 }
@@ -74,11 +76,25 @@ pub fn verify_universe(universe: &ClassUniverse) -> Result<(), VerifyError> {
 /// # Errors
 /// Returns the first [`VerifyError`] found.
 pub fn verify_class(universe: &ClassUniverse, id: ClassId) -> Result<(), VerifyError> {
-    let class = universe.class(id);
+    verify_with(universe, universe.class(id), &mut Scratch::default())
+}
+
+/// The depth table and work list of [`verify_body`], kept across bodies.
+#[derive(Default)]
+struct Scratch {
+    depth_at: Vec<Option<u32>>,
+    work: VecDeque<(u32, u32)>,
+}
+
+fn verify_with(
+    universe: &ClassUniverse,
+    class: &Class,
+    scratch: &mut Scratch,
+) -> Result<(), VerifyError> {
     verify_structure(universe, class)?;
     for method in &class.methods {
         if let Some(body) = &method.body {
-            verify_body(universe, class, &method.name, body)?;
+            verify_body(universe, class, &method.name, body, scratch)?;
         }
     }
     Ok(())
@@ -90,14 +106,14 @@ fn verify_structure(universe: &ClassUniverse, class: &Class) -> Result<(), Verif
         if universe.class(sup).kind != ClassKind::Class {
             return Err(err(cname, "", None, "superclass is not a class"));
         }
-        // Reject inheritance cycles.
-        let mut seen = vec![];
+        // Reject inheritance cycles: an acyclic chain reaches its root in
+        // fewer steps than there are classes.
         let mut cur = Some(sup);
-        while let Some(c) = cur {
-            if seen.contains(&c) || universe.class(c).name == *cname {
+        for steps in 0.. {
+            let Some(c) = cur else { break };
+            if steps == universe.len() || universe.class(c).name == *cname {
                 return Err(err(cname, "", None, "inheritance cycle"));
             }
-            seen.push(c);
             cur = universe.class(c).superclass;
         }
     }
@@ -138,6 +154,20 @@ fn verify_structure(universe: &ClassUniverse, class: &Class) -> Result<(), Verif
         }
     }
     for m in &class.methods {
+        if m.sig.0 as usize >= universe.sig_count() {
+            return Err(err(cname, &m.name, None, "signature id out of range"));
+        }
+        let sig = universe.sig_info(m.sig);
+        let same_name = Arc::ptr_eq(&m.name, &sig.name) || m.name == sig.name;
+        let same_params = Arc::ptr_eq(&m.params, &sig.params) || m.params == sig.params;
+        if !(same_name && same_params) {
+            return Err(err(
+                cname,
+                &m.name,
+                None,
+                "name or params differ from its signature",
+            ));
+        }
         if m.is_native && m.body.is_some() {
             return Err(err(cname, &m.name, None, "native method with body"));
         }
@@ -162,14 +192,17 @@ fn verify_body(
     class: &Class,
     method: &str,
     body: &MethodBody,
+    scratch: &mut Scratch,
 ) -> Result<(), VerifyError> {
     let cname = &class.name;
     let n = body.code.len();
     if n == 0 {
         return Err(err(cname, method, None, "empty body"));
     }
-    let mut depth_at: Vec<Option<u32>> = vec![None; n];
-    let mut work: VecDeque<(u32, u32)> = VecDeque::new();
+    let Scratch { depth_at, work } = scratch;
+    depth_at.clear();
+    depth_at.resize(n, None);
+    work.clear();
     work.push_back((0, 0));
     for h in &body.handlers {
         if h.start as usize >= n || h.end as usize > n || h.target as usize >= n {
@@ -437,6 +470,32 @@ mod tests {
         u.class_mut(a).superclass = Some(b);
         u.class_mut(b).superclass = Some(a);
         assert!(verify_class(&u, a).unwrap_err().message.contains("cycle"));
+    }
+
+    #[test]
+    fn rejects_a_method_that_is_not_its_signature() {
+        let (u, id) = simple_class(|u, cb| {
+            cb.native_method(u, "m", vec![Ty::Int], Ty::Void);
+        });
+        assert!(verify_class(&u, id).is_ok());
+        let with = |edit: fn(&mut crate::class::Method)| {
+            let mut u = u.clone();
+            edit(&mut u.class_mut(id).methods[0]);
+            verify_class(&u, id)
+        };
+        // Equal by value but not shared: still the signature's.
+        assert!(with(|m| m.name = "m".into()).is_ok());
+        assert!(with(|m| m.params = [Ty::Int].into()).is_ok());
+        for bad in [
+            with(|m| m.name = "n".into()),
+            with(|m| m.params = [Ty::Long].into()),
+            with(|m| m.params = [].into()),
+        ] {
+            let e = bad.unwrap_err();
+            assert!(e.message.contains("differ from its signature"), "{e}");
+        }
+        let e = with(|m| m.sig = crate::universe::SigId(99)).unwrap_err();
+        assert!(e.message.contains("signature id out of range"), "{e}");
     }
 
     #[test]

@@ -378,7 +378,7 @@ mod tests {
         c.methods.push(rafda_classmodel::Method {
             name: "emit".into(),
             sig: emit,
-            params: vec![Ty::Long],
+            params: vec![Ty::Long].into(),
             ret: Ty::Void,
             visibility: rafda_classmodel::Visibility::Public,
             is_static: true,

@@ -320,7 +320,7 @@ mod tests {
         c.methods.push(rafda_classmodel::Method {
             name: "emit".into(),
             sig: emit,
-            params: vec![Ty::Long],
+            params: vec![Ty::Long].into(),
             ret: Ty::Void,
             visibility: rafda_classmodel::Visibility::Public,
             is_static: true,
@@ -337,7 +337,7 @@ mod tests {
         let obs = observer_stub(&mut u);
         let ids = build_auction_house(&mut u, obs);
         rafda_classmodel::verify_universe(&u).unwrap();
-        assert_eq!(u.class(ids.item).name, "Item");
+        assert_eq!(&*u.class(ids.item).name, "Item");
         assert_eq!(u.class(ids.audit_log).static_fields.len(), 1);
         assert!(u.class(ids.main).method_index("main").is_some());
     }

@@ -336,7 +336,7 @@ impl Cluster {
         let mut rows = Vec::with_capacity(families.len());
         let mut gen_info = FastMap::default();
         for (id, family) in families.into_iter().enumerate() {
-            let name = universe.class(family.base).name.clone();
+            let name = String::from(&*universe.class(family.base).name);
             let protocol = policy.protocol(&name);
             let mut proxies = [None; 2];
             for side in [Side::Obj, Side::Cls] {
@@ -539,7 +539,7 @@ impl Cluster {
                 .class(local)
                 .methods
                 .iter()
-                .find(|m| m.name == name)
+                .find(|m| &*m.name == name)
                 .map(|m| m.sig)
         };
         let (refresh_sig, node_stats_sig) = (sig_of("refresh"), sig_of("node_stats"));
@@ -903,7 +903,7 @@ pub(crate) fn remote_ref(shared: &Shared, loc: (u32, u64)) -> Option<WireValue> 
     Some(WireValue::Remote {
         node,
         object: oid,
-        class: shared.universe.class(class).name.clone(),
+        class: String::from(&*shared.universe.class(class).name),
     })
 }
 

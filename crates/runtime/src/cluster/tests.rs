@@ -99,7 +99,7 @@ fn dedup_hit_replays_the_serve_time_version() {
         .class(base)
         .methods
         .iter()
-        .find(|m| m.name == "add")
+        .find(|m| &*m.name == "add")
         .unwrap()
         .sig;
     let read = framed(
@@ -963,7 +963,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         .class(base)
         .methods
         .iter()
-        .find(|m| m.name == "add")
+        .find(|m| &*m.name == "add")
         .unwrap()
         .sig;
     let call = framed(
@@ -1090,7 +1090,7 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
         let shared = cluster.shared();
         let (_, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
         let methods = &shared.universe.class(base).methods;
-        let add_sig = methods.iter().find(|m| m.name == "add").unwrap().sig;
+        let add_sig = methods.iter().find(|m| &*m.name == "add").unwrap().sig;
         cluster.enable_monitors();
         let executions = || {
             let obs = shared.obs.borrow();

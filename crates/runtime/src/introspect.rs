@@ -79,7 +79,7 @@ pub(crate) fn prepare(u: &mut ClassUniverse, plan: &TransformPlan) {
     };
     let local = u.class_mut(family.obj.local);
     for m in &mut local.methods {
-        if m.name == "refresh" || m.name == "node_stats" {
+        if &*m.name == "refresh" || &*m.name == "node_stats" {
             m.is_native = true;
             m.body = None;
         }
@@ -170,13 +170,17 @@ mod tests {
 
         prepare(&mut u2, &plan);
         let local = u2.class(family.obj.local);
-        let refresh = local.methods.iter().find(|m| m.name == "refresh").unwrap();
+        let refresh = local
+            .methods
+            .iter()
+            .find(|m| &*m.name == "refresh")
+            .unwrap();
         assert!(refresh.is_native && refresh.body.is_none());
         // The auto-generated accessors keep their bodies.
         let getter = local
             .methods
             .iter()
-            .find(|m| m.name == "get_stats")
+            .find(|m| &*m.name == "get_stats")
             .unwrap();
         assert!(!getter.is_native && getter.body.is_some());
     }

@@ -95,7 +95,7 @@ fn value_to_wire_rec(
                         out.push(value_to_wire_rec(shared, node, f, depth + 1)?);
                     }
                     WireValue::ObjectState {
-                        class: shared.universe.class(class).name.clone(),
+                        class: String::from(&*shared.universe.class(class).name),
                         fields: out,
                     }
                 }
@@ -139,7 +139,7 @@ pub(crate) fn logical_class_name(shared: &Shared, info: GenInfo) -> String {
     let family = &shared.plan.families[&shared.rows[info.row].base];
     let half = family.half(info.side);
     let half = half.expect("a generated class belongs to a half of its family");
-    shared.universe.class(half.local).name.clone()
+    String::from(&*shared.universe.class(half.local).name)
 }
 
 /// Convert a wire value arriving at `node` into a VM value, materialising

@@ -157,7 +157,7 @@ pub(crate) fn snapshot(shared: &Shared, node: NodeId, root: Handle) -> Result<Sn
                 }
                 index.insert(h, objects.len());
                 objects.push(SnapObject {
-                    class: shared.universe.class(*class).name.clone(),
+                    class: String::from(&*shared.universe.class(*class).name),
                     is_array: false,
                     slots: Vec::new(),
                 });

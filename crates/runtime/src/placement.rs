@@ -180,7 +180,7 @@ impl Cluster {
         }
         let row = &shared.rows[info.row];
         let state = WireValue::ObjectState {
-            class: shared.universe.class(class).name.clone(),
+            class: String::from(&*shared.universe.class(class).name),
             fields: marshal::values_to_wire(shared, from, &fields).map_err(VmError::Native)?,
         };
         let source_oid = export(shared, from, object);

@@ -282,7 +282,7 @@ fn dispatch_request(
             // Replicate the freshly created object at once: an owner that
             // crashes before serving any call must not take it along.
             sync_replicas(shared, node, oid);
-            let class = shared.universe.class(family.obj.local).name.clone();
+            let class = String::from(&*shared.universe.class(family.obj.local).name);
             Ok(exported(node, oid, class))
         }
         Request::Discover { class } => {
@@ -310,7 +310,7 @@ fn dispatch_request(
                         .borrow_mut()
                         .canonical_static(row.id, (node.0, oid));
                     sync_replicas(shared, node, oid);
-                    let class = shared.universe.class(rt_class).name.clone();
+                    let class = String::from(&*shared.universe.class(rt_class).name);
                     Ok(exported(node, oid, class))
                 }
                 Ok(other) => Err(format!("discover returned {other}")),
@@ -428,7 +428,7 @@ fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Result<Reply, 
     let vm = &shared.vms[node.0 as usize];
     let (class, fields) = vm.read_object(exc).ok_or("stale exception")?;
     let fields = marshal::values_to_wire(shared, node, &fields)?;
-    let class = shared.universe.class(class).name.clone();
+    let class = String::from(&*shared.universe.class(class).name);
     Ok(Reply::Exception { class, fields })
 }
 

@@ -159,7 +159,7 @@ impl Cluster {
                 let singletons = state
                     .singletons
                     .keys()
-                    .map(|&base| self.shared.universe.class(base).name.clone())
+                    .map(|&base| String::from(&*self.shared.universe.class(base).name))
                     .collect::<Vec<_>>();
                 NodeSummary {
                     node: NodeId(i as u32),
@@ -326,7 +326,7 @@ pub(crate) fn placement_table(shared: &Shared) -> String {
             .map(|(oid, h)| {
                 let class = shared.vms[i]
                     .class_of(h)
-                    .map(|c| shared.universe.class(c).name.clone())
+                    .map(|c| String::from(&*shared.universe.class(c).name))
                     .unwrap_or_else(|| "?".to_owned());
                 format!("{oid}:{class}")
             })

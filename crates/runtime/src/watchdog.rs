@@ -288,7 +288,7 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
             // Different versions are never comparable — the version
             // relation itself is judged by the probe.
             let state_matches = *backup_version != owner_version
-                || (*class_name == shared.universe.class(class).name
+                || (**class_name == *shared.universe.class(class).name
                     && wire_state_matches(&values, fields));
             dog.replica_probe(
                 key,

@@ -264,7 +264,7 @@ fn exceptions_propagate_across_the_wire() {
     };
     let vm = cluster.vm(N0);
     let class = vm.class_of(h).unwrap();
-    assert_eq!(cluster.universe().class(class).name, "AppError");
+    assert_eq!(&*cluster.universe().class(class).name, "AppError");
     // The exception's state travelled by value.
     let code = vm
         .call_virtual_by_name(Value::Ref(h), "code", vec![])

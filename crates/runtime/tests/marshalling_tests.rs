@@ -337,7 +337,7 @@ fn untransformed_payload_classes_travel_by_value() {
     let VmError::Exception(h) = err else { panic!() };
     let vm0 = cluster.vm(N0);
     let class = vm0.class_of(h).unwrap();
-    let name = &cluster.universe().class(class).name;
+    let name = &*cluster.universe().class(class).name;
     assert_eq!(name, "AppError", "copy, not proxy: {name}");
 }
 

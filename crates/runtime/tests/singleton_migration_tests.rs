@@ -46,7 +46,7 @@ fn singleton_handle(cluster: &Cluster, node: NodeId) -> rafda_vm::Handle {
     vm.with_heap(|heap| {
         for h in heap.handles() {
             if let Some(class) = heap.class_of(h) {
-                if cluster.universe().class(class).name == "Registry_C_Local" {
+                if &*cluster.universe().class(class).name == "Registry_C_Local" {
                     found = Some(h);
                 }
             }

@@ -406,7 +406,7 @@ mod tests {
         let fy = outcome.plan.family(ids.y).unwrap();
         let c = u.class(fh.obj.int);
         let swap = &c.methods[c.method_index("swap").unwrap() as usize];
-        assert_eq!(swap.params, vec![Ty::Object(fy.obj.int)]);
+        assert_eq!(*swap.params, vec![Ty::Object(fy.obj.int)]);
         assert_eq!(swap.ret, Ty::Object(fy.obj.int));
     }
 }

@@ -1,6 +1,5 @@
 //! Generation of the artefact family (paper Figures 3, 4, 5).
 
-use crate::naming;
 use crate::plan::{fields_of, is_member_of, Family, Half, TransformPlan};
 use crate::rewrite::{rewrite_body, BodyCtx};
 use rafda_classmodel::{
@@ -15,9 +14,13 @@ use rafda_classmodel::{
 pub fn generate_families(universe: &mut ClassUniverse, plan: &TransformPlan) {
     // Deterministic order.
     let mut bases: Vec<ClassId> = plan.families.keys().copied().collect();
+    if bases.is_empty() {
+        // Nothing to generate, so no `<init>$0()` signature to intern.
+        return;
+    }
     bases.sort();
+    let default_ctor = Method::default_ctor(universe);
     for base in bases {
-        let default_ctor = Method::default_ctor(universe);
         // The whole family is built from one borrow of the original class
         // and installed once that borrow has ended.
         let gen = FamilyGen {
@@ -25,7 +28,7 @@ pub fn generate_families(universe: &mut ClassUniverse, plan: &TransformPlan) {
             plan,
             family: &plan.families[&base],
             base: universe.class(base),
-            default_ctor,
+            default_ctor: &default_ctor,
         };
         let mut artefacts = Vec::new();
         for side in [Side::Obj, Side::Cls] {
@@ -78,7 +81,7 @@ struct FamilyGen<'a> {
     /// The original class.
     base: &'a Class,
     /// `<init>$0() {}`, carried by every local and proxy.
-    default_ctor: Method,
+    default_ctor: &'a Method,
 }
 
 impl<'a> FamilyGen<'a> {
@@ -124,8 +127,7 @@ impl<'a> FamilyGen<'a> {
     /// A member of the original class as a generated artefact declares it:
     /// public, non-static, types and signature rewritten, no body yet.
     fn declared(&self, m: &Method, sig: SigId) -> Method {
-        let params = m.params.iter().map(|t| self.plan.rewrite_ty(t)).collect();
-        Method::declared(m.name.clone(), sig, params, self.plan.rewrite_ty(&m.ret))
+        Method::declared(self.universe, sig, self.plan.rewrite_ty(&m.ret))
     }
 
     /// The members of a half as its interface declares them: a property
@@ -133,10 +135,10 @@ impl<'a> FamilyGen<'a> {
     fn surface(&self, s: &Members) -> Vec<Method> {
         let mut out = Vec::with_capacity(2 * s.fields.len() + s.methods.len());
         for (i, f) in s.fields.iter().enumerate() {
+            let (get, set) = (s.half.getters[i], s.half.setters[i]);
             let ty = self.plan.rewrite_ty(&f.ty);
-            let (get, set) = (naming::getter(&f.name), naming::setter(&f.name));
-            out.push(Method::declared(get, s.half.getters[i], vec![], ty.clone()));
-            out.push(Method::declared(set, s.half.setters[i], vec![ty], Ty::Void));
+            out.push(Method::declared(self.universe, get, ty));
+            out.push(Method::declared(self.universe, set, Ty::Void));
         }
         out.extend(s.methods.iter().map(|&(m, sig)| self.declared(m, sig)));
         out
@@ -183,9 +185,9 @@ impl<'a> FamilyGen<'a> {
                 owner: me,
                 index: cb.field(Field::new(f.name.clone(), ty.clone())),
             };
-            let (get, set) = (naming::getter(&f.name), naming::setter(&f.name));
-            cb.add_method(Method::getter(get, s.half.getters[i], ty.clone(), field));
-            cb.add_method(Method::setter(set, s.half.setters[i], ty, field));
+            let (get, set) = (s.half.getters[i], s.half.setters[i]);
+            cb.add_method(Method::getter(self.universe, get, ty, field));
+            cb.add_method(Method::setter(self.universe, set, field));
         }
         for &(m, sig) in &s.methods {
             let body = m.body.as_ref().map(|b| self.rewrite(s.ctx, b));
@@ -236,17 +238,14 @@ impl<'a> FamilyGen<'a> {
         cb.add_method(Method {
             is_static: true,
             is_native: true,
-            ..Method::declared(naming::MAKE, family.make_sig, vec![], that.clone())
+            ..Method::declared(self.universe, family.make_sig, that)
         });
-        for (k, &ci) in base.ctors.iter().enumerate() {
+        for (&ci, &sig) in base.ctors.iter().zip(&family.init_sigs) {
             let ctor = &base.methods[ci as usize];
-            let own = ctor.params.iter().map(|t| self.plan.rewrite_ty(t));
-            let params = std::iter::once(that.clone()).chain(own).collect();
-            let (name, sig) = (naming::init_method(k), family.init_sigs[k]);
             cb.add_method(Method {
                 is_static: true,
                 body: ctor.body.as_ref().map(|b| self.rewrite(obj.ctx, b)),
-                ..Method::declared(name, sig, params, Ty::Void)
+                ..Method::declared(self.universe, sig, Ty::Void)
             });
         }
         cb
@@ -261,14 +260,14 @@ impl<'a> FamilyGen<'a> {
         cb.add_method(Method {
             is_static: true,
             is_native: true,
-            ..Method::declared(naming::DISCOVER, family.discover_sig, vec![], that.clone())
+            ..Method::declared(self.universe, family.discover_sig, that)
         });
         if let (Some(ci), Some(sig)) = (base.clinit, family.clinit_sig) {
             let clinit = &base.methods[ci as usize];
             cb.add_method(Method {
                 is_static: true,
                 body: clinit.body.as_ref().map(|b| self.rewrite(cls.ctx, b)),
-                ..Method::declared(naming::CLINIT, sig, vec![that], Ty::Void)
+                ..Method::declared(self.universe, sig, Ty::Void)
             });
         }
         cb
@@ -305,7 +304,7 @@ pub fn rewrite_in_place(universe: &mut ClassUniverse, plan: &TransformPlan, clas
     }
     for (idx, m) in updated.methods.iter_mut().enumerate() {
         m.sig = plan.method_sigs[&(class, idx as u16)];
-        m.params = m.params.iter().map(|t| plan.rewrite_ty(t)).collect();
+        m.params = universe.sig_info(m.sig).params.clone();
         m.ret = plan.rewrite_ty(&m.ret);
         if let Some(body) = &m.body {
             // Static methods stay static here (no receiver shift); own-static
@@ -350,12 +349,12 @@ mod tests {
         let fx = plan.family(ids.x).unwrap();
         let c = u.class(fx.obj.int);
         assert_eq!(c.kind, ClassKind::Interface);
-        let names: Vec<&str> = c.methods.iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<&str> = c.methods.iter().map(|m| &*m.name).collect();
         assert_eq!(names, vec!["get_y", "set_y", "m"]);
         // get_y returns Y_O_Int.
         let fy = plan.family(ids.y).unwrap();
         assert_eq!(c.methods[0].ret, Ty::Object(fy.obj.int));
-        assert_eq!(c.methods[1].params, vec![Ty::Object(fy.obj.int)]);
+        assert_eq!(*c.methods[1].params, vec![Ty::Object(fy.obj.int)]);
     }
 
     #[test]
@@ -420,7 +419,7 @@ mod tests {
         let fx = plan.family(ids.x).unwrap();
         let c = u.class(fx.cls.as_ref().unwrap().local);
         // Members: ctor, get_z, set_z, p.
-        let names: Vec<&str> = c.methods.iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<&str> = c.methods.iter().map(|m| &*m.name).collect();
         assert_eq!(names, vec!["<init>$0", "get_z", "set_z", "p"]);
         let p = &c.methods[3];
         assert!(!p.is_static, "p was made non-static");

@@ -87,8 +87,9 @@ pub struct TransformPlan {
     /// All transformable original classes (substitutable or not): their
     /// bodies and signatures are rewritten.
     pub transformable: HashSet<ClassId>,
-    /// Map from every pre-existing signature to its type-rewritten version
-    /// (identity when no substitutable class appears in the parameters).
+    /// Map from each pre-existing signature whose parameters mention a
+    /// substitutable class to its type-rewritten version (absent means
+    /// identity).
     pub sig_map: HashMap<SigId, SigId>,
     /// Rewritten *instance-ised* signature of each method, keyed by
     /// `(declaring class, method index)`. For static methods this is the
@@ -120,6 +121,13 @@ impl TransformPlan {
             Ty::Array(e) => Ty::Array(Box::new(self.rewrite_ty(e))),
             other => other.clone(),
         }
+    }
+
+    /// Whether [`rewrite_ty`](Self::rewrite_ty) changes `ty`: it names a
+    /// substitutable class, directly or as an array's element type.
+    fn rewrites(&self, ty: &Ty) -> bool {
+        ty.referenced_class()
+            .is_some_and(|c| self.is_substitutable(c))
     }
 
     /// Rewrite a signature id (identity for unknown sigs).
@@ -184,16 +192,16 @@ pub fn build_plan(
         plan.families.insert(base, family);
     }
 
-    // Phase 2: rewrite all pre-existing signatures.
+    // Phase 2: rewrite the pre-existing signatures that mention a
+    // substitutable class; every other one maps to itself.
     for sig in (0..universe.sig_count() as u32).map(SigId) {
-        let info = universe.sig_info(sig).clone();
-        let new_params: Vec<Ty> = info.params.iter().map(|t| plan.rewrite_ty(t)).collect();
-        let new_sig = if new_params == info.params {
-            sig
-        } else {
-            universe.sig(&info.name, new_params)
-        };
-        plan.sig_map.insert(sig, new_sig);
+        let info = universe.sig_info(sig);
+        if !info.params.iter().any(|t| plan.rewrites(t)) {
+            continue;
+        }
+        let (name, params) = (info.name.clone(), info.params.clone());
+        let new_params = params.iter().map(|t| plan.rewrite_ty(t)).collect();
+        plan.sig_map.insert(sig, universe.sig(&name, new_params));
     }
 
     // Phase 3: per-method rewritten signatures for every transformable class.
@@ -257,15 +265,14 @@ fn accessor_sigs(
     base: ClassId,
     side: Side,
 ) -> (Vec<SigId>, Vec<SigId>) {
-    let fields: Vec<(String, Ty)> = fields_of(universe.class(base), side)
-        .iter()
-        .map(|f| (f.name.clone(), plan.rewrite_ty(&f.ty)))
-        .collect();
-    let pair = |(name, ty): (String, Ty)| {
-        let getter = universe.sig(&naming::getter(&name), vec![]);
-        (getter, universe.sig(&naming::setter(&name), vec![ty]))
+    let count = fields_of(universe.class(base), side).len();
+    let pair = |i: usize| {
+        let f = &fields_of(universe.class(base), side)[i];
+        let (get, set) = (naming::getter(&f.name), naming::setter(&f.name));
+        let ty = plan.rewrite_ty(&f.ty);
+        (universe.sig(&get, vec![]), universe.sig(&set, vec![ty]))
     };
-    fields.into_iter().map(pair).unzip()
+    (0..count).map(pair).unzip()
 }
 
 #[cfg(test)]
@@ -292,13 +299,13 @@ mod tests {
     fn declares_full_family_for_x() {
         let (u, plan, ids) = plan_figure2();
         let fx = plan.family(ids.x).unwrap();
-        assert_eq!(u.class(fx.obj.int).name, "X_O_Int");
-        assert_eq!(u.class(fx.obj.local).name, "X_O_Local");
-        assert_eq!(u.class(fx.obj.factory).name, "X_O_Factory");
+        assert_eq!(&*u.class(fx.obj.int).name, "X_O_Int");
+        assert_eq!(&*u.class(fx.obj.local).name, "X_O_Local");
+        assert_eq!(&*u.class(fx.obj.factory).name, "X_O_Factory");
         assert_eq!(fx.obj.proxies.len(), 2);
         let cls = fx.cls.as_ref().unwrap();
-        assert_eq!(u.class(cls.int).name, "X_C_Int");
-        assert_eq!(u.class(cls.factory).name, "X_C_Factory");
+        assert_eq!(&*u.class(cls.int).name, "X_C_Int");
+        assert_eq!(&*u.class(cls.factory).name, "X_C_Factory");
         assert_eq!(cls.proxies.len(), 2);
         assert!(fx.clinit_sig.is_some());
     }
@@ -384,7 +391,7 @@ mod tests {
         assert_ne!(rewritten, takes_y);
         let info = u.sig_info(rewritten);
         let fy = plan.family(ids.y).unwrap();
-        assert_eq!(info.params, vec![Ty::Object(fy.obj.int)]);
+        assert_eq!(*info.params, vec![Ty::Object(fy.obj.int)]);
     }
 
     #[test]
@@ -393,10 +400,10 @@ mod tests {
         let fx = plan.family(ids.x).unwrap();
         assert_eq!(fx.init_sigs.len(), 1);
         let info = u.sig_info(fx.init_sigs[0]);
-        assert_eq!(info.name, "init$0");
+        assert_eq!(&*info.name, "init$0");
         let fy = plan.family(ids.y).unwrap();
         assert_eq!(
-            info.params,
+            *info.params,
             vec![Ty::Object(fx.obj.int), Ty::Object(fy.obj.int)]
         );
     }

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
-use rafda_classmodel::{sample, verify_universe, ClassKind, ClassUniverse, Field, Ty, Visibility};
+use rafda_classmodel::{
+    sample, verify_universe, ClassKind, ClassUniverse, Field, SigId, Ty, Visibility,
+};
 use rafda_transform::{analyze, TransformReport, Transformer};
 
 // ----------------------------------------------------------------------
@@ -70,7 +72,7 @@ fn user_interfaces_are_kept_and_implemented_by_locals() {
     u.class_mut(iface).methods.push(rafda_classmodel::Method {
         name: "greet".into(),
         sig: greet_sig,
-        params: vec![Ty::Int],
+        params: vec![Ty::Int].into(),
         ret: Ty::Int,
         visibility: Visibility::Public,
         is_static: false,
@@ -158,7 +160,7 @@ fn abstract_classes_produce_abstract_locals() {
         cb.add_method(rafda_classmodel::Method {
             name: "area".into(),
             sig: area_sig,
-            params: vec![],
+            params: vec![].into(),
             ret: Ty::Int,
             visibility: Visibility::Public,
             is_static: false,
@@ -281,7 +283,7 @@ fn observer_stand_in(u: &mut ClassUniverse) -> rafda_corpus::ObserverHooks {
     u.class_mut(class).methods.push(rafda_classmodel::Method {
         name: "emit".into(),
         sig: emit,
-        params: vec![Ty::Long],
+        params: vec![Ty::Long].into(),
         ret: Ty::Void,
         visibility: Visibility::Public,
         is_static: true,
@@ -296,8 +298,9 @@ fn observer_stand_in(u: &mut ClassUniverse) -> rafda_corpus::ObserverHooks {
 // ----------------------------------------------------------------------
 
 /// FNV-1a over the disassembly and the method signature ids of every class
-/// in id order: class ids, signature ids, member order and rewritten bodies
-/// folded into one number.
+/// in id order, then over every interned signature's name and parameter
+/// types in id order: class ids, the signature table, member order and
+/// rewritten bodies folded into one number.
 fn universe_fingerprint(u: &ClassUniverse) -> u64 {
     let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
     let mut feed = |bytes: &[u8]| {
@@ -311,15 +314,29 @@ fn universe_fingerprint(u: &ClassUniverse) -> u64 {
             feed(&m.sig.0.to_le_bytes());
         }
     }
+    for sig in (0..u.sig_count() as u32).map(SigId) {
+        let info = u.sig_info(sig);
+        feed(info.name.as_bytes());
+        for ty in info.params.iter() {
+            feed(b"\x1f");
+            feed(rafda_classmodel::pretty::ty_str(u, ty).as_bytes());
+        }
+        feed(b"\n");
+    }
     fnv
 }
 
-/// A 500-class JDK-shaped corpus (no static members: `_O_` halves only) and
-/// a 40-class generated application (statics, inheritance, arrays: both
-/// halves), each transformed for three protocols. The literals were minted
-/// by running this test on the commit before the family generator was
-/// unified; a refactoring of the planner or the generators must leave them
-/// alone.
+/// A pinned JDK-shaped corpus: its seed, fingerprint and signature count,
+/// and its `TransformReport` counts in field order.
+type Pinned = (u64, u64, usize, [usize; 8]);
+
+/// 500-class JDK-shaped corpora (no static members: `_O_` halves only) —
+/// seed 42 and the sixteen the `transform_corpus` workload rotates over at
+/// seed 42 (`42 * 16 + k`) — and a 40-class generated application
+/// (statics, inheritance, arrays: both halves), each transformed for three
+/// protocols. The literals were minted by running this test on the commit
+/// before names and parameter lists were shared; a refactoring of the
+/// planner, the generators or the signature table must leave them alone.
 #[test]
 fn corpus_scale_universe_fingerprint_is_pinned() {
     let transform = |u: &mut ClassUniverse| {
@@ -328,21 +345,136 @@ fn corpus_scale_universe_fingerprint_is_pinned() {
         (universe_fingerprint(u), u.sig_count(), report)
     };
 
-    let mut profile = rafda_corpus::JdkProfile::scaled(500);
-    profile.seed = 42;
-    let mut u = ClassUniverse::new();
-    rafda_corpus::generate_jdk(&mut u, &profile);
-    let jdk = TransformReport {
-        analyzed: 555,
-        non_transformable: 235,
-        substitutable_count: 263,
-        rewritten_in_place: 57,
-        generated_classes: 1578,
-        generated_methods: 9168,
-        accessors: 4210,
-        proxy_classes: 789,
-    };
-    assert_eq!(transform(&mut u), (0x0a90_f001_65b8_f63d, 699, jdk));
+    const JDK: [Pinned; 17] = [
+        (
+            42,
+            0x48e62981a4e58c72,
+            699,
+            [555, 235, 263, 57, 1578, 9168, 4210, 789],
+        ),
+        (
+            672,
+            0x8de41eb550ccb746,
+            733,
+            [555, 197, 289, 69, 1734, 9849, 4610, 867],
+        ),
+        (
+            673,
+            0xec6d18c54707b8c7,
+            674,
+            [555, 245, 255, 55, 1530, 8940, 4120, 765],
+        ),
+        (
+            674,
+            0xb6a3b8258c0da82e,
+            656,
+            [555, 259, 242, 54, 1452, 8577, 3960, 726],
+        ),
+        (
+            675,
+            0x0234f700e01d9aac,
+            615,
+            [555, 288, 209, 58, 1254, 7414, 3550, 627],
+        ),
+        (
+            676,
+            0x050dfb6873907d9c,
+            717,
+            [555, 233, 268, 54, 1608, 9438, 4620, 804],
+        ),
+        (
+            677,
+            0xbfd0fafac6293a56,
+            634,
+            [555, 281, 216, 58, 1296, 7751, 3620, 648],
+        ),
+        (
+            678,
+            0x35cfc04fd8e487e7,
+            687,
+            [555, 219, 274, 62, 1644, 9404, 4430, 822],
+        ),
+        (
+            679,
+            0xd637a706f0ef20a0,
+            683,
+            [555, 278, 223, 54, 1338, 8063, 3850, 669],
+        ),
+        (
+            680,
+            0x7fa1a66ee7ea62ce,
+            695,
+            [555, 234, 257, 64, 1542, 9002, 4180, 771],
+        ),
+        (
+            681,
+            0x3ab8e71be3c95e4b,
+            599,
+            [555, 293, 199, 63, 1194, 7049, 3280, 597],
+        ),
+        (
+            682,
+            0xbddcc4ebddef28a5,
+            659,
+            [555, 249, 255, 51, 1530, 8765, 4070, 765],
+        ),
+        (
+            683,
+            0x6843f2a200e096cd,
+            645,
+            [555, 258, 241, 56, 1446, 8191, 3820, 723],
+        ),
+        (
+            684,
+            0xf2c44f37e54672a5,
+            688,
+            [555, 246, 256, 53, 1536, 8801, 4080, 768],
+        ),
+        (
+            685,
+            0x7a919cbe881b2ffe,
+            634,
+            [555, 266, 233, 56, 1398, 7983, 3730, 699],
+        ),
+        (
+            686,
+            0xb39a9f675a0c3225,
+            689,
+            [555, 233, 261, 61, 1566, 9086, 4340, 783],
+        ),
+        (
+            687,
+            0xa3d75953a917d052,
+            656,
+            [555, 278, 225, 52, 1350, 7915, 3720, 675],
+        ),
+    ];
+    let jdk: Vec<Pinned> = JDK
+        .iter()
+        .map(|&(seed, ..)| {
+            let mut profile = rafda_corpus::JdkProfile::scaled(500);
+            profile.seed = seed;
+            let mut u = ClassUniverse::new();
+            rafda_corpus::generate_jdk(&mut u, &profile);
+            let (fingerprint, sigs, r) = transform(&mut u);
+            let counts = [
+                r.analyzed,
+                r.non_transformable,
+                r.substitutable_count,
+                r.rewritten_in_place,
+                r.generated_classes,
+                r.generated_methods,
+                r.accessors,
+                r.proxy_classes,
+            ];
+            (seed, fingerprint, sigs, counts)
+        })
+        .collect();
+    let rows: Vec<String> = jdk
+        .iter()
+        .map(|(seed, fp, sigs, counts)| format!("({seed}, {fp:#018x}, {sigs}, {counts:?}),"))
+        .collect();
+    assert_eq!(jdk, JDK, "actual:\n{}", rows.join("\n"));
 
     let mut u = ClassUniverse::new();
     let hooks = observer_stand_in(&mut u);
@@ -365,5 +497,5 @@ fn corpus_scale_universe_fingerprint_is_pinned() {
         accessors: 1830,
         proxy_classes: 198,
     };
-    assert_eq!(transform(&mut u), (0x4150_0bb2_550a_0df8, 124, app));
+    assert_eq!(transform(&mut u), (0x81fc_45fd_5f9e_be6a, 124, app));
 }

@@ -74,7 +74,7 @@ mod tests {
             u.class_mut(class).methods.push(Method {
                 name: name.into(),
                 sig,
-                params: vec![],
+                params: vec![].into(),
                 ret: Ty::Int,
                 visibility: Visibility::Public,
                 is_static,

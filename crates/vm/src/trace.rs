@@ -91,7 +91,7 @@ impl Trace {
             Err(VmError::Exception(h)) => {
                 TraceEvent::UncaughtException(vm.class_of(h).map_or_else(
                     || "<stale>".to_owned(),
-                    |c| vm.universe().class(c).name.clone(),
+                    |c| String::from(&*vm.universe().class(c).name),
                 ))
             }
             Err(e) if e.is_network() => TraceEvent::NetworkFailure(e.to_string()),

@@ -6,7 +6,7 @@ use crate::native::{NativeFn, NativeRegistry};
 use crate::trace::{Trace, TraceEvent};
 use crate::value::Value;
 use rafda_classmodel::{
-    BinOp, ClassId, ClassKind, ClassUniverse, CmpOp, Const, Insn, SigId, Ty, UnOp, Visibility,
+    BinOp, ClassId, ClassKind, ClassUniverse, CmpOp, Const, Insn, SigId, Ty, UnOp,
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -271,30 +271,22 @@ impl Vm {
         let emit = universe.sig("emit", vec![Ty::Long]);
         let emit_str = universe.sig("emit_str", vec![Ty::Str]);
         let emit_double = universe.sig("emit_double", vec![Ty::Double]);
-        let mk = |name: &str, sig: SigId, params: Vec<Ty>| Method {
-            name: name.to_owned(),
-            sig,
-            params,
-            ret: Ty::Void,
-            visibility: Visibility::Public,
+        let mk = |sig: SigId| Method {
             is_static: true,
             is_native: true,
-            body: None,
+            ..Method::declared(universe, sig, Ty::Void)
         };
+        let methods = vec![mk(emit), mk(emit_str), mk(emit_double)];
         universe.define(
             class,
             Class {
-                name: "Observer".to_owned(),
+                name: "Observer".into(),
                 kind: ClassKind::Class,
                 superclass: None,
                 interfaces: vec![],
                 fields: vec![],
                 static_fields: vec![],
-                methods: vec![
-                    mk("emit", emit, vec![Ty::Long]),
-                    mk("emit_str", emit_str, vec![Ty::Str]),
-                    mk("emit_double", emit_double, vec![Ty::Double]),
-                ],
+                methods,
                 ctors: vec![],
                 clinit: None,
                 is_special: true,

@@ -1,6 +1,6 @@
 use super::*;
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
-use rafda_classmodel::sample;
+use rafda_classmodel::{sample, Visibility};
 use std::collections::BTreeMap;
 
 fn vm_with(build: impl FnOnce(&mut ClassUniverse)) -> Vm {
@@ -233,7 +233,7 @@ fn uncaught_exception_propagates_across_frames() {
         panic!("expected exception, got {err:?}");
     };
     let class = vm.class_of(h).unwrap();
-    assert_eq!(vm.universe().class(class).name, "AppError");
+    assert_eq!(&*vm.universe().class(class).name, "AppError");
 }
 
 #[test]
@@ -286,7 +286,7 @@ fn native_hooks_dispatch_and_reenter() {
         cb.add_method(rafda_classmodel::Method {
             name: "twice_of_plain".into(),
             sig,
-            params: vec![Ty::Int],
+            params: vec![Ty::Int].into(),
             ret: Ty::Int,
             visibility: Visibility::Public,
             is_static: true,
@@ -469,7 +469,7 @@ fn in_place_swap_changes_dispatch_for_existing_references() {
         u.class_mut(iface).methods.push(rafda_classmodel::Method {
             name: "v".into(),
             sig,
-            params: vec![],
+            params: vec![].into(),
             ret: Ty::Int,
             visibility: Visibility::Public,
             is_static: false,
@@ -677,7 +677,7 @@ fn static_native(
     cb.add_method(rafda_classmodel::Method {
         name: name.into(),
         sig,
-        params,
+        params: params.into(),
         ret,
         visibility: Visibility::Public,
         is_static: true,

@@ -675,7 +675,7 @@ fn e14() {
     canary.vm(NodeId(1)).with_heap(|heap| {
         for h in heap.handles() {
             if let Some(class) = heap.class_of(h) {
-                if canary.universe().class(class).name == "C_O_Local" {
+                if &*canary.universe().class(class).name == "C_O_Local" {
                     home = Some(h);
                 }
             }

@@ -1,12 +1,18 @@
 //! Where the host's time goes: the runtime's own section profile over the
-//! two loops the benchmark leans on hardest.
+//! two loops the benchmark leans on hardest, and the transformer's steps.
 //!
 //! * `soak_day` — the 10⁵-op seed-42 `production_day` soak, driven exactly
 //!   as `rafda::soak::run_schedule` drives it (recorder, a quiescent check
 //!   per phase, finale, report);
 //! * `rpc_steady` — the benchmark workload's shape: two nodes, eight stores
 //!   per protocol on node 1, RMI / CORBA / SOAP drawn 45 / 45 / 10, `get_v`
-//!   40 % / `put` 40 % / 64 B echo 15 % / 1 KiB echo 5 %.
+//!   40 % / `put` 40 % / 64 B echo 15 % / 1 KiB echo 5 %;
+//! * `transform_corpus` — the benchmark workload's op taken apart: clone one
+//!   of the sixteen seed-42 500-class JDK-shaped corpora, `Transformer::run`
+//!   it for RMI / SOAP / CORBA (which verifies its output once), verify the
+//!   result again. It prints wall time and the exact heap-allocation count
+//!   per op of each step (`counting_alloc.rs`, this binary's global
+//!   allocator, counts them per thread), then the metric line.
 //!
 //! Each loop runs three times with the profile off and three times with it
 //! on, alternating, on fresh deployments; the profile reported is the
@@ -21,16 +27,23 @@
 //!     | ./ledger.sh --layers host_profile.rpc_steady 0
 //! ```
 //!
-//! Arguments: the loop (`soak_day` by default) and its op count (10⁵).
+//! Arguments: the loop (`soak_day` by default) and its op count (10⁵; 160
+//! for `transform_corpus`, ten passes over its corpora).
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
+use rafda::classmodel::verify::verify_universe;
 use rafda::classmodel::{ClassKind, Field};
 use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle};
 use rafda::corpus::rng::Rng;
+use rafda::corpus::{generate_jdk, JdkProfile};
 use rafda::runtime::{HostProfile, Section, SoakRecorder};
 use rafda::soak::SoakHarness;
-use rafda::{Application, Cluster, NodeId, Placement, StaticPolicy, Ty, Value};
+use rafda::transform::Transformer;
+use rafda::{Application, ClassUniverse, Cluster, NodeId, Placement, StaticPolicy, Ty, Value};
 use std::time::Instant;
+
+#[path = "counting_alloc.rs"]
+mod counting;
 
 /// Off / on pairs per loop.
 const PAIRS: usize = 3;
@@ -56,14 +69,14 @@ struct Run {
 fn main() {
     let mut args = std::env::args().skip(1);
     let which = args.next().unwrap_or_else(|| "soak_day".to_owned());
-    let ops: usize = args
-        .next()
-        .map_or(100_000, |n| n.parse().expect("an op count"));
+    let ops: Option<usize> = args.next().map(|n| n.parse().expect("an op count"));
     let run: fn(usize, bool) -> Run = match which.as_str() {
         "soak_day" => soak_day,
         "rpc_steady" => rpc_steady,
-        other => panic!("unknown loop {other}: soak_day or rpc_steady"),
+        "transform_corpus" => return transform_corpus(ops.unwrap_or(160)),
+        other => panic!("unknown loop {other}: soak_day, rpc_steady or transform_corpus"),
     };
+    let ops = ops.unwrap_or(100_000);
     let (mut off, mut on) = (Vec::new(), Vec::new());
     for _ in 0..PAIRS {
         off.push(run(ops, false));
@@ -140,11 +153,69 @@ fn main() {
         on.wall_ns / off.wall_ns,
         on.span_log_bytes as f64 / ops as f64
     );
+    print_metrics(&metrics);
+}
+
+/// The metric line, in the benchmark's `{"metrics":{…}}` shape.
+fn print_metrics(metrics: &[(&str, f64, &str)]) {
     let fields: Vec<String> = metrics
         .iter()
         .map(|(name, value, unit)| format!("\"{name}\":{{\"value\":{value},\"unit\":\"{unit}\"}}"))
         .collect();
     println!("{{\"metrics\":{{{}}}}}", fields.join(","));
+}
+
+/// `f`'s result, wall nanoseconds and allocations on this thread.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let before = counting::allocations();
+    let start = Instant::now();
+    let out = f();
+    let ns = start.elapsed().as_nanos() as f64;
+    (out, ns, counting::allocations() - before)
+}
+
+/// `ops` ops of the benchmark's `transform_corpus` workload at seed 42, op
+/// `i` on corpus `i % 16`, each step timed and counted on its own.
+fn transform_corpus(ops: usize) {
+    const CORPORA: usize = 16;
+    let corpora: Vec<ClassUniverse> = (0..CORPORA as u64)
+        .map(|k| {
+            let mut profile = JdkProfile::scaled(500);
+            profile.seed = 42 * CORPORA as u64 + k;
+            let mut u = ClassUniverse::new();
+            generate_jdk(&mut u, &profile);
+            u
+        })
+        .collect();
+    const STEPS: [&str; 3] = ["clone", "run", "verify"];
+    let (mut ns, mut allocs) = ([0.0; 3], [0; 3]);
+    for i in 0..ops {
+        let (mut u, t, n) = measured(|| corpora[i % CORPORA].clone());
+        (ns[0], allocs[0]) = (ns[0] + t, allocs[0] + n);
+        let transformer = Transformer::new().protocols(&["RMI", "SOAP", "CORBA"]);
+        let (outcome, t, n) = measured(|| transformer.run(&mut u));
+        outcome.expect("the corpus transforms");
+        (ns[1], allocs[1]) = (ns[1] + t, allocs[1] + n);
+        let (verdict, t, n) = measured(|| verify_universe(&u));
+        verdict.expect("the transformed corpus verifies");
+        (ns[2], allocs[2]) = (ns[2] + t, allocs[2] + n);
+    }
+    let per_op = |x: f64| x / ops as f64;
+    println!("transform_corpus: {ops} ops over {CORPORA} seed-42 corpora of 500 classes");
+    println!("{:<8} {:>10} {:>12}", "step", "us/op", "allocs/op");
+    let names: Vec<[String; 2]> = STEPS
+        .iter()
+        .map(|s| ["us", "allocs"].map(|what| format!("profile.transform.{s}_{what}_per_op")))
+        .collect();
+    let wall: f64 = ns.iter().sum();
+    let mut metrics = vec![("profile.wall_us_per_op", per_op(wall) / 1e3, "us")];
+    for (k, [time, count]) in names.iter().enumerate() {
+        let (us, n) = (per_op(ns[k]) / 1e3, per_op(allocs[k] as f64));
+        println!("{:<8} {us:>10.1} {n:>12.1}", STEPS[k]);
+        metrics.push((time.as_str(), us, "us"));
+        metrics.push((count.as_str(), n, "count"));
+    }
+    print_metrics(&metrics);
 }
 
 /// The seed-42 production-day soak of `ops` ops, as `run_schedule` drives

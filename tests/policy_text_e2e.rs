@@ -36,7 +36,7 @@ fn deployment_follows_the_policy_document() {
     let yh = y.as_ref_handle().unwrap();
     let y_class = cluster.vm(NodeId(0)).class_of(yh).unwrap();
     assert_eq!(
-        cluster.universe().class(y_class).name,
+        &*cluster.universe().class(y_class).name,
         "Y_O_Proxy_SOAP",
         "protocol selection follows the document"
     );

@@ -64,7 +64,7 @@ fn home_handle(cluster: &Cluster, node: NodeId) -> Handle {
     cluster.vm(node).with_heap(|heap| {
         for h in heap.handles() {
             if let Some(class) = heap.class_of(h) {
-                if cluster.universe().class(class).name == "C_O_Local" {
+                if &*cluster.universe().class(class).name == "C_O_Local" {
                     found = Some(h);
                 }
             }

@@ -401,7 +401,7 @@ fn migration_is_traced_with_its_state_transfer() {
     vm1.with_heap(|heap| {
         for h in heap.handles() {
             if let Some(class) = heap.class_of(h) {
-                if cluster.universe().class(class).name == "Y_O_Local" {
+                if &*cluster.universe().class(class).name == "Y_O_Local" {
                     y_home = Some(h);
                 }
             }

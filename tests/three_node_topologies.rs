@@ -99,7 +99,7 @@ fn migration_between_secondary_nodes_keeps_third_party_references_valid() {
         vm1.with_heap(|heap| {
             for h in heap.handles() {
                 if let Some(class) = heap.class_of(h) {
-                    if cluster.universe().class(class).name == "Y_O_Local" {
+                    if &*cluster.universe().class(class).name == "Y_O_Local" {
                         found = Some(h);
                     }
                 }
