@@ -189,7 +189,7 @@ if grep -rn 'trait Transport' crates; then
   exit 1
 fi
 
-echo "== policy is read once: rows everywhere but cluster.rs =="
+echo "== policy is read once, as one rule per class: rows everywhere but cluster.rs =="
 # Cluster::new resolves every per-class policy decision into one row per
 # transformed family; the only live policy call is `instance_node` in
 # `make_value`. A `.policy` access in any other runtime module means a
@@ -204,6 +204,25 @@ if grep -rn 'clippy::too_many_arguments' crates/*/src; then
   echo "FAIL: a too_many_arguments waiver is back" >&2
   exit 1
 fi
+# The policy answers two questions: `rule` (a class's whole `ClassRule`, at
+# deployment) and `instance_node` (at every `make()`). A per-question method
+# (`statics_node(&self, class)` …) or a second everything-local policy type
+# means the rule is being split up again; the one reader `StaticPolicy`
+# keeps for the benchmark is the only exception. A runtime call on a
+# `policy` other than those two means a question is asked outside them.
+per_question='fn (statics_node|cacheable|batched|shard_spec|reads_from_replicas)\(&self|struct LocalPolicy\b'
+kept_reader='^crates/policy/src/lib.rs:[0-9]+:    pub fn cacheable\(&self, class: &str\) -> bool \{$'
+if grep -rnE --include='*.rs' "$per_question" crates tests examples | grep -vE "$kept_reader"; then
+  echo "FAIL: a per-question policy method or LocalPolicy is back — answer with one ClassRule" >&2
+  exit 1
+fi
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\bpolicy\.[A-Za-z_]' | grep -vE '\bpolicy\.(rule|instance_node)\('; then
+    echo "FAIL: $f asks the policy something other than rule / instance_node" >&2
+    exit 1
+  fi
+done
 
 echo "== one frame version per codec, one table per link =="
 # Each codec speaks exactly one frame format; a second version constant or

@@ -68,7 +68,7 @@ pub use rafda_wire as wire;
 pub use rafda_classmodel::{ClassUniverse, Ty};
 pub use rafda_net::{NetError, NodeId, SimTime};
 pub use rafda_policy::{
-    AffinityConfig, DistributionPolicy, LocalPolicy, Placement, RoundRobinPolicy, StaticPolicy,
+    AffinityConfig, ClassRule, DistributionPolicy, Placement, RoundRobinPolicy, StaticPolicy,
 };
 pub use rafda_runtime::{
     declare_introspection, Cluster, LocalRuntime, MigrationEvent, RetryPolicy, RuntimeStats,

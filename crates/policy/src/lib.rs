@@ -10,8 +10,8 @@
 //! that policy:
 //!
 //! * [`DistributionPolicy`] — the decision interface: asked once per class
-//!   when the runtime deploys, and at every `make()` for where the new
-//!   instance goes;
+//!   for its [`ClassRule`] when the runtime deploys, and at every `make()`
+//!   for where the new instance goes;
 //! * [`StaticPolicy`] — a declarative rule table (with a text format, see
 //!   [`StaticPolicy::parse`]): per-class overrides of placement, statics
 //!   owner, protocol and the mechanism switches, over one default rule;
@@ -51,6 +51,84 @@ pub struct ShardSpec {
     pub modulo: u32,
 }
 
+/// Everything a deployment holds about one class for its whole life: every
+/// distribution decision except where `make()` places a new instance.
+/// [`Default`] is the library default — RMI proxies, statics on node 0,
+/// every mechanism off, no shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassRule {
+    /// The proxy protocol remote references to the class speak (`"RMI"`,
+    /// `"SOAP"`, `"CORBA"`).
+    pub protocol: String,
+    /// The node owning the singleton that implements the class's static
+    /// members.
+    pub statics: NodeId,
+    /// Whether proxies may cache property (`get_f`) results.
+    ///
+    /// Caching is coherent — entries are version-tagged and dropped when
+    /// the owner's copy changes — but a cached read can still return a
+    /// value the owner mutated *locally* since the last exchange with this
+    /// proxy (the invalidation piggybacks on reply traffic rather than
+    /// being pushed). Classes whose fields are mutated outside their
+    /// accessors should therefore stay uncacheable.
+    pub cache: bool,
+    /// How many backup nodes keep a promotable copy of each exported
+    /// instance.
+    ///
+    /// With `k > 0` the owner synchronously ships the object's state to the
+    /// k lowest-numbered other nodes after every served mutating call, and a
+    /// caller whose owner crash-stops transparently re-homes to the
+    /// lowest-numbered live replica. With 0 a crashed owner surfaces as a
+    /// typed `Unreachable` error.
+    pub replicas: u32,
+    /// Whether deferrable outcalls — void-returning methods and property
+    /// sets, whose results the caller never observes directly — may be
+    /// queued and shipped to the owner as one batched frame at the next
+    /// synchronization point (a value-returning call, migration, adaptation
+    /// tick, clock read or explicit flush).
+    ///
+    /// Batching preserves per-owner ordering and at-most-once execution,
+    /// but a batched operation's *exception* only surfaces at the flush
+    /// point rather than at the call site. Classes whose void methods are
+    /// used for control flow via exceptions should stay unbatched.
+    ///
+    /// Per-owner ordering is kept by queueing per `(caller, owner)`, not
+    /// per class: when two batched classes with different
+    /// [`protocol`](ClassRule::protocol)s have instances on one owner, their
+    /// deferred operations share a queue and travel in one frame, encoded
+    /// with the protocol of the class whose operation was queued first.
+    pub batch: bool,
+    /// The sharding directive, if any.
+    ///
+    /// With `Some(spec)` the runtime places each instance on the node that
+    /// owns shard `hash(key) % spec.modulo`, where the key is read through
+    /// `spec.key_getter` once the instance is constructed. `None` leaves
+    /// placement to [`DistributionPolicy::instance_node`].
+    pub shard: Option<ShardSpec>,
+    /// Whether getters on remote instances may be served from the nearest
+    /// live replica instead of the owner.
+    ///
+    /// Only meaningful when [`replicas`](ClassRule::replicas) is positive.
+    /// A replica read is taken only when the replica's copy carries the
+    /// owner's current version, so it can never observe stale state; on
+    /// any version lag the call falls through to the owner.
+    pub replica_reads: bool,
+}
+
+impl Default for ClassRule {
+    fn default() -> Self {
+        ClassRule {
+            protocol: "RMI".to_owned(),
+            statics: NodeId(0),
+            cache: false,
+            replicas: 0,
+            batch: false,
+            shard: None,
+            replica_reads: false,
+        }
+    }
+}
+
 /// The decision interface the runtime deploys an application under.
 ///
 /// # Contract
@@ -58,129 +136,17 @@ pub struct ShardSpec {
 /// [`instance_node`](DistributionPolicy::instance_node) is the one live
 /// decision: the runtime calls it at every `make()`, so its answer may
 /// depend on the creating node and on what was asked before (a round-robin
-/// placement does). Every other method is asked **once per transformed
-/// class, at deployment**, and the answer is held for the life of the
-/// cluster — it must be a pure function of the class name. A policy that
-/// changed such an answer later would not be asked again.
+/// placement does). [`rule`](DistributionPolicy::rule) is asked **once per
+/// transformed class, at deployment**, and the answer is held for the life
+/// of the cluster — it must be a pure function of the class name. A policy
+/// that changed its rule later would not be asked again.
 pub trait DistributionPolicy {
     /// The node on which `make()` executed at `creating_node` should place a
     /// new instance of `class`.
     fn instance_node(&self, class: &str, creating_node: NodeId) -> NodeId;
 
-    /// The node owning the singleton that implements `class`'s static
-    /// members.
-    fn statics_node(&self, class: &str) -> NodeId;
-
-    /// The proxy protocol used for remote references to `class`
-    /// (`"RMI"`, `"SOAP"`, `"CORBA"`).
-    fn protocol(&self, class: &str) -> String;
-
-    /// Whether proxies for `class` may cache property (`get_f`) results.
-    ///
-    /// Caching is coherent — entries are version-tagged and dropped when
-    /// the owner's copy changes — but a cached read can still return a
-    /// value the owner mutated *locally* since the last exchange with this
-    /// proxy (the invalidation piggybacks on reply traffic rather than
-    /// being pushed). Classes whose fields are mutated outside their
-    /// accessors should therefore stay uncacheable; the default is off.
-    fn cacheable(&self, _class: &str) -> bool {
-        false
-    }
-
-    /// How many backup nodes keep a promotable copy of each exported
-    /// instance of `class`.
-    ///
-    /// With `k > 0` the owner synchronously ships the object's state to the
-    /// k lowest-numbered other nodes after every served mutating call, and a
-    /// caller whose owner crash-stops transparently re-homes to the
-    /// lowest-numbered live replica. The default is 0: no replication, a
-    /// crashed owner surfaces as a typed `Unreachable` error.
-    fn replicas(&self, _class: &str) -> u32 {
-        0
-    }
-
-    /// Whether deferrable outcalls on `class` — void-returning methods and
-    /// property sets, whose results the caller never observes directly —
-    /// may be queued and shipped to the owner as one batched frame at the
-    /// next synchronization point (a value-returning call, migration,
-    /// adaptation tick, clock read or explicit flush).
-    ///
-    /// Batching preserves per-owner ordering and at-most-once execution,
-    /// but a batched operation's *exception* only surfaces at the flush
-    /// point rather than at the call site. Classes whose void methods are
-    /// used for control flow via exceptions should stay unbatched; the
-    /// default is off.
-    ///
-    /// Per-owner ordering is kept by queueing per `(caller, owner)`, not
-    /// per class: when two batched classes with different
-    /// [`protocol`](DistributionPolicy::protocol)s have instances on one
-    /// owner, their deferred operations share a queue and travel in one
-    /// frame, encoded with the protocol of the class whose operation was
-    /// queued first.
-    fn batched(&self, _class: &str) -> bool {
-        false
-    }
-
-    /// The sharding directive for `class`, if any.
-    ///
-    /// With `Some(spec)` the runtime places each instance on the node that
-    /// owns shard `hash(key) % spec.modulo`, where the key is read through
-    /// `spec.key_getter` once the instance is constructed. `None` (the
-    /// default) leaves placement to [`DistributionPolicy::instance_node`].
-    fn shard_spec(&self, _class: &str) -> Option<ShardSpec> {
-        None
-    }
-
-    /// Whether getters on remote instances of `class` may be served from
-    /// the nearest live replica instead of the owner.
-    ///
-    /// Only meaningful when [`DistributionPolicy::replicas`] is positive.
-    /// A replica read is taken only when the replica's copy carries the
-    /// owner's current version, so it can never observe stale state; on
-    /// any version lag the call falls through to the owner. The default
-    /// is off.
-    fn reads_from_replicas(&self, _class: &str) -> bool {
-        false
-    }
-}
-
-/// Everything-local policy: instances at their creator, all singletons on
-/// node 0, one fixed protocol. The "local version of the transformed
-/// application" of the paper's Section 4 corresponds to this policy on a
-/// one-node cluster.
-#[derive(Debug, Clone)]
-pub struct LocalPolicy {
-    protocol: String,
-}
-
-impl LocalPolicy {
-    /// Local policy with the given proxy protocol (still needed when
-    /// migration later makes objects remote).
-    pub fn new(protocol: &str) -> Self {
-        LocalPolicy {
-            protocol: protocol.to_owned(),
-        }
-    }
-}
-
-impl Default for LocalPolicy {
-    fn default() -> Self {
-        LocalPolicy::new("RMI")
-    }
-}
-
-impl DistributionPolicy for LocalPolicy {
-    fn instance_node(&self, _class: &str, creating_node: NodeId) -> NodeId {
-        creating_node
-    }
-
-    fn statics_node(&self, _class: &str) -> NodeId {
-        NodeId(0)
-    }
-
-    fn protocol(&self, _class: &str) -> String {
-        self.protocol.clone()
-    }
+    /// Every other decision about `class`, resolved.
+    fn rule(&self, class: &str) -> ClassRule;
 }
 
 /// A declarative per-class rule table.
@@ -200,23 +166,25 @@ impl DistributionPolicy for LocalPolicy {
 /// ).unwrap();
 /// assert_eq!(policy.instance_node("C", NodeId(0)), NodeId(2));
 /// assert_eq!(policy.instance_node("D", NodeId(3)), NodeId(3));
-/// assert_eq!(policy.statics_node("X"), NodeId(1));
+/// assert_eq!(policy.rule("X").statics, NodeId(1));
 /// assert_eq!(policy.protocol("C"), "SOAP");
 /// assert_eq!(policy.protocol("D"), "RMI");
 /// ```
 #[derive(Debug, Clone)]
 pub struct StaticPolicy {
     /// What an unlisted class (or an unlisted decision of a listed one)
-    /// gets. Placement, statics owner and protocol are always set here.
+    /// gets.
     default: ClassRule,
+    /// Where instances of a class with no placement directive go.
+    place: Placement,
     /// Per-class overrides: only the decisions a directive named are set.
-    rules: HashMap<String, ClassRule>,
+    rules: HashMap<String, Overrides>,
 }
 
-/// The decisions one class (or the default) carries; `None` means "not
+/// The decisions one class (or the default) states; `None` means "not
 /// stated here".
 #[derive(Debug, Clone, Default)]
-struct ClassRule {
+struct Overrides {
     protocol: Option<String>,
     statics: Option<NodeId>,
     place: Option<Placement>,
@@ -227,7 +195,20 @@ struct ClassRule {
     replica_reads: Option<bool>,
 }
 
-impl ClassRule {
+impl Overrides {
+    /// `base` with every decision stated here put in its place.
+    fn over(&self, base: &ClassRule) -> ClassRule {
+        ClassRule {
+            protocol: self.protocol.as_ref().unwrap_or(&base.protocol).clone(),
+            statics: self.statics.unwrap_or(base.statics),
+            cache: self.cache.unwrap_or(base.cache),
+            replicas: self.replicate.unwrap_or(base.replicas),
+            batch: self.batch.unwrap_or(base.batch),
+            shard: self.shard.as_ref().or(base.shard.as_ref()).cloned(),
+            replica_reads: self.replica_reads.unwrap_or(base.replica_reads),
+        }
+    }
+
     /// The stated decisions as directive tails (`place node2`,
     /// `cache off`, …), in the order the default section lists them.
     fn directives(&self) -> Vec<String> {
@@ -262,12 +243,8 @@ impl ClassRule {
 impl Default for StaticPolicy {
     fn default() -> Self {
         StaticPolicy {
-            default: ClassRule {
-                protocol: Some("RMI".to_owned()),
-                statics: Some(NodeId(0)),
-                place: Some(Placement::Creator),
-                ..ClassRule::default()
-            },
+            default: ClassRule::default(),
+            place: Placement::Creator,
             rules: HashMap::new(),
         }
     }
@@ -291,94 +268,103 @@ impl fmt::Display for PolicyParseError {
 impl std::error::Error for PolicyParseError {}
 
 impl StaticPolicy {
-    /// A policy with library defaults (creator placement, statics on node 0,
-    /// RMI proxies).
+    /// A policy with library defaults: creator placement and
+    /// [`ClassRule::default`] for every class. On a one-node cluster this
+    /// is "the local version of the transformed application" of the paper's
+    /// Section 4.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The override rule of `class`, created empty on first use.
-    fn rule(&mut self, class: &str) -> &mut ClassRule {
+    fn overrides(&mut self, class: &str) -> &mut Overrides {
         self.rules.entry(class.to_owned()).or_default()
     }
 
-    /// What `class` states for one decision, else what the default does.
-    fn decide<T>(&self, class: &str, field: impl Fn(&ClassRule) -> Option<T>) -> Option<T> {
-        self.rules
-            .get(class)
-            .and_then(&field)
-            .or_else(|| field(&self.default))
+    /// The proxy protocol of `class`.
+    pub fn protocol(&self, class: &str) -> String {
+        self.rule(class).protocol
+    }
+
+    /// The replication factor of `class`.
+    pub fn replicas(&self, class: &str) -> u32 {
+        self.rule(class).replicas
+    }
+
+    /// Whether proxies for `class` may cache property results.
+    pub fn cacheable(&self, class: &str) -> bool {
+        self.rule(class).cache
     }
 
     /// Set the default protocol.
     pub fn default_protocol(mut self, protocol: &str) -> Self {
-        self.default.protocol = Some(protocol.to_owned());
+        self.default.protocol = protocol.to_owned();
         self
     }
 
     /// Set the default statics owner.
     pub fn default_statics(mut self, node: NodeId) -> Self {
-        self.default.statics = Some(node);
+        self.default.statics = node;
         self
     }
 
     /// Set the default instance placement.
     pub fn default_placement(mut self, placement: Placement) -> Self {
-        self.default.place = Some(placement);
+        self.place = placement;
         self
     }
 
     /// Place instances of `class`.
     pub fn place(mut self, class: &str, placement: Placement) -> Self {
-        self.rule(class).place = Some(placement);
+        self.overrides(class).place = Some(placement);
         self
     }
 
     /// Place the statics singleton of `class`.
     pub fn statics(mut self, class: &str, node: NodeId) -> Self {
-        self.rule(class).statics = Some(node);
+        self.overrides(class).statics = Some(node);
         self
     }
 
     /// Select the proxy protocol for `class`.
     pub fn with_protocol(mut self, class: &str, protocol: &str) -> Self {
-        self.rule(class).protocol = Some(protocol.to_owned());
+        self.overrides(class).protocol = Some(protocol.to_owned());
         self
     }
 
     /// Set the default property-cache switch (off unless overridden).
     pub fn default_cache(mut self, on: bool) -> Self {
-        self.default.cache = Some(on);
+        self.default.cache = on;
         self
     }
 
     /// Allow (or forbid) proxy-side property caching for `class`.
     pub fn cache(mut self, class: &str, on: bool) -> Self {
-        self.rule(class).cache = Some(on);
+        self.overrides(class).cache = Some(on);
         self
     }
 
     /// Set the default replication factor (0 unless overridden).
     pub fn default_replicate(mut self, k: u32) -> Self {
-        self.default.replicate = Some(k);
+        self.default.replicas = k;
         self
     }
 
     /// Keep promotable copies of `class` instances on `k` backup nodes.
     pub fn replicate(mut self, class: &str, k: u32) -> Self {
-        self.rule(class).replicate = Some(k);
+        self.overrides(class).replicate = Some(k);
         self
     }
 
     /// Set the default outcall-batching switch (off unless overridden).
     pub fn default_batch(mut self, on: bool) -> Self {
-        self.default.batch = Some(on);
+        self.default.batch = on;
         self
     }
 
     /// Allow (or forbid) batching deferrable outcalls on `class`.
     pub fn batch(mut self, class: &str, on: bool) -> Self {
-        self.rule(class).batch = Some(on);
+        self.overrides(class).batch = Some(on);
         self
     }
 
@@ -389,7 +375,7 @@ impl StaticPolicy {
     /// When `modulo` is 0 (an empty shard space places nothing).
     pub fn shard(mut self, class: &str, key_getter: &str, modulo: u32) -> Self {
         assert!(modulo > 0, "shard modulo must be positive");
-        self.rule(class).shard = Some(ShardSpec {
+        self.overrides(class).shard = Some(ShardSpec {
             key_getter: key_getter.to_owned(),
             modulo,
         });
@@ -399,7 +385,7 @@ impl StaticPolicy {
     /// Allow (or forbid) serving getters of `class` from the nearest live
     /// replica instead of the owner.
     pub fn replica_reads(mut self, class: &str, on: bool) -> Self {
-        self.rule(class).replica_reads = Some(on);
+        self.overrides(class).replica_reads = Some(on);
         self
     }
 
@@ -473,11 +459,15 @@ impl StaticPolicy {
     pub fn to_text(&self) -> String {
         // A default switch that is off (a factor that is 0) is the library
         // default and is not rendered.
-        let default = ClassRule {
-            cache: self.default.cache.filter(|&on| on),
-            replicate: self.default.replicate.filter(|&k| k > 0),
-            batch: self.default.batch.filter(|&on| on),
-            ..self.default.clone()
+        let d = &self.default;
+        let default = Overrides {
+            protocol: Some(d.protocol.clone()),
+            statics: Some(d.statics),
+            place: Some(self.place),
+            cache: Some(d.cache).filter(|&on| on),
+            replicate: Some(d.replicas).filter(|&k| k > 0),
+            batch: Some(d.batch).filter(|&on| on),
+            ..Overrides::default()
         };
         let mut lines: Vec<String> = Vec::new();
         for (class, rule) in &self.rules {
@@ -520,40 +510,18 @@ fn parse_switch(word: &str) -> Option<bool> {
 
 impl DistributionPolicy for StaticPolicy {
     fn instance_node(&self, class: &str, creating_node: NodeId) -> NodeId {
-        match self.decide(class, |r| r.place) {
-            Some(Placement::Node(n)) => n,
-            Some(Placement::Creator) | None => creating_node,
+        let stated = self.rules.get(class).and_then(|o| o.place);
+        match stated.unwrap_or(self.place) {
+            Placement::Node(n) => n,
+            Placement::Creator => creating_node,
         }
     }
 
-    fn statics_node(&self, class: &str) -> NodeId {
-        self.decide(class, |r| r.statics)
-            .expect("the default rule names a statics owner")
-    }
-
-    fn protocol(&self, class: &str) -> String {
-        self.decide(class, |r| r.protocol.clone())
-            .expect("the default rule names a protocol")
-    }
-
-    fn cacheable(&self, class: &str) -> bool {
-        self.decide(class, |r| r.cache).unwrap_or(false)
-    }
-
-    fn replicas(&self, class: &str) -> u32 {
-        self.decide(class, |r| r.replicate).unwrap_or(0)
-    }
-
-    fn batched(&self, class: &str) -> bool {
-        self.decide(class, |r| r.batch).unwrap_or(false)
-    }
-
-    fn shard_spec(&self, class: &str) -> Option<ShardSpec> {
-        self.decide(class, |r| r.shard.clone())
-    }
-
-    fn reads_from_replicas(&self, class: &str) -> bool {
-        self.decide(class, |r| r.replica_reads).unwrap_or(false)
+    fn rule(&self, class: &str) -> ClassRule {
+        match self.rules.get(class) {
+            Some(overrides) => overrides.over(&self.default),
+            None => self.default.clone(),
+        }
     }
 }
 
@@ -600,12 +568,11 @@ impl DistributionPolicy for RoundRobinPolicy {
         NodeId(n)
     }
 
-    fn statics_node(&self, _class: &str) -> NodeId {
-        NodeId(0)
-    }
-
-    fn protocol(&self, _class: &str) -> String {
-        self.protocol.clone()
+    fn rule(&self, _class: &str) -> ClassRule {
+        ClassRule {
+            protocol: self.protocol.clone(),
+            ..ClassRule::default()
+        }
     }
 }
 
@@ -636,10 +603,11 @@ mod tests {
 
     #[test]
     fn local_policy_keeps_everything_at_creator() {
-        let p = LocalPolicy::default();
+        let p = StaticPolicy::new();
         assert_eq!(p.instance_node("C", NodeId(3)), NodeId(3));
-        assert_eq!(p.statics_node("C"), NodeId(0));
-        assert_eq!(p.protocol("C"), "RMI");
+        assert_eq!(p.rule("C"), ClassRule::default());
+        assert_eq!(ClassRule::default().statics, NodeId(0));
+        assert_eq!(ClassRule::default().protocol, "RMI");
     }
 
     #[test]
@@ -652,8 +620,8 @@ mod tests {
             .with_protocol("C", "SOAP");
         assert_eq!(p.instance_node("C", NodeId(0)), NodeId(1));
         assert_eq!(p.instance_node("Other", NodeId(5)), NodeId(5));
-        assert_eq!(p.statics_node("C"), NodeId(1));
-        assert_eq!(p.statics_node("Other"), NodeId(2));
+        assert_eq!(p.rule("C").statics, NodeId(1));
+        assert_eq!(p.rule("Other").statics, NodeId(2));
         assert_eq!(p.protocol("C"), "SOAP");
         assert_eq!(p.protocol("Other"), "CORBA");
     }
@@ -673,8 +641,8 @@ mod tests {
         .unwrap();
         assert_eq!(p.instance_node("A", NodeId(9)), NodeId(9));
         assert_eq!(p.instance_node("Z", NodeId(9)), NodeId(1));
-        assert_eq!(p.statics_node("B"), NodeId(2));
-        assert_eq!(p.statics_node("A"), NodeId(3));
+        assert_eq!(p.rule("B").statics, NodeId(2));
+        assert_eq!(p.rule("A").statics, NodeId(3));
         assert_eq!(p.protocol("B"), "SOAP");
         assert_eq!(p.protocol("A"), "CORBA");
     }
@@ -706,9 +674,7 @@ mod tests {
             for node in [NodeId(0), NodeId(5)] {
                 assert_eq!(p.instance_node(class, node), q.instance_node(class, node));
             }
-            assert_eq!(p.statics_node(class), q.statics_node(class));
-            assert_eq!(p.protocol(class), q.protocol(class));
-            assert_eq!(p.cacheable(class), q.cacheable(class));
+            assert_eq!(p.rule(class), q.rule(class));
         }
     }
 
@@ -727,10 +693,7 @@ mod tests {
         let q = StaticPolicy::new().cache("Hot", true);
         assert!(q.cacheable("Hot"));
         assert!(!q.cacheable("Unlisted"), "caching is opt-in");
-        assert!(
-            !LocalPolicy::default().cacheable("Hot"),
-            "trait default is off"
-        );
+        assert!(!ClassRule::default().cache, "library default is off");
 
         let err = StaticPolicy::parse("class A cache maybe\n").unwrap_err();
         assert_eq!(err.message, "bad switch");
@@ -751,11 +714,7 @@ mod tests {
         let q = StaticPolicy::new().replicate("Vital", 2);
         assert_eq!(q.replicas("Vital"), 2);
         assert_eq!(q.replicas("Unlisted"), 0, "replication is opt-in");
-        assert_eq!(
-            LocalPolicy::default().replicas("Vital"),
-            0,
-            "trait default is 0"
-        );
+        assert_eq!(ClassRule::default().replicas, 0, "library default is 0");
 
         let err = StaticPolicy::parse("class A replicate many\n").unwrap_err();
         assert_eq!(err.message, "bad replication factor");
@@ -774,7 +733,7 @@ mod tests {
         assert!(text.contains("class A replicate 2"), "{text}");
         let q = StaticPolicy::parse(&text).unwrap();
         for class in ["A", "B", "Unlisted"] {
-            assert_eq!(p.replicas(class), q.replicas(class));
+            assert_eq!(p.rule(class), q.rule(class));
         }
     }
 
@@ -786,17 +745,14 @@ mod tests {
              class Sync batch off\n",
         )
         .unwrap();
-        assert!(p.batched("Chatty"));
-        assert!(!p.batched("Sync"));
-        assert!(p.batched("Unlisted"), "default batch on applies");
+        assert!(p.rule("Chatty").batch);
+        assert!(!p.rule("Sync").batch);
+        assert!(p.rule("Unlisted").batch, "default batch on applies");
 
         let q = StaticPolicy::new().batch("Chatty", true);
-        assert!(q.batched("Chatty"));
-        assert!(!q.batched("Unlisted"), "batching is opt-in");
-        assert!(
-            !LocalPolicy::default().batched("Chatty"),
-            "trait default is off"
-        );
+        assert!(q.rule("Chatty").batch);
+        assert!(!q.rule("Unlisted").batch, "batching is opt-in");
+        assert!(!ClassRule::default().batch, "library default is off");
 
         let err = StaticPolicy::parse("class A batch sometimes\n").unwrap_err();
         assert_eq!(err.message, "bad switch");
@@ -813,7 +769,7 @@ mod tests {
         assert!(text.contains("class A batch off"), "{text}");
         let q = StaticPolicy::parse(&text).unwrap();
         for class in ["A", "B", "Unlisted"] {
-            assert_eq!(p.batched(class), q.batched(class));
+            assert_eq!(p.rule(class), q.rule(class));
         }
         let plain = StaticPolicy::new().to_text();
         assert!(!plain.contains("batch"), "default-off policy omits batch");
@@ -827,19 +783,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            p.shard_spec("Account"),
+            p.rule("Account").shard,
             Some(ShardSpec {
                 key_getter: "get_owner".to_owned(),
                 modulo: 4
             })
         );
-        assert_eq!(p.shard_spec("Session").unwrap().modulo, 2);
-        assert_eq!(p.shard_spec("Unlisted"), None, "sharding is opt-in");
-        assert_eq!(
-            LocalPolicy::default().shard_spec("Account"),
-            None,
-            "trait default is None"
-        );
+        assert_eq!(p.rule("Session").shard.unwrap().modulo, 2);
+        assert_eq!(p.rule("Unlisted").shard, None, "sharding is opt-in");
+        assert_eq!(ClassRule::default().shard, None, "library default is None");
 
         let err = StaticPolicy::parse("class A shard by get_k modulo zero\n").unwrap_err();
         assert_eq!(err.message, "bad shard modulo");
@@ -856,17 +808,17 @@ mod tests {
              class Catalog reads from replicas\n",
         )
         .unwrap();
-        assert!(p.reads_from_replicas("Catalog"));
-        assert!(!p.reads_from_replicas("Unlisted"), "replica reads opt-in");
+        assert!(p.rule("Catalog").replica_reads);
+        assert!(!p.rule("Unlisted").replica_reads, "replica reads opt-in");
         assert!(
-            !LocalPolicy::default().reads_from_replicas("Catalog"),
-            "trait default is off"
+            !ClassRule::default().replica_reads,
+            "library default is off"
         );
 
         let q = StaticPolicy::new().replica_reads("Catalog", true);
-        assert!(q.reads_from_replicas("Catalog"));
+        assert!(q.rule("Catalog").replica_reads);
         let q = q.replica_reads("Catalog", false);
-        assert!(!q.reads_from_replicas("Catalog"));
+        assert!(!q.rule("Catalog").replica_reads);
 
         let err = StaticPolicy::parse("class A reads from owner\n").unwrap_err();
         assert_eq!(err.message, "unrecognised directive");
@@ -888,9 +840,7 @@ mod tests {
         assert!(!text.contains("Mutable"), "false flag omitted: {text}");
         let q = StaticPolicy::parse(&text).unwrap();
         for class in ["Account", "Catalog", "Mutable", "Unlisted"] {
-            assert_eq!(p.shard_spec(class), q.shard_spec(class));
-            assert_eq!(p.reads_from_replicas(class), q.reads_from_replicas(class));
-            assert_eq!(p.replicas(class), q.replicas(class));
+            assert_eq!(p.rule(class), q.rule(class));
         }
     }
 
@@ -957,8 +907,11 @@ class H reads from replicas
         let p = RoundRobinPolicy::new(2, "SOAP");
         let seq: Vec<NodeId> = (0..4).map(|_| p.instance_node("C", NodeId(9))).collect();
         assert_eq!(seq, vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)]);
-        assert_eq!(p.statics_node("C"), NodeId(0));
-        assert_eq!(p.protocol("C"), "SOAP");
+        let soap = ClassRule {
+            protocol: "SOAP".to_owned(),
+            ..ClassRule::default()
+        };
+        assert_eq!(p.rule("C"), soap);
     }
 
     #[test]

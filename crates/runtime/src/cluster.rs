@@ -18,7 +18,7 @@ use crate::rpc::{proxy_call, rpc};
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
-use rafda_policy::{DistributionPolicy, ShardSpec};
+use rafda_policy::{ClassRule, DistributionPolicy};
 use rafda_telemetry::{FastMap, FastSet, SpanLog};
 use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
@@ -40,40 +40,37 @@ pub(crate) struct GenInfo {
     pub is_proxy: bool,
 }
 
-/// One transformed family as the runtime sees it: the class, plus every
-/// policy decision about it that cannot depend on the calling node or on
-/// call order. The policy is asked once, by [`Cluster::new`]; everything
-/// downstream of deployment reads the row.
+/// One transformed family as the runtime sees it: the class, plus the
+/// policy's rule for it — every decision that cannot depend on the calling
+/// node or on call order. The policy is asked once, by [`Cluster::new`];
+/// everything downstream of deployment reads the row.
 pub(crate) struct ClassRow {
     /// This row's index in [`Shared::rows`].
     pub id: usize,
     /// The original (substitutable) class and its name.
     pub base: ClassId,
     pub name: String,
-    /// The protocol remote references to the class speak, and its codec —
-    /// `None` when the plan generated no proxies for that protocol or no
-    /// codec goes by that name; the first exchange then fails as
+    pub rule: ClassRule,
+    /// The codec of `rule.protocol` — `None` when the plan generated no
+    /// proxies for that protocol or no codec goes by that name; the first
+    /// exchange then fails as
     /// [`RpcFault::NoCodec`](rafda_vm::RpcFault::NoCodec).
-    pub protocol: String,
     pub codec: Option<Box<dyn Protocol>>,
-    /// The proxy class generated for `protocol` in each half of the family,
-    /// indexed by [`Side`].
+    /// The proxy class generated for `rule.protocol` in each half of the
+    /// family, indexed by [`Side`].
     proxies: [Option<ClassId>; 2],
-    pub statics_node: NodeId,
-    pub cacheable: bool,
-    pub batched: bool,
-    pub reads_from_replicas: bool,
-    /// How many backups each exported instance gets (0: none).
-    pub replicas: u32,
-    pub shard_spec: Option<ShardSpec>,
 }
 
 impl ClassRow {
     /// The proxy class remote references to this family's `side` are
     /// materialised as.
     pub(crate) fn proxy_class(&self, side: Side) -> Result<ClassId, String> {
-        self.proxies[side as usize]
-            .ok_or_else(|| format!("no {} proxy generated for {}", self.protocol, self.name))
+        self.proxies[side as usize].ok_or_else(|| {
+            format!(
+                "no {} proxy generated for {}",
+                self.rule.protocol, self.name
+            )
+        })
     }
 }
 
@@ -328,16 +325,17 @@ impl Cluster {
         let universe = Arc::new(universe);
         let net = Network::new(nodes, seed);
         let vms: Vec<Vm> = (0..nodes).map(|_| Vm::new(universe.clone())).collect();
-        // The policy's per-class answers are constants of the deployment:
-        // ask each once and keep the answers, next to the codec and proxy
-        // classes the chosen protocol implies.
+        // The policy's per-class rules are constants of the deployment:
+        // ask each once and keep it, next to the codec and proxy classes its
+        // protocol implies.
         let mut families: Vec<_> = plan.families.values().collect();
         families.sort_by_key(|f| &universe.class(f.base).name);
         let mut rows = Vec::with_capacity(families.len());
         let mut gen_info = FastMap::default();
         for (id, family) in families.into_iter().enumerate() {
             let name = String::from(&*universe.class(family.base).name);
-            let protocol = policy.protocol(&name);
+            let rule = policy.rule(&name);
+            let protocol = &rule.protocol;
             let mut proxies = [None; 2];
             for side in [Side::Obj, Side::Cls] {
                 let Some(half) = family.half(side) else {
@@ -349,7 +347,7 @@ impl Cluster {
                     is_proxy: false,
                 };
                 gen_info.insert(half.local, local);
-                let generated = half.proxies.iter().find(|(p, _)| *p == protocol);
+                let generated = half.proxies.iter().find(|(p, _)| p == protocol);
                 let proxy = generated.map(|&(_, class)| class);
                 let is_proxy = true;
                 gen_info.extend(proxy.map(|class| (class, GenInfo { is_proxy, ..local })));
@@ -360,23 +358,17 @@ impl Cluster {
                 base: family.base,
                 codec: plan
                     .protocols
-                    .contains(&protocol)
-                    .then(|| ProtocolKind::from_name(&protocol))
+                    .contains(protocol)
+                    .then(|| ProtocolKind::from_name(protocol))
                     .flatten()
                     .map(ProtocolKind::codec),
-                protocol,
                 proxies,
-                statics_node: policy.statics_node(&name),
-                cacheable: policy.cacheable(&name),
-                batched: policy.batched(&name),
-                reads_from_replicas: policy.reads_from_replicas(&name),
-                replicas: policy.replicas(&name),
-                shard_spec: policy.shard_spec(&name),
+                rule,
                 name,
             });
         }
-        let any_replication = rows.iter().any(|r| r.replicas > 0);
-        let any_sharding = rows.iter().any(|r| r.shard_spec.is_some());
+        let any_replication = rows.iter().any(|r| r.rule.replicas > 0);
+        let any_sharding = rows.iter().any(|r| r.rule.shard.is_some());
         let directory = RefCell::new(Directory::new(nodes, rows.len()));
         let shared = Rc::new(Shared {
             universe,
@@ -867,7 +859,7 @@ pub(crate) fn live_home(shared: &Shared, target: (u32, u64)) -> ((u32, u64), Opt
 /// policy replicates — the only kind of export that ever ships state.
 fn is_replicated_impl(shared: &Shared, node: u32, h: Handle) -> bool {
     info_of(shared, node, h)
-        .is_some_and(|info| !info.is_proxy && shared.rows[info.row].replicas > 0)
+        .is_some_and(|info| !info.is_proxy && shared.rows[info.row].rule.replicas > 0)
 }
 
 /// Whether `h` on `node` is a generated proxy.
@@ -1056,7 +1048,7 @@ pub(crate) fn discover_value(
         let what = format!("{} has no static members to discover", row.name);
         return Err(VmError::Native(what));
     };
-    let owner = row.statics_node;
+    let owner = row.rule.statics;
     // Stale-promotion guard (bugfix): if this class's singleton was
     // promoted after a crash, every resolution must follow the promoted
     // copy — even (and especially) on the restarted pre-crash owner, whose

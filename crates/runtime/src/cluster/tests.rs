@@ -1542,8 +1542,7 @@ fn sharding_with_replica_reads_beats_single_owner_under_zipf_skew() {
 
 // --- policy is read once ---
 
-/// Counts the questions a policy is asked: `[instance_node, every other
-/// method]`.
+/// Counts the questions a policy is asked: `[instance_node, rule]`.
 struct Counting {
     inner: StaticPolicy,
     asked: Rc<Cell<[u32; 2]>>,
@@ -1562,30 +1561,12 @@ impl DistributionPolicy for Counting {
     fn instance_node(&self, class: &str, creating_node: NodeId) -> NodeId {
         self.count(0, self.inner.instance_node(class, creating_node))
     }
-    fn statics_node(&self, class: &str) -> NodeId {
-        self.count(1, self.inner.statics_node(class))
-    }
-    fn protocol(&self, class: &str) -> String {
-        self.count(1, self.inner.protocol(class))
-    }
-    fn cacheable(&self, class: &str) -> bool {
-        self.count(1, self.inner.cacheable(class))
-    }
-    fn replicas(&self, class: &str) -> u32 {
-        self.count(1, self.inner.replicas(class))
-    }
-    fn batched(&self, class: &str) -> bool {
-        self.count(1, self.inner.batched(class))
-    }
-    fn shard_spec(&self, class: &str) -> Option<rafda_policy::ShardSpec> {
-        self.count(1, self.inner.shard_spec(class))
-    }
-    fn reads_from_replicas(&self, class: &str) -> bool {
-        self.count(1, self.inner.reads_from_replicas(class))
+    fn rule(&self, class: &str) -> ClassRule {
+        self.count(1, self.inner.rule(class))
     }
 }
 
-/// Deployment asks the policy each per-class question once; after that the
+/// Deployment asks the policy for each class's rule once; after that the
 /// only question left is where `make()` puts a new instance. Every other
 /// mechanism — calls, cached and replica reads, batched writes, shard
 /// placement, migration, pull, failover, the quiescent check — runs off the
@@ -1605,7 +1586,7 @@ fn after_deployment_the_policy_is_asked_only_where_make_places_an_instance() {
         asked: asked.clone(),
     };
     let cluster = deployed_keyed(4, 77, policy);
-    assert_eq!(asked.get(), [0, 7], "seven questions, one class, once each");
+    assert_eq!(asked.get(), [0, 1], "one rule, one class, asked once");
     cluster.enable_monitors();
     let call = |obj: &Value, method: &str, args: Vec<Value>| {
         cluster
@@ -1656,13 +1637,13 @@ fn after_deployment_the_policy_is_asked_only_where_make_places_an_instance() {
     );
     assert_eq!(
         asked.get(),
-        [8, 7],
+        [8, 1],
         "one instance_node per make(), nothing else"
     );
 }
 
-/// Each row holds exactly what the policy answers for its class, plus the
-/// codec and proxy classes the answered protocol implies; the introspection
+/// Each row holds exactly the policy's rule for its class, plus the codec
+/// and proxy classes the rule's protocol implies; the introspection
 /// table is the rows, rendered.
 #[test]
 fn every_row_equals_the_policys_answers() {
@@ -1689,18 +1670,12 @@ fn every_row_equals_the_policys_answers() {
         let name = row.name.as_str();
         assert_eq!(row.id, id);
         assert_eq!(shared.universe.by_name(name), Some(row.base));
-        assert_eq!(row.protocol, policy.protocol(name));
-        assert_eq!(row.statics_node, policy.statics_node(name));
-        assert_eq!(row.cacheable, policy.cacheable(name));
-        assert_eq!(row.batched, policy.batched(name));
-        assert_eq!(row.reads_from_replicas, policy.reads_from_replicas(name));
-        assert_eq!(row.replicas, policy.replicas(name));
-        assert_eq!(row.shard_spec, policy.shard_spec(name));
+        assert_eq!(row.rule, policy.rule(name));
         let codec = row.codec.as_ref().expect("a generated protocol");
-        assert_eq!(codec.name(), row.protocol);
+        assert_eq!(codec.name(), row.rule.protocol);
         let proxy = shared
             .universe
-            .by_name(&format!("{name}_O_Proxy_{}", row.protocol));
+            .by_name(&format!("{name}_O_Proxy_{}", row.rule.protocol));
         assert_eq!(row.proxy_class(Side::Obj).ok(), proxy);
         let info = gen_info(shared, proxy.unwrap()).expect("the row's proxy class");
         assert!(info.is_proxy && info.row == id && info.side == Side::Obj);

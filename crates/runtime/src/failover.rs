@@ -94,7 +94,7 @@ pub(crate) fn failover(
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.failover", node.0, start);
         spans.set_attr(h, "class", row.name.as_str());
-        spans.set_attr(h, "protocol", row.protocol.as_str());
+        spans.set_attr(h, "protocol", row.rule.protocol.as_str());
         spans.set_attr(h, "from", node.0);
         spans.set_attr(h, "old_home", &format!("{target}#{oid}"));
         let prior = shared.last_exchange_span.get();
@@ -149,7 +149,7 @@ pub(crate) fn locate_home(
     {
         return Some((tn, toid));
     }
-    for c in replica_targets(row.replicas, tn, shared.vms.len() as u32) {
+    for c in replica_targets(row.rule.replicas, tn, shared.vms.len() as u32) {
         // The fault-plan lookup stands in for a failure detector: known-dead
         // candidates are skipped instead of timed out against.
         if crashed(c) {

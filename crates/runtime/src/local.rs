@@ -4,13 +4,13 @@
 //! version of the transformed application that executes within a single
 //! address space — the first step in creating a fully distributed version"
 //! (paper, Section 4). [`LocalRuntime`] is that local version: a one-node
-//! [`Cluster`] with the everything-local policy, so `make()` and
-//! `discover()` never cross the (non-existent) network.
+//! [`Cluster`] under [`StaticPolicy::new`], so `make()` and `discover()`
+//! never cross the (non-existent) network.
 
 use crate::cluster::Cluster;
 use rafda_classmodel::ClassUniverse;
 use rafda_net::NodeId;
-use rafda_policy::LocalPolicy;
+use rafda_policy::StaticPolicy;
 use rafda_transform::TransformPlan;
 use rafda_vm::{Trace, Value, Vm, VmError};
 
@@ -24,7 +24,7 @@ impl LocalRuntime {
     /// Deploy a transformed universe locally.
     pub fn new(universe: ClassUniverse, plan: TransformPlan) -> Self {
         LocalRuntime {
-            cluster: Cluster::new(universe, plan, 1, 0, Box::new(LocalPolicy::default())),
+            cluster: Cluster::new(universe, plan, 1, 0, Box::new(StaticPolicy::new())),
         }
     }
 

@@ -247,7 +247,7 @@ impl Cluster {
             // the shard map by dragging a sharded instance toward its
             // chattiest caller.
             match info_of(shared, owner.0, handle) {
-                Some(info) if !info.is_proxy && shared.rows[info.row].shard_spec.is_none() => {}
+                Some(info) if !info.is_proxy && shared.rows[info.row].rule.shard.is_none() => {}
                 _ => continue,
             }
             // migrate() purges the stale counts cluster-wide, so no
@@ -273,7 +273,7 @@ impl Cluster {
         that: &Value,
     ) -> Result<(), VmError> {
         let shared = &self.shared;
-        let Some(spec) = &row.shard_spec else {
+        let Some(spec) = &row.rule.shard else {
             return Ok(());
         };
         let Value::Ref(h) = *that else {
@@ -424,7 +424,7 @@ impl Cluster {
                     continue;
                 }
                 let row = &shared.rows[info.row];
-                let Some(spec) = &row.shard_spec else {
+                let Some(spec) = &row.rule.shard else {
                     continue;
                 };
                 let vm = &shared.vms[n as usize];

@@ -141,7 +141,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             version,
             state,
         };
-        if row.batched {
+        if row.rule.batch {
             // Replica shipments of a batched class are deferrable: they
             // ride the owner's outcall queue to each backup and land at the
             // next synchronization point.
@@ -150,7 +150,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             let _ = rpc(shared, owner, NodeId(t), row, &req);
         }
     };
-    let mut targets = replica_targets(row.replicas, owner.0, shared.vms.len() as u32);
+    let mut targets = replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32);
     targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
     if let Some((&last, rest)) = targets.split_last() {
         for &t in rest {
@@ -172,7 +172,7 @@ fn replicated_state(
 ) -> Option<(&str, &ClassRow, Vec<WireValue>)> {
     let info = info_of(shared, owner.0, h).filter(|info| !info.is_proxy)?;
     let row = &shared.rows[info.row];
-    if row.replicas == 0 {
+    if row.rule.replicas == 0 {
         return None;
     }
     let (class, fields) = shared.vms[owner.0 as usize].read_object(h)?;

@@ -68,12 +68,12 @@ pub(crate) fn proxy_call(
     // as the property cache): any acknowledged mutation bumped the owner's
     // version before its reply left, so a lagging copy simply fails the
     // check and the read falls through to a normal owner exchange.
-    if is_getter && row.replicas > 0 && row.reads_from_replicas {
+    if is_getter && row.rule.replicas > 0 && row.rule.replica_reads {
         if let Some(v) = replica_read(shared, node, row, method, sig, (target, oid))? {
             return Ok(v);
         }
     }
-    let cache_on = is_getter && row.cacheable;
+    let cache_on = is_getter && row.rule.cache;
     let cache_key = (target, oid, sig);
     if cache_on {
         let current = version_of(shared, target, oid);
@@ -101,7 +101,7 @@ pub(crate) fn proxy_call(
     // Deferral is decided against the proxy class's own method table (the
     // generated setters only exist there, not on the base class;
     // signatures are interned globally, so the ids agree).
-    if row.batched {
+    if row.rule.batch {
         let is_void = shared
             .universe
             .class(class)
@@ -228,7 +228,7 @@ pub(crate) fn rpc(
     let codec = row
         .codec
         .as_deref()
-        .ok_or_else(|| VmError::Rpc(RpcFault::NoCodec(row.protocol.clone())))?;
+        .ok_or_else(|| VmError::Rpc(RpcFault::NoCodec(row.rule.protocol.clone())))?;
     if shared.rpc_depth.get() >= MAX_RPC_DEPTH {
         return Err(VmError::Rpc(RpcFault::DepthLimit));
     }
@@ -328,8 +328,8 @@ pub(crate) fn rpc_inner(
             .borrow_mut()
             .set_attr(exch, "bytes_out", bytes.len());
     }
-    let policy = shared.retry.get();
-    let max_attempts = policy.max_attempts.max(1);
+    let retry = shared.retry.get();
+    let max_attempts = retry.max_attempts.max(1);
     let mut attempt = 0u32;
     let mut prev_attempt_span: Option<u64> = None;
     let result: Result<(Reply, u64), NetError> = loop {
@@ -337,7 +337,7 @@ pub(crate) fn rpc_inner(
         if attempt > 1 {
             // Back off on the simulated clock before retransmitting, so the
             // cost of fault tolerance is charged deterministically.
-            shared.net.advance(policy.backoff_ns(attempt - 1));
+            shared.net.advance(retry.backoff_ns(attempt - 1));
             bump(shared, from.0, Met::Retries);
         }
         // Each transmission attempt is a child span: retransmissions get

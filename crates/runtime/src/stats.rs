@@ -206,7 +206,7 @@ pub(crate) fn record_local_read(
         let h = spans.start_span("rpc.call", node.0, now);
         spans.set_attr(h, "class", row.name.as_str());
         spans.set_attr(h, "method", method);
-        spans.set_attr(h, "protocol", row.protocol.as_str());
+        spans.set_attr(h, "protocol", row.rule.protocol.as_str());
         spans.set_attr(h, "from", node.0);
         spans.set_attr(h, "to", loc.0);
         spans.set_attr(h, how, true);
@@ -291,8 +291,9 @@ pub(crate) fn policy_table(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for row in &shared.rows {
-        let shard = row
-            .shard_spec
+        let rule = &row.rule;
+        let shard = rule
+            .shard
             .as_ref()
             .map(|s| format!("{} mod {}", s.key_getter, s.modulo))
             .unwrap_or_else(|| "-".into());
@@ -300,13 +301,13 @@ pub(crate) fn policy_table(shared: &Shared) -> String {
             out,
             "{}: protocol={} statics=node{} cacheable={} replicas={} batched={} shard={} replica_reads={}",
             row.name,
-            row.protocol,
-            row.statics_node.0,
-            row.cacheable,
-            row.replicas,
-            row.batched,
+            rule.protocol,
+            rule.statics.0,
+            rule.cache,
+            rule.replicas,
+            rule.batch,
             shard,
-            row.reads_from_replicas
+            rule.replica_reads
         );
     }
     out

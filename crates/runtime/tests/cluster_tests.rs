@@ -5,7 +5,7 @@
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{sample, ClassKind, ClassUniverse, Field, Ty};
 use rafda_net::NodeId;
-use rafda_policy::{AffinityConfig, LocalPolicy, Placement, StaticPolicy};
+use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
 use rafda_runtime::{Cluster, LocalRuntime};
 use rafda_transform::Transformer;
 use rafda_vm::{ObserverIds, TraceEvent, Value, Vm, VmError};
@@ -398,7 +398,7 @@ fn figure1_universe() -> (ClassUniverse, rafda_transform::TransformPlan) {
 #[test]
 fn figure1_redistribution_scenario() {
     let (u, plan) = figure1_universe();
-    let cluster = Cluster::new(u, plan, 2, 7, Box::new(LocalPolicy::default()));
+    let cluster = Cluster::new(u, plan, 2, 7, Box::new(StaticPolicy::new()));
 
     // Everything starts on node 0: A and B share C.
     let c = cluster.new_instance(N0, "C", 0, vec![]).unwrap();
@@ -453,7 +453,7 @@ fn migration_preserves_reference_identity_semantics() {
     // After migration, node-1 holders of the object and node-0 proxies see
     // the same state.
     let (u, plan) = figure1_universe();
-    let cluster = Cluster::new(u, plan, 2, 7, Box::new(LocalPolicy::default()));
+    let cluster = Cluster::new(u, plan, 2, 7, Box::new(StaticPolicy::new()));
     let c = cluster.new_instance(N0, "C", 0, vec![]).unwrap();
     let ch = c.as_ref_handle().unwrap();
     for _ in 0..3 {

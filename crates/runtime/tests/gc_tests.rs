@@ -6,7 +6,7 @@
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{sample, ClassKind, ClassUniverse, Field, Ty};
 use rafda_net::NodeId;
-use rafda_policy::{LocalPolicy, Placement, StaticPolicy};
+use rafda_policy::{Placement, StaticPolicy};
 use rafda_runtime::Cluster;
 use rafda_transform::Transformer;
 use rafda_vm::{Value, Vm};
@@ -80,7 +80,7 @@ fn counter_cluster() -> Cluster {
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
-    Cluster::new(u, outcome.plan, 2, 5, Box::new(LocalPolicy::default()))
+    Cluster::new(u, outcome.plan, 2, 5, Box::new(StaticPolicy::new()))
 }
 
 #[test]

@@ -267,32 +267,13 @@ fn statics_are_coherent_across_nodes() {
 }
 
 #[test]
-fn without_shared_placement_statics_would_diverge_per_node() {
-    // Control experiment: placing statics at each node's *own* node gives
-    // two independent singletons — exactly the incoherence the paper's
-    // single-owner discover() design avoids.
+fn one_statics_owner_serves_every_calling_node() {
+    // A policy names one statics owner per class, never one per calling
+    // node: the singleton `discover()` finds is the same from every node,
+    // so totals accumulate across nodes.
     let mut u = build_universe();
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
-
-    #[derive(Debug)]
-    struct PerNodeStatics;
-    impl rafda_policy::DistributionPolicy for PerNodeStatics {
-        fn instance_node(&self, _c: &str, n: NodeId) -> NodeId {
-            n
-        }
-        fn statics_node(&self, _c: &str) -> NodeId {
-            // Not meaningful: resolved per calling node in discover(); we
-            // abuse it by returning node 0 here and calling only via node
-            // ids (see below).
-            NodeId(0)
-        }
-        fn protocol(&self, _c: &str) -> String {
-            "RMI".to_owned()
-        }
-    }
-    let cluster = Cluster::new(u, outcome.plan, 2, 9, Box::new(PerNodeStatics));
-    // Owner is node 0 for everyone -> coherent; this is the designed
-    // behaviour, so totals accumulate across nodes.
+    let cluster = Cluster::new(u, outcome.plan, 2, 9, Box::new(StaticPolicy::new()));
     let a = cluster
         .call_static(N0, "Counter", "bump", vec![Value::Int(1)])
         .unwrap();

@@ -6,7 +6,7 @@
 use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda_classmodel::{ClassKind, ClassUniverse, Field, Ty};
 use rafda_net::NodeId;
-use rafda_policy::LocalPolicy;
+use rafda_policy::StaticPolicy;
 use rafda_runtime::Cluster;
 use rafda_transform::Transformer;
 use rafda_vm::Value;
@@ -51,7 +51,7 @@ fn build() -> Cluster {
         cb.finish(&mut u);
     }
     let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
-    Cluster::new(u, outcome.plan, 2, 3, Box::new(LocalPolicy::default()))
+    Cluster::new(u, outcome.plan, 2, 3, Box::new(StaticPolicy::new()))
 }
 
 fn set_next(cluster: &Cluster, node: NodeId, from: &Value, to: Value) {

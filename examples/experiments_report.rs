@@ -11,8 +11,8 @@ use rafda::classmodel::{ClassKind, Field};
 use rafda::corpus::{generate_app, AppSpec, JdkProfile, ObserverHooks};
 use rafda::transform::analyze;
 use rafda::{
-    declare_introspection, AffinityConfig, Application, ClassUniverse, LocalPolicy, NetError,
-    NodeId, Placement, StaticPolicy, Ty, Value, Vm, INTROSPECTION_CLASS,
+    declare_introspection, AffinityConfig, Application, ClassUniverse, NetError, NodeId, Placement,
+    StaticPolicy, Ty, Value, Vm, INTROSPECTION_CLASS,
 };
 
 fn chain_app(spec: &AppSpec) -> Application {
@@ -36,7 +36,7 @@ fn e1() {
     let cluster = app
         .transform(&["RMI"])
         .unwrap()
-        .deploy(2, 42, Box::new(LocalPolicy::default()));
+        .deploy(2, 42, Box::new(StaticPolicy::new()));
     let y = cluster
         .new_instance(NodeId(0), "Y", 0, vec![Value::Int(3)])
         .unwrap();

@@ -8,7 +8,7 @@
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
-use rafda::{Application, LocalPolicy, NodeId, Ty, Value};
+use rafda::{Application, NodeId, StaticPolicy, Ty, Value};
 
 fn build() -> Application {
     let mut app = Application::new();
@@ -69,7 +69,7 @@ fn main() {
     let cluster = build().transform(&["RMI"]).expect("transformable").deploy(
         2,
         1,
-        Box::new(LocalPolicy::default()),
+        Box::new(StaticPolicy::new()),
     );
     let n0 = NodeId(0);
     let n1 = NodeId(1);

@@ -14,9 +14,7 @@ use proptest::prelude::*;
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
 use rafda::corpus::ops::{OpMix, Oracle, SoakOp};
-use rafda::{
-    AffinityConfig, Application, Cluster, LocalPolicy, NodeId, Placement, StaticPolicy, Ty, Value,
-};
+use rafda::{AffinityConfig, Application, Cluster, NodeId, Placement, StaticPolicy, Ty, Value};
 
 const POOL: usize = 4;
 const NODES: u32 = 3;
@@ -300,7 +298,7 @@ proptest! {
         let cluster = counter_app()
             .transform(&["RMI"])
             .unwrap()
-            .deploy(NODES, seed, Box::new(LocalPolicy::default()));
+            .deploy(NODES, seed, Box::new(StaticPolicy::new()));
         let (observed, _, _) = Chaos::new(cluster, POOL, round_robin("Counter")).run(&ops);
         prop_assert_eq!(observed, expected(POOL, &ops), "{:?}", ops);
     }
@@ -320,7 +318,7 @@ proptest! {
             let cluster = counter_app()
                 .transform(&["RMI"])
                 .unwrap()
-                .deploy(NODES, seed, Box::new(rafda::LocalPolicy::default()));
+                .deploy(NODES, seed, Box::new(StaticPolicy::new()));
             // A larger budget than the default keeps the chance of an
             // exhausted retry astronomically small even across many cases.
             cluster.set_retry_policy(rafda::RetryPolicy { max_attempts: 10 });

@@ -8,7 +8,7 @@
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
-use rafda::{Application, LocalPolicy, NodeId, Ty, Value};
+use rafda::{Application, NodeId, StaticPolicy, Ty, Value};
 
 fn figure1_app() -> Application {
     let mut app = Application::new();
@@ -59,7 +59,7 @@ fn shared_instance_becomes_remote_and_back() {
     let cluster = app
         .transform(&["RMI"])
         .unwrap()
-        .deploy(2, 42, Box::new(LocalPolicy::default()));
+        .deploy(2, 42, Box::new(StaticPolicy::new()));
 
     let n0 = NodeId(0);
     let n1 = NodeId(1);
@@ -145,7 +145,7 @@ fn remote_call_latency_is_lan_scale() {
     let cluster = app
         .transform(&["RMI"])
         .unwrap()
-        .deploy(2, 42, Box::new(LocalPolicy::default()));
+        .deploy(2, 42, Box::new(StaticPolicy::new()));
     let c = cluster
         .new_instance(NodeId(0), "C", 0, vec![Value::Int(0)])
         .unwrap();
@@ -166,7 +166,7 @@ fn migrating_a_proxy_is_rejected_with_guidance() {
     let cluster = app
         .transform(&["RMI"])
         .unwrap()
-        .deploy(2, 42, Box::new(LocalPolicy::default()));
+        .deploy(2, 42, Box::new(StaticPolicy::new()));
     let c = cluster
         .new_instance(NodeId(0), "C", 0, vec![Value::Int(0)])
         .unwrap();

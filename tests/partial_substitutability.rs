@@ -6,7 +6,7 @@
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, Field};
-use rafda::{Application, LocalPolicy, NodeId, Transformer, Ty, Value};
+use rafda::{Application, NodeId, StaticPolicy, Transformer, Ty, Value};
 
 fn figure1_app() -> Application {
     let mut app = Application::new();
@@ -77,7 +77,7 @@ fn figure1_works_with_only_c_substitutable() {
                 .substitutable_names(&["C"]),
         )
         .unwrap()
-        .deploy(2, 11, Box::new(LocalPolicy::default()));
+        .deploy(2, 11, Box::new(StaticPolicy::new()));
     let n0 = NodeId(0);
     // A and B are created through the ordinary (non-factory) path — they
     // are not substitutable — but hold interface-typed references to C.

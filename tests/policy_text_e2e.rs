@@ -4,7 +4,7 @@
 //! drives a whole deployment from a policy document alone.
 
 use rafda::classmodel::sample;
-use rafda::{Application, NodeId, StaticPolicy, Value};
+use rafda::{Application, DistributionPolicy, NodeId, StaticPolicy, Value};
 
 const POLICY: &str = "
 # Deployment: compute tier on node 1, data tier on node 2.
@@ -60,6 +60,9 @@ fn deployment_follows_the_policy_document() {
 fn round_tripped_policy_behaves_identically() {
     let policy = StaticPolicy::parse(POLICY).unwrap();
     let reparsed = StaticPolicy::parse(&policy.to_text()).unwrap();
+    for class in ["X", "Y", "Z", "Unlisted"] {
+        assert_eq!(policy.rule(class), reparsed.rule(class), "{class}");
+    }
 
     let deploy = |p: StaticPolicy| {
         let mut app = Application::new();
