@@ -109,7 +109,7 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
             let (from, to) = (NodeId(key.0), NodeId(key.1));
             let row = &shared.rows[pending.row];
             let batch = Request::Batch(pending.ops);
-            let outcome = rpc(shared, from, to, row, &batch);
+            let outcome = rpc(shared, from, to, row, &batch, None);
             let Request::Batch(ops) = batch else {
                 unreachable!("built above");
             };

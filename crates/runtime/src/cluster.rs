@@ -14,12 +14,12 @@ use crate::obs::{Met, Obs};
 pub use crate::placement::MigrationEvent;
 use crate::profile::{Profiler, Section};
 use crate::replicate::charge_marks;
-use crate::rpc::{proxy_call, rpc};
+use crate::rpc::{proxy_call, rpc, ProxyMethod, SpanVocab};
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
 use rafda_policy::{ClassRule, DistributionPolicy};
-use rafda_telemetry::{FastMap, FastSet, SpanLog};
+use rafda_telemetry::{FastMap, FastSet, SpanLog, Symbol};
 use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
 use rafda_vm::{Handle, Trace, Value, Vm, VmError};
@@ -51,6 +51,10 @@ pub(crate) struct ClassRow {
     pub base: ClassId,
     pub name: String,
     pub rule: ClassRule,
+    /// `name` and `rule.protocol` interned in the span log, as every span
+    /// about this family records them.
+    pub name_sym: Symbol,
+    pub protocol_sym: Symbol,
     /// The codec of `rule.protocol` — `None` when the plan generated no
     /// proxies for that protocol or no codec goes by that name; the first
     /// exchange then fails as
@@ -194,6 +198,8 @@ pub(crate) struct Shared {
     /// dispatch, migration and boundary pull, charged to the simulated
     /// clock. Never borrowed across a nested exchange (RPCs re-enter).
     pub spans: RefCell<SpanLog>,
+    /// The keys and fixed labels those spans carry, resolved in `spans`.
+    pub span_vocab: SpanVocab,
     /// Where every object lives and at what version: all location state,
     /// behind transitions. Borrowed for one method call at a time.
     pub directory: RefCell<Directory>,
@@ -332,6 +338,8 @@ impl Cluster {
         families.sort_by_key(|f| &universe.class(f.base).name);
         let mut rows = Vec::with_capacity(families.len());
         let mut gen_info = FastMap::default();
+        let mut spans = SpanLog::new();
+        let span_vocab = SpanVocab::new(&mut spans);
         for (id, family) in families.into_iter().enumerate() {
             let name = String::from(&*universe.class(family.base).name);
             let rule = policy.rule(&name);
@@ -363,6 +371,8 @@ impl Cluster {
                     .flatten()
                     .map(ProtocolKind::codec),
                 proxies,
+                name_sym: spans.intern(&name),
+                protocol_sym: spans.intern(&rule.protocol),
                 rule,
                 name,
             });
@@ -384,7 +394,8 @@ impl Cluster {
             rpc_depth: Cell::new(0),
             retry: Cell::new(RetryPolicy::default()),
             next_msg_id: Cell::new(1),
-            spans: RefCell::new(SpanLog::new()),
+            spans: RefCell::new(spans),
+            span_vocab,
             directory,
             any_sharding,
             last_exchange_span: Cell::new(0),
@@ -557,22 +568,32 @@ impl Cluster {
 
     fn install_proxy_hooks(&self, node: NodeId, proxy: ClassId) {
         let vm = &self.shared.vms[node.0 as usize];
-        // The wire method label `name@sig`, built once per hooked method
-        // instead of once per call.
-        let methods: Vec<(String, SigId)> = self
+        // The wire method label `name@sig` and its span-log symbol, made
+        // once per hooked method instead of once per call.
+        let mut spans = self.shared.spans.borrow_mut();
+        let methods: Vec<ProxyMethod> = self
             .shared
             .universe
             .class(proxy)
             .methods
             .iter()
             .filter(|m| m.is_native)
-            .map(|m| (format!("{}@{}", m.name, m.sig.0), m.sig))
+            .map(|m| {
+                let label = format!("{}@{}", m.name, m.sig.0);
+                let symbol = spans.intern(&label);
+                ProxyMethod {
+                    sig: m.sig,
+                    label,
+                    symbol,
+                }
+            })
             .collect();
-        for (label, sig) in methods {
+        drop(spans);
+        for method in methods {
             let weak = Rc::downgrade(&self.shared);
-            vm.register_native(proxy, sig, move |_vm, args| {
+            vm.register_native(proxy, method.sig, move |_vm, args| {
                 let shared = upgrade(&weak)?;
-                proxy_call(&shared, node, &label, sig, args)
+                proxy_call(&shared, node, &method, args)
             });
         }
     }
@@ -1008,7 +1029,7 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
             ctor: 0,
             args: vec![],
         };
-        let (reply, _) = rpc(shared, node, target, row, &create)?;
+        let (reply, _) = rpc(shared, node, target, row, &create, None)?;
         factory_reply(shared, node, reply, "create")
     }
 }
@@ -1092,7 +1113,7 @@ pub(crate) fn discover_value(
         let discover = Request::Discover {
             class: row.name.clone(),
         };
-        let (reply, _) = rpc(shared, node, owner, row, &discover)?;
+        let (reply, _) = rpc(shared, node, owner, row, &discover, None)?;
         let value = factory_reply(shared, node, reply, "discover")?;
         if let Value::Ref(h) = value {
             remember(h);

@@ -905,7 +905,7 @@ fn an_exchange_to_a_node_outside_the_deployment_is_a_typed_net_failure() {
         args: vec![],
     };
     let shared = cluster.shared();
-    let err = rpc(shared, NodeId(0), NodeId(2), &shared.rows[0], &call).unwrap_err();
+    let err = rpc(shared, NodeId(0), NodeId(2), &shared.rows[0], &call, None).unwrap_err();
     let VmError::Unreachable(failure) = err else {
         panic!("expected a network failure, got {err:?}");
     };
@@ -918,7 +918,15 @@ fn an_exchange_at_the_depth_limit_is_a_typed_depth_fault() {
     let (cluster, _) = deployed(StaticPolicy::new());
     let shared = cluster.shared();
     shared.rpc_depth.set(MAX_RPC_DEPTH);
-    let err = rpc(shared, NodeId(0), NodeId(1), &shared.rows[0], &PROMOTE).unwrap_err();
+    let err = rpc(
+        shared,
+        NodeId(0),
+        NodeId(1),
+        &shared.rows[0],
+        &PROMOTE,
+        None,
+    )
+    .unwrap_err();
     assert_eq!(err, VmError::Rpc(RpcFault::DepthLimit));
     assert_eq!(
         shared.rpc_depth.get(),
@@ -935,8 +943,9 @@ fn a_request_the_codec_cannot_encode_is_a_typed_encode_fault() {
         NodeId(0),
         NodeId(1),
         &NoEncode,
-        "C",
+        &cluster.shared().rows[0],
         &PROMOTE,
+        None,
     )
     .unwrap_err();
     assert!(matches!(err, VmError::Rpc(RpcFault::Encode(why)) if why.contains("too long")));
@@ -1156,8 +1165,8 @@ fn discover_of_a_class_without_statics_is_answered_with_a_fault() {
 /// half's exit wrote.
 fn spans_since(shared: &Shared, before: usize) -> Vec<String> {
     let spans = shared.spans.borrow();
-    let line = |s: &rafda_telemetry::Span| {
-        let attrs: Vec<String> = spans.attrs(s).map(|(k, v)| format!("{k}={v}")).collect();
+    let line = |s: rafda_telemetry::Span| {
+        let attrs: Vec<String> = spans.attrs(&s).map(|(k, v)| format!("{k}={v}")).collect();
         format!(
             "{} #{} ^{} retry_of={:?} {:?} {}..{} [{}]",
             s.name,
@@ -1170,7 +1179,7 @@ fn spans_since(shared: &Shared, before: usize) -> Vec<String> {
             attrs.join(" ")
         )
     };
-    spans.spans()[before..].iter().map(line).collect()
+    spans.spans().skip(before).map(line).collect()
 }
 
 /// `C` placed on node 1 with one instance created from node 0, the next
@@ -1733,19 +1742,15 @@ fn one_queue_per_owner_ships_under_the_first_enqueued_classs_protocol() {
     let stats = cluster.stats();
     assert_eq!((stats.flushes, stats.exchanges() - before), (1, 1));
     let log = cluster.span_log();
-    let batches: Vec<_> = log
-        .spans()
-        .iter()
-        .filter(|s| s.name == "rpc.batch")
-        .collect();
+    let batches: Vec<_> = log.spans().filter(|s| s.name == "rpc.batch").collect();
     assert_eq!(batches.len(), 1);
     assert_eq!(
-        log.attr_str(batches[0], "protocol"),
+        log.attr_str(&batches[0], "protocol"),
         Some("RMI"),
         "CA's, not CB's"
     );
     assert_eq!(
-        log.attr(batches[0], "n_ops").map(|n| n.to_string()),
+        log.attr(&batches[0], "n_ops").map(|n| n.to_string()),
         Some("3".into())
     );
     let get = |obj: &Value| cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);

@@ -90,13 +90,20 @@ pub(crate) fn failover(
     (target, oid): (u32, u64),
 ) -> Option<(u32, u64)> {
     let start = shared.net.now().as_ns();
+    let vocab = &shared.span_vocab;
     let span = {
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.failover", node.0, start);
-        spans.set_attr(h, "class", row.name.as_str());
-        spans.set_attr(h, "protocol", row.rule.protocol.as_str());
-        spans.set_attr(h, "from", node.0);
-        spans.set_attr(h, "old_home", &format!("{target}#{oid}"));
+        let old_home = spans.intern(&format!("{target}#{oid}"));
+        spans.set_attrs(
+            h,
+            &[
+                vocab.class.sym(row.name_sym),
+                vocab.protocol.sym(row.protocol_sym),
+                vocab.from.u64(node.0.into()),
+                vocab.old_home.sym(old_home),
+            ],
+        );
         let prior = shared.last_exchange_span.get();
         if prior != 0 {
             spans.set_retry_of(h, prior);
@@ -109,7 +116,8 @@ pub(crate) fn failover(
         let mut spans = shared.spans.borrow_mut();
         match home {
             Some((nn, noid)) => {
-                spans.set_attr(span, "new_home", &format!("{nn}#{noid}"));
+                let new_home = spans.intern(&format!("{nn}#{noid}"));
+                spans.set_attrs(span, &[vocab.new_home.sym(new_home)]);
                 spans.end_span(span, end, SpanOutcome::Ok);
             }
             None => spans.end_span(span, end, SpanOutcome::NetFailure),
@@ -159,7 +167,7 @@ pub(crate) fn locate_home(
             node: tn,
             object: toid,
         };
-        match rpc(shared, node, NodeId(c), row, &req) {
+        match rpc(shared, node, NodeId(c), row, &req, None) {
             Ok((
                 Reply::Value(WireValue::Remote {
                     node: nn,

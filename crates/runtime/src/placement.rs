@@ -188,7 +188,7 @@ impl Cluster {
             state,
             source: (from.0, source_oid),
         };
-        let (reply, _) = rpc(shared, from, to, row, &install)?;
+        let (reply, _) = rpc(shared, from, to, row, &install, None)?;
         let target = match reply {
             Reply::Value(WireValue::Remote { node, object, .. }) => RemoteRef {
                 node: NodeId(node),

@@ -21,9 +21,8 @@ use crate::directory::Drift;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
-use crate::rpc::rpc;
+use crate::rpc::{rpc, ProxyMethod};
 use crate::stats::{bump, record_local_read};
-use rafda_classmodel::SigId;
 use rafda_net::NodeId;
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
@@ -147,7 +146,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             // next synchronization point.
             enqueue_outcall(shared, owner, NodeId(t), row, req);
         } else {
-            let _ = rpc(shared, owner, NodeId(t), row, &req);
+            let _ = rpc(shared, owner, NodeId(t), row, &req, None);
         }
     };
     let mut targets = replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32);
@@ -254,8 +253,7 @@ pub(crate) fn replica_read(
     shared: &Shared,
     node: NodeId,
     row: &ClassRow,
-    method: &str,
-    sig: SigId,
+    method: &ProxyMethod,
     (owner, oid): (u32, u64),
 ) -> Result<Option<Value>, VmError> {
     if owner == node.0 {
@@ -284,11 +282,12 @@ pub(crate) fn replica_read(
     let vm = &shared.vms[node.0 as usize];
     let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
     let h = vm.alloc_raw(local_class, values);
-    let result = vm.call_virtual(Value::Ref(h), sig, vec![]);
+    let result = vm.call_virtual(Value::Ref(h), method.sig, vec![]);
     vm.with_heap(|heap| heap.free(h));
     let result = result?;
     bump(shared, node.0, Met::ReplicaReads);
     // Under the E14 stale-read oracle like every other locally served read.
-    record_local_read(shared, node, (owner, oid), row, method, "replica_read");
+    let how = shared.span_vocab.replica_read;
+    record_local_read(shared, node, (owner, oid), row, method.symbol, how);
     Ok(Some(result))
 }

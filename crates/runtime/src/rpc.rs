@@ -1,6 +1,7 @@
 //! The client side of an exchange: a proxy method marshals the call,
 //! [`rpc`] encodes it once, transmits (and retransmits) it, and decodes the
-//! reply. Also the span labels every exchange is recorded under.
+//! reply. Also the span names, keys and labels every exchange is recorded
+//! under.
 
 use crate::batch::{enqueue_outcall, flush_outqueues};
 use crate::cluster::{gen_info, getter_sigs, read_proxy_state, version_of, ClassRow, Shared};
@@ -13,26 +14,33 @@ use crate::serve::{deliver, reply_outcome};
 use crate::stats::{bump, maybe_sample, record_local_read};
 use rafda_classmodel::{SigId, Ty};
 use rafda_net::{NetError, NodeId};
-use rafda_telemetry::SpanOutcome;
+use rafda_telemetry::{AttrKey, SpanLog, SpanOutcome, Symbol};
 use rafda_vm::{NetFailure, RpcFault, Value, VmError};
 use rafda_wire::{Protocol, Reply, Request, RequestKind, WireValue};
-use std::borrow::Cow;
 
 /// Maximum nested (re-entrant) RPC depth across the whole cluster — a
 /// distributed call chain deeper than this is almost certainly unbounded
 /// mutual recursion, and each level consumes host stack.
 pub(crate) const MAX_RPC_DEPTH: u32 = 64;
 
+/// A hooked proxy method: its signature and its wire method label
+/// `name@sig`, with the label's symbol in the span log — all made once,
+/// when the hook is installed.
+pub(crate) struct ProxyMethod {
+    pub sig: SigId,
+    pub label: String,
+    pub symbol: Symbol,
+}
+
 /// A proxy method invoked on `node`: marshal, ship, execute remotely,
-/// unmarshal (or re-throw). `method` is the wire method label `name@sig`,
-/// built once when the hook was installed.
+/// unmarshal (or re-throw).
 pub(crate) fn proxy_call(
     shared: &Shared,
     node: NodeId,
-    method: &str,
-    sig: SigId,
+    proxy_method: &ProxyMethod,
     args: &[Value],
 ) -> Result<Value, VmError> {
+    let (method, sig, label) = (&*proxy_method.label, proxy_method.sig, proxy_method.symbol);
     let _s = shared.prof.section(Section::Proxy);
     let vm = &shared.vms[node.0 as usize];
     let recv = args
@@ -69,7 +77,7 @@ pub(crate) fn proxy_call(
     // version before its reply left, so a lagging copy simply fails the
     // check and the read falls through to a normal owner exchange.
     if is_getter && row.rule.replicas > 0 && row.rule.replica_reads {
-        if let Some(v) = replica_read(shared, node, row, method, sig, (target, oid))? {
+        if let Some(v) = replica_read(shared, node, row, proxy_method, (target, oid))? {
             return Ok(v);
         }
     }
@@ -84,7 +92,8 @@ pub(crate) fn proxy_call(
         match cached {
             Some((tag, wv)) if Some(tag) == current => {
                 bump(shared, node.0, Met::CacheHits);
-                record_local_read(shared, node, (target, oid), row, method, "cached");
+                let how = shared.span_vocab.cached;
+                record_local_read(shared, node, (target, oid), row, label, how);
                 let _s = shared.prof.section(Section::Marshal);
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
@@ -139,7 +148,7 @@ pub(crate) fn proxy_call(
     // operations, so the loop cannot cycle.
     let mut hops = 0u32;
     let (reply, obj_version) = loop {
-        let outcome = rpc(shared, node, NodeId(target), row, &req);
+        let outcome = rpc(shared, node, NodeId(target), row, &req, Some(label));
         let rehome = owner_gone(outcome.as_ref().map(|(reply, _)| reply));
         if rehome && hops <= shared.vms.len() as u32 {
             if let Some((nn, noid)) = failover(shared, node, recv, class, row, (target, oid)) {
@@ -193,13 +202,16 @@ pub(crate) fn rethrow(shared: &Shared, node: NodeId, class: &str, fields: &[Wire
 ///
 /// Returns the reply together with the served object's property version as
 /// piggybacked on the reply frame (0 for request kinds that do not address
-/// a versioned export).
+/// a versioned export). `label` is the span log's symbol of the exchange's
+/// method label when the caller holds one (a proxy's call); `None` derives
+/// it from the request.
 pub(crate) fn rpc(
     shared: &Shared,
     from: NodeId,
     to: NodeId,
     row: &ClassRow,
     req: &Request,
+    label: Option<Symbol>,
 ) -> Result<(Reply, u64), VmError> {
     let _s = shared.prof.section(Section::Exchange);
     // Every exchange is a synchronization point: pending batches drain
@@ -233,7 +245,7 @@ pub(crate) fn rpc(
         return Err(VmError::Rpc(RpcFault::DepthLimit));
     }
     shared.rpc_depth.set(shared.rpc_depth.get() + 1);
-    let result = rpc_inner(shared, from, to, codec, &row.name, req);
+    let result = rpc_inner(shared, from, to, codec, row, req, label);
     shared.rpc_depth.set(shared.rpc_depth.get() - 1);
     result
 }
@@ -254,18 +266,72 @@ pub(crate) fn span_names(kind: RequestKind) -> (&'static str, &'static str) {
     }
 }
 
-/// The method label recorded on an exchange span: the wire method string
-/// for calls, a pseudo-method for the runtime-internal request kinds.
-fn req_method_label(req: &Request) -> Cow<'_, str> {
-    Cow::Borrowed(match req {
-        Request::Call { method, .. } => method,
-        Request::Create { ctor, .. } => return Cow::Owned(format!("<create:{ctor}>")),
-        Request::Discover { .. } => "<discover>",
-        Request::Install { .. } => "<install>",
-        Request::ReplicaSync { .. } => "<replica>",
-        Request::Promote { .. } => "<promote>",
-        Request::Batch(..) => "<batch>",
-    })
+/// The attribute keys and fixed method labels of the runtime's spans,
+/// resolved once in the cluster's span log, so recording a span on the
+/// exchange path looks up no key and hashes no string. Class and protocol
+/// names are interned with their [`ClassRow`], a proxy method's label with
+/// its hook ([`ProxyMethod`]).
+pub(crate) struct SpanVocab {
+    pub class: AttrKey,
+    pub method: AttrKey,
+    pub protocol: AttrKey,
+    pub from: AttrKey,
+    pub to: AttrKey,
+    pub n_ops: AttrKey,
+    pub bytes_out: AttrKey,
+    pub attempt: AttrKey,
+    pub attempts: AttrKey,
+    pub caller: AttrKey,
+    pub cached: AttrKey,
+    pub replica_read: AttrKey,
+    pub old_home: AttrKey,
+    pub new_home: AttrKey,
+    discover: Symbol,
+    install: Symbol,
+    replica: Symbol,
+    promote: Symbol,
+    batch: Symbol,
+}
+
+impl SpanVocab {
+    pub(crate) fn new(log: &mut SpanLog) -> Self {
+        SpanVocab {
+            class: log.key("class"),
+            method: log.key("method"),
+            protocol: log.key("protocol"),
+            from: log.key("from"),
+            to: log.key("to"),
+            n_ops: log.key("n_ops"),
+            bytes_out: log.key("bytes_out"),
+            attempt: log.key("attempt"),
+            attempts: log.key("attempts"),
+            caller: log.key("caller"),
+            cached: log.key("cached"),
+            replica_read: log.key("replica_read"),
+            old_home: log.key("old_home"),
+            new_home: log.key("new_home"),
+            discover: log.intern("<discover>"),
+            install: log.intern("<install>"),
+            replica: log.intern("<replica>"),
+            promote: log.intern("<promote>"),
+            batch: log.intern("<batch>"),
+        }
+    }
+
+    /// The method label recorded on an exchange span: the wire method
+    /// string for calls, a pseudo-method for the runtime-internal request
+    /// kinds.
+    fn label(&self, log: &mut SpanLog, req: &Request) -> Symbol {
+        match req {
+            Request::Call { method, .. } => log.intern(method),
+            Request::Create { ctor, .. } => log.intern(&format!("<create:{ctor}>")),
+            Request::Discover { .. } => self.discover,
+            Request::Install { .. } => self.install,
+            Request::ReplicaSync { .. } => self.replica,
+            Request::Promote { .. } => self.promote,
+            Request::Batch(..) => self.batch,
+        }
+    }
 }
 
 pub(crate) fn rpc_inner(
@@ -273,30 +339,38 @@ pub(crate) fn rpc_inner(
     from: NodeId,
     to: NodeId,
     codec: &dyn Protocol,
-    class: &str,
+    row: &ClassRow,
     req: &Request,
+    label: Option<Symbol>,
 ) -> Result<(Reply, u64), VmError> {
     let msg_id = shared.next_msg_id.get();
     shared.next_msg_id.set(msg_id + 1);
     let (exch_name, _) = span_names(RequestKind::of(req));
+    let vocab = &shared.span_vocab;
     // The exchange span covers the whole request/reply exchange, retries
     // included. Its context travels in the frame header — the frame is
     // encoded once and retransmitted verbatim, so the wire cannot carry
     // per-attempt contexts; attempts are recorded as client-local children.
+    // Its attributes are written at its two ends, one borrow each.
     let (exch, ctx) = {
         let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span(exch_name, from.0, shared.net.now().as_ns());
-        spans.set_attr(h, "class", class);
-        spans.set_attr(h, "method", &*req_method_label(req));
-        spans.set_attr(h, "protocol", codec.name());
-        spans.set_attr(h, "from", from.0);
-        spans.set_attr(h, "to", to.0);
+        let method = label.unwrap_or_else(|| vocab.label(&mut spans, req));
+        spans.set_attrs(
+            h,
+            &[
+                vocab.class.sym(row.name_sym),
+                vocab.method.sym(method),
+                vocab.protocol.sym(row.protocol_sym),
+                vocab.from.u64(from.0.into()),
+                vocab.to.u64(to.0.into()),
+            ],
+        );
         if let Request::Batch(ops) = req {
-            spans.set_attr(h, "n_ops", ops.len());
+            spans.set_attrs(h, &[vocab.n_ops.u64(ops.len() as u64)]);
         }
-        let ctx = spans.context_of(h);
-        (h, ctx)
+        (h, spans.context_of(h))
     };
     // Encode once: every retransmission sends the same frame, same id
     // (which also makes re-interning on the decode side idempotent). The
@@ -310,24 +384,20 @@ pub(crate) fn rpc_inner(
         codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
     });
     drop(encode);
-    // The exchange span closes in one place, whichever way the exchange ends.
-    let close = |outcome: SpanOutcome| {
+    // The exchange span closes in one place, whichever way the exchange
+    // ends, with the attributes only its end knows.
+    let close = |outcome: SpanOutcome, tail: &[_]| {
         let mut spans = shared.spans.borrow_mut();
+        spans.set_attrs(exch, tail);
         spans.end_span(exch, shared.net.now().as_ns(), outcome);
         shared.last_exchange_span.set(spans.span_id_of(exch));
     };
     if let Err(e) = encoded {
         shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
-        close(SpanOutcome::Fault);
+        close(SpanOutcome::Fault, &[]);
         return Err(VmError::Rpc(RpcFault::Encode(e.to_string())));
     }
-    {
-        let _s = shared.prof.section(Section::SpanRecord);
-        shared
-            .spans
-            .borrow_mut()
-            .set_attr(exch, "bytes_out", bytes.len());
-    }
+    let bytes_out = vocab.bytes_out.u64(bytes.len() as u64);
     let retry = shared.retry.get();
     let max_attempts = retry.max_attempts.max(1);
     let mut attempt = 0u32;
@@ -348,7 +418,7 @@ pub(crate) fn rpc_inner(
             let _s = shared.prof.section(Section::SpanRecord);
             let mut spans = shared.spans.borrow_mut();
             let h = spans.start_span("rpc.attempt", from.0, attempt_start);
-            spans.set_attr(h, "attempt", attempt);
+            spans.set_attrs(h, &[vocab.attempt.u64(attempt.into())]);
             if let Some(prev) = prev_attempt_span {
                 spans.set_retry_of(h, prev);
             }
@@ -413,13 +483,10 @@ pub(crate) fn rpc_inner(
         }
         obs.record_attempts(from.0, attempt);
     }
-    shared
-        .spans
-        .borrow_mut()
-        .set_attr(exch, "attempts", attempt);
-    close(match &result {
+    let outcome = match &result {
         Ok((reply, _)) => reply_outcome(reply),
         Err(_) => SpanOutcome::NetFailure,
-    });
+    };
+    close(outcome, &[bytes_out, vocab.attempts.u64(attempt.into())]);
     result.map_err(|kind| VmError::Unreachable(NetFailure::new(kind, attempt)))
 }

@@ -92,15 +92,19 @@ fn serve_frame(
 ) -> (Rc<(Reply, u64)>, TraceContext) {
     let msg_id = header.msg_id;
     let (_, serve_name) = span_names(header.kind);
+    let vocab = &shared.span_vocab;
     let (span, reply_ctx) = {
         let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let now = shared.net.now().as_ns();
         let h = spans.start_server_span(serve_name, node.0, now, header.ctx);
-        spans.set_attr(h, "caller", caller.0);
+        spans.set_attrs(h, &[vocab.caller.u64(caller.0.into())]);
         let reply_ctx = spans.context_of(h);
         (h, reply_ctx)
     };
+    // What the serve learns about itself on the way — a dedup hit, a
+    // batch's size — is written when the span closes.
+    let mut tail = None;
     let key = (caller.0, msg_id);
     let cached = {
         let _s = shared.prof.section(Section::HeaderDedup);
@@ -116,8 +120,7 @@ fn serve_frame(
             // the next mutation. Note the request payload was never
             // materialised on this path — the decision used the header alone.
             bump(shared, node.0, Met::DedupHits);
-            let _s = shared.prof.section(Section::SpanRecord);
-            shared.spans.borrow_mut().set_attr(span, "cached", true);
+            tail = Some(vocab.cached.bool(true));
             break 'answer replayed;
         }
         let req = {
@@ -137,8 +140,7 @@ fn serve_frame(
             }
         };
         if let Request::Batch(ops) = &req {
-            let _s = shared.prof.section(Section::SpanRecord);
-            shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
+            tail = Some(vocab.n_ops.u64(ops.len() as u64));
         }
         let answered = Rc::new(handle_request(shared, node, caller, req));
         // The at-most-once check hears of every frame that ran; a replay
@@ -154,10 +156,9 @@ fn serve_frame(
         answered
     };
     let _s = shared.prof.section(Section::SpanRecord);
-    shared
-        .spans
-        .borrow_mut()
-        .end_span(span, shared.net.now().as_ns(), reply_outcome(&answer.0));
+    let mut spans = shared.spans.borrow_mut();
+    spans.set_attrs(span, tail.as_slice());
+    spans.end_span(span, shared.net.now().as_ns(), reply_outcome(&answer.0));
     (answer, reply_ctx)
 }
 

@@ -6,7 +6,7 @@ use crate::cluster::{ClassRow, Cluster, Shared};
 use crate::obs::{Met, RuntimeStats};
 use crate::profile::Section;
 use rafda_net::NodeId;
-use rafda_telemetry::SpanOutcome;
+use rafda_telemetry::{AttrKey, SpanOutcome, Symbol};
 use std::fmt;
 
 impl RuntimeStats {
@@ -186,30 +186,36 @@ pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
 }
 
 /// Record that `node` served a read of the object at `loc` without asking
-/// its owner. A zero-duration `rpc.call` span tagged `how` keeps the read
-/// visible in traces, and the watchdog hears of it: the hit is a stale read
-/// when a recorded move re-homed the authoritative object. A merely
-/// *missing* export (restart amnesia) is legitimate: the version survived,
-/// the state did not move.
+/// its owner, through the proxy method labelled `method`. A zero-duration
+/// `rpc.call` span tagged `how` keeps the read visible in traces, and the
+/// watchdog hears of it: the hit is a stale read when a recorded move
+/// re-homed the authoritative object. A merely *missing* export (restart
+/// amnesia) is legitimate: the version survived, the state did not move.
 pub(crate) fn record_local_read(
     shared: &Shared,
     node: NodeId,
     loc: (u32, u64),
     row: &ClassRow,
-    method: &str,
-    how: &'static str,
+    method: Symbol,
+    how: AttrKey,
 ) {
     let now = shared.net.now().as_ns();
+    let vocab = &shared.span_vocab;
     let ctx = {
         let _s = shared.prof.section(Section::SpanRecord);
         let mut spans = shared.spans.borrow_mut();
         let h = spans.start_span("rpc.call", node.0, now);
-        spans.set_attr(h, "class", row.name.as_str());
-        spans.set_attr(h, "method", method);
-        spans.set_attr(h, "protocol", row.rule.protocol.as_str());
-        spans.set_attr(h, "from", node.0);
-        spans.set_attr(h, "to", loc.0);
-        spans.set_attr(h, how, true);
+        spans.set_attrs(
+            h,
+            &[
+                vocab.class.sym(row.name_sym),
+                vocab.method.sym(method),
+                vocab.protocol.sym(row.protocol_sym),
+                vocab.from.u64(node.0.into()),
+                vocab.to.u64(loc.0.into()),
+                how.bool(true),
+            ],
+        );
         spans.end_span(h, now, SpanOutcome::Ok);
         spans.context_of(h)
     };

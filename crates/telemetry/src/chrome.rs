@@ -75,7 +75,7 @@ impl SpanLog {
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
         let mut first = true;
-        let nodes: BTreeSet<u32> = self.spans().iter().map(|s| s.node).collect();
+        let nodes: BTreeSet<u32> = self.spans().map(|s| s.node).collect();
         for node in nodes {
             if !first {
                 out.push(',');
@@ -91,7 +91,7 @@ impl SpanLog {
                 out.push(',');
             }
             first = false;
-            span_event(&mut out, self, span);
+            span_event(&mut out, self, &span);
         }
         out.push_str("]}\n");
         out

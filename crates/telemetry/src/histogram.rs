@@ -116,9 +116,9 @@ impl SpanLog {
                 continue;
             }
             let (class, method, protocol) = match (
-                self.attr_str(span, "class"),
-                self.attr_str(span, "method"),
-                self.attr_str(span, "protocol"),
+                self.attr_str(&span, "class"),
+                self.attr_str(&span, "method"),
+                self.attr_str(&span, "protocol"),
             ) {
                 (Some(c), Some(m), Some(p)) => (c, m, p),
                 _ => continue,

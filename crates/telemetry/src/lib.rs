@@ -44,7 +44,10 @@ pub use hash::{FastMap, FastSet};
 pub use histogram::{LatencyHistogram, MethodKey, BUCKET_BOUNDS_NS};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use monitor::{SpanTreeMonitor, Violation};
-pub use span::{AttrValue, LinkSummary, Span, SpanHandle, SpanLog, SpanOutcome};
+pub use span::{
+    AttrKey, AttrValue, LinkSummary, ResolvedAttr, Span, SpanHandle, SpanLog, SpanOutcome, Spans,
+    Symbol,
+};
 pub use timeseries::{SeriesId, TimeSeriesRecorder};
 
 use std::fmt;

@@ -65,17 +65,9 @@ impl SpanTreeMonitor {
                 trace_id: span.trace_id,
             });
         };
-        // A span can only descend from, or retry, one recorded before it.
-        let earlier = |id: u64| log.by_id(id).filter(|s| s.span_id < span.span_id);
-        if !log
-            .by_id(span.span_id)
-            .is_some_and(|slot| std::ptr::eq(slot, span))
-        {
-            fail(format!(
-                "span {} is not in the slot its id names",
-                span.name
-            ));
-        }
+        // A span can only descend from, or retry, one recorded before it —
+        // and every id below its own is one.
+        let earlier = |id: u64| (1..span.span_id).contains(&id);
         if span.outcome == SpanOutcome::Open {
             fail(format!("span {} left open at quiescent point", span.name));
         }
@@ -83,26 +75,29 @@ impl SpanTreeMonitor {
             fail(format!("span {} ends before it starts", span.name));
         }
         if span.parent_span_id != 0 {
-            match earlier(span.parent_span_id).filter(|p| p.trace_id == span.trace_id) {
+            let parent = log
+                .trace_and_start(span.parent_span_id)
+                .filter(|&(trace_id, _)| earlier(span.parent_span_id) && trace_id == span.trace_id);
+            match parent {
                 None => fail(format!(
                     "span {} has parent {:x} missing from its trace",
                     span.name, span.parent_span_id
                 )),
-                Some(parent) => {
-                    if span.start_ns < parent.start_ns {
-                        fail(format!(
-                            "span {} starts before its parent {}",
-                            span.name, parent.name
-                        ));
-                    }
+                Some((_, start_ns)) if span.start_ns < start_ns => {
+                    let parent = log.by_id(span.parent_span_id).expect("checked above");
+                    fail(format!(
+                        "span {} starts before its parent {}",
+                        span.name, parent.name
+                    ));
                 }
+                Some(_) => {}
             }
         }
         if let Some(prior) = span.retry_of() {
             // Resolved log-wide, not per trace: a failover span chains to
             // the failed exchange, which legitimately lives in the trace
             // that died with the crashed owner.
-            if earlier(prior).is_none() {
+            if !earlier(prior) {
                 fail(format!(
                     "span {} retries {:x}, which is missing from the log",
                     span.name, prior
@@ -125,8 +120,9 @@ impl SpanTreeMonitor {
         }
         self.violations.truncate(self.settled_violations);
         let mut settling = true;
-        for span in &spans[self.watermark..] {
-            Self::check_span(log, span, &mut self.violations);
+        // `skip` jumps straight to the watermark's slot.
+        for span in spans.skip(self.watermark) {
+            Self::check_span(log, &span, &mut self.violations);
             settling &= span.outcome != SpanOutcome::Open;
             if settling {
                 self.watermark += 1;
@@ -160,7 +156,7 @@ mod tests {
         let mut violations = Vec::new();
         let mut ids: BTreeMap<(u64, u64), usize> = BTreeMap::new();
         let mut span_ids: BTreeSet<u64> = BTreeSet::new();
-        for (idx, span) in log.spans().iter().enumerate() {
+        for (idx, span) in log.spans().enumerate() {
             span_ids.insert(span.span_id);
             if let std::collections::btree_map::Entry::Vacant(e) =
                 ids.entry((span.trace_id, span.span_id))
@@ -193,7 +189,7 @@ mod tests {
             if span.parent_span_id != 0 {
                 match ids
                     .get(&(span.trace_id, span.parent_span_id))
-                    .map(|&i| &log.spans()[i])
+                    .and_then(|&i| log.spans().nth(i))
                 {
                     None => fail(format!(
                         "span {} has parent {:x} missing from its trace",
@@ -404,7 +400,8 @@ mod tests {
                         match retry {
                             // Strictly earlier spans only: see `full_scan_violations`.
                             Some(Target::Recorded(pick)) if recorded > 0 => {
-                                log.set_retry_of(h, log.spans()[pick % recorded].span_id);
+                                let target = log.spans().nth(pick % recorded).unwrap();
+                                log.set_retry_of(h, target.span_id);
                             }
                             Some(Target::Dangling(id)) => log.set_retry_of(h, id),
                             _ => {}
@@ -412,7 +409,7 @@ mod tests {
                         open.push(h);
                     }
                     Step::Serve { ctx, skew } => {
-                        let of = |pick: usize| log.spans()[pick % recorded].context();
+                        let of = |pick: usize| log.spans().nth(pick % recorded).unwrap().context();
                         let ctx = match ctx {
                             Ctx::Of(pick) if recorded > 0 => of(pick),
                             Ctx::CrossTrace(pick) if recorded > 0 => TraceContext {

@@ -6,6 +6,8 @@
 //! runs with the same seed — it is safe to snapshot in golden tests.
 
 use crate::span::SpanLog;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 
 impl SpanLog {
@@ -20,14 +22,26 @@ impl SpanLog {
             "  {:<12} {:>10} {:>5}  {:<8} detail",
             "name", "dur", "node", "trace"
         );
-        let mut slowest: Vec<&crate::Span> = self.spans().iter().collect();
-        slowest.sort_by_key(|s| (std::cmp::Reverse(s.duration_ns()), s.start_ns, s.span_id));
-        for span in slowest.iter().take(top) {
+        // The `top` smallest keys in one pass, kept in a max-heap whose root
+        // is the first to give way: the log is neither copied nor sorted.
+        let mut slowest = BinaryHeap::new();
+        for span in self.spans() {
+            let key = (Reverse(span.duration_ns()), span.start_ns, span.span_id);
+            if slowest.len() < top {
+                slowest.push(key);
+            } else if let Some(mut last) = slowest.peek_mut() {
+                if key < *last {
+                    *last = key;
+                }
+            }
+        }
+        for (_, _, span_id) in slowest.into_sorted_vec() {
+            let span = self.by_id(span_id).expect("a ranked span is in the log");
             let mut detail = String::new();
             for key in ["class", "method", "protocol", "outcome"] {
                 let text = match key {
                     "outcome" => Some(span.outcome.label().to_string()),
-                    _ => self.attr_str(span, key).map(str::to_string),
+                    _ => self.attr_str(&span, key).map(str::to_string),
                 };
                 if let Some(text) = text {
                     if !detail.is_empty() {
@@ -134,6 +148,35 @@ mod tests {
         let link = a.lines().find(|l| l.starts_with("  0->1")).unwrap();
         let cols: Vec<&str> = link.split_whitespace().collect();
         assert_eq!(cols, ["0->1", "2", "6000", "8000", "8000"]);
+    }
+
+    #[test]
+    fn slowest_rows_are_the_head_of_a_full_sort() {
+        // Durations and starts tie often, so the order comes down to the id.
+        let mut log = SpanLog::new();
+        for i in 0..60u64 {
+            let s = log.start_span("rpc.call", (i % 3) as u32, i % 4);
+            log.end_span(s, i % 4 + (i % 5) * 10, SpanOutcome::Ok);
+        }
+        let mut sorted: Vec<crate::Span> = log.spans().collect();
+        sorted.sort_by_key(|s| (Reverse(s.duration_ns()), s.start_ns, s.span_id));
+        for top in [0, 1, 7, 59, 60, 100] {
+            let report = log.report(top);
+            let rows: Vec<&str> = report
+                .lines()
+                .skip(2)
+                .take_while(|l| !l.starts_with("hottest"))
+                .collect();
+            let expected: Vec<String> = sorted
+                .iter()
+                .take(top)
+                .map(|s| {
+                    let (name, dur, node, trace) = (s.name, s.duration_ns(), s.node, s.trace_id);
+                    format!("  {name:<12} {dur:>10} {node:>5}  {trace:<8x} ok")
+                })
+                .collect();
+            assert_eq!(rows, expected, "top {top}");
+        }
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! Spans charged to the simulated clock, collected in a [`SpanLog`].
 //!
-//! The log is columnar. A [`Span`] is a fixed-size `Copy` record in an
-//! append-only vector; span ids are handed out 1, 2, 3, … in push order, so
-//! the vector is its own id index ([`SpanLog::by_id`]). Attributes live in
-//! one log-wide arena of 16-byte entries — a key id into a small key table,
-//! a tag and a `u64` payload — and a string value is interned once per log
-//! and stored as its symbol, so the log owns them and reads go through it
-//! ([`SpanLog::attrs`], [`SpanLog::attr`], [`SpanLog::attr_str`]).
+//! The log is columnar. Each span is a fixed-size 48-byte record appended
+//! to blocks that never move; span ids are handed out 1, 2, 3, … in push
+//! order, so a span's id is its slot plus one and is not stored, and the
+//! blocks are their own id index ([`SpanLog::by_id`]). A span's name is a `u16` into the
+//! log's table of names, and the rare retry link lives in a side table
+//! keyed by slot, flagged in the record so an ordinary span pays no lookup.
+//! A [`Span`] is the view of one record, built by value on read
+//! ([`SpanLog::spans`]).
+//!
+//! Attributes live in one log-wide arena of 16-byte entries — a key id into
+//! a small key table, a tag and a `u64` payload — and a string value is
+//! interned once per log and stored as its symbol, so the log owns them and
+//! reads go through it ([`SpanLog::attrs`], [`SpanLog::attr`],
+//! [`SpanLog::attr_str`]). A recorder that writes the same keys and strings
+//! on every span resolves them once ([`SpanLog::key`], [`SpanLog::intern`])
+//! and hands the log finished entries ([`SpanLog::set_attrs`]).
 //!
 //! A closed span never changes again. An *open* span therefore stages its
 //! attributes in a scratch vector on the open stack, and
@@ -30,7 +39,9 @@ use crate::{FastMap, TraceContext};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
+use std::iter::FusedIterator;
 use std::mem::size_of;
+use std::ops::{Index, IndexMut, Range};
 
 /// A typed span attribute value. Strings are borrowed: from the caller on
 /// the way in, from the log's interner on the way out.
@@ -119,8 +130,9 @@ impl SpanOutcome {
 }
 
 /// One recorded operation: an interval on the simulated clock plus its
-/// position in the causal tree. Its typed attributes are read through the
-/// log that recorded it ([`SpanLog::attrs`]).
+/// position in the causal tree. A view of the log's record, built by value
+/// on read; its typed attributes are read through the log that recorded it
+/// ([`SpanLog::attrs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to.
@@ -168,9 +180,132 @@ impl Span {
     }
 }
 
+/// A span as the log stores it. The id is the slot plus one, the name an
+/// index into the log's names, and the retry link — set only on the spans
+/// that follow a dropped transmission — a side-table entry `retried` says
+/// to look for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    trace_id: u64,
+    parent_span_id: u64,
+    start_ns: u64,
+    end_ns: u64,
+    node: u32,
+    attrs_start: u32,
+    attrs_len: u16,
+    name: u16,
+    outcome: SpanOutcome,
+    retried: bool,
+}
+
+impl Record {
+    fn context(&self, slot: usize) -> TraceContext {
+        TraceContext {
+            trace_id: self.trace_id,
+            span_id: slot as u64 + 1,
+            parent_span_id: self.parent_span_id,
+        }
+    }
+}
+
+/// Records per block: 4,096 × 48 bytes, 192 KiB.
+const BLOCK: usize = 4096;
+
+/// The span records in fixed-size blocks: the log grows a block at a time
+/// and never moves a record. A `Vec` doubling past a few hundred thousand
+/// spans holds the old and the new buffer for a moment, and whether the
+/// allocator moves it in place or copies it changes a traced run's peak
+/// RSS by the old buffer's size from one process to the next.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Records {
+    blocks: Vec<Vec<Record>>,
+    len: usize,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, record: Record) {
+        if self.len.is_multiple_of(BLOCK) {
+            self.blocks.push(Vec::with_capacity(BLOCK));
+        }
+        let block = self.blocks.last_mut().expect("a block with room");
+        block.push(record);
+        self.len += 1;
+    }
+
+    fn get(&self, slot: usize) -> Option<&Record> {
+        (slot < self.len).then(|| &self[slot])
+    }
+
+    /// The records from `slot` on, in order.
+    fn iter_from(&self, slot: usize) -> impl Iterator<Item = &Record> {
+        let (block, offset) = (slot / BLOCK, slot % BLOCK);
+        let first = self.blocks.get(block).and_then(|b| b.get(offset..));
+        let rest = self.blocks.iter().skip(block + 1).flatten();
+        first.unwrap_or_default().iter().chain(rest)
+    }
+}
+
+impl Index<usize> for Records {
+    type Output = Record;
+
+    fn index(&self, slot: usize) -> &Record {
+        &self.blocks[slot / BLOCK][slot % BLOCK]
+    }
+}
+
+impl IndexMut<usize> for Records {
+    fn index_mut(&mut self, slot: usize) -> &mut Record {
+        &mut self.blocks[slot / BLOCK][slot % BLOCK]
+    }
+}
+
 /// Opaque handle to an open span (an index into the log).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanHandle(pub(crate) usize);
+
+/// An attribute key resolved by one log ([`SpanLog::key`]). Valid only in
+/// the log that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttrKey(u16);
+
+/// A string interned by one log ([`SpanLog::intern`]). Valid only in the
+/// log that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Symbol(u32);
+
+/// An attribute with its key resolved and its string value interned, as
+/// [`SpanLog::set_attrs`] stores it: built from an [`AttrKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolvedAttr(Attr);
+
+impl AttrKey {
+    fn with(self, tag: Tag, payload: u64) -> ResolvedAttr {
+        ResolvedAttr(Attr {
+            payload,
+            key: self.0,
+            tag,
+        })
+    }
+
+    /// This key with an interned string value.
+    pub fn sym(self, value: Symbol) -> ResolvedAttr {
+        self.with(Tag::Str, u64::from(value.0))
+    }
+
+    /// This key with an unsigned value.
+    pub fn u64(self, value: u64) -> ResolvedAttr {
+        self.with(Tag::U64, value)
+    }
+
+    /// This key with a boolean value.
+    pub fn bool(self, value: bool) -> ResolvedAttr {
+        self.with(Tag::Bool, u64::from(value))
+    }
+}
 
 /// Per-link latency summary (nearest-rank percentiles over simulated ns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,50 +341,103 @@ struct Attr {
     tag: Tag,
 }
 
+/// `&'static str` literals (span names, attribute keys) numbered in
+/// first-seen order. A literal is found by its address; the text is only
+/// compared for an address not seen before, so a literal duplicated across
+/// codegen units costs one more alias, not a text compare per use.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Literals {
+    texts: Vec<&'static str>,
+    /// Every address seen, with the id of its text.
+    seen: Vec<(&'static str, u16)>,
+}
+
+impl Literals {
+    fn id(&mut self, s: &'static str) -> u16 {
+        if let Some(&(_, id)) = self.seen.iter().find(|(a, _)| std::ptr::eq(*a, s)) {
+            return id;
+        }
+        let id = match self.texts.iter().position(|t| *t == s) {
+            Some(id) => id,
+            None => {
+                self.texts.push(s);
+                self.texts.len() - 1
+            }
+        };
+        let id = u16::try_from(id).expect("fewer than 2^16 distinct literals");
+        self.seen.push((s, id));
+        id
+    }
+
+    fn text(&self, id: u16) -> &'static str {
+        self.texts[usize::from(id)]
+    }
+
+    fn retained_bytes(&self) -> usize {
+        self.texts.len() * size_of::<&str>() + self.seen.len() * size_of::<(&str, u16)>()
+    }
+}
+
 /// Every distinct string value the log has seen, once. The vocabulary is
 /// class names, method signatures and protocol names — bounded by the
 /// program — plus one label per failover.
+///
+/// The strings' one copy is `text`; the lookup table holds only hashes. A
+/// hash names the newest symbol that has it, and `shadowed` chains each
+/// symbol to the older one with the same hash, so a collision costs a
+/// longer walk, never a wrong symbol.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Interner {
-    symbols: Vec<Box<str>>,
-    ids: FastMap<Box<str>, u32>,
+    text: String,
+    /// Each symbol's `(start, len)` in `text`.
+    symbols: Vec<(u32, u32)>,
+    ids: FastMap<u64, u32>,
+    shadowed: Vec<u32>,
 }
 
 impl Interner {
-    /// The symbol of `s`. `guess` is looked at before `s` is hashed.
-    fn intern(&mut self, s: &str, guess: u32) -> u32 {
-        if self.symbols.get(guess as usize).is_some_and(|g| **g == *s) {
-            return guess;
+    const NONE: u32 = u32::MAX;
+
+    /// Whether `id` is the symbol of `s`.
+    fn is(&self, id: u32, s: &str) -> bool {
+        (id as usize) < self.symbols.len() && self.resolve(id) == s
+    }
+
+    fn intern(&mut self, s: &str) -> u32 {
+        let hash = self.ids.hasher().hash_one(s);
+        let newest = self.ids.get(&hash).copied().unwrap_or(Self::NONE);
+        let mut id = newest;
+        while id != Self::NONE {
+            if self.resolve(id) == s {
+                return id;
+            }
+            id = self.shadowed[id as usize];
         }
-        if let Some(&id) = self.ids.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.symbols.len()).expect("fewer than 2^32 distinct strings");
-        self.symbols.push(s.into());
-        self.ids.insert(s.into(), id);
+        let id = u32::try_from(self.symbols.len())
+            .ok()
+            .filter(|&id| id != Self::NONE)
+            .expect("fewer than 2^32 - 1 distinct strings");
+        let start = u32::try_from(self.text.len()).expect("under 4 GiB of distinct strings");
+        self.text.push_str(s);
+        self.symbols.push((start, s.len() as u32));
+        self.shadowed.push(newest);
+        self.ids.insert(hash, id);
         id
     }
 
     fn resolve(&self, id: u32) -> &str {
-        &self.symbols[id as usize]
+        let (start, len) = self.symbols[id as usize];
+        &self.text[start as usize..][..len as usize]
     }
 
-    /// Each string is held twice: as a symbol and as its table key.
+    /// Each string once, plus its place, its chain link and its hash's
+    /// table entry.
     fn retained_bytes(&self) -> usize {
-        let text: usize = self.symbols.iter().map(|s| s.len()).sum();
-        2 * text
-            + self.symbols.len() * size_of::<Box<str>>()
-            + self.ids.len() * size_of::<(Box<str>, u32)>()
+        self.text.len()
+            + self.symbols.len() * size_of::<(u32, u32)>()
+            + self.shadowed.len() * size_of::<u32>()
+            + self.ids.len() * size_of::<(u64, u32)>()
     }
-}
-
-/// An attribute key, and the symbol of the string it was last given: from one
-/// span to the next a key mostly repeats its value (the same class, the same
-/// protocol), which makes it the interner's guess.
-#[derive(Debug, Clone, PartialEq)]
-struct Key {
-    name: &'static str,
-    last_symbol: u32,
 }
 
 /// An entry of the open stack: the span's slot and the attributes it has
@@ -266,20 +454,27 @@ struct OpenSpan {
 /// the simulated clock.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanLog {
-    spans: Vec<Span>,
+    records: Records,
+    names: Literals,
+    /// The retry links of the records flagged `retried`, as two columns:
+    /// their slots, ascending, and the span id each retries.
+    retry_slots: Vec<u32>,
+    retry_targets: Vec<u64>,
     /// The attribute arena: each distinct closed attribute list once,
     /// contiguous, in the order the lists first closed.
     attrs: Vec<Attr>,
     /// A list's hash → the arena start of the run last stored under it.
     runs: FastMap<u64, u32>,
-    /// Attribute keys by id. A dozen literals, so lookup is a scan.
-    keys: Vec<Key>,
+    keys: Literals,
+    /// Per key id, the symbol of the string it was last given: from one
+    /// span to the next a key mostly repeats its value (the same class, the
+    /// same protocol), so that is checked before the string is hashed.
+    last_symbol: Vec<u32>,
     strings: Interner,
     open: Vec<OpenSpan>,
     /// Emptied staging vectors waiting for the next span to open.
     scratch: Vec<Vec<Attr>>,
     next_trace_id: u64,
-    next_span_id: u64,
 }
 
 impl SpanLog {
@@ -293,8 +488,8 @@ impl SpanLog {
         self.next_trace_id
     }
 
-    /// Record a span and open it. `by_id` reads slot `id - first id`, which
-    /// holds because the id is taken here, in push order.
+    /// Record a span and open it. Its id is its slot plus one: `by_id`
+    /// relies on ids being taken here, in push order.
     fn push(
         &mut self,
         trace_id: u64,
@@ -303,20 +498,19 @@ impl SpanLog {
         node: u32,
         now_ns: u64,
     ) -> SpanHandle {
-        self.next_span_id += 1;
-        let slot = self.spans.len();
-        self.spans.push(Span {
+        let slot = self.records.len();
+        let name = self.names.id(name);
+        self.records.push(Record {
             trace_id,
-            span_id: self.next_span_id,
             parent_span_id,
-            name,
             start_ns: now_ns,
             end_ns: now_ns,
-            retry_of: 0,
             node,
             attrs_start: 0,
             attrs_len: 0,
+            name,
             outcome: SpanOutcome::Open,
+            retried: false,
         });
         let staged = self.scratch.pop().unwrap_or_default();
         self.open.push(OpenSpan { slot, staged });
@@ -327,7 +521,7 @@ impl SpanLog {
     /// a fresh trace if none is open).
     pub fn start_span(&mut self, name: &'static str, node: u32, now_ns: u64) -> SpanHandle {
         let (trace_id, parent_span_id) = match self.open.last() {
-            Some(top) => (self.spans[top.slot].trace_id, self.spans[top.slot].span_id),
+            Some(top) => (self.records[top.slot].trace_id, top.slot as u64 + 1),
             None => (self.fresh_trace_id(), 0),
         };
         self.push(trace_id, parent_span_id, name, node, now_ns)
@@ -364,6 +558,20 @@ impl SpanLog {
         pos
     }
 
+    /// The id of attribute key `name` in this log, for [`SpanLog::set_attrs`].
+    pub fn key(&mut self, name: &'static str) -> AttrKey {
+        let id = self.keys.id(name);
+        if usize::from(id) == self.last_symbol.len() {
+            self.last_symbol.push(0);
+        }
+        AttrKey(id)
+    }
+
+    /// The symbol of string `s` in this log, for [`AttrKey::sym`].
+    pub fn intern(&mut self, s: &str) -> Symbol {
+        Symbol(self.strings.intern(s))
+    }
+
     /// Append a typed attribute to an open span.
     pub fn set_attr<'a>(
         &mut self,
@@ -378,44 +586,64 @@ impl SpanLog {
         let Some(pos) = self.open_pos(h, "given an attribute after its close") else {
             return;
         };
-        // A key is a literal, so its pointer mostly finds it; the text
-        // compare is for the same literal at another address.
-        let by_ptr = self.keys.iter().position(|k| std::ptr::eq(k.name, key));
-        let key = match by_ptr.or_else(|| self.keys.iter().position(|k| k.name == key)) {
-            Some(id) => id,
-            None => {
-                self.keys.push(Key {
-                    name: key,
-                    last_symbol: 0,
-                });
-                self.keys.len() - 1
-            }
-        };
-        let (tag, payload) = match value {
+        let key = self.key(key);
+        let attr = match value {
             AttrValue::Str(s) => {
-                let last = &mut self.keys[key].last_symbol;
-                *last = self.strings.intern(s, *last);
-                (Tag::Str, u64::from(*last))
+                let last = self.last_symbol[usize::from(key.0)];
+                let symbol = if self.strings.is(last, s) {
+                    last
+                } else {
+                    self.strings.intern(s)
+                };
+                self.last_symbol[usize::from(key.0)] = symbol;
+                key.sym(Symbol(symbol))
             }
-            AttrValue::U64(v) => (Tag::U64, v),
-            AttrValue::I64(v) => (Tag::I64, v.cast_unsigned()),
-            AttrValue::Bool(v) => (Tag::Bool, u64::from(v)),
+            AttrValue::U64(v) => key.u64(v),
+            AttrValue::I64(v) => key.with(Tag::I64, v.cast_unsigned()),
+            AttrValue::Bool(v) => key.bool(v),
         };
-        self.open[pos].staged.push(Attr {
-            payload,
-            key: u16::try_from(key).expect("attribute keys are a small set of literals"),
-            tag,
-        });
+        self.open[pos].staged.push(attr.0);
     }
 
-    /// Flag a retransmission attempt with the span id it retries.
+    /// Append attributes whose keys and strings this log has already
+    /// resolved to an open span: no key is looked up and no string hashed.
+    pub fn set_attrs(&mut self, h: SpanHandle, attrs: &[ResolvedAttr]) {
+        let Some(pos) = self.open_pos(h, "given an attribute after its close") else {
+            return;
+        };
+        debug_assert!(
+            attrs
+                .iter()
+                .all(|a| usize::from(a.0.key) < self.keys.texts.len()
+                    && (a.0.tag != Tag::Str || a.0.payload < self.strings.symbols.len() as u64)),
+            "attribute resolved by another log"
+        );
+        self.open[pos].staged.extend(attrs.iter().map(|a| a.0));
+    }
+
+    /// Flag a retransmission attempt with the span id it retries (0 for
+    /// none).
     pub fn set_retry_of(&mut self, h: SpanHandle, prior_attempt: u64) {
         if self
             .open_pos(h, "given a retry link after its close")
-            .is_some()
+            .is_none()
         {
-            self.spans[h.0].retry_of = prior_attempt;
+            return;
         }
+        let slot = u32::try_from(h.0).expect("fewer than 2^32 spans in one log");
+        match self.retry_slots.binary_search(&slot) {
+            Ok(i) if prior_attempt == 0 => {
+                self.retry_slots.remove(i);
+                self.retry_targets.remove(i);
+            }
+            Ok(i) => self.retry_targets[i] = prior_attempt,
+            Err(i) if prior_attempt != 0 => {
+                self.retry_slots.insert(i, slot);
+                self.retry_targets.insert(i, prior_attempt);
+            }
+            Err(_) => {}
+        }
+        self.records[h.0].retried = prior_attempt != 0;
     }
 
     /// Close a span: stamp the end time and outcome and point it at an
@@ -427,11 +655,11 @@ impl SpanLog {
         };
         let mut staged = self.open.remove(pos).staged;
         let start = self.run_of(&staged);
-        let span = &mut self.spans[h.0];
-        span.end_ns = now_ns;
-        span.outcome = outcome;
-        span.attrs_start = start;
-        span.attrs_len =
+        let record = &mut self.records[h.0];
+        record.end_ns = now_ns;
+        record.outcome = outcome;
+        record.attrs_start = start;
+        record.attrs_len =
             u16::try_from(staged.len()).expect("fewer than 2^16 attributes on one span");
         staged.clear();
         self.scratch.push(staged);
@@ -465,12 +693,41 @@ impl SpanLog {
     }
 
     /// The bytes the log holds, by length rather than capacity: span
-    /// records, attribute arena, run table and string interner.
+    /// records, retry links, attribute arena, run table, name and key
+    /// tables and string interner.
     pub fn retained_bytes(&self) -> usize {
-        self.spans.len() * size_of::<Span>()
+        self.records.len() * size_of::<Record>()
+            + self.retry_slots.len() * (size_of::<u32>() + size_of::<u64>())
             + self.attrs.len() * size_of::<Attr>()
             + self.runs.len() * size_of::<(u64, u32)>()
+            + self.names.retained_bytes()
+            + self.keys.retained_bytes()
+            + self.last_symbol.len() * size_of::<u32>()
             + self.strings.retained_bytes()
+    }
+
+    /// The view of the record in `slot`.
+    fn view(&self, slot: usize) -> Span {
+        let r = &self.records[slot];
+        let retry_of = if r.retried {
+            let i = self.retry_slots.binary_search(&(slot as u32));
+            i.map_or(0, |i| self.retry_targets[i])
+        } else {
+            0
+        };
+        Span {
+            trace_id: r.trace_id,
+            span_id: slot as u64 + 1,
+            parent_span_id: r.parent_span_id,
+            name: self.names.text(r.name),
+            start_ns: r.start_ns,
+            end_ns: r.end_ns,
+            retry_of,
+            node: r.node,
+            attrs_start: r.attrs_start,
+            attrs_len: r.attrs_len,
+            outcome: r.outcome,
+        }
     }
 
     /// A span's attributes as stored: its arena run, or — for a span of this
@@ -481,7 +738,7 @@ impl SpanLog {
                 .open
                 .iter()
                 .rev()
-                .find(|o| self.spans[o.slot].span_id == span.span_id);
+                .find(|o| o.slot as u64 + 1 == span.span_id);
             if let Some(open) = open {
                 return &open.staged;
             }
@@ -496,7 +753,7 @@ impl SpanLog {
             Tag::I64 => AttrValue::I64(attr.payload.cast_signed()),
             Tag::Bool => AttrValue::Bool(attr.payload != 0),
         };
-        (self.keys[usize::from(attr.key)].name, value)
+        (self.keys.text(attr.key), value)
     }
 
     /// The typed attributes of one of this log's spans, in insertion order.
@@ -524,35 +781,45 @@ impl SpanLog {
     /// The wire context of span `h` (what a frame sent from inside it
     /// carries).
     pub fn context_of(&self, h: SpanHandle) -> TraceContext {
-        self.spans[h.0].context()
+        self.records[h.0].context(h.0)
     }
 
     /// The span id behind a handle.
     pub fn span_id_of(&self, h: SpanHandle) -> u64 {
-        self.spans[h.0].span_id
+        h.0 as u64 + 1
     }
 
     /// The context of the innermost open span, or [`TraceContext::NONE`].
     pub fn current_context(&self) -> TraceContext {
         match self.open.last() {
-            Some(top) => self.spans[top.slot].context(),
+            Some(top) => self.records[top.slot].context(top.slot),
             None => TraceContext::NONE,
         }
     }
 
-    /// All recorded spans, in start order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// All recorded spans, in start order. `skip` and `nth` jump to a slot
+    /// without building the views before it.
+    pub fn spans(&self) -> Spans<'_> {
+        Spans {
+            log: self,
+            slots: 0..self.records.len(),
+        }
     }
 
-    /// The span with this id, in O(1): ids are consecutive in push order, so
-    /// the id names the slot. `None` for 0 (the "no parent" id), for an id
-    /// the log never handed out, and for a slot holding a different id.
-    pub fn by_id(&self, span_id: u64) -> Option<&Span> {
-        let offset = span_id.checked_sub(self.spans.first()?.span_id)?;
-        self.spans
-            .get(usize::try_from(offset).ok()?)
-            .filter(|s| s.span_id == span_id)
+    /// The span with this id, in O(1): ids are consecutive in push order
+    /// from 1, so the id names the slot. `None` for 0 (the "no parent" id)
+    /// and for an id the log never handed out.
+    pub fn by_id(&self, span_id: u64) -> Option<Span> {
+        let slot = usize::try_from(span_id.checked_sub(1)?).ok()?;
+        (slot < self.records.len()).then(|| self.view(slot))
+    }
+
+    /// The trace and start of the span with this id, read off its record
+    /// without building its view: what the span-tree check compares a
+    /// child with.
+    pub(crate) fn trace_and_start(&self, span_id: u64) -> Option<(u64, u64)> {
+        let slot = usize::try_from(span_id.checked_sub(1)?).ok()?;
+        self.records.get(slot).map(|r| (r.trace_id, r.start_ns))
     }
 
     /// Per-link p50/p95/p99 of the successful round trips (exact
@@ -562,12 +829,12 @@ impl SpanLog {
     /// its `to` attribute.
     pub fn link_percentiles(&self) -> Vec<LinkSummary> {
         let mut samples: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
-        for span in &self.spans {
+        for span in self.spans() {
             if span.name != "rpc.attempt" || span.outcome != SpanOutcome::Ok {
                 continue;
             }
             let exchange = self.by_id(span.parent_span_id);
-            if let Some(AttrValue::U64(to)) = exchange.and_then(|e| self.attr(e, "to")) {
+            if let Some(AttrValue::U64(to)) = exchange.and_then(|e| self.attr(&e, "to")) {
                 let link = (span.node, to as u32);
                 samples.entry(link).or_default().push(span.duration_ns());
             }
@@ -596,31 +863,64 @@ impl SpanLog {
     /// attempt span (which always outlives the serve it wraps, since it also
     /// covers the reply transmit). Returns the spans root-first, or empty if
     /// the trace id is unknown.
-    pub fn critical_path(&self, trace_id: u64) -> Vec<&Span> {
-        let in_trace = |s: &Span| s.trace_id == trace_id;
+    pub fn critical_path(&self, trace_id: u64) -> Vec<Span> {
+        let in_trace = |r: &Record| r.trace_id == trace_id;
         let mut path = Vec::new();
         // A child is always pushed after its parent (a forged wire context
         // naming a later span resolves here no more than it does for the
         // span-tree monitor), so each level searches only the slots after
-        // the one it stands on.
-        let mut rest = &self.spans[..];
-        let mut next = rest
-            .iter()
-            .position(|s| in_trace(s) && s.parent_span_id == 0);
+        // the one it stands on. Later slots have larger ids, so the slot
+        // breaks a start-time tie as the id does.
+        let mut next = self
+            .records
+            .iter_from(0)
+            .position(|r| in_trace(r) && r.parent_span_id == 0);
         while let Some(slot) = next {
-            let cur = &rest[slot];
-            path.push(cur);
-            rest = &rest[slot + 1..];
-            next = rest
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| in_trace(s) && s.parent_span_id == cur.span_id)
-                .max_by_key(|(_, s)| (s.start_ns, s.span_id))
-                .map(|(slot, _)| slot);
+            path.push(self.view(slot));
+            let id = slot as u64 + 1;
+            next = (slot + 1..)
+                .zip(self.records.iter_from(slot + 1))
+                .filter(|(_, r)| in_trace(r) && r.parent_span_id == id)
+                .max_by_key(|&(i, r)| (r.start_ns, i))
+                .map(|(i, _)| i);
         }
         path
     }
 }
+
+/// The spans of a [`SpanLog`] in start order, as views
+/// ([`SpanLog::spans`]).
+#[derive(Debug, Clone)]
+pub struct Spans<'a> {
+    log: &'a SpanLog,
+    slots: Range<usize>,
+}
+
+impl Iterator for Spans<'_> {
+    type Item = Span;
+
+    fn next(&mut self) -> Option<Span> {
+        self.slots.next().map(|slot| self.log.view(slot))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+
+    fn nth(&mut self, n: usize) -> Option<Span> {
+        self.slots.nth(n).map(|slot| self.log.view(slot))
+    }
+}
+
+impl DoubleEndedIterator for Spans<'_> {
+    fn next_back(&mut self) -> Option<Span> {
+        self.slots.next_back().map(|slot| self.log.view(slot))
+    }
+}
+
+impl ExactSizeIterator for Spans<'_> {}
+
+impl FusedIterator for Spans<'_> {}
 
 /// Nearest-rank percentile over an ascending-sorted slice.
 fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
@@ -647,7 +947,7 @@ mod tests {
         let c = log.start_span("rpc.call", 0, 200);
         log.end_span(c, 210, SpanOutcome::Fault);
 
-        let spans = log.spans();
+        let spans: Vec<Span> = log.spans().collect();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].trace_id, 1);
         assert_eq!(spans[0].parent_span_id, 0);
@@ -669,14 +969,15 @@ mod tests {
         };
         let s = log.start_server_span("serve.call", 1, 500, ctx);
         log.end_span(s, 600, SpanOutcome::Ok);
-        let span = &log.spans()[0];
+        let span = log.spans().next().unwrap();
         assert_eq!(span.trace_id, 7);
         assert_eq!(span.parent_span_id, 42);
         // A NONE context starts a fresh local trace instead.
         let s2 = log.start_server_span("serve.call", 1, 700, TraceContext::NONE);
         log.end_span(s2, 800, SpanOutcome::Ok);
-        assert_eq!(log.spans()[1].trace_id, 1);
-        assert_eq!(log.spans()[1].parent_span_id, 0);
+        let fresh = log.by_id(2).unwrap();
+        assert_eq!(fresh.trace_id, 1);
+        assert_eq!(fresh.parent_span_id, 0);
     }
 
     #[test]
@@ -714,8 +1015,9 @@ mod tests {
         log.end_span(b, 5, SpanOutcome::Ok);
         // Debug builds stop here; release builds must ignore the call.
         log.end_span(b, 99, SpanOutcome::Fault);
-        assert_eq!(log.spans()[1].end_ns, 5);
-        assert_eq!(log.spans()[1].outcome, SpanOutcome::Ok);
+        let inner = log.spans().nth(1).unwrap();
+        assert_eq!(inner.end_ns, 5);
+        assert_eq!(inner.outcome, SpanOutcome::Ok);
         assert_eq!(log.current_context(), log.context_of(a), "outer still open");
     }
 
@@ -727,7 +1029,10 @@ mod tests {
         let b = log.start_server_span("serve.call", 1, 1, log.context_of(a));
         for h in [a, b] {
             let id = log.span_id_of(h);
-            assert!(std::ptr::eq(log.by_id(id).unwrap(), &log.spans()[h.0]));
+            let span = log.by_id(id).expect("a recorded id");
+            assert_eq!(Some(span), log.spans().nth(h.0), "the view of slot id - 1");
+            assert_eq!(span.span_id, id);
+            assert_eq!(span.context(), log.context_of(h));
         }
         assert!(log.by_id(0).is_none(), "0 means no span");
         assert!(log.by_id(3).is_none(), "one past the end");
@@ -743,7 +1048,7 @@ mod tests {
         log.set_attr(a, "cached", true);
         log.set_retry_of(a, 17);
         log.end_span(a, 5, SpanOutcome::NetFailure);
-        let span = &log.spans()[0];
+        let span = &log.spans().next().unwrap();
         assert_eq!(log.attr(span, "attempt"), Some(AttrValue::U64(2)));
         assert_eq!(log.attr_str(span, "method"), Some("n(J)J"));
         assert_eq!(log.attr(span, "cached"), Some(AttrValue::Bool(true)));
@@ -757,8 +1062,29 @@ mod tests {
     fn a_span_is_a_record() {
         // The log's memory is these two sizes times spans and attributes; a
         // field that grows either shows up in every traced run's peak RSS.
-        assert!(std::mem::size_of::<Span>() <= 80);
-        assert_eq!(std::mem::size_of::<Attr>(), 16);
+        assert!(size_of::<Record>() <= 48, "{} bytes", size_of::<Record>());
+        assert_eq!(size_of::<Attr>(), 16);
+    }
+
+    #[test]
+    fn records_fill_blocks_and_never_move() {
+        let mut log = SpanLog::new();
+        let n = 2 * BLOCK + 3;
+        for i in 0..n as u64 {
+            let h = log.start_span("rpc.call", 0, i);
+            log.end_span(h, i + 1, SpanOutcome::Ok);
+        }
+        assert_eq!(log.records.blocks.len(), 3);
+        assert!(log.records.blocks.iter().all(|b| b.capacity() == BLOCK));
+        for slot in [0, BLOCK - 1, BLOCK, 2 * BLOCK, n - 1] {
+            let span = log.by_id(slot as u64 + 1).expect("a recorded id");
+            assert_eq!(span.start_ns, slot as u64);
+            assert_eq!(log.spans().nth(slot), Some(span));
+            let from: Vec<u64> = log.records.iter_from(slot).map(|r| r.start_ns).collect();
+            assert_eq!(from, (slot as u64..n as u64).collect::<Vec<_>>());
+        }
+        assert_eq!(log.records.iter_from(n).count(), 0);
+        assert_eq!(log.by_id(n as u64 + 1), None);
     }
 
     #[test]
@@ -785,7 +1111,7 @@ mod tests {
         log.end_span(a, 5, SpanOutcome::Ok);
         // Debug builds stop here; release builds must ignore the call.
         log.set_retry_of(a, 1);
-        assert_eq!(log.spans()[0].retry_of(), None);
+        assert_eq!(log.spans().next().unwrap().retry_of(), None);
     }
 
     #[test]
@@ -814,7 +1140,7 @@ mod tests {
         let shape = |log: &SpanLog| {
             let scratch: Vec<usize> = log.scratch.iter().map(Vec::capacity).collect();
             (
-                log.keys.len(),
+                log.keys.texts.len(),
                 log.strings.symbols.len(),
                 log.strings.ids.len(),
                 scratch,
@@ -823,14 +1149,69 @@ mod tests {
         };
         let warm = shape(&log);
         assert_eq!(warm.3.len(), 2, "one staging vector per nesting level");
-        let (spans, attrs) = (log.spans.len(), log.attrs.len());
+        let (spans, attrs) = (log.records.len(), log.attrs.len());
         for i in 0..10_000 {
             cycle(&mut log, i);
         }
         assert_eq!(shape(&log), warm, "vocabulary and scratch pool are settled");
-        assert_eq!(log.spans.len(), spans + 20_000);
+        assert_eq!(log.records.len(), spans + 20_000);
         assert_eq!(log.attrs.len(), attrs, "every list repeats a warm-up list");
         assert!(log.open.is_empty());
+    }
+
+    #[test]
+    fn the_interner_holds_each_string_once_and_survives_a_collision() {
+        let mut strings = Interner::default();
+        let a = strings.intern("Store");
+        assert_eq!(strings.intern("Store"), a);
+        assert_eq!(strings.text, "Store", "one copy");
+        // Make "put@7" collide with "Store": its hash now names `a`'s chain.
+        let put_hash = strings.ids.hasher().hash_one("put@7");
+        strings.ids.insert(put_hash, a);
+        let put = strings.intern("put@7");
+        assert_ne!(put, a, "a collision is a second symbol, not a wrong one");
+        assert_eq!(strings.shadowed[put as usize], a);
+        // Both now resolve through the one chain, newest first.
+        let store_hash = strings.ids.hasher().hash_one("Store");
+        strings.ids.insert(store_hash, put);
+        assert_eq!(strings.intern("Store"), a);
+        assert_eq!(strings.intern("put@7"), put);
+        assert_eq!(
+            (strings.resolve(a), strings.resolve(put)),
+            ("Store", "put@7")
+        );
+        assert_eq!(strings.text, "Storeput@7");
+        assert!(strings.is(put, "put@7") && !strings.is(put, "Store") && !strings.is(9, ""));
+        let per_symbol = size_of::<(u32, u32)>() + size_of::<u32>() + size_of::<(u64, u32)>();
+        assert_eq!(strings.retained_bytes(), 10 + 2 * per_symbol);
+    }
+
+    #[test]
+    fn resolved_attrs_read_like_set_attr() {
+        let mut log = SpanLog::new();
+        let (class, to, cached) = (log.key("class"), log.key("to"), log.key("cached"));
+        let store = log.intern("Store");
+        let a = log.start_span("rpc.call", 0, 0);
+        log.set_attrs(a, &[class.sym(store), to.u64(1), cached.bool(true)]);
+        log.end_span(a, 1, SpanOutcome::Ok);
+        let b = log.start_span("rpc.call", 0, 2);
+        log.set_attr(b, "class", "Store");
+        log.set_attr(b, "to", 1u32);
+        log.set_attr(b, "cached", true);
+        log.end_span(b, 3, SpanOutcome::Ok);
+        let [a, b] = [log.by_id(1).unwrap(), log.by_id(2).unwrap()];
+        assert_eq!(
+            log.attrs(&a).collect::<Vec<_>>(),
+            log.attrs(&b).collect::<Vec<_>>()
+        );
+        assert_eq!(log.attr_str(&a, "class"), Some("Store"));
+        assert_eq!(
+            (a.attrs_start, a.attrs_len),
+            (b.attrs_start, b.attrs_len),
+            "one run"
+        );
+        assert_eq!(log.key("class"), class, "a key resolves to one id");
+        assert_eq!(log.intern("Store"), store);
     }
 
     #[test]
@@ -854,11 +1235,11 @@ mod tests {
         }
         // The equal list shares the first run; a changed value, a changed
         // type, a changed order and a prefix are lists of their own.
-        let runs: Vec<_> = log.spans.iter().map(|s| s.attrs_start).collect();
+        let runs: Vec<_> = log.records.iter_from(0).map(|r| r.attrs_start).collect();
         assert_eq!(runs, vec![0, 0, 2, 4, 6, 8]);
         assert_eq!(log.arena_len(), 9);
-        for (span, list) in log.spans().iter().zip(lists) {
-            assert_eq!(log.attrs(span).collect::<Vec<_>>(), list);
+        for (span, list) in log.spans().zip(lists) {
+            assert_eq!(log.attrs(&span).collect::<Vec<_>>(), list);
         }
     }
 
@@ -933,19 +1314,14 @@ mod tests {
 
     /// The definition `critical_path` must agree with: every level scans
     /// the whole log.
-    fn critical_path_by_full_scan(log: &SpanLog, trace_id: u64) -> Vec<&Span> {
-        let in_trace = |s: &&Span| s.trace_id == trace_id;
+    fn critical_path_by_full_scan(log: &SpanLog, trace_id: u64) -> Vec<Span> {
+        let in_trace = |s: &Span| s.trace_id == trace_id;
         let mut path = Vec::new();
-        let mut cur = log
-            .spans
-            .iter()
-            .filter(in_trace)
-            .find(|s| s.parent_span_id == 0);
+        let mut cur = log.spans().filter(in_trace).find(|s| s.parent_span_id == 0);
         while let Some(span) = cur {
             path.push(span);
             cur = log
-                .spans
-                .iter()
+                .spans()
                 .filter(in_trace)
                 .filter(|s| s.parent_span_id == span.span_id)
                 .max_by_key(|s| (s.start_ns, s.span_id));
@@ -1109,7 +1485,11 @@ mod tests {
         Start,
         /// `start_server_span` under a recorded span's context, or `NONE`.
         Serve(Option<usize>),
+        /// `start_server_span` under a context off the wire: any ids.
+        Wire(TraceContext),
         Attr(usize, usize, model::Value),
+        /// The same, through a key and a string the log resolved first.
+        Resolved(usize, usize, model::Value),
         RetryOf(usize, u64),
         End(usize, SpanOutcome),
         /// Compare everything now, open spans included.
@@ -1128,29 +1508,75 @@ mod tests {
         "2#17",
     ];
 
-    fn arb_step() -> BoxedStrategy<Step> {
-        let pick = || 0..32usize;
+    fn arb_value() -> BoxedStrategy<model::Value> {
         let word = || 0..WORDS.len();
-        let value = prop_oneof![
+        prop_oneof![
             3 => word().prop_map(|w| model::Value::Str(WORDS[w].to_owned())),
             1 => (word(), word())
                 .prop_map(|(a, b)| model::Value::Str(format!("{}{}", WORDS[a], WORDS[b]))),
             1 => any::<u64>().prop_map(model::Value::U64),
             1 => any::<i64>().prop_map(model::Value::I64),
             1 => any::<bool>().prop_map(model::Value::Bool),
-        ];
-        let outcome = prop_oneof![
+        ]
+        .boxed()
+    }
+
+    fn arb_outcome() -> BoxedStrategy<SpanOutcome> {
+        prop_oneof![
             Just(SpanOutcome::Ok),
             Just(SpanOutcome::Fault),
             Just(SpanOutcome::NetFailure),
-        ];
+        ]
+        .boxed()
+    }
+
+    fn arb_step() -> BoxedStrategy<Step> {
+        let pick = || 0..32usize;
         prop_oneof![
             4 => Just(Step::Start),
             2 => prop::option::of(pick()).prop_map(Step::Serve),
-            12 => (pick(), 0..KEYS.len(), value).prop_map(|(p, k, v)| Step::Attr(p, k, v)),
+            12 => (pick(), 0..KEYS.len(), arb_value()).prop_map(|(p, k, v)| Step::Attr(p, k, v)),
             1 => (pick(), 1..40u64).prop_map(|(p, id)| Step::RetryOf(p, id)),
-            5 => (pick(), outcome).prop_map(|(p, o)| Step::End(p, o)),
+            5 => (pick(), arb_outcome()).prop_map(|(p, o)| Step::End(p, o)),
             1 => Just(Step::Read),
+        ]
+        .boxed()
+    }
+
+    /// An id as it may arrive off the wire or be handed to `set_retry_of`:
+    /// the edges, a recorded-looking one, or anything.
+    fn arb_id() -> BoxedStrategy<u64> {
+        prop_oneof![
+            1 => Just(0u64),
+            1 => Just(u64::MAX),
+            2 => 1..40u64,
+            2 => any::<u64>(),
+        ]
+        .boxed()
+    }
+
+    /// Steps whose wire contexts and retry links take any `u64`, with
+    /// resolved attributes mixed in.
+    fn arb_wire_step() -> BoxedStrategy<Step> {
+        let pick = || 0..32usize;
+        let ctx = (arb_id(), arb_id(), arb_id()).prop_map(|(trace_id, span_id, parent_span_id)| {
+            TraceContext {
+                trace_id,
+                span_id,
+                parent_span_id,
+            }
+        });
+        prop_oneof![
+            3 => Just(Step::Start),
+            1 => prop::option::of(pick()).prop_map(Step::Serve),
+            1 => Just(Step::Wire(TraceContext::NONE)),
+            3 => ctx.prop_map(Step::Wire),
+            4 => (pick(), 0..KEYS.len(), arb_value()).prop_map(|(p, k, v)| Step::Attr(p, k, v)),
+            4 => (pick(), 0..KEYS.len(), arb_value())
+                .prop_map(|(p, k, v)| Step::Resolved(p, k, v)),
+            3 => (pick(), arb_id()).prop_map(|(p, id)| Step::RetryOf(p, id)),
+            5 => (pick(), arb_outcome()).prop_map(|(p, o)| Step::End(p, o)),
+            2 => Just(Step::Read),
         ]
         .boxed()
     }
@@ -1158,7 +1584,7 @@ mod tests {
     /// Everything a reader can ask of the log, against the model.
     fn assert_matches_model(log: &SpanLog, model: &model::Log) -> Result<(), TestCaseError> {
         prop_assert_eq!(log.spans().len(), model.spans.len());
-        for (span, m) in log.spans().iter().zip(&model.spans) {
+        for (span, m) in log.spans().zip(&model.spans) {
             let record = (span.trace_id, span.span_id, span.parent_span_id, span.name);
             prop_assert_eq!(record, (m.trace_id, m.span_id, m.parent_span_id, m.name));
             let rest = (
@@ -1169,22 +1595,106 @@ mod tests {
                 span.outcome,
             );
             prop_assert_eq!(rest, (m.node, m.start_ns, m.end_ns, m.retry_of, m.outcome));
+            prop_assert_eq!(log.by_id(m.span_id), Some(span));
             let expected: Vec<_> = m.attrs.iter().map(|(k, v)| (*k, v.borrowed())).collect();
-            prop_assert_eq!(log.attrs(span).len(), expected.len());
-            prop_assert_eq!(log.attrs(span).collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(log.attrs(&span).len(), expected.len());
+            prop_assert_eq!(log.attrs(&span).collect::<Vec<_>>(), expected.clone());
             for key in KEYS {
                 let first = expected.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-                prop_assert_eq!(log.attr(span, key), first);
+                prop_assert_eq!(log.attr(&span, key), first);
                 let text = match first {
                     Some(AttrValue::Str(s)) => Some(s),
                     _ => None,
                 };
-                prop_assert_eq!(log.attr_str(span, key), text);
+                prop_assert_eq!(log.attr_str(&span, key), text);
             }
         }
+        let past_the_end = model.spans.len() as u64 + 1;
+        for id in [0, past_the_end, u64::MAX] {
+            prop_assert_eq!(log.by_id(id), None);
+        }
+        let reversed: Vec<Span> = log.spans().rev().collect();
+        prop_assert!(reversed
+            .iter()
+            .rev()
+            .eq(log.spans().collect::<Vec<_>>().iter()));
         prop_assert_eq!(log.chrome_trace_json(), model.chrome_trace_json());
         prop_assert_eq!(&log.clone(), log);
         Ok(())
+    }
+
+    /// Apply `steps` to a log and to the model, comparing them at every
+    /// `Read`, at the end, and again once every span is closed. Returns
+    /// both.
+    fn replay(steps: Vec<Step>) -> Result<(SpanLog, model::Log), TestCaseError> {
+        let mut log = SpanLog::new();
+        let mut model = model::Log::default();
+        let mut open: Vec<(SpanHandle, usize)> = Vec::new();
+        let mut now = 0u64;
+        for step in steps {
+            now += 7;
+            match step {
+                Step::Start => {
+                    let node = (now % 3) as u32;
+                    let h = log.start_span("rpc.call", node, now);
+                    open.push((h, model.start("rpc.call", node, now, None)));
+                }
+                Step::Serve(pick) => {
+                    let recorded = log.spans().len();
+                    let ctx = match pick {
+                        Some(pick) if recorded > 0 => {
+                            log.spans().nth(pick % recorded).unwrap().context()
+                        }
+                        _ => TraceContext::NONE,
+                    };
+                    let h = log.start_server_span("serve.call", 1, now, ctx);
+                    open.push((h, model.start("serve.call", 1, now, Some(ctx))));
+                }
+                Step::Wire(ctx) => {
+                    let h = log.start_server_span("serve.wire", 2, now, ctx);
+                    open.push((h, model.start("serve.wire", 2, now, Some(ctx))));
+                }
+                Step::Attr(pick, key, value) if !open.is_empty() => {
+                    let (h, idx) = open[pick % open.len()];
+                    log.set_attr(h, KEYS[key], value.borrowed());
+                    model.spans[idx].attrs.push((KEYS[key], value));
+                }
+                Step::Resolved(pick, key, value) if !open.is_empty() => {
+                    let (h, idx) = open[pick % open.len()];
+                    let k = log.key(KEYS[key]);
+                    let attr = match &value {
+                        model::Value::Str(s) => Some(k.sym(log.intern(s))),
+                        model::Value::U64(v) => Some(k.u64(*v)),
+                        model::Value::Bool(v) => Some(k.bool(*v)),
+                        model::Value::I64(_) => None,
+                    };
+                    match attr {
+                        Some(attr) => log.set_attrs(h, &[attr]),
+                        None => log.set_attr(h, KEYS[key], value.borrowed()),
+                    }
+                    model.spans[idx].attrs.push((KEYS[key], value));
+                }
+                Step::RetryOf(pick, id) if !open.is_empty() => {
+                    let (h, idx) = open[pick % open.len()];
+                    log.set_retry_of(h, id);
+                    model.spans[idx].retry_of = (id != 0).then_some(id);
+                }
+                Step::End(pick, outcome) if !open.is_empty() => {
+                    let (h, idx) = open.remove(pick % open.len());
+                    log.end_span(h, now, outcome);
+                    model.end(idx, now, outcome);
+                }
+                Step::Read => assert_matches_model(&log, &model)?,
+                _ => {}
+            }
+        }
+        assert_matches_model(&log, &model)?;
+        for (h, idx) in open {
+            log.end_span(h, now, SpanOutcome::Ok);
+            model.end(idx, now, SpanOutcome::Ok);
+        }
+        assert_matches_model(&log, &model)?;
+        Ok((log, model))
     }
 
     proptest! {
@@ -1199,53 +1709,7 @@ mod tests {
         fn the_log_reads_like_a_vec_of_attrs_per_span(
             steps in prop::collection::vec(arb_step(), 1..200),
         ) {
-            let mut log = SpanLog::new();
-            let mut model = model::Log::default();
-            let mut open: Vec<(SpanHandle, usize)> = Vec::new();
-            let mut now = 0u64;
-            for step in steps {
-                now += 7;
-                match step {
-                    Step::Start => {
-                        let node = (now % 3) as u32;
-                        let h = log.start_span("rpc.call", node, now);
-                        open.push((h, model.start("rpc.call", node, now, None)));
-                    }
-                    Step::Serve(pick) => {
-                        let ctx = match pick {
-                            Some(pick) if !log.spans().is_empty() => {
-                                log.spans()[pick % log.spans().len()].context()
-                            }
-                            _ => TraceContext::NONE,
-                        };
-                        let h = log.start_server_span("serve.call", 1, now, ctx);
-                        open.push((h, model.start("serve.call", 1, now, Some(ctx))));
-                    }
-                    Step::Attr(pick, key, value) if !open.is_empty() => {
-                        let (h, idx) = open[pick % open.len()];
-                        log.set_attr(h, KEYS[key], value.borrowed());
-                        model.spans[idx].attrs.push((KEYS[key], value));
-                    }
-                    Step::RetryOf(pick, id) if !open.is_empty() => {
-                        let (h, idx) = open[pick % open.len()];
-                        log.set_retry_of(h, id);
-                        model.spans[idx].retry_of = Some(id);
-                    }
-                    Step::End(pick, outcome) if !open.is_empty() => {
-                        let (h, idx) = open.remove(pick % open.len());
-                        log.end_span(h, now, outcome);
-                        model.end(idx, now, outcome);
-                    }
-                    Step::Read => assert_matches_model(&log, &model)?,
-                    _ => {}
-                }
-            }
-            assert_matches_model(&log, &model)?;
-            for (h, idx) in open {
-                log.end_span(h, now, SpanOutcome::Ok);
-                model.end(idx, now, SpanOutcome::Ok);
-            }
-            assert_matches_model(&log, &model)?;
+            let (log, model) = replay(steps)?;
             let mut distinct: Vec<&[(&str, model::Value)]> = Vec::new();
             for span in &model.spans {
                 if !distinct.contains(&span.attrs.as_slice()) {
@@ -1253,6 +1717,22 @@ mod tests {
                 }
             }
             prop_assert_eq!(log.attrs.len(), distinct.iter().map(|l| l.len()).sum::<usize>());
+        }
+
+        /// The 48-byte record loses nothing: contexts off the wire with any
+        /// ids (0, `u64::MAX`, `NONE`), retry links to any `u64` (0 clears
+        /// one), attributes given by resolved key and symbol, out-of-order
+        /// closes and open spans read mid-flight all read back from
+        /// `spans()`, `by_id`, `attrs` and `retry_of()` as a plain vector
+        /// of spans holds them.
+        #[test]
+        fn records_read_back_like_a_vec_of_spans(
+            steps in prop::collection::vec(arb_wire_step(), 1..200),
+        ) {
+            let (log, model) = replay(steps)?;
+            let retried = model.spans.iter().filter(|s| s.retry_of.is_some()).count();
+            prop_assert_eq!(log.retry_slots.len(), retried);
+            prop_assert_eq!(log.retry_targets.len(), retried);
         }
     }
 }

@@ -280,7 +280,6 @@ fn e9() {
     let log = cluster.span_log();
     let lossy_trace = log
         .spans()
-        .iter()
         .rfind(|s| s.name == "rpc.call" && s.node == 0)
         .expect("traced call")
         .trace_id;

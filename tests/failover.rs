@@ -119,10 +119,9 @@ fn failover_emits_a_span_chained_to_the_failed_exchange() {
     let log = cluster.span_log();
     let fo = log
         .spans()
-        .iter()
         .find(|s| s.name == "rpc.failover")
         .expect("failover span");
-    assert_eq!(log.attr_str(fo, "class"), Some("C"));
+    assert_eq!(log.attr_str(&fo, "class"), Some("C"));
     let prior = fo.retry_of().expect("chained to the failed exchange");
     let failed = log.by_id(prior).expect("the failed exchange span exists");
     assert_eq!(failed.name, "rpc.call");
@@ -134,8 +133,8 @@ fn failover_emits_a_span_chained_to_the_failed_exchange() {
     assert!(log.by_id(0).is_none());
     assert!(log.by_id(log.spans().len() as u64 + 1).is_none());
     // The promotion itself is served and visible.
-    assert!(log.spans().iter().any(|s| s.name == "serve.promote"));
-    assert!(log.spans().iter().any(|s| s.name == "serve.replica"));
+    assert!(log.spans().any(|s| s.name == "serve.promote"));
+    assert!(log.spans().any(|s| s.name == "serve.replica"));
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn stale_read_canary_is_caught_with_the_offending_span() {
     assert!(log.by_id(u64::MAX).is_none(), "an id the log never issued");
     assert_eq!(span.name, "rpc.call");
     assert!(
-        log.attr(span, "cached").is_some(),
+        log.attr(&span, "cached").is_some(),
         "the flagged span is the hit"
     );
 }

@@ -102,10 +102,9 @@ fn repeated_getter_reads_hit_the_cache_and_writes_invalidate() {
     let log = cluster.span_log();
     let hit = log
         .spans()
-        .iter()
         .find(|s| s.name == "rpc.call" && log.attr(s, "cached").is_some())
         .expect("cached read span");
-    assert_eq!(log.attr_str(hit, "class"), Some("C"));
+    assert_eq!(log.attr_str(&hit, "class"), Some("C"));
     assert_eq!(hit.start_ns, hit.end_ns, "a hit spends no simulated time");
 
     // A remote property write bumps the version: the next read may not

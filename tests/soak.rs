@@ -174,7 +174,7 @@ fn the_span_arena_holds_each_attribute_list_once() {
     }
     harness.finale(&oracle).expect("the smoke day is clean");
     let log = harness.cluster().span_log();
-    let read_back: usize = log.spans().iter().map(|s| log.attrs(s).len()).sum();
+    let read_back: usize = log.spans().map(|s| log.attrs(&s).len()).sum();
     let stored = log.arena_len();
     assert!(
         20 * stored < read_back,

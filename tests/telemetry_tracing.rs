@@ -29,9 +29,8 @@ fn three_node_cluster(seed: u64) -> Cluster {
         .deploy(3, seed, Box::new(policy))
 }
 
-fn find_span(log: &SpanLog, pred: impl Fn(&Span) -> bool) -> &Span {
+fn find_span(log: &SpanLog, pred: impl Fn(&Span) -> bool) -> Span {
     log.spans()
-        .iter()
         .find(|s| pred(s))
         .expect("expected span missing")
 }
@@ -50,7 +49,7 @@ fn multi_hop_call_is_one_trace_with_a_cross_node_parent_chain() {
     assert_eq!(r, Value::Int(7));
 
     let log = cluster.span_log();
-    let new = &log.spans()[before..];
+    let new: Vec<Span> = log.spans().skip(before).collect();
     // The client exchange on node 0 roots a fresh trace.
     let exch_x = new
         .iter()
@@ -77,7 +76,7 @@ fn multi_hop_call_is_one_trace_with_a_cross_node_parent_chain() {
         s.name == "rpc.call" && s.node == 2 && s.trace_id == t
     });
     assert_eq!(exch_y.parent_span_id, serve_x.span_id);
-    assert_eq!(log.attr_str(exch_y, "class"), Some("Y"));
+    assert_eq!(log.attr_str(&exch_y, "class"), Some("Y"));
     let serve_y = find_span(&log, |s| {
         s.name == "serve.call" && s.node == 1 && s.trace_id == t
     });
@@ -87,7 +86,6 @@ fn multi_hop_call_is_one_trace_with_a_cross_node_parent_chain() {
     // the whole chain down to the innermost hop.
     let nodes: std::collections::BTreeSet<u32> = log
         .spans()
-        .iter()
         .filter(|s| s.trace_id == t)
         .map(|s| s.node)
         .collect();
@@ -120,7 +118,7 @@ fn retransmissions_reuse_the_trace_and_chain_via_retry_of() {
     assert_eq!(r, Value::Int(6));
 
     let log = cluster.span_log();
-    let new = &log.spans()[before..];
+    let new: Vec<Span> = log.spans().skip(before).collect();
     let exch = new
         .iter()
         .find(|s| s.name == "rpc.call")
@@ -157,14 +155,15 @@ fn retransmissions_reuse_the_trace_and_chain_via_retry_of() {
         .unwrap();
     assert_eq!(r, Value::Int(8));
     let log = cluster.span_log();
-    let serves: Vec<&Span> = log.spans()[before..]
-        .iter()
+    let serves: Vec<Span> = log
+        .spans()
+        .skip(before)
         .filter(|s| s.name == "serve.call")
         .collect();
     assert_eq!(serves.len(), 2, "original dispatch + dedup hit");
-    assert_eq!(log.attr(serves[0], "cached"), None);
+    assert_eq!(log.attr(&serves[0], "cached"), None);
     assert_eq!(
-        log.attr(serves[1], "cached").map(|a| a.to_string()),
+        log.attr(&serves[1], "cached").map(|a| a.to_string()),
         Some("true".into())
     );
     assert_eq!(serves[0].trace_id, serves[1].trace_id);
@@ -307,11 +306,7 @@ fn batched_failover_telemetry_is_byte_identical_across_same_seed_runs() {
     let stats = a.stats();
     assert!(stats.batched_ops > 0, "batching never deferred: {stats}");
     assert!(stats.failovers > 0, "no failover happened: {stats}");
-    assert!(a
-        .span_log()
-        .spans()
-        .iter()
-        .any(|s| s.name == "rpc.failover"));
+    assert!(a.span_log().spans().any(|s| s.name == "rpc.failover"));
 }
 
 #[test]
@@ -414,7 +409,7 @@ fn migration_is_traced_with_its_state_transfer() {
     let log = cluster.span_log();
     let mig = find_span(&log, |s| s.name == "migrate");
     assert_eq!(mig.outcome, SpanOutcome::Ok);
-    assert_eq!(log.attr_str(mig, "class"), Some("Y"));
+    assert_eq!(log.attr_str(&mig, "class"), Some("Y"));
     // The state transfer (install RPC + its dispatch) is inside the
     // migration span's trace.
     let install = find_span(&log, |s| s.name == "rpc.install");
