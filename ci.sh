@@ -171,6 +171,22 @@ if grep -rn --exclude=replicate.rs 'take_written(' crates/runtime/src; then
   exit 1
 fi
 
+echo "== a replica read runs no bytecode =="
+# A replica read is one slot read: `Vm::getter_slot` names the field the
+# getter reads and only that stored wire value is unmarshalled. A throwaway
+# instance (`alloc_raw`), a getter run against it (`call_virtual`) or the
+# whole copy unmarshalled (`wire_to_values`) means the read builds an
+# object per call again.
+replica_read_body=$(sed -n '/^pub(crate) fn replica_read(/,/^}/p' crates/runtime/src/replicate.rs)
+if [ -z "$replica_read_body" ]; then
+  echo "FAIL: no replica_read in crates/runtime/src/replicate.rs" >&2
+  exit 1
+fi
+if grep -nE 'alloc_raw|call_virtual|wire_to_values' <<<"$replica_read_body"; then
+  echo "FAIL: replica_read builds an instance or runs the getter again" >&2
+  exit 1
+fi
+
 echo "== two halves: rpc.rs is the caller, serve.rs the callee, bytes between =="
 # An exchange is cut at the wire: `rpc` frames the request, transmits both
 # ways and reads the reply frame; `serve::deliver` turns request bytes into

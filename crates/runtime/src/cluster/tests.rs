@@ -1458,16 +1458,94 @@ fn replica_reads_serve_getters_from_the_local_backup() {
             .unwrap(),
         Value::Int(7)
     );
-    // The throwaway instance a replica read runs its getter against dies
-    // with the read: a thousand reads leave the reader's heap as it was.
+    // A replica read builds no instance and runs no bytecode: a thousand
+    // reads leave the reader's heap as it was.
     let live = cluster.describe()[0].live_objects;
+    let steps = shared.vms[0].stats().steps;
     for _ in 0..1000 {
         let read = cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);
         assert_eq!(read.unwrap(), Value::Int(7));
     }
     assert_eq!(cluster.describe()[0].live_objects, live);
+    assert_eq!(shared.vms[0].stats().steps, steps);
     assert_eq!(cluster.stats().replica_reads, 1001);
     assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
+/// `req` sent from `from` to `to` under message id `msg_id`, encoded and
+/// decoded against that link's tables, and handed straight to `to`'s
+/// callee half: the reply it answers.
+fn served(shared: &Shared, (from, to): (NodeId, NodeId), msg_id: u64, req: &Request) -> Reply {
+    let codec = RmiCodec::new();
+    let mut frame = Vec::new();
+    shared
+        .with_link_table(from, to, |table| {
+            let ctx = TraceContext::NONE;
+            codec.encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
+        })
+        .unwrap();
+    let bytes = deliver(shared, to, from, &codec, &frame);
+    let decoded = shared.with_link_table(to, from, |table| {
+        codec.decode_reply_with(&bytes, Some(table))
+    });
+    decoded.unwrap().3
+}
+
+/// A `ReplicaSync` naming a class the backup does not know is answered
+/// with a fault and stores nothing, instead of surfacing as `unknown
+/// class` at a promotion after the primary has crashed.
+#[test]
+fn a_replica_sync_of_an_unknown_class_is_refused() {
+    let (cluster, _) = deployed(StaticPolicy::new().replicate("C", 1));
+    let shared = cluster.shared();
+    let sync = Request::ReplicaSync {
+        object: 77,
+        version: 3,
+        state: WireValue::ObjectState {
+            class: "NoSuchClass".into(),
+            fields: vec![WireValue::Int(1)],
+        },
+    };
+    let reply = served(shared, (NodeId(0), NodeId(1)), 9_000, &sync);
+    assert_eq!(reply, Reply::Fault("unknown class NoSuchClass".into()));
+    assert!(shared.nodes.borrow()[1].replica_store.is_empty());
+    assert_eq!(cluster.stats().replica_syncs, 1, "served, and refused");
+}
+
+/// A current backup copy shorter than its class's layout — what a hostile
+/// `ReplicaSync` can store — names no slot the getter reads: the read
+/// falls through to the owner, which answers it.
+#[test]
+fn a_backup_shorter_than_its_layout_defers_to_the_owner() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(NodeId(1)))
+        .replicate("C", 1)
+        .replica_reads("C", true);
+    let (cluster, _) = deployed(policy);
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let add = cluster.call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(5)]);
+    assert_eq!(add.unwrap(), Value::Int(5));
+    let shared = cluster.shared();
+    let (owner, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+    let h = lookup_export(shared, NodeId(owner), oid).unwrap();
+    let class = shared.vms[1].class_of(h).unwrap();
+    let sync = Request::ReplicaSync {
+        object: oid,
+        version: version_of(shared, owner, oid).unwrap(),
+        state: WireValue::ObjectState {
+            class: String::from(&*shared.universe.class(class).name),
+            fields: vec![],
+        },
+    };
+    let reply = served(shared, (NodeId(1), NodeId(0)), 9_001, &sync);
+    assert_eq!(reply, Reply::Value(WireValue::Null));
+    assert_eq!(backup_of(&cluster, 0, (owner, oid)), vec![]);
+    let before = cluster.stats();
+    let read = cluster.call_method(NodeId(0), obj.clone(), "get_v", vec![]);
+    assert_eq!(read.unwrap(), Value::Int(5));
+    let stats = cluster.stats();
+    assert_eq!(stats.replica_reads, before.replica_reads, "{stats}");
+    assert_eq!(stats.rpc_calls, before.rpc_calls + 1, "{stats}");
 }
 
 /// The **E15** acceptance bars: one Zipf-skewed, read-mostly stream (16

@@ -144,6 +144,27 @@ impl Section {
 
 const SECTIONS: usize = Section::ALL.len();
 
+/// [`OPEN`] while no section is open.
+const NONE_OPEN: u8 = u8::MAX;
+
+thread_local! {
+    /// The section this thread's profiler has open, as `Section as u8`, or
+    /// [`NONE_OPEN`]: a mirror a counting global allocator can read without
+    /// reaching the profiler. Written only on a transition, so a profiler
+    /// that is off never touches it.
+    static OPEN: Cell<u8> = const { Cell::new(NONE_OPEN) };
+}
+
+impl Section {
+    /// The section a profiler on this thread has open right now — what a
+    /// counting global allocator charges an allocation to. `None` outside
+    /// every section, and always while no profile is on. Allocates nothing.
+    pub fn open() -> Option<Section> {
+        let open = OPEN.try_with(Cell::get).unwrap_or(NONE_OPEN);
+        Section::ALL.get(usize::from(open)).copied()
+    }
+}
+
 /// One section's row of the table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Row {
@@ -235,6 +256,7 @@ impl Profiler {
             self.update(open, |row| row.ns += spent);
         }
         self.mark.set(now);
+        OPEN.with(|open| open.set(to.map_or(NONE_OPEN, |s| s as u8)));
         self.open.replace(to)
     }
 
@@ -250,6 +272,7 @@ impl Profiler {
             row.set(Row::default());
         }
         self.open.set(None);
+        OPEN.with(|open| open.set(NONE_OPEN));
         self.on.set(true);
     }
 
@@ -356,6 +379,25 @@ mod tests {
         assert_eq!(p.snapshot().count(Section::Dispatch), 2);
         p.enable();
         assert_eq!(p.snapshot(), Profiler::new().snapshot(), "enable zeroes");
+    }
+
+    #[test]
+    fn the_open_section_is_mirrored_for_the_allocator() {
+        let p = Profiler::new();
+        {
+            let _off = p.section(Section::Dispatch);
+            assert_eq!(Section::open(), None, "an off profiler writes nothing");
+        }
+        p.enable();
+        {
+            let _outer = p.section(Section::Other);
+            {
+                let _inner = p.section(Section::Transmit);
+                assert_eq!(Section::open(), Some(Section::Transmit));
+            }
+            assert_eq!(Section::open(), Some(Section::Other));
+        }
+        assert_eq!(Section::open(), None);
     }
 
     #[test]

@@ -246,9 +246,19 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
 /// normal owner exchange, whose served reply restores the replica's
 /// currency.
 ///
+/// The read is one slot read: [`Vm::getter_slot`] names the field the
+/// getter's bytecode would read on the copy's class, and only that stored
+/// wire value is unmarshalled. No instance is built and no bytecode runs.
+/// A method that is not the property-getter shape (a subclass's own method
+/// under a generated getter's signature) or a slot past the stored fields
+/// (a copy shorter than the class layout) is the owner's to answer: it
+/// falls through exactly as a lagging copy does.
+///
 /// In the simulated topology every inter-node link costs the same, so the
 /// nearest *profitable* replica is always the caller's own store: remote
 /// replicas would cost exactly what the owner does.
+///
+/// [`Vm::getter_slot`]: rafda_vm::Vm::getter_slot
 pub(crate) fn replica_read(
     shared: &Shared,
     node: NodeId,
@@ -262,29 +272,22 @@ pub(crate) fn replica_read(
     let Some(current) = version_of(shared, owner, oid) else {
         return Ok(None);
     };
-    let copy = shared.nodes.borrow()[node.0 as usize]
-        .replica_store
-        .get(&(owner, oid))
-        .cloned();
-    let Some((version, class_name, fields)) = copy else {
-        return Ok(None);
-    };
-    if version != current {
-        return Ok(None);
-    }
-    let Some(local_class) = shared.universe.by_name(&class_name) else {
-        return Ok(None);
-    };
-    // Materialise a throwaway local instance from the replica's wire-form
-    // state and run the real getter bytecode against it — no field-layout
-    // knowledge needed here. The temporary is freed as soon as the getter
-    // has returned: nothing collects a node's heap between operations.
     let vm = &shared.vms[node.0 as usize];
-    let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
-    let h = vm.alloc_raw(local_class, values);
-    let result = vm.call_virtual(Value::Ref(h), method.sig, vec![]);
-    vm.with_heap(|heap| heap.free(h));
-    let result = result?;
+    let field = {
+        let nodes = shared.nodes.borrow();
+        let copy = nodes[node.0 as usize].replica_store.get(&(owner, oid));
+        let Some((_, class, fields)) = copy.filter(|(version, _, _)| *version == current) else {
+            return Ok(None);
+        };
+        let slot = vm.getter_slot(*class, method.sig);
+        let Some(field) = slot.and_then(|slot| fields.get(slot)) else {
+            return Ok(None);
+        };
+        // Cloned out of the borrow: a reference field materialises a proxy,
+        // which registers an import on this very node's state.
+        field.clone()
+    };
+    let result = marshal::wire_to_value(shared, node, &field).map_err(VmError::Native)?;
     bump(shared, node.0, Met::ReplicaReads);
     // Under the E14 stale-read oracle like every other locally served read.
     let how = shared.span_vocab.replica_read;

@@ -69,14 +69,17 @@ pub(crate) fn proxy_call(
     // on the owner bumps the version, so a hit can never observe a value
     // older than the last write the owner served.
     let is_getter = getter_sigs(shared, info).contains(&sig);
-    // Replica-read fast path (E15): getters of `reads from replicas`
-    // classes are served from this node's own replica copy when — and only
-    // when — the copy carries the owner's *current* property version. The
-    // tag check makes staleness impossible by construction (same argument
-    // as the property cache): any acknowledged mutation bumped the owner's
-    // version before its reply left, so a lagging copy simply fails the
-    // check and the read falls through to a normal owner exchange.
-    if is_getter && row.rule.replicas > 0 && row.rule.replica_reads {
+    // Replica-read fast path (E15): a parameter-less call on a `reads from
+    // replicas` class is served from this node's own replica copy when —
+    // and only when — it dispatches to a property getter (the VM's answer
+    // for the copy's class, so an inherited getter qualifies and a
+    // subclass's own method under a getter's signature does not) and the
+    // copy carries the owner's *current* property version. The tag check
+    // makes staleness impossible by construction (same argument as the
+    // property cache): any acknowledged mutation bumped the owner's version
+    // before its reply left, so a lagging copy simply fails the check and
+    // the read falls through to a normal owner exchange.
+    if args.len() == 1 && row.rule.replicas > 0 && row.rule.replica_reads {
         if let Some(v) = replica_read(shared, node, row, proxy_method, (target, oid))? {
             return Ok(v);
         }

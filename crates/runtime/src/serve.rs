@@ -337,11 +337,22 @@ fn dispatch_request(
             let WireValue::ObjectState { class, fields } = state else {
                 return Err("replica sync needs object state".into());
             };
+            // The class is resolved here, so a copy the backup holds always
+            // names a class it can promote and read — once per location: a
+            // re-shipment of the class the copy already holds keeps its id.
             // The state stays in wire form until promotion: a backup that
             // never promotes allocates nothing on its heap.
-            shared.nodes.borrow_mut()[node.0 as usize]
-                .replica_store
-                .insert((caller.0, object), (version, class, fields));
+            let mut nodes = shared.nodes.borrow_mut();
+            let store = &mut nodes[node.0 as usize].replica_store;
+            match store.get_mut(&(caller.0, object)) {
+                Some(copy) if *shared.universe.class(copy.1).name == *class => {
+                    (copy.0, copy.2) = (version, fields);
+                }
+                _ => {
+                    let class = class_named(&class)?;
+                    store.insert((caller.0, object), (version, class, fields));
+                }
+            }
             Ok(Reply::Value(WireValue::Null))
         }
         Request::Promote {
@@ -364,12 +375,13 @@ fn dispatch_request(
                 .remove(&key);
             let (_, class, fields) =
                 entry.ok_or_else(|| format!("no replica of {old_node}#{old_object} on {node}"))?;
-            let oid = land(shared, node, class_named(&class)?, &fields, key)?;
+            let oid = land(shared, node, class, &fields, key)?;
             relocate(shared, key, (node.0, oid));
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
             // second crash before the next mutation still loses nothing.
             sync_replicas(shared, node, oid);
+            let class = String::from(&*shared.universe.class(class).name);
             Ok(exported(node, oid, class))
         }
         Request::Batch(ops) => {

@@ -270,7 +270,7 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
         let mut keys: Vec<(u32, u64)> = state.replica_store.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let (backup_version, class_name, fields) = &state.replica_store[&key];
+            let (backup_version, backup_class, fields) = &state.replica_store[&key];
             let (owner, oid) = key;
             let Some(h) = shared.directory.borrow().live_export((owner, oid)) else {
                 // The object moved away (the replica describes a vacated
@@ -288,8 +288,7 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
             // Different versions are never comparable — the version
             // relation itself is judged by the probe.
             let state_matches = *backup_version != owner_version
-                || (**class_name == *shared.universe.class(class).name
-                    && wire_state_matches(&values, fields));
+                || (*backup_class == class && wire_state_matches(&values, fields));
             dog.replica_probe(
                 key,
                 backup as u32,

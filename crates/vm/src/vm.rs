@@ -549,6 +549,25 @@ impl Vm {
         self.resolve_miss(slot, class, sig, kind)
     }
 
+    /// The field slot an instance of `class` answers `sig` from, if `sig`
+    /// dispatches there to a property getter — a body that is exactly
+    /// `LoadLocal 0; GetField f; ReturnValue`: the slot its `GetField`
+    /// reads, `field_base[f.owner] + f.index`. `None` for any other body
+    /// (native, abstract, or anything else), and for a signature that does
+    /// not resolve. Runs no bytecode: reading that slot of a state vector
+    /// is what calling the getter on an object holding it would return.
+    pub fn getter_slot(&self, class: ClassId, sig: SigId) -> Option<usize> {
+        let (owner, idx) = self.resolve(class, sig, Dispatch::Virtual).ok()?;
+        let method = self.universe.method(owner, idx);
+        let body = method.body.as_ref().filter(|_| !method.is_native)?;
+        match (body.code.as_slice(), body.handlers.is_empty()) {
+            ([Insn::LoadLocal(0), Insn::GetField(f), Insn::ReturnValue], true) => {
+                Some(self.link.field_base[f.owner.0 as usize] + f.index as usize)
+            }
+            _ => None,
+        }
+    }
+
     #[cold]
     #[inline(never)]
     fn resolve_miss(

@@ -968,3 +968,42 @@ fn two_keys_in_one_dispatch_slot_take_turns_and_stay_right() {
         );
     }
 }
+
+/// `getter_slot` names the slot the getter's own bytecode reads: on every
+/// class of the transformed chain app, a state vector whose slot `i` holds
+/// `i` answers each getter signature the getter call answers, and a body of
+/// any other shape (the corner cases' `twin()`) names no slot.
+#[test]
+fn a_getter_slot_is_the_slot_the_getter_reads() {
+    let vm = linked_chain_app();
+    let u = vm.universe().clone();
+    let mut getters = 0;
+    for (class, cls) in u.iter() {
+        if cls.kind != ClassKind::Class || cls.is_abstract {
+            continue;
+        }
+        let slots = u.instance_field_count(class);
+        let fields = (0..slots as i32).map(Value::Int).collect();
+        let obj = Value::Ref(vm.alloc_raw(class, fields));
+        for sig in (0..u.sig_count() as u32).map(SigId) {
+            let Some(slot) = vm.getter_slot(class, sig) else {
+                continue;
+            };
+            getters += 1;
+            assert!(slot < slots, "{class} {sig:?}: slot {slot} of {slots}");
+            let read = vm.call_virtual(obj.clone(), sig, vec![]);
+            assert_eq!(read, Ok(Value::Int(slot as i32)), "{class} {sig:?}");
+        }
+    }
+    assert!(
+        getters > 0,
+        "the transformed chain app has property getters"
+    );
+    let twin = u.by_name("Twin").unwrap();
+    let sig = u.class(twin).methods[1].sig;
+    for class in [twin, u.by_name("TwinChild").unwrap()] {
+        assert_eq!(vm.getter_slot(class, sig), None, "twin() is no getter");
+    }
+    let placeholder = u.by_name("Placeholder").unwrap();
+    assert_eq!(vm.getter_slot(placeholder, sig), None, "resolves nothing");
+}

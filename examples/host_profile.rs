@@ -1,5 +1,6 @@
-//! Where the host's time goes: the runtime's own section profile over the
-//! two loops the benchmark leans on hardest, and the transformer's steps.
+//! Where the host's time and allocations go: the runtime's own section
+//! profile over the three loops the benchmark leans on hardest, and the
+//! transformer's steps.
 //!
 //! * `soak_day` — the 10⁵-op seed-42 `production_day` soak, driven exactly
 //!   as `rafda::soak::run_schedule` drives it (recorder, a quiescent check
@@ -7,6 +8,10 @@
 //! * `rpc_steady` — the benchmark workload's shape: two nodes, eight stores
 //!   per protocol on node 1, RMI / CORBA / SOAP drawn 45 / 45 / 10, `get_v`
 //!   40 % / `put` 40 % / 64 B echo 15 % / 1 KiB echo 5 %;
+//! * `store_reads` — the benchmark workload's shape: four nodes, `shard S by
+//!   get_k modulo 8`, `replicate S 2`, `reads from replicas`, 64 keys drawn
+//!   Zipf 1.1, one op in 32 a `put`, the rest `get_v` served from the
+//!   client's own backup copy, monitors on;
 //! * `transform_corpus` — the benchmark workload's op taken apart: clone one
 //!   of the sixteen seed-42 500-class JDK-shaped corpora, `Transformer::run`
 //!   it for RMI / SOAP / CORBA (which verifies its output once), verify the
@@ -17,10 +22,15 @@
 //! Each loop runs three times with the profile off and three times with it
 //! on, alternating, on fresh deployments; the profile reported is the
 //! median-wall profiled run's. `rpc_steady` runs once more, profiled, to
-//! charge each op's codec sections to its protocol. Output: a per-section
-//! table, then one metric line in the benchmark's `{"metrics":{…}}` shape
-//! (with the span log's exact size, `profile.span_log_bytes_per_op`),
-//! which the layers ledger takes as it is:
+//! charge each op's codec sections to its protocol. The three cluster loops
+//! also count heap allocations per op, each charged to the section open
+//! when it was made (`counting_alloc.rs` reads `Section::open`); `other`
+//! holds the driver's own, such as an op's argument vector. Output: a
+//! per-section table, then one metric line in the benchmark's
+//! `{"metrics":{…}}` shape (with the span log's exact size,
+//! `profile.span_log_bytes_per_op`, and `profile.alloc.per_op` /
+//! `profile.alloc.<section>_per_op`), which the layers ledger takes as it
+//! is:
 //!
 //! ```sh
 //! cargo run --release -q -p rafda --example host_profile -- rpc_steady \
@@ -35,6 +45,7 @@ use rafda::classmodel::verify::verify_universe;
 use rafda::classmodel::{ClassKind, Field};
 use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle};
 use rafda::corpus::rng::Rng;
+use rafda::corpus::workload::ZipfWorkload;
 use rafda::corpus::{generate_jdk, JdkProfile};
 use rafda::runtime::{HostProfile, Section, SoakRecorder};
 use rafda::soak::SoakHarness;
@@ -58,23 +69,60 @@ const CODEC: [Section; 5] = [
     Section::ReplyEncode,
 ];
 
-/// One run: its wall clock over the ops, the profile it left and the bytes
-/// its span log holds.
+/// One run: its wall clock over the ops, the profile it left, the bytes
+/// its span log holds and the allocations the ops made.
 struct Run {
     wall_ns: f64,
     profile: HostProfile,
     span_log_bytes: usize,
+    allocs: Allocs,
+}
+
+/// Allocations over a window, per section open when each was made
+/// (`counting::SLOTS - 1`: none).
+#[derive(Clone, Copy)]
+struct Allocs([u64; counting::SLOTS]);
+
+impl Allocs {
+    fn now() -> Allocs {
+        Allocs(std::array::from_fn(counting::allocations_in))
+    }
+
+    /// What was allocated since `self`.
+    fn since(self) -> Allocs {
+        let now = Allocs::now();
+        Allocs(std::array::from_fn(|i| now.0[i] - self.0[i]))
+    }
+
+    fn of(&self, section: Section) -> u64 {
+        self.0[section as usize]
+    }
+
+    fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+}
+
+/// The allocator's slot for an allocation made now: the open section's
+/// index, or the last slot outside every section.
+fn open_slot() -> usize {
+    Section::open().map_or(counting::SLOTS - 1, |s| s as usize)
 }
 
 fn main() {
+    assert!(Section::ALL.len() < counting::SLOTS, "a slot per section");
+    counting::charge_slots_by(open_slot);
     let mut args = std::env::args().skip(1);
     let which = args.next().unwrap_or_else(|| "soak_day".to_owned());
     let ops: Option<usize> = args.next().map(|n| n.parse().expect("an op count"));
     let run: fn(usize, bool) -> Run = match which.as_str() {
         "soak_day" => soak_day,
         "rpc_steady" => rpc_steady,
+        "store_reads" => store_reads,
         "transform_corpus" => return transform_corpus(ops.unwrap_or(160)),
-        other => panic!("unknown loop {other}: soak_day, rpc_steady or transform_corpus"),
+        other => {
+            panic!("unknown loop {other}: soak_day, rpc_steady, store_reads or transform_corpus")
+        }
     };
     let ops = ops.unwrap_or(100_000);
     let (mut off, mut on) = (Vec::new(), Vec::new());
@@ -92,8 +140,8 @@ fn main() {
     let entry_ns = (on.wall_ns - off.wall_ns) / entries as f64;
     println!("{which}: {ops} ops, profile of the median of {PAIRS} profiled runs");
     println!(
-        "{:<28} {:>10} {:>9} {:>7}",
-        "section", "entries", "us/op", "share"
+        "{:<28} {:>10} {:>9} {:>7} {:>10}",
+        "section", "entries", "us/op", "share", "allocs/op"
     );
     let mut metrics = vec![
         ("profile.wall_us_per_op", per_op(on.wall_ns), "us"),
@@ -107,25 +155,38 @@ fn main() {
         ),
         ("profile.coverage", total / on.wall_ns, "ratio"),
         (
+            "profile.alloc.per_op",
+            on.allocs.total() as f64 / ops as f64,
+            "count",
+        ),
+        (
             "profile.other_share",
             on.profile.ns(Section::Other) as f64 / total,
             "ratio",
         ),
     ];
-    let names: Vec<String> = Section::ALL
+    let names: Vec<[String; 2]> = Section::ALL
         .iter()
-        .map(|s| format!("profile.{}_us_per_op", s.label()))
+        .map(|s| {
+            let label = s.label();
+            [
+                format!("profile.{label}_us_per_op"),
+                format!("profile.alloc.{label}_per_op"),
+            ]
+        })
         .collect();
-    for (s, name) in Section::ALL.into_iter().zip(&names) {
+    for (s, [time, count]) in Section::ALL.into_iter().zip(&names) {
         let ns = on.profile.ns(s) as f64;
+        let allocs = on.allocs.of(s) as f64 / ops as f64;
         println!(
-            "{:<28} {:>10} {:>9.3} {:>6.1}%",
+            "{:<28} {:>10} {:>9.3} {:>6.1}% {allocs:>10.3}",
             s.label(),
             on.profile.count(s),
             per_op(ns),
             100.0 * ns / total
         );
-        metrics.push((name.as_str(), per_op(ns), "us"));
+        metrics.push((time.as_str(), per_op(ns), "us"));
+        metrics.push((count.as_str(), allocs, "count"));
     }
     if which == "rpc_steady" {
         let split = codec_split(ops);
@@ -147,11 +208,13 @@ fn main() {
     }
     println!(
         "coverage {:.3} (sections / wall), other {:.1}%, profile on costs {:.3}x \
-         ({entry_ns:.1} ns per section entered); span log {:.1} B per op",
+         ({entry_ns:.1} ns per section entered); span log {:.1} B per op; \
+         {:.3} allocations per op",
         total / on.wall_ns,
         100.0 * on.profile.ns(Section::Other) as f64 / total,
         on.wall_ns / off.wall_ns,
-        on.span_log_bytes as f64 / ops as f64
+        on.span_log_bytes as f64 / ops as f64,
+        on.allocs.total() as f64 / ops as f64
     );
     print_metrics(&metrics);
 }
@@ -229,6 +292,7 @@ fn soak_day(ops: usize, profile: bool) -> Run {
     if profile {
         harness.cluster().enable_host_profile();
     }
+    let allocs = Allocs::now();
     let start = Instant::now();
     for phase in &schedule.phases {
         recorder.phase(harness.cluster(), phase.name);
@@ -246,6 +310,7 @@ fn soak_day(ops: usize, profile: bool) -> Run {
         wall_ns,
         profile: harness.cluster().host_profile(),
         span_log_bytes: harness.cluster().span_log().retained_bytes(),
+        allocs: allocs.since(),
     }
 }
 
@@ -366,6 +431,7 @@ fn rpc_steady(ops: usize, profile: bool) -> Run {
     if profile {
         cluster.enable_host_profile();
     }
+    let allocs = Allocs::now();
     let start = Instant::now();
     for op in &ops {
         call(&cluster, &objs, op);
@@ -375,6 +441,7 @@ fn rpc_steady(ops: usize, profile: bool) -> Run {
         wall_ns,
         profile: cluster.host_profile(),
         span_log_bytes: cluster.span_log().retained_bytes(),
+        allocs: allocs.since(),
     }
 }
 
@@ -394,4 +461,116 @@ fn codec_split(ops: usize) -> [(&'static str, f64, usize); 3] {
         before = after;
     }
     split
+}
+
+const STORE_NODES: u32 = 4;
+const STORE_KEYS: usize = 64;
+/// One `store_reads` op in this many is a `put`.
+const WRITE_EVERY: usize = 32;
+
+/// One `store_reads` op: the key, `None` for `get_v` or `Some(d)` for
+/// `put(d)`, and the value the call must return.
+struct StoreOp {
+    key: usize,
+    delta: Option<i32>,
+    expected: i32,
+}
+
+/// `class S { int k; int v; S(int k); int put(int d) { v += d; return v; } }`
+/// — sharded on the generated `get_k`, read through the generated `get_v`.
+fn keyed_store_app() -> Application {
+    let mut app = Application::new();
+    let u = app.universe_mut();
+    let s = u.declare("S", ClassKind::Class);
+    let mut cb = ClassBuilder::new(u, s);
+    let k = cb.field(Field::new("k", Ty::Int));
+    let v = cb.field(Field::new("v", Ty::Int));
+    let mut mb = MethodBuilder::new(2);
+    mb.load_this().load_local(1).put_field(s, k).ret();
+    cb.ctor(u, vec![Ty::Int], Some(mb.finish()));
+    let mut mb = MethodBuilder::new(2);
+    mb.load_this();
+    mb.load_this().get_field(s, v);
+    mb.load_local(1).add();
+    mb.put_field(s, v);
+    mb.load_this().get_field(s, v).ret_value();
+    cb.method(u, "put", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+    cb.finish(u);
+    app
+}
+
+/// The seeded op list (the benchmark's draw at seed 42) and a populated,
+/// replica-seeded deployment.
+fn store_setup(ops: usize) -> (Vec<StoreOp>, Cluster, Vec<Value>) {
+    let keys = ZipfWorkload::new(42, STORE_KEYS, 1.1).sequence(ops);
+    let mut rng = Rng::new(42 ^ 0x5354_4f52_4544_4c54);
+    let mut shadow = [0; STORE_KEYS];
+    let ops = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let delta = (i % WRITE_EVERY == WRITE_EVERY - 1).then(|| rng.below(15) as i32 - 7);
+            shadow[key] += delta.unwrap_or(0);
+            StoreOp {
+                key,
+                delta,
+                expected: shadow[key],
+            }
+        })
+        .collect();
+    let policy = StaticPolicy::new()
+        .shard("S", "get_k", 8)
+        .replicate("S", 2)
+        .replica_reads("S", true);
+    let cluster = keyed_store_app()
+        .transform(&["RMI"])
+        .expect("the keyed store transforms")
+        .deploy(STORE_NODES, 42, Box::new(policy));
+    cluster.enable_monitors();
+    let objs: Vec<Value> = (0..STORE_KEYS as i32)
+        .map(|k| {
+            let o = cluster
+                .new_instance(NodeId(0), "S", 0, vec![Value::Int(k)])
+                .expect("sharded create");
+            cluster.pin(NodeId(0), &o);
+            o
+        })
+        .collect();
+    // One delta-0 write per key seeds every backup before the loop.
+    for o in &objs {
+        cluster
+            .call_method(NodeId(0), o.clone(), "put", vec![Value::Int(0)])
+            .expect("seeding write");
+    }
+    (ops, cluster, objs)
+}
+
+fn store_reads(ops: usize, profile: bool) -> Run {
+    let (ops, cluster, objs) = store_setup(ops);
+    if profile {
+        cluster.enable_host_profile();
+    }
+    let allocs = Allocs::now();
+    let start = Instant::now();
+    for op in &ops {
+        let _op = cluster.profile_section(Section::Other);
+        let recv = objs[op.key].clone();
+        let got = match op.delta {
+            None => cluster.call_method(NodeId(0), recv, "get_v", vec![]),
+            Some(d) => cluster.call_method(NodeId(0), recv, "put", vec![Value::Int(d)]),
+        };
+        assert_eq!(got, Ok(Value::Int(op.expected)), "key {}", op.key);
+    }
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    let run = Run {
+        wall_ns,
+        profile: cluster.host_profile(),
+        span_log_bytes: cluster.span_log().retained_bytes(),
+        allocs: allocs.since(),
+    };
+    assert!(
+        cluster.check_invariants().is_empty(),
+        "the store runs clean"
+    );
+    run
 }
