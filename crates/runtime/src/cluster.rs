@@ -118,9 +118,9 @@ pub(crate) struct NodeState {
     pub(crate) prop_cache: FifoMap<(u32, u64, SigId), (u64, WireValue), 1024>,
     /// Backup copies of replicated exports owned by *other* nodes, keyed by
     /// the primary's location `(owner node, export id)`. The value is the
-    /// owner's property version, the object's class — resolved once per
-    /// location, when its first [`Request::ReplicaSync`] is served — and its
-    /// marshalled fields, exactly as shipped. The state stays in wire form: a replica read
+    /// owner's property version, the object's class — resolved when the
+    /// [`Request::ReplicaSync`] is served — and its marshalled fields,
+    /// exactly as shipped. The state stays in wire form: a replica read
     /// unmarshals the one field its getter names, and only a
     /// [`Request::Promote`] materialises the object — a backup that never
     /// promotes costs no heap objects.

@@ -41,13 +41,22 @@ fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
     (cluster, c)
 }
 
-/// `req` framed once under `msg_id` on the link node 0 → node 1, as
+/// The link most frames in these tests travel: node 0 calls node 1.
+const LINK: (NodeId, NodeId) = (NodeId(0), NodeId(1));
+
+/// `req` framed once under `msg_id` on the link `from` → `to`, as
 /// `rpc_inner` frames it. Delivering the same frame again is a
 /// retransmission.
-fn framed(shared: &Shared, codec: &dyn Protocol, msg_id: u64, req: &Request) -> Vec<u8> {
+fn framed(
+    shared: &Shared,
+    (from, to): (NodeId, NodeId),
+    codec: &dyn Protocol,
+    msg_id: u64,
+    req: &Request,
+) -> Vec<u8> {
     let mut frame = Vec::new();
     shared
-        .with_link_table(NodeId(0), NodeId(1), |table| {
+        .with_link_table(from, to, |table| {
             let ctx = TraceContext::NONE;
             codec.encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
         })
@@ -55,24 +64,25 @@ fn framed(shared: &Shared, codec: &dyn Protocol, msg_id: u64, req: &Request) -> 
     frame
 }
 
-/// Hand `frame` to node 1's callee half as sent by node 0 — exactly what a
+/// Hand `frame` to `to`'s callee half as sent by `from` — exactly what a
 /// lossy network does, with no caller half waiting — and read the reply
 /// frame: its message id, the reply, and the piggybacked object version.
 fn answer(
     shared: &Shared,
+    (from, to): (NodeId, NodeId),
     codec: &dyn Protocol,
     frame: &[u8],
 ) -> Result<(u64, Reply, u64), rafda_wire::WireError> {
-    let bytes = deliver(shared, NodeId(1), NodeId(0), codec, frame);
-    let (msg_id, _, version, reply) = shared.with_link_table(NodeId(1), NodeId(0), |table| {
+    let bytes = deliver(shared, to, from, codec, frame);
+    let (msg_id, _, version, reply) = shared.with_link_table(to, from, |table| {
         codec.decode_reply_with(&bytes, Some(table))
     })?;
     Ok((msg_id, reply, version))
 }
 
-/// [`answer`] to a well-formed RMI frame.
+/// [`answer`] to a well-formed RMI frame on [`LINK`].
 fn answered(shared: &Shared, frame: &[u8]) -> (Reply, u64) {
-    let (_, reply, version) = answer(shared, &RmiCodec::new(), frame).unwrap();
+    let (_, reply, version) = answer(shared, LINK, &RmiCodec::new(), frame).unwrap();
     (reply, version)
 }
 
@@ -104,6 +114,7 @@ fn dedup_hit_replays_the_serve_time_version() {
         .sig;
     let read = framed(
         shared,
+        LINK,
         &RmiCodec::new(),
         900,
         &Request::Call {
@@ -120,6 +131,7 @@ fn dedup_hit_replays_the_serve_time_version() {
     // bumps the object's version.
     let add = framed(
         shared,
+        LINK,
         &RmiCodec::new(),
         901,
         &Request::Call {
@@ -977,6 +989,7 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
         .sig;
     let call = framed(
         shared,
+        LINK,
         &RmiCodec::new(),
         900,
         &Request::Call {
@@ -1111,8 +1124,8 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
             args: vec![WireValue::Int(5)],
         };
         let batch = Request::Batch(vec![call.clone(), call.clone()]);
-        let frames =
-            [(900, &call), (901, &batch)].map(|(msg_id, req)| framed(shared, &*codec, msg_id, req));
+        let frames = [(900, &call), (901, &batch)]
+            .map(|(msg_id, req)| framed(shared, LINK, &*codec, msg_id, req));
         for frame in &frames {
             let truncated = (0..frame.len()).map(|len| frame[..len].to_vec());
             let flipped = (0..frame.len() * 8).map(|bit| {
@@ -1127,7 +1140,7 @@ fn deliver_answers_hostile_bytes_with_a_frame_and_never_panics() {
             for hostile in truncated.chain(flipped).chain(structured) {
                 let cached = shared.nodes.borrow()[1].reply_cache.len();
                 let executed = executions();
-                let (msg_id, reply, _) = answer(shared, &*codec, &hostile)
+                let (msg_id, reply, _) = answer(shared, LINK, &*codec, &hostile)
                     .unwrap_or_else(|e| panic!("{}: unreadable reply frame: {e}", codec.name()));
                 if codec.decode_request_header(&hostile).is_err() {
                     assert!(matches!(reply, Reply::Fault(_)), "{reply:?}");
@@ -1152,7 +1165,13 @@ fn discover_of_a_class_without_statics_is_answered_with_a_fault() {
         let shared = cluster.shared();
         assert!(shared.plan.family(base).unwrap().half(Side::Cls).is_none());
         let class = "C".to_owned();
-        let discover = framed(shared, &RmiCodec::new(), 900, &Request::Discover { class });
+        let discover = framed(
+            shared,
+            LINK,
+            &RmiCodec::new(),
+            900,
+            &Request::Discover { class },
+        );
         let (reply, _) = answered(shared, &discover);
         assert!(
             matches!(&reply, Reply::Fault(m) if m.contains("no static members")),
@@ -1472,25 +1491,6 @@ fn replica_reads_serve_getters_from_the_local_backup() {
     assert_eq!(cluster.monitor_violations(), vec![]);
 }
 
-/// `req` sent from `from` to `to` under message id `msg_id`, encoded and
-/// decoded against that link's tables, and handed straight to `to`'s
-/// callee half: the reply it answers.
-fn served(shared: &Shared, (from, to): (NodeId, NodeId), msg_id: u64, req: &Request) -> Reply {
-    let codec = RmiCodec::new();
-    let mut frame = Vec::new();
-    shared
-        .with_link_table(from, to, |table| {
-            let ctx = TraceContext::NONE;
-            codec.encode_request_into(msg_id, ctx, req, Some(table), &mut frame)
-        })
-        .unwrap();
-    let bytes = deliver(shared, to, from, &codec, &frame);
-    let decoded = shared.with_link_table(to, from, |table| {
-        codec.decode_reply_with(&bytes, Some(table))
-    });
-    decoded.unwrap().3
-}
-
 /// A `ReplicaSync` naming a class the backup does not know is answered
 /// with a fault and stores nothing, instead of surfacing as `unknown
 /// class` at a promotion after the primary has crashed.
@@ -1506,7 +1506,9 @@ fn a_replica_sync_of_an_unknown_class_is_refused() {
             fields: vec![WireValue::Int(1)],
         },
     };
-    let reply = served(shared, (NodeId(0), NodeId(1)), 9_000, &sync);
+    let codec = RmiCodec::new();
+    let frame = framed(shared, LINK, &codec, 9_000, &sync);
+    let (_, reply, _) = answer(shared, LINK, &codec, &frame).unwrap();
     assert_eq!(reply, Reply::Fault("unknown class NoSuchClass".into()));
     assert!(shared.nodes.borrow()[1].replica_store.is_empty());
     assert_eq!(cluster.stats().replica_syncs, 1, "served, and refused");
@@ -1537,7 +1539,9 @@ fn a_backup_shorter_than_its_layout_defers_to_the_owner() {
             fields: vec![],
         },
     };
-    let reply = served(shared, (NodeId(1), NodeId(0)), 9_001, &sync);
+    let (codec, link) = (RmiCodec::new(), (NodeId(1), NodeId(0)));
+    let frame = framed(shared, link, &codec, 9_001, &sync);
+    let (_, reply, _) = answer(shared, link, &codec, &frame).unwrap();
     assert_eq!(reply, Reply::Value(WireValue::Null));
     assert_eq!(backup_of(&cluster, 0, (owner, oid)), vec![]);
     let before = cluster.stats();

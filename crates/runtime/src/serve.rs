@@ -338,21 +338,13 @@ fn dispatch_request(
                 return Err("replica sync needs object state".into());
             };
             // The class is resolved here, so a copy the backup holds always
-            // names a class it can promote and read — once per location: a
-            // re-shipment of the class the copy already holds keeps its id.
-            // The state stays in wire form until promotion: a backup that
-            // never promotes allocates nothing on its heap.
-            let mut nodes = shared.nodes.borrow_mut();
-            let store = &mut nodes[node.0 as usize].replica_store;
-            match store.get_mut(&(caller.0, object)) {
-                Some(copy) if *shared.universe.class(copy.1).name == *class => {
-                    (copy.0, copy.2) = (version, fields);
-                }
-                _ => {
-                    let class = class_named(&class)?;
-                    store.insert((caller.0, object), (version, class, fields));
-                }
-            }
+            // names a class it can promote and read. The state stays in wire
+            // form until promotion: a backup that never promotes allocates
+            // nothing on its heap.
+            let class = class_named(&class)?;
+            shared.nodes.borrow_mut()[node.0 as usize]
+                .replica_store
+                .insert((caller.0, object), (version, class, fields));
             Ok(Reply::Value(WireValue::Null))
         }
         Request::Promote {
