@@ -522,6 +522,28 @@ if grep -n 'field_layout(' crates/runtime/src/cluster.rs; then
   exit 1
 fi
 
+echo "== one accessor recogniser: the dispatch cache marks getters and setters =="
+# A generated property accessor is recognised in one place, `Vm::access_of`,
+# when a dispatch-cache slot fills: the quickened `Invoke`, `getter_slot` and
+# the runtime's "is this call a read?" (owner side and property cache) all
+# read that mark. The getter or setter body matched anywhere else in product
+# code, or a family's own getter list (`getter_sigs`), means a second answer
+# — one that can disagree about an inherited getter — is back.
+accessor_shape='(^|[^!])\[Insn::LoadLocal\(0\), Insn::(GetField|LoadLocal\(1\))'
+accessor_sites=$(for f in $(find crates -path '*/src/*' -name '*.rs' ! -name tests.rs | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE "$accessor_shape" || true; } | sed "s|^|$f:|"
+done)
+in_recogniser=$(sed -n '/^    fn access_of(/,/^    }$/p' crates/vm/src/vm.rs | grep -cE "$accessor_shape" || true)
+if [ "$(grep -c . <<<"$accessor_sites")" -ne 2 ] || [ "$in_recogniser" -ne 2 ]; then
+  echo "FAIL: the accessor bodies must be matched twice (getter, setter), both in Vm::access_of:" >&2
+  echo "$accessor_sites" >&2
+  exit 1
+fi
+if grep -rn 'getter_sigs' crates tests examples; then
+  echo "FAIL: a family's getter list is back — ask Vm::getter_slot" >&2
+  exit 1
+fi
+
 echo "== one harness per question: no bench targets, no criterion =="
 # Tables live in experiments_report, bars in tier-1 tests, wall clock in
 # benchmark/: a [[bench]] target or a criterion dependency in a workspace

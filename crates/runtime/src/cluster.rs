@@ -502,6 +502,7 @@ impl Cluster {
                 let weak = Rc::downgrade(&self.shared);
                 vm.register_native(family.obj.factory, family.make_sig, move |_vm, _args| {
                     let shared = upgrade(&weak)?;
+                    let _s = shared.prof.section(Section::FactoryMake);
                     make_value(&shared, node, &shared.rows[id])
                 });
                 // discover()
@@ -509,6 +510,7 @@ impl Cluster {
                     let weak = Rc::downgrade(&self.shared);
                     vm.register_native(cls.factory, family.discover_sig, move |_vm, _args| {
                         let shared = upgrade(&weak)?;
+                        let _s = shared.prof.section(Section::FactoryDiscover);
                         discover_value(&shared, node, &shared.rows[id])
                     });
                 }
@@ -697,7 +699,9 @@ impl Cluster {
         for vm in &self.shared.vms {
             let weak = Rc::downgrade(&self.shared);
             vm.bind_observer_to(ids, move |_vm, event| {
-                upgrade(&weak)?.trace.borrow_mut().push(event);
+                let shared = upgrade(&weak)?;
+                let _s = shared.prof.section(Section::ObserverEmit);
+                shared.trace.borrow_mut().push(event);
                 Ok(())
             });
         }
@@ -944,14 +948,6 @@ pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> Option<u64> {
 pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) {
     let marked = shared.directory.borrow_mut().bump((node, oid));
     charge_marks(shared, node, u64::from(marked));
-}
-
-/// The property-getter signatures of a generated class — the calls that
-/// cannot mutate an instance of it.
-pub(crate) fn getter_sigs(shared: &Shared, info: GenInfo) -> &[SigId] {
-    let family = shared.plan.family(shared.rows[info.row].base);
-    let half = family.and_then(|f| f.half(info.side));
-    half.map_or(&[], |h| &h.getters)
 }
 
 /// The location the proxy `h` addresses, read from its two state slots.

@@ -78,11 +78,23 @@ pub enum Section {
     /// Soak harness: the delta-0 mutation of every pool object after a
     /// restart.
     TouchAll,
+    /// A generated factory's `make()` hook: the placement decision and the
+    /// fresh instance (or the create exchange).
+    FactoryMake,
+    /// A generated factory's `discover()` hook: the class singleton,
+    /// resolved or made.
+    FactoryDiscover,
+    /// A generated factory's `init$k` body, the original constructor's
+    /// logic. It is bytecode the runtime does not call, so only a driver
+    /// that hooks it opens this section.
+    FactoryInit,
+    /// The `Observer` hooks' trace sink.
+    ObserverEmit,
 }
 
 impl Section {
     /// Every section, in table order.
-    pub const ALL: [Section; 25] = [
+    pub const ALL: [Section; 29] = [
         Section::Other,
         Section::Proxy,
         Section::Marshal,
@@ -108,6 +120,10 @@ impl Section {
         Section::QuiescentCheck,
         Section::OracleStep,
         Section::TouchAll,
+        Section::FactoryMake,
+        Section::FactoryDiscover,
+        Section::FactoryInit,
+        Section::ObserverEmit,
     ];
 
     /// A stable dotted name (`rpc.transmit`, `serve.dispatch`, …).
@@ -138,6 +154,10 @@ impl Section {
             Section::QuiescentCheck => "watchdog.quiescent_check",
             Section::OracleStep => "soak.oracle_step",
             Section::TouchAll => "soak.touch_all",
+            Section::FactoryMake => "factory.make",
+            Section::FactoryDiscover => "factory.discover",
+            Section::FactoryInit => "factory.init",
+            Section::ObserverEmit => "observer.emit",
         }
     }
 }

@@ -4,7 +4,7 @@
 //! under.
 
 use crate::batch::{enqueue_outcall, flush_outqueues};
-use crate::cluster::{gen_info, getter_sigs, read_proxy_state, version_of, ClassRow, Shared};
+use crate::cluster::{gen_info, read_proxy_state, version_of, ClassRow, Shared};
 use crate::failover::{failover, owner_gone};
 use crate::marshal;
 use crate::obs::Met;
@@ -63,12 +63,6 @@ pub(crate) fn proxy_call(
         let _s = shared.prof.section(Section::Marshal);
         marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?
     };
-    // Property-cache fast path: a cacheable getter whose cached tag still
-    // equals the owner's current version is served locally — no exchange,
-    // no clock advance. Coherence rests on the tag check: every mutation
-    // on the owner bumps the version, so a hit can never observe a value
-    // older than the last write the owner served.
-    let is_getter = getter_sigs(shared, info).contains(&sig);
     // Replica-read fast path (E15): a parameter-less call on a `reads from
     // replicas` class is served from this node's own replica copy when —
     // and only when — it dispatches to a property getter (the VM's answer
@@ -84,7 +78,20 @@ pub(crate) fn proxy_call(
             return Ok(v);
         }
     }
-    let cache_on = is_getter && row.rule.cache;
+    // Property-cache fast path: a cacheable getter whose cached tag still
+    // equals the owner's current version is served locally — no exchange,
+    // no clock advance. Coherence rests on the tag check: every mutation
+    // on the owner bumps the version, so a hit can never observe a value
+    // older than the last write the owner served.
+    //
+    // A getter is what the VM marks as one on the family's local
+    // implementation class — the class the owner's object has, so both
+    // sides agree that an inherited getter is a read and that a subclass's
+    // own method under a getter's signature is not.
+    let cache_on = row.rule.cache && {
+        let local = shared.plan.family(row.base).and_then(|f| f.half(info.side));
+        local.is_some_and(|half| vm.getter_slot(half.local, sig).is_some())
+    };
     let cache_key = (target, oid, sig);
     if cache_on {
         let current = version_of(shared, target, oid);

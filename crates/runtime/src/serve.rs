@@ -4,8 +4,8 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cached_import, class_row, discover_value, export, getter_sigs, info_of, is_proxy,
-    lookup_export, read_proxy_state, relocate, remote_ref, version_of, Shared,
+    bump_version, cached_import, class_row, discover_value, export, is_proxy, lookup_export,
+    read_proxy_state, relocate, remote_ref, version_of, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -250,10 +250,14 @@ fn dispatch_request(
             let sig = parse_method(&method).ok_or_else(|| format!("malformed method {method}"))?;
             // Anything other than a property getter may mutate the object
             // (setters, init$k, arbitrary methods), so it bumps the property
-            // version and invalidates every proxy-side cached read. Objects
-            // whose class cannot be resolved bump conservatively.
-            let is_getter = info_of(shared, node.0, h)
-                .is_some_and(|info| getter_sigs(shared, info).contains(&sig));
+            // version and invalidates every proxy-side cached read. The VM
+            // answers for the export's runtime class — an inherited getter
+            // is a read, a subclass's own method under a getter's signature
+            // is not — and an object whose class cannot be resolved bumps
+            // conservatively.
+            let is_getter = vm
+                .class_of(h)
+                .is_some_and(|class| vm.getter_slot(class, sig).is_some());
             if !is_getter {
                 bump_version(shared, node.0, object);
             }

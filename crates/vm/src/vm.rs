@@ -6,7 +6,7 @@ use crate::native::{NativeFn, NativeRegistry};
 use crate::trace::{Trace, TraceEvent};
 use crate::value::Value;
 use rafda_classmodel::{
-    BinOp, ClassId, ClassKind, ClassUniverse, CmpOp, Const, Insn, SigId, Ty, UnOp,
+    BinOp, ClassId, ClassKind, ClassUniverse, CmpOp, Const, FieldRef, Insn, SigId, Ty, UnOp,
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -62,33 +62,68 @@ enum Dispatch {
 /// `(kind, class, sig)` keys a program's hot loop uses.
 const DISPATCH_SLOTS: usize = 1024;
 
-/// A dispatch-cache entry: `(kind, class, sig) → (owner, idx)`.
+/// A dispatch-cache entry: `(class, sig) → (owner, idx)`, held in the half
+/// of the cache for its kind of lookup, with what the target is to a
+/// quickened call. 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    kind: Dispatch,
     class: ClassId,
     sig: SigId,
     owner: ClassId,
     idx: u16,
+    access: Access,
 }
 
 impl Slot {
     /// Matches no key: no universe has `u32::MAX` classes.
     const EMPTY: Slot = Slot {
-        kind: Dispatch::Virtual,
         class: ClassId(u32::MAX),
         sig: SigId(0),
         owner: ClassId(0),
         idx: 0,
+        access: Access::PLAIN,
     };
 
     /// The slot a key maps to: Fibonacci hashing of `(class, sig)` into one
     /// half of the cache per kind, so a static and a virtual method under
-    /// one signature never evict each other.
+    /// one signature never evict each other — and an entry's half is its
+    /// kind, so the guard compares class and signature only.
     fn of(kind: Dispatch, class: ClassId, sig: SigId) -> usize {
         let key = class.0 ^ sig.0.rotate_left(16);
         let hash = key.wrapping_mul(0x9E37_79B9) >> (33 - DISPATCH_SLOTS.trailing_zeros());
         kind as usize * (DISPATCH_SLOTS / 2) + hash as usize
+    }
+}
+
+/// What a resolved target is to an `Invoke`: an ordinary method, or a
+/// generated property accessor whose field slot a quickened call reads or
+/// writes in place. Packed into 16 bits, the slot above a two-bit tag, so a
+/// dispatch-cache entry stays 16 bytes; an accessor of a slot past
+/// [`Access::MAX_SLOT`] is left plain and always takes a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Access(u16);
+
+impl Access {
+    /// An ordinary method: the call takes a frame.
+    const PLAIN: Access = Access(0);
+    const GET: u16 = 1;
+    const SET: u16 = 2;
+    /// The largest field slot the mark can name.
+    const MAX_SLOT: usize = (u16::MAX >> 2) as usize;
+
+    fn new(tag: u16, slot: usize) -> Access {
+        if slot > Access::MAX_SLOT {
+            return Access::PLAIN;
+        }
+        Access((slot as u16) << 2 | tag)
+    }
+
+    fn tag(self) -> u16 {
+        self.0 & 3
+    }
+
+    fn slot(self) -> usize {
+        usize::from(self.0 >> 2)
     }
 }
 
@@ -533,39 +568,43 @@ impl Vm {
     }
 
     /// `(declaring class, method index)` of `sig` on `class`, by the given
-    /// kind of lookup: the dispatch cache's entry, or on a miss the
-    /// universe's answer, which then takes the slot.
+    /// kind of lookup.
     fn resolve(
         &self,
         class: ClassId,
         sig: SigId,
         kind: Dispatch,
     ) -> Result<(ClassId, u16), VmError> {
+        self.target(class, sig, kind).map(|t| (t.owner, t.idx))
+    }
+
+    /// The dispatch-cache entry for `sig` on `class`, by the given kind of
+    /// lookup: the entry the slot holds, or on a miss the universe's answer,
+    /// which then takes the slot.
+    #[inline]
+    fn target(&self, class: ClassId, sig: SigId, kind: Dispatch) -> Result<Slot, VmError> {
         let slot = &self.link.dispatch[Slot::of(kind, class, sig)];
         let held = slot.get();
-        if held.class == class && held.sig == sig && held.kind == kind {
-            return Ok((held.owner, held.idx));
+        if held.class == class && held.sig == sig {
+            return Ok(held);
         }
         self.resolve_miss(slot, class, sig, kind)
     }
 
     /// The field slot an instance of `class` answers `sig` from, if `sig`
-    /// dispatches there to a property getter — a body that is exactly
-    /// `LoadLocal 0; GetField f; ReturnValue`: the slot its `GetField`
-    /// reads, `field_base[f.owner] + f.index`. `None` for any other body
-    /// (native, abstract, or anything else), and for a signature that does
-    /// not resolve. Runs no bytecode: reading that slot of a state vector
-    /// is what calling the getter on an object holding it would return.
+    /// dispatches there to a property getter: the mark the dispatch cache
+    /// holds for the target — a non-native body without handlers that is
+    /// exactly `LoadLocal 0; GetField f; ReturnValue` — which is the slot
+    /// the getter's `GetField f` reads, `field_base[f.owner] + f.index`. `None`
+    /// for any other target (a setter, a native or abstract method, any
+    /// other body), for a getter of a slot past what the mark can name, and
+    /// for a signature that does not resolve. Runs no
+    /// bytecode: reading that slot of a state vector is what calling the
+    /// getter on an object holding it would return, and it is the slot a
+    /// quickened `Invoke` of that getter reads.
     pub fn getter_slot(&self, class: ClassId, sig: SigId) -> Option<usize> {
-        let (owner, idx) = self.resolve(class, sig, Dispatch::Virtual).ok()?;
-        let method = self.universe.method(owner, idx);
-        let body = method.body.as_ref().filter(|_| !method.is_native)?;
-        match (body.code.as_slice(), body.handlers.is_empty()) {
-            ([Insn::LoadLocal(0), Insn::GetField(f), Insn::ReturnValue], true) => {
-                Some(self.link.field_base[f.owner.0 as usize] + f.index as usize)
-            }
-            _ => None,
-        }
+        let access = self.target(class, sig, Dispatch::Virtual).ok()?.access;
+        (access.tag() == Access::GET).then(|| access.slot())
     }
 
     #[cold]
@@ -576,7 +615,7 @@ impl Vm {
         class: ClassId,
         sig: SigId,
         kind: Dispatch,
-    ) -> Result<(ClassId, u16), VmError> {
+    ) -> Result<Slot, VmError> {
         let found = match kind {
             Dispatch::Virtual => self.universe.resolve_virtual(class, sig),
             Dispatch::Static => self.universe.resolve_static(class, sig),
@@ -588,14 +627,47 @@ impl Vm {
                 self.universe.sig_info(sig).name
             )))
         })?;
-        slot.set(Slot {
-            kind,
+        let access = match kind {
+            Dispatch::Virtual => self.access_of(owner, idx),
+            Dispatch::Static => Access::PLAIN,
+        };
+        let entry = Slot {
             class,
             sig,
             owner,
             idx,
-        });
-        Ok((owner, idx))
+            access,
+        };
+        slot.set(entry);
+        Ok(entry)
+    }
+
+    /// The one place a generated property accessor is recognised: what a
+    /// virtual call that resolved to method `idx` of `owner` amounts to. A
+    /// non-native body without handlers that is exactly the getter
+    /// `LoadLocal 0; GetField f; ReturnValue`, or exactly the one-parameter
+    /// setter `LoadLocal 0; LoadLocal 1; PutField f; Return`, is marked with
+    /// the slot `field_base[f.owner] + f.index` its field instruction
+    /// touches; anything else — an override with another body included —
+    /// is plain. Worked out once per dispatch-cache fill.
+    fn access_of(&self, owner: ClassId, idx: u16) -> Access {
+        let method = self.universe.method(owner, idx);
+        let body = method.body.as_ref();
+        let Some(body) = body.filter(|b| !method.is_native && b.handlers.is_empty()) else {
+            return Access::PLAIN;
+        };
+        let slot = |f: &FieldRef| self.link.field_base[f.owner.0 as usize] + f.index as usize;
+        match body.code.as_slice() {
+            [Insn::LoadLocal(0), Insn::GetField(f), Insn::ReturnValue] => {
+                Access::new(Access::GET, slot(f))
+            }
+            [Insn::LoadLocal(0), Insn::LoadLocal(1), Insn::PutField(f), Insn::Return]
+                if method.params.len() == 1 =>
+            {
+                Access::new(Access::SET, slot(f))
+            }
+            _ => Access::PLAIN,
+        }
     }
 
     /// Resolve a static method by class & method *name* and call it
@@ -827,6 +899,52 @@ impl Vm {
         result
     }
 
+    /// Make a call to a marked accessor in place: the receiver `h` is
+    /// `stack[at]` (a setter's value above it), and the call reads or writes
+    /// the marked field slot and leaves the result where `invoke`'s would
+    /// be. No frame is pushed, but the meter is charged exactly what the
+    /// frame would have cost — one call, and 3 steps for a getter or 4 for a
+    /// setter — and a setter writes through [`Heap::set_field`], so the
+    /// write is logged as any `PutField`'s. A failed field access charges
+    /// the steps up to the faulting instruction, as the frame would.
+    ///
+    /// `Ok(false)`, with nothing done, when the call must take its frame:
+    /// when the accessor's steps would pass the fuel limit or its frame the
+    /// depth limit, so `OutOfFuel` and `StackOverflow` trap at the step and
+    /// depth they always did.
+    #[inline]
+    fn quickened(
+        &self,
+        access: Access,
+        h: Handle,
+        stack: &mut Vec<Value>,
+        at: usize,
+    ) -> Result<bool, VmError> {
+        let meter = &*self.meter;
+        let steps = meter.steps.get();
+        let cost = if access.tag() == Access::GET { 3 } else { 4 };
+        if steps + cost > meter.fuel_limit.get() || meter.cur_depth.get() >= meter.max_depth.get() {
+            return Ok(false);
+        }
+        meter.calls.set(meter.calls.get() + 1);
+        let result = if access.tag() == Access::GET {
+            let read = self.state.borrow().heap.field(h, access.slot()).cloned();
+            // A getter faults at its second step, the `GetField`.
+            meter.steps.set(steps + if read.is_some() { 3 } else { 2 });
+            read
+        } else {
+            let v = stack.pop().expect("verified setter argument");
+            let written = self.state.borrow_mut().heap.set_field(h, access.slot(), v);
+            // A setter faults at its third step, the `PutField`.
+            meter.steps.set(steps + if written { 4 } else { 3 });
+            written.then_some(Value::Null)
+        };
+        let v = result.ok_or(VmError::Trap(Trap::StaleHandle))?;
+        stack.truncate(at);
+        stack.push(v);
+        Ok(true)
+    }
+
     /// Run the hook registered for native method `method_idx` of `class` on
     /// its argument window. Out of line, so that `invoke`'s frame, which
     /// every bytecode call pays for, stays small.
@@ -931,9 +1049,11 @@ impl Vm {
                 let at = operands!(*argc as usize + 1);
                 let h = ref_handle(&stack[at])?;
                 let rt_class = self.class_of(h).ok_or(VmError::Trap(Trap::StaleHandle))?;
-                let (owner, idx) = self.resolve(rt_class, *sig, Dispatch::Virtual)?;
-                let r = self.invoke(owner, idx, stack, at)?;
-                stack.push(r);
+                let target = self.target(rt_class, *sig, Dispatch::Virtual)?;
+                if target.access == Access::PLAIN || !self.quickened(target.access, h, stack, at)? {
+                    let r = self.invoke(target.owner, target.idx, stack, at)?;
+                    stack.push(r);
+                }
             }
             Insn::InvokeStatic { class, sig, argc } => {
                 self.ensure_initialized(*class)?;

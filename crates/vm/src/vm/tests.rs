@@ -1007,3 +1007,193 @@ fn a_getter_slot_is_the_slot_the_getter_reads() {
     let placeholder = u.by_name("Placeholder").unwrap();
     assert_eq!(vm.getter_slot(placeholder, sig), None, "resolves nothing");
 }
+
+// ----------------------------------------------------------------------
+// Quickened accessors: a call without a frame, charged as one
+// ----------------------------------------------------------------------
+
+/// `P { int x; int get_x(); void set_x(int) }` and `Main`:
+///
+/// * `static int run(int n)` — `P p = new P(); while (n > 0) { p.set_x(p.get_x() + n); n--; } return p.get_x();`
+/// * `static int deep(P p, int d)` — `d == 0 ? p.get_x() : deep(p, d - 1)`;
+/// * `static void poke(P p, int v)` — `p.set_x(v)`.
+///
+/// With `generated`, the accessors have the bodies the transformation
+/// generates, which the VM quickens; otherwise each body ends in one
+/// unreachable `Return` more — the same steps, but not the marked shape, so
+/// every call takes its frame.
+fn accessor_program(generated: bool) -> Vm {
+    vm_with(|u| {
+        let mut cb = ClassBuilder::declare(u, "P", ClassKind::Class);
+        let p = cb.id();
+        let x = cb.field(rafda_classmodel::Field::new("x", Ty::Int));
+        let field = rafda_classmodel::FieldRef { owner: p, index: x };
+        let mut mb = MethodBuilder::new(1);
+        mb.ret();
+        cb.ctor(u, vec![], Some(mb.finish()));
+        let get_x = u.sig("get_x", vec![]);
+        let set_x = u.sig("set_x", vec![Ty::Int]);
+        let mut getter = rafda_classmodel::Method::getter(u, get_x, Ty::Int, field);
+        let mut setter = rafda_classmodel::Method::setter(u, set_x, field);
+        if !generated {
+            for m in [&mut getter, &mut setter] {
+                m.body.as_mut().unwrap().code.push(Insn::Return);
+            }
+        }
+        cb.add_method(getter);
+        cb.add_method(setter);
+        cb.finish(u);
+
+        let mut cb = ClassBuilder::declare(u, "Main", ClassKind::Class);
+        let main = cb.id();
+        let mut mb = MethodBuilder::new(1);
+        let obj = mb.alloc_local();
+        mb.new_init(p, 0, 0).store_local(obj);
+        let (top, done) = (mb.label(), mb.label());
+        mb.bind(top);
+        mb.load_local(0)
+            .const_int(0)
+            .cmp(CmpOp::Gt)
+            .jump_if_not(done);
+        mb.load_local(obj).load_local(obj).invoke(get_x, 0);
+        mb.load_local(0).add().invoke(set_x, 1).pop();
+        mb.load_local(0).const_int(1).sub().store_local(0).jump(top);
+        mb.bind(done);
+        mb.load_local(obj).invoke(get_x, 0).ret_value();
+        cb.static_method(u, "run", vec![Ty::Int], Ty::Int, Some(mb.finish()));
+
+        let deep = u.sig("deep", vec![Ty::Object(p), Ty::Int]);
+        let mut mb = MethodBuilder::new(2);
+        let recurse = mb.label();
+        mb.load_local(1)
+            .const_int(0)
+            .cmp(CmpOp::Eq)
+            .jump_if_not(recurse);
+        mb.load_local(0).invoke(get_x, 0).ret_value();
+        mb.bind(recurse);
+        mb.load_local(0).load_local(1).const_int(1).sub();
+        mb.invoke_static(main, deep, 2).ret_value();
+        cb.static_method(
+            u,
+            "deep",
+            vec![Ty::Object(p), Ty::Int],
+            Ty::Int,
+            Some(mb.finish()),
+        );
+
+        let mut mb = MethodBuilder::new(2);
+        mb.load_local(0).load_local(1).invoke(set_x, 1).pop().ret();
+        cb.static_method(
+            u,
+            "poke",
+            vec![Ty::Object(p), Ty::Int],
+            Ty::Void,
+            Some(mb.finish()),
+        );
+        cb.finish(u);
+    })
+}
+
+/// What a run left: its result, and the steps and calls it was charged.
+fn run_outcome(vm: &Vm, method: &str, args: Vec<Value>) -> (Result<Value, VmError>, u64, u64) {
+    vm.reset_stats();
+    let result = vm.call_static_by_name("Main", method, args);
+    let s = vm.stats();
+    (result, s.steps, s.calls)
+}
+
+/// The accessor mark rides in the entry's spare bits: marking costs the
+/// plain `Invoke` path no wider load.
+#[test]
+fn a_dispatch_cache_entry_is_16_bytes() {
+    assert_eq!(std::mem::size_of::<Slot>(), 16);
+}
+
+#[test]
+fn only_the_generated_accessor_bodies_are_marked() {
+    for generated in [true, false] {
+        let vm = accessor_program(generated);
+        let u = vm.universe().clone();
+        let p = u.by_name("P").unwrap();
+        let sig_of = |name: &str| {
+            let idx = u.class(p).method_index(name).unwrap();
+            u.class(p).methods[idx as usize].sig
+        };
+        let [get_x, set_x] = ["get_x", "set_x"].map(sig_of);
+        let access = |sig| vm.target(p, sig, Dispatch::Virtual).unwrap().access;
+        let marked = (
+            access(get_x) != Access::PLAIN,
+            access(set_x) != Access::PLAIN,
+        );
+        assert_eq!(marked, (generated, generated), "generated {generated}");
+        let want = generated.then_some(0);
+        assert_eq!(vm.getter_slot(p, get_x), want, "x is slot 0");
+        assert_eq!(vm.getter_slot(p, set_x), None, "a setter is no getter");
+    }
+}
+
+#[test]
+fn a_quickened_accessor_call_is_charged_exactly_its_frame() {
+    let (quick, framed) = (accessor_program(true), accessor_program(false));
+    let run = |vm: &Vm| run_outcome(vm, "run", vec![Value::Int(6)]);
+    let (result, steps, calls) = run(&quick);
+    assert_eq!(result, Ok(Value::Int(21)));
+    assert_eq!((steps, calls), (run(&framed).1, run(&framed).2));
+    // Per iteration: one getter (3 steps) and one setter (4 steps) call.
+    assert_eq!(
+        calls,
+        2 + 2 * 6 + 1,
+        "run, <init>, two accessors a turn, the last read"
+    );
+}
+
+#[test]
+fn fuel_runs_out_at_the_same_step_across_a_quickened_accessor() {
+    let total = run_outcome(&accessor_program(true), "run", vec![Value::Int(3)]).1;
+    for limit in 0..=total + 1 {
+        let [quick, framed] = [true, false].map(|generated| {
+            let vm = accessor_program(generated);
+            vm.set_fuel(Some(limit));
+            run_outcome(&vm, "run", vec![Value::Int(3)])
+        });
+        assert_eq!(quick, framed, "fuel limit {limit}");
+        let ran_out = quick.0 == Err(VmError::Trap(Trap::OutOfFuel));
+        assert_eq!(ran_out, limit < total, "fuel limit {limit} of {total}");
+    }
+}
+
+#[test]
+fn the_stack_overflows_at_the_same_depth_across_a_quickened_accessor() {
+    // `deep(p, 3)` nests four `deep` frames, and the getter one more.
+    for max_depth in 1..=7 {
+        let [quick, framed] = [true, false].map(|generated| {
+            let vm = accessor_program(generated);
+            let p = vm.new_instance(vm.universe().by_name("P").unwrap(), 0, vec![]);
+            vm.set_max_depth(max_depth);
+            run_outcome(&vm, "deep", vec![p.unwrap(), Value::Int(3)])
+        });
+        assert_eq!(quick, framed, "max depth {max_depth}");
+        let overflowed = quick.0 == Err(VmError::Trap(Trap::StackOverflow));
+        assert_eq!(overflowed, max_depth < 5, "max depth {max_depth}");
+    }
+}
+
+#[test]
+fn a_quickened_setter_leaves_the_write_log_entry_a_putfield_does() {
+    let [quick, framed] = [true, false].map(|generated| {
+        let vm = accessor_program(generated);
+        let p = vm.new_instance(vm.universe().by_name("P").unwrap(), 0, vec![]);
+        let h = p.as_ref().unwrap().as_ref_handle().unwrap();
+        vm.clear_written(h);
+        vm.take_written();
+        assert!(!vm.written(h), "generated {generated}: the mark is clear");
+        let poked = run_outcome(&vm, "poke", vec![p.unwrap(), Value::Int(7)]);
+        (poked, vm.written(h), vm.take_written(), vm.read_object(h))
+    });
+    assert_eq!(quick, framed);
+    let (poked, written, log, object) = quick;
+    assert_eq!(poked.0, Ok(Value::Null));
+    assert!(written, "the setter's write marks the object");
+    assert_eq!(log.map(|l| l.len()), Some(1), "and logs its handle once");
+    assert_eq!(object.map(|(_, fields)| fields), Some(vec![Value::Int(7)]));
+}

@@ -12,6 +12,15 @@
 //!   get_k modulo 8`, `replicate S 2`, `reads from replicas`, 64 keys drawn
 //!   Zipf 1.1, one op in 32 a `put`, the rest `get_v` served from the
 //!   client's own backup copy, monitors on;
+//! * `local_chain` — the benchmark workload's shape: the seed-42 12-class
+//!   chain program, transformed and deployed in one address space, one
+//!   `Driver.main` per op checked against the untransformed program's
+//!   trace. The factory hooks (`make()`, `discover()`) and the `Observer`
+//!   sink open their own sections; in a profiled run every generated
+//!   `init$k` also becomes a native hook that opens `factory.init` and runs
+//!   the body, moved to a static `init$k#body` beside it — so that section
+//!   includes the hook's own re-entry into the VM (an argument vector and a
+//!   fresh stack per call), which the unprofiled runs do not pay;
 //! * `transform_corpus` — the benchmark workload's op taken apart: clone one
 //!   of the sixteen seed-42 500-class JDK-shaped corpora, `Transformer::run`
 //!   it for RMI / SOAP / CORBA (which verifies its output once), verify the
@@ -37,20 +46,25 @@
 //!     | ./ledger.sh --layers host_profile.rpc_steady 0
 //! ```
 //!
-//! Arguments: the loop (`soak_day` by default) and its op count (10⁵; 160
-//! for `transform_corpus`, ten passes over its corpora).
+//! Arguments: the loop (`soak_day` by default) and its op count (10⁵;
+//! 20,000 for `local_chain`; 160 for `transform_corpus`, ten passes over
+//! its corpora).
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::verify::verify_universe;
-use rafda::classmodel::{ClassKind, Field};
+use rafda::classmodel::{ClassId, ClassKind, Field, Method, SigId};
 use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle};
 use rafda::corpus::rng::Rng;
 use rafda::corpus::workload::ZipfWorkload;
-use rafda::corpus::{generate_jdk, JdkProfile};
+use rafda::corpus::{generate_app, generate_jdk, AppSpec, JdkProfile, ObserverHooks};
 use rafda::runtime::{HostProfile, Section, SoakRecorder};
 use rafda::soak::SoakHarness;
-use rafda::transform::Transformer;
-use rafda::{Application, ClassUniverse, Cluster, NodeId, Placement, StaticPolicy, Ty, Value};
+use rafda::transform::{TransformPlan, Transformer};
+use rafda::{
+    Application, ClassUniverse, Cluster, LocalRuntime, NodeId, Placement, StaticPolicy, Ty, Value,
+    Vm,
+};
+use std::sync::Arc;
 use std::time::Instant;
 
 #[path = "counting_alloc.rs"]
@@ -119,12 +133,18 @@ fn main() {
         "soak_day" => soak_day,
         "rpc_steady" => rpc_steady,
         "store_reads" => store_reads,
+        "local_chain" => local_chain,
         "transform_corpus" => return transform_corpus(ops.unwrap_or(160)),
-        other => {
-            panic!("unknown loop {other}: soak_day, rpc_steady, store_reads or transform_corpus")
-        }
+        other => panic!(
+            "unknown loop {other}: soak_day, rpc_steady, store_reads, local_chain or \
+             transform_corpus"
+        ),
     };
-    let ops = ops.unwrap_or(100_000);
+    let ops = ops.unwrap_or(if which == "local_chain" {
+        20_000
+    } else {
+        100_000
+    });
     let (mut off, mut on) = (Vec::new(), Vec::new());
     for _ in 0..PAIRS {
         off.push(run(ops, false));
@@ -572,5 +592,114 @@ fn store_reads(ops: usize, profile: bool) -> Run {
         cluster.check_invariants().is_empty(),
         "the store runs clean"
     );
+    run
+}
+
+/// The benchmark's `local_chain` program, untransformed: 12 classes with
+/// statics, inheritance and arrays, at seed 42.
+fn chain_app() -> Application {
+    let mut app = Application::new();
+    let obs = app.observer();
+    let spec = AppSpec {
+        classes: 12,
+        int_fields: 2,
+        statics: true,
+        inheritance: true,
+        arrays: true,
+        seed: 42,
+    };
+    let hooks = ObserverHooks {
+        class: obs.class,
+        emit: obs.emit,
+    };
+    generate_app(app.universe_mut(), hooks, &spec);
+    app
+}
+
+/// Make every generated `init$k` of `plan` a native method and move its
+/// body to a static `init$k#body` on the same factory: `(factory, init$k,
+/// body)` per constructor, for a hook that times the call and runs the
+/// body.
+fn hook_inits(u: &mut ClassUniverse, plan: &TransformPlan) -> Vec<(ClassId, SigId, SigId)> {
+    let mut hooked = Vec::new();
+    for family in plan.families.values() {
+        let factory = family.obj.factory;
+        for &init in &family.init_sigs {
+            let info = u.sig_info(init).clone();
+            let body = u.sig(&format!("{}#body", info.name), info.params.to_vec());
+            let class = u.class(factory);
+            let at = class.methods.iter().position(|m| m.sig == init).unwrap();
+            let moved = Method {
+                is_static: true,
+                body: class.methods[at].body.clone(),
+                ..Method::declared(u, body, Ty::Void)
+            };
+            let methods = &mut u.class_mut(factory).methods;
+            methods[at].is_native = true;
+            methods[at].body = None;
+            methods.push(moved);
+            hooked.push((factory, init, body));
+        }
+    }
+    hooked
+}
+
+/// `ops` ops of the benchmark's `local_chain` workload at seed 42: its
+/// argument draw, one `Driver.main` per op, each op's trace checked against
+/// the untransformed program's.
+fn local_chain(ops: usize, profile: bool) -> Run {
+    let app = chain_app();
+    let mut rng = Rng::new(42 ^ 0x4c4f_4341_4c43_484e);
+    let args: Vec<i32> = (0..ops).map(|_| rng.below(1000) as i32).collect();
+    let original = Vm::new(Arc::new(app.universe().clone()));
+    original.bind_observer(&app.observer());
+    let reference: Vec<_> = args
+        .iter()
+        .map(|&a| original.run_observed("Driver", "main", vec![Value::Int(a)]))
+        .collect();
+    let transformed = app.transform(&["RMI"]).expect("the chain app transforms");
+    let mut universe = transformed.universe().clone();
+    let plan = transformed.plan().clone();
+    let inits = if profile {
+        hook_inits(&mut universe, &plan)
+    } else {
+        Vec::new()
+    };
+    let rt = LocalRuntime::new(universe, plan);
+    rt.bind_observer(&transformed.observer());
+    let cluster = rt.cluster();
+    for &(factory, init, body) in &inits {
+        let hooked = cluster.clone();
+        rt.vm().register_native(factory, init, move |vm, args| {
+            let _s = hooked.profile_section(Section::FactoryInit);
+            vm.call_static(factory, body, args.to_vec())
+        });
+    }
+    if profile {
+        cluster.enable_host_profile();
+    }
+    let allocs = Allocs::now();
+    let start = Instant::now();
+    for (&arg, want) in args.iter().zip(&reference) {
+        let _op = cluster.profile_section(Section::Other);
+        let got = rt.run_observed("Driver", "main", vec![Value::Int(arg)]);
+        assert!(
+            got == *want,
+            "main({arg}) diverged from the original program"
+        );
+    }
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    let run = Run {
+        wall_ns,
+        profile: cluster.host_profile(),
+        span_log_bytes: cluster.span_log().retained_bytes(),
+        allocs: allocs.since(),
+    };
+    // Each hook holds the cluster that holds it: replace it, so that the
+    // deployment can be dropped.
+    for &(factory, init, _) in &inits {
+        rt.vm()
+            .register_native(factory, init, |_, _| Ok(Value::Null));
+    }
     run
 }

@@ -5,6 +5,11 @@
 //! replica reads on and off, and compare every value read — one field of
 //! each kind, an inherited field, and a subclass's own method under a
 //! generated getter's signature, which only the owner may run.
+//!
+//! Both sides ask the VM the same question, "is this call a property
+//! read?": the owner when it decides whether a served call bumps the
+//! version and re-ships the object, the proxy when it decides whether a
+//! call may be cached. An inherited getter is a read on both sides.
 
 use rafda::classmodel::builder::{ClassBuilder, MethodBuilder};
 use rafda::classmodel::{ClassKind, ClassUniverse, Field};
@@ -85,6 +90,12 @@ fn app() -> Application {
 /// `Odd` keep one backup — on the client, which reads from it iff
 /// `replica_reads`.
 fn deploy(replica_reads: bool) -> Cluster {
+    deploy_with(replica_reads, false)
+}
+
+/// [`deploy`], with the client's property cache on for `R`, `Sub` and
+/// `Odd` iff `cache`.
+fn deploy_with(replica_reads: bool, cache: bool) -> Cluster {
     let mut policy = StaticPolicy::new();
     for class in ["Item", "R", "Sub", "Odd"] {
         policy = policy.place(class, Placement::Node(OWNER));
@@ -92,7 +103,8 @@ fn deploy(replica_reads: bool) -> Cluster {
     for class in ["R", "Sub", "Odd"] {
         policy = policy
             .replicate(class, 1)
-            .replica_reads(class, replica_reads);
+            .replica_reads(class, replica_reads)
+            .cache(class, cache);
     }
     app()
         .transform(&["RMI"])
@@ -237,4 +249,68 @@ fn an_override_of_a_generated_getter_runs_on_the_owner() {
         assert_eq!(after_calls - calls, 3 + u64::from(!replica_reads));
         assert!(cluster.check_invariants().is_empty());
     }
+}
+
+/// `get_v` on a `Sub` is `Base`'s generated getter, so the proxy may cache
+/// it: of four reads, the first is an owner exchange and the other three
+/// are cache hits — as for `Sub`'s own `get_w`.
+#[test]
+fn an_inherited_getter_hits_the_property_cache() {
+    let cluster = deploy_with(false, true);
+    let sub = new(&cluster, "Sub", vec![]);
+    call(&cluster, &sub, "set_v", vec![Value::Int(5)]);
+    call(&cluster, &sub, "set_w", vec![Value::Int(9)]);
+    for (getter, want) in [("get_v", 5), ("get_w", 9)] {
+        let before = cluster.stats();
+        for _ in 0..4 {
+            assert_eq!(call(&cluster, &sub, getter, vec![]), Value::Int(want));
+        }
+        let after = cluster.stats();
+        let served = (
+            after.cache_hits - before.cache_hits,
+            after.rpc_calls - before.rpc_calls,
+        );
+        assert_eq!(served, (3, 1), "{getter}: cache hits and exchanges");
+    }
+    assert!(cluster.check_invariants().is_empty());
+}
+
+/// An owner-served `get_v` on a `Sub` is a read: it neither bumps the
+/// version nor ships a replica sync. `Odd`'s own `get_v()` writes, so each
+/// call ships one.
+#[test]
+fn an_owner_served_inherited_getter_ships_no_replica_sync() {
+    let cluster = deploy(false);
+    let sub = new(&cluster, "Sub", vec![]);
+    let odd = new(&cluster, "Odd", vec![]);
+    call(&cluster, &sub, "set_v", vec![Value::Int(5)]);
+    let syncs = cluster.stats().replica_syncs;
+    for _ in 0..3 {
+        assert_eq!(call(&cluster, &sub, "get_v", vec![]), Value::Int(5));
+    }
+    assert_eq!(cluster.stats().replica_syncs - syncs, 0, "Sub.get_v reads");
+    for want in 1..=3 {
+        let syncs = cluster.stats().replica_syncs;
+        assert_eq!(call(&cluster, &odd, "get_v", vec![]), Value::Int(want));
+        assert_eq!(cluster.stats().replica_syncs - syncs, 1, "Odd.get_v writes");
+    }
+    assert!(cluster.check_invariants().is_empty());
+}
+
+/// With the property cache on, `Odd`'s own `get_v()` is still no read: it
+/// is never cached, and every call runs on the owner and sees the last
+/// call's write.
+#[test]
+fn an_override_of_a_generated_getter_is_never_cached() {
+    let cluster = deploy_with(false, true);
+    let odd = new(&cluster, "Odd", vec![]);
+    let before = cluster.stats();
+    let got: Vec<Value> = (0..4)
+        .map(|_| call(&cluster, &odd, "get_v", vec![]))
+        .collect();
+    assert_eq!(got, [1, 2, 3, 4].map(Value::Int));
+    let after = cluster.stats();
+    assert_eq!(after.cache_hits - before.cache_hits, 0);
+    assert_eq!(after.rpc_calls - before.rpc_calls, 4);
+    assert!(cluster.check_invariants().is_empty());
 }
