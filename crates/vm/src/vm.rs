@@ -595,13 +595,13 @@ impl Vm {
     /// dispatches there to a property getter: the mark the dispatch cache
     /// holds for the target — a non-native body without handlers that is
     /// exactly `LoadLocal 0; GetField f; ReturnValue` — which is the slot
-    /// the getter's `GetField f` reads, `field_base[f.owner] + f.index`. `None`
-    /// for any other target (a setter, a native or abstract method, any
-    /// other body), for a getter of a slot past what the mark can name, and
-    /// for a signature that does not resolve. Runs no
-    /// bytecode: reading that slot of a state vector is what calling the
-    /// getter on an object holding it would return, and it is the slot a
-    /// quickened `Invoke` of that getter reads.
+    /// the getter's `GetField f` reads, `field_base[f.owner] + f.index`.
+    /// `None` for any other target (a setter, a native or abstract method,
+    /// any other body), for a getter of a slot past what the mark can name,
+    /// and for a signature that does not resolve. Runs no bytecode: reading
+    /// that slot of a state vector is what calling the getter on an object
+    /// holding it would return, and it is the slot a quickened `Invoke` of
+    /// that getter reads.
     pub fn getter_slot(&self, class: ClassId, sig: SigId) -> Option<usize> {
         let access = self.target(class, sig, Dispatch::Virtual).ok()?.access;
         (access.tag() == Access::GET).then(|| access.slot())
