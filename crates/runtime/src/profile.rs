@@ -85,8 +85,8 @@ pub enum Section {
     /// resolved or made.
     FactoryDiscover,
     /// A generated factory's `init$k` body, the original constructor's
-    /// logic. It is bytecode the runtime does not call, so only a driver
-    /// that hooks it opens this section.
+    /// logic. It is bytecode the runtime does not call, so only code that
+    /// hooks it (the `host_profile` example) opens this section.
     FactoryInit,
     /// The `Observer` hooks' trace sink.
     ObserverEmit,
