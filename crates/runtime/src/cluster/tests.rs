@@ -609,16 +609,18 @@ fn a_bare_local_mutation_ships_at_the_next_exchange() {
 }
 
 /// A plain local call that stores the value the field already holds sets
-/// the written mark but moves neither state nor version: the next probe
-/// takes the full compare, ships nothing and clears the mark — so the
-/// probe after that is answered from the mark and the record alone.
+/// the written mark, and a written flat object owes its backups a
+/// shipment: the next probe bumps the version and ships without comparing
+/// states, and clears the mark — so the probe after that is answered from
+/// the mark and the record alone.
 #[test]
-fn an_equal_store_ships_nothing_and_clears_the_written_mark() {
+fn an_equal_store_ships_at_a_bumped_version_and_clears_the_written_mark() {
     let (cluster, a, b, oid) = pulled_counter(15);
     let shared = cluster.shared();
     let vm = &shared.vms[0];
     let h = a.as_ref_handle().unwrap();
     assert!(!vm.written(h), "settled by the pull's own shipment");
+    let version = version_of(shared, 0, oid).unwrap();
     let add0 = cluster.call_method(NodeId(0), a, "add", vec![Value::Int(0)]);
     assert_eq!(add0.unwrap(), Value::Int(5));
     assert!(vm.written(h), "a store is a store, whatever it stored");
@@ -628,11 +630,23 @@ fn an_equal_store_ships_nothing_and_clears_the_written_mark() {
         .unwrap();
     let swept = cluster.stats();
     assert_eq!(swept.replica_sweep_probes, before.replica_sweep_probes + 1);
-    assert_eq!(swept.replica_syncs, before.replica_syncs, "state equal");
-    assert!(!vm.written(h), "the settled probe cleared the mark");
-    // Both halves of the early return's condition hold, so the quiescent
-    // probe below takes it: still counted, still ships nothing.
-    assert!(shared.directory.borrow_mut().settle_if_flat((0, oid)));
+    assert_eq!(
+        swept.replica_syncs,
+        before.replica_syncs + 2,
+        "one per backup"
+    );
+    assert_eq!(version_of(shared, 0, oid), Some(version + 1));
+    assert!(!vm.written(h), "the shipment cleared the mark");
+    for n in [1, 2] {
+        assert_eq!(backup_of(&cluster, n, (0, oid)), vec![WireValue::Int(5)]);
+    }
+    // The record is flat and current, and the slot unwritten, so the
+    // quiescent probe below is answered without marshalling: still
+    // counted, and it ships nothing.
+    assert_eq!(
+        shared.directory.borrow().current_record((0, oid)),
+        Some(false)
+    );
     assert_eq!(cluster.check_invariants(), vec![]);
     let quiet = cluster.stats();
     assert_eq!(quiet.replica_sweep_probes, swept.replica_sweep_probes + 1);

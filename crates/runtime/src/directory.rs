@@ -6,7 +6,8 @@
 //! shard map, the last-shipped replica records, the dirty-replica set and
 //! the affinity counters — lives behind this one type, and changes only through the
 //! transitions below ([`Directory::export`], [`Directory::relocate`],
-//! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`],
+//! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`] /
+//! [`Directory::undelivered`],
 //! [`Directory::mark_written`] / [`Directory::mark_node`] /
 //! [`Directory::take_dirty`],
 //! [`Directory::restart`], [`Directory::record_call`],
@@ -34,18 +35,6 @@ pub(crate) type Loc = (u32, u64);
 /// sorted by class name, so key order is `(class name, shard)` order.
 pub(crate) type ShardKey = (usize, u32);
 
-/// How an export's live state relates to what its backups last received.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Drift {
-    /// Same version, same state: the backups are current.
-    Settled,
-    /// The state moved under an unchanged version — a mutation the runtime
-    /// never served. The version must be bumped before shipping.
-    State,
-    /// Never shipped, or the version moved since the last shipment.
-    Version,
-}
-
 /// Incoming-call affinity of one export: the calls served for it at its
 /// current home, and the caller that dominates them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,29 +60,22 @@ struct NodeDir {
     /// Live exports that are locally implemented instances of a replicated
     /// class — the only locations a dirty mark can make shippable.
     replicated: BTreeSet<u64>,
-    /// Exports whose last shipment was *not* flat: the state held a
+    /// The state each *deep* export last shipped: one that held a
     /// `Remote`, `Array` or `ObjectState`, so the marshalled form reaches
-    /// into other heap slots and a write anywhere on the node may move it.
-    /// A flat record — by-value scalars and strings only — is a function of
-    /// the export's own slot, and marshalling it has no side effect (no
-    /// referent is exported, hence none re-marked dirty).
-    deep: BTreeSet<u64>,
+    /// into other heap slots and a write anywhere on the node may move it;
+    /// the next probe compares against it. A flat record — by-value scalars
+    /// and strings only — is a function of the export's own slot, whose
+    /// written mark answers for it, so no copy is kept.
+    deep: BTreeMap<u64, Vec<WireValue>>,
     /// Last id handed out. Survives restarts, so a stale proxy addressing
     /// a pre-crash export gets a typed fault, not a different object.
     next_oid: u64,
-    /// What each export last shipped to its backups. Cleared cluster-wide
-    /// on every restart so a rejoining backup is re-seeded at the owner's
-    /// next sync.
-    synced_versions: FastMap<u64, Shipment>,
+    /// The version each export last shipped to its backups. Cleared
+    /// cluster-wide on every restart so a rejoining backup is re-seeded at
+    /// the owner's next sync.
+    synced_versions: FastMap<u64, u64>,
     /// Per-export incoming call counts by caller node.
     call_counts: FastMap<u64, FastMap<u32, u64>>,
-}
-
-/// One export's last shipment to its backups.
-#[derive(Debug)]
-struct Shipment {
-    version: u64,
-    state: Vec<WireValue>,
 }
 
 /// All location state of one cluster. See the module docs.
@@ -178,7 +160,7 @@ impl Directory {
     }
 
     /// The object at `old` now lives at `new`. In order: drop `old`'s
-    /// version, shipment record and deep flag (no read through it may be
+    /// version and shipment record (no read through it may be
     /// cached again, and it has no backups to keep current); vacate `old`
     /// — its export, export id, replicated flag and dirty mark go, whatever
     /// the mover left in the heap, so a call addressed there is answered
@@ -196,11 +178,8 @@ impl Directory {
         } else {
             self.versions.remove(&old)
         };
+        self.drop_record(old, version);
         let st = &mut self.nodes[old.0 as usize];
-        if let Some(shipment) = st.synced_versions.remove(&old.1) {
-            self.lagging -= u64::from(version != Some(shipment.version));
-        }
-        st.deep.remove(&old.1);
         if let Some(h) = st.exports.remove(&old.1) {
             st.export_ids.remove(&h);
         }
@@ -228,8 +207,8 @@ impl Directory {
     pub(crate) fn bump(&mut self, loc: Loc) -> bool {
         if let Some(v) = self.versions.get_mut(&loc) {
             *v += 1;
-            if let Some(s) = self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
-                let (was, is) = (*v - 1 != s.version, *v != s.version);
+            if let Some(&s) = self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
+                let (was, is) = (*v - 1 != s, *v != s);
                 self.lagging = self.lagging - u64::from(was) + u64::from(is);
             }
         }
@@ -251,7 +230,7 @@ impl Directory {
         let st = &self.nodes[node as usize];
         let exported = written.iter().filter_map(|h| st.export_ids.get(h));
         let marks = exported
-            .chain(&st.deep)
+            .chain(st.deep.keys())
             .filter(|oid| st.replicated.contains(oid));
         let mut made = 0;
         for &oid in marks {
@@ -280,8 +259,9 @@ impl Directory {
 
     /// `loc` is about to ship `state` at `version` to its backups. The
     /// record is made *before* the shipment because each shipment is an
-    /// exchange, whose own sweep must find this location settled.
-    pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: Vec<WireValue>) {
+    /// exchange, whose own sweep must find this location settled. Only a
+    /// deep state is kept, for the next probe to compare against.
+    pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: &[WireValue]) {
         let deep = state.iter().any(|v| {
             matches!(
                 v,
@@ -291,19 +271,17 @@ impl Directory {
         let current = self.version(loc);
         let st = &mut self.nodes[loc.0 as usize];
         if deep {
-            st.deep.insert(loc.1);
+            st.deep.insert(loc.1, state.to_vec());
         } else {
             st.deep.remove(&loc.1);
         }
-        let previous = st
-            .synced_versions
-            .insert(loc.1, Shipment { version, state });
-        let was = previous.is_some_and(|p| current != Some(p.version));
+        let previous = st.synced_versions.insert(loc.1, version);
+        let was = previous.is_some_and(|p| current != Some(p));
         self.lagging = self.lagging - u64::from(was) + u64::from(current != Some(version));
         self.dirty.remove(&loc);
     }
 
-    /// A probe found `loc` [`Drift::Settled`]: its dirty mark is spent.
+    /// A probe found `loc`'s backups current: its dirty mark is spent.
     pub(crate) fn settled(&mut self, loc: Loc) {
         self.dirty.remove(&loc);
     }
@@ -316,21 +294,22 @@ impl Directory {
         }
     }
 
-    /// The probe for an export whose heap slot nobody has written since its
-    /// live state last equalled its shipment record: if that record is flat
-    /// and still at `loc`'s current version, the live state *is* the record
-    /// — [`Directory::drift`] would answer [`Drift::Settled`] — so the
-    /// dirty mark is spent and `true` returned. Otherwise nothing changes.
-    #[must_use]
-    pub(crate) fn settle_if_flat(&mut self, loc: Loc) -> bool {
-        let st = &self.nodes[loc.0 as usize];
-        let record = st.synced_versions.get(&loc.1);
-        let settled = !st.deep.contains(&loc.1)
-            && record.is_some_and(|s| Some(s.version) == self.version(loc));
-        if settled {
-            self.dirty.remove(&loc);
+    /// A shipment of `loc` did not reach every live backup: its record is
+    /// dropped and the location re-marked, so the next sweep ships it
+    /// again whatever its state.
+    pub(crate) fn undelivered(&mut self, loc: Loc) {
+        self.drop_record(loc, self.version(loc));
+        self.unsettled(loc);
+    }
+
+    /// Drop `loc`'s shipment record, `version` being the location's current
+    /// one.
+    fn drop_record(&mut self, loc: Loc, version: Option<u64>) {
+        let st = &mut self.nodes[loc.0 as usize];
+        st.deep.remove(&loc.1);
+        if let Some(shipped) = st.synced_versions.remove(&loc.1) {
+            self.lagging -= u64::from(version != Some(shipped));
         }
-        settled
     }
 
     /// `node` restarted with empty volatile state: its exports, shipment
@@ -483,19 +462,22 @@ impl Directory {
         out
     }
 
-    /// How `state`, the live marshalled state of `loc`, relates to its
-    /// last shipment.
-    pub(crate) fn drift(&self, loc: Loc, state: &[WireValue]) -> Drift {
-        match self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
-            Some(s) if Some(s.version) == self.version(loc) => {
-                if s.state == state {
-                    Drift::Settled
-                } else {
-                    Drift::State
-                }
-            }
-            _ => Drift::Version,
-        }
+    /// Whether `loc`'s backups were sent its current version: `None` if not
+    /// (never shipped, a failed send, or the version moved since), else
+    /// whether that record is deep.
+    pub(crate) fn current_record(&self, loc: Loc) -> Option<bool> {
+        let st = &self.nodes[loc.0 as usize];
+        let shipped = st.synced_versions.get(&loc.1);
+        let current = shipped.is_some_and(|&v| Some(v) == self.version(loc));
+        current.then(|| st.deep.contains_key(&loc.1))
+    }
+
+    /// Whether `state` is what `loc`'s deep record shipped.
+    pub(crate) fn deep_record_is(&self, loc: Loc, state: &[WireValue]) -> bool {
+        self.nodes[loc.0 as usize]
+            .deep
+            .get(&loc.1)
+            .is_some_and(|s| s == state)
     }
 
     /// Shipped exports whose backups lag the owner's current version. Read
@@ -511,9 +493,9 @@ impl Directory {
     fn scan_replica_lag(&self) -> u64 {
         let mut lag = 0;
         for (owner, st) in self.nodes.iter().enumerate() {
-            for (&oid, shipment) in &st.synced_versions {
+            for (&oid, &shipped) in &st.synced_versions {
                 let current = self.version((owner as u32, oid));
-                lag += u64::from(current != Some(shipment.version));
+                lag += u64::from(current != Some(shipped));
             }
         }
         lag
@@ -738,33 +720,35 @@ mod tests {
         assert_eq!(dir.resolve(a), a_new, "the move itself is recorded");
     }
 
-    /// `settle_if_flat` answers for the full probe only where the full
-    /// probe's answer is a function of the record alone: a record exists,
-    /// it is flat, and the version has not moved past it.
+    /// A probe may skip marshalling only where the record answers for the
+    /// live state: a record exists and the version has not moved past it.
+    /// A flat record keeps no state; a deep one keeps what it shipped, for
+    /// the probe to compare against. A send that failed drops the record.
     #[test]
-    fn settle_if_flat_needs_a_flat_record_at_the_current_version() {
+    fn current_record_needs_a_record_at_the_current_version() {
         let h = handles(1)[0];
         let mut dir = Directory::new(NODES, 1);
         let loc = (0, dir.export(0, h, true));
-        assert!(!dir.settle_if_flat(loc), "never shipped");
-        assert_eq!(dir.dirty_depth(), 1, "a refusal changes nothing");
+        assert_eq!(dir.current_record(loc), None, "never shipped");
 
         let scalars = vec![
             WireValue::Null,
             WireValue::Int(1),
             WireValue::Str("s".into()),
         ];
-        dir.shipped(loc, 0, scalars.clone());
-        let _ = dir.mark_node(0);
-        assert!(dir.settle_if_flat(loc));
-        assert_eq!(dir.dirty_depth(), 0, "settling spends the dirty mark");
+        dir.shipped(loc, 0, &scalars);
+        assert_eq!(dir.current_record(loc), Some(false), "flat");
+        assert!(
+            !dir.deep_record_is(loc, &scalars),
+            "no copy of a flat state"
+        );
 
         let _ = dir.bump(loc);
-        assert!(
-            !dir.settle_if_flat(loc),
+        assert_eq!(
+            dir.current_record(loc),
+            None,
             "the version moved past the record"
         );
-        assert_eq!(dir.dirty_depth(), 1);
 
         let remote = WireValue::Remote {
             node: 1,
@@ -778,9 +762,21 @@ mod tests {
         for reaching in [remote, WireValue::Array(vec![]), object] {
             let mut state = scalars.clone();
             state.push(reaching);
-            dir.shipped(loc, 1, state);
-            assert!(!dir.settle_if_flat(loc), "state reaches past its own slot");
+            dir.shipped(loc, 1, &state);
+            assert_eq!(dir.current_record(loc), Some(true), "reaches past its slot");
+            assert!(dir.deep_record_is(loc, &state));
+            assert!(!dir.deep_record_is(loc, &scalars));
         }
+
+        let _ = dir.take_dirty();
+        dir.undelivered(loc);
+        assert_eq!(
+            dir.current_record(loc),
+            None,
+            "a failed send owes a shipment"
+        );
+        assert!(!dir.deep_record_is(loc, &[]), "and keeps no state");
+        assert_eq!(dir.take_dirty(), BTreeSet::from([loc]), "re-marked");
     }
 
     /// What a drained write log marks: a written handle only if it is a
@@ -793,9 +789,9 @@ mod tests {
         let flat = (0, dir.export(0, hs[0], true));
         let deep = (0, dir.export(0, hs[1], true));
         let plain = (0, dir.export(0, hs[2], false));
-        dir.shipped(flat, 0, vec![WireValue::Int(1)]);
-        dir.shipped(deep, 0, vec![WireValue::Array(vec![])]);
-        dir.shipped(plain, 0, vec![WireValue::Array(vec![])]);
+        dir.shipped(flat, 0, &[WireValue::Int(1)]);
+        dir.shipped(deep, 0, &[WireValue::Array(vec![])]);
+        dir.shipped(plain, 0, &[WireValue::Array(vec![])]);
         assert_eq!(dir.dirty_depth(), 0);
 
         // An unexported handle and an unreplicated export were written.
@@ -806,14 +802,14 @@ mod tests {
         assert_eq!(dir.mark_written(1, &[hs[0]]), 0, "another node's heap");
 
         // A flat shipment takes the export out of the deep set again.
-        dir.shipped(deep, 0, vec![WireValue::Int(2)]);
+        dir.shipped(deep, 0, &[WireValue::Int(2)]);
         assert_eq!(dir.mark_written(0, &[]), 0);
         // An export that moved away ships no more, and any restart voids
         // every record.
-        dir.shipped(flat, 0, vec![WireValue::Array(vec![])]);
+        dir.shipped(flat, 0, &[WireValue::Array(vec![])]);
         migrate(&mut dir, flat, hs[0], 1);
         assert_eq!(dir.mark_written(0, &[hs[0]]), 0);
-        dir.shipped(deep, 0, vec![WireValue::Array(vec![])]);
+        dir.shipped(deep, 0, &[WireValue::Array(vec![])]);
         let _ = dir.restart(2);
         let _ = dir.take_dirty();
         assert_eq!(dir.mark_written(0, &[]), 0);
@@ -847,17 +843,17 @@ mod tests {
         let loc = (0, dir.export(0, hs[0], true));
         let _ = dir.bump(loc);
         assert_eq!(lag(&dir), (0, 0), "never shipped: nothing to lag");
-        dir.shipped(loc, 1, vec![]);
+        dir.shipped(loc, 1, &[]);
         assert_eq!(lag(&dir), (0, 0));
         let _ = dir.bump(loc);
         assert_eq!(lag(&dir), (1, 1), "the version moved past the shipment");
-        dir.shipped(loc, 1, vec![]);
+        dir.shipped(loc, 1, &[]);
         assert_eq!(
             lag(&dir),
             (1, 1),
             "re-shipping the old version settles nothing"
         );
-        dir.shipped(loc, 2, vec![]);
+        dir.shipped(loc, 2, &[]);
         assert_eq!(lag(&dir), (0, 0));
         let _ = dir.bump(loc);
         assert_eq!(lag(&dir), (1, 1));
@@ -868,14 +864,18 @@ mod tests {
         assert_eq!(dir.version(loc), None);
         // The new home starts unshipped; its first shipment settles it.
         let _ = dir.bump(new);
-        dir.shipped(new, 0, vec![]);
+        dir.shipped(new, 0, &[]);
         assert_eq!(lag(&dir), (1, 1), "shipped a version the bump overtook");
-        dir.shipped(new, 1, vec![]);
+        dir.shipped(new, 1, &[]);
         assert_eq!(lag(&dir), (0, 0));
         // A restart voids every owner's records, lagging or not.
         let other = (2, dir.export(2, hs[1], true));
-        dir.shipped(other, 0, vec![]);
+        dir.shipped(other, 0, &[]);
         let _ = dir.bump(other);
+        assert_eq!(lag(&dir), (1, 1));
+        dir.undelivered(other);
+        assert_eq!(lag(&dir), (0, 0), "a dropped record cannot lag");
+        dir.shipped(other, 0, &[]);
         assert_eq!(lag(&dir), (1, 1));
         let _ = dir.restart(0);
         assert_eq!(lag(&dir), (0, 0));
@@ -1058,7 +1058,7 @@ mod tests {
                     } else {
                         vec![WireValue::Array(vec![])]
                     };
-                    dir.shipped(loc, version, state);
+                    dir.shipped(loc, version, &state);
                 }
             }
             Op::AddMember { shard, node, pick } if up(node) => {
@@ -1126,12 +1126,13 @@ mod tests {
                     "{n}#{oid} replicated, not live"
                 );
             }
-            for (oid, shipment) in &st.synced_versions {
-                let deep = !shipment.state.is_empty();
-                prop_assert_eq!(st.deep.contains(oid), deep, "{}#{} deep set", n, oid);
+            for (oid, state) in &st.deep {
+                prop_assert!(!state.is_empty(), "{n}#{oid} flat state kept");
+                prop_assert!(
+                    st.synced_versions.contains_key(oid),
+                    "{n}#{oid} deep, no record"
+                );
             }
-            let recorded = |oid| st.synced_versions.contains_key(oid);
-            prop_assert!(st.deep.iter().all(recorded), "node {n}: deep, no record");
             if w.down != Some(n) {
                 for oid in st.call_counts.keys() {
                     prop_assert!(st.exports.contains_key(oid), "{n}#{oid} counted, not live");

@@ -54,7 +54,8 @@ pub enum Section {
     ReplyEncode,
     /// Replica sweep: draining the heaps' write logs into dirty marks.
     SweepDrain,
-    /// Replica sweep: the settled test, state read and drift comparison.
+    /// Replica sweep: the settled test, and a deep record's state read and
+    /// comparison.
     SweepProbe,
     /// Replica sweep: building and shipping the state to the backups.
     SweepShip,

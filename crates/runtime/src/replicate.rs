@@ -17,7 +17,6 @@
 
 use crate::batch::enqueue_outcall;
 use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
-use crate::directory::Drift;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
@@ -56,22 +55,33 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 }
 
 /// Ship the current state of export `oid` on `owner` to its replication
-/// targets, if its class is replicated by policy. Called after every served
-/// operation that may have mutated the object (and after exports that
-/// create one), so a live backup is never behind the last mutation the
-/// owner served.
+/// targets, if its class is replicated by policy and the backups do not
+/// hold it already. Called after every served operation that may have
+/// mutated the object (and after exports that create one), so a live
+/// backup is never behind the last mutation the owner served.
+///
+/// A flat export (its last shipment held by-value scalars and strings
+/// only) owes a shipment iff its heap slot was written or its version
+/// moved since: its state is a function of that one slot, so it is
+/// marshalled only to ship. A deep one reaches into other heap slots and is
+/// compared against the state it last shipped. State that moved under the
+/// version the backups hold — a write the runtime never served, such as a
+/// plain local call on a pulled object — bumps the version before it
+/// ships: the backups must not hold two states under one version tag, and
+/// cached reads tagged with it must stop validating.
 ///
 /// Crashed targets are skipped outright — the fault-plan lookup stands in
-/// for the failure detector a real owner would run — and other sync
-/// failures are swallowed: replication is best-effort per sync and repaired
-/// by the next one. Only the authoritative copy is shipped: a location the
-/// object moved away from exports nothing and never syncs. A replicated
-/// export whose state cannot be marshalled right now (an over-deep
-/// by-value graph, a stale handle) ships nothing and keeps its dirty mark:
-/// no later write need flip its written mark again, so the next sweep must
-/// retry it unprompted.
+/// for the failure detector a real owner would run. A shipment that does
+/// not reach some other target leaves the location owed: once every target
+/// has been tried, its record is dropped and it is re-marked, so the next
+/// sweep ships it again. Only the authoritative copy is shipped: a location
+/// the object moved away from exports nothing and never syncs. A
+/// replicated export whose state cannot be marshalled right now (an
+/// over-deep by-value graph, a stale handle) ships nothing and keeps its
+/// dirty mark: no later write need flip its written mark again, so the
+/// next sweep must retry it unprompted.
 ///
-/// Returns whether a shipment was made.
+/// Returns whether the state moved under the version the backups hold.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     let probe = shared.prof.section(Section::SweepProbe);
     let Some(h) = lookup_export(shared, owner, oid) else {
@@ -79,43 +89,23 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     };
     let vm = &shared.vms[owner.0 as usize];
     let loc = (owner.0, oid);
-    // Nobody wrote the object's heap slot since the runtime last proved its
-    // live state equal to the shipment record, and that record is flat —
-    // the marshalled state is a function of this one slot — so the full
-    // probe below would read, marshal, compare and find it settled.
-    if !vm.written(h) && shared.directory.borrow_mut().settle_if_flat(loc) {
-        debug_assert_eq!(
-            replicated_state(shared, owner, h)
-                .map(|(_, _, state)| shared.directory.borrow().drift(loc, &state)),
-            Some(Drift::Settled),
-            "the written mark and the full probe disagree at {loc:?}"
-        );
+    let record = shared.directory.borrow().current_record(loc);
+    if record == Some(false) && !vm.written(h) {
+        shared.directory.borrow_mut().settled(loc);
         return false;
     }
-    let Some((class_name, row, wire_fields)) = replicated_state(shared, owner, h) else {
+    let Some((class_name, row, fields)) = replicated_state(shared, owner, h) else {
         shared.directory.borrow_mut().unsettled(loc);
         return false;
     };
-    // Skip the no-op sync outright: if neither the version nor the state
-    // has moved since the last shipment, the backups already hold exactly
-    // this state and k exchanges would buy nothing. Repeated `Discover`
-    // and `Create` serves of an unmutated singleton hit this constantly.
-    //
-    // State drift at an *unchanged* version means the object was mutated
-    // outside the serve path — a promoted or pulled replica living in the
-    // caller's own VM takes plain local calls that never bump the version.
-    // Bump it here before shipping: the backups must not hold two
-    // different states under one version tag, and stale property-cache
-    // entries tagged with the old version must stop validating.
-    let drift = shared.directory.borrow().drift(loc, &wire_fields);
-    match drift {
-        Drift::Settled => {
-            shared.directory.borrow_mut().settled(loc);
-            vm.clear_written(h);
-            return false;
-        }
-        Drift::State => bump_version(shared, owner.0, oid),
-        Drift::Version => {}
+    if record == Some(true) && shared.directory.borrow().deep_record_is(loc, &fields) {
+        shared.directory.borrow_mut().settled(loc);
+        vm.clear_written(h);
+        return false;
+    }
+    let moved = record.is_some();
+    if moved {
+        bump_version(shared, owner.0, oid);
     }
     drop(probe);
     let _s = shared.prof.section(Section::SweepShip);
@@ -123,41 +113,38 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     // Recorded *before* the exchanges below: each one is a top-level rpc,
     // which runs the dirty-replica sweep, which must find this very object
     // settled instead of shipping it a second time. The record also spends
-    // the dirty mark (including the re-mark the drift bump above just made).
-    // Nothing has run since the state was read, so live == record here too.
-    shared
-        .directory
-        .borrow_mut()
-        .shipped(loc, version, wire_fields.clone());
+    // the dirty mark (including the re-mark the bump above just made).
+    shared.directory.borrow_mut().shipped(loc, version, &fields);
     vm.clear_written(h);
-    let state = WireValue::ObjectState {
-        class: class_name.to_owned(),
-        fields: wire_fields,
-    };
-    let ship = |t: u32, state: WireValue| {
-        let req = Request::ReplicaSync {
-            object: oid,
-            version,
-            state,
-        };
-        if row.rule.batch {
-            // Replica shipments of a batched class are deferrable: they
-            // ride the owner's outcall queue to each backup and land at the
-            // next synchronization point.
-            enqueue_outcall(shared, owner, NodeId(t), row, req);
-        } else {
-            let _ = rpc(shared, owner, NodeId(t), row, &req, None);
-        }
+    let req = Request::ReplicaSync {
+        object: oid,
+        version,
+        state: WireValue::ObjectState {
+            class: class_name.to_owned(),
+            fields,
+        },
     };
     let mut targets = replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32);
     targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
-    if let Some((&last, rest)) = targets.split_last() {
-        for &t in rest {
-            ship(t, state.clone());
+    if row.rule.batch {
+        // Replica shipments of a batched class are deferrable: they ride
+        // the owner's outcall queue to each backup, which owns its copy,
+        // and land at the next synchronization point.
+        let copies = std::iter::repeat_n(req, targets.len());
+        for (t, req) in targets.into_iter().zip(copies) {
+            enqueue_outcall(shared, owner, NodeId(t), row, req);
         }
-        ship(last, state);
+    } else {
+        let mut lost = false;
+        for t in targets {
+            let sent = rpc(shared, owner, NodeId(t), row, &req, None);
+            lost |= matches!(sent, Err(VmError::Unreachable(_)));
+        }
+        if lost {
+            shared.directory.borrow_mut().undelivered(loc);
+        }
     }
-    true
+    moved
 }
 
 /// The marshalled live state of `h` on `owner`, if it is a locally
@@ -205,7 +192,9 @@ fn replicated_state(
 /// without a `replicate` policy pay one boolean test, and guarded against
 /// re-entry because the shipments are themselves exchanges.
 ///
-/// Returns the number of shipments made.
+/// Returns the number of locations whose state moved under the version
+/// their backups hold. A location a failed send left owed ships whatever
+/// its state, and is not counted.
 pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     if !shared.any_replication || shared.in_replica_sweep.get() {
         return 0;
@@ -223,7 +212,7 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     let targets = shared.directory.borrow_mut().take_dirty();
     drop(drain);
     shared.in_replica_sweep.set(true);
-    let mut shipped = 0;
+    let mut moved = 0;
     for (n, oid) in targets {
         // A crashed owner cannot ship; its backups are exactly what the
         // failover machinery is for. The entry is dropped, not kept: a
@@ -233,10 +222,10 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
             continue;
         }
         bump(shared, n, Met::ReplicaSweepProbes);
-        shipped += usize::from(sync_replicas(shared, NodeId(n), oid));
+        moved += usize::from(sync_replicas(shared, NodeId(n), oid));
     }
     shared.in_replica_sweep.set(false);
-    shipped
+    moved
 }
 
 /// Serve a getter from `node`'s own replica copy of `(owner, oid)`, iff
@@ -257,6 +246,11 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
 /// In the simulated topology every inter-node link costs the same, so the
 /// nearest *profitable* replica is always the caller's own store: remote
 /// replicas would cost exactly what the owner does.
+///
+/// A served read records a zero-length `rpc.call` span tagged
+/// `replica_read` (`record_local_read`). That is deliberate: the span's
+/// trace context is what a stale-read violation points to, and the trace
+/// shows the call that never crossed the wire.
 ///
 /// [`Vm::getter_slot`]: rafda_vm::Vm::getter_slot
 pub(crate) fn replica_read(

@@ -199,8 +199,9 @@ impl Cluster {
         let shared = &self.shared;
         let _s = shared.prof.section(Section::QuiescentCheck);
         let _ = flush_outqueues(shared);
-        // The marks' own sweep first, so that whatever the full sweep below
-        // still finds to ship is a hole in the marking.
+        // The marks' own sweep first, so that whatever state the full sweep
+        // below still finds moved is a hole in the marking. A location a
+        // failed send left owed ships again there, and is not counted.
         sync_dirty_replicas(shared);
         // A quiescent check probes *every* replicated export, not just
         // recently-marked ones — mark everything, then let the sweep's

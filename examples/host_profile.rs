@@ -12,6 +12,9 @@
 //!   get_k modulo 8`, `replicate S 2`, `reads from replicas`, 64 keys drawn
 //!   Zipf 1.1, one op in 32 a `put`, the rest `get_v` served from the
 //!   client's own backup copy, monitors on;
+//! * `store_writes` — the same deployment and key draw, every op a `put`:
+//!   one owner exchange and one shipment per backup each, so the write
+//!   path's `replicate.probe` / `replicate.ship` sections carry the op;
 //! * `local_chain` — the benchmark workload's shape: the seed-42 12-class
 //!   chain program, transformed and deployed in one address space, one
 //!   `Driver.main` per op checked against the untransformed program's
@@ -133,11 +136,12 @@ fn main() {
         "soak_day" => soak_day,
         "rpc_steady" => rpc_steady,
         "store_reads" => store_reads,
+        "store_writes" => store_writes,
         "local_chain" => local_chain,
         "transform_corpus" => return transform_corpus(ops.unwrap_or(160)),
         other => panic!(
-            "unknown loop {other}: soak_day, rpc_steady, store_reads, local_chain or \
-             transform_corpus"
+            "unknown loop {other}: soak_day, rpc_steady, store_reads, store_writes, \
+             local_chain or transform_corpus"
         ),
     };
     let ops = ops.unwrap_or(if which == "local_chain" {
@@ -485,11 +489,8 @@ fn codec_split(ops: usize) -> [(&'static str, f64, usize); 3] {
 
 const STORE_NODES: u32 = 4;
 const STORE_KEYS: usize = 64;
-/// One `store_reads` op in this many is a `put`.
-const WRITE_EVERY: usize = 32;
-
-/// One `store_reads` op: the key, `None` for `get_v` or `Some(d)` for
-/// `put(d)`, and the value the call must return.
+/// One store op: the key, `None` for `get_v` or `Some(d)` for `put(d)`,
+/// and the value the call must return.
 struct StoreOp {
     key: usize,
     delta: Option<i32>,
@@ -519,9 +520,9 @@ fn keyed_store_app() -> Application {
     app
 }
 
-/// The seeded op list (the benchmark's draw at seed 42) and a populated,
-/// replica-seeded deployment.
-fn store_setup(ops: usize) -> (Vec<StoreOp>, Cluster, Vec<Value>) {
+/// The seeded op list (the benchmark's draw at seed 42, one op in
+/// `write_every` a `put`) and a populated, replica-seeded deployment.
+fn store_setup(ops: usize, write_every: usize) -> (Vec<StoreOp>, Cluster, Vec<Value>) {
     let keys = ZipfWorkload::new(42, STORE_KEYS, 1.1).sequence(ops);
     let mut rng = Rng::new(42 ^ 0x5354_4f52_4544_4c54);
     let mut shadow = [0; STORE_KEYS];
@@ -529,7 +530,7 @@ fn store_setup(ops: usize) -> (Vec<StoreOp>, Cluster, Vec<Value>) {
         .into_iter()
         .enumerate()
         .map(|(i, key)| {
-            let delta = (i % WRITE_EVERY == WRITE_EVERY - 1).then(|| rng.below(15) as i32 - 7);
+            let delta = (i % write_every == write_every - 1).then(|| rng.below(15) as i32 - 7);
             shadow[key] += delta.unwrap_or(0);
             StoreOp {
                 key,
@@ -565,8 +566,18 @@ fn store_setup(ops: usize) -> (Vec<StoreOp>, Cluster, Vec<Value>) {
     (ops, cluster, objs)
 }
 
+/// `store_reads`: one op in 32 a `put`.
 fn store_reads(ops: usize, profile: bool) -> Run {
-    let (ops, cluster, objs) = store_setup(ops);
+    store_loop(ops, 32, profile)
+}
+
+/// `store_writes`: every op a `put`.
+fn store_writes(ops: usize, profile: bool) -> Run {
+    store_loop(ops, 1, profile)
+}
+
+fn store_loop(ops: usize, write_every: usize, profile: bool) -> Run {
+    let (ops, cluster, objs) = store_setup(ops, write_every);
     if profile {
         cluster.enable_host_profile();
     }

@@ -188,6 +188,29 @@ fn restart_does_not_resurrect_unreplicated_state() {
     assert!(err.to_string().contains("unknown object"), "{err}");
 }
 
+/// A shipment that does not reach a live backup is not delivered: the
+/// owner keeps the location owed, and the first sweep after the partition
+/// heals ships it, so the backup promoted at the owner's crash holds the
+/// last acknowledged write. Owner n1, backup n0, client n2.
+#[test]
+fn a_shipment_lost_to_a_partition_ships_again_after_the_heal() {
+    let (cluster, c) = deployed(3, 1, N2, 24);
+    assert_eq!(bump(&cluster, N2, &c, 2).unwrap(), Value::Int(7));
+    cluster.network().fault_plan(|f| f.partition(N1, N0));
+    assert_eq!(bump(&cluster, N2, &c, 3).unwrap(), Value::Int(10));
+    // A quiescent check under the partition tries again and fails again:
+    // an owed location is not drift nobody marked.
+    assert_eq!(cluster.check_invariants(), vec![]);
+    cluster.network().fault_plan(|f| f.heal_all());
+    // One unrelated exchange: its sweep ships the owed state.
+    cluster
+        .new_instance(N2, "C", 0, vec![Value::Int(0)])
+        .unwrap();
+    cluster.crash(N1);
+    assert_eq!(bump(&cluster, N2, &c, 0).unwrap(), Value::Int(10));
+    assert_eq!(cluster.location_of(N2, &c), Some(N0));
+}
+
 #[test]
 fn restarted_owner_with_amnesia_fails_over_to_its_replica() {
     let (cluster, c) = deployed(3, 1, N0, 15);
