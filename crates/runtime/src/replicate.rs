@@ -71,10 +71,10 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// cached reads tagged with it must stop validating.
 ///
 /// Crashed targets are skipped outright — the fault-plan lookup stands in
-/// for the failure detector a real owner would run. A shipment that does
-/// not reach some other target leaves the location owed: once every target
-/// has been tried, its record is dropped and it is re-marked, so the next
-/// sweep ships it again. Only the authoritative copy is shipped: a location
+/// for the failure detector a real owner would run. A shipment that a live
+/// target does not acknowledge (its exchange comes back `Unreachable`)
+/// leaves the location owed: once every target has been tried, its record
+/// is dropped and it is re-marked, so the next sweep ships it again. Only the authoritative copy is shipped: a location
 /// the object moved away from exports nothing and never syncs. A
 /// replicated export whose state cannot be marshalled right now (an
 /// over-deep by-value graph, a stale handle) ships nothing and keeps its
