@@ -187,19 +187,6 @@ if grep -nE 'alloc_raw|call_virtual|wire_to_values' <<<"$replica_read_body"; the
   exit 1
 fi
 
-echo "== a flat shipment record holds no state =="
-# What a flat replicated record owes its backups is decided by the heap's
-# write log and its version: the record is the version last shipped, and
-# only a deep record (one that reaches other heap slots) keeps the state it
-# shipped, to compare against. A shipment struct, the settled-if-flat
-# shortcut or a copy of the state per record or per backup means a flat
-# record holds state again.
-if grep -nE 'settle_if_flat|struct Shipment|(state|wire_fields)\.clone\(\)' \
-    crates/runtime/src/directory.rs crates/runtime/src/replicate.rs; then
-  echo "FAIL: a flat shipment record keeps a copy of the state" >&2
-  exit 1
-fi
-
 echo "== two halves: rpc.rs is the caller, serve.rs the callee, bytes between =="
 # An exchange is cut at the wire: `rpc` frames the request, transmits both
 # ways and reads the reply frame; `serve::deliver` turns request bytes into

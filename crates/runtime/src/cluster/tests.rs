@@ -608,41 +608,31 @@ fn a_bare_local_mutation_ships_at_the_next_exchange() {
     assert_eq!(cluster.check_invariants(), vec![]);
 }
 
-/// A plain local call that stores the value the field already holds sets
-/// the written mark, and a written flat object owes its backups a
-/// shipment: the next probe bumps the version and ships without comparing
-/// states, and clears the mark — so the probe after that is answered from
-/// the mark and the record alone.
+/// A plain local call that stores the value the field already holds is no
+/// write: the heap leaves the mark clear, so the next exchange's sweep
+/// probes nothing and ships nothing, and the version stays.
 #[test]
-fn an_equal_store_ships_at_a_bumped_version_and_clears_the_written_mark() {
+fn an_equal_store_ships_nothing_and_leaves_the_written_mark_clear() {
     let (cluster, a, b, oid) = pulled_counter(15);
     let shared = cluster.shared();
     let vm = &shared.vms[0];
     let h = a.as_ref_handle().unwrap();
     assert!(!vm.written(h), "settled by the pull's own shipment");
-    let version = version_of(shared, 0, oid).unwrap();
+    let version = version_of(shared, 0, oid);
     let add0 = cluster.call_method(NodeId(0), a, "add", vec![Value::Int(0)]);
     assert_eq!(add0.unwrap(), Value::Int(5));
-    assert!(vm.written(h), "a store is a store, whatever it stored");
+    assert!(!vm.written(h), "the slot holds what it held");
     let before = cluster.stats();
     cluster
         .call_method(NodeId(0), b, "add", vec![Value::Int(1)])
         .unwrap();
     let swept = cluster.stats();
-    assert_eq!(swept.replica_sweep_probes, before.replica_sweep_probes + 1);
-    assert_eq!(
-        swept.replica_syncs,
-        before.replica_syncs + 2,
-        "one per backup"
-    );
-    assert_eq!(version_of(shared, 0, oid), Some(version + 1));
-    assert!(!vm.written(h), "the shipment cleared the mark");
-    for n in [1, 2] {
-        assert_eq!(backup_of(&cluster, n, (0, oid)), vec![WireValue::Int(5)]);
-    }
+    assert_eq!(swept.replica_sweep_probes, before.replica_sweep_probes);
+    assert_eq!(swept.replica_syncs, before.replica_syncs, "state equal");
+    assert_eq!(version_of(shared, 0, oid), version);
     // The record is flat and current, and the slot unwritten, so the
-    // quiescent probe below is answered without marshalling: still
-    // counted, and it ships nothing.
+    // quiescent probe below is answered without marshalling: counted, and
+    // it ships nothing.
     assert_eq!(
         shared.directory.borrow().current_record((0, oid)),
         Some(false)
@@ -652,6 +642,55 @@ fn an_equal_store_ships_at_a_bumped_version_and_clears_the_written_mark() {
     assert_eq!(quiet.replica_sweep_probes, swept.replica_sweep_probes + 1);
     assert_eq!(quiet.replica_syncs, swept.replica_syncs);
     assert!(!vm.written(h));
+}
+
+/// A shipment that misses a backup owes that backup alone. Node 0's pulled
+/// `CA` has backups 1 and 2; with 0 and 2 cut apart, a bare local write
+/// ships to backup 1 at a bumped version, and backup 2 is not tried (no
+/// retries, no clock). While the cut lasts every sweep probes the location
+/// and ships nothing; after the heal one sweep sends the unchanged state to
+/// backup 2 alone, at the same version.
+#[test]
+fn a_shipment_that_misses_a_backup_owes_it_alone() {
+    let (cluster, a, _, oid) = pulled_counter(16);
+    let shared = cluster.shared();
+    let loc = (0, oid);
+    let exchange = || cluster.new_instance(NodeId(1), "CB", 0, vec![]).unwrap();
+    let version = version_of(shared, 0, oid).unwrap();
+    cluster
+        .network()
+        .fault_plan(|f| f.partition(NodeId(0), NodeId(2)));
+    let add3 = cluster.call_method(NodeId(0), a, "add", vec![Value::Int(3)]);
+    assert_eq!(add3.unwrap(), Value::Int(8));
+    let before = cluster.stats();
+    exchange();
+    let cut = cluster.stats();
+    assert_eq!(cut.replica_syncs, before.replica_syncs + 1, "backup 1 only");
+    assert_eq!(cut.retries, before.retries, "backup 2 was not tried");
+    assert_eq!(version_of(shared, 0, oid), Some(version + 1));
+    assert_eq!(shared.directory.borrow().owed(loc), Some(vec![2]));
+    assert_eq!(shared.directory.borrow().replica_lag(), 1);
+    assert_eq!(backup_of(&cluster, 1, loc), vec![WireValue::Int(8)]);
+    assert_eq!(backup_of(&cluster, 2, loc), vec![WireValue::Int(5)]);
+    exchange();
+    assert_eq!(cluster.check_invariants(), vec![], "owed is not unmarked");
+    let still = cluster.stats();
+    assert_eq!(still.replica_syncs, cut.replica_syncs);
+    assert_eq!(still.replica_sweep_probes, cut.replica_sweep_probes + 3);
+
+    cluster.network().fault_plan(|f| f.heal_all());
+    exchange();
+    let healed = cluster.stats();
+    assert_eq!(
+        healed.replica_syncs,
+        still.replica_syncs + 1,
+        "backup 2 only"
+    );
+    assert_eq!(version_of(shared, 0, oid), Some(version + 1));
+    assert_eq!(shared.directory.borrow().owed(loc), None);
+    assert_eq!(shared.directory.borrow().replica_lag(), 0);
+    assert_eq!(backup_of(&cluster, 2, loc), vec![WireValue::Int(8)]);
+    assert_eq!(cluster.check_invariants(), vec![]);
 }
 
 /// A write no call site could have announced: the embedding host stores
@@ -815,10 +854,12 @@ fn a_probe_that_cannot_read_the_state_is_retried_at_the_next_sweep() {
     let Some(Value::Ref(xs)) = vm.with_heap(|heap| heap.field(holder, 0).cloned()) else {
         panic!("xs is the holder's first field");
     };
-    // Free the array and store the now-stale reference back: a logged
-    // write to the holder, whose probe cannot marshal the state.
+    // Free the array and store the now-stale reference over a null (a
+    // store of the value a field holds is no write): a logged write to the
+    // holder, whose probe cannot marshal the state.
     vm.with_heap(|heap| {
         heap.free(xs);
+        heap.set_field(holder, 0, Value::Null);
         heap.set_field(holder, 0, Value::Ref(xs))
     });
     // Each exchange from node 0 sweeps; none writes node 0's heap.

@@ -74,6 +74,10 @@ struct NodeDir {
     /// cluster-wide on every restart so a rejoining backup is re-seeded at
     /// the owner's next sync.
     synced_versions: FastMap<u64, u64>,
+    /// The backups each export's last shipment missed: live targets cut
+    /// off from the owner, or whose exchange came back `Unreachable`.
+    /// Cleared with the record; a location in here stays marked dirty.
+    owed: FastMap<u64, Vec<u32>>,
     /// Per-export incoming call counts by caller node.
     call_counts: FastMap<u64, FastMap<u32, u64>>,
 }
@@ -107,11 +111,13 @@ pub(crate) struct Directory {
     /// Always a subset of the nodes' `replicated` sets; a `BTreeSet` so
     /// the sweep drains it in `(node, oid)` order.
     dirty: BTreeSet<Loc>,
-    /// Gauge behind [`Directory::replica_lag`]: shipped locations whose
-    /// current version differs from their shipment record's. Kept exact by
-    /// the transitions that can flip the predicate for one location —
-    /// [`Directory::bump`], [`Directory::relocate`], [`Directory::shipped`]
-    /// — and zeroed by [`Directory::restart`], which voids every record.
+    /// Gauge behind [`Directory::replica_lag`]: shipped locations some
+    /// backup lags — the current version differs from the shipment
+    /// record's, or the shipment missed a backup. Kept exact by the
+    /// transitions that can flip the predicate for one location —
+    /// [`Directory::bump`], [`Directory::relocate`], [`Directory::shipped`],
+    /// [`Directory::undelivered`] — and zeroed by [`Directory::restart`],
+    /// which voids every record.
     lagging: u64,
     /// Gauge behind [`Directory::shard_balance`]: recorded shard members
     /// per node, kept exact by the three shard-member transitions.
@@ -173,13 +179,14 @@ impl Directory {
     /// that object into this one: all its locations take the mover's
     /// identity. Returns `new`'s prior identity unless it was the mover's.
     pub(crate) fn relocate(&mut self, old: Loc, new: Loc) -> Option<Loc> {
-        let version = if std::mem::take(&mut self.skip_next_tombstone) {
-            self.version(old)
-        } else {
-            self.versions.remove(&old)
-        };
-        self.drop_record(old, version);
+        self.lagging -= u64::from(self.lags(old));
+        if !std::mem::take(&mut self.skip_next_tombstone) {
+            self.versions.remove(&old);
+        }
         let st = &mut self.nodes[old.0 as usize];
+        st.synced_versions.remove(&old.1);
+        st.deep.remove(&old.1);
+        st.owed.remove(&old.1);
         if let Some(h) = st.exports.remove(&old.1) {
             st.export_ids.remove(&h);
         }
@@ -205,13 +212,11 @@ impl Directory {
     /// whether the location was marked dirty.
     #[must_use]
     pub(crate) fn bump(&mut self, loc: Loc) -> bool {
+        let was = self.lags(loc);
         if let Some(v) = self.versions.get_mut(&loc) {
             *v += 1;
-            if let Some(&s) = self.nodes[loc.0 as usize].synced_versions.get(&loc.1) {
-                let (was, is) = (*v - 1 != s, *v != s);
-                self.lagging = self.lagging - u64::from(was) + u64::from(is);
-            }
         }
+        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
         // Only a live replicated export can ship at all.
         let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
         if shippable {
@@ -268,16 +273,16 @@ impl Directory {
                 WireValue::Remote { .. } | WireValue::Array(_) | WireValue::ObjectState { .. }
             )
         });
-        let current = self.version(loc);
+        let was = self.lags(loc);
         let st = &mut self.nodes[loc.0 as usize];
         if deep {
             st.deep.insert(loc.1, state.to_vec());
         } else {
             st.deep.remove(&loc.1);
         }
-        let previous = st.synced_versions.insert(loc.1, version);
-        let was = previous.is_some_and(|p| current != Some(p));
-        self.lagging = self.lagging - u64::from(was) + u64::from(current != Some(version));
+        st.owed.remove(&loc.1);
+        st.synced_versions.insert(loc.1, version);
+        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
         self.dirty.remove(&loc);
     }
 
@@ -294,22 +299,14 @@ impl Directory {
         }
     }
 
-    /// A shipment of `loc` did not reach every live backup: its record is
-    /// dropped and the location re-marked, so the next sweep ships it
-    /// again whatever its state.
-    pub(crate) fn undelivered(&mut self, loc: Loc) {
-        self.drop_record(loc, self.version(loc));
+    /// The shipment [`Directory::shipped`] just recorded for `loc` missed
+    /// the backups `missed`: the record stands — some backups may hold
+    /// it — and the location stays marked, owing them a shipment.
+    pub(crate) fn undelivered(&mut self, loc: Loc, missed: Vec<u32>) {
+        let was = self.lags(loc);
+        self.nodes[loc.0 as usize].owed.insert(loc.1, missed);
+        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
         self.unsettled(loc);
-    }
-
-    /// Drop `loc`'s shipment record, `version` being the location's current
-    /// one.
-    fn drop_record(&mut self, loc: Loc, version: Option<u64>) {
-        let st = &mut self.nodes[loc.0 as usize];
-        st.deep.remove(&loc.1);
-        if let Some(shipped) = st.synced_versions.remove(&loc.1) {
-            self.lagging -= u64::from(version != Some(shipped));
-        }
     }
 
     /// `node` restarted with empty volatile state: its exports, shipment
@@ -324,6 +321,7 @@ impl Directory {
         for st in &mut self.nodes {
             st.synced_versions.clear();
             st.deep.clear();
+            st.owed.clear();
         }
         self.lagging = 0;
         let st = &mut self.nodes[node as usize];
@@ -463,13 +461,18 @@ impl Directory {
     }
 
     /// Whether `loc`'s backups were sent its current version: `None` if not
-    /// (never shipped, a failed send, or the version moved since), else
-    /// whether that record is deep.
+    /// (never shipped, or the version moved since), else whether that
+    /// record is deep.
     pub(crate) fn current_record(&self, loc: Loc) -> Option<bool> {
         let st = &self.nodes[loc.0 as usize];
         let shipped = st.synced_versions.get(&loc.1);
         let current = shipped.is_some_and(|&v| Some(v) == self.version(loc));
         current.then(|| st.deep.contains_key(&loc.1))
+    }
+
+    /// The backups `loc`'s last shipment missed, if any.
+    pub(crate) fn owed(&self, loc: Loc) -> Option<Vec<u32>> {
+        self.nodes[loc.0 as usize].owed.get(&loc.1).cloned()
     }
 
     /// Whether `state` is what `loc`'s deep record shipped.
@@ -488,17 +491,20 @@ impl Directory {
     }
 
     /// [`Directory::replica_lag`] from scratch: every shipment record of
-    /// every node against its location's current version. The reference
-    /// the gauge is checked against, never the answer.
+    /// every node. The reference the gauge is checked against, never the
+    /// answer.
     fn scan_replica_lag(&self) -> u64 {
-        let mut lag = 0;
-        for (owner, st) in self.nodes.iter().enumerate() {
-            for (&oid, &shipped) in &st.synced_versions {
-                let current = self.version((owner as u32, oid));
-                lag += u64::from(current != Some(shipped));
-            }
-        }
-        lag
+        let records = (0..).zip(&self.nodes);
+        let records = records.flat_map(|(n, st)| st.synced_versions.keys().map(move |&o| (n, o)));
+        records.filter(|&loc| self.lags(loc)).count() as u64
+    }
+
+    /// Whether some backup of `loc` lags its shipment record: the version
+    /// moved past the record, or the shipment missed a backup.
+    fn lags(&self, loc: Loc) -> bool {
+        let st = &self.nodes[loc.0 as usize];
+        let shipped = st.synced_versions.get(&loc.1);
+        shipped.is_some_and(|&v| Some(v) != self.version(loc) || st.owed.contains_key(&loc.1))
     }
 
     /// Entries in the dirty set — what the next sweep will probe.
@@ -723,7 +729,8 @@ mod tests {
     /// A probe may skip marshalling only where the record answers for the
     /// live state: a record exists and the version has not moved past it.
     /// A flat record keeps no state; a deep one keeps what it shipped, for
-    /// the probe to compare against. A send that failed drops the record.
+    /// the probe to compare against. A shipment that missed a backup keeps
+    /// its record, owes that backup and stays marked.
     #[test]
     fn current_record_needs_a_record_at_the_current_version() {
         let h = handles(1)[0];
@@ -769,13 +776,10 @@ mod tests {
         }
 
         let _ = dir.take_dirty();
-        dir.undelivered(loc);
-        assert_eq!(
-            dir.current_record(loc),
-            None,
-            "a failed send owes a shipment"
-        );
-        assert!(!dir.deep_record_is(loc, &[]), "and keeps no state");
+        assert_eq!(dir.owed(loc), None);
+        dir.undelivered(loc, vec![2]);
+        assert_eq!(dir.current_record(loc), Some(true), "the record stands");
+        assert_eq!(dir.owed(loc), Some(vec![2]), "backup 2 is owed");
         assert_eq!(dir.take_dirty(), BTreeSet::from([loc]), "re-marked");
     }
 
@@ -873,9 +877,15 @@ mod tests {
         dir.shipped(other, 0, &[]);
         let _ = dir.bump(other);
         assert_eq!(lag(&dir), (1, 1));
-        dir.undelivered(other);
-        assert_eq!(lag(&dir), (0, 0), "a dropped record cannot lag");
-        dir.shipped(other, 0, &[]);
+        dir.shipped(other, 1, &[]);
+        assert_eq!(lag(&dir), (0, 0));
+        dir.undelivered(other, vec![0]);
+        assert_eq!(lag(&dir), (1, 1), "a backup missed the shipment");
+        let _ = dir.bump(other);
+        assert_eq!(lag(&dir), (1, 1), "still one location");
+        dir.shipped(other, 2, &[]);
+        assert_eq!(lag(&dir), (0, 0), "a new shipment pays what was owed");
+        dir.undelivered(other, vec![0]);
         assert_eq!(lag(&dir), (1, 1));
         let _ = dir.restart(0);
         assert_eq!(lag(&dir), (0, 0));
@@ -910,12 +920,14 @@ mod tests {
             pick: usize,
         },
         /// Ship the `pick`-th export of `node`, at its current version or
-        /// (`stale`) at the one before — a shipment overtaken by a bump.
+        /// (`stale`) at the one before — a shipment overtaken by a bump —
+        /// and (`missed`) miss backup 0.
         Shipped {
             node: u32,
             pick: usize,
             stale: bool,
             flat: bool,
+            missed: bool,
         },
         /// Record the `pick`-th export of `node` as a member of `shard`.
         AddMember {
@@ -963,8 +975,8 @@ mod tests {
             4 => (node(), pick(), node()).prop_map(|(from, pick, to)| Op::Move { from, pick, to }),
             2 => (pick(), node()).prop_map(|(pick, to)| Op::Promote { pick, to }),
             3 => (node(), pick()).prop_map(|(node, pick)| Op::Bump { node, pick }),
-            2 => (node(), pick(), any::<bool>(), any::<bool>()).prop_map(
-                |(node, pick, stale, flat)| Op::Shipped { node, pick, stale, flat }
+            2 => (node(), pick(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+                |(node, pick, stale, flat, missed)| Op::Shipped { node, pick, stale, flat, missed }
             ),
             3 => (shard(), node(), pick())
                 .prop_map(|(shard, node, pick)| Op::AddMember { shard, node, pick }),
@@ -1047,6 +1059,7 @@ mod tests {
                 pick,
                 stale,
                 flat,
+                missed,
             } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
                     let version = dir
@@ -1059,6 +1072,9 @@ mod tests {
                         vec![WireValue::Array(vec![])]
                     };
                     dir.shipped(loc, version, &state);
+                    if missed {
+                        dir.undelivered(loc, vec![0]);
+                    }
                 }
             }
             Op::AddMember { shard, node, pick } if up(node) => {
@@ -1131,6 +1147,13 @@ mod tests {
                 prop_assert!(
                     st.synced_versions.contains_key(oid),
                     "{n}#{oid} deep, no record"
+                );
+            }
+            for (oid, missed) in &st.owed {
+                prop_assert!(!missed.is_empty(), "{n}#{oid} owes nobody");
+                prop_assert!(
+                    st.synced_versions.contains_key(oid),
+                    "{n}#{oid} owed, no record"
                 );
             }
             if w.down != Some(n) {

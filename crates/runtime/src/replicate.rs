@@ -70,16 +70,17 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// ships: the backups must not hold two states under one version tag, and
 /// cached reads tagged with it must stop validating.
 ///
-/// Crashed targets are skipped outright — the fault-plan lookup stands in
-/// for the failure detector a real owner would run. A shipment that a live
-/// target does not acknowledge (its exchange comes back `Unreachable`)
-/// leaves the location owed: once every target has been tried, its record
-/// is dropped and it is re-marked, so the next sweep ships it again. Only the authoritative copy is shipped: a location
-/// the object moved away from exports nothing and never syncs. A
-/// replicated export whose state cannot be marshalled right now (an
-/// over-deep by-value graph, a stale handle) ships nothing and keeps its
-/// dirty mark: no later write need flip its written mark again, so the
-/// next sweep must retry it unprompted.
+/// Crashed targets are skipped. A partitioned target is missed without a
+/// try (the fault-plan lookups stand in for a real owner's failure
+/// detector), and so is one whose exchange comes back `Unreachable`. The
+/// location then keeps its record and dirty mark and owes the missed
+/// backups: the next sweep re-sends an unchanged state to them alone, or
+/// ships a written one to all at a bumped version. Only the authoritative
+/// copy is shipped: a location the object moved away from exports nothing
+/// and never syncs. A replicated export whose state cannot be marshalled
+/// right now (an over-deep by-value graph, a stale handle) ships nothing
+/// and keeps its dirty mark: no later write need flip its written mark
+/// again, so the next sweep must retry it unprompted.
 ///
 /// Returns whether the state moved under the version the backups hold.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
@@ -89,8 +90,13 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     };
     let vm = &shared.vms[owner.0 as usize];
     let loc = (owner.0, oid);
-    let record = shared.directory.borrow().current_record(loc);
-    if record == Some(false) && !vm.written(h) {
+    let (record, owed) = {
+        let dir = shared.directory.borrow();
+        (dir.current_record(loc), dir.owed(loc))
+    };
+    // Whether the backups were sent this very state under this version.
+    let flat_sent = record == Some(false) && !vm.written(h);
+    if flat_sent && owed.is_none() {
         shared.directory.borrow_mut().settled(loc);
         return false;
     }
@@ -98,12 +104,14 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
         shared.directory.borrow_mut().unsettled(loc);
         return false;
     };
-    if record == Some(true) && shared.directory.borrow().deep_record_is(loc, &fields) {
+    let sent =
+        flat_sent || record == Some(true) && shared.directory.borrow().deep_record_is(loc, &fields);
+    if sent && owed.is_none() {
         shared.directory.borrow_mut().settled(loc);
         vm.clear_written(h);
         return false;
     }
-    let moved = record.is_some();
+    let moved = record.is_some() && !sent;
     if moved {
         bump_version(shared, owner.0, oid);
     }
@@ -124,7 +132,10 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             fields,
         },
     };
-    let mut targets = replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32);
+    let mut targets = match owed.filter(|_| sent) {
+        Some(missed) => missed,
+        None => replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32),
+    };
     targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
     if row.rule.batch {
         // Replica shipments of a batched class are deferrable: they ride
@@ -135,13 +146,15 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             enqueue_outcall(shared, owner, NodeId(t), row, req);
         }
     } else {
-        let mut lost = false;
-        for t in targets {
-            let sent = rpc(shared, owner, NodeId(t), row, &req, None);
-            lost |= matches!(sent, Err(VmError::Unreachable(_)));
-        }
-        if lost {
-            shared.directory.borrow_mut().undelivered(loc);
+        let lost = |t: &u32| {
+            let to = NodeId(*t);
+            let sent = || rpc(shared, owner, to, row, &req, None);
+            shared.net.fault_plan(|f| f.is_partitioned(owner, to))
+                || matches!(sent(), Err(VmError::Unreachable(_)))
+        };
+        let missed: Vec<u32> = targets.into_iter().filter(lost).collect();
+        if !missed.is_empty() {
+            shared.directory.borrow_mut().undelivered(loc, missed);
         }
     }
     moved
@@ -193,8 +206,8 @@ fn replicated_state(
 /// re-entry because the shipments are themselves exchanges.
 ///
 /// Returns the number of locations whose state moved under the version
-/// their backups hold. A location a failed send left owed ships whatever
-/// its state, and is not counted.
+/// their backups hold. Re-sending an unchanged state to the backups a
+/// shipment missed is not counted.
 pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
     if !shared.any_replication || shared.in_replica_sweep.get() {
         return 0;

@@ -212,8 +212,18 @@ impl Heap {
     }
 
     /// Write field slot `offset` of the object at `h`. Returns `false` for
-    /// stale handles or out-of-range offsets.
+    /// stale handles or out-of-range offsets. A store of the value the slot
+    /// already holds (floats compared by their bits) changes nothing, so it
+    /// leaves the written mark and the write log as they are.
     pub fn set_field(&mut self, h: Handle, offset: usize, value: Value) -> bool {
+        let same = |held: &Value| match (held, &value) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (held, value) => held == value,
+        };
+        if self.field(h, offset).is_some_and(same) {
+            return true;
+        }
         match self.get_mut(h) {
             Some(HeapEntry::Object { fields, .. }) if offset < fields.len() => {
                 fields[offset] = value;
@@ -387,7 +397,10 @@ mod tests {
                     }
                     Op::SetField { pick, offset, v } => {
                         if let Some(h) = at(pick) {
-                            log.before_get_mut(&heap, h);
+                            // Storing the value a field holds is no write.
+                            if heap.field(h, offset) != Some(&Value::Int(v)) {
+                                log.before_get_mut(&heap, h);
+                            }
                             heap.set_field(h, offset, Value::Int(v));
                         }
                     }
@@ -509,6 +522,25 @@ mod tests {
         assert_eq!(heap.class_of(h), Some(ClassId(9)));
         assert_eq!(heap.field(h, 0), Some(&Value::Long(7)));
         assert_eq!(heap.stats().replacements, 1);
+    }
+
+    /// An equal store leaves the mark clear and logs nothing; a float
+    /// store is equal only bit for bit, since `-0.0` marshals apart from
+    /// `0.0`.
+    #[test]
+    fn storing_the_value_a_field_holds_is_no_write() {
+        let mut heap = Heap::new();
+        let h = heap.alloc_object(ClassId(0), vec![Value::Int(3), Value::Double(0.0)]);
+        heap.clear_written(h);
+        let _ = heap.take_written();
+        assert!(heap.set_field(h, 0, Value::Int(3)));
+        assert!(heap.set_field(h, 1, Value::Double(0.0)));
+        assert!(!heap.written(h));
+        assert_eq!(heap.take_written(), None, "nothing was handed out");
+        assert!(heap.set_field(h, 1, Value::Double(-0.0)));
+        assert!(heap.written(h));
+        assert_eq!(heap.take_written(), Some(vec![h]));
+        assert!(!heap.set_field(h, 2, Value::Int(3)), "out of range");
     }
 
     #[test]

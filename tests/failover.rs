@@ -211,6 +211,50 @@ fn a_shipment_lost_to_a_partition_ships_again_after_the_heal() {
     assert_eq!(cluster.location_of(N2, &c), Some(N0));
 }
 
+/// A shipment that misses a backup keeps its record, so a write the
+/// runtime never served that lands afterwards still moves the version: a
+/// read cached under the version the missed shipment carried stops
+/// validating. Owner n1 with its backup n0 cut off, a caching client n2;
+/// the writes are plain calls on n1's own object.
+#[test]
+fn a_write_after_a_missed_shipment_invalidates_cached_reads() {
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(N1))
+        .default_statics(N0)
+        .cache("C", true)
+        .replicate("C", 1);
+    let cluster = counter_app()
+        .transform(&["RMI"])
+        .unwrap()
+        .deploy(3, 25, Box::new(policy));
+    let c = cluster
+        .new_instance(N2, "C", 0, vec![Value::Int(5)])
+        .unwrap();
+    cluster.pin(N2, &c);
+    let home = Value::Ref(home_handle(&cluster, N1));
+    let get = || cluster.call_method(N2, c.clone(), "get_v", vec![]).unwrap();
+    cluster.network().fault_plan(|f| f.partition(N1, N0));
+    assert_eq!(bump(&cluster, N1, &home, 1).unwrap(), Value::Int(6));
+    // The read's exchange sweeps first: the shipment misses n0, and the
+    // read is cached under the version that shipment carried.
+    assert_eq!(get(), Value::Int(6));
+    let hits = cluster.stats().cache_hits;
+    assert_eq!(get(), Value::Int(6));
+    assert_eq!(
+        cluster.stats().cache_hits,
+        hits + 1,
+        "served from the cache"
+    );
+    assert_eq!(bump(&cluster, N1, &home, 2).unwrap(), Value::Int(8));
+    cluster.network().fault_plan(|f| f.heal_all());
+    // One unrelated exchange: its sweep ships the new state.
+    cluster
+        .new_instance(N2, "C", 0, vec![Value::Int(0)])
+        .unwrap();
+    assert_eq!(get(), Value::Int(8));
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
 #[test]
 fn restarted_owner_with_amnesia_fails_over_to_its_replica() {
     let (cluster, c) = deployed(3, 1, N0, 15);
