@@ -15,6 +15,7 @@ pub use crate::placement::MigrationEvent;
 use crate::profile::{Profiler, Section};
 use crate::replicate::charge_marks;
 use crate::rpc::{proxy_call, rpc, ProxyMethod, SpanVocab};
+use crate::serve::ReplyCache;
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
 use rafda_net::{BufPool, Network, NodeId, SimTime};
@@ -94,18 +95,11 @@ pub(crate) struct NodeState {
     /// Host-pinned GC roots (references held outside the simulation, e.g.
     /// by embedding Rust code).
     pub(crate) pins: FastSet<Handle>,
-    /// At-most-once reply cache: replies already sent, keyed by
-    /// `(caller node, message id)`, each paired with the addressed export's
-    /// property version **at serve time**. A retransmitted request is
-    /// answered from here instead of re-running the method, and it replays
-    /// the stored version too: the reply describes the state the method ran
-    /// against, and recomputing the version at retransmit time would let a
-    /// dedup hit validate a cache entry against state the original
-    /// execution never saw.
-    ///
-    /// Bounded: a client only retransmits while its call is still open, so
-    /// ids far in the past can no longer be retried. Replays share an entry.
-    pub(crate) reply_cache: FifoMap<(u32, u64), Rc<(Reply, u64)>, 1024>,
+    /// At-most-once state: per caller node, a window of the replies last
+    /// served to it, which a retransmission is answered from (see
+    /// [`ReplyCache`] for why the window forgets nothing a caller can still
+    /// retransmit).
+    pub(crate) reply_cache: ReplyCache,
     /// Proxy-side property cache: values returned by remote `get_f` calls,
     /// keyed `(owner node, export id, getter sig)` and tagged with the
     /// owner's property version at reply time. An entry is served only

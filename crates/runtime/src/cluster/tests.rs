@@ -1074,6 +1074,86 @@ fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
     assert_ne!(violations[0].span_id, 0);
 }
 
+/// `C.add(d)` on the export `oid` of [`deployed`]'s class `base`.
+fn add_call(shared: &Shared, base: ClassId, oid: u64, d: i32) -> Request {
+    let methods = &shared.universe.class(base).methods;
+    let add_sig = methods.iter().find(|m| &*m.name == "add").unwrap().sig;
+    Request::Call {
+        object: oid,
+        method: format!("add@{}", add_sig.0),
+        args: vec![WireValue::Int(d)],
+    }
+}
+
+/// A caller's reply window is searched up to the largest id it holds, not
+/// the latest: a hand-built frame with a huge id, then an ordinary one, and
+/// the huge id's retransmission is still a replay. A window that took "above
+/// the last id kept" for "fresh" would run `add(5)` a second time.
+#[test]
+fn a_huge_message_id_is_still_replayed_after_a_smaller_one() {
+    let (cluster, base) = deployed(StaticPolicy::new().place("C", Placement::Node(NodeId(1))));
+    cluster.enable_monitors();
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let shared = cluster.shared();
+    let (_, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+    let frame = |msg_id, d| {
+        framed(
+            shared,
+            LINK,
+            &RmiCodec::new(),
+            msg_id,
+            &add_call(shared, base, oid, d),
+        )
+    };
+    let huge = frame(1 << 60, 5);
+    assert_eq!(answered(shared, &huge).0, Reply::Value(WireValue::Int(5)));
+    let ordinary = frame(901, 1);
+    assert_eq!(
+        answered(shared, &ordinary).0,
+        Reply::Value(WireValue::Int(6))
+    );
+    let hits = cluster.stats().dedup_hits;
+    let (replay, _) = answered(shared, &huge);
+    assert_eq!(replay, Reply::Value(WireValue::Int(5)), "replayed, not run");
+    assert_eq!(cluster.stats().dedup_hits, hits + 1);
+    let (probe, _) = answered(shared, &frame(902, 0));
+    assert_eq!(probe, Reply::Value(WireValue::Int(6)), "add(5) ran once");
+    assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
+/// The at-most-once state grows by the frame, not by its id: a frame
+/// carrying the largest message id costs one reply in its caller's window
+/// and one bitmap word in the watchdog, like any other frame.
+#[test]
+fn the_largest_message_id_costs_one_reply_and_one_bitmap_word() {
+    let (cluster, base) = deployed(StaticPolicy::new().place("C", Placement::Node(NodeId(1))));
+    cluster.enable_monitors();
+    let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
+    let shared = cluster.shared();
+    let (_, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
+    let words = || {
+        let obs = shared.obs.borrow();
+        obs.watchdog.as_ref().map_or(0, |dog| dog.bitmap_words())
+    };
+    let held = || shared.nodes.borrow()[1].reply_cache.len();
+    let slots = || shared.nodes.borrow()[1].reply_cache.slots();
+    let (words_before, held_before) = (words(), held());
+    let frame = framed(
+        shared,
+        LINK,
+        &RmiCodec::new(),
+        u64::MAX,
+        &add_call(shared, base, oid, 5),
+    );
+    assert_eq!(answered(shared, &frame).0, Reply::Value(WireValue::Int(5)));
+    assert_eq!(words(), words_before + 1);
+    assert_eq!(held(), held_before + 1);
+    assert!(slots() <= 2 * MAX_RPC_DEPTH as usize, "{} slots", slots());
+    assert_eq!(answered(shared, &frame).0, Reply::Value(WireValue::Int(5)));
+    assert_eq!((words(), held()), (words_before + 1, held_before + 1));
+    assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
 /// The replica-divergence canary. A backup holding different state at the
 /// owner's current version is a divergence; the quiescent probe reports it
 /// as the tables are now, so a divergence that persists across checks is

@@ -46,10 +46,6 @@ impl<K: Copy + Eq + Hash, V, const CAP: usize> FifoMap<K, V, CAP> {
             self.order.retain(|k| self.map.contains_key(k));
         }
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +63,7 @@ mod tests {
         let mut m = FifoMap::<u32, &str, 3>::default();
         for k in 1..=5 {
             m.insert(k, "v");
-            assert!(m.len() <= 3);
+            assert!(m.map.len() <= 3);
         }
         assert_eq!(keys(&m), [3, 4, 5]);
         assert_eq!(m.get(&2), None);
@@ -95,7 +91,7 @@ mod tests {
         }
         m.retain(|_, v| *v == "odd");
         assert_eq!(keys(&m), [1, 3]);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.map.len(), 2);
         // The freed room is usable and the survivors are still the oldest.
         for k in 5..=7 {
             m.insert(k, "v");

@@ -11,14 +11,13 @@ use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
 use crate::replicate::sync_replicas;
-use crate::rpc::span_names;
+use crate::rpc::{span_names, MAX_RPC_DEPTH};
 use crate::stats::bump;
 use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
 use rafda_telemetry::{SpanOutcome, TraceContext};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{FrameHeader, Protocol, Reply, Request, WireValue};
-use std::rc::Rc;
 
 /// Answer the request frame `frame`, which arrived on `to` from `from`: the
 /// whole callee half. Total on its input — bytes that are not a frame are
@@ -37,41 +36,77 @@ pub(crate) fn deliver(
         let _s = shared.prof.section(Section::HeaderDedup);
         codec.decode_request_header(frame)
     };
-    let (msg_id, (answer, reply_ctx)) = match header {
-        Ok(header) => (header.msg_id, serve_frame(shared, to, from, &header)),
+    let (msg_id, answer, reply_ctx) = match header {
+        Ok(header) => {
+            let (answer, reply_ctx) = serve_frame(shared, to, from, &header);
+            (header.msg_id, answer, reply_ctx)
+        }
         Err(e) => {
             bump(shared, to.0, Met::Faults);
-            let reply = Reply::Fault(format!("malformed request frame: {e}"));
-            (0, (Rc::new((reply, 0)), TraceContext::NONE))
+            let fault = Reply::Fault(format!("malformed request frame: {e}"));
+            (0, Answer::Refused(fault), TraceContext::NONE)
         }
     };
-    let (reply, obj_version) = &*answer;
     let _s = shared.prof.section(Section::ReplyEncode);
     let mut reply_bytes = shared.checkout_buf(to, from);
-    let mut encode_reply = |reply: &Reply| {
+    let mut encode_reply = |reply: &Reply, obj_version: u64| {
         shared.with_link_table(to, from, |table| {
             codec.encode_reply_into(
                 msg_id,
                 reply_ctx,
-                *obj_version,
+                obj_version,
                 reply,
                 Some(table),
                 &mut reply_bytes,
             )
         })
     };
-    if let Err(e) = encode_reply(reply) {
-        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
-        // a fault instead. It is one short string, which cannot itself
-        // fail to encode.
-        encode_reply(&Reply::Fault(format!("reply encode failed: {e}")))
-            .expect("fault reply must encode");
+    let mut encode = |reply: &Reply, obj_version: u64| {
+        if let Err(e) = encode_reply(reply, obj_version) {
+            // The reply itself cannot be framed (e.g. a >4 GiB string):
+            // answer a fault instead. It is one short string, which cannot
+            // itself fail to encode.
+            let fault = Reply::Fault(format!("reply encode failed: {e}"));
+            encode_reply(&fault, obj_version).expect("fault reply must encode");
+        }
+    };
+    match answer {
+        Answer::Ran(reply, obj_version) => {
+            encode(&reply, obj_version);
+            // The reply is framed; now it moves into the caller's window,
+            // where a retransmission finds it.
+            let _s = shared.prof.section(Section::HeaderDedup);
+            let mut nodes = shared.nodes.borrow_mut();
+            let cache = &mut nodes[to.0 as usize].reply_cache;
+            cache.insert(from.0, msg_id, reply, obj_version);
+        }
+        Answer::Replay => {
+            let nodes = shared.nodes.borrow();
+            let held = nodes[to.0 as usize].reply_cache.get(from.0, msg_id);
+            let (reply, obj_version) = held.expect("a replay names a held reply");
+            encode(reply, obj_version);
+        }
+        Answer::Refused(fault) => encode(&fault, 0),
     }
     reply_bytes
 }
 
+/// How [`serve_frame`] answered a frame.
+enum Answer {
+    /// The request ran: its reply and the addressed export's property
+    /// version at serve time (0 for request kinds that address no export).
+    /// Kept for replays once it is framed.
+    Ran(Reply, u64),
+    /// A retransmission of a request already answered: the reply is the one
+    /// the caller's window holds.
+    Replay,
+    /// A fault for a frame that never ran, kept for nobody: a
+    /// retransmission carries the same bytes and faults the same way.
+    Refused(Reply),
+}
+
 /// Serve a delivered frame with at-most-once semantics: if this
-/// `(caller, message id)` was already answered, return the cached reply
+/// `(caller, message id)` was already answered, replay the held reply
 /// without re-executing — a retransmission must never apply a mutating
 /// method twice. The dedup decision is made on the borrowed header, and the
 /// owned request tree is only materialised (resolving signature references
@@ -80,16 +115,14 @@ pub(crate) fn deliver(
 ///
 /// Records a `serve.*` span whose parent comes from the wire context, which
 /// is what stitches the hops of a multi-node chain into one trace. Returns
-/// the answer the reply cache shares — the reply and the addressed export's
-/// property version at serve time (0 for request kinds that address no
-/// export) — and the serve span's context, both of which ride back in the
+/// the [`Answer`] and the serve span's context, which rides back in the
 /// reply header.
 fn serve_frame(
     shared: &Shared,
     node: NodeId,
     caller: NodeId,
     header: &FrameHeader<'_>,
-) -> (Rc<(Reply, u64)>, TraceContext) {
+) -> (Answer, TraceContext) {
     let msg_id = header.msg_id;
     let (_, serve_name) = span_names(header.kind);
     let vocab = &shared.span_vocab;
@@ -105,14 +138,14 @@ fn serve_frame(
     // What the serve learns about itself on the way — a dedup hit, a
     // batch's size — is written when the span closes.
     let mut tail = None;
-    let key = (caller.0, msg_id);
-    let cached = {
+    let replayed = {
         let _s = shared.prof.section(Section::HeaderDedup);
         let nodes = shared.nodes.borrow();
-        nodes[node.0 as usize].reply_cache.get(&key).cloned()
+        let held = nodes[node.0 as usize].reply_cache.get(caller.0, msg_id);
+        held.map(|(reply, _)| reply_outcome(reply))
     };
-    let answer = 'answer: {
-        if let Some(replayed) = cached {
+    let (answer, outcome) = 'answer: {
+        if let Some(outcome) = replayed {
             // A dedup hit replays the *stored* version, not the current one:
             // the object may have moved on since the original serve, and a
             // reply tagged with the newer version would let the client cache
@@ -121,7 +154,7 @@ fn serve_frame(
             // materialised on this path — the decision used the header alone.
             bump(shared, node.0, Met::DedupHits);
             tail = Some(vocab.cached.bool(true));
-            break 'answer replayed;
+            break 'answer (Answer::Replay, outcome);
         }
         let req = {
             let _s = shared.prof.section(Section::Materialise);
@@ -131,35 +164,116 @@ fn serve_frame(
             Ok(req) => req,
             Err(e) => {
                 // The frame identified itself well enough to route but its
-                // payload is malformed: answer a fault (not cached — a
-                // retransmission carries the same bytes and faults the same
-                // way, so caching would only occupy a dedup slot).
+                // payload is malformed: answer a fault, held for nobody.
                 bump(shared, node.0, Met::Faults);
                 let fault = Reply::Fault(format!("malformed request frame: {e}"));
-                break 'answer Rc::new((fault, 0));
+                break 'answer (Answer::Refused(fault), SpanOutcome::Fault);
             }
         };
         if let Request::Batch(ops) = &req {
             tail = Some(vocab.n_ops.u64(ops.len() as u64));
         }
-        let answered = Rc::new(handle_request(shared, node, caller, req));
+        let (reply, obj_version) = handle_request(shared, node, caller, req);
         // The at-most-once check hears of every frame that ran; a replay
-        // from the reply cache above is not a run.
+        // from the caller's window above is not a run.
         if let Some(dog) = shared.obs.borrow_mut().watchdog.as_mut() {
             let _s = shared.prof.section(Section::WatchdogCall);
             dog.execution(node.0, caller.0, msg_id, reply_ctx);
         }
-        let _s = shared.prof.section(Section::HeaderDedup);
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .reply_cache
-            .insert(key, Rc::clone(&answered));
-        answered
+        let outcome = reply_outcome(&reply);
+        (Answer::Ran(reply, obj_version), outcome)
     };
     let _s = shared.prof.section(Section::SpanRecord);
     let mut spans = shared.spans.borrow_mut();
     spans.set_attrs(span, tail.as_slice());
-    spans.end_span(span, shared.net.now().as_ns(), reply_outcome(&answer.0));
+    spans.end_span(span, shared.net.now().as_ns(), outcome);
     (answer, reply_ctx)
+}
+
+/// A server's at-most-once state: for each caller node, a window of the
+/// last [`MAX_RPC_DEPTH`] replies served to it, each with the addressed
+/// export's property version **at serve time**. A retransmitted request is
+/// answered from here instead of re-running the method, and it replays the
+/// stored version too: the reply describes the state the method ran
+/// against, and recomputing the version at retransmit time would let a
+/// dedup hit validate a cache entry against state the original execution
+/// never saw.
+///
+/// Why a window this size forgets nothing a caller can still ask for: a
+/// reply is kept only once its handler has returned, so every exchange the
+/// same caller sent to this server while that handler ran has already
+/// finished, and a single-threaded caller sends this server nothing else
+/// until it stops retransmitting. The exchanges a caller can still
+/// retransmit are those open on its RPC stack, at most [`MAX_RPC_DEPTH`],
+/// and each is among the last [`MAX_RPC_DEPTH`] replies this server sent
+/// it (Birrell and Nelson's implicit acknowledgement). So the cache is
+/// O(callers), not O(history), and it takes no hashing.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyCache {
+    /// Indexed by caller node; grown on a caller's first reply.
+    by_caller: Vec<ReplyWindow>,
+}
+
+/// One caller's replies: a ring of at most [`MAX_RPC_DEPTH`] entries.
+#[derive(Debug, Default)]
+struct ReplyWindow {
+    /// `(message id, reply, version)`. Once the ring is full, `oldest` is
+    /// the slot the next reply overwrites.
+    held: Vec<(u64, Reply, u64)>,
+    oldest: usize,
+    /// The largest message id `held` holds (0 when it is empty). Ids come
+    /// from one increasing counter, so a fresh request's id is above it and
+    /// misses without a scan. It is the largest, not the latest: a request
+    /// whose handler called back into its caller is kept after the nested
+    /// ones, and a hand-built frame may carry any id.
+    max_id: u64,
+}
+
+const WINDOW: usize = MAX_RPC_DEPTH as usize;
+
+impl ReplyCache {
+    /// The reply and version held for `msg_id` from `caller`.
+    pub(crate) fn get(&self, caller: u32, msg_id: u64) -> Option<(&Reply, u64)> {
+        let window = self.by_caller.get(caller as usize)?;
+        if msg_id > window.max_id {
+            return None;
+        }
+        let held = window.held.iter().find(|(id, ..)| *id == msg_id);
+        held.map(|(_, reply, version)| (reply, *version))
+    }
+
+    /// Keep `reply` for replays of `msg_id` from `caller`, forgetting that
+    /// caller's oldest reply if its window is full.
+    pub(crate) fn insert(&mut self, caller: u32, msg_id: u64, reply: Reply, version: u64) {
+        let caller = caller as usize;
+        if self.by_caller.len() <= caller {
+            self.by_caller.resize_with(caller + 1, ReplyWindow::default);
+        }
+        let window = &mut self.by_caller[caller];
+        if window.held.len() < WINDOW {
+            window.held.push((msg_id, reply, version));
+            window.max_id = window.max_id.max(msg_id);
+            return;
+        }
+        let evicted = std::mem::replace(&mut window.held[window.oldest], (msg_id, reply, version));
+        window.oldest = (window.oldest + 1) % WINDOW;
+        window.max_id = if evicted.0 == window.max_id {
+            window.held.iter().map(|(id, ..)| *id).max().unwrap_or(0)
+        } else {
+            window.max_id.max(msg_id)
+        };
+    }
+
+    /// Replies held, over every caller.
+    pub(crate) fn len(&self) -> usize {
+        self.by_caller.iter().map(|w| w.held.len()).sum()
+    }
+
+    /// Reply slots allocated, over every caller.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.by_caller.iter().map(|w| w.held.capacity()).sum()
+    }
 }
 
 /// Span outcome of a served reply. A batch is `Ok` only if every batched
@@ -451,6 +565,39 @@ fn parse_method(method: &str) -> Option<SigId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn reply(n: u64) -> Reply {
+        Reply::Value(WireValue::Long(n as i64))
+    }
+
+    #[test]
+    fn a_full_window_forgets_its_callers_oldest_reply_only() {
+        let mut cache = ReplyCache::default();
+        for id in 1..=WINDOW as u64 + 1 {
+            cache.insert(3, id, reply(id), id);
+        }
+        assert_eq!(cache.len(), WINDOW);
+        assert_eq!(cache.get(3, 1), None, "the oldest went");
+        assert_eq!(cache.get(3, 2), Some((&reply(2), 2)));
+        let newest = WINDOW as u64 + 1;
+        assert_eq!(cache.get(3, newest), Some((&reply(newest), newest)));
+        assert_eq!(cache.get(0, 2), None, "each caller has its own window");
+        cache.insert(0, 2, reply(7), 7);
+        assert_eq!(cache.get(0, 2), Some((&reply(7), 7)));
+        assert_eq!(cache.get(3, 2), Some((&reply(2), 2)));
+    }
+
+    #[test]
+    fn evicting_the_largest_id_lowers_the_windows_bound() {
+        let mut cache = ReplyCache::default();
+        cache.insert(0, 1 << 60, reply(0), 0);
+        for id in 1..=WINDOW as u64 {
+            cache.insert(0, id, reply(id), id);
+            assert_eq!(cache.get(0, 1 << 60).is_some(), id < WINDOW as u64);
+        }
+        assert_eq!(cache.by_caller[0].max_id, WINDOW as u64);
+        assert_eq!(cache.get(0, 1), Some((&reply(1), 1)));
+    }
 
     #[test]
     fn the_unknown_object_predicate_accepts_exactly_what_the_constructor_builds() {

@@ -11,8 +11,7 @@
 //!   whose authoritative object has moved (a recorded move re-homed it): a
 //!   read the owner would no longer serve;
 //! * **at-most-once** — the callee half reports every frame it executes; the
-//!   same `(server, caller, msg id)` executing twice means the dedup cache
-//!   missed a replay.
+//!   same message id executing twice means the dedup cache missed a replay.
 //!
 //! Three are re-derived at every quiescent point ([`Cluster::check_invariants`])
 //! and describe the run as it is *now*:
@@ -34,10 +33,9 @@ use crate::cluster::{is_local_impl, version_of, Cluster, Shared};
 use crate::profile::Section;
 use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
-use rafda_telemetry::{SpanTreeMonitor, TraceContext, Violation};
+use rafda_telemetry::{FastMap, SpanTreeMonitor, TraceContext, Violation};
 use rafda_vm::Value;
 use rafda_wire::WireValue;
-use std::collections::BTreeSet;
 
 /// The five checks, in the order [`Cluster::check_invariants`] lists their
 /// verdicts. The soak report prints one count per name, in this order.
@@ -72,8 +70,13 @@ fn verdict(check: usize, message: String, ctx: TraceContext) -> Violation {
 pub(crate) struct Watchdog {
     /// `stale-read` verdicts, one per stale cache hit.
     stale_reads: Vec<Violation>,
-    /// Every `(server, caller, msg id)` frame executed so far.
-    executed: BTreeSet<(u32, u32, u64)>,
+    /// One bit per message id executed so far, in 64-bit words keyed by
+    /// `id / 64`. Ids come from one cluster-wide counter, so an id names
+    /// one `(caller, server)` exchange: keying by id alone is exact for the
+    /// frames the runtime sends, and stricter for hand-built ones. Sparse,
+    /// because a hostile frame may carry any id; nothing reads it in
+    /// iteration order, so the hasher's per-process seed reaches no output.
+    executed: FastMap<u64, u64>,
     /// `at-most-once` verdicts, one per re-execution.
     re_executions: Vec<Violation>,
     /// `span-tree`: the log's own incremental check.
@@ -103,7 +106,11 @@ impl Watchdog {
     /// `node` executed the frame `msg_id` from `caller` — ran it, not
     /// replayed it from the reply cache — in the serve span `ctx` names.
     pub(crate) fn execution(&mut self, node: u32, caller: u32, msg_id: u64, ctx: TraceContext) {
-        if !self.executed.insert((node, caller, msg_id)) {
+        let word = self.executed.entry(msg_id / 64).or_default();
+        let bit = 1 << (msg_id % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+        } else {
             self.re_executions.push(verdict(
                 AT_MOST_ONCE,
                 format!(
@@ -157,7 +164,14 @@ impl Watchdog {
     /// Frames executed, counting each re-execution again.
     #[cfg(test)]
     pub(crate) fn executions(&self) -> usize {
-        self.executed.len() + self.re_executions.len()
+        let ran: u32 = self.executed.values().map(|word| word.count_ones()).sum();
+        ran as usize + self.re_executions.len()
+    }
+
+    /// 64-bit words the at-most-once bitmap holds.
+    #[cfg(test)]
+    pub(crate) fn bitmap_words(&self) -> usize {
+        self.executed.len()
     }
 }
 

@@ -242,6 +242,80 @@ fn reply_drop_retransmit_does_not_double_apply() {
     assert_eq!(stats.net_failures, 0, "{stats}");
 }
 
+/// `S` on node 1 and `K` on node 0: `S.outer(k)` adds 1 and calls
+/// `k.back(this)`, which calls `S.inner()` (adds 10) back on node 1. So an
+/// `outer` sent by node 0 has node 0 call node 1 again, nested inside it.
+fn nested_chain_cluster() -> Cluster {
+    let mut app = Application::new();
+    let u = app.universe_mut();
+    let s = u.declare("S", ClassKind::Class);
+    let k = u.declare("K", ClassKind::Class);
+    let back_sig = u.sig("back", vec![Ty::Object(s)]);
+    let inner_sig = u.sig("inner", vec![]);
+    let mut cb = ClassBuilder::new(u, s);
+    let v = cb.field(Field::new("v", Ty::Int));
+    let mut mb = MethodBuilder::new(1);
+    mb.ret();
+    cb.ctor(u, vec![], Some(mb.finish()));
+    let mut mb = MethodBuilder::new(1);
+    mb.load_this();
+    mb.load_this().get_field(s, v).const_int(10).add();
+    mb.put_field(s, v);
+    mb.load_this().get_field(s, v).ret_value();
+    cb.method(u, "inner", vec![], Ty::Int, Some(mb.finish()));
+    let mut mb = MethodBuilder::new(2);
+    mb.load_this();
+    mb.load_this().get_field(s, v).const_int(1).add();
+    mb.put_field(s, v);
+    mb.load_local(1).load_this().invoke(back_sig, 1).pop();
+    mb.load_this().get_field(s, v).ret_value();
+    cb.method(u, "outer", vec![Ty::Object(k)], Ty::Int, Some(mb.finish()));
+    cb.finish(u);
+    let mut cb = ClassBuilder::new(u, k);
+    let mut mb = MethodBuilder::new(1);
+    mb.ret();
+    cb.ctor(u, vec![], Some(mb.finish()));
+    let mut mb = MethodBuilder::new(2);
+    mb.load_local(1).invoke(inner_sig, 0).ret_value();
+    cb.method(u, "back", vec![Ty::Object(s)], Ty::Int, Some(mb.finish()));
+    cb.finish(u);
+    let policy = StaticPolicy::new()
+        .place("S", Placement::Node(NodeId(1)))
+        .place("K", Placement::Node(NodeId(0)));
+    app.transform(&["RMI"])
+        .unwrap()
+        .deploy(2, 5, Box::new(policy))
+}
+
+#[test]
+fn a_lost_reply_to_a_call_that_called_back_is_replayed() {
+    // Node 1 keeps `outer`'s reply only once its handler returns, after
+    // the nested `inner` it served to the same caller: the newest reply
+    // node 0 sent is not the largest id. The retransmission of `outer`
+    // must still be answered from node 0's reply window.
+    let cluster = nested_chain_cluster();
+    cluster.enable_monitors();
+    let server = cluster.new_instance(NodeId(0), "S", 0, vec![]).unwrap();
+    let client = cluster.new_instance(NodeId(0), "K", 0, vec![]).unwrap();
+    cluster.pin(NodeId(0), &server);
+    cluster.pin(NodeId(0), &client);
+    let before = cluster.stats();
+    // `outer`'s request, then `back`'s and `inner`'s requests and replies,
+    // then `outer`'s reply: the sixth transmission.
+    let seq = cluster.network().transmit_seq();
+    cluster.network().fault_plan(|f| f.drop_message(seq + 5));
+    let r = cluster.call_method(NodeId(0), server.clone(), "outer", vec![client]);
+    assert_eq!(r, Ok(Value::Int(11)));
+    let stats = cluster.stats();
+    assert_eq!(stats.exchanges() - before.exchanges(), 3, "{stats}");
+    assert_eq!(stats.retries - before.retries, 1, "{stats}");
+    assert_eq!(stats.dedup_hits - before.dedup_hits, 1, "{stats}");
+    // A second run of `outer` would have left 22 behind.
+    let r = cluster.call_method(NodeId(0), server, "inner", vec![]);
+    assert_eq!(r, Ok(Value::Int(21)), "outer ran twice");
+    assert_eq!(cluster.monitor_violations(), vec![]);
+}
+
 #[test]
 fn request_drop_is_retried_without_dedup() {
     // Complementary case: the *request* is lost, so the server never ran

@@ -139,12 +139,8 @@ fn the_seed_42_smoke_report_matches_its_golden_file() {
     );
 }
 
-/// A node holds at most one handle per object, so no node's imports
-/// outgrow the pool, however many times its objects move. Imports are
-/// keyed by object identity: a landing finds the proxy its destination
-/// already holds whichever location the proxy names, and rewrites it.
-#[test]
-fn no_node_imports_more_handles_than_the_pool_has_objects() {
+/// The seed-42 smoke day, applied op by op and finished.
+fn smoke_day() -> (ChurnConfig, SoakHarness) {
     let cfg = ChurnConfig::production_day(42, 10_000);
     let mut harness = SoakHarness::deploy(&cfg);
     let mut oracle = Oracle::new(cfg.pool());
@@ -154,9 +150,33 @@ fn no_node_imports_more_handles_than_the_pool_has_objects() {
             .expect("the smoke day is clean");
     }
     harness.finale(&oracle).expect("the smoke day is clean");
+    (cfg, harness)
+}
+
+/// A node holds at most one handle per object, so no node's imports
+/// outgrow the pool, however many times its objects move. Imports are
+/// keyed by object identity: a landing finds the proxy its destination
+/// already holds whichever location the proxy names, and rewrites it.
+#[test]
+fn no_node_imports_more_handles_than_the_pool_has_objects() {
+    let (cfg, harness) = smoke_day();
     for node in harness.cluster().describe() {
         assert!(node.imports <= cfg.pool(), "{node}");
     }
+}
+
+/// A server keeps, per caller, the replies that caller may still
+/// retransmit: at most one per level of its RPC stack. So after the smoke
+/// day no node holds more than nodes × the runtime's nesting limit
+/// (`MAX_RPC_DEPTH`, 64) replies, however many exchanges it served.
+#[test]
+fn reply_windows_hold_at_most_the_rpc_depth_per_caller() {
+    let (_, harness) = smoke_day();
+    let nodes = harness.cluster().describe();
+    for node in &nodes {
+        assert!(node.cached_replies <= nodes.len() * 64, "{node}");
+    }
+    assert!(nodes.iter().any(|node| node.cached_replies > 0));
 }
 
 /// The span log stores each distinct attribute list once: the smoke day's
@@ -164,15 +184,7 @@ fn no_node_imports_more_handles_than_the_pool_has_objects() {
 /// protocol rows repeat, so the arena holds a few thousand.
 #[test]
 fn the_span_arena_holds_each_attribute_list_once() {
-    let cfg = ChurnConfig::production_day(42, 10_000);
-    let mut harness = SoakHarness::deploy(&cfg);
-    let mut oracle = Oracle::new(cfg.pool());
-    for op in generate_churn(&cfg).flatten() {
-        harness
-            .apply(&op, &mut oracle)
-            .expect("the smoke day is clean");
-    }
-    harness.finale(&oracle).expect("the smoke day is clean");
+    let (_, harness) = smoke_day();
     let log = harness.cluster().span_log();
     let read_back: usize = log.spans().map(|s| log.attrs(&s).len()).sum();
     let stored = log.arena_len();
