@@ -20,10 +20,12 @@ if [ "$test_elapsed" -gt "$TEST_BUDGET_SECS" ]; then
 fi
 
 echo "== soak gate on the release build (budget ${SOAK_BUDGET_SECS:=15}s) =="
-# The tests above ran with debug assertions, where every replica probe the
-# written mark answers is re-checked against the full read-marshal-compare
-# probe. The benchmark times a release build, which trusts the mark: run
-# the oracle gate and the seed-42 golden report on that code path too.
+# The tests above ran with debug assertions, where the two gauges a
+# time-series sample reads (replica lag, shard balance) are re-counted from
+# their tables at every sample, and a quiescent check asserts that its
+# mark-everything sweep ships nothing. The benchmark times a release build,
+# which reads the gauges as kept: run the oracle gate and the seed-42 golden
+# report on that code path too.
 # The wall-clock budget on the run (the binary is built first, outside it)
 # doubles as the O(dirty) sweep regression gate: the ten tests take well
 # under a second; a reversion to the full-export-table walk or the
@@ -147,12 +149,28 @@ echo "== location tables are touched only by the Directory =="
 # A field access on one of its tables anywhere else in the runtime means a
 # table has leaked back out. The two gauges a time-series sample reads
 # (`lagging`, `members_per_node`) are held to the same rule: they stay exact
-# only because the transitions next to the tables are their sole writers.
-if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|synced_versions|call_counts|lagging|members_per_node)\b' \
+# only because the transitions next to the tables are their sole writers. A
+# replicated export's shipment record (`deep`, `owed`) is one entry of
+# `replicated`, and the questions about it are named apart from its fields.
+if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|owed|call_counts|lagging|members_per_node)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
   exit 1
 fi
+
+echo "== runtime spans record resolved attributes: no string-keyed set_attr =="
+# Every runtime span takes its keys from the span vocabulary resolved once
+# per log and its class names from the rows' interned symbols
+# (`SpanLog::set_attrs`). A `set_attr(` in a runtime product line looks a key
+# up and hashes a string per attribute again; the string path stays for the
+# telemetry crate's own tests and the benchmark's probes.
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF 'set_attr('; then
+    echo "FAIL: $f records a span attribute by string key" >&2
+    exit 1
+  fi
+done
 
 echo "== what was written is what is dirty: no frames, one source of bare-mutation marks =="
 # Which replicated objects a local call may have mutated is not guessed from

@@ -890,11 +890,13 @@ pub(crate) fn is_proxy(shared: &Shared, node: u32, h: Handle) -> bool {
 
 /// The object at `old` now lives at `new`: see [`Directory::relocate`]. An
 /// import keyed by `new`'s prior identity moves to the mover's, unless the
-/// node already holds a handle there.
+/// node already holds a handle there. Every backup's copy of `old` goes: a
+/// replica read needs `old`'s version, which is gone, so none can be read.
 pub(crate) fn relocate(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
     let prior = shared.directory.borrow_mut().relocate(old, new);
     let identity = shared.directory.borrow().identity(new);
     for st in shared.nodes.borrow_mut().iter_mut() {
+        st.replica_store.remove(&old);
         if let Some(h) = prior.and_then(|p| st.imports.remove(&p)) {
             st.imports.entry(identity).or_insert(h);
         }

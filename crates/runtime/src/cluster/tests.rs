@@ -4,6 +4,7 @@
 //! names (`cluster::tests::*`) stay stable across the module split.
 
 use super::*;
+use crate::directory::Sent;
 use crate::placement::shard_hash;
 use crate::rpc::{rpc_inner, MAX_RPC_DEPTH};
 use crate::serve::deliver;
@@ -583,6 +584,39 @@ fn backup_of(cluster: &Cluster, n: usize, loc: (u32, u64)) -> Vec<WireValue> {
     state.clone()
 }
 
+/// A move drops every backup's copy of the location it vacates. `CA` on
+/// node 1 is replicated k = 2, so nodes 0 and 2 hold its state; after it
+/// moves to node 2, no node holds a copy keyed by node 1's location, and
+/// the new home's backups (nodes 0 and 1) hold the state under its own.
+#[test]
+fn a_move_drops_the_backups_of_the_vacated_location() {
+    let policy = StaticPolicy::new()
+        .place("CA", Placement::Node(NodeId(1)))
+        .replicate("CA", 2);
+    let cluster = deployed_counters(31, policy);
+    cluster.enable_monitors();
+    let (n0, n2) = (NodeId(0), NodeId(2));
+    let a = cluster.new_instance(n0, "CA", 0, vec![]).unwrap();
+    let add5 = cluster.call_method(n0, a.clone(), "add", vec![Value::Int(5)]);
+    assert_eq!(add5.unwrap(), Value::Int(5));
+    let shared = cluster.shared();
+    let old = read_proxy_state(&shared.vms[0], a.as_ref_handle().unwrap()).unwrap();
+    assert_eq!(old.0, 1);
+    for n in [0, 2] {
+        assert_eq!(backup_of(&cluster, n, old), vec![WireValue::Int(5)]);
+    }
+    let (owner, handle) = cluster.home_of(n0, &a).unwrap();
+    let event = cluster.migrate(owner, handle, n2).unwrap();
+    let nodes = shared.nodes.borrow();
+    assert!(nodes.iter().all(|st| !st.replica_store.contains_key(&old)));
+    drop(nodes);
+    let new = (2, event.target.oid);
+    for n in [0, 1] {
+        assert_eq!(backup_of(&cluster, n, new), vec![WireValue::Int(5)]);
+    }
+    assert_eq!(cluster.check_invariants(), vec![]);
+}
+
 /// The case conservative marks exist for, end to end through the written
 /// mark: a pulled object mutated by a plain local call — no serve, no
 /// version bump — is shipped at the caller's next exchange.
@@ -633,10 +667,12 @@ fn an_equal_store_ships_nothing_and_leaves_the_written_mark_clear() {
     // The record is flat and current, and the slot unwritten, so the
     // quiescent probe below is answered without marshalling: counted, and
     // it ships nothing.
-    assert_eq!(
-        shared.directory.borrow().current_record((0, oid)),
-        Some(false)
-    );
+    let sent = shared.directory.borrow().current_shipment((0, oid));
+    let flat = Sent {
+        is_deep: false,
+        missed: vec![],
+    };
+    assert_eq!(sent, Some(flat));
     assert_eq!(cluster.check_invariants(), vec![]);
     let quiet = cluster.stats();
     assert_eq!(quiet.replica_sweep_probes, swept.replica_sweep_probes + 1);
@@ -668,7 +704,11 @@ fn a_shipment_that_misses_a_backup_owes_it_alone() {
     assert_eq!(cut.replica_syncs, before.replica_syncs + 1, "backup 1 only");
     assert_eq!(cut.retries, before.retries, "backup 2 was not tried");
     assert_eq!(version_of(shared, 0, oid), Some(version + 1));
-    assert_eq!(shared.directory.borrow().owed(loc), Some(vec![2]));
+    let owing = Sent {
+        is_deep: false,
+        missed: vec![2],
+    };
+    assert_eq!(shared.directory.borrow().current_shipment(loc), Some(owing));
     assert_eq!(shared.directory.borrow().replica_lag(), 1);
     assert_eq!(backup_of(&cluster, 1, loc), vec![WireValue::Int(8)]);
     assert_eq!(backup_of(&cluster, 2, loc), vec![WireValue::Int(5)]);
@@ -687,7 +727,11 @@ fn a_shipment_that_misses_a_backup_owes_it_alone() {
         "backup 2 only"
     );
     assert_eq!(version_of(shared, 0, oid), Some(version + 1));
-    assert_eq!(shared.directory.borrow().owed(loc), None);
+    let paid = Sent {
+        is_deep: false,
+        missed: vec![],
+    };
+    assert_eq!(shared.directory.borrow().current_shipment(loc), Some(paid));
     assert_eq!(shared.directory.borrow().replica_lag(), 0);
     assert_eq!(backup_of(&cluster, 2, loc), vec![WireValue::Int(8)]);
     assert_eq!(cluster.check_invariants(), vec![]);

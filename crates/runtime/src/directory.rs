@@ -3,11 +3,12 @@
 //!
 //! Every table that records a location — the per-node export registries,
 //! property versions, the identity index, canonical singleton exports, the
-//! shard map, the last-shipped replica records, the dirty-replica set and
-//! the affinity counters — lives behind this one type, and changes only through the
-//! transitions below ([`Directory::export`], [`Directory::relocate`],
-//! [`Directory::bump`], [`Directory::shipped`] / [`Directory::settled`] /
-//! [`Directory::undelivered`],
+//! shard map, the replicated exports with what each one's backups were last
+//! sent, the dirty-replica set and the affinity counters — lives behind
+//! this one type, and changes only through the transitions below
+//! ([`Directory::export`], [`Directory::relocate`], [`Directory::bump`],
+//! [`Directory::shipped`] / [`Directory::undelivered`],
+//! [`Directory::settled`] / [`Directory::unsettled`],
 //! [`Directory::mark_written`] / [`Directory::mark_node`] /
 //! [`Directory::take_dirty`],
 //! [`Directory::restart`], [`Directory::record_call`],
@@ -47,6 +48,29 @@ pub(crate) struct Affinity {
     pub top_count: u64,
 }
 
+/// What one replicated export's backups were last sent.
+#[derive(Debug)]
+struct Shipment {
+    version: u64,
+    /// The state, if it was *deep* (it held a `Remote`, `Array` or
+    /// `ObjectState`, so a write anywhere on the node may move it): the
+    /// next probe compares against it. A flat state's written mark answers
+    /// for it.
+    deep: Option<Vec<WireValue>>,
+    /// The backups it missed: cut off from the owner, or `Unreachable`.
+    /// While any is owed the location stays marked dirty.
+    owed: Vec<u32>,
+}
+
+/// A shipment record at its export's current version, as a probe reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Sent {
+    /// It keeps its deep state, for [`Directory::deep_record_is`].
+    pub is_deep: bool,
+    /// The backups it still owes; empty when it reached them all.
+    pub missed: Vec<u32>,
+}
+
 /// One node's share of the directory. Everything here is volatile: a
 /// restart wipes it, except the id counter.
 #[derive(Debug, Default)]
@@ -58,26 +82,14 @@ struct NodeDir {
     /// exported under a fresh id.
     export_ids: FastMap<Handle, u64>,
     /// Live exports that are locally implemented instances of a replicated
-    /// class — the only locations a dirty mark can make shippable.
-    replicated: BTreeSet<u64>,
-    /// The state each *deep* export last shipped: one that held a
-    /// `Remote`, `Array` or `ObjectState`, so the marshalled form reaches
-    /// into other heap slots and a write anywhere on the node may move it;
-    /// the next probe compares against it. A flat record — by-value scalars
-    /// and strings only — is a function of the export's own slot, whose
-    /// written mark answers for it, so no copy is kept.
-    deep: BTreeMap<u64, Vec<WireValue>>,
+    /// class — the only locations a dirty mark can make shippable — each
+    /// with what its backups were last sent: `None` before the first
+    /// shipment, and again once a restart voided every record so that a
+    /// rejoining backup is re-seeded at the owner's next sync.
+    replicated: FastMap<u64, Option<Shipment>>,
     /// Last id handed out. Survives restarts, so a stale proxy addressing
     /// a pre-crash export gets a typed fault, not a different object.
     next_oid: u64,
-    /// The version each export last shipped to its backups. Cleared
-    /// cluster-wide on every restart so a rejoining backup is re-seeded at
-    /// the owner's next sync.
-    synced_versions: FastMap<u64, u64>,
-    /// The backups each export's last shipment missed: live targets cut
-    /// off from the owner, or whose exchange came back `Unreachable`.
-    /// Cleared with the record; a location in here stays marked dirty.
-    owed: FastMap<u64, Vec<u32>>,
     /// Per-export incoming call counts by caller node.
     call_counts: FastMap<u64, FastMap<u32, u64>>,
 }
@@ -108,16 +120,14 @@ pub(crate) struct Directory {
     /// Shard → member instances at their last known locations.
     members_by_shard: BTreeMap<ShardKey, Vec<Loc>>,
     /// Locations whose state may have moved past their last shipment.
-    /// Always a subset of the nodes' `replicated` sets; a `BTreeSet` so
+    /// Always a subset of the nodes' `replicated` entries; a `BTreeSet` so
     /// the sweep drains it in `(node, oid)` order.
     dirty: BTreeSet<Loc>,
     /// Gauge behind [`Directory::replica_lag`]: shipped locations some
-    /// backup lags — the current version differs from the shipment
-    /// record's, or the shipment missed a backup. Kept exact by the
-    /// transitions that can flip the predicate for one location —
-    /// [`Directory::bump`], [`Directory::relocate`], [`Directory::shipped`],
-    /// [`Directory::undelivered`] — and zeroed by [`Directory::restart`],
-    /// which voids every record.
+    /// backup lags — the version moved past the record, or the record owes
+    /// a backup. Every transition that writes a version or a record keeps
+    /// it exact through [`Directory::keeping_lag`]; [`Directory::restart`],
+    /// which voids every record, zeroes it.
     lagging: u64,
     /// Gauge behind [`Directory::shard_balance`]: recorded shard members
     /// per node, kept exact by the three shard-member transitions.
@@ -146,7 +156,8 @@ impl Directory {
     /// fresh one at version 0. `replicated` says whether `h` is *now* a
     /// locally implemented instance of a replicated class; it is
     /// re-evaluated on every call. A replicated export is marked dirty: its
-    /// state is owed to the backups.
+    /// state is owed to the backups. One that is no longer replicated drops
+    /// its shipment record with its mark.
     pub(crate) fn export(&mut self, node: u32, h: Handle, replicated: bool) -> u64 {
         let st = &mut self.nodes[node as usize];
         let versions = &mut self.versions;
@@ -157,18 +168,18 @@ impl Directory {
             st.next_oid
         });
         if replicated {
-            st.replicated.insert(oid);
+            st.replicated.entry(oid).or_insert(None);
             self.dirty.insert((node, oid));
-        } else if st.replicated.remove(&oid) {
-            self.dirty.remove(&(node, oid));
+        } else {
+            self.unreplicate((node, oid));
         }
         oid
     }
 
     /// The object at `old` now lives at `new`. In order: drop `old`'s
-    /// version and shipment record (no read through it may be
-    /// cached again, and it has no backups to keep current); vacate `old`
-    /// — its export, export id, replicated flag and dirty mark go, whatever
+    /// replicated entry with its shipment record (it has no backups to keep
+    /// current) and its version (no read through it may be cached again);
+    /// vacate `old` — its export, export id and dirty mark go, whatever
     /// the mover left in the heap, so a call addressed there is answered
     /// `unknown object` and its caller is redirected to the live home;
     /// record `new` under the object's identity and `new` as that
@@ -179,20 +190,15 @@ impl Directory {
     /// that object into this one: all its locations take the mover's
     /// identity. Returns `new`'s prior identity unless it was the mover's.
     pub(crate) fn relocate(&mut self, old: Loc, new: Loc) -> Option<Loc> {
-        self.lagging -= u64::from(self.lags(old));
+        self.unreplicate(old);
         if !std::mem::take(&mut self.skip_next_tombstone) {
             self.versions.remove(&old);
         }
         let st = &mut self.nodes[old.0 as usize];
-        st.synced_versions.remove(&old.1);
-        st.deep.remove(&old.1);
-        st.owed.remove(&old.1);
         if let Some(h) = st.exports.remove(&old.1) {
             st.export_ids.remove(&h);
         }
-        st.replicated.remove(&old.1);
         st.call_counts.remove(&old.1);
-        self.dirty.remove(&old);
         self.nodes[new.0 as usize].call_counts.remove(&new.1);
         let (identity, prior) = (self.identity(old), self.identity(new));
         if prior != identity && self.homes.remove(&prior).is_some() {
@@ -212,13 +218,9 @@ impl Directory {
     /// whether the location was marked dirty.
     #[must_use]
     pub(crate) fn bump(&mut self, loc: Loc) -> bool {
-        let was = self.lags(loc);
-        if let Some(v) = self.versions.get_mut(&loc) {
-            *v += 1;
-        }
-        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
+        self.keeping_lag(loc, |dir| dir.versions.get_mut(&loc).map(|v| *v += 1));
         // Only a live replicated export can ship at all.
-        let shippable = self.nodes[loc.0 as usize].replicated.contains(&loc.1);
+        let shippable = self.nodes[loc.0 as usize].replicated.contains_key(&loc.1);
         if shippable {
             self.dirty.insert(loc);
         }
@@ -234,9 +236,12 @@ impl Directory {
     pub(crate) fn mark_written(&mut self, node: u32, written: &[Handle]) -> u64 {
         let st = &self.nodes[node as usize];
         let exported = written.iter().filter_map(|h| st.export_ids.get(h));
-        let marks = exported
-            .chain(st.deep.keys())
-            .filter(|oid| st.replicated.contains(oid));
+        let exported = exported.filter(|oid| st.replicated.contains_key(oid));
+        let deep = st
+            .replicated
+            .iter()
+            .filter(|(_, r)| matches!(r, Some(s) if s.deep.is_some()));
+        let marks = exported.chain(deep.map(|(oid, _)| oid));
         let mut made = 0;
         for &oid in marks {
             self.dirty.insert((node, oid));
@@ -252,7 +257,7 @@ impl Directory {
     #[must_use]
     pub(crate) fn mark_node(&mut self, node: u32) -> u64 {
         let replicated = &self.nodes[node as usize].replicated;
-        self.dirty.extend(replicated.iter().map(|&oid| (node, oid)));
+        self.dirty.extend(replicated.keys().map(|&oid| (node, oid)));
         replicated.len() as u64
     }
 
@@ -265,24 +270,21 @@ impl Directory {
     /// `loc` is about to ship `state` at `version` to its backups. The
     /// record is made *before* the shipment because each shipment is an
     /// exchange, whose own sweep must find this location settled. Only a
-    /// deep state is kept, for the next probe to compare against.
+    /// deep state is kept, for the next probe to compare against. A
+    /// location that is not a replicated export keeps no record.
     pub(crate) fn shipped(&mut self, loc: Loc, version: u64, state: &[WireValue]) {
-        let deep = state.iter().any(|v| {
-            matches!(
-                v,
-                WireValue::Remote { .. } | WireValue::Array(_) | WireValue::ObjectState { .. }
-            )
+        use WireValue::{Array, ObjectState, Remote};
+        let reaches = |v: &WireValue| matches!(v, Remote { .. } | Array(_) | ObjectState { .. });
+        self.keeping_lag(loc, |dir| {
+            if let Some(record) = dir.nodes[loc.0 as usize].replicated.get_mut(&loc.1) {
+                let deep = state.iter().any(reaches).then(|| state.to_vec());
+                *record = Some(Shipment {
+                    version,
+                    deep,
+                    owed: Vec::new(),
+                });
+            }
         });
-        let was = self.lags(loc);
-        let st = &mut self.nodes[loc.0 as usize];
-        if deep {
-            st.deep.insert(loc.1, state.to_vec());
-        } else {
-            st.deep.remove(&loc.1);
-        }
-        st.owed.remove(&loc.1);
-        st.synced_versions.insert(loc.1, version);
-        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
         self.dirty.remove(&loc);
     }
 
@@ -294,7 +296,7 @@ impl Directory {
     /// A probe of `loc` could not read its state: the mark the sweep took
     /// stands, so the next sweep probes it again.
     pub(crate) fn unsettled(&mut self, loc: Loc) {
-        if self.nodes[loc.0 as usize].replicated.contains(&loc.1) {
+        if self.nodes[loc.0 as usize].replicated.contains_key(&loc.1) {
             self.dirty.insert(loc);
         }
     }
@@ -303,25 +305,25 @@ impl Directory {
     /// the backups `missed`: the record stands — some backups may hold
     /// it — and the location stays marked, owing them a shipment.
     pub(crate) fn undelivered(&mut self, loc: Loc, missed: Vec<u32>) {
-        let was = self.lags(loc);
-        self.nodes[loc.0 as usize].owed.insert(loc.1, missed);
-        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
+        self.keeping_lag(loc, |dir| {
+            if let Some(Some(shipment)) = dir.nodes[loc.0 as usize].replicated.get_mut(&loc.1) {
+                shipment.owed = missed;
+            }
+        });
         self.unsettled(loc);
     }
 
-    /// `node` restarted with empty volatile state: its exports, shipment
-    /// records and counters are gone (only the id counter
-    /// survives), its dirty entries describe state that no longer exists,
-    /// and — since it holds no backups any more — every owner's shipment
-    /// records are void. Every node's replicated exports are re-marked so
+    /// `node` restarted with empty volatile state: its exports, replicated
+    /// entries and counters are gone (only the id counter survives), its
+    /// dirty entries describe state that no longer exists, and — since it
+    /// holds no backups any more — every other owner's shipment records are
+    /// voided in place. Every node's replicated exports are re-marked so
     /// the next sweep re-seeds the rejoined node even at unmoved versions.
     /// Returns the marks made, per node.
     #[must_use]
     pub(crate) fn restart(&mut self, node: u32) -> Vec<u64> {
         for st in &mut self.nodes {
-            st.synced_versions.clear();
-            st.deep.clear();
-            st.owed.clear();
+            st.replicated.values_mut().for_each(|record| *record = None);
         }
         self.lagging = 0;
         let st = &mut self.nodes[node as usize];
@@ -355,6 +357,24 @@ impl Directory {
     /// Arm the test-only fault described on the field.
     pub(crate) fn skip_next_tombstone(&mut self) {
         self.skip_next_tombstone = true;
+    }
+
+    /// Take `loc` out of the replicated set, with its record and dirty mark.
+    fn unreplicate(&mut self, loc: Loc) {
+        self.keeping_lag(loc, |dir| {
+            dir.nodes[loc.0 as usize].replicated.remove(&loc.1)
+        });
+        self.dirty.remove(&loc);
+    }
+
+    /// Run `write`, which may change `loc`'s version or replicated entry
+    /// and nothing else the lag predicate reads, and move the lag gauge by
+    /// what it did to `loc`.
+    fn keeping_lag<R>(&mut self, loc: Loc, write: impl FnOnce(&mut Directory) -> R) -> R {
+        let was = self.lags(loc);
+        let out = write(self);
+        self.lagging = self.lagging + u64::from(self.lags(loc)) - u64::from(was);
+        out
     }
 
     // --- shard map ---
@@ -460,27 +480,21 @@ impl Directory {
         out
     }
 
-    /// Whether `loc`'s backups were sent its current version: `None` if not
-    /// (never shipped, or the version moved since), else whether that
-    /// record is deep.
-    pub(crate) fn current_record(&self, loc: Loc) -> Option<bool> {
-        let st = &self.nodes[loc.0 as usize];
-        let shipped = st.synced_versions.get(&loc.1);
-        let current = shipped.is_some_and(|&v| Some(v) == self.version(loc));
-        current.then(|| st.deep.contains_key(&loc.1))
-    }
-
-    /// The backups `loc`'s last shipment missed, if any.
-    pub(crate) fn owed(&self, loc: Loc) -> Option<Vec<u32>> {
-        self.nodes[loc.0 as usize].owed.get(&loc.1).cloned()
+    /// What `loc`'s backups were sent at its current version: `None` if
+    /// nothing (never shipped, voided by a restart, or the version moved
+    /// since).
+    pub(crate) fn current_shipment(&self, loc: Loc) -> Option<Sent> {
+        let shipment = self.shipment(loc)?;
+        (Some(shipment.version) == self.version(loc)).then(|| Sent {
+            is_deep: shipment.deep.is_some(),
+            missed: shipment.owed.clone(),
+        })
     }
 
     /// Whether `state` is what `loc`'s deep record shipped.
     pub(crate) fn deep_record_is(&self, loc: Loc, state: &[WireValue]) -> bool {
-        self.nodes[loc.0 as usize]
-            .deep
-            .get(&loc.1)
-            .is_some_and(|s| s == state)
+        let deep = self.shipment(loc).and_then(|s| s.deep.as_deref());
+        deep.is_some_and(|s| s == state)
     }
 
     /// Shipped exports whose backups lag the owner's current version. Read
@@ -495,16 +509,20 @@ impl Directory {
     /// answer.
     fn scan_replica_lag(&self) -> u64 {
         let records = (0..).zip(&self.nodes);
-        let records = records.flat_map(|(n, st)| st.synced_versions.keys().map(move |&o| (n, o)));
+        let records = records.flat_map(|(n, st)| st.replicated.keys().map(move |&o| (n, o)));
         records.filter(|&loc| self.lags(loc)).count() as u64
     }
 
     /// Whether some backup of `loc` lags its shipment record: the version
     /// moved past the record, or the shipment missed a backup.
     fn lags(&self, loc: Loc) -> bool {
-        let st = &self.nodes[loc.0 as usize];
-        let shipped = st.synced_versions.get(&loc.1);
-        shipped.is_some_and(|&v| Some(v) != self.version(loc) || st.owed.contains_key(&loc.1))
+        let shipment = self.shipment(loc);
+        shipment.is_some_and(|s| Some(s.version) != self.version(loc) || !s.owed.is_empty())
+    }
+
+    /// `loc`'s shipment record, if it is a replicated export with one.
+    fn shipment(&self, loc: Loc) -> Option<&Shipment> {
+        self.nodes[loc.0 as usize].replicated.get(&loc.1)?.as_ref()
     }
 
     /// Entries in the dirty set — what the next sweep will probe.
@@ -732,11 +750,15 @@ mod tests {
     /// the probe to compare against. A shipment that missed a backup keeps
     /// its record, owes that backup and stays marked.
     #[test]
-    fn current_record_needs_a_record_at_the_current_version() {
+    fn current_shipment_needs_a_record_at_the_current_version() {
+        let sent = |is_deep, missed: &[u32]| {
+            let missed = missed.to_vec();
+            Some(Sent { is_deep, missed })
+        };
         let h = handles(1)[0];
         let mut dir = Directory::new(NODES, 1);
         let loc = (0, dir.export(0, h, true));
-        assert_eq!(dir.current_record(loc), None, "never shipped");
+        assert_eq!(dir.current_shipment(loc), None, "never shipped");
 
         let scalars = vec![
             WireValue::Null,
@@ -744,7 +766,7 @@ mod tests {
             WireValue::Str("s".into()),
         ];
         dir.shipped(loc, 0, &scalars);
-        assert_eq!(dir.current_record(loc), Some(false), "flat");
+        assert_eq!(dir.current_shipment(loc), sent(false, &[]), "flat");
         assert!(
             !dir.deep_record_is(loc, &scalars),
             "no copy of a flat state"
@@ -752,7 +774,7 @@ mod tests {
 
         let _ = dir.bump(loc);
         assert_eq!(
-            dir.current_record(loc),
+            dir.current_shipment(loc),
             None,
             "the version moved past the record"
         );
@@ -770,17 +792,28 @@ mod tests {
             let mut state = scalars.clone();
             state.push(reaching);
             dir.shipped(loc, 1, &state);
-            assert_eq!(dir.current_record(loc), Some(true), "reaches past its slot");
+            let reaching = dir.current_shipment(loc);
+            assert_eq!(reaching, sent(true, &[]), "reaches past its slot");
             assert!(dir.deep_record_is(loc, &state));
             assert!(!dir.deep_record_is(loc, &scalars));
         }
 
         let _ = dir.take_dirty();
-        assert_eq!(dir.owed(loc), None);
         dir.undelivered(loc, vec![2]);
-        assert_eq!(dir.current_record(loc), Some(true), "the record stands");
-        assert_eq!(dir.owed(loc), Some(vec![2]), "backup 2 is owed");
+        let owing = dir.current_shipment(loc);
+        assert_eq!(owing, sent(true, &[2]), "the record stands, owing backup 2");
         assert_eq!(dir.take_dirty(), BTreeSet::from([loc]), "re-marked");
+
+        // A restart voids the record in place: the export stays replicated.
+        let _ = dir.restart(1);
+        assert_eq!(dir.current_shipment(loc), None);
+        assert!(!dir.deep_record_is(loc, &[WireValue::Array(vec![])]));
+        assert_eq!(dir.take_dirty(), BTreeSet::from([loc]), "re-marked");
+        // An export that is no longer replicated keeps no record at all.
+        dir.shipped(loc, 2, &scalars);
+        let _ = dir.export(0, h, false);
+        dir.shipped(loc, 2, &scalars);
+        assert_eq!(dir.current_shipment(loc), None);
     }
 
     /// What a drained write log marks: a written handle only if it is a
@@ -867,6 +900,7 @@ mod tests {
         assert_eq!(lag(&dir), (0, 0), "and gains no version");
         assert_eq!(dir.version(loc), None);
         // The new home starts unshipped; its first shipment settles it.
+        assert_eq!(dir.export(1, hs[0], true), new.1);
         let _ = dir.bump(new);
         dir.shipped(new, 0, &[]);
         assert_eq!(lag(&dir), (1, 1), "shipped a version the bump overtook");
@@ -887,6 +921,10 @@ mod tests {
         assert_eq!(lag(&dir), (0, 0), "a new shipment pays what was owed");
         dir.undelivered(other, vec![0]);
         assert_eq!(lag(&dir), (1, 1));
+        let _ = dir.bump(new);
+        assert_eq!(lag(&dir), (2, 2));
+        let _ = dir.export(1, hs[0], false);
+        assert_eq!(lag(&dir), (1, 1), "no longer replicated: no record");
         let _ = dir.restart(0);
         assert_eq!(lag(&dir), (0, 0));
         assert_eq!(dir.replica_lag(), 0);
@@ -1136,24 +1174,15 @@ mod tests {
                 prop_assert_eq!(dir.resolve(loc), loc, "{}#{} live, moved", n, oid);
                 prop_assert!(dir.version(loc).is_some(), "{n}#{oid} live, no version");
             }
-            for oid in &st.replicated {
+            for (oid, record) in &st.replicated {
                 prop_assert!(
                     st.exports.contains_key(oid),
                     "{n}#{oid} replicated, not live"
                 );
-            }
-            for (oid, state) in &st.deep {
-                prop_assert!(!state.is_empty(), "{n}#{oid} flat state kept");
+                let deep = record.as_ref().and_then(|s| s.deep.as_ref());
                 prop_assert!(
-                    st.synced_versions.contains_key(oid),
-                    "{n}#{oid} deep, no record"
-                );
-            }
-            for (oid, missed) in &st.owed {
-                prop_assert!(!missed.is_empty(), "{n}#{oid} owes nobody");
-                prop_assert!(
-                    st.synced_versions.contains_key(oid),
-                    "{n}#{oid} owed, no record"
+                    deep.is_none_or(|state| !state.is_empty()),
+                    "{n}#{oid} flat state kept"
                 );
             }
             if w.down != Some(n) {
@@ -1169,16 +1198,15 @@ mod tests {
         }
         for &(n, oid) in &dir.dirty {
             prop_assert!(
-                dir.nodes[n as usize].replicated.contains(&oid),
+                dir.nodes[n as usize].replicated.contains_key(&oid),
                 "{n}#{oid} dirty, not replicated"
             );
         }
         for &(n, oid) in &w.moved_from {
             let loc = (n, oid);
             prop_assert_eq!(dir.version(loc), None, "{:?} vacated, versioned", loc);
-            let st = &dir.nodes[n as usize];
-            let shipped = st.synced_versions.contains_key(&oid);
-            prop_assert!(!shipped, "{:?} vacated, shipment record", loc);
+            let replicated = dir.nodes[n as usize].replicated.contains_key(&oid);
+            prop_assert!(!replicated, "{:?} vacated, replicated", loc);
         }
         // One identity per object: every location it had shares it, and
         // resolving is idempotent.

@@ -17,7 +17,7 @@ use crate::stats::bump;
 use rafda_classmodel::Side;
 use rafda_net::NodeId;
 use rafda_policy::AffinityConfig;
-use rafda_telemetry::SpanOutcome;
+use rafda_telemetry::{SpanOutcome, Symbol};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Reply, Request, WireValue};
 use std::fmt;
@@ -67,9 +67,9 @@ impl Cluster {
             // against this object has to land while the object is at its
             // old home, or the shipped state would miss it.
             flush_outqueues(&self.shared)?;
-            let event = self.install_at(from, object, to)?;
+            let moved = self.install_at(from, object, to)?;
             bump(&self.shared, from.0, Met::Migrations);
-            Ok(event)
+            Ok(moved)
         })
     }
 
@@ -100,69 +100,72 @@ impl Cluster {
                 read_proxy_state(vm, proxy).ok_or_else(|| VmError::Native("stale proxy".into()))?;
             let (home, live) = live_home(shared, target);
             if home.0 == node.0 {
-                return Ok(MigrationEvent {
-                    class: shared.rows[info.row].name.clone(),
+                let row = &shared.rows[info.row];
+                let event = MigrationEvent {
+                    class: row.name.clone(),
                     from: node,
                     to: node,
                     target: RemoteRef { node, oid: home.1 },
-                });
+                };
+                return Ok((event, row.name_sym));
             }
             let owner = NodeId(home.0);
             let object = live.ok_or_else(|| VmError::Native(unknown_object(home.1, owner)))?;
-            let event = self.install_at(owner, object, node)?;
+            let moved = self.install_at(owner, object, node)?;
             bump(shared, node.0, Met::Pulls);
-            Ok(event)
+            Ok(moved)
         })
     }
 
     /// Run a boundary change under its span: `name` on node `at`, with
     /// `from` (when known up front, else the event's), `to` and the moved
-    /// class as attributes, and the outcome as its status.
+    /// class (the body returns its row's interned name) as attributes, and
+    /// the outcome as its status.
     fn placement_span(
         &self,
         name: &'static str,
         at: NodeId,
         from: Option<NodeId>,
         to: NodeId,
-        body: impl FnOnce() -> Result<MigrationEvent, VmError>,
+        body: impl FnOnce() -> Result<(MigrationEvent, Symbol), VmError>,
     ) -> Result<MigrationEvent, VmError> {
         let shared = &self.shared;
+        let vocab = &shared.span_vocab;
         let span = {
             let mut spans = shared.spans.borrow_mut();
             let h = spans.start_span(name, at.0, shared.net.now().as_ns());
-            if let Some(from) = from {
-                spans.set_attr(h, "from", from.0);
-            }
-            spans.set_attr(h, "to", to.0);
+            let known_from = from.map(|from| vocab.from.u64(from.0.into()));
+            spans.set_attrs(h, known_from.as_slice());
+            spans.set_attrs(h, &[vocab.to.u64(to.0.into())]);
             h
         };
         let result = body();
         let mut spans = shared.spans.borrow_mut();
         let outcome = match &result {
-            Ok(event) => {
-                spans.set_attr(span, "class", &event.class);
-                if from.is_none() {
-                    spans.set_attr(span, "from", event.from.0);
-                }
+            Ok((event, class)) => {
+                let late_from = from.is_none().then(|| vocab.from.u64(event.from.0.into()));
+                spans.set_attrs(span, &[vocab.class.sym(*class)]);
+                spans.set_attrs(span, late_from.as_slice());
                 SpanOutcome::Ok
             }
             Err(e) if e.is_network() => SpanOutcome::NetFailure,
             Err(_) => SpanOutcome::Fault,
         };
         spans.end_span(span, shared.net.now().as_ns(), outcome);
-        result
+        result.map(|(event, _)| event)
     }
 
     /// The one move: ship the state of `object`, live on `from`, to `to`
     /// in an `Install`, then record the move and rewrite `object` in place
     /// into a proxy for the new home — in that order, so the proxy is
-    /// recorded under the object's identity.
+    /// recorded under the object's identity. Returns the move and its class
+    /// row's interned name.
     fn install_at(
         &self,
         from: NodeId,
         object: Handle,
         to: NodeId,
-    ) -> Result<MigrationEvent, VmError> {
+    ) -> Result<(MigrationEvent, Symbol), VmError> {
         let shared = &self.shared;
         if from == to {
             return Err(VmError::Native("migration to the same node".into()));
@@ -201,12 +204,13 @@ impl Cluster {
         let new = (target.node.0, target.oid);
         relocate(shared, (from.0, source_oid), new);
         point_proxy_at(shared, from, object, proxy_class, new);
-        Ok(MigrationEvent {
+        let event = MigrationEvent {
             class: row.name.clone(),
             from,
             to,
             target,
-        })
+        };
+        Ok((event, row.name_sym))
     }
 
     /// One round of the adaptive affinity loop: every exported object whose

@@ -9,10 +9,9 @@
 //! served, which each node's heap logs as they happen and the sweep drains
 //! into [`Directory::mark_written`].
 //!
-//! Backups are keyed by the owner's location. A move drops its version and
-//! vacates it, so its backups stop serving reads: a replica read is
-//! taken only from a copy of a live, unmoved location, and a getter aimed
-//! at a moved-away one goes to the owner, which redirects it to the live
+//! Backups are keyed by the owner's location. A move vacates it: its
+//! version and the backups' copies of it go (`cluster::relocate`), and a
+//! getter aimed at it goes to the owner, which redirects it to the live
 //! home (whose own backups are re-seeded by its syncs).
 
 use crate::batch::enqueue_outcall;
@@ -60,27 +59,22 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// mutated the object (and after exports that create one), so a live
 /// backup is never behind the last mutation the owner served.
 ///
-/// A flat export (its last shipment held by-value scalars and strings
-/// only) owes a shipment iff its heap slot was written or its version
-/// moved since: its state is a function of that one slot, so it is
-/// marshalled only to ship. A deep one reaches into other heap slots and is
-/// compared against the state it last shipped. State that moved under the
-/// version the backups hold — a write the runtime never served, such as a
-/// plain local call on a pulled object — bumps the version before it
-/// ships: the backups must not hold two states under one version tag, and
-/// cached reads tagged with it must stop validating.
+/// One question to the directory comes before any marshalling: a flat
+/// record (by-value scalars and strings) at the current version whose heap
+/// slot is unwritten is what the backups hold. A deep record reaches into
+/// other heap slots, so its state is marshalled and compared. State that
+/// moved under the version the backups hold — a write the runtime never
+/// served, such as a plain local call on a pulled object — bumps the
+/// version before it ships: the backups must not hold two states under one
+/// version tag, and cached reads tagged with it must stop validating.
 ///
 /// Crashed targets are skipped. A partitioned target is missed without a
-/// try (the fault-plan lookups stand in for a real owner's failure
-/// detector), and so is one whose exchange comes back `Unreachable`. The
-/// location then keeps its record and dirty mark and owes the missed
-/// backups: the next sweep re-sends an unchanged state to them alone, or
-/// ships a written one to all at a bumped version. Only the authoritative
-/// copy is shipped: a location the object moved away from exports nothing
-/// and never syncs. A replicated export whose state cannot be marshalled
-/// right now (an over-deep by-value graph, a stale handle) ships nothing
-/// and keeps its dirty mark: no later write need flip its written mark
-/// again, so the next sweep must retry it unprompted.
+/// try, and so is one whose exchange comes back `Unreachable`: the record
+/// stands, the location stays marked, and the next probe re-sends an
+/// unchanged state to the missed backups alone. A replicated export whose
+/// state cannot be marshalled right now (an over-deep by-value graph, a
+/// stale handle) ships nothing and keeps its dirty mark, for the next
+/// sweep to retry unprompted.
 ///
 /// Returns whether the state moved under the version the backups hold.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
@@ -90,13 +84,11 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
     };
     let vm = &shared.vms[owner.0 as usize];
     let loc = (owner.0, oid);
-    let (record, owed) = {
-        let dir = shared.directory.borrow();
-        (dir.current_record(loc), dir.owed(loc))
-    };
+    let record = shared.directory.borrow().current_shipment(loc);
+    let owes = record.as_ref().is_some_and(|r| !r.missed.is_empty());
     // Whether the backups were sent this very state under this version.
-    let flat_sent = record == Some(false) && !vm.written(h);
-    if flat_sent && owed.is_none() {
+    let flat_sent = record.as_ref().is_some_and(|r| !r.is_deep) && !vm.written(h);
+    if flat_sent && !owes {
         shared.directory.borrow_mut().settled(loc);
         return false;
     }
@@ -104,9 +96,9 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
         shared.directory.borrow_mut().unsettled(loc);
         return false;
     };
-    let sent =
-        flat_sent || record == Some(true) && shared.directory.borrow().deep_record_is(loc, &fields);
-    if sent && owed.is_none() {
+    let deep_sent = || shared.directory.borrow().deep_record_is(loc, &fields);
+    let sent = flat_sent || record.as_ref().is_some_and(|r| r.is_deep) && deep_sent();
+    if sent && !owes {
         shared.directory.borrow_mut().settled(loc);
         vm.clear_written(h);
         return false;
@@ -132,8 +124,8 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
             fields,
         },
     };
-    let mut targets = match owed.filter(|_| sent) {
-        Some(missed) => missed,
+    let mut targets = match record.filter(|_| sent) {
+        Some(owed) => owed.missed,
         None => replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32),
     };
     targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
@@ -170,40 +162,25 @@ fn replicated_state(
     h: Handle,
 ) -> Option<(&str, &ClassRow, Vec<WireValue>)> {
     let info = info_of(shared, owner.0, h).filter(|info| !info.is_proxy)?;
-    let row = &shared.rows[info.row];
-    if row.rule.replicas == 0 {
-        return None;
-    }
+    let row = Some(&shared.rows[info.row]).filter(|row| row.rule.replicas > 0)?;
     let (class, fields) = shared.vms[owner.0 as usize].read_object(h)?;
     let wire_fields = marshal::values_to_wire(shared, owner, &fields).ok()?;
     Some((&shared.universe.class(class).name, row, wire_fields))
 }
 
 /// Re-ship every **dirty** replicated export whose live state drifted from
-/// its last shipment — the dirty-replica sweep run at synchronization
-/// points.
+/// its last shipment — the dirty-replica sweep run at every top-level
+/// exchange and at quiescent points.
 ///
-/// Mutations served over the wire trigger [`sync_replicas`] inline, but a
-/// promoted (or pulled) object lives in its caller's VM and takes plain
-/// local calls the runtime never sees. The sweep closes that gap: at every
-/// top-level exchange and at quiescent points, the locations marked dirty
-/// since their last shipment are offered to [`sync_replicas`], which ships
-/// (and version-bumps) exactly those whose state moved and no-ops on the
-/// rest.
-///
-/// The sweep drains [`Directory::take_dirty`] instead of enumerating every export
-/// of every node — O(dirty) per synchronization point, not O(exports) —
-/// and iterates it in `(node, oid)` order, the exact order the old
-/// full-table sweep enumerated, so the shipment sequence (and with it
-/// every message id, clock reading and report byte) is unchanged for any
-/// run. Marking covers everything the full sweep could ship: version
-/// bumps, fresh replicated exports, restart re-seeds, and — drained here,
-/// first — what each node's heap logged as written since the last sweep.
-/// Every write to an entry passes `Heap::get_mut`, so nothing that ran
-/// between two sweeps, application code or host, can move a replicated
-/// object's state unlogged. Gated on `any_replication` so workloads
-/// without a `replicate` policy pay one boolean test, and guarded against
-/// re-entry because the shipments are themselves exchanges.
+/// Served mutations ship inline, but a promoted or pulled object takes
+/// plain local calls the runtime never sees. Every write passes
+/// `Heap::get_mut`, which logs it, so the sweep drains each node's log
+/// into [`Directory::mark_written`] first, then takes the dirty set whole
+/// ([`Directory::take_dirty`], in `(node, oid)` order, so the shipment
+/// sequence is a function of the run) and offers each location to
+/// [`sync_replicas`]: O(dirty) per synchronization point, not O(exports).
+/// Gated on `any_replication`, and guarded against re-entry because the
+/// shipments are themselves exchanges.
 ///
 /// Returns the number of locations whose state moved under the version
 /// their backups hold. Re-sending an unchanged state to the backups a
@@ -220,8 +197,7 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
         }
     }
     // Take the set whole: marks made *during* the sweep (the drift bump
-    // inside a shipment, writes a nested exchange logs) are next sweep's
-    // work, exactly like mutations made during the old full enumeration.
+    // inside a shipment, writes a nested exchange logs) are next sweep's.
     let targets = shared.directory.borrow_mut().take_dirty();
     drop(drain);
     shared.in_replica_sweep.set(true);
@@ -256,14 +232,10 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
 /// (a copy shorter than the class layout) is the owner's to answer: it
 /// falls through exactly as a lagging copy does.
 ///
-/// In the simulated topology every inter-node link costs the same, so the
-/// nearest *profitable* replica is always the caller's own store: remote
-/// replicas would cost exactly what the owner does.
-///
-/// A served read records a zero-length `rpc.call` span tagged
-/// `replica_read` (`record_local_read`). That is deliberate: the span's
-/// trace context is what a stale-read violation points to, and the trace
-/// shows the call that never crossed the wire.
+/// Only the caller's own store is read: every simulated link costs the
+/// same, so a remote replica would cost what the owner does. A served read
+/// records a zero-length `rpc.call` span tagged `replica_read` on purpose:
+/// a stale-read violation points at its trace context.
 ///
 /// [`Vm::getter_slot`]: rafda_vm::Vm::getter_slot
 pub(crate) fn replica_read(

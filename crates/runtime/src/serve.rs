@@ -251,6 +251,10 @@ impl ReplyCache {
         }
         let window = &mut self.by_caller[caller];
         if window.held.len() < WINDOW {
+            if window.held.is_empty() {
+                // Sized once, on the caller's first reply.
+                window.held.reserve_exact(WINDOW);
+            }
             window.held.push((msg_id, reply, version));
             window.max_id = window.max_id.max(msg_id);
             return;
@@ -575,8 +579,12 @@ mod tests {
         let mut cache = ReplyCache::default();
         for id in 1..=WINDOW as u64 + 1 {
             cache.insert(3, id, reply(id), id);
+            if id == 1 {
+                assert_eq!(cache.slots(), WINDOW, "sized on the first reply");
+            }
         }
         assert_eq!(cache.len(), WINDOW);
+        assert_eq!(cache.slots(), WINDOW, "and never again");
         assert_eq!(cache.get(3, 1), None, "the oldest went");
         assert_eq!(cache.get(3, 2), Some((&reply(2), 2)));
         let newest = WINDOW as u64 + 1;

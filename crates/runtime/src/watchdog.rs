@@ -288,10 +288,9 @@ fn probe_replicas(shared: &Shared, dog: &mut Watchdog) {
             let (backup_version, backup_class, fields) = &state.replica_store[&key];
             let (owner, oid) = key;
             let Some(h) = shared.directory.borrow().live_export((owner, oid)) else {
-                // The object moved away (the replica describes a vacated
-                // location, superseded by the new home's syncs) or the owner
-                // restarted with amnesia: nothing to compare until the next
-                // sync re-seeds the backup.
+                // The owner restarted with amnesia (a move drops the copies
+                // of the location it vacates): nothing to compare until the
+                // next sync re-seeds the backup.
                 continue;
             };
             let owner_version =

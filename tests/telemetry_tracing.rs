@@ -388,7 +388,7 @@ fn migration_is_traced_with_its_state_transfer() {
     let y = cluster
         .new_instance(N0, "Y", 0, vec![Value::Int(3)])
         .unwrap();
-    let x = cluster.new_instance(N0, "X", 0, vec![y]).unwrap();
+    let x = cluster.new_instance(N0, "X", 0, vec![y.clone()]).unwrap();
     cluster.pin(N0, &x);
     // Find Y's home handle on node 1 and migrate it to node 2.
     let vm1 = cluster.vm(N1);
@@ -410,6 +410,8 @@ fn migration_is_traced_with_its_state_transfer() {
     let mig = find_span(&log, |s| s.name == "migrate");
     assert_eq!(mig.outcome, SpanOutcome::Ok);
     assert_eq!(log.attr_str(&mig, "class"), Some("Y"));
+    let attrs = log.attrs(&mig).map(|(k, v)| format!("{k}={v}"));
+    assert_eq!(attrs.collect::<Vec<_>>(), ["from=1", "to=2", "class=Y"]);
     // The state transfer (install RPC + its dispatch) is inside the
     // migration span's trace.
     let install = find_span(&log, |s| s.name == "rpc.install");
@@ -418,6 +420,15 @@ fn migration_is_traced_with_its_state_transfer() {
     let serve_install = find_span(&log, |s| s.name == "serve.install");
     assert_eq!(serve_install.trace_id, mig.trace_id);
     assert_eq!(serve_install.node, 2);
+    drop(log);
+
+    // A pull learns where it came from only once the move is done.
+    cluster.pull_local(N0, y.as_ref_handle().unwrap()).unwrap();
+    let log = cluster.span_log();
+    let pull = find_span(&log, |s| s.name == "pull");
+    assert_eq!(pull.outcome, SpanOutcome::Ok);
+    let attrs = log.attrs(&pull).map(|(k, v)| format!("{k}={v}"));
+    assert_eq!(attrs.collect::<Vec<_>>(), ["to=0", "class=Y", "from=2"]);
 }
 
 #[test]
