@@ -367,9 +367,8 @@ impl Directory {
         self.dirty.remove(&loc);
     }
 
-    /// Run `write`, which may change `loc`'s version or replicated entry
-    /// and nothing else the lag predicate reads, and move the lag gauge by
-    /// what it did to `loc`.
+    /// Run `write`, which may change only `loc`'s version or replicated
+    /// entry, and move the lag gauge by what that did to `loc`.
     fn keeping_lag<R>(&mut self, loc: Loc, write: impl FnOnce(&mut Directory) -> R) -> R {
         let was = self.lags(loc);
         let out = write(self);

@@ -69,12 +69,13 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// version tag, and cached reads tagged with it must stop validating.
 ///
 /// Crashed targets are skipped. A partitioned target is missed without a
-/// try, and so is one whose exchange comes back `Unreachable`: the record
-/// stands, the location stays marked, and the next probe re-sends an
-/// unchanged state to the missed backups alone. A replicated export whose
-/// state cannot be marshalled right now (an over-deep by-value graph, a
-/// stale handle) ships nothing and keeps its dirty mark, for the next
-/// sweep to retry unprompted.
+/// try (the fault-plan lookups stand in for a real owner's failure
+/// detector), and so is one whose exchange comes back `Unreachable`: the
+/// record stands, the location stays marked, and the next probe re-sends
+/// an unchanged state to the missed backups alone. A replicated export
+/// whose state cannot be marshalled right now (an over-deep by-value graph,
+/// a stale handle) ships nothing and keeps its dirty mark: no later write
+/// need flip its written mark again, so the next sweep must retry it.
 ///
 /// Returns whether the state moved under the version the backups hold.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
