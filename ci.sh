@@ -158,6 +158,23 @@ if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|members_
   exit 1
 fi
 
+echo "== one failure detector: a node asks detector.rs which peers it gave up on =="
+# A runtime decision that skips a peer asks `detector::suspects` or
+# `detector::cut` and names the node asking. A fault-plan predicate read
+# anywhere else in the runtime's product lines is a decision made on facts
+# no node could know, out of reach of the detector's one body. The watchdog
+# and the stats tables observe and decide nothing, so they may read the plan.
+plan_reads=$(for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs \
+    ! -name detector.rs ! -name watchdog.rs ! -name stats.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE '\bis_(crashed|partitioned)\(' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$plan_reads" ]; then
+  echo "$plan_reads" >&2
+  echo "FAIL: the runtime reads the fault plan outside detector.rs — ask crate::detector" >&2
+  exit 1
+fi
+
 echo "== runtime spans record resolved attributes: no string-keyed set_attr =="
 # Every runtime span takes its keys from the span vocabulary resolved once
 # per log and its class names from the rows' interned symbols

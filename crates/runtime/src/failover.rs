@@ -4,6 +4,7 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{lookup_export, point_proxy_at, ClassRow, Cluster, NodeState, Shared};
+use crate::detector::suspects;
 use crate::obs::Met;
 use crate::profile::Section;
 use crate::replicate::{charge_marks, replica_targets};
@@ -138,29 +139,29 @@ pub(crate) fn failover(
 /// Find the live home of `(target, oid)`: the recorded one, else ask the
 /// resolved location's replicas to promote their backup, lowest
 /// node id first. Returns `None` when nobody can take over — the class is
-/// unreplicated, or every backup is down or lost its copy.
+/// unreplicated, or every backup is down, lost its copy or is behind.
 pub(crate) fn locate_home(
     shared: &Shared,
     node: NodeId,
     row: &ClassRow,
     (target, oid): (u32, u64),
 ) -> Option<(u32, u64)> {
-    let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
+    let suspected = |n: u32| suspects(shared, node, NodeId(n));
     let (tn, toid) = shared.directory.borrow().resolve((target, oid));
     // Only route to the recorded home while the promoted copy is actually
     // there: a home node that crash-restarted has a wiped registry, and
     // sending callers to it would loop through "unknown object" faults
     // instead of promoting one of the copy's own backups below.
     if (tn, toid) != (target, oid)
-        && !crashed(tn)
+        && !suspected(tn)
         && lookup_export(shared, NodeId(tn), toid).is_some()
     {
         return Some((tn, toid));
     }
     for c in replica_targets(row.rule.replicas, tn, shared.vms.len() as u32) {
-        // The fault-plan lookup stands in for a failure detector: known-dead
-        // candidates are skipped instead of timed out against.
-        if crashed(c) {
+        // The client asks the failure detector: a suspected candidate is
+        // skipped instead of timed out against.
+        if suspected(c) {
             continue;
         }
         let req = Request::Promote {
@@ -176,8 +177,8 @@ pub(crate) fn locate_home(
                 }),
                 _,
             )) => return Some((nn, noid)),
-            // A fault (the backup restarted and lost its copy) or a network
-            // failure both mean: try the next candidate.
+            // A fault (the backup lost its copy, or it is behind the
+            // recorded version) or a network failure: try the next one.
             _ => continue,
         }
     }

@@ -51,6 +51,7 @@
 
 mod batch;
 pub mod cluster;
+mod detector;
 mod directory;
 mod failover;
 mod fifo;

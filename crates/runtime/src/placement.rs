@@ -8,6 +8,7 @@ use crate::cluster::{
     export, gen_info, info_of, is_local_impl, live_home, lookup_export, point_proxy_at,
     read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
+use crate::detector::suspects;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
@@ -413,7 +414,7 @@ impl Cluster {
         let shared = &self.shared;
         let known = shared.directory.borrow().shard_member_set();
         for n in 0..shared.vms.len() as u32 {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+            if suspects(shared, NodeId(n), NodeId(n)) {
                 continue;
             }
             let exports = shared.directory.borrow().exports_of(n);
@@ -445,25 +446,28 @@ impl Cluster {
     }
 
     /// Enforcement pass: migrate every shard member that is not at its
-    /// shard's owner. A member that cannot move right now (its node or the
-    /// owner is down) is left in place for the next tick.
+    /// shard's owner. A member that cannot move right now (the owner or its
+    /// node is down, or its node suspects the owner) stays for the next tick.
     fn enforce_shard_map(&self) -> Vec<MigrationEvent> {
         let shared = &self.shared;
         let plan = shared.directory.borrow().shard_owners();
         let mut events = Vec::new();
         for (key, owner) in plan {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(owner))) {
+            let to = NodeId(owner);
+            if suspects(shared, to, to) {
                 continue;
             }
             let members = shared.directory.borrow().shard_members(key);
             for (i, &(n, oid)) in members.iter().enumerate() {
-                if n == owner || shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+                // The member's node ships it, so that node asks.
+                let from = NodeId(n);
+                if n == owner || suspects(shared, from, from) || suspects(shared, from, to) {
                     continue;
                 }
-                let Some(h) = lookup_export(shared, NodeId(n), oid) else {
+                let Some(h) = lookup_export(shared, from, oid) else {
                     continue;
                 };
-                if let Ok(event) = self.migrate(NodeId(n), h, NodeId(owner)) {
+                if let Ok(event) = self.migrate(from, h, to) {
                     let moved = (event.target.node.0, event.target.oid);
                     shared
                         .directory
@@ -509,6 +513,6 @@ fn prune_shard_members(shared: &Shared) {
         .directory
         .borrow_mut()
         .prune_shard_members(|(n, _), h| {
-            !shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) && is_local_impl(shared, n, h)
+            !suspects(shared, NodeId(n), NodeId(n)) && is_local_impl(shared, n, h)
         });
 }

@@ -16,6 +16,7 @@
 
 use crate::batch::enqueue_outcall;
 use crate::cluster::{bump_version, info_of, lookup_export, version_of, ClassRow, Shared};
+use crate::detector::{cut, suspects};
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
@@ -68,17 +69,20 @@ pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
 /// version before it ships: the backups must not hold two states under one
 /// version tag, and cached reads tagged with it must stop validating.
 ///
-/// Crashed targets are skipped. A partitioned target is missed without a
-/// try (the fault-plan lookups stand in for a real owner's failure
-/// detector), and so is one whose exchange comes back `Unreachable`: the
-/// record stands, the location stays marked, and the next probe re-sends
-/// an unchanged state to the missed backups alone. A replicated export
+/// The owner asks the [failure detector](crate::detector): a target it
+/// suspects is skipped, and one whose link it finds cut is missed without
+/// a try, as is one whose exchange comes back `Unreachable`. The record
+/// stands, the location stays marked, and the next probe re-sends an
+/// unchanged state to the missed backups alone. A replicated export
 /// whose state cannot be marshalled right now (an over-deep by-value graph,
 /// a stale handle) ships nothing and keeps its dirty mark: no later write
 /// need flip its written mark again, so the next sweep must retry it.
 ///
 /// Returns whether the state moved under the version the backups hold.
 pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
+    if !shared.any_replication {
+        return false;
+    }
     let probe = shared.prof.section(Section::SweepProbe);
     let Some(h) = lookup_export(shared, owner, oid) else {
         return false;
@@ -129,7 +133,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
         Some(owed) => owed.missed,
         None => replica_targets(row.rule.replicas, owner.0, shared.vms.len() as u32),
     };
-    targets.retain(|&t| !shared.net.fault_plan(|f| f.is_crashed(NodeId(t))));
+    targets.retain(|&t| !suspects(shared, owner, NodeId(t)));
     if row.rule.batch {
         // Replica shipments of a batched class are deferrable: they ride
         // the owner's outcall queue to each backup, which owns its copy,
@@ -142,8 +146,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) -> bool {
         let lost = |t: &u32| {
             let to = NodeId(*t);
             let sent = || rpc(shared, owner, to, row, &req, None);
-            shared.net.fault_plan(|f| f.is_partitioned(owner, to))
-                || matches!(sent(), Err(VmError::Unreachable(_)))
+            cut(shared, owner, to) || matches!(sent(), Err(VmError::Unreachable(_)))
         };
         let missed: Vec<u32> = targets.into_iter().filter(lost).collect();
         if !missed.is_empty() {
@@ -208,7 +211,7 @@ pub(crate) fn sync_dirty_replicas(shared: &Shared) -> usize {
         // failover machinery is for. The entry is dropped, not kept: a
         // restart wipes the owner's state and re-seeds the sweep for every
         // node, so nothing stale survives to ship.
-        if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
+        if suspects(shared, NodeId(n), NodeId(n)) {
             continue;
         }
         bump(shared, n, Met::ReplicaSweepProbes);

@@ -386,8 +386,9 @@ fn dispatch_request(
                 Err(other) => Err(other.to_string()),
             };
             // Anything that may have mutated the object re-ships it to its
-            // backups before the reply leaves, so a replica promoted after
-            // a later crash holds every mutation this owner acknowledged.
+            // backups before the reply leaves. A backup it misses keeps an
+            // older version, which `Promote` refuses: a promoted replica
+            // holds every acknowledged mutation, or none is promoted.
             if !is_getter {
                 sync_replicas(shared, node, object);
             }
@@ -484,9 +485,18 @@ fn dispatch_request(
                 let gone = || format!("promoted copy of {old_node}#{old_object} vanished");
                 return remote_ref(shared, home).map(Reply::Value).ok_or_else(gone);
             }
-            let entry = shared.nodes.borrow_mut()[node.0 as usize]
-                .replica_store
-                .remove(&key);
+            // Only the recorded version is promoted (`replica_read`'s rule):
+            // a copy a shipment missed is refused and kept, and the caller
+            // asks the next backup.
+            let recorded = version_of(shared, old_node, old_object);
+            let mut nodes = shared.nodes.borrow_mut();
+            let store = &mut nodes[node.0 as usize].replica_store;
+            let copy = store.get(&key);
+            if copy.is_some_and(|(held, _, _)| Some(*held) != recorded) {
+                return Err(format!("replica of {old_node}#{old_object} is behind"));
+            }
+            let entry = store.remove(&key);
+            drop(nodes);
             let (_, class, fields) =
                 entry.ok_or_else(|| format!("no replica of {old_node}#{old_object} on {node}"))?;
             let oid = land(shared, node, class, &fields, key)?;

@@ -211,6 +211,64 @@ fn a_shipment_lost_to_a_partition_ships_again_after_the_heal() {
     assert_eq!(cluster.location_of(N2, &c), Some(N0));
 }
 
+/// Write 7, then write 10 while the owner is cut off from some of its
+/// backups, heal, and crash the owner before any exchange re-ships the
+/// owed state. No quiescent check runs between the heal and the crash:
+/// its sweep would ship what is owed and hide the case.
+fn acknowledged_then_crashed(
+    nodes: u32,
+    k: u32,
+    client: NodeId,
+    cut_off: NodeId,
+) -> (Cluster, Value) {
+    let (cluster, c) = deployed(nodes, k, client, 24);
+    assert_eq!(bump(&cluster, client, &c, 2).unwrap(), Value::Int(7));
+    cluster.network().fault_plan(|f| f.partition(N1, cut_off));
+    assert_eq!(bump(&cluster, client, &c, 3).unwrap(), Value::Int(10));
+    cluster.network().fault_plan(|f| f.heal_all());
+    cluster.crash(N1);
+    (cluster, c)
+}
+
+/// The only backup missed the acknowledged write, so it holds version 7
+/// and refuses to promote it: the caller sees the owner's crash, never the
+/// lost write. Owner n1, backup n0, client n2.
+#[test]
+fn a_backup_that_missed_an_acknowledged_write_is_not_promoted() {
+    let (cluster, c) = acknowledged_then_crashed(3, 1, N2, N0);
+    let err = bump(&cluster, N2, &c, 0).unwrap_err();
+    assert_eq!(
+        err.net_failure().map(|nf| nf.kind),
+        Some(NetError::NodeCrashed(N1)),
+        "{err}"
+    );
+    assert_eq!(cluster.stats().promotions, 0);
+}
+
+/// As above, but the owner restarted with amnesia: its `unknown object`
+/// fault stands, since the backup still refuses the version it missed.
+#[test]
+fn a_restarted_owner_does_not_hand_over_to_a_backup_that_missed_a_write() {
+    let (cluster, c) = acknowledged_then_crashed(3, 1, N2, N0);
+    cluster.restart(N1);
+    let err = bump(&cluster, N2, &c, 0).unwrap_err();
+    assert!(
+        matches!(&err, rafda::VmError::Native(m) if m.contains("unknown object 1 on node1")),
+        "{err}"
+    );
+    assert_eq!(cluster.stats().promotions, 0);
+}
+
+/// With two backups, the lower-id one (n0) missed the write and refuses;
+/// the next (n2) holds the recorded version and takes over. Client n3.
+#[test]
+fn promotion_skips_a_backup_that_missed_an_acknowledged_write() {
+    let (cluster, c) = acknowledged_then_crashed(4, 2, N3, N0);
+    assert_eq!(bump(&cluster, N3, &c, 0).unwrap(), Value::Int(10));
+    assert_eq!(cluster.location_of(N3, &c), Some(N2));
+    assert_eq!(cluster.stats().promotions, 1);
+}
+
 /// A shipment that misses a backup keeps its record, so a write the
 /// runtime never served that lands afterwards still moves the version: a
 /// read cached under the version the missed shipment carried stops
