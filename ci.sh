@@ -175,6 +175,23 @@ if [ -n "$plan_reads" ]; then
   exit 1
 fi
 
+echo "== a caller reads a reply in one place =="
+# `serve.rs` builds exception and fault replies; `rpc::read_reply` is the one
+# caller-side reading of them (a remote exception is thrown again on the
+# caller, a fault is its text). A caller that matches them itself decides
+# anew what a remote failure means, and a remote factory can then fail
+# differently from a local one.
+reply_reads=$(for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs \
+    ! -name serve.rs ! -name rpc.rs | sort); do
+  # Product lines only: everything before the file's `#[cfg(test)]`.
+  sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE '\bReply::(Exception|Fault)\b' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$reply_reads" ]; then
+  echo "$reply_reads" >&2
+  echo "FAIL: a reply is read outside rpc::read_reply — call it instead" >&2
+  exit 1
+fi
+
 echo "== runtime spans record resolved attributes: no string-keyed set_attr =="
 # Every runtime span takes its keys from the span vocabulary resolved once
 # per log and its class names from the rows' interned symbols
@@ -194,15 +211,15 @@ echo "== what was written is what is dirty: no frames, one source of bare-mutati
 # where application code ran: every write passes `Heap::get_mut`, the heap
 # logs it, and the sweep (replicate.rs) alone drains the logs into
 # `Directory::mark_written`. A frame type, a getter classifier at an entry
-# point or a second drain means the convention is back; re-marking a whole
-# node is for the quiescent check in watchdog.rs (restart does it inside the
+# point or a second drain means the convention is back; re-marking every
+# replicated export is for the quiescent check in watchdog.rs (restart does it inside the
 # directory).
 if grep -rnE 'AppFrame|app_frames|mark_if_framed|entry_is_getter' crates/runtime/src; then
   echo "FAIL: application frames are back in the runtime" >&2
   exit 1
 fi
-if grep -rn --exclude=watchdog.rs 'mark_node_dirty(' crates/runtime/src | grep -v 'fn mark_node_dirty('; then
-  echo "FAIL: mark_node_dirty is called outside the quiescent check" >&2
+if grep -rn --exclude=watchdog.rs 'mark_all_dirty(' crates/runtime/src | grep -v 'fn mark_all_dirty('; then
+  echo "FAIL: mark_all_dirty is called outside the quiescent check" >&2
   exit 1
 fi
 if grep -rn --exclude=replicate.rs 'take_written(' crates/runtime/src; then

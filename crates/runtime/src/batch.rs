@@ -11,7 +11,7 @@ use crate::cluster::{ClassRow, Shared};
 use crate::failover::{locate_home, owner_gone};
 use crate::obs::Met;
 use crate::profile::Section;
-use crate::rpc::{rethrow, rpc};
+use crate::rpc::{read_reply, rpc};
 use crate::stats::bump;
 use rafda_net::NodeId;
 use rafda_vm::VmError;
@@ -156,10 +156,13 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
                     // surface that at this synchronization point like any
                     // other flush failure.
                     None => {
+                        let lost = || VmError::Native("deferred call lost".into());
                         first_err.get_or_insert_with(|| match (&outcome, sub_reply(i)) {
                             (Err(e), _) => e.clone(),
-                            (_, Some(Reply::Fault(m))) => VmError::Native(m.clone()),
-                            _ => VmError::Native("deferred call lost".into()),
+                            (_, Some(r)) => read_reply(shared, from, r.clone())
+                                .err()
+                                .unwrap_or_else(lost),
+                            _ => lost(),
                         });
                     }
                 }
@@ -177,31 +180,25 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
 }
 
 /// Surface the outcome of one flushed batch at the synchronization point
-/// that triggered it: network failures and faults propagate as-is, and a
-/// deferred operation that threw when it finally ran re-materialises its
-/// exception on the flushing node.
+/// that triggered it: the first error among the frame's own reply and its
+/// sub-replies, each read as a synchronous call's reply is
+/// ([`read_reply`]). A sub-reply the flush re-homed, or reported as lost,
+/// is skipped.
 fn flush_error(
     shared: &Shared,
     from: NodeId,
     outcome: Result<(Reply, u64), VmError>,
 ) -> Option<VmError> {
     let results = match outcome {
-        Err(e) => return Some(e),
         Ok((Reply::Batch(results), _)) => results,
-        Ok((Reply::Fault(m), _)) => return Some(VmError::Native(m)),
-        Ok(_) => return None,
-    };
-    for (_, r) in results {
-        match r {
-            // Re-homed by the flush, or reported as lost there.
-            _ if owner_gone(Ok(&r)) => {}
-            Reply::Value(_) => {}
-            Reply::Exception { class, fields } => {
-                return Some(rethrow(shared, from, &class, &fields));
-            }
-            Reply::Fault(m) => return Some(VmError::Native(m)),
-            Reply::Batch(_) => return Some(VmError::Native("nested batch reply".into())),
+        other => {
+            return other
+                .and_then(|(reply, _)| read_reply(shared, from, reply))
+                .err()
         }
-    }
-    None
+    };
+    results
+        .into_iter()
+        .filter(|(_, r)| !owner_gone(Ok(r)))
+        .find_map(|(_, r)| read_reply(shared, from, r).err())
 }

@@ -14,7 +14,7 @@ use crate::obs::{Met, Obs};
 pub use crate::placement::MigrationEvent;
 use crate::profile::{Profiler, Section};
 use crate::replicate::charge_marks;
-use crate::rpc::{proxy_call, rpc, ProxyMethod, SpanVocab};
+use crate::rpc::{proxy_call, read_reply, rpc, ProxyMethod, SpanVocab};
 use crate::serve::ReplyCache;
 pub use crate::stats::NodeSummary;
 use rafda_classmodel::{ClassId, ClassUniverse, Side, SigId};
@@ -24,7 +24,7 @@ use rafda_telemetry::{FastMap, FastSet, SpanLog, Symbol};
 use rafda_transform::generate::{PROXY_NODE_FIELD, PROXY_OID_FIELD};
 use rafda_transform::TransformPlan;
 use rafda_vm::{Handle, Trace, Value, Vm, VmError};
-use rafda_wire::{Protocol, ProtocolKind, Reply, Request, SigTable, WireValue};
+use rafda_wire::{Protocol, ProtocolKind, Request, SigTable, WireValue};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::{Rc, Weak};
@@ -1024,22 +1024,8 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
             args: vec![],
         };
         let (reply, _) = rpc(shared, node, target, row, &create, None)?;
-        factory_reply(shared, node, reply, "create")
-    }
-}
-
-/// The value a factory exchange (`what`: create or discover) answered.
-fn factory_reply(
-    shared: &Shared,
-    node: NodeId,
-    reply: Reply,
-    what: &str,
-) -> Result<Value, VmError> {
-    match reply {
-        Reply::Value(wv) => marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native),
-        Reply::Fault(m) => Err(VmError::Native(m)),
-        Reply::Exception { .. } => Err(VmError::Native(format!("exception during {what}"))),
-        Reply::Batch(_) => Err(VmError::Native(format!("unexpected batch reply to {what}"))),
+        let wv = read_reply(shared, node, reply)?;
+        marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
     }
 }
 
@@ -1108,7 +1094,8 @@ pub(crate) fn discover_value(
             class: row.name.clone(),
         };
         let (reply, _) = rpc(shared, node, owner, row, &discover, None)?;
-        let value = factory_reply(shared, node, reply, "discover")?;
+        let wv = read_reply(shared, node, reply)?;
+        let value = marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)?;
         if let Value::Ref(h) = value {
             remember(h);
         }

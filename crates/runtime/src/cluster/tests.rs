@@ -15,7 +15,7 @@ use rafda_policy::{AffinityConfig, Placement, StaticPolicy};
 use rafda_telemetry::TraceContext;
 use rafda_transform::Transformer;
 use rafda_vm::RpcFault;
-use rafda_wire::RmiCodec;
+use rafda_wire::{Reply, RmiCodec};
 
 /// A cluster of two nodes running `class C { int v; int add(int d) }`
 /// with all instances placed (remotely) on node 1.

@@ -9,7 +9,7 @@
 //! ([`Directory::export`], [`Directory::relocate`], [`Directory::bump`],
 //! [`Directory::shipped`] / [`Directory::undelivered`],
 //! [`Directory::settled`] / [`Directory::unsettled`],
-//! [`Directory::mark_written`] / [`Directory::mark_node`] /
+//! [`Directory::mark_written`] / [`Directory::mark_all`] /
 //! [`Directory::take_dirty`],
 //! [`Directory::restart`], [`Directory::record_call`],
 //! [`Directory::canonical_static`] and the shard-map operations), each of
@@ -250,15 +250,27 @@ impl Directory {
         made
     }
 
-    /// Mark every replicated export of `node` dirty, whatever was written:
-    /// the cluster-wide re-seed after a restart, and the quiescent check
-    /// that must not depend on the marks being complete. Returns the number
-    /// of marks made.
+    /// Mark every replicated export dirty, whatever was written: the
+    /// cluster-wide re-seed after a restart, and the quiescent check that
+    /// must not depend on the marks being complete. Returns the marks made
+    /// per node. The set becomes all replicated entries, built from one
+    /// sorted batch, so its tree's allocations do not depend on the order
+    /// the per-process hash seed lists them in.
     #[must_use]
-    pub(crate) fn mark_node(&mut self, node: u32) -> u64 {
-        let replicated = &self.nodes[node as usize].replicated;
-        self.dirty.extend(replicated.keys().map(|&oid| (node, oid)));
-        replicated.len() as u64
+    pub(crate) fn mark_all(&mut self) -> Vec<u64> {
+        let is_replicated = |&(n, oid): &Loc| self.nodes[n as usize].replicated.contains_key(&oid);
+        debug_assert!(self.dirty.iter().all(is_replicated));
+        let marks: Vec<u64> = self
+            .nodes
+            .iter()
+            .map(|st| st.replicated.len() as u64)
+            .collect();
+        let mut all = Vec::with_capacity(marks.iter().sum::<u64>() as usize);
+        for (n, st) in (0..).zip(&self.nodes) {
+            all.extend(st.replicated.keys().map(|&oid| (n, oid)));
+        }
+        self.dirty = BTreeSet::from_iter(all);
+        marks
     }
 
     /// Drain the dirty set for one sweep, in `(node, oid)` order. Marks
@@ -332,9 +344,7 @@ impl Directory {
             ..NodeDir::default()
         };
         self.dirty.retain(|&(n, _)| n != node);
-        (0..self.nodes.len() as u32)
-            .map(|n| self.mark_node(n))
-            .collect()
+        self.mark_all()
     }
 
     /// Count one call served for the live object at `loc`, from `caller`.
@@ -983,9 +993,8 @@ mod tests {
         PruneMembers {
             odd: bool,
         },
-        MarkNode {
-            node: u32,
-        },
+        /// Mark every replicated export dirty (the quiescent check).
+        MarkAll,
         /// `node`'s heap logged a write to pool handle `h`.
         MarkWritten {
             node: u32,
@@ -1021,7 +1030,7 @@ mod tests {
                 Op::MoveMember { shard, index, node, pick }
             }),
             1 => any::<bool>().prop_map(|odd| Op::PruneMembers { odd }),
-            2 => node().prop_map(|node| Op::MarkNode { node }),
+            2 => Just(Op::MarkAll),
             2 => (node(), pick()).prop_map(|(node, h)| Op::MarkWritten { node, h }),
             4 => (node(), pick(), node())
                 .prop_map(|(node, pick, caller)| Op::RecordCall { node, pick, caller }),
@@ -1134,8 +1143,8 @@ mod tests {
             Op::PruneMembers { odd } => {
                 dir.prune_shard_members(|(n, oid), _| up(n) && !(odd && oid % 2 == 1));
             }
-            Op::MarkNode { node } => {
-                let _ = dir.mark_node(node);
+            Op::MarkAll => {
+                let _ = dir.mark_all();
             }
             Op::MarkWritten { node, h } => {
                 let _ = dir.mark_written(node, &[hs[h]]);

@@ -8,7 +8,7 @@ use crate::detector::suspects;
 use crate::obs::Met;
 use crate::profile::Section;
 use crate::replicate::{charge_marks, replica_targets};
-use crate::rpc::rpc;
+use crate::rpc::{read_reply, rpc};
 use crate::serve::is_unknown_object;
 use crate::stats::bump;
 use rafda_classmodel::ClassId;
@@ -168,15 +168,14 @@ pub(crate) fn locate_home(
             node: tn,
             object: toid,
         };
-        match rpc(shared, node, NodeId(c), row, &req, None) {
-            Ok((
-                Reply::Value(WireValue::Remote {
-                    node: nn,
-                    object: noid,
-                    ..
-                }),
-                _,
-            )) => return Some((nn, noid)),
+        let promoted = rpc(shared, node, NodeId(c), row, &req, None)
+            .and_then(|(reply, _)| read_reply(shared, node, reply));
+        match promoted {
+            Ok(WireValue::Remote {
+                node: nn,
+                object: noid,
+                ..
+            }) => return Some((nn, noid)),
             // A fault (the backup lost its copy, or it is behind the
             // recorded version) or a network failure: try the next one.
             _ => continue,

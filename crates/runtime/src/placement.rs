@@ -12,7 +12,7 @@ use crate::detector::suspects;
 use crate::marshal;
 use crate::obs::Met;
 use crate::profile::Section;
-use crate::rpc::rpc;
+use crate::rpc::{read_reply, rpc};
 use crate::serve::unknown_object;
 use crate::stats::bump;
 use rafda_classmodel::Side;
@@ -20,7 +20,7 @@ use rafda_net::NodeId;
 use rafda_policy::AffinityConfig;
 use rafda_telemetry::{SpanOutcome, Symbol};
 use rafda_vm::{Handle, Value, VmError};
-use rafda_wire::{Reply, Request, WireValue};
+use rafda_wire::{Request, WireValue};
 use std::fmt;
 
 /// One boundary change performed by [`Cluster::adapt`] or
@@ -193,12 +193,11 @@ impl Cluster {
             source: (from.0, source_oid),
         };
         let (reply, _) = rpc(shared, from, to, row, &install, None)?;
-        let target = match reply {
-            Reply::Value(WireValue::Remote { node, object, .. }) => RemoteRef {
+        let target = match read_reply(shared, from, reply)? {
+            WireValue::Remote { node, object, .. } => RemoteRef {
                 node: NodeId(node),
                 oid: object,
             },
-            Reply::Fault(m) => return Err(VmError::Native(m)),
             other => return Err(VmError::Native(format!("unexpected reply {other:?}"))),
         };
         let proxy_class = row.proxy_class(info.side).map_err(VmError::Native)?;

@@ -26,10 +26,12 @@ use rafda_net::NodeId;
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
 
-/// Mark every replicated export of `node` dirty, written or not.
-pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
-    let marked = shared.directory.borrow_mut().mark_node(node);
-    charge_marks(shared, node, marked);
+/// Mark every replicated export dirty, written or not.
+pub(crate) fn mark_all_dirty(shared: &Shared) {
+    let marks = shared.directory.borrow_mut().mark_all();
+    for (n, marked) in (0..).zip(marks) {
+        charge_marks(shared, n, marked);
+    }
 }
 
 /// Charge `marks` dirty-set insertions to `node`.

@@ -177,26 +177,36 @@ pub(crate) fn proxy_call(
         }
         break outcome?;
     };
-    let cache_key = (target, oid, sig);
+    let wv = read_reply(shared, node, reply)?;
+    if cache_on {
+        shared.nodes.borrow_mut()[node.0 as usize]
+            .prop_cache
+            .insert((target, oid, sig), (obj_version, wv.clone()));
+    }
+    let _s = shared.prof.section(Section::Marshal);
+    marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
+}
+
+/// What a reply means to the caller on `node`, read here only, so a remote
+/// callee fails as a local one would: an exception it threw is thrown again
+/// on `node`, a fault is its text, and a batch (a flush unpacks its own) is
+/// an error.
+pub(crate) fn read_reply(
+    shared: &Shared,
+    node: NodeId,
+    reply: Reply,
+) -> Result<WireValue, VmError> {
     match reply {
-        Reply::Value(wv) => {
-            if cache_on {
-                shared.nodes.borrow_mut()[node.0 as usize]
-                    .prop_cache
-                    .insert(cache_key, (obj_version, wv.clone()));
-            }
-            let _s = shared.prof.section(Section::Marshal);
-            marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
-        }
+        Reply::Value(wv) => Ok(wv),
         Reply::Exception { class, fields } => Err(rethrow(shared, node, &class, &fields)),
         Reply::Fault(m) => Err(VmError::Native(m)),
-        Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to a call".into())),
+        Reply::Batch(_) => Err(VmError::Native("unexpected batch reply".into())),
     }
 }
 
 /// Re-materialise an exception a remote call threw as a local exception
 /// object on `node` — or the reason it could not be.
-pub(crate) fn rethrow(shared: &Shared, node: NodeId, class: &str, fields: &[WireValue]) -> VmError {
+fn rethrow(shared: &Shared, node: NodeId, class: &str, fields: &[WireValue]) -> VmError {
     let Some(exc_class) = shared.universe.by_name(class) else {
         return VmError::Native(format!("unknown exception class {class}"));
     };

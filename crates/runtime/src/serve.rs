@@ -16,7 +16,7 @@ use crate::stats::bump;
 use rafda_classmodel::{ClassId, SigId};
 use rafda_net::NodeId;
 use rafda_telemetry::{SpanOutcome, TraceContext};
-use rafda_vm::{Handle, Value, VmError};
+use rafda_vm::{Value, VmError};
 use rafda_wire::{FrameHeader, Protocol, Reply, Request, WireValue};
 
 /// Answer the request frame `frame`, which arrived on `to` from `from`: the
@@ -382,8 +382,7 @@ fn dispatch_request(
             let values = marshal::wire_to_values(shared, node, &args)?;
             let reply = match vm.call_virtual(Value::Ref(h), sig, values) {
                 Ok(v) => marshal::value_to_wire(shared, node, &v).map(Reply::Value),
-                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                Err(other) => Err(other.to_string()),
+                Err(e) => failure_reply(shared, node, e),
             };
             // Anything that may have mutated the object re-ships it to its
             // backups before the reply leaves. A backup it misses keeps an
@@ -399,7 +398,9 @@ fn dispatch_request(
             let row = row_named(&class)?;
             let family = &shared.plan.families[&row.base];
             if family.cls.is_some() {
-                discover_value(shared, node, row).map_err(|e| e.to_string())?;
+                if let Err(e) = discover_value(shared, node, row) {
+                    return failure_reply(shared, node, e);
+                }
             }
             let h = shared.vms[node.0 as usize].alloc_default(family.obj.local);
             let oid = export(shared, node, h);
@@ -438,8 +439,7 @@ fn dispatch_request(
                     Ok(exported(node, oid, class))
                 }
                 Ok(other) => Err(format!("discover returned {other}")),
-                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                Err(e) => Err(e.to_string()),
+                Err(e) => failure_reply(shared, node, e),
             }
         }
         Request::Install { state, source } => {
@@ -561,7 +561,13 @@ fn land(
     Ok(oid)
 }
 
-fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Result<Reply, String> {
+/// The answer to application code that failed on `node` — a call's
+/// method, or a factory's `<clinit>`: an exception it threw travels back by
+/// value, for the caller to throw again; anything else is a fault's text.
+fn failure_reply(shared: &Shared, node: NodeId, e: VmError) -> Result<Reply, String> {
+    let VmError::Exception(exc) = e else {
+        return Err(e.to_string());
+    };
     let vm = &shared.vms[node.0 as usize];
     let (class, fields) = vm.read_object(exc).ok_or("stale exception")?;
     let fields = marshal::values_to_wire(shared, node, &fields)?;

@@ -31,7 +31,7 @@
 use crate::batch::flush_outqueues;
 use crate::cluster::{is_local_impl, version_of, Cluster, Shared};
 use crate::profile::Section;
-use crate::replicate::{mark_node_dirty, sync_dirty_replicas};
+use crate::replicate::{mark_all_dirty, sync_dirty_replicas};
 use rafda_net::NodeId;
 use rafda_telemetry::{FastMap, SpanTreeMonitor, TraceContext, Violation};
 use rafda_vm::Value;
@@ -222,9 +222,7 @@ impl Cluster {
         // no-op settling clear the set again. This is the full-table
         // behavior the incremental sweep otherwise avoids, and it is what
         // keeps the invariant check independent of marking completeness.
-        for n in 0..shared.vms.len() as u32 {
-            mark_node_dirty(shared, n);
-        }
+        mark_all_dirty(shared);
         let unmarked = sync_dirty_replicas(shared);
         debug_assert_eq!(unmarked, 0, "drifted replicated state nobody marked");
         let mut violations = {

@@ -272,6 +272,76 @@ fn exceptions_propagate_across_the_wire() {
     assert_eq!(code, Value::Int(9));
 }
 
+/// `class Boot { static int k; static { throw new AppError(7); } Boot() {}
+/// static int k() { return k; } }`, transformed: a class whose statics
+/// fail to initialise, so its factories — `discover()` and `make()`, which
+/// initialises the class first — throw.
+fn transformed_failing_clinit() -> (ClassUniverse, rafda_transform::TransformPlan) {
+    let mut u = ClassUniverse::new();
+    let (_t, app_error) = sample::build_throwables(&mut u);
+    let boot = u.declare("Boot", ClassKind::Class);
+    let mut cb = ClassBuilder::new(&u, boot);
+    let k = cb.static_field(Field::new("k", Ty::Int));
+    let mut mb = MethodBuilder::new(0);
+    mb.const_int(7);
+    mb.new_init(app_error, 0, 1);
+    mb.throw();
+    cb.clinit(&mut u, mb.finish());
+    let mut mb = MethodBuilder::new(1);
+    mb.ret();
+    cb.ctor(&mut u, vec![], Some(mb.finish()));
+    let mut mb = MethodBuilder::new(0);
+    mb.get_static(boot, k).ret_value();
+    cb.static_method(&mut u, "k", vec![], Ty::Int, Some(mb.finish()));
+    cb.finish(&mut u);
+    let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
+    (u, outcome.plan)
+}
+
+/// What node 0 gets from a factory of [`transformed_failing_clinit`] under
+/// `policy` — `make()` through `new Boot()`, else `discover()` through
+/// `Boot.k()` — must be the `<clinit>`'s own exception, rethrown on node 0,
+/// wherever the policy put the statics or the instances.
+fn assert_factory_throws_app_error(what: &str, policy: StaticPolicy, make: bool) {
+    let (u, plan) = transformed_failing_clinit();
+    let cluster = Cluster::new(u, plan, 2, 7, Box::new(policy));
+    let err = if make {
+        cluster.new_instance(N0, "Boot", 0, vec![]).unwrap_err()
+    } else {
+        cluster.call_static(N0, "Boot", "k", vec![]).unwrap_err()
+    };
+    let VmError::Exception(h) = err else {
+        panic!("{what}: expected the clinit's exception, got {err:?}");
+    };
+    let vm = cluster.vm(N0);
+    let class = vm.class_of(h).unwrap();
+    assert_eq!(&*cluster.universe().class(class).name, "AppError", "{what}");
+    let code = vm
+        .call_virtual_by_name(Value::Ref(h), "code", vec![])
+        .unwrap();
+    assert_eq!(code, Value::Int(7), "{what}");
+}
+
+/// A remote `discover()` is interchangeable with a local one: it throws
+/// the `<clinit>`'s exception, not a description of it.
+#[test]
+fn a_remote_discover_throws_what_a_local_one_throws() {
+    assert_factory_throws_app_error("statics local", StaticPolicy::new(), false);
+    let remote = StaticPolicy::new().default_statics(N1);
+    assert_factory_throws_app_error("statics remote", remote, false);
+}
+
+/// A remote `make()` is interchangeable with a local one, whether the
+/// callee initialises the class itself or discovers it back on the caller.
+#[test]
+fn a_remote_make_throws_what_a_local_one_throws() {
+    assert_factory_throws_app_error("all local", StaticPolicy::new(), true);
+    let remote = || StaticPolicy::new().place("Boot", Placement::Node(N1));
+    let both = remote().default_statics(N1);
+    assert_factory_throws_app_error("instances and statics remote", both, true);
+    assert_factory_throws_app_error("instances remote, statics on the caller", remote(), true);
+}
+
 #[test]
 fn network_partition_surfaces_as_network_failure() {
     let (u, plan, _obs) = transformed_figure2();

@@ -44,19 +44,6 @@ impl RequestKind {
             Request::Batch(_) => RequestKind::Batch,
         }
     }
-
-    /// A short lowercase label (matches the runtime's span vocabulary).
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestKind::Call => "call",
-            RequestKind::Create => "create",
-            RequestKind::Discover => "discover",
-            RequestKind::Install => "install",
-            RequestKind::ReplicaSync => "replicasync",
-            RequestKind::Promote => "promote",
-            RequestKind::Batch => "batch",
-        }
-    }
 }
 
 /// Where a header's payload bytes live and how to parse them on demand.

@@ -98,13 +98,17 @@ pub enum Request {
         /// Marshalled arguments.
         args: Vec<WireValue>,
     },
-    /// Create an instance of `class` remotely (factory `make` + `init_k`).
+    /// Create an instance of `class` remotely: the factory's `make()`. The
+    /// callee initialises the class if it has statics and answers a
+    /// reference to a fresh, default-valued instance; the constructor
+    /// (`init_k`) runs afterwards, as a `Call` through that reference.
     Create {
         /// Original class name.
         class: String,
-        /// Constructor ordinal (0 for the factory default path).
+        /// Always 0: the runtime sends no constructor, and the callee
+        /// ignores this field.
         ctor: u16,
-        /// Marshalled constructor arguments.
+        /// Always empty, and ignored by the callee, like `ctor`.
         args: Vec<WireValue>,
     },
     /// Discover the node's singleton for `class` (factory `discover`).
