@@ -147,12 +147,13 @@ done
 echo "== location tables are touched only by the Directory =="
 # Where objects live is one type's business (crates/runtime/src/directory.rs).
 # A field access on one of its tables anywhere else in the runtime means a
-# table has leaked back out. The two gauges a time-series sample reads
-# (`lagging`, `members_per_node`) are held to the same rule: they stay exact
-# only because the transitions next to the tables are their sole writers. A
-# replicated export's shipment record (`deep`, `owed`) is one entry of
-# `replicated`, and the questions about it are named apart from its fields.
-if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|members_by_shard|dirty|export_ids|replicated|deep|owed|call_counts|lagging|members_per_node)\b' \
+# table has leaked back out. The lag gauge a time-series sample reads
+# (`lagging`) is held to the same rule: it stays exact only because the
+# transitions next to the tables are its sole writers. A replicated export's
+# shipment record (`deep`, `owed`) is one entry of `replicated`, and a shard
+# member is one entry of `sharded`; the questions about them are named apart
+# from the fields.
+if grep -rnE '\.(versions|identities|homes|static_by_row|owner_by_shard|sharded|dirty|export_ids|replicated|deep|owed|call_counts|lagging)\b' \
     crates/runtime/src --exclude=directory.rs; then
   echo "FAIL: location-table access outside directory.rs" >&2
   exit 1

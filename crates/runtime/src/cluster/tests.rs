@@ -1521,6 +1521,55 @@ fn sharded_creates_land_on_their_keys_shard_node() {
     assert_eq!(cluster.stats().shard_placements, 8);
 }
 
+/// For each `(key, node)`, an instance of `K` created on `node` under a
+/// key whose shard seeds onto that very node, so it stays where it was made.
+fn shard_members_on(cluster: &Cluster, placed: &[(i32, NodeId)]) -> Vec<Value> {
+    let objs: Vec<Value> = placed
+        .iter()
+        .map(|&(key, node)| {
+            let obj = cluster
+                .new_instance(node, "K", 0, vec![Value::Int(key)])
+                .unwrap();
+            cluster.pin(node, &obj);
+            assert_eq!(cluster.location_of(node, &obj), Some(node), "key {key}");
+            obj
+        })
+        .collect();
+    assert_eq!(cluster.stats().shard_placements, placed.len() as u64);
+    objs
+}
+
+/// A shard member is its export: a migration carries it to the new home at
+/// once, so the balance counts the node it moved to, with no rebalance tick
+/// in between.
+#[test]
+fn a_migrated_shard_member_counts_at_its_new_home() {
+    let cluster = deployed_sharded(2, 4, 33, 0);
+    let shared = cluster.shared();
+    // Shards 0 and 2 both seed onto node 0 (owner = shard % nodes).
+    let keys = [key_for_shard(0, 4), key_for_shard(2, 4)];
+    let objs = shard_members_on(&cluster, &[(keys[0], NodeId(0)), (keys[1], NodeId(0))]);
+    assert_eq!(shared.directory.borrow().shard_balance(), 2.0);
+    let h = objs[1].as_ref_handle().unwrap();
+    cluster.migrate(NodeId(0), h, NodeId(1)).unwrap();
+    assert_eq!(cluster.location_of(NodeId(0), &objs[1]), Some(NodeId(1)));
+    assert_eq!(shared.directory.borrow().shard_balance(), 1.0);
+}
+
+/// A restart wipes the node's shard members with the rest of its exports:
+/// the balance stops counting them at once.
+#[test]
+fn a_restart_drops_the_nodes_shard_members() {
+    let cluster = deployed_sharded(2, 4, 34, 0);
+    let shared = cluster.shared();
+    let keys = [key_for_shard(0, 4), key_for_shard(1, 4)];
+    shard_members_on(&cluster, &[(keys[0], NodeId(0)), (keys[1], NodeId(1))]);
+    assert_eq!(shared.directory.borrow().shard_balance(), 1.0);
+    cluster.crash(NodeId(1));
+    cluster.restart(NodeId(1));
+    assert_eq!(shared.directory.borrow().shard_balance(), 2.0);
+}
+
 /// The rebalancing tick: hot-key skew read from the affinity
 /// call counters moves the hottest shard that fits half the gap off
 /// the overloaded node, ships its members' state through the

@@ -3,28 +3,29 @@
 //!
 //! Every table that records a location — the per-node export registries,
 //! property versions, the identity index, canonical singleton exports, the
-//! shard map, the replicated exports with what each one's backups were last
-//! sent, the dirty-replica set and the affinity counters — lives behind
-//! this one type, and changes only through the transitions below
-//! ([`Directory::export`], [`Directory::relocate`], [`Directory::bump`],
-//! [`Directory::shipped`] / [`Directory::undelivered`],
-//! [`Directory::settled`] / [`Directory::unsettled`],
-//! [`Directory::mark_written`] / [`Directory::mark_all`] /
-//! [`Directory::take_dirty`],
+//! shard map, the sharded exports each with its shard, the replicated
+//! exports with what each one's backups were last sent, the dirty-replica
+//! set and the affinity counters — lives behind this one type, and changes
+//! only through the transitions below ([`Directory::export`],
+//! [`Directory::relocate`], [`Directory::bump`], [`Directory::shipped`] /
+//! [`Directory::undelivered`], [`Directory::settled`] /
+//! [`Directory::unsettled`], [`Directory::mark_written`] /
+//! [`Directory::mark_all`] / [`Directory::take_dirty`],
 //! [`Directory::restart`], [`Directory::record_call`],
-//! [`Directory::canonical_static`] and the shard-map operations), each of
-//! which leaves every view consistent. Reads are questions that return
-//! plain data, never a handle on a table. The two questions every
-//! time-series sample asks — [`Directory::replica_lag`] and
-//! [`Directory::shard_balance`] — read gauges the transitions keep exact,
-//! so a sample costs the same however many locations there are.
+//! [`Directory::canonical_static`], [`Directory::tag_shard`] and the
+//! shard-map operations), each of which leaves every view consistent.
+//! Reads are questions that return plain data, never a handle on a table.
+//! The two questions every time-series sample asks cost the same however
+//! many locations there are: [`Directory::replica_lag`] reads a gauge the
+//! transitions keep exact, and [`Directory::shard_balance`] one count per
+//! node.
 //!
 //! No method calls back into the runtime: whatever must be looked up in a
 //! VM heap or the policy is passed in as plain data or a pure closure. The
 //! runtime holds the directory in one `RefCell` and borrows it for exactly
 //! one method call at a time, so a borrow can never span a nested exchange.
 
-use rafda_telemetry::{FastMap, FastSet};
+use rafda_telemetry::FastMap;
 use rafda_vm::Handle;
 use rafda_wire::WireValue;
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,6 +88,10 @@ struct NodeDir {
     /// shipment, and again once a restart voided every record so that a
     /// rejoining backup is re-seeded at the owner's next sync.
     replicated: FastMap<u64, Option<Shipment>>,
+    /// Live exports that are locally implemented instances of a `shard by`
+    /// class, each with its shard: the shard's members are exactly these
+    /// entries, wherever the objects have moved since.
+    sharded: FastMap<u64, ShardKey>,
     /// Last id handed out. Survives restarts, so a stale proxy addressing
     /// a pre-crash export gets a typed fault, not a different object.
     next_oid: u64,
@@ -117,8 +122,6 @@ pub(crate) struct Directory {
     static_by_row: Vec<Option<Loc>>,
     /// Shard → owning node. `BTreeMap`: iteration order feeds decisions.
     owner_by_shard: BTreeMap<ShardKey, u32>,
-    /// Shard → member instances at their last known locations.
-    members_by_shard: BTreeMap<ShardKey, Vec<Loc>>,
     /// Locations whose state may have moved past their last shipment.
     /// Always a subset of the nodes' `replicated` entries; a `BTreeSet` so
     /// the sweep drains it in `(node, oid)` order.
@@ -129,9 +132,6 @@ pub(crate) struct Directory {
     /// it exact through [`Directory::keeping_lag`]; [`Directory::restart`],
     /// which voids every record, zeroes it.
     lagging: u64,
-    /// Gauge behind [`Directory::shard_balance`]: recorded shard members
-    /// per node, kept exact by the three shard-member transitions.
-    members_per_node: Vec<u64>,
     /// Test-only injected fault: the next relocation keeps the old
     /// location's version, leaving it cacheable — the bug the stale-read
     /// monitor exists to catch.
@@ -143,7 +143,6 @@ impl Directory {
         Directory {
             nodes: (0..nodes).map(|_| NodeDir::default()).collect(),
             static_by_row: vec![None; rows],
-            members_per_node: vec![0; nodes as usize],
             ..Directory::default()
         }
     }
@@ -183,12 +182,12 @@ impl Directory {
     /// the mover left in the heap, so a call addressed there is answered
     /// `unknown object` and its caller is redirected to the live home;
     /// record `new` under the object's identity and `new` as that
-    /// identity's home; and purge the affinity counters of both locations —
-    /// the counts describe calls received at a home the object no longer
-    /// has. A `new` that a landing rewrote in place from another object's
-    /// live copy (left by an `Install` whose every reply was lost) folds
-    /// that object into this one: all its locations take the mover's
-    /// identity. Returns `new`'s prior identity unless it was the mover's.
+    /// identity's home; carry `old`'s shard tag to `new`; and purge the
+    /// affinity counters of both locations — the counts describe calls
+    /// received at a home the object no longer has. A `new` that a landing
+    /// rewrote in place from another object's live copy (left by an
+    /// `Install` whose every reply was lost) folds that object into this
+    /// one: all its locations take the mover's identity. Returns `new`'s prior identity unless it was the mover's.
     pub(crate) fn relocate(&mut self, old: Loc, new: Loc) -> Option<Loc> {
         self.unreplicate(old);
         if !std::mem::take(&mut self.skip_next_tombstone) {
@@ -199,7 +198,12 @@ impl Directory {
             st.export_ids.remove(&h);
         }
         st.call_counts.remove(&old.1);
-        self.nodes[new.0 as usize].call_counts.remove(&new.1);
+        let shard = st.sharded.remove(&old.1);
+        let to = &mut self.nodes[new.0 as usize];
+        to.call_counts.remove(&new.1);
+        if let Some(key) = shard {
+            to.sharded.insert(new.1, key);
+        }
         let (identity, prior) = (self.identity(old), self.identity(new));
         if prior != identity && self.homes.remove(&prior).is_some() {
             self.identities.insert(prior, identity);
@@ -326,12 +330,12 @@ impl Directory {
     }
 
     /// `node` restarted with empty volatile state: its exports, replicated
-    /// entries and counters are gone (only the id counter survives), its
-    /// dirty entries describe state that no longer exists, and — since it
-    /// holds no backups any more — every other owner's shipment records are
-    /// voided in place. Every node's replicated exports are re-marked so
-    /// the next sweep re-seeds the rejoined node even at unmoved versions.
-    /// Returns the marks made, per node.
+    /// entries, shard tags and counters are gone (only the id counter
+    /// survives), its dirty entries describe state that no longer exists,
+    /// and — since it holds no backups any more — every other owner's
+    /// shipment records are voided in place. Every node's replicated
+    /// exports are re-marked so the next sweep re-seeds the rejoined node
+    /// even at unmoved versions. Returns the marks made, per node.
     #[must_use]
     pub(crate) fn restart(&mut self, node: u32) -> Vec<u64> {
         for st in &mut self.nodes {
@@ -399,39 +403,14 @@ impl Directory {
         self.owner_by_shard.insert(key, node);
     }
 
-    /// Add `member` to shard `key`, once.
-    pub(crate) fn add_shard_member(&mut self, key: ShardKey, member: Loc) {
-        let members = self.members_by_shard.entry(key).or_default();
-        if !members.contains(&member) {
-            members.push(member);
-            self.members_per_node[member.0 as usize] += 1;
+    /// Record the live export at `loc`, a locally implemented instance of
+    /// a `shard by` class, as a member of shard `key`. A location that
+    /// exports nothing is not recorded.
+    pub(crate) fn tag_shard(&mut self, loc: Loc, key: ShardKey) {
+        let st = &mut self.nodes[loc.0 as usize];
+        if st.exports.contains_key(&loc.1) {
+            st.sharded.insert(loc.1, key);
         }
-    }
-
-    /// Member `index` of shard `key` moved to `loc`.
-    pub(crate) fn move_shard_member(&mut self, key: ShardKey, index: usize, loc: Loc) {
-        if let Some(members) = self.members_by_shard.get_mut(&key) {
-            let old = std::mem::replace(&mut members[index], loc);
-            self.members_per_node[old.0 as usize] -= 1;
-            self.members_per_node[loc.0 as usize] += 1;
-        }
-    }
-
-    /// Drop shard members that no longer resolve (the registry was wiped)
-    /// or that `keep(loc, handle)` rejects — the caller knows which nodes
-    /// are down and which handles are still locally implemented objects.
-    pub(crate) fn prune_shard_members(&mut self, keep: impl Fn(Loc, Handle) -> bool) {
-        let nodes = &self.nodes;
-        let per_node = &mut self.members_per_node;
-        for members in self.members_by_shard.values_mut() {
-            members.retain(|&loc| {
-                let live = nodes[loc.0 as usize].exports.get(&loc.1);
-                let kept = live.is_some_and(|&h| keep(loc, h));
-                per_node[loc.0 as usize] -= u64::from(!kept);
-                kept
-            });
-        }
-        self.members_by_shard.retain(|_, ms| !ms.is_empty());
     }
 
     // ------------------------------------------------------------------
@@ -566,53 +545,52 @@ impl Directory {
         self.owner_by_shard.iter().map(|(&k, &o)| (k, o)).collect()
     }
 
-    /// The recorded members of shard `key`.
-    pub(crate) fn shard_members(&self, key: ShardKey) -> Vec<Loc> {
-        self.members_by_shard.get(&key).cloned().unwrap_or_default()
+    /// The shard the live export at `loc` is a member of, if any.
+    pub(crate) fn shard_of(&self, loc: Loc) -> Option<ShardKey> {
+        self.nodes[loc.0 as usize].sharded.get(&loc.1).copied()
     }
 
-    /// Every location recorded as a member of some shard.
-    pub(crate) fn shard_member_set(&self) -> FastSet<Loc> {
-        self.members_by_shard.values().flatten().copied().collect()
+    /// The members of shard `key` on the nodes `up` accepts, in `(node,
+    /// oid)` order.
+    pub(crate) fn shard_members(&self, key: ShardKey, up: impl Fn(u32) -> bool) -> Vec<Loc> {
+        let mut members: Vec<Loc> = self
+            .tagged(up)
+            .filter_map(|(loc, k)| (k == key).then_some(loc))
+            .collect();
+        members.sort_unstable();
+        members
     }
 
-    /// Calls served per shard: the affinity totals of its members at
-    /// their recorded homes. An absent counter means a quiet member.
-    pub(crate) fn shard_loads(&self) -> BTreeMap<ShardKey, u64> {
-        let total = |&(n, oid): &Loc| {
-            self.nodes[n as usize]
-                .call_counts
-                .get(&oid)
-                .map_or(0, |counts| counts.values().sum::<u64>())
-        };
-        self.members_by_shard
-            .iter()
-            .map(|(&key, members)| (key, members.iter().map(total).sum()))
-            .collect()
+    /// Calls served per shard with a member on a node `up` accepts: the
+    /// affinity totals of those members. An absent counter means a quiet
+    /// member.
+    pub(crate) fn shard_loads(&self, up: impl Fn(u32) -> bool) -> BTreeMap<ShardKey, u64> {
+        let mut loads = BTreeMap::new();
+        for ((n, oid), key) in self.tagged(up) {
+            let counts = self.nodes[n as usize].call_counts.get(&oid);
+            *loads.entry(key).or_default() += counts.map_or(0, |c| c.values().sum::<u64>());
+        }
+        loads
     }
 
-    /// Shard balance: max / mean recorded members per node. 1.0 means
+    /// Shard balance: max / mean shard members per node. 1.0 means
     /// perfectly even, growing with skew; 0 when nothing has been placed.
-    /// Read off the maintained counts; debug builds re-count the shard map.
     pub(crate) fn shard_balance(&self) -> f64 {
-        let per_node = &self.members_per_node;
-        debug_assert_eq!(*per_node, self.scan_members_per_node());
-        let total: u64 = per_node.iter().sum();
+        let per_node = self.nodes.iter().map(|st| st.sharded.len());
+        let (max, total) = per_node.fold((0, 0), |(max, total), n| (max.max(n), total + n));
         if total == 0 {
             return 0.0;
         }
-        let mean = total as f64 / per_node.len() as f64;
-        per_node.iter().max().copied().unwrap_or(0) as f64 / mean
+        max as f64 / (total as f64 / self.nodes.len() as f64)
     }
 
-    /// The per-node member counts from scratch: one pass over the shard
-    /// map. The reference the counts are checked against.
-    fn scan_members_per_node(&self) -> Vec<u64> {
-        let mut per_node = vec![0u64; self.nodes.len()];
-        for &(n, _) in self.members_by_shard.values().flatten() {
-            per_node[n as usize] += 1;
-        }
-        per_node
+    /// Every shard member on a node `up` accepts, with its shard.
+    fn tagged<'a>(
+        &'a self,
+        up: impl Fn(u32) -> bool + 'a,
+    ) -> impl Iterator<Item = (Loc, ShardKey)> + 'a {
+        let nodes = (0..).zip(&self.nodes).filter(move |&(n, _)| up(n));
+        nodes.flat_map(|(n, st)| st.sharded.iter().map(move |(&oid, &key)| ((n, oid), key)))
     }
 }
 
@@ -977,21 +955,10 @@ mod tests {
             missed: bool,
         },
         /// Record the `pick`-th export of `node` as a member of `shard`.
-        AddMember {
+        Tag {
             shard: u32,
             node: u32,
             pick: usize,
-        },
-        /// Member `index` of `shard` is now the `pick`-th export of `node`.
-        MoveMember {
-            shard: u32,
-            index: usize,
-            node: u32,
-            pick: usize,
-        },
-        /// Prune the shard map; `odd` also rejects odd export ids.
-        PruneMembers {
-            odd: bool,
         },
         /// Mark every replicated export dirty (the quiescent check).
         MarkAll,
@@ -1024,12 +991,8 @@ mod tests {
             2 => (node(), pick(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
                 |(node, pick, stale, flat, missed)| Op::Shipped { node, pick, stale, flat, missed }
             ),
-            3 => (shard(), node(), pick())
-                .prop_map(|(shard, node, pick)| Op::AddMember { shard, node, pick }),
-            2 => (shard(), pick(), node(), pick()).prop_map(|(shard, index, node, pick)| {
-                Op::MoveMember { shard, index, node, pick }
-            }),
-            1 => any::<bool>().prop_map(|odd| Op::PruneMembers { odd }),
+            4 => (shard(), node(), pick())
+                .prop_map(|(shard, node, pick)| Op::Tag { shard, node, pick }),
             2 => Just(Op::MarkAll),
             2 => (node(), pick()).prop_map(|(node, h)| Op::MarkWritten { node, h }),
             4 => (node(), pick(), node())
@@ -1041,13 +1004,25 @@ mod tests {
     }
 
     /// What the test knows besides the directory: which handles were
-    /// rewritten into proxies (and for where), which node is down, and
-    /// every location something ever moved away from.
+    /// rewritten into proxies (and for where), which node is down, every
+    /// location something ever moved away from, and the shard each member
+    /// was tagged with, at the location a relocation carried it to.
     #[derive(Default)]
     struct World {
         proxies: FastMap<(u32, Handle), Loc>,
         down: Option<u32>,
         moved_from: Vec<Loc>,
+        tags: BTreeMap<Loc, ShardKey>,
+    }
+
+    impl World {
+        /// The object at `old` now lives at `new`: its tag goes with it.
+        fn relocate(&mut self, old: Loc, new: Loc) {
+            if let Some(key) = self.tags.remove(&old) {
+                self.tags.insert(new, key);
+            }
+            self.moved_from.push(old);
+        }
     }
 
     fn pick_live(dir: &Directory, node: u32, pick: usize) -> Option<(Loc, Handle)> {
@@ -1082,7 +1057,7 @@ mod tests {
                 // proxy before it relocates, as a migration does.
                 w.proxies.insert((from, h), new);
                 dir.relocate(old, new);
-                w.moved_from.push(old);
+                w.relocate(old, new);
             }
             Op::Promote { pick, to } if w.down.is_some_and(|d| d != to) => {
                 let from = w.down.expect("guarded");
@@ -1093,7 +1068,7 @@ mod tests {
                 let new = (to, dir.export(to, h, true));
                 let _ = dir.bump(new);
                 dir.relocate(old, new);
-                w.moved_from.push(old);
+                w.relocate(old, new);
             }
             Op::Bump { node, pick } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
@@ -1123,25 +1098,11 @@ mod tests {
                     }
                 }
             }
-            Op::AddMember { shard, node, pick } if up(node) => {
+            Op::Tag { shard, node, pick } if up(node) => {
                 if let Some((loc, _)) = pick_live(dir, node, pick) {
-                    dir.add_shard_member((0, shard), loc);
+                    dir.tag_shard(loc, (0, shard));
+                    w.tags.insert(loc, (0, shard));
                 }
-            }
-            Op::MoveMember {
-                shard,
-                index,
-                node,
-                pick,
-            } if up(node) => {
-                let key = (0, shard);
-                let members = dir.shard_members(key).len();
-                if let (true, Some((loc, _))) = (members > 0, pick_live(dir, node, pick)) {
-                    dir.move_shard_member(key, index % members, loc);
-                }
-            }
-            Op::PruneMembers { odd } => {
-                dir.prune_shard_members(|(n, oid), _| up(n) && !(odd && oid % 2 == 1));
             }
             Op::MarkAll => {
                 let _ = dir.mark_all();
@@ -1162,6 +1123,7 @@ mod tests {
                 if let Some(node) = w.down.take() {
                     let _ = dir.restart(node);
                     w.proxies.retain(|&(n, _), _| n != node);
+                    w.tags.retain(|&(n, _), _| n != node);
                 }
             }
             _ => {}
@@ -1227,9 +1189,51 @@ mod tests {
             prop_assert_eq!(dir.resolve(home), home, "{:?} resolves twice", loc);
             prop_assert_eq!(dir.identity(home), dir.identity(loc), "{:?}", loc);
         }
-        // The gauges a time-series sample reads equal the scans they replaced.
+        // The gauge a time-series sample reads equals the scan it replaced.
         prop_assert_eq!(dir.lagging, dir.scan_replica_lag());
-        prop_assert_eq!(&dir.members_per_node, &dir.scan_members_per_node());
+        // A shard member is a live export, tagged where the moves carried
+        // it, and no restart leaves one behind.
+        for (n, st) in (0..).zip(&dir.nodes) {
+            for (oid, &key) in &st.sharded {
+                prop_assert!(st.exports.contains_key(oid), "{n}#{oid} tagged, not live");
+                prop_assert_eq!(w.tags.get(&(n, *oid)), Some(&key), "{}#{} tag", n, oid);
+            }
+        }
+        let tagged: usize = dir.nodes.iter().map(|st| st.sharded.len()).sum();
+        prop_assert_eq!(tagged, w.tags.len());
+        // The questions read the tags: members and loads of the up nodes,
+        // in `(node, oid)` order, and the balance over every node.
+        let up = |n: u32| w.down != Some(n);
+        let total = |&(n, oid): &Loc| {
+            let counts = dir.nodes[n as usize].call_counts.get(&oid);
+            counts.map_or(0, |c| c.values().sum::<u64>())
+        };
+        let mut loads = BTreeMap::new();
+        for shard in 0..SHARDS {
+            let key = (0, shard);
+            let members: Vec<Loc> = w
+                .tags
+                .iter()
+                .filter(|&(&(n, _), &k)| up(n) && k == key)
+                .map(|(&loc, _)| loc)
+                .collect();
+            if !members.is_empty() {
+                loads.insert(key, members.iter().map(total).sum::<u64>());
+            }
+            prop_assert_eq!(dir.shard_members(key, up), members);
+        }
+        prop_assert_eq!(dir.shard_loads(up), loads);
+        let mut per_node = vec![0usize; NODES as usize];
+        for &(n, _) in w.tags.keys() {
+            per_node[n as usize] += 1;
+        }
+        let max = per_node.iter().max().copied().unwrap_or(0);
+        let balance = if tagged == 0 {
+            0.0
+        } else {
+            max as f64 * f64::from(NODES) / tagged as f64
+        };
+        prop_assert!((dir.shard_balance() - balance).abs() < 1e-9);
         Ok(())
     }
 

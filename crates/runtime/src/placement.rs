@@ -5,8 +5,8 @@
 
 use crate::batch::flush_outqueues;
 use crate::cluster::{
-    export, gen_info, info_of, is_local_impl, live_home, lookup_export, point_proxy_at,
-    read_proxy_state, relocate, ClassRow, Cluster, RemoteRef, Shared,
+    export, gen_info, info_of, live_home, lookup_export, point_proxy_at, read_proxy_state,
+    relocate, ClassRow, Cluster, RemoteRef, Shared,
 };
 use crate::detector::suspects;
 use crate::marshal;
@@ -309,8 +309,8 @@ impl Cluster {
                 home
             }
         } else if node.0 == owner {
-            // Created straight onto its shard's node: export it so the
-            // membership list can reference (and later move) it.
+            // Created straight onto its shard's node: export it, so the
+            // export can carry its shard.
             (node.0, export(shared, node, h))
         } else {
             let event = self.migrate(node, h, NodeId(owner))?;
@@ -319,7 +319,7 @@ impl Cluster {
         shared
             .directory
             .borrow_mut()
-            .add_shard_member((row.id, shard), member);
+            .tag_shard(member, (row.id, shard));
         bump(shared, node.0, Met::ShardPlacements);
         Ok(())
     }
@@ -328,17 +328,18 @@ impl Cluster {
     ///
     /// 1. adopt exported sharded instances the creation hook never saw
     ///    (objects that became visible through marshaling),
-    /// 2. prune members that moved away or whose node crashed,
-    /// 3. detect hot-key skew from the same call counters the affinity
-    ///    loop reads and greedily reassign hot shards from the most- to the
-    ///    least-loaded node while that strictly narrows the spread,
-    /// 4. enforce the map: migrate every member not at its shard's owner.
+    /// 2. detect hot-key skew from the same call counters the affinity
+    ///    loop reads — members on a down node count for nothing — and
+    ///    greedily reassign hot shards from the most- to the least-loaded
+    ///    node while that strictly narrows the spread,
+    /// 3. enforce the map: migrate every member not at its shard's owner.
     ///
-    /// Deterministic by construction: shard maps are `BTreeMap`s iterated
-    /// in key order, load ties break toward the lowest node id (and the
-    /// lowest shard key), and every move ships state through the same
-    /// Install path migration uses — a synchronization point that drains
-    /// the E12 outcall queues first.
+    /// Deterministic by construction: the shard map is a `BTreeMap`
+    /// iterated in key order, a shard's members come in `(node, oid)`
+    /// order, load ties break toward the lowest node id (and the lowest
+    /// shard key), and every move ships state through the same Install
+    /// path migration uses — a synchronization point that drains the E12
+    /// outcall queues first.
     pub fn rebalance_shards(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
         let shared = &self.shared;
         let _p = shared.prof.section(Section::Placement);
@@ -347,10 +348,9 @@ impl Cluster {
         }
         let _ = flush_outqueues(shared);
         self.adopt_sharded_exports();
-        prune_shard_members(shared);
         // Per-shard load: calls served for its members at their current
         // homes. Absent counters mean a quiet shard, not an error.
-        let loads = shared.directory.borrow().shard_loads();
+        let loads = shared.directory.borrow().shard_loads(|n| up(shared, n));
         if loads.values().sum::<u64>() >= config.min_calls {
             let mut owners = shared.directory.borrow().shard_owners();
             let mut node_load = vec![0u64; shared.vms.len()];
@@ -406,19 +406,18 @@ impl Cluster {
         self.enforce_shard_map()
     }
 
-    /// Record exported instances of sharded classes that creation-time
+    /// Tag exported instances of sharded classes that creation-time
     /// placement never saw, reading their shard key at their current home.
     /// Purely bookkeeping — physical moves happen in the enforcement pass.
     fn adopt_sharded_exports(&self) {
         let shared = &self.shared;
-        let known = shared.directory.borrow().shard_member_set();
         for n in 0..shared.vms.len() as u32 {
-            if suspects(shared, NodeId(n), NodeId(n)) {
+            if !up(shared, n) {
                 continue;
             }
             let exports = shared.directory.borrow().exports_of(n);
             for (oid, h) in exports {
-                if known.contains(&(n, oid)) {
+                if shared.directory.borrow().shard_of((n, oid)).is_some() {
                     continue;
                 }
                 let Some(info) = info_of(shared, n, h) else {
@@ -439,7 +438,7 @@ impl Cluster {
                 let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
                 let mut dir = shared.directory.borrow_mut();
                 dir.shard_owner((row.id, shard), shard % shared.vms.len() as u32);
-                dir.add_shard_member((row.id, shard), (n, oid));
+                dir.tag_shard((n, oid), (row.id, shard));
             }
         }
     }
@@ -456,22 +455,21 @@ impl Cluster {
             if suspects(shared, to, to) {
                 continue;
             }
-            let members = shared.directory.borrow().shard_members(key);
-            for (i, &(n, oid)) in members.iter().enumerate() {
+            let members = shared
+                .directory
+                .borrow()
+                .shard_members(key, |n| up(shared, n));
+            for (n, oid) in members {
                 // The member's node ships it, so that node asks.
                 let from = NodeId(n);
-                if n == owner || suspects(shared, from, from) || suspects(shared, from, to) {
+                if n == owner || suspects(shared, from, to) {
                     continue;
                 }
                 let Some(h) = lookup_export(shared, from, oid) else {
                     continue;
                 };
+                // The move carries the member's shard to its new home.
                 if let Ok(event) = self.migrate(from, h, to) {
-                    let moved = (event.target.node.0, event.target.oid);
-                    shared
-                        .directory
-                        .borrow_mut()
-                        .move_shard_member(key, i, moved);
                     events.push(event);
                 }
             }
@@ -503,15 +501,8 @@ pub(crate) fn shard_hash(key: &Value) -> u64 {
     h
 }
 
-/// Drop shard members that no longer resolve to a live, locally
-/// implemented object: crashed nodes, restarted registries, and locations
-/// the object moved away from (the instance will be re-adopted at its new
-/// home on the next tick).
-fn prune_shard_members(shared: &Shared) {
-    shared
-        .directory
-        .borrow_mut()
-        .prune_shard_members(|(n, _), h| {
-            !suspects(shared, NodeId(n), NodeId(n)) && is_local_impl(shared, n, h)
-        });
+/// Whether node `n` is up, as it knows of itself: a down node's shard
+/// members neither count nor move, and it adopts none.
+fn up(shared: &Shared, n: u32) -> bool {
+    !suspects(shared, NodeId(n), NodeId(n))
 }

@@ -164,14 +164,9 @@ pub(crate) fn proxy_call(
             if let Some((nn, noid)) = failover(shared, node, recv, class, row, (target, oid)) {
                 hops += 1;
                 (target, oid) = (nn, noid);
-                let Request::Call { method, args, .. } = req else {
-                    unreachable!("proxy calls only send Call requests")
-                };
-                req = Request::Call {
-                    object: oid,
-                    method,
-                    args,
-                };
+                if let Request::Call { object, .. } = &mut req {
+                    *object = oid;
+                }
                 continue;
             }
         }
@@ -306,6 +301,7 @@ pub(crate) struct SpanVocab {
     pub replica_read: AttrKey,
     pub old_home: AttrKey,
     pub new_home: AttrKey,
+    create: Symbol,
     discover: Symbol,
     install: Symbol,
     replica: Symbol,
@@ -330,6 +326,7 @@ impl SpanVocab {
             replica_read: log.key("replica_read"),
             old_home: log.key("old_home"),
             new_home: log.key("new_home"),
+            create: log.intern("<create:0>"),
             discover: log.intern("<discover>"),
             install: log.intern("<install>"),
             replica: log.intern("<replica>"),
@@ -340,11 +337,11 @@ impl SpanVocab {
 
     /// The method label recorded on an exchange span: the wire method
     /// string for calls, a pseudo-method for the runtime-internal request
-    /// kinds.
+    /// kinds. A `Create` always rides with constructor 0 (`make_value`).
     fn label(&self, log: &mut SpanLog, req: &Request) -> Symbol {
         match req {
             Request::Call { method, .. } => log.intern(method),
-            Request::Create { ctor, .. } => log.intern(&format!("<create:{ctor}>")),
+            Request::Create { .. } => self.create,
             Request::Discover { .. } => self.discover,
             Request::Install { .. } => self.install,
             Request::ReplicaSync { .. } => self.replica,
