@@ -488,6 +488,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/wire/src/soap.rs | grep -nE 'from_utf8_loss
   exit 1
 fi
 
+echo "== one SOAP envelope: the decoder reads only the text the encoder writes =="
+# Both ends of a link run this encoder, so `encoder_layout` is the one
+# envelope reader. A second, lenient reader that steps over header blocks and
+# envelope children nobody writes is what these names were.
+if sed '/^#\[cfg(test)\]/,$d' crates/wire/src/soap.rs | grep -nwE 'parse_envelope|loose_child|skip_rest|header_fields'; then
+  echo "FAIL: crates/wire/src/soap.rs has a second envelope reader again" >&2
+  exit 1
+fi
+
 echo "== host time stays out of deterministic artefacts =="
 # The host-time profile is switched on by `Cluster::enable_host_profile` and
 # read by `Cluster::host_profile`, and nothing else carries host time. The

@@ -222,8 +222,9 @@ impl WireError {
 /// with — so coherence information rides on traffic that flows anyway.
 ///
 /// Decoders accept exactly what an encoder emits — one frame version per
-/// codec — and reject every other version (or, for SOAP, a missing header
-/// element) with a [`WireError`]: both ends of every link run this code.
+/// codec — and reject every other version (for SOAP, any envelope text but
+/// the encoder's) with a [`WireError`]: both ends of every link run this
+/// code.
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the

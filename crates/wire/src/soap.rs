@@ -7,12 +7,13 @@
 //! human-readably but carry a `bits` attribute so round-trips are exact.
 //!
 //! The host does only the work that format needs. The decoder reads a frame
-//! in place, in one pass: names and attribute values are slices of it, an
-//! entity-free text run is one slice, and the header fields are read while
-//! the envelope is scanned. Inside `<soap:Body>` it accepts what the encoder
-//! writes and nothing else: text only in a scalar `<v>` and `<faultstring>`.
-//! Outside it, header blocks and envelope children it does not read are
-//! stepped over.
+//! in place, in one pass: names and attribute values are slices of it, and
+//! an entity-free text run is one slice. The envelope is matched as the
+//! exact text the encoder writes around its numbers; any other envelope is
+//! a [`WireError`] naming the text expected and its byte offset, since both
+//! ends of a link run this encoder. Inside `<soap:Body>` it accepts what the
+//! encoder writes and nothing else: text only in a scalar `<v>` and
+//! `<faultstring>`.
 
 use crate::frame::{FrameHeader, Payload, RequestKind};
 use crate::sig::{SigEnc, SigTable, Sigs};
@@ -222,27 +223,6 @@ impl<'a> Reader<'a> {
             [] => Err(self.err(format_args!("unterminated <{}>", parent.name))),
             _ => Err(self.err(format_args!("text in <{}>", parent.name))),
         }
-    }
-
-    /// The next child tag of `parent`, the text before it stepped over (its
-    /// entities still checked): the envelope and header levels, which hold
-    /// the encoder's newlines and whatever else a sender adds.
-    fn loose_child(&mut self, parent: &Tag<'_>) -> Result<Option<Tag<'a>>, WireError> {
-        if parent.empty {
-            return Ok(None);
-        }
-        let text = self.until(b'<');
-        unescape(text.ok_or_else(|| self.err(format_args!("unterminated <{}>", parent.name)))?)?;
-        self.next_child(parent)?.then(|| self.open()).transpose()
-    }
-
-    /// Step over the rest of `tag`, whatever it holds, up to its close tag:
-    /// an envelope or header element the decoder does not read.
-    fn skip_rest(&mut self, tag: &Tag<'_>) -> Result<(), WireError> {
-        while let Some(child) = self.loose_child(tag)? {
-            self.skip_rest(&child)?;
-        }
-        Ok(())
     }
 
     /// The end of a tag that holds nothing.
@@ -477,111 +457,35 @@ fn envelope_into(
     s.push_str(TAIL);
 }
 
-/// Read the message id, trace context and — from a reply — the object
-/// property version out of `<soap:Header>`, up to its close tag. Every
-/// element an encoder writes is required: a header without one is not a
-/// frame of ours. Requests carry no `<rafda:objver>` and report version 0.
-/// The first of each counts; anything else in the header is stepped over.
-fn header_fields(
-    r: &mut Reader<'_>,
-    header: &Tag<'_>,
-    reply: bool,
-) -> Result<(u64, TraceContext, u64), WireError> {
-    let (mut id, mut ctx, mut objver) = (None, None, None);
-    while let Some(e) = r.loose_child(header)? {
-        match e.name {
-            "rafda:mid" if id.is_none() => id = Some(parse(r.text(&e)?.trim(), e.name)?),
-            "rafda:objver" if objver.is_none() => objver = Some(parse(r.text(&e)?.trim(), e.name)?),
-            "rafda:trace" if ctx.is_none() => {
-                ctx = Some(TraceContext {
-                    trace_id: e.num("id")?,
-                    span_id: e.num("span")?,
-                    parent_span_id: e.num("parent")?,
-                });
-                r.skip_rest(&e)?;
-            }
-            _ => r.skip_rest(&e)?,
-        }
-    }
-    let missing = |name: &str| WireError::new(format!("<soap:Header> missing child <{name}>"));
-    let id = id.ok_or_else(|| missing("rafda:mid"))?;
-    let ctx = ctx.ok_or_else(|| missing("rafda:trace"))?;
-    let objver = match (reply, objver) {
-        (false, _) => 0,
-        (true, v) => v.ok_or_else(|| missing("rafda:objver"))?,
-    };
-    Ok((id, ctx, objver))
-}
-
-/// Scan an envelope in one pass: the header's fields, and `<soap:Body>`'s
-/// content as an unparsed slice. The layout an encoder writes is matched
-/// as the text around its numbers, which halves a SOAP round trip's host
-/// time against parsing every envelope (EXPERIMENTS E13 has the A/B); any
-/// other layout is parsed. `reply` selects the reply header set (see
-/// [`header_fields`]).
-fn scan_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
-    encoder_layout(xml, reply).map_or_else(|| parse_envelope(xml, reply), Ok)
-}
-
-/// [`scan_envelope`] for exactly the text [`envelope_into`] writes, or
-/// `None`. A body slice that parses holds no `</soap:Body>`, so wherever
-/// both this and [`parse_envelope`] accept a frame they agree.
-fn encoder_layout(xml: &str, reply: bool) -> Option<(u64, TraceContext, u64, &str)> {
+/// Read the envelope [`envelope_into`] writes, and only that: the text
+/// around each number is matched exactly, each number is plain decimal, and
+/// `<soap:Body>`'s content comes back as an unparsed slice. `reply` selects
+/// the reply header, the one that carries `<rafda:objver>`; a request
+/// reports version 0. Any other envelope is an error that names the text
+/// expected and the byte offset where it was expected.
+fn encoder_layout(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
     let mut r = Reader { xml, pos: 0 };
     let mut n = [0; 5];
     for (text, slot) in HEAD.iter().zip(&mut n[..4 + usize::from(reply)]) {
-        r.eat(text).ok()?;
+        r.eat(text)?;
         let start = r.pos;
         r.skip(|b| b.is_ascii_digit());
-        *slot = xml[start..r.pos].parse().ok()?;
+        *slot = xml[start..r.pos].parse().map_err(|_| {
+            r.pos = start;
+            r.err("expected a number")
+        })?;
     }
-    r.eat(HEAD_END[usize::from(reply)]).ok()?;
+    r.eat(HEAD_END[usize::from(reply)])?;
+    let Some(body) = r.rest().strip_suffix(TAIL) else {
+        r.pos = xml.len().saturating_sub(TAIL.len()).max(r.pos);
+        return Err(r.err(format_args!("expected '{TAIL}'")));
+    };
     let [id, trace_id, span_id, parent_span_id, objver] = n;
     let ctx = TraceContext {
         trace_id,
         span_id,
         parent_span_id,
     };
-    Some((id, ctx, objver, r.rest().strip_suffix(TAIL)?))
-}
-
-/// Parse an envelope: declaration, `<soap:Envelope>`, the header's fields
-/// and the body's slice. Outside the body it is lenient: the header and
-/// the body may come in either order, and text and other elements around
-/// them are stepped over. A second body is an error: which one is the
-/// message would be a guess.
-fn parse_envelope(xml: &str, reply: bool) -> Result<(u64, TraceContext, u64, &str), WireError> {
-    let mut r = Reader { xml, pos: 0 };
-    r.skip_ws();
-    if r.rest().starts_with("<?") {
-        r.until(b'>')
-            .ok_or_else(|| r.err("unterminated declaration"))?;
-        r.pos += 1;
-        r.skip_ws();
-    }
-    let envelope = r.open_named("soap:Envelope")?;
-    let (mut header, mut body) = (None, None);
-    while let Some(e) = r.loose_child(&envelope)? {
-        match e.name {
-            "soap:Header" if header.is_none() => header = Some(header_fields(&mut r, &e, reply)?),
-            "soap:Body" if body.is_some() => return Err(r.err("second <soap:Body>")),
-            "soap:Body" if e.empty => body = Some(""),
-            "soap:Body" => {
-                // Every `<` in text is escaped, so the first close tag is
-                // the body's own.
-                let rest = r.rest();
-                let len = rest
-                    .find("</soap:Body>")
-                    .ok_or_else(|| r.err("unterminated <soap:Body>"))?;
-                r.pos += len + "</soap:Body>".len();
-                body = Some(&rest[..len]);
-            }
-            _ => r.skip_rest(&e)?,
-        }
-    }
-    let missing = |name: &str| WireError::new(format!("<soap:Envelope> missing child <{name}>"));
-    let (id, ctx, objver) = header.ok_or_else(|| missing("soap:Header"))?;
-    let body = body.ok_or_else(|| missing("soap:Body"))?;
     Ok((id, ctx, objver, body))
 }
 
@@ -830,7 +734,7 @@ impl Protocol for SoapCodec {
 
     fn decode_request_header<'a>(&self, bytes: &'a [u8]) -> Result<FrameHeader<'a>, WireError> {
         let xml = std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid utf-8"))?;
-        let (msg_id, ctx, _, body) = scan_envelope(xml, false)?;
+        let (msg_id, ctx, _, body) = encoder_layout(xml, false)?;
         let kind = body_kind(body)?;
         Ok(FrameHeader {
             msg_id,
@@ -863,7 +767,7 @@ impl Protocol for SoapCodec {
         mut sigs: Option<&mut SigTable>,
     ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
         let xml = std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid utf-8"))?;
-        let (id, ctx, obj_version, body) = scan_envelope(xml, true)?;
+        let (id, ctx, obj_version, body) = encoder_layout(xml, true)?;
         let reply = read_body(body, |r| read_reply(r, &mut sigs))?;
         Ok((id, ctx, obj_version, reply))
     }
@@ -1092,91 +996,99 @@ mod tests {
     }
 
     #[test]
-    fn every_encoded_envelope_is_matched_and_parses_the_same() {
-        let codec = SoapCodec::new();
-        let ctx = TraceContext {
-            trace_id: u64::MAX,
-            span_id: 40,
-            parent_span_id: 0,
-        };
-        let mut frames = Vec::new();
-        for req in testdata::sample_requests() {
-            frames.push((false, codec.encode_request(u64::MAX, ctx, &req).unwrap()));
-        }
-        for reply in testdata::sample_replies() {
-            frames.push((true, codec.encode_reply(7, ctx, 0, &reply).unwrap()));
-        }
-        for (reply, frame) in frames {
-            let xml = std::str::from_utf8(&frame).unwrap();
-            let matched = encoder_layout(xml, reply).expect("the encoder's own layout");
-            assert_eq!(Ok(matched), parse_envelope(xml, reply), "{xml}");
-        }
-    }
-
-    #[test]
     fn envelopes_missing_a_header_element_are_rejected() {
         // An encoder always writes the full header set: <rafda:mid> and
         // <rafda:trace>, plus <rafda:objver> on replies. An envelope
-        // without one of them is not a frame of ours.
+        // without one of them is not a frame of ours, and the error names
+        // the text expected where the element should start.
         let codec = SoapCodec::new();
-        let envelope = |header: &str, body: &str| {
-            format!(
-                "<?xml version=\"1.0\"?>\n\
-                 <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n{header}\
-                 <soap:Body>{body}</soap:Body>\n</soap:Envelope>\n"
-            )
+        let ctx = TraceContext {
+            trace_id: 1,
+            span_id: 2,
+            parent_span_id: 0,
         };
+        let text = |frame: Vec<u8>| String::from_utf8(frame).unwrap();
+        let request = text(
+            codec
+                .encode_request(6, ctx, &Request::Promote { node: 1, object: 5 })
+                .unwrap(),
+        );
+        let reply = text(
+            codec
+                .encode_reply(6, ctx, 4, &Reply::Value(WireValue::Int(9)))
+                .unwrap(),
+        );
         const MID: &str = "<rafda:mid>6</rafda:mid>";
         const TRACE: &str = "<rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>";
         const OBJVER: &str = "<rafda:objver>4</rafda:objver>";
-        let header = |elems: &[&str]| format!("<soap:Header>{}</soap:Header>\n", elems.concat());
-        let request = "<rafda:promote node=\"1\" object=\"5\"/>";
-        let reply = "<rafda:result><v t=\"int\">9</v></rafda:result>";
 
         // The complete sets decode.
-        let ok = envelope(&header(&[MID, TRACE]), request);
-        assert_eq!(
-            codec.decode_request_header(ok.as_bytes()).unwrap().msg_id,
-            6
-        );
-        let ok = envelope(&header(&[MID, TRACE, OBJVER]), reply);
-        assert_eq!(codec.decode_reply_with(ok.as_bytes(), None).unwrap().2, 4);
+        let h = codec.decode_request_header(request.as_bytes()).unwrap();
+        assert_eq!((h.msg_id, h.ctx), (6, ctx));
+        let decoded = codec.decode_reply_with(reply.as_bytes(), None).unwrap();
+        assert_eq!((decoded.0, decoded.1, decoded.2), (6, ctx, 4));
 
-        for (missing, req_header, rep_header) in [
-            ("soap:Header", String::new(), String::new()),
-            ("rafda:mid", header(&[TRACE]), header(&[TRACE, OBJVER])),
-            ("rafda:trace", header(&[MID]), header(&[MID, OBJVER])),
+        let without = |frame: &str, elem: &str| {
+            assert!(frame.contains(elem), "{elem} in {frame}");
+            frame.replacen(elem, "", 1)
+        };
+        for (missing, req_elem, rep_elem) in [
+            (
+                "soap:Header",
+                format!("<soap:Header>{MID}{TRACE}</soap:Header>"),
+                format!("<soap:Header>{MID}{TRACE}{OBJVER}</soap:Header>"),
+            ),
+            ("rafda:mid", MID.into(), MID.into()),
+            ("rafda:trace", TRACE.into(), TRACE.into()),
         ] {
             let err = codec
-                .decode_request_header(envelope(&req_header, request).as_bytes())
+                .decode_request_header(without(&request, &req_elem).as_bytes())
                 .unwrap_err();
             assert!(err.0.contains(missing), "request without {missing}: {err}");
             let err = codec
-                .decode_reply_with(envelope(&rep_header, reply).as_bytes(), None)
+                .decode_reply_with(without(&reply, &rep_elem).as_bytes(), None)
                 .unwrap_err();
             assert!(err.0.contains(missing), "reply without {missing}: {err}");
         }
+        let no_objver = without(&reply, OBJVER);
         let err = codec
-            .decode_reply_with(envelope(&header(&[MID, TRACE]), reply).as_bytes(), None)
+            .decode_reply_with(no_objver.as_bytes(), None)
             .unwrap_err();
         assert!(
             err.0.contains("rafda:objver"),
             "reply without objver: {err}"
         );
+        // The offset is where the expected text should have started: here,
+        // the quote that closes the trace's parent attribute.
+        let at = no_objver.find("\"/></soap:Header>").unwrap();
+        assert!(err.0.ends_with(&format!(" at byte {at}")), "{err}");
     }
 
     #[test]
-    fn envelopes_are_read_leniently_outside_the_body() {
-        // Only the body is held to what the encoder writes. Around it, a
-        // sender may add header blocks and envelope children, put the body
-        // first, pad the numbers and carry any attributes.
+    fn envelopes_other_than_the_encoders_are_rejected() {
+        // Both ends of a link run this encoder, so the envelope is held to
+        // its exact text. A foreign header block, an extra envelope child,
+        // the body first, a padded number or an extra attribute is an error
+        // naming the text expected and where, around a body that decodes.
         let codec = SoapCodec::new();
         const BODY: &str = "<soap:Body><rafda:promote node=\"1\" object=\"5\"/></soap:Body>";
         const WSA: &str = "<wsa:To xmlns:wsa=\"urn:a\">urn:b &amp; c<x/></wsa:To>";
+        let ctx = TraceContext {
+            trace_id: 1,
+            span_id: 2,
+            parent_span_id: 0,
+        };
+        let own = codec
+            .encode_request(6, ctx, &Request::Promote { node: 1, object: 5 })
+            .unwrap();
+        assert!(String::from_utf8(own.clone()).unwrap().contains(BODY));
+        assert_eq!(codec.decode_request_header(&own).unwrap().msg_id, 6);
+
         let trace = "<rafda:trace xmlns:a=\"1\" xmlns:b=\"2\" xmlns:c=\"3\" xmlns:d=\"4\" \
                      id=\"1\" span=\"2\" parent=\"0\"/>";
         let header = |elems: &str| format!("<soap:Header>{elems}</soap:Header>");
         let mid = "<rafda:mid> 6 </rafda:mid><rafda:mid>7</rafda:mid>";
+        let mut frames = Vec::new();
         for (label, children) in [
             (
                 "a foreign header block",
@@ -1199,40 +1111,65 @@ mod tests {
                     "{mid}<rafda:trace id=\"1\" span=\"2\" parent=\"0\"><q/></rafda:trace>"
                 )) + BODY,
             ),
+            (
+                "a bad number",
+                header(&format!("<rafda:mid>6x</rafda:mid>{mid}{trace}")) + BODY,
+            ),
+            (
+                "a broken foreign block",
+                header(&format!("<wsa:To>&bogus;</wsa:To>{mid}{trace}")) + BODY,
+            ),
+            ("two bodies", header(&format!("{mid}{trace}")) + BODY + BODY),
         ] {
-            let frame = format!("<soap:Envelope xmlns:soap=\"x\">{children}</soap:Envelope>");
-            let h = codec
-                .decode_request_header(frame.as_bytes())
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            assert_eq!((h.msg_id, h.ctx.span_id), (6, 2), "{label}");
-            assert_eq!(
-                h.materialise(None).unwrap(),
-                Request::Promote { node: 1, object: 5 }
+            frames.push((
+                label,
+                format!("<soap:Envelope xmlns:soap=\"x\">{children}</soap:Envelope>"),
+            ));
+        }
+        for (label, frame) in &frames {
+            let err = codec.decode_request_header(frame.as_bytes()).unwrap_err();
+            assert!(
+                err.0.contains("expected '") && err.0.contains("' at byte "),
+                "{label}: {err}"
             );
         }
         let reply = "<soap:Envelope><soap:Header><rafda:objver>\n4\n</rafda:objver>\
                      <rafda:mid>6</rafda:mid><rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>\
                      </soap:Header><soap:Body><rafda:result><v t=\"null\"/></rafda:result>\
                      </soap:Body></soap:Envelope>";
-        assert_eq!(codec.decode_reply(reply.as_bytes()).unwrap().2, 4);
-        // Still malformed: a bad number, a broken foreign block, two bodies.
-        for (hostile, error) in [
-            ("<rafda:mid>6x</rafda:mid>", "bad rafda:mid"),
-            ("<wsa:To>&bogus;</wsa:To>", "unknown entity"),
-            ("<wsa:To><a></wsa:To>", "mismatched"),
+        let err = codec.decode_reply(reply.as_bytes()).unwrap_err();
+        assert!(err.0.contains("expected '"), "{err}");
+        // The encoder's own envelope, changed in one place.
+        let own = String::from_utf8(own).unwrap();
+        let at = own.find(">6<").unwrap() + 1;
+        for (label, frame, error) in [
+            (
+                "a padded number",
+                own.replacen(">6<", "> 6<", 1),
+                "a number",
+            ),
+            (
+                "a signed number",
+                own.replacen(">6<", ">+6<", 1),
+                "a number",
+            ),
+            (
+                "a number past u64",
+                own.replacen(">6<", ">18446744073709551616<", 1),
+                "a number",
+            ),
+            ("a lost last byte", own[..own.len() - 1].to_owned(), TAIL),
         ] {
-            let frame = format!(
-                "<soap:Envelope>{}{BODY}</soap:Envelope>",
-                header(&format!("{hostile}{mid}{trace}"))
-            );
             let err = codec.decode_request_header(frame.as_bytes()).unwrap_err();
-            assert!(err.0.contains(error), "{hostile}: {err}");
+            let at = if error == TAIL {
+                own.len() - 1 - TAIL.len()
+            } else {
+                at
+            };
+            assert!(
+                err.0.contains(error) && err.0.ends_with(&format!(" at byte {at}")),
+                "{label}: {err}"
+            );
         }
-        let two = format!(
-            "<soap:Envelope>{}{BODY}{BODY}</soap:Envelope>",
-            header(&format!("{mid}{trace}"))
-        );
-        let err = codec.decode_request_header(two.as_bytes()).unwrap_err();
-        assert!(err.0.contains("second <soap:Body>"), "{err}");
     }
 }

@@ -411,21 +411,26 @@ fn non_canonical_booleans_are_rejected_on_every_codec() {
     }
 }
 
-/// A SOAP envelope around `body`, with the reply header set when `reply`.
+/// The envelope a SOAP encoder writes around `body`: message id 6, trace
+/// context 1/2/0 and, on a reply, object version 4. It is the encoder's own
+/// frame with its body element swapped for `body`, since the decoder reads
+/// no other envelope.
 fn soap_envelope(reply: bool, body: &str) -> Vec<u8> {
-    let objver = if reply {
-        "<rafda:objver>4</rafda:objver>"
-    } else {
-        ""
+    let codec = SoapCodec::new();
+    let ctx = TraceContext {
+        trace_id: 1,
+        span_id: 2,
+        parent_span_id: 0,
     };
-    format!(
-        "<?xml version=\"1.0\"?>\n\
-         <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-         <soap:Header><rafda:mid>6</rafda:mid>\
-         <rafda:trace id=\"1\" span=\"2\" parent=\"0\"/>{objver}</soap:Header>\n\
-         <soap:Body>{body}</soap:Body>\n</soap:Envelope>\n"
-    )
-    .into_bytes()
+    let frame = if reply {
+        codec.encode_reply(6, ctx, 4, &Reply::Value(WireValue::Null))
+    } else {
+        codec.encode_request(6, ctx, &Request::Promote { node: 1, object: 5 })
+    };
+    let frame = String::from_utf8(frame.unwrap()).unwrap();
+    let (head, rest) = frame.split_once("<soap:Body>").unwrap();
+    let (_, tail) = rest.rsplit_once("</soap:Body>").unwrap();
+    format!("{head}<soap:Body>{body}</soap:Body>{tail}").into_bytes()
 }
 
 /// Inside `<soap:Body>` the decoder accepts what an encoder writes and
@@ -506,6 +511,12 @@ fn hostile_soap_body_shapes_are_rejected() {
         ("an empty body", String::new()),
         ("a stray close tag", "</rafda:promote>".into()),
     ];
+    // Around a valid body the envelope decodes, so each row fails in its
+    // body and not at the envelope.
+    let (id, _, promote) = codec
+        .decode_request(&soap_envelope(false, PROMOTE))
+        .unwrap();
+    assert_eq!((id, promote), (6, Request::Promote { node: 1, object: 5 }));
     for (label, body) in &requests {
         assert!(
             codec.decode_request(&soap_envelope(false, body)).is_err(),
