@@ -1020,8 +1020,6 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
     } else {
         let create = Request::Create {
             class: row.name.clone(),
-            ctor: 0,
-            args: vec![],
         };
         let (reply, _) = rpc(shared, node, target, row, &create, None)?;
         let wv = read_reply(shared, node, reply)?;

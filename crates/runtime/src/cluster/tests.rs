@@ -1407,10 +1407,10 @@ fn a_retried_exchange_records_the_failed_attempt_and_the_retransmission() {
     assert_eq!(
         spans,
         [
-            "rpc.call #4 ^0 retry_of=None Ok 419900..1185589 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=2]",
-            "rpc.attempt #5 ^4 retry_of=None NetFailure 419900..574978 [attempt=1]",
-            "rpc.attempt #6 ^4 retry_of=Some(5) Ok 774978..1185589 [attempt=2]",
-            "serve.call #7 ^4 retry_of=None Ok 939402..939402 [caller=0]",
+            "rpc.call #4 ^0 retry_of=None Ok 419431..1185120 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=2]",
+            "rpc.attempt #5 ^4 retry_of=None NetFailure 419431..574509 [attempt=1]",
+            "rpc.attempt #6 ^4 retry_of=Some(5) Ok 774509..1185120 [attempt=2]",
+            "serve.call #7 ^4 retry_of=None Ok 938933..938933 [caller=0]",
         ]
     );
     assert_eq!(cluster.shared().last_exchange_span.get(), 4);
@@ -1429,10 +1429,10 @@ fn an_exhausted_exchange_records_every_attempt_and_a_net_failure() {
     assert_eq!(
         spans,
         [
-            "rpc.call #4 ^0 retry_of=None NetFailure 419900..1485134 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=3]",
-            "rpc.attempt #5 ^4 retry_of=None NetFailure 419900..574978 [attempt=1]",
-            "rpc.attempt #6 ^4 retry_of=Some(5) NetFailure 774978..930056 [attempt=2]",
-            "rpc.attempt #7 ^4 retry_of=Some(6) NetFailure 1330056..1485134 [attempt=3]",
+            "rpc.call #4 ^0 retry_of=None NetFailure 419431..1484665 [class=C method=add@1 protocol=RMI from=0 to=1 bytes_out=65 attempts=3]",
+            "rpc.attempt #5 ^4 retry_of=None NetFailure 419431..574509 [attempt=1]",
+            "rpc.attempt #6 ^4 retry_of=Some(5) NetFailure 774509..929587 [attempt=2]",
+            "rpc.attempt #7 ^4 retry_of=Some(6) NetFailure 1329587..1484665 [attempt=3]",
         ]
     );
     assert_eq!(cluster.shared().last_exchange_span.get(), 4);

@@ -337,7 +337,8 @@ impl SpanVocab {
 
     /// The method label recorded on an exchange span: the wire method
     /// string for calls, a pseudo-method for the runtime-internal request
-    /// kinds. A `Create` always rides with constructor 0 (`make_value`).
+    /// kinds. A `Create` names no constructor (that runs later, as a
+    /// `Call`), and its label keeps the spelling `<create:0>`.
     fn label(&self, log: &mut SpanLog, req: &Request) -> Symbol {
         match req {
             Request::Call { method, .. } => log.intern(method),

@@ -393,7 +393,7 @@ fn dispatch_request(
             }
             reply
         }
-        Request::Create { class, .. } => {
+        Request::Create { class } => {
             bump(shared, node.0, Met::RpcCreates);
             let row = row_named(&class)?;
             let family = &shared.plan.families[&row.base];

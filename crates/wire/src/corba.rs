@@ -118,13 +118,19 @@ mod tests {
     #[test]
     fn interned_frames_roundtrip_aligned() {
         let codec = CorbaCodec::new();
-        let req = Request::Create {
-            class: "StockMarket".into(),
-            ctor: 1,
-            args: vec![WireValue::ObjectState {
+        let req = Request::Install {
+            state: WireValue::ObjectState {
                 class: "Quote_O_Local".into(),
-                fields: vec![WireValue::Int(5)],
-            }],
+                fields: vec![
+                    WireValue::Int(5),
+                    WireValue::Remote {
+                        node: 1,
+                        object: 9,
+                        class: "StockMarket".into(),
+                    },
+                ],
+            },
+            source: (0, 3),
         };
         let mut enc = SigTable::new();
         let mut dec = SigTable::new();
@@ -133,7 +139,7 @@ mod tests {
             .encode_request_into(1, TraceContext::NONE, &req, Some(&mut enc), &mut first)
             .unwrap();
         let h = codec.decode_request_header(&first).unwrap();
-        assert_eq!(h.kind, RequestKind::Create);
+        assert_eq!(h.kind, RequestKind::Install);
         assert_eq!(h.materialise(Some(&mut dec)).unwrap(), req);
         let mut second = Vec::new();
         codec

@@ -105,11 +105,6 @@ pub enum Request {
     Create {
         /// Original class name.
         class: String,
-        /// Always 0: the runtime sends no constructor, and the callee
-        /// ignores this field.
-        ctor: u16,
-        /// Always empty, and ignored by the callee, like `ctor`.
-        args: Vec<WireValue>,
     },
     /// Discover the node's singleton for `class` (factory `discover`).
     Discover {
@@ -461,11 +456,7 @@ pub(crate) mod testdata {
             Request::Discover {
                 class: "X_C_Int".into(),
             },
-            Request::Create {
-                class: "X".into(),
-                ctor: 2,
-                args: sample_values(),
-            },
+            Request::Create { class: "X".into() },
             Request::Install {
                 state: WireValue::ObjectState {
                     class: "C_O_Local".into(),

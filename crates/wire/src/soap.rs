@@ -544,14 +544,10 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
             }
             b.write_str("</rafda:call>")
         }
-        Request::Create { class, ctor, args } => {
+        Request::Create { class } => {
             b.push_str("<rafda:create");
             sig_attr_out(b, "class", class, sigs);
-            let _ = write!(b, " ctor=\"{ctor}\">");
-            for a in args {
-                write_value(b, a, sigs);
-            }
-            b.write_str("</rafda:create>")
+            b.write_str("/>")
         }
         Request::Discover { class } => {
             b.push_str("<rafda:discover");
@@ -592,7 +588,7 @@ fn write_request_elem(b: &mut String, req: &Request, sigs: Sigs<'_, '_>) {
 }
 
 fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireError> {
-    use RequestKind::{Discover, Promote};
+    use RequestKind::{Create, Discover, Promote};
     let e = r.open()?;
     // Attributes before children: the encoder defines signatures in that
     // order, so interning must follow it.
@@ -604,8 +600,6 @@ fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireE
         },
         "rafda:create" => Request::Create {
             class: sig_attr(&e, "class", sigs)?,
-            ctor: e.num("ctor")?,
-            args: r.children(&e, |r| read_value(r, sigs))?,
         },
         "rafda:discover" => Request::Discover {
             class: sig_attr(&e, "class", sigs)?,
@@ -627,7 +621,7 @@ fn read_request(r: &mut Reader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, WireE
         name => return Err(WireError::new(format!("unknown request <{name}>"))),
     };
     // The rest hold no elements.
-    if matches!(RequestKind::of(&req), Discover | Promote) {
+    if matches!(RequestKind::of(&req), Create | Discover | Promote) {
         r.end(&e)?;
     }
     Ok(req)

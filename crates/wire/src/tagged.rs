@@ -225,13 +225,9 @@ fn write_request(w: &mut BinWriter, req: &Request, sigs: Sigs<'_, '_>) {
                 write_value(w, a, sigs);
             }
         }
-        Request::Create { class, ctor, args } => {
+        Request::Create { class } => {
             w.u8(R_CREATE);
             write_sig(w, class, sigs);
-            w.u16(*ctor).len_u32(args.len());
-            for a in args {
-                write_value(w, a, sigs);
-            }
         }
         Request::Discover { class } => {
             w.u8(R_DISCOVER);
@@ -280,16 +276,9 @@ fn read_request(r: &mut BinReader<'_>, sigs: Sigs<'_, '_>) -> Result<Request, Wi
                 args,
             }
         }
-        R_CREATE => {
-            let class = read_sig(r, sigs)?;
-            let ctor = r.u16()?;
-            let n = r.u32()? as usize;
-            let mut args = Vec::with_capacity(n.min(MAX_PREALLOC_OPS));
-            for _ in 0..n {
-                args.push(read_value(r, sigs)?);
-            }
-            Request::Create { class, ctor, args }
-        }
+        R_CREATE => Request::Create {
+            class: read_sig(r, sigs)?,
+        },
         R_DISCOVER => Request::Discover {
             class: read_sig(r, sigs)?,
         },

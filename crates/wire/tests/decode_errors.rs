@@ -167,7 +167,7 @@ fn corrupt_request_frames_are_rejected_with_typed_errors() {
 /// *clamped* preallocation — an unclamped `Vec::with_capacity` here would
 /// attempt a multi-gigabyte allocation and abort the process, which is the
 /// regression this table exists to catch. One row per decoder site:
-/// array items, object-state fields, call args, create args, batched ops,
+/// array items, object-state fields, call args, batched ops,
 /// exception fields, and batched-reply ops.
 #[test]
 fn oversized_rmi_length_prefixes_are_clamped_at_every_site() {
@@ -184,21 +184,6 @@ fn oversized_rmi_length_prefixes_are_clamped_at_every_site() {
         .unwrap();
     let at = find(&frame, method) + method.len();
     request_cases.push(("rmi: call arg count".into(), frame, at));
-
-    // Create arg count: follows the class string and the u16 ctor index.
-    let frame = codec
-        .encode_request(
-            9,
-            TraceContext::NONE,
-            &Request::Create {
-                class: "WidgetClass".to_owned(),
-                ctor: 1,
-                args: vec![WireValue::Int(7)],
-            },
-        )
-        .unwrap();
-    let at = find(&frame, b"WidgetClass") + "WidgetClass".len() + 2;
-    request_cases.push(("rmi: create arg count".into(), frame, at));
 
     // Array item count: first arg is an array — its count sits one tag
     // byte after the (method string, arg count) prefix.
@@ -487,6 +472,14 @@ fn hostile_soap_body_shapes_are_rejected() {
         (
             "an element in a promote",
             format!("<rafda:promote node=\"1\" object=\"5\">{int}</rafda:promote>"),
+        ),
+        (
+            "an element in a create",
+            format!("<rafda:create class=\"X\" ctor=\"0\">{int}</rafda:create>"),
+        ),
+        (
+            "text in a create",
+            "<rafda:create class=\"X\">x</rafda:create>".into(),
         ),
         ("text in a batch", "<rafda:batch>x</rafda:batch>".into()),
         (

@@ -67,12 +67,7 @@ fn arb_simple_request() -> impl Strategy<Value = Request> {
                 method,
                 args
             }),
-        (
-            SIG,
-            any::<u16>(),
-            prop::collection::vec(arb_wire_value(), 0..4)
-        )
-            .prop_map(|(class, ctor, args)| Request::Create { class, ctor, args }),
+        SIG.prop_map(|class| Request::Create { class }),
         SIG.prop_map(|class| Request::Discover { class }),
         (arb_wire_value(), (any::<u32>(), any::<u64>())).prop_map(|(v, source)| Request::Install {
             state: WireValue::ObjectState {
@@ -173,23 +168,6 @@ fn request_exact(a: &Request, b: &Request) -> bool {
         ) => {
             oa == ob
                 && ma == mb
-                && aa.len() == ab.len()
-                && aa.iter().zip(ab).all(|(x, y)| exact_bits(x, y))
-        }
-        (
-            Request::Create {
-                class: ca,
-                ctor: ta,
-                args: aa,
-            },
-            Request::Create {
-                class: cb,
-                ctor: tb,
-                args: ab,
-            },
-        ) => {
-            ca == cb
-                && ta == tb
                 && aa.len() == ab.len()
                 && aa.iter().zip(ab).all(|(x, y)| exact_bits(x, y))
         }
