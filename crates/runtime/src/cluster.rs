@@ -1010,13 +1010,7 @@ pub(crate) fn point_proxy_at(
 pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Result<Value, VmError> {
     let target = shared.policy.instance_node(&row.name, node);
     if target == node {
-        let family = &shared.plan.families[&row.base];
-        // `new` triggers class initialisation, as in the JVM.
-        if family.cls.is_some() {
-            discover_value(shared, node, row)?;
-        }
-        let h = shared.vms[node.0 as usize].alloc_default(family.obj.local);
-        Ok(Value::Ref(h))
+        fresh_instance(shared, node, row).map(Value::Ref)
     } else {
         let create = Request::Create {
             class: row.name.clone(),
@@ -1025,6 +1019,21 @@ pub(crate) fn make_value(shared: &Shared, node: NodeId, row: &ClassRow) -> Resul
         let wv = read_reply(shared, node, reply)?;
         marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
     }
+}
+
+/// A fresh, default-valued instance of `row`'s class on `node`. `new`
+/// triggers class initialisation first, as in the JVM, when the class has
+/// statics.
+pub(crate) fn fresh_instance(
+    shared: &Shared,
+    node: NodeId,
+    row: &ClassRow,
+) -> Result<Handle, VmError> {
+    let family = &shared.plan.families[&row.base];
+    if family.cls.is_some() {
+        discover_value(shared, node, row)?;
+    }
+    Ok(shared.vms[node.0 as usize].alloc_default(family.obj.local))
 }
 
 /// `A_C_Factory.discover()` on `node`: per-node singleton, local or remote

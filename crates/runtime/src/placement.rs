@@ -17,7 +17,7 @@ use crate::serve::unknown_object;
 use crate::stats::bump;
 use rafda_classmodel::Side;
 use rafda_net::NodeId;
-use rafda_policy::AffinityConfig;
+use rafda_policy::{AffinityConfig, ShardSpec};
 use rafda_telemetry::{SpanOutcome, Symbol};
 use rafda_vm::{Handle, Value, VmError};
 use rafda_wire::{Request, WireValue};
@@ -283,16 +283,11 @@ impl Cluster {
         let Value::Ref(h) = *that else {
             return Ok(());
         };
-        let vm = &shared.vms[node.0 as usize];
-        let key = vm.call_virtual_by_name(that.clone(), &spec.key_getter, vec![])?;
-        let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-        let owner = shared
-            .directory
-            .borrow_mut()
-            .shard_owner((row.id, shard), shard % shared.vms.len() as u32);
+        let (shard, owner) = shard_of_instance(shared, node.0, row, spec, h)?;
         let Some(info) = info_of(shared, node.0, h) else {
             return Ok(());
         };
+        let vm = &shared.vms[node.0 as usize];
         let member = if info.is_proxy {
             let (tn, toid) =
                 read_proxy_state(vm, h).ok_or_else(|| VmError::Native("stale proxy".into()))?;
@@ -430,15 +425,13 @@ impl Cluster {
                 let Some(spec) = &row.rule.shard else {
                     continue;
                 };
-                let vm = &shared.vms[n as usize];
-                let Ok(key) = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])
-                else {
+                let Ok((shard, _)) = shard_of_instance(shared, n, row, spec, h) else {
                     continue;
                 };
-                let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-                let mut dir = shared.directory.borrow_mut();
-                dir.shard_owner((row.id, shard), shard % shared.vms.len() as u32);
-                dir.tag_shard((n, oid), (row.id, shard));
+                shared
+                    .directory
+                    .borrow_mut()
+                    .tag_shard((n, oid), (row.id, shard));
             }
         }
     }
@@ -499,6 +492,26 @@ pub(crate) fn shard_hash(key: &Value) -> u64 {
         _ => eat(&[0]),
     }
     h
+}
+
+/// The shard of instance `h` on `node` and that shard's owner: the value of
+/// `spec`'s key getter, hashed, modulo the shard count. A shard seen for the
+/// first time is owned by node `shard % node_count`.
+fn shard_of_instance(
+    shared: &Shared,
+    node: u32,
+    row: &ClassRow,
+    spec: &ShardSpec,
+    h: Handle,
+) -> Result<(u32, u32), VmError> {
+    let vm = &shared.vms[node as usize];
+    let key = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])?;
+    let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
+    let owner = shared
+        .directory
+        .borrow_mut()
+        .shard_owner((row.id, shard), shard % shared.vms.len() as u32);
+    Ok((shard, owner))
 }
 
 /// Whether node `n` is up, as it knows of itself: a down node's shard

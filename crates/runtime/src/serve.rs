@@ -4,8 +4,8 @@
 //! the directory, reply encode. Nothing else in the runtime reaches in here.
 
 use crate::cluster::{
-    bump_version, cached_import, class_row, discover_value, export, is_proxy, lookup_export,
-    read_proxy_state, relocate, remote_ref, version_of, Shared,
+    bump_version, cached_import, class_row, discover_value, export, fresh_instance, is_proxy,
+    lookup_export, read_proxy_state, relocate, remote_ref, version_of, Shared,
 };
 use crate::marshal;
 use crate::obs::Met;
@@ -396,18 +396,16 @@ fn dispatch_request(
         Request::Create { class } => {
             bump(shared, node.0, Met::RpcCreates);
             let row = row_named(&class)?;
-            let family = &shared.plan.families[&row.base];
-            if family.cls.is_some() {
-                if let Err(e) = discover_value(shared, node, row) {
-                    return failure_reply(shared, node, e);
-                }
-            }
-            let h = shared.vms[node.0 as usize].alloc_default(family.obj.local);
+            let h = match fresh_instance(shared, node, row) {
+                Ok(h) => h,
+                Err(e) => return failure_reply(shared, node, e),
+            };
             let oid = export(shared, node, h);
             // Replicate the freshly created object at once: an owner that
             // crashes before serving any call must not take it along.
             sync_replicas(shared, node, oid);
-            let class = String::from(&*shared.universe.class(family.obj.local).name);
+            let local = vm.class_of(h).expect("fresh instance");
+            let class = String::from(&*shared.universe.class(local).name);
             Ok(exported(node, oid, class))
         }
         Request::Discover { class } => {
